@@ -5,7 +5,7 @@ PKGS := ./...
 # rewritten by tooling; everything else is held to gofmt.
 GOFILES := $(shell git ls-files '*.go' | grep -v '/testdata/')
 
-.PHONY: all build test lint vet gate gate-update race cluster-test dyn-test debug ci fmt serve loadtest perf perf-compare fuzz-smoke obs-smoke
+.PHONY: all build test lint vet gate gate-update race cluster-test dyn-test debug ci fmt serve loadtest perf perf-compare bench fuzz-smoke obs-smoke
 
 all: build
 
@@ -25,8 +25,8 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# vet = stock go vet plus the concurrency/discipline analyzers in
-# cmd/bfsvet (arenarelease, atomicword, falseshare, hotalloc,
+# vet = stock go vet plus the six concurrency/discipline analyzers in
+# cmd/bfsvet (arenarelease, atomicword, falseshare, hotalloc, nocas,
 # waitgroupleak — see docs/ANALYSIS.md).
 vet:
 	$(GO) vet $(PKGS)
@@ -96,6 +96,11 @@ perf:
 #   make perf-compare OLD=BENCH_abc.json NEW=BENCH_def.json
 perf-compare:
 	$(GO) run ./cmd/bfsperf compare $(OLD) $(NEW)
+
+# bench = the repository benchmark BENCHMARK.json declares: five windowed
+# workloads, end-to-end and per-layer metrics (see benchmark/README.md).
+bench:
+	bash benchmark/run.sh
 
 # fuzz-smoke = replay the committed seed corpora, then a short randomized
 # burst per target. Catches loader regressions without a long fuzz session.

@@ -140,6 +140,22 @@ func main() {
 	}
 }
 
+// boundedServer returns an http.Server whose read side cannot be held open
+// by a slow or idle client: headers within 5 s, the whole request (body
+// included — bodies are size-capped by the handlers) within 30 s, idle
+// keep-alive connections reaped after 2 min. There is deliberately no
+// WriteTimeout: request deadlines bound query answers, and the debug
+// listener streams multi-second profiles.
+func boundedServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // newLogger builds the daemon's structured logger: logfmt text by default,
 // JSON for log pipelines.
 func newLogger(w *os.File, asJSON bool, level string) (*slog.Logger, error) {
@@ -235,7 +251,7 @@ func run(logger *slog.Logger, graphs graphFlags, addr, debugAddr string, shards 
 			"relabel", "striped", "elapsed", time.Since(start).Round(time.Millisecond))
 	}
 	srv := server.New(reg, cfg)
-	httpSrv := &http.Server{Addr: addr, Handler: srv}
+	httpSrv := boundedServer(addr, srv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -252,7 +268,7 @@ func run(logger *slog.Logger, graphs graphFlags, addr, debugAddr string, shards 
 	// loopback (or off, the default) while the query port is public.
 	var debugSrv *http.Server
 	if debugAddr != "" {
-		debugSrv = &http.Server{Addr: debugAddr, Handler: server.NewDebugHandler(reg)}
+		debugSrv = boundedServer(debugAddr, server.NewDebugHandler(reg))
 		//bfs:detached debug listener goroutine; shut down alongside the main listener
 		go func() {
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

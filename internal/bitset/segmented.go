@@ -120,9 +120,7 @@ func (s *Shadows) MergeRange(owner int, canonical []uint64, wordLo, wordHi int) 
 // MergeRangeCounts is MergeRange with per-shadow attribution: perShadow[w-1]
 // accumulates the nonzero words folded from worker w's shadow. The modeled
 // NUMA accounting uses it to charge only the merge reads that carried data
-// between regions — a no-change merge read is shareable and uncharged, the
-// same convention the CAS scatter's tracker branch applies to no-change
-// CAS merges.
+// between regions — a no-change merge read is shareable and uncharged.
 func (s *Shadows) MergeRangeCounts(owner int, canonical []uint64, wordLo, wordHi int, perShadow []int64) int64 {
 	return s.mergeRange(owner, canonical, wordLo, wordHi, perShadow)
 }

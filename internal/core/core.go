@@ -2,8 +2,9 @@
 // evaluation compares against:
 //
 //   - MS-PBFS — the parallel multi-source BFS (Section 3.1): two-phase
-//     top-down with per-word CAS merges, bottom-up with early exit, NUMA- and
-//     cache-conscious array state, work-stealing scheduling.
+//     top-down over worker-owned frontier shadows with a barrier OR-merge,
+//     bottom-up with early exit, NUMA- and cache-conscious array state,
+//     work-stealing scheduling.
 //   - SMS-PBFS — the parallel single-source variant (Section 3.2) in both
 //     bit and byte state representations with 64-vertex chunk skipping.
 //   - MS-BFS — the sequential multi-source baseline of Then et al. (VLDB
@@ -99,13 +100,6 @@ type Options struct {
 	// (the "stop once all active BFS bits are set" optimization); used by
 	// the ablation benchmarks.
 	DisableEarlyExit bool
-	// DisableSegments switches the parallel kernels back to the shared
-	// next-frontier with per-word CAS merges (the pre-segmentation design)
-	// instead of worker-owned frontier shadows with a barrier OR-merge.
-	// Used by the A/B equivalence tests and ablation benchmarks; the
-	// segmented substrate is the default because it keeps the top-down hot
-	// loop free of atomics.
-	DisableSegments bool
 	// RealPlacement asks the engine to back this run's state arrays with
 	// NUMA-placed arena memory (mmap slabs first-touched by their owning
 	// workers, mbind stripe hints) and to pin pool workers to CPUs.
@@ -336,12 +330,8 @@ type iterRecorder struct {
 // noteMerge drains the shadows' per-owner merge counters into the next
 // record call, resetting them so every iteration reports a delta. With
 // tracing off the counters are still reset — the accounting must not
-// accumulate across traced and untraced runs. Nil shadows (solo worker,
-// CAS fallback, non-segmented kernels) is a no-op.
+// accumulate across traced and untraced runs.
 func (r *iterRecorder) noteMerge(sh *bitset.Shadows) {
-	if sh == nil {
-		return
-	}
 	if r.tr == nil {
 		sh.ResetMergeCounts()
 		return

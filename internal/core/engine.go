@@ -37,8 +37,7 @@ type Engine struct {
 
 	pools   map[int][]*sched.Pool     // keyed by worker count
 	pinned  map[int][]*sched.Pool     // CPU-pinned pools (Options.RealPlacement)
-	ms      map[msKey][]*MSPBFSEngine // warm MS-PBFS shells (counters+scratch+states)
-	sms     map[smsKey][]*SMSPBFSEngine
+	shells  map[shellKey][]*levelStep // warm MS-/SMS-PBFS shells (counters+scratch+states)
 	states  map[stateKey][]*bitset.State
 	bitmaps map[int][]*bitset.Bitmap // keyed by vertex count
 	levels  map[int][][]int32        // keyed by row length
@@ -62,26 +61,6 @@ type stateKey struct {
 	words int
 }
 
-type msKey struct {
-	n       int
-	words   int
-	split   int
-	workers int
-	// seg distinguishes segmented shells (worker-owned shadows allocated)
-	// from shared-CAS shells (Options.DisableSegments): the two shapes
-	// carry different arrays and must not recycle into each other.
-	seg bool
-}
-
-type smsKey struct {
-	n       int
-	split   int
-	workers int
-	repr    StateRepr
-	// seg distinguishes segmented shells from shared-CAS shells; see msKey.
-	seg bool
-}
-
 // Per-key free-list bounds. Pools and kernel shells are heavyweight (a
 // shell pins 3 k-wide states plus per-worker scratch), so a handful covers
 // the realistic concurrency per shape; level rows are small and requested
@@ -101,8 +80,7 @@ func NewEngine() *Engine {
 	return &Engine{
 		pools:   make(map[int][]*sched.Pool),
 		pinned:  make(map[int][]*sched.Pool),
-		ms:      make(map[msKey][]*MSPBFSEngine),
-		sms:     make(map[smsKey][]*SMSPBFSEngine),
+		shells:  make(map[shellKey][]*levelStep),
 		states:  make(map[stateKey][]*bitset.State),
 		bitmaps: make(map[int][]*bitset.Bitmap),
 		levels:  make(map[int][][]int32),
@@ -165,10 +143,7 @@ func (e *Engine) Stats() EngineStats {
 		st.FreePools += len(l)
 		st.PooledWorkers += workers * len(l)
 	}
-	for _, l := range e.ms {
-		st.FreeShells += len(l)
-	}
-	for _, l := range e.sms {
+	for _, l := range e.shells {
 		st.FreeShells += len(l)
 	}
 	for _, l := range e.states {
@@ -201,8 +176,7 @@ func (e *Engine) Close() {
 	pinned := e.pinned
 	e.pools = make(map[int][]*sched.Pool)
 	e.pinned = make(map[int][]*sched.Pool)
-	e.ms = make(map[msKey][]*MSPBFSEngine)
-	e.sms = make(map[smsKey][]*SMSPBFSEngine)
+	e.shells = make(map[shellKey][]*levelStep)
 	e.states = make(map[stateKey][]*bitset.State)
 	e.bitmaps = make(map[int][]*bitset.Bitmap)
 	e.levels = make(map[int][][]int32)
@@ -461,13 +435,13 @@ func (e *Engine) ReleaseLevels(rows ...[]int32) {
 	}
 }
 
-// checkoutMS pops a warm MS-PBFS shell for the exact run shape, or nil on
+// checkoutShell pops a warm kernel shell for the exact run shape, or nil on
 // a cold miss. The caller re-binds graph/options/pool and runs the
 // first-touch zero pass, which doubles as the scrub.
-func (e *Engine) checkoutMS(key msKey) *MSPBFSEngine {
+func (e *Engine) checkoutShell(key shellKey) *levelStep {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	l := e.ms[key]
+	l := e.shells[key]
 	if len(l) == 0 {
 		e.misses++
 		e.borrowed++
@@ -475,82 +449,24 @@ func (e *Engine) checkoutMS(key msKey) *MSPBFSEngine {
 	}
 	sh := l[len(l)-1]
 	l[len(l)-1] = nil
-	e.ms[key] = l[:len(l)-1]
+	e.shells[key] = l[:len(l)-1]
 	e.hits++
 	e.borrowed++
-	e.freeBytes -= msShellBytes(sh)
+	e.freeBytes -= sh.bytes
 	return sh
 }
 
-func (e *Engine) checkinMS(sh *MSPBFSEngine) {
+func (e *Engine) checkinShell(sh *levelStep) {
+	key := sh.key
 	// Drop references that would pin the caller's graph (and any OnVisit
-	// closure) in the arena; checkout re-binds them.
-	sh.g = nil
-	sh.opt = Options{}
-	sh.pool = nil
-	sh.eng = nil
+	// closure) in the arena; the next open re-binds them.
+	sh.shellRun = shellRun{}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.borrowed--
-	if e.closed || len(e.ms[sh.key]) >= maxFreeShells {
+	if e.closed || len(e.shells[key]) >= maxFreeShells {
 		return
 	}
-	e.ms[sh.key] = append(e.ms[sh.key], sh)
-	e.freeBytes += msShellBytes(sh)
-}
-
-func msShellBytes(sh *MSPBFSEngine) int64 {
-	b := sh.seen.MemoryBytes() + sh.buf0.MemoryBytes() + sh.buf1.MemoryBytes()
-	for _, s := range sh.scratch {
-		b += int64(cap(s)) * 8
-	}
-	for _, s := range sh.liveBits {
-		b += int64(cap(s)) * 8
-	}
-	if sh.shadows != nil {
-		b += sh.shadows.MemoryBytes()
-	}
-	return b
-}
-
-// checkoutSMS / checkinSMS mirror checkoutMS for SMS-PBFS shells.
-func (e *Engine) checkoutSMS(key smsKey) *SMSPBFSEngine {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	l := e.sms[key]
-	if len(l) == 0 {
-		e.misses++
-		e.borrowed++
-		return nil
-	}
-	sh := l[len(l)-1]
-	l[len(l)-1] = nil
-	e.sms[key] = l[:len(l)-1]
-	e.hits++
-	e.borrowed++
-	e.freeBytes -= smsShellBytes(sh)
-	return sh
-}
-
-func (e *Engine) checkinSMS(sh *SMSPBFSEngine) {
-	sh.g = nil
-	sh.opt = Options{}
-	sh.pool = nil
-	sh.eng = nil
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.borrowed--
-	if e.closed || len(e.sms[sh.key]) >= maxFreeShells {
-		return
-	}
-	e.sms[sh.key] = append(e.sms[sh.key], sh)
-	e.freeBytes += smsShellBytes(sh)
-}
-
-func smsShellBytes(sh *SMSPBFSEngine) int64 {
-	b := sh.seen.MemoryBytes() + sh.buf0.MemoryBytes() + sh.buf1.MemoryBytes()
-	if sh.shadows != nil {
-		b += sh.shadows.MemoryBytes()
-	}
-	return b
+	e.shells[key] = append(e.shells[key], sh)
+	e.freeBytes += sh.bytes
 }

@@ -42,36 +42,33 @@ func poisonEngine(e *Engine) {
 			fillOnes(b.Words())
 		}
 	}
-	for _, l := range e.ms {
-		for _, sh := range l {
-			fillOnes(sh.seen.Words())
-			fillOnes(sh.buf0.Words())
-			fillOnes(sh.buf1.Words())
-			fillOnes(sh.mask)
-			for _, row := range sh.scratch {
-				fillOnes(row)
+	for _, l := range e.shells {
+		for _, ls := range l {
+			for w := range ls.scanned {
+				ls.scanned[w].v = 1 << 40
+				ls.updated[w].v = 1 << 40
+				ls.frontDeg[w].v = 1 << 40
 			}
-			for _, row := range sh.liveBits {
-				fillOnes(row)
-			}
-			for w := range sh.scanned {
-				sh.scanned[w].v = 1 << 40
-				sh.updated[w].v = 1 << 40
-				sh.frontVtx[w].v = 1 << 40
-				sh.frontDeg[w].v = 1 << 40
-				sh.unseenDeg[w].v = 1 << 40
-			}
-		}
-	}
-	for _, l := range e.sms {
-		for _, sh := range l {
-			fillOnes(sh.seen.ChunkWords())
-			fillOnes(sh.buf0.ChunkWords())
-			fillOnes(sh.buf1.ChunkWords())
-			for w := range sh.scanned {
-				sh.scanned[w].v = 1 << 40
-				sh.updated[w].v = 1 << 40
-				sh.frontDeg[w].v = 1 << 40
+			switch sh := ls.self.(type) {
+			case *MSPBFSEngine:
+				for w := range sh.frontVtx {
+					sh.frontVtx[w].v = 1 << 40
+					sh.unseenDeg[w].v = 1 << 40
+				}
+				fillOnes(sh.seen.Words())
+				fillOnes(sh.buf0.Words())
+				fillOnes(sh.buf1.Words())
+				fillOnes(sh.mask)
+				for _, row := range sh.scratch {
+					fillOnes(row)
+				}
+				for _, row := range sh.liveBits {
+					fillOnes(row)
+				}
+			case *SMSPBFSEngine:
+				fillOnes(sh.seen.ChunkWords())
+				fillOnes(sh.buf0.ChunkWords())
+				fillOnes(sh.buf1.ChunkWords())
 			}
 		}
 	}

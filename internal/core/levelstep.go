@@ -1,0 +1,330 @@
+package core
+
+import (
+	"time"
+
+	"repro/internal/bitset"
+	"repro/internal/graph"
+	"repro/internal/numa"
+	"repro/internal/sched"
+)
+
+// levelStep is the level-synchronous substrate MS-PBFS and SMS-PBFS are
+// configured from — the paper derives the latter as the k = 1
+// specialisation of the former (Section 3.2), so everything that does not
+// depend on how a vertex's state is laid out lives here exactly once: shell
+// construction and arena recycling, the worker-owned scatter substrate and
+// its barrier merge, phase sequencing, and the per-iteration skeleton with
+// its direction bookkeeping. A kernel embeds a levelStep, adds its state
+// arrays, and binds its representation-specific loop bodies once per shell.
+//
+// The substrate is worker-owned: the vertex space is striped across workers
+// at word-aligned borders, each worker's task queue holds its own stripe's
+// tasks (stealing crosses stripes for load balance), and the top-down
+// scatter writes worker-private shadow slabs with plain stores. A static
+// merge phase at the barrier ORs the shadows into the canonical next,
+// stripe by stripe, each stripe folded by its owner. See DESIGN.md §10.
+type levelStep struct {
+	shellRun
+
+	// tq is the stripe-affine task layout for the scatter/resolve/zero
+	// phases and (statically fetched) the shadow merge; buTQ is the layout
+	// for bottom-up sweeps — tq itself unless the kernel installs a
+	// cache-blocked one over the same stripes.
+	tq, buTQ *sched.TaskQueues
+
+	// self is the kernel engine embedding this substrate — what a warm
+	// checkout hands back to the kernel's constructor; bytes is the shell's
+	// size while parked in the arena.
+	self     any
+	bytes    int64
+	released bool
+
+	// shadows is the worker-owned scatter target of the top-down phase.
+	// wordMul/wordDiv map a task's vertex range onto the canonical words the
+	// merge folds: vertex v starts at word v*wordMul/wordDiv (k-word rows:
+	// mul = k, div = 1; bit and byte sets: mul = 1, div = vertices per word).
+	shadows          *bitset.Shadows
+	wordMul, wordDiv int
+	// clean records that the state arrays are known all-zero (open's
+	// first-touch pass just ran), letting the first run skip its zeroing
+	// pass — on short traversals that pass was pure overhead.
+	clean bool
+
+	// Per-worker accumulators (cache-line padded), reset before every level:
+	// neighbor entries examined, newly set BFS states, and the degree sum of
+	// the vertices active in the produced frontier.
+	scanned, updated, frontDeg []padCounter
+
+	// Phase bodies, bound once per shell so per-iteration phase dispatch
+	// allocates nothing; they read the ph* state, which the coordinating
+	// goroutine rebinds between barriers. endLevel is the kernel's
+	// between-levels hook: it folds the level's counters into dir, swaps the
+	// frontier buffers (rebinding phCanon) and does any per-level upkeep of
+	// its own.
+	scatterBody, mergeBody, resolveBody, bottomUpBody, zeroBody func(int, sched.Range)
+	endLevel                                                    func()
+
+	// dir is the direction-heuristic state of the run in flight: the kernel
+	// seeds it with the source frontier, traverse decides on it, endLevel
+	// folds each level's counters into it.
+	dir dirInputs
+
+	// phCanon is the canonical word slab of the buffer the coming level
+	// writes (next); phDepth is that level's depth.
+	phCanon []uint64
+	phDepth int32
+
+	// Modeled NUMA placement (nil unless Options.Topology is set).
+	// mergeFolded[owner] is per-shadow folded-word scratch for the modeled
+	// merge accounting.
+	pageMap     *numa.PageMap
+	tracker     *numa.Tracker
+	mergeFolded [][]int64
+}
+
+// shellKey is the run shape a shell can be recycled for. words is the row
+// width of a k-wide shell and 0 for the boolean sets, whose layout repr
+// selects.
+type shellKey struct {
+	n, words, split, workers int
+	repr                     StateRepr
+}
+
+// shellRun is the run-specific half of a shell: what every constructor call
+// binds afresh, whether the shape-specific half came warm from the arena or
+// was just built. recycle says the shell checks back into the arena under
+// key on Close; NUMA-modeled instances never do — their page map and steal
+// order are bound to one topology.
+type shellRun struct {
+	g            *graph.Graph
+	opt          Options
+	pool         *sched.Pool
+	eng          *Engine
+	poolBorrowed bool
+	recycle      bool
+	key          shellKey
+}
+
+// beginShell resolves the run's engine and worker pool, completes key (the
+// caller supplies the kernel's words/repr) and looks in the engine's arena
+// for a warm shell of that shape. warm is nil on a miss: the kernel
+// then builds its state on a levelStep it has called init on. Either way
+// the constructor finishes with open(run, …).
+func beginShell(g *graph.Graph, opt Options, key shellKey) (run shellRun, warm *levelStep) {
+	eng := opt.engine()
+	pool, borrowed := opt.resolvePool(eng)
+	key.n, key.split, key.workers = g.NumVertices(), opt.splitSize(), pool.Workers()
+	run = shellRun{g: g, opt: opt, pool: pool, eng: eng, poolBorrowed: borrowed,
+		recycle: opt.Topology.Sockets == 0, key: key}
+	if run.recycle {
+		warm = eng.checkoutShell(key) //bfs:arena-held warm shell is handed to the kernel constructor; Close checks it back in via checkinShell
+	}
+	return run, warm
+}
+
+// init allocates the shape-specific substrate of a fresh shell for kernel
+// self — stripe borders, the stripe-affine task layout, the shared
+// counters, the merge body — and returns the word-aligned stripe borders
+// the kernel sizes its own per-worker state and shadows by.
+func (ls *levelStep) init(self any, key shellKey) (vBounds []int) {
+	vBounds = numa.AlignedRanges(key.n, key.workers, splitStride)
+	ls.self = self
+	ls.tq = sched.CreateStripeTasks(vBounds, key.split)
+	ls.buTQ = ls.tq
+	ls.scanned = make([]padCounter, key.workers)
+	ls.updated = make([]padCounter, key.workers)
+	ls.frontDeg = make([]padCounter, key.workers)
+	ls.mergeBody = ls.mergeTask
+	return vBounds
+}
+
+// open binds a warm or freshly built shell to its run: the run-specific
+// references, the modeled NUMA placement when a topology is set (elemBytes
+// is the per-vertex state size the page map places), and the first-touch
+// zero pass.
+func (ls *levelStep) open(run shellRun, elemBytes int) {
+	ls.shellRun, ls.released = run, false
+	opt, workers := run.opt, run.key.workers
+
+	if opt.Topology.Sockets > 0 {
+		// Model the paper's deterministic page placement: the BFS arrays
+		// are interleaved across regions at exactly the task-range borders
+		// (Section 4.4), as the per-worker first-touch initialization
+		// below would produce on real hardware.
+		ls.pageMap = numa.NewPageMap(opt.Topology, run.key.n, elemBytes)
+		ls.pageMap.PlaceFirstTouch(ls.tq)
+		ls.tracker = numa.NewTracker(opt.Topology)
+		// Per-owner scratch for per-shadow merge attribution: modeled runs
+		// charge only folded words (a no-change merge read is shareable
+		// and uncharged).
+		ls.mergeFolded = make([][]int64, workers)
+		for w := range ls.mergeFolded {
+			ls.mergeFolded[w] = make([]int64, workers-1)
+		}
+		if opt.Topology.Workers() == workers {
+			// NUMA-aware stealing: drain same-region queues before
+			// crossing sockets, so stolen tasks' data stays as local as
+			// the topology allows.
+			ls.tq.SetStealOrder(numa.StealOrder(opt.Topology))
+			ls.buTQ.SetStealOrder(numa.StealOrder(opt.Topology))
+		}
+	}
+
+	// Parallel first-touch initialization without stealing so the modeled
+	// (and, under RealPlacement, the real) placement matches which worker
+	// owns each stripe. For a recycled shell this pass doubles as the
+	// arena scrub: no bits survive from the previous run, however it
+	// ended. It also marks the shell clean, so the first run skips its
+	// zeroing pass instead of re-scrubbing fresh arrays.
+	ls.tq.Reset()
+	ls.pool.ParallelForStatic(ls.tq, ls.zeroBody)
+	ls.clean = true
+	if debugInvariants && !ls.shadows.AllClear() {
+		panic("bfsdebug: shell shadows dirty at checkout")
+	}
+}
+
+// Close hands the instance back to its engine: the worker pool returns to
+// the pool cache (unless supplied by the caller) and the shell — states,
+// counters, scratch — checks into the arena for the next same-shape run.
+// Close is idempotent; the instance must not be used afterwards.
+func (ls *levelStep) Close() {
+	if ls.released {
+		return
+	}
+	ls.released = true
+	eng, pool := ls.eng, ls.pool
+	if ls.poolBorrowed {
+		eng.returnPool(pool)
+	}
+	if ls.recycle {
+		eng.checkinShell(ls)
+	}
+}
+
+// scrub zeroes the state arrays unless they are known clean. The static
+// no-steal loop keeps the first-touch placement authoritative.
+func (ls *levelStep) scrub() {
+	if !ls.clean {
+		ls.tq.Reset()
+		ls.pool.ParallelForStatic(ls.tq, ls.zeroBody)
+	}
+	ls.clean = false
+}
+
+// traverse runs the level loop from a seeded frontier (ls.dir, visited and
+// the kernel's ph* buffers describe it) until the frontier drains or MaxDepth
+// is reached, and returns the final visited count.
+func (ls *levelStep) traverse(rec *iterRecorder, visited int64) int64 {
+	opt, n, dir := ls.opt, ls.g.NumVertices(), &ls.dir
+	steal := !opt.DisableStealing
+	bottomUp := opt.Direction == BottomUpOnly
+	var dirReason string
+
+	ls.phDepth = 0
+	for dir.frontVertices > 0 && (opt.MaxDepth <= 0 || int(ls.phDepth) < opt.MaxDepth) {
+		ls.phDepth++
+		iterStart := time.Now()
+
+		bottomUp, dirReason = dir.decide(opt, bottomUp, n)
+
+		resetCounters(ls.scanned)
+		resetCounters(ls.updated)
+		resetCounters(ls.frontDeg)
+
+		var busy []time.Duration
+		if bottomUp {
+			ls.buTQ.Reset()
+			busy = ls.runPhase(ls.buTQ, steal, ls.bottomUpBody)
+		} else {
+			busy = ls.topDown(steal)
+		}
+		ls.endLevel()
+
+		updated := sumCounters(ls.updated)
+		visited += updated
+
+		rec.noteMerge(ls.shadows)
+		rec.noteHeuristic(dir.frontEdges, dir.unexploredEdges)
+		rec.record(int(ls.phDepth), time.Since(iterStart), busy,
+			dir.frontVertices, updated, sumCounters(ls.scanned), visited, bottomUp, dirReason,
+			ls.scanned, ls.updated)
+	}
+	return visited
+}
+
+// topDown runs one top-down level on the worker-owned substrate: scatter
+// into private shadows (plain stores), OR-merge at the barrier (stripe
+// owners, static fetch), then the single-writer resolve sweep. Scatter
+// writes go to worker-private shadows (the canonical slab for worker 0),
+// the merge gives every word exactly one writer per stripe, and resolve
+// touches each vertex from exactly one worker, so no phase needs an atomic.
+func (ls *levelStep) topDown(steal bool) []time.Duration {
+	ls.tq.Reset()
+	busy := ls.runPhase(ls.tq, steal, ls.scatterBody)
+	if ls.shadows.Workers() > 1 {
+		// Static fetch confines each worker to its own stripe — the
+		// single-writer guarantee of the merge.
+		ls.tq.Reset()
+		busy = sumBusy(busy, ls.runPhase(ls.tq, false, ls.mergeBody))
+	}
+	ls.tq.Reset()
+	return sumBusy(busy, ls.runPhase(ls.tq, steal, ls.resolveBody))
+}
+
+// mergeTask publishes one stripe sub-range: the owner (static fetch makes
+// workerID the stripe owner) folds every worker's shadow words into the
+// canonical next and zeroes them. Plain stores only.
+//
+//bfs:nocas
+//bfs:singlewriter stripe owner is the only writer of its canonical and shadow words between barriers
+func (ls *levelStep) mergeTask(workerID int, r sched.Range) {
+	// Task borders are multiples of 512 vertices (or n), so the rounding
+	// only ever matters at the final partial word.
+	loW := r.Lo * ls.wordMul / ls.wordDiv
+	hiW := (r.Hi*ls.wordMul + ls.wordDiv - 1) / ls.wordDiv
+	if ls.tracker == nil {
+		ls.shadows.MergeRange(workerID, ls.phCanon, loW, hiW)
+		return
+	}
+	counts := ls.mergeFolded[workerID]
+	for i := range counts {
+		counts[i] = 0
+	}
+	folded := ls.shadows.MergeRangeCounts(workerID, ls.phCanon, loW, hiW, counts)
+	// Canonical stripe writes are local by first-touch; a shadow read
+	// crosses regions when the shadow's writer lives elsewhere. Only
+	// folded words are charged.
+	ls.tracker.RecordLocalN(workerID, folded)
+	for sw := 1; sw < ls.shadows.Workers(); sw++ {
+		ls.tracker.RecordShadowMerge(workerID, sw, counts[sw-1])
+	}
+}
+
+// runPhase executes one parallel loop, with or without per-worker timing.
+func (ls *levelStep) runPhase(tq *sched.TaskQueues, steal bool, body func(workerID int, r sched.Range)) []time.Duration {
+	if ls.opt.PerWorkerTiming {
+		return ls.pool.ParallelForTimed(tq, steal, body)
+	}
+	if steal {
+		ls.pool.ParallelFor(tq, body)
+	} else {
+		ls.pool.ParallelForStatic(tq, body)
+	}
+	return nil
+}
+
+func sumBusy(a, b []time.Duration) []time.Duration {
+	if a == nil {
+		return b
+	}
+	if b == nil {
+		return a
+	}
+	out := make([]time.Duration, len(a))
+	for i := range a {
+		out[i] = a[i] + b[i]
+	}
+	return out
+}

@@ -17,71 +17,34 @@ import (
 // when Workers is 1 — the paper's point that the parallelization overhead
 // is negligible means no separate sequential implementation is needed.
 func MSPBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
-	e := newMSPBFSEngine(g, opt)
+	e := NewMSPBFSEngine(g, opt)
 	defer e.Close()
 	return e.Run(sources)
 }
 
 // MSPBFSEngine holds the reusable state of an MS-PBFS instance: the three
-// per-vertex bitset arrays, the worker-owned frontier shadows, the worker
-// pool and stripe-affine task layouts, and the modeled NUMA placement.
-// Reusing an engine across batches amortizes allocation, matching the
-// paper's "initialize large data structures once" design (Section 4.4).
-//
-// The parallel substrate is worker-owned: the vertex space is striped
-// across workers at word-aligned borders (vBounds), each worker's task
-// queue holds its own stripe's tasks (stealing crosses stripes for load
-// balance), and the top-down scatter writes worker-private shadow slabs
-// with plain stores instead of CAS-merging into a shared next array. A
-// static merge phase at the barrier ORs the shadows into the canonical
-// next, stripe by stripe, each stripe folded by its owner. See DESIGN.md
-// §"Worker-owned frontier substrate".
+// per-vertex bitset arrays and per-worker scratch on top of the shared
+// level-step substrate (worker pool, stripe-affine task layouts, frontier
+// shadows, modeled NUMA placement). Reusing an engine across batches
+// amortizes allocation, matching the paper's "initialize large data
+// structures once" design (Section 4.4).
 type MSPBFSEngine struct {
-	g   *graph.Graph
-	opt Options
-
-	pool *sched.Pool
-	// tq is the stripe-affine task layout for the scatter/resolve/zero
-	// phases and (statically fetched) the shadow merge; buTQ is the
-	// cache-blocked layout for bottom-up sweeps — same stripes, task size
-	// chosen so one task's state rows fit the LLC.
-	tq   *sched.TaskQueues
-	buTQ *sched.TaskQueues
-	// vBounds are the word-aligned stripe borders (len workers+1).
-	vBounds []int
-
-	// Arena bookkeeping: the engine the instance borrows from, whether the
-	// pool must be handed back on Close, and whether the whole shell
-	// (states + counters + scratch) checks back into the arena keyed by
-	// its run shape. NUMA-modeled instances are never recycled — their
-	// page map and steal order are bound to one topology.
-	eng          *Engine
-	poolBorrowed bool
-	recycle      bool
-	key          msKey
-	released     bool
+	levelStep
 
 	seen  *bitset.State
 	buf0  *bitset.State // frontier/next double buffer
 	buf1  *bitset.State
 	words int
-	// shadows is the worker-owned scatter substrate for the top-down
-	// phase; nil when Options.DisableSegments selects the shared-CAS path.
-	shadows *bitset.Shadows
-	// clean records that the state arrays are known all-zero (fresh
-	// construction or checkout scrub), letting the first batch skip its
-	// zeroing pass — on single-batch runs that pass was pure overhead.
-	clean bool
 	// mask is the reusable active-mask buffer (the per-batch replacement
 	// for State.FullMask, which allocates).
 	mask []uint64
 
-	// Per-worker accumulators (cache-line padded).
-	scanned   []padCounter // neighbor entries examined
-	updated   []padCounter // newly set BFS states
-	frontVtx  []padCounter // vertices active in the produced frontier
-	frontDeg  []padCounter // degree sum of the produced frontier
-	unseenDeg []padCounter // degree newly removed from the unexplored set
+	// Per-worker accumulators beyond the substrate's (cache-line padded):
+	// vertices active in the produced frontier and the degree newly removed
+	// from the unexplored set. finishLevel folds them into the direction
+	// inputs and clears them for the next level.
+	frontVtx, unseenDeg []padCounter
+
 	// prefSink keeps the bottom-up lookahead loads observable so the
 	// compiler cannot dead-code them (software prefetch by hoisted load).
 	prefSink []padCounter
@@ -96,37 +59,16 @@ type MSPBFSEngine struct {
 	// BFS would force full neighbor scans for the rest of the run).
 	liveBits [][]uint64
 
-	// Phase bodies, bound once per shell so per-iteration phase dispatch
-	// allocates nothing; they read the ph* fields below, which the
-	// coordinating goroutine rebinds between barriers.
-	scatterBody    func(int, sched.Range)
-	casScatterBody func(int, sched.Range)
-	mergeBody      func(int, sched.Range)
-	resolveBody    func(int, sched.Range)
-	bottomUpBody   func(int, sched.Range)
-	zeroBody       func(int, sched.Range)
-
 	// Per-iteration phase state (written between barriers only).
 	phFrontier    *bitset.State
 	phNext        *bitset.State
 	phMask        []uint64
 	phLevels      [][]int32
-	phDepth       int32
 	phBatchOffset int
 
-	// Modeled NUMA placement (nil unless Options.Topology is set).
-	pageMap *numa.PageMap
-	tracker *numa.Tracker
-	// mergeFolded[owner] is per-shadow folded-word scratch for the modeled
-	// merge accounting (nil on untracked runs).
-	mergeFolded [][]int64
-}
-
-// NewMSPBFSEngine prepares an instance. Close must be called to hand the
-// worker pool and the state arrays back to the engine's arena (pools
-// supplied via Options.Pool stay with the caller).
-func NewMSPBFSEngine(g *graph.Graph, opt Options) *MSPBFSEngine {
-	return newMSPBFSEngine(g, opt)
+	// dbgSeen threads the seen population through the bfsdebug
+	// per-iteration checks (unused otherwise).
+	dbgSeen int64
 }
 
 // cacheBlockedSplit returns the bottom-up task size in vertices: the
@@ -149,114 +91,76 @@ func cacheBlockedSplit(words int) int {
 	return int(v)
 }
 
-func newMSPBFSEngine(g *graph.Graph, opt Options) *MSPBFSEngine {
-	n := g.NumVertices()
+// NewMSPBFSEngine prepares an instance. Close must be called to hand the
+// worker pool and the state arrays back to the engine's arena (pools
+// supplied via Options.Pool stay with the caller).
+func NewMSPBFSEngine(g *graph.Graph, opt Options) *MSPBFSEngine {
 	words := opt.batchWords()
-	eng := opt.engine()
-	pool, borrowed := opt.resolvePool(eng)
-	workers := pool.Workers()
-	key := msKey{n: n, words: words, split: opt.splitSize(), workers: workers, seg: !opt.DisableSegments}
-	recycle := opt.Topology.Sockets == 0
-
+	run, warm := beginShell(g, opt, shellKey{words: words})
 	var e *MSPBFSEngine
-	if recycle {
-		e = eng.checkoutMS(key) //bfs:arena-held warm shell is handed to the caller; Close checks it back in via checkinMS
-	}
-	if e != nil {
-		// Warm shell: every array already has the right shape; just
-		// re-bind the run-specific references.
-		e.g, e.opt, e.pool = g, opt, pool
+	if warm != nil {
+		e = warm.self.(*MSPBFSEngine)
 	} else {
-		alloc := eng.slabAlloc(opt)
-		vBounds := numa.AlignedRanges(n, workers, splitStride)
-		e = &MSPBFSEngine{
-			g:         g,
-			opt:       opt,
-			pool:      pool,
-			tq:        sched.CreateStripeTasks(vBounds, opt.splitSize()),
-			buTQ:      sched.CreateStripeTasks(vBounds, cacheBlockedSplit(words)),
-			vBounds:   vBounds,
-			seen:      newPlacedState(n, words, alloc),
-			buf0:      newPlacedState(n, words, alloc),
-			buf1:      newPlacedState(n, words, alloc),
-			words:     words,
-			mask:      make([]uint64, words),
-			scanned:   make([]padCounter, workers),
-			updated:   make([]padCounter, workers),
-			frontVtx:  make([]padCounter, workers),
-			frontDeg:  make([]padCounter, workers),
-			unseenDeg: make([]padCounter, workers),
-			prefSink:  make([]padCounter, workers),
-			scratch:   make([][]uint64, workers),
-			liveBits:  make([][]uint64, workers),
-		}
-		if !opt.DisableSegments {
-			e.shadows = bitset.NewShadows(n*words, workers, alloc)
-		}
-		if opt.RealPlacement {
-			// Advise the kernel that each stripe belongs on its owner's
-			// node; the first-touch zeroing below does the actual faulting.
-			wBounds := make([]int, len(vBounds))
-			for i, b := range vBounds {
-				wBounds[i] = b * words
-			}
-			placer := eng.placer()
-			placer.Interleave(e.seen.Words(), wBounds)
-			placer.Interleave(e.buf0.Words(), wBounds)
-			placer.Interleave(e.buf1.Words(), wBounds)
-		}
-		for w := range e.scratch {
-			e.scratch[w] = make([]uint64, words)
-			// Pad each row to a cache line so per-worker OR accumulation does
-			// not false-share.
-			e.liveBits[w] = make([]uint64, words, words+8)
-		}
-		e.bindPhaseBodies()
+		e = newMSPBFSShell(run, words)
 	}
-	e.eng, e.poolBorrowed, e.recycle, e.key, e.released = eng, borrowed, recycle, key, false
-
-	if opt.Topology.Sockets > 0 {
-		// Model the paper's deterministic page placement: the BFS arrays
-		// are interleaved across regions at exactly the task-range borders
-		// (Section 4.4), as the per-worker first-touch initialization
-		// below would produce on real hardware.
-		e.pageMap = numa.NewPageMap(opt.Topology, n, words*8)
-		e.pageMap.PlaceFirstTouch(e.tq)
-		e.tracker = numa.NewTracker(opt.Topology)
-		if e.shadows != nil {
-			// Per-owner scratch for per-shadow merge attribution: modeled
-			// runs charge only folded words (no-change merge reads are
-			// shareable and uncharged, matching the CAS path's convention).
-			e.mergeFolded = make([][]int64, workers)
-			for w := range e.mergeFolded {
-				e.mergeFolded[w] = make([]int64, workers-1)
-			}
-		}
-		if opt.Topology.Workers() == workers {
-			// NUMA-aware stealing: drain same-region queues before
-			// crossing sockets, so stolen tasks' data stays as local as
-			// the topology allows.
-			e.tq.SetStealOrder(numa.StealOrder(opt.Topology))
-			e.buTQ.SetStealOrder(numa.StealOrder(opt.Topology))
-		}
-	}
-
-	// Parallel first-touch initialization without stealing so the modeled
-	// (and, under RealPlacement, the real) placement matches which worker
-	// owns each stripe. For a recycled shell this pass doubles as the
-	// arena scrub: no bits survive from the previous run, however it
-	// ended. It also marks the shell clean, so the first batch skips its
-	// zeroing pass instead of re-scrubbing fresh arrays.
-	e.tq.Reset()
-	pool.ParallelForStatic(e.tq, e.zeroBody)
-	e.clean = true
+	e.open(run, words*8)
 	if debugInvariants {
 		debugCheckBorrowedClean("MS-PBFS shell",
 			e.seen.CountAll()+e.buf0.CountAll()+e.buf1.CountAll())
-		if e.shadows != nil && !e.shadows.AllClear() {
-			panic("bfsdebug: MS-PBFS shadows dirty at checkout")
-		}
 	}
+	return e
+}
+
+// newMSPBFSShell builds the shape-specific half of a fresh instance: state
+// arrays, shadows, per-worker scratch and the bound phase bodies.
+func newMSPBFSShell(run shellRun, words int) *MSPBFSEngine {
+	n, workers := run.key.n, run.key.workers
+	alloc := run.eng.slabAlloc(run.opt)
+	e := &MSPBFSEngine{
+		seen:      newPlacedState(n, words, alloc),
+		buf0:      newPlacedState(n, words, alloc),
+		buf1:      newPlacedState(n, words, alloc),
+		words:     words,
+		mask:      make([]uint64, words),
+		frontVtx:  make([]padCounter, workers),
+		unseenDeg: make([]padCounter, workers),
+		prefSink:  make([]padCounter, workers),
+		scratch:   make([][]uint64, workers),
+		liveBits:  make([][]uint64, workers),
+	}
+	vBounds := e.init(e, run.key)
+	e.buTQ = sched.CreateStripeTasks(vBounds, cacheBlockedSplit(words))
+	e.shadows = bitset.NewShadows(n*words, workers, alloc)
+	e.wordMul, e.wordDiv = words, 1
+	if run.opt.RealPlacement {
+		// Advise the kernel that each stripe belongs on its owner's
+		// node; the first-touch zeroing does the actual faulting.
+		wBounds := make([]int, len(vBounds))
+		for i, b := range vBounds {
+			wBounds[i] = b * words
+		}
+		placer := run.eng.placer()
+		placer.Interleave(e.seen.Words(), wBounds)
+		placer.Interleave(e.buf0.Words(), wBounds)
+		placer.Interleave(e.buf1.Words(), wBounds)
+	}
+	e.bytes = e.seen.MemoryBytes() + e.buf0.MemoryBytes() + e.buf1.MemoryBytes() + e.shadows.MemoryBytes()
+	for w := range e.scratch {
+		e.scratch[w] = make([]uint64, words)
+		// Pad each row to a cache line so per-worker OR accumulation does
+		// not false-share.
+		e.liveBits[w] = make([]uint64, words, words+8)
+		e.bytes += int64(cap(e.scratch[w])+cap(e.liveBits[w])) * 8
+	}
+	e.scatterBody = e.scatterTask
+	e.resolveBody = e.resolveTask
+	e.bottomUpBody = e.bottomUpTask
+	e.zeroBody = func(_ int, r sched.Range) {
+		e.seen.ZeroRange(r.Lo, r.Hi)
+		e.buf0.ZeroRange(r.Lo, r.Hi)
+		e.buf1.ZeroRange(r.Lo, r.Hi)
+	}
+	e.endLevel = e.finishLevel
 	return e
 }
 
@@ -267,24 +171,6 @@ func newPlacedState(n, words int, alloc bitset.ShadowAlloc) *bitset.State {
 		return bitset.NewState(n, words)
 	}
 	return bitset.NewStateFrom(n, words, alloc(n*words))
-}
-
-// Close hands the instance back to its engine: the worker pool returns to
-// the pool cache (unless supplied by the caller) and the shell — states,
-// counters, scratch — checks into the arena for the next same-shape run.
-// Close is idempotent; the instance must not be used afterwards.
-func (e *MSPBFSEngine) Close() {
-	if e.released {
-		return
-	}
-	e.released = true
-	eng, pool := e.eng, e.pool
-	if e.poolBorrowed {
-		eng.returnPool(pool)
-	}
-	if e.recycle {
-		eng.checkinMS(e)
-	}
 }
 
 // Run processes all sources in batches and aggregates the result.
@@ -332,16 +218,19 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 	start := time.Now()
 
 	// Reset state from any previous batch (skipped when the constructor's
-	// first-touch scrub just ran). The static no-steal loop keeps the
-	// placement authoritative.
-	if !e.clean {
-		e.tq.Reset()
-		e.pool.ParallelForStatic(e.tq, e.zeroBody)
-	}
-	e.clean = false
+	// first-touch scrub just ran).
+	e.scrub()
 
-	frontier, next := e.buf0, e.buf1
-	activeMask := fillMask(e.mask, k)
+	e.bindBuffers(e.buf0, e.buf1)
+	e.phMask = fillMask(e.mask, k)
+	e.phLevels, e.phBatchOffset = levels, batchOffset
+	for w := range e.liveBits {
+		for i := range e.liveBits[w] {
+			e.liveBits[w][i] = 0 //bfs:singlewriter reset before the batch starts on the coordinating goroutine
+		}
+	}
+	resetCounters(e.frontVtx)
+	resetCounters(e.unseenDeg)
 
 	// Seed the batch, simultaneously accumulating the heuristic state
 	// (aggregate over the batch, GAPBS-style): a source not yet seen by any
@@ -358,7 +247,7 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 			}
 		}
 		e.seen.Set(s, i)
-		frontier.Set(s, i)
+		e.phFrontier.Set(s, i)
 		visited++
 		if levels != nil {
 			levels[i][s] = 0
@@ -367,11 +256,8 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 			opt.OnVisit(0, batchOffset+i, s, 0)
 		}
 	}
-
-	// Invariant-layer state (bfsdebug builds only; dead code otherwise).
-	var dbgSeen int64
 	if debugInvariants {
-		dbgSeen = int64(e.seen.CountAll())
+		e.dbgSeen = int64(e.seen.CountAll())
 	}
 
 	// Overlay arcs count toward the unexplored-edge pool exactly as if they
@@ -379,70 +265,9 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 	// identical between the overlay and compacted representations. The
 	// dirInputs carrier is the single place these sums happen — see the
 	// double-counting note on its definition.
-	var dir dirInputs
-	dir.seed(int64(len(g.Adjacency)), ov.Arcs(), frontVertices, frontEdges)
+	e.dir.seed(int64(len(g.Adjacency)), ov.Arcs(), frontVertices, frontEdges)
 
-	bottomUp := opt.Direction == BottomUpOnly
-	depth := int32(0)
-	var dirReason string
-
-	for dir.frontVertices > 0 {
-		if opt.MaxDepth > 0 && int(depth) >= opt.MaxDepth {
-			break
-		}
-		depth++
-		iterStart := time.Now()
-
-		bottomUp, dirReason = dir.decide(opt, bottomUp, n)
-
-		resetCounters(e.scanned)
-		resetCounters(e.updated)
-		resetCounters(e.frontVtx)
-		resetCounters(e.frontDeg)
-		resetCounters(e.unseenDeg)
-		for w := range e.liveBits {
-			for i := range e.liveBits[w] {
-				e.liveBits[w][i] = 0 //bfs:singlewriter reset between phases on the coordinating goroutine
-			}
-		}
-
-		var busy []time.Duration
-		if bottomUp {
-			busy = e.bottomUpIteration(frontier, next, activeMask, levels, depth, batchOffset)
-		} else {
-			busy = e.topDownIteration(frontier, next, levels, depth, batchOffset)
-		}
-
-		// Shrink the active mask to the BFSs that still have a frontier;
-		// drained BFSs can never discover new vertices.
-		for i := range activeMask {
-			activeMask[i] = 0 //bfs:singlewriter mask rebuild between phases on the coordinating goroutine
-		}
-		for w := range e.liveBits {
-			for i := range activeMask {
-				activeMask[i] |= e.liveBits[w][i] //bfs:singlewriter mask rebuild between phases on the coordinating goroutine
-			}
-		}
-
-		updated := sumCounters(e.updated)
-		if debugInvariants {
-			dbgSeen = debugCheckBatchIteration(e.seen, next, dbgSeen, updated, "MS-PBFS", depth)
-		}
-		visited += updated
-		dir.applyIteration(e.frontVtx, e.frontDeg, e.unseenDeg)
-
-		rec.noteMerge(e.shadows)
-		rec.noteHeuristic(dir.frontEdges, dir.unexploredEdges)
-		rec.record(int(depth), time.Since(iterStart), busy,
-			dir.frontVertices, updated, sumCounters(e.scanned), visited, bottomUp, dirReason,
-			e.scanned, e.updated)
-
-		frontier, next = next, frontier
-	}
-
-	// After a bottom-up final iteration the buffers may hold bits from
-	// older iterations; the next batch resets everything, so nothing to do.
-	e.buf0, e.buf1 = frontier, next
+	visited = e.traverse(&rec, visited)
 
 	if debugInvariants && levels != nil && opt.MaxDepth <= 0 {
 		for i := range levels {
@@ -461,55 +286,32 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 	}
 }
 
-// bindPhaseBodies builds the per-phase loop bodies once per shell. The
-// bodies read the ph* iteration state, so the per-iteration cost of a
-// phase is one queue reset and one barrier — no closure allocation.
-func (e *MSPBFSEngine) bindPhaseBodies() {
-	e.scatterBody = e.scatterTask
-	e.casScatterBody = e.casScatterTask
-	e.mergeBody = e.mergeTask
-	e.resolveBody = e.resolveTask
-	e.bottomUpBody = e.bottomUpTask
-	e.zeroBody = func(_ int, r sched.Range) {
-		e.seen.ZeroRange(r.Lo, r.Hi)
-		e.buf0.ZeroRange(r.Lo, r.Hi)
-		e.buf1.ZeroRange(r.Lo, r.Hi)
-	}
+// bindBuffers points the coming level at its frontier and next buffers.
+func (e *MSPBFSEngine) bindBuffers(frontier, next *bitset.State) {
+	e.phFrontier, e.phNext, e.phCanon = frontier, next, next.Words()
 }
 
-// topDownIteration runs the parallel top-down step on the worker-owned
-// substrate: scatter into private shadows (plain stores), OR-merge at the
-// barrier (stripe owners, static fetch), then the usual single-writer
-// resolve sweep. With DisableSegments it falls back to the two-phase
-// shared-CAS structure of Section 3.1.1.
-//
-//bfs:singlewriter scatter writes go to worker-private shadows (or the canonical slab for worker 0); merge gives every word exactly one writer per stripe; resolve touches each vertex row from exactly one worker
-func (e *MSPBFSEngine) topDownIteration(frontier, next *bitset.State, levels [][]int32, depth int32, batchOffset int) []time.Duration {
-	steal := !e.opt.DisableStealing
-	e.phFrontier, e.phNext, e.phLevels, e.phDepth, e.phBatchOffset = frontier, next, levels, depth, batchOffset
-
-	// Phase 1: scatter frontier rows toward neighbors.
-	var busy1, busyM []time.Duration
-	if e.shadows == nil {
-		e.tq.Reset()
-		busy1 = e.runPhase(e.tq, steal, e.casScatterBody)
-	} else {
-		e.tq.Reset()
-		busy1 = e.runPhase(e.tq, steal, e.scatterBody)
-		// Publish at the barrier: stripe owners fold every shadow into the
-		// canonical next. Static fetch confines each worker to its own
-		// stripe — the single-writer guarantee of the merge.
-		if e.shadows.Workers() > 1 {
-			e.tq.Reset()
-			busyM = e.runPhase(e.tq, false, e.mergeBody)
+// finishLevel is the between-levels hook: it folds the level's counters
+// into the direction inputs, shrinks the active mask to the BFSs that still
+// have a frontier (drained BFSs can never discover new vertices), clearing
+// the per-worker counters and live bits for the next level, and swaps the
+// frontier buffers.
+func (e *MSPBFSEngine) finishLevel() {
+	e.dir.applyIteration(e.frontVtx, e.frontDeg, e.unseenDeg)
+	resetCounters(e.frontVtx)
+	resetCounters(e.unseenDeg)
+	for i := range e.phMask {
+		var live uint64
+		for w := range e.liveBits {
+			live |= e.liveBits[w][i]
+			e.liveBits[w][i] = 0 //bfs:singlewriter reset between phases on the coordinating goroutine
 		}
+		e.phMask[i] = live //bfs:singlewriter mask rebuild between phases on the coordinating goroutine
 	}
-
-	// Phase 2: identify newly discovered vertices (Listing 1 lines 6-11).
-	e.tq.Reset()
-	busy2 := e.runPhase(e.tq, steal, e.resolveBody)
-
-	return sumBusy(sumBusy(busy1, busyM), busy2)
+	if debugInvariants {
+		e.dbgSeen = debugCheckBatchIteration(e.seen, e.phNext, e.dbgSeen, sumCounters(e.updated), "MS-PBFS", e.phDepth)
+	}
+	e.bindBuffers(e.phNext, e.phFrontier)
 }
 
 // scatterTask is the segmented top-down scatter: the worker merges each
@@ -585,76 +387,6 @@ func (e *MSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 	}
 }
 
-// casScatterTask is the pre-segmentation scatter kept for A/B equivalence
-// and ablation (Options.DisableSegments): aggregate reachability into the
-// shared next via per-word CAS (Listing 1 lines 1-4 with the CAS
-// replacement of Section 3.1.1).
-func (e *MSPBFSEngine) casScatterTask(workerID int, r sched.Range) {
-	g, ov := e.g, e.opt.Overlay
-	frontier, next := e.phFrontier, e.phNext
-	scanned := &e.scanned[workerID]
-	//bfs:hot phase 1 frontier scan: runs per vertex per iteration, must not allocate
-	for v := r.Lo; v < r.Hi; v++ {
-		if !frontier.Any(v) { //bfs:bounds-ok inlined row indexing; stride invariant held by State
-			continue
-		}
-		row := frontier.Row(v) //bfs:bounds-ok row slice from the vertex index; State sizes words to n*stride
-		nbrs := g.Neighbors(v) //bfs:bounds-ok CSR offsets are monotone and sized n+1 by Builder
-		scanned.v += int64(len(nbrs))
-		if e.tracker == nil {
-			for _, nb := range nbrs {
-				next.AtomicOrVertex(int(nb), row)
-			}
-		} else {
-			// Model phase 1's scattered writes: only merges that change
-			// the bitset dirty a cache line; no-change merges are pure
-			// (shareable) reads and are not charged.
-			for _, nb := range nbrs {
-				if next.AtomicOrVertex(int(nb), row) {
-					e.tracker.RecordElem(e.pageMap, workerID, int(nb)) //bfs:bounds-ok inlined page-map indexing on the off-by-default tracking path
-				}
-			}
-		}
-		if ov != nil {
-			for _, nb := range ov.Extra(v) { //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
-				scanned.v++
-				if next.AtomicOrVertex(int(nb), row) && e.tracker != nil {
-					e.tracker.RecordElem(e.pageMap, workerID, int(nb)) //bfs:bounds-ok inlined page-map indexing on the off-by-default tracking path
-				}
-			}
-		}
-	}
-}
-
-// mergeTask publishes one stripe sub-range: the owner (static fetch makes
-// workerID the stripe owner) folds every worker's shadow words into the
-// canonical next and zeroes them. Plain stores only.
-//
-//bfs:nocas
-//bfs:singlewriter stripe owner is the only writer of its canonical and shadow words between barriers
-func (e *MSPBFSEngine) mergeTask(workerID int, r sched.Range) {
-	stride := e.words
-	canon := e.phNext.Words()
-	if e.tracker == nil {
-		e.shadows.MergeRange(workerID, canon, r.Lo*stride, r.Hi*stride)
-		return
-	}
-	counts := e.mergeFolded[workerID]
-	for i := range counts {
-		counts[i] = 0
-	}
-	folded := e.shadows.MergeRangeCounts(workerID, canon, r.Lo*stride, r.Hi*stride, counts)
-	// Canonical stripe writes are local by first-touch; a shadow read
-	// crosses regions when the shadow's writer lives elsewhere. Only
-	// folded words are charged — a no-change merge read is shareable and
-	// uncharged, the same convention the CAS scatter's tracker branch
-	// applies to no-change CAS merges.
-	e.tracker.RecordLocalN(workerID, folded)
-	for sw := 1; sw < e.shadows.Workers(); sw++ {
-		e.tracker.RecordShadowMerge(workerID, sw, counts[sw-1])
-	}
-}
-
 // resolveTask is phase 2: identify newly discovered vertices. Each vertex
 // is touched by exactly one worker, so no synchronization; frontier
 // entries are cleared in place so the arrays can swap roles without a
@@ -719,18 +451,6 @@ func (e *MSPBFSEngine) resolveTask(workerID int, r sched.Range) {
 			e.emitVisits(workerID, v, nRow, levels, e.phDepth, e.phBatchOffset)
 		}
 	}
-}
-
-// bottomUpIteration runs the parallel bottom-up step of Section 3.1.2 over
-// the cache-blocked stripe layout.
-//
-//bfs:singlewriter each unseen vertex row is read and written by the one worker that owns its range; acc/live are worker-local scratch
-func (e *MSPBFSEngine) bottomUpIteration(frontier, next *bitset.State, activeMask []uint64, levels [][]int32, depth int32, batchOffset int) []time.Duration {
-	steal := !e.opt.DisableStealing
-	e.phFrontier, e.phNext, e.phMask = frontier, next, activeMask
-	e.phLevels, e.phDepth, e.phBatchOffset = levels, depth, batchOffset
-	e.buTQ.Reset()
-	return e.runPhase(e.buTQ, steal, e.bottomUpBody)
 }
 
 // bottomUpLookahead is how many adjacency entries ahead the stride-1
@@ -946,19 +666,6 @@ func (e *MSPBFSEngine) bottomUpTaskNarrow(workerID int, r sched.Range) {
 	e.prefSink[workerID].v = int64(pref)
 }
 
-// runPhase executes one parallel loop, with or without per-worker timing.
-func (e *MSPBFSEngine) runPhase(tq *sched.TaskQueues, steal bool, body func(workerID int, r sched.Range)) []time.Duration {
-	if e.opt.PerWorkerTiming {
-		return e.pool.ParallelForTimed(tq, steal, body)
-	}
-	if steal {
-		e.pool.ParallelFor(tq, body)
-	} else {
-		e.pool.ParallelForStatic(tq, body)
-	}
-	return nil
-}
-
 // emitVisits records levels and fires the OnVisit callback for the newly
 // set bits of vertex v.
 func (e *MSPBFSEngine) emitVisits(workerID, v int, newRow []uint64, levels [][]int32, depth int32, batchOffset int) {
@@ -1017,18 +724,4 @@ func coversPair(a, b, mask []uint64) bool {
 		}
 	}
 	return true
-}
-
-func sumBusy(a, b []time.Duration) []time.Duration {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := make([]time.Duration, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
 }

@@ -54,7 +54,7 @@ func MSPBFSPerSocket(g *graph.Graph, sources []int, sockets int, opt Options) *M
 			instOpt := opt
 			instOpt.Workers = perSocket
 			instOpt.Pool = nil
-			e := newMSPBFSEngine(g, instOpt)
+			e := NewMSPBFSEngine(g, instOpt)
 			defer e.Close()
 			local := &MultiResult{}
 			if opt.RecordLevels {

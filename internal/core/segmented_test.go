@@ -1,14 +1,13 @@
 package core
 
-// Worker-owned frontier substrate tests: the segmented scatter->merge
-// protocol (bitset.Shadows) must be observationally identical to the CAS
-// path it replaced, under every worker count, state representation,
+// Worker-owned frontier substrate tests: the scatter->merge protocol
+// (bitset.Shadows) must be observationally identical to the textbook
+// oracle under every worker count, direction policy, state representation,
 // relabeling scheme and overlay configuration — and its barrier OR-merge
 // must publish every shadow bit exactly once under the race detector.
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -17,72 +16,81 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSegmentedMatchesCAS runs MS-PBFS and SMS-PBFS with the worker-owned
-// segments enabled (default) and disabled (CAS fallback) and requires
-// bit-identical levels and visit counts. Workers>1 is the interesting
-// case: it is the only configuration where the shadow slabs and the
-// barrier merge actually run.
-func TestSegmentedMatchesCAS(t *testing.T) {
+// reached counts the vertices a level row records as visited.
+func reached(levels []int32) int64 {
+	var c int64
+	for _, l := range levels {
+		if l != NoLevel {
+			c++
+		}
+	}
+	return c
+}
+
+// TestSegmentedMatchesReference runs MS-PBFS and SMS-PBFS on the
+// worker-owned substrate and requires levels and visit counts identical to
+// the reference BFS. Workers>1 is the interesting case: it is the only
+// configuration where the shadow slabs and the barrier merge actually run;
+// a shadow word lost at the merge shows up as a missing level, one
+// published twice as an inflated visit count.
+func TestSegmentedMatchesReference(t *testing.T) {
 	g := gen.Kronecker(gen.Graph500Params(9, 6))
 	sources := RandomSources(g, 64, 17)
+	want := make([][]int32, len(sources))
+	var wantStates int64
+	for i, src := range sources {
+		want[i] = ReferenceLevels(g, src)
+		wantStates += reached(want[i])
+	}
 
 	for _, workers := range []int{1, 3, 8} {
 		for _, dir := range []Direction{Auto, TopDownOnly, BottomUpOnly} {
 			t.Run(fmt.Sprintf("workers=%d/dir=%d", workers, dir), func(t *testing.T) {
 				opt := Options{Workers: workers, BatchWords: 1, Direction: dir, RecordLevels: true}
-				casOpt := opt
-				casOpt.DisableSegments = true
 
-				seg := MSPBFS(g, sources, opt)
-				cas := MSPBFS(g, sources, casOpt)
-				if seg.VisitedStates != cas.VisitedStates {
-					t.Fatalf("MS-PBFS visited %d segmented, %d CAS", seg.VisitedStates, cas.VisitedStates)
+				ms := MSPBFS(g, sources, opt)
+				if ms.VisitedStates != wantStates {
+					t.Fatalf("MS-PBFS visited %d states, reference %d", ms.VisitedStates, wantStates)
 				}
-				for i := range sources {
-					if !reflect.DeepEqual(seg.Levels[i], cas.Levels[i]) {
-						t.Fatalf("MS-PBFS levels diverge for source %d", sources[i])
-					}
+				for i, src := range sources {
+					levelsEqual(t, fmt.Sprintf("MS-PBFS src=%d", src), ms.Levels[i], want[i])
 				}
 
 				for _, repr := range []StateRepr{BitState, ByteState} {
-					segS := SMSPBFS(g, sources[0], repr, opt)
-					casS := SMSPBFS(g, sources[0], repr, casOpt)
-					if segS.VisitedVertices != casS.VisitedVertices {
-						t.Fatalf("SMS-PBFS/%s visited %d segmented, %d CAS",
-							repr, segS.VisitedVertices, casS.VisitedVertices)
+					sms := SMSPBFS(g, sources[0], repr, opt)
+					if got, ref := sms.VisitedVertices, reached(want[0]); got != ref {
+						t.Fatalf("SMS-PBFS/%s visited %d, reference %d", repr, got, ref)
 					}
-					if !reflect.DeepEqual(segS.Levels, casS.Levels) {
-						t.Fatalf("SMS-PBFS/%s levels diverge", repr)
-					}
+					levelsEqual(t, fmt.Sprintf("SMS-PBFS/%s", repr), sms.Levels, want[0])
 				}
 			})
 		}
 	}
 }
 
-// TestSegmentedOverlayMatchesCAS repeats the equality over the fused
-// overlay path: the segmented scatter folds overlay arcs into the same
-// worker-private slabs, so the overlay x segments product gets its own
-// equivalence run.
-func TestSegmentedOverlayMatchesCAS(t *testing.T) {
+// TestSegmentedOverlayMatchesCompacted repeats the equality over the fused
+// overlay path: the scatter folds overlay arcs into the same worker-private
+// slabs, so the overlay x shadows product gets its own equivalence run
+// against the compacted graph and the overlay-aware reference.
+func TestSegmentedOverlayMatchesCompacted(t *testing.T) {
 	base, ov, compacted := splitGraphOverlay(700, 2200, 99)
 	sources := []int{0, 3, 99, 500, 699, 123, 321, 7}
 
 	opt := Options{Workers: 4, BatchWords: 1, RecordLevels: true, Overlay: ov}
-	casOpt := opt
-	casOpt.DisableSegments = true
 	plain := Options{Workers: 4, BatchWords: 1, RecordLevels: true}
 
-	seg := MSPBFS(base, sources, opt)
-	cas := MSPBFS(base, sources, casOpt)
+	fused := MSPBFS(base, sources, opt)
 	want := MSPBFS(compacted, sources, plain)
-	for i := range sources {
-		if !reflect.DeepEqual(seg.Levels[i], cas.Levels[i]) {
-			t.Fatalf("fused MS-PBFS levels diverge segmented vs CAS for source %d", sources[i])
-		}
-		if !reflect.DeepEqual(seg.Levels[i], want.Levels[i]) {
-			t.Fatalf("fused segmented MS-PBFS diverges from compacted for source %d", sources[i])
-		}
+	if fused.VisitedStates != want.VisitedStates {
+		t.Fatalf("fused MS-PBFS visited %d states, compacted %d", fused.VisitedStates, want.VisitedStates)
+	}
+	for i, src := range sources {
+		levelsEqual(t, fmt.Sprintf("fused vs compacted MS-PBFS src=%d", src), fused.Levels[i], want.Levels[i])
+		levelsEqual(t, fmt.Sprintf("fused MS-PBFS vs reference src=%d", src), fused.Levels[i], ReferenceLevelsOverlay(base, ov, src))
+	}
+	for _, repr := range []StateRepr{BitState, ByteState} {
+		sms := SMSPBFS(base, sources[0], repr, opt)
+		levelsEqual(t, fmt.Sprintf("fused SMS-PBFS/%s vs compacted", repr), sms.Levels, want.Levels[0])
 	}
 }
 
@@ -116,11 +124,11 @@ func TestSegmentedMergeRaceStress(t *testing.T) {
 }
 
 // TestSegmentedRelabelingMetamorphic re-runs the relabeling metamorphic
-// property over the segmented kernels specifically: for every labeling
-// scheme, distances must survive the permutation AND the segmented and
-// CAS paths must agree on the relabeled graph. Relabeling changes which
-// worker stripe owns which vertex, so this walks the merge protocol
-// through entirely different ownership layouts of the same traversal.
+// property over the substrate kernels specifically: for every labeling
+// scheme, MS-PBFS and SMS-PBFS distances must survive the permutation.
+// Relabeling changes which worker stripe owns which vertex, so this walks
+// the merge protocol through entirely different ownership layouts of the
+// same traversal.
 func TestSegmentedRelabelingMetamorphic(t *testing.T) {
 	g := gen.Kronecker(gen.Graph500Params(9, 12))
 	src := RandomSources(g, 1, 31)[0]
@@ -129,25 +137,18 @@ func TestSegmentedRelabelingMetamorphic(t *testing.T) {
 	for _, scheme := range []label.Scheme{label.Random, label.DegreeOrdered, label.Striped} {
 		relabeled, perm := label.Apply(g, scheme, label.Params{Workers: 4, TaskSize: 512, Seed: 19})
 		opt := Options{Workers: 4, BatchWords: 1, RecordLevels: true}
-		casOpt := opt
-		casOpt.DisableSegments = true
 
-		seg := MSPBFS(relabeled, []int{int(perm[src])}, opt)
-		cas := MSPBFS(relabeled, []int{int(perm[src])}, casOpt)
-		if !reflect.DeepEqual(seg.Levels[0], cas.Levels[0]) {
-			t.Fatalf("%v labeling: segmented and CAS MS-PBFS diverge", scheme)
-		}
+		ms := MSPBFS(relabeled, []int{int(perm[src])}, opt)
+		sms := SMSPBFS(relabeled, int(perm[src]), BitState, opt)
 		for v := range want {
-			if seg.Levels[0][perm[v]] != want[v] {
-				t.Fatalf("%v labeling: vertex %d level %d, want %d",
-					scheme, v, seg.Levels[0][perm[v]], want[v])
+			if ms.Levels[0][perm[v]] != want[v] {
+				t.Fatalf("%v labeling: MS-PBFS vertex %d level %d, want %d",
+					scheme, v, ms.Levels[0][perm[v]], want[v])
 			}
-		}
-
-		segS := SMSPBFS(relabeled, int(perm[src]), BitState, opt)
-		casS := SMSPBFS(relabeled, int(perm[src]), BitState, casOpt)
-		if !reflect.DeepEqual(segS.Levels, casS.Levels) {
-			t.Fatalf("%v labeling: segmented and CAS SMS-PBFS diverge", scheme)
+			if sms.Levels[perm[v]] != want[v] {
+				t.Fatalf("%v labeling: SMS-PBFS vertex %d level %d, want %d",
+					scheme, v, sms.Levels[perm[v]], want[v])
+			}
 		}
 	}
 }
@@ -165,11 +166,7 @@ func dirInputRecords(t *testing.T, g *graph.Graph, sources []int, ov *graph.Over
 		Tracer:           tr,
 		Overlay:          ov,
 	})
-	snap := tr.Snapshot()
-	if len(snap.Traversals) != 1 {
-		t.Fatalf("got %d traversals, want 1", len(snap.Traversals))
-	}
-	return snap.Traversals[0].Iterations
+	return singleTraversal(t, tr)
 }
 
 // TestDirectionInputsFusedVsCompacted pins the direction heuristic's full

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/numa"
 	"repro/internal/sched"
 )
 
@@ -49,18 +48,17 @@ type vertexSet interface {
 	Get(v int) bool
 	Set(v int)
 	Clear(v int)
-	AtomicSet(v int) bool
 	ZeroRange(lo, hi int)
 	// ChunkWords returns the backing words (each covering ChunkSize
 	// vertices) for the zero-chunk skipping scan.
 	ChunkWords() []uint64
 	// ChunkSize is the number of vertices per backing word.
 	ChunkSize() int
-	// Mark sets vertex v in a raw word slab laid out like ChunkWords —
-	// the plain-store counterpart of AtomicSet, used by the segmented
-	// scatter to write worker-private shadow slabs. Both representations
-	// encode marks so that word-level OR merges slabs correctly (bit: one
-	// bit per vertex; byte: bytes only ever hold 0 or 1).
+	// Mark sets vertex v in a raw word slab laid out like ChunkWords with
+	// a plain store; the scatter uses it to write worker-private shadow
+	// slabs. Both representations encode marks so that word-level OR
+	// merges slabs correctly (bit: one bit per vertex; byte: bytes only
+	// ever hold 0 or 1).
 	Mark(slab []uint64, v int)
 	// Count returns the number of marked vertices (used by the bfsdebug
 	// invariant layer).
@@ -75,7 +73,7 @@ func (b bitSet) ChunkSize() int       { return 64 }
 
 // Mark sets v's bit in slab with a plain store.
 //
-//bfs:singlewriter called only from the segmented scatter, whose target slab has exactly one writer for the phase's lifetime
+//bfs:singlewriter called only from the scatter, whose target slab has exactly one writer for the phase's lifetime
 func (b bitSet) Mark(slab []uint64, v int) {
 	slab[v>>6] |= 1 << (uint(v) & 63) //bfs:bounds-ok v < n by CSR construction; slab spans n bits like the canonical bitmap
 }
@@ -87,7 +85,7 @@ func (b byteSet) ChunkSize() int       { return 8 }
 
 // Mark sets v's byte in slab with a plain store.
 //
-//bfs:singlewriter called only from the segmented scatter, whose target slab has exactly one writer for the phase's lifetime
+//bfs:singlewriter called only from the scatter, whose target slab has exactly one writer for the phase's lifetime
 func (b byteSet) Mark(slab []uint64, v int) {
 	slab[v>>3] |= uint64(1) << (uint(v&7) * 8) //bfs:bounds-ok v < n by CSR construction; slab spans n bytes like the canonical byte map
 }
@@ -102,8 +100,7 @@ func newVertexSet(n int, repr StateRepr) vertexSet {
 // SMSPBFS runs the parallel single-source BFS of Section 3.2 with the given
 // state representation. The algorithm follows Listings 3 (top-down) and 4
 // (bottom-up): boolean per-vertex state, worker-owned scatter targets in
-// the first top-down phase (a single idempotent atomic write on the
-// DisableSegments fallback), and zero synchronization elsewhere. The
+// the first top-down phase, and zero synchronization elsewhere. The
 // 64-vertex (bit) / 8-vertex (byte) chunk skipping avoids per-vertex checks
 // over inactive ranges.
 func SMSPBFS(g *graph.Graph, source int, repr StateRepr, opt Options) *Result {
@@ -114,169 +111,66 @@ func SMSPBFS(g *graph.Graph, source int, repr StateRepr, opt Options) *Result {
 
 // SMSPBFSEngine holds reusable SMS-PBFS state so many single-source runs
 // can share allocations and the worker pool (SMS-PBFS processes a workload
-// "one single source at a time, utilizing all cores", Section 5.3).
-//
-// Like MSPBFSEngine, the parallel substrate is worker-owned: stripe-affine
-// task queues over word-aligned vertex stripes, top-down scatter into
-// worker-private shadow slabs with plain stores, and a static OR-merge at
-// the phase barrier in place of per-vertex CAS.
+// "one single source at a time, utilizing all cores", Section 5.3). It is
+// the k = 1 configuration of the level-step substrate MSPBFSEngine also
+// embeds: boolean sets in place of k-word rows, everything else shared.
 type SMSPBFSEngine struct {
-	g    *graph.Graph
-	opt  Options
+	levelStep
 	repr StateRepr
 
-	pool    *sched.Pool
-	tq      *sched.TaskQueues
-	vBounds []int
-
-	// Arena bookkeeping; see the matching MSPBFSEngine fields.
-	eng          *Engine
-	poolBorrowed bool
-	recycle      bool
-	key          smsKey
-	released     bool
-
 	seen vertexSet
-	buf0 vertexSet
+	buf0 vertexSet // frontier/next double buffer
 	buf1 vertexSet
-	// shadows holds the worker-private scatter slabs (chunk-word layout);
-	// nil when Options.DisableSegments selects the shared-CAS path.
-	shadows *bitset.Shadows
-	// clean marks the state arrays known all-zero (constructor scrub), so
-	// the first Run skips its zeroing pass — on short traversals that
-	// second zero pass was a measurable fraction of the whole run.
-	clean bool
 
-	scanned  []padCounter
-	updated  []padCounter
-	frontDeg []padCounter
+	// Per-iteration phase state (written between barriers only).
+	phFrontier vertexSet
+	phNext     vertexSet
+	phLevels   []int32
 
-	// Phase bodies bound once per shell (see MSPBFSEngine.bindPhaseBodies)
-	// plus the iteration state they read.
-	scatterBody    func(int, sched.Range)
-	casScatterBody func(int, sched.Range)
-	mergeBody      func(int, sched.Range)
-	resolveBody    func(int, sched.Range)
-	bottomUpBody   func(int, sched.Range)
-	zeroBody       func(int, sched.Range)
-	phFrontier     vertexSet
-	phNext         vertexSet
-	phLevels       []int32
-	phDepth        int32
-
-	pageMap *numa.PageMap
-	tracker *numa.Tracker
-	// mergeFolded[owner] is per-shadow folded-word scratch for the modeled
-	// merge accounting (nil on untracked runs).
-	mergeFolded [][]int64
+	// dbgSeen threads the seen population through the bfsdebug
+	// per-iteration checks (unused otherwise).
+	dbgSeen int64
 }
 
 // NewSMSPBFSEngine prepares an instance; Close hands the pool and the
 // state arrays back to the engine's arena (pools supplied via Options.Pool
 // stay with the caller).
 func NewSMSPBFSEngine(g *graph.Graph, repr StateRepr, opt Options) *SMSPBFSEngine {
-	n := g.NumVertices()
-	eng := opt.engine()
-	pool, borrowed := opt.resolvePool(eng)
-	workers := pool.Workers()
-	key := smsKey{n: n, split: opt.splitSize(), workers: workers, repr: repr, seg: !opt.DisableSegments}
-	recycle := opt.Topology.Sockets == 0
-
+	run, warm := beginShell(g, opt, shellKey{repr: repr})
 	var e *SMSPBFSEngine
-	if recycle {
-		e = eng.checkoutSMS(key) //bfs:arena-held warm shell is handed to the caller; Close checks it back in via checkinSMS
-	}
-	if e != nil {
-		e.g, e.opt, e.pool = g, opt, pool
+	if warm != nil {
+		e = warm.self.(*SMSPBFSEngine)
 	} else {
-		vBounds := numa.AlignedRanges(n, workers, splitStride)
+		n := run.key.n
 		e = &SMSPBFSEngine{
-			g:        g,
-			opt:      opt,
-			repr:     repr,
-			pool:     pool,
-			tq:       sched.CreateStripeTasks(vBounds, opt.splitSize()),
-			vBounds:  vBounds,
-			seen:     newVertexSet(n, repr),
-			buf0:     newVertexSet(n, repr),
-			buf1:     newVertexSet(n, repr),
-			scanned:  make([]padCounter, workers),
-			updated:  make([]padCounter, workers),
-			frontDeg: make([]padCounter, workers),
+			repr: repr,
+			seen: newVertexSet(n, repr),
+			buf0: newVertexSet(n, repr),
+			buf1: newVertexSet(n, repr),
 		}
-		if !opt.DisableSegments {
-			e.shadows = bitset.NewShadows(len(e.buf0.ChunkWords()), workers, nil)
+		e.init(e, run.key)
+		e.shadows = bitset.NewShadows(len(e.buf0.ChunkWords()), run.key.workers, nil)
+		e.wordMul, e.wordDiv = 1, e.buf0.ChunkSize()
+		e.bytes = e.seen.MemoryBytes() + e.buf0.MemoryBytes() + e.buf1.MemoryBytes() + e.shadows.MemoryBytes()
+		e.scatterBody = e.scatterTask
+		e.resolveBody = e.resolveTask
+		e.bottomUpBody = e.bottomUpTask
+		e.zeroBody = func(_ int, r sched.Range) {
+			e.seen.ZeroRange(r.Lo, r.Hi)
+			e.buf0.ZeroRange(r.Lo, r.Hi)
+			e.buf1.ZeroRange(r.Lo, r.Hi)
 		}
-		e.bindPhaseBodies()
+		e.endLevel = e.finishLevel
 	}
-	e.eng, e.poolBorrowed, e.recycle, e.key, e.released = eng, borrowed, recycle, key, false
-	if opt.Topology.Sockets > 0 {
-		elemBytes := 1
-		if repr == BitState {
-			elemBytes = 1 // modeled per byte of the bitmap: 8 vertices/byte
-		}
-		// Model placement at vertex granularity of the byte variant; for
-		// the bit variant eight vertices share a modeled byte, which only
-		// makes the locality accounting coarser, not wrong.
-		e.pageMap = numa.NewPageMap(opt.Topology, n, elemBytes)
-		e.pageMap.PlaceFirstTouch(e.tq)
-		e.tracker = numa.NewTracker(opt.Topology)
-		if e.shadows != nil {
-			// Per-owner scratch for per-shadow merge attribution; see the
-			// matching MSPBFSEngine field.
-			e.mergeFolded = make([][]int64, workers)
-			for w := range e.mergeFolded {
-				e.mergeFolded[w] = make([]int64, workers-1)
-			}
-		}
-		if opt.Topology.Workers() == workers {
-			e.tq.SetStealOrder(numa.StealOrder(opt.Topology))
-		}
-	}
-	// First-touch zero; for a recycled shell this doubles as the arena
-	// scrub. Marks the shell clean so Run skips its own zero pass.
-	e.tq.Reset()
-	pool.ParallelForStatic(e.tq, e.zeroBody)
-	e.clean = true
+	// Placement is modeled at the byte variant's vertex granularity; for
+	// the bit variant eight vertices share a modeled byte, which only makes
+	// the locality accounting coarser, not wrong.
+	e.open(run, 1)
 	if debugInvariants {
 		debugCheckBorrowedClean("SMS-PBFS shell",
 			e.seen.Count()+e.buf0.Count()+e.buf1.Count())
-		if e.shadows != nil && !e.shadows.AllClear() {
-			panic("bfsdebug: SMS-PBFS shadows dirty at checkout")
-		}
 	}
 	return e
-}
-
-// bindPhaseBodies builds the per-phase loop bodies once per shell; the
-// bodies read the ph* fields the coordinating goroutine rebinds between
-// barriers, so per-iteration phase dispatch allocates nothing.
-func (e *SMSPBFSEngine) bindPhaseBodies() {
-	e.scatterBody = e.scatterTask
-	e.casScatterBody = e.casScatterTask
-	e.mergeBody = e.mergeTask
-	e.resolveBody = e.resolveTask
-	e.bottomUpBody = e.bottomUpTask
-	e.zeroBody = func(_ int, r sched.Range) {
-		e.seen.ZeroRange(r.Lo, r.Hi)
-		e.buf0.ZeroRange(r.Lo, r.Hi)
-		e.buf1.ZeroRange(r.Lo, r.Hi)
-	}
-}
-
-// Close hands the instance back to its engine; see MSPBFSEngine.Close.
-func (e *SMSPBFSEngine) Close() {
-	if e.released {
-		return
-	}
-	e.released = true
-	eng, pool := e.eng, e.pool
-	if e.poolBorrowed {
-		eng.returnPool(pool)
-	}
-	if e.recycle {
-		eng.checkinSMS(e)
-	}
 }
 
 // Run executes one single-source BFS. The engine's state arrays are reset
@@ -295,76 +189,29 @@ func (e *SMSPBFSEngine) Run(source int) *Result {
 	}
 
 	start := time.Now()
-	if !e.clean {
-		e.tq.Reset()
-		e.pool.ParallelForStatic(e.tq, e.zeroBody)
-	}
-	e.clean = false
+	e.scrub()
 
-	frontier, next := e.buf0, e.buf1
+	e.bindBuffers(e.buf0, e.buf1)
+	e.phLevels = levels
 	e.seen.Set(source)
-	frontier.Set(source)
+	e.phFrontier.Set(source)
 	if levels != nil {
 		levels[source] = 0
 	}
 	if opt.OnVisit != nil {
 		opt.OnVisit(0, 0, source, 0)
 	}
+	e.dbgSeen = 1
 
-	var visited int64 = 1
-	dbgSeen := int64(1) // invariant-layer state (bfsdebug builds only)
-	frontVertices := int64(1)
 	frontEdges := int64(g.Degree(source))
 	if ov != nil {
 		frontEdges += int64(ov.ExtraDegree(source))
 	}
 	// Overlay arcs count toward the unexplored pool so auto-direction
 	// decisions match the compacted CSR exactly.
-	unexploredEdges := int64(len(g.Adjacency)) + ov.Arcs() - frontEdges
-	bottomUp := opt.Direction == BottomUpOnly
-	depth := int32(0)
-	var dirReason string
+	e.dir.seed(int64(len(g.Adjacency)), ov.Arcs(), 1, frontEdges)
 
-	for frontVertices > 0 {
-		if opt.MaxDepth > 0 && int(depth) >= opt.MaxDepth {
-			break
-		}
-		depth++
-		iterStart := time.Now()
-		bottomUp, dirReason = decideDirection(opt, bottomUp,
-			frontVertices, frontEdges, unexploredEdges, n)
-
-		resetCounters(e.scanned)
-		resetCounters(e.updated)
-		resetCounters(e.frontDeg)
-
-		var busy []time.Duration
-		if bottomUp {
-			busy = e.bottomUpIteration(frontier, next, levels, depth)
-		} else {
-			busy = e.topDownIteration(frontier, next, levels, depth)
-		}
-
-		updated := sumCounters(e.updated)
-		if debugInvariants {
-			dbgSeen = debugCheckSetIteration(e.seen, next, n, dbgSeen, updated, "SMS-PBFS", depth)
-		}
-		visited += updated
-		frontVertices = updated
-		frontEdges = sumCounters(e.frontDeg)
-		unexploredEdges -= frontEdges
-		if unexploredEdges < 0 {
-			unexploredEdges = 0
-		}
-		rec.noteMerge(e.shadows)
-		rec.noteHeuristic(frontEdges, unexploredEdges)
-		rec.record(int(depth), time.Since(iterStart), busy,
-			frontVertices, updated, sumCounters(e.scanned), visited, bottomUp, dirReason,
-			e.scanned, e.updated)
-
-		frontier, next = next, frontier
-	}
-	e.buf0, e.buf1 = frontier, next
+	visited := e.traverse(&rec, 1)
 
 	if debugInvariants && levels != nil && opt.MaxDepth <= 0 {
 		debugCheckLevels(g, ov, source, levels, "SMS-PBFS")
@@ -376,41 +223,29 @@ func (e *SMSPBFSEngine) Run(source int) *Result {
 	return res
 }
 
-// topDownIteration implements Listing 3 on the worker-owned substrate:
-// phase 1 pushes the frontier into worker-private shadow slabs with plain
-// stores and clears the frontier in place; the stripe owners OR-merge the
-// shadows into next at the barrier; phase 2 resolves newly seen vertices
-// without synchronization. With DisableSegments phase 1 falls back to the
-// shared-target idempotent atomic mark.
-//
-//bfs:singlewriter scatter writes go to worker-private slabs (canonical for worker 0); merge gives every word one writer per stripe; resolve touches each vertex from exactly one worker
-func (e *SMSPBFSEngine) topDownIteration(frontier, next vertexSet, levels []int32, depth int32) []time.Duration {
-	steal := !e.opt.DisableStealing
-	e.phFrontier, e.phNext, e.phLevels, e.phDepth = frontier, next, levels, depth
-
-	var busy1, busyM []time.Duration
-	if e.shadows == nil {
-		e.tq.Reset()
-		busy1 = e.runPhase(steal, e.casScatterBody)
-	} else {
-		e.tq.Reset()
-		busy1 = e.runPhase(steal, e.scatterBody)
-		if e.shadows.Workers() > 1 {
-			// Static fetch confines each worker to its own stripe — the
-			// single-writer guarantee of the merge.
-			e.tq.Reset()
-			busyM = e.runPhase(false, e.mergeBody)
-		}
-	}
-
-	e.tq.Reset()
-	busy2 := e.runPhase(steal, e.resolveBody)
-	return sumBusy(sumBusy(busy1, busyM), busy2)
+// bindBuffers points the coming level at its frontier and next buffers.
+func (e *SMSPBFSEngine) bindBuffers(frontier, next vertexSet) {
+	e.phFrontier, e.phNext, e.phCanon = frontier, next, next.ChunkWords()
 }
 
-// scatterTask is the segmented phase 1: scan the frontier chunk words and
-// mark each neighbor in the worker's private slab (worker 0: the canonical
-// next words). Plain stores only — no atomics on this path.
+// finishLevel is the between-levels hook: fold the level's counters into
+// the direction inputs and swap the frontier buffers. At k = 1 every newly
+// set state is a frontier vertex and every frontier edge leaves the
+// unexplored pool, so updated and frontDeg each stand in twice. The
+// top-down scatter cleared the old frontier in place (Listing 3 line 5);
+// the bottom-up sweep scrubs stale next bits as it goes (Listing 4).
+func (e *SMSPBFSEngine) finishLevel() {
+	e.dir.applyIteration(e.updated, e.frontDeg, e.frontDeg)
+	if debugInvariants {
+		e.dbgSeen = debugCheckSetIteration(e.seen, e.phNext, e.g.NumVertices(), e.dbgSeen, sumCounters(e.updated), "SMS-PBFS", e.phDepth)
+	}
+	e.bindBuffers(e.phNext, e.phFrontier)
+}
+
+// scatterTask is phase 1 of Listing 3: scan the frontier chunk words, mark
+// each neighbor in the worker's private slab (worker 0: the canonical next
+// words) and clear the frontier in place. Plain stores only — no atomics on
+// this path.
 //
 //bfs:nocas
 //bfs:singlewriter the target slab has exactly one writer for the phase's lifetime; frontier words are cleared by the task that owns them
@@ -465,95 +300,6 @@ func (e *SMSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 		// multiples of 512 vertices, so word wi belongs to exactly one
 		// task and only the worker holding that task writes it.
 		words[wi] = 0 //bfs:singlewriter word-aligned task ranges: one writer per word
-	}
-}
-
-// casScatterTask is the pre-segmentation phase 1 kept for A/B equivalence
-// and ablation (Options.DisableSegments): idempotent atomic marks into the
-// shared next.
-func (e *SMSPBFSEngine) casScatterTask(workerID int, r sched.Range) {
-	g, ov := e.g, e.opt.Overlay
-	frontier, next := e.phFrontier, e.phNext
-	n := g.NumVertices()
-	chunk := frontier.ChunkSize()
-	scanned := &e.scanned[workerID]
-	words := frontier.ChunkWords()
-	loW, hiW := r.Lo/chunk, (r.Hi+chunk-1)/chunk
-	if loW < 0 || hiW > len(words) {
-		// BCE hint: see scatterTask.
-		panic("smspbfs: task range outside chunk words")
-	}
-	//bfs:hot phase 1 chunk scan: runs per chunk per iteration, must not allocate
-	for wi := loW; wi < hiW; wi++ {
-		if words[wi] == 0 {
-			continue // chunk skip: no active vertex among these
-		}
-		base := wi * chunk
-		limit := base + chunk
-		if limit > n {
-			limit = n
-		}
-		for v := base; v < limit; v++ {
-			if !frontier.Get(v) {
-				continue
-			}
-			nbrs := g.Neighbors(v) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
-			scanned.v += int64(len(nbrs))
-			if e.tracker == nil {
-				for _, nb := range nbrs {
-					// AtomicSet checks with an atomic load first, so
-					// the "only write if unset" optimization of
-					// Listing 3 line 4 happens without a data race on
-					// the word.
-					next.AtomicSet(int(nb))
-				}
-			} else {
-				for _, nb := range nbrs {
-					if next.AtomicSet(int(nb)) {
-						e.tracker.RecordElem(e.pageMap, workerID, int(nb)) //bfs:bounds-ok inlined page-map indexing on the off-by-default tracking path
-					}
-				}
-			}
-			if ov != nil {
-				// Fused overlay scan: not-yet-compacted extra neighbors
-				// push through the same idempotent atomic mark.
-				for _, nb := range ov.Extra(v) { //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
-					scanned.v++
-					if next.AtomicSet(int(nb)) && e.tracker != nil {
-						e.tracker.RecordElem(e.pageMap, workerID, int(nb)) //bfs:bounds-ok inlined page-map indexing on the off-by-default tracking path
-					}
-				}
-			}
-		}
-		words[wi] = 0 //bfs:singlewriter word-aligned task ranges: one writer per word
-	}
-}
-
-// mergeTask publishes one stripe sub-range of the scatter: the owner folds
-// every worker's shadow words into the canonical next chunk words and
-// zeroes them. Plain stores only.
-//
-//bfs:nocas
-//bfs:singlewriter stripe owner is the only writer of its canonical and shadow words between barriers
-func (e *SMSPBFSEngine) mergeTask(workerID int, r sched.Range) {
-	chunk := e.phNext.ChunkSize()
-	canon := e.phNext.ChunkWords()
-	loW, hiW := r.Lo/chunk, (r.Hi+chunk-1)/chunk
-	if e.tracker == nil {
-		e.shadows.MergeRange(workerID, canon, loW, hiW)
-		return
-	}
-	counts := e.mergeFolded[workerID]
-	for i := range counts {
-		counts[i] = 0
-	}
-	folded := e.shadows.MergeRangeCounts(workerID, canon, loW, hiW, counts)
-	// Charge only folded words: canonical writes local by first-touch,
-	// shadow reads region-crossing per writer; no-change merge reads are
-	// shareable and uncharged (the CAS path's convention).
-	e.tracker.RecordLocalN(workerID, folded)
-	for sw := 1; sw < e.shadows.Workers(); sw++ {
-		e.tracker.RecordShadowMerge(workerID, sw, counts[sw-1])
 	}
 }
 
@@ -613,17 +359,10 @@ func (e *SMSPBFSEngine) resolveTask(workerID int, r sched.Range) {
 	}
 }
 
-// bottomUpIteration implements Listing 4: unseen vertices scan their
-// neighbor lists for a frontier member; stale next bits of seen vertices
-// are scrubbed in the same pass so the buffers can swap roles.
-func (e *SMSPBFSEngine) bottomUpIteration(frontier, next vertexSet, levels []int32, depth int32) []time.Duration {
-	steal := !e.opt.DisableStealing
-	e.phFrontier, e.phNext, e.phLevels, e.phDepth = frontier, next, levels, depth
-	e.tq.Reset()
-	return e.runPhase(steal, e.bottomUpBody)
-}
-
-// bottomUpTask scans one destination range for frontier parents.
+// bottomUpTask implements Listing 4 over one destination range: unseen
+// vertices scan their neighbor lists for a frontier member; stale next bits
+// of seen vertices are scrubbed in the same pass so the buffers can swap
+// roles.
 //
 //bfs:nocas
 func (e *SMSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
@@ -682,16 +421,4 @@ func (e *SMSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 			next.Clear(u) // scrub stale bit from two iterations ago
 		}
 	}
-}
-
-func (e *SMSPBFSEngine) runPhase(steal bool, body func(workerID int, r sched.Range)) []time.Duration {
-	if e.opt.PerWorkerTiming {
-		return e.pool.ParallelForTimed(e.tq, steal, body)
-	}
-	if steal {
-		e.pool.ParallelFor(e.tq, body)
-	} else {
-		e.pool.ParallelForStatic(e.tq, body)
-	}
-	return nil
 }

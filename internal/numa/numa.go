@@ -267,16 +267,6 @@ func (t *Tracker) RecordShadowMerge(owner, shadowWorker int, words int64) {
 	}
 }
 
-// RecordElem accounts a single-element access.
-func (t *Tracker) RecordElem(m *PageMap, worker, v int) {
-	region := t.topo.RegionOf(worker)
-	if int(m.owner[m.PageOfElem(v)]) == region {
-		t.local[worker]++
-	} else {
-		t.remote[worker]++
-	}
-}
-
 // Totals returns the summed local and remote access counts.
 func (t *Tracker) Totals() (local, remote int64) {
 	for i := range t.local {

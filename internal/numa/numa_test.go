@@ -100,10 +100,10 @@ func TestTrackerAccounting(t *testing.T) {
 	if ratio := tr.LocalityRatio(); ratio != 0.5 {
 		t.Errorf("LocalityRatio = %v, want 0.5", ratio)
 	}
-	tr.RecordElem(m, 1, 513)
+	tr.RecordRangeElems(m, 1, 513, 514)
 	l, _ = tr.Totals()
 	if l != 2 {
-		t.Error("RecordElem local access misaccounted")
+		t.Error("RecordRangeElems local access misaccounted")
 	}
 	if !strings.Contains(tr.String(), "local=2") {
 		t.Errorf("String() = %q", tr.String())

@@ -28,8 +28,8 @@ type suiteEnv struct {
 	// The large fixture (cfg.LargeScale) drives the *-large scenarios: a
 	// working set past LLC capacity, where the worker-owned frontier
 	// segments and cache-blocked bottom-up stripes are supposed to earn
-	// their keep (ROADMAP item 5: mspbfs/auto must beat msbfs/sequential
-	// here, the paper's headline claim at scale).
+	// their keep (ROADMAP item 1's mspbfs/auto-large ÷ msbfs/sequential-large
+	// ratio row: it must stay < 1, the paper's headline claim at scale).
 	gLarge       *graph.Graph
 	sourcesLarge []int
 	counterLarge *metrics.EdgeCounter
@@ -200,8 +200,8 @@ func runMultiLarge(e *suiteEnv, f func() *core.MultiResult) Sample {
 }
 
 // runMSPBFSAutoLarge is the parallel kernel on the large fixture. Its row
-// carries the ROADMAP item 5 acceptance claim: median GTEPS here must not
-// fall below msbfs/sequential-large.
+// carries the claim behind ROADMAP item 1's auto-large ÷ sequential-large
+// ratio row: median GTEPS here must not fall below msbfs/sequential-large.
 func runMSPBFSAutoLarge(e *suiteEnv) Sample {
 	opt := e.traversalOpts()
 	opt.Direction = core.Auto

@@ -312,3 +312,30 @@ func TestCoalescerVersionKeyedBatching(t *testing.T) {
 		t.Errorf("snapshot pins leaked: acquired %d, released %d", a, r)
 	}
 }
+
+// TestHTTPBodyLimits: the query and ingest handlers cap the request body —
+// an oversized body is answered 413 without being buffered, and a normal
+// request is unaffected.
+func TestHTTPBodyLimits(t *testing.T) {
+	ts := newDynTestServer(t, dyngraph.Config{})
+	pad := func(n int) string { return strings.Repeat(" ", n) }
+
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"oversized query", "/bfs", pad(maxQueryBody+1) + `{"graph":"fixed","source":0}`, http.StatusRequestEntityTooLarge},
+		{"oversized ingest", "/graphs/live/edges", pad(maxIngestBody+1) + `{"edges":[[2,3]]}`, http.StatusRequestEntityTooLarge},
+		{"normal query", "/bfs", pad(64) + `{"graph":"fixed","source":0}`, http.StatusOK},
+		{"normal ingest", "/graphs/live/edges", `{"edges":[[2,3]]}`, http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+}

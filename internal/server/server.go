@@ -108,11 +108,36 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// Request body caps. A query is a source plus at most a target list; an
+// ingest batch may carry enough edges to fill the default delta overlay
+// (2^19 edges at up to 24 JSON bytes each). Anything larger is answered 413
+// before it is buffered.
+const (
+	maxQueryBody  = 1 << 20
+	maxIngestBody = 16 << 20
+)
+
+// decodeBody reads at most limit bytes of JSON request body into v. On
+// failure it writes the error response — 413 for an oversized body, 400
+// for a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decoding request: %w", err))
+	return false
+}
+
 func (s *Server) query(kind Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req queryRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if !decodeBody(w, r, maxQueryBody, &req) {
 			return
 		}
 		e, ok := s.reg.Get(req.Graph)
@@ -192,7 +217,7 @@ type ingestResponse struct {
 }
 
 // ingest streams an edge batch into a dynamic graph. 400 for malformed
-// bodies, out-of-range endpoints or static graphs; 409 when the delta is
+// bodies, out-of-range endpoints or static graphs; 413 for oversized bodies; 409 when the delta is
 // full and compaction lags (retry after backoff); 404 for unknown graphs.
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.reg.Get(r.PathValue("graph"))
@@ -202,8 +227,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, maxIngestBody, &req) {
 		return
 	}
 	edges := make([]msbfs.Edge, len(req.Edges))

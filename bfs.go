@@ -1,6 +1,7 @@
 package msbfs
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -210,6 +211,36 @@ func (g *Graph) MultiBFSVisitor(sources []int, opt Options,
 		Iterations:    r.Stats.Iterations,
 	}
 }
+
+// RunBatch is MultiBFSVisitor in the context-aware, fallible shape every
+// batch backend shares (dyngraph.Snapshot, cluster.RemoteGraph). An
+// in-process traversal cannot be canceled mid-flight and cannot fail, so
+// ctx is ignored and the error is always nil.
+func (g *Graph) RunBatch(_ context.Context, sources []int, opt Options,
+	visit func(workerID, sourceIdx, vertex, depth int)) (*MultiResult, error) {
+	return g.MultiBFSVisitor(sources, opt, visit), nil
+}
+
+// Pin lets an immutable Graph stand wherever a versioned graph is served
+// (internal/server's Backend). A Graph has exactly one, eternal version, so
+// Pin returns the graph itself whichever version is asked for — no
+// allocation, no lock — Version reports it as 0 and Release has nothing to
+// drop. The result is spelled as a method set because this package cannot
+// import the serving layer that names it.
+func (g *Graph) Pin(uint64) (interface {
+	Version() uint64
+	RunBatch(ctx context.Context, sources []int, opt Options,
+		visit func(workerID, sourceIdx, vertex, depth int)) (*MultiResult, error)
+	Release()
+}, error) {
+	return g, nil
+}
+
+// Version is the graph's one version, 0 (see Pin).
+func (g *Graph) Version() uint64 { return 0 }
+
+// Release is a no-op: a Graph pins nothing (see Pin).
+func (g *Graph) Release() {}
 
 // NoParent marks a vertex outside the BFS tree in parent arrays.
 const NoParent = core.NoParent

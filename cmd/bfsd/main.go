@@ -222,29 +222,29 @@ func run(logger *slog.Logger, graphs graphFlags, addr, debugAddr string, shards 
 	}
 	for name, spec := range graphs {
 		start := time.Now()
-		var e *server.Entry
-		var err error
-		switch {
-		case coord != nil:
-			e, err = reg.LoadCluster(context.Background(), name, spec, coord, cfg)
-		case dynamic:
-			e, err = reg.LoadDynamic(name, spec, cfg, dyngraph.Config{
-				MaxDelta:    maxDelta,
-				AutoCompact: true,
-			})
-		default:
-			e, err = reg.Load(name, spec, cfg)
-		}
+		g, err := reg.BuildGraph(name, spec)
 		if err != nil {
 			return err
 		}
+		var e *server.Entry
 		backend := "local"
 		switch {
 		case coord != nil:
 			backend = fmt.Sprintf("cluster/%d-shards", coord.NumShards())
+			e, err = reg.AddCluster(context.Background(), name, spec, g, coord, cfg)
 		case dynamic:
 			backend = "dynamic"
+			e, err = reg.AddDynamic(name, spec, g, true, cfg, dyngraph.Config{
+				MaxDelta:    maxDelta,
+				AutoCompact: true,
+			})
+		default:
+			e, err = reg.Add(name, g, true, cfg)
 		}
+		if err != nil {
+			return err
+		}
+		e.Spec = spec // Add recorded "inprocess"; nothing reads the entry before the listener starts
 		logger.Info("graph loaded",
 			"graph", name, "spec", spec, "backend", backend,
 			"vertices", e.G.NumVertices(), "edges", e.G.NumEdges(),

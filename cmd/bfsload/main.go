@@ -57,7 +57,11 @@ func main() {
 			MaxPending:    *requests + *clients, // the load is the bound
 		}
 		reg := server.NewRegistry()
-		if _, err := reg.Load("load", *inprocess, cfg); err != nil {
+		g, err := reg.BuildGraph("load", *inprocess)
+		if err == nil {
+			_, err = reg.Add("load", g, true, cfg)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "bfsload:", err)
 			os.Exit(1)
 		}

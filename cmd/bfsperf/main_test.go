@@ -14,9 +14,10 @@ import (
 )
 
 // tinyRunArgs keeps CLI-level suite runs fast: smallest graph the source
-// workload fits, few repetitions. Not fewer than 5 reps: the gate test
-// compares two of these runs, and with 3 samples a single noisy-neighbor
-// spike widens the bootstrap CI enough to swallow even the 2x handicap.
+// workload fits, few repetitions (a later -reps in extra overrides the 5).
+// Not fewer than 5 reps: the gate test compares two of these runs, and with
+// 3 samples a single noisy-neighbor spike widens the bootstrap CI enough to
+// swallow even the 2x handicap.
 func tinyRunArgs(extra ...string) []string {
 	args := []string{"-quick", "-scale", "9", "-workers", "2", "-reps", "5", "-warmup", "1"}
 	return append(args, extra...)
@@ -54,45 +55,82 @@ func TestRunDefaultFileNameIsBenchSha(t *testing.T) {
 	}
 }
 
+// resolvesHandicap reports whether an unhandicapped pair of reports agrees
+// on scenario tightly enough for the gate to see a factor-x slowdown: the
+// second run's CI, scaled by factor, must clear the first run's.
+func resolvesHandicap(t *testing.T, basePath, samePath, scenario string, factor float64) bool {
+	t.Helper()
+	var rows [2]*perf.Row
+	for i, path := range []string{basePath, samePath} {
+		rep, err := perf.ReadReportFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[i] = rep.Row(scenario); rows[i] == nil {
+			t.Fatalf("%s: no %s row", path, scenario)
+		}
+	}
+	return factor*float64(rows[1].CILoNs) > float64(rows[0].CIHiNs)
+}
+
 func TestCompareCLIGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the measured suite; skipped with -short")
 	}
 	// This test validates the gate's *logic* — clean runs compare clean,
-	// an injected 2x handicap is flagged — with real measured runs. On a
-	// loaded CI container (often a single core) a noisy-neighbor spike
-	// during one of the tiny runs can fake either outcome, so a noisy
-	// attempt is retried with fresh measurements rather than failed; a
-	// logic bug fails every attempt and still fails the test.
-	const attempts = 3
+	// an injected 2x handicap is flagged — with real measured runs. The
+	// tiny mspbfs/auto run is tens of microseconds, so on a loaded CI
+	// container (often one or two cores) five repetitions can spread wider
+	// than the 2x handicap. Each attempt therefore sizes its own
+	// measurement: its A/A pair must compare clean and be tight enough to
+	// resolve 2x, or the pair is re-measured with doubled repetitions
+	// (bounded), before the handicapped run is judged at that size. A
+	// logic bug fails every attempt at every size and still fails the
+	// test; noise does not.
+	const (
+		attempts = 3
+		scenario = "mspbfs/auto"
+		handicap = 2.0
+		maxReps  = 40
+	)
 	var lastFail string
+attempt:
 	for a := 1; a <= attempts; a++ {
 		dir := t.TempDir()
 		base := filepath.Join(dir, "base.json")
 		same := filepath.Join(dir, "same.json")
 		slow := filepath.Join(dir, "slow.json")
-		var discard bytes.Buffer
-		if err := runCmd(tinyRunArgs("-out", base), &discard); err != nil {
-			t.Fatal(err)
+		var discard, buf bytes.Buffer
+		reps := 5
+		for {
+			sized := fmt.Sprint(reps)
+			if err := runCmd(tinyRunArgs("-reps", sized, "-out", base), &discard); err != nil {
+				t.Fatal(err)
+			}
+			if err := runCmd(tinyRunArgs("-reps", sized, "-out", same), &discard); err != nil {
+				t.Fatal(err)
+			}
+			buf.Reset()
+			err := compareCmd([]string{base, same}, &buf)
+			if err == nil && resolvesHandicap(t, base, same, scenario, handicap) {
+				break
+			}
+			if reps *= 2; reps > maxReps {
+				lastFail = fmt.Sprintf("same-machine back-to-back pair still outside the gate at %d reps (compare: %v)\n%s",
+					reps/2, err, buf.String())
+				t.Logf("attempt %d/%d: %s", a, attempts, lastFail)
+				continue attempt
+			}
 		}
-		if err := runCmd(tinyRunArgs("-out", same), &discard); err != nil {
+		if err := runCmd(tinyRunArgs("-reps", fmt.Sprint(reps), "-out", slow,
+			"-handicap", fmt.Sprintf("%s=%g", scenario, handicap)), &discard); err != nil {
 			t.Fatal(err)
-		}
-		if err := runCmd(tinyRunArgs("-out", slow, "-handicap", "mspbfs/auto=2"), &discard); err != nil {
-			t.Fatal(err)
-		}
-
-		var buf bytes.Buffer
-		if err := compareCmd([]string{base, same}, &buf); err != nil {
-			lastFail = fmt.Sprintf("same-machine back-to-back compare failed: %v\n%s", err, buf.String())
-			t.Logf("attempt %d/%d: %s", a, attempts, lastFail)
-			continue
 		}
 
 		buf.Reset()
 		err := compareCmd([]string{base, slow}, &buf)
 		if err == nil {
-			lastFail = fmt.Sprintf("2x handicapped run not gated:\n%s", buf.String())
+			lastFail = fmt.Sprintf("%gx handicapped run not gated at %d reps:\n%s", handicap, reps, buf.String())
 			t.Logf("attempt %d/%d: %s", a, attempts, lastFail)
 			continue
 		}
@@ -101,7 +139,7 @@ func TestCompareCLIGate(t *testing.T) {
 		if !strings.Contains(err.Error(), "regression") {
 			t.Errorf("gate error = %v", err)
 		}
-		if !strings.Contains(buf.String(), "mspbfs/auto") {
+		if !strings.Contains(buf.String(), scenario) {
 			t.Errorf("delta table missing the slowed scenario:\n%s", buf.String())
 		}
 		return

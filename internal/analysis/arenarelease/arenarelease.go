@@ -18,12 +18,12 @@
 // leave the borrow live taints the join point.
 //
 // The same discipline governs dynamic-graph snapshot pins: DynGraph's
-// Acquire/AcquireVersion (and the server's SnapshotSource mirror) pin an
-// MVCC version whose generation cannot be compacted away until the
+// Acquire/AcquireVersion (and the server's Backend.Pin in front of it) pin
+// an MVCC version whose generation cannot be compacted away until the
 // snapshot's own Release method runs. A leaked pin is worse than a leaked
 // bitmap — it blocks generation retirement forever, so the retired-arena
 // scrub never fires and memory grows with every compaction. The pass
-// tracks Acquire* calls on those types like borrows, with the release
+// tracks Acquire* and Pin calls on those types like borrows, with the release
 // being a method on the pinned value itself (snap.Release()). Acquires
 // returning (snapshot, error) get the obvious refinement: the arm of an
 // `if err != nil` check holds no pin, so bailing out there is not a leak.
@@ -48,8 +48,8 @@ import (
 // path out of the borrowing function.
 var Analyzer = &analysis.Analyzer{
 	Name: "arenarelease",
-	Doc: "proves every Engine borrow (borrow*/checkout*/BorrowPool) and every DynGraph/" +
-		"SnapshotSource snapshot pin (Acquire*) is released on all paths " +
+	Doc: "proves every Engine borrow (borrow*/checkout*/BorrowPool) and every snapshot pin " +
+		"(DynGraph.Acquire*, Backend.Pin) is released on all paths " +
 		"(return*/checkin*/Release*/release closure/snapshot Release method, directly or via " +
 		"defer); borrows that intentionally outlive the function need //bfs:arena-held plus " +
 		"a justification",
@@ -206,8 +206,8 @@ func isLocal(pass *analysis.Pass, obj types.Object) bool {
 }
 
 // isBorrowCall matches methods named borrow*/Borrow*/checkout*/Checkout*
-// on a named type Engine, and snapshot pins Acquire* on DynGraph or
-// SnapshotSource (any package).
+// on a named type Engine, and snapshot pins: Acquire* on DynGraph, Pin on
+// Backend (any package).
 func isBorrowCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -218,7 +218,10 @@ func isBorrowCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return isMethodOn(pass, sel, "Engine")
 	}
 	if strings.HasPrefix(lower, "acquire") {
-		return isMethodOn(pass, sel, "DynGraph", "SnapshotSource")
+		return isMethodOn(pass, sel, "DynGraph")
+	}
+	if sel.Sel.Name == "Pin" {
+		return isMethodOn(pass, sel, "Backend")
 	}
 	return false
 }

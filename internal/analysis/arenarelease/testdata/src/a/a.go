@@ -168,9 +168,9 @@ func (s *Snapshot) Run() int  { return 0 }
 func (d *DynGraph) Acquire() (*Snapshot, error)                  { return &Snapshot{}, nil }
 func (d *DynGraph) AcquireVersion(ver uint64) (*Snapshot, error) { return &Snapshot{}, nil }
 
-// SnapshotSource models the server-side mirror of the acquire surface.
-type SnapshotSource interface {
-	AcquireVersion(ver uint64) (*Snapshot, error)
+// Backend models the server-side seam in front of the acquire surface.
+type Backend interface {
+	Pin(ver uint64) (*Snapshot, error)
 }
 
 // SnapshotDeferredRelease is the canonical pin shape: bail on the error
@@ -200,8 +200,8 @@ func SnapshotEarlyReturnLeak(d *DynGraph, bad bool) error {
 }
 
 // SnapshotFallThroughLeak never releases the pin at all.
-func SnapshotFallThroughLeak(src SnapshotSource) {
-	snap, err := src.AcquireVersion(1) // want `not released on the fall-through path`
+func SnapshotFallThroughLeak(b Backend) {
+	snap, err := b.Pin(1) // want `not released on the fall-through path`
 	if err != nil {
 		return
 	}

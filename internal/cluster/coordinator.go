@@ -119,7 +119,7 @@ func (c *Coordinator) fanOut(fn func(shard int) error) error {
 }
 
 // RemoteGraph is a graph loaded across the coordinator's shards. It
-// implements the query server's batch-runner contract, so a cluster-backed
+// implements the query server's Backend contract, so a cluster-backed
 // graph serves the same bfs/closeness/reachability/khop surface as a local
 // one.
 type RemoteGraph struct {
@@ -134,6 +134,25 @@ func (rg *RemoteGraph) Name() string { return rg.name }
 
 // NumVertices returns the global vertex count.
 func (rg *RemoteGraph) NumVertices() int { return rg.n }
+
+// Pin returns the graph itself: the shipped slices are immutable, so like a
+// local msbfs.Graph a RemoteGraph has one eternal version, reported as 0,
+// and nothing to release. The result is spelled as a method set because
+// this package cannot import the serving layer that names it.
+func (rg *RemoteGraph) Pin(uint64) (interface {
+	Version() uint64
+	RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
+		visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error)
+	Release()
+}, error) {
+	return rg, nil
+}
+
+// Version is the graph's one version, 0 (see Pin).
+func (rg *RemoteGraph) Version() uint64 { return 0 }
+
+// Release is a no-op (see Pin).
+func (rg *RemoteGraph) Release() {}
 
 // LoadGraph partitions g into contiguous vertex slices and ships one to
 // each shard. workers is the per-shard traversal parallelism. Neighbor

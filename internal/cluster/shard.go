@@ -527,8 +527,8 @@ func (s *Shard) getQuery(qid uint64) (*shardQuery, error) {
 // When the query is traced each phase boundary stamps the monotonic clock
 // into a stepTrace that rides back on the reply; untraced queries take
 // the identical code path but never call time.Now — the tracing cost is
-// one nil test per phase boundary (the obs/nil-tracer-cluster perf
-// scenario gates this).
+// one nil test per phase boundary (the untraced cluster/inproc perf
+// scenario times this path).
 func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 	r := &wireReader{b: payload}
 	qid, err := r.uvarint()

@@ -28,21 +28,6 @@ const (
 // scenarios with inherent queueing or allocator noise get wider gates.
 func Threshold(name string) float64 {
 	switch {
-	case name == "obs/nil-tracer":
-		// The observability acceptance gate: dormant tracing hooks must stay
-		// within 2% of the committed baseline. Tighter than the default on
-		// purpose — the nil-guard fast path is a single predicted branch, so
-		// any real movement here means a hook leaked onto the hot path.
-		return 0.02
-	case name == "obs/nil-tracer-cluster":
-		// Dormant cluster tracing: with no coordinator tracer the msgStart
-		// frames carry no trace id and the shards never stamp a clock, so
-		// this should track cluster/inproc exactly. The gate is much
-		// tighter than the cluster default because a regression here means
-		// the trace plumbing leaked onto the untraced wire path — but it
-		// still rides loopback RPC, so it cannot be as tight as the
-		// in-process nil-tracer gate.
-		return 0.10
 	case strings.HasPrefix(name, "smspbfs/"):
 		// Single-source kernels: one traversal's worth of work per
 		// repetition instead of the multi-source batch, so the median sits

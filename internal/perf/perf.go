@@ -171,9 +171,7 @@ func Scenarios() []Scenario {
 		{"server/coalescer", "in-process query coalescer, closed-loop clients", UnitQueries, runCoalescer},
 		{"engine/reuse", "coalescer load on a warm persistent engine", UnitQueries, runEngineReuse},
 		{"engine/coldstart", "coalescer load on a fresh engine per repetition", UnitQueries, runEngineColdStart},
-		{"obs/nil-tracer", "MS-PBFS auto with tracing hooks disabled (nil tracer)", UnitEdgesTraversed, runObsNilTracer},
 		{"cluster/inproc", "sharded MS-PBFS over a 2-shard loopback cluster", UnitEdgesTraversed, runClusterInproc},
-		{"obs/nil-tracer-cluster", "sharded MS-PBFS with cluster tracing off (dormant wire hooks)", UnitEdgesTraversed, runObsNilTracerCluster},
 		{"dyn/overlay-scan", "MS-PBFS auto with a resident dynamic-delta overlay", UnitEdgesTraversed, runDynOverlayScan},
 		{"mspbfs/auto-large", "MS-PBFS direction switching on the large fixture", UnitEdgesTraversed, runMSPBFSAutoLarge},
 		{"msbfs/sequential-large", "sequential MS-BFS on the large fixture", UnitEdgesTraversed, runMSBFSSeqLarge},

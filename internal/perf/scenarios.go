@@ -158,20 +158,6 @@ func runMSPBFSTopDown(e *suiteEnv) Sample  { return runMSPBFSDirection(e, core.T
 func runMSPBFSBottomUp(e *suiteEnv) Sample { return runMSPBFSDirection(e, core.BottomUpOnly) }
 func runMSPBFSAuto(e *suiteEnv) Sample     { return runMSPBFSDirection(e, core.Auto) }
 
-// runObsNilTracer is mspbfs/auto with the tracing hooks explicitly disabled
-// (nil Tracer). Every kernel now carries per-iteration trace calls behind a
-// nil guard; this scenario pins the cost of those dormant hooks against the
-// committed baseline with the suite's tightest gate (2%) — the tracing layer
-// must be free when it is off.
-func runObsNilTracer(e *suiteEnv) Sample {
-	opt := e.traversalOpts()
-	opt.Direction = core.Auto
-	opt.Tracer = nil
-	return runMulti(e, func() *core.MultiResult {
-		return core.MSPBFS(e.g, e.sources, opt)
-	})
-}
-
 func runSMSPBFS(e *suiteEnv, repr core.StateRepr) Sample {
 	opt := e.traversalOpts()
 	return runSingle(e, func() *core.Result {
@@ -235,28 +221,9 @@ func runCSRBuild(e *suiteEnv) Sample {
 	return Sample{Elapsed: elapsed, Work: g.NumEdges()}
 }
 
-func runCoalescer(e *suiteEnv) Sample {
-	c := server.NewCoalescer(e.srvG, server.Config{
-		Workers:       e.cfg.Workers,
-		BatchWords:    1,
-		FlushDeadline: time.Millisecond,
-		MaxPending:    e.cfg.LoadRequests + e.cfg.LoadClients,
-	}, server.NewMetrics(), nil)
-	st := server.DriveLoad(c, server.LoadSpec{
-		Clients:  e.cfg.LoadClients,
-		Requests: e.cfg.LoadRequests,
-		Seed:     e.cfg.Seed,
-	})
-	c.Close()
-	return Sample{
-		Elapsed: st.Elapsed,
-		Work:    int64(st.Requests - st.Failed),
-		Latency: &st.Latency,
-	}
-}
-
 // runEngineLoad drives the coalescer workload with the given engine wired
-// through Config.Engine; it is the shared body of the two engine scenarios.
+// through Config.Engine (nil: the library's shared default engine); it is
+// the shared body of the coalescer and the two engine scenarios.
 func runEngineLoad(e *suiteEnv, eng *msbfs.Engine) Sample {
 	c := server.NewCoalescer(e.srvG, server.Config{
 		Workers:       e.cfg.Workers,
@@ -278,6 +245,9 @@ func runEngineLoad(e *suiteEnv, eng *msbfs.Engine) Sample {
 	}
 }
 
+// runCoalescer serves the load from the library's shared default engine.
+func runCoalescer(e *suiteEnv) Sample { return runEngineLoad(e, nil) }
+
 // runClusterInproc runs the suite's multi-source workload as one sharded
 // traversal over the 2-shard loopback cluster: local MS-PBFS steps plus a
 // compressed delta-frontier exchange and level barrier per iteration. Its
@@ -295,27 +265,6 @@ func runClusterInproc(e *suiteEnv) Sample {
 	// The exchange allocates wire frames and decoded level rows; collect
 	// them in this scenario's (untimed) slot so the GC debt cannot bleed
 	// into whichever scenario the interleaved protocol runs next.
-	runtime.GC()
-	return Sample{Elapsed: elapsed, Work: e.counter.EdgesForAll(e.sources)}
-}
-
-// runObsNilTracerCluster is cluster/inproc measured as the cluster-side
-// tracing acceptance gate: the fixture coordinator has no tracer, so the
-// msgStart frames carry no trace id, the shards take the untraced step
-// path (no clock reads, no trailing reply bytes), and the wire payloads
-// are byte-identical to the pre-tracing protocol. Its tight Threshold
-// (vs cluster/inproc's wide one) is what catches trace plumbing leaking
-// onto the dormant path.
-func runObsNilTracerCluster(e *suiteEnv) Sample {
-	start := time.Now()
-	_, err := e.cluRG.RunBatch(context.Background(), e.sources,
-		msbfs.Options{Workers: e.cfg.Workers, BatchWords: 1}, nil)
-	elapsed := time.Since(start)
-	if err != nil {
-		panic(fmt.Sprintf("perf: obs/nil-tracer-cluster: %v", err))
-	}
-	// Same untimed cleanup as cluster/inproc: the exchange's wire frames
-	// and level rows must not become the next scenario's GC debt.
 	runtime.GC()
 	return Sample{Elapsed: elapsed, Work: e.counter.EdgesForAll(e.sources)}
 }

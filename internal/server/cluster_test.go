@@ -29,10 +29,14 @@ func newClusterServer(t *testing.T, shards int) (*httptest.Server, *cluster.Inpr
 	reg := NewRegistry()
 	cfg := Config{Workers: 2, FlushDeadline: time.Millisecond}
 	const spec = "kron:scale=9,edgefactor=8,seed=7"
-	if _, err := reg.LoadCluster(context.Background(), "remote", spec, ip.Coord, cfg); err != nil {
+	g, err := reg.BuildGraph("remote", spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Load("local", spec, cfg); err != nil {
+	if _, err := reg.AddCluster(context.Background(), "remote", spec, g, ip.Coord, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Add("local", g, true, cfg); err != nil {
 		t.Fatal(err)
 	}
 	s := New(reg, cfg)

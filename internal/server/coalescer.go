@@ -19,62 +19,13 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime/debug"
 	"sync"
 	"time"
 
 	msbfs "repro"
 	"repro/internal/obs"
 )
-
-// Runner is the traversal capability the coalescer needs from a local
-// graph. It is satisfied by *msbfs.Graph; tests inject wrappers that count
-// batch executions.
-type Runner interface {
-	MultiBFSVisitor(sources []int, opt msbfs.Options,
-		visit func(workerID, sourceIdx, vertex, depth int)) *msbfs.MultiResult
-	NumVertices() int
-}
-
-// BatchRunner is the backend a coalescer actually dispatches batches to.
-// Unlike Runner it is context-aware and fallible, which remote backends
-// (the cluster coordinator's RemoteGraph) need: a shard death or barrier
-// timeout fails the batch instead of panicking, and the batch honors the
-// requests' deadlines. Local graphs are adapted via localRunner.
-type BatchRunner interface {
-	RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
-		visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error)
-	NumVertices() int
-}
-
-// localRunner adapts the infallible in-process Runner to the BatchRunner
-// contract. In-process traversals are not cancelable mid-flight; the
-// coalescer's per-request demux already handles callers that gave up.
-type localRunner struct{ r Runner }
-
-func (lr localRunner) RunBatch(_ context.Context, sources []int, opt msbfs.Options,
-	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
-	return lr.r.MultiBFSVisitor(sources, opt, visit), nil
-}
-
-func (lr localRunner) NumVertices() int { return lr.r.NumVertices() }
-
-// GraphSnapshot is a pinned, immutable version of a dynamic graph —
-// satisfied structurally by *dyngraph.Snapshot, so the dynamic-graph layer
-// never imports the server. The coalescer runs a batch against the
-// snapshot its requests pinned at submit time, making every coalesced
-// query repeatable-read isolated from concurrent ingest and compaction.
-type GraphSnapshot interface {
-	Version() uint64
-	RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
-		visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error)
-	Release()
-}
-
-// SnapshotSource mints pinned snapshots for the coalescer, one per
-// admitted request. Version 0 means "current".
-type SnapshotSource interface {
-	AcquireVersion(ver uint64) (GraphSnapshot, error)
-}
 
 // Kind identifies a query type. All kinds are served from the same batched
 // visitor pass.
@@ -103,7 +54,8 @@ type Query struct {
 	// Hops is the neighborhood radius for KindKHop.
 	Hops int
 	// Version pins the query to a specific published version of a dynamic
-	// graph (0: current). Rejected with ErrBadRequest on static graphs.
+	// graph (0: current). Rejected with ErrBadRequest on a backend with one
+	// eternal version (static and cluster graphs).
 	Version uint64
 }
 
@@ -125,15 +77,18 @@ type Answer struct {
 	Wait         time.Duration // time spent queued before the batch ran
 	Run          time.Duration // traversal time of the serving batch
 	TraceID      uint64        // flight-recorder correlation id; 0 when untraced
-	GraphVersion uint64        // dynamic-graph version served; 0 on static graphs
+	GraphVersion uint64        // graph version served; 0 on static and cluster graphs
 }
 
 // Coalescer errors. The HTTP layer maps ErrQueueFull to 429 + Retry-After,
-// ErrClosed to 503, and ErrBadRequest to 400.
+// ErrClosed to 503, ErrBadRequest to 400 and ErrBatchPanic to 500.
 var (
 	ErrQueueFull  = errors.New("server: pending queue full")
 	ErrClosed     = errors.New("server: coalescer closed")
 	ErrBadRequest = errors.New("server: bad request")
+	// ErrBatchPanic fails the requests of a batch whose traversal panicked;
+	// the coalescer, and every other graph, keeps serving.
+	ErrBatchPanic = errors.New("server: batch panicked")
 )
 
 // Config tunes a Coalescer (and, via the Server, every per-graph
@@ -175,11 +130,6 @@ type Config struct {
 	// Logger receives slow-query warnings (one line per request the
 	// Recorder classifies as slow); nil disables.
 	Logger *slog.Logger
-	// Snapshots makes the coalescer dynamic-graph aware: every admitted
-	// request pins a snapshot of its requested version, and each batch is
-	// cut on version boundaries so one traversal serves exactly one
-	// consistent view. Nil serves the static graph directly.
-	Snapshots SnapshotSource
 }
 
 func (c Config) normalize() Config {
@@ -213,10 +163,10 @@ type pendingReq struct {
 	done     chan outcome
 	enqueued time.Time
 	traceID  uint64
-	// snap is the version pinned for this request at submit time (nil on
-	// static graphs). Owned by the request; released exactly once when the
-	// request leaves the coalescer, on every path.
-	snap GraphSnapshot
+	// pin is the graph version this request traverses, taken at submit
+	// time. Owned by the request; released exactly once when the request
+	// leaves the coalescer, on every path.
+	pin Pinned
 }
 
 type outcome struct {
@@ -227,7 +177,7 @@ type outcome struct {
 // Coalescer batches single-source queries against one graph into
 // multi-source traversals. Create with NewCoalescer; Close drains it.
 type Coalescer struct {
-	g     BatchRunner
+	g     Backend
 	cfg   Config
 	met   *Metrics
 	edges func(sources []int) int64 // Graph500 edge accounting; may be nil
@@ -241,15 +191,10 @@ type Coalescer struct {
 	wg       sync.WaitGroup // in-flight batch executions
 }
 
-// NewCoalescer builds a coalescer over a local graph g. met must be
+// NewCoalescer builds a coalescer over backend g — a *msbfs.Graph, a
+// *cluster.RemoteGraph, or a dynamic graph's pinning adapter. met must be
 // non-nil (use NewMetrics); edges may be nil to skip GTEPS accounting.
-func NewCoalescer(g Runner, cfg Config, met *Metrics, edges func([]int) int64) *Coalescer {
-	return NewBatchCoalescer(localRunner{r: g}, cfg, met, edges)
-}
-
-// NewBatchCoalescer builds a coalescer over an arbitrary batch backend —
-// the entry point cluster-backed graphs use.
-func NewBatchCoalescer(g BatchRunner, cfg Config, met *Metrics, edges func([]int) int64) *Coalescer {
+func NewCoalescer(g Backend, cfg Config, met *Metrics, edges func([]int) int64) *Coalescer {
 	return &Coalescer{g: g, cfg: cfg.normalize(), met: met, edges: edges, clk: realClock{}}
 }
 
@@ -288,9 +233,6 @@ func (c *Coalescer) validate(q Query) error {
 	default:
 		return fmt.Errorf("%w: unknown query kind %q", ErrBadRequest, q.Kind)
 	}
-	if q.Version != 0 && c.cfg.Snapshots == nil {
-		return fmt.Errorf("%w: version pinning requires a dynamic graph", ErrBadRequest)
-	}
 	for _, t := range q.Targets {
 		if t < 0 || t >= n {
 			return fmt.Errorf("%w: target %d out of range [0, %d)", ErrBadRequest, t, n)
@@ -306,40 +248,40 @@ func (c *Coalescer) Submit(ctx context.Context, q Query) (Answer, error) {
 	if err := c.validate(q); err != nil {
 		return Answer{}, err
 	}
-	p := &pendingReq{q: q, ctx: ctx, done: make(chan outcome, 1), enqueued: c.clk.Now(),
-		traceID: c.cfg.Recorder.NextTraceID()}
-	if c.cfg.Snapshots != nil {
-		// Pin the requested version before enqueueing: the snapshot fixes
-		// which edges this query sees, no matter how long it queues or how
-		// much ingest/compaction happens meanwhile.
-		snap, err := c.cfg.Snapshots.AcquireVersion(q.Version) //bfs:arena-held released by releaseSnap on every terminal path of the request (reject, cancel, batch completion)
-		if err != nil {
-			return Answer{}, err
-		}
-		p.snap = snap
+	enqueued := c.clk.Now()
+	// Pin the requested version before enqueueing: the view fixes which
+	// edges this query sees, no matter how long it queues or how much
+	// ingest/compaction happens meanwhile.
+	pin, err := c.g.Pin(q.Version) //bfs:arena-held released on every terminal path of the request: the early returns below, or runBatch once its batch was cut
+	if err != nil {
+		return Answer{}, err
 	}
+	if q.Version != 0 && pin.Version() == 0 {
+		// One eternal version: there is nothing to choose between.
+		pin.Release()
+		return Answer{}, fmt.Errorf("%w: version pinning requires a dynamic graph", ErrBadRequest)
+	}
+	p := &pendingReq{q: q, ctx: ctx, done: make(chan outcome, 1), enqueued: enqueued,
+		traceID: c.cfg.Recorder.NextTraceID(), pin: pin}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		releaseSnap(p)
+		pin.Release()
 		return Answer{}, ErrClosed
 	}
 	if len(c.pending) >= c.cfg.MaxPending {
 		c.mu.Unlock()
-		releaseSnap(p)
+		pin.Release()
 		c.met.Rejected.Add(1)
-		c.cfg.Recorder.Record(RequestRecord{
-			TraceID: p.traceID, Graph: c.cfg.Graph, Kind: string(q.Kind),
-			Source: q.Source, Status: "rejected", Start: p.enqueued,
-		})
+		c.record(p, "rejected", 0, 0, 0, 0)
 		return Answer{}, ErrQueueFull
 	}
 	c.met.Requests.Add(1)
 	// A batch traverses exactly one graph version. A request pinned to a
 	// different version than the batch being filled cuts that batch first
 	// and starts a fresh one.
-	if len(c.pending) > 0 && snapVersion(c.pending[0]) != snapVersion(p) {
+	if len(c.pending) > 0 && c.pending[0].pin.Version() != pin.Version() {
 		c.cutLocked()
 	}
 	c.pending = append(c.pending, p)
@@ -380,23 +322,30 @@ func (c *Coalescer) armTimerLocked() {
 	})
 }
 
-// cutLocked moves the whole pending queue into a batch and dispatches it.
+// takeLocked empties the pending queue and disarms its deadline flush.
 // Caller holds c.mu.
-func (c *Coalescer) cutLocked() {
-	batch := c.pending
+func (c *Coalescer) takeLocked() []*pendingReq {
+	reqs := c.pending
 	c.pending = nil
 	c.timerGen++ // any armed deadline flush is now stale
 	if c.timer != nil {
 		c.timer.Stop()
 		c.timer = nil
 	}
-	if len(batch) == 0 {
+	return reqs
+}
+
+// cutLocked dispatches the whole pending queue as one batch. Caller holds
+// c.mu.
+func (c *Coalescer) cutLocked() {
+	reqs := c.takeLocked()
+	if len(reqs) == 0 {
 		return
 	}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		c.runBatch(batch)
+		c.runBatch(reqs)
 	}()
 }
 
@@ -405,43 +354,27 @@ func (c *Coalescer) cutLocked() {
 // path of SIGTERM handling. Safe to call more than once.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.wg.Wait()
-		return
-	}
-	c.closed = true
-	batch := c.pending
-	c.pending = nil
-	c.timerGen++
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
+	var reqs []*pendingReq
+	if !c.closed {
+		c.closed = true
+		reqs = c.takeLocked()
 	}
 	c.mu.Unlock()
-	if len(batch) > 0 {
-		c.runBatch(batch)
+	if len(reqs) > 0 {
+		c.runBatch(reqs)
 	}
 	c.wg.Wait()
 }
 
-// releaseSnap releases a request's pinned snapshot, if any. Safe on every
-// exit path: dyngraph releases are idempotent, but the coalescer still
-// releases each pin exactly once.
-func releaseSnap(p *pendingReq) {
-	if p.snap != nil {
-		p.snap.Release()
-		p.snap = nil
-	}
-}
-
-// snapVersion is the batch-cut key: 0 for static graphs (every request
-// compatible), the pinned version otherwise.
-func snapVersion(p *pendingReq) uint64 {
-	if p.snap == nil {
-		return 0
-	}
-	return p.snap.Version()
+// record files p's flight record and reports whether the recorder
+// classified the request as slow.
+func (c *Coalescer) record(p *pendingReq, status string, wait, run, total time.Duration, width int) bool {
+	return c.cfg.Recorder.Record(RequestRecord{
+		TraceID: p.traceID, Graph: c.cfg.Graph, Kind: string(p.q.Kind),
+		Source: p.q.Source, Status: status, Start: p.enqueued,
+		WaitMicros: wait.Microseconds(), RunMicros: run.Microseconds(),
+		TotalMicros: total.Microseconds(), BatchWidth: width,
+	})
 }
 
 // slotAcc accumulates one source slot's per-worker traversal tallies.
@@ -452,54 +385,79 @@ type slotAcc struct {
 	maxd    int32 // deepest discovery
 }
 
-// runBatch executes one multi-source traversal answering every live
-// request in the batch, then demultiplexes the per-slot results.
-func (c *Coalescer) runBatch(batch []*pendingReq) {
+// batch is one cut on its way through execute and demux: the live requests
+// — one slot each, all pinned to the same version — and the per-slot state
+// the traversal's visitor fills in.
+type batch struct {
+	live    []*pendingReq
+	cutAt   time.Time
+	sources []int
+	opt     msbfs.Options
+	// Per-slot read-only target index (vertex -> Distances position) and
+	// shared distance rows. Each (slot, vertex) pair is discovered exactly
+	// once across all workers, so workers write disjoint cells.
+	targetIdx []map[int]int
+	dists     [][]int32
+	hops      []int       // khop radius; -1: not a khop slot
+	accs      [][]slotAcc // [worker][slot]
+}
+
+// runBatch takes one cut through its three stages: cut drops the requests
+// nobody waits for and lays out the slots, execute runs the one
+// multi-source traversal answering all of them, demux (or fail) hands each
+// request its outcome. Pins drop only afterwards, so compaction cannot
+// retire the traversed view mid-run.
+func (c *Coalescer) runBatch(reqs []*pendingReq) {
+	var b batch // stays on this stack: the stages borrow it, the visitor captures only its slices
+	if !c.cut(&b, reqs) {
+		return
+	}
+	if res, err := c.execute(&b); err != nil {
+		c.fail(&b, err)
+	} else {
+		c.demux(&b, res)
+	}
+	for _, p := range b.live {
+		p.pin.Release()
+	}
+}
+
+// cut drops requests whose caller already gave up — their sources would
+// only widen the traversal for nobody — and lays out b over the rest; false
+// when none is left.
+func (c *Coalescer) cut(b *batch, reqs []*pendingReq) bool {
 	now := c.clk.Now()
-	// Drop requests whose caller already gave up; their sources would only
-	// widen the traversal for nobody.
-	live := batch[:0]
-	for _, p := range batch {
+	live := reqs[:0]
+	for _, p := range reqs {
 		if err := p.ctx.Err(); err != nil {
-			releaseSnap(p)
+			p.pin.Release()
 			p.done <- outcome{err: err}
 			wait := now.Sub(p.enqueued)
-			c.cfg.Recorder.Record(RequestRecord{
-				TraceID: p.traceID, Graph: c.cfg.Graph, Kind: string(p.q.Kind),
-				Source: p.q.Source, Status: "canceled", Start: p.enqueued,
-				WaitMicros: wait.Microseconds(), TotalMicros: wait.Microseconds(),
-			})
+			c.record(p, "canceled", wait, 0, wait, 0)
 			continue
 		}
 		live = append(live, p)
 	}
 	if len(live) == 0 {
-		return
+		return false
 	}
-	// Every live request pinned the same version (the version-keyed cut in
-	// Submit guarantees it); the batch traverses that snapshot. Pins drop
-	// only after the demux, so compaction cannot retire the view mid-run.
-	defer func() {
-		for _, p := range live {
-			releaseSnap(p)
-		}
-	}()
-
-	sources := make([]int, len(live))
-	// Per-slot read-only target index (vertex -> Distances position) and
-	// shared distance rows. Each (slot, vertex) pair is discovered exactly
-	// once across all workers, so workers write disjoint cells.
-	targetIdx := make([]map[int]int, len(live))
-	dists := make([][]int32, len(live))
-	hops := make([]int, len(live)) // -1: not a khop slot
-	depthBound := 0                // 0 while any slot needs the full traversal
+	*b = batch{
+		live:      live,
+		cutAt:     now,
+		sources:   make([]int, len(live)),
+		opt:       msbfs.Options{Workers: c.cfg.Workers, Engine: c.cfg.Engine},
+		targetIdx: make([]map[int]int, len(live)),
+		dists:     make([][]int32, len(live)),
+		hops:      make([]int, len(live)),
+	}
+	depthBound := 0 // 0 while any slot needs the full traversal
 	allBounded := true
 	for i, p := range live {
-		sources[i] = p.q.Source
-		hops[i] = -1
+		b.sources[i] = p.q.Source
+		b.hops[i] = -1
 		switch p.q.Kind {
 		case KindKHop:
-			hops[i] = p.q.Hops
+			b.hops[i] = p.q.Hops
 			if p.q.Hops > depthBound {
 				depthBound = p.q.Hops
 			}
@@ -515,31 +473,44 @@ func (c *Coalescer) runBatch(batch []*pendingReq) {
 				}
 				row[j] = msbfs.NoLevel
 			}
-			targetIdx[i] = idx
-			dists[i] = row
+			b.targetIdx[i] = idx
+			b.dists[i] = row
 		}
 	}
-
-	opt := msbfs.Options{Workers: c.cfg.Workers, Engine: c.cfg.Engine}
 	if allBounded {
 		// A batch of pure khop queries never needs depths beyond the
 		// widest radius; prune the traversal instead of filtering visits.
-		opt.MaxDepth = depthBound
+		b.opt.MaxDepth = depthBound
 	}
-	workers := opt.Normalize().Workers
-	accs := make([][]slotAcc, workers)
-	for w := range accs {
-		accs[w] = make([]slotAcc, len(live))
+	b.accs = make([][]slotAcc, b.opt.Normalize().Workers)
+	for w := range b.accs {
+		b.accs[w] = make([]slotAcc, len(live))
 	}
+	return true
+}
 
-	ctx, cancel := batchContext(live)
+// execute runs b's traversal on the version its requests pinned (the
+// version-keyed cut in Submit guarantees they all pinned the same one). A
+// backend failure (shard down, barrier timeout) or a panic anywhere under
+// RunBatch — the worker pool re-raises its workers' panics on this
+// goroutine — fails this batch only: it comes back as an error for fail to
+// deliver, and the coalescer keeps serving later batches.
+func (c *Coalescer) execute(b *batch) (res *msbfs.MultiResult, err error) {
+	ctx, cancel := batchContext(b.live)
 	defer cancel()
-	runner := c.g.RunBatch
-	if live[0].snap != nil {
-		runner = live[0].snap.RunBatch
-	}
 	sp := c.cfg.Tracer.StartSpan("coalescer-flush", c.cfg.Graph)
-	res, runErr := runner(ctx, sources, opt, func(workerID, sourceIdx, vertex, depth int) {
+	defer sp.End()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", ErrBatchPanic, r)
+			if c.cfg.Logger != nil {
+				c.cfg.Logger.Error("batch panicked", "graph", c.cfg.Graph,
+					"width", len(b.live), "panic", r, "stack", string(debug.Stack()))
+			}
+		}
+	}()
+	accs, hops, targetIdx, dists := b.accs, b.hops, b.targetIdx, b.dists
+	return b.live[0].pin.RunBatch(ctx, b.sources, b.opt, func(workerID, sourceIdx, vertex, depth int) {
 		a := &accs[workerID][sourceIdx]
 		a.sum += int64(depth)
 		a.reached++
@@ -555,42 +526,36 @@ func (c *Coalescer) runBatch(batch []*pendingReq) {
 			}
 		}
 	})
+}
 
-	sp.End()
-
-	if runErr != nil {
-		// A backend failure (shard down, barrier timeout) fails this batch
-		// only: every live request learns the error, and the coalescer keeps
-		// serving later batches.
-		c.met.BatchErrors.Add(1)
-		end := c.clk.Now()
-		for _, p := range live {
-			p.done <- outcome{err: runErr}
-			c.cfg.Recorder.Record(RequestRecord{
-				TraceID: p.traceID, Graph: c.cfg.Graph, Kind: string(p.q.Kind),
-				Source: p.q.Source, Status: "error", Start: p.enqueued,
-				WaitMicros:  now.Sub(p.enqueued).Microseconds(),
-				TotalMicros: end.Sub(p.enqueued).Microseconds(),
-				BatchWidth:  len(live),
-			})
-		}
-		return
+// fail delivers a batch-wide error to every live request.
+func (c *Coalescer) fail(b *batch, err error) {
+	c.met.BatchErrors.Add(1)
+	end := c.clk.Now()
+	for _, p := range b.live {
+		p.done <- outcome{err: err}
+		c.record(p, "error", b.cutAt.Sub(p.enqueued), 0, end.Sub(p.enqueued), len(b.live))
 	}
+}
 
+// demux folds the per-worker tallies into each request's Answer and
+// delivers it.
+func (c *Coalescer) demux(b *batch, res *msbfs.MultiResult) {
+	width := len(b.live)
 	c.met.Batches.Add(1)
-	c.met.Sources.Add(int64(len(live)))
-	c.met.BatchWidth.Record(int64(len(live)))
+	c.met.Sources.Add(int64(width))
+	c.met.BatchWidth.Record(int64(width))
 	c.met.RunNanos.Add(int64(res.Elapsed))
 	if c.edges != nil {
-		c.met.Edges.Add(c.edges(sources))
+		c.met.Edges.Add(c.edges(b.sources))
 	}
 
 	end := c.clk.Now()
 	n := c.g.NumVertices()
-	for i, p := range live {
+	for i, p := range b.live {
 		var total slotAcc
-		for w := range accs {
-			a := accs[w][i]
+		for w := range b.accs {
+			a := b.accs[w][i]
 			total.sum += a.sum
 			total.reached += a.reached
 			total.inHops += a.inHops
@@ -601,25 +566,25 @@ func (c *Coalescer) runBatch(batch []*pendingReq) {
 		ans := Answer{
 			Visited:      total.reached,
 			Eccentricity: total.maxd,
-			BatchWidth:   len(live),
-			Wait:         now.Sub(p.enqueued),
+			BatchWidth:   width,
+			Wait:         b.cutAt.Sub(p.enqueued),
 			Run:          res.Elapsed,
 			TraceID:      p.traceID,
-			GraphVersion: snapVersion(p),
+			GraphVersion: p.pin.Version(),
 		}
 		switch p.q.Kind {
 		case KindBFS:
 			// Duplicate targets copy from their representative column.
-			ans.Distances = dists[i]
+			ans.Distances = b.dists[i]
 			for j, t := range p.q.Targets {
-				if rep := targetIdx[i][t]; rep != j {
+				if rep := b.targetIdx[i][t]; rep != j {
 					ans.Distances[j] = ans.Distances[rep]
 				}
 			}
 		case KindCloseness:
 			ans.Closeness = closenessValue(n, total.sum, total.reached)
 		case KindReachability:
-			ans.Reachable = dists[i][0] != msbfs.NoLevel
+			ans.Reachable = b.dists[i][0] != msbfs.NoLevel
 		case KindKHop:
 			ans.Count = total.inHops
 		}
@@ -627,19 +592,13 @@ func (c *Coalescer) runBatch(batch []*pendingReq) {
 
 		c.met.QueueWait.RecordDuration(ans.Wait)
 		c.met.Exec.RecordDuration(res.Elapsed)
-		fr := RequestRecord{
-			TraceID: p.traceID, Graph: c.cfg.Graph, Kind: string(p.q.Kind),
-			Source: p.q.Source, Status: "ok", Start: p.enqueued,
-			WaitMicros:  ans.Wait.Microseconds(),
-			RunMicros:   res.Elapsed.Microseconds(),
-			TotalMicros: end.Sub(p.enqueued).Microseconds(),
-			BatchWidth:  len(live),
-		}
-		if c.cfg.Recorder.Record(fr) && c.cfg.Logger != nil {
+		lat := end.Sub(p.enqueued)
+		if c.record(p, "ok", ans.Wait, res.Elapsed, lat, width) && c.cfg.Logger != nil {
 			c.cfg.Logger.Warn("slow query",
-				"trace_id", fr.TraceID, "graph", fr.Graph, "kind", fr.Kind,
-				"source", fr.Source, "wait_us", fr.WaitMicros, "run_us", fr.RunMicros,
-				"total_us", fr.TotalMicros, "batch_width", fr.BatchWidth)
+				"trace_id", p.traceID, "graph", c.cfg.Graph, "kind", string(p.q.Kind),
+				"source", p.q.Source, "wait_us", ans.Wait.Microseconds(),
+				"run_us", res.Elapsed.Microseconds(), "total_us", lat.Microseconds(),
+				"batch_width", width)
 		}
 	}
 }

@@ -12,17 +12,21 @@ import (
 	msbfs "repro"
 )
 
-// countingGraph wraps a Graph and counts multi-source batch executions —
-// the injected batch-run counter the coalescing assertions rely on.
+// countingGraph is a static Backend that counts multi-source batch
+// executions — the injected batch-run counter the coalescing assertions
+// rely on. Pin must return the wrapper, not the embedded Graph, or the
+// count is bypassed.
 type countingGraph struct {
 	*msbfs.Graph
 	batches atomic.Int64
 }
 
-func (c *countingGraph) MultiBFSVisitor(sources []int, opt msbfs.Options,
-	visit func(workerID, sourceIdx, vertex, depth int)) *msbfs.MultiResult {
+func (c *countingGraph) Pin(uint64) (Pinned, error) { return c, nil }
+
+func (c *countingGraph) RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
+	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
 	c.batches.Add(1)
-	return c.Graph.MultiBFSVisitor(sources, opt, visit)
+	return c.Graph.RunBatch(ctx, sources, opt, visit)
 }
 
 func testGraph(t *testing.T) *msbfs.Graph {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -241,10 +242,10 @@ func TestHTTPDynamicMetricsAndGraphs(t *testing.T) {
 	}
 }
 
-// stubSnapshots is a SnapshotSource that tracks acquire/release pairing so
+// stubSnapshots is a versioned Backend that tracks pin/release pairing so
 // the coalescer's pin discipline is testable without a real DynGraph.
 type stubSnapshots struct {
-	g        *msbfs.Graph
+	*msbfs.Graph
 	cur      uint64
 	acquired atomic.Int64
 	released atomic.Int64
@@ -255,7 +256,7 @@ type stubSnap struct {
 	ver uint64
 }
 
-func (s *stubSnapshots) AcquireVersion(ver uint64) (GraphSnapshot, error) {
+func (s *stubSnapshots) Pin(ver uint64) (Pinned, error) {
 	if ver == 0 {
 		ver = s.cur
 	}
@@ -265,19 +266,19 @@ func (s *stubSnapshots) AcquireVersion(ver uint64) (GraphSnapshot, error) {
 
 func (s *stubSnap) Version() uint64 { return s.ver }
 func (s *stubSnap) Release()        { s.src.released.Add(1) }
-func (s *stubSnap) RunBatch(_ context.Context, sources []int, opt msbfs.Options,
+func (s *stubSnap) RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
 	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
-	return s.src.g.MultiBFSVisitor(sources, opt, visit), nil
+	return s.src.Graph.RunBatch(ctx, sources, opt, visit)
 }
 
 // TestCoalescerVersionKeyedBatching: requests pinned to different versions
 // must never share a batch, and every pinned snapshot must be released.
 func TestCoalescerVersionKeyedBatching(t *testing.T) {
 	g := msbfs.GenerateUniform(400, 6, 1)
-	src := &stubSnapshots{g: g, cur: 7}
+	src := &stubSnapshots{Graph: g, cur: 7}
 	met := NewMetrics()
-	c := NewBatchCoalescer(localRunner{r: g}, Config{
-		Workers: 2, MaxBatch: 8, FlushDeadline: 200 * time.Millisecond, Snapshots: src,
+	c := NewCoalescer(src, Config{
+		Workers: 2, MaxBatch: 8, FlushDeadline: 200 * time.Millisecond,
 	}, met, nil)
 	defer c.Close()
 
@@ -310,6 +311,66 @@ func TestCoalescerVersionKeyedBatching(t *testing.T) {
 	}
 	if a, r := src.acquired.Load(), src.released.Load(); a != r || a == 0 {
 		t.Errorf("snapshot pins leaked: acquired %d, released %d", a, r)
+	}
+}
+
+// TestStaticIsOneVersionDynamic states the property the single serving path
+// rests on: a static graph behaves exactly as a dynamic graph that never
+// ingests, except that its one version is eternal — answers agree field for
+// field apart from GraphVersion (0 vs 1), and only the dynamic graph has a
+// version 1 to pin.
+func TestStaticIsOneVersionDynamic(t *testing.T) {
+	g := msbfs.GenerateUniform(500, 4, 3) // sparse: has unreachable pairs
+	reg := NewRegistry()
+	cfg := Config{Workers: 2, FlushDeadline: time.Millisecond}
+	static, err := reg.Add("static", g, true, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dynamic, err := reg.AddDynamic("dynamic", "inprocess", g, true, cfg, dyngraph.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, cfg)
+	ts := httptest.NewServer(s)
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+
+	n := g.NumVertices()
+	for i := 0; i < 40; i++ {
+		src, tgt := (i*37)%n, (i*91+5)%n
+		for _, q := range []Query{
+			{Kind: KindBFS, Source: src, Targets: []int{tgt, src, tgt}},
+			{Kind: KindCloseness, Source: src},
+			{Kind: KindReachability, Source: src, Targets: []int{tgt}},
+			{Kind: KindKHop, Source: src, Hops: i % 4},
+		} {
+			var got [2]Answer
+			for j, e := range []*Entry{static, dynamic} {
+				a, err := e.Submit(context.Background(), q)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", e.Name, q, err)
+				}
+				if want := uint64(j); a.GraphVersion != want {
+					t.Errorf("%s served version %d, want %d", e.Name, a.GraphVersion, want)
+				}
+				// Timing and correlation fields are per-run, not part of the result.
+				a.GraphVersion, a.BatchWidth, a.Wait, a.Run, a.TraceID = 0, 0, 0, 0, 0
+				got[j] = a
+			}
+			if !reflect.DeepEqual(got[0], got[1]) {
+				t.Errorf("%+v: static %+v, dynamic %+v", q, got[0], got[1])
+			}
+		}
+	}
+
+	for graph, want := range map[string]int{"static": http.StatusBadRequest, "dynamic": http.StatusOK} {
+		resp, body := postJSON(t, ts.URL+"/bfs?version=1", map[string]any{"graph": graph, "source": 0})
+		if resp.StatusCode != want {
+			t.Errorf("?version=1 on %s: status %d, want %d: %s", graph, resp.StatusCode, want, body)
+		}
 	}
 }
 

@@ -196,7 +196,7 @@ func TestCoalescerFlightRecords(t *testing.T) {
 func TestDebugEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	defer reg.Close()
-	if _, err := reg.Load("demo", "uniform:n=300,degree=4,seed=1", Config{Workers: 2, FlushDeadline: time.Millisecond}); err != nil {
+	if _, err := addSpec(reg, "demo", "uniform:n=300,degree=4,seed=1", Config{Workers: 2, FlushDeadline: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := reg.Get("demo")

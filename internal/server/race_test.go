@@ -94,7 +94,7 @@ func TestRaceManyCoalescers(t *testing.T) {
 	cfg := Config{Workers: 2, FlushDeadline: time.Millisecond, MaxPending: 128}
 	reg := NewRegistry()
 	for i, spec := range []string{"uniform:n=300,degree=5,seed=1", "uniform:n=200,degree=4,seed=2"} {
-		if _, err := reg.Load([]string{"a", "b"}[i], spec, cfg); err != nil {
+		if _, err := addSpec(reg, []string{"a", "b"}[i], spec, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -33,8 +33,8 @@ type Entry struct {
 	// nil for locally-served graphs.
 	ClusterMet *cluster.Metrics
 	// Dyn is the MVCC ingest layer when the graph was registered with
-	// AddDynamic/LoadDynamic; nil for static graphs. G then holds the
-	// relabeled seed CSR (version 1), and queries run over Dyn snapshots.
+	// AddDynamic; nil for static graphs. G then holds the relabeled seed
+	// CSR (version 1), and queries run over Dyn snapshots.
 	Dyn *dyngraph.DynGraph
 }
 
@@ -82,35 +82,6 @@ func (e *Entry) ApplyEdges(edges []msbfs.Edge) (dyngraph.ApplyResult, error) {
 		edges = mapped
 	}
 	return e.Dyn.ApplyEdges(edges)
-}
-
-// dynRunner adapts a DynGraph to the BatchRunner shape the coalescer's
-// non-snapshot fallback path needs (validation sizing plus a run over the
-// current version).
-type dynRunner struct{ d *dyngraph.DynGraph }
-
-func (dr dynRunner) RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
-	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
-	snap, err := dr.d.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer snap.Release()
-	return snap.RunBatch(ctx, sources, opt, visit)
-}
-
-func (dr dynRunner) NumVertices() int { return dr.d.NumVertices() }
-
-// dynSource adapts DynGraph's concrete snapshots to the coalescer's
-// SnapshotSource interface.
-type dynSource struct{ d *dyngraph.DynGraph }
-
-func (s dynSource) AcquireVersion(ver uint64) (GraphSnapshot, error) {
-	snap, err := s.d.AcquireVersion(ver) //bfs:arena-held caller (the coalescer) unpins via GraphSnapshot.Release
-	if err != nil {
-		return nil, err
-	}
-	return snap, nil
 }
 
 // Registry holds the named graphs a server instance serves, plus the
@@ -189,9 +160,9 @@ func (r *Registry) wireEngine(cfg Config) Config {
 	return cfg
 }
 
-// Load materializes a graph from spec, applies the paper's striped
-// relabeling sized to cfg.Workers (the labeling every heavy BFS workload
-// should run under), and registers it under name.
+// BuildGraph materializes a graph from spec under a "graph-build" span —
+// the step cmd/bfsd and cmd/bfsload take before handing the graph to Add,
+// AddDynamic or AddCluster. name only labels the error.
 //
 // Spec grammar:
 //
@@ -199,161 +170,83 @@ func (r *Registry) wireEngine(cfg Config) Config {
 //	kron:scale=S[,edgefactor=E][,seed=N]      Graph500-style Kronecker graph
 //	uniform:n=N[,degree=D][,seed=N]           Erdős–Rényi random graph
 //	social:n=N[,seed=N]                       LDBC-like social network
-func (r *Registry) Load(name, spec string, cfg Config) (*Entry, error) {
+func (r *Registry) BuildGraph(name, spec string) (*msbfs.Graph, error) {
 	sp := r.tracer.StartSpan("graph-build", spec)
 	g, err := buildGraph(spec)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("server: graph %q: %w", name, err)
 	}
-	return r.add(name, spec, g, true, cfg)
+	return g, nil
 }
 
-// Add registers an already-built graph (tests, in-process serving).
-// relabel applies the striped labeling as Load does.
+// AddBackend is the one registration path; Add, AddDynamic and AddCluster
+// differ only in the open they pass. It wires the registry's engine and
+// observability surface into cfg, applies the paper's striped relabeling
+// sized to cfg.Workers when relabel is set (the labeling every heavy BFS
+// workload should run under), then calls open with the entry — e.G is the
+// graph traversals run on, e.Perm its permutation — and the normalized
+// config, to obtain the backend the entry's coalescer dispatches to. open
+// may fill in the entry's backend-specific fields (Dyn, ClusterMet).
+func (r *Registry) AddBackend(name, spec string, g *msbfs.Graph, relabel bool, cfg Config,
+	open func(e *Entry, cfg Config) (Backend, error)) (*Entry, error) {
+	if cfg.Graph == "" {
+		cfg.Graph = name
+	}
+	cfg = r.wireEngine(cfg.normalize())
+	e := &Entry{Name: name, Spec: spec, G: g, Met: NewMetrics()}
+	if relabel && g.NumVertices() > 0 {
+		sp := r.tracer.StartSpan("relabel", name)
+		e.G, e.Perm = g.Relabel(msbfs.LabelStriped, cfg.Workers, 512, 1)
+		sp.End()
+	}
+	b, err := open(e, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("server: graph %q: %w", name, err)
+	}
+	e.Coal = NewCoalescer(b, cfg, e.Met, e.G.NewEdgeCounter().EdgesForAll)
+	return r.register(e)
+}
+
+// Add registers an already-built graph served in-process: the (relabeled)
+// graph is its own backend.
 func (r *Registry) Add(name string, g *msbfs.Graph, relabel bool, cfg Config) (*Entry, error) {
-	return r.add(name, "inprocess", g, relabel, cfg)
+	return r.AddBackend(name, "inprocess", g, relabel, cfg,
+		func(e *Entry, _ Config) (Backend, error) { return e.G, nil })
 }
 
-// AddRunner registers a graph behind a custom Runner (tests inject
-// batch-counting wrappers). No relabeling is applied; ids pass through.
-func (r *Registry) AddRunner(name string, g *msbfs.Graph, run Runner, cfg Config) (*Entry, error) {
-	if cfg.Graph == "" {
-		cfg.Graph = name
-	}
-	cfg = r.wireEngine(cfg)
-	met := NewMetrics()
-	e := &Entry{
-		Name: name,
-		Spec: "runner",
-		G:    g,
-		Met:  met,
-		Coal: NewCoalescer(run, cfg, met, g.NewEdgeCounter().EdgesForAll),
-	}
-	return r.register(e)
-}
-
-// LoadCluster materializes a graph from spec exactly as Load does, but
-// backs it with coord's shard cluster: the striped-relabeled graph is 1D
-// vertex-partitioned and shipped to the shards, and every coalesced batch
-// runs as a distributed level-synchronous traversal. The full graph is
-// kept locally for id validation and /graphs accounting; the traversal
-// memory and work live on the shards.
-func (r *Registry) LoadCluster(ctx context.Context, name, spec string, coord *cluster.Coordinator, cfg Config) (*Entry, error) {
-	sp := r.tracer.StartSpan("graph-build", spec)
-	g, err := buildGraph(spec)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("server: graph %q: %w", name, err)
-	}
-	return r.AddCluster(ctx, name, spec, g, coord, cfg)
-}
-
-// AddCluster registers an already-built graph backed by coord's shards.
+// AddCluster registers an already-built graph backed by coord's shard
+// cluster: the striped-relabeled graph is 1D vertex-partitioned and shipped
+// to the shards, and every coalesced batch runs as a distributed
+// level-synchronous traversal. The full graph is kept locally for id
+// validation and /graphs accounting; the traversal memory and work live on
+// the shards.
 func (r *Registry) AddCluster(ctx context.Context, name, spec string, g *msbfs.Graph, coord *cluster.Coordinator, cfg Config) (*Entry, error) {
-	if cfg.Graph == "" {
-		cfg.Graph = name
-	}
-	cfg = r.wireEngine(cfg.normalize())
-	var perm []uint32
-	if g.NumVertices() > 0 {
-		sp := r.tracer.StartSpan("relabel", name)
-		g, perm = g.Relabel(msbfs.LabelStriped, cfg.Workers, 512, 1)
-		sp.End()
-	}
-	sp := r.tracer.StartSpan("cluster-load", name)
-	rg, err := coord.LoadGraph(ctx, name, g, cfg.Workers)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("server: graph %q: %w", name, err)
-	}
-	met := NewMetrics()
-	e := &Entry{
-		Name: name,
-		Spec: spec,
-		G:    g,
-		Perm: perm,
-		Met:  met,
-		Coal: NewBatchCoalescer(rg, cfg, met, g.NewEdgeCounter().EdgesForAll),
-
-		ClusterMet: coord.Metrics(),
-	}
-	return r.register(e)
+	return r.AddBackend(name, spec, g, true, cfg, func(e *Entry, cfg Config) (Backend, error) {
+		sp := r.tracer.StartSpan("cluster-load", name)
+		defer sp.End()
+		e.ClusterMet = coord.Metrics()
+		return coord.LoadGraph(ctx, name, e.G, cfg.Workers)
+	})
 }
 
-// LoadDynamic materializes a graph from spec as Load does, then registers
-// it as a dynamic graph: the built graph seeds version 1 and the entry
-// accepts streamed edges through ApplyEdges (the POST /graphs/{id}/edges
-// endpoint).
-func (r *Registry) LoadDynamic(name, spec string, cfg Config, dcfg dyngraph.Config) (*Entry, error) {
-	sp := r.tracer.StartSpan("graph-build", spec)
-	g, err := buildGraph(spec)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("server: graph %q: %w", name, err)
-	}
-	return r.AddDynamic(name, spec, g, true, cfg, dcfg)
-}
-
-// AddDynamic registers an already-built graph as a dynamic one. The graph
-// is striped-relabeled like every served graph (when relabel is set);
-// streamed edges are translated through the same permutation on ingest.
-// The registry wires its span tracer into dcfg so ingest and compaction
-// phases land in the daemon's flight recorder, and sizes the compaction
-// rebuild to the serving worker count.
+// AddDynamic registers an already-built graph as a dynamic one: it seeds
+// version 1, and the entry accepts streamed edges through ApplyEdges (the
+// POST /graphs/{id}/edges endpoint), translated through the same
+// permutation as query sources. The registry wires its span tracer into
+// dcfg so ingest and compaction phases land in the daemon's flight
+// recorder, and sizes the compaction rebuild to the serving worker count.
 func (r *Registry) AddDynamic(name, spec string, g *msbfs.Graph, relabel bool, cfg Config, dcfg dyngraph.Config) (*Entry, error) {
-	if cfg.Graph == "" {
-		cfg.Graph = name
-	}
-	cfg = r.wireEngine(cfg.normalize())
-	var perm []uint32
-	if relabel && g.NumVertices() > 0 {
-		sp := r.tracer.StartSpan("relabel", name)
-		g, perm = g.Relabel(msbfs.LabelStriped, cfg.Workers, 512, 1)
-		sp.End()
-	}
-	if dcfg.Tracer == nil {
-		dcfg.Tracer = r.tracer
-	}
-	if dcfg.Workers <= 0 {
-		dcfg.Workers = cfg.Workers
-	}
-	d := dyngraph.New(g, dcfg)
-	cfg.Snapshots = dynSource{d: d}
-	met := NewMetrics()
-	e := &Entry{
-		Name: name,
-		Spec: spec,
-		G:    g,
-		Perm: perm,
-		Met:  met,
-		Coal: NewBatchCoalescer(dynRunner{d: d}, cfg, met, g.NewEdgeCounter().EdgesForAll),
-		Dyn:  d,
-	}
-	return r.register(e)
-}
-
-func (r *Registry) add(name, spec string, g *msbfs.Graph, relabel bool, cfg Config) (*Entry, error) {
-	if cfg.Graph == "" {
-		cfg.Graph = name
-	}
-	cfg = r.wireEngine(cfg.normalize())
-	var perm []uint32
-	if relabel && g.NumVertices() > 0 {
-		sp := r.tracer.StartSpan("relabel", name)
-		g, perm = g.Relabel(msbfs.LabelStriped, cfg.Workers, 512, 1)
-		sp.End()
-	}
-	met := NewMetrics()
-	e := &Entry{
-		Name: name,
-		Spec: spec,
-		G:    g,
-		Perm: perm,
-		Met:  met,
-		Coal: NewCoalescer(g, cfg, met, g.NewEdgeCounter().EdgesForAll),
-	}
-	return r.register(e)
+	return r.AddBackend(name, spec, g, relabel, cfg, func(e *Entry, cfg Config) (Backend, error) {
+		if dcfg.Tracer == nil {
+			dcfg.Tracer = r.tracer
+		}
+		if dcfg.Workers <= 0 {
+			dcfg.Workers = cfg.Workers
+		}
+		e.Dyn = dyngraph.New(e.G, dcfg)
+		return dynBackend{e.Dyn}, nil
+	})
 }
 
 func (r *Registry) register(e *Entry) (*Entry, error) {

@@ -10,6 +10,16 @@ import (
 	msbfs "repro"
 )
 
+// addSpec is the static registration path of cmd/bfsd: build the spec, then
+// Add it under the striped relabeling.
+func addSpec(reg *Registry, name, spec string, cfg Config) (*Entry, error) {
+	g, err := reg.BuildGraph(name, spec)
+	if err != nil {
+		return nil, err
+	}
+	return reg.Add(name, g, true, cfg)
+}
+
 func TestRegistrySpecs(t *testing.T) {
 	cfg := Config{Workers: 2, FlushDeadline: time.Millisecond}
 	reg := NewRegistry()
@@ -21,7 +31,7 @@ func TestRegistrySpecs(t *testing.T) {
 		{"uniform", "uniform:n=300,degree=6,seed=1"},
 		{"social", "social:n=400,seed=2"},
 	} {
-		e, err := reg.Load(tc.name, tc.spec, cfg)
+		e, err := addSpec(reg, tc.name, tc.spec, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.spec, err)
 		}
@@ -36,7 +46,7 @@ func TestRegistrySpecs(t *testing.T) {
 	if err := g.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	e, err := reg.Load("fromfile", "file:"+path, cfg)
+	e, err := addSpec(reg, "fromfile", "file:"+path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +59,13 @@ func TestRegistrySpecs(t *testing.T) {
 		"nocolon", "warp:n=1", "kron:scale=x", "kron:seed=1", "uniform:n=-5",
 		"file:/does/not/exist.bin", "kron:scale=8,junk",
 	} {
-		if _, err := reg.Load("bad-"+spec, spec, cfg); err == nil {
+		if _, err := reg.BuildGraph("bad-"+spec, spec); err == nil {
 			t.Errorf("spec %q: expected error", spec)
 		}
 	}
 
 	// Duplicate names are rejected.
-	if _, err := reg.Load("kron", "kron:scale=8", cfg); err == nil {
+	if _, err := addSpec(reg, "kron", "kron:scale=8", cfg); err == nil {
 		t.Error("duplicate name accepted")
 	}
 
@@ -119,13 +129,13 @@ func TestRegistryDefaultGraph(t *testing.T) {
 	if _, ok := reg.Get(""); ok {
 		t.Error("empty registry resolved the default graph")
 	}
-	if _, err := reg.Load("only", "uniform:n=100,degree=4", cfg); err != nil {
+	if _, err := addSpec(reg, "only", "uniform:n=100,degree=4", cfg); err != nil {
 		t.Fatal(err)
 	}
 	if e, ok := reg.Get(""); !ok || e.Name != "only" {
 		t.Error("single graph not served as default")
 	}
-	if _, err := reg.Load("second", "uniform:n=100,degree=4,seed=2", cfg); err != nil {
+	if _, err := addSpec(reg, "second", "uniform:n=100,degree=4,seed=2", cfg); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := reg.Get(""); ok {

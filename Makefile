@@ -109,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' ./internal/graph/ ./internal/cluster/ ./internal/dyngraph/
 	$(GO) test -fuzz '^FuzzLoadEdgeList$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
+	$(GO) test -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzFrontierCodec$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz '^FuzzApplyEdges$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/dyngraph/
 

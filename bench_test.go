@@ -380,8 +380,8 @@ func BenchmarkDeriveParents(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphConstruction compares sequential and parallel CSR builds
-// via the generator path (generation dominates; the delta is the build).
+// BenchmarkGraphConstruction times the generator path: R-MAT draws, the
+// id scramble and the one sort-free CSR build.
 func BenchmarkGraphConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		GenerateKronecker(13, 16, uint64(i+1))

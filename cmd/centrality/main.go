@@ -95,9 +95,7 @@ func load(path string, scale int, seed uint64) (*graph.Graph, error) {
 	if path != "" {
 		return graph.LoadFile(path)
 	}
-	p := gen.Graph500Params(scale, seed)
-	p.BuildWorkers = runtime.NumCPU()
-	return gen.Kronecker(p), nil
+	return gen.Kronecker(gen.Graph500Params(scale, seed)), nil
 }
 
 // computeCloseness accumulates distance sums per source through the

@@ -8,7 +8,7 @@
 //
 // A compactor (explicit Compact calls, or a background goroutine when
 // Config.AutoCompact is set) folds the accumulated delta into a fresh CSR
-// generation via the parallel builder. Versions at or beyond the compaction
+// generation with graph.FromEdges. Versions at or beyond the compaction
 // horizon are re-published on the new generation with only the log suffix
 // as overlay; older pinned versions keep traversing the old generation
 // until their pins drain, at which point the retired generation's overlay
@@ -54,8 +54,6 @@ var (
 
 // Config tunes a DynGraph. The zero value is usable.
 type Config struct {
-	// Workers sizes the parallel CSR rebuild during compaction (<=0: 1).
-	Workers int
 	// MaxDelta caps the uncompacted overlay, in stored arcs (2 per
 	// undirected edge). ApplyEdges fails with ErrCompactionLag beyond it.
 	// <=0: 1<<20 arcs (~4 MiB of delta).
@@ -76,9 +74,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
 	if c.MaxDelta <= 0 {
 		c.MaxDelta = 1 << 20
 	}
@@ -430,12 +425,12 @@ func (d *DynGraph) compactLoop() {
 }
 
 // Compact folds every edge up to the current version into a fresh CSR
-// generation built with the parallel builder, then re-publishes retained
-// versions at or past that horizon on the new generation. Versions behind
-// the horizon stay pinned to the old generation until released; the old
-// generation is retired (and its arena poisoned) once no view references
-// it. Returns false when there was nothing to compact or a compaction was
-// already running.
+// generation (graph.FromEdges over the base's edges plus the log), then
+// re-publishes retained versions at or past that horizon on the new
+// generation. Versions behind the horizon stay pinned to the old
+// generation until released; the old generation is retired (and its arena
+// poisoned) once no view references it. Returns false when there was
+// nothing to compact or a compaction was already running.
 func (d *DynGraph) Compact() (bool, error) {
 	d.mu.Lock()
 	if d.closed {
@@ -458,20 +453,20 @@ func (d *DynGraph) Compact() (bool, error) {
 	// appending log entries with versions > horizon.
 	sp := d.cfg.Tracer.StartSpan("dyngraph-compact",
 		fmt.Sprintf("v%d, %d delta edges", horizon, len(logCopy)))
-	b := graph.NewBuilder(d.n)
+	edges := make([]graph.Edge, 0, int(oldGen.base.NumEdges())+len(logCopy))
 	for u := 0; u < d.n; u++ {
 		for _, v := range oldGen.base.Neighbors(u) {
 			if graph.VertexID(u) < v {
-				b.AddEdge(graph.VertexID(u), v)
+				edges = append(edges, graph.Edge{U: graph.VertexID(u), V: v})
 			}
 		}
 	}
 	for _, le := range logCopy {
 		if le.ver <= horizon {
-			b.AddEdge(le.u, le.v)
+			edges = append(edges, graph.Edge{U: le.u, V: le.v})
 		}
 	}
-	base := b.BuildParallel(d.cfg.Workers)
+	base := graph.FromEdges(d.n, edges)
 	newGen := &generation{
 		base: base,
 		wrap: msbfs.NewGraphFromAdjacency(base.Offsets, base.Adjacency),

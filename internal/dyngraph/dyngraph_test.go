@@ -80,7 +80,7 @@ func TestSnapshotOracleEveryVersion(t *testing.T) {
 	const n = 300
 	all := randomEdges(n, 900, 42)
 	base := all[:300]
-	d := New(msbfs.NewGraph(n, base), Config{Workers: 2, Retain: 64})
+	d := New(msbfs.NewGraph(n, base), Config{Retain: 64})
 	defer d.Close()
 
 	type pinned struct {
@@ -140,7 +140,7 @@ func TestSnapshotOracleEveryVersion(t *testing.T) {
 func TestCompactionMidStream(t *testing.T) {
 	const n = 200
 	all := randomEdges(n, 600, 7)
-	d := New(msbfs.NewGraph(n, all[:100]), Config{Workers: 2, Retain: 64})
+	d := New(msbfs.NewGraph(n, all[:100]), Config{Retain: 64})
 	defer d.Close()
 
 	early, err := d.Acquire() // v1, will straddle every compaction
@@ -304,7 +304,7 @@ func TestVersionLifecycle(t *testing.T) {
 // plausible vertex id.
 func TestArenaScrubOnRetire(t *testing.T) {
 	const n = 32
-	d := New(msbfs.NewGraph(n, []graph.Edge{{U: 0, V: 1}}), Config{Retain: 1, Workers: 2})
+	d := New(msbfs.NewGraph(n, []graph.Edge{{U: 0, V: 1}}), Config{Retain: 1})
 	defer d.Close()
 
 	if _, err := d.ApplyEdges([]graph.Edge{{U: 2, V: 3}, {U: 4, V: 5}}); err != nil {
@@ -345,7 +345,7 @@ func TestArenaScrubOnRetire(t *testing.T) {
 func TestAutoCompact(t *testing.T) {
 	const n = 128
 	d := New(msbfs.NewGraph(n, nil), Config{
-		Workers: 2, MaxDelta: 1 << 16, CompactThreshold: 20, AutoCompact: true, Retain: 4,
+		MaxDelta: 1 << 16, CompactThreshold: 20, AutoCompact: true, Retain: 4,
 	})
 	edges := randomEdges(n, 200, 3)
 	for i := 0; i < len(edges); i += 10 {

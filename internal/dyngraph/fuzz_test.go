@@ -63,7 +63,7 @@ func checkOracleAllKernels(t *testing.T, snap *Snapshot, n int, visible []graph.
 // each batch should accept, so dedup accounting is oracle-checked too.
 func FuzzApplyEdges(f *testing.F) {
 	f.Add([]byte("\x10" + "\x00\x01\x02" + "\x00\x03\x04" + "\x05\x00\x00" + "\x00\x05\x06" + "\x06\x00\x00"))
-	f.Add([]byte("A" + "abcabdabe" + "faa" + "agh" + "eaa"))             // dup-heavy with compact
+	f.Add([]byte("A" + "abcabdabe" + "faa" + "agh" + "eaa"))            // dup-heavy with compact
 	f.Add([]byte("\x02" + "\x00\x01\x01" + "\x05\x00\x00"))             // self-loop only batch
 	f.Add([]byte("0" + "011022033044055066077" + "500" + "600" + "7a")) // chain then compact
 	f.Add([]byte(""))
@@ -72,7 +72,7 @@ func FuzzApplyEdges(f *testing.F) {
 			return
 		}
 		n := 16 + int(data[0]%64)
-		d := New(msbfs.NewGraph(n, nil), Config{Workers: 2, Retain: 128})
+		d := New(msbfs.NewGraph(n, nil), Config{Retain: 128})
 		defer d.Close()
 
 		type pin struct {

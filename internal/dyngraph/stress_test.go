@@ -33,7 +33,7 @@ func TestIngestWhileQueryStress(t *testing.T) {
 	streams := universe[200 : 200+numWriters*batches*batchSize]
 	tail := universe[200+numWriters*batches*batchSize:]
 
-	d := New(msbfs.NewGraph(n, base), Config{Workers: 2, Retain: 16, MaxDelta: 1 << 30})
+	d := New(msbfs.NewGraph(n, base), Config{Retain: 16, MaxDelta: 1 << 30})
 	defer d.Close()
 
 	// Version recorder: ver -> cumulative visible edge set. Writers extend

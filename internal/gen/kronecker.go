@@ -16,10 +16,6 @@ type KroneckerParams struct {
 	A, B, C float64
 	// Seed makes the generation deterministic.
 	Seed uint64
-	// BuildWorkers selects parallel CSR construction with that many
-	// workers (<=1: sequential). The resulting graph is identical either
-	// way; only construction time changes.
-	BuildWorkers int
 }
 
 // Graph500Params returns the standard Graph500 Kronecker parameters at the
@@ -46,17 +42,17 @@ func Kronecker(p KroneckerParams) *graph.Graph {
 	n := 1 << uint(p.Scale)
 	m := int64(n) * int64(p.EdgeFactor)
 	r := newRNG(p.Seed)
-	b := graph.NewBuilder(n)
+	edges := make([]graph.Edge, m)
 
 	ab := p.A + p.B
 	cNorm := p.C / (1 - ab)
 
-	for i := int64(0); i < m; i++ {
-		var u, v int
+	for i := range edges {
+		var u, v graph.VertexID
 		for bit := 0; bit < p.Scale; bit++ {
 			// Choose the quadrant for this bit of (u, v).
 			f := r.float64()
-			var ubit, vbit int
+			var ubit, vbit graph.VertexID
 			if f < ab {
 				// Top half: u bit 0.
 				if f < p.A {
@@ -74,21 +70,14 @@ func Kronecker(p KroneckerParams) *graph.Graph {
 			u = u<<1 | ubit
 			v = v<<1 | vbit
 		}
-		b.AddEdge(graph.VertexID(u), graph.VertexID(v))
+		edges[i] = graph.Edge{U: u, V: v}
 	}
 
-	var g *graph.Graph
-	if p.BuildWorkers > 1 {
-		g = b.BuildParallel(p.BuildWorkers)
-	} else {
-		g = b.Build()
-	}
-
-	// Scramble vertex ids.
+	// Scramble vertex ids. The permutation is drawn after the edges, and
+	// applied to them before the one CSR build.
 	perm := r.perm(n)
-	newID := make([]graph.VertexID, n)
-	for v, id := range perm {
-		newID[v] = graph.VertexID(id)
+	for i, e := range edges {
+		edges[i] = graph.Edge{U: graph.VertexID(perm[e.U]), V: graph.VertexID(perm[e.V])}
 	}
-	return graph.Relabel(g, newID)
+	return graph.FromEdges(n, edges)
 }

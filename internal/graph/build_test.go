@@ -1,0 +1,223 @@
+package graph
+
+import (
+	"sort"
+	"sync"
+	"testing"
+	"testing/quick"
+)
+
+func graphsEqual(a, b *Graph) bool {
+	if len(a.Offsets) != len(b.Offsets) || len(a.Adjacency) != len(b.Adjacency) {
+		return false
+	}
+	for i := range a.Offsets {
+		if a.Offsets[i] != b.Offsets[i] {
+			return false
+		}
+	}
+	for i := range a.Adjacency {
+		if a.Adjacency[i] != b.Adjacency[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// referenceBuild is the naive CSR construction the sort-free FromEdges is
+// held to: a set per vertex, each row sorted.
+func referenceBuild(n int, edges []Edge) *Graph {
+	rows := make([]map[VertexID]bool, n)
+	add := func(u, v VertexID) {
+		if rows[u] == nil {
+			rows[u] = map[VertexID]bool{}
+		}
+		rows[u][v] = true
+	}
+	for _, e := range edges {
+		if e.U != e.V {
+			add(e.U, e.V)
+			add(e.V, e.U)
+		}
+	}
+	g := &Graph{Offsets: make([]int64, n+1), Adjacency: []VertexID{}}
+	for v, set := range rows {
+		row := make([]VertexID, 0, len(set))
+		for u := range set {
+			row = append(row, u)
+		}
+		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		g.Adjacency = append(g.Adjacency, row...)
+		g.Offsets[v+1] = int64(len(g.Adjacency))
+	}
+	return g
+}
+
+// checkBuild builds edges and holds the result to Validate and the
+// reference. The input must come back untouched: FromEdges only reads it.
+func checkBuild(t testing.TB, n int, edges []Edge) *Graph {
+	t.Helper()
+	in := append([]Edge(nil), edges...)
+	g := FromEdges(n, edges)
+	if err := g.Validate(); err != nil {
+		t.Fatalf("n=%d, %d edges: %v", n, len(edges), err)
+	}
+	if !graphsEqual(g, referenceBuild(n, edges)) {
+		t.Fatalf("n=%d, %d edges: build differs from the reference", n, len(edges))
+	}
+	for i := range in {
+		if in[i] != edges[i] {
+			t.Fatalf("n=%d: FromEdges modified its input at %d", n, i)
+		}
+	}
+	return g
+}
+
+// randomEdges produces a deterministic pseudo-random edge multiset (both
+// orientations, self-loops and duplicates included) without pulling in the
+// generator package.
+func randomEdges(n, m int, seed uint64) []Edge {
+	s := seed
+	next := func() uint64 {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		return s
+	}
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{U: VertexID(next() % uint64(n)), V: VertexID(next() % uint64(n))}
+	}
+	return edges
+}
+
+func TestBuildMatchesReference(t *testing.T) {
+	hub := []Edge{}
+	for i := 1; i < 10000; i++ {
+		hub = append(hub, Edge{0, VertexID(i)}, Edge{VertexID(i), VertexID((i * 7) % 10000)})
+	}
+	dup := []Edge{}
+	for i := 0; i < 500; i++ {
+		dup = append(dup, Edge{1, 2}, Edge{2, 1}, Edge{3, 1}, Edge{2, 2})
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges []Edge
+		m     int64
+	}{
+		{"empty n=0", 0, nil, 0},
+		{"edgeless n=5", 5, nil, 0},
+		{"n=1 self-loops", 1, []Edge{{0, 0}, {0, 0}}, 0},
+		{"all self-loops", 4, []Edge{{0, 0}, {1, 1}, {3, 3}, {1, 1}}, 0},
+		{"small mixed", 4, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {1, 1}, {2, 1}}, 5},
+		{"heavy duplicates", 4, dup, 2},
+		{"large skewed", 10000, hub, -1},
+		{"random", 5000, randomEdges(5000, 40000, 0x9e3779b97f4a7c15), -1},
+	} {
+		g := checkBuild(t, tc.n, tc.edges)
+		if g.NumVertices() != tc.n || (tc.m >= 0 && g.NumEdges() != tc.m) {
+			t.Errorf("%s: n=%d m=%d, want n=%d m=%d", tc.name, g.NumVertices(), g.NumEdges(), tc.n, tc.m)
+		}
+	}
+}
+
+func TestFromEdgesOutOfRangePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("FromEdges with an out-of-range endpoint did not panic")
+		}
+	}()
+	FromEdges(2, []Edge{{0, 1}, {2, 0}})
+}
+
+// TestBuildConcurrentIndependent runs several builds at the same time (as
+// concurrent compactions of different dynamic graphs do); under -race this
+// proves a build touches nothing but its own arrays and its read-only
+// input, which two of the builds share.
+func TestBuildConcurrentIndependent(t *testing.T) {
+	const n, m, builds = 2000, 12000, 4
+	inputs := make([][]Edge, builds)
+	for i := range inputs {
+		inputs[i] = randomEdges(n, m, uint64(i/2+1)*0x2545f4914f6cdd1d)
+	}
+	inputs[1] = inputs[0]
+	results := make([]*Graph, builds)
+	var wg sync.WaitGroup
+	for i := range inputs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = FromEdges(n, inputs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range results {
+		if !graphsEqual(g, referenceBuild(n, inputs[i])) {
+			t.Errorf("build %d: concurrent build differs from the reference", i)
+		}
+	}
+}
+
+// FuzzBuild: any byte string read as an edge list over a small vertex
+// range builds to exactly the reference graph.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0, 1, 1, 0, 1, 1, 2, 1})
+	f.Add([]byte{7, 200, 200, 7, 7, 200, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			checkBuild(t, 0, nil)
+			return
+		}
+		n := int(data[0])%64 + 1
+		var edges []Edge
+		for i := 1; i+1 < len(data); i += 2 {
+			edges = append(edges, Edge{VertexID(int(data[i]) % n), VertexID(int(data[i+1]) % n)})
+		}
+		checkBuild(t, n, edges)
+	})
+}
+
+// Property: relabeling by a random permutation equals building the mapped
+// edge list from scratch, and relabeling back by the inverse restores the
+// graph exactly.
+func TestQuickRelabelRoundTrip(t *testing.T) {
+	f := func(seed uint64, rawN uint8, rawM uint16) bool {
+		n := int(rawN) + 1
+		edges := randomEdges(n, int(rawM)%2000, seed|1)
+		g := FromEdges(n, edges)
+
+		perm := make([]VertexID, n)
+		for i := range perm {
+			perm[i] = VertexID(i)
+		}
+		x := seed
+		for i := n - 1; i > 0; i-- {
+			x = x*6364136223846793005 + 1442695040888963407
+			j := int((x >> 33) % uint64(i+1))
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		mapped := make([]Edge, len(edges))
+		for i, e := range edges {
+			mapped[i] = Edge{perm[e.U], perm[e.V]}
+		}
+
+		g2 := Relabel(g, perm)
+		return g2.Validate() == nil &&
+			graphsEqual(g2, referenceBuild(n, mapped)) &&
+			graphsEqual(Relabel(g2, InversePermutation(perm)), g)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+func BenchmarkBuild(b *testing.B) {
+	edges := randomEdges(1<<14, 1<<16, 12345)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		FromEdges(1<<14, edges)
+	}
+}

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Builder accumulates undirected edges and produces a deduplicated CSR
 // Graph. It tolerates self-loops and duplicate edges in the input (both are
@@ -21,116 +18,133 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
-// AddEdge records the undirected edge {u, v}. Self-loops are ignored.
-// It panics on out-of-range endpoints; generators are expected to produce
-// valid ids and a panic here indicates a generator bug.
+// AddEdge records the undirected edge {u, v}. It panics on out-of-range
+// endpoints; generators are expected to produce valid ids and a panic here
+// indicates a generator bug.
 func (b *Builder) AddEdge(u, v VertexID) {
-	if int(u) >= b.n || int(v) >= b.n {
-		panic(fmt.Sprintf("graph: edge {%d,%d} out of range for %d vertices", u, v, b.n))
-	}
-	if u == v {
-		return
-	}
-	if u > v {
-		u, v = v, u
-	}
+	checkEdge(b.n, u, v)
 	b.edges = append(b.edges, Edge{U: u, V: v})
 }
-
-// NumPendingEdges returns the number of recorded (possibly duplicate) edges.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Build produces the CSR graph. The builder can be reused afterwards; its
 // edge buffer is consumed.
 func (b *Builder) Build() *Graph {
-	// Sort and deduplicate the canonicalized (u<v) edge list.
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].U != b.edges[j].U {
-			return b.edges[i].U < b.edges[j].U
-		}
-		return b.edges[i].V < b.edges[j].V
-	})
-	dedup := b.edges[:0]
-	var last Edge
-	for i, e := range b.edges {
-		if i == 0 || e != last {
-			dedup = append(dedup, e)
-			last = e
-		}
-	}
-
-	// Counting pass: each undirected edge contributes to both endpoints.
-	offsets := make([]int64, b.n+1)
-	for _, e := range dedup {
-		offsets[e.U+1]++
-		offsets[e.V+1]++
-	}
-	for v := 0; v < b.n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-
-	// Fill pass.
-	adj := make([]VertexID, offsets[b.n])
-	cursor := make([]int64, b.n)
-	copy(cursor, offsets[:b.n])
-	for _, e := range dedup {
-		adj[cursor[e.U]] = e.V
-		cursor[e.U]++
-		adj[cursor[e.V]] = e.U
-		cursor[e.V]++
-	}
-
-	// Neighbor lists of U are already sorted (edges sorted by U then V),
-	// but lists receive entries from both passes interleaved, so sort each.
-	g := &Graph{Offsets: offsets, Adjacency: adj}
-	for v := 0; v < b.n; v++ {
-		nbrs := adj[offsets[v]:offsets[v+1]]
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-	}
+	g := FromEdges(b.n, b.edges)
 	b.edges = nil
 	return g
 }
 
-// FromEdges builds a graph with n vertices directly from an edge list.
-func FromEdges(n int, edges []Edge) *Graph {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e.U, e.V)
+func checkEdge(n int, u, v VertexID) {
+	if int(u) >= n || int(v) >= n {
+		panic(fmt.Sprintf("graph: edge {%d,%d} out of range for %d vertices", u, v, n))
 	}
-	return b.Build()
+}
+
+// FromEdges builds the CSR graph with n vertices from an edge list, which
+// it only reads. Edges may come in either orientation and any order;
+// self-loops and duplicates are dropped; an out-of-range endpoint panics.
+//
+// The build never sorts. Both arcs of every edge are scattered by source
+// into an unsorted adjacency (counting sort on the source), and that
+// adjacency is then transposed by walking the sources in ascending order.
+// The arc multiset is symmetric, so the transpose has the same rows, and a
+// row filled in ascending source order is sorted with duplicates adjacent;
+// a final pass drops them. Memory high-water: edges + 2 × arcs × 4 bytes.
+func FromEdges(n int, edges []Edge) *Graph {
+	offsets := make([]int64, n+1)
+	for _, e := range edges {
+		checkEdge(n, e.U, e.V)
+		if e.U != e.V {
+			offsets[e.U+1]++
+			offsets[e.V+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+
+	unsorted := make([]VertexID, offsets[n])
+	cursor := make([]int64, n)
+	copy(cursor, offsets)
+	for _, e := range edges {
+		if e.U != e.V {
+			unsorted[cursor[e.U]] = e.V
+			cursor[e.U]++
+			unsorted[cursor[e.V]] = e.U
+			cursor[e.V]++
+		}
+	}
+
+	sorted := make([]VertexID, offsets[n])
+	copy(cursor, offsets)
+	for u := 0; u < n; u++ {
+		for _, v := range unsorted[offsets[u]:offsets[u+1]] {
+			sorted[cursor[v]] = VertexID(u)
+			cursor[v]++
+		}
+	}
+
+	// Deduplicate into the first array's storage, closing the gaps.
+	adj := unsorted[:0]
+	lo := int64(0)
+	for v := 0; v < n; v++ {
+		row := sorted[lo:offsets[v+1]]
+		lo = offsets[v+1]
+		offsets[v] = int64(len(adj))
+		for i, u := range row {
+			if i == 0 || u != row[i-1] {
+				adj = append(adj, u)
+			}
+		}
+	}
+	offsets[n] = int64(len(adj))
+	return &Graph{Offsets: offsets, Adjacency: adj}
 }
 
 // Relabel returns a new graph in which every vertex v of g has been renamed
 // to newID[v]. newID must be a permutation of [0, n); Relabel panics
 // otherwise, as a non-permutation silently corrupts the graph.
+//
+// g must be symmetric (u in N(v) iff v in N(u), as Validate checks and
+// every builder and loader in this package guarantees): new row newID[u]
+// is filled by visiting the new ids nv in ascending order and appending nv
+// for every u in the old neighbor list of nv, which reaches exactly u's
+// neighbors, already sorted, only when each arc has its reverse. On an
+// asymmetric CSR the result is the relabeled transpose laid over g's
+// degrees, not a relabeling of g.
 func Relabel(g *Graph, newID []VertexID) *Graph {
 	n := g.NumVertices()
 	if len(newID) != n {
 		panic(fmt.Sprintf("graph: relabel permutation has %d entries for %d vertices", len(newID), n))
 	}
-	seen := make([]bool, n)
-	for _, id := range newID {
-		if int(id) >= n || seen[id] {
+	// n in-range ids cover [0, n) unless one repeats, and then some id is
+	// never written: its inv entry stays 0, whose new id is another one.
+	inv := make([]VertexID, n)
+	for v, id := range newID {
+		if int(id) >= n {
 			panic("graph: relabel mapping is not a permutation")
 		}
-		seen[id] = true
+		inv[id] = VertexID(v)
+	}
+	for id, v := range inv {
+		if newID[v] != VertexID(id) {
+			panic("graph: relabel mapping is not a permutation")
+		}
 	}
 
 	offsets := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		offsets[newID[v]+1] = int64(g.Degree(v))
-	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
+	for nv, v := range inv {
+		offsets[nv+1] = offsets[nv] + int64(g.Degree(int(v)))
 	}
 	adj := make([]VertexID, offsets[n])
-	for v := 0; v < n; v++ {
-		nv := newID[v]
-		dst := adj[offsets[nv] : offsets[nv]+int64(g.Degree(v))]
-		for i, u := range g.Neighbors(v) {
-			dst[i] = newID[u]
+	cursor := make([]int64, n)
+	copy(cursor, offsets)
+	for nv, v := range inv {
+		for _, u := range g.Neighbors(int(v)) {
+			nu := newID[u]
+			adj[cursor[nu]] = VertexID(nv)
+			cursor[nu]++
 		}
-		sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
 	}
 	return &Graph{Offsets: offsets, Adjacency: adj}
 }

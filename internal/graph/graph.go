@@ -73,7 +73,7 @@ func (g *Graph) MemoryBytes() int64 {
 // Validate checks structural invariants of the CSR representation:
 // monotone offsets, in-range neighbor ids, sorted neighbor lists, no
 // self-loops, no duplicate neighbors, and symmetry (u in N(v) iff v in
-// N(u)). It is O(E log E) and intended for tests and loaders.
+// N(u)). It is O(V + E) and intended for tests and loaders.
 func (g *Graph) Validate() error {
 	n := g.NumVertices()
 	if n < 0 {
@@ -102,12 +102,24 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	// Symmetry: for every arc v->u there must be an arc u->v.
+	// Symmetry: for every arc v->u there must be an arc u->v. Rows are
+	// strictly sorted, so walking the sources v in ascending order must
+	// meet each row u's entries in order: next[u] is the first one not
+	// yet matched, and it has to be v.
+	next := make([]int64, n)
+	copy(next, g.Offsets)
 	for v := 0; v < n; v++ {
 		for _, u := range g.Neighbors(v) {
-			if !g.HasEdge(int(u), v) {
-				return fmt.Errorf("graph: edge %d->%d present but %d->%d missing", v, u, u, v)
+			i := next[u]
+			next[u]++
+			if i < g.Offsets[u+1] && g.Adjacency[i] == VertexID(v) {
+				continue
 			}
+			if i < g.Offsets[u+1] && g.Adjacency[i] < VertexID(v) {
+				// Row u still waits for a source already passed.
+				v, u = int(u), g.Adjacency[i]
+			}
+			return fmt.Errorf("graph: edge %d->%d present but %d->%d missing", v, u, u, v)
 		}
 	}
 	return nil

@@ -12,7 +12,6 @@ package label
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -114,20 +113,24 @@ func randomPermutation(n int, seed uint64) []graph.VertexID {
 }
 
 // ranksByDegree returns vertex ids sorted by descending degree, breaking
-// ties by ascending vertex id for determinism.
+// ties by ascending vertex id for determinism (a counting sort on degree).
 func ranksByDegree(g *graph.Graph) []graph.VertexID {
 	n := g.NumVertices()
-	order := make([]graph.VertexID, n)
-	for v := range order {
-		order[v] = graph.VertexID(v)
+	// start[d] is the rank of the first vertex of degree d: the number of
+	// vertices with a larger degree.
+	start := make([]int, g.MaxDegree()+1)
+	for v := 0; v < n; v++ {
+		start[g.Degree(v)]++
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		di, dj := g.Degree(int(order[i])), g.Degree(int(order[j]))
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
-	})
+	for d, higher := len(start)-1, 0; d >= 0; d-- {
+		start[d], higher = higher, higher+start[d]
+	}
+	order := make([]graph.VertexID, n)
+	for v := 0; v < n; v++ {
+		d := g.Degree(v)
+		order[start[d]] = graph.VertexID(v)
+		start[d]++
+	}
 	return order
 }
 

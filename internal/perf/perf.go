@@ -3,7 +3,7 @@
 // It runs a pinned suite of named scenarios — the paper's kernels
 // (MS-PBFS under forced and automatic direction, SMS-PBFS in both state
 // representations, sequential MS-BFS, Beamer's GAPBS baseline), the
-// parallel CSR build, and the query server's coalescer — under a fixed
+// CSR build, and the query server's coalescer — under a fixed
 // measurement protocol: fixed-seed graphs from internal/gen (via the same
 // memoized builders the figure experiments use), warmup iterations, then N
 // repetitions taken interleaved across scenarios so drift and background
@@ -167,7 +167,7 @@ func Scenarios() []Scenario {
 		{"smspbfs/byte", "SMS-PBFS, byte state representation", UnitEdgesTraversed, runSMSPBFSByte},
 		{"msbfs/sequential", "sequential MS-BFS (Then et al.)", UnitEdgesTraversed, runMSBFSSeq},
 		{"beamer/gapbs", "Beamer direction-optimizing BFS, GAPBS variant", UnitEdgesTraversed, runBeamerGAPBS},
-		{"csr/parallel-build", "parallel CSR construction from an edge list", UnitEdgesBuilt, runCSRBuild},
+		{"csr/build", "sort-free CSR construction from an edge list", UnitEdgesBuilt, runCSRBuild},
 		{"server/coalescer", "in-process query coalescer, closed-loop clients", UnitQueries, runCoalescer},
 		{"engine/reuse", "coalescer load on a warm persistent engine", UnitQueries, runEngineReuse},
 		{"engine/coldstart", "coalescer load on a fresh engine per repetition", UnitQueries, runEngineColdStart},

@@ -212,11 +212,7 @@ func runBeamerGAPBS(e *suiteEnv) Sample {
 
 func runCSRBuild(e *suiteEnv) Sample {
 	start := time.Now()
-	b := graph.NewBuilder(e.g.NumVertices())
-	for _, ed := range e.edges {
-		b.AddEdge(ed.U, ed.V)
-	}
-	g := b.BuildParallel(e.cfg.Workers)
+	g := graph.FromEdges(e.g.NumVertices(), e.edges)
 	elapsed := time.Since(start)
 	return Sample{Elapsed: elapsed, Work: g.NumEdges()}
 }

@@ -235,14 +235,11 @@ func (r *Registry) AddCluster(ctx context.Context, name, spec string, g *msbfs.G
 // POST /graphs/{id}/edges endpoint), translated through the same
 // permutation as query sources. The registry wires its span tracer into
 // dcfg so ingest and compaction phases land in the daemon's flight
-// recorder, and sizes the compaction rebuild to the serving worker count.
+// recorder.
 func (r *Registry) AddDynamic(name, spec string, g *msbfs.Graph, relabel bool, cfg Config, dcfg dyngraph.Config) (*Entry, error) {
-	return r.AddBackend(name, spec, g, relabel, cfg, func(e *Entry, cfg Config) (Backend, error) {
+	return r.AddBackend(name, spec, g, relabel, cfg, func(e *Entry, _ Config) (Backend, error) {
 		if dcfg.Tracer == nil {
 			dcfg.Tracer = r.tracer
-		}
-		if dcfg.Workers <= 0 {
-			dcfg.Workers = cfg.Workers
 		}
 		e.Dyn = dyngraph.New(e.G, dcfg)
 		return dynBackend{e.Dyn}, nil

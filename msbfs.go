@@ -29,7 +29,6 @@ package msbfs
 import (
 	"fmt"
 	"io"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -68,12 +67,11 @@ func NewGraphFromAdjacency(offsets []int64, adjacency []uint32) *Graph {
 
 // GenerateKronecker produces a Graph500-style Kronecker (R-MAT) graph with
 // 2^scale vertices and about edgeFactor edges per vertex. The Graph500
-// benchmark uses edgeFactor 16. The CSR construction runs on all CPUs; the
-// result is deterministic in (scale, edgeFactor, seed) regardless.
+// benchmark uses edgeFactor 16. The result is deterministic in (scale,
+// edgeFactor, seed).
 func GenerateKronecker(scale, edgeFactor int, seed uint64) *Graph {
 	p := gen.Graph500Params(scale, seed)
 	p.EdgeFactor = edgeFactor
-	p.BuildWorkers = runtime.NumCPU()
 	return &Graph{g: gen.Kronecker(p)}
 }
 

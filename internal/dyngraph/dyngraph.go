@@ -8,11 +8,12 @@
 //
 // A compactor (explicit Compact calls, or a background goroutine when
 // Config.AutoCompact is set) folds the accumulated delta into a fresh CSR
-// generation with graph.FromEdges. Versions at or beyond the compaction
-// horizon are re-published on the new generation with only the log suffix
-// as overlay; older pinned versions keep traversing the old generation
-// until their pins drain, at which point the retired generation's overlay
-// arena is poisoned (see PoisonVertex) and the CSR is dropped.
+// generation with graph.MergeOverlay, reading the horizon version through a
+// pin like any query. Versions at or beyond the compaction horizon are
+// re-published on the new generation with only the log suffix as overlay;
+// older pinned versions keep traversing the old generation until their
+// pins drain, at which point the retired generation's overlay arena is
+// poisoned (see PoisonVertex) and the CSR is dropped.
 //
 // Concurrency contract: one mutex guards all mutation and pin accounting.
 // Published views, overlays and CSR generations are immutable, so
@@ -124,9 +125,8 @@ type DynGraph struct {
 	mu         sync.Mutex
 	cur        *view
 	views      map[uint64]*view
-	order      []uint64 // retained versions, ascending
-	log        []logEdge
-	compactedV uint64 // versions <= compactedV are folded into cur.gen.base
+	order      []uint64  // retained versions, ascending
+	log        []logEdge // edges newer than cur.gen.base, i.e. not yet compacted
 	compacting bool
 	closed     bool
 
@@ -160,12 +160,11 @@ func New(g *msbfs.Graph, cfg Config) *DynGraph {
 	}
 	v1 := &view{ver: 1, gen: gen, ov: graph.NewOverlay(g.NumVertices()), retained: true}
 	d := &DynGraph{
-		cfg:        cfg.withDefaults(),
-		n:          g.NumVertices(),
-		cur:        v1,
-		views:      map[uint64]*view{1: v1},
-		order:      []uint64{1},
-		compactedV: 1,
+		cfg:   cfg.withDefaults(),
+		n:     g.NumVertices(),
+		cur:   v1,
+		views: map[uint64]*view{1: v1},
+		order: []uint64{1},
 	}
 	d.genSeq.Store(1)
 	if d.cfg.AutoCompact {
@@ -348,9 +347,15 @@ func (d *DynGraph) AcquireVersion(ver uint64) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: version %d, retained [%d, %d]",
 			ErrVersionGone, ver, d.order[0], d.cur.ver)
 	}
+	return d.pinLocked(v), nil
+}
+
+// pinLocked pins a published view: until the snapshot's Release the view's
+// generation cannot retire, whatever eviction and compaction do meanwhile.
+func (d *DynGraph) pinLocked(v *view) *Snapshot {
 	v.pins++
 	d.pinnedNow.Add(1)
-	return &Snapshot{d: d, v: v}, nil
+	return &Snapshot{d: d, v: v}
 }
 
 // Snapshot is a pinned, immutable view of the graph at one version. It
@@ -425,12 +430,15 @@ func (d *DynGraph) compactLoop() {
 }
 
 // Compact folds every edge up to the current version into a fresh CSR
-// generation (graph.FromEdges over the base's edges plus the log), then
-// re-publishes retained versions at or past that horizon on the new
-// generation. Versions behind the horizon stay pinned to the old
-// generation until released; the old generation is retired (and its arena
-// poisoned) once no view references it. Returns false when there was
-// nothing to compact or a compaction was already running.
+// generation, then re-publishes retained versions at or past that horizon
+// on the new generation. It reads the horizon version the way a query does,
+// through a pin, so neither eviction nor a retiring generation can pull the
+// arrays out from under the merge (graph.MergeOverlay: one pass, the new
+// CSR is the only thing it allocates). Versions behind the horizon stay
+// pinned to the old generation until released; the old generation is
+// retired (and its arena poisoned) once no view references it. Returns
+// false when there was nothing to compact or a compaction was already
+// running.
 func (d *DynGraph) Compact() (bool, error) {
 	d.mu.Lock()
 	if d.closed {
@@ -442,75 +450,55 @@ func (d *DynGraph) Compact() (bool, error) {
 		return false, nil
 	}
 	d.compacting = true
-	horizon := d.cur.ver
-	oldGen := d.cur.gen
-	logCopy := make([]logEdge, len(d.log))
-	copy(logCopy, d.log)
+	snap := d.pinLocked(d.cur)
 	d.mu.Unlock()
 	compactStart := time.Now()
 
 	// Build the new CSR outside the lock: ingest continues concurrently,
 	// appending log entries with versions > horizon.
-	sp := d.cfg.Tracer.StartSpan("dyngraph-compact",
-		fmt.Sprintf("v%d, %d delta edges", horizon, len(logCopy)))
-	edges := make([]graph.Edge, 0, int(oldGen.base.NumEdges())+len(logCopy))
-	for u := 0; u < d.n; u++ {
-		for _, v := range oldGen.base.Neighbors(u) {
-			if graph.VertexID(u) < v {
-				edges = append(edges, graph.Edge{U: graph.VertexID(u), V: v})
-			}
-		}
-	}
-	for _, le := range logCopy {
-		if le.ver <= horizon {
-			edges = append(edges, graph.Edge{U: le.u, V: le.v})
-		}
-	}
-	base := graph.FromEdges(d.n, edges)
+	horizon := snap.Version()
+	what := fmt.Sprintf("v%d, %d delta edges", horizon, snap.v.ov.Arcs()/2)
+	sp := d.cfg.Tracer.StartSpan("dyngraph-compact", what)
+	base := graph.MergeOverlay(snap.v.gen.base, snap.v.ov)
+	snap.Release()
 	newGen := &generation{
 		base: base,
 		wrap: msbfs.NewGraphFromAdjacency(base.Offsets, base.Adjacency),
 		ar:   &arena{},
 	}
-	gen := d.genSeq.Add(1)
-	sp.Annotate(fmt.Sprintf("v%d, %d delta edges -> generation %d", horizon, len(logCopy), gen))
+	sp.Annotate(fmt.Sprintf("%s -> generation %d", what, d.genSeq.Add(1)))
 	sp.End()
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Re-publish every retained version >= horizon on the new generation.
+	// Re-publish every retained version >= horizon on the new generation,
+	// oldest first: each overlay is its predecessor's plus the log entries
+	// up to its own version (the log is version-sorted, so one cursor).
 	// Published view objects are never mutated (pinned readers hold them);
-	// replacements are fresh objects with the log suffix as overlay.
+	// replacements are fresh objects.
+	cut := sort.Search(len(d.log), func(i int) bool { return d.log[i].ver > horizon })
+	next, ov := cut, graph.NewOverlay(d.n)
+	var added []graph.Edge
 	for _, ver := range d.order {
 		if ver < horizon {
 			continue
 		}
+		added = added[:0]
+		for ; next < len(d.log) && d.log[next].ver <= ver; next++ {
+			added = append(added, graph.Edge{U: d.log[next].u, V: d.log[next].v})
+		}
+		ov = ov.WithEdges(added, newGen.ar.alloc)
 		old := d.views[ver]
-		var suffix []graph.Edge
-		for _, le := range d.log {
-			if le.ver > horizon && le.ver <= ver {
-				suffix = append(suffix, graph.Edge{U: le.u, V: le.v})
-			}
-		}
-		nv := &view{
-			ver:      ver,
-			gen:      newGen,
-			ov:       graph.NewOverlay(d.n).WithEdges(suffix, newGen.ar.alloc),
-			retained: true,
-		}
+		d.views[ver] = &view{ver: ver, gen: newGen, ov: ov, retained: true}
 		newGen.refs++
-		d.views[ver] = nv
 		old.retained = false
 		if old.pins == 0 {
 			d.dropViewRefLocked(old)
 		}
 	}
 	d.cur = d.views[d.cur.ver]
-	// Truncate the log to the uncompacted suffix. The log is
-	// version-sorted, so this is a single cut point.
-	cut := sort.Search(len(d.log), func(i int) bool { return d.log[i].ver > horizon })
+	// Keep only the uncompacted suffix of the log.
 	d.log = append([]logEdge(nil), d.log[cut:]...)
-	d.compactedV = horizon
 	d.compacting = false
 	d.compactions.Add(1)
 	d.compactSeconds.RecordDuration(time.Since(compactStart))

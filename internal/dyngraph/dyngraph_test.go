@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -365,4 +366,41 @@ func TestAutoCompact(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	d.Close()
+}
+
+// totalAlloc returns the bytes f allocates, live or not: compaction's
+// transients are what set an ingesting server's peak RSS.
+func totalAlloc(f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestCompactMemoryBudget bounds what one compaction allocates, as a
+// multiple of the CSR it produces: the row merge allocates the result and
+// an empty overlay's page table. The build it replaced (edge list
+// re-extracted, FromEdges' two arc arrays) measured 2.95x here.
+func TestCompactMemoryBudget(t *testing.T) {
+	g := msbfs.GenerateKronecker(14, 16, 20170321)
+	d := New(g, Config{})
+	defer d.Close()
+	fresh := randomEdges(g.NumVertices(), 8*64, 5)
+	for b := 0; b < 8; b++ {
+		if _, err := d.ApplyEdges(fresh[b*64 : (b+1)*64]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alloc := totalAlloc(func() {
+		if ok, err := d.Compact(); err != nil || !ok {
+			t.Errorf("compact: ok=%v err=%v", ok, err)
+		}
+	})
+	csr := d.cur.gen.base.MemoryBytes()
+	t.Logf("compaction allocated %d bytes for a %d-byte CSR (%.2fx)", alloc, csr, float64(alloc)/float64(csr))
+	if float64(alloc) > 1.3*float64(csr) {
+		t.Errorf("compaction allocated %d bytes for a %d-byte CSR (%.2fx, budget 1.3x)",
+			alloc, csr, float64(alloc)/float64(csr))
+	}
 }

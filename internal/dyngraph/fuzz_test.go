@@ -2,6 +2,7 @@ package dyngraph
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	msbfs "repro"
@@ -164,5 +165,88 @@ func FuzzApplyEdges(f *testing.F) {
 		for _, p := range pins {
 			checkOracleAllKernels(t, p.snap, n, p.visible, sources)
 		}
+	})
+}
+
+// referenceCompact is the build Compact used before it became a row merge,
+// kept as its oracle: the base's edge list re-extracted, the uncompacted
+// log appended, one FromEdges over both.
+func referenceCompact(d *DynGraph) *graph.Graph {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	edges := d.cur.gen.base.Edges()
+	for _, le := range d.log {
+		edges = append(edges, graph.Edge{U: le.u, V: le.v})
+	}
+	return graph.FromEdges(d.n, edges)
+}
+
+// compactAndCheck compacts and holds the new generation's CSR to the
+// reference build, byte for byte.
+func compactAndCheck(t *testing.T, d *DynGraph) {
+	t.Helper()
+	want := referenceCompact(d)
+	if _, err := d.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	got := d.cur.gen.base
+	if err := got.Validate(); err != nil {
+		t.Fatalf("compacted CSR: %v", err)
+	}
+	if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Adjacency, want.Adjacency) {
+		t.Fatalf("compacted CSR differs from FromEdges(base edges + log)")
+	}
+	if st := d.Stats(); st.DeltaArcs != 0 || st.DeltaEdges != 0 || st.PinnedNow != 0 {
+		t.Fatalf("after compaction: %+v", st)
+	}
+}
+
+// FuzzCompact: bytes become a base graph plus a schedule of ingest batches
+// and compactions; every compaction's CSR must be exactly what FromEdges
+// builds from the previous base's edges plus the accepted log. data[0]
+// sizes the vertex range, data[1] the base's share of the pairs that
+// follow; among the rest a pair (0xff, _) flushes the buffered batch and
+// (0xfe, _) flushes and compacts.
+func FuzzCompact(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 0})
+	f.Add([]byte{0, 9, 0, 0, 0xfe, 0})                                        // n = 1: nothing but self-loops
+	f.Add([]byte{9, 2, 0, 1, 1, 2, 2, 3, 3, 0, 0xff, 0, 0, 2, 2, 0, 0xfe, 0}) // dup of base, swapped dup
+	f.Add([]byte("\x40\x03abbccdaxayaz\xff\x00bxbybz\xfe\x00cxcy\xff\x00cz")) // hub rows grow across compactions
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := int(data[0])%64 + 1
+		pairs := data[2:]
+		edge := func(i int) graph.Edge {
+			return graph.Edge{U: graph.VertexID(int(pairs[2*i]) % n), V: graph.VertexID(int(pairs[2*i+1]) % n)}
+		}
+		nBase := min(int(data[1]), len(pairs)/2)
+		var base, batch []graph.Edge
+		for i := 0; i < nBase; i++ {
+			base = append(base, edge(i))
+		}
+		d := New(msbfs.NewGraph(n, base), Config{})
+		defer d.Close()
+		flush := func() {
+			if _, err := d.ApplyEdges(batch); err != nil {
+				t.Fatalf("ApplyEdges: %v", err)
+			}
+			batch = batch[:0]
+		}
+		for i := nBase; i < len(pairs)/2; i++ {
+			switch pairs[2*i] {
+			case 0xff:
+				flush()
+			case 0xfe:
+				flush()
+				compactAndCheck(t, d)
+			default:
+				batch = append(batch, edge(i))
+			}
+		}
+		flush()
+		compactAndCheck(t, d)
 	})
 }

@@ -3,6 +3,7 @@ package dyngraph
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -200,4 +201,110 @@ func TestIngestWhileQueryStress(t *testing.T) {
 func oracleInternal(g *msbfs.Graph) *graph.Graph {
 	off, adj := g.CSR()
 	return &graph.Graph{Offsets: off, Adjacency: adj}
+}
+
+// TestCompactWhileHorizonEvicted: with Retain 1 every ingest evicts the
+// version before it, so a compaction's horizon view leaves the retention
+// window while the merge is still reading its CSR and overlay lists. The
+// merge must see neither a dropped CSR nor PoisonVertex (it would build a
+// wrong graph or crash), readers beside it must not either, the result
+// must be the from-scratch build of everything ingested, and the
+// compactor's pin must be gone afterwards on every path, ErrClosed
+// included.
+func TestCompactWhileHorizonEvicted(t *testing.T) {
+	const n = 1 << 12
+	universe := randomEdges(n, 60000, 11)
+	base, stream := universe[:40000], universe[40000:]
+	d := New(msbfs.NewGraph(n, base), Config{Retain: 1, MaxDelta: 1 << 30})
+
+	stop, writerDone := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	ingested := 0
+	wg.Add(2)
+	go func() { // writer: one edge per version, so every apply evicts
+		defer wg.Done()
+		defer close(writerDone)
+		for ; ingested < len(stream); ingested++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := d.ApplyEdges(stream[ingested : ingested+1]); err != nil {
+				t.Errorf("ingest: %v", err)
+				return
+			}
+		}
+	}()
+	go func() { // reader
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap, err := d.Acquire()
+			if err != nil {
+				t.Errorf("acquire: %v", err)
+				return
+			}
+			if ov := snap.Overlay(); ov != nil {
+				for v := 0; v < n; v++ {
+					for _, u := range ov.Extra(v) {
+						if u == PoisonVertex {
+							t.Errorf("v%d: pinned overlay reads poison at vertex %d", snap.Version(), v)
+						}
+					}
+				}
+			}
+			snap.Release()
+		}
+	}()
+
+	// Compact until five compactions have run beside at least two ingests
+	// (one may land before the pin; with Retain 1 the next evicts the
+	// horizon), or the writer runs out of stream.
+	overlapped := 0
+	for writing := true; writing && overlapped < 5; {
+		before := d.Version()
+		if _, err := d.Compact(); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+		if d.Version() > before+1 {
+			overlapped++
+		}
+		select {
+		case <-writerDone:
+			writing = false
+		default:
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if overlapped == 0 {
+		t.Fatalf("no compaction overlapped an ingest: the eviction race was never exercised")
+	}
+	if _, err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st := d.Stats()
+	if st.PinnedNow != 0 {
+		t.Fatalf("%d pins outstanding after compactions and readers finished", st.PinnedNow)
+	}
+	if st.RetiredGens != st.Compactions {
+		t.Fatalf("%d compactions but %d generations retired with nothing pinned", st.Compactions, st.RetiredGens)
+	}
+	want := graph.FromEdges(n, append(append([]graph.Edge(nil), base...), stream[:ingested]...))
+	if got := d.cur.gen.base; !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Adjacency, want.Adjacency) {
+		t.Fatalf("final compacted CSR differs from a from-scratch build of %d edges", len(base)+ingested)
+	}
+
+	d.Close()
+	if _, err := d.Compact(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("compact after close: %v, want ErrClosed", err)
+	}
+	if p := d.Stats().PinnedNow; p != 0 {
+		t.Fatalf("%d pins outstanding after a refused compaction", p)
+	}
 }

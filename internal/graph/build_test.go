@@ -91,7 +91,18 @@ func randomEdges(n, m int, seed uint64) []Edge {
 	return edges
 }
 
-func TestBuildMatchesReference(t *testing.T) {
+// buildCase is one input of the construction grid; m < 0 leaves the edge
+// count to the reference.
+type buildCase struct {
+	name  string
+	n     int
+	edges []Edge
+	m     int64
+}
+
+// buildGrid is the shared grid of construction inputs: the degenerate
+// sizes, self-loops and duplicates, a hub, and a random multigraph.
+func buildGrid() []buildCase {
 	hub := []Edge{}
 	for i := 1; i < 10000; i++ {
 		hub = append(hub, Edge{0, VertexID(i)}, Edge{VertexID(i), VertexID((i * 7) % 10000)})
@@ -100,12 +111,7 @@ func TestBuildMatchesReference(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		dup = append(dup, Edge{1, 2}, Edge{2, 1}, Edge{3, 1}, Edge{2, 2})
 	}
-	for _, tc := range []struct {
-		name  string
-		n     int
-		edges []Edge
-		m     int64
-	}{
+	return []buildCase{
 		{"empty n=0", 0, nil, 0},
 		{"edgeless n=5", 5, nil, 0},
 		{"n=1 self-loops", 1, []Edge{{0, 0}, {0, 0}}, 0},
@@ -114,7 +120,11 @@ func TestBuildMatchesReference(t *testing.T) {
 		{"heavy duplicates", 4, dup, 2},
 		{"large skewed", 10000, hub, -1},
 		{"random", 5000, randomEdges(5000, 40000, 0x9e3779b97f4a7c15), -1},
-	} {
+	}
+}
+
+func TestBuildMatchesReference(t *testing.T) {
+	for _, tc := range buildGrid() {
 		g := checkBuild(t, tc.n, tc.edges)
 		if g.NumVertices() != tc.n || (tc.m >= 0 && g.NumEdges() != tc.m) {
 			t.Errorf("%s: n=%d m=%d, want n=%d m=%d", tc.name, g.NumVertices(), g.NumEdges(), tc.n, tc.m)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 )
 
 // Binary graph file format (little endian):
@@ -23,6 +24,7 @@ import (
 const (
 	fileMagic   = uint64(0x48505247_53464241) // "ABFSGRPH" little endian
 	fileVersion = uint32(1)
+	headerBytes = 8 + 4 + 8 + 8
 )
 
 // Save writes g to w in the binary graph format.
@@ -45,8 +47,14 @@ func Save(w io.Writer, g *Graph) error {
 
 // Load reads a graph in the binary graph format and validates its
 // structural invariants cheaply (header consistency and offset monotonicity;
-// use Graph.Validate for the full check).
-func Load(r io.Reader) (*Graph, error) {
+// use Graph.Validate for the full check). The header is not trusted: the
+// arrays grow as their bytes arrive, so a short stream that claims a huge
+// graph costs an error, not the allocation it asked for.
+func Load(r io.Reader) (*Graph, error) { return load(r, -1) }
+
+// load is Load for a source of size bytes (< 0: unknown). A known size
+// that covers what the header claims lets each array be allocated once.
+func load(r io.Reader, size int64) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var (
 		magic   uint64
@@ -75,14 +83,16 @@ func Load(r io.Reader) (*Graph, error) {
 	if n > maxReasonable || m > maxReasonable {
 		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d", n, m)
 	}
-	g := &Graph{
-		Offsets:   make([]int64, n+1),
-		Adjacency: make([]VertexID, m),
+	sized := size >= 0
+	if need := headerBytes + 8*(n+1) + 4*m; sized && need > uint64(size) {
+		return nil, fmt.Errorf("graph: header claims %d bytes (n=%d m=%d), the file has %d", need, n, m, size)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
+	g := &Graph{}
+	var err error
+	if g.Offsets, err = readArray[int64](br, n+1, sized); err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Adjacency); err != nil {
+	if g.Adjacency, err = readArray[VertexID](br, m, sized); err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %w", err)
 	}
 	if g.Offsets[0] != 0 || g.Offsets[n] != int64(m) {
@@ -99,6 +109,26 @@ func Load(r io.Reader) (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// readArray reads count little-endian values. With exact set (the source's
+// size covers count) that is one allocation; otherwise the array grows a
+// chunk at a time, so memory stays within a small factor of the bytes read.
+func readArray[T int64 | VertexID](r io.Reader, count uint64, exact bool) ([]T, error) {
+	const chunk = 1 << 16
+	capacity := count
+	if !exact {
+		capacity = min(count, chunk)
+	}
+	out := make([]T, 0, capacity)
+	for uint64(len(out)) < count {
+		k := int(min(count-uint64(len(out)), chunk))
+		out = slices.Grow(out, k)[:len(out)+k]
+		if err := binary.Read(r, binary.LittleEndian, out[len(out)-k:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // SaveFile writes g to the named file.
@@ -121,5 +151,9 @@ func LoadFile(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	size := int64(-1) // a pipe or a device: read it as a stream
+	if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
+		size = st.Size()
+	}
+	return load(f, size)
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -131,5 +132,69 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing.bin")); err == nil {
 		t.Error("loading a missing file should fail")
+	}
+}
+
+// TestLoadBoundsAllocationByInput: a header is a claim, not a budget. The
+// first case is the 32-byte file FuzzLoad found (n = 2^33, m ≈ 1.3e10: 64 GB
+// of offsets asked for, a fatal out-of-memory before the first read); each
+// must come back as an error having allocated about what it delivered, as
+// a stream and as a file.
+func TestLoadBoundsAllocationByInput(t *testing.T) {
+	header := func(n, m uint64) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, fileMagic)
+		b = binary.LittleEndian.AppendUint32(b, fileVersion)
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(b, n), m)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"FuzzLoad crasher", []byte("ABFSGRPH\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x01\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00")},
+		{"largest plausible n and m", header(1<<40, 1<<40)},
+		{"huge m behind honest offsets", append(header(1, 1<<40), make([]byte, 16)...)},
+		{"a megabyte of a terabyte", append(header(1<<37, 0), make([]byte, 1<<20)...)},
+	} {
+		path := filepath.Join(t.TempDir(), "g.bin")
+		if err := os.WriteFile(path, tc.data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		for how, load := range map[string]func() (*Graph, error){
+			"stream": func() (*Graph, error) { return Load(bytes.NewReader(tc.data)) },
+			"file":   func() (*Graph, error) { return LoadFile(path) },
+		} {
+			var err error
+			alloc := totalAlloc(func() { _, err = load() })
+			if err == nil {
+				t.Errorf("%s (%s): accepted", tc.name, how)
+			}
+			// The bufio buffer is 1 MB; binary.Read stages each chunk once more.
+			if limit := int64(4<<20 + 4*len(tc.data)); alloc > limit {
+				t.Errorf("%s (%s): allocated %d bytes for %d bytes of input (limit %d)", tc.name, how, alloc, len(tc.data), limit)
+			}
+		}
+	}
+}
+
+// TestLoadRoundTripAcrossChunks: arrays longer than one read chunk come
+// back identical through both the streaming and the sized path.
+func TestLoadRoundTripAcrossChunks(t *testing.T) {
+	const n = 3<<16 + 17
+	g := FromEdges(n, randomEdges(n, 5<<16, 0x9e3779b97f4a7c15))
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := SaveFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := Load(bytes.NewReader(data))
+	if err != nil || !graphsEqual(streamed, g) {
+		t.Errorf("streamed load: err %v, equal %v", err, err == nil && graphsEqual(streamed, g))
+	}
+	sized, err := LoadFile(path)
+	if err != nil || !graphsEqual(sized, g) {
+		t.Errorf("file load: err %v, equal %v", err, err == nil && graphsEqual(sized, g))
 	}
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Overlay is an immutable per-vertex overflow adjacency layered over a CSR
 // graph: the streamed edge inserts that have not yet been compacted into
@@ -10,9 +13,10 @@ import "sort"
 // traversal over the compacted CSR at the same version.
 //
 // The representation is copy-on-write and page-granular: vertices are
-// grouped into pages of 1024 extra-neighbor lists, WithEdges copies only
-// the pages it touches and shares the rest, so each published graph version
-// is an O(touched pages) delta over its predecessor. An Overlay is
+// grouped into pages of 64 extra-neighbor lists (1.5 KB) under a flat page
+// table of n/64 pointers. WithEdges copies the table and the pages it
+// touches and shares the rest, so each published graph version costs about
+// one page per touched vertex over its predecessor. An Overlay is
 // immutable once published — readers traverse it with no synchronization —
 // and all list storage comes from the caller-supplied allocator, which lets
 // internal/dyngraph place every list in a per-generation arena it can
@@ -24,11 +28,11 @@ type Overlay struct {
 }
 
 const (
-	overlayPageShift = 10
+	overlayPageShift = 6
 	overlayPageSize  = 1 << overlayPageShift
 )
 
-// overlayPage holds the extra-neighbor lists of 1024 consecutive vertices.
+// overlayPage holds the extra-neighbor lists of 64 consecutive vertices.
 // Lists are sorted ascending and contain neither self-loops nor vertices
 // already adjacent in the base CSR (the dedup happens at ingest time).
 type overlayPage struct {
@@ -91,7 +95,7 @@ func (o *Overlay) HasArc(v int, u VertexID) bool {
 }
 
 // Edges returns all overlay edges with U < V, each exactly once. Intended
-// for tests and compaction, not hot paths.
+// for tests, not hot paths.
 func (o *Overlay) Edges() []Edge {
 	if o == nil {
 		return nil
@@ -118,7 +122,8 @@ type OverlayAlloc func(n int) []VertexID
 // the caller's job (dyngraph.ApplyEdges). The receiver is unchanged:
 // untouched pages are shared, touched pages are copied, and every modified
 // vertex's list is rebuilt into a fresh alloc'd slice, never aliasing the
-// old backing storage (the old version's readers keep traversing it).
+// old backing storage (the old version's readers keep traversing it);
+// alloc is called once per touched vertex, in ascending vertex order.
 func (o *Overlay) WithEdges(edges []Edge, alloc OverlayAlloc) *Overlay {
 	if len(edges) == 0 {
 		return o
@@ -131,14 +136,24 @@ func (o *Overlay) WithEdges(edges []Edge, alloc OverlayAlloc) *Overlay {
 		arcs:  o.arcs,
 		n:     o.n,
 	}
-	// Group the additions per vertex (both directions of each edge).
-	adds := make(map[int][]VertexID, len(edges)*2)
+	// Group the additions per vertex by sorting both arcs of every edge as
+	// (source, target) keys: a vertex's run is its additions, ascending.
+	arcs := make([]uint64, 0, 2*len(edges))
 	for _, e := range edges {
-		adds[int(e.U)] = append(adds[int(e.U)], e.V)
-		adds[int(e.V)] = append(adds[int(e.V)], e.U)
-		no.arcs += 2
+		arcs = append(arcs, uint64(e.U)<<32|uint64(e.V), uint64(e.V)<<32|uint64(e.U))
 	}
-	for v, ins := range adds {
+	slices.Sort(arcs)
+	no.arcs += int64(len(arcs))
+	ins := make([]VertexID, len(arcs))
+	for i, a := range arcs {
+		ins[i] = VertexID(a)
+	}
+	for lo := 0; lo < len(arcs); {
+		v := int(arcs[lo] >> 32)
+		hi := lo + 1
+		for hi < len(arcs) && int(arcs[hi]>>32) == v {
+			hi++
+		}
 		pi := v >> overlayPageShift
 		page := no.pages[pi]
 		if page == nil {
@@ -150,22 +165,48 @@ func (o *Overlay) WithEdges(edges []Edge, alloc OverlayAlloc) *Overlay {
 		no.pages[pi] = page
 		slot := v & (overlayPageSize - 1)
 		old := page.lists[slot]
-		sort.Slice(ins, func(i, j int) bool { return ins[i] < ins[j] })
-		merged := alloc(len(old) + len(ins))
-		i, j, k := 0, 0, 0
-		for i < len(old) && j < len(ins) {
-			if old[i] <= ins[j] {
-				merged[k] = old[i]
-				i++
-			} else {
-				merged[k] = ins[j]
-				j++
-			}
-			k++
-		}
-		k += copy(merged[k:], old[i:])
-		k += copy(merged[k:], ins[j:])
-		page.lists[slot] = merged[:k]
+		merged := alloc(len(old) + hi - lo)
+		mergeSorted(merged, old, ins[lo:hi])
+		page.lists[slot] = merged
+		lo = hi
 	}
 	return no
+}
+
+// mergeSorted writes the merge of the ascending lists a and b into dst,
+// which must hold len(a)+len(b) ids, and returns that count.
+func mergeSorted(dst, a, b []VertexID) int {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] <= b[j] {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	k += copy(dst[k:], b[j:])
+	return k
+}
+
+// MergeOverlay returns the CSR that holds base with every overlay arc
+// folded in: row v is the merge of Neighbors(v) and Extra(v), both already
+// sorted and — by the ingest dedup WithEdges relies on — disjoint, so the
+// result is byte for byte what FromEdges builds from the union of the two
+// edge sets. One pass over the vertices, no sort, and the two result arrays
+// are the only allocations. ov must be non-nil and sized for base.
+func MergeOverlay(base *Graph, ov *Overlay) *Graph {
+	n := base.NumVertices()
+	offsets := make([]int64, n+1)
+	adj := make([]VertexID, int64(len(base.Adjacency))+ov.Arcs())
+	k := 0
+	for v := 0; v < n; v++ {
+		offsets[v] = int64(k)
+		k += mergeSorted(adj[k:], base.Neighbors(v), ov.Extra(v))
+	}
+	offsets[n] = int64(k)
+	return &Graph{Offsets: offsets, Adjacency: adj}
 }

@@ -52,20 +52,6 @@ func NewState(n, words int) *State {
 	}
 }
 
-// NewStateFrom wraps an externally allocated slab (len must be n*words) as
-// a State. The engine uses it to back states with NUMA-placed arena memory
-// (mmap spans whose pages are first-touched by their owning workers); the
-// slab must arrive zeroed, like NewState's.
-func NewStateFrom(n, words int, slab []uint64) *State {
-	if words < 1 || words > MaxWords {
-		panic(fmt.Sprintf("bitset: width %d words out of range [1,%d]", words, MaxWords))
-	}
-	if len(slab) != n*words {
-		panic(fmt.Sprintf("bitset: slab of %d words cannot back %d x %d state", len(slab), n, words))
-	}
-	return &State{words: slab, stride: words, n: n}
-}
-
 // Len returns the number of per-vertex bitsets.
 func (s *State) Len() int { return s.n }
 

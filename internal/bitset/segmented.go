@@ -23,10 +23,6 @@ package bitset
 
 import "fmt"
 
-// ShadowAlloc allocates a zeroed word slab; nil means make([]uint64, n).
-// The engine wires numa-placed allocation through this hook.
-type ShadowAlloc func(words int) []uint64
-
 // Shadows is the per-worker shadow set for one canonical word slab
 // (a State's words, a Bitmap's words, or a cluster shard's local next).
 // It is sized once per engine shell and reused across batches.
@@ -64,9 +60,8 @@ type mergeCell struct {
 }
 
 // NewShadows builds the shadow set for a canonical slab of slabLen words
-// and the given worker count. alloc, when non-nil, supplies the slab
-// allocator (used for NUMA-placed arenas); it must return zeroed memory.
-func NewShadows(slabLen, workers int, alloc ShadowAlloc) *Shadows {
+// and the given worker count.
+func NewShadows(slabLen, workers int) *Shadows {
 	if workers < 1 {
 		panic("bitset: shadows need at least one worker")
 	}
@@ -80,11 +75,7 @@ func NewShadows(slabLen, workers int, alloc ShadowAlloc) *Shadows {
 		workers: workers,
 	}
 	for i := range s.slabs {
-		if alloc != nil {
-			s.slabs[i].words = alloc(slabLen)
-		} else {
-			s.slabs[i].words = make([]uint64, slabLen)
-		}
+		s.slabs[i].words = make([]uint64, slabLen)
 	}
 	return s
 }

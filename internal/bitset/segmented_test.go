@@ -7,7 +7,7 @@ import (
 )
 
 func TestShadowsSoloWorkerWritesCanonical(t *testing.T) {
-	s := NewShadows(64, 1, nil)
+	s := NewShadows(64, 1)
 	canon := make([]uint64, 64)
 	w := s.Writer(0, canon)
 	if &w[0] != &canon[0] {
@@ -23,7 +23,7 @@ func TestShadowsSoloWorkerWritesCanonical(t *testing.T) {
 
 func TestShadowsMergePublishesUnion(t *testing.T) {
 	const slabLen, workers = 256, 4
-	s := NewShadows(slabLen, workers, nil)
+	s := NewShadows(slabLen, workers)
 	canon := make([]uint64, slabLen)
 	want := make([]uint64, slabLen)
 
@@ -71,7 +71,7 @@ func TestShadowsMergePublishesUnion(t *testing.T) {
 // claim; without -race it still checks the union.
 func TestShadowsConcurrentScatterMergeRace(t *testing.T) {
 	const slabLen, workers, rounds = 512, 8, 20
-	s := NewShadows(slabLen, workers, nil)
+	s := NewShadows(slabLen, workers)
 	canon := make([]uint64, slabLen)
 	per := slabLen / workers
 
@@ -124,7 +124,7 @@ func TestShadowsConcurrentScatterMergeRace(t *testing.T) {
 }
 
 func TestShadowsMergeRangeBounds(t *testing.T) {
-	s := NewShadows(16, 2, nil)
+	s := NewShadows(16, 2)
 	canon := make([]uint64, 16)
 	defer func() {
 		if recover() == nil {
@@ -134,15 +134,9 @@ func TestShadowsMergeRangeBounds(t *testing.T) {
 	s.MergeRange(0, canon, 8, 32)
 }
 
-func TestShadowsCustomAlloc(t *testing.T) {
-	calls := 0
-	s := NewShadows(32, 3, func(n int) []uint64 {
-		calls++
-		return make([]uint64, n)
-	})
-	if calls != 2 {
-		t.Fatalf("alloc called %d times, want one per non-zero worker (2)", calls)
-	}
+func TestShadowsMemoryBytes(t *testing.T) {
+	// One slab per non-zero worker: worker 0 writes the canonical array.
+	s := NewShadows(32, 3)
 	if s.MemoryBytes() != 2*32*8 {
 		t.Fatalf("MemoryBytes = %d, want %d", s.MemoryBytes(), 2*32*8)
 	}

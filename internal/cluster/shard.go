@@ -474,7 +474,7 @@ func (s *Shard) handleStart(payload []byte) error {
 		q.tq = sched.CreateStripeTasks(numa.AlignedRanges(g.rlen, g.workers, shardSplitSize), shardSplitSize)
 		q.counters = make([]stepCounter, g.workers)
 		if g.workers > 1 {
-			q.shadows = bitset.NewShadows(g.rlen*words, g.workers, nil)
+			q.shadows = bitset.NewShadows(g.rlen*words, g.workers)
 		}
 	}
 

@@ -100,13 +100,6 @@ type Options struct {
 	// (the "stop once all active BFS bits are set" optimization); used by
 	// the ablation benchmarks.
 	DisableEarlyExit bool
-	// RealPlacement asks the engine to back this run's state arrays with
-	// NUMA-placed arena memory (mmap slabs first-touched by their owning
-	// workers, mbind stripe hints) and to pin pool workers to CPUs.
-	// Best-effort: on single-node machines or restricted containers it
-	// degrades to plain allocation. Independent of Topology, which drives
-	// the *modeled* placement analysis.
-	RealPlacement bool
 	// Pool optionally supplies a pre-started worker pool to reuse across
 	// runs; it must have exactly Workers workers. When nil, the run
 	// borrows a pooled worker set from Engine (or the package default
@@ -210,9 +203,6 @@ func (o Options) resolvePool(eng *Engine) (pool *sched.Pool, borrowed bool) {
 			panic("core: supplied pool size does not match Options.Workers")
 		}
 		return o.Pool, false
-	}
-	if o.RealPlacement {
-		return eng.borrowPinnedPool(o.workers()), true //bfs:arena-held borrowed=true obliges the caller to hand the pool back via returnPool at end of run
 	}
 	return eng.borrowPool(o.workers()), true //bfs:arena-held borrowed=true obliges the caller to hand the pool back via returnPool at end of run
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/bitset"
-	"repro/internal/numa"
 	"repro/internal/sched"
 )
 
@@ -35,25 +34,16 @@ type Engine struct {
 	mu     sync.Mutex
 	closed bool
 
-	pools   map[int][]*sched.Pool     // keyed by worker count
-	pinned  map[int][]*sched.Pool     // CPU-pinned pools (Options.RealPlacement)
-	shells  map[shellKey][]*levelStep // warm MS-/SMS-PBFS shells (counters+scratch+states)
-	states  map[stateKey][]*bitset.State
-	bitmaps map[int][]*bitset.Bitmap // keyed by vertex count
-	levels  map[int][][]int32        // keyed by row length
+	pools   freeList[int, *sched.Pool]     // keyed by worker count
+	shells  freeList[shellKey, *levelStep] // warm MS-/SMS-PBFS shells (counters+scratch+states)
+	states  freeList[stateKey, *bitset.State]
+	bitmaps freeList[int, *bitset.Bitmap] // keyed by vertex count
+	levels  freeList[int, []int32]        // keyed by row length
 
 	freeBytes int64 // bytes parked in the arena free lists (pools excluded)
 	borrowed  int64 // artifacts currently checked out
 	hits      uint64
 	misses    uint64
-
-	// placerVal is the engine's NUMA placer (Options.RealPlacement), built
-	// lazily and retained for the process lifetime: its mmap spans back
-	// live bitset slabs inside checked-out shells and returned results, so
-	// Close must NOT release it — unmapping would turn every outstanding
-	// slab reference into a fault. The spans are reclaimed by process exit.
-	placerOnce sync.Once
-	placerVal  *numa.Placer
 }
 
 type stateKey struct {
@@ -73,17 +63,76 @@ const (
 	maxFreeLevels = 1024
 )
 
+// freeList is one keyed, bounded free list of the engine's arena. It owns
+// the accounting every artifact kind shares — hit/miss, the checkout
+// count and the parked bytes — so the borrow/return pairs below differ
+// only in key, bound, byte size and scrub. Every method requires e.mu.
+type freeList[K comparable, T any] struct {
+	free  map[K][]T
+	max   int           // per-key bound; overflow is dropped for the GC
+	bytes func(T) int64 // arena bytes one parked artifact holds
+}
+
+func newFreeList[K comparable, T any](max int, bytes func(T) int64) freeList[K, T] {
+	return freeList[K, T]{free: make(map[K][]T), max: max, bytes: bytes}
+}
+
+// pop starts one checkout: the most recently parked artifact for key, or
+// ok=false on a cold miss (the caller then allocates fresh).
+func (f *freeList[K, T]) pop(e *Engine, key K) (v T, ok bool) {
+	e.borrowed++
+	l := f.free[key]
+	if len(l) == 0 {
+		e.misses++
+		return v, false
+	}
+	v = l[len(l)-1]
+	clear(l[len(l)-1:]) // drop the list's reference to the checked-out artifact
+	f.free[key] = l[:len(l)-1]
+	e.hits++
+	e.freeBytes -= f.bytes(v)
+	return v, true
+}
+
+// push ends one checkout and parks v under key, unless the engine is
+// closed or the key's list is full; it reports whether v was parked.
+func (f *freeList[K, T]) push(e *Engine, key K, v T) bool {
+	e.borrowed--
+	l := f.free[key]
+	if e.closed || len(l) >= f.max {
+		return false
+	}
+	f.free[key] = append(l, v)
+	e.freeBytes += f.bytes(v)
+	return true
+}
+
+// parked counts the artifacts on the list over all keys.
+func (f *freeList[K, T]) parked() int {
+	n := 0
+	for _, l := range f.free {
+		n += len(l)
+	}
+	return n
+}
+
+// drain empties the list and returns what it held.
+func (f *freeList[K, T]) drain() map[K][]T {
+	old := f.free
+	f.free = make(map[K][]T)
+	return old
+}
+
 // NewEngine returns an empty engine; pools and arena entries are created
 // on first miss and recycled after that. Prewarm forces the pool spawn
 // ahead of the first query.
 func NewEngine() *Engine {
 	return &Engine{
-		pools:   make(map[int][]*sched.Pool),
-		pinned:  make(map[int][]*sched.Pool),
-		shells:  make(map[shellKey][]*levelStep),
-		states:  make(map[stateKey][]*bitset.State),
-		bitmaps: make(map[int][]*bitset.Bitmap),
-		levels:  make(map[int][][]int32),
+		pools:   newFreeList[int](maxFreePools, func(*sched.Pool) int64 { return 0 }),
+		shells:  newFreeList[shellKey](maxFreeShells, func(sh *levelStep) int64 { return sh.bytes }),
+		states:  newFreeList[stateKey](maxFreeStates, (*bitset.State).MemoryBytes),
+		bitmaps: newFreeList[int](maxFreeMaps, (*bitset.Bitmap).MemoryBytes),
+		levels:  newFreeList[int](maxFreeLevels, func(row []int32) int64 { return int64(len(row)) * 4 }),
 	}
 }
 
@@ -130,30 +179,18 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := EngineStats{
-		FreeBytes: e.freeBytes,
-		Borrowed:  e.borrowed,
-		Hits:      e.hits,
-		Misses:    e.misses,
+		FreePools:     e.pools.parked(),
+		FreeShells:    e.shells.parked(),
+		FreeStates:    e.states.parked(),
+		FreeBitmaps:   e.bitmaps.parked(),
+		FreeLevelRows: e.levels.parked(),
+		FreeBytes:     e.freeBytes,
+		Borrowed:      e.borrowed,
+		Hits:          e.hits,
+		Misses:        e.misses,
 	}
-	for workers, l := range e.pools {
-		st.FreePools += len(l)
+	for workers, l := range e.pools.free {
 		st.PooledWorkers += workers * len(l)
-	}
-	for workers, l := range e.pinned {
-		st.FreePools += len(l)
-		st.PooledWorkers += workers * len(l)
-	}
-	for _, l := range e.shells {
-		st.FreeShells += len(l)
-	}
-	for _, l := range e.states {
-		st.FreeStates += len(l)
-	}
-	for _, l := range e.bitmaps {
-		st.FreeBitmaps += len(l)
-	}
-	for _, l := range e.levels {
-		st.FreeLevelRows += len(l)
 	}
 	return st
 }
@@ -172,14 +209,11 @@ func (e *Engine) arenaCounters() (hits, misses uint64) {
 // — so callers racing a Close degrade gracefully instead of crashing.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	pools := e.pools
-	pinned := e.pinned
-	e.pools = make(map[int][]*sched.Pool)
-	e.pinned = make(map[int][]*sched.Pool)
-	e.shells = make(map[shellKey][]*levelStep)
-	e.states = make(map[stateKey][]*bitset.State)
-	e.bitmaps = make(map[int][]*bitset.Bitmap)
-	e.levels = make(map[int][][]int32)
+	pools := e.pools.drain()
+	e.shells.drain()
+	e.states.drain()
+	e.bitmaps.drain()
+	e.levels.drain()
 	e.freeBytes = 0
 	e.closed = true
 	e.mu.Unlock()
@@ -188,13 +222,6 @@ func (e *Engine) Close() {
 			p.Close()
 		}
 	}
-	for _, l := range pinned {
-		for _, p := range l {
-			p.Close()
-		}
-	}
-	// The placer (and its mmap spans) is deliberately NOT released: see the
-	// field comment. Close drops pooled goroutines and arena arrays only.
 }
 
 // Prewarm spawns (or verifies) one pooled worker set of the given width so
@@ -219,81 +246,26 @@ func (e *Engine) BorrowPool(workers int) (*sched.Pool, func()) {
 
 func (e *Engine) borrowPool(workers int) *sched.Pool {
 	e.mu.Lock()
-	if l := e.pools[workers]; len(l) > 0 {
-		p := l[len(l)-1]
-		l[len(l)-1] = nil
-		e.pools[workers] = l[:len(l)-1]
-		e.hits++
-		e.borrowed++
-		e.mu.Unlock()
-		return p
-	}
-	e.misses++
-	e.borrowed++
+	p, ok := e.pools.pop(e, workers)
 	e.mu.Unlock()
-	// Spawning workers outside the lock keeps a cold miss from stalling
-	// concurrent borrowers.
-	return sched.NewPool(workers, false)
+	if !ok {
+		// Spawning workers outside the lock keeps a cold miss from
+		// stalling concurrent borrowers.
+		return sched.NewPool(workers)
+	}
+	return p
 }
 
 func (e *Engine) returnPool(p *sched.Pool) {
 	if p == nil {
 		return
 	}
-	// Pinned pools recycle separately: a pool whose workers are bound to
-	// CPUs must never serve a run that did not ask for placement.
-	cache := &e.pools
-	if p.Pinned() {
-		cache = &e.pinned
-	}
 	e.mu.Lock()
-	e.borrowed--
-	if e.closed || len((*cache)[p.Workers()]) >= maxFreePools {
-		e.mu.Unlock()
+	parked := e.pools.push(e, p.Workers(), p)
+	e.mu.Unlock()
+	if !parked {
 		p.Close()
-		return
 	}
-	(*cache)[p.Workers()] = append((*cache)[p.Workers()], p)
-	e.mu.Unlock()
-}
-
-// placer returns the engine's process-lifetime NUMA placer, building it on
-// first use. Never released — see the field comment.
-func (e *Engine) placer() *numa.Placer {
-	e.placerOnce.Do(func() { e.placerVal = numa.NewPlacer() })
-	return e.placerVal
-}
-
-// slabAlloc resolves the bitset slab allocator for a run: the placer's
-// mmap-backed allocator under Options.RealPlacement (so first-touch and
-// mbind control page placement), nil (plain make) otherwise.
-func (e *Engine) slabAlloc(opt Options) bitset.ShadowAlloc {
-	if !opt.RealPlacement {
-		return nil
-	}
-	return e.placer().AllocUint64
-}
-
-// borrowPinnedPool checks out a pool whose workers are pinned to CPUs via
-// the engine's placer — the thread-affinity half of RealPlacement (the
-// memory half is slabAlloc + Placer.Interleave). Cached separately from
-// unpinned pools; hand back through returnPool as usual.
-func (e *Engine) borrowPinnedPool(workers int) *sched.Pool {
-	e.mu.Lock()
-	if l := e.pinned[workers]; len(l) > 0 {
-		p := l[len(l)-1]
-		l[len(l)-1] = nil
-		e.pinned[workers] = l[:len(l)-1]
-		e.hits++
-		e.borrowed++
-		e.mu.Unlock()
-		return p
-	}
-	e.misses++
-	e.borrowed++
-	e.mu.Unlock()
-	placer := e.placer()
-	return sched.NewPoolPinned(workers, true, placer.PinWorker)
 }
 
 // BorrowState checks out an n-vertex, words-wide bitset State for a sibling
@@ -318,79 +290,48 @@ func (e *Engine) BorrowLevels(n int) []int32 {
 // zeros regardless of the condition it was returned in.
 func (e *Engine) borrowState(n, words int) *bitset.State {
 	e.mu.Lock()
-	key := stateKey{n: n, words: words}
-	if l := e.states[key]; len(l) > 0 {
-		s := l[len(l)-1]
-		l[len(l)-1] = nil
-		e.states[key] = l[:len(l)-1]
-		e.hits++
-		e.borrowed++
-		e.freeBytes -= s.MemoryBytes()
-		e.mu.Unlock()
-		s.ZeroRange(0, n) // scrub: a recycled state never leaks visited bits
-		if debugInvariants {
-			debugCheckBorrowedClean("State", s.CountAll())
-		}
-		return s
-	}
-	e.misses++
-	e.borrowed++
+	s, ok := e.states.pop(e, stateKey{n: n, words: words})
 	e.mu.Unlock()
-	return bitset.NewState(n, words)
+	if !ok {
+		return bitset.NewState(n, words)
+	}
+	s.ZeroRange(0, n) // scrub: a recycled state never leaks visited bits
+	if debugInvariants {
+		debugCheckBorrowedClean("State", s.CountAll())
+	}
+	return s
 }
 
 func (e *Engine) returnState(s *bitset.State) {
 	if s == nil {
 		return
 	}
-	key := stateKey{n: s.Len(), words: s.Stride()}
 	e.mu.Lock()
-	e.borrowed--
-	if e.closed || len(e.states[key]) >= maxFreeStates {
-		e.mu.Unlock()
-		return
-	}
-	e.states[key] = append(e.states[key], s)
-	e.freeBytes += s.MemoryBytes()
+	e.states.push(e, stateKey{n: s.Len(), words: s.Stride()}, s)
 	e.mu.Unlock()
 }
 
 // borrowBitmap checks out an n-vertex bitmap, scrubbed to all zeros.
 func (e *Engine) borrowBitmap(n int) *bitset.Bitmap {
 	e.mu.Lock()
-	if l := e.bitmaps[n]; len(l) > 0 {
-		b := l[len(l)-1]
-		l[len(l)-1] = nil
-		e.bitmaps[n] = l[:len(l)-1]
-		e.hits++
-		e.borrowed++
-		e.freeBytes -= b.MemoryBytes()
-		e.mu.Unlock()
-		b.ZeroRange(0, n)
-		if debugInvariants {
-			debugCheckBorrowedClean("Bitmap", b.Count())
-		}
-		return b
-	}
-	e.misses++
-	e.borrowed++
+	b, ok := e.bitmaps.pop(e, n)
 	e.mu.Unlock()
-	return bitset.NewBitmap(n)
+	if !ok {
+		return bitset.NewBitmap(n)
+	}
+	b.ZeroRange(0, n)
+	if debugInvariants {
+		debugCheckBorrowedClean("Bitmap", b.Count())
+	}
+	return b
 }
 
 func (e *Engine) returnBitmap(b *bitset.Bitmap) {
 	if b == nil {
 		return
 	}
-	n := b.Len()
 	e.mu.Lock()
-	e.borrowed--
-	if e.closed || len(e.bitmaps[n]) >= maxFreeMaps {
-		e.mu.Unlock()
-		return
-	}
-	e.bitmaps[n] = append(e.bitmaps[n], b)
-	e.freeBytes += b.MemoryBytes()
+	e.bitmaps.push(e, b.Len(), b)
 	e.mu.Unlock()
 }
 
@@ -399,20 +340,12 @@ func (e *Engine) returnBitmap(b *bitset.Bitmap) {
 // can be read — so no zeroing happens here.
 func (e *Engine) borrowLevels(n int) []int32 {
 	e.mu.Lock()
-	if l := e.levels[n]; len(l) > 0 {
-		row := l[len(l)-1]
-		l[len(l)-1] = nil
-		e.levels[n] = l[:len(l)-1]
-		e.hits++
-		e.borrowed++
-		e.freeBytes -= int64(n) * 4
-		e.mu.Unlock()
-		return row
-	}
-	e.misses++
-	e.borrowed++
+	row, ok := e.levels.pop(e, n)
 	e.mu.Unlock()
-	return make([]int32, n)
+	if !ok {
+		return make([]int32, n)
+	}
+	return row
 }
 
 // ReleaseLevels hands level rows (e.g. Result.Levels or the rows of
@@ -422,16 +355,9 @@ func (e *Engine) ReleaseLevels(rows ...[]int32) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, row := range rows {
-		if row == nil {
-			continue
+		if row != nil {
+			e.levels.push(e, len(row), row)
 		}
-		n := len(row)
-		e.borrowed--
-		if e.closed || len(e.levels[n]) >= maxFreeLevels {
-			continue
-		}
-		e.levels[n] = append(e.levels[n], row)
-		e.freeBytes += int64(n) * 4
 	}
 }
 
@@ -441,18 +367,7 @@ func (e *Engine) ReleaseLevels(rows ...[]int32) {
 func (e *Engine) checkoutShell(key shellKey) *levelStep {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	l := e.shells[key]
-	if len(l) == 0 {
-		e.misses++
-		e.borrowed++
-		return nil
-	}
-	sh := l[len(l)-1]
-	l[len(l)-1] = nil
-	e.shells[key] = l[:len(l)-1]
-	e.hits++
-	e.borrowed++
-	e.freeBytes -= sh.bytes
+	sh, _ := e.shells.pop(e, key)
 	return sh
 }
 
@@ -463,10 +378,5 @@ func (e *Engine) checkinShell(sh *levelStep) {
 	sh.shellRun = shellRun{}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.borrowed--
-	if e.closed || len(e.shells[key]) >= maxFreeShells {
-		return
-	}
-	e.shells[key] = append(e.shells[key], sh)
-	e.freeBytes += sh.bytes
+	e.shells.push(e, key, sh)
 }

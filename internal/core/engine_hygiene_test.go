@@ -32,17 +32,17 @@ func fillOnes(ws []uint64) {
 func poisonEngine(e *Engine) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, l := range e.states {
+	for _, l := range e.states.free {
 		for _, s := range l {
 			fillOnes(s.Words())
 		}
 	}
-	for _, l := range e.bitmaps {
+	for _, l := range e.bitmaps.free {
 		for _, b := range l {
 			fillOnes(b.Words())
 		}
 	}
-	for _, l := range e.shells {
+	for _, l := range e.shells.free {
 		for _, ls := range l {
 			for w := range ls.scanned {
 				ls.scanned[w].v = 1 << 40
@@ -72,7 +72,7 @@ func poisonEngine(e *Engine) {
 			}
 		}
 	}
-	for _, rows := range e.levels {
+	for _, rows := range e.levels.free {
 		for _, row := range rows {
 			for i := range row {
 				row[i] = levelPoison

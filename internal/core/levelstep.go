@@ -172,8 +172,7 @@ func (ls *levelStep) open(run shellRun, elemBytes int) {
 	}
 
 	// Parallel first-touch initialization without stealing so the modeled
-	// (and, under RealPlacement, the real) placement matches which worker
-	// owns each stripe. For a recycled shell this pass doubles as the
+	// placement matches which worker owns each stripe. For a recycled shell this pass doubles as the
 	// arena scrub: no bits survive from the previous run, however it
 	// ended. It also marks the shell clean, so the first run skips its
 	// zeroing pass instead of re-scrubbing fresh arrays.

@@ -115,11 +115,10 @@ func NewMSPBFSEngine(g *graph.Graph, opt Options) *MSPBFSEngine {
 // arrays, shadows, per-worker scratch and the bound phase bodies.
 func newMSPBFSShell(run shellRun, words int) *MSPBFSEngine {
 	n, workers := run.key.n, run.key.workers
-	alloc := run.eng.slabAlloc(run.opt)
 	e := &MSPBFSEngine{
-		seen:      newPlacedState(n, words, alloc),
-		buf0:      newPlacedState(n, words, alloc),
-		buf1:      newPlacedState(n, words, alloc),
+		seen:      bitset.NewState(n, words),
+		buf0:      bitset.NewState(n, words),
+		buf1:      bitset.NewState(n, words),
 		words:     words,
 		mask:      make([]uint64, words),
 		frontVtx:  make([]padCounter, workers),
@@ -130,20 +129,8 @@ func newMSPBFSShell(run shellRun, words int) *MSPBFSEngine {
 	}
 	vBounds := e.init(e, run.key)
 	e.buTQ = sched.CreateStripeTasks(vBounds, cacheBlockedSplit(words))
-	e.shadows = bitset.NewShadows(n*words, workers, alloc)
+	e.shadows = bitset.NewShadows(n*words, workers)
 	e.wordMul, e.wordDiv = words, 1
-	if run.opt.RealPlacement {
-		// Advise the kernel that each stripe belongs on its owner's
-		// node; the first-touch zeroing does the actual faulting.
-		wBounds := make([]int, len(vBounds))
-		for i, b := range vBounds {
-			wBounds[i] = b * words
-		}
-		placer := run.eng.placer()
-		placer.Interleave(e.seen.Words(), wBounds)
-		placer.Interleave(e.buf0.Words(), wBounds)
-		placer.Interleave(e.buf1.Words(), wBounds)
-	}
 	e.bytes = e.seen.MemoryBytes() + e.buf0.MemoryBytes() + e.buf1.MemoryBytes() + e.shadows.MemoryBytes()
 	for w := range e.scratch {
 		e.scratch[w] = make([]uint64, words)
@@ -162,15 +149,6 @@ func newMSPBFSShell(run shellRun, words int) *MSPBFSEngine {
 	}
 	e.endLevel = e.finishLevel
 	return e
-}
-
-// newPlacedState allocates a State, through the placement allocator when
-// one is wired (RealPlacement) and plainly otherwise.
-func newPlacedState(n, words int, alloc bitset.ShadowAlloc) *bitset.State {
-	if alloc == nil {
-		return bitset.NewState(n, words)
-	}
-	return bitset.NewStateFrom(n, words, alloc(n*words))
 }
 
 // Run processes all sources in batches and aggregates the result.

@@ -38,7 +38,7 @@ func TestDeriveParentsParallelMatchesSequential(t *testing.T) {
 	src := RandomSources(g, 1, 1)[0]
 	levels := ReferenceLevels(g, src)
 	seq := DeriveParents(g, levels, nil)
-	pool := sched.NewPool(3, false)
+	pool := sched.NewPool(3)
 	defer pool.Close()
 	par := DeriveParents(g, levels, pool)
 	for v := range seq {

@@ -73,7 +73,7 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 
 func TestSharedPool(t *testing.T) {
 	g := gen.Uniform(1000, 5, 30)
-	pool := sched.NewPool(3, false)
+	pool := sched.NewPool(3)
 	defer pool.Close()
 	opt := Options{Workers: 3, Pool: pool, RecordLevels: true}
 	src := RandomSources(g, 1, 1)[0]

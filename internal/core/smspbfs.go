@@ -149,7 +149,7 @@ func NewSMSPBFSEngine(g *graph.Graph, repr StateRepr, opt Options) *SMSPBFSEngin
 			buf1: newVertexSet(n, repr),
 		}
 		e.init(e, run.key)
-		e.shadows = bitset.NewShadows(len(e.buf0.ChunkWords()), run.key.workers, nil)
+		e.shadows = bitset.NewShadows(len(e.buf0.ChunkWords()), run.key.workers)
 		e.wordMul, e.wordDiv = 1, e.buf0.ChunkSize()
 		e.bytes = e.seen.MemoryBytes() + e.buf0.MemoryBytes() + e.buf1.MemoryBytes() + e.shadows.MemoryBytes()
 		e.scatterBody = e.scatterTask

@@ -42,12 +42,14 @@ func Kronecker(p KroneckerParams) *graph.Graph {
 	n := 1 << uint(p.Scale)
 	m := int64(n) * int64(p.EdgeFactor)
 	r := newRNG(p.Seed)
-	edges := make([]graph.Edge, m)
+	// Flat endpoint buffer, edge i = {pairs[2i], pairs[2i+1]}: the layout
+	// graph.FromPairs consumes as its own scratch.
+	pairs := make([]graph.VertexID, 2*m)
 
 	ab := p.A + p.B
 	cNorm := p.C / (1 - ab)
 
-	for i := range edges {
+	for i := 0; i < len(pairs); i += 2 {
 		var u, v graph.VertexID
 		for bit := 0; bit < p.Scale; bit++ {
 			// Choose the quadrant for this bit of (u, v).
@@ -70,14 +72,14 @@ func Kronecker(p KroneckerParams) *graph.Graph {
 			u = u<<1 | ubit
 			v = v<<1 | vbit
 		}
-		edges[i] = graph.Edge{U: u, V: v}
+		pairs[i], pairs[i+1] = u, v
 	}
 
 	// Scramble vertex ids. The permutation is drawn after the edges, and
 	// applied to them before the one CSR build.
 	perm := r.perm(n)
-	for i, e := range edges {
-		edges[i] = graph.Edge{U: graph.VertexID(perm[e.U]), V: graph.VertexID(perm[e.V])}
+	for i, id := range pairs {
+		pairs[i] = graph.VertexID(perm[id])
 	}
-	return graph.FromEdges(n, edges)
+	return graph.FromPairs(n, pairs)
 }

@@ -55,10 +55,19 @@ func referenceBuild(n int, edges []Edge) *Graph {
 
 // checkBuild builds edges and holds the result to Validate and the
 // reference. The input must come back untouched: FromEdges only reads it.
+// The consuming front end, FromPairs over the same edges flattened, must
+// produce the same Offsets and Adjacency byte for byte.
 func checkBuild(t testing.TB, n int, edges []Edge) *Graph {
 	t.Helper()
 	in := append([]Edge(nil), edges...)
 	g := FromEdges(n, edges)
+	pairs := make([]VertexID, 0, 2*len(edges))
+	for _, e := range edges {
+		pairs = append(pairs, e.U, e.V)
+	}
+	if !graphsEqual(FromPairs(n, pairs), g) {
+		t.Fatalf("n=%d, %d edges: FromPairs differs from FromEdges", n, len(edges))
+	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("n=%d, %d edges: %v", n, len(edges), err)
 	}
@@ -133,12 +142,20 @@ func TestBuildMatchesReference(t *testing.T) {
 }
 
 func TestFromEdgesOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("FromEdges with an out-of-range endpoint did not panic")
-		}
-	}()
-	FromEdges(2, []Edge{{0, 1}, {2, 0}})
+	for name, build := range map[string]func(){
+		"FromEdges with an out-of-range endpoint": func() { FromEdges(2, []Edge{{0, 1}, {2, 0}}) },
+		"FromPairs with an out-of-range endpoint": func() { FromPairs(2, []VertexID{0, 1, 2, 0}) },
+		"FromPairs with half an edge":             func() { FromPairs(2, []VertexID{0, 1, 1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 // TestBuildConcurrentIndependent runs several builds at the same time (as

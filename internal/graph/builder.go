@@ -59,13 +59,8 @@ func FromEdges(n int, edges []Edge) *Graph {
 			offsets[e.V+1]++
 		}
 	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-
+	cursor := rowStarts(offsets)
 	unsorted := make([]VertexID, offsets[n])
-	cursor := make([]int64, n)
-	copy(cursor, offsets)
 	for _, e := range edges {
 		if e.U != e.V {
 			unsorted[cursor[e.U]] = e.V
@@ -74,21 +69,71 @@ func FromEdges(n int, edges []Edge) *Graph {
 			cursor[e.V]++
 		}
 	}
+	return transposeDedup(offsets, cursor, unsorted, make([]VertexID, len(unsorted)))
+}
 
-	sorted := make([]VertexID, offsets[n])
+// FromPairs is FromEdges over a flat endpoint buffer — edge i is
+// {pairs[2i], pairs[2i+1]} — which it consumes: once scattered, the buffer
+// is reused as the transpose target, so the build allocates one arc array
+// instead of two (high-water: pairs + arcs × 4 bytes). The contents of
+// pairs are unspecified afterwards.
+func FromPairs(n int, pairs []VertexID) *Graph {
+	if len(pairs)%2 != 0 {
+		panic("graph: odd endpoint buffer")
+	}
+	offsets := make([]int64, n+1)
+	for i := 0; i < len(pairs); i += 2 {
+		u, v := pairs[i], pairs[i+1]
+		checkEdge(n, u, v)
+		if u != v {
+			offsets[u+1]++
+			offsets[v+1]++
+		}
+	}
+	cursor := rowStarts(offsets)
+	unsorted := make([]VertexID, offsets[n])
+	for i := 0; i < len(pairs); i += 2 {
+		if u, v := pairs[i], pairs[i+1]; u != v {
+			unsorted[cursor[u]] = v
+			cursor[u]++
+			unsorted[cursor[v]] = u
+			cursor[v]++
+		}
+	}
+	return transposeDedup(offsets, cursor, unsorted, pairs[:len(unsorted)])
+}
+
+// rowStarts turns per-vertex arc counts (offsets[v+1] = degree of v) into
+// CSR offsets in place and returns a scatter cursor at every row's start.
+func rowStarts(offsets []int64) []int64 {
+	n := len(offsets) - 1
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	cursor := make([]int64, n)
+	copy(cursor, offsets)
+	return cursor
+}
+
+// transposeDedup is the builder core behind both front ends: unsorted
+// holds a symmetric arc multiset grouped by source under offsets. It is
+// transposed into scratch (len(unsorted) arcs, contents overwritten),
+// which sorts every row, then deduplicated back into unsorted's storage,
+// closing the gaps and rewriting offsets.
+func transposeDedup(offsets, cursor []int64, unsorted, scratch []VertexID) *Graph {
+	n := len(offsets) - 1
 	copy(cursor, offsets)
 	for u := 0; u < n; u++ {
 		for _, v := range unsorted[offsets[u]:offsets[u+1]] {
-			sorted[cursor[v]] = VertexID(u)
+			scratch[cursor[v]] = VertexID(u)
 			cursor[v]++
 		}
 	}
 
-	// Deduplicate into the first array's storage, closing the gaps.
 	adj := unsorted[:0]
 	lo := int64(0)
 	for v := 0; v < n; v++ {
-		row := sorted[lo:offsets[v+1]]
+		row := scratch[lo:offsets[v+1]]
 		lo = offsets[v+1]
 		offsets[v] = int64(len(adj))
 		for i, u := range row {

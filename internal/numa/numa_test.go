@@ -239,3 +239,15 @@ func TestAlignedRanges(t *testing.T) {
 		}
 	}
 }
+
+func TestTrackerShadowAccounting(t *testing.T) {
+	topo := Topology{Sockets: 2, WorkersPerSocket: 2}
+	tr := NewTracker(topo)
+	tr.RecordLocalN(1, 10)
+	tr.RecordShadowMerge(0, 1, 5) // same socket: local
+	tr.RecordShadowMerge(0, 2, 7) // cross socket: remote
+	l, r := tr.Totals()
+	if l != 15 || r != 7 {
+		t.Fatalf("local/remote = %d/%d, want 15/7", l, r)
+	}
+}

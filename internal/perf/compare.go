@@ -38,21 +38,13 @@ func Threshold(name string) float64 {
 		// absolute-GTEPS investigation of the smspbfs/bit outlier is
 		// recorded in docs/BENCHMARKS.md.
 		return 0.08
-	case name == "server/coalescer":
-		// Closed-loop queueing: batch formation is timing-sensitive, so
-		// medians wander more than the pure kernels.
-		return 0.12
-	case strings.HasPrefix(name, "engine/"):
-		// Same closed-loop coalescer workload, plus arena warm/cold state
-		// that shifts with scheduler timing.
-		return 0.12
 	case strings.HasPrefix(name, "csr/"):
 		// Large transient allocations make build times GC-phase dependent.
 		return 0.08
 	case strings.HasPrefix(name, "dyn/"):
 		// Overlay pages are small and cache-cold relative to the CSR, so
 		// the fused scan's timing moves with allocator placement between
-		// runs; wider than the kernels, tighter than the queueing suites.
+		// runs; wider than the kernels, tighter than the cluster row.
 		return 0.10
 	case strings.HasPrefix(name, "cluster/"):
 		// Loopback RPC and the per-level barrier put kernel timings behind

@@ -14,7 +14,7 @@ func syntheticReport(scale float64) *Report {
 	r := &Report{
 		SchemaVersion: SchemaVersion,
 		Env:           env,
-		Config:        RunConfig{Quick: true, Scale: 10, Sources: 64, Workers: 2, Reps: 5, Seed: 1, LoadClients: 16, LoadRequests: 240},
+		Config:        RunConfig{Quick: true, Scale: 10, Sources: 64, Workers: 2, Reps: 5, Seed: 1},
 	}
 	for i, name := range ScenarioNames() {
 		base := float64(100_000 * (i + 1))

@@ -3,7 +3,7 @@
 // It runs a pinned suite of named scenarios — the paper's kernels
 // (MS-PBFS under forced and automatic direction, SMS-PBFS in both state
 // representations, sequential MS-BFS, Beamer's GAPBS baseline), the
-// CSR build, and the query server's coalescer — under a fixed
+// CSR build, the in-process cluster and the overlay scan — under a fixed
 // measurement protocol: fixed-seed graphs from internal/gen (via the same
 // memoized builders the figure experiments use), warmup iterations, then N
 // repetitions taken interleaved across scenarios so drift and background
@@ -50,10 +50,6 @@ type Config struct {
 	// Seed drives graph generation, source selection and the bootstrap
 	// (0: 20170321, the figure experiments' seed).
 	Seed uint64
-	// LoadClients / LoadRequests size the coalescer scenario
-	// (<=0: 64/1280, Quick 16/240).
-	LoadClients  int
-	LoadRequests int
 	// Handicaps artificially inflates named scenarios' recorded timings by
 	// the given factor (e.g. 2 doubles them). It exists to validate the
 	// compare gate end to end — an injected 2x slowdown must be flagged —
@@ -102,20 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 20170321
 	}
-	if c.LoadClients <= 0 {
-		if c.Quick {
-			c.LoadClients = 16
-		} else {
-			c.LoadClients = 64
-		}
-	}
-	if c.LoadRequests <= 0 {
-		if c.Quick {
-			c.LoadRequests = 240
-		} else {
-			c.LoadRequests = 1280
-		}
-	}
 	return c
 }
 
@@ -131,7 +113,6 @@ func (c Config) out() io.Writer {
 const (
 	UnitEdgesTraversed = "edges-traversed" // Graph500 accounting; GTEPS applies
 	UnitEdgesBuilt     = "edges-built"     // CSR construction input edges
-	UnitQueries        = "queries"         // coalescer requests served
 )
 
 // Sample is one measured scenario iteration.
@@ -143,9 +124,6 @@ type Sample struct {
 	// Stats carries the traversal's RunStat when the scenario has one; the
 	// last repetition's summary is exported into the JSON row.
 	Stats *metrics.RunStat
-	// Latency carries per-request latencies for the coalescer scenario;
-	// repetitions are merged into the row's latency summary.
-	Latency *metrics.Histogram
 }
 
 // Scenario is one named, pinned benchmark. Names are part of the JSON
@@ -168,9 +146,6 @@ func Scenarios() []Scenario {
 		{"msbfs/sequential", "sequential MS-BFS (Then et al.)", UnitEdgesTraversed, runMSBFSSeq},
 		{"beamer/gapbs", "Beamer direction-optimizing BFS, GAPBS variant", UnitEdgesTraversed, runBeamerGAPBS},
 		{"csr/build", "sort-free CSR construction from an edge list", UnitEdgesBuilt, runCSRBuild},
-		{"server/coalescer", "in-process query coalescer, closed-loop clients", UnitQueries, runCoalescer},
-		{"engine/reuse", "coalescer load on a warm persistent engine", UnitQueries, runEngineReuse},
-		{"engine/coldstart", "coalescer load on a fresh engine per repetition", UnitQueries, runEngineColdStart},
 		{"cluster/inproc", "sharded MS-PBFS over a 2-shard loopback cluster", UnitEdgesTraversed, runClusterInproc},
 		{"dyn/overlay-scan", "MS-PBFS auto with a resident dynamic-delta overlay", UnitEdgesTraversed, runDynOverlayScan},
 		{"mspbfs/auto-large", "MS-PBFS direction switching on the large fixture", UnitEdgesTraversed, runMSPBFSAutoLarge},

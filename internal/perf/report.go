@@ -63,17 +63,15 @@ func (e Environment) Comparable(o Environment) bool {
 // RunConfig records the suite sizing a report was produced with. Compare
 // refuses to join reports with different workloads.
 type RunConfig struct {
-	Quick        bool               `json:"quick"`
-	Scale        int                `json:"scale"`
-	LargeScale   int                `json:"large_scale,omitempty"`
-	Sources      int                `json:"sources"`
-	Workers      int                `json:"workers"`
-	Warmup       int                `json:"warmup"`
-	Reps         int                `json:"reps"`
-	Seed         uint64             `json:"seed"`
-	LoadClients  int                `json:"load_clients"`
-	LoadRequests int                `json:"load_requests"`
-	Handicaps    map[string]float64 `json:"handicaps,omitempty"`
+	Quick      bool               `json:"quick"`
+	Scale      int                `json:"scale"`
+	LargeScale int                `json:"large_scale,omitempty"`
+	Sources    int                `json:"sources"`
+	Workers    int                `json:"workers"`
+	Warmup     int                `json:"warmup"`
+	Reps       int                `json:"reps"`
+	Seed       uint64             `json:"seed"`
+	Handicaps  map[string]float64 `json:"handicaps,omitempty"`
 }
 
 // sameWorkload reports whether two configs describe the same measured work
@@ -81,8 +79,7 @@ type RunConfig struct {
 // exactly how the gate is validated).
 func (c RunConfig) sameWorkload(o RunConfig) bool {
 	return c.Quick == o.Quick && c.Scale == o.Scale && c.LargeScale == o.LargeScale &&
-		c.Sources == o.Sources && c.Workers == o.Workers && c.Seed == o.Seed &&
-		c.LoadClients == o.LoadClients && c.LoadRequests == o.LoadRequests
+		c.Sources == o.Sources && c.Workers == o.Workers && c.Seed == o.Seed
 }
 
 // Row is one scenario's measured summary. All *_ns fields are nanoseconds
@@ -104,9 +101,6 @@ type Row struct {
 	GTEPS float64 `json:"gteps_median"`
 	// Run is the last repetition's traversal summary (traversal scenarios).
 	Run *metrics.RunSummary `json:"run,omitempty"`
-	// Latency summarizes per-request latency across all repetitions
-	// (coalescer scenario).
-	Latency *metrics.HistogramSummary `json:"latency,omitempty"`
 }
 
 // Report is the whole suite run — the unit the BENCH_<sha>.json trajectory

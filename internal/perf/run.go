@@ -46,7 +46,6 @@ func Run(cfg Config) (*Report, error) {
 	type acc struct {
 		samples []int64
 		last    Sample
-		merged  []Sample // repetitions carrying a latency histogram
 	}
 	accs := make([]acc, len(scens))
 	for r := 0; r < cfg.Reps; r++ {
@@ -57,9 +56,6 @@ func Run(cfg Config) (*Report, error) {
 			}
 			accs[i].samples = append(accs[i].samples, int64(smp.Elapsed))
 			accs[i].last = smp
-			if smp.Latency != nil {
-				accs[i].merged = append(accs[i].merged, smp)
-			}
 		}
 		fmt.Fprintf(cfg.out(), "perf: rep %d/%d done\n", r+1, cfg.Reps)
 	}
@@ -73,17 +69,15 @@ func Run(cfg Config) (*Report, error) {
 		CreatedUnix:   time.Now().Unix(),
 		Env:           CaptureEnvironment(),
 		Config: RunConfig{
-			Quick:        cfg.Quick,
-			Scale:        cfg.Scale,
-			LargeScale:   cfg.LargeScale,
-			Sources:      cfg.Sources,
-			Workers:      cfg.Workers,
-			Warmup:       cfg.Warmup,
-			Reps:         cfg.Reps,
-			Seed:         cfg.Seed,
-			LoadClients:  cfg.LoadClients,
-			LoadRequests: cfg.LoadRequests,
-			Handicaps:    cfg.Handicaps,
+			Quick:      cfg.Quick,
+			Scale:      cfg.Scale,
+			LargeScale: cfg.LargeScale,
+			Sources:    cfg.Sources,
+			Workers:    cfg.Workers,
+			Warmup:     cfg.Warmup,
+			Reps:       cfg.Reps,
+			Seed:       cfg.Seed,
+			Handicaps:  cfg.Handicaps,
 		},
 	}
 	for i, s := range scens {
@@ -111,14 +105,6 @@ func Run(cfg Config) (*Report, error) {
 		if a.last.Stats != nil {
 			sum := a.last.Stats.Summary()
 			row.Run = &sum
-		}
-		if len(a.merged) > 0 {
-			h := a.merged[0].Latency
-			for _, smp := range a.merged[1:] {
-				h.Merge(smp.Latency)
-			}
-			sum := h.Summary()
-			row.Latency = &sum
 		}
 		report.Scenarios = append(report.Scenarios, row)
 	}

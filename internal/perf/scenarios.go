@@ -13,7 +13,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
-	"repro/internal/server"
 )
 
 // suiteEnv is the shared fixture every scenario runs against: one
@@ -33,19 +32,14 @@ type suiteEnv struct {
 	gLarge       *graph.Graph
 	sourcesLarge []int
 	counterLarge *metrics.EdgeCounter
-	edges        []graph.Edge  // canonical edge list for the CSR build scenario
-	srvG         *msbfs.Graph  // the same CSR wrapped for the coalescer
-	eng          *msbfs.Engine // warm persistent engine for the engine/reuse scenario
+	edges        []graph.Edge // canonical edge list for the CSR build scenario
 	clu          *cluster.Inproc
 	cluRG        *cluster.RemoteGraph // suite graph sharded over the inproc cluster
 	ov           *graph.Overlay       // resident delta for the dyn/overlay-scan scenario
 }
 
 // close releases the fixture's long-lived resources after the suite run.
-func (e *suiteEnv) close() {
-	e.clu.Close()
-	e.eng.Close()
-}
+func (e *suiteEnv) close() { e.clu.Close() }
 
 func newSuiteEnv(cfg Config) (*suiteEnv, error) {
 	base := bench.KroneckerGraph(cfg.Scale, cfg.Seed)
@@ -114,8 +108,6 @@ func newSuiteEnv(cfg Config) (*suiteEnv, error) {
 		sourcesLarge: sourcesLarge,
 		counterLarge: metrics.NewEdgeCounter(stripedLarge),
 		edges:        edges,
-		srvG:         srvG,
-		eng:          msbfs.NewEngine(msbfs.Options{Workers: cfg.Workers}),
 		clu:          clu,
 		cluRG:        cluRG,
 		ov:           graph.NewOverlay(n).WithEdges(extra, nil),
@@ -217,33 +209,6 @@ func runCSRBuild(e *suiteEnv) Sample {
 	return Sample{Elapsed: elapsed, Work: g.NumEdges()}
 }
 
-// runEngineLoad drives the coalescer workload with the given engine wired
-// through Config.Engine (nil: the library's shared default engine); it is
-// the shared body of the coalescer and the two engine scenarios.
-func runEngineLoad(e *suiteEnv, eng *msbfs.Engine) Sample {
-	c := server.NewCoalescer(e.srvG, server.Config{
-		Workers:       e.cfg.Workers,
-		BatchWords:    1,
-		FlushDeadline: time.Millisecond,
-		MaxPending:    e.cfg.LoadRequests + e.cfg.LoadClients,
-		Engine:        eng,
-	}, server.NewMetrics(), nil)
-	st := server.DriveLoad(c, server.LoadSpec{
-		Clients:  e.cfg.LoadClients,
-		Requests: e.cfg.LoadRequests,
-		Seed:     e.cfg.Seed,
-	})
-	c.Close()
-	return Sample{
-		Elapsed: st.Elapsed,
-		Work:    int64(st.Requests - st.Failed),
-		Latency: &st.Latency,
-	}
-}
-
-// runCoalescer serves the load from the library's shared default engine.
-func runCoalescer(e *suiteEnv) Sample { return runEngineLoad(e, nil) }
-
 // runClusterInproc runs the suite's multi-source workload as one sharded
 // traversal over the 2-shard loopback cluster: local MS-PBFS steps plus a
 // compressed delta-frontier exchange and level barrier per iteration. Its
@@ -276,18 +241,4 @@ func runDynOverlayScan(e *suiteEnv) Sample {
 	return runMulti(e, func() *core.MultiResult {
 		return core.MSPBFS(e.g, e.sources, opt)
 	})
-}
-
-// runEngineReuse serves the load from the suite's warm persistent engine:
-// every flush hits recycled pools and state arenas. Its delta against
-// engine/coldstart is the measured value of engine reuse.
-func runEngineReuse(e *suiteEnv) Sample { return runEngineLoad(e, e.eng) }
-
-// runEngineColdStart serves the same load from a freshly constructed engine
-// torn down after the run, so every arena borrow early in the load is a
-// miss and the pools are built from scratch.
-func runEngineColdStart(e *suiteEnv) Sample {
-	eng := msbfs.NewEngine(msbfs.Options{Workers: e.cfg.Workers})
-	defer eng.Close()
-	return runEngineLoad(e, eng)
 }

@@ -17,7 +17,7 @@ func sum64(xs []int64) int64 {
 // TestTaskCountsAccounting: every fetched task is counted exactly once,
 // and a single-worker pool can never steal.
 func TestTaskCountsAccounting(t *testing.T) {
-	p := NewPool(4, false)
+	p := NewPool(4)
 	defer p.Close()
 	tq := CreateTasks(1000, 16, 4)
 
@@ -55,7 +55,7 @@ func TestTaskCountsAccounting(t *testing.T) {
 // counted as steals.
 func TestStealCountsDetectSteals(t *testing.T) {
 	const workers = 4
-	p := NewPool(workers, false)
+	p := NewPool(workers)
 	defer p.Close()
 
 	// All tasks land in worker 0's queue (built directly; CreateTasks
@@ -93,7 +93,7 @@ func TestStealCountsDetectSteals(t *testing.T) {
 // TestStaticFetchNeverSteals: the static path counts tasks but can never
 // record a steal.
 func TestStaticFetchNeverSteals(t *testing.T) {
-	p := NewPool(3, false)
+	p := NewPool(3)
 	defer p.Close()
 	tq := CreateTasks(300, 16, 3)
 	p.ParallelForStatic(tq, func(_ int, _ Range) {})

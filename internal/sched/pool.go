@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,9 +10,8 @@ import (
 // Pool is a set of persistent worker goroutines that execute the parallel
 // vertex loops of the BFS kernels. Workers are created once per BFS run and
 // reused across phases and iterations, mirroring the paper's pinned worker
-// threads: each worker optionally locks itself to an OS thread, which is
-// the closest portable equivalent to CPU pinning available in Go (the NUMA
-// placement itself is modeled by internal/numa; see DESIGN.md §3).
+// threads; Go cannot pin them to CPUs, so NUMA placement is modeled by
+// internal/numa (see DESIGN.md §3).
 type Pool struct {
 	workers int
 	jobs    []chan phaseJob
@@ -39,11 +37,6 @@ type Pool struct {
 	// iteration, and a per-phase WaitGroup escapes to the heap.
 	panics chan any
 	done   sync.WaitGroup
-
-	// pin, when non-nil, is called once from each worker goroutine before
-	// it starts serving phases — the hook real NUMA placement uses to bind
-	// workers to CPUs (internal/numa.PinWorker). Best-effort by contract.
-	pin func(workerID int)
 
 	closed bool
 }
@@ -75,18 +68,8 @@ type phaseJob struct {
 	panics  chan any
 }
 
-// NewPool starts a pool with the given number of workers. lockThreads pins
-// each worker to an OS thread for the pool's lifetime.
-func NewPool(workers int, lockThreads bool) *Pool {
-	return NewPoolPinned(workers, lockThreads, nil)
-}
-
-// NewPoolPinned is NewPool with a per-worker pinning hook: pin(w) runs on
-// worker w's goroutine (after the OS-thread lock when lockThreads is set)
-// before the worker serves its first phase. Used for real first-touch NUMA
-// placement, where the thread that zeroes a stripe must stay on the CPU
-// whose node should own the pages.
-func NewPoolPinned(workers int, lockThreads bool, pin func(workerID int)) *Pool {
+// NewPool starts a pool with the given number of workers.
+func NewPool(workers int) *Pool {
 	if workers < 1 {
 		panic("sched: pool needs at least one worker")
 	}
@@ -96,12 +79,11 @@ func NewPoolPinned(workers int, lockThreads bool, pin func(workerID int)) *Pool 
 		busy:    make([]busyCell, workers),
 		counts:  make([]taskCounter, workers),
 		panics:  make(chan any, 1),
-		pin:     pin,
 	}
 	for w := 0; w < workers; w++ {
 		p.jobs[w] = make(chan phaseJob, 1)
 		p.wg.Add(1)
-		go p.workerLoop(w, lockThreads)
+		go p.workerLoop(w)
 	}
 	return p
 }
@@ -109,20 +91,8 @@ func NewPoolPinned(workers int, lockThreads bool, pin func(workerID int)) *Pool 
 // Workers returns the number of workers in the pool.
 func (p *Pool) Workers() int { return p.workers }
 
-// Pinned reports whether the pool's workers run a CPU-affinity hook
-// (NewPoolPinned with a non-nil pin). Pool caches recycle pinned and
-// unpinned pools separately.
-func (p *Pool) Pinned() bool { return p.pin != nil }
-
-func (p *Pool) workerLoop(workerID int, lockThread bool) {
+func (p *Pool) workerLoop(workerID int) {
 	defer p.wg.Done()
-	if lockThread {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
-	if p.pin != nil {
-		p.pin(workerID)
-	}
 	for job := range p.jobs[workerID] {
 		start := time.Now()
 		func() {

@@ -22,7 +22,7 @@ func TestParallelForExactlyOnceStress(t *testing.T) {
 		split   = 64
 		phases  = 30
 	)
-	p := NewPool(workers, false)
+	p := NewPool(workers)
 	defer p.Close()
 
 	visits := make([]int64, total)
@@ -51,7 +51,7 @@ func TestParallelForStaticStress(t *testing.T) {
 		split   = 64
 		phases  = 30
 	)
-	p := NewPool(workers, false)
+	p := NewPool(workers)
 	defer p.Close()
 
 	tq := CreateTasks(total, split, workers)
@@ -87,7 +87,7 @@ func TestConcurrentPools(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p := NewPool(workers, false)
+			p := NewPool(workers)
 			defer p.Close()
 			tq := CreateTasks(total, split, workers)
 			p.ParallelFor(tq, func(_ int, r Range) {

@@ -215,7 +215,7 @@ func TestQuickTasksPartition(t *testing.T) {
 }
 
 func TestPoolParallelForProcessesAll(t *testing.T) {
-	p := NewPool(4, false)
+	p := NewPool(4)
 	defer p.Close()
 	const total = 100000
 	tq := CreateTasks(total, 256, 4)
@@ -234,7 +234,7 @@ func TestPoolParallelForProcessesAll(t *testing.T) {
 }
 
 func TestPoolStaticPartitioning(t *testing.T) {
-	p := NewPool(3, false)
+	p := NewPool(3)
 	defer p.Close()
 	tq := CreateTasks(900, 100, 3)
 	var mu sync.Mutex
@@ -258,7 +258,7 @@ func TestPoolStaticPartitioning(t *testing.T) {
 }
 
 func TestPoolReuseAcrossPhases(t *testing.T) {
-	p := NewPool(2, false)
+	p := NewPool(2)
 	defer p.Close()
 	tq := CreateTasks(1000, 128, 2)
 	var count atomic.Int64
@@ -274,7 +274,7 @@ func TestPoolReuseAcrossPhases(t *testing.T) {
 }
 
 func TestPoolTimedReturnsPerWorker(t *testing.T) {
-	p := NewPool(2, false)
+	p := NewPool(2)
 	defer p.Close()
 	tq := CreateTasks(1024, 512, 2)
 	busy := p.ParallelForTimed(tq, true, func(_ int, r Range) {
@@ -291,7 +291,7 @@ func TestPoolTimedReturnsPerWorker(t *testing.T) {
 }
 
 func TestPoolBusyAccumulates(t *testing.T) {
-	p := NewPool(2, false)
+	p := NewPool(2)
 	defer p.Close()
 	tq := CreateTasks(512, 256, 2)
 	p.ResetBusy()
@@ -313,7 +313,7 @@ func TestPoolBusyAccumulates(t *testing.T) {
 }
 
 func TestPoolPanicPropagates(t *testing.T) {
-	p := NewPool(2, false)
+	p := NewPool(2)
 	defer p.Close()
 	tq := CreateTasks(512, 256, 2)
 	defer func() {
@@ -331,7 +331,7 @@ func TestPoolPanicPropagates(t *testing.T) {
 }
 
 func TestPoolSurvivesPanicAndKeepsWorking(t *testing.T) {
-	p := NewPool(2, false)
+	p := NewPool(2)
 	defer p.Close()
 	tq := CreateTasks(512, 256, 2)
 	func() {
@@ -348,7 +348,7 @@ func TestPoolSurvivesPanicAndKeepsWorking(t *testing.T) {
 }
 
 func TestPoolUseAfterClosePanics(t *testing.T) {
-	p := NewPool(1, false)
+	p := NewPool(1)
 	p.Close()
 	p.Close() // double close is a no-op
 	defer func() {
@@ -360,7 +360,7 @@ func TestPoolUseAfterClosePanics(t *testing.T) {
 }
 
 func TestPoolSingleWorker(t *testing.T) {
-	p := NewPool(1, false)
+	p := NewPool(1)
 	defer p.Close()
 	tq := CreateTasks(1000, 100, 1)
 	order := []Range{}
@@ -470,17 +470,5 @@ func TestFetchExactlyOnceWithStealOrder(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("task %+v fetched %d times", r, c)
 		}
-	}
-}
-
-func TestPoolLockedThreads(t *testing.T) {
-	// The pinned-worker mode must behave identically; pinning is advisory.
-	p := NewPool(2, true)
-	defer p.Close()
-	tq := CreateTasks(2048, 512, 2)
-	var count atomic.Int64
-	p.ParallelFor(tq, func(_ int, r Range) { count.Add(int64(r.Len())) })
-	if count.Load() != 2048 {
-		t.Errorf("processed %d vertices, want 2048", count.Load())
 	}
 }

@@ -51,7 +51,7 @@ func TestCreateStripeTasksEmptyStripe(t *testing.T) {
 }
 
 func TestSoloPoolRunsInlineWithAccounting(t *testing.T) {
-	p := NewPool(1, false)
+	p := NewPool(1)
 	defer p.Close()
 	tq := CreateTasks(1000, 100, 1)
 	sum := 0
@@ -77,7 +77,7 @@ func TestSoloPoolRunsInlineWithAccounting(t *testing.T) {
 }
 
 func TestSoloPoolPanicWrapped(t *testing.T) {
-	p := NewPool(1, false)
+	p := NewPool(1)
 	defer p.Close()
 	defer func() {
 		r := recover()
@@ -89,20 +89,4 @@ func TestSoloPoolPanicWrapped(t *testing.T) {
 		}
 	}()
 	p.ParallelFor(CreateTasks(10, 5, 1), func(int, Range) { panic("boom") })
-}
-
-func TestPinnedPoolHookRuns(t *testing.T) {
-	pinned := make(chan int, 4)
-	p := NewPoolPinned(4, false, func(w int) { pinned <- w })
-	defer p.Close()
-	// The hook runs on worker startup; a phase barrier guarantees all
-	// workers have started.
-	p.ParallelFor(CreateTasks(100, 10, 4), func(int, Range) {})
-	seen := map[int]bool{}
-	for i := 0; i < 4; i++ {
-		seen[<-pinned] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("pin hook ran for %d distinct workers, want 4", len(seen))
-	}
 }

@@ -218,27 +218,40 @@ func TestHTTPDynamicMetricsAndGraphs(t *testing.T) {
 	}
 
 	// /graphs reports the dynamic flag, live version and edge count
-	// including the delta.
-	gresp, err := http.Get(ts.URL + "/graphs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gresp.Body.Close()
-	var infos []graphInfo
-	if err := json.NewDecoder(gresp.Body).Decode(&infos); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, gi := range infos {
-		if gi.Name == "live" {
-			found = true
-			if !gi.Dynamic || gi.Version != 2 || gi.Edges != 5 {
-				t.Errorf("graph info %+v (want dynamic, version 2, 5 edges)", gi)
+	// including the delta — and the same count once compaction has folded
+	// the delta into a new CSR generation (the answer comes from the
+	// current version, not the seed).
+	liveInfo := func() graphInfo {
+		t.Helper()
+		gresp, err := http.Get(ts.URL + "/graphs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gresp.Body.Close()
+		var infos []graphInfo
+		if err := json.NewDecoder(gresp.Body).Decode(&infos); err != nil {
+			t.Fatal(err)
+		}
+		for _, gi := range infos {
+			if gi.Name == "live" {
+				return gi
 			}
 		}
-	}
-	if !found {
 		t.Fatalf("/graphs missing the dynamic graph")
+		return graphInfo{}
+	}
+	if gi := liveInfo(); !gi.Dynamic || gi.Version != 2 || gi.Edges != 5 {
+		t.Errorf("graph info %+v (want dynamic, version 2, 5 edges)", gi)
+	}
+	live, _ := ts.Config.Handler.(*Server).reg.Get("live")
+	if _, err := live.Dyn.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := live.Dyn.Stats(); st.DeltaArcs != 0 || st.BaseEdges != 5 {
+		t.Fatalf("after Compact: %d delta arcs over %d base edges, want 0 over 5", st.DeltaArcs, st.BaseEdges)
+	}
+	if gi := liveInfo(); !gi.Dynamic || gi.Edges != 5 {
+		t.Errorf("graph info after Compact %+v (want dynamic, 5 edges)", gi)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 //	bfsd -graph demo=kron:scale=14 -addr :8080
 //	bfsd -graph social=social:n=200000 -graph web=file:web.bin \
-//	     -workers 8 -batchwords 4 -flush 2ms
+//	     -workers 8 -batchwords 4
 //	bfsd -graph demo=kron:scale=14 -debug-addr 127.0.0.1:6060
 //
 // Cluster mode shards each graph's vertex range across bfsd shard
@@ -29,7 +29,7 @@
 // request flight recorder; see docs/OBSERVABILITY.md) — off by default so
 // profiling endpoints are never reachable from the query port.
 // SIGINT/SIGTERM drains gracefully: the listener stops, queued requests
-// flush as final batches, in-flight batches finish.
+// are served as final batches, in-flight batches finish.
 package main
 
 import (
@@ -87,9 +87,8 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve pprof/runtime-trace/flight-recorder debug endpoints on this address (empty: disabled)")
 		workers    = flag.Int("workers", runtime.NumCPU(), "traversal workers per batch")
 		batchWords = flag.Int("batchwords", 1, "MS-PBFS bitset width in words (batch = 64*words sources)")
-		maxBatch   = flag.Int("maxbatch", 0, "override flush width in sources (0: 64*batchwords; 1: disable coalescing)")
-		flush      = flag.Duration("flush", 2*time.Millisecond, "deadline before a partial batch is flushed")
-		maxPending = flag.Int("maxpending", 0, "pending-queue bound, beyond it requests get 429 (0: 4x flush width)")
+		maxBatch   = flag.Int("maxbatch", 0, "override the widest batch in sources (0: 64*batchwords; 1: disable coalescing)")
+		maxPending = flag.Int("maxpending", 0, "bound on a graph's admitted requests, queued or running; beyond it requests get 429 (0: 4x the widest batch)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "per-request server-side timeout")
 		drainWait  = flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight requests")
 		slowQuery  = flag.Duration("slow-query", server.DefaultSlowQuery, "latency above which a request enters the slow-query log and is logged")
@@ -131,7 +130,6 @@ func main() {
 		Workers:        *workers,
 		BatchWords:     *batchWords,
 		MaxBatch:       *maxBatch,
-		FlushDeadline:  *flush,
 		MaxPending:     *maxPending,
 		RequestTimeout: *timeout,
 	}, *slowQuery, *statsTick, *drainWait); err != nil {
@@ -262,7 +260,7 @@ func run(logger *slog.Logger, graphs graphFlags, addr, debugAddr string, shards 
 		errc <- httpSrv.ListenAndServe()
 	}()
 	logger.Info("listening", "addr", addr,
-		"workers", cfg.Workers, "batch", srv.MaxBatch(), "flush", cfg.FlushDeadline)
+		"workers", cfg.Workers, "batch", srv.MaxBatch())
 
 	// The debug surface binds its own listener so it can be kept on
 	// loopback (or off, the default) while the query port is public.
@@ -301,7 +299,7 @@ func run(logger *slog.Logger, graphs graphFlags, addr, debugAddr string, shards 
 	}
 	<-errc // reap the listener goroutine (returns ErrServerClosed)
 	st := reg.EngineStats()
-	srv.Close() // flush queued requests as final batches, wait for batches; releases the engine
+	srv.Close() // serve queued requests as final batches, wait for batches; releases the engine
 	logger.Info("engine at drain",
 		"pooled_workers", st.PooledWorkers,
 		"arena_free_objects", st.FreeShells+st.FreeStates+st.FreeBitmaps+st.FreeLevelRows,

@@ -80,7 +80,7 @@ func TestRunServesAndDrains(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(testLogger(), graphFlags{"demo": "uniform:n=500,degree=6,seed=1"}, addr,
-			debugAddr, nil, false, 0, server.Config{Workers: 2, FlushDeadline: time.Millisecond},
+			debugAddr, nil, false, 0, server.Config{Workers: 2},
 			server.DefaultSlowQuery, time.Second, 5*time.Second)
 	}()
 
@@ -196,7 +196,7 @@ func TestRunClusterMode(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(testLogger(), graphFlags{"demo": "uniform:n=500,degree=6,seed=1"}, addr,
-			"", []string{shardA, shardB}, false, 0, server.Config{Workers: 2, FlushDeadline: time.Millisecond},
+			"", []string{shardA, shardB}, false, 0, server.Config{Workers: 2},
 			server.DefaultSlowQuery, time.Second, 5*time.Second)
 	}()
 

@@ -42,19 +42,17 @@ func main() {
 		// In-process server knobs (ignored with -addr).
 		workers    = flag.Int("workers", runtime.NumCPU(), "in-process server: traversal workers")
 		batchWords = flag.Int("batchwords", 1, "in-process server: bitset width in words")
-		maxBatch   = flag.Int("maxbatch", 0, "in-process server: flush width override (1: no coalescing)")
-		flush      = flag.Duration("flush", 2*time.Millisecond, "in-process server: flush deadline")
+		maxBatch   = flag.Int("maxbatch", 0, "in-process server: widest batch override (1: no coalescing)")
 	)
 	flag.Parse()
 
 	base := *addr
 	if *inprocess != "" {
 		cfg := server.Config{
-			Workers:       *workers,
-			BatchWords:    *batchWords,
-			MaxBatch:      *maxBatch,
-			FlushDeadline: *flush,
-			MaxPending:    *requests + *clients, // the load is the bound
+			Workers:    *workers,
+			BatchWords: *batchWords,
+			MaxBatch:   *maxBatch,
+			MaxPending: *requests + *clients, // the load is the bound
 		}
 		reg := server.NewRegistry()
 		g, err := reg.BuildGraph("load", *inprocess)

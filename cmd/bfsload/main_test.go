@@ -4,7 +4,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	msbfs "repro"
 	"repro/internal/server"
@@ -33,10 +32,9 @@ func newInprocess(t *testing.T, cfg server.Config) *httptest.Server {
 // multi-source traversals.
 func TestLoadAchievesCoalescing(t *testing.T) {
 	ts := newInprocess(t, server.Config{
-		Workers:       2,
-		BatchWords:    1,
-		FlushDeadline: 2 * time.Millisecond,
-		MaxPending:    2048,
+		Workers:    2,
+		BatchWords: 1,
+		MaxPending: 2048,
 	})
 	rep, err := drive(ts.URL, driveConfig{Clients: 64, Requests: 512, Kind: "mixed", Seed: 3})
 	if err != nil {
@@ -65,10 +63,9 @@ func TestLoadAchievesCoalescing(t *testing.T) {
 // MaxBatch=1 the same workload reports width exactly 1.
 func TestUnbatchedBaselineWidthIsOne(t *testing.T) {
 	ts := newInprocess(t, server.Config{
-		Workers:       2,
-		MaxBatch:      1,
-		FlushDeadline: 2 * time.Millisecond,
-		MaxPending:    2048,
+		Workers:    2,
+		MaxBatch:   1,
+		MaxPending: 2048,
 	})
 	rep, err := drive(ts.URL, driveConfig{Clients: 16, Requests: 64, Kind: "closeness", Seed: 3})
 	if err != nil {
@@ -83,7 +80,7 @@ func TestUnbatchedBaselineWidthIsOne(t *testing.T) {
 }
 
 func TestDriveErrors(t *testing.T) {
-	ts := newInprocess(t, server.Config{Workers: 1, FlushDeadline: time.Millisecond})
+	ts := newInprocess(t, server.Config{Workers: 1})
 	if _, err := drive(ts.URL, driveConfig{Clients: 1, Requests: 1, Kind: "pagerank"}); err == nil {
 		t.Error("unknown kind accepted")
 	}

@@ -11,11 +11,13 @@ import (
 )
 
 // The coalescer allocation tests pin the serving path's steady state: with
-// the daemon's engine wired in, a flush allocates only its per-batch demux
-// bookkeeping (sources, accumulators, answers) — never a fresh worker pool
-// or state array. MaxBatch 1 makes Submit flush synchronously, so
-// AllocsPerRun sees exactly one request -> one batch per run. Excluded
-// from -race builds (the detector inflates allocation counts).
+// the daemon's engine wired in, a batch allocates only what leaves with its
+// requests — never a fresh worker pool or state array, and not its own
+// sources / accumulators / target-index slices either, which a finished
+// batch hands to the next. MaxBatch 1 and one caller make every Submit a
+// lone batch on an idle graph, so AllocsPerRun sees exactly one request ->
+// one batch per run. Excluded from -race builds (the detector inflates
+// allocation counts).
 
 func newAllocFixture(t *testing.T) (*Coalescer, *msbfs.Engine) {
 	t.Helper()
@@ -41,13 +43,13 @@ func TestCoalescerFlushAllocs(t *testing.T) {
 			t.Errorf("submit: %v", err)
 		}
 	})
-	// Measured ~30 allocs per submit+flush: the pending request and its
-	// demux channel, the batch bookkeeping slices, the visitor closure,
-	// and the traversal's fixed per-call overhead. The bound catches any
-	// per-vertex or per-state regression (a rebuilt state array alone
-	// would add thousands).
-	if allocs > 64 {
-		t.Errorf("coalescer submit+flush: %.0f allocs/op, want <= 64", allocs)
+	// Measured 9 allocs per submit+batch: the pending request and its
+	// demux channel, the batch goroutine, the visitor closure, and the
+	// traversal's fixed per-call overhead. Allocating the batch's scratch
+	// slices per cut, as before they were reused, reads 17; a rebuilt state
+	// array alone would add thousands.
+	if allocs > 12 {
+		t.Errorf("coalescer submit+batch: %.0f allocs/op, want <= 12", allocs)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 )
@@ -27,7 +26,7 @@ func newClusterServer(t *testing.T, shards int) (*httptest.Server, *cluster.Inpr
 	t.Cleanup(ip.Close)
 
 	reg := NewRegistry()
-	cfg := Config{Workers: 2, FlushDeadline: time.Millisecond}
+	cfg := Config{Workers: 2}
 	const spec = "kron:scale=9,edgefactor=8,seed=7"
 	g, err := reg.BuildGraph("remote", spec)
 	if err != nil {

@@ -6,10 +6,11 @@
 // The paper's argument is that b concurrent BFS traversals over the same
 // graph share most of their work and should run as one array-based
 // multi-source pass. Real query traffic, however, arrives one source at a
-// time. The Coalescer closes that gap: requests enqueue into a bounded
-// pending queue and are flushed as one MultiBFS batch either when a full
-// batch (64 x BatchWords sources) has accumulated or when the oldest
-// request has waited FlushDeadline — the fill-or-flush policy. One visitor
+// time. The Coalescer closes that gap by natural batching: a request that
+// finds its graph idle is traversed at once, requests arriving while
+// batches run accumulate in a bounded pending queue, and its head (at most
+// 64 x BatchWords sources) becomes the next MultiBFS batch when a runner is
+// free (cutWidthLocked), at most two per graph (maxInFlight). One visitor
 // pass answers every query kind in the batch; results are demultiplexed
 // back to the waiting requests.
 package server
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -100,15 +102,15 @@ type Config struct {
 	// BatchWords is the MS-PBFS bitset width in 64-bit words; a full batch
 	// holds 64*BatchWords sources (<=0: 1, clamped to 8).
 	BatchWords int
-	// MaxBatch overrides the flush width in sources (0: 64*BatchWords).
+	// MaxBatch overrides the widest batch in sources (0: 64*BatchWords).
 	// MaxBatch 1 disables coalescing — the per-request serving baseline
 	// that cmd/bfsload compares against.
 	MaxBatch int
-	// FlushDeadline is the longest a queued request waits before a partial
-	// batch is flushed (0: 2ms).
+	// Deprecated: FlushDeadline is ignored (batches are cut when a runner is
+	// free, not on a timer); it remains because frozen benchmark/ names it.
 	FlushDeadline time.Duration
-	// MaxPending bounds the queued (not yet dispatched) requests; beyond
-	// it Submit fails fast with ErrQueueFull (0: 4 x flush width).
+	// MaxPending bounds the graph's admitted requests, queued or running;
+	// beyond it Submit fails fast with ErrQueueFull (0: 4 x MaxBatch).
 	MaxPending int
 	// RequestTimeout bounds each request server-side (0: 10s). Applied by
 	// the HTTP layer, not the Coalescer (Submit honors its Context).
@@ -144,9 +146,6 @@ func (c Config) normalize() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64 * c.BatchWords
 	}
-	if c.FlushDeadline <= 0 {
-		c.FlushDeadline = 2 * time.Millisecond
-	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 4 * c.MaxBatch
 	}
@@ -174,6 +173,13 @@ type outcome struct {
 	err error
 }
 
+// maxInFlight bounds the batches of one graph running at once: concurrent
+// batches multiply batch state and split the cores (the paper's case
+// against one instance per core), and a second one earns its state arrays
+// only by filling the first one's barrier gaps. One slot, three and no
+// bound each measured worse (docs/SERVER.md, Batching policy notes).
+const maxInFlight = 2
+
 // Coalescer batches single-source queries against one graph into
 // multi-source traversals. Create with NewCoalescer; Close drains it.
 type Coalescer struct {
@@ -181,31 +187,39 @@ type Coalescer struct {
 	cfg   Config
 	met   *Metrics
 	edges func(sources []int) int64 // Graph500 edge accounting; may be nil
-	clk   clock                     // realClock outside tests
 
-	mu       sync.Mutex
-	pending  []*pendingReq
-	timerGen int // invalidates stale flush timers
-	timer    flushTimer
-	closed   bool
-	wg       sync.WaitGroup // in-flight batch executions
+	mu      sync.Mutex
+	pending []*pendingReq // admitted, not yet cut, in arrival order
+	running int           // batches cut and not yet finished, <= maxInFlight
+	runReqs int           // requests cut into those batches
+	lastCut int           // width, as cut, of the batch that finished last
+	free    []*batch      // scratch of finished batches, <= maxInFlight
+	closed  bool
+	wg      sync.WaitGroup // running batches
 }
 
 // NewCoalescer builds a coalescer over backend g — a *msbfs.Graph, a
 // *cluster.RemoteGraph, or a dynamic graph's pinning adapter. met must be
 // non-nil (use NewMetrics); edges may be nil to skip GTEPS accounting.
 func NewCoalescer(g Backend, cfg Config, met *Metrics, edges func([]int) int64) *Coalescer {
-	return &Coalescer{g: g, cfg: cfg.normalize(), met: met, edges: edges, clk: realClock{}}
+	return &Coalescer{g: g, cfg: cfg.normalize(), met: met, edges: edges}
 }
 
 // Config returns the normalized configuration the coalescer runs with.
 func (c *Coalescer) Config() Config { return c.cfg }
 
-// QueueLen reports the current pending-queue depth.
+// QueueLen reports the pending-queue depth: requests not yet cut.
 func (c *Coalescer) QueueLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pending)
+}
+
+// InFlight reports the batches running now, at most maxInFlight.
+func (c *Coalescer) InFlight() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.running
 }
 
 // validate rejects malformed queries before they can reach (and panic) the
@@ -242,13 +256,13 @@ func (c *Coalescer) validate(q Query) error {
 }
 
 // Submit enqueues q and blocks until its batch has run or ctx is done. It
-// fails fast with ErrQueueFull when the pending queue is at capacity and
-// with ErrClosed after Close has begun.
+// fails fast with ErrQueueFull when the graph already holds MaxPending
+// admitted requests and with ErrClosed after Close has begun.
 func (c *Coalescer) Submit(ctx context.Context, q Query) (Answer, error) {
 	if err := c.validate(q); err != nil {
 		return Answer{}, err
 	}
-	enqueued := c.clk.Now()
+	enqueued := time.Now()
 	// Pin the requested version before enqueueing: the view fixes which
 	// edges this query sees, no matter how long it queues or how much
 	// ingest/compaction happens meanwhile.
@@ -270,7 +284,7 @@ func (c *Coalescer) Submit(ctx context.Context, q Query) (Answer, error) {
 		pin.Release()
 		return Answer{}, ErrClosed
 	}
-	if len(c.pending) >= c.cfg.MaxPending {
+	if len(c.pending)+c.runReqs >= c.cfg.MaxPending {
 		c.mu.Unlock()
 		pin.Release()
 		c.met.Rejected.Add(1)
@@ -278,91 +292,81 @@ func (c *Coalescer) Submit(ctx context.Context, q Query) (Answer, error) {
 		return Answer{}, ErrQueueFull
 	}
 	c.met.Requests.Add(1)
-	// A batch traverses exactly one graph version. A request pinned to a
-	// different version than the batch being filled cuts that batch first
-	// and starts a fresh one.
-	if len(c.pending) > 0 && c.pending[0].pin.Version() != pin.Version() {
-		c.cutLocked()
-	}
 	c.pending = append(c.pending, p)
-	if len(c.pending) >= c.cfg.MaxBatch {
-		c.cutLocked()
-	} else if len(c.pending) == 1 {
-		c.armTimerLocked()
-	}
+	c.dispatchLocked()
 	c.mu.Unlock()
 
 	select {
 	case out := <-p.done:
 		if out.err == nil {
-			c.met.Latency.RecordDuration(c.clk.Now().Sub(p.enqueued))
+			c.met.Latency.RecordDuration(time.Since(p.enqueued))
 		}
 		return out.a, out.err
 	case <-ctx.Done():
-		// The request stays in its batch (its slot may already be running);
+		// The request stays queued or in its batch (which may be running);
 		// the demux send lands in the buffered channel and is dropped.
 		c.met.Canceled.Add(1)
 		return Answer{}, ctx.Err()
 	}
 }
 
-// armTimerLocked schedules a deadline flush for the batch now being filled.
-// Caller holds c.mu.
-func (c *Coalescer) armTimerLocked() {
-	if c.cfg.MaxBatch <= 1 {
-		return // width-1 batches always cut immediately; no deadline needed
+// cutWidthLocked is the batching policy: how many requests to cut off the
+// head of pending now, 0 to wait. The candidate is the longest prefix
+// pinned to one graph version, at most MaxBatch wide — a batch traverses
+// exactly one version, so a version change just ends the prefix. With
+// nothing running it is cut, whatever its width: latency on an idle graph
+// is the traversal alone. Beside one running batch it is cut only once it
+// is as wide as that batch and as the one that finished last — as this
+// graph's batches currently are — which keeps batches wide under load
+// without serialising a load too light to fill one; each weaker or
+// stricter form measured worse (docs/SERVER.md). Caller holds c.mu.
+func (c *Coalescer) cutWidthLocked() int {
+	n := min(len(c.pending), c.cfg.MaxBatch)
+	if n == 0 || c.running == maxInFlight {
+		return 0
 	}
-	gen := c.timerGen
-	c.timer = c.clk.AfterFunc(c.cfg.FlushDeadline, func() {
-		c.mu.Lock()
-		if gen == c.timerGen && !c.closed && len(c.pending) > 0 {
-			c.cutLocked()
+	k, v := 1, c.pending[0].pin.Version()
+	for k < n && c.pending[k].pin.Version() == v {
+		k++
+	}
+	// With one batch running, runReqs is its width.
+	if c.running > 0 && k < max(c.runReqs, c.lastCut) {
+		return 0
+	}
+	return k
+}
+
+// dispatchLocked starts every batch the policy allows now. It runs after
+// each arrival and each finished batch — all that can change the policy's
+// answer — so pending is never non-empty with nothing running. Caller
+// holds c.mu.
+func (c *Coalescer) dispatchLocked() {
+	for k := c.cutWidthLocked(); k > 0; k = c.cutWidthLocked() {
+		var b *batch
+		if n := len(c.free); n > 0 {
+			b, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			b = new(batch)
 		}
-		c.mu.Unlock()
-	})
-}
-
-// takeLocked empties the pending queue and disarms its deadline flush.
-// Caller holds c.mu.
-func (c *Coalescer) takeLocked() []*pendingReq {
-	reqs := c.pending
-	c.pending = nil
-	c.timerGen++ // any armed deadline flush is now stale
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
+		b.live = append(b.live, c.pending[:k]...)
+		rest := copy(c.pending, c.pending[k:])
+		clear(c.pending[rest:])
+		c.pending = c.pending[:rest]
+		c.running++
+		c.runReqs += k
+		c.wg.Add(1)
+		go c.runBatch(b)
 	}
-	return reqs
 }
 
-// cutLocked dispatches the whole pending queue as one batch. Caller holds
-// c.mu.
-func (c *Coalescer) cutLocked() {
-	reqs := c.takeLocked()
-	if len(reqs) == 0 {
-		return
-	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.runBatch(reqs)
-	}()
-}
-
-// Close stops admission, flushes the remaining pending requests as a final
-// batch, and waits for every in-flight batch to finish — the graceful-drain
-// path of SIGTERM handling. Safe to call more than once.
+// Close stops admission and waits until the pending requests have been
+// served through the same two slots as live traffic — the graceful-drain
+// path of SIGTERM handling. Every finishing batch dispatches the next, so
+// the wait group empties only after the queue has. Safe to call twice.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
-	var reqs []*pendingReq
-	if !c.closed {
-		c.closed = true
-		reqs = c.takeLocked()
-	}
+	c.closed = true
 	c.mu.Unlock()
-	if len(reqs) > 0 {
-		c.runBatch(reqs)
-	}
 	c.wg.Wait()
 }
 
@@ -387,7 +391,8 @@ type slotAcc struct {
 
 // batch is one cut on its way through execute and demux: the live requests
 // — one slot each, all pinned to the same version — and the per-slot state
-// the traversal's visitor fills in.
+// the traversal's visitor fills in. A finished batch's slices stay on the
+// Coalescer (free) for the next cut instead of being reallocated.
 type batch struct {
 	live    []*pendingReq
 	cutAt   time.Time
@@ -395,7 +400,8 @@ type batch struct {
 	opt     msbfs.Options
 	// Per-slot read-only target index (vertex -> Distances position) and
 	// shared distance rows. Each (slot, vertex) pair is discovered exactly
-	// once across all workers, so workers write disjoint cells.
+	// once across all workers, so workers write disjoint cells. The rows
+	// leave with the answers; only the outer slices are reused.
 	targetIdx []map[int]int
 	dists     [][]int32
 	hops      []int       // khop radius; -1: not a khop slot
@@ -406,29 +412,50 @@ type batch struct {
 // nobody waits for and lays out the slots, execute runs the one
 // multi-source traversal answering all of them, demux (or fail) hands each
 // request its outcome. Pins drop only afterwards, so compaction cannot
-// retire the traversed view mid-run.
-func (c *Coalescer) runBatch(reqs []*pendingReq) {
-	var b batch // stays on this stack: the stages borrow it, the visitor captures only its slices
-	if !c.cut(&b, reqs) {
-		return
+// retire the traversed view mid-run. Then the slot is given back and the
+// policy consulted for the next cut.
+func (c *Coalescer) runBatch(b *batch) {
+	defer c.wg.Done()
+	cutReqs := len(b.live)
+	if c.cut(b) {
+		res, err := c.execute(b)
+		if err != nil {
+			c.fail(b, err)
+		} else {
+			c.demux(b, res)
+		}
+		for _, p := range b.live {
+			p.pin.Release()
+		}
+		if err != nil {
+			*b = batch{} // a failed RunBatch may not have joined all that writes through the visitor
+		}
 	}
-	if res, err := c.execute(&b); err != nil {
-		c.fail(&b, err)
-	} else {
-		c.demux(&b, res)
+	// Keep the storage; zero what the next cut must find zero (sources and
+	// hops it overwrites in full) and drop every request pointer.
+	clear(b.live[:cap(b.live)])
+	b.live = b.live[:0]
+	clear(b.targetIdx)
+	clear(b.dists)
+	for _, a := range b.accs {
+		clear(a)
 	}
-	for _, p := range b.live {
-		p.pin.Release()
-	}
+	c.mu.Lock()
+	c.running--
+	c.runReqs -= cutReqs
+	c.lastCut = cutReqs
+	c.free = append(c.free, b)
+	c.dispatchLocked()
+	c.mu.Unlock()
 }
 
 // cut drops requests whose caller already gave up — their sources would
 // only widen the traversal for nobody — and lays out b over the rest; false
 // when none is left.
-func (c *Coalescer) cut(b *batch, reqs []*pendingReq) bool {
-	now := c.clk.Now()
-	live := reqs[:0]
-	for _, p := range reqs {
+func (c *Coalescer) cut(b *batch) bool {
+	now := time.Now()
+	live := b.live[:0]
+	for _, p := range b.live {
 		if err := p.ctx.Err(); err != nil {
 			p.pin.Release()
 			p.done <- outcome{err: err}
@@ -441,15 +468,15 @@ func (c *Coalescer) cut(b *batch, reqs []*pendingReq) bool {
 	if len(live) == 0 {
 		return false
 	}
-	*b = batch{
-		live:      live,
-		cutAt:     now,
-		sources:   make([]int, len(live)),
-		opt:       msbfs.Options{Workers: c.cfg.Workers, Engine: c.cfg.Engine},
-		targetIdx: make([]map[int]int, len(live)),
-		dists:     make([][]int32, len(live)),
-		hops:      make([]int, len(live)),
-	}
+	b.live = live
+	b.cutAt = now
+	b.opt = msbfs.Options{Workers: c.cfg.Workers, Engine: c.cfg.Engine}
+	// Reused storage was zeroed when its batch finished; grown storage is new.
+	n := len(live)
+	b.sources = slices.Grow(b.sources[:0], n)[:n]
+	b.targetIdx = slices.Grow(b.targetIdx[:0], n)[:n]
+	b.dists = slices.Grow(b.dists[:0], n)[:n]
+	b.hops = slices.Grow(b.hops[:0], n)[:n]
 	depthBound := 0 // 0 while any slot needs the full traversal
 	allBounded := true
 	for i, p := range live {
@@ -482,15 +509,16 @@ func (c *Coalescer) cut(b *batch, reqs []*pendingReq) bool {
 		// widest radius; prune the traversal instead of filtering visits.
 		b.opt.MaxDepth = depthBound
 	}
-	b.accs = make([][]slotAcc, b.opt.Normalize().Workers)
+	workers := b.opt.Normalize().Workers
+	b.accs = slices.Grow(b.accs[:0], workers)[:workers]
 	for w := range b.accs {
-		b.accs[w] = make([]slotAcc, len(live))
+		b.accs[w] = slices.Grow(b.accs[w][:0], n)[:n]
 	}
 	return true
 }
 
-// execute runs b's traversal on the version its requests pinned (the
-// version-keyed cut in Submit guarantees they all pinned the same one). A
+// execute runs b's traversal on the version its requests pinned (the cut
+// policy guarantees they all pinned the same one). A
 // backend failure (shard down, barrier timeout) or a panic anywhere under
 // RunBatch — the worker pool re-raises its workers' panics on this
 // goroutine — fails this batch only: it comes back as an error for fail to
@@ -531,7 +559,7 @@ func (c *Coalescer) execute(b *batch) (res *msbfs.MultiResult, err error) {
 // fail delivers a batch-wide error to every live request.
 func (c *Coalescer) fail(b *batch, err error) {
 	c.met.BatchErrors.Add(1)
-	end := c.clk.Now()
+	end := time.Now()
 	for _, p := range b.live {
 		p.done <- outcome{err: err}
 		c.record(p, "error", b.cutAt.Sub(p.enqueued), 0, end.Sub(p.enqueued), len(b.live))
@@ -550,7 +578,7 @@ func (c *Coalescer) demux(b *batch, res *msbfs.MultiResult) {
 		c.met.Edges.Add(c.edges(b.sources))
 	}
 
-	end := c.clk.Now()
+	end := time.Now()
 	n := c.g.NumVertices()
 	for i, p := range b.live {
 		var total slotAcc

@@ -4,85 +4,53 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	msbfs "repro"
 )
 
-// countingGraph is a static Backend that counts multi-source batch
-// executions — the injected batch-run counter the coalescing assertions
-// rely on. Pin must return the wrapper, not the embedded Graph, or the
-// count is bypassed.
-type countingGraph struct {
-	*msbfs.Graph
-	batches atomic.Int64
-}
-
-func (c *countingGraph) Pin(uint64) (Pinned, error) { return c, nil }
-
-func (c *countingGraph) RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
-	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
-	c.batches.Add(1)
-	return c.Graph.RunBatch(ctx, sources, opt, visit)
-}
-
 func testGraph(t *testing.T) *msbfs.Graph {
 	t.Helper()
 	return msbfs.GenerateKronecker(10, 8, 7)
 }
 
-// TestCoalescingEndToEnd is the tentpole acceptance test: 128 concurrent
-// single-source requests are served by at most ceil(128/(64*BatchWords))+1
-// batch executions, and every per-request answer equals a direct g.BFS of
-// its source.
+// TestCoalescingEndToEnd is the serving layer's acceptance test: 128
+// concurrent single-source requests that arrive while the graph's two slots
+// are busy are served by four batch executions — the two lone ones that
+// found the graph idle, then 64 and 62 wide — and every per-request answer
+// equals a direct g.BFS of its source.
 func TestCoalescingEndToEnd(t *testing.T) {
 	g := testGraph(t)
-	cg := &countingGraph{Graph: g}
+	gb := newGate(g, true)
 	const reqs = 128
-	cfg := Config{
-		Workers:       2,
-		BatchWords:    1, // flush width 64
-		FlushDeadline: time.Second,
-		MaxPending:    reqs,
-	}
-	c := NewCoalescer(cg, cfg, NewMetrics(), nil)
+	c := NewCoalescer(gb, Config{
+		Workers:    2,
+		BatchWords: 1, // widest batch 64
+		MaxPending: reqs,
+	}, NewMetrics(), nil)
 	defer c.Close()
 
 	n := g.NumVertices()
 	targets := []int{0, n / 3, n / 2, n - 1, n / 3} // includes a duplicate
-	type got struct {
-		src int
-		ans Answer
-		err error
+	results := make([]<-chan submitResult, reqs)
+	for i := range results {
+		results[i] = submitAsync(context.Background(), c,
+			Query{Kind: KindBFS, Source: (i * 37) % n, Targets: targets})
 	}
-	results := make([]got, reqs)
-	var wg sync.WaitGroup
-	for i := 0; i < reqs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			src := (i * 37) % n
-			ans, err := c.Submit(context.Background(),
-				Query{Kind: KindBFS, Source: src, Targets: targets})
-			results[i] = got{src: src, ans: ans, err: err}
-		}(i)
-	}
-	wg.Wait()
+	settle(t, c, reqs-2, 2)
+	gb.open()
 
-	maxBatches := int64((reqs+63)/64 + 1)
-	if b := cg.batches.Load(); b > maxBatches || b == 0 {
-		t.Errorf("served %d requests with %d batches, want 1..%d", reqs, cg.batches.Load(), maxBatches)
-	}
-	for _, r := range results {
+	for _, ch := range results {
+		r := <-ch
 		if r.err != nil {
-			t.Fatalf("source %d: %v", r.src, r.err)
+			t.Fatalf("source %d: %v", r.q.Source, r.err)
 		}
-		direct := g.BFS(r.src, msbfs.Options{RecordLevels: true})
+		direct := g.BFS(r.q.Source, msbfs.Options{RecordLevels: true})
 		if r.ans.Visited != direct.VisitedVertices {
-			t.Errorf("source %d: visited %d, direct BFS %d", r.src, r.ans.Visited, direct.VisitedVertices)
+			t.Errorf("source %d: visited %d, direct BFS %d", r.q.Source, r.ans.Visited, direct.VisitedVertices)
 		}
 		var ecc int32
 		for _, d := range direct.Levels {
@@ -91,148 +59,137 @@ func TestCoalescingEndToEnd(t *testing.T) {
 			}
 		}
 		if r.ans.Eccentricity != ecc {
-			t.Errorf("source %d: eccentricity %d, direct %d", r.src, r.ans.Eccentricity, ecc)
+			t.Errorf("source %d: eccentricity %d, direct %d", r.q.Source, r.ans.Eccentricity, ecc)
 		}
 		for j, tgt := range targets {
 			if r.ans.Distances[j] != direct.Levels[tgt] {
-				t.Errorf("source %d: dist[%d]=%d, direct %d", r.src, tgt, r.ans.Distances[j], direct.Levels[tgt])
+				t.Errorf("source %d: dist[%d]=%d, direct %d", r.q.Source, tgt, r.ans.Distances[j], direct.Levels[tgt])
 			}
 		}
-		if r.ans.BatchWidth < 1 || r.ans.BatchWidth > 64 {
-			t.Errorf("source %d: batch width %d outside [1, 64]", r.src, r.ans.BatchWidth)
-		}
+	}
+	if w := gb.widths(); !slices.Equal(w, []int{1, 1, 64, 62}) {
+		t.Errorf("served %d requests in batches of %v, want [1 1 64 62]", reqs, w)
 	}
 }
 
-// TestDeadlineFlush proves the fill-or-flush deadline path on logical time:
-// a partial batch is dispatched exactly when the oldest request has waited
-// FlushDeadline — not a tick before — with no wall-clock sleeps involved.
-func TestDeadlineFlush(t *testing.T) {
-	cg := &countingGraph{Graph: testGraph(t)}
-	clk := newFakeClock()
-	c := NewCoalescer(cg, Config{
-		Workers:       2,
-		BatchWords:    2, // flush width 128, never reached here
-		FlushDeadline: 5 * time.Millisecond,
-	}, NewMetrics(), nil)
-	c.clk = clk
+// TestNaturalBatchingPolicy scripts arrivals and finishes against held
+// batches and reads the cut policy off the result: an idle graph runs a
+// lone request at once; a second batch starts beside the first once it is
+// as wide; arrivals while both slots are busy accumulate; a finish cuts
+// them; beside a 3-wide batch, two pending requests wait for a third; and
+// beside a lone batch that followed a 3-wide one, so do they.
+func TestNaturalBatchingPolicy(t *testing.T) {
+	gb := newGate(testGraph(t), true)
+	c := NewCoalescer(gb, Config{Workers: 1, MaxBatch: 8}, NewMetrics(), nil)
 	defer c.Close()
-
-	var wg sync.WaitGroup
-	answers := make([]Answer, 3)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			answers[i], _ = c.Submit(context.Background(), Query{Kind: KindKHop, Source: i, Hops: 2})
-		}(i)
-	}
-	for c.QueueLen() < 3 {
-		time.Sleep(50 * time.Microsecond) // scheduling only, not the deadline
+	ctx := context.Background()
+	var results []<-chan submitResult
+	submit := func(k int) {
+		for i := 0; i < k; i++ {
+			results = append(results, submitAsync(ctx, c, Query{Kind: KindCloseness, Source: len(results)}))
+		}
 	}
 
-	// One logical tick short of the deadline: nothing may flush.
-	clk.Advance(c.cfg.FlushDeadline - time.Nanosecond)
-	if b := cg.batches.Load(); b != 0 {
-		t.Fatalf("flushed %d batches before the deadline elapsed", b)
+	submit(1) // idle: cut alone, at once
+	x1 := gb.next(t)
+	settle(t, c, 0, 1)
+	submit(1) // as wide as what is running: takes the second slot
+	x2 := gb.next(t)
+	settle(t, c, 0, 2)
+	submit(3) // both slots busy: accumulate
+	settle(t, c, 3, 2)
+
+	x1.finish() // a finish cuts what accumulated
+	x3 := gb.next(t)
+	settle(t, c, 0, 2)
+	x2.finish()
+	settle(t, c, 0, 1)
+	submit(2) // narrower than the running batch: wait
+	settle(t, c, 2, 1)
+	submit(1) // now as wide: cut
+	x4 := gb.next(t)
+	settle(t, c, 0, 2)
+	x3.finish()
+	x4.finish()
+	settle(t, c, 0, 0)
+
+	submit(1) // idle again: alone, at once
+	x5 := gb.next(t)
+	settle(t, c, 0, 1)
+	submit(2) // wider than the lone batch, narrower than the one before it: wait
+	settle(t, c, 2, 1)
+	submit(1)
+	x6 := gb.next(t)
+	settle(t, c, 0, 2)
+	x5.finish()
+	x6.finish()
+
+	for i, ch := range results {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("request %d: %v", i, r.err)
+		}
+		want := 3
+		if i < 2 || i == 8 {
+			want = 1
+		}
+		if r.ans.BatchWidth != want {
+			t.Errorf("request %d served %d wide, want %d", i, r.ans.BatchWidth, want)
+		}
 	}
-	// The final nanosecond fires the flush synchronously inside Advance.
-	clk.Advance(time.Nanosecond)
-	wg.Wait()
-	if b := cg.batches.Load(); b != 1 {
-		t.Errorf("3 sub-width requests ran %d batches, want 1 (deadline flush)", b)
-	}
-	for i, a := range answers {
-		direct := cg.Graph.NeighborhoodSizes([]int{i}, 2, msbfs.Options{})
-		if a.Count != direct[0] {
-			t.Errorf("khop(%d, 2) = %d, direct %d", i, a.Count, direct[0])
-		}
-		if a.Wait != c.cfg.FlushDeadline {
-			t.Errorf("request %d logical wait = %v, want exactly %v", i, a.Wait, c.cfg.FlushDeadline)
-		}
-		if a.BatchWidth != 3 {
-			t.Errorf("request %d batch width = %d, want 3", i, a.BatchWidth)
-		}
+	if w := gb.widths(); !slices.Equal(w, []int{1, 1, 3, 3, 1, 3}) {
+		t.Errorf("batches of %v, want [1 1 3 3 1 3]", w)
 	}
 }
 
-// TestWidthFlushCancelsDeadline proves a full-width cut disarms the pending
-// deadline timer: advancing logical time afterwards must not dispatch a
-// second, empty flush.
-func TestWidthFlushCancelsDeadline(t *testing.T) {
-	cg := &countingGraph{Graph: testGraph(t)}
-	clk := newFakeClock()
-	c := NewCoalescer(cg, Config{
-		Workers:       2,
-		MaxBatch:      4,
-		FlushDeadline: 5 * time.Millisecond,
-	}, NewMetrics(), nil)
-	c.clk = clk
+// TestFinishCutsAtMostMaxBatch: a queue deeper than MaxBatch leaves in
+// MaxBatch-wide cuts, one per freed slot, never more than two at once.
+func TestFinishCutsAtMostMaxBatch(t *testing.T) {
+	g := testGraph(t)
+	gb := newGate(g, true)
+	c := NewCoalescer(gb, Config{Workers: 1, MaxBatch: 4, MaxPending: 16}, NewMetrics(), nil)
 	defer c.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := c.Submit(context.Background(), Query{Kind: KindCloseness, Source: i}); err != nil {
-				t.Errorf("request %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if b := cg.batches.Load(); b != 1 {
-		t.Fatalf("4 requests at width 4 ran %d batches, want 1 width flush", b)
-	}
-	clk.Advance(time.Second) // any stale timer would fire here
-	if b := cg.batches.Load(); b != 1 {
-		t.Errorf("stale deadline timer dispatched an extra batch (total %d)", b)
-	}
-	if n := clk.pendingTimers(); n != 0 {
-		t.Errorf("%d flush timers still armed after the width flush", n)
-	}
-}
-
-// TestDeadlineTimerPerBatch proves the deadline re-arms for each new batch:
-// two generations of sub-width traffic flush as two logical-deadline batches.
-func TestDeadlineTimerPerBatch(t *testing.T) {
-	cg := &countingGraph{Graph: testGraph(t)}
-	clk := newFakeClock()
-	c := NewCoalescer(cg, Config{
-		Workers:       1,
-		MaxBatch:      100,
-		FlushDeadline: 2 * time.Millisecond,
-	}, NewMetrics(), nil)
-	c.clk = clk
-	defer c.Close()
-
-	for round := 0; round < 2; round++ {
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if _, err := c.Submit(context.Background(), Query{Kind: KindCloseness, Source: i}); err != nil {
-					t.Errorf("round %d request %d: %v", round, i, err)
-				}
-			}(i)
+	var results []<-chan submitResult
+	for i := 0; i < 11; i++ {
+		results = append(results, submitAsync(context.Background(), c, Query{Kind: KindKHop, Source: i, Hops: 2}))
+		if i < 2 {
+			settle(t, c, 0, i+1) // the first two take the slots, one each
 		}
-		for c.QueueLen() < 2 {
-			time.Sleep(50 * time.Microsecond)
+	}
+	settle(t, c, 9, 2)
+	x1, x2 := gb.next(t), gb.next(t)
+
+	x1.finish() // frees a slot: 4 of the 9 go
+	x3 := gb.next(t)
+	settle(t, c, 5, 2)
+	x2.finish() // 4 more, as wide as the 4 running
+	x4 := gb.next(t)
+	settle(t, c, 1, 2)
+	x3.finish() // the last one is narrower than the 4 running: it waits
+	settle(t, c, 1, 1)
+	x4.finish() // nothing running: it goes alone
+	gb.next(t).finish()
+
+	for i, ch := range results {
+		if r := <-ch; r.err != nil {
+			t.Errorf("request %d: %v", i, r.err)
+		} else if want := g.NeighborhoodSizes([]int{r.q.Source}, 2, msbfs.Options{})[0]; r.ans.Count != want {
+			t.Errorf("khop(%d, 2) = %d, direct %d", r.q.Source, r.ans.Count, want)
 		}
-		clk.Advance(c.cfg.FlushDeadline)
-		wg.Wait()
-		if b := cg.batches.Load(); b != int64(round+1) {
-			t.Fatalf("after round %d: %d batches, want %d", round, b, round+1)
-		}
+	}
+	if w := gb.widths(); !slices.Equal(w, []int{1, 1, 4, 4, 1}) {
+		t.Errorf("batches of %v, want [1 1 4 4 1]", w)
+	}
+	if m := gb.maxConcurrent(); m != maxInFlight {
+		t.Errorf("%d batches ran at once, want %d", m, maxInFlight)
 	}
 }
 
 // TestUnbatchedBaseline pins the MaxBatch=1 per-request serving mode that
 // the load generator measures the coalescer against.
 func TestUnbatchedBaseline(t *testing.T) {
-	cg := &countingGraph{Graph: testGraph(t)}
-	c := NewCoalescer(cg, Config{Workers: 1, MaxBatch: 1}, NewMetrics(), nil)
+	gb := newGate(testGraph(t), false)
+	c := NewCoalescer(gb, Config{Workers: 1, MaxBatch: 1}, NewMetrics(), nil)
 	defer c.Close()
 	for i := 0; i < 5; i++ {
 		ans, err := c.Submit(context.Background(), Query{Kind: KindCloseness, Source: i})
@@ -243,7 +200,7 @@ func TestUnbatchedBaseline(t *testing.T) {
 			t.Errorf("request %d: batch width %d in unbatched mode", i, ans.BatchWidth)
 		}
 	}
-	if b := cg.batches.Load(); b != 5 {
+	if b := len(gb.widths()); b != 5 {
 		t.Errorf("5 unbatched requests ran %d batches, want 5", b)
 	}
 }
@@ -252,10 +209,7 @@ func TestUnbatchedBaseline(t *testing.T) {
 // counterpart through one mixed batch.
 func TestKindsMatchLibrary(t *testing.T) {
 	g := testGraph(t)
-	c := NewCoalescer(g, Config{
-		Workers:       2,
-		FlushDeadline: 2 * time.Millisecond,
-	}, NewMetrics(), nil)
+	c := NewCoalescer(g, Config{Workers: 2}, NewMetrics(), nil)
 	defer c.Close()
 
 	n := g.NumVertices()
@@ -319,47 +273,44 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestQueueFullAndRetry: MaxPending is one number over the graph's admitted
+// requests, queued or running — two in held batches plus one pending fill a
+// bound of three — and a rejected request is admitted again once a batch
+// has finished.
 func TestQueueFullAndRetry(t *testing.T) {
-	g := testGraph(t)
+	gb := newGate(testGraph(t), true)
 	met := NewMetrics()
-	c := NewCoalescer(g, Config{
-		Workers:       1,
-		MaxBatch:      100, // never width-flushes in this test
-		MaxPending:    2,
-		FlushDeadline: 30 * time.Millisecond,
-	}, met, nil)
+	c := NewCoalescer(gb, Config{Workers: 1, MaxBatch: 100, MaxPending: 3}, met, nil)
 	defer c.Close()
+	ctx := context.Background()
 
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := c.Submit(context.Background(), Query{Kind: KindCloseness, Source: i}); err != nil {
-				t.Errorf("queued request %d: %v", i, err)
-			}
-		}(i)
+	var admitted []<-chan submitResult
+	for i := 0; i < 3; i++ {
+		admitted = append(admitted, submitAsync(ctx, c, Query{Kind: KindCloseness, Source: i}))
+		settle(t, c, max(0, i-1), min(i+1, 2))
 	}
-	// Wait for both to be queued, then overflow.
-	for c.QueueLen() < 2 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if _, err := c.Submit(context.Background(), Query{Kind: KindCloseness, Source: 5}); !errors.Is(err, ErrQueueFull) {
+	if _, err := c.Submit(ctx, Query{Kind: KindCloseness, Source: 5}); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("overflow submit: err = %v, want ErrQueueFull", err)
 	}
-	wg.Wait()
 	if met.Rejected.Load() != 1 {
 		t.Errorf("rejected = %d, want 1", met.Rejected.Load())
+	}
+
+	gb.next(t).finish()
+	settle(t, c, 0, 2) // the finished batch's slot went to the pending request
+	retry := submitAsync(ctx, c, Query{Kind: KindCloseness, Source: 5})
+	settle(t, c, 1, 2)
+	gb.open()
+	for i, ch := range append(admitted, retry) {
+		if r := <-ch; r.err != nil {
+			t.Errorf("request %d after the overflow: %v", i, r.err)
+		}
 	}
 }
 
 func TestSubmitCancellation(t *testing.T) {
 	g := testGraph(t)
-	c := NewCoalescer(g, Config{
-		Workers:       1,
-		MaxBatch:      100,
-		FlushDeadline: 20 * time.Millisecond,
-	}, NewMetrics(), nil)
+	c := NewCoalescer(g, Config{Workers: 1, MaxBatch: 100}, NewMetrics(), nil)
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -377,36 +328,41 @@ func TestSubmitCancellation(t *testing.T) {
 	}
 }
 
+// TestCloseDrainsPending: Close serves what is queued through the same
+// bounded path as live traffic — MaxBatch-wide cuts, two at once — and not
+// as one oversize batch.
 func TestCloseDrainsPending(t *testing.T) {
-	cg := &countingGraph{Graph: testGraph(t)}
-	c := NewCoalescer(cg, Config{
-		Workers:       1,
-		MaxBatch:      100,
-		FlushDeadline: time.Minute, // only Close can flush
-	}, NewMetrics(), nil)
+	gb := newGate(testGraph(t), true)
+	c := NewCoalescer(gb, Config{Workers: 1, MaxBatch: 4, MaxPending: 16}, NewMetrics(), nil)
 
-	const k = 7
-	var wg sync.WaitGroup
-	errs := make([]error, k)
+	const k = 9
+	var results []<-chan submitResult
 	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = c.Submit(context.Background(), Query{Kind: KindCloseness, Source: i})
-		}(i)
+		results = append(results, submitAsync(context.Background(), c, Query{Kind: KindCloseness, Source: i}))
 	}
-	for c.QueueLen() < k {
-		time.Sleep(100 * time.Microsecond)
+	settle(t, c, k-2, 2)
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with batches held and requests queued")
+	case <-time.After(5 * time.Millisecond):
 	}
-	c.Close()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("drained request %d: %v", i, err)
+	gb.open()
+	<-closed
+	for i, ch := range results {
+		if r := <-ch; r.err != nil {
+			t.Errorf("drained request %d: %v", i, r.err)
 		}
 	}
-	if b := cg.batches.Load(); b != 1 {
-		t.Errorf("drain ran %d batches, want 1", b)
+	if w := gb.widths(); !slices.Equal(w, []int{1, 1, 4, 3}) {
+		t.Errorf("drain ran batches of %v, want [1 1 4 3]", w)
+	}
+	if m := gb.maxConcurrent(); m > maxInFlight {
+		t.Errorf("drain ran %d batches at once, want <= %d", m, maxInFlight)
 	}
 	if _, err := c.Submit(context.Background(), Query{Kind: KindCloseness, Source: 0}); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-close submit: err = %v, want ErrClosed", err)
@@ -415,32 +371,30 @@ func TestCloseDrainsPending(t *testing.T) {
 
 func TestMetricsAccounting(t *testing.T) {
 	g := testGraph(t)
+	gb := newGate(g, true)
 	met := NewMetrics()
 	edges := g.NewEdgeCounter()
-	c := NewCoalescer(g, Config{
-		Workers:       2,
-		FlushDeadline: 2 * time.Millisecond,
-	}, met, edges.EdgesForAll)
+	c := NewCoalescer(gb, Config{Workers: 2}, met, edges.EdgesForAll)
 
 	const k = 10
-	var wg sync.WaitGroup
+	var results []<-chan submitResult
 	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := c.Submit(context.Background(), Query{Kind: KindCloseness, Source: i}); err != nil {
-				t.Error(err)
-			}
-		}(i)
+		results = append(results, submitAsync(context.Background(), c, Query{Kind: KindCloseness, Source: i}))
 	}
-	wg.Wait()
+	settle(t, c, k-2, 2)
+	gb.open()
+	for _, ch := range results {
+		if r := <-ch; r.err != nil {
+			t.Error(r.err)
+		}
+	}
 	c.Close()
 
 	if met.Requests.Load() != k || met.Sources.Load() != k {
 		t.Errorf("requests/sources = %d/%d, want %d", met.Requests.Load(), met.Sources.Load(), k)
 	}
-	if met.Batches.Load() < 1 || met.MeanBatchWidth() <= 1 {
-		t.Errorf("batches=%d mean width=%.1f, want coalescing", met.Batches.Load(), met.MeanBatchWidth())
+	if met.Batches.Load() != 3 || met.BatchWidth.Max() != k-2 {
+		t.Errorf("batches=%d widest=%d, want 3 batches, the widest %d", met.Batches.Load(), met.BatchWidth.Max(), k-2)
 	}
 	if met.Latency.Count() != k {
 		t.Errorf("latency observations = %d, want %d", met.Latency.Count(), k)
@@ -454,7 +408,7 @@ func TestMetricsAccounting(t *testing.T) {
 // against per-source library calls.
 func TestRandomizedKindsAgainstLibrary(t *testing.T) {
 	g := msbfs.GenerateUniform(500, 4, 3) // sparse: has unreachable pairs
-	c := NewCoalescer(g, Config{Workers: 2, FlushDeadline: time.Millisecond}, NewMetrics(), nil)
+	c := NewCoalescer(g, Config{Workers: 2}, NewMetrics(), nil)
 	defer c.Close()
 	r := rand.New(rand.NewSource(11))
 	n := g.NumVertices()

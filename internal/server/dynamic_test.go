@@ -3,15 +3,15 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	msbfs "repro"
 	"repro/internal/dyngraph"
@@ -26,7 +26,7 @@ func newDynTestServer(t *testing.T, dcfg dyngraph.Config) *httptest.Server {
 	// streamed edges arrive.
 	seed := msbfs.NewGraph(6, []msbfs.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 4, V: 5}})
 	reg := NewRegistry()
-	cfg := Config{Workers: 2, FlushDeadline: time.Millisecond}
+	cfg := Config{Workers: 2}
 	if _, err := reg.AddDynamic("live", "inprocess", seed, true, cfg, dcfg); err != nil {
 		t.Fatal(err)
 	}
@@ -285,45 +285,149 @@ func (s *stubSnap) RunBatch(ctx context.Context, sources []int, opt msbfs.Option
 }
 
 // TestCoalescerVersionKeyedBatching: requests pinned to different versions
-// must never share a batch, and every pinned snapshot must be released.
+// must never share a batch — a version change in the queue ends the prefix
+// a cut takes, it does not force a cut — and every pinned snapshot must be
+// released.
 func TestCoalescerVersionKeyedBatching(t *testing.T) {
 	g := msbfs.GenerateUniform(400, 6, 1)
 	src := &stubSnapshots{Graph: g, cur: 7}
-	met := NewMetrics()
-	c := NewCoalescer(src, Config{
-		Workers: 2, MaxBatch: 8, FlushDeadline: 200 * time.Millisecond,
-	}, met, nil)
+	gb := newGate(src, true)
+	c := NewCoalescer(gb, Config{Workers: 2, MaxBatch: 8}, NewMetrics(), nil)
 	defer c.Close()
 
-	var wg sync.WaitGroup
-	answers := make([]Answer, 2)
-	errs := make([]error, 2)
-	submit := func(i int, ver uint64) {
-		defer wg.Done()
-		answers[i], errs[i] = c.Submit(context.Background(), Query{
-			Kind: KindBFS, Source: i, Version: ver,
-		})
+	// Two lone batches hold the slots while versions 3, 3, 7, 3 queue up.
+	versions := []uint64{7, 7, 3, 3, 7, 3}
+	var results []<-chan submitResult
+	for i, ver := range versions {
+		results = append(results, submitAsync(context.Background(), c, Query{Kind: KindBFS, Source: i, Version: ver}))
+		settle(t, c, max(0, i-1), min(i+1, 2))
 	}
-	wg.Add(1)
-	go submit(0, 3)
-	time.Sleep(10 * time.Millisecond) // let the v3 request start filling a batch
-	wg.Add(1)
-	go submit(1, 7)
-	wg.Wait()
+	gb.open()
 
-	for i := range answers {
-		if errs[i] != nil {
-			t.Fatalf("submit %d: %v", i, errs[i])
+	for i, ch := range results {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("submit %d: %v", i, r.err)
 		}
-		if answers[i].BatchWidth != 1 {
-			t.Errorf("request %d batched across versions (width %d)", i, answers[i].BatchWidth)
+		if r.ans.GraphVersion != versions[i] {
+			t.Errorf("request %d served on version %d, want %d", i, r.ans.GraphVersion, versions[i])
 		}
-	}
-	if answers[0].GraphVersion != 3 || answers[1].GraphVersion != 7 {
-		t.Errorf("versions %d, %d (want 3, 7)", answers[0].GraphVersion, answers[1].GraphVersion)
+		if want := []int{1, 1, 2, 2, 1, 1}[i]; r.ans.BatchWidth != want {
+			t.Errorf("request %d (version %d) served %d wide, want %d", i, versions[i], r.ans.BatchWidth, want)
+		}
 	}
 	if a, r := src.acquired.Load(), src.released.Load(); a != r || a == 0 {
 		t.Errorf("snapshot pins leaked: acquired %d, released %d", a, r)
+	}
+}
+
+// TestMixedVersionQueue interleaves ingest with submits on a dynamic graph
+// so that the pending queue holds several versions at once, current and
+// explicitly pinned, one of them abandoned by its caller. Every batch must
+// have traversed exactly one version, every answer must equal a solo run on
+// the snapshot of the version it reports, no more than two batches may have
+// run at once — the forced cut a version change used to cause broke any
+// such bound — and no pin or arena borrow may outlive the drain.
+func TestMixedVersionQueue(t *testing.T) {
+	// Two paths, 0..9 and 10..19; every ingest splices them differently, so
+	// an answer computed on the wrong version is a wrong answer.
+	var edges []msbfs.Edge
+	for v := uint32(0); v < 19; v++ {
+		if v != 9 {
+			edges = append(edges, msbfs.Edge{U: v, V: v + 1})
+		}
+	}
+	g := msbfs.NewGraph(20, edges)
+	eng := msbfs.NewEngine(msbfs.Options{Workers: 2})
+	defer eng.Close()
+	dyn := dyngraph.New(g, dyngraph.Config{})
+	defer dyn.Close()
+	gb := newGate(dynBackend{dyn}, true)
+	c := NewCoalescer(gb, Config{Workers: 2, MaxBatch: 4, MaxPending: 64, Engine: eng}, NewMetrics(), nil)
+	ctx := context.Background()
+
+	var results []<-chan submitResult
+	queued := 0
+	submit := func(ctx context.Context, src int, ver uint64) {
+		results = append(results, submitAsync(ctx, c,
+			Query{Kind: KindBFS, Source: src, Targets: []int{0, 9, 10, 19}, Version: ver}))
+		queued++
+		settle(t, c, max(0, queued-2), min(queued, 2))
+	}
+	ingest := func(u, v uint32) {
+		if _, err := dyn.ApplyEdges([]msbfs.Edge{{U: u, V: v}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(ctx, 0, 0) // version 1: the two lone batches that hold the slots
+	submit(ctx, 19, 0)
+	submit(ctx, 1, 0)
+	ingest(9, 10) // version 2
+	submit(ctx, 2, 0)
+	submit(ctx, 3, 1) // pinned back to version 1
+	submit(ctx, 4, 0)
+	ingest(0, 19) // version 3
+	gone, abandon := context.WithCancel(ctx)
+	submit(gone, 5, 0)
+	submit(ctx, 6, 2)
+	submit(ctx, 7, 3)
+	submit(ctx, 8, 0)
+	submit(ctx, 9, 0)
+	submit(ctx, 10, 1)
+	abandon()
+	gb.open()
+
+	served := map[int]Answer{} // by source: each request has its own
+	for i, ch := range results {
+		r := <-ch
+		if i == 6 {
+			if !errors.Is(r.err, context.Canceled) {
+				t.Errorf("abandoned request: err = %v, want context.Canceled", r.err)
+			}
+			continue
+		}
+		if r.err != nil {
+			t.Fatalf("request %d: %v", i, r.err)
+		}
+		if want := []uint64{1, 1, 1, 2, 1, 2, 3, 2, 3, 3, 3, 1}[i]; r.ans.GraphVersion != want {
+			t.Errorf("request %d served on version %d, want %d", i, r.ans.GraphVersion, want)
+		}
+		snap, err := dyn.AcquireVersion(r.ans.GraphVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAnswer(t, r.q, r.ans, soloAnswer(t, snap, g.NumVertices(), r.q))
+		snap.Release()
+		served[r.q.Source] = r.ans
+	}
+	c.Close()
+
+	// The queue behind the two lone batches was 1 | 2 | 1 | 2 | 3 (x) | 2 |
+	// 3 3 3 | 1: one cut per run of equal versions, the abandoned request's
+	// cut left with nobody to run for.
+	gb.mu.Lock()
+	for _, run := range gb.runs {
+		for _, src := range run.sources {
+			if a := served[src]; a.GraphVersion != run.version || a.BatchWidth != len(run.sources) {
+				t.Errorf("source %d (pinned to version %d, told width %d) traversed in a batch of %d on version %d",
+					src, a.GraphVersion, a.BatchWidth, len(run.sources), run.version)
+			}
+		}
+	}
+	gb.mu.Unlock()
+	w := gb.widths()
+	slices.Sort(w)
+	if !slices.Equal(w, []int{1, 1, 1, 1, 1, 1, 1, 1, 3}) {
+		t.Errorf("batches of %v, want eight lone ones and the three on version 3", w)
+	}
+	if m := gb.maxConcurrent(); m > maxInFlight {
+		t.Errorf("%d batches ran at once, want <= %d", m, maxInFlight)
+	}
+	if p := dyn.Stats().PinnedNow; p != 0 {
+		t.Errorf("snapshot pins outstanding after the drain: %d", p)
+	}
+	if b := eng.Stats().Borrowed; b != 0 {
+		t.Errorf("engine borrows outstanding after the drain: %d", b)
 	}
 }
 
@@ -335,7 +439,7 @@ func TestCoalescerVersionKeyedBatching(t *testing.T) {
 func TestStaticIsOneVersionDynamic(t *testing.T) {
 	g := msbfs.GenerateUniform(500, 4, 3) // sparse: has unreachable pairs
 	reg := NewRegistry()
-	cfg := Config{Workers: 2, FlushDeadline: time.Millisecond}
+	cfg := Config{Workers: 2}
 	static, err := reg.Add("static", g, true, cfg)
 	if err != nil {
 		t.Fatal(err)

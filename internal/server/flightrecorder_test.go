@@ -126,7 +126,7 @@ func TestCoalescerFlightRecords(t *testing.T) {
 	reg.SetSlowQuery(time.Microsecond) // everything is slow
 	var logBuf syncBuffer
 	reg.SetLogger(slog.New(slog.NewTextHandler(&logBuf, nil)))
-	e, err := reg.Add("demo", g, false, Config{Workers: 2, FlushDeadline: time.Millisecond})
+	e, err := reg.Add("demo", g, false, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCoalescerFlightRecords(t *testing.T) {
 func TestDebugEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	defer reg.Close()
-	if _, err := addSpec(reg, "demo", "uniform:n=300,degree=4,seed=1", Config{Workers: 2, FlushDeadline: time.Millisecond}); err != nil {
+	if _, err := addSpec(reg, "demo", "uniform:n=300,degree=4,seed=1", Config{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := reg.Get("demo")

@@ -30,10 +30,10 @@ type Metrics struct {
 	BatchWidth metrics.Histogram // sources per executed batch
 	Latency    metrics.Histogram // end-to-end request latency (ns)
 	// The latency split: QueueWait is the time a request spent pending
-	// before its batch was cut, Exec the traversal time of its serving
-	// batch (both ns, recorded once per request). Comparing their
-	// quantiles tells whether latency comes from the fill-or-flush
-	// deadline or from the traversal itself.
+	// before its batch was cut — time behind the graph's running batches,
+	// no deadline in it, near zero on an idle graph — Exec the traversal
+	// time of its serving batch (both ns, once per request). Their quantiles
+	// tell queueing behind other batches from the traversal itself.
 	QueueWait metrics.Histogram
 	Exec      metrics.Histogram
 }
@@ -60,9 +60,9 @@ func (m *Metrics) GTEPS() float64 {
 }
 
 // writeTo renders the metrics in the Prometheus text exposition format,
-// labelled with the graph name. queueDepth is sampled live from the
-// coalescer.
-func (m *Metrics) writeTo(w io.Writer, graph string, queueDepth int) {
+// labelled with the graph name. queueDepth and inFlight are sampled live
+// from the coalescer.
+func (m *Metrics) writeTo(w io.Writer, graph string, queueDepth, inFlight int) {
 	l := fmt.Sprintf("{graph=%q}", graph)
 	fmt.Fprintf(w, "bfsd_requests_total%s %d\n", l, m.Requests.Load())
 	fmt.Fprintf(w, "bfsd_rejected_total%s %d\n", l, m.Rejected.Load())
@@ -71,6 +71,7 @@ func (m *Metrics) writeTo(w io.Writer, graph string, queueDepth int) {
 	fmt.Fprintf(w, "bfsd_batch_errors_total%s %d\n", l, m.BatchErrors.Load())
 	fmt.Fprintf(w, "bfsd_sources_total%s %d\n", l, m.Sources.Load())
 	fmt.Fprintf(w, "bfsd_queue_depth%s %d\n", l, queueDepth)
+	fmt.Fprintf(w, "bfsd_batches_in_flight%s %d\n", l, inFlight)
 	fmt.Fprintf(w, "bfsd_batch_width_mean%s %.2f\n", l, m.MeanBatchWidth())
 	for _, q := range []struct {
 		name string

@@ -12,23 +12,28 @@ import (
 	msbfs "repro"
 )
 
-// TestRaceSubmitCancelShutdown hammers one coalescer with concurrent
+// TestRaceSubmitCancelShutdown hammers one coalescer with 128 concurrent
 // submitters, aggressive per-request timeouts, and a shutdown racing the
-// traffic. Every Submit must return (an answer or a clean error) and the
-// drain must complete — run under -race this is the subsystem's leak and
-// data-race stress test.
+// traffic. Every Submit must return (an answer or a clean error), the
+// drain must complete, and through all of it — cuts on arrival, cuts on
+// finish, canceled requests dropped at the cut, the drain — the backend
+// never sees more than two batches of the graph at once. Run under -race
+// this is the subsystem's leak and data-race stress test.
 func TestRaceSubmitCancelShutdown(t *testing.T) {
 	g := msbfs.GenerateKronecker(9, 8, 3)
 	n := g.NumVertices()
 	met := NewMetrics()
-	c := NewCoalescer(g, Config{
-		Workers:       2,
-		BatchWords:    1,
-		FlushDeadline: 500 * time.Microsecond,
-		MaxPending:    256,
+	gb := newGate(g, false)
+	c := NewCoalescer(gb, Config{
+		Workers:    2,
+		BatchWords: 1,
+		MaxPending: 256,
 	}, met, nil)
 
-	const submitters = 16
+	const (
+		submitters = 128
+		each       = 8
+	)
 	var (
 		wg       sync.WaitGroup
 		answered atomic.Int64
@@ -39,7 +44,7 @@ func TestRaceSubmitCancelShutdown(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < 40; i++ {
+			for i := 0; i < each; i++ {
 				ctx := context.Background()
 				cancel := context.CancelFunc(func() {})
 				switch r.Intn(3) {
@@ -72,16 +77,33 @@ func TestRaceSubmitCancelShutdown(t *testing.T) {
 		}(int64(s))
 	}
 
-	// Shut down while traffic is still flowing.
-	time.Sleep(3 * time.Millisecond)
+	// Shut down while traffic is still flowing: once a quarter is answered
+	// (or, should most of it fail, once the submitters are through).
+	idle := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(idle)
+	}()
+	for flowing := true; flowing && answered.Load() < submitters*each/4; {
+		select {
+		case <-idle:
+			flowing = false
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
 	c.Close()
 	wg.Wait()
 	// Close is idempotent and still drains.
 	c.Close()
 
 	total := answered.Load() + failed.Load()
-	if total != submitters*40 {
-		t.Errorf("accounted %d outcomes, want %d", total, submitters*40)
+	if total != submitters*each {
+		t.Errorf("accounted %d outcomes, want %d", total, submitters*each)
+	}
+	m := gb.maxConcurrent()
+	t.Logf("%d answered, %d failed, %d batches, at most %d at once", answered.Load(), failed.Load(), len(gb.widths()), m)
+	if m > maxInFlight {
+		t.Errorf("%d batches of one graph ran at once, want <= %d", m, maxInFlight)
 	}
 	if c.QueueLen() != 0 {
 		t.Errorf("queue not drained: %d pending", c.QueueLen())
@@ -91,7 +113,7 @@ func TestRaceSubmitCancelShutdown(t *testing.T) {
 // TestRaceManyCoalescers drives several graphs' coalescers concurrently
 // through one registry, then closes the registry mid-flight.
 func TestRaceManyCoalescers(t *testing.T) {
-	cfg := Config{Workers: 2, FlushDeadline: time.Millisecond, MaxPending: 128}
+	cfg := Config{Workers: 2, MaxPending: 128}
 	reg := NewRegistry()
 	for i, spec := range []string{"uniform:n=300,degree=5,seed=1", "uniform:n=200,degree=4,seed=2"} {
 		if _, err := addSpec(reg, []string{"a", "b"}[i], spec, cfg); err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
-	"time"
 
 	msbfs "repro"
 )
@@ -21,7 +20,7 @@ func addSpec(reg *Registry, name, spec string, cfg Config) (*Entry, error) {
 }
 
 func TestRegistrySpecs(t *testing.T) {
-	cfg := Config{Workers: 2, FlushDeadline: time.Millisecond}
+	cfg := Config{Workers: 2}
 	reg := NewRegistry()
 	defer reg.Close()
 
@@ -80,7 +79,7 @@ func TestRegistrySpecs(t *testing.T) {
 // with the striped scheme internally.
 func TestRelabelTransparency(t *testing.T) {
 	g := msbfs.GenerateUniform(400, 6, 5)
-	cfg := Config{Workers: 2, FlushDeadline: time.Millisecond}
+	cfg := Config{Workers: 2}
 	reg := NewRegistry()
 	defer reg.Close()
 	e, err := reg.Add("relabeled", g, true, cfg)
@@ -123,7 +122,7 @@ func TestRelabelTransparency(t *testing.T) {
 }
 
 func TestRegistryDefaultGraph(t *testing.T) {
-	cfg := Config{Workers: 1, FlushDeadline: time.Millisecond}
+	cfg := Config{Workers: 1}
 	reg := NewRegistry()
 	defer reg.Close()
 	if _, ok := reg.Get(""); ok {

@@ -249,8 +249,8 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeSubmitError maps coalescer errors onto HTTP status codes; 429
-// carries a Retry-After hint sized to the flush cadence.
+// writeSubmitError maps coalescer errors onto HTTP status codes; 429 and
+// 409 carry a Retry-After hint.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrBadRequest), errors.Is(err, dyngraph.ErrBadEdge),
@@ -331,7 +331,7 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	sort.Strings(names)
 	for _, name := range names {
 		e, _ := s.reg.Get(name)
-		e.Met.writeTo(w, name, e.Coal.QueueLen())
+		e.Met.writeTo(w, name, e.Coal.QueueLen(), e.Coal.InFlight())
 		if e.ClusterMet != nil {
 			e.ClusterMet.WriteTo(w, name)
 		}

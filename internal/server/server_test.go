@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	msbfs "repro"
 )
@@ -18,7 +17,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *msbfs.Graph) {
 	t.Helper()
 	g := msbfs.GenerateKronecker(10, 8, 7)
 	reg := NewRegistry()
-	cfg := Config{Workers: 2, FlushDeadline: time.Millisecond}
+	cfg := Config{Workers: 2}
 	if _, err := reg.Add("demo", g, false, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +194,7 @@ func TestHTTPObservability(t *testing.T) {
 		"bfsd_batch_width_mean",
 		"bfsd_latency_seconds",
 		"bfsd_queue_depth",
+		"bfsd_batches_in_flight",
 		"bfsd_gteps",
 	} {
 		if !strings.Contains(text, want) {

@@ -110,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzLoadEdgeList$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
+	$(GO) test -fuzz '^FuzzRelabel$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzFrontierCodec$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz '^FuzzApplyEdges$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/dyngraph/
 	$(GO) test -fuzz '^FuzzCompact$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/dyngraph/

@@ -12,6 +12,7 @@ package msbfs
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/graph"
@@ -119,5 +120,23 @@ func TestMultiBFSVisitorWarmEngineAllocs(t *testing.T) {
 	warm := testing.AllocsPerRun(10, func() { g.MultiBFSVisitor(sources, opt, visit) })
 	if warm > 32 {
 		t.Errorf("warm-engine MultiBFSVisitor: %.0f allocs/op, want <= 32", warm)
+	}
+}
+
+// The offline set-up, GenerateKronecker then Relabel on one goroutine,
+// builds its two graphs on three arc-sized arrays, not four: the relabel's
+// adjacency is the endpoint buffer the build finished with (graph's arc
+// recycler), so it allocates n-sized arrays only.
+func TestGenerateThenRelabelSharesEndpointBuffer(t *testing.T) {
+	// The recycler's reference is weak; a collection between the two calls
+	// would be a legitimate miss.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g0 := GenerateKronecker(14, 16, 7)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, _ := g0.Relabel(LabelStriped, 2, 512, 1)
+	runtime.ReadMemStats(&after)
+	if got, arcs := after.TotalAlloc-before.TotalAlloc, 8*uint64(g.NumEdges()); got >= arcs {
+		t.Errorf("Relabel after GenerateKronecker allocated %d B, want less than one arc array (%d B)", got, arcs)
 	}
 }

@@ -63,7 +63,7 @@ func TestRNGPerm(t *testing.T) {
 	p := r.perm(50)
 	seen := make([]bool, 50)
 	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
+		if v >= 50 || seen[v] {
 			t.Fatalf("perm is not a permutation: %v", p)
 		}
 		seen[v] = true

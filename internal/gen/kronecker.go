@@ -43,7 +43,9 @@ func Kronecker(p KroneckerParams) *graph.Graph {
 	m := int64(n) * int64(p.EdgeFactor)
 	r := newRNG(p.Seed)
 	// Flat endpoint buffer, edge i = {pairs[2i], pairs[2i+1]}: the layout
-	// graph.FromPairs consumes as its own scratch.
+	// graph.FromPairs takes ownership of, uses as its own scratch and then
+	// recycles into the relabel that follows, so pairs is not touched again
+	// after the call.
 	pairs := make([]graph.VertexID, 2*m)
 
 	ab := p.A + p.B
@@ -79,7 +81,7 @@ func Kronecker(p KroneckerParams) *graph.Graph {
 	// applied to them before the one CSR build.
 	perm := r.perm(n)
 	for i, id := range pairs {
-		pairs[i] = graph.VertexID(perm[id])
+		pairs[i] = perm[id]
 	}
 	return graph.FromPairs(n, pairs)
 }

@@ -5,6 +5,8 @@
 // a given seed so experiments are reproducible.
 package gen
 
+import "repro/internal/graph"
+
 // rng is a small, fast, seedable PRNG (xorshift128+). The generators are in
 // hot paths that produce billions of random numbers at the larger scales;
 // math/rand's lock and interface indirection are measurable there, and a
@@ -56,11 +58,11 @@ func (r *rng) intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
-// perm returns a random permutation of [0, n).
-func (r *rng) perm(n int) []int {
-	p := make([]int, n)
+// perm returns a random permutation of [0, n) as vertex ids.
+func (r *rng) perm(n int) []graph.VertexID {
+	p := make([]graph.VertexID, n)
 	for i := range p {
-		p[i] = i
+		p[i] = graph.VertexID(i)
 	}
 	for i := n - 1; i > 0; i-- {
 		j := r.intn(i + 1)

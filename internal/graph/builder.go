@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"weak"
+)
 
 // Builder accumulates undirected edges and produces a deduplicated CSR
 // Graph. It tolerates self-loops and duplicate edges in the input (both are
@@ -49,7 +53,9 @@ func checkEdge(n int, u, v VertexID) {
 // adjacency is then transposed by walking the sources in ascending order.
 // The arc multiset is symmetric, so the transpose has the same rows, and a
 // row filled in ascending source order is sorted with duplicates adjacent;
-// a final pass drops them. Memory high-water: edges + 2 × arcs × 4 bytes.
+// a final pass drops them. Memory high-water: edges + 2 × arcs × 4 bytes;
+// the second arc array, the transpose scratch, goes to the arc recycler for
+// a Relabel that follows.
 func FromEdges(n int, edges []Edge) *Graph {
 	offsets := make([]int64, n+1)
 	for _, e := range edges {
@@ -73,10 +79,10 @@ func FromEdges(n int, edges []Edge) *Graph {
 }
 
 // FromPairs is FromEdges over a flat endpoint buffer — edge i is
-// {pairs[2i], pairs[2i+1]} — which it consumes: once scattered, the buffer
-// is reused as the transpose target, so the build allocates one arc array
-// instead of two (high-water: pairs + arcs × 4 bytes). The contents of
-// pairs are unspecified afterwards.
+// {pairs[2i], pairs[2i+1]} — which it takes ownership of: once scattered,
+// the buffer is reused as the transpose target, so the build allocates one
+// arc array instead of two (high-water: pairs + arcs × 4 bytes), and then
+// handed to the arc recycler. The caller must not touch pairs afterwards.
 func FromPairs(n int, pairs []VertexID) *Graph {
 	if len(pairs)%2 != 0 {
 		panic("graph: odd endpoint buffer")
@@ -119,7 +125,8 @@ func rowStarts(offsets []int64) []int64 {
 // holds a symmetric arc multiset grouped by source under offsets. It is
 // transposed into scratch (len(unsorted) arcs, contents overwritten),
 // which sorts every row, then deduplicated back into unsorted's storage,
-// closing the gaps and rewriting offsets.
+// closing the gaps and rewriting offsets. Ownership of scratch passes to
+// the arc recycler.
 func transposeDedup(offsets, cursor []int64, unsorted, scratch []VertexID) *Graph {
 	n := len(offsets) - 1
 	copy(cursor, offsets)
@@ -143,7 +150,52 @@ func transposeDedup(offsets, cursor []int64, unsorted, scratch []VertexID) *Grap
 		}
 	}
 	offsets[n] = int64(len(adj))
-	return &Graph{Offsets: offsets, Adjacency: adj}
+	recycleArcs(scratch)
+	return &Graph{Offsets: offsets, Adjacency: adj[:len(adj):len(adj)]}
+}
+
+// spareArcs is the arc recycler: the one arc-sized buffer the last
+// whole-graph build finished with, kept for the whole-graph relabel that
+// usually follows it (generate, then relabel for the worker layout) so the
+// two share one array instead of leaving one dead and allocating the next.
+// The reference is weak: the recycler keeps nothing alive, the first GC
+// cycle that finds the buffer otherwise unreachable empties it, and a miss
+// is simply the allocation there would have been without a recycler.
+var spareArcs struct {
+	sync.Mutex
+	buf weak.Pointer[[]VertexID]
+}
+
+// recycleArcs offers buf, which the caller is done with for good, to the
+// next takeArcs; it replaces a buffer offered earlier.
+func recycleArcs(buf []VertexID) {
+	if cap(buf) == 0 {
+		return
+	}
+	spareArcs.Lock()
+	spareArcs.buf = weak.Make(&buf)
+	spareArcs.Unlock()
+}
+
+// takeArcs returns n zeroed arcs with no spare capacity, on the recycled
+// buffer if it is large enough and at most a quarter too large (the
+// result must not pin much more than its own size; a Graph500 endpoint
+// buffer is about 1.15 × the deduplicated arcs), freshly allocated
+// otherwise. A recycled buffer is handed out once.
+func takeArcs(n int64) []VertexID {
+	spareArcs.Lock()
+	p := spareArcs.buf.Value()
+	hit := p != nil && n <= int64(cap(*p)) && int64(cap(*p)) <= n+n/4
+	if hit {
+		spareArcs.buf = weak.Pointer[[]VertexID]{}
+	}
+	spareArcs.Unlock()
+	if !hit {
+		return make([]VertexID, n)
+	}
+	buf := (*p)[:n:n]
+	clear(buf)
+	return buf
 }
 
 // Relabel returns a new graph in which every vertex v of g has been renamed
@@ -155,8 +207,16 @@ func transposeDedup(offsets, cursor []int64, unsorted, scratch []VertexID) *Grap
 // is filled by visiting the new ids nv in ascending order and appending nv
 // for every u in the old neighbor list of nv, which reaches exactly u's
 // neighbors, already sorted, only when each arc has its reverse. On an
-// asymmetric CSR the result is the relabeled transpose laid over g's
-// degrees, not a relabeling of g.
+// asymmetric CSR the fill produces the relabeled transpose: where a
+// vertex's in-degree differs from its out-degree some row receives more or
+// fewer arcs than its degree and Relabel panics (naming the first such row,
+// or with an index out of range when the excess runs past the array);
+// where the degrees all agree, as on a directed cycle, it returns that
+// transpose laid over g's degrees, not a relabeling of g. Validate is the
+// symmetry proof, not Relabel.
+//
+// g is only read and the result shares no storage with it; the result's
+// adjacency may be recycled scratch of an earlier build (takeArcs).
 func Relabel(g *Graph, newID []VertexID) *Graph {
 	n := g.NumVertices()
 	if len(newID) != n {
@@ -181,7 +241,7 @@ func Relabel(g *Graph, newID []VertexID) *Graph {
 	for nv, v := range inv {
 		offsets[nv+1] = offsets[nv] + int64(g.Degree(int(v)))
 	}
-	adj := make([]VertexID, offsets[n])
+	adj := takeArcs(offsets[n])
 	cursor := make([]int64, n)
 	copy(cursor, offsets)
 	for nv, v := range inv {
@@ -189,6 +249,12 @@ func Relabel(g *Graph, newID []VertexID) *Graph {
 			nu := newID[u]
 			adj[cursor[nu]] = VertexID(nv)
 			cursor[nu]++
+		}
+	}
+	for nv, c := range cursor {
+		if c != offsets[nv+1] {
+			panic(fmt.Sprintf("graph: relabel of an asymmetric graph: new row %d received %d arcs for a degree of %d",
+				nv, c-offsets[nv], offsets[nv+1]-offsets[nv]))
 		}
 	}
 	return &Graph{Offsets: offsets, Adjacency: adj}

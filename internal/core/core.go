@@ -382,11 +382,8 @@ func (r *iterRecorder) record(iter int, dur time.Duration, busy []time.Duration,
 			Duration:  dur,
 		}
 		if r.pool != nil {
-			tasks := r.pool.TaskCounts(nil)
-			steals := r.pool.StealCounts(nil)
-			rec.WorkerTasks = diffInt64(tasks, r.prevTasks)
-			rec.WorkerSteals = diffInt64(steals, r.prevSteals)
-			r.prevTasks, r.prevSteals = tasks, steals
+			rec.WorkerTasks = deltaSince(r.pool.TaskCounts(nil), r.prevTasks)
+			rec.WorkerSteals = deltaSince(r.pool.StealCounts(nil), r.prevSteals)
 		}
 		rec.FrontierEdges, rec.UnexploredEdges = r.pendFrontEdges, r.pendUnexplored
 		rec.MergeWords, rec.WorkerMergeWords = r.pendMergeWords, r.pendWorkerMerge
@@ -421,11 +418,12 @@ func (r *iterRecorder) finish() {
 	}
 }
 
-// diffInt64 returns cur-prev element-wise, reusing cur's backing array
-// (cur was freshly appended by the pool accessors).
-func diffInt64(cur, prev []int64) []int64 {
-	for i := range cur {
-		cur[i] -= prev[i]
+// deltaSince turns cur, a fresh cumulative snapshot from the pool accessors,
+// into cur-prev in place and advances prev to the snapshot, so prev stays
+// cumulative from one iteration to the next.
+func deltaSince(cur, prev []int64) []int64 {
+	for i, c := range cur {
+		cur[i], prev[i] = c-prev[i], c
 	}
 	return cur
 }

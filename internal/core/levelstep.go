@@ -27,11 +27,11 @@ import (
 type levelStep struct {
 	shellRun
 
-	// tq is the stripe-affine task layout for the scatter/resolve/zero
-	// phases and (statically fetched) the shadow merge; buTQ is the layout
-	// for bottom-up sweeps — tq itself unless the kernel installs a
-	// cache-blocked one over the same stripes.
-	tq, buTQ *sched.TaskQueues
+	// tq is the shell's one stripe-affine task layout: bottom-up, scatter,
+	// resolve and zero run over it, and so (statically fetched) does the
+	// shadow merge. A level's schedule is a function of (n, workers,
+	// Options.SplitSize) only.
+	tq *sched.TaskQueues
 
 	// self is the kernel engine embedding this substrate — what a warm
 	// checkout hands back to the kernel's constructor; bytes is the shell's
@@ -124,19 +124,15 @@ func beginShell(g *graph.Graph, opt Options, key shellKey) (run shellRun, warm *
 }
 
 // init allocates the shape-specific substrate of a fresh shell for kernel
-// self — stripe borders, the stripe-affine task layout, the shared
-// counters, the merge body — and returns the word-aligned stripe borders
-// the kernel sizes its own per-worker state and shadows by.
-func (ls *levelStep) init(self any, key shellKey) (vBounds []int) {
-	vBounds = numa.AlignedRanges(key.n, key.workers, splitStride)
+// self: the stripe-affine task layout over word-aligned stripe borders, the
+// shared counters, the merge body.
+func (ls *levelStep) init(self any, key shellKey) {
 	ls.self = self
-	ls.tq = sched.CreateStripeTasks(vBounds, key.split)
-	ls.buTQ = ls.tq
+	ls.tq = sched.CreateStripeTasks(numa.AlignedRanges(key.n, key.workers, splitStride), key.split)
 	ls.scanned = make([]padCounter, key.workers)
 	ls.updated = make([]padCounter, key.workers)
 	ls.frontDeg = make([]padCounter, key.workers)
 	ls.mergeBody = ls.mergeTask
-	return vBounds
 }
 
 // open binds a warm or freshly built shell to its run: the run-specific
@@ -167,7 +163,6 @@ func (ls *levelStep) open(run shellRun, elemBytes int) {
 			// crossing sockets, so stolen tasks' data stays as local as
 			// the topology allows.
 			ls.tq.SetStealOrder(numa.StealOrder(opt.Topology))
-			ls.buTQ.SetStealOrder(numa.StealOrder(opt.Topology))
 		}
 	}
 
@@ -234,8 +229,8 @@ func (ls *levelStep) traverse(rec *iterRecorder, visited int64) int64 {
 
 		var busy []time.Duration
 		if bottomUp {
-			ls.buTQ.Reset()
-			busy = ls.runPhase(ls.buTQ, steal, ls.bottomUpBody)
+			ls.tq.Reset()
+			busy = ls.runPhase(ls.tq, steal, ls.bottomUpBody)
 		} else {
 			busy = ls.topDown(steal)
 		}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/numa"
 	"repro/internal/sched"
 )
 
@@ -71,26 +70,6 @@ type MSPBFSEngine struct {
 	dbgSeen int64
 }
 
-// cacheBlockedSplit returns the bottom-up task size in vertices: the
-// largest multiple of splitStride whose per-task working set — the
-// stripe's seen and next rows plus amortized frontier and adjacency
-// traffic — fits in half the last-level cache, floored at one stride.
-// Blocking the destination range keeps the stripe's state rows resident
-// across the whole neighbor scan (the "CSR stripe sized to LLC" design).
-func cacheBlockedSplit(words int) int {
-	perVertex := int64(3*8*words + 64) // seen+next+scratch rows + amortized adjacency/frontier line
-	v := numa.LLCBytes() / 2 / perVertex
-	v -= v % splitStride
-	if v < splitStride {
-		v = splitStride
-	}
-	const maxSplit = 1 << 20
-	if v > maxSplit {
-		v = maxSplit
-	}
-	return int(v)
-}
-
 // NewMSPBFSEngine prepares an instance. Close must be called to hand the
 // worker pool and the state arrays back to the engine's arena (pools
 // supplied via Options.Pool stay with the caller).
@@ -127,8 +106,7 @@ func newMSPBFSShell(run shellRun, words int) *MSPBFSEngine {
 		scratch:   make([][]uint64, workers),
 		liveBits:  make([][]uint64, workers),
 	}
-	vBounds := e.init(e, run.key)
-	e.buTQ = sched.CreateStripeTasks(vBounds, cacheBlockedSplit(words))
+	e.init(e, run.key)
 	e.shadows = bitset.NewShadows(n*words, workers)
 	e.wordMul, e.wordDiv = words, 1
 	e.bytes = e.seen.MemoryBytes() + e.buf0.MemoryBytes() + e.buf1.MemoryBytes() + e.shadows.MemoryBytes()

@@ -32,9 +32,12 @@ func reached(levels []int32) int64 {
 // the reference BFS. Workers>1 is the interesting case: it is the only
 // configuration where the shadow slabs and the barrier merge actually run;
 // a shadow word lost at the merge shows up as a missing level, one
-// published twice as an inflated visit count.
+// published twice as an inflated visit count. SplitSize is a dimension
+// because every phase — bottom-up included — is cut by it: 4096 vertices
+// are eight tasks at 512, two at 2048 and one at 65 536, and a vertex's
+// level must not depend on which task holds it.
 func TestSegmentedMatchesReference(t *testing.T) {
-	g := gen.Kronecker(gen.Graph500Params(9, 6))
+	g := gen.Kronecker(gen.Graph500Params(12, 6))
 	sources := RandomSources(g, 64, 17)
 	want := make([][]int32, len(sources))
 	var wantStates int64
@@ -46,22 +49,24 @@ func TestSegmentedMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		for _, dir := range []Direction{Auto, TopDownOnly, BottomUpOnly} {
 			t.Run(fmt.Sprintf("workers=%d/dir=%d", workers, dir), func(t *testing.T) {
-				opt := Options{Workers: workers, BatchWords: 1, Direction: dir, RecordLevels: true}
+				for _, split := range []int{512, 2048, 65536} {
+					opt := Options{Workers: workers, BatchWords: 1, SplitSize: split, Direction: dir, RecordLevels: true}
 
-				ms := MSPBFS(g, sources, opt)
-				if ms.VisitedStates != wantStates {
-					t.Fatalf("MS-PBFS visited %d states, reference %d", ms.VisitedStates, wantStates)
-				}
-				for i, src := range sources {
-					levelsEqual(t, fmt.Sprintf("MS-PBFS src=%d", src), ms.Levels[i], want[i])
-				}
-
-				for _, repr := range []StateRepr{BitState, ByteState} {
-					sms := SMSPBFS(g, sources[0], repr, opt)
-					if got, ref := sms.VisitedVertices, reached(want[0]); got != ref {
-						t.Fatalf("SMS-PBFS/%s visited %d, reference %d", repr, got, ref)
+					ms := MSPBFS(g, sources, opt)
+					if ms.VisitedStates != wantStates {
+						t.Fatalf("split=%d: MS-PBFS visited %d states, reference %d", split, ms.VisitedStates, wantStates)
 					}
-					levelsEqual(t, fmt.Sprintf("SMS-PBFS/%s", repr), sms.Levels, want[0])
+					for i, src := range sources {
+						levelsEqual(t, fmt.Sprintf("split=%d MS-PBFS src=%d", split, src), ms.Levels[i], want[i])
+					}
+
+					for _, repr := range []StateRepr{BitState, ByteState} {
+						sms := SMSPBFS(g, sources[0], repr, opt)
+						if got, ref := sms.VisitedVertices, reached(want[0]); got != ref {
+							t.Fatalf("split=%d: SMS-PBFS/%s visited %d, reference %d", split, repr, got, ref)
+						}
+						levelsEqual(t, fmt.Sprintf("split=%d SMS-PBFS/%s", split, repr), sms.Levels, want[0])
+					}
 				}
 			})
 		}

@@ -15,7 +15,9 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/numa"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // tracedAuto runs one single-batch MS-PBFS under Auto with both the
@@ -128,11 +130,79 @@ func TestTraceMatchesIterationStats(t *testing.T) {
 	}
 }
 
+// scheduleTrace runs one traced traversal of the named kernel and returns
+// its flight records: "ms-pbfs" over all sources (one record per batch),
+// otherwise SMS-PBFS in that representation from sources[0].
+func scheduleTrace(t *testing.T, kernel string, g *graph.Graph, sources []int, opt Options) []obs.Traversal {
+	t.Helper()
+	opt.Tracer = obs.NewTracer()
+	switch kernel {
+	case "ms-pbfs":
+		MSPBFS(g, sources, opt)
+	case "sms-pbfs/bit":
+		SMSPBFS(g, sources[0], BitState, opt)
+	case "sms-pbfs/byte":
+		SMSPBFS(g, sources[0], ByteState, opt)
+	}
+	snap := opt.Tracer.Snapshot()
+	if len(snap.Traversals) == 0 {
+		t.Fatalf("%s: no flight record", kernel)
+	}
+	return snap.Traversals
+}
+
+// checkSchedule asserts the schedule as a count: a level runs its phases
+// (bottom-up: one; top-down: scatter, merge, resolve, the merge dropping
+// out at one worker) over the shell's one task layout tq, so every
+// iteration fetches phases x NumTasks tasks; with stealing off (static)
+// each worker fetches exactly its own queue. A kernel engine's second
+// batch scrubs after its recorder opens: one more (zero) phase in level 1.
+func checkSchedule(t *testing.T, ctx string, tvs []obs.Traversal, tq *sched.TaskQueues, static bool) {
+	t.Helper()
+	for b, tv := range tvs {
+		for i, it := range tv.Iterations {
+			phases := int64(1)
+			if !it.BottomUp {
+				phases = 3
+				if tq.NumWorkers() == 1 {
+					phases = 2
+				}
+			}
+			if b > 0 && i == 0 {
+				phases++
+			}
+			at := fmt.Sprintf("%s batch %d iteration %d (%s)", ctx, b, i+1, it.Direction())
+			if got, want := it.Tasks(), phases*int64(tq.NumTasks()); got != want {
+				t.Errorf("%s: %d tasks, want %d phases x %d", at, got, phases, tq.NumTasks())
+			}
+			if !static {
+				continue
+			}
+			if it.Steals() != 0 {
+				t.Errorf("%s: %d steals with stealing off", at, it.Steals())
+			}
+			for w, got := range it.WorkerTasks {
+				if own := int64(len(tq.WorkerTasks(w))); got != phases*own {
+					t.Errorf("%s: worker %d ran %d tasks, want %d phases x its %d", at, w, got, phases, own)
+				}
+			}
+		}
+	}
+}
+
 // TestTraceForcedDirections: forced policies record the forced reason on
-// every iteration and the forced direction throughout.
+// every iteration and the forced direction throughout, Auto the reason of
+// each transition — and under every policy the schedule is a function of
+// (n, workers, SplitSize) alone (checkSchedule). The engine is shared, so
+// all but the first policy run on warm shells and a used pool: the counts
+// must not depend on either.
 func TestTraceForcedDirections(t *testing.T) {
-	g := gen.Kronecker(gen.Graph500Params(10, 3))
-	sources := RandomSources(g, 64, 29)
+	eng := NewEngine()
+	defer eng.Close()
+	graphs := []*graph.Graph{
+		gen.Kronecker(gen.Graph500Params(8, 3)),  // 256 vertices: below one task
+		gen.Kronecker(gen.Graph500Params(13, 3)), // 8192: many tasks per stripe
+	}
 	for _, tc := range []struct {
 		dir    Direction
 		wantBU bool
@@ -140,17 +210,41 @@ func TestTraceForcedDirections(t *testing.T) {
 	}{
 		{TopDownOnly, false, dirForcedTopDown},
 		{BottomUpOnly, true, dirForcedBottomUp},
+		{Auto, false, ""},
 	} {
-		tr := obs.NewTracer()
-		MSPBFS(g, sources, Options{Workers: 2, BatchWords: 1, Direction: tc.dir, Tracer: tr})
-		snap := tr.Snapshot()
-		if len(snap.Traversals) != 1 {
-			t.Fatalf("direction %d: %d traversals, want 1", tc.dir, len(snap.Traversals))
-		}
-		for i, it := range snap.Traversals[0].Iterations {
-			if it.BottomUp != tc.wantBU || it.Reason != tc.reason {
-				t.Errorf("direction %d iteration %d: %s/%q, want bottomUp=%v reason=%q",
-					tc.dir, i+1, it.Direction(), it.Reason, tc.wantBU, tc.reason)
+		for _, g := range graphs {
+			n := g.NumVertices()
+			sources := RandomSources(g, 65, 29)      // 65: MS-PBFS runs a second batch
+			for _, workers := range []int{1, 2, 3} { // 3: uneven stripes
+				for _, split := range []int{512, 2048} {
+					tq := sched.CreateStripeTasks(numa.AlignedRanges(n, workers, splitStride), split)
+					if n == 8192 && workers == 3 {
+						if want := map[int]int{512: 6 + 6 + 4, 2048: 2 + 2 + 1}[split]; tq.NumTasks() != want {
+							t.Fatalf("n=%d workers=3 split=%d: %d tasks, want %d", n, split, tq.NumTasks(), want)
+						}
+					}
+					for _, kernel := range []string{"ms-pbfs", "sms-pbfs/bit", "sms-pbfs/byte"} {
+						for _, static := range []bool{false, true} {
+							ctx := fmt.Sprintf("dir=%d n=%d workers=%d split=%d %s static=%v",
+								tc.dir, n, workers, split, kernel, static)
+							tvs := scheduleTrace(t, kernel, g, sources, Options{Workers: workers, BatchWords: 1,
+								SplitSize: split, Direction: tc.dir, DisableStealing: static, Engine: eng})
+							checkSchedule(t, ctx, tvs, tq, static)
+							for _, tv := range tvs {
+								if tc.dir == Auto {
+									checkReasonConsistency(t, tv.Iterations, ctx)
+									continue
+								}
+								for i, it := range tv.Iterations {
+									if it.BottomUp != tc.wantBU || it.Reason != tc.reason {
+										t.Errorf("%s iteration %d: %s/%q, want bottomUp=%v reason=%q",
+											ctx, i+1, it.Direction(), it.Reason, tc.wantBU, tc.reason)
+									}
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}

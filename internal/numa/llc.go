@@ -8,8 +8,9 @@ import (
 )
 
 // LLCBytes returns the size of the last-level cache detected from sysfs,
-// falling back to 8 MiB when detection is unavailable. The kernels size
-// their cache-blocked bottom-up stripes from it.
+// falling back to 8 MiB when detection is unavailable. No kernel reads it:
+// its one caller is the header line benchmark/run.go prints, and on a VM it
+// reports the host's shared L3, not what a worker can keep resident.
 func LLCBytes() int64 {
 	llcOnce.Do(func() {
 		llcBytes = detectLLCBytes()

@@ -26,9 +26,10 @@ type suiteEnv struct {
 	counter *metrics.EdgeCounter
 	// The large fixture (cfg.LargeScale) drives the *-large scenarios: a
 	// working set past LLC capacity, where the worker-owned frontier
-	// segments and cache-blocked bottom-up stripes are supposed to earn
-	// their keep (ROADMAP item 6's mspbfs/auto-large ÷ msbfs/sequential-large
-	// ratio row: it must stay < 1, the paper's headline claim at scale).
+	// segments and many stealable bottom-up tasks per stripe are supposed
+	// to earn their keep (ROADMAP item 8a's mspbfs/auto-large ÷
+	// msbfs/sequential-large ratio row: it must stay < 1, the paper's
+	// headline claim at scale).
 	gLarge       *graph.Graph
 	sourcesLarge []int
 	counterLarge *metrics.EdgeCounter
@@ -178,7 +179,7 @@ func runMultiLarge(e *suiteEnv, f func() *core.MultiResult) Sample {
 }
 
 // runMSPBFSAutoLarge is the parallel kernel on the large fixture. Its row
-// carries the claim behind ROADMAP item 6's auto-large ÷ sequential-large
+// carries the claim behind ROADMAP item 8a's auto-large ÷ sequential-large
 // ratio row: median GTEPS here must not fall below msbfs/sequential-large.
 func runMSPBFSAutoLarge(e *suiteEnv) Sample {
 	opt := e.traversalOpts()

@@ -176,7 +176,9 @@ type outcome struct {
 // maxInFlight bounds the batches of one graph running at once: concurrent
 // batches multiply batch state and split the cores (the paper's case
 // against one instance per core), and a second one earns its state arrays
-// only by filling the first one's barrier gaps. One slot, three and no
+// only by traversing while the first one's answers are demultiplexed,
+// encoded and its callers are on their way back with the next requests —
+// a gap in which one slot leaves the kernel idle. One slot, three and no
 // bound each measured worse (docs/SERVER.md, Batching policy notes).
 const maxInFlight = 2
 

@@ -5,7 +5,7 @@ PKGS := ./...
 # rewritten by tooling; everything else is held to gofmt.
 GOFILES := $(shell git ls-files '*.go' | grep -v '/testdata/')
 
-.PHONY: all build test lint vet gate gate-update race flake cluster-test dyn-test debug ci fmt serve loadtest perf perf-compare bench fuzz-smoke obs-smoke
+.PHONY: all build test lint vet gate gate-update race server-race flake cluster-test dyn-test debug ci fmt serve loadtest perf perf-compare bench fuzz-smoke obs-smoke
 
 all: build
 
@@ -25,9 +25,9 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# vet = stock go vet plus the six concurrency/discipline analyzers in
-# cmd/bfsvet (arenarelease, atomicword, falseshare, hotalloc, nocas,
-# waitgroupleak — see docs/ANALYSIS.md).
+# vet = stock go vet plus the five concurrency/discipline analyzers in
+# cmd/bfsvet (arenarelease, atomicword, falseshare, hotalloc, waitgroupleak;
+# atomicword also enforces //bfs:nocas — see docs/ANALYSIS.md).
 vet:
 	$(GO) vet $(PKGS)
 	$(GO) run ./cmd/bfsvet $(PKGS)
@@ -47,6 +47,11 @@ gate-update:
 # out; the *_race_test.go / contended stress tests always run.
 race:
 	$(GO) test -race -short $(PKGS)
+
+# server-race = the serving stack (submit/cancel/shutdown) under the race
+# detector, twice over, as CI's server race step runs it.
+server-race:
+	$(GO) test -race -count=2 ./internal/server/... ./cmd/bfsd/... ./cmd/bfsload/...
 
 # flake = the packages whose tests assert on a timing, twenty times over:
 # one green `make test` says little about an assertion that fails one
@@ -76,6 +81,7 @@ dyn-test:
 # (per-iteration frontier/seen cross-checks + reference-BFS distance
 # verification; see docs/ANALYSIS.md).
 debug:
+	$(GO) build -tags bfsdebug $(PKGS)
 	$(GO) test -tags bfsdebug ./internal/core/...
 
 # serve = run the query daemon on a demo graph (see docs/SERVER.md).
@@ -129,4 +135,4 @@ obs-smoke:
 	./scripts/obs_smoke.sh
 
 # ci mirrors .github/workflows/ci.yml.
-ci: build lint gate test race cluster-test dyn-test debug obs-smoke
+ci: build lint gate test race server-race cluster-test dyn-test debug obs-smoke fuzz-smoke

@@ -1,7 +1,8 @@
 // Command bfsvet is the repository's concurrency-correctness multichecker:
 // it runs the custom internal/analysis passes (arenarelease, atomicword,
-// falseshare, hotalloc, nocas, waitgroupleak) over the module's packages,
-// exactly like `go vet` runs the stock passes.
+// falseshare, hotalloc, waitgroupleak) over the module's packages, exactly
+// like `go vet` runs the stock passes. atomicword also enforces the
+// //bfs:nocas marks.
 //
 // Usage:
 //
@@ -29,7 +30,6 @@ import (
 	"repro/internal/analysis/atomicword"
 	"repro/internal/analysis/falseshare"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/nocas"
 	"repro/internal/analysis/waitgroupleak"
 )
 
@@ -39,7 +39,6 @@ var analyzers = []*analysis.Analyzer{
 	atomicword.Analyzer,
 	falseshare.Analyzer,
 	hotalloc.Analyzer,
-	nocas.Analyzer,
 	waitgroupleak.Analyzer,
 }
 

@@ -28,11 +28,22 @@ func TestFindingsExitOne(t *testing.T) {
 	writeFile(t, filepath.Join(dir, "go.mod"), "module bfsvettest\n\ngo 1.22\n")
 	writeFile(t, filepath.Join(dir, "bad.go"), `package bad
 
+import "sync/atomic"
+
 var words = make([]uint64, 8)
+
+var total int64
 
 func leak(i int, mask uint64) {
 	words[i] |= mask
 	go func() {}()
+}
+
+// count claims to be atomics-free.
+//
+//bfs:nocas
+func count() {
+	atomic.AddInt64(&total, 1)
 }
 `)
 	var out, errb bytes.Buffer
@@ -40,7 +51,7 @@ func leak(i int, mask uint64) {
 	if code != 1 {
 		t.Fatalf("expected exit 1, got %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
-	for _, want := range []string{"atomicword", "waitgroupleak"} {
+	for _, want := range []string{"atomicword: non-atomic |=", "waitgroupleak", "atomicword: sync/atomic call AddInt64 inside //bfs:nocas"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("expected a %s finding, got:\n%s", want, out.String())
 		}

@@ -50,7 +50,7 @@ const (
 	// once per phase, not per task); requires a justification.
 	DirectiveShareOK = "bfs:share-ok"
 	// DirectiveNoCAS marks a function (doc comment) as an atomics-free zone:
-	// nocas flags any sync/atomic call or Atomic*-named call inside it. The
+	// atomicword flags any sync/atomic call or Atomic*-named call inside it. The
 	// segmented scatter/merge/resolve kernels carry it to prove the
 	// worker-owned frontier path stays plain-store only.
 	DirectiveNoCAS = "bfs:nocas"

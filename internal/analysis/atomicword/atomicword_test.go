@@ -10,3 +10,9 @@ import (
 func TestAtomicWord(t *testing.T) {
 	analysistest.Run(t, "testdata", atomicword.Analyzer, "a", "internal/bitset")
 }
+
+// TestNoCAS runs the golden of the former nocas pass: the //bfs:nocas rule
+// now lives in atomicword.
+func TestNoCAS(t *testing.T) {
+	analysistest.Run(t, "testdata", atomicword.Analyzer, "nocas")
+}

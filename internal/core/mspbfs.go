@@ -157,7 +157,6 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 	if k == 0 {
 		return
 	}
-	rec := newIterRecorder(opt, "ms-pbfs", k, e.pool)
 	var levels [][]int32
 	if opt.RecordLevels {
 		levels = make([][]int32, k) //bfs:alloc-ok k pointers per batch, not per vertex
@@ -174,8 +173,10 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 	start := time.Now()
 
 	// Reset state from any previous batch (skipped when the constructor's
-	// first-touch scrub just ran).
+	// first-touch scrub just ran). The recorder opens after it, so the
+	// scrub's tasks are not charged to the first level.
 	e.scrub()
+	rec := newIterRecorder(opt, "ms-pbfs", k, e.pool)
 
 	e.bindBuffers(e.buf0, e.buf1)
 	e.phMask = fillMask(e.mask, k)

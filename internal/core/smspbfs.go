@@ -178,7 +178,6 @@ func NewSMSPBFSEngine(g *graph.Graph, repr StateRepr, opt Options) *SMSPBFSEngin
 func (e *SMSPBFSEngine) Run(source int) *Result {
 	g, opt, n := e.g, e.opt, e.g.NumVertices()
 	ov := opt.Overlay
-	rec := newIterRecorder(opt, e.repr.algoName(), 1, e.pool)
 	var levels []int32
 	if opt.RecordLevels {
 		// NoLevel fill doubles as the level row's arena scrub.
@@ -190,6 +189,8 @@ func (e *SMSPBFSEngine) Run(source int) *Result {
 
 	start := time.Now()
 	e.scrub()
+	// Opened after the scrub, so its tasks are not charged to the first level.
+	rec := newIterRecorder(opt, e.repr.algoName(), 1, e.pool)
 
 	e.bindBuffers(e.buf0, e.buf1)
 	e.phLevels = levels

@@ -1,36 +1,9 @@
 package metrics
 
-// This file defines the JSON-exportable views of the measurement types.
-// The perf harness (internal/perf) embeds these summaries in its versioned
-// BENCH_<sha>.json rows; keeping the field set and tags here means the
-// schema follows the metrics types instead of being re-declared per tool.
-
-// HistogramSummary is the JSON view of a Histogram: counts plus the
-// quantiles the server and load tools already report. Values carry the
-// histogram's native unit (nanoseconds for latency histograms).
-type HistogramSummary struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	Min   int64   `json:"min"`
-	Max   int64   `json:"max"`
-	P50   int64   `json:"p50"`
-	P95   int64   `json:"p95"`
-	P99   int64   `json:"p99"`
-}
-
-// Summary captures the histogram's current state for export. Like the
-// accessors it is built on, it is safe to call concurrently with Record.
-func (h *Histogram) Summary() HistogramSummary {
-	return HistogramSummary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		P50:   h.P50(),
-		P95:   h.P95(),
-		P99:   h.P99(),
-	}
-}
+// This file defines the JSON-exportable view of a run. The perf harness
+// (internal/perf) embeds it in its versioned BENCH_<sha>.json rows; keeping
+// the field set and tags here means the schema follows the metrics types
+// instead of being re-declared per tool.
 
 // RunSummary is the JSON view of a RunStat: wall time, Graph500 edge
 // accounting and the derived GTEPS, without the per-iteration detail.

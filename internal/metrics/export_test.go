@@ -7,33 +7,6 @@ import (
 	"time"
 )
 
-func TestHistogramSummary(t *testing.T) {
-	var h Histogram
-	for i := int64(1); i <= 1000; i++ {
-		h.Record(i * 1000)
-	}
-	s := h.Summary()
-	if s.Count != 1000 {
-		t.Fatalf("count = %d, want 1000", s.Count)
-	}
-	if s.Min > s.P50 || s.P50 > s.P95 || s.P95 > s.P99 || s.P99 > s.Max {
-		t.Errorf("quantiles not monotone: %+v", s)
-	}
-	// The log-bucket scheme promises <=12.5% quantile error; allow 20%.
-	if got, want := float64(s.P50), 500e3; got < want*0.8 || got > want*1.2 {
-		t.Errorf("p50 = %v, want within 20%% of %v", got, want)
-	}
-	b, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{`"count"`, `"mean"`, `"p50"`, `"p95"`, `"p99"`} {
-		if !strings.Contains(string(b), field) {
-			t.Errorf("summary JSON %s missing field %s", b, field)
-		}
-	}
-}
-
 func TestRunSummary(t *testing.T) {
 	r := RunStat{
 		Elapsed:        2 * time.Second,

@@ -13,14 +13,11 @@ import (
 // The bucket layout is the classic "octave plus linear sub-buckets" scheme:
 // values below histSub land in exact unit buckets; above that, each
 // power-of-two octave is split into histSub linear sub-buckets, bounding the
-// relative quantile error by 1/histSub (12.5%). The layout is fixed at
-// compile time, so histograms recorded by different goroutines — or
-// different processes reporting the same metric — merge by plain addition.
+// relative quantile error by 1/histSub (12.5%).
 //
-// All mutating methods use atomic operations: a Histogram may be recorded
-// into concurrently without external locking. Readers (Quantile, Mean, ...)
-// see a near-consistent snapshot, which is the usual contract for live
-// telemetry.
+// Record uses atomic operations: a Histogram may be recorded into
+// concurrently without external locking. Readers (Quantile, Mean, ...) see a
+// near-consistent snapshot, which is the usual contract for live telemetry.
 //
 // The zero value is ready to use.
 type Histogram struct {
@@ -28,7 +25,6 @@ type Histogram struct {
 	count  int64
 	sum    int64
 	max    int64
-	min    int64 // stored as ^value so the zero value means "unset"
 }
 
 const (
@@ -81,15 +77,6 @@ func (h *Histogram) Record(v int64) {
 			break
 		}
 	}
-	for {
-		old := atomic.LoadInt64(&h.min)
-		if old != 0 && ^old <= v {
-			break
-		}
-		if atomic.CompareAndSwapInt64(&h.min, old, ^v) {
-			break
-		}
-	}
 }
 
 // RecordDuration adds one latency observation in nanoseconds.
@@ -114,15 +101,6 @@ func (h *Histogram) Mean() float64 {
 
 // Max returns the largest recorded value (0 when empty); exact.
 func (h *Histogram) Max() int64 { return atomic.LoadInt64(&h.max) }
-
-// Min returns the smallest recorded value (0 when empty); exact.
-func (h *Histogram) Min() int64 {
-	v := atomic.LoadInt64(&h.min)
-	if v == 0 {
-		return 0
-	}
-	return ^v
-}
 
 // Quantile returns an upper bound for the q-quantile (q in [0, 1]) of the
 // recorded values, within one bucket (≤ 12.5% relative error). Empty
@@ -161,46 +139,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 func (h *Histogram) P50() int64 { return h.Quantile(0.50) }
 func (h *Histogram) P95() int64 { return h.Quantile(0.95) }
 func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
-
-// Merge adds every observation recorded in o into h. Safe against
-// concurrent recording on either side.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.counts {
-		if c := atomic.LoadInt64(&o.counts[i]); c != 0 {
-			atomic.AddInt64(&h.counts[i], c)
-		}
-	}
-	atomic.AddInt64(&h.count, atomic.LoadInt64(&o.count))
-	atomic.AddInt64(&h.sum, atomic.LoadInt64(&o.sum))
-	for {
-		old := atomic.LoadInt64(&h.max)
-		v := o.Max()
-		if v <= old {
-			break
-		}
-		if atomic.CompareAndSwapInt64(&h.max, old, v) {
-			break
-		}
-	}
-	if o.Count() > 0 {
-		v := o.Min()
-		for {
-			old := atomic.LoadInt64(&h.min)
-			if old != 0 && ^old <= v {
-				break
-			}
-			if atomic.CompareAndSwapInt64(&h.min, old, ^v) {
-				break
-			}
-		}
-	}
-}
-
-// String summarizes the distribution for logs and reports.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f p50=%d p95=%d p99=%d max=%d",
-		h.Count(), h.Mean(), h.P50(), h.P95(), h.P99(), h.Max())
-}
 
 // DurationString summarizes a histogram of nanosecond latencies.
 func (h *Histogram) DurationString() string {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -61,8 +62,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Count() != 10000 {
 		t.Errorf("count = %d", h.Count())
 	}
-	if h.Max() != values[len(values)-1] || h.Min() != values[0] {
-		t.Errorf("max/min = %d/%d, want %d/%d", h.Max(), h.Min(), values[len(values)-1], values[0])
+	if h.Max() != values[len(values)-1] {
+		t.Errorf("max = %d, want %d", h.Max(), values[len(values)-1])
 	}
 	var sum int64
 	for _, v := range values {
@@ -75,13 +76,13 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestHistogramEmptyAndEdge(t *testing.T) {
 	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Max() != 0 || h.Min() != 0 {
+	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Max() != 0 {
 		t.Error("empty histogram must report zeros")
 	}
 	h.Record(-5) // clamps to 0
 	h.Record(0)
-	if h.Min() != 0 || h.Max() != 0 || h.Count() != 2 {
-		t.Errorf("after zero records: min=%d max=%d n=%d", h.Min(), h.Max(), h.Count())
+	if h.Sum() != 0 || h.Max() != 0 || h.Count() != 2 {
+		t.Errorf("after zero records: sum=%d max=%d n=%d", h.Sum(), h.Max(), h.Count())
 	}
 	if h.Quantile(0.99) != 0 {
 		t.Errorf("all-zero q99 = %d", h.Quantile(0.99))
@@ -96,42 +97,22 @@ func TestHistogramEmptyAndEdge(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b, all Histogram
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 5000; i++ {
-		v := int64(r.Intn(1 << 30))
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-		all.Record(v)
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() || a.Sum() != all.Sum() {
-		t.Fatalf("merged count/sum = %d/%d, want %d/%d", a.Count(), a.Sum(), all.Count(), all.Sum())
-	}
-	if a.Max() != all.Max() || a.Min() != all.Min() {
-		t.Errorf("merged max/min = %d/%d, want %d/%d", a.Max(), a.Min(), all.Max(), all.Min())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if a.Quantile(q) != all.Quantile(q) {
-			t.Errorf("q=%.2f: merged %d != direct %d", q, a.Quantile(q), all.Quantile(q))
-		}
-	}
-	// Merging an empty histogram is a no-op.
-	var empty Histogram
-	before := a.Count()
-	a.Merge(&empty)
-	if a.Count() != before || a.Min() != all.Min() {
-		t.Error("merge of empty histogram changed state")
-	}
-}
-
+// TestHistogramConcurrentRecord records from 8 goroutines into one shared
+// histogram — the pattern server.Metrics relies on, one Histogram per
+// series fed by every request goroutine. Under -race the detector must stay
+// quiet, and count, sum, max and the bucket total must come out exact.
 func TestHistogramConcurrentRecord(t *testing.T) {
 	var h Histogram
 	const goroutines, per = 8, 10000
+	var wantSum, wantMax int64
+	for gr := 0; gr < goroutines; gr++ {
+		r := rand.New(rand.NewSource(int64(gr)))
+		for i := 0; i < per; i++ {
+			v := int64(r.Intn(1 << 20))
+			wantSum += v
+			wantMax = max(wantMax, v)
+		}
+	}
 	var wg sync.WaitGroup
 	for gr := 0; gr < goroutines; gr++ {
 		wg.Add(1)
@@ -144,8 +125,9 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 		}(int64(gr))
 	}
 	wg.Wait()
-	if h.Count() != goroutines*per {
-		t.Errorf("count = %d, want %d", h.Count(), goroutines*per)
+	if h.Count() != goroutines*per || h.Sum() != wantSum || h.Max() != wantMax {
+		t.Errorf("count/sum/max = %d/%d/%d, want %d/%d/%d",
+			h.Count(), h.Sum(), h.Max(), goroutines*per, wantSum, wantMax)
 	}
 	var total int64
 	for i := range h.counts {
@@ -156,63 +138,71 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrentMerge merges per-worker histograms into a shared
-// one while the workers are still recording into them — the serving
-// layer's scrape-during-traffic pattern. Totals must come out exact and
-// the race detector must stay quiet.
-func TestHistogramConcurrentMerge(t *testing.T) {
-	const workers, per, rounds = 8, 2000, 4
-	locals := make([]Histogram, workers)
-	var merged Histogram
-
+// TestHistogramScrapeDuringRecord reads a shared histogram while 8 goroutines
+// are still recording into it — the serving layer's scrape-during-traffic
+// pattern, where /metrics renders p99 while requests land. Every scrape must
+// see a count that never goes back and quantiles within the observed
+// maximum, the race detector must stay quiet, and the totals must come out
+// exact once recording stops.
+func TestHistogramScrapeDuringRecord(t *testing.T) {
+	var h Histogram
+	const goroutines, per = 8, 2000
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for gr := 0; gr < goroutines; gr++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(seed int64) {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w)))
+			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < per; i++ {
-				locals[w].Record(int64(r.Intn(1 << 20)))
+				h.Record(int64(r.Intn(1 << 20)))
 			}
-		}(w)
+		}(int64(gr))
 	}
-	// Racing merges: snapshots are weakly consistent while recording is in
-	// flight, so only the final (post-wait) merge is checked for totals.
-	done := make(chan struct{})
+	stop := make(chan struct{})
+	scraped := make(chan error, 1)
 	go func() {
-		defer close(done)
-		var scratch Histogram
-		for i := 0; i < rounds; i++ {
-			for w := range locals {
-				scratch.Merge(&locals[w])
+		var last int64
+		for {
+			n := h.Count()
+			if n < last {
+				scraped <- fmt.Errorf("count went back: %d after %d", n, last)
+				return
+			}
+			last = n
+			for _, q := range []float64{0.5, 0.95, 0.99} {
+				if v := h.Quantile(q); v < 0 || v > h.Max() {
+					scraped <- fmt.Errorf("q=%.2f out of range: %d (max %d)", q, v, h.Max())
+					return
+				}
+			}
+			select {
+			case <-stop:
+				scraped <- nil
+				return
+			default:
 			}
 		}
 	}()
 	wg.Wait()
-	<-done
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
 
-	var wantCount, wantSum, wantMax int64
-	for w := range locals {
-		wantCount += locals[w].Count()
-		wantSum += locals[w].Sum()
-		if m := locals[w].Max(); m > wantMax {
-			wantMax = m
+	var wantSum, wantMax int64
+	for gr := 0; gr < goroutines; gr++ {
+		r := rand.New(rand.NewSource(int64(gr)))
+		for i := 0; i < per; i++ {
+			v := int64(r.Intn(1 << 20))
+			wantSum += v
+			wantMax = max(wantMax, v)
 		}
-		merged.Merge(&locals[w])
 	}
-	if wantCount != workers*per {
-		t.Fatalf("lost records: %d, want %d", wantCount, workers*per)
+	if h.Count() != goroutines*per || h.Sum() != wantSum || h.Max() != wantMax {
+		t.Fatalf("count/sum/max = %d/%d/%d, want %d/%d/%d",
+			h.Count(), h.Sum(), h.Max(), goroutines*per, wantSum, wantMax)
 	}
-	if merged.Count() != wantCount || merged.Sum() != wantSum {
-		t.Fatalf("merged count/sum = %d/%d, want %d/%d",
-			merged.Count(), merged.Sum(), wantCount, wantSum)
-	}
-	if merged.Max() != wantMax {
-		t.Fatalf("merged max = %d, want %d", merged.Max(), wantMax)
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if v := merged.Quantile(q); v < 0 || v > merged.Max() {
-			t.Fatalf("q=%.2f out of range: %d", q, v)
-		}
+	if q := h.Quantile(1); q != wantMax {
+		t.Errorf("q=1 after recording = %d, want max %d", q, wantMax)
 	}
 }

@@ -148,9 +148,10 @@ func csvRows(name string, cfg Config) ([][]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows := [][]string{{"algorithm", "stealing", "locality"}}
+		rows := [][]string{{"algorithm", "stealing", "locality", "local", "remote"}}
 		for _, r := range res.Rows {
-			rows = append(rows, []string{r.Algorithm, strconv.FormatBool(r.Stealing), f(r.Locality)})
+			rows = append(rows, []string{r.Algorithm, strconv.FormatBool(r.Stealing), f(r.Locality),
+				strconv.FormatInt(r.Local, 10), strconv.FormatInt(r.Remote, 10)})
 		}
 		return rows, nil
 	case "alphabeta":

@@ -5,14 +5,17 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/numa"
+	"repro/internal/obs"
 )
 
 // NUMARow is one modeled-locality measurement.
 type NUMARow struct {
 	Algorithm string
 	Stealing  bool
-	Locality  float64 // local / (local + remote) modeled page accesses
+	// Local and Remote are the modeled accesses; Locality is
+	// Local / (Local + Remote).
+	Local, Remote int64
+	Locality      float64
 }
 
 // NUMAResult is the data behind the Section 4.4 locality analysis.
@@ -21,43 +24,115 @@ type NUMAResult struct {
 	Rows    []NUMARow
 }
 
-// NUMALocality measures the modeled NUMA page locality of the BFS kernels
-// on a multi-socket topology, with and without work stealing. The paper's
-// design goal (Section 4.4): all writes are region-local except the first
-// top-down phase and stolen tasks, and the memory share per region is
-// proportional to its thread share.
+// numaWorkers is the modeled machine: two sockets with one worker each, so
+// a task runs on the socket that holds its pages exactly when its owner
+// runs it.
+const numaWorkers = 2
+
+// pageBytes is the modeled page size (4 KiB, the size Section 4.4's
+// placement arithmetic assumes).
+const pageBytes = 4096
+
+// numaKernel is what the locality model needs besides a flight record: the
+// vertex count n, the task size split, how many vertices' state one page
+// holds, and whether a bottom-up task is charged per page it sweeps
+// (MS-PBFS's 64-bit rows) or per vertex (SMS-PBFS's byte states).
+type numaKernel struct {
+	n, split, pageVertices int
+	bottomUpPages          bool
+}
+
+// accesses replays a traversal's flight record on the modeled machine.
+// First touch places the pages at the task-range borders (Section 4.4):
+// stripe [0, n/2) lives on socket 0 and [n/2, n) on socket 1. With split a
+// whole number of pages and n/2 a whole number of tasks, every task's pages
+// share one owner, so a task is remote exactly when it was stolen. Per
+// level:
+//
+//   - top-down scatter: each scanned edge writes the worker's private
+//     shadow, which is local whoever runs the task;
+//   - top-down merge: a stripe owner's folded words are each one local
+//     canonical write plus one read of worker 1's shadow, which is remote
+//     for owner 0 and local for owner 1;
+//   - top-down resolve: each task sweeps split vertices, remote if stolen;
+//     the level's resolve steals are Steals() - ScatterSteals, since the
+//     merge never steals;
+//   - bottom-up: each task sweeps split vertices (MS-PBFS: their pages),
+//     remote if stolen.
+func (k numaKernel) accesses(tv obs.Traversal) (local, remote int64, err error) {
+	if k.split < 1 || k.pageVertices < 1 || k.split%k.pageVertices != 0 ||
+		k.n%numaWorkers != 0 || (k.n/numaWorkers)%k.split != 0 {
+		return 0, 0, fmt.Errorf("bench: NUMA model needs split (%d) in whole %d-vertex pages and n/2 (%d/2) in whole tasks",
+			k.split, k.pageVertices, k.n)
+	}
+	unit := int64(k.split)
+	if k.bottomUpPages {
+		unit /= int64(k.pageVertices)
+	}
+	for _, it := range tv.Iterations {
+		if it.BottomUp {
+			stolen := it.Steals()
+			local += (it.Tasks() - stolen) * unit
+			remote += stolen * unit
+			continue
+		}
+		local += it.Scanned
+		for owner, f := range it.WorkerMergeWords {
+			local += f
+			if owner == 0 {
+				remote += f
+			} else {
+				local += f
+			}
+		}
+		stolen := (it.Steals() - it.ScatterSteals) * int64(k.split)
+		local += int64(k.n) - stolen
+		remote += stolen
+	}
+	return local, remote, nil
+}
+
+// NUMALocality models the NUMA page locality of the BFS kernels on two
+// sockets with one worker each, with and without work stealing. The
+// paper's design goal (Section 4.4): all writes are region-local except the
+// first top-down phase and stolen tasks. Go cannot place pages, so each row
+// is one traced run replayed through numaKernel.accesses.
 func NUMALocality(cfg Config) (NUMAResult, error) {
-	workers := cfg.workers()
-	if workers < 2 {
-		workers = 2
-	}
-	topo := numa.Split(workers, 2)
-	// The placement arithmetic of Section 4.4 needs task ranges that cover
-	// whole pages: 512 vertices/page for the 8-byte MS-PBFS rows, 4096 for
-	// the 1-byte SMS-PBFS state. The scale must give each worker several
-	// pages of the byte-per-vertex state or the model degenerates to a
-	// single page.
-	scale := cfg.scale()
-	if scale < 15 {
-		scale = 15
-	}
-	g := stripedKronecker(scale, workers, cfg.seed())
+	// Each task is one page: 512 vertices of the 8-byte MS-PBFS rows, 4096
+	// of the 1-byte SMS-PBFS state. The scale must give each worker several
+	// pages of the byte state, or the model degenerates to a single page.
+	scale := max(cfg.scale(), 15)
+	g := stripedKronecker(scale, numaWorkers, cfg.seed())
 	sources := core.RandomSources(g, 64, cfg.seed()+41)
-	res := NUMAResult{Sockets: topo.Sockets}
+	n := g.NumVertices()
+	ms := numaKernel{n: n, split: pageBytes / 8, pageVertices: pageBytes / 8, bottomUpPages: true}
+	sms := numaKernel{n: n, split: pageBytes, pageVertices: pageBytes}
+	res := NUMAResult{Sockets: numaWorkers}
 
+	row := func(algo string, steal bool, k numaKernel, run func(core.Options)) error {
+		tr := obs.NewTracer()
+		run(core.Options{Workers: numaWorkers, SplitSize: k.split, DisableStealing: !steal, Tracer: tr})
+		r := NUMARow{Algorithm: algo, Stealing: steal, Locality: 1}
+		for _, tv := range tr.Snapshot().Traversals {
+			l, rm, err := k.accesses(tv)
+			if err != nil {
+				return err
+			}
+			r.Local, r.Remote = r.Local+l, r.Remote+rm
+		}
+		if r.Local+r.Remote > 0 {
+			r.Locality = float64(r.Local) / float64(r.Local+r.Remote)
+		}
+		res.Rows = append(res.Rows, r)
+		return nil
+	}
 	for _, steal := range []bool{true, false} {
-		msOpt := core.Options{Workers: workers, Topology: topo, DisableStealing: !steal}
-		ms := core.MSPBFS(g, sources, msOpt)
-		res.Rows = append(res.Rows, NUMARow{
-			Algorithm: "MS-PBFS", Stealing: steal, Locality: ms.NUMAStats.LocalityRatio(),
-		})
-
-		smsOpt := msOpt
-		smsOpt.SplitSize = 4096 // one modeled page of byte state per task
-		sms := core.SMSPBFS(g, sources[0], core.ByteState, smsOpt)
-		res.Rows = append(res.Rows, NUMARow{
-			Algorithm: "SMS-PBFS", Stealing: steal, Locality: sms.NUMAStats.LocalityRatio(),
-		})
+		if err := row("MS-PBFS", steal, ms, func(opt core.Options) { core.MSPBFS(g, sources, opt) }); err != nil {
+			return res, err
+		}
+		if err := row("SMS-PBFS", steal, sms, func(opt core.Options) { core.SMSPBFS(g, sources[0], core.ByteState, opt) }); err != nil {
+			return res, err
+		}
 	}
 	return res, nil
 }
@@ -68,14 +143,14 @@ func runNUMA(cfg Config) error {
 		return err
 	}
 	w := cfg.out()
-	fmt.Fprintf(w, "Section 4.4: modeled NUMA page locality (%d sockets)\n", res.Sockets)
-	fmt.Fprintf(w, "%-10s %-10s %10s\n", "algorithm", "stealing", "locality")
+	fmt.Fprintf(w, "Section 4.4: modeled NUMA page locality (%d sockets, one worker each)\n", res.Sockets)
+	fmt.Fprintf(w, "%-10s %-10s %10s  %s\n", "algorithm", "stealing", "locality", "local/remote")
 	for _, r := range res.Rows {
 		steal := "on"
 		if !r.Stealing {
 			steal = "off"
 		}
-		fmt.Fprintf(w, "%-10s %-10s %9.1f%%\n", r.Algorithm, steal, 100*r.Locality)
+		fmt.Fprintf(w, "%-10s %-10s %9.1f%%  %d/%d\n", r.Algorithm, steal, 100*r.Locality, r.Local, r.Remote)
 	}
 	fmt.Fprintf(w, "paper: all writes NUMA-local except the first top-down phase and stolen tasks;\n")
 	fmt.Fprintf(w, "       disabling stealing removes the second source of remote accesses.\n")

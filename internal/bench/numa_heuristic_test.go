@@ -1,0 +1,95 @@
+package bench
+
+import (
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// TestNUMAAccessesModel pins the locality model on hand-built flight
+// records, one level shape per case.
+func TestNUMAAccessesModel(t *testing.T) {
+	ms := numaKernel{n: 8192, split: 512, pageVertices: 512, bottomUpPages: true}
+	sms := numaKernel{n: 16384, split: 4096, pageVertices: 4096}
+	cases := []struct {
+		name          string
+		k             numaKernel
+		it            obs.IterationRecord
+		local, remote int64
+		wantErr       bool
+	}{
+		{
+			// Scatter 100 local; merge: owner 0 folds 3 (3 local writes, 3
+			// remote shadow reads), owner 1 folds 5 (10 local); resolve:
+			// 3 steals, 1 of them in the scatter, so 2 stolen tasks.
+			name: "top-down folds on both owners with resolve steals", k: ms,
+			it: obs.IterationRecord{Scanned: 100, WorkerMergeWords: []int64{3, 5},
+				WorkerTasks: []int64{24, 24}, WorkerSteals: []int64{2, 1}, ScatterSteals: 1},
+			local: 100 + 3 + 10 + 8192 - 2*512, remote: 3 + 2*512,
+		},
+		{
+			name: "bottom-up steals charged per page (MS-PBFS)", k: ms,
+			it:    obs.IterationRecord{BottomUp: true, WorkerTasks: []int64{10, 6}, WorkerSteals: []int64{0, 2}},
+			local: 14, remote: 2,
+		},
+		{
+			name: "bottom-up steals charged per element (SMS-PBFS)", k: sms,
+			it:    obs.IterationRecord{BottomUp: true, WorkerTasks: []int64{3, 1}, WorkerSteals: []int64{1, 0}},
+			local: 3 * 4096, remote: 4096,
+		},
+		{
+			name: "scatter-only steals stay local", k: ms,
+			it: obs.IterationRecord{Scanned: 40, WorkerMergeWords: []int64{0, 0},
+				WorkerTasks: []int64{24, 24}, WorkerSteals: []int64{1, 1}, ScatterSteals: 2},
+			local: 40 + 8192,
+		},
+		{
+			name: "n/2 not a whole number of tasks", k: numaKernel{n: 8704, split: 512, pageVertices: 512},
+			wantErr: true,
+		},
+		{
+			name: "split not a whole number of pages", k: numaKernel{n: 16384, split: 512, pageVertices: 4096},
+			wantErr: true,
+		},
+	}
+	for _, c := range cases {
+		l, r, err := c.k.accesses(obs.Traversal{Iterations: []obs.IterationRecord{c.it}})
+		if c.wantErr {
+			if err == nil {
+				t.Errorf("%s: no precondition error", c.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if l != c.local || r != c.remote {
+			t.Errorf("%s: local/remote %d/%d, want %d/%d", c.name, l, r, c.local, c.remote)
+		}
+	}
+}
+
+// TestNUMALocalityPinnedCounts: with stealing off the flight-record model
+// reproduces, access for access, the totals of the in-kernel page tracker
+// it replaced (measured on quickCfg: scale 15, seed 1, two workers).
+func TestNUMALocalityPinnedCounts(t *testing.T) {
+	res, err := NUMALocality(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2]int64{"MS-PBFS": {71018, 494}, "SMS-PBFS": {207565, 599}}
+	for _, r := range res.Rows {
+		if r.Stealing {
+			continue
+		}
+		if got := [2]int64{r.Local, r.Remote}; got != want[r.Algorithm] {
+			t.Errorf("%s stealing off: local/remote %d/%d, want %d/%d",
+				r.Algorithm, got[0], got[1], want[r.Algorithm][0], want[r.Algorithm][1])
+		}
+		delete(want, r.Algorithm)
+	}
+	if len(want) != 0 {
+		t.Errorf("no stealing-off row for %v", want)
+	}
+}

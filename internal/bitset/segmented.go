@@ -54,9 +54,8 @@ type shadowSlab struct {
 //
 //bfs:perworker
 type mergeCell struct {
-	words  int64 // canonical stripe words scanned by this owner
 	folded int64 // nonzero shadow words folded into the canonical stripe
-	_      [48]byte
+	_      [56]byte
 }
 
 // NewShadows builds the shadow set for a canonical slab of slabLen words
@@ -104,20 +103,9 @@ func (s *Shadows) Writer(workerID int, canonical []uint64) []uint64 {
 // stripe and that no scatter runs concurrently; under that protocol each
 // canonical and shadow word in the range has exactly one writer.
 // It returns the number of nonzero shadow words folded.
-func (s *Shadows) MergeRange(owner int, canonical []uint64, wordLo, wordHi int) int64 {
-	return s.mergeRange(owner, canonical, wordLo, wordHi, nil)
-}
-
-// MergeRangeCounts is MergeRange with per-shadow attribution: perShadow[w-1]
-// accumulates the nonzero words folded from worker w's shadow. The modeled
-// NUMA accounting uses it to charge only the merge reads that carried data
-// between regions — a no-change merge read is shareable and uncharged.
-func (s *Shadows) MergeRangeCounts(owner int, canonical []uint64, wordLo, wordHi int, perShadow []int64) int64 {
-	return s.mergeRange(owner, canonical, wordLo, wordHi, perShadow)
-}
-
+//
 //bfs:singlewriter stripe owner is the only writer of its canonical and shadow words between barriers
-func (s *Shadows) mergeRange(owner int, canonical []uint64, wordLo, wordHi int, perShadow []int64) int64 {
+func (s *Shadows) MergeRange(owner int, canonical []uint64, wordLo, wordHi int) int64 {
 	if wordLo < 0 || wordHi > s.slabLen || wordLo > wordHi {
 		panic(fmt.Sprintf("bitset: merge range [%d,%d) outside slab of %d words", wordLo, wordHi, s.slabLen))
 	}
@@ -131,25 +119,18 @@ func (s *Shadows) mergeRange(owner int, canonical []uint64, wordLo, wordHi int, 
 			// per-word bounds checks.
 			panic("bitset: shadow shorter than canonical slab")
 		}
-		var slabFolded int64
 		//bfs:hot stripe OR-merge: runs per canonical word per iteration, must not allocate
 		for i := range cw {
 			v := sw[i]
 			if v == 0 {
 				continue
 			}
-			slabFolded++
+			folded++
 			sw[i] = 0
 			cw[i] |= v
 		}
-		folded += slabFolded
-		if perShadow != nil {
-			perShadow[si] += slabFolded
-		}
 	}
-	c := &s.merge[owner]
-	c.words += int64(len(cw))
-	c.folded += folded
+	s.merge[owner].folded += folded
 	return folded
 }
 
@@ -174,7 +155,6 @@ func (s *Shadows) FoldedWords() int64 {
 // ResetMergeCounts zeroes the per-owner merge accounting.
 func (s *Shadows) ResetMergeCounts() {
 	for i := range s.merge {
-		s.merge[i].words = 0
 		s.merge[i].folded = 0
 	}
 }

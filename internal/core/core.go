@@ -25,7 +25,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/numa"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -62,8 +61,8 @@ type Options struct {
 	BatchWords int
 	// SplitSize is the task range size in vertices; <=0 selects
 	// sched.DefaultSplitSize. The BFS kernels round it up to a multiple of
-	// 512 so bitmap words and modeled NUMA pages never straddle tasks
-	// (Section 4.4).
+	// 512 so bitmap words and 4 KiB pages of 64-bit state never straddle
+	// tasks (Section 4.4's placement at task borders).
 	SplitSize int
 	// Direction selects the traversal policy.
 	Direction Direction
@@ -118,9 +117,6 @@ type Options struct {
 	// task/steal counts, and engine arena hit/miss deltas. Nil (the
 	// default) is free — the kernels pay one pointer test per iteration.
 	Tracer *obs.Tracer
-	// Topology optionally enables the NUMA placement model; when non-zero
-	// the run records modeled page locality into NUMAStats.
-	Topology numa.Topology
 	// Overlay optionally layers a sorted per-vertex overflow adjacency —
 	// streamed edge inserts not yet compacted into the CSR (see
 	// internal/dyngraph) — over the graph. The effective neighbor set of v
@@ -156,7 +152,9 @@ func (o Options) batchWords() int {
 
 // splitStride is the granularity task sizes are rounded to: 512 vertices is
 // one 4096-byte page of 64-bit-per-vertex state and a whole number of
-// bitmap words, so tasks never share pages or words (Section 4.4).
+// bitmap words, so tasks never share pages or words. The stripe owner
+// first-touches its tasks' pages (Section 4.4); internal/bench's locality
+// model depends on that border arithmetic.
 const splitStride = 512
 
 func (o Options) splitSize() int {
@@ -233,10 +231,6 @@ type Result struct {
 	VisitedVertices int64
 	// Stats aggregates timing and per-iteration detail.
 	Stats metrics.RunStat
-	// NUMAStats carries the modeled page-locality tracker when a Topology
-	// was configured (LocalityRatio 1.0 = all accounted accesses were
-	// region-local).
-	NUMAStats *numa.Tracker
 	// WorkerBusy is the accumulated busy time per worker over the whole
 	// run, used for the utilization analysis of Figure 2. Populated by the
 	// parallel algorithms when they own their worker pool.
@@ -255,9 +249,6 @@ type MultiResult struct {
 	VisitedStates int64
 	// Stats aggregates timing and per-iteration detail.
 	Stats metrics.RunStat
-	// NUMAStats carries the modeled page-locality tracker when a Topology
-	// was configured.
-	NUMAStats *numa.Tracker
 	// WorkerBusy is the accumulated busy time per worker over the whole
 	// run (Figure 2's utilization numerator).
 	WorkerBusy []time.Duration
@@ -309,12 +300,31 @@ type iterRecorder struct {
 	prevTasks, prevSteals []int64
 
 	// pend* carry the segmented-substrate and direction-heuristic extras
-	// the kernels supply via noteMerge/noteHeuristic between iterations;
-	// record consumes and clears them.
-	pendMergeWords  int64
-	pendWorkerMerge []int64
-	pendFrontEdges  int64
-	pendUnexplored  int64
+	// the kernels supply via noteScatter/noteMerge/noteHeuristic between
+	// phases and iterations; record consumes and clears them.
+	pendScatterSteals int64
+	pendMergeWords    int64
+	pendWorkerMerge   []int64
+	pendFrontEdges    int64
+	pendUnexplored    int64
+}
+
+// noteScatter takes the steals made so far in the level. Called between a
+// top-down level's scatter and merge phases, that is the scatter's share of
+// the level's steals: internal/bench needs it to tell a stolen scatter task
+// (its writes land in the thief's own shadow) from a stolen resolve task.
+func (r *iterRecorder) noteScatter() {
+	if r.tr == nil || r.pool == nil {
+		return
+	}
+	var steals int64
+	for _, c := range r.pool.StealCounts(nil) {
+		steals += c
+	}
+	for _, c := range r.prevSteals {
+		steals -= c
+	}
+	r.pendScatterSteals = steals
 }
 
 // noteMerge drains the shadows' per-owner merge counters into the next
@@ -387,7 +397,8 @@ func (r *iterRecorder) record(iter int, dur time.Duration, busy []time.Duration,
 		}
 		rec.FrontierEdges, rec.UnexploredEdges = r.pendFrontEdges, r.pendUnexplored
 		rec.MergeWords, rec.WorkerMergeWords = r.pendMergeWords, r.pendWorkerMerge
-		r.pendMergeWords, r.pendWorkerMerge = 0, nil
+		rec.ScatterSteals = r.pendScatterSteals
+		r.pendMergeWords, r.pendWorkerMerge, r.pendScatterSteals = 0, nil, 0
 		r.tr.Record(rec)
 	}
 	if !r.opt.collectStats() {

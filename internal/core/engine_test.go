@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/numa"
 )
 
 // The engine tests pin the arena contract: borrows are served from the
 // free lists after a warmup run (hits), returns balance borrows exactly
-// (Borrowed drains to zero), Close degrades to plain allocation instead of
-// failing, and NUMA-modeled shells are never recycled.
+// (Borrowed drains to zero), and Close degrades to plain allocation instead
+// of failing.
 
 func TestEnginePoolCheckoutReuse(t *testing.T) {
 	e := NewEngine()
@@ -195,21 +194,6 @@ func TestEngineCloseDegradesGracefully(t *testing.T) {
 	}
 	if st.Borrowed != 0 {
 		t.Errorf("borrowed = %d after closed-engine run, want 0", st.Borrowed)
-	}
-}
-
-// TestEngineNUMAShellsNotRecycled: shells whose page map and steal order
-// are bound to a modeled topology must never check into the arena.
-func TestEngineNUMAShellsNotRecycled(t *testing.T) {
-	g := gen.Uniform(900, 6, 4)
-	sources := RandomSources(g, 8, 6)
-	e := NewEngine()
-	defer e.Close()
-
-	MSPBFS(g, sources, Options{Workers: 2, Engine: e,
-		Topology: numa.Split(2, 2)})
-	if st := e.Stats(); st.FreeShells != 0 {
-		t.Errorf("NUMA-modeled run checked %d shells into the arena, want 0", st.FreeShells)
 	}
 }
 

@@ -74,13 +74,6 @@ type levelStep struct {
 	// writes (next); phDepth is that level's depth.
 	phCanon []uint64
 	phDepth int32
-
-	// Modeled NUMA placement (nil unless Options.Topology is set).
-	// mergeFolded[owner] is per-shadow folded-word scratch for the modeled
-	// merge accounting.
-	pageMap     *numa.PageMap
-	tracker     *numa.Tracker
-	mergeFolded [][]int64
 }
 
 // shellKey is the run shape a shell can be recycled for. words is the row
@@ -93,16 +86,14 @@ type shellKey struct {
 
 // shellRun is the run-specific half of a shell: what every constructor call
 // binds afresh, whether the shape-specific half came warm from the arena or
-// was just built. recycle says the shell checks back into the arena under
-// key on Close; NUMA-modeled instances never do — their page map and steal
-// order are bound to one topology.
+// was just built. key is the shape the shell checks back into the arena
+// under on Close.
 type shellRun struct {
 	g            *graph.Graph
 	opt          Options
 	pool         *sched.Pool
 	eng          *Engine
 	poolBorrowed bool
-	recycle      bool
 	key          shellKey
 }
 
@@ -115,11 +106,8 @@ func beginShell(g *graph.Graph, opt Options, key shellKey) (run shellRun, warm *
 	eng := opt.engine()
 	pool, borrowed := opt.resolvePool(eng)
 	key.n, key.split, key.workers = g.NumVertices(), opt.splitSize(), pool.Workers()
-	run = shellRun{g: g, opt: opt, pool: pool, eng: eng, poolBorrowed: borrowed,
-		recycle: opt.Topology.Sockets == 0, key: key}
-	if run.recycle {
-		warm = eng.checkoutShell(key) //bfs:arena-held warm shell is handed to the kernel constructor; Close checks it back in via checkinShell
-	}
+	run = shellRun{g: g, opt: opt, pool: pool, eng: eng, poolBorrowed: borrowed, key: key}
+	warm = eng.checkoutShell(key) //bfs:arena-held warm shell is handed to the kernel constructor; Close checks it back in via checkinShell
 	return run, warm
 }
 
@@ -136,41 +124,16 @@ func (ls *levelStep) init(self any, key shellKey) {
 }
 
 // open binds a warm or freshly built shell to its run: the run-specific
-// references, the modeled NUMA placement when a topology is set (elemBytes
-// is the per-vertex state size the page map places), and the first-touch
-// zero pass.
-func (ls *levelStep) open(run shellRun, elemBytes int) {
+// references and the first-touch zero pass.
+func (ls *levelStep) open(run shellRun) {
 	ls.shellRun, ls.released = run, false
-	opt, workers := run.opt, run.key.workers
 
-	if opt.Topology.Sockets > 0 {
-		// Model the paper's deterministic page placement: the BFS arrays
-		// are interleaved across regions at exactly the task-range borders
-		// (Section 4.4), as the per-worker first-touch initialization
-		// below would produce on real hardware.
-		ls.pageMap = numa.NewPageMap(opt.Topology, run.key.n, elemBytes)
-		ls.pageMap.PlaceFirstTouch(ls.tq)
-		ls.tracker = numa.NewTracker(opt.Topology)
-		// Per-owner scratch for per-shadow merge attribution: modeled runs
-		// charge only folded words (a no-change merge read is shareable
-		// and uncharged).
-		ls.mergeFolded = make([][]int64, workers)
-		for w := range ls.mergeFolded {
-			ls.mergeFolded[w] = make([]int64, workers-1)
-		}
-		if opt.Topology.Workers() == workers {
-			// NUMA-aware stealing: drain same-region queues before
-			// crossing sockets, so stolen tasks' data stays as local as
-			// the topology allows.
-			ls.tq.SetStealOrder(numa.StealOrder(opt.Topology))
-		}
-	}
-
-	// Parallel first-touch initialization without stealing so the modeled
-	// placement matches which worker owns each stripe. For a recycled shell this pass doubles as the
-	// arena scrub: no bits survive from the previous run, however it
-	// ended. It also marks the shell clean, so the first run skips its
-	// zeroing pass instead of re-scrubbing fresh arrays.
+	// Parallel first-touch initialization without stealing, so each stripe's
+	// pages are first touched by the worker that owns the stripe (Section
+	// 4.4). For a recycled shell this pass doubles as the arena scrub: no
+	// bits survive from the previous run, however it ended. It also marks
+	// the shell clean, so the first run skips its zeroing pass instead of
+	// re-scrubbing fresh arrays.
 	ls.tq.Reset()
 	ls.pool.ParallelForStatic(ls.tq, ls.zeroBody)
 	ls.clean = true
@@ -192,9 +155,7 @@ func (ls *levelStep) Close() {
 	if ls.poolBorrowed {
 		eng.returnPool(pool)
 	}
-	if ls.recycle {
-		eng.checkinShell(ls)
-	}
+	eng.checkinShell(ls)
 }
 
 // scrub zeroes the state arrays unless they are known clean. The static
@@ -232,7 +193,7 @@ func (ls *levelStep) traverse(rec *iterRecorder, visited int64) int64 {
 			ls.tq.Reset()
 			busy = ls.runPhase(ls.tq, steal, ls.bottomUpBody)
 		} else {
-			busy = ls.topDown(steal)
+			busy = ls.topDown(rec, steal)
 		}
 		ls.endLevel()
 
@@ -254,9 +215,11 @@ func (ls *levelStep) traverse(rec *iterRecorder, visited int64) int64 {
 // writes go to worker-private shadows (the canonical slab for worker 0),
 // the merge gives every word exactly one writer per stripe, and resolve
 // touches each vertex from exactly one worker, so no phase needs an atomic.
-func (ls *levelStep) topDown(steal bool) []time.Duration {
+// Between scatter and merge, a traced run notes the scatter's steals.
+func (ls *levelStep) topDown(rec *iterRecorder, steal bool) []time.Duration {
 	ls.tq.Reset()
 	busy := ls.runPhase(ls.tq, steal, ls.scatterBody)
+	rec.noteScatter()
 	if ls.shadows.Workers() > 1 {
 		// Static fetch confines each worker to its own stripe — the
 		// single-writer guarantee of the merge.
@@ -278,22 +241,7 @@ func (ls *levelStep) mergeTask(workerID int, r sched.Range) {
 	// only ever matters at the final partial word.
 	loW := r.Lo * ls.wordMul / ls.wordDiv
 	hiW := (r.Hi*ls.wordMul + ls.wordDiv - 1) / ls.wordDiv
-	if ls.tracker == nil {
-		ls.shadows.MergeRange(workerID, ls.phCanon, loW, hiW)
-		return
-	}
-	counts := ls.mergeFolded[workerID]
-	for i := range counts {
-		counts[i] = 0
-	}
-	folded := ls.shadows.MergeRangeCounts(workerID, ls.phCanon, loW, hiW, counts)
-	// Canonical stripe writes are local by first-touch; a shadow read
-	// crosses regions when the shadow's writer lives elsewhere. Only
-	// folded words are charged.
-	ls.tracker.RecordLocalN(workerID, folded)
-	for sw := 1; sw < ls.shadows.Workers(); sw++ {
-		ls.tracker.RecordShadowMerge(workerID, sw, counts[sw-1])
-	}
+	ls.shadows.MergeRange(workerID, ls.phCanon, loW, hiW)
 }
 
 // runPhase executes one parallel loop, with or without per-worker timing.

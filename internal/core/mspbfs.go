@@ -23,10 +23,9 @@ func MSPBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
 
 // MSPBFSEngine holds the reusable state of an MS-PBFS instance: the three
 // per-vertex bitset arrays and per-worker scratch on top of the shared
-// level-step substrate (worker pool, stripe-affine task layouts, frontier
-// shadows, modeled NUMA placement). Reusing an engine across batches
-// amortizes allocation, matching the paper's "initialize large data
-// structures once" design (Section 4.4).
+// level-step substrate (worker pool, stripe-affine task layout, frontier
+// shadows). Reusing an engine across batches amortizes allocation, matching
+// the paper's "initialize large data structures once" design (Section 4.4).
 type MSPBFSEngine struct {
 	levelStep
 
@@ -82,7 +81,7 @@ func NewMSPBFSEngine(g *graph.Graph, opt Options) *MSPBFSEngine {
 	} else {
 		e = newMSPBFSShell(run, words)
 	}
-	e.open(run, words*8)
+	e.open(run)
 	if debugInvariants {
 		debugCheckBorrowedClean("MS-PBFS shell",
 			e.seen.CountAll()+e.buf0.CountAll()+e.buf1.CountAll())
@@ -135,7 +134,6 @@ func (e *MSPBFSEngine) Run(sources []int) *MultiResult {
 	if e.opt.RecordLevels {
 		res.Levels = make([][]int32, len(sources))
 	}
-	res.NUMAStats = e.tracker
 	e.pool.ResetBusy()
 	perBatch := SourcesPerBatch(e.words)
 	for off := 0; off < len(sources); off += perBatch {
@@ -306,11 +304,6 @@ func (e *MSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 					tgt[nb] |= w //bfs:bounds-ok overlay endpoints < n by ingest validation
 				}
 			}
-			if e.tracker != nil {
-				// Shadow writes are region-local by construction — the
-				// whole point of the worker-owned substrate.
-				e.tracker.RecordLocalN(workerID, int64(len(nbrs))) //bfs:bounds-ok inlined t.local[worker]; workerID < Workers by pool construction, tracker sized to the worker count
-			}
 		}
 		return
 	}
@@ -338,9 +331,6 @@ func (e *MSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 				}
 			}
 		}
-		if e.tracker != nil {
-			e.tracker.RecordLocalN(workerID, int64(len(nbrs))) //bfs:bounds-ok inlined t.local[worker]; workerID < Workers by pool construction, tracker sized to the worker count
-		}
 	}
 }
 
@@ -361,9 +351,6 @@ func (e *MSPBFSEngine) resolveTask(workerID int, r sched.Range) {
 	fd := &e.frontDeg[workerID]
 	ud := &e.unseenDeg[workerID]
 	live := e.liveBits[workerID]
-	if e.tracker != nil {
-		e.tracker.RecordRangeElems(e.pageMap, workerID, r.Lo, r.Hi)
-	}
 	//bfs:hot phase 2 resolution sweep: runs per vertex per iteration, must not allocate
 	for v := r.Lo; v < r.Hi; v++ {
 		if frontier.Any(v) { //bfs:bounds-ok inlined row indexing; stride invariant held by State
@@ -437,9 +424,6 @@ func (e *MSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 	fd := &e.frontDeg[workerID]
 	ud := &e.unseenDeg[workerID]
 	live := e.liveBits[workerID]
-	if e.tracker != nil {
-		e.tracker.RecordRange(e.pageMap, workerID, r.Lo, r.Hi)
-	}
 	if e.words == 1 {
 		e.bottomUpTaskNarrow(workerID, r)
 		return

@@ -117,7 +117,6 @@ func SMSPBFSAll(g *graph.Graph, sources []int, repr StateRepr, opt Options) *Mul
 		}
 	}
 	res.Stats.Elapsed = time.Since(start)
-	res.NUMAStats = e.tracker
 	res.WorkerBusy = e.pool.Busy()
 	return res
 }

@@ -162,10 +162,7 @@ func NewSMSPBFSEngine(g *graph.Graph, repr StateRepr, opt Options) *SMSPBFSEngin
 		}
 		e.endLevel = e.finishLevel
 	}
-	// Placement is modeled at the byte variant's vertex granularity; for
-	// the bit variant eight vertices share a modeled byte, which only makes
-	// the locality accounting coarser, not wrong.
-	e.open(run, 1)
+	e.open(run)
 	if debugInvariants {
 		debugCheckBorrowedClean("SMS-PBFS shell",
 			e.seen.Count()+e.buf0.Count()+e.buf1.Count())
@@ -219,7 +216,7 @@ func (e *SMSPBFSEngine) Run(source int) *Result {
 	}
 
 	rec.finish()
-	res := &Result{Levels: levels, VisitedVertices: visited, NUMAStats: e.tracker}
+	res := &Result{Levels: levels, VisitedVertices: visited}
 	res.Stats = metrics.RunStat{Elapsed: time.Since(start), Sources: 1, Iterations: rec.stats}
 	return res
 }
@@ -292,10 +289,6 @@ func (e *SMSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 					frontier.Mark(tgt, int(nb))
 				}
 			}
-			if e.tracker != nil {
-				// Shadow writes are region-local by construction.
-				e.tracker.RecordLocalN(workerID, int64(len(nbrs))) //bfs:bounds-ok inlined t.local[worker]; workerID < Workers by pool construction, tracker sized to the worker count
-			}
 		}
 		// Frontier cleared in place (Listing 3 line 5). Task ranges are
 		// multiples of 512 vertices, so word wi belongs to exactly one
@@ -317,9 +310,6 @@ func (e *SMSPBFSEngine) resolveTask(workerID int, r sched.Range) {
 	chunk := next.ChunkSize()
 	upd := &e.updated[workerID]
 	fd := &e.frontDeg[workerID]
-	if e.tracker != nil {
-		e.tracker.RecordRangeElems(e.pageMap, workerID, r.Lo, r.Hi)
-	}
 	words := next.ChunkWords()
 	loW, hiW := r.Lo/chunk, (r.Hi+chunk-1)/chunk
 	if loW < 0 || hiW > len(words) {
@@ -374,9 +364,6 @@ func (e *SMSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 	scanned := &e.scanned[workerID]
 	upd := &e.updated[workerID]
 	fd := &e.frontDeg[workerID]
-	if e.tracker != nil {
-		e.tracker.RecordRangeElems(e.pageMap, workerID, r.Lo, r.Hi)
-	}
 	//bfs:hot bottom-up sweep: runs per vertex per iteration, must not allocate
 	for u := r.Lo; u < r.Hi; u++ {
 		if e.seen.Get(u) {

@@ -155,8 +155,10 @@ func scheduleTrace(t *testing.T, kernel string, g *graph.Graph, sources []int, o
 // (bottom-up: one; top-down: scatter, merge, resolve, the merge dropping
 // out at one worker) over the shell's one task layout tq, so every
 // iteration fetches phases x NumTasks tasks; with stealing off (static)
-// each worker fetches exactly its own queue. A reused engine's scrub runs
-// before its recorder opens, so every batch is held to the same count.
+// each worker fetches exactly its own queue. ScatterSteals is 0 on
+// bottom-up levels and with stealing off, and never exceeds the level's
+// steals. A reused engine's scrub runs before its recorder opens, so every
+// batch is held to the same count.
 func checkSchedule(t *testing.T, ctx string, tvs []obs.Traversal, tq *sched.TaskQueues, static bool) {
 	t.Helper()
 	for b, tv := range tvs {
@@ -171,6 +173,14 @@ func checkSchedule(t *testing.T, ctx string, tvs []obs.Traversal, tq *sched.Task
 			at := fmt.Sprintf("%s batch %d iteration %d (%s)", ctx, b, i+1, it.Direction())
 			if got, want := it.Tasks(), phases*int64(tq.NumTasks()); got != want {
 				t.Errorf("%s: %d tasks, want %d phases x %d", at, got, phases, tq.NumTasks())
+			}
+			// Only a top-down level with stealing on has a scatter that
+			// can steal, and its steals are a subset of the level's.
+			if (it.BottomUp || static) && it.ScatterSteals != 0 {
+				t.Errorf("%s: %d scatter steals, want 0", at, it.ScatterSteals)
+			}
+			if it.ScatterSteals < 0 || it.ScatterSteals > it.Steals() {
+				t.Errorf("%s: %d scatter steals outside [0, %d steals]", at, it.ScatterSteals, it.Steals())
 			}
 			if !static {
 				continue

@@ -179,6 +179,7 @@ func appendTraversalEvents(events []chromeEvent, tv *Traversal, origin time.Time
 			args["steals"] = it.Steals()
 			args["tasks_per_worker"] = it.WorkerTasks
 			args["steals_per_worker"] = it.WorkerSteals
+			args["scatter_steals"] = it.ScatterSteals
 		}
 		if it.ExchangeRawBytes != 0 {
 			args["exchange_bytes"] = it.ExchangeBytes

@@ -62,6 +62,11 @@ type IterationRecord struct {
 	// worker's queue. Nil when the kernel runs without a worker pool.
 	WorkerTasks  []int64 `json:"worker_tasks,omitempty"`
 	WorkerSteals []int64 `json:"worker_steals,omitempty"`
+	// ScatterSteals is how many of the iteration's steals happened during
+	// a top-down level's scatter phase; the rest of Steals() fell in the
+	// resolve phase (the merge never steals). Zero for bottom-up levels and
+	// with stealing off.
+	ScatterSteals int64 `json:"scatter_steals,omitempty"`
 	// ExchangeBytes and ExchangeRawBytes are set only by the cluster
 	// coordinator: the delta-frontier bytes actually sent between shards
 	// this iteration (after codec compression) and the raw size those

@@ -11,7 +11,7 @@ import (
 // vertex loops of the BFS kernels. Workers are created once per BFS run and
 // reused across phases and iterations, mirroring the paper's pinned worker
 // threads; Go cannot pin them to CPUs, so NUMA placement is modeled by
-// internal/numa (see DESIGN.md §3).
+// internal/bench from the flight record (see DESIGN.md §3).
 type Pool struct {
 	workers int
 	jobs    []chan phaseJob
@@ -118,9 +118,9 @@ func (p *Pool) workerLoop(workerID int) {
 					// Within a phase the queue cursors only advance, so
 					// the worker's own queue never refills once the hint
 					// moved past it: a successful fetch is a steal iff
-					// the hint points away from slot 0 (both the
-					// round-robin and SetStealOrder layouts put the
-					// worker's own queue at hint offset 0).
+					// the hint points away from slot 0 (Fetch's
+					// round-robin visits the worker's own queue at hint
+					// offset 0).
 					if offsetHint%nq != 0 {
 						ctr.steals.Add(1)
 					}

@@ -390,85 +390,3 @@ func TestTaskQueuesString(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
-
-func TestSetStealOrderValidation(t *testing.T) {
-	tq := CreateTasks(512, 64, 3)
-	bad := [][][]int{
-		{{0, 1, 2}, {1, 0, 2}},            // too few workers
-		{{0, 1, 2}, {1, 0, 2}, {0, 1, 2}}, // entry not starting at own queue
-		{{0, 1, 1}, {1, 0, 2}, {2, 0, 1}}, // duplicate
-		{{0, 1, 3}, {1, 0, 2}, {2, 0, 1}}, // out of range
-		{{0, 1}, {1, 0, 2}, {2, 0, 1}},    // short entry
-	}
-	for i, order := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("bad order %d accepted", i)
-				}
-			}()
-			tq.SetStealOrder(order)
-		}()
-	}
-	// Valid order and nil reset are accepted.
-	tq.SetStealOrder([][]int{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}})
-	tq.SetStealOrder(nil)
-}
-
-func TestFetchFollowsStealOrder(t *testing.T) {
-	// 3 workers, worker 0's order prefers queue 2 over queue 1.
-	tq := CreateTasks(3*64, 64, 3) // one task per worker
-	tq.SetStealOrder([][]int{{0, 2, 1}, {1, 0, 2}, {2, 1, 0}})
-	hint := 0
-	r1, ok := tq.Fetch(0, &hint)
-	if !ok || r1 != tq.WorkerTasks(0)[0] {
-		t.Fatalf("first fetch = %+v, want own task", r1)
-	}
-	r2, ok := tq.Fetch(0, &hint)
-	if !ok || r2 != tq.WorkerTasks(2)[0] {
-		t.Fatalf("second fetch = %+v, want worker 2's task (preferred victim)", r2)
-	}
-	r3, ok := tq.Fetch(0, &hint)
-	if !ok || r3 != tq.WorkerTasks(1)[0] {
-		t.Fatalf("third fetch = %+v, want worker 1's task", r3)
-	}
-	if _, ok := tq.Fetch(0, &hint); ok {
-		t.Error("fetch after drain succeeded")
-	}
-}
-
-func TestFetchExactlyOnceWithStealOrder(t *testing.T) {
-	const total, split, workers = 8192, 64, 4
-	tq := CreateTasks(total, split, workers)
-	tq.SetStealOrder([][]int{
-		{0, 1, 2, 3}, {1, 0, 3, 2}, {2, 3, 0, 1}, {3, 2, 1, 0},
-	})
-	var mu sync.Mutex
-	counts := make(map[Range]int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			hint := 0
-			for {
-				r, ok := tq.Fetch(w, &hint)
-				if !ok {
-					return
-				}
-				mu.Lock()
-				counts[r]++
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if len(counts) != tq.NumTasks() {
-		t.Fatalf("fetched %d distinct tasks, want %d", len(counts), tq.NumTasks())
-	}
-	for r, c := range counts {
-		if c != 1 {
-			t.Fatalf("task %+v fetched %d times", r, c)
-		}
-	}
-}

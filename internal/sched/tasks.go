@@ -45,12 +45,6 @@ type TaskQueues struct {
 	queues    []queue
 	splitSize int
 	total     int
-	// stealOrder, when set, gives each worker its queue-visit order for
-	// Fetch (own queue first, then the preferred victims). Used to steal
-	// from same-NUMA-region queues before crossing sockets, preserving the
-	// locality of stolen tasks' data (the paper's "work stealing ... that
-	// preserves NUMA locality").
-	stealOrder [][]int
 }
 
 // DefaultSplitSize is the task range size found in the paper to have
@@ -174,52 +168,21 @@ func (tq *TaskQueues) Reset() {
 // because cursors only grow, a stale read can only cause one extra
 // fetch-and-add, never a missed task.
 func (tq *TaskQueues) Fetch(workerID int, offsetHint *int) (Range, bool) {
-	nq := len(tq.queues)
-	order := tq.stealOrder
-	for tries := 0; tries < nq; tries++ {
-		var i int
-		if order != nil {
-			i = order[workerID][*offsetHint%nq]
-		} else {
-			i = (workerID + *offsetHint) % nq
-		}
-		q := &tq.queues[i]
+	queues := tq.queues
+	nq := uint(len(queues))
+	for tries := uint(0); tries < nq; tries++ {
+		// Unsigned arithmetic lets the compiler prove both indexes in
+		// bounds, so the steal loop Fetch inlines into stays check-free.
+		q := &queues[uint(workerID+*offsetHint)%nq]
 		if int(q.next.Load()) < len(q.tasks) {
-			taskID := q.next.Add(1) - 1
-			if int(taskID) < len(q.tasks) {
+			taskID := uint64(q.next.Add(1) - 1)
+			if taskID < uint64(len(q.tasks)) {
 				return q.tasks[taskID], true
 			}
 		}
 		*offsetHint++
 	}
 	return Range{}, false
-}
-
-// SetStealOrder installs per-worker queue-visit orders for Fetch. Each
-// entry must be a permutation of [0, workers) beginning with the worker's
-// own index; SetStealOrder panics otherwise, since a malformed order would
-// silently skip queues. Pass nil to restore the default round-robin order.
-func (tq *TaskQueues) SetStealOrder(order [][]int) {
-	if order == nil {
-		tq.stealOrder = nil
-		return
-	}
-	if len(order) != len(tq.queues) {
-		panic("sched: steal order must cover every worker")
-	}
-	for w, perm := range order {
-		if len(perm) != len(tq.queues) || perm[0] != w {
-			panic("sched: steal order entries must be permutations starting at the own queue")
-		}
-		seen := make([]bool, len(tq.queues))
-		for _, q := range perm {
-			if q < 0 || q >= len(tq.queues) || seen[q] {
-				panic("sched: steal order entries must be permutations starting at the own queue")
-			}
-			seen[q] = true
-		}
-	}
-	tq.stealOrder = order
 }
 
 // FetchLocal retrieves the next task from the worker's own queue only,

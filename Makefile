@@ -125,6 +125,9 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzRelabel$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzFrontierCodec$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
+	$(GO) test -fuzz '^FuzzDecodeLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
+	$(GO) test -fuzz '^FuzzDecodeStart$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
+	$(GO) test -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz '^FuzzApplyEdges$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/dyngraph/
 	$(GO) test -fuzz '^FuzzCompact$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/dyngraph/
 

@@ -261,6 +261,39 @@ func TestClusterContextCancellation(t *testing.T) {
 	}
 }
 
+// TestClusterCancelMidQuery cancels a query while its steps run. The
+// coordinator's best-effort msgEnd then reaches shards that may still be
+// inside a step, and the step must finish before its engine goes back to
+// the arena; under -race this pins that ordering. Later queries on the
+// same shards must still answer exactly.
+func TestClusterCancelMidQuery(t *testing.T) {
+	ip := startCluster(t, 2, CoordinatorOptions{})
+	g := pathGraph(1 << 14) // thousands of levels: the cancel lands mid-query
+	rg, err := ip.Coord.LoadGraph(context.Background(), "g", g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	if _, err := rg.RunBatch(ctx, []int{0}, msbfs.Options{}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled query: err=%v, want context.Canceled", err)
+	}
+	opt := msbfs.Options{MaxDepth: 100, RecordLevels: true}
+	sources := []int{0, 8000, 1<<14 - 1}
+	want := g.MultiBFS(sources, opt)
+	got, err := rg.RunBatch(context.Background(), sources, opt, nil)
+	if err != nil {
+		t.Fatalf("query after the cancelled one: %v", err)
+	}
+	for i := range want.Levels {
+		for v, lv := range want.Levels[i] {
+			if got.Levels[i][v] != lv {
+				t.Fatalf("source %d vertex %d: level %d, want %d", sources[i], v, got.Levels[i][v], lv)
+			}
+		}
+	}
+}
+
 // TestClusterShardKillMidQuery kills a shard while queries stream through
 // the barrier and requires a prompt typed failure, not a hang. Run under
 // -race this also shakes the teardown paths.
@@ -352,6 +385,82 @@ func TestClusterCompressionRatio(t *testing.T) {
 	}
 	if r := met.CompressionRatio(); r <= 0 || r >= 1.0 {
 		t.Errorf("cluster-wide compression ratio %.3f, want (0,1) on a path graph", r)
+	}
+}
+
+// TestClusterExchangeCounts pins the level exchange as counts on a
+// scale-14 fixture: the codec bytes and raw bytes every shard ships, the
+// visited states, and the edges the shards scan. Summed over shards the
+// scan must equal single-process top-down exactly — each shard scans the
+// frontier rows it owns and nothing else.
+func TestClusterExchangeCounts(t *testing.T) {
+	g0 := msbfs.GenerateKronecker(14, 16, 20170321)
+	g, _ := g0.Relabel(msbfs.LabelStriped, 2, 512, 1)
+	sources := g.RandomSources(64, 11)
+
+	single := g.MultiBFS(sources, msbfs.Options{Workers: 2, TopDownOnly: true, CollectIterStats: true})
+	var wantScanned int64
+	for _, it := range single.Iterations {
+		wantScanned += it.ScannedEdges
+	}
+	if wantScanned != 1175660 {
+		t.Fatalf("single-process top-down scanned %d edges, want 1175660", wantScanned)
+	}
+
+	for _, tc := range []struct {
+		shards        int
+		frontierBytes int64
+		rawBytes      int64
+	}{
+		{2, 206213, 917504},
+		{4, 436842, 2752512},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			tracer := obs.NewTracer()
+			ip, err := StartInproc(context.Background(), tc.shards,
+				ShardOptions{Workers: 2, StepTimeout: DefaultInprocStepTimeout, Tracer: tracer},
+				CoordinatorOptions{Tracer: tracer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ip.Close()
+			rg, err := ip.Coord.LoadGraph(context.Background(), "counts", g, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := rg.RunBatch(context.Background(), sources, msbfs.Options{Workers: 2}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.VisitedStates != 805504 {
+				t.Errorf("VisitedStates = %d, want 805504", res.VisitedStates)
+			}
+			met := ip.Coord.Metrics()
+			if got := met.FrontierBytes.Load(); got != tc.frontierBytes {
+				t.Errorf("FrontierBytes = %d, want %d", got, tc.frontierBytes)
+			}
+			if got := met.FrontierRawBytes.Load(); got != tc.rawBytes {
+				t.Errorf("FrontierRawBytes = %d, want %d", got, tc.rawBytes)
+			}
+			// msgEnd, which RunBatch awaits, published the shard records.
+			var scanned int64
+			var shardRecords int
+			for _, tv := range tracer.Snapshot().Traversals {
+				if tv.Algo != "cluster/shard" {
+					continue
+				}
+				shardRecords++
+				for _, it := range tv.Iterations {
+					scanned += it.Scanned
+				}
+			}
+			if shardRecords != tc.shards {
+				t.Fatalf("%d shard-local records, want %d", shardRecords, tc.shards)
+			}
+			if scanned != wantScanned {
+				t.Errorf("shards scanned %d edges in total, want %d", scanned, wantScanned)
+			}
+		})
 	}
 }
 

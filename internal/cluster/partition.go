@@ -8,10 +8,10 @@
 // Buluç/Madduri (arXiv 1104.4518) for the 1D vertex partitioning with a
 // per-level frontier exchange, and Buluç/Beamer et al. (arXiv 1705.04590)
 // for compressing the exchanged frontier bitmaps to cut communication
-// volume. Within a shard the traversal is the paper's array-based MS-PBFS
-// over the local vertex slice, reusing internal/sched worker pools and the
-// core.Engine arena. See docs/CLUSTER.md for the wire protocol and failure
-// semantics.
+// volume. Within a shard the traversal is the single-process MS-PBFS
+// engine from internal/core over the shard's own rows, one level per
+// coordinator step, recycled through a core.Engine arena. See
+// docs/CLUSTER.md for the wire protocol and failure semantics.
 package cluster
 
 import "repro/internal/numa"

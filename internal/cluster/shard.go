@@ -4,16 +4,14 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/bits"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
-	"repro/internal/numa"
+	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // DefaultStepTimeout bounds how long a shard waits at the per-level
@@ -22,10 +20,6 @@ import (
 // dead peer starves the barrier, the timeout turns the starvation into an
 // error reply, and the coordinator fails the query with ErrShardDown.
 const DefaultStepTimeout = 30 * time.Second
-
-// shardSplitSize is the task granularity of the per-shard parallel scan
-// and apply loops — the paper's default 512-vertex task size.
-const shardSplitSize = 512
 
 // maxBatchSources is the widest k-wide batch a query may carry
 // (8 words x 64 bits, the bitset.MaxWords limit).
@@ -47,12 +41,11 @@ type ShardOptions struct {
 }
 
 // Shard is one bfsd shard process: it owns a contiguous vertex slice of
-// each loaded graph, runs the local part of every level-synchronous
-// MS-PBFS step, and exchanges delta frontiers with its peers directly.
-// All state a query borrows (bitset states, level rows, worker pools)
-// comes from one long-lived core.Engine, so repeated queries over a
-// partition recycle their arrays exactly as the single-process server
-// does.
+// each loaded graph, runs every query as a core.MSPBFSEngine over that
+// slice's rows, one level per step, and exchanges the foreign stripes of
+// each level's next frontier with its peers directly. Engines come from one
+// long-lived core.Engine, so repeated queries over a partition recycle
+// their shells exactly as the single-process server does.
 type Shard struct {
 	opt ShardOptions
 	eng *core.Engine
@@ -70,46 +63,29 @@ type Shard struct {
 	wg sync.WaitGroup // accept loop, connection read loops, request handlers
 }
 
-// shardGraph is one graph's local slice.
+// shardGraph is one graph's local slice, held as an owned-rows CSR: all n
+// vertices, the shipped rows at [lo,hi) and empty rows everywhere else.
 type shardGraph struct {
 	name    string
 	part    Partition
 	shardID int
 	lo, hi  int
-	rlen    int
-	offsets []int64  // rlen+1, rebased to the slice
-	adj     []uint32 // global vertex ids
+	csr     *graph.Graph
 	workers int
 }
 
-// shardQuery is the per-query traversal state on one shard.
+// shardQuery is the per-query traversal state on one shard: an MS-PBFS
+// engine as wide as a single-process one, seeded with the whole batch. mu
+// serializes the query's requests, so msgEnd waits for a step in flight.
 type shardQuery struct {
-	g     *shardGraph
-	k     int
-	words int
+	mu     sync.Mutex
+	g      *shardGraph
+	words  int
+	e      *core.MSPBFSEngine // nil once releaseQuery closed it
+	levels [][]int32          // k rows over all n vertices; [lo,hi) is this shard's answer
+	depth  int                // the last level stepped
 
-	seen, cur, next *bitset.State // rlen x words, engine-borrowed
-	acc             []*bitset.State
-	accLo           []int
-	levels          [][]int32 // k rows x rlen
-
-	// shadows is the worker-owned scatter substrate for the local half of
-	// the step (same protocol as MSPBFSEngine): local-neighbor writes go
-	// to worker-private slabs with plain stores and the stripe owners
-	// OR-merge into next before the delta exchange, so the encoder always
-	// reads fully published owner stripes. Peer accumulators keep CAS —
-	// their traffic is the partition cut, far smaller than the local scan.
-	// Nil when the local slice is empty or the query runs one worker.
-	shadows *bitset.Shadows
-
-	pool        *sched.Pool
-	releasePool func()
-	tq          *sched.TaskQueues
-
-	inbox        chan *deltaMsg
-	expectDeltas int
-
-	counters []stepCounter
+	inbox chan *deltaMsg
 
 	// traced is set when the coordinator's msgStart carried a trace id;
 	// every step then measures its sub-phases and piggybacks a stepTrace
@@ -120,20 +96,11 @@ type shardQuery struct {
 	tv *obs.Traversal
 }
 
-// stepCounter is a per-worker new-state tally, cache-line padded like the
-// kernels' padCounter so neighboring workers don't share a line.
-type stepCounter struct {
-	v int64
-	_ [56]byte
-}
-
-// pendingDelta is one encoded peer delta awaiting its send: phase 2
+// pendingDelta is one encoded peer delta awaiting its send: the exchange
 // encodes all deltas serially, then ships them concurrently.
 type pendingDelta struct {
-	peer     int
-	frame    []byte
-	encBytes int64
-	rawBytes int64
+	peer  int
+	frame []byte
 }
 
 // NewShard creates an idle shard server with its own execution engine.
@@ -341,21 +308,9 @@ func (s *Shard) handleLoad(payload []byte) error {
 	if len(m.offsets) != rlen+1 {
 		return fmt.Errorf("graph %q: %d offsets for %d local vertices", m.name, len(m.offsets), rlen)
 	}
-	if rlen > 0 && m.offsets[0] != 0 {
-		return fmt.Errorf("graph %q: offsets not rebased (first = %d)", m.name, m.offsets[0])
-	}
-	for i := 1; i <= rlen; i++ {
-		if m.offsets[i] < m.offsets[i-1] {
-			return fmt.Errorf("graph %q: offsets decrease at %d", m.name, i)
-		}
-	}
-	if rlen > 0 && m.offsets[rlen] != int64(len(m.adjacency)) {
-		return fmt.Errorf("graph %q: offsets end at %d, adjacency has %d", m.name, m.offsets[rlen], len(m.adjacency))
-	}
-	for _, w := range m.adjacency {
-		if int(w) >= m.n {
-			return fmt.Errorf("graph %q: neighbor %d out of range [0,%d)", m.name, w, m.n)
-		}
+	csr, err := graph.OwnedRows(m.n, lo, m.offsets, m.adjacency)
+	if err != nil {
+		return fmt.Errorf("graph %q: %w", m.name, err)
 	}
 	workers := m.workers
 	if workers < 1 || workers > s.opt.Workers {
@@ -363,8 +318,7 @@ func (s *Shard) handleLoad(payload []byte) error {
 	}
 	sg := &shardGraph{
 		name: m.name, part: part, shardID: m.shardID,
-		lo: lo, hi: hi, rlen: rlen,
-		offsets: m.offsets, adj: m.adjacency, workers: workers,
+		lo: lo, hi: hi, csr: csr, workers: workers,
 	}
 
 	s.mu.Lock()
@@ -419,7 +373,6 @@ func (s *Shard) handleStart(payload []byte) error {
 	if k < 1 || k > maxBatchSources {
 		return fmt.Errorf("batch width %d out of range [1,%d]", k, maxBatchSources)
 	}
-	words := (k + 63) / 64
 	n := g.part.N()
 	for _, src := range m.sources {
 		if src < 0 || src >= n {
@@ -428,9 +381,7 @@ func (s *Shard) handleStart(payload []byte) error {
 	}
 
 	q := &shardQuery{
-		g: g, k: k, words: words,
-		acc:    make([]*bitset.State, g.part.NumShards()),
-		accLo:  make([]int, g.part.NumShards()),
+		g: g, words: (k + 63) / 64,
 		inbox:  make(chan *deltaMsg, g.part.NumShards()),
 		traced: m.traceID != 0,
 	}
@@ -440,54 +391,14 @@ func (s *Shard) handleStart(payload []byte) error {
 		// local copy.
 		q.tv = s.opt.Tracer.StartTraversal("cluster/shard", k)
 	}
-	q.seen = s.eng.BorrowState(g.rlen, words) //bfs:arena-held query-lifetime state; handleEnd releases it
-	q.cur = s.eng.BorrowState(g.rlen, words)  //bfs:arena-held query-lifetime state; handleEnd releases it
-	q.next = s.eng.BorrowState(g.rlen, words) //bfs:arena-held query-lifetime state; handleEnd releases it
-	for p := 0; p < g.part.NumShards(); p++ {
-		plo, phi := g.part.Range(p)
-		q.accLo[p] = plo
-		if p == g.shardID || phi == plo {
-			continue // no accumulator for self or for empty peer ranges
-		}
-		// Accumulators address every non-empty peer; conversely only
-		// shards that own vertices ever discover (and send) anything, so
-		// this shard expects one inbound delta per non-empty peer — but
-		// none at all if its own range is empty.
-		q.acc[p] = s.eng.BorrowState(phi-plo, words) //bfs:arena-held accumulators live for the query; handleEnd releases them
-		if g.rlen > 0 {
-			q.expectDeltas++
-		}
-	}
-	q.levels = make([][]int32, k)
-	for i := range q.levels {
-		q.levels[i] = s.eng.BorrowLevels(g.rlen) //bfs:arena-held rows live for the query; handleEnd releases them
-		for v := range q.levels[i] {
-			q.levels[i][v] = core.NoLevel
-		}
-	}
-	if g.rlen > 0 {
-		q.pool, q.releasePool = s.eng.BorrowPool(g.workers) //bfs:arena-held pool lives for the query; handleEnd releases it
-		// Stripe-affine task layout: worker w's queue holds the tasks of
-		// its own contiguous stripe (stealing still crosses stripes), so
-		// the static merge below covers every stripe exactly once with
-		// owner == workerID.
-		q.tq = sched.CreateStripeTasks(numa.AlignedRanges(g.rlen, g.workers, shardSplitSize), shardSplitSize)
-		q.counters = make([]stepCounter, g.workers)
-		if g.workers > 1 {
-			q.shadows = bitset.NewShadows(g.rlen*words, g.workers)
-		}
-	}
-
-	// Seed the slots this shard owns: source at depth 0, already seen,
-	// already in the current frontier — the same seeding MS-PBFS does.
-	for i, src := range m.sources {
-		if src >= g.lo && src < g.hi {
-			v := src - g.lo
-			q.seen.Set(v, i)
-			q.cur.Set(v, i)
-			q.levels[i][v] = 0
-		}
-	}
+	// The whole batch is seeded on every shard, as a single-process run
+	// seeds it: a foreign source's row is empty, so it scans nothing, and
+	// its level entry lies outside the rows handleResult returns.
+	q.e = core.NewMSPBFSEngine(g.csr, core.Options{
+		Workers: g.workers, BatchWords: q.words, Direction: core.TopDownOnly,
+		RecordLevels: true, Engine: s.eng,
+	}) //bfs:arena-held the engine's shell and pool live across RPCs until releaseQuery closes it at msgEnd
+	q.levels = q.e.Seed(m.sources, 0)
 
 	s.mu.Lock()
 	var regErr error
@@ -508,27 +419,32 @@ func (s *Shard) handleStart(payload []byte) error {
 	return regErr
 }
 
-func (s *Shard) getQuery(qid uint64) (*shardQuery, error) {
+// lockQuery returns query qid locked for one request; the caller unlocks
+// q.mu. A query whose engine releaseQuery closed is an error.
+func (s *Shard) lockQuery(qid uint64) (*shardQuery, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	q := s.queries[qid]
+	s.mu.Unlock()
 	if q == nil {
 		return nil, fmt.Errorf("unknown query %d", qid)
+	}
+	q.mu.Lock()
+	if q.e == nil {
+		q.mu.Unlock()
+		return nil, fmt.Errorf("query %d ended", qid)
 	}
 	return q, nil
 }
 
-// handleStep runs one level-synchronous BFS iteration on the local slice:
-// scan the owned frontier into the local next state and the per-peer
-// delta accumulators, stream the encoded deltas to the peers, absorb the
-// peers' inbound deltas, then apply: new = next &^ seen, fold into seen,
-// promote to the current frontier, record levels.
+// handleStep runs one level of the query's engine: the scatter and shadow
+// merge over this shard's rows, the exchange of next's stripes with the
+// peers (stepExchange.run), then the resolve, which is the apply phase.
 //
 // When the query is traced each phase boundary stamps the monotonic clock
-// into a stepTrace that rides back on the reply; untraced queries take
-// the identical code path but never call time.Now — the tracing cost is
-// one nil test per phase boundary (the untraced cluster/inproc perf
-// scenario times this path).
+// into a stepTrace that rides back on the reply; untraced queries take the
+// identical code path but never call time.Now — the tracing cost is one nil
+// test per phase boundary (the untraced cluster/inproc perf scenario times
+// this path).
 func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 	r := &wireReader{b: payload}
 	qid, err := r.uvarint()
@@ -539,214 +455,152 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, err := s.getQuery(qid)
+	q, err := s.lockQuery(qid)
 	if err != nil {
 		return nil, err
 	}
-	g := q.g
+	defer q.mu.Unlock()
+	// The engine numbers levels itself; the coordinator's must agree.
+	if level != q.depth+1 {
+		return nil, fmt.Errorf("step for level %d after level %d", level, q.depth)
+	}
+	q.depth = level
 
-	var tr *stepTrace
-	var stepStart, mark time.Time
+	x := &stepExchange{s: s, q: q, qid: qid, level: level}
 	if q.traced {
-		tr = &stepTrace{}
-		stepStart = time.Now()
-		mark = stepStart
+		x.tr = &stepTrace{}
+		x.start = time.Now()
+		x.mark = x.start
 	}
-
-	// Phase 1: local top-down scan. Frontier rows scatter local neighbors
-	// into the worker's private shadow slab with plain stores (worker 0
-	// writes the canonical next directly; single-worker queries have no
-	// shadows and write next unshared), and remote neighbors into the
-	// per-peer accumulators (CAS-OR: several workers may hit one vertex).
-	if g.rlen > 0 {
-		words := q.words
-		nextW := q.next.Words()
-		q.tq.Reset()
-		q.pool.ParallelFor(q.tq, func(workerID int, rg sched.Range) {
-			tgt := nextW
-			if q.shadows != nil {
-				tgt = q.shadows.Writer(workerID, nextW)
-			}
-			for v := rg.Lo; v < rg.Hi; v++ {
-				if !q.cur.Any(v) {
-					continue
-				}
-				row := q.cur.Row(v)
-				for _, w := range g.adj[g.offsets[v]:g.offsets[v+1]] {
-					gw := int(w)
-					if gw >= g.lo && gw < g.hi {
-						off := (gw - g.lo) * words
-						for wi := 0; wi < words; wi++ {
-							tgt[off+wi] |= row[wi] //bfs:singlewriter worker-private slab (or unshared next when solo); published by the stripe merge below
-						}
-						continue
-					}
-					p := g.part.Owner(gw)
-					q.acc[p].AtomicOrVertex(gw-q.accLo[p], row)
-				}
-			}
-		})
-		// Publish: stripe owners fold every shadow into next at the phase
-		// barrier, so the peer-delta decode (phase 3, plain OR) and the
-		// apply pass (phase 4) read fully published owner stripes. Static
-		// fetch keeps owner == workerID per stripe.
-		if q.shadows != nil {
-			q.tq.Reset()
-			q.pool.ParallelForStatic(q.tq, func(workerID int, rg sched.Range) {
-				q.shadows.MergeRange(workerID, nextW, rg.Lo*words, rg.Hi*words)
-			})
-		}
+	frontier, next, scanned, err := q.e.Step(x.run)
+	if err != nil {
+		return nil, err
 	}
-	if tr != nil {
-		now := time.Now()
-		tr.scanNanos = uint64(now.Sub(mark))
-		mark = now
-	}
-
-	// Phase 2: per-peer delta streams — every non-empty peer gets exactly
-	// one delta per level (empty deltas included, so the receiver's
-	// barrier count is deterministic). The codec encodes serially (it is
-	// CPU work on this shard, and a serial pass gives the trace a clean
-	// encode|send split); the sends then run in parallel supervised
-	// goroutines, since one slow peer link must not serialize the exchange
-	// behind another.
-	var sends []pendingDelta
-	if g.rlen > 0 {
-		for p := range q.acc {
-			if q.acc[p] == nil {
-				continue
-			}
-			a := q.acc[p]
-			plen := a.Len()
-			delta := encodeDelta(nil, a.Words(), plen, q.words)
-			a.ZeroRange(0, plen)
-			sends = append(sends, pendingDelta{
-				peer:     p,
-				frame:    encodeDelta32(&deltaMsg{fromShard: g.shardID, level: level, delta: delta}),
-				encBytes: int64(len(delta)),
-				rawBytes: int64(rawBytes(plen, q.words)),
-			})
-		}
-	}
-	if tr != nil {
-		now := time.Now()
-		tr.encodeNanos = uint64(now.Sub(mark))
-		mark = now
-	}
-	var sentBytes, rawTotal int64
-	if len(sends) > 0 {
-		errs := make([]error, len(sends))
-		var wg sync.WaitGroup
-		for i := range sends {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = s.peerFor(sends[i].peer).send(qid, sends[i].frame, s.opt.StepTimeout)
-			}(i)
-		}
-		wg.Wait()
-		for i, sendErr := range errs {
-			if sendErr != nil {
-				return nil, sendErr
-			}
-			sentBytes += sends[i].encBytes
-			rawTotal += sends[i].rawBytes
-		}
-	}
-	if tr != nil {
-		now := time.Now()
-		tr.sendNanos = uint64(now.Sub(mark))
-		mark = now
-	}
-
-	// Phase 3: barrier — absorb one delta from every non-empty peer.
-	// Decoding ORs into next sequentially; the local scan has finished,
-	// so no CAS races the plain OR. Traced steps split the phase into
-	// blocked time (wait) and codec time (decode) per inbound delta.
-	if q.expectDeltas > 0 {
-		timer := time.NewTimer(s.opt.StepTimeout)
-		defer timer.Stop()
-		for got := 0; got < q.expectDeltas; got++ {
-			select {
-			case m := <-q.inbox:
-				if tr != nil {
-					now := time.Now()
-					tr.waitNanos += uint64(now.Sub(mark))
-					mark = now
-				}
-				if m.level != level {
-					return nil, fmt.Errorf("peer %d sent level %d during level %d", m.fromShard, m.level, level)
-				}
-				if err := decodeDelta(m.delta, q.next.Words(), g.rlen, q.words); err != nil {
-					return nil, err
-				}
-				if tr != nil {
-					now := time.Now()
-					tr.decodeNanos += uint64(now.Sub(mark))
-					mark = now
-				}
-			case <-timer.C:
-				return nil, fmt.Errorf("level %d barrier: %d of %d peer deltas after %v",
-					level, got, q.expectDeltas, s.opt.StepTimeout)
-			case <-s.closedCh:
-				return nil, errors.New(errShardClosing)
-			}
-		}
-	}
-
-	// Phase 4: apply. Ranges are disjoint so plain word ops suffice.
-	var nextStates int64
-	if g.rlen > 0 {
-		for w := range q.counters {
-			q.counters[w].v = 0
-		}
-		seenW, curW, nextW := q.seen.Words(), q.cur.Words(), q.next.Words()
-		words := q.words
-		q.tq.Reset()
-		q.pool.ParallelFor(q.tq, func(workerID int, rg sched.Range) {
-			var count int64
-			for v := rg.Lo; v < rg.Hi; v++ {
-				off := v * words
-				for wi := 0; wi < words; wi++ {
-					nw := nextW[off+wi] &^ seenW[off+wi]
-					seenW[off+wi] |= nw //bfs:singlewriter apply phase partitions vertices across workers
-					curW[off+wi] = nw   //bfs:singlewriter apply phase partitions vertices across workers
-					nextW[off+wi] = 0   //bfs:singlewriter apply phase partitions vertices across workers
-					if nw == 0 {
-						continue
-					}
-					count += int64(bits.OnesCount64(nw))
-					base := wi * 64
-					for b := nw; b != 0; b &= b - 1 {
-						q.levels[base+bits.TrailingZeros64(b)][v] = int32(level)
-					}
-				}
-			}
-			q.counters[workerID].v += count
-		})
-		for w := range q.counters {
-			nextStates += q.counters[w].v
-		}
-	}
-	d := stepDone{
-		nextStates: nextStates,
-		sentBytes:  sentBytes,
-		rawBytes:   rawTotal,
-	}
-	if tr != nil {
-		now := time.Now()
-		tr.applyNanos = uint64(now.Sub(mark))
-		d.trace = tr
+	d := stepDone{nextStates: next, sentBytes: x.sent, rawBytes: x.raw}
+	if x.tr != nil {
+		x.tr.applyNanos = x.lap()
+		d.trace = x.tr
 		q.tv.Record(obs.IterationRecord{
 			Iteration:        level,
 			Reason:           "cluster/shard-step",
-			Next:             nextStates,
-			Duration:         now.Sub(stepStart),
-			ExchangeBytes:    sentBytes,
-			ExchangeRawBytes: rawTotal,
+			Frontier:         frontier,
+			Next:             next,
+			Scanned:          scanned,
+			Duration:         x.mark.Sub(x.start),
+			ExchangeBytes:    x.sent,
+			ExchangeRawBytes: x.raw,
 		})
 	}
 	return encodeStepDone(d), nil
+}
+
+// stepExchange is one step's exchange point, run by the engine after the
+// shadow merge, when next holds this shard's scatter over all n vertices.
+// A 1D-partitioned top-down level sends each peer its slice of the next
+// frontier (Buluç & Madduri, arXiv 1104.4518), so run ships every peer its
+// stripe of next and zeroes it, then ORs the peers' deltas into this
+// shard's own stripe: the resolve that follows sees exactly the owned
+// rows' discoveries. No loop filters neighbors on ownership.
+type stepExchange struct {
+	s         *Shard
+	q         *shardQuery
+	qid       uint64
+	level     int
+	sent, raw int64 // codec bytes and raw bitset bytes shipped
+
+	tr          *stepTrace // nil when untraced: the clock is never read
+	start, mark time.Time
+}
+
+// lap returns the time since the last phase boundary and moves the mark
+// (traced steps only).
+func (x *stepExchange) lap() uint64 {
+	now := time.Now()
+	d := now.Sub(x.mark)
+	x.mark = now
+	return uint64(d)
+}
+
+func (x *stepExchange) run(next []uint64) error {
+	q, g, w := x.q, x.q.g, x.q.words
+	if x.tr != nil {
+		x.tr.scanNanos = x.lap()
+	}
+	if g.lo == g.hi {
+		return nil // an empty slice scans nothing: no deltas out or in
+	}
+
+	// Every non-empty peer gets exactly one delta per level (empty ones
+	// included), so each barrier expects one delta per send. The codec
+	// encodes serially (CPU work on this shard, and a clean encode|send
+	// split for the trace); the sends then run in parallel supervised
+	// goroutines, since one slow peer link must not serialize the
+	// exchange behind another.
+	var sends []pendingDelta
+	for p := 0; p < g.part.NumShards(); p++ {
+		plo, phi := g.part.Range(p)
+		if p == g.shardID || plo == phi {
+			continue
+		}
+		stripe := next[plo*w : phi*w]
+		delta := encodeDelta(nil, stripe, phi-plo, w)
+		clear(stripe) //bfs:singlewriter the exchange runs between the engine's barriers, workers parked
+		sends = append(sends, pendingDelta{peer: p,
+			frame: encodeDelta32(&deltaMsg{fromShard: g.shardID, level: x.level, delta: delta})})
+		x.sent += int64(len(delta))
+		x.raw += int64(rawBytes(phi-plo, w))
+	}
+	if x.tr != nil {
+		x.tr.encodeNanos = x.lap()
+	}
+	errs := make([]error, len(sends))
+	var wg sync.WaitGroup
+	for i := range sends {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = x.s.peerFor(sends[i].peer).send(x.qid, sends[i].frame, x.s.opt.StepTimeout)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if x.tr != nil {
+		x.tr.sendNanos = x.lap()
+	}
+
+	// Barrier: one delta from every non-empty peer, ORed into this
+	// shard's stripe on this goroutine while the workers are parked.
+	// Traced steps split the wait into blocked time and codec time.
+	own := next[g.lo*w : g.hi*w]
+	timer := time.NewTimer(x.s.opt.StepTimeout)
+	defer timer.Stop()
+	for got := 0; got < len(sends); got++ {
+		select {
+		case m := <-q.inbox:
+			if x.tr != nil {
+				x.tr.waitNanos += x.lap()
+			}
+			if m.level != x.level {
+				return fmt.Errorf("peer %d sent level %d during level %d", m.fromShard, m.level, x.level)
+			}
+			if err := decodeDelta(m.delta, own, g.hi-g.lo, w); err != nil {
+				return err
+			}
+			if x.tr != nil {
+				x.tr.decodeNanos += x.lap()
+			}
+		case <-timer.C:
+			return fmt.Errorf("level %d barrier: %d of %d peer deltas after %v",
+				x.level, got, len(sends), x.s.opt.StepTimeout)
+		case <-x.s.closedCh:
+			return errors.New(errShardClosing)
+		}
+	}
+	return nil
 }
 
 func (s *Shard) peerFor(p int) *peerLink {
@@ -761,11 +615,12 @@ func (s *Shard) handleResult(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, err := s.getQuery(qid)
+	q, err := s.lockQuery(qid)
 	if err != nil {
 		return nil, err
 	}
-	return encodeResultRows(q.levels, q.g.rlen), nil
+	defer q.mu.Unlock()
+	return encodeResultRows(q.levels, q.g.lo, q.g.hi), nil
 }
 
 // handleEnd releases a query's engine-held state. Ending an unknown query
@@ -786,20 +641,14 @@ func (s *Shard) handleEnd(payload []byte) error {
 	return nil
 }
 
+// releaseQuery publishes the shard-local flight record (nil-safe: tv is set
+// only for traced queries on shards with their own Tracer) and hands the
+// level rows and the engine back, after any step in flight.
 func (s *Shard) releaseQuery(q *shardQuery) {
-	// Publish the shard-local flight record (nil-safe: tv is set only for
-	// traced queries on shards with their own Tracer).
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.tv.Finish(0, 0)
-	s.eng.ReturnState(q.seen)
-	s.eng.ReturnState(q.cur)
-	s.eng.ReturnState(q.next)
-	for _, a := range q.acc {
-		if a != nil {
-			s.eng.ReturnState(a)
-		}
-	}
 	s.eng.ReleaseLevels(q.levels...)
-	if q.releasePool != nil {
-		q.releasePool()
-	}
+	q.e.Close()
+	q.e, q.levels = nil, nil
 }

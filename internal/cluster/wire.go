@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Wire format. Every message is one length-prefixed frame:
@@ -70,6 +71,11 @@ func writeFrame(w io.Writer, typ byte, id uint64, payload []byte) error {
 	return err
 }
 
+// frameChunk is the first read of a frame body. readFrame then at most
+// doubles the body per read, so its memory follows the bytes that arrived,
+// not the length prefix.
+const frameChunk = 64 << 10
+
 // readFrame reads one frame. The returned payload is freshly allocated
 // and safe to retain.
 func readFrame(r *bufio.Reader) (typ byte, id uint64, payload []byte, err error) {
@@ -77,13 +83,18 @@ func readFrame(r *bufio.Reader) (typ byte, id uint64, payload []byte, err error)
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := int(binary.BigEndian.Uint32(hdr[:]))
 	if size < frameHeader || size > maxFrame {
 		return 0, 0, nil, fmt.Errorf("cluster: bad frame length %d", size)
 	}
-	body := make([]byte, size)
-	if _, err = io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, err
+	body := make([]byte, 0, min(size, frameChunk))
+	for len(body) < size {
+		chunk := min(size-len(body), max(len(body), frameChunk))
+		body = slices.Grow(body, chunk)
+		if _, err = io.ReadFull(r, body[len(body):len(body)+chunk]); err != nil {
+			return 0, 0, nil, err
+		}
+		body = body[:len(body)+chunk]
 	}
 	return body[0], binary.BigEndian.Uint64(body[1:9]), body[frameHeader:], nil
 }
@@ -113,6 +124,20 @@ func (r *wireReader) intv() (int, error) {
 		return 0, fmt.Errorf("cluster: unreasonable count %d", v)
 	}
 	return int(v), nil
+}
+
+// count reads an element count and bounds it by the bytes left, given the
+// fewest bytes one element occupies, so a decoder never allocates for
+// elements the payload cannot hold.
+func (r *wireReader) count(minBytes int) (int, error) {
+	n, err := r.intv()
+	if err != nil {
+		return 0, err
+	}
+	if n > len(r.b)/minBytes {
+		return 0, fmt.Errorf("cluster: %d elements cannot fit the %d payload bytes left", n, len(r.b))
+	}
+	return n, nil
 }
 
 func (r *wireReader) bytes(n int) ([]byte, error) {
@@ -206,7 +231,7 @@ func decodeLoad(payload []byte) (*loadMsg, error) {
 	if m.workers, err = r.intv(); err != nil {
 		return nil, err
 	}
-	np, err := r.intv()
+	np, err := r.count(1) // a peer address is at least its length byte
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +312,7 @@ func decodeStart(payload []byte) (*startMsg, error) {
 	if m.name, err = r.str(); err != nil {
 		return nil, err
 	}
-	k, err := r.intv()
+	k, err := r.count(1) // a source is at least one uvarint byte
 	if err != nil {
 		return nil, err
 	}
@@ -338,12 +363,12 @@ type stepDone struct {
 // placement happens coordinator-side from the RPC request/reply
 // timestamps it already owns.
 type stepTrace struct {
-	scanNanos   uint64 // phase 1: local frontier scan + shadow merge
+	scanNanos   uint64 // phase 1: the engine's scatter + shadow merge
 	encodeNanos uint64 // phase 2a: per-peer delta codec encode
 	sendNanos   uint64 // phase 2b: concurrent peer-link sends (wall)
 	waitNanos   uint64 // phase 3: barrier wait for inbound peer deltas
 	decodeNanos uint64 // phase 3: inbound delta decode + OR into next
-	applyNanos  uint64 // phase 4: next &^ seen fold + level recording
+	applyNanos  uint64 // phase 4: the engine's resolve (next &^ seen, levels)
 }
 
 func encodeStepDone(d stepDone) []byte {
@@ -421,14 +446,14 @@ func decodeDelta32(payload []byte) (*deltaMsg, error) {
 }
 
 // resultMsg is the per-shard reply to msgResult: the query's k level rows
-// over the shard's rlen local vertices, row-major int32 little-endian
-// (NoLevel for unreached), prefixed by k and rlen for validation.
-func encodeResultRows(rows [][]int32, rlen int) []byte {
-	dst := make([]byte, 0, 16+len(rows)*rlen*4)
+// over the shard's vertices [lo,hi), row-major int32 little-endian
+// (NoLevel for unreached), prefixed by k and rlen = hi-lo for validation.
+func encodeResultRows(rows [][]int32, lo, hi int) []byte {
+	dst := make([]byte, 0, 16+len(rows)*(hi-lo)*4)
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
-	dst = binary.AppendUvarint(dst, uint64(rlen))
+	dst = binary.AppendUvarint(dst, uint64(hi-lo))
 	for _, row := range rows {
-		for _, lv := range row[:rlen] {
+		for _, lv := range row[lo:hi] {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(lv))
 		}
 	}

@@ -268,24 +268,6 @@ func (e *Engine) returnPool(p *sched.Pool) {
 	}
 }
 
-// BorrowState checks out an n-vertex, words-wide bitset State for a sibling
-// internal subsystem (the cluster shard borrows its per-query seen, frontier
-// and delta-accumulator states here so repeated queries over one partition
-// recycle their arrays). The state arrives scrubbed to all zeros; hand it
-// back with ReturnState when the query ends.
-func (e *Engine) BorrowState(n, words int) *bitset.State {
-	return e.borrowState(n, words) //bfs:arena-held ownership transfers to the caller, released via ReturnState
-}
-
-// ReturnState hands a BorrowState checkout back to the arena.
-func (e *Engine) ReturnState(s *bitset.State) { e.returnState(s) }
-
-// BorrowLevels checks out one n-long level row (not scrubbed — fill with
-// NoLevel before exposing it). Release with ReleaseLevels.
-func (e *Engine) BorrowLevels(n int) []int32 {
-	return e.borrowLevels(n) //bfs:arena-held ownership transfers to the caller, released via ReleaseLevels
-}
-
 // borrowState checks out an n-vertex, words-wide State, scrubbed to all
 // zeros regardless of the condition it was returned in.
 func (e *Engine) borrowState(n, words int) *bitset.State {
@@ -374,8 +356,8 @@ func (e *Engine) checkoutShell(key shellKey) *levelStep {
 func (e *Engine) checkinShell(sh *levelStep) {
 	key := sh.key
 	// Drop references that would pin the caller's graph (and any OnVisit
-	// closure) in the arena; the next open re-binds them.
-	sh.shellRun = shellRun{}
+	// closure or Tracer) in the arena; the next open and begin re-bind them.
+	sh.shellRun, sh.rec = shellRun{}, iterRecorder{}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.shells.push(e, key, sh)

@@ -65,10 +65,16 @@ type levelStep struct {
 	scatterBody, mergeBody, resolveBody, bottomUpBody, zeroBody func(int, sched.Range)
 	endLevel                                                    func()
 
-	// dir is the direction-heuristic state of the run in flight: the kernel
-	// seeds it with the source frontier, traverse decides on it, endLevel
+	// dir is the direction-heuristic state of the run in flight: begin
+	// seeds it with the source frontier, level decides on it, endLevel
 	// folds each level's counters into it.
 	dir dirInputs
+
+	// rec is the run's recorder, visited its running count of discovered
+	// states and bottomUp the direction of the last level; begin arms them.
+	rec      iterRecorder
+	visited  int64
+	bottomUp bool
 
 	// phCanon is the canonical word slab of the buffer the coming level
 	// writes (next); phDepth is that level's depth.
@@ -168,66 +174,91 @@ func (ls *levelStep) scrub() {
 	ls.clean = false
 }
 
-// traverse runs the level loop from a seeded frontier (ls.dir, visited and
-// the kernel's ph* buffers describe it) until the frontier drains or MaxDepth
-// is reached, and returns the final visited count.
-func (ls *levelStep) traverse(rec *iterRecorder, visited int64) int64 {
-	opt, n, dir := ls.opt, ls.g.NumVertices(), &ls.dir
-	steal := !opt.DisableStealing
-	bottomUp := opt.Direction == BottomUpOnly
-	var dirReason string
+// begin arms the level loop over a frontier the kernel just seeded: the
+// run's recorder, its visited count, depth 0, the policy's first direction
+// and the direction inputs. Overlay arcs count toward the unexplored-edge
+// pool exactly as if they were already compacted into the CSR, so
+// auto-direction decisions match between the two representations.
+func (ls *levelStep) begin(rec iterRecorder, visited, frontVertices, frontEdges int64) {
+	ls.rec, ls.visited, ls.phDepth = rec, visited, 0
+	ls.bottomUp = ls.opt.Direction == BottomUpOnly
+	ls.dir.seed(int64(len(ls.g.Adjacency)), ls.opt.Overlay.Arcs(), frontVertices, frontEdges)
+}
 
-	ls.phDepth = 0
-	for dir.frontVertices > 0 && (opt.MaxDepth <= 0 || int(ls.phDepth) < opt.MaxDepth) {
-		ls.phDepth++
-		iterStart := time.Now()
-
-		bottomUp, dirReason = dir.decide(opt, bottomUp, n)
-
-		resetCounters(ls.scanned)
-		resetCounters(ls.updated)
-		resetCounters(ls.frontDeg)
-
-		var busy []time.Duration
-		if bottomUp {
-			ls.tq.Reset()
-			busy = ls.runPhase(ls.tq, steal, ls.bottomUpBody)
-		} else {
-			busy = ls.topDown(rec, steal)
-		}
-		ls.endLevel()
-
-		updated := sumCounters(ls.updated)
-		visited += updated
-
-		rec.noteMerge(ls.shadows)
-		rec.noteHeuristic(dir.frontEdges, dir.unexploredEdges)
-		rec.record(int(ls.phDepth), time.Since(iterStart), busy,
-			dir.frontVertices, updated, sumCounters(ls.scanned), visited, bottomUp, dirReason,
-			ls.scanned, ls.updated)
+// traverse runs levels from the seeded frontier until it drains or
+// MaxDepth is reached.
+func (ls *levelStep) traverse() {
+	for ls.dir.frontVertices > 0 && (ls.opt.MaxDepth <= 0 || int(ls.phDepth) < ls.opt.MaxDepth) {
+		ls.level(nil) // without an exchange a level cannot fail
 	}
-	return visited
+}
+
+// level runs one BFS level: it picks the direction, runs the phases, folds
+// the counters and records the level. exchange, when non-nil, is called on
+// a top-down level between the shadow merge and the resolve with the
+// merged next's canonical words; an error from it ends the level there.
+func (ls *levelStep) level(exchange func(next []uint64) error) error {
+	opt, dir := ls.opt, &ls.dir
+	ls.phDepth++
+	iterStart := time.Now()
+
+	var dirReason string
+	ls.bottomUp, dirReason = dir.decide(opt, ls.bottomUp, ls.g.NumVertices())
+
+	resetCounters(ls.scanned)
+	resetCounters(ls.updated)
+	resetCounters(ls.frontDeg)
+
+	steal := !opt.DisableStealing
+	var busy []time.Duration
+	if ls.bottomUp {
+		ls.tq.Reset()
+		busy = ls.runPhase(ls.tq, steal, ls.bottomUpBody)
+	} else {
+		var err error
+		if busy, err = ls.topDown(steal, exchange); err != nil {
+			return err
+		}
+	}
+	ls.endLevel()
+
+	updated := sumCounters(ls.updated)
+	ls.visited += updated
+
+	ls.rec.noteMerge(ls.shadows)
+	ls.rec.noteHeuristic(dir.frontEdges, dir.unexploredEdges)
+	ls.rec.record(int(ls.phDepth), time.Since(iterStart), busy,
+		dir.frontVertices, updated, sumCounters(ls.scanned), ls.visited, ls.bottomUp, dirReason,
+		ls.scanned, ls.updated)
+	return nil
 }
 
 // topDown runs one top-down level on the worker-owned substrate: scatter
 // into private shadows (plain stores), OR-merge at the barrier (stripe
-// owners, static fetch), then the single-writer resolve sweep. Scatter
-// writes go to worker-private shadows (the canonical slab for worker 0),
-// the merge gives every word exactly one writer per stripe, and resolve
-// touches each vertex from exactly one worker, so no phase needs an atomic.
-// Between scatter and merge, a traced run notes the scatter's steals.
-func (ls *levelStep) topDown(rec *iterRecorder, steal bool) []time.Duration {
+// owners, static fetch), the exchange if there is one, then the
+// single-writer resolve sweep. Scatter writes go to worker-private shadows
+// (the canonical slab for worker 0), the merge gives every word exactly one
+// writer per stripe, the exchange runs between barriers on the coordinating
+// goroutine, and resolve touches each vertex from exactly one worker, so no
+// phase needs an atomic. Between scatter and merge, a traced run notes the
+// scatter's steals.
+func (ls *levelStep) topDown(steal bool, exchange func(next []uint64) error) ([]time.Duration, error) {
 	ls.tq.Reset()
 	busy := ls.runPhase(ls.tq, steal, ls.scatterBody)
-	rec.noteScatter()
+	ls.rec.noteScatter()
 	if ls.shadows.Workers() > 1 {
 		// Static fetch confines each worker to its own stripe — the
 		// single-writer guarantee of the merge.
 		ls.tq.Reset()
 		busy = sumBusy(busy, ls.runPhase(ls.tq, false, ls.mergeBody))
 	}
+	if exchange != nil {
+		if err := exchange(ls.phCanon); err != nil {
+			return nil, err
+		}
+	}
 	ls.tq.Reset()
-	return sumBusy(busy, ls.runPhase(ls.tq, steal, ls.resolveBody))
+	return sumBusy(busy, ls.runPhase(ls.tq, steal, ls.resolveBody)), nil
 }
 
 // mergeTask publishes one stripe sub-range: the owner (static fetch makes

@@ -149,26 +149,49 @@ func (e *MSPBFSEngine) Run(sources []int) *MultiResult {
 
 // runBatch executes one batch of k <= 64*words concurrent BFSs.
 func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) {
+	if len(batch) == 0 {
+		return
+	}
+	start := time.Now()
+	levels := e.Seed(batch, batchOffset)
+	e.traverse()
+
+	if debugInvariants && levels != nil && e.opt.MaxDepth <= 0 {
+		for i := range levels {
+			debugCheckLevels(e.g, e.opt.Overlay, batch[i], levels[i], "MS-PBFS")
+		}
+	}
+
+	e.rec.finish()
+	res.VisitedStates += e.visited
+	res.Stats.Merge(metrics.RunStat{Elapsed: time.Since(start), Sources: len(batch), Iterations: e.rec.stats})
+	for i := range levels {
+		res.Levels[batchOffset+i] = levels[i]
+	}
+}
+
+// Seed starts one batch of k <= 64*words BFSs, source batch[i] on bit i:
+// it scrubs the state, sets every source at depth 0 and returns the
+// batch's level rows (nil unless RecordLevels; the caller frees them with
+// Engine.ReleaseLevels). batchOffset is batch[0]'s index among the
+// caller's sources, as OnVisit reports it. Run drives the levels itself; a
+// caller that needs control between levels calls Step once per level.
+func (e *MSPBFSEngine) Seed(batch []int, batchOffset int) [][]int32 {
 	g, opt, n := e.g, e.opt, e.g.NumVertices()
 	ov := opt.Overlay
 	k := len(batch)
-	if k == 0 {
-		return
-	}
 	var levels [][]int32
 	if opt.RecordLevels {
 		levels = make([][]int32, k) //bfs:alloc-ok k pointers per batch, not per vertex
 		for i := range levels {
 			// The NoLevel fill is the level rows' arena scrub: every entry
 			// is overwritten before the row can be read.
-			levels[i] = e.eng.borrowLevels(n) //bfs:arena-held rows ride in the returned MultiResult; the caller frees them with Engine.ReleaseLevels
+			levels[i] = e.eng.borrowLevels(n) //bfs:arena-held rows go to Seed's caller (Run's MultiResult or a Step driver), who frees them with Engine.ReleaseLevels
 			for v := range levels[i] {
 				levels[i][v] = NoLevel
 			}
 		}
 	}
-
-	start := time.Now()
 
 	// Reset state from any previous batch (skipped when the constructor's
 	// first-touch scrub just ran). The recorder opens after it, so the
@@ -190,7 +213,6 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 	// Seed the batch, simultaneously accumulating the heuristic state
 	// (aggregate over the batch, GAPBS-style): a source not yet seen by any
 	// earlier index is a distinct frontier vertex.
-	var visited int64
 	frontVertices := int64(0)
 	frontEdges := int64(0)
 	for i, s := range batch {
@@ -203,7 +225,6 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 		}
 		e.seen.Set(s, i)
 		e.phFrontier.Set(s, i)
-		visited++
 		if levels != nil {
 			levels[i][s] = 0
 		}
@@ -214,31 +235,20 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 	if debugInvariants {
 		e.dbgSeen = int64(e.seen.CountAll())
 	}
+	e.begin(rec, int64(k), frontVertices, frontEdges)
+	return levels
+}
 
-	// Overlay arcs count toward the unexplored-edge pool exactly as if they
-	// were already compacted into the CSR, so auto-direction decisions are
-	// identical between the overlay and compacted representations. The
-	// dirInputs carrier is the single place these sums happen — see the
-	// double-counting note on its definition.
-	e.dir.seed(int64(len(g.Adjacency)), ov.Arcs(), frontVertices, frontEdges)
-
-	visited = e.traverse(&rec, visited)
-
-	if debugInvariants && levels != nil && opt.MaxDepth <= 0 {
-		for i := range levels {
-			debugCheckLevels(g, ov, batch[i], levels[i], "MS-PBFS")
-		}
-	}
-
-	rec.finish()
-	elapsed := time.Since(start)
-	res.VisitedStates += visited
-	res.Stats.Merge(metrics.RunStat{Elapsed: elapsed, Sources: k, Iterations: rec.stats})
-	if levels != nil {
-		for i := range levels {
-			res.Levels[batchOffset+i] = levels[i]
-		}
-	}
+// Step runs the next level of the batch Seed started and returns the
+// frontier vertices it produced, the states it discovered and the edges it
+// scanned. exchange, when non-nil, is called on a top-down level after the
+// shadow merge and before the resolve, with next's canonical words (one
+// BatchWords-wide row per vertex, in vertex order): what it leaves there
+// is what the resolve folds into seen. Its error ends the level and is returned; the batch is
+// then unusable until the next Seed.
+func (e *MSPBFSEngine) Step(exchange func(next []uint64) error) (frontier, discovered, scanned int64, err error) {
+	err = e.level(exchange)
+	return e.dir.frontVertices, sumCounters(e.updated), sumCounters(e.scanned), err
 }
 
 // bindBuffers points the coming level at its frontier and next buffers.

@@ -205,19 +205,16 @@ func (e *SMSPBFSEngine) Run(source int) *Result {
 	if ov != nil {
 		frontEdges += int64(ov.ExtraDegree(source))
 	}
-	// Overlay arcs count toward the unexplored pool so auto-direction
-	// decisions match the compacted CSR exactly.
-	e.dir.seed(int64(len(g.Adjacency)), ov.Arcs(), 1, frontEdges)
-
-	visited := e.traverse(&rec, 1)
+	e.begin(rec, 1, 1, frontEdges)
+	e.traverse()
 
 	if debugInvariants && levels != nil && opt.MaxDepth <= 0 {
 		debugCheckLevels(g, ov, source, levels, "SMS-PBFS")
 	}
 
-	rec.finish()
-	res := &Result{Levels: levels, VisitedVertices: visited}
-	res.Stats = metrics.RunStat{Elapsed: time.Since(start), Sources: 1, Iterations: rec.stats}
+	e.rec.finish()
+	res := &Result{Levels: levels, VisitedVertices: e.visited}
+	res.Stats = metrics.RunStat{Elapsed: time.Since(start), Sources: 1, Iterations: e.rec.stats}
 	return res
 }
 

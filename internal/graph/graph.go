@@ -125,6 +125,42 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// OwnedRows wraps the rows [lo, lo+len(offsets)-1) of an n-vertex graph as
+// an n-vertex CSR whose other rows are empty. offsets are the slice's own,
+// rebased to start at 0; adjacency keeps global ids and is not copied. The
+// slice is checked first: offsets rebased and monotone, ending at
+// len(adjacency), every id below n. The result costs 8(n+1) bytes of
+// offsets and is not symmetric, so Validate rejects it; a cluster shard
+// runs the ordinary kernels over it to scan exactly the rows it owns.
+func OwnedRows(n, lo int, offsets []int64, adjacency []VertexID) (*Graph, error) {
+	rows := len(offsets) - 1
+	if rows < 0 || lo < 0 || lo+rows > n {
+		return nil, fmt.Errorf("graph: %d rows at %d do not fit %d vertices", rows, lo, n)
+	}
+	if offsets[0] != 0 {
+		return nil, fmt.Errorf("graph: offsets not rebased (first = %d)", offsets[0])
+	}
+	for i := 1; i <= rows; i++ {
+		if offsets[i] < offsets[i-1] {
+			return nil, fmt.Errorf("graph: offsets decrease at %d", i)
+		}
+	}
+	if offsets[rows] != int64(len(adjacency)) {
+		return nil, fmt.Errorf("graph: offsets end at %d, adjacency has %d", offsets[rows], len(adjacency))
+	}
+	for _, u := range adjacency {
+		if int(u) >= n {
+			return nil, fmt.Errorf("graph: neighbor %d out of range [0,%d)", u, n)
+		}
+	}
+	full := make([]int64, n+1)
+	copy(full[lo:], offsets)
+	for v := lo + rows + 1; v <= n; v++ {
+		full[v] = offsets[rows]
+	}
+	return &Graph{Offsets: full, Adjacency: adjacency}, nil
+}
+
 // HasEdge reports whether u's neighbor list contains v (binary search).
 func (g *Graph) HasEdge(u, v int) bool {
 	nbrs := g.Neighbors(u)

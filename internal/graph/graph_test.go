@@ -96,6 +96,56 @@ func TestHasEdgeAndNeighbors(t *testing.T) {
 	}
 }
 
+func TestOwnedRows(t *testing.T) {
+	g := path(10)
+	lo, hi := 3, 7
+	base := g.Offsets[lo]
+	offsets := make([]int64, hi-lo+1)
+	for i := range offsets {
+		offsets[i] = g.Offsets[lo+i] - base
+	}
+	adj := g.Adjacency[base:g.Offsets[hi]]
+	o, err := OwnedRows(10, lo, offsets, adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.NumVertices() != 10 {
+		t.Fatalf("NumVertices = %d, want 10", o.NumVertices())
+	}
+	for v := 0; v < 10; v++ {
+		want := 0
+		if v >= lo && v < hi {
+			want = g.Degree(v)
+		}
+		if o.Degree(v) != want {
+			t.Errorf("Degree(%d) = %d, want %d", v, o.Degree(v), want)
+		}
+	}
+	if nb := o.Neighbors(lo); len(nb) != 2 || nb[0] != 2 || nb[1] != 4 {
+		t.Errorf("Neighbors(%d) = %v, want [2 4]", lo, nb)
+	}
+	if _, err := OwnedRows(10, 10, []int64{0}, nil); err != nil {
+		t.Errorf("empty slice at the end: %v", err)
+	}
+
+	for name, c := range map[string]struct {
+		lo      int
+		offsets []int64
+		adj     []VertexID
+		want    string
+	}{
+		"past n":       {8, []int64{0, 0, 0, 0}, nil, "do not fit"},
+		"not rebased":  {0, []int64{1, 1}, []VertexID{}, "not rebased"},
+		"decreasing":   {0, []int64{0, 2, 1}, []VertexID{1, 2}, "decrease"},
+		"short end":    {0, []int64{0, 1}, []VertexID{1, 2}, "offsets end"},
+		"neighbor ≥ n": {0, []int64{0, 1}, []VertexID{10}, "out of range"},
+	} {
+		if _, err := OwnedRows(10, c.lo, c.offsets, c.adj); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", name, err, c.want)
+		}
+	}
+}
+
 func TestEdgesRoundTrip(t *testing.T) {
 	in := []Edge{{0, 1}, {1, 2}, {0, 4}, {3, 4}}
 	g := FromEdges(5, in)

@@ -283,9 +283,8 @@ func (g *Graph) checkSource(s int) {
 // ValidateSources reports whether every id in sources names a vertex of the
 // graph. It is the error-returning counterpart of the panicking in-range
 // checks on the traversal entry points, intended for callers forwarding
-// untrusted input (the query server validates every request with it before
-// any traversal runs). Duplicate sources are valid: each occurrence gets
-// its own traversal slot.
+// untrusted input. Duplicate sources are valid: each occurrence gets its
+// own traversal slot.
 func (g *Graph) ValidateSources(sources []int) error {
 	n := g.g.NumVertices()
 	for i, s := range sources {

@@ -5,13 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	msbfs "repro"
 	"repro/internal/dyngraph"
@@ -252,6 +256,157 @@ func TestHTTPDynamicMetricsAndGraphs(t *testing.T) {
 	}
 	if gi := liveInfo(); !gi.Dynamic || gi.Edges != 5 {
 		t.Errorf("graph info after Compact %+v (want dynamic, 5 edges)", gi)
+	}
+}
+
+// TestDynamicEntryReleasesSeed: once dyngraph retires the seed generation —
+// a compaction, then Retain+1 ingests with no pin held — nothing in the
+// entry keeps the seed CSR alive, because G follows the generation the
+// current version traverses.
+func TestDynamicEntryReleasesSeed(t *testing.T) {
+	const retain = 2
+	var path []msbfs.Edge
+	for v := uint32(0); v < 63; v++ {
+		path = append(path, msbfs.Edge{U: v, V: v + 1})
+	}
+	reg := NewRegistry()
+	defer reg.Close()
+	e, err := reg.AddDynamic("live", "inprocess", msbfs.NewGraph(64, path), true,
+		Config{Workers: 2}, dyngraph.Config{Retain: retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.AddCleanup(e.G, func(done chan struct{}) { close(done) }, collected)
+
+	ingest := func(v uint32) { // 0-v is not a path edge for v >= 2
+		t.Helper()
+		if res, err := e.ApplyEdges([]msbfs.Edge{{U: 0, V: v}}); err != nil || res.Accepted != 1 {
+			t.Fatalf("ingest (0, %d): %+v, %v", v, res, err)
+		}
+	}
+	ingest(2)
+	if ok, err := e.Dyn.Compact(); !ok || err != nil {
+		t.Fatalf("Compact = %v, %v", ok, err)
+	}
+	for i := 0; i <= retain; i++ {
+		ingest(uint32(3 + i))
+	}
+	if st := e.Dyn.Stats(); st.RetiredGens == 0 {
+		t.Fatalf("dyngraph retired no generation: %+v", st)
+	}
+
+	released := false
+	for i := 0; i < 50 && !released; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			released = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !released {
+		t.Error("seed CSR still reachable after dyngraph retired its generation")
+	}
+	if got, want := e.G.NumEdges(), e.Dyn.Stats().BaseEdges; got != want {
+		t.Errorf("e.G has %d edges, the current generation %d", got, want)
+	}
+}
+
+// TestDynamicIngestQueryRace runs ingest, compaction, queries and /graphs
+// on one dynamic entry at once: four writers through Entry.ApplyEdges
+// (AutoCompact over a small MaxDelta, so compactions keep landing), eight
+// Submit callers and a GET /graphs poller. Under -race it shows that
+// re-pointing G races none of them; after the join no pin or engine borrow
+// is left, and G is a CSR the kernels traverse like the reference BFS.
+func TestDynamicIngestQueryRace(t *testing.T) {
+	const n = 512
+	reg := NewRegistry()
+	cfg := Config{Workers: 2}
+	e, err := reg.AddDynamic("live", "inprocess", msbfs.GenerateUniform(n, 4, 9), true, cfg,
+		dyngraph.Config{AutoCompact: true, MaxDelta: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, cfg)
+	defer s.Close()
+
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(seed int64) {
+			defer writers.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < 24; i++ {
+				edges := make([]msbfs.Edge, 8)
+				for j := range edges {
+					edges[j] = msbfs.Edge{U: uint32(r.Intn(n)), V: uint32(r.Intn(n))}
+				}
+				// A full delta is backpressure: wait for the compactor.
+				for {
+					_, err := e.ApplyEdges(edges)
+					if !errors.Is(err, dyngraph.ErrCompactionLag) {
+						if err != nil {
+							t.Errorf("ingest: %v", err)
+						}
+						break
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		}(int64(w))
+	}
+	for c := 0; c < 8; c++ {
+		readers.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			r := rand.New(rand.NewSource(100 + seed))
+			for i := 0; i < 24; i++ {
+				q := Query{Kind: KindBFS, Source: r.Intn(n), Targets: []int{r.Intn(n)}}
+				if _, err := e.Submit(context.Background(), q); err != nil {
+					t.Errorf("submit %+v: %v", q, err)
+				}
+			}
+		}(int64(c))
+	}
+	ingested := make(chan struct{})
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/graphs", nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("GET /graphs: status %d: %s", rec.Code, rec.Body)
+			}
+			select {
+			case <-ingested:
+				return
+			default:
+			}
+		}
+	}()
+	writers.Wait()
+	close(ingested)
+	readers.Wait()
+
+	st := e.Dyn.Stats()
+	t.Logf("%d compactions, version %d, %d base edges", st.Compactions, st.Version, st.BaseEdges)
+	if st.Compactions < 2 {
+		t.Errorf("%d compactions, want several", st.Compactions)
+	}
+	if st.PinnedNow != 0 {
+		t.Errorf("snapshot pins outstanding after the join: %d", st.PinnedNow)
+	}
+	if b := reg.Engine().Stats().Borrowed; b != 0 {
+		t.Errorf("engine borrows outstanding after the join: %d", b)
+	}
+	sources := e.G.RandomSources(16, 3)
+	res := e.G.MultiBFS(sources, msbfs.Options{Workers: 2, RecordLevels: true})
+	for i, src := range sources {
+		if want := e.G.SequentialBFS(src).Levels; !slices.Equal(res.Levels[i], want) {
+			t.Errorf("source %d: MultiBFS levels differ from SequentialBFS on e.G", src)
+		}
 	}
 }
 

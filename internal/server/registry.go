@@ -22,7 +22,12 @@ import (
 type Entry struct {
 	Name string
 	Spec string
-	G    *msbfs.Graph
+	// G is the relabeled CSR. Static graph: the graph every batch
+	// traverses. Dynamic graph: the current version's CSR generation as of
+	// the last accepted ingest; ApplyEdges replaces it, so read it only
+	// while no ingest runs (queries run on Dyn snapshots). Cluster graph:
+	// the local copy; the shards hold the traversed slices.
+	G *msbfs.Graph
 	// Perm maps external id -> internal id (nil when the graph was not
 	// relabeled). Queries arrive in external ids; Submit translates.
 	Perm []uint32
@@ -33,17 +38,25 @@ type Entry struct {
 	// nil for locally-served graphs.
 	ClusterMet *cluster.Metrics
 	// Dyn is the MVCC ingest layer when the graph was registered with
-	// AddDynamic; nil for static graphs. G then holds the relabeled seed
-	// CSR (version 1), and queries run over Dyn snapshots.
+	// AddDynamic; nil for static graphs.
 	Dyn *dyngraph.DynGraph
+
+	// ingest serializes ApplyEdges, which re-points G after each batch.
+	ingest sync.Mutex
 }
 
 // Submit validates q against the graph (error, not panic, on bad ids),
 // translates external vertex ids to the relabeled space, and hands the
 // query to the graph's coalescer.
 func (e *Entry) Submit(ctx context.Context, q Query) (Answer, error) {
-	if err := e.G.ValidateSources(append([]int{q.Source}, q.Targets...)); err != nil {
-		return Answer{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	n := e.Coal.g.NumVertices()
+	if q.Source < 0 || q.Source >= n {
+		return Answer{}, fmt.Errorf("%w: source %d out of range [0, %d)", ErrBadRequest, q.Source, n)
+	}
+	for i, t := range q.Targets {
+		if t < 0 || t >= n {
+			return Answer{}, fmt.Errorf("%w: target[%d] = %d out of range [0, %d)", ErrBadRequest, i, t, n)
+		}
 	}
 	if e.Perm != nil {
 		q.Source = int(e.Perm[q.Source])
@@ -61,12 +74,14 @@ func (e *Entry) Submit(ctx context.Context, q Query) (Answer, error) {
 // ApplyEdges streams a batch of edges (external vertex ids) into a dynamic
 // graph. Endpoints are range-checked here — before the permutation lookup
 // — then translated to the relabeled space the traversals run in, exactly
-// as query sources are. Returns ErrBadRequest for static graphs.
+// as query sources are. An accepted batch re-points G at the new version's
+// generation, so the entry never keeps a retired one (the seed) alive.
+// Returns ErrBadRequest for static graphs.
 func (e *Entry) ApplyEdges(edges []msbfs.Edge) (dyngraph.ApplyResult, error) {
 	if e.Dyn == nil {
 		return dyngraph.ApplyResult{}, fmt.Errorf("%w: graph %q is not dynamic", ErrBadRequest, e.Name)
 	}
-	n := e.G.NumVertices()
+	n := e.Dyn.NumVertices()
 	for i, ed := range edges {
 		if int(ed.U) >= n || int(ed.V) >= n {
 			e.Dyn.RecordRejected()
@@ -81,7 +96,21 @@ func (e *Entry) ApplyEdges(edges []msbfs.Edge) (dyngraph.ApplyResult, error) {
 		}
 		edges = mapped
 	}
-	return e.Dyn.ApplyEdges(edges)
+	e.ingest.Lock()
+	defer e.ingest.Unlock()
+	res, err := e.Dyn.ApplyEdges(edges)
+	if err != nil || res.Accepted == 0 {
+		return res, err
+	}
+	snap, err := e.Dyn.Acquire()
+	if err != nil {
+		return res, nil // closed since the batch: G keeps the last generation
+	}
+	// The CSR is immutable and owns no arena memory: it stays valid unpinned.
+	g := snap.Graph()
+	snap.Release()
+	e.G = g
+	return res, nil
 }
 
 // Registry holds the named graphs a server instance serves, plus the
@@ -204,6 +233,8 @@ func (r *Registry) AddBackend(name, spec string, g *msbfs.Graph, relabel bool, c
 	if err != nil {
 		return nil, fmt.Errorf("server: graph %q: %w", name, err)
 	}
+	// Components are counted once, here: on a dynamic graph whose ingest
+	// merges components the GTEPS edge count is a lower bound.
 	e.Coal = NewCoalescer(b, cfg, e.Met, e.G.NewEdgeCounter().EdgesForAll)
 	return r.register(e)
 }

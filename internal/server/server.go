@@ -303,15 +303,18 @@ func (s *Server) graphs(w http.ResponseWriter, _ *http.Request) {
 		info := graphInfo{
 			Name:     e.Name,
 			Spec:     e.Spec,
-			Vertices: e.G.NumVertices(),
-			Edges:    e.G.NumEdges(),
+			Vertices: e.Coal.g.NumVertices(),
 			MaxBatch: e.Coal.Config().MaxBatch,
 		}
+		// A dynamic entry's G is re-pointed by ingest; its counts come
+		// from the current version instead.
 		if e.Dyn != nil {
 			st := e.Dyn.Stats()
 			info.Dynamic = true
 			info.Version = st.Version
 			info.Edges = st.BaseEdges + st.DeltaArcs/2
+		} else {
+			info.Edges = e.G.NumEdges()
 		}
 		infos = append(infos, info)
 	}

@@ -298,7 +298,7 @@ func run(logger *slog.Logger, graphs graphFlags, addr, debugAddr string, shards 
 		return fmt.Errorf("listener shutdown: %w", err)
 	}
 	<-errc // reap the listener goroutine (returns ErrServerClosed)
-	st := reg.EngineStats()
+	st := reg.Engine().Stats()
 	srv.Close() // serve queued requests as final batches, wait for batches; releases the engine
 	logger.Info("engine at drain",
 		"pooled_workers", st.PooledWorkers,

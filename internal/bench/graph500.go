@@ -34,12 +34,12 @@ func Graph500(cfg Config) (Graph500Result, error) {
 
 	eng := core.NewEngine()
 	defer eng.Close()
-	pool, release := eng.BorrowPool(workers) //bfs:arena-held deferred release() below frees it; Options only carries the pointer for the run
-	defer release()
 	e := core.NewSMSPBFSEngine(g, core.BitState, core.Options{
-		Workers: workers, Pool: pool, Engine: eng, RecordLevels: true,
+		Workers: workers, Engine: eng, RecordLevels: true,
 	})
 	defer e.Close()
+	pool, release := eng.BorrowPool(workers) // parent derivation runs on its own pool
+	defer release()
 
 	res := Graph500Result{Scale: scale, Searches: len(keys)}
 	teps := make([]float64, 0, len(keys))

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -10,8 +8,8 @@ import (
 )
 
 // Metrics aggregates one coordinator's cluster-serving statistics. All
-// fields are safe for concurrent update; bfsd's /metrics endpoint renders
-// a snapshot per cluster-backed graph.
+// fields are safe for concurrent update; bfsd exports them per
+// cluster-backed graph as the bfsd_cluster_* rows of its metric table.
 type Metrics struct {
 	// FrontierBytes counts delta-frontier bytes shipped between shards
 	// (post-codec); FrontierRawBytes is what the same exchanges would have
@@ -31,16 +29,6 @@ type Metrics struct {
 	QueryErrors atomic.Int64
 }
 
-// CompressionRatio returns FrontierBytes/FrontierRawBytes, or 0 before
-// any exchange.
-func (m *Metrics) CompressionRatio() float64 {
-	raw := m.FrontierRawBytes.Load()
-	if raw == 0 {
-		return 0
-	}
-	return float64(m.FrontierBytes.Load()) / float64(raw)
-}
-
 // observeRPC records one coordinator→shard call.
 func (m *Metrics) observeRPC(d time.Duration) {
 	if m == nil {
@@ -48,27 +36,4 @@ func (m *Metrics) observeRPC(d time.Duration) {
 	}
 	m.RPCs.Add(1)
 	m.RPCSeconds.RecordDuration(d)
-}
-
-// WriteTo renders the metrics in the Prometheus text exposition format,
-// labelled with the graph name (matching the bfsd_* metric family).
-func (m *Metrics) WriteTo(w io.Writer, graph string) {
-	l := fmt.Sprintf("{graph=%q}", graph)
-	fmt.Fprintf(w, "bfsd_cluster_frontier_bytes_total%s %d\n", l, m.FrontierBytes.Load())
-	fmt.Fprintf(w, "bfsd_cluster_frontier_raw_bytes_total%s %d\n", l, m.FrontierRawBytes.Load())
-	fmt.Fprintf(w, "bfsd_cluster_compression_ratio%s %.4f\n", l, m.CompressionRatio())
-	fmt.Fprintf(w, "bfsd_cluster_rpcs_total%s %d\n", l, m.RPCs.Load())
-	for _, q := range []struct {
-		name string
-		v    int64
-	}{
-		{"p50", m.RPCSeconds.P50()},
-		{"p95", m.RPCSeconds.P95()},
-		{"p99", m.RPCSeconds.P99()},
-	} {
-		fmt.Fprintf(w, "bfsd_cluster_rpc_seconds{graph=%q,quantile=%q} %.6f\n",
-			graph, q.name, time.Duration(q.v).Seconds())
-	}
-	fmt.Fprintf(w, "bfsd_cluster_queries_total%s %d\n", l, m.Queries.Load())
-	fmt.Fprintf(w, "bfsd_cluster_query_errors_total%s %d\n", l, m.QueryErrors.Load())
 }

@@ -9,10 +9,10 @@ import (
 // algorithm over the given sources (all vertices for exact values, a random
 // sample for the standard approximation). Sources are processed in parallel
 // on the engine's pooled workers — one BFS with shortest-path counting per
-// source, the classic embarrassingly parallel formulation; only Workers,
-// Pool and Engine of opt are honored. For undirected graphs each pair is
-// counted from both endpoints when all vertices are sources, so the result
-// is halved, following Brandes' convention.
+// source, the classic embarrassingly parallel formulation; only Workers and
+// Engine of opt are honored. For undirected graphs each pair is counted
+// from both endpoints when all vertices are sources, so the result is
+// halved, following Brandes' convention.
 func BrandesBetweenness(g *graph.Graph, sources []int, opt Options) []float64 {
 	n := g.NumVertices()
 	workers := opt.workers()
@@ -20,10 +20,8 @@ func BrandesBetweenness(g *graph.Graph, sources []int, opt Options) []float64 {
 		return make([]float64, n)
 	}
 	eng := opt.engine()
-	pool, borrowed := opt.resolvePool(eng)
-	if borrowed {
-		defer eng.returnPool(pool)
-	}
+	pool := eng.borrowPool(workers)
+	defer eng.returnPool(pool)
 
 	partial := make([][]float64, workers)
 	sigma := make([][]float64, workers)

@@ -99,13 +99,9 @@ type Options struct {
 	// (the "stop once all active BFS bits are set" optimization); used by
 	// the ablation benchmarks.
 	DisableEarlyExit bool
-	// Pool optionally supplies a pre-started worker pool to reuse across
-	// runs; it must have exactly Workers workers. When nil, the run
-	// borrows a pooled worker set from Engine (or the package default
-	// engine) and returns it when done.
-	Pool *sched.Pool
 	// Engine optionally supplies the long-lived execution substrate —
-	// persistent worker pools plus the arena recycling states, bitmaps,
+	// persistent worker pools (every run borrows one of Workers width and
+	// returns it when done) plus the arena recycling states, bitmaps,
 	// kernel scratch and level rows. When nil, the shared package-default
 	// engine is used, so repeated calls are allocation-churn free either
 	// way; wire an explicit engine to isolate a subsystem's recycling (one
@@ -191,18 +187,6 @@ func (o Options) engine() *Engine {
 		return o.Engine
 	}
 	return DefaultEngine()
-}
-
-// resolvePool returns the pool to run on and whether it was borrowed from
-// eng (and must be handed back when the run finishes).
-func (o Options) resolvePool(eng *Engine) (pool *sched.Pool, borrowed bool) {
-	if o.Pool != nil {
-		if o.Pool.Workers() != o.workers() {
-			panic("core: supplied pool size does not match Options.Workers")
-		}
-		return o.Pool, false
-	}
-	return eng.borrowPool(o.workers()), true //bfs:arena-held borrowed=true obliges the caller to hand the pool back via returnPool at end of run
 }
 
 // fillMask writes the k-sources-active mask (lowest k bits set) into mask

@@ -196,35 +196,3 @@ func TestEngineCloseDegradesGracefully(t *testing.T) {
 		t.Errorf("borrowed = %d after closed-engine run, want 0", st.Borrowed)
 	}
 }
-
-// TestSuppliedPoolStaysWithCaller: a caller-owned Options.Pool must not be
-// captured by the engine on Close.
-func TestSuppliedPoolStaysWithCaller(t *testing.T) {
-	g := gen.Uniform(500, 4, 8)
-	sources := RandomSources(g, 4, 2)
-	e := NewEngine()
-	defer e.Close()
-
-	pool, release := e.BorrowPool(2)
-	MSPBFS(g, sources, Options{Workers: 2, Pool: pool, Engine: e})
-	if st := e.Stats(); st.FreePools != 0 {
-		t.Errorf("engine captured the caller's pool (free pools = %d)", st.FreePools)
-	}
-	// Still usable by the caller afterwards.
-	MSPBFS(g, sources, Options{Workers: 2, Pool: pool, Engine: e})
-	release()
-}
-
-func TestOptionsPoolSizeMismatchPanics(t *testing.T) {
-	g := gen.Uniform(200, 4, 1)
-	e := NewEngine()
-	defer e.Close()
-	pool, release := e.BorrowPool(2)
-	defer release()
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched Options.Pool width accepted; want panic")
-		}
-	}()
-	MSPBFS(g, []int{0}, Options{Workers: 4, Pool: pool, Engine: e})
-}

@@ -95,12 +95,11 @@ type shellKey struct {
 // was just built. key is the shape the shell checks back into the arena
 // under on Close.
 type shellRun struct {
-	g            *graph.Graph
-	opt          Options
-	pool         *sched.Pool
-	eng          *Engine
-	poolBorrowed bool
-	key          shellKey
+	g    *graph.Graph
+	opt  Options
+	pool *sched.Pool
+	eng  *Engine
+	key  shellKey
 }
 
 // beginShell resolves the run's engine and worker pool, completes key (the
@@ -110,9 +109,9 @@ type shellRun struct {
 // the constructor finishes with open(run, …).
 func beginShell(g *graph.Graph, opt Options, key shellKey) (run shellRun, warm *levelStep) {
 	eng := opt.engine()
-	pool, borrowed := opt.resolvePool(eng)
+	pool := eng.borrowPool(opt.workers()) //bfs:arena-held the shell owns the pool for its lifetime; Close hands it back via returnPool
 	key.n, key.split, key.workers = g.NumVertices(), opt.splitSize(), pool.Workers()
-	run = shellRun{g: g, opt: opt, pool: pool, eng: eng, poolBorrowed: borrowed, key: key}
+	run = shellRun{g: g, opt: opt, pool: pool, eng: eng, key: key}
 	warm = eng.checkoutShell(key) //bfs:arena-held warm shell is handed to the kernel constructor; Close checks it back in via checkinShell
 	return run, warm
 }
@@ -149,19 +148,16 @@ func (ls *levelStep) open(run shellRun) {
 }
 
 // Close hands the instance back to its engine: the worker pool returns to
-// the pool cache (unless supplied by the caller) and the shell — states,
-// counters, scratch — checks into the arena for the next same-shape run.
-// Close is idempotent; the instance must not be used afterwards.
+// the pool cache and the shell — states, counters, scratch — checks into
+// the arena for the next same-shape run. Close is idempotent; the instance
+// must not be used afterwards.
 func (ls *levelStep) Close() {
 	if ls.released {
 		return
 	}
 	ls.released = true
-	eng, pool := ls.eng, ls.pool
-	if ls.poolBorrowed {
-		eng.returnPool(pool)
-	}
-	eng.checkinShell(ls)
+	ls.eng.returnPool(ls.pool)
+	ls.eng.checkinShell(ls)
 }
 
 // scrub zeroes the state arrays unless they are known clean. The static

@@ -388,7 +388,6 @@ func MSBFSPerCore(g *graph.Graph, sources []int, opt Options) *MultiResult {
 	// Per-instance options: sequential semantics, no nested parallelism.
 	instOpt := opt
 	instOpt.Workers = 1
-	instOpt.Pool = nil
 
 	eng := opt.engine()
 	for w := 0; w < workers; w++ {

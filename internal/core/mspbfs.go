@@ -70,8 +70,7 @@ type MSPBFSEngine struct {
 }
 
 // NewMSPBFSEngine prepares an instance. Close must be called to hand the
-// worker pool and the state arrays back to the engine's arena (pools
-// supplied via Options.Pool stay with the caller).
+// worker pool and the state arrays back to the engine's arena.
 func NewMSPBFSEngine(g *graph.Graph, opt Options) *MSPBFSEngine {
 	words := opt.batchWords()
 	run, warm := beginShell(g, opt, shellKey{words: words})

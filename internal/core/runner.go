@@ -53,7 +53,6 @@ func MSPBFSPerSocket(g *graph.Graph, sources []int, sockets int, opt Options) *M
 			defer wg.Done()
 			instOpt := opt
 			instOpt.Workers = perSocket
-			instOpt.Pool = nil
 			e := NewMSPBFSEngine(g, instOpt)
 			defer e.Close()
 			local := &MultiResult{}

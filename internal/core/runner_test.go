@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/sched"
 )
 
 func TestMSBFSPerCoreMatchesOracle(t *testing.T) {
@@ -68,25 +67,6 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 			levelsEqual(t, fmt.Sprintf("mengine-run%d/src#%d", i, j), res.Levels[j], ReferenceLevels(g, s))
 		}
 	}
-}
-
-func TestSharedPool(t *testing.T) {
-	g := gen.Uniform(1000, 5, 30)
-	pool := sched.NewPool(3)
-	defer pool.Close()
-	opt := Options{Workers: 3, Pool: pool, RecordLevels: true}
-	src := RandomSources(g, 1, 1)[0]
-	want := ReferenceLevels(g, src)
-	levelsEqual(t, "pool/sms", SMSPBFS(g, src, BitState, opt).Levels, want)
-	levelsEqual(t, "pool/ms", MSPBFS(g, []int{src}, opt).Levels[0], want)
-
-	// Mismatched pool size must panic, not silently misbehave.
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched pool size did not panic")
-		}
-	}()
-	SMSPBFS(g, src, BitState, Options{Workers: 2, Pool: pool})
 }
 
 func TestOnVisitCallback(t *testing.T) {

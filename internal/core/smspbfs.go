@@ -133,8 +133,7 @@ type SMSPBFSEngine struct {
 }
 
 // NewSMSPBFSEngine prepares an instance; Close hands the pool and the
-// state arrays back to the engine's arena (pools supplied via Options.Pool
-// stay with the caller).
+// state arrays back to the engine's arena.
 func NewSMSPBFSEngine(g *graph.Graph, repr StateRepr, opt Options) *SMSPBFSEngine {
 	run, warm := beginShell(g, opt, shellKey{repr: repr})
 	var e *SMSPBFSEngine

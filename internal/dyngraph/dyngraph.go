@@ -509,10 +509,6 @@ func (d *DynGraph) Compact() (bool, error) {
 // for the server's bfsd_compaction_seconds metric.
 func (d *DynGraph) CompactSeconds() *metrics.Histogram { return &d.compactSeconds }
 
-// Generation returns the current CSR generation number (the seed CSR is
-// generation 1; each compaction increments it).
-func (d *DynGraph) Generation() int64 { return d.genSeq.Load() }
-
 // Close stops the background compactor and fails all future operations
 // with ErrClosed. Outstanding snapshots stay valid until Released.
 func (d *DynGraph) Close() {

@@ -315,10 +315,6 @@ func NewTracerCap(maxTraversals, maxSpans int) *Tracer {
 	}
 }
 
-// Enabled reports whether the tracer is collecting (i.e. non-nil). The
-// kernels' fast path is the equivalent inline nil test.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // StartTraversal opens a flight record for one BFS run. Returns nil (the
 // disabled traversal) when t is nil.
 func (t *Tracer) StartTraversal(algo string, sources int) *Traversal {

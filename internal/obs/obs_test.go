@@ -40,7 +40,6 @@ func TestNilTracerIsFree(t *testing.T) {
 		tv.Finish(0, 0)
 		sp := tr.StartSpan("csr-build", "kron")
 		sp.End()
-		_ = tr.Enabled()
 		_ = tr.Snapshot()
 		tr.Reset()
 	})
@@ -51,9 +50,6 @@ func TestNilTracerIsFree(t *testing.T) {
 
 func TestTraversalLifecycle(t *testing.T) {
 	tr := NewTracer()
-	if !tr.Enabled() {
-		t.Fatal("NewTracer().Enabled() = false")
-	}
 	record(tr, "ms-pbfs", 3)
 
 	snap := tr.Snapshot()

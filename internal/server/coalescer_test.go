@@ -399,8 +399,8 @@ func TestMetricsAccounting(t *testing.T) {
 	if met.Latency.Count() != k {
 		t.Errorf("latency observations = %d, want %d", met.Latency.Count(), k)
 	}
-	if met.Edges.Load() <= 0 || met.GTEPS() <= 0 {
-		t.Errorf("edges=%d gteps=%f, want positive", met.Edges.Load(), met.GTEPS())
+	if met.Edges.Load() <= 0 || met.RunNanos.Load() <= 0 {
+		t.Errorf("edges=%d run=%dns, want positive", met.Edges.Load(), met.RunNanos.Load())
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -111,7 +112,8 @@ func TestRaceSubmitCancelShutdown(t *testing.T) {
 }
 
 // TestRaceManyCoalescers drives several graphs' coalescers concurrently
-// through one registry, then closes the registry mid-flight.
+// through one registry, with the stats sampler and /metrics scrapes
+// reading the metric tables, then closes the registry mid-flight.
 func TestRaceManyCoalescers(t *testing.T) {
 	cfg := Config{Workers: 2, MaxPending: 128}
 	reg := NewRegistry()
@@ -120,7 +122,18 @@ func TestRaceManyCoalescers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	stop := reg.StartStatsSampler(time.Millisecond)
+	defer stop()
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 30; i++ {
+			for _, tb := range reg.metricTables() {
+				tb.writeTo(io.Discard)
+			}
+		}
+	}()
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(seed int64) {

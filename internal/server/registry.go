@@ -43,6 +43,8 @@ type Entry struct {
 
 	// ingest serializes ApplyEdges, which re-points G after each batch.
 	ingest sync.Mutex
+	// rows is the graph's metric table, built once at registration.
+	rows metricTable
 }
 
 // Submit validates q against the graph (error, not panic, on bad ids),
@@ -120,6 +122,8 @@ type Registry struct {
 	mu     sync.RWMutex
 	graphs map[string]*Entry
 	eng    *msbfs.Engine
+	// engRows is the engine's metric table.
+	engRows metricTable
 
 	// The daemon-wide observability surface: every coalescer shares the
 	// one flight recorder (so /debug/flightrecorder sees all graphs) and
@@ -135,21 +139,19 @@ type Registry struct {
 // NewRegistry returns an empty registry with a fresh per-daemon engine,
 // flight recorder and span tracer.
 func NewRegistry() *Registry {
+	eng := msbfs.NewEngine(msbfs.Options{})
 	return &Registry{
-		graphs: make(map[string]*Entry),
-		eng:    msbfs.NewEngine(msbfs.Options{}),
-		rec:    NewFlightRecorder(0, 0, 0),
-		tracer: obs.NewTracer(),
-		stats:  obs.NewTimeSeries(0),
+		graphs:  make(map[string]*Entry),
+		eng:     eng,
+		engRows: engineTable(eng),
+		rec:     NewFlightRecorder(0, 0, 0),
+		tracer:  obs.NewTracer(),
+		stats:   obs.NewTimeSeries(0),
 	}
 }
 
 // Engine returns the registry's shared execution engine.
 func (r *Registry) Engine() *msbfs.Engine { return r.eng }
-
-// EngineStats snapshots the shared engine's pool/arena occupancy (the
-// /metrics bfsd_engine_* gauges).
-func (r *Registry) EngineStats() msbfs.EngineStats { return r.eng.Stats() }
 
 // FlightRecorder returns the shared per-request flight recorder.
 func (r *Registry) FlightRecorder() *FlightRecorder { return r.rec }
@@ -236,6 +238,7 @@ func (r *Registry) AddBackend(name, spec string, g *msbfs.Graph, relabel bool, c
 	// Components are counted once, here: on a dynamic graph whose ingest
 	// merges components the GTEPS edge count is a lower bound.
 	e.Coal = NewCoalescer(b, cfg, e.Met, e.G.NewEdgeCounter().EdgesForAll)
+	e.rows = entryTable(e)
 	return r.register(e)
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -330,19 +329,9 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	names := s.reg.Names()
-	sort.Strings(names)
-	for _, name := range names {
-		e, _ := s.reg.Get(name)
-		e.Met.writeTo(w, name, e.Coal.QueueLen(), e.Coal.InFlight())
-		if e.ClusterMet != nil {
-			e.ClusterMet.WriteTo(w, name)
-		}
-		if e.Dyn != nil {
-			writeDynTo(w, name, e.Dyn.Stats(), e.Dyn.CompactSeconds())
-		}
+	for _, t := range s.reg.metricTables() {
+		t.writeTo(w)
 	}
-	writeEngineTo(w, s.reg.EngineStats())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

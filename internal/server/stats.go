@@ -11,26 +11,11 @@ import (
 // the store's default ring capacity.
 const DefaultStatsInterval = time.Second
 
-// statsState holds one graph's cumulative counters from the previous
-// sample, so each tick can turn monotonic totals into fixed-window rates.
-type statsState struct {
-	requests    int64
-	batches     int64
-	sources     int64
-	edges       int64
-	runNanos    int64
-	sentBytes   int64
-	rawBytes    int64
-	ingestEdges int64
-}
-
-// StartStatsSampler begins sampling every registered graph's serving
-// counters into the registry's time-series store at the given interval
-// (<=0: DefaultStatsInterval): request rate, queue wait/exec quantiles,
-// windowed batch width and GTEPS, and — where the graph has them — the
-// cluster exchange compression ratio and the dynamic ingest rate, plus
-// the daemon-wide engine arena hit rate. The returned stop function halts
-// the sampler and waits for its goroutine to exit.
+// StartStatsSampler begins sampling every metric table — each graph's and
+// the engine's, the rows GET /metrics prints — into the registry's
+// time-series store at the given interval (<=0: DefaultStatsInterval). The
+// returned stop function halts the sampler and waits for its goroutine to
+// exit.
 func (r *Registry) StartStatsSampler(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = DefaultStatsInterval
@@ -39,12 +24,10 @@ func (r *Registry) StartStatsSampler(interval time.Duration) (stop func()) {
 	doneCh := make(chan struct{})
 	go func() {
 		defer close(doneCh)
-		prev := make(map[string]statsState)
-		var prevHits, prevMisses uint64
-		prevTime := time.Now()
-		// Prime the counter baselines so the first real tick reports the
-		// first interval's rates instead of all-time totals.
-		r.primeStats(prev, &prevHits, &prevMisses)
+		prev := make(map[string]sampled)
+		// Baselines, so the first tick reports the first interval's rates
+		// instead of all-time totals.
+		r.sample(prev, time.Now())
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {
@@ -52,12 +35,7 @@ func (r *Registry) StartStatsSampler(interval time.Duration) (stop func()) {
 			case <-stopCh:
 				return
 			case now := <-ticker.C:
-				dt := now.Sub(prevTime)
-				if dt <= 0 {
-					continue
-				}
-				r.sampleAt(prev, &prevHits, &prevMisses, now, dt)
-				prevTime = now
+				r.sample(prev, now)
 			}
 		}
 	}()
@@ -67,88 +45,41 @@ func (r *Registry) StartStatsSampler(interval time.Duration) (stop func()) {
 	}
 }
 
-func (r *Registry) primeStats(prev map[string]statsState, prevHits, prevMisses *uint64) {
-	for _, name := range r.Names() {
-		e, ok := r.Get(name)
-		if !ok {
-			continue
-		}
-		prev[name] = readStatsState(e)
-	}
-	st := r.EngineStats()
-	*prevHits, *prevMisses = st.Hits, st.Misses
+// sampled is a counter or ratio series' previous reading.
+type sampled struct {
+	at       time.Time
+	num, den float64
 }
 
-func readStatsState(e *Entry) statsState {
-	s := statsState{
-		requests: e.Met.Requests.Load(),
-		batches:  e.Met.Batches.Load(),
-		sources:  e.Met.Sources.Load(),
-		edges:    e.Met.Edges.Load(),
-		runNanos: e.Met.RunNanos.Load(),
-	}
-	if e.ClusterMet != nil {
-		s.sentBytes = e.ClusterMet.FrontierBytes.Load()
-		s.rawBytes = e.ClusterMet.FrontierRawBytes.Load()
-	}
-	if e.Dyn != nil {
-		s.ingestEdges = int64(e.Dyn.Stats().IngestEdges)
-	}
-	return s
-}
-
-// sampleAt takes one sample: windowed rates from counter deltas, live
-// quantiles from the cumulative latency histograms. Series are named
-// <graph>/<metric> so the dash groups per graph.
-func (r *Registry) sampleAt(prev map[string]statsState, prevHits, prevMisses *uint64, now time.Time, dt time.Duration) {
-	secs := dt.Seconds()
-	for _, name := range r.Names() {
-		e, ok := r.Get(name)
-		if !ok {
-			continue
-		}
-		cur := readStatsState(e)
-		old := prev[name]
-		prev[name] = cur
-
-		r.stats.Observe(name+"/req_rate", now, float64(cur.requests-old.requests)/secs)
-		r.stats.Observe(name+"/queue_depth", now, float64(e.Coal.QueueLen()))
-		r.stats.Observe(name+"/wait_p50_us", now, float64(e.Met.QueueWait.P50())/1e3)
-		r.stats.Observe(name+"/wait_p95_us", now, float64(e.Met.QueueWait.P95())/1e3)
-		r.stats.Observe(name+"/wait_p99_us", now, float64(e.Met.QueueWait.P99())/1e3)
-		r.stats.Observe(name+"/exec_p50_us", now, float64(e.Met.Exec.P50())/1e3)
-		r.stats.Observe(name+"/exec_p95_us", now, float64(e.Met.Exec.P95())/1e3)
-		r.stats.Observe(name+"/exec_p99_us", now, float64(e.Met.Exec.P99())/1e3)
-		width := 0.0
-		if db := cur.batches - old.batches; db > 0 {
-			width = float64(cur.sources-old.sources) / float64(db)
-		}
-		r.stats.Observe(name+"/batch_width", now, width)
-		gteps := 0.0
-		if drun := cur.runNanos - old.runNanos; drun > 0 {
-			// edges per nanosecond == billions of edges per second.
-			gteps = float64(cur.edges-old.edges) / float64(drun)
-		}
-		r.stats.Observe(name+"/gteps", now, gteps)
-		if e.ClusterMet != nil {
-			ratio := 0.0
-			if draw := cur.rawBytes - old.rawBytes; draw > 0 {
-				ratio = float64(cur.sentBytes-old.sentBytes) / float64(draw)
+// sample takes one reading of every table at now and appends one point per
+// series: a counter's per-second rate and a ratio's Δnum ÷ Δden since the
+// series' previous reading (its first reading is only a baseline), a gauge
+// or a quantile as read.
+func (r *Registry) sample(prev map[string]sampled, now time.Time) {
+	for _, t := range r.metricTables() {
+		t.read(func(v metricValue) {
+			name := t.seriesName(v)
+			if v.kind == gauge || v.kind == quantiles {
+				r.stats.Observe(name, now, v.num)
+				return
 			}
-			r.stats.Observe(name+"/exchange_ratio", now, ratio)
-		}
-		if e.Dyn != nil {
-			r.stats.Observe(name+"/ingest_rate", now, float64(cur.ingestEdges-old.ingestEdges)/secs)
-		}
+			old, ok := prev[name]
+			prev[name] = sampled{now, v.num, v.den}
+			switch {
+			case !ok:
+			case v.kind == counter:
+				if dt := now.Sub(old.at).Seconds(); dt > 0 {
+					r.stats.Observe(name, now, (v.num-old.num)/dt)
+				}
+			default:
+				x := 0.0
+				if dd := v.den - old.den; dd > 0 {
+					x = (v.num - old.num) / dd
+				}
+				r.stats.Observe(name, now, x)
+			}
+		})
 	}
-	st := r.EngineStats()
-	dh, dm := st.Hits-*prevHits, st.Misses-*prevMisses
-	*prevHits, *prevMisses = st.Hits, st.Misses
-	rate := 0.0
-	if dh+dm > 0 {
-		rate = float64(dh) / float64(dh+dm)
-	}
-	r.stats.Observe("engine/arena_hit_rate", now, rate)
 }
 
 // StatsSeries returns the registry's time-series store (fed by

@@ -87,9 +87,17 @@ grep -q '"graph-build"' "$TMP/flight.json" || {
 # must serve windowed samples and the dashboard must render sparklines.
 sleep 0.5
 fetch "http://$DEBUG/debug/stats?window=30s" >"$TMP/stats.json"
-grep -q '"demo/req_rate"' "$TMP/stats.json" || {
-	echo "obs_smoke: /debug/stats has no demo/req_rate series" >&2
+grep -q '"demo/bfsd_requests_total"' "$TMP/stats.json" || {
+	echo "obs_smoke: /debug/stats has no demo/bfsd_requests_total series" >&2
 	cat "$TMP/stats.json" >&2
+	exit 1
+}
+# The sampler samples what /metrics prints, under the same name: the last
+# unquantiled demo line must be a <graph>/<name> series.
+fetch "http://$ADDR/metrics" >"$TMP/metrics.txt"
+key=$(sed -n 's/^\([a-z_]*\){graph="demo"} .*/demo\/\1/p' "$TMP/metrics.txt" | tail -n 1)
+[ -n "$key" ] && grep -q "\"$key\"" "$TMP/stats.json" || {
+	echo "obs_smoke: /metrics name '$key' is not a /debug/stats series" >&2
 	exit 1
 }
 fetch "http://$DEBUG/debug/dash" >"$TMP/dash.html"
@@ -97,8 +105,8 @@ grep -q '<polyline points=' "$TMP/dash.html" || {
 	echo "obs_smoke: /debug/dash rendered no sparkline polylines" >&2
 	exit 1
 }
-grep -q 'demo/gteps' "$TMP/dash.html" || {
-	echo "obs_smoke: /debug/dash is missing the demo/gteps row" >&2
+grep -q 'demo/bfsd_gteps' "$TMP/dash.html" || {
+	echo "obs_smoke: /debug/dash is missing the demo/bfsd_gteps row" >&2
 	exit 1
 }
 

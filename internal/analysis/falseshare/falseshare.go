@@ -21,12 +21,12 @@
 //
 // The pass also enforces the perworker rule: a struct type whose doc
 // comment carries //bfs:perworker declares itself the element of a
-// per-worker-indexed array (frontier segment headers, merge-accounting
-// cells — see bitset.Shadows), and its size must be a multiple of the
-// cache line so adjacent workers' elements can never share one. The
-// write-site rule above only sees writes indexed by the literal workerID
-// ident; the type-level contract holds even when the container is indexed
-// through an owner variable, as the barrier merge does.
+// per-worker-indexed array (the kernels' scatter inbox headers — see
+// core.inbox), and its size must be a multiple of the cache line so
+// adjacent workers' elements can never share one. The write-site rule above
+// only sees writes indexed by the literal workerID ident; the type-level
+// contract holds even when the container is indexed through another
+// variable, as the barrier apply does.
 package falseshare
 
 import (
@@ -114,7 +114,7 @@ func checkPerWorkerTypes(pass *analysis.Pass, ann *analysis.Annotations, sizes t
 		if size%cacheLine != 0 {
 			pass.Reportf(ts.Pos(),
 				"per-worker struct %s is %d bytes, not a multiple of the %d-byte cache line: adjacent workers' "+
-					"elements share a line; add a pad field (see bitset.shadowSlab)",
+					"elements share a line; add a pad field (see core.inbox)",
 				ts.Name.Name, size, cacheLine)
 		}
 	}

@@ -68,7 +68,7 @@ func ReadOnly(busy []int64, workerID int) int64 {
 	return busy[workerID] // reads don't invalidate the line
 }
 
-// segmentHeader mirrors the shadow-slab header: declared per-worker and
+// segmentHeader mirrors a scatter inbox header: declared per-worker and
 // padded to exactly one cache line, so it stays quiet.
 //
 //bfs:perworker

@@ -40,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "flags make/new/append calls, New*/Create* constructor calls, slice/map composite " +
 		"literals and closures inside loops annotated //bfs:hot; methods on an execution Engine " +
-		"or a frontier-segment Shadows (the arena borrow/return paths) are exempt; tracer-surface " +
+		"(the arena borrow/return paths) are exempt; tracer-surface " +
 		"calls (Tracer/Traversal/SpanHandle receivers) must sit behind a `recv != nil` guard " +
 		"(tracezero); suppress a justified site with //bfs:alloc-ok",
 	Run: run,
@@ -133,10 +133,9 @@ func builtinAllocName(pass *analysis.Pass, call *ast.CallExpr) string {
 // constructor-style function or method (New*/Create* prefix, the
 // repository's naming convention for allocating builders: sched.NewPool,
 // bitset.NewState, sched.CreateTasks, ...), or "". Methods on the arena
-// receiver types are exempt: the engine's borrow/checkout surface and the
-// frontier-segment borrow surface (bitset.Shadows, whose slabs the engine
-// allocates once per shell) are the sanctioned arena-recycled
-// (steady-state allocation-free) ways to obtain state inside a hot region.
+// receiver types are exempt: the engine's borrow/checkout surface is the
+// sanctioned arena-recycled (steady-state allocation-free) way to obtain
+// state inside a hot region.
 func constructorCallName(pass *analysis.Pass, call *ast.CallExpr) string {
 	var name string
 	switch fun := call.Fun.(type) {
@@ -159,11 +158,9 @@ func constructorCallName(pass *analysis.Pass, call *ast.CallExpr) string {
 // arenaRecvNames are the named receiver types whose method surface is
 // engine-managed: calls on them never allocate in steady state, so a
 // New*/Create*-prefixed method name is not an allocation signal. Engine is
-// the core arena; Shadows is the worker-owned frontier-segment substrate
-// whose borrow sites (Writer, MergeRange) hand out engine-allocated slabs.
+// the core arena.
 var arenaRecvNames = map[string]bool{
-	"Engine":  true,
-	"Shadows": true,
+	"Engine": true,
 }
 
 // isArenaRecv reports whether sel is a method selection on one of the

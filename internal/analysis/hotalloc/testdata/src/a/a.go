@@ -69,26 +69,6 @@ func hotConstructors(n int, e *Engine) {
 	}
 }
 
-// Shadows mimics the frontier-segment substrate: its borrow surface is
-// engine-managed (slabs allocated once per shell), so its methods are
-// exempt like the Engine's, even when named like constructors.
-type Shadows struct{}
-
-func (s *Shadows) Writer(workerID int, canonical []uint64) []uint64 { return canonical }
-func (s *Shadows) NewSegmentView(workerID int) []uint64             { return nil }
-
-func hotSegments(n int, sh *Shadows, canonical []uint64) {
-	//bfs:hot
-	for i := 0; i < n; i++ {
-		tgt := sh.Writer(i, canonical) // segment borrow: quiet
-		_ = tgt
-		seg := sh.NewSegmentView(i) // Shadows method: exempt even with a New prefix
-		_ = seg
-		s := NewScratch(i) // want `call to constructor NewScratch allocates inside a //bfs:hot loop`
-		_ = s
-	}
-}
-
 func justified(n int) []int {
 	var out []int
 	//bfs:hot

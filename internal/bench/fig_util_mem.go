@@ -72,21 +72,37 @@ type Fig3Row struct {
 	MSPBFSOverhead float64 // single shared instance
 }
 
-// Fig3Result is the data behind Figure 3. The paper computes this
-// analytically from the Graph500 memory model (16 edges per vertex); we do
-// the same and additionally cross-check the model against the real
-// allocation sizes of our state arrays at container scale.
-type Fig3Result struct {
-	Rows []Fig3Row
-	// MeasuredStateBytes is the actual allocation of one engine's three
-	// state arrays at cfg.Scale, confirming the model's per-instance term.
-	MeasuredStateBytes int64
-	// ModelStateBytes is the model's prediction for the same scale.
-	ModelStateBytes int64
+// Fig3Measured is one real MS-PBFS shell at container scale: what its
+// engine's arena holds after one 64-source traversal, and that size over
+// the model's graph size.
+type Fig3Measured struct {
+	Workers    int
+	ShellBytes int64
+	Ratio      float64
 }
 
+// Fig3Result is the data behind Figure 3. The paper computes this
+// analytically from the Graph500 memory model (16 edges per vertex); we do
+// the same and additionally measure real MS-PBFS shells at container scale
+// against the model's graph size.
+type Fig3Result struct {
+	Rows []Fig3Row
+	// Scale is the container scale of the measured shells; GraphBytes and
+	// ModelStateBytes are the model's graph size and per-instance state
+	// there.
+	Scale                       int
+	GraphBytes, ModelStateBytes int64
+	Measured                    []Fig3Measured
+}
+
+// fig3Workers are the pool widths of the measured shells. Pools wider than
+// the host are legal: a shell's size depends on the worker count, not on
+// how many cores run it.
+var fig3Workers = []int{1, 2, 6, 60}
+
 // Fig3 computes the relative memory overhead of MS-BFS vs MS-PBFS as the
-// thread count increases.
+// thread count increases, and measures MS-PBFS shells built through an
+// engine at container scale.
 func Fig3(cfg Config) (Fig3Result, error) {
 	model := metrics.DefaultMemoryModel()
 	const n = 1 << 26 // the paper's reference scale for this figure
@@ -103,11 +119,21 @@ func Fig3(cfg Config) (Fig3Result, error) {
 		})
 	}
 
-	// Cross-check against real allocations at container scale.
-	scale := cfg.scale()
-	realN := int64(1) << uint(scale)
-	res.ModelStateBytes = model.InstanceStateBytes(realN)
-	res.MeasuredStateBytes = 3 * realN * 8 // three 64-bit-per-vertex arrays
+	res.Scale = cfg.scale()
+	realN := int64(1) << uint(res.Scale)
+	res.GraphBytes, res.ModelStateBytes = model.GraphBytes(realN), model.InstanceStateBytes(realN)
+	for _, workers := range fig3Workers {
+		g := stripedKronecker(res.Scale, workers, cfg.seed())
+		eng := core.NewEngine()
+		core.MSPBFS(g, core.RandomSources(g, 64, cfg.seed()), core.Options{Workers: workers, Engine: eng})
+		// The traversal closed its shell into the fresh engine's arena, so
+		// the arena's bytes are that one shell's.
+		b := eng.Stats().FreeBytes
+		eng.Close()
+		res.Measured = append(res.Measured, Fig3Measured{
+			Workers: workers, ShellBytes: b, Ratio: float64(b) / float64(res.GraphBytes),
+		})
+	}
 	return res, nil
 }
 
@@ -122,8 +148,12 @@ func runFig3(cfg Config) error {
 	for _, r := range res.Rows {
 		fmt.Fprintf(w, "%-10d %11.2fx %11.2fx\n", r.Threads, r.MSBFSOverhead, r.MSPBFSOverhead)
 	}
-	fmt.Fprintf(w, "model cross-check at scale %d: per-instance state %d B (model %d B)\n",
-		cfg.scale(), res.MeasuredStateBytes, res.ModelStateBytes)
+	fmt.Fprintf(w, "measured MS-PBFS shells at scale %d after one 64-source traversal (model graph %d B, state %d B = %.2fx):\n",
+		res.Scale, res.GraphBytes, res.ModelStateBytes, float64(res.ModelStateBytes)/float64(res.GraphBytes))
+	fmt.Fprintf(w, "%-10s %12s %12s\n", "workers", "shell B", "vs graph")
+	for _, m := range res.Measured {
+		fmt.Fprintf(w, "%-10d %12d %11.2fx\n", m.Workers, m.ShellBytes, m.Ratio)
+	}
 	fmt.Fprintf(w, "paper: MS-BFS exceeds the graph size at 6 threads and 10x at 60; MS-PBFS stays flat.\n")
 	return nil
 }

@@ -49,14 +49,14 @@ type numaKernel struct {
 // share one owner, so a task is remote exactly when it was stolen. Per
 // level:
 //
-//   - top-down scatter: each scanned edge writes the worker's private
-//     shadow, which is local whoever runs the task;
-//   - top-down merge: a stripe owner's folded words are each one local
-//     canonical write plus one read of worker 1's shadow, which is remote
-//     for owner 0 and local for owner 1;
+//   - top-down scatter and apply: each scanned edge is one write into the
+//     stripe of the worker that makes it (the scatter writes only its own
+//     stripe, the apply only the owner's), so it is local whoever runs the
+//     task; each inbox entry is one local append by the scatter worker and
+//     one read by the other stripe's owner, which is remote;
 //   - top-down resolve: each task sweeps split vertices, remote if stolen;
 //     the level's resolve steals are Steals() - ScatterSteals, since the
-//     merge never steals;
+//     apply never steals;
 //   - bottom-up: each task sweeps split vertices (MS-PBFS: their pages),
 //     remote if stolen.
 func (k numaKernel) accesses(tv obs.Traversal) (local, remote int64, err error) {
@@ -76,15 +76,8 @@ func (k numaKernel) accesses(tv obs.Traversal) (local, remote int64, err error) 
 			remote += stolen * unit
 			continue
 		}
-		local += it.Scanned
-		for owner, f := range it.WorkerMergeWords {
-			local += f
-			if owner == 0 {
-				remote += f
-			} else {
-				local += f
-			}
-		}
+		local += it.Scanned + it.MergeWords
+		remote += it.MergeWords
 		stolen := (it.Steals() - it.ScatterSteals) * int64(k.split)
 		local += int64(k.n) - stolen
 		remote += stolen
@@ -95,7 +88,9 @@ func (k numaKernel) accesses(tv obs.Traversal) (local, remote int64, err error) 
 // NUMALocality models the NUMA page locality of the BFS kernels on two
 // sockets with one worker each, with and without work stealing. The
 // paper's design goal (Section 4.4): all writes are region-local except the
-// first top-down phase and stolen tasks. Go cannot place pages, so each row
+// first top-down phase and stolen tasks; under the scatter → apply
+// protocol even the first top-down phase writes locally, and its remote
+// accesses are the apply's inbox reads. Go cannot place pages, so each row
 // is one traced run replayed through numaKernel.accesses.
 func NUMALocality(cfg Config) (NUMAResult, error) {
 	// Each task is one page: 512 vertices of the 8-byte MS-PBFS rows, 4096

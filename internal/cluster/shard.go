@@ -436,8 +436,8 @@ func (s *Shard) lockQuery(qid uint64) (*shardQuery, error) {
 	return q, nil
 }
 
-// handleStep runs one level of the query's engine: the scatter and shadow
-// merge over this shard's rows, the exchange of next's stripes with the
+// handleStep runs one level of the query's engine: the scatter and inbox
+// apply over this shard's rows, the exchange of next's stripes with the
 // peers (stepExchange.run), then the resolve, which is the apply phase.
 //
 // When the query is traced each phase boundary stamps the monotonic clock
@@ -495,7 +495,7 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 }
 
 // stepExchange is one step's exchange point, run by the engine after the
-// shadow merge, when next holds this shard's scatter over all n vertices.
+// inbox apply, when next holds this shard's scatter over all n vertices.
 // A 1D-partitioned top-down level sends each peer its slice of the next
 // frontier (Buluç & Madduri, arXiv 1104.4518), so run ships every peer its
 // stripe of next and zeroes it, then ORs the peers' deltas into this

@@ -363,7 +363,7 @@ type stepDone struct {
 // placement happens coordinator-side from the RPC request/reply
 // timestamps it already owns.
 type stepTrace struct {
-	scanNanos   uint64 // phase 1: the engine's scatter + shadow merge
+	scanNanos   uint64 // phase 1: the engine's scatter + inbox apply
 	encodeNanos uint64 // phase 2a: per-peer delta codec encode
 	sendNanos   uint64 // phase 2b: concurrent peer-link sends (wall)
 	waitNanos   uint64 // phase 3: barrier wait for inbound peer deltas

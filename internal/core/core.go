@@ -2,7 +2,7 @@
 // evaluation compares against:
 //
 //   - MS-PBFS — the parallel multi-source BFS (Section 3.1): two-phase
-//     top-down over worker-owned frontier shadows with a barrier OR-merge,
+//     top-down over worker-owned stripes with a barrier inbox apply,
 //     bottom-up with early exit, NUMA- and cache-conscious array state,
 //     work-stealing scheduling.
 //   - SMS-PBFS — the parallel single-source variant (Section 3.2) in both
@@ -22,7 +22,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -283,8 +282,8 @@ type iterRecorder struct {
 	pool                  *sched.Pool
 	prevTasks, prevSteals []int64
 
-	// pend* carry the segmented-substrate and direction-heuristic extras
-	// the kernels supply via noteScatter/noteMerge/noteHeuristic between
+	// pend* carry the scatter/apply and direction-heuristic extras the
+	// kernels supply via noteScatter/noteApply/noteHeuristic between
 	// phases and iterations; record consumes and clears them.
 	pendScatterSteals int64
 	pendMergeWords    int64
@@ -294,9 +293,10 @@ type iterRecorder struct {
 }
 
 // noteScatter takes the steals made so far in the level. Called between a
-// top-down level's scatter and merge phases, that is the scatter's share of
+// top-down level's scatter and apply phases, that is the scatter's share of
 // the level's steals: internal/bench needs it to tell a stolen scatter task
-// (its writes land in the thief's own shadow) from a stolen resolve task.
+// (its writes land in the thief's own stripe and inbox) from a stolen
+// resolve task.
 func (r *iterRecorder) noteScatter() {
 	if r.tr == nil || r.pool == nil {
 		return
@@ -311,22 +311,14 @@ func (r *iterRecorder) noteScatter() {
 	r.pendScatterSteals = steals
 }
 
-// noteMerge drains the shadows' per-owner merge counters into the next
-// record call, resetting them so every iteration reports a delta. With
-// tracing off the counters are still reset — the accounting must not
-// accumulate across traced and untraced runs.
-func (r *iterRecorder) noteMerge(sh *bitset.Shadows) {
+// noteApply takes the per-owner counts of inbox entries applied this level
+// (reset with the other per-level counters) into the next record call.
+func (r *iterRecorder) noteApply(applied []padCounter) {
 	if r.tr == nil {
-		sh.ResetMergeCounts()
 		return
 	}
-	counts := sh.MergeCounts(nil)
-	sh.ResetMergeCounts()
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	r.pendMergeWords, r.pendWorkerMerge = total, counts
+	r.pendWorkerMerge = counterValues(applied)
+	r.pendMergeWords = sumCounters(applied)
 }
 
 // noteHeuristic supplies the direction heuristic's edge-side inputs (the

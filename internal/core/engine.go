@@ -129,7 +129,7 @@ func (f *freeList[K, T]) drain() map[K][]T {
 func NewEngine() *Engine {
 	return &Engine{
 		pools:   newFreeList[int](maxFreePools, func(*sched.Pool) int64 { return 0 }),
-		shells:  newFreeList[shellKey](maxFreeShells, func(sh *levelStep) int64 { return sh.bytes }),
+		shells:  newFreeList[shellKey](maxFreeShells, (*levelStep).memoryBytes),
 		states:  newFreeList[stateKey](maxFreeStates, (*bitset.State).MemoryBytes),
 		bitmaps: newFreeList[int](maxFreeMaps, (*bitset.Bitmap).MemoryBytes),
 		levels:  newFreeList[int](maxFreeLevels, func(row []int32) int64 { return int64(len(row)) * 4 }),

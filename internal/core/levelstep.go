@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/numa"
 	"repro/internal/sched"
@@ -14,55 +13,60 @@ import (
 // specialisation of the former (Section 3.2), so everything that does not
 // depend on how a vertex's state is laid out lives here exactly once: shell
 // construction and arena recycling, the worker-owned scatter substrate and
-// its barrier merge, phase sequencing, and the per-iteration skeleton with
+// its barrier apply, phase sequencing, and the per-iteration skeleton with
 // its direction bookkeeping. A kernel embeds a levelStep, adds its state
 // arrays, and binds its representation-specific loop bodies once per shell.
 //
 // The substrate is worker-owned: the vertex space is striped across workers
 // at word-aligned borders, each worker's task queue holds its own stripe's
 // tasks (stealing crosses stripes for load balance), and the top-down
-// scatter writes worker-private shadow slabs with plain stores. A static
-// merge phase at the barrier ORs the shadows into the canonical next,
-// stripe by stripe, each stripe folded by its owner. See DESIGN.md §10.
+// scatter writes only the worker's own stripe of the canonical next, queuing
+// the frontier vertices whose rows reach other stripes in per-destination
+// inboxes. A static apply phase at the barrier has each stripe's owner write
+// what was queued for it. See inbox.go and DESIGN.md §10.
 type levelStep struct {
 	shellRun
 
 	// tq is the shell's one stripe-affine task layout: bottom-up, scatter,
-	// resolve and zero run over it, and so (statically fetched) does the
-	// shadow merge. A level's schedule is a function of (n, workers,
-	// Options.SplitSize) only.
-	tq *sched.TaskQueues
+	// resolve and zero run over it. applyTq cuts the same stripes into one
+	// task each (nil at one worker). A level's schedule is a function of
+	// (n, workers, Options.SplitSize) only.
+	tq, applyTq *sched.TaskQueues
 
 	// self is the kernel engine embedding this substrate — what a warm
-	// checkout hands back to the kernel's constructor; bytes is the shell's
-	// size while parked in the arena.
-	self     any
-	bytes    int64
-	released bool
+	// checkout hands back to the kernel's constructor; stateBytes is the
+	// size of the kernel's arrays and scratch (memoryBytes adds the
+	// inboxes).
+	self       any
+	stateBytes int64
+	released   bool
 
-	// shadows is the worker-owned scatter target of the top-down phase.
-	// wordMul/wordDiv map a task's vertex range onto the canonical words the
-	// merge folds: vertex v starts at word v*wordMul/wordDiv (k-word rows:
-	// mul = k, div = 1; bit and byte sets: mul = 1, div = vertices per word).
-	shadows          *bitset.Shadows
-	wordMul, wordDiv int
+	// Worker w owns the stripe [w·stripeLen, (w+1)·stripeLen) ∩ [0, n).
+	// inboxes[w] is worker w's outgoing scatter entries (nil at one
+	// worker).
+	stripeLen int
+	inboxes   []inbox
 	// clean records that the state arrays are known all-zero (open's
 	// first-touch pass just ran), letting the first run skip its zeroing
 	// pass — on short traversals that pass was pure overhead.
 	clean bool
 
 	// Per-worker accumulators (cache-line padded), reset before every level:
-	// neighbor entries examined, newly set BFS states, and the degree sum of
-	// the vertices active in the produced frontier.
-	scanned, updated, frontDeg []padCounter
+	// neighbor entries written, newly set BFS states, the degree sum of the
+	// vertices active in the produced frontier, and the inbox entries each
+	// stripe owner applied.
+	scanned, updated, frontDeg, applied []padCounter
 
 	// Phase bodies, bound once per shell so per-iteration phase dispatch
 	// allocates nothing; they read the ph* state, which the coordinating
-	// goroutine rebinds between barriers. endLevel is the kernel's
-	// between-levels hook: it folds the level's counters into dir, swaps the
-	// frontier buffers (rebinding phCanon) and does any per-level upkeep of
-	// its own.
-	scatterBody, mergeBody, resolveBody, bottomUpBody, zeroBody func(int, sched.Range)
+	// goroutine rebinds between barriers. spread writes a segment of
+	// vertex v's neighbors, all in the running worker's stripe, into next:
+	// the apply's kernel body.
+	// endLevel is the kernel's between-levels hook: it folds the level's
+	// counters into dir, swaps the frontier buffers (rebinding phCanon) and
+	// does any per-level upkeep of its own.
+	scatterBody, applyBody, resolveBody, bottomUpBody, zeroBody func(int, sched.Range)
+	spread                                                      func(v int, seg []graph.VertexID)
 	endLevel                                                    func()
 
 	// dir is the direction-heuristic state of the run in flight: begin
@@ -118,14 +122,16 @@ func beginShell(g *graph.Graph, opt Options, key shellKey) (run shellRun, warm *
 
 // init allocates the shape-specific substrate of a fresh shell for kernel
 // self: the stripe-affine task layout over word-aligned stripe borders, the
-// shared counters, the merge body.
+// inboxes, the shared counters, the apply body.
 func (ls *levelStep) init(self any, key shellKey) {
 	ls.self = self
-	ls.tq = sched.CreateStripeTasks(numa.AlignedRanges(key.n, key.workers, splitStride), key.split)
+	bounds := numa.AlignedRanges(key.n, key.workers, splitStride)
+	ls.tq = sched.CreateStripeTasks(bounds, key.split)
+	ls.initInboxes(bounds)
 	ls.scanned = make([]padCounter, key.workers)
 	ls.updated = make([]padCounter, key.workers)
 	ls.frontDeg = make([]padCounter, key.workers)
-	ls.mergeBody = ls.mergeTask
+	ls.applyBody = ls.applyTask
 }
 
 // open binds a warm or freshly built shell to its run: the run-specific
@@ -142,9 +148,6 @@ func (ls *levelStep) open(run shellRun) {
 	ls.tq.Reset()
 	ls.pool.ParallelForStatic(ls.tq, ls.zeroBody)
 	ls.clean = true
-	if debugInvariants && !ls.shadows.AllClear() {
-		panic("bfsdebug: shell shadows dirty at checkout")
-	}
 }
 
 // Close hands the instance back to its engine: the worker pool returns to
@@ -160,9 +163,11 @@ func (ls *levelStep) Close() {
 	ls.eng.checkinShell(ls)
 }
 
-// scrub zeroes the state arrays unless they are known clean. The static
-// no-steal loop keeps the first-touch placement authoritative.
+// scrub zeroes the state arrays unless they are known clean, and empties
+// the inboxes. The static no-steal loop keeps the first-touch placement
+// authoritative.
 func (ls *levelStep) scrub() {
+	ls.clearInboxes()
 	if !ls.clean {
 		ls.tq.Reset()
 		ls.pool.ParallelForStatic(ls.tq, ls.zeroBody)
@@ -191,8 +196,8 @@ func (ls *levelStep) traverse() {
 
 // level runs one BFS level: it picks the direction, runs the phases, folds
 // the counters and records the level. exchange, when non-nil, is called on
-// a top-down level between the shadow merge and the resolve with the
-// merged next's canonical words; an error from it ends the level there.
+// a top-down level between the apply and the resolve with next's canonical
+// words; an error from it ends the level there.
 func (ls *levelStep) level(exchange func(next []uint64) error) error {
 	opt, dir := ls.opt, &ls.dir
 	ls.phDepth++
@@ -204,6 +209,7 @@ func (ls *levelStep) level(exchange func(next []uint64) error) error {
 	resetCounters(ls.scanned)
 	resetCounters(ls.updated)
 	resetCounters(ls.frontDeg)
+	resetCounters(ls.applied)
 
 	steal := !opt.DisableStealing
 	var busy []time.Duration
@@ -217,11 +223,14 @@ func (ls *levelStep) level(exchange func(next []uint64) error) error {
 		}
 	}
 	ls.endLevel()
+	if debugInvariants && !ls.inboxesEmpty() {
+		panic("bfsdebug: an inbox entry outlived its level's apply")
+	}
 
 	updated := sumCounters(ls.updated)
 	ls.visited += updated
 
-	ls.rec.noteMerge(ls.shadows)
+	ls.rec.noteApply(ls.applied)
 	ls.rec.noteHeuristic(dir.frontEdges, dir.unexploredEdges)
 	ls.rec.record(int(ls.phDepth), time.Since(iterStart), busy,
 		dir.frontVertices, updated, sumCounters(ls.scanned), ls.visited, ls.bottomUp, dirReason,
@@ -230,23 +239,20 @@ func (ls *levelStep) level(exchange func(next []uint64) error) error {
 }
 
 // topDown runs one top-down level on the worker-owned substrate: scatter
-// into private shadows (plain stores), OR-merge at the barrier (stripe
-// owners, static fetch), the exchange if there is one, then the
-// single-writer resolve sweep. Scatter writes go to worker-private shadows
-// (the canonical slab for worker 0), the merge gives every word exactly one
-// writer per stripe, the exchange runs between barriers on the coordinating
-// goroutine, and resolve touches each vertex from exactly one worker, so no
-// phase needs an atomic. Between scatter and merge, a traced run notes the
-// scatter's steals.
+// (each worker writes its own stripe of next and queues the rest), the
+// apply (stripe owners, static fetch), the exchange if there is one, then
+// the single-writer resolve sweep. The scatter and the apply write only the
+// running worker's stripe, the exchange runs between barriers on the
+// coordinating goroutine, and resolve touches each vertex from exactly one
+// worker, so no phase needs an atomic. Between scatter and apply, a traced
+// run notes the scatter's steals.
 func (ls *levelStep) topDown(steal bool, exchange func(next []uint64) error) ([]time.Duration, error) {
 	ls.tq.Reset()
 	busy := ls.runPhase(ls.tq, steal, ls.scatterBody)
 	ls.rec.noteScatter()
-	if ls.shadows.Workers() > 1 {
-		// Static fetch confines each worker to its own stripe — the
-		// single-writer guarantee of the merge.
-		ls.tq.Reset()
-		busy = sumBusy(busy, ls.runPhase(ls.tq, false, ls.mergeBody))
+	if ls.applyTq != nil {
+		ls.applyTq.Reset()
+		busy = sumBusy(busy, ls.runPhase(ls.applyTq, false, ls.applyBody))
 	}
 	if exchange != nil {
 		if err := exchange(ls.phCanon); err != nil {
@@ -255,20 +261,6 @@ func (ls *levelStep) topDown(steal bool, exchange func(next []uint64) error) ([]
 	}
 	ls.tq.Reset()
 	return sumBusy(busy, ls.runPhase(ls.tq, steal, ls.resolveBody)), nil
-}
-
-// mergeTask publishes one stripe sub-range: the owner (static fetch makes
-// workerID the stripe owner) folds every worker's shadow words into the
-// canonical next and zeroes them. Plain stores only.
-//
-//bfs:nocas
-//bfs:singlewriter stripe owner is the only writer of its canonical and shadow words between barriers
-func (ls *levelStep) mergeTask(workerID int, r sched.Range) {
-	// Task borders are multiples of 512 vertices (or n), so the rounding
-	// only ever matters at the final partial word.
-	loW := r.Lo * ls.wordMul / ls.wordDiv
-	hiW := (r.Hi*ls.wordMul + ls.wordDiv - 1) / ls.wordDiv
-	ls.shadows.MergeRange(workerID, ls.phCanon, loW, hiW)
 }
 
 // runPhase executes one parallel loop, with or without per-worker timing.

@@ -23,8 +23,8 @@ func MSPBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
 
 // MSPBFSEngine holds the reusable state of an MS-PBFS instance: the three
 // per-vertex bitset arrays and per-worker scratch on top of the shared
-// level-step substrate (worker pool, stripe-affine task layout, frontier
-// shadows). Reusing an engine across batches amortizes allocation, matching
+// level-step substrate (worker pool, stripe-affine task layout, scatter
+// inboxes). Reusing an engine across batches amortizes allocation, matching
 // the paper's "initialize large data structures once" design (Section 4.4).
 type MSPBFSEngine struct {
 	levelStep
@@ -89,7 +89,7 @@ func NewMSPBFSEngine(g *graph.Graph, opt Options) *MSPBFSEngine {
 }
 
 // newMSPBFSShell builds the shape-specific half of a fresh instance: state
-// arrays, shadows, per-worker scratch and the bound phase bodies.
+// arrays, per-worker scratch and the bound phase bodies.
 func newMSPBFSShell(run shellRun, words int) *MSPBFSEngine {
 	n, workers := run.key.n, run.key.workers
 	e := &MSPBFSEngine{
@@ -105,16 +105,15 @@ func newMSPBFSShell(run shellRun, words int) *MSPBFSEngine {
 		liveBits:  make([][]uint64, workers),
 	}
 	e.init(e, run.key)
-	e.shadows = bitset.NewShadows(n*words, workers)
-	e.wordMul, e.wordDiv = words, 1
-	e.bytes = e.seen.MemoryBytes() + e.buf0.MemoryBytes() + e.buf1.MemoryBytes() + e.shadows.MemoryBytes()
+	e.stateBytes = e.seen.MemoryBytes() + e.buf0.MemoryBytes() + e.buf1.MemoryBytes()
 	for w := range e.scratch {
 		e.scratch[w] = make([]uint64, words)
 		// Pad each row to a cache line so per-worker OR accumulation does
 		// not false-share.
 		e.liveBits[w] = make([]uint64, words, words+8)
-		e.bytes += int64(cap(e.scratch[w])+cap(e.liveBits[w])) * 8
+		e.stateBytes += int64(cap(e.scratch[w])+cap(e.liveBits[w])) * 8
 	}
+	e.spread = e.spreadRow
 	e.scatterBody = e.scatterTask
 	e.resolveBody = e.resolveTask
 	e.bottomUpBody = e.bottomUpTask
@@ -241,7 +240,7 @@ func (e *MSPBFSEngine) Seed(batch []int, batchOffset int) [][]int32 {
 // Step runs the next level of the batch Seed started and returns the
 // frontier vertices it produced, the states it discovered and the edges it
 // scanned. exchange, when non-nil, is called on a top-down level after the
-// shadow merge and before the resolve, with next's canonical words (one
+// apply and before the resolve, with next's canonical words (one
 // BatchWords-wide row per vertex, in vertex order): what it leaves there
 // is what the resolve folds into seen. Its error ends the level and is returned; the batch is
 // then unusable until the next Seed.
@@ -278,18 +277,20 @@ func (e *MSPBFSEngine) finishLevel() {
 	e.bindBuffers(e.phNext, e.phFrontier)
 }
 
-// scatterTask is the segmented top-down scatter: the worker merges each
-// frontier vertex's row into its private shadow (worker 0: the canonical
-// next) with plain stores. No atomics anywhere on this path — the vet
-// gate below proves it stays that way.
+// scatterTask is the top-down scatter: for each frontier vertex the worker
+// ORs its row into the neighbors in its own stripe of next and queues the
+// vertex for the owners of the other stripes its row reaches
+// (levelStep.cutAcross). No atomics anywhere on this path — the vet gate
+// below proves it stays that way.
 //
 //bfs:nocas
-//bfs:singlewriter the target slab has exactly one writer for the phase's lifetime
+//bfs:singlewriter only neighbors in the running worker's stripe are written, and its next words have no other writer in the phase
 func (e *MSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 	g, ov := e.g, e.opt.Overlay
 	frontier := e.phFrontier
 	scanned := &e.scanned[workerID]
-	tgt := e.shadows.Writer(workerID, e.phNext.Words())
+	tgt := e.phCanon
+	lo, hi := e.ownStripe(workerID)
 	if e.words == 1 {
 		// Fast path for the common 64-BFS configuration: single-word rows
 		// indexed straight off the slabs, no per-vertex row slicing.
@@ -300,45 +301,73 @@ func (e *MSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 			if w == 0 {
 				continue
 			}
-			nbrs := g.Neighbors(v) //bfs:bounds-ok CSR offsets are monotone and sized n+1 by Builder
-			scanned.v += int64(len(nbrs))
-			for _, nb := range nbrs {
+			own := g.Neighbors(v) //bfs:bounds-ok CSR offsets are monotone and sized n+1 by Builder
+			if crosses(own, lo, hi) {
+				own = e.cutAcross(workerID, v, own)
+			}
+			scanned.v += int64(len(own))
+			for _, nb := range own {
 				tgt[nb] |= w //bfs:bounds-ok neighbor ids < n by CSR construction; slab is n words
 			}
 			if ov != nil {
 				// Fused overlay scan: the not-yet-compacted extra neighbors
-				// merge into the same private slab.
-				for _, nb := range ov.Extra(v) { //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
-					scanned.v++
+				// are cut and written the same way.
+				own = ov.Extra(v) //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
+				if crosses(own, lo, hi) {
+					own = e.cutAcross(workerID, v, own)
+				}
+				scanned.v += int64(len(own))
+				for _, nb := range own {
 					tgt[nb] |= w //bfs:bounds-ok overlay endpoints < n by ingest validation
 				}
 			}
 		}
 		return
 	}
-	stride := e.words
 	//bfs:hot phase 1 frontier scan (wide rows): runs per vertex per iteration, must not allocate
 	for v := r.Lo; v < r.Hi; v++ {
 		if !frontier.Any(v) { //bfs:bounds-ok inlined row indexing; stride invariant held by State
 			continue
 		}
-		row := frontier.Row(v) //bfs:bounds-ok row slice from the vertex index; State sizes words to n*stride
-		nbrs := g.Neighbors(v) //bfs:bounds-ok CSR offsets are monotone and sized n+1 by Builder
-		scanned.v += int64(len(nbrs))
-		for _, nb := range nbrs {
-			off := int(nb) * stride
-			for i := 0; i < stride; i++ {
-				tgt[off+i] |= row[i] //bfs:bounds-ok off+stride <= n*stride for nb < n; row sized stride
-			}
+		own := g.Neighbors(v) //bfs:bounds-ok CSR offsets are monotone and sized n+1 by Builder
+		if crosses(own, lo, hi) {
+			own = e.cutAcross(workerID, v, own)
 		}
+		scanned.v += int64(len(own))
+		e.spreadRow(v, own)
 		if ov != nil {
-			for _, nb := range ov.Extra(v) { //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
-				scanned.v++
-				off := int(nb) * stride
-				for i := 0; i < stride; i++ {
-					tgt[off+i] |= row[i] //bfs:bounds-ok off+stride <= n*stride for nb < n; row sized stride
-				}
+			own = ov.Extra(v) //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
+			if crosses(own, lo, hi) {
+				own = e.cutAcross(workerID, v, own)
 			}
+			scanned.v += int64(len(own))
+			e.spreadRow(v, own)
+		}
+	}
+}
+
+// spreadRow ORs frontier vertex v's row into the next row of every
+// neighbor in seg: the apply's kernel body, and the wide-row scatter's.
+//
+//bfs:nocas
+//bfs:singlewriter seg lies in the stripe of the running worker, the only writer of its next rows in the phase
+func (e *MSPBFSEngine) spreadRow(v int, seg []graph.VertexID) {
+	tgt := e.phCanon
+	row := e.phFrontier.Row(v)
+	if len(row) == 1 {
+		w := row[0]
+		//bfs:hot segment OR (single word): runs per neighbor per top-down level, must not allocate
+		for _, nb := range seg {
+			tgt[nb] |= w //bfs:bounds-ok neighbor ids < n by CSR construction; slab is n words
+		}
+		return
+	}
+	stride := len(row)
+	//bfs:hot segment OR (wide rows): runs per neighbor per top-down level, must not allocate
+	for _, nb := range seg {
+		off := int(nb) * stride
+		for i := range row {
+			tgt[off+i] |= row[i] //bfs:bounds-ok off+stride <= n*stride for nb < n; row sized stride
 		}
 	}
 }

@@ -55,10 +55,8 @@ type vertexSet interface {
 	// ChunkSize is the number of vertices per backing word.
 	ChunkSize() int
 	// Mark sets vertex v in a raw word slab laid out like ChunkWords with
-	// a plain store; the scatter uses it to write worker-private shadow
-	// slabs. Both representations encode marks so that word-level OR
-	// merges slabs correctly (bit: one bit per vertex; byte: bytes only
-	// ever hold 0 or 1).
+	// a plain store; the scatter and the apply use it to write the next
+	// words of the running worker's stripe.
 	Mark(slab []uint64, v int)
 	// Count returns the number of marked vertices (used by the bfsdebug
 	// invariant layer).
@@ -73,7 +71,7 @@ func (b bitSet) ChunkSize() int       { return 64 }
 
 // Mark sets v's bit in slab with a plain store.
 //
-//bfs:singlewriter called only from the scatter, whose target slab has exactly one writer for the phase's lifetime
+//bfs:singlewriter called only from the scatter and spreadMarks, whose targets lie in the running worker's own stripe
 func (b bitSet) Mark(slab []uint64, v int) {
 	slab[v>>6] |= 1 << (uint(v) & 63) //bfs:bounds-ok v < n by CSR construction; slab spans n bits like the canonical bitmap
 }
@@ -85,7 +83,7 @@ func (b byteSet) ChunkSize() int       { return 8 }
 
 // Mark sets v's byte in slab with a plain store.
 //
-//bfs:singlewriter called only from the scatter, whose target slab has exactly one writer for the phase's lifetime
+//bfs:singlewriter called only from the scatter and spreadMarks, whose targets lie in the running worker's own stripe
 func (b byteSet) Mark(slab []uint64, v int) {
 	slab[v>>3] |= uint64(1) << (uint(v&7) * 8) //bfs:bounds-ok v < n by CSR construction; slab spans n bytes like the canonical byte map
 }
@@ -99,7 +97,7 @@ func newVertexSet(n int, repr StateRepr) vertexSet {
 
 // SMSPBFS runs the parallel single-source BFS of Section 3.2 with the given
 // state representation. The algorithm follows Listings 3 (top-down) and 4
-// (bottom-up): boolean per-vertex state, worker-owned scatter targets in
+// (bottom-up): boolean per-vertex state, worker-owned stripes of next in
 // the first top-down phase, and zero synchronization elsewhere. The
 // 64-vertex (bit) / 8-vertex (byte) chunk skipping avoids per-vertex checks
 // over inactive ranges.
@@ -148,9 +146,8 @@ func NewSMSPBFSEngine(g *graph.Graph, repr StateRepr, opt Options) *SMSPBFSEngin
 			buf1: newVertexSet(n, repr),
 		}
 		e.init(e, run.key)
-		e.shadows = bitset.NewShadows(len(e.buf0.ChunkWords()), run.key.workers)
-		e.wordMul, e.wordDiv = 1, e.buf0.ChunkSize()
-		e.bytes = e.seen.MemoryBytes() + e.buf0.MemoryBytes() + e.buf1.MemoryBytes() + e.shadows.MemoryBytes()
+		e.stateBytes = e.seen.MemoryBytes() + e.buf0.MemoryBytes() + e.buf1.MemoryBytes()
+		e.spread = e.spreadMarks
 		e.scatterBody = e.scatterTask
 		e.resolveBody = e.resolveTask
 		e.bottomUpBody = e.bottomUpTask
@@ -237,19 +234,20 @@ func (e *SMSPBFSEngine) finishLevel() {
 }
 
 // scatterTask is phase 1 of Listing 3: scan the frontier chunk words, mark
-// each neighbor in the worker's private slab (worker 0: the canonical next
-// words) and clear the frontier in place. Plain stores only — no atomics on
-// this path.
+// each neighbor in the worker's own stripe of next and queue the vertex for
+// the owners of the other stripes its row reaches (levelStep.cutAcross), and
+// clear the frontier in place. Plain stores only — no atomics on this path.
 //
 //bfs:nocas
-//bfs:singlewriter the target slab has exactly one writer for the phase's lifetime; frontier words are cleared by the task that owns them
+//bfs:singlewriter only neighbors in the running worker's stripe are marked; frontier words are cleared by the task that owns them
 func (e *SMSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 	g, ov := e.g, e.opt.Overlay
 	frontier := e.phFrontier
 	n := g.NumVertices()
-	chunk := frontier.ChunkSize()
 	scanned := &e.scanned[workerID]
-	tgt := e.shadows.Writer(workerID, e.phNext.ChunkWords())
+	tgt := e.phCanon
+	lo, hi := e.ownStripe(workerID)
+	chunk := frontier.ChunkSize()
 	words := frontier.ChunkWords()
 	loW, hiW := r.Lo/chunk, (r.Hi+chunk-1)/chunk
 	if loW < 0 || hiW > len(words) {
@@ -272,24 +270,45 @@ func (e *SMSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 			if !frontier.Get(v) {
 				continue
 			}
-			nbrs := g.Neighbors(v) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
-			scanned.v += int64(len(nbrs))
-			for _, nb := range nbrs {
+			own := g.Neighbors(v) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+			if crosses(own, lo, hi) {
+				own = e.cutAcross(workerID, v, own)
+			}
+			scanned.v += int64(len(own))
+			for _, nb := range own {
 				frontier.Mark(tgt, int(nb))
 			}
 			if ov != nil {
-				// Fused overlay scan: extra neighbors mark the same
-				// private slab.
-				for _, nb := range ov.Extra(v) { //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
-					scanned.v++
+				// Fused overlay scan: extra neighbors are cut and marked
+				// the same way.
+				own = ov.Extra(v) //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
+				if crosses(own, lo, hi) {
+					own = e.cutAcross(workerID, v, own)
+				}
+				scanned.v += int64(len(own))
+				for _, nb := range own {
 					frontier.Mark(tgt, int(nb))
 				}
 			}
 		}
 		// Frontier cleared in place (Listing 3 line 5). Task ranges are
 		// multiples of 512 vertices, so word wi belongs to exactly one
-		// task and only the worker holding that task writes it.
+		// task and only the worker holding that task writes it. The apply
+		// needs only the queued ids, not the frontier.
 		words[wi] = 0 //bfs:singlewriter word-aligned task ranges: one writer per word
+	}
+}
+
+// spreadMarks marks every neighbor in seg in next: the apply's kernel
+// body. Stripe borders are multiples of 512 vertices, so no next word
+// straddles two stripe owners.
+//
+//bfs:nocas
+func (e *SMSPBFSEngine) spreadMarks(_ int, seg []graph.VertexID) {
+	next, tgt := e.phNext, e.phCanon
+	//bfs:hot segment marks: runs per neighbor per top-down level, must not allocate
+	for _, nb := range seg {
+		next.Mark(tgt, int(nb))
 	}
 }
 

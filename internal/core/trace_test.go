@@ -151,28 +151,34 @@ func scheduleTrace(t *testing.T, kernel string, g *graph.Graph, sources []int, o
 	return snap.Traversals
 }
 
-// checkSchedule asserts the schedule as a count: a level runs its phases
-// (bottom-up: one; top-down: scatter, merge, resolve, the merge dropping
-// out at one worker) over the shell's one task layout tq, so every
-// iteration fetches phases x NumTasks tasks; with stealing off (static)
-// each worker fetches exactly its own queue. ScatterSteals is 0 on
+// checkSchedule asserts the schedule as a count. A bottom-up level runs one
+// phase over the shell's task layout tq; a top-down level runs the scatter
+// and the resolve over it plus the apply, one task per non-empty stripe
+// (none at one worker). So a level fetches NumTasks or 2 x NumTasks +
+// stripes tasks, and with stealing off (static) each worker fetches its own
+// queue once or twice plus its stripe's apply task. ScatterSteals is 0 on
 // bottom-up levels and with stealing off, and never exceeds the level's
 // steals. A reused engine's scrub runs before its recorder opens, so every
 // batch is held to the same count.
 func checkSchedule(t *testing.T, ctx string, tvs []obs.Traversal, tq *sched.TaskQueues, static bool) {
 	t.Helper()
+	applyOf := make([]int64, tq.NumWorkers()) // apply tasks per worker
+	var stripes int64
+	for w := range applyOf {
+		if tq.NumWorkers() > 1 && len(tq.WorkerTasks(w)) > 0 {
+			applyOf[w] = 1
+			stripes++
+		}
+	}
 	for b, tv := range tvs {
 		for i, it := range tv.Iterations {
-			phases := int64(1)
+			phases, apply := int64(1), int64(0)
 			if !it.BottomUp {
-				phases = 3
-				if tq.NumWorkers() == 1 {
-					phases = 2
-				}
+				phases, apply = 2, 1
 			}
 			at := fmt.Sprintf("%s batch %d iteration %d (%s)", ctx, b, i+1, it.Direction())
-			if got, want := it.Tasks(), phases*int64(tq.NumTasks()); got != want {
-				t.Errorf("%s: %d tasks, want %d phases x %d", at, got, phases, tq.NumTasks())
+			if got, want := it.Tasks(), phases*int64(tq.NumTasks())+apply*stripes; got != want {
+				t.Errorf("%s: %d tasks, want %d phases x %d + %d apply", at, got, phases, tq.NumTasks(), apply*stripes)
 			}
 			// Only a top-down level with stealing on has a scatter that
 			// can steal, and its steals are a subset of the level's.
@@ -189,8 +195,8 @@ func checkSchedule(t *testing.T, ctx string, tvs []obs.Traversal, tq *sched.Task
 				t.Errorf("%s: %d steals with stealing off", at, it.Steals())
 			}
 			for w, got := range it.WorkerTasks {
-				if own := int64(len(tq.WorkerTasks(w))); got != phases*own {
-					t.Errorf("%s: worker %d ran %d tasks, want %d phases x its %d", at, w, got, phases, own)
+				if own := int64(len(tq.WorkerTasks(w))); got != phases*own+apply*applyOf[w] {
+					t.Errorf("%s: worker %d ran %d tasks, want %d phases x its %d + %d", at, w, got, phases, own, apply*applyOf[w])
 				}
 			}
 		}

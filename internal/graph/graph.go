@@ -129,7 +129,8 @@ func (g *Graph) Validate() error {
 // an n-vertex CSR whose other rows are empty. offsets are the slice's own,
 // rebased to start at 0; adjacency keeps global ids and is not copied. The
 // slice is checked first: offsets rebased and monotone, ending at
-// len(adjacency), every id below n. The result costs 8(n+1) bytes of
+// len(adjacency), every id below n, every row ascending (the kernels cut
+// rows at stripe borders by binary search). The result costs 8(n+1) bytes of
 // offsets and is not symmetric, so Validate rejects it; a cluster shard
 // runs the ordinary kernels over it to scan exactly the rows it owns.
 func OwnedRows(n, lo int, offsets []int64, adjacency []VertexID) (*Graph, error) {
@@ -148,9 +149,15 @@ func OwnedRows(n, lo int, offsets []int64, adjacency []VertexID) (*Graph, error)
 	if offsets[rows] != int64(len(adjacency)) {
 		return nil, fmt.Errorf("graph: offsets end at %d, adjacency has %d", offsets[rows], len(adjacency))
 	}
-	for _, u := range adjacency {
-		if int(u) >= n {
-			return nil, fmt.Errorf("graph: neighbor %d out of range [0,%d)", u, n)
+	for i := 0; i < rows; i++ {
+		row := adjacency[offsets[i]:offsets[i+1]]
+		for j, u := range row {
+			if int(u) >= n {
+				return nil, fmt.Errorf("graph: neighbor %d out of range [0,%d)", u, n)
+			}
+			if j > 0 && row[j-1] >= u {
+				return nil, fmt.Errorf("graph: row %d not strictly ascending at position %d", lo+i, j)
+			}
 		}
 	}
 	full := make([]int64, n+1)

@@ -139,6 +139,7 @@ func TestOwnedRows(t *testing.T) {
 		"decreasing":   {0, []int64{0, 2, 1}, []VertexID{1, 2}, "decrease"},
 		"short end":    {0, []int64{0, 1}, []VertexID{1, 2}, "offsets end"},
 		"neighbor ≥ n": {0, []int64{0, 1}, []VertexID{10}, "out of range"},
+		"unsorted row": {2, []int64{0, 2}, []VertexID{5, 1}, "not strictly ascending"},
 	} {
 		if _, err := OwnedRows(10, c.lo, c.offsets, c.adj); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", name, err, c.want)

@@ -73,7 +73,10 @@ type IterationStat struct {
 	BottomUp bool
 	// ScannedPerWorker breaks ScannedEdges down by worker (the "visited
 	// neighbors per worker" quantity of Figure 6); nil unless per-worker
-	// instrumentation was requested.
+	// instrumentation was requested. On a parallel top-down level an entry
+	// counts for the worker that writes it, the owner of the neighbor's
+	// stripe; over a whole top-down traversal of a symmetric graph that is
+	// each stripe's degree sum over the vertices reached.
 	ScannedPerWorker []int64
 	// UpdatedPerWorker breaks UpdatedStates down by worker (Figure 7);
 	// nil unless per-worker instrumentation was requested.

@@ -82,11 +82,11 @@ type IterationRecord struct {
 	// equivalence tests diff between fused and compacted runs.
 	FrontierEdges   int64 `json:"frontier_edges,omitempty"`
 	UnexploredEdges int64 `json:"unexplored_edges,omitempty"`
-	// MergeWords and WorkerMergeWords describe the segmented substrate's
-	// barrier publication: shadow words each stripe owner folded into the
-	// canonical next this iteration (per owner in WorkerMergeWords, summed
-	// in MergeWords). Zero/nil for bottom-up iterations, solo-worker runs,
-	// and kernels on the shared-CAS path.
+	// MergeWords and WorkerMergeWords describe the top-down apply: the
+	// scatter inbox entries each stripe owner applied to its stripe of next
+	// this iteration (per owner in WorkerMergeWords, summed in MergeWords;
+	// trace consumers parse the merge_words name). Zero for bottom-up
+	// iterations and solo-worker runs, nil for kernels without the apply.
 	MergeWords       int64   `json:"merge_words,omitempty"`
 	WorkerMergeWords []int64 `json:"worker_merge_words,omitempty"`
 }

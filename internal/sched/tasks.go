@@ -98,8 +98,8 @@ func CreateTasks(total, splitSize, numWorkers int) *TaskQueues {
 // range. bounds must have one entry per worker plus a trailing total (the
 // shape numa.AlignedRanges produces). With this layout static fetch
 // (FetchLocal) confines every worker to its own stripe — the property the
-// worker-owned frontier merge and the first-touch placement rely on —
-// while work stealing still crosses stripes for load balance.
+// first-touch placement relies on — while work stealing still crosses
+// stripes for load balance.
 func CreateStripeTasks(bounds []int, splitSize int) *TaskQueues {
 	if len(bounds) < 2 {
 		panic("sched: stripe bounds need at least one worker")

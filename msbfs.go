@@ -60,7 +60,8 @@ func NewGraph(n int, edges []Edge) *Graph {
 
 // NewGraphFromAdjacency wraps a prebuilt CSR structure (advanced use). The
 // offsets/adjacency arrays are used as is and must satisfy the CSR
-// invariants; Validate reports violations.
+// invariants — the parallel kernels rely on ascending neighbor lists;
+// Validate reports violations.
 func NewGraphFromAdjacency(offsets []int64, adjacency []uint32) *Graph {
 	return &Graph{g: &graph.Graph{Offsets: offsets, Adjacency: adjacency}}
 }

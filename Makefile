@@ -132,8 +132,9 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzCompact$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/dyngraph/
 
 # obs-smoke = end-to-end check of the observability surface: bfsd debug
-# endpoints (pprof, flight recorder) and the bfsrun Chrome trace export
-# (validated by scripts/tracecheck). See docs/OBSERVABILITY.md.
+# endpoints (pprof, flight recorder), the bfsrun Chrome trace export
+# (validated by scripts/tracecheck) and its per-level text table. See
+# docs/OBSERVABILITY.md.
 obs-smoke:
 	./scripts/obs_smoke.sh
 

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // NoLevel marks an unreachable vertex in recorded level arrays.
@@ -106,8 +106,9 @@ func (o Options) repr() core.StateRepr {
 	return core.BitState
 }
 
-// IterationStat describes one BFS iteration (depth level).
-type IterationStat = metrics.IterationStat
+// IterationStat describes one BFS iteration (depth level). It is the same
+// record a Tracer's flight record holds for that iteration.
+type IterationStat = obs.IterationRecord
 
 // Result is the outcome of a single-source BFS.
 type Result struct {

@@ -1,12 +1,12 @@
 // Command bfsrun executes one BFS workload on a graph file (or a generated
 // Kronecker graph) with a chosen algorithm and prints timing, GTEPS, and
-// optional per-iteration detail. It is the manual-experimentation
+// optional per-iteration detail (the flight record, -tracetext). It is the manual-experimentation
 // counterpart to bfsbench's fixed experiments.
 //
 // Usage:
 //
 //	bfsrun -graph kron20.bin -algo mspbfs -sources 64 -workers 8
-//	bfsrun -scale 18 -algo smspbfs-bit -sources 4 -iterstats
+//	bfsrun -scale 18 -algo smspbfs-bit -sources 4 -tracetext
 //	bfsrun -scale 16 -algo beamer-gapbs
 package main
 
@@ -45,7 +45,6 @@ func main() {
 		workers    = flag.Int("workers", runtime.NumCPU(), "worker threads")
 		batchWords = flag.Int("batchwords", 1, "multi-source bitset width in 64-bit words (1..8)")
 		labeling   = flag.String("label", "striped", "vertex labeling: none, random, ordered, striped")
-		iterstats  = flag.Bool("iterstats", false, "print per-iteration statistics")
 		seed       = flag.Uint64("seed", 42, "source selection / generation seed")
 		sockets    = flag.Int("sockets", 2, "socket count for mspbfs-persocket")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the BFS run to this file")
@@ -100,11 +99,10 @@ func main() {
 	eng := core.NewEngine()
 	defer eng.Close()
 	opt := core.Options{
-		Workers:          *workers,
-		BatchWords:       *batchWords,
-		CollectIterStats: *iterstats,
-		Engine:           eng,
-		Tracer:           tracer,
+		Workers:    *workers,
+		BatchWords: *batchWords,
+		Engine:     eng,
+		Tracer:     tracer,
 	}
 
 	if *cpuProfile != "" {
@@ -122,12 +120,11 @@ func main() {
 
 	algoName := *algo
 	var elapsed time.Duration
-	var iters []metrics.IterationStat
 	if *clusterN > 0 {
 		algoName = fmt.Sprintf("cluster/%d-shards", *clusterN)
-		elapsed, iters, err = runCluster(g, sources, *clusterN, *workers, *batchWords, *iterstats, tracer)
+		elapsed, err = runCluster(g, sources, *clusterN, *workers, *batchWords, tracer)
 	} else {
-		elapsed, iters, err = run(*algo, g, sources, opt, *sockets)
+		elapsed, err = run(*algo, g, sources, opt, *sockets)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bfsrun:", err)
@@ -154,19 +151,6 @@ func main() {
 		elapsed.Round(time.Microsecond),
 		float64(elapsed)/float64(time.Millisecond)/float64(len(sources)))
 	fmt.Printf("GTEPS:     %.3f\n", metrics.GTEPS(edges, elapsed))
-	if *iterstats {
-		fmt.Printf("%-5s %-10s %12s %12s %12s %s\n", "iter", "direction", "frontier", "updated", "scanned", "time")
-		for _, it := range iters {
-			dir := "top-down"
-			if it.BottomUp {
-				dir = "bottom-up"
-			}
-			fmt.Printf("%-5d %-10s %12d %12d %12d %v\n",
-				it.Iteration, dir, it.FrontierVertices, it.UpdatedStates, it.ScannedEdges,
-				it.Duration.Round(time.Microsecond))
-		}
-	}
-
 	if *traceText {
 		if err := tracer.WriteText(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "bfsrun:", err)
@@ -202,26 +186,24 @@ func writeTraceFile(path string, tracer *obs.Tracer) error {
 // timings back on its step replies, so the exported flight record carries
 // one clock-aligned track per shard next to the coordinator's.
 func runCluster(g *graph.Graph, sources []int, shards, workers, batchWords int,
-	iterstats bool, tracer *obs.Tracer) (time.Duration, []metrics.IterationStat, error) {
+	tracer *obs.Tracer) (time.Duration, error) {
 	ctx := context.Background()
 	clu, err := cluster.StartInproc(ctx, shards,
 		cluster.ShardOptions{Workers: workers}, cluster.CoordinatorOptions{Tracer: tracer})
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	defer clu.Close()
 	rg, err := clu.Coord.LoadGraph(ctx, "bfsrun",
 		msbfs.NewGraphFromAdjacency(g.Offsets, g.Adjacency), workers)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	res, err := rg.RunBatch(ctx, sources, msbfs.Options{
-		Workers: workers, BatchWords: batchWords, CollectIterStats: iterstats,
-	}, nil)
+	res, err := rg.RunBatch(ctx, sources, msbfs.Options{Workers: workers, BatchWords: batchWords}, nil)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	return res.Elapsed, res.Iterations, nil
+	return res.Elapsed, nil
 }
 
 func loadOrGenerate(path string, scale int, seed uint64) (*graph.Graph, error) {
@@ -253,42 +235,32 @@ func parseScheme(s string) (label.Scheme, error) {
 	}
 }
 
-func run(algo string, g *graph.Graph, sources []int, opt core.Options, sockets int) (time.Duration, []metrics.IterationStat, error) {
+func run(algo string, g *graph.Graph, sources []int, opt core.Options, sockets int) (time.Duration, error) {
 	switch algo {
 	case "mspbfs":
-		r := core.MSPBFS(g, sources, opt)
-		return r.Stats.Elapsed, r.Stats.Iterations, nil
+		return core.MSPBFS(g, sources, opt).Stats.Elapsed, nil
 	case "mspbfs-seq":
-		r := core.MSPBFSPerSocket(g, sources, opt.Workers, opt)
-		return r.Stats.Elapsed, r.Stats.Iterations, nil
+		return core.MSPBFSPerSocket(g, sources, opt.Workers, opt).Stats.Elapsed, nil
 	case "mspbfs-persocket":
-		r := core.MSPBFSPerSocket(g, sources, sockets, opt)
-		return r.Stats.Elapsed, r.Stats.Iterations, nil
+		return core.MSPBFSPerSocket(g, sources, sockets, opt).Stats.Elapsed, nil
 	case "msbfs":
-		r := core.MSBFS(g, sources, opt)
-		return r.Stats.Elapsed, r.Stats.Iterations, nil
+		return core.MSBFS(g, sources, opt).Stats.Elapsed, nil
 	case "msbfs-percore":
-		r := core.MSBFSPerCore(g, sources, opt)
-		return r.Stats.Elapsed, r.Stats.Iterations, nil
+		return core.MSBFSPerCore(g, sources, opt).Stats.Elapsed, nil
 	case "smspbfs-bit", "smspbfs-byte":
 		repr := core.BitState
 		if algo == "smspbfs-byte" {
 			repr = core.ByteState
 		}
-		r := core.SMSPBFSAll(g, sources, repr, opt)
-		return r.Stats.Elapsed, r.Stats.Iterations, nil
+		return core.SMSPBFSAll(g, sources, repr, opt).Stats.Elapsed, nil
 	case "ibfs":
-		r := core.IBFS(g, sources, opt)
-		return r.Stats.Elapsed, r.Stats.Iterations, nil
+		return core.IBFS(g, sources, opt).Stats.Elapsed, nil
 	case "queue":
 		var total time.Duration
-		var iters []metrics.IterationStat
 		for _, s := range sources {
-			r := core.QueueBFS(g, s, opt)
-			total += r.Stats.Elapsed
-			iters = append(iters, r.Stats.Iterations...)
+			total += core.QueueBFS(g, s, opt).Stats.Elapsed
 		}
-		return total, iters, nil
+		return total, nil
 	case "beamer-gapbs", "beamer-sparse", "beamer-dense":
 		v := map[string]core.BeamerVariant{
 			"beamer-gapbs":  core.BeamerGAPBS,
@@ -296,20 +268,17 @@ func run(algo string, g *graph.Graph, sources []int, opt core.Options, sockets i
 			"beamer-dense":  core.BeamerDense,
 		}[algo]
 		var total time.Duration
-		var iters []metrics.IterationStat
 		for _, s := range sources {
-			r := core.Beamer(g, s, v, opt)
-			total += r.Stats.Elapsed
-			iters = append(iters, r.Stats.Iterations...)
+			total += core.Beamer(g, s, v, opt).Stats.Elapsed
 		}
-		return total, iters, nil
+		return total, nil
 	case "reference":
 		var total time.Duration
 		for _, s := range sources {
 			total += core.ReferenceBFS(g, s).Stats.Elapsed
 		}
-		return total, nil, nil
+		return total, nil
 	default:
-		return 0, nil, fmt.Errorf("unknown algorithm %q (known: %v)", algo, algoNames)
+		return 0, fmt.Errorf("unknown algorithm %q (known: %v)", algo, algoNames)
 	}
 }

@@ -59,7 +59,7 @@ func TestRunAllAlgorithms(t *testing.T) {
 	sources := core.RandomSources(g, 8, 1)
 	opt := core.Options{Workers: 2}
 	for _, algo := range algoNames {
-		elapsed, _, err := run(algo, g, sources, opt, 2)
+		elapsed, err := run(algo, g, sources, opt, 2)
 		if err != nil {
 			t.Errorf("%s: %v", algo, err)
 			continue
@@ -68,7 +68,7 @@ func TestRunAllAlgorithms(t *testing.T) {
 			t.Errorf("%s: elapsed %v", algo, elapsed)
 		}
 	}
-	if _, _, err := run("quantum", g, sources, opt, 2); err == nil {
+	if _, err := run("quantum", g, sources, opt, 2); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -144,6 +145,40 @@ func TestFig7Shape(t *testing.T) {
 	}
 	if peak <= sum(res.Updated[1])*2 {
 		t.Logf("warning: hot-iteration pattern weak (peak %d vs iter2 %d)", peak, sum(res.Updated[1]))
+	}
+}
+
+// TestFig6Fig7PinnedCounts pins Figures 6 and 7 on quickCfg. Both run
+// with stealing off, so every worker's task set is fixed and the
+// per-worker scanned and updated counts repeat exactly per seed.
+func TestFig6Fig7PinnedCounts(t *testing.T) {
+	fig6, err := Fig6(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]int64{
+		"ordered": {25717, 20182, 17589, 15617, 13828, 12043, 10058, 5552},
+		"random":  {15545, 15667, 15493, 15486, 15317, 15290, 15275, 12513},
+		"striped": {15276, 15268, 15263, 15258, 15254, 15251, 15244, 13772},
+	} {
+		if got := fig6.PerWorker[name]; !slices.Equal(got, want) {
+			t.Errorf("Figure 6 %s: %v, want %v", name, got, want)
+		}
+	}
+	fig7, err := Fig7(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want7 := [][]int64{
+		{4, 3, 2, 3, 1, 2, 1, 0},
+		{58, 36, 36, 26, 23, 29, 21, 9},
+		{413, 363, 319, 300, 259, 238, 189, 127},
+		{546, 618, 661, 683, 720, 712, 748, 585},
+		{3, 4, 6, 11, 21, 43, 65, 111},
+		{0, 0, 0, 0, 0, 0, 0, 0},
+	}
+	if !slices.EqualFunc(fig7.Updated, want7, slices.Equal[[]int64]) {
+		t.Errorf("Figure 7 rows: %v, want %v", fig7.Updated, want7)
 	}
 }
 

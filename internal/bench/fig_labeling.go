@@ -8,7 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/label"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // labelingSchemes are the three vertex orders compared throughout
@@ -52,9 +52,9 @@ func Fig6(cfg Config) (Fig6Result, error) {
 		g := socialGraphFor(cfg, scheme, workers, split)
 		src := core.RandomSources(g, 1, cfg.seed())[0]
 		opt := core.Options{
-			Workers:         workers,
-			DisableStealing: true,
-			PerWorkerTiming: true,
+			Workers:          workers,
+			DisableStealing:  true,
+			CollectIterStats: true,
 			// One contiguous task per worker: the paper's Figure 6 gives
 			// worker i the i-th n/8th of the vertex range.
 			SplitSize: split,
@@ -67,7 +67,7 @@ func Fig6(cfg Config) (Fig6Result, error) {
 		r := core.SMSPBFS(g, src, core.BitState, opt)
 		per := make([]int64, workers)
 		for _, it := range r.Stats.Iterations {
-			for w, c := range it.ScannedPerWorker {
+			for w, c := range it.WorkerScanned {
 				per[w] += c
 			}
 		}
@@ -140,18 +140,16 @@ func Fig7(cfg Config) (Fig7Result, error) {
 	g := socialGraphFor(cfg, label.DegreeOrdered, workers, 512)
 	src := core.RandomSources(g, 1, cfg.seed())[0]
 	opt := core.Options{
-		Workers:         workers,
-		DisableStealing: true,
-		PerWorkerTiming: true,
-		SplitSize:       contiguousSplit(g.NumVertices(), workers),
-		Direction:       core.TopDownOnly,
+		Workers:          workers,
+		DisableStealing:  true,
+		CollectIterStats: true,
+		SplitSize:        contiguousSplit(g.NumVertices(), workers),
+		Direction:        core.TopDownOnly,
 	}
 	r := core.SMSPBFS(g, src, core.BitState, opt)
 	res := Fig7Result{Workers: workers}
 	for _, it := range r.Stats.Iterations {
-		row := make([]int64, workers)
-		copy(row, it.UpdatedPerWorker)
-		res.Updated = append(res.Updated, row)
+		res.Updated = append(res.Updated, it.WorkerUpdated)
 	}
 	return res, nil
 }
@@ -210,7 +208,7 @@ func Fig8(cfg Config) (Fig8Result, error) {
 		g, _ := label.Apply(kronecker(scale, cfg.seed()), scheme,
 			label.Params{Workers: workers, TaskSize: 512, Seed: cfg.seed()})
 		sources := core.RandomSources(g, numSources, cfg.seed()+1)
-		opt := core.Options{Workers: workers, PerWorkerTiming: true}
+		opt := core.Options{Workers: workers, CollectIterStats: true}
 
 		ms := core.MSPBFS(g, sources, opt)
 		res.Series = append(res.Series, summarizeIters("MS-PBFS", scheme.String(), ms.Stats.Iterations, ms.Stats.Elapsed))
@@ -221,7 +219,7 @@ func Fig8(cfg Config) (Fig8Result, error) {
 	return res, nil
 }
 
-func summarizeIters(algo, labeling string, iters []metrics.IterationStat, total time.Duration) LabelingSeries {
+func summarizeIters(algo, labeling string, iters []obs.IterationRecord, total time.Duration) LabelingSeries {
 	s := LabelingSeries{
 		Algorithm:   algo,
 		Labeling:    labeling,

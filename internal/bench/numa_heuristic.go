@@ -76,7 +76,7 @@ func (k numaKernel) accesses(tv obs.Traversal) (local, remote int64, err error) 
 			remote += stolen * unit
 			continue
 		}
-		local += it.Scanned + it.MergeWords
+		local += it.ScannedEdges + it.MergeWords
 		remote += it.MergeWords
 		stolen := (it.Steals() - it.ScatterSteals) * int64(k.split)
 		local += int64(k.n) - stolen

@@ -24,7 +24,7 @@ func TestNUMAAccessesModel(t *testing.T) {
 			// resolve: 3 steals, 1 of them in the scatter, so 2 stolen
 			// tasks.
 			name: "top-down applies on both owners with resolve steals", k: ms,
-			it: obs.IterationRecord{Scanned: 100, MergeWords: 8, WorkerMergeWords: []int64{3, 5},
+			it: obs.IterationRecord{ScannedEdges: 100, MergeWords: 8, WorkerMergeWords: []int64{3, 5},
 				WorkerTasks: []int64{25, 25}, WorkerSteals: []int64{2, 1}, ScatterSteals: 1},
 			local: 100 + 8 + 8192 - 2*512, remote: 8 + 2*512,
 		},
@@ -40,7 +40,7 @@ func TestNUMAAccessesModel(t *testing.T) {
 		},
 		{
 			name: "scatter-only steals stay local", k: ms,
-			it: obs.IterationRecord{Scanned: 40, WorkerMergeWords: []int64{0, 0},
+			it: obs.IterationRecord{ScannedEdges: 40, WorkerMergeWords: []int64{0, 0},
 				WorkerTasks: []int64{25, 25}, WorkerSteals: []int64{1, 1}, ScatterSteals: 2},
 			local: 40 + 8192,
 		},

@@ -450,7 +450,7 @@ func TestClusterExchangeCounts(t *testing.T) {
 				}
 				shardRecords++
 				for _, it := range tv.Iterations {
-					scanned += it.Scanned
+					scanned += it.ScannedEdges
 				}
 			}
 			if shardRecords != tc.shards {

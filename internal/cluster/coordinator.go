@@ -331,8 +331,8 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 		tv.Record(obs.IterationRecord{
 			Iteration:        level,
 			Reason:           "cluster/1d-exchange",
-			Frontier:         frontier,
-			Next:             totalNext,
+			FrontierVertices: frontier,
+			UpdatedStates:    totalNext,
 			Visited:          visited,
 			Duration:         time.Since(iterStart),
 			ExchangeBytes:    sentSum.Load(),

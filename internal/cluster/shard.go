@@ -483,9 +483,9 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 		q.tv.Record(obs.IterationRecord{
 			Iteration:        level,
 			Reason:           "cluster/shard-step",
-			Frontier:         frontier,
-			Next:             next,
-			Scanned:          scanned,
+			FrontierVertices: frontier,
+			UpdatedStates:    next,
+			ScannedEdges:     scanned,
 			Duration:         x.mark.Sub(x.start),
 			ExchangeBytes:    x.sent,
 			ExchangeRawBytes: x.raw,

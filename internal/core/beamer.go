@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // BeamerVariant selects one of the three sequential direction-optimizing
@@ -196,9 +197,18 @@ func Beamer(g *graph.Graph, source int, variant BeamerVariant, opt Options) *Res
 		if dir.unexploredEdges < 0 {
 			dir.unexploredEdges = 0
 		}
-		rec.noteHeuristic(dir.frontEdges, dir.unexploredEdges)
-		rec.record(int(depth), time.Since(iterStart), nil,
-			dir.frontVertices, updated, scanned, visited, bottomUp, dirReason, nil, nil)
+		rec.record(obs.IterationRecord{
+			Iteration:        int(depth),
+			BottomUp:         bottomUp,
+			Reason:           dirReason,
+			FrontierVertices: dir.frontVertices,
+			UpdatedStates:    updated,
+			ScannedEdges:     scanned,
+			Visited:          visited,
+			Duration:         time.Since(iterStart),
+			FrontierEdges:    dir.frontEdges,
+			UnexploredEdges:  dir.unexploredEdges,
+		})
 	}
 
 	rec.finish()

@@ -76,11 +76,12 @@ type Options struct {
 	// Memory cost is sources x vertices x 4 bytes; intended for
 	// correctness tests and applications, not throughput benchmarks.
 	RecordLevels bool
-	// CollectIterStats gathers per-iteration metrics.IterationStat.
+	// CollectIterStats returns one obs.IterationRecord per BFS level in
+	// Result.Stats.Iterations, the same value a Tracer's flight record
+	// gets: direction, counts, wall time and, for the pool-driven kernels,
+	// per-worker tasks, steals, busy time, scanned edges, updated states
+	// and applied inbox entries.
 	CollectIterStats bool
-	// PerWorkerTiming additionally records per-worker busy time per
-	// iteration (implies CollectIterStats for the timed data to land).
-	PerWorkerTiming bool
 	// DisableStealing runs every parallel loop with static partitioning
 	// (each worker only processes its own queue). Used by the labeling
 	// skew experiments (Figures 6, 7).
@@ -177,8 +178,6 @@ func (o Options) beta() float64 {
 	return o.Beta
 }
 
-func (o Options) collectStats() bool { return o.CollectIterStats || o.PerWorkerTiming }
-
 // engine resolves the run's execution substrate: the explicitly wired
 // engine, or the shared package default.
 func (o Options) engine() *Engine {
@@ -266,31 +265,49 @@ func resetCounters(cs []padCounter) {
 	}
 }
 
-// iterRecorder centralizes the optional per-iteration instrumentation
-// shared by all parallel algorithms: metrics.IterationStat collection
-// (Options.CollectIterStats) and the obs flight record (Options.Tracer).
-// Both are off in the zero value and each gates itself, so kernels call
-// record unconditionally on every iteration.
+// iterRecorder hands each level's one obs.IterationRecord to the run's two
+// sinks: the stats it returns in Result.Stats.Iterations
+// (Options.CollectIterStats) and the flight record (Options.Tracer). Both
+// are off in the zero value, and record is then a no-op; levelStep, whose
+// record copies per-worker counters out, builds it only when on reports a
+// sink, so the untraced, stats-off path pays one test per level.
 type iterRecorder struct {
-	opt   Options
-	stats []metrics.IterationStat
+	collect bool
+	stats   []obs.IterationRecord
+	// tr is the open flight record and eng the engine whose arena deltas
+	// it stamps (both nil when tracing is off).
+	tr  *obs.Traversal
+	eng *Engine
 
-	// tr is the open flight record (nil when tracing is off). pool and
-	// the prev* snapshots turn the pool's cumulative task/steal counters
-	// into per-iteration deltas.
-	tr                    *obs.Traversal
+	// pool and the prev* snapshots turn the pool's cumulative per-worker
+	// counters into per-level deltas; scatterSteals is the one mid-level
+	// snapshot (noteScatter). pool is nil when no sink is on.
 	pool                  *sched.Pool
 	prevTasks, prevSteals []int64
-
-	// pend* carry the scatter/apply and direction-heuristic extras the
-	// kernels supply via noteScatter/noteApply/noteHeuristic between
-	// phases and iterations; record consumes and clears them.
-	pendScatterSteals int64
-	pendMergeWords    int64
-	pendWorkerMerge   []int64
-	pendFrontEdges    int64
-	pendUnexplored    int64
+	prevBusy              []time.Duration
+	scatterSteals         int64
 }
+
+// newIterRecorder opens the per-traversal instrumentation. algo and
+// sources label the flight record; pool, when non-nil, contributes the
+// per-worker task, steal and busy-time deltas of every level.
+func newIterRecorder(opt Options, algo string, sources int, pool *sched.Pool) iterRecorder {
+	r := iterRecorder{collect: opt.CollectIterStats}
+	if opt.Tracer != nil {
+		r.tr, r.eng = opt.Tracer.StartTraversal(algo, sources), opt.engine()
+		r.tr.SetArenaBase(r.eng.arenaCounters())
+	}
+	if pool != nil && r.on() {
+		r.pool = pool
+		r.prevTasks = pool.TaskCounts(nil)
+		r.prevSteals = pool.StealCounts(nil)
+		r.prevBusy = pool.Busy()
+	}
+	return r
+}
+
+// on reports whether any sink takes this run's records.
+func (r *iterRecorder) on() bool { return r.collect || r.tr != nil }
 
 // noteScatter takes the steals made so far in the level. Called between a
 // top-down level's scatter and apply phases, that is the scatter's share of
@@ -298,109 +315,35 @@ type iterRecorder struct {
 // (its writes land in the thief's own stripe and inbox) from a stolen
 // resolve task.
 func (r *iterRecorder) noteScatter() {
-	if r.tr == nil || r.pool == nil {
+	if r.pool == nil {
 		return
 	}
-	var steals int64
-	for _, c := range r.pool.StealCounts(nil) {
-		steals += c
-	}
-	for _, c := range r.prevSteals {
-		steals -= c
-	}
-	r.pendScatterSteals = steals
+	r.scatterSteals = sumInt64(r.pool.StealCounts(nil)) - sumInt64(r.prevSteals)
 }
 
-// noteApply takes the per-owner counts of inbox entries applied this level
-// (reset with the other per-level counters) into the next record call.
-func (r *iterRecorder) noteApply(applied []padCounter) {
-	if r.tr == nil {
+// record completes a level's record with the pool's per-worker deltas and
+// hands it to both sinks. A no-op when no sink is on.
+func (r *iterRecorder) record(rec obs.IterationRecord) {
+	if !r.on() {
 		return
 	}
-	r.pendWorkerMerge = counterValues(applied)
-	r.pendMergeWords = sumCounters(applied)
-}
-
-// noteHeuristic supplies the direction heuristic's edge-side inputs (the
-// vertex side rides in record's frontier argument) so the flight record
-// pins the full decideDirection input vector per iteration.
-func (r *iterRecorder) noteHeuristic(frontEdges, unexplored int64) {
-	if r.tr == nil {
-		return
+	if r.pool != nil {
+		rec.WorkerTasks = deltaSince(r.pool.TaskCounts(nil), r.prevTasks)
+		rec.WorkerSteals = deltaSince(r.pool.StealCounts(nil), r.prevSteals)
+		rec.WorkerBusy = deltaSince(r.pool.Busy(), r.prevBusy)
+		rec.ScatterSteals, r.scatterSteals = r.scatterSteals, 0
 	}
-	r.pendFrontEdges, r.pendUnexplored = frontEdges, unexplored
-}
-
-// newIterRecorder opens the per-traversal instrumentation. algo and
-// sources label the flight record; pool, when non-nil, contributes
-// per-worker task/steal deltas per iteration. With a nil Options.Tracer
-// this is exactly the old zero-value recorder.
-func newIterRecorder(opt Options, algo string, sources int, pool *sched.Pool) iterRecorder {
-	r := iterRecorder{opt: opt}
-	if opt.Tracer != nil {
-		r.tr = opt.Tracer.StartTraversal(algo, sources)
-		r.tr.SetArenaBase(opt.engine().arenaCounters())
-		if pool != nil {
-			r.pool = pool
-			r.prevTasks = pool.TaskCounts(nil)
-			r.prevSteals = pool.StealCounts(nil)
-		}
+	if r.collect {
+		r.stats = append(r.stats, rec)
 	}
-	return r
-}
-
-// record appends one iteration's stats. The per-worker counters come in
-// as the raw padded arrays so the (allocating) []int64 snapshots are only
-// taken when stat collection is actually on — the kernels call record on
-// every iteration, stats or not.
-func (r *iterRecorder) record(iter int, dur time.Duration, busy []time.Duration,
-	frontier, updated, scanned, visited int64, bottomUp bool, reason string,
-	scannedC, updatedC []padCounter) {
-	if r.tr != nil {
-		rec := obs.IterationRecord{
-			Iteration: iter,
-			BottomUp:  bottomUp,
-			Reason:    reason,
-			Frontier:  frontier,
-			Next:      updated,
-			Scanned:   scanned,
-			Visited:   visited,
-			Duration:  dur,
-		}
-		if r.pool != nil {
-			rec.WorkerTasks = deltaSince(r.pool.TaskCounts(nil), r.prevTasks)
-			rec.WorkerSteals = deltaSince(r.pool.StealCounts(nil), r.prevSteals)
-		}
-		rec.FrontierEdges, rec.UnexploredEdges = r.pendFrontEdges, r.pendUnexplored
-		rec.MergeWords, rec.WorkerMergeWords = r.pendMergeWords, r.pendWorkerMerge
-		rec.ScatterSteals = r.pendScatterSteals
-		r.pendMergeWords, r.pendWorkerMerge, r.pendScatterSteals = 0, nil, 0
-		r.tr.Record(rec)
-	}
-	if !r.opt.collectStats() {
-		return
-	}
-	st := metrics.IterationStat{
-		Iteration:        iter,
-		Duration:         dur,
-		FrontierVertices: frontier,
-		UpdatedStates:    updated,
-		ScannedEdges:     scanned,
-		BottomUp:         bottomUp,
-	}
-	if r.opt.PerWorkerTiming {
-		st.WorkerBusy = busy
-		st.ScannedPerWorker = counterValues(scannedC)
-		st.UpdatedPerWorker = counterValues(updatedC)
-	}
-	r.stats = append(r.stats, st)
+	r.tr.Record(rec)
 }
 
 // finish closes the flight record, stamping the traversal's arena
 // hit/miss deltas. Kernels call it once after the BFS loop.
 func (r *iterRecorder) finish() {
 	if r.tr != nil {
-		hits, misses := r.opt.engine().arenaCounters()
+		hits, misses := r.eng.arenaCounters()
 		r.tr.Finish(hits, misses)
 	}
 }
@@ -408,11 +351,19 @@ func (r *iterRecorder) finish() {
 // deltaSince turns cur, a fresh cumulative snapshot from the pool accessors,
 // into cur-prev in place and advances prev to the snapshot, so prev stays
 // cumulative from one iteration to the next.
-func deltaSince(cur, prev []int64) []int64 {
+func deltaSince[T int64 | time.Duration](cur, prev []T) []T {
 	for i, c := range cur {
 		cur[i], prev[i] = c-prev[i], c
 	}
 	return cur
+}
+
+func sumInt64(xs []int64) int64 {
+	var s int64
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }
 
 // requireNoOverlay rejects a dyngraph overlay on kernels without fused

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // IBFS is a CPU adaptation of the iBFS algorithm (Liu et al., SIGMOD 2016),
@@ -215,8 +216,15 @@ func ibfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *E
 		}
 
 		visited += updated
-		rec.record(int(depth), time.Since(iterStart), nil,
-			int64(len(jfq)), updated, sumCounters(scn), visited, false, dirTopDownKernel, nil, nil)
+		rec.record(obs.IterationRecord{
+			Iteration:        int(depth),
+			Reason:           dirTopDownKernel,
+			FrontierVertices: int64(len(jfq)),
+			UpdatedStates:    updated,
+			ScannedEdges:     sumCounters(scn),
+			Visited:          visited,
+			Duration:         time.Since(iterStart),
+		})
 	}
 
 	rec.finish()

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/numa"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -212,15 +213,11 @@ func (ls *levelStep) level(exchange func(next []uint64) error) error {
 	resetCounters(ls.applied)
 
 	steal := !opt.DisableStealing
-	var busy []time.Duration
 	if ls.bottomUp {
 		ls.tq.Reset()
-		busy = ls.runPhase(ls.tq, steal, ls.bottomUpBody)
-	} else {
-		var err error
-		if busy, err = ls.topDown(steal, exchange); err != nil {
-			return err
-		}
+		ls.runPhase(ls.tq, steal, ls.bottomUpBody)
+	} else if err := ls.topDown(steal, exchange); err != nil {
+		return err
 	}
 	ls.endLevel()
 	if debugInvariants && !ls.inboxesEmpty() {
@@ -230,11 +227,24 @@ func (ls *levelStep) level(exchange func(next []uint64) error) error {
 	updated := sumCounters(ls.updated)
 	ls.visited += updated
 
-	ls.rec.noteApply(ls.applied)
-	ls.rec.noteHeuristic(dir.frontEdges, dir.unexploredEdges)
-	ls.rec.record(int(ls.phDepth), time.Since(iterStart), busy,
-		dir.frontVertices, updated, sumCounters(ls.scanned), ls.visited, ls.bottomUp, dirReason,
-		ls.scanned, ls.updated)
+	if ls.rec.on() {
+		ls.rec.record(obs.IterationRecord{
+			Iteration:        int(ls.phDepth),
+			BottomUp:         ls.bottomUp,
+			Reason:           dirReason,
+			FrontierVertices: dir.frontVertices,
+			UpdatedStates:    updated,
+			ScannedEdges:     sumCounters(ls.scanned),
+			Visited:          ls.visited,
+			Duration:         time.Since(iterStart),
+			WorkerScanned:    counterValues(ls.scanned),
+			WorkerUpdated:    counterValues(ls.updated),
+			FrontierEdges:    dir.frontEdges,
+			UnexploredEdges:  dir.unexploredEdges,
+			MergeWords:       sumCounters(ls.applied),
+			WorkerMergeWords: counterValues(ls.applied),
+		})
+	}
 	return nil
 }
 
@@ -244,48 +254,31 @@ func (ls *levelStep) level(exchange func(next []uint64) error) error {
 // the single-writer resolve sweep. The scatter and the apply write only the
 // running worker's stripe, the exchange runs between barriers on the
 // coordinating goroutine, and resolve touches each vertex from exactly one
-// worker, so no phase needs an atomic. Between scatter and apply, a traced
-// run notes the scatter's steals.
-func (ls *levelStep) topDown(steal bool, exchange func(next []uint64) error) ([]time.Duration, error) {
+// worker, so no phase needs an atomic. Between scatter and apply, a
+// recording run notes the scatter's steals.
+func (ls *levelStep) topDown(steal bool, exchange func(next []uint64) error) error {
 	ls.tq.Reset()
-	busy := ls.runPhase(ls.tq, steal, ls.scatterBody)
+	ls.runPhase(ls.tq, steal, ls.scatterBody)
 	ls.rec.noteScatter()
 	if ls.applyTq != nil {
 		ls.applyTq.Reset()
-		busy = sumBusy(busy, ls.runPhase(ls.applyTq, false, ls.applyBody))
+		ls.runPhase(ls.applyTq, false, ls.applyBody)
 	}
 	if exchange != nil {
 		if err := exchange(ls.phCanon); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	ls.tq.Reset()
-	return sumBusy(busy, ls.runPhase(ls.tq, steal, ls.resolveBody)), nil
+	ls.runPhase(ls.tq, steal, ls.resolveBody)
+	return nil
 }
 
-// runPhase executes one parallel loop, with or without per-worker timing.
-func (ls *levelStep) runPhase(tq *sched.TaskQueues, steal bool, body func(workerID int, r sched.Range)) []time.Duration {
-	if ls.opt.PerWorkerTiming {
-		return ls.pool.ParallelForTimed(tq, steal, body)
-	}
+// runPhase executes one parallel loop, with or without stealing.
+func (ls *levelStep) runPhase(tq *sched.TaskQueues, steal bool, body func(workerID int, r sched.Range)) {
 	if steal {
 		ls.pool.ParallelFor(tq, body)
 	} else {
 		ls.pool.ParallelForStatic(tq, body)
 	}
-	return nil
-}
-
-func sumBusy(a, b []time.Duration) []time.Duration {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := make([]time.Duration, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
 }

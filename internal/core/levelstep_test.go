@@ -6,17 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
-
-func singleTraversal(t *testing.T, tr *obs.Tracer) []obs.IterationRecord {
-	t.Helper()
-	snap := tr.Snapshot()
-	if len(snap.Traversals) != 1 {
-		t.Fatalf("got %d traversals, want 1", len(snap.Traversals))
-	}
-	return snap.Traversals[0].Iterations
-}
 
 // TestSMSPBFSIsMSPBFSAtK1 pins the paper's derivation (Section 3.2) as a
 // property of the shared level-step driver: a one-source MS-PBFS batch and
@@ -40,48 +30,37 @@ func TestSMSPBFSIsMSPBFSAtK1(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				opt := func(tr *obs.Tracer) Options {
-					return Options{Workers: workers, BatchWords: 1, Direction: Auto,
-						RecordLevels: true, CollectIterStats: true, Tracer: tr, Overlay: tc.ov}
-				}
-				msTr := obs.NewTracer()
-				ms := MSPBFS(tc.g, []int{tc.source}, opt(msTr))
-				// Two recorders, one sequence: the IterationStat stream carries
-				// direction, frontier and updated; the flight record adds the
-				// reason and the visited count.
-				wantStats, wantIters := ms.Stats.Iterations, singleTraversal(t, msTr)
+				opt := Options{Workers: workers, BatchWords: 1, Direction: Auto,
+					RecordLevels: true, CollectIterStats: true, Overlay: tc.ov}
+				ms := MSPBFS(tc.g, []int{tc.source}, opt)
+				want := ms.Stats.Iterations
 
 				sawBottomUp := false
-				for _, st := range wantStats {
-					sawBottomUp = sawBottomUp || st.BottomUp
+				for _, it := range want {
+					sawBottomUp = sawBottomUp || it.BottomUp
 				}
 				if !sawBottomUp {
 					t.Fatalf("workload never switched bottom-up; the equivalence proved nothing about the switch points")
 				}
 
 				for _, repr := range []StateRepr{BitState, ByteState} {
-					smsTr := obs.NewTracer()
-					sms := SMSPBFS(tc.g, tc.source, repr, opt(smsTr))
-					gotStats, gotIters := sms.Stats.Iterations, singleTraversal(t, smsTr)
+					sms := SMSPBFS(tc.g, tc.source, repr, opt)
+					got := sms.Stats.Iterations
 
 					levelsEqual(t, "SMS-PBFS/"+repr.String()+" vs MS-PBFS k=1", sms.Levels, ms.Levels[0])
 					if sms.VisitedVertices != ms.VisitedStates {
 						t.Errorf("%s: visited %d, MS-PBFS %d", repr, sms.VisitedVertices, ms.VisitedStates)
 					}
-					if len(gotStats) != len(wantStats) || len(gotIters) != len(wantIters) {
-						t.Fatalf("%s: %d/%d iterations, MS-PBFS %d/%d", repr,
-							len(gotStats), len(gotIters), len(wantStats), len(wantIters))
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d iterations, MS-PBFS %d", repr, len(got), len(want))
 					}
-					for i := range wantStats {
-						g, w := gotStats[i], wantStats[i]
-						if g.BottomUp != w.BottomUp || g.FrontierVertices != w.FrontierVertices || g.UpdatedStates != w.UpdatedStates {
-							t.Errorf("%s iteration %d: (bottomUp %v, frontier %d, updated %d), MS-PBFS (%v, %d, %d)", repr, i+1,
-								g.BottomUp, g.FrontierVertices, g.UpdatedStates, w.BottomUp, w.FrontierVertices, w.UpdatedStates)
-						}
-						gi, wi := gotIters[i], wantIters[i]
-						if gi.Reason != wi.Reason || gi.Visited != wi.Visited {
-							t.Errorf("%s iteration %d: (reason %q, visited %d), MS-PBFS (%q, %d)", repr, i+1,
-								gi.Reason, gi.Visited, wi.Reason, wi.Visited)
+					for i := range want {
+						g, w := got[i], want[i]
+						if g.BottomUp != w.BottomUp || g.Reason != w.Reason || g.FrontierVertices != w.FrontierVertices ||
+							g.UpdatedStates != w.UpdatedStates || g.Visited != w.Visited {
+							t.Errorf("%s iteration %d: (bottomUp %v, reason %q, frontier %d, updated %d, visited %d), MS-PBFS (%v, %q, %d, %d, %d)",
+								repr, i+1, g.BottomUp, g.Reason, g.FrontierVertices, g.UpdatedStates, g.Visited,
+								w.BottomUp, w.Reason, w.FrontierVertices, w.UpdatedStates, w.Visited)
 						}
 					}
 				}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // MSBFS is the sequential multi-source BFS of Then et al. (VLDB 2015),
@@ -329,8 +330,16 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 		// Shrink the active mask to BFSs that still have a frontier (same
 		// refinement as MS-PBFS; see the liveBits comment there).
 		copy(activeMask, live)
-		rec.record(int(depth), time.Since(iterStart), nil,
-			frontVertices, updated, scanned, visited, bottomUp, dirReason, nil, nil)
+		rec.record(obs.IterationRecord{
+			Iteration:        int(depth),
+			BottomUp:         bottomUp,
+			Reason:           dirReason,
+			FrontierVertices: frontVertices,
+			UpdatedStates:    updated,
+			ScannedEdges:     scanned,
+			Visited:          visited,
+			Duration:         time.Since(iterStart),
+		})
 		nextDirty = bottomUp // bottom-up leaves the old frontier uncleared
 		frontier, next = next, frontier
 	}

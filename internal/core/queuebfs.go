@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // QueueBFS is a parallel single-source BFS in the style of Yasui et al. and
@@ -161,8 +162,16 @@ func QueueBFS(g *graph.Graph, source int, opt Options) *Result {
 		if unexploredEdges < 0 {
 			unexploredEdges = 0
 		}
-		rec.record(int(depth), time.Since(iterStart), nil,
-			frontVertices, updated, scanned, visited, bottomUp, dirReason, nil, nil)
+		rec.record(obs.IterationRecord{
+			Iteration:        int(depth),
+			BottomUp:         bottomUp,
+			Reason:           dirReason,
+			FrontierVertices: frontVertices,
+			UpdatedStates:    updated,
+			ScannedEdges:     scanned,
+			Visited:          visited,
+			Duration:         time.Since(iterStart),
+		})
 	}
 
 	rec.finish()

@@ -191,20 +191,16 @@ func TestSegmentedRelabelingMetamorphic(t *testing.T) {
 	}
 }
 
-// dirInputRecords runs a traced Auto MS-PBFS and returns the per-iteration
-// flight records carrying the decideDirection input vector.
-func dirInputRecords(t *testing.T, g *graph.Graph, sources []int, ov *graph.Overlay) []obs.IterationRecord {
-	t.Helper()
-	tr := obs.NewTracer()
-	MSPBFS(g, sources, Options{
+// dirInputRecords runs an Auto MS-PBFS and returns its per-iteration
+// records carrying the decideDirection input vector.
+func dirInputRecords(g *graph.Graph, sources []int, ov *graph.Overlay) []obs.IterationRecord {
+	return MSPBFS(g, sources, Options{
 		Workers:          3,
 		BatchWords:       1,
 		Direction:        Auto,
 		CollectIterStats: true,
-		Tracer:           tr,
 		Overlay:          ov,
-	})
-	return singleTraversal(t, tr)
+	}).Stats.Iterations
 }
 
 // TestDirectionInputsFusedVsCompacted pins the direction heuristic's full
@@ -219,8 +215,8 @@ func TestDirectionInputsFusedVsCompacted(t *testing.T) {
 	base, ov, compacted := splitGraphOverlay(900, 3600, 4242)
 	sources := []int{0, 7, 99, 500, 899, 123, 321, 650}
 
-	fused := dirInputRecords(t, base, sources, ov)
-	plain := dirInputRecords(t, compacted, sources, nil)
+	fused := dirInputRecords(base, sources, ov)
+	plain := dirInputRecords(compacted, sources, nil)
 
 	if len(fused) != len(plain) {
 		t.Fatalf("iteration counts diverge: fused %d, compacted %d", len(fused), len(plain))
@@ -232,11 +228,11 @@ func TestDirectionInputsFusedVsCompacted(t *testing.T) {
 			t.Errorf("iteration %d: direction %v(%q) fused vs %v(%q) compacted",
 				i+1, f.BottomUp, f.Reason, p.BottomUp, p.Reason)
 		}
-		if f.Frontier != p.Frontier || f.FrontierEdges != p.FrontierEdges ||
+		if f.FrontierVertices != p.FrontierVertices || f.FrontierEdges != p.FrontierEdges ||
 			f.UnexploredEdges != p.UnexploredEdges {
 			t.Errorf("iteration %d: heuristic inputs diverge: fused (%d,%d,%d) vs compacted (%d,%d,%d)",
-				i+1, f.Frontier, f.FrontierEdges, f.UnexploredEdges,
-				p.Frontier, p.FrontierEdges, p.UnexploredEdges)
+				i+1, f.FrontierVertices, f.FrontierEdges, f.UnexploredEdges,
+				p.FrontierVertices, p.FrontierEdges, p.UnexploredEdges)
 		}
 		sawBottomUp = sawBottomUp || f.BottomUp
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestRunSummary(t *testing.T) {
@@ -12,7 +14,7 @@ func TestRunSummary(t *testing.T) {
 		Elapsed:        2 * time.Second,
 		TraversedEdges: 4e9,
 		Sources:        64,
-		Iterations:     []IterationStat{{Iteration: 1}, {Iteration: 2}},
+		Iterations:     []obs.IterationRecord{{Iteration: 1}, {Iteration: 2}},
 	}
 	s := r.Summary()
 	if s.ElapsedNs != int64(2*time.Second) || s.TraversedEdges != 4e9 ||

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 func TestEdgeCounter(t *testing.T) {
@@ -33,21 +34,6 @@ func TestGTEPS(t *testing.T) {
 	}
 }
 
-func TestIterationStatSkew(t *testing.T) {
-	st := IterationStat{WorkerBusy: []time.Duration{10 * time.Millisecond, 40 * time.Millisecond}}
-	if got := st.Skew(); math.Abs(got-4.0) > 1e-9 {
-		t.Errorf("Skew = %v, want 4", got)
-	}
-	if (IterationStat{}).Skew() != 1 {
-		t.Error("Skew without worker data should be 1")
-	}
-	// An idle worker is clamped, not a division by zero.
-	idle := IterationStat{WorkerBusy: []time.Duration{0, time.Second}}
-	if s := idle.Skew(); math.IsInf(s, 0) || s <= 1 {
-		t.Errorf("idle-worker skew = %v", s)
-	}
-}
-
 func TestUtilization(t *testing.T) {
 	busy := []time.Duration{time.Second, time.Second}
 	if got := Utilization(busy, time.Second); math.Abs(got-1.0) > 1e-9 {
@@ -68,7 +54,7 @@ func TestUtilization(t *testing.T) {
 func TestRunStatMergeAndString(t *testing.T) {
 	a := RunStat{Elapsed: time.Second, TraversedEdges: 100, Sources: 1}
 	b := RunStat{Elapsed: time.Second, TraversedEdges: 200, Sources: 2,
-		Iterations: []IterationStat{{Iteration: 1}}}
+		Iterations: []obs.IterationRecord{{Iteration: 1}}}
 	a.Merge(b)
 	if a.Elapsed != 2*time.Second || a.TraversedEdges != 300 || a.Sources != 3 {
 		t.Errorf("Merge result: %+v", a)

@@ -64,7 +64,7 @@ func writeTraversalText(w io.Writer, tv *Traversal) error {
 	for _, it := range tv.Iterations {
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%d\t%d\t%d\t%d\t%s\t%d\t%d\t",
 			it.Iteration, it.Direction(), it.Reason,
-			it.Frontier, it.Next, it.Scanned, it.Visited,
+			it.FrontierVertices, it.UpdatedStates, it.ScannedEdges, it.Visited,
 			fmtDur(it.Duration), it.Tasks(), it.Steals())
 		if merged {
 			fmt.Fprintf(tw, "%d\t", it.MergeWords)
@@ -169,9 +169,9 @@ func appendTraversalEvents(events []chromeEvent, tv *Traversal, origin time.Time
 			"iteration": it.Iteration,
 			"direction": it.Direction(),
 			"reason":    it.Reason,
-			"frontier":  it.Frontier,
-			"next":      it.Next,
-			"scanned":   it.Scanned,
+			"frontier":  it.FrontierVertices,
+			"next":      it.UpdatedStates,
+			"scanned":   it.ScannedEdges,
 			"visited":   it.Visited,
 		}
 		if it.WorkerTasks != nil {

@@ -20,6 +20,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -32,10 +33,13 @@ const (
 	DefaultMaxSpans      = 1024
 )
 
-// IterationRecord is one BFS iteration's flight-record entry. All counts
-// are in (vertex, source) states for multi-source kernels and plain
-// vertices for single-source ones — the same accounting the kernels'
-// IterationStat uses.
+// IterationRecord is one BFS iteration's record, the only per-level type:
+// a kernel builds it once per level and hands that one value to both
+// sinks, Result.Stats.Iterations (CollectIterStats) and the flight record
+// (Tracer). Counts are in (vertex, source) states for multi-source kernels
+// and plain vertices for single-source ones. The per-worker vectors have
+// one entry per worker of the run's pool and are nil for kernels without
+// one.
 type IterationRecord struct {
 	// Iteration is the BFS depth of this iteration (1-based, matching
 	// the level assigned to vertices discovered in it).
@@ -46,26 +50,37 @@ type IterationRecord struct {
 	// (one of the core package's decision constants, e.g.
 	// "frontier-edges>unexplored/alpha" at a top-down→bottom-up switch).
 	Reason string `json:"reason"`
-	// Frontier is the number of frontier states entering the iteration.
-	Frontier int64 `json:"frontier"`
-	// Next is the number of next-frontier states the iteration produced.
-	Next int64 `json:"next"`
-	// Scanned is the number of edges scanned.
-	Scanned int64 `json:"scanned"`
+	// FrontierVertices is the number of vertices in the frontier the
+	// iteration produced (multi-source: vertices with at least one BFS bit
+	// set), the direction heuristic's vertex input for the next iteration.
+	FrontierVertices int64 `json:"frontier"`
+	// UpdatedStates is the number of BFS states the iteration newly set.
+	UpdatedStates int64 `json:"next"`
+	// ScannedEdges is the number of neighbor entries examined.
+	ScannedEdges int64 `json:"scanned"`
 	// Visited is the cumulative number of visited states after the
 	// iteration completed.
 	Visited int64 `json:"visited"`
 	// Duration is the iteration's wall time.
 	Duration time.Duration `json:"duration_ns"`
-	// WorkerTasks and WorkerSteals are per-worker deltas over the
-	// iteration: tasks fetched, and of those, tasks stolen from another
-	// worker's queue. Nil when the kernel runs without a worker pool.
-	WorkerTasks  []int64 `json:"worker_tasks,omitempty"`
-	WorkerSteals []int64 `json:"worker_steals,omitempty"`
+	// WorkerTasks, WorkerSteals and WorkerBusy are per-worker deltas of
+	// the pool's cumulative counters over the iteration: tasks fetched, of
+	// those the tasks stolen from another worker's queue, and time spent
+	// inside parallel phases.
+	WorkerTasks  []int64         `json:"worker_tasks,omitempty"`
+	WorkerSteals []int64         `json:"worker_steals,omitempty"`
+	WorkerBusy   []time.Duration `json:"worker_busy_ns,omitempty"`
+	// WorkerScanned and WorkerUpdated break ScannedEdges and UpdatedStates
+	// down by worker (the visited neighbors of Figure 6 and the updated
+	// states of Figure 7). On a parallel top-down level a scanned entry
+	// counts for the worker that writes it, the owner of the neighbor's
+	// stripe.
+	WorkerScanned []int64 `json:"worker_scanned,omitempty"`
+	WorkerUpdated []int64 `json:"worker_updated,omitempty"`
 	// ScatterSteals is how many of the iteration's steals happened during
 	// a top-down level's scatter phase; the rest of Steals() fell in the
-	// resolve phase (the merge never steals). Zero for bottom-up levels and
-	// with stealing off.
+	// resolve phase (the apply runs static and never steals). Zero for
+	// bottom-up levels and with stealing off.
 	ScatterSteals int64 `json:"scatter_steals,omitempty"`
 	// ExchangeBytes and ExchangeRawBytes are set only by the cluster
 	// coordinator: the delta-frontier bytes actually sent between shards
@@ -75,11 +90,12 @@ type IterationRecord struct {
 	ExchangeBytes    int64 `json:"exchange_bytes,omitempty"`
 	ExchangeRawBytes int64 `json:"exchange_raw_bytes,omitempty"`
 	// FrontierEdges and UnexploredEdges are the direction heuristic's
-	// other two inputs (Frontier is the third): the out-degree sum of the
-	// frontier entering the iteration and the edges not yet claimed by any
-	// discovered vertex. Recording them pins the full decideDirection
-	// input vector per iteration, which is what the overlay-fusion
-	// equivalence tests diff between fused and compacted runs.
+	// other two inputs (FrontierVertices is the third): the out-degree sum
+	// of the frontier the iteration produced and the edges not yet claimed
+	// by any discovered vertex. Recording them pins the full
+	// decideDirection input vector per iteration, which is what the
+	// overlay-fusion equivalence tests diff between fused and compacted
+	// runs.
 	FrontierEdges   int64 `json:"frontier_edges,omitempty"`
 	UnexploredEdges int64 `json:"unexplored_edges,omitempty"`
 	// MergeWords and WorkerMergeWords describe the top-down apply: the
@@ -115,6 +131,19 @@ func (r IterationRecord) Tasks() int64 { return sumInt64(r.WorkerTasks) }
 
 // Steals sums the per-worker steal counts.
 func (r IterationRecord) Steals() int64 { return sumInt64(r.WorkerSteals) }
+
+// Skew returns the ratio of the longest to the shortest per-worker busy
+// time of the iteration, the quantity plotted in Figure 9, or 1 without
+// per-worker times. Busy times are clamped to a microsecond so an idle
+// worker shows up as large skew rather than a division by zero.
+func (r IterationRecord) Skew() float64 {
+	if len(r.WorkerBusy) == 0 {
+		return 1
+	}
+	const eps = time.Microsecond
+	lo, hi := max(slices.Min(r.WorkerBusy), eps), max(slices.Max(r.WorkerBusy), eps)
+	return float64(hi) / float64(lo)
+}
 
 func sumInt64(xs []int64) int64 {
 	var s int64

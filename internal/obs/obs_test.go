@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -15,14 +16,14 @@ func record(t *Tracer, algo string, iters int) {
 	tv.SetArenaBase(10, 2)
 	for i := 1; i <= iters; i++ {
 		tv.Record(IterationRecord{
-			Iteration: i,
-			BottomUp:  i%2 == 0,
-			Reason:    "top-down-steady",
-			Frontier:  int64(i * 10),
-			Next:      int64(i * 20),
-			Scanned:   int64(i * 100),
-			Visited:   int64(i * 30),
-			Duration:  time.Duration(i) * time.Millisecond,
+			Iteration:        i,
+			BottomUp:         i%2 == 0,
+			Reason:           "top-down-steady",
+			FrontierVertices: int64(i * 10),
+			UpdatedStates:    int64(i * 20),
+			ScannedEdges:     int64(i * 100),
+			Visited:          int64(i * 30),
+			Duration:         time.Duration(i) * time.Millisecond,
 		})
 	}
 	tv.Finish(13, 2)
@@ -45,6 +46,21 @@ func TestNilTracerIsFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-tracer path allocated %.0f times per op, want 0", allocs)
+	}
+}
+
+func TestIterationRecordSkew(t *testing.T) {
+	rec := IterationRecord{WorkerBusy: []time.Duration{10 * time.Millisecond, 40 * time.Millisecond}}
+	if got := rec.Skew(); math.Abs(got-4.0) > 1e-9 {
+		t.Errorf("Skew = %v, want 4", got)
+	}
+	if (IterationRecord{}).Skew() != 1 {
+		t.Error("Skew without worker data should be 1")
+	}
+	// An idle worker is clamped, not a division by zero.
+	idle := IterationRecord{WorkerBusy: []time.Duration{0, time.Second}}
+	if s := idle.Skew(); math.IsInf(s, 0) || s <= 1 {
+		t.Errorf("idle-worker skew = %v", s)
 	}
 }
 

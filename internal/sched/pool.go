@@ -18,10 +18,12 @@ type Pool struct {
 	wg      sync.WaitGroup
 
 	// busy accumulates per-worker busy time for the current measured
-	// window; guarded by timing channel handoff (written only by the
-	// owning worker between phases). Cells are cache-line padded: every
-	// worker bumps its slot once per phase, and on short phases the
-	// unpadded layout put up to eight workers' accumulators on one line.
+	// window (Figure 2's numerator; the kernels' per-level records take
+	// deltas of it); guarded by the phase handoff (written only by the
+	// owning worker during a phase, read by the driver between phases).
+	// Cells are cache-line padded: every worker bumps its slot once per
+	// phase, and on short phases the unpadded layout put up to eight
+	// workers' accumulators on one line.
 	busy []busyCell
 
 	// counts accumulates per-worker task/steal totals across phases.
@@ -60,12 +62,11 @@ type taskCounter struct {
 // phaseJob is one parallel phase: every worker runs the loop body over
 // fetched task ranges until the queues drain.
 type phaseJob struct {
-	tq      *TaskQueues
-	body    func(workerID int, r Range)
-	steal   bool
-	done    *sync.WaitGroup
-	timings []time.Duration // len == workers; each worker writes its slot
-	panics  chan any
+	tq     *TaskQueues
+	body   func(workerID int, r Range)
+	steal  bool
+	done   *sync.WaitGroup
+	panics chan any
 }
 
 // NewPool starts a pool with the given number of workers.
@@ -138,11 +139,7 @@ func (p *Pool) workerLoop(workerID int) {
 				}
 			}
 		}()
-		elapsed := time.Since(start)
-		p.busy[workerID].d += elapsed
-		if job.timings != nil {
-			job.timings[workerID] = elapsed //bfs:share-ok one write per worker per phase into a caller-visible result slice; padding would leak into ParallelForTimed's API
-		}
+		p.busy[workerID].d += time.Since(start)
 		job.done.Done()
 	}
 }
@@ -151,7 +148,7 @@ func (p *Pool) workerLoop(workerID int) {
 // queues. If any worker's body panicked, run re-panics the first panic in
 // the caller's goroutine so failures in parallel loops surface like
 // failures in sequential ones.
-func (p *Pool) run(tq *TaskQueues, steal bool, timings []time.Duration, body func(workerID int, r Range)) {
+func (p *Pool) run(tq *TaskQueues, steal bool, body func(workerID int, r Range)) {
 	if p.closed {
 		panic("sched: pool used after Close")
 	}
@@ -163,11 +160,11 @@ func (p *Pool) run(tq *TaskQueues, steal bool, timings []time.Duration, body fun
 		// smspbfs/bit outlier in the committed trajectory). Accounting is
 		// identical to the worker path: busy time, task/steal counters, and
 		// the panic wrapper all behave as if worker 0 ran the phase.
-		p.runSolo(tq, timings, body)
+		p.runSolo(tq, body)
 		return
 	}
 	p.done.Add(p.workers)
-	job := phaseJob{tq: tq, body: body, steal: steal, done: &p.done, timings: timings, panics: p.panics}
+	job := phaseJob{tq: tq, body: body, steal: steal, done: &p.done, panics: p.panics}
 	for w := 0; w < p.workers; w++ {
 		p.jobs[w] <- job
 	}
@@ -182,7 +179,7 @@ func (p *Pool) run(tq *TaskQueues, steal bool, timings []time.Duration, body fun
 // runSolo executes one phase inline on the caller's goroutine. It uses the
 // general Fetch path so a multi-queue layout (stripe tasks) still drains
 // completely, and mirrors the worker loop's accounting and panic wrapping.
-func (p *Pool) runSolo(tq *TaskQueues, timings []time.Duration, body func(workerID int, r Range)) {
+func (p *Pool) runSolo(tq *TaskQueues, body func(workerID int, r Range)) {
 	start := time.Now()
 	func() {
 		defer func() {
@@ -206,33 +203,20 @@ func (p *Pool) runSolo(tq *TaskQueues, timings []time.Duration, body func(worker
 			body(0, rg)
 		}
 	}()
-	elapsed := time.Since(start)
-	p.busy[0].d += elapsed
-	if timings != nil {
-		timings[0] = elapsed
-	}
+	p.busy[0].d += time.Since(start)
 }
 
 // ParallelFor runs body over all vertex ranges of tq with work stealing.
 // The queues' cursors are consumed; call tq.Reset to reuse the layout.
 func (p *Pool) ParallelFor(tq *TaskQueues, body func(workerID int, r Range)) {
-	p.run(tq, true, nil, body)
+	p.run(tq, true, body)
 }
 
 // ParallelForStatic runs body with stealing disabled: every worker
 // processes exactly its own queue. Used for NUMA-deterministic
 // initialization and the static-partitioning experiments.
 func (p *Pool) ParallelForStatic(tq *TaskQueues, body func(workerID int, r Range)) {
-	p.run(tq, false, nil, body)
-}
-
-// ParallelForTimed is ParallelFor that additionally reports each worker's
-// busy time for this phase (used by the skew and utilization experiments).
-// The returned slice has one entry per worker.
-func (p *Pool) ParallelForTimed(tq *TaskQueues, steal bool, body func(workerID int, r Range)) []time.Duration {
-	timings := make([]time.Duration, p.workers)
-	p.run(tq, steal, timings, body)
-	return timings
+	p.run(tq, false, body)
 }
 
 // ResetBusy zeroes the accumulated per-worker busy time counters.

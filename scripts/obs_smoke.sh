@@ -14,6 +14,8 @@
 #      must export one merged multi-process trace that passes the extended
 #      tracecheck (-shards: distinct shard pid tracks, clock-aligned steps,
 #      RPC sub-spans).
+#   5. bfsrun -tracetext: the per-level text table, the one per-level text
+#      output, must print its header (iter, tasks, steals columns).
 #
 # Run from the repo root: ./scripts/obs_smoke.sh
 set -eu
@@ -130,5 +132,13 @@ echo "== bfsrun -trace"
 echo "== bfsrun -cluster -trace (merged multi-process trace)"
 "$TMP/bfsrun" -scale 10 -sources 8 -cluster 2 -trace "$TMP/cluster-trace.json" >/dev/null
 "$TMP/tracecheck" -shards 2 -require csr-build "$TMP/cluster-trace.json"
+
+echo "== bfsrun -tracetext (per-level table)"
+"$TMP/bfsrun" -scale 10 -algo mspbfs -sources 8 -workers 2 -tracetext >"$TMP/tracetext.txt"
+grep -Eq '^ *iter +dir .* tasks +steals' "$TMP/tracetext.txt" || {
+	echo "obs_smoke: bfsrun -tracetext printed no per-level table header" >&2
+	cat "$TMP/tracetext.txt" >&2
+	exit 1
+}
 
 echo "obs_smoke: ok"

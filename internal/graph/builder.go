@@ -237,13 +237,16 @@ func Relabel(g *Graph, newID []VertexID) *Graph {
 		}
 	}
 
+	// The offsets are their own fill cursors: cursor[nv] (= offsets[nv+1])
+	// starts at row nv's start and, once the row is filled, is its end.
 	offsets := make([]int64, n+1)
+	cursor := offsets[1:]
+	arcs := int64(0)
 	for nv, v := range inv {
-		offsets[nv+1] = offsets[nv] + int64(g.Degree(int(v)))
+		cursor[nv] = arcs
+		arcs += int64(g.Degree(int(v)))
 	}
-	adj := takeArcs(offsets[n])
-	cursor := make([]int64, n)
-	copy(cursor, offsets)
+	adj := takeArcs(arcs)
 	for nv, v := range inv {
 		for _, u := range g.Neighbors(int(v)) {
 			nu := newID[u]
@@ -251,10 +254,13 @@ func Relabel(g *Graph, newID []VertexID) *Graph {
 			cursor[nu]++
 		}
 	}
-	for nv, c := range cursor {
-		if c != offsets[nv+1] {
+	end := int64(0)
+	for nv, v := range inv {
+		start := end
+		end += int64(g.Degree(int(v)))
+		if cursor[nv] != end {
 			panic(fmt.Sprintf("graph: relabel of an asymmetric graph: new row %d received %d arcs for a degree of %d",
-				nv, c-offsets[nv], offsets[nv+1]-offsets[nv]))
+				nv, cursor[nv]-start, end-start))
 		}
 	}
 	return &Graph{Offsets: offsets, Adjacency: adj}

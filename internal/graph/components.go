@@ -1,55 +1,65 @@
 package graph
 
 // Components labels the connected components of g. It returns the component
-// id of every vertex (ids are dense, assigned in order of discovery) and the
-// size in vertices of each component. Isolated vertices form singleton
-// components.
+// id of every vertex and the size in vertices of each component. Ids are
+// dense and follow each component's smallest vertex: the component holding
+// vertex 0 is 0, the one whose smallest vertex is next smallest is 1, and so
+// on. Isolated vertices form singleton components.
+//
+// The labeling is a union-find kept inside comp itself, so the only
+// allocations are the two results. comp[v] holds v's parent, at first v
+// itself, and a union always links the larger root under the smaller, so a parent is
+// never larger than its child and every root is its component's smallest
+// vertex. One ascending pass then turns parents into ids: a root takes the
+// next id, and any other vertex copies the id its (smaller, already
+// numbered) parent holds.
 func Components(g *Graph) (comp []int32, sizes []int64) {
 	n := g.NumVertices()
 	comp = make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
+	for v := range comp {
+		comp[v] = int32(v)
 	}
-	var queue []VertexID
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		id := int32(len(sizes))
-		sizes = append(sizes, 0)
-		comp[s] = id
-		queue = append(queue[:0], VertexID(s))
-		var count int64 = 1
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, u := range g.Neighbors(int(v)) {
-				if comp[u] < 0 {
-					comp[u] = id
-					count++
-					queue = append(queue, u)
-				}
+	for v := 0; v < n; v++ {
+		// Each edge once, from its larger end (the row's prefix below v, as
+		// rows are sorted): v itself is still a singleton root.
+		rv := int32(v)
+		for _, u := range g.Neighbors(v) {
+			if int(u) >= v {
+				break
+			}
+			switch ru := findRoot(comp, int32(u)); {
+			case ru < rv:
+				comp[rv], rv = ru, ru
+			case rv < ru:
+				comp[ru] = rv
 			}
 		}
-		sizes[id] = count
+	}
+	ids := int32(0)
+	for v, p := range comp {
+		if p == int32(v) {
+			comp[v] = ids
+			ids++
+		} else {
+			comp[v] = comp[p]
+		}
+	}
+	sizes = make([]int64, ids)
+	for _, id := range comp {
+		sizes[id]++
 	}
 	return comp, sizes
 }
 
-// ComponentEdges returns, for each component, the number of undirected edges
-// it contains (each edge counted once). This is the Graph500 definition of
-// the edges "traversed" by a BFS from a source in that component, used to
-// compute GTEPS.
-func ComponentEdges(g *Graph, comp []int32, numComponents int) []int64 {
-	edges := make([]int64, numComponents)
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.Neighbors(v) {
-			if VertexID(v) < u {
-				edges[comp[v]]++
-			}
-		}
+// findRoot returns the root of x in the parent array comp, halving the path
+// on the way up (each visited vertex is re-pointed at its grandparent, which
+// keeps parents no larger than their children).
+func findRoot(comp []int32, x int32) int32 {
+	for comp[x] != x {
+		comp[x] = comp[comp[x]]
+		x = comp[x]
 	}
-	return edges
+	return x
 }
 
 // LargestComponent returns the id and vertex count of the largest component.

@@ -333,11 +333,6 @@ func TestComponents(t *testing.T) {
 	if size != 3 || id != comp[0] {
 		t.Errorf("LargestComponent = (%d, %d)", id, size)
 	}
-
-	edges := ComponentEdges(g, comp, len(sizes))
-	if edges[comp[0]] != 2 || edges[comp[3]] != 1 || edges[comp[5]] != 0 {
-		t.Errorf("ComponentEdges = %v", edges)
-	}
 }
 
 func TestLargestComponentEmpty(t *testing.T) {

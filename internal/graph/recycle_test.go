@@ -86,7 +86,7 @@ func TestRelabelTakesBuildScratch(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	r = Relabel(g, reversed(n))
 	runtime.ReadMemStats(&after)
-	// inv, offsets and cursor (20 bytes a vertex), no arc array.
+	// inv and offsets (12 bytes a vertex), no arc array.
 	if got, arcs := int(after.TotalAlloc-before.TotalAlloc), 4*len(r.Adjacency); got >= arcs {
 		t.Errorf("Relabel after FromEdges allocated %d bytes; an arc array alone is %d", got, arcs)
 	}

@@ -73,7 +73,7 @@ func Permutation(g *graph.Graph, s Scheme, p Params) []graph.VertexID {
 	case Random:
 		return randomPermutation(n, p.Seed)
 	case DegreeOrdered:
-		return degreeOrderedPermutation(g)
+		return degreeRanks(g)
 	case Striped:
 		return StripedPermutation(g, p.Workers, p.TaskSize)
 	default:
@@ -112,12 +112,13 @@ func randomPermutation(n int, seed uint64) []graph.VertexID {
 	return newID
 }
 
-// ranksByDegree returns vertex ids sorted by descending degree, breaking
-// ties by ascending vertex id for determinism (a counting sort on degree).
-func ranksByDegree(g *graph.Graph) []graph.VertexID {
+// degreeRanks returns, for every vertex, its rank by descending degree,
+// ties broken by ascending vertex id for determinism: a counting sort on
+// degree that writes each vertex's rank instead of the sorted order.
+func degreeRanks(g *graph.Graph) []graph.VertexID {
 	n := g.NumVertices()
-	// start[d] is the rank of the first vertex of degree d: the number of
-	// vertices with a larger degree.
+	// start[d] is the rank of the next vertex of degree d: at first the
+	// number of vertices with a larger degree.
 	start := make([]int, g.MaxDegree()+1)
 	for v := 0; v < n; v++ {
 		start[g.Degree(v)]++
@@ -125,22 +126,13 @@ func ranksByDegree(g *graph.Graph) []graph.VertexID {
 	for d, higher := len(start)-1, 0; d >= 0; d-- {
 		start[d], higher = higher, higher+start[d]
 	}
-	order := make([]graph.VertexID, n)
-	for v := 0; v < n; v++ {
+	rank := make([]graph.VertexID, n)
+	for v := range rank {
 		d := g.Degree(v)
-		order[start[d]] = graph.VertexID(v)
+		rank[v] = graph.VertexID(start[d])
 		start[d]++
 	}
-	return order
-}
-
-func degreeOrderedPermutation(g *graph.Graph) []graph.VertexID {
-	order := ranksByDegree(g)
-	newID := make([]graph.VertexID, len(order))
-	for rank, v := range order {
-		newID[v] = graph.VertexID(rank)
-	}
-	return newID
+	return rank
 }
 
 // StripedPermutation implements the striped vertex labeling of Section 4.3.
@@ -167,25 +159,35 @@ func StripedPermutation(g *graph.Graph, workers, taskSize int) []graph.VertexID 
 		panic("label: striped labeling requires taskSize >= 1")
 	}
 	n := g.NumVertices()
-	order := ranksByDegree(g)
-	newID := make([]graph.VertexID, n)
-
-	// Deal ranks exactly as the paper describes: position 0 of every
-	// worker's q-th task, then position 1, and so on. Triples that fall
-	// beyond the end of the id space (partial final block) are skipped, so
-	// the scheme stays a permutation for any n, including n < P*T.
-	r := 0
-	for taskOrd := 0; r < n; taskOrd++ {
-		for off := 0; off < taskSize && r < n; off++ {
-			for w := 0; w < workers && r < n; w++ {
-				id := (taskOrd*workers+w)*taskSize + off
-				if id >= n {
-					continue
-				}
-				newID[order[r]] = graph.VertexID(id)
-				r++
-			}
+	// Ranks are dealt exactly as the paper describes: position 0 of every
+	// worker's q-th task, then position 1, and so on. A full block of P*T
+	// ids is the formula above, in 32-bit arithmetic (ids fit, and so do P
+	// and P*T once a full block does), whose division is the cheap kind. In
+	// the partial final block (n not a multiple of P*T, including n < P*T)
+	// the positions past the end of the id space are skipped, so the scheme
+	// stays a permutation for any n: with m ids in the block, f = m/T full
+	// tasks and one task of rem = m%T ids, the first rem positions each
+	// take f+1 ranks and the rest f.
+	block := workers * taskSize
+	full := n / block * block
+	f, rem := (n-full)/taskSize, (n-full)%taskSize
+	b, p, t := uint32(block), uint32(workers), uint32(taskSize) // exact where full > 0
+	newID := degreeRanks(g)
+	for v, r := range newID {
+		if int(r) < full {
+			j := r % b
+			newID[v] = r - j + j%p*t + j/p
+			continue
 		}
+		j := int(r) - full
+		var w, off int
+		if j < rem*(f+1) {
+			off, w = j/(f+1), j%(f+1)
+		} else {
+			j -= rem * (f + 1)
+			off, w = rem+j/f, j%f
+		}
+		newID[v] = graph.VertexID(full + w*taskSize + off)
 	}
 	return newID
 }

@@ -1,6 +1,7 @@
 package label
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -103,7 +104,7 @@ func TestStripedPlacesHubsAtTaskStarts(t *testing.T) {
 
 	// The r-th ranked vertex by degree (r < workers) must sit at the start
 	// of task r, i.e. new id r*taskSize.
-	ranked := ranksByDegree(g)
+	ranked := graph.InversePermutation(degreeRanks(g))
 	for w := 0; w < workers; w++ {
 		wantID := w * taskSize
 		if int(p[ranked[w]]) != wantID {
@@ -218,6 +219,53 @@ func TestQuickStripedIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// dealStriped is the striped labeling as the paper deals it, kept as the
+// reference for the closed form: the degree order is materialized, then
+// every task's position 0 is handed out, then every position 1, skipping
+// ids past the end of the id space.
+func dealStriped(g *graph.Graph, workers, taskSize int) []graph.VertexID {
+	n := g.NumVertices()
+	order := make([]int, n)
+	for v := range order {
+		order[v] = v
+	}
+	sort.SliceStable(order, func(i, j int) bool { return g.Degree(order[i]) > g.Degree(order[j]) })
+	newID := make([]graph.VertexID, n)
+	r := 0
+	for taskOrd := 0; r < n; taskOrd++ {
+		for off := 0; off < taskSize && r < n; off++ {
+			for w := 0; w < workers && r < n; w++ {
+				if id := (taskOrd*workers+w)*taskSize + off; id < n {
+					newID[order[r]] = graph.VertexID(id)
+					r++
+				}
+			}
+		}
+	}
+	return newID
+}
+
+// The closed form deals every rank where the paper's loop does, over full
+// and partial final blocks, n below, at and just past P*T, and one task.
+func TestStripedMatchesDealing(t *testing.T) {
+	graphs := []*graph.Graph{testGraph(t)}
+	for _, n := range []int{1, 5, 63, 64, 65, 200, 511, 1000} {
+		graphs = append(graphs, gen.Uniform(n, 4, uint64(n)))
+	}
+	for _, g := range graphs {
+		for _, w := range []int{1, 2, 3, 4, 7} {
+			for _, ts := range []int{1, 2, 16, 33, 64} {
+				got, want := StripedPermutation(g, w, ts), dealStriped(g, w, ts)
+				for v := range want {
+					if got[v] != want[v] {
+						t.Fatalf("n=%d P=%d T=%d: vertex %d got id %d, dealing gives %d", g.NumVertices(), w, ts, v, got[v], want[v])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -23,9 +23,18 @@ type EdgeCounter struct {
 }
 
 // NewEdgeCounter analyzes g once; lookups are then O(1) per source.
+// It allocates only what it keeps: the component labeling's per-component
+// vertex counts are recounted in place as edge counts, each edge once.
 func NewEdgeCounter(g *graph.Graph) *EdgeCounter {
-	comp, sizes := graph.Components(g)
-	edges := graph.ComponentEdges(g, comp, len(sizes))
+	comp, edges := graph.Components(g)
+	clear(edges)
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, u := range g.Neighbors(v) {
+			if graph.VertexID(v) < u {
+				edges[comp[v]]++
+			}
+		}
+	}
 	return &EdgeCounter{comp: comp, compEdges: edges}
 }
 

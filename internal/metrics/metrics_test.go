@@ -11,14 +11,18 @@ import (
 )
 
 func TestEdgeCounter(t *testing.T) {
-	// Component A: triangle {0,1,2} (3 edges); component B: edge {3,4}.
-	g := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 3, V: 4}})
+	// Component A: triangle {0,1,2} (3 edges); component B: edge {3,4};
+	// vertex 5 isolated.
+	g := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 3, V: 4}})
 	c := NewEdgeCounter(g)
 	if c.EdgesFor(0) != 3 || c.EdgesFor(1) != 3 {
 		t.Errorf("component A edges = %d, want 3", c.EdgesFor(0))
 	}
 	if c.EdgesFor(3) != 1 {
 		t.Errorf("component B edges = %d, want 1", c.EdgesFor(3))
+	}
+	if c.EdgesFor(5) != 0 {
+		t.Errorf("isolated vertex edges = %d, want 0", c.EdgesFor(5))
 	}
 	if got := c.EdgesForAll([]int{0, 3, 2}); got != 7 {
 		t.Errorf("EdgesForAll = %d, want 7", got)

@@ -201,7 +201,8 @@ func (g *Graph) Relabel(scheme LabelingScheme, workers, taskSize int, seed uint6
 }
 
 // Components returns the connected component id of every vertex and the
-// vertex count of each component.
+// vertex count of each component. Ids are dense and follow each
+// component's smallest vertex.
 func (g *Graph) Components() (comp []int32, sizes []int64) {
 	return graph.Components(g.g)
 }

@@ -12,7 +12,6 @@ package msbfs
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/graph"
@@ -123,20 +122,21 @@ func TestMultiBFSVisitorWarmEngineAllocs(t *testing.T) {
 	}
 }
 
-// The offline set-up, GenerateKronecker then Relabel on one goroutine,
-// builds its two graphs on three arc-sized arrays, not four: the relabel's
-// adjacency is the endpoint buffer the build finished with (graph's arc
-// recycler), so it allocates n-sized arrays only.
-func TestGenerateThenRelabelSharesEndpointBuffer(t *testing.T) {
-	// The recycler's reference is weak; a collection between the two calls
-	// would be a legitimate miss.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+// The relabel of the offline set-up, GenerateKronecker then Relabel,
+// allocates one arc array, sized to the relabeled graph exactly, beside its
+// n-sized arrays: never a second arc array, and nothing another append could
+// grow into.
+func TestGenerateThenRelabelAllocatesOneArcArray(t *testing.T) {
 	g0 := GenerateKronecker(14, 16, 7)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	g, _ := g0.Relabel(LabelStriped, 2, 512, 1)
 	runtime.ReadMemStats(&after)
-	if got, arcs := after.TotalAlloc-before.TotalAlloc, 8*uint64(g.NumEdges()); got >= arcs {
-		t.Errorf("Relabel after GenerateKronecker allocated %d B, want less than one arc array (%d B)", got, arcs)
+	arcs := 8 * uint64(g.NumEdges())
+	if got := after.TotalAlloc - before.TotalAlloc; got < arcs || got >= 2*arcs {
+		t.Errorf("Relabel after GenerateKronecker allocated %d B, want one arc array (%d B) and less than a second", got, arcs)
+	}
+	if adj := g.g.Adjacency; cap(adj) != len(adj) {
+		t.Errorf("relabeled adjacency holds %d arcs on a %d-arc array", len(adj), cap(adj))
 	}
 }

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -125,6 +126,39 @@ func TestKroneckerDeterminism(t *testing.T) {
 		if !diff {
 			t.Error("different seeds produced identical graphs")
 		}
+	}
+}
+
+// Kronecker rejects parameters it cannot honour with a panic naming the
+// argument, before drawing anything; the edges of its range still build.
+func TestKroneckerRejectsBadParams(t *testing.T) {
+	for _, c := range []struct {
+		scale, edgeFactor int
+		panics            string // "" if the call must succeed
+	}{
+		{-1, 16, "scale -1"},
+		{33, 1, "scale 33"},
+		{10, -3, "edge factor -3"},
+		{28, 8, "edge factor 8 at scale 28"},
+		{32, 1, "edge factor 1 at scale 32"},
+		{0, 16, ""},
+		{5, 0, ""},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if c.panics == "" && msg != "" {
+					t.Errorf("scale %d, edge factor %d: panicked %q", c.scale, c.edgeFactor, msg)
+				}
+				if c.panics != "" && !strings.Contains(msg, c.panics) {
+					t.Errorf("scale %d, edge factor %d: panic %q, want one naming %q", c.scale, c.edgeFactor, msg, c.panics)
+				}
+			}()
+			g := Kronecker(KroneckerParams{Scale: c.scale, EdgeFactor: c.edgeFactor, A: 0.57, B: 0.19, C: 0.19, Seed: 1})
+			if g.NumVertices() != 1<<c.scale || g.Validate() != nil {
+				t.Errorf("scale %d, edge factor %d: %d vertices, Validate %v", c.scale, c.edgeFactor, g.NumVertices(), g.Validate())
+			}
+		}()
 	}
 }
 

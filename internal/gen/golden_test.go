@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -80,55 +79,48 @@ func totalAlloc(f func()) int64 {
 }
 
 // TestConstructionMemoryBudget bounds what generation and the striped
-// relabel allocate, as a multiple of the graph they return. The sort-based
-// pipeline this replaced measured 8.8x (10.6x through BuildParallel) and
-// 1.48x; the sort-free one 2.51x and 1.20x (endpoint buffer + one arc
-// array; one CSR + a few n-sized arrays). Run back to back the two now share
-// the endpoint buffer through graph's arc recycler, so the relabel allocates
-// only its n-sized arrays (0.27x with an order and a cursor array beside
-// the permutation, offsets and inverse; 0.17x without); the cold row is a
-// relabel that finds the recycler empty and allocates as before.
+// relabel allocate, each as a multiple of the graph it returns, with the
+// collector running. The sort-based pipeline this replaced measured 8.8x
+// (10.6x through BuildParallel) and 1.48x, the scatter-and-transpose build
+// 2.51x (the endpoint buffer and a second arc array). Built inside its
+// endpoint buffer, generation allocates that buffer — about 1.15x the
+// deduplicated arcs — the offsets and the scrambling permutation, and the
+// relabel one exact-size CSR beside its permutation and inverse.
 func TestConstructionMemoryBudget(t *testing.T) {
 	var g, s *graph.Graph
-	// No collection between the build and the relabel: the recycler holds
-	// its buffer weakly, and a cycle in that gap is a legitimate miss.
-	gcPercent := debug.SetGCPercent(-1)
-	gen := totalAlloc(func() { g = Kronecker(Graph500Params(14, 20170321)) })
-	warm := totalAlloc(func() { s = striped(g) })
-	debug.SetGCPercent(gcPercent)
-	size := float64(s.MemoryBytes())
-	if total := float64(gen + warm); total > 2.9*size {
-		t.Errorf("generate + striped relabel allocated %d bytes for a %d-byte graph (%.2fx, budget 2.9x)", gen+warm, s.MemoryBytes(), total/size)
-	}
-	if float64(warm) > 0.2*size {
-		t.Errorf("striped relabel after generate allocated %d bytes for a %d-byte graph (%.2fx, budget 0.2x): a second arc array or n-sized scratch",
-			warm, s.MemoryBytes(), float64(warm)/size)
+	generate := totalAlloc(func() { g = Kronecker(Graph500Params(14, 20170321)) })
+	relabel := totalAlloc(func() { s = striped(g) })
+	for _, c := range []struct {
+		name   string
+		got    int64
+		result *graph.Graph
+		budget float64
+	}{
+		{"generate", generate, g, 1.4},
+		{"striped relabel", relabel, s, 1.15},
+		{"generate + striped relabel", generate + relabel, s, 2.5},
+	} {
+		size := c.result.MemoryBytes()
+		ratio := float64(c.got) / float64(size)
+		if ratio > c.budget {
+			t.Errorf("%s allocated %d bytes for a %d-byte graph (%.2fx, budget %.2fx)", c.name, c.got, size, ratio, c.budget)
+		}
+		t.Logf("%s: %.2fx of the graph (budget %.2fx)", c.name, ratio, c.budget)
 	}
 	if got := [2]string{csrHash(g), csrHash(s)}; got != goldenKronecker["14/20170321"] {
-		t.Errorf("graphs built through the recycler hash to %q, want %q", got, goldenKronecker["14/20170321"])
+		t.Errorf("graphs hash to %q, want %q", got, goldenKronecker["14/20170321"])
 	}
-
-	runtime.GC()
-	runtime.GC()
-	cold := totalAlloc(func() { s = striped(g) })
-	if float64(cold) > 1.3*size {
-		t.Errorf("cold striped relabel allocated %d bytes for a %d-byte graph (%.2fx, budget 1.3x)", cold, s.MemoryBytes(), float64(cold)/size)
-	}
-	if float64(cold) < size {
-		t.Errorf("cold striped relabel allocated %d bytes for a %d-byte graph: the recycler survived two GC cycles", cold, s.MemoryBytes())
-	}
-	t.Logf("Kronecker %.2fx, striped relabel %.2fx after it, %.2fx cold, of the result", float64(gen)/size, float64(warm)/size, float64(cold)/size)
 }
 
 // TestAnalysisMemoryBudget holds the analyses that run beside construction
 // to their results. The component labeling allocates comp (4 bytes a
 // vertex) and sizes (8 bytes a component), and the edge counter the same
 // two arrays, its per-component slots holding edges instead of vertices.
-// A striped relabel on a recycler hit allocates the permutation, the new
-// offsets, one inverse permutation and, beside those n-sized arrays, only
-// the degree histogram and a block's worth of slack. A search-based
-// labeling would add its stack and an appended sizes slice (the counter a
-// second per-component array), a relabel an order and a cursor array.
+// A striped relabel allocates the permutation, the new CSR, one inverse
+// permutation and, beside those, only the degree histogram and a block's
+// worth of slack. A search-based labeling would add its stack and an
+// appended sizes slice (the counter a second per-component array), a
+// relabel an order and a cursor array.
 func TestAnalysisMemoryBudget(t *testing.T) {
 	g := Kronecker(Graph500Params(14, 20170321))
 	n := int64(g.NumVertices())
@@ -144,24 +136,21 @@ func TestAnalysisMemoryBudget(t *testing.T) {
 	}
 
 	const workers, taskSize = 2, 512
-	gcPercent := debug.SetGCPercent(-1)
-	g = Kronecker(Graph500Params(14, 20170321)) // loads the arc recycler
-	warm := totalAlloc(func() { striped(g) })
-	debug.SetGCPercent(gcPercent)
-	nSized := 4*n + 8*(n+1) + 4*n // newID, offsets, inv
+	relabel := totalAlloc(func() { striped(g) })
+	arrays := 4*n + 8*(n+1) + 4*int64(len(g.Adjacency)) + 4*n // newID, offsets, adjacency, inv
 	// The degree histogram, a block of ids, and the allocator's rounding:
-	// up to a page on each of the four arrays.
-	slack := 8*int64(g.MaxDegree()+1) + 4*workers*taskSize + 4*8192
-	if warm > nSized+slack {
-		t.Errorf("striped relabel after generate allocated %d bytes: newID, offsets and inv are %d, the histogram, a block and rounding %d",
-			warm, nSized, slack)
+	// up to a page on each of the five arrays.
+	slack := 8*int64(g.MaxDegree()+1) + 4*workers*taskSize + 5*8192
+	if relabel > arrays+slack {
+		t.Errorf("striped relabel allocated %d bytes: newID, the CSR and inv are %d, the histogram, a block and rounding %d",
+			relabel, arrays, slack)
 	}
-	t.Logf("Components %.3fx, NewEdgeCounter %.3fx of their results; striped relabel %d bytes over its n-sized arrays",
-		float64(labels)/results, float64(counter)/results, warm-nSized)
+	t.Logf("Components %.3fx, NewEdgeCounter %.3fx of their results; striped relabel %d bytes over its arrays",
+		float64(labels)/results, float64(counter)/results, relabel-arrays)
 }
 
 // TestConcurrentPipelinesGolden generates and relabels on several
-// goroutines at once: they compete for the one recycled buffer, and under
+// goroutines at once: each builds inside a buffer of its own, and under
 // -race any two that ended up on the same storage would show, as would a
 // wrong graph in the hashes.
 func TestConcurrentPipelinesGolden(t *testing.T) {

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"fmt"
+
 	"repro/internal/graph"
 )
 
@@ -38,14 +40,27 @@ func KG0Params(scale, edgeFactor int, seed uint64) KroneckerParams {
 // CSR builder, and vertex ids are scrambled by a random permutation so that
 // vertex id carries no degree information (the labeling schemes under test
 // are applied afterwards and must not get the ordering for free).
+//
+// It panics on a scale outside [0, 32] (vertex ids are 32-bit), a negative
+// edge factor, or more endpoints than one CSR build addresses
+// (graph.MaxEndpoints), naming the argument at fault.
 func Kronecker(p KroneckerParams) *graph.Graph {
+	if p.Scale < 0 || p.Scale > 32 {
+		panic(fmt.Sprintf("gen: Kronecker scale %d outside [0, 32]", p.Scale))
+	}
+	if p.EdgeFactor < 0 {
+		panic(fmt.Sprintf("gen: Kronecker edge factor %d is negative", p.EdgeFactor))
+	}
 	n := 1 << uint(p.Scale)
+	if uint64(p.EdgeFactor) > graph.MaxEndpoints/2/uint64(n) {
+		panic(fmt.Sprintf("gen: Kronecker edge factor %d at scale %d draws %d endpoints, more than one CSR build addresses (%d)",
+			p.EdgeFactor, p.Scale, 2*uint64(n)*uint64(p.EdgeFactor), uint64(graph.MaxEndpoints)))
+	}
 	m := int64(n) * int64(p.EdgeFactor)
 	r := newRNG(p.Seed)
 	// Flat endpoint buffer, edge i = {pairs[2i], pairs[2i+1]}: the layout
-	// graph.FromPairs takes ownership of, uses as its own scratch and then
-	// recycles into the relabel that follows, so pairs is not touched again
-	// after the call.
+	// graph.FromPairs takes ownership of and builds the CSR inside, so pairs
+	// is not touched again after the call.
 	pairs := make([]graph.VertexID, 2*m)
 
 	ab := p.A + p.B

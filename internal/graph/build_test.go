@@ -56,7 +56,8 @@ func referenceBuild(n int, edges []Edge) *Graph {
 // checkBuild builds edges and holds the result to Validate and the
 // reference. The input must come back untouched: FromEdges only reads it.
 // The consuming front end, FromPairs over the same edges flattened, must
-// produce the same Offsets and Adjacency byte for byte.
+// produce the same Offsets and Adjacency byte for byte, inside the buffer
+// it was handed.
 func checkBuild(t testing.TB, n int, edges []Edge) *Graph {
 	t.Helper()
 	in := append([]Edge(nil), edges...)
@@ -65,8 +66,12 @@ func checkBuild(t testing.TB, n int, edges []Edge) *Graph {
 	for _, e := range edges {
 		pairs = append(pairs, e.U, e.V)
 	}
-	if !graphsEqual(FromPairs(n, pairs), g) {
+	p := FromPairs(n, pairs)
+	if !graphsEqual(p, g) {
 		t.Fatalf("n=%d, %d edges: FromPairs differs from FromEdges", n, len(edges))
+	}
+	if len(p.Adjacency) > 0 && &p.Adjacency[0] != &pairs[0] {
+		t.Fatalf("n=%d, %d edges: FromPairs did not build inside its endpoint buffer", n, len(edges))
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("n=%d, %d edges: %v", n, len(edges), err)
@@ -110,7 +115,11 @@ type buildCase struct {
 }
 
 // buildGrid is the shared grid of construction inputs: the degenerate
-// sizes, self-loops and duplicates, a hub, and a random multigraph.
+// sizes, self-loops and duplicates, hubs, random multigraphs, and the edges
+// of FromPairs' two-pass grouping — fewer vertices than one block
+// (1<<blockBits), a count that is no multiple of it, a hub whose bucket
+// holds more records than a block has vertices — and an input without
+// loops or duplicates, whose CSR fills the endpoint buffer exactly.
 func buildGrid() []buildCase {
 	hub := []Edge{}
 	for i := 1; i < 10000; i++ {
@@ -120,17 +129,42 @@ func buildGrid() []buildCase {
 	for i := 0; i < 500; i++ {
 		dup = append(dup, Edge{1, 2}, Edge{2, 1}, Edge{3, 1}, Edge{2, 2})
 	}
+	// Vertex 1500, in the second block, joined to every other vertex (both
+	// orientations, half of them twice) and to nothing else.
+	midHub := []Edge{}
+	for i := 0; i < 4*block; i++ {
+		if i != 1500 {
+			midHub = append(midHub, Edge{1500, VertexID(i)})
+		}
+		if i%2 == 0 {
+			midHub = append(midHub, Edge{VertexID(i), 1500})
+		}
+	}
+	// A ring with chords of span 7: 2n distinct edges in both orientations.
+	const ringN = 3000
+	ring := []Edge{}
+	for i := 0; i < ringN; i++ {
+		ring = append(ring, Edge{VertexID(i), VertexID((i + 1) % ringN)}, Edge{VertexID((i + 7) % ringN), VertexID(i)})
+	}
 	return []buildCase{
 		{"empty n=0", 0, nil, 0},
 		{"edgeless n=5", 5, nil, 0},
+		{"n=1 edgeless", 1, nil, 0},
 		{"n=1 self-loops", 1, []Edge{{0, 0}, {0, 0}}, 0},
 		{"all self-loops", 4, []Edge{{0, 0}, {1, 1}, {3, 3}, {1, 1}}, 0},
 		{"small mixed", 4, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {1, 1}, {2, 1}}, 5},
 		{"heavy duplicates", 4, dup, 2},
 		{"large skewed", 10000, hub, -1},
 		{"random", 5000, randomEdges(5000, 40000, 0x9e3779b97f4a7c15), -1},
+		{"random below one block", block - 300, randomEdges(block-300, 6000, 0x2545f4914f6cdd1d), -1},
+		{"random, blocks plus a part", 2*block + 37, randomEdges(2*block+37, 20000, 7), -1},
+		{"hub bucket past a block", 4 * block, midHub, 4*block - 1},
+		{"no loops or duplicates", ringN, ring, 2 * ringN},
 	}
 }
+
+// block is the number of vertices in one block of FromPairs' grouping.
+const block = 1 << blockBits
 
 func TestBuildMatchesReference(t *testing.T) {
 	for _, tc := range buildGrid() {
@@ -186,24 +220,32 @@ func TestBuildConcurrentIndependent(t *testing.T) {
 	}
 }
 
-// FuzzBuild: any byte string read as an edge list over a small vertex
-// range builds to exactly the reference graph.
+// FuzzBuild: any byte string read as an edge list over at most 64 vertex
+// ids, packed or spread over several blocks, builds to exactly the
+// reference graph.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{0, 1, 1, 0, 1, 1, 2, 1})
 	f.Add([]byte{7, 200, 200, 7, 7, 200, 3})
+	// A first byte of 128 or more spreads the ids over three blocks of the
+	// grouping.
+	f.Add([]byte{130, 0, 1, 1, 2, 2, 0, 2, 1, 1, 1, 0, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			checkBuild(t, 0, nil)
 			return
 		}
-		n := int(data[0])%64 + 1
+		ids, stride := int(data[0])%64+1, 1
+		if data[0] >= 128 {
+			stride = 3*block/ids + 1
+		}
 		var edges []Edge
 		for i := 1; i+1 < len(data); i += 2 {
-			edges = append(edges, Edge{VertexID(int(data[i]) % n), VertexID(int(data[i+1]) % n)})
+			u, v := int(data[i])%ids, int(data[i+1])%ids
+			edges = append(edges, Edge{VertexID(u * stride), VertexID(v * stride)})
 		}
-		checkBuild(t, n, edges)
+		checkBuild(t, ids*stride, edges)
 	})
 }
 
@@ -238,13 +280,5 @@ func TestQuickRelabelRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkBuild(b *testing.B) {
-	edges := randomEdges(1<<14, 1<<16, 12345)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		FromEdges(1<<14, edges)
 	}
 }

@@ -2,8 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sync"
-	"weak"
+	"math"
 )
 
 // Builder accumulates undirected edges and produces a deduplicated CSR
@@ -11,7 +10,7 @@ import (
 // dropped), which is what the R-MAT style generators produce.
 type Builder struct {
 	n     int
-	edges []Edge
+	pairs []VertexID
 }
 
 // NewBuilder creates a builder for a graph with n vertices.
@@ -27,14 +26,14 @@ func NewBuilder(n int) *Builder {
 // indicates a generator bug.
 func (b *Builder) AddEdge(u, v VertexID) {
 	checkEdge(b.n, u, v)
-	b.edges = append(b.edges, Edge{U: u, V: v})
+	b.pairs = append(b.pairs, u, v)
 }
 
-// Build produces the CSR graph. The builder can be reused afterwards; its
-// edge buffer is consumed.
+// Build produces the CSR graph inside the builder's endpoint buffer
+// (FromPairs). The builder can be reused afterwards; its buffer is consumed.
 func (b *Builder) Build() *Graph {
-	g := FromEdges(b.n, b.edges)
-	b.edges = nil
+	g := FromPairs(b.n, b.pairs)
+	b.pairs = nil
 	return g
 }
 
@@ -47,155 +46,249 @@ func checkEdge(n int, u, v VertexID) {
 // FromEdges builds the CSR graph with n vertices from an edge list, which
 // it only reads. Edges may come in either orientation and any order;
 // self-loops and duplicates are dropped; an out-of-range endpoint panics.
-//
-// The build never sorts. Both arcs of every edge are scattered by source
-// into an unsorted adjacency (counting sort on the source), and that
-// adjacency is then transposed by walking the sources in ascending order.
-// The arc multiset is symmetric, so the transpose has the same rows, and a
-// row filled in ascending source order is sorted with duplicates adjacent;
-// a final pass drops them. Memory high-water: edges + 2 × arcs × 4 bytes;
-// the second arc array, the transpose scratch, goes to the arc recycler for
-// a Relabel that follows.
+// The edges are flattened into one endpoint buffer, the only arc-sized
+// array the build allocates, and FromPairs builds the graph inside it.
 func FromEdges(n int, edges []Edge) *Graph {
-	offsets := make([]int64, n+1)
-	for _, e := range edges {
-		checkEdge(n, e.U, e.V)
-		if e.U != e.V {
-			offsets[e.U+1]++
-			offsets[e.V+1]++
-		}
+	pairs := make([]VertexID, 2*len(edges))
+	for i, e := range edges {
+		pairs[2*i], pairs[2*i+1] = e.U, e.V
 	}
-	cursor := rowStarts(offsets)
-	unsorted := make([]VertexID, offsets[n])
-	for _, e := range edges {
-		if e.U != e.V {
-			unsorted[cursor[e.U]] = e.V
-			cursor[e.U]++
-			unsorted[cursor[e.V]] = e.U
-			cursor[e.V]++
-		}
-	}
-	return transposeDedup(offsets, cursor, unsorted, make([]VertexID, len(unsorted)))
+	return FromPairs(n, pairs)
 }
 
+// MaxEndpoints is the longest endpoint buffer FromPairs accepts: the build
+// addresses the buffer with 32-bit positions.
+const MaxEndpoints = math.MaxUint32
+
+// blockBits sets the block of FromPairs' two-pass grouping: the first pass
+// deals the edges into blocks of 1<<blockBits consecutive smaller
+// endpoints, the second sorts each block by vertex, so neither pass keeps
+// more than a few KB of bucket heads.
+const blockBits = 10
+
 // FromPairs is FromEdges over a flat endpoint buffer — edge i is
-// {pairs[2i], pairs[2i+1]} — which it takes ownership of: once scattered,
-// the buffer is reused as the transpose target, so the build allocates one
-// arc array instead of two (high-water: pairs + arcs × 4 bytes), and then
-// handed to the arc recycler. The caller must not touch pairs afterwards.
+// {pairs[2i], pairs[2i+1]} — which it takes ownership of: the CSR is built
+// inside the buffer, with no second arc array and no comparison sort, and
+// the result's adjacency is a prefix of it. The caller must not touch
+// pairs afterwards. Besides the result's offsets the build allocates only
+// one array of bucket heads (groupByMin). It panics on an odd buffer, one
+// longer than MaxEndpoints or an out-of-range endpoint.
+//
+// Row v of the result is v's lower neighbors (< v) followed by its upper
+// ones (> v), each list ascending. The steps (docs/ALGORITHMS.md, CSR
+// construction):
+//  1. canonicalise every edge to (min, max), dropping loops, into records
+//     packed at the front of the buffer (canonicalise);
+//  2. group the records by their smaller endpoint in place (groupByMin);
+//  3. keep the larger endpoints, the upper lists, in the first half, and
+//     transpose them by ascending source into the second half: the lower
+//     lists, each sorted with its duplicates adjacent (transposeUpper);
+//  4. deduplicate the lower lists to the front of the buffer (dedupLower);
+//  5. move each lower list right to its row's start, last row first
+//     (placeLower);
+//  6. transpose the lower lists in place by ascending source into the
+//     rows' upper halves (fillUpper).
+//
+// Until step 4 every offsets entry packs two 32-bit counters (low half and
+// high half) that prefix-sum together; step 6 turns the entries into the
+// result's offsets.
 func FromPairs(n int, pairs []VertexID) *Graph {
 	if len(pairs)%2 != 0 {
 		panic("graph: odd endpoint buffer")
 	}
+	if uint64(len(pairs)) > MaxEndpoints {
+		panic(fmt.Sprintf("graph: %d endpoints, more than one build addresses (%d)", len(pairs), uint64(MaxEndpoints)))
+	}
 	offsets := make([]int64, n+1)
-	for i := 0; i < len(pairs); i += 2 {
-		u, v := pairs[i], pairs[i+1]
-		checkEdge(n, u, v)
-		if u != v {
-			offsets[u+1]++
-			offsets[v+1]++
-		}
-	}
-	cursor := rowStarts(offsets)
-	unsorted := make([]VertexID, offsets[n])
-	for i := 0; i < len(pairs); i += 2 {
-		if u, v := pairs[i], pairs[i+1]; u != v {
-			unsorted[cursor[u]] = v
-			cursor[u]++
-			unsorted[cursor[v]] = u
-			cursor[v]++
-		}
-	}
-	return transposeDedup(offsets, cursor, unsorted, pairs[:len(unsorted)])
+	k := canonicalise(n, pairs, offsets)
+	groupByMin(pairs[:2*k], offsets)
+	transposeUpper(pairs[:2*k], offsets)
+	lower := dedupLower(pairs[:2*k], offsets)
+	placeLower(pairs[:2*lower], offsets)
+	fillUpper(pairs[:2*lower], offsets)
+	return &Graph{Offsets: offsets, Adjacency: pairs[: 2*lower : 2*lower]}
 }
 
-// rowStarts turns per-vertex arc counts (offsets[v+1] = degree of v) into
-// CSR offsets in place and returns a scatter cursor at every row's start.
-func rowStarts(offsets []int64) []int64 {
-	n := len(offsets) - 1
+// canonicalise rewrites every non-loop edge of pairs as the record
+// (min, max), packed from the front in input order, and returns the record
+// count k. Writes trail reads, so no pair is overwritten unread. It leaves
+// offsets[v] holding, in its low half, where v's records (v the smaller
+// endpoint) start among the k and, in its high half, where v's lower list
+// (v the larger endpoint) starts among the k: the counts of both, summed
+// in one prefix pass.
+func canonicalise(n int, pairs []VertexID, offsets []int64) int {
+	k := 0
+	for i := 0; i+1 < len(pairs); i += 2 {
+		u, v := pairs[i], pairs[i+1]
+		checkEdge(n, u, v)
+		if u == v {
+			continue
+		}
+		if u > v {
+			u, v = v, u
+		}
+		rec := pairs[2*k : 2*k+2 : 2*k+2]
+		rec[0], rec[1] = u, v
+		k++
+		offsets[u+1]++
+		offsets[v+1] += 1 << 32
+	}
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
 	}
-	cursor := make([]int64, n)
-	copy(cursor, offsets)
-	return cursor
+	return k
 }
 
-// transposeDedup is the builder core behind both front ends: unsorted
-// holds a symmetric arc multiset grouped by source under offsets. It is
-// transposed into scratch (len(unsorted) arcs, contents overwritten),
-// which sorts every row, then deduplicated back into unsorted's storage,
-// closing the gaps and rewriting offsets. Ownership of scratch passes to
-// the arc recycler.
-func transposeDedup(offsets, cursor []int64, unsorted, scratch []VertexID) *Graph {
+// groupByMin permutes the records of recs so that they come in ascending
+// order of their smaller endpoint, whose groups' starts are the low halves
+// of offsets: an in-place MSD radix permutation (American flag sort), first
+// on the block of the smaller endpoint, then, inside each block, on the
+// endpoint itself. Splitting the key keeps either pass's bucket heads — and
+// on the second pass the block's records — in cache, where one pass over
+// n buckets would miss on almost every record.
+func groupByMin(recs []VertexID, offsets []int64) {
 	n := len(offsets) - 1
-	copy(cursor, offsets)
-	for u := 0; u < n; u++ {
-		for _, v := range unsorted[offsets[u]:offsets[u+1]] {
-			scratch[cursor[v]] = VertexID(u)
-			cursor[v]++
-		}
+	blocks := (n + 1<<blockBits - 1) >> blockBits
+	next := make([]uint32, max(blocks, min(n, 1<<blockBits)))
+	flagPermute(recs, offsets, next, 0, n, blockBits)
+	for lo := 0; lo < n; lo += 1 << blockBits {
+		flagPermute(recs, offsets, next, lo, min(lo+1<<blockBits, n), 0)
 	}
-
-	adj := unsorted[:0]
-	lo := int64(0)
-	for v := 0; v < n; v++ {
-		row := scratch[lo:offsets[v+1]]
-		lo = offsets[v+1]
-		offsets[v] = int64(len(adj))
-		for i, u := range row {
-			if i == 0 || u != row[i-1] {
-				adj = append(adj, u)
-			}
-		}
-	}
-	offsets[n] = int64(len(adj))
-	recycleArcs(scratch)
-	return &Graph{Offsets: offsets, Adjacency: adj[:len(adj):len(adj)]}
 }
 
-// spareArcs is the arc recycler: the one arc-sized buffer the last
-// whole-graph build finished with, kept for the whole-graph relabel that
-// usually follows it (generate, then relabel for the worker layout) so the
-// two share one array instead of leaving one dead and allocating the next.
-// The reference is weak: the recycler keeps nothing alive, the first GC
-// cycle that finds the buffer otherwise unreachable empties it, and a miss
-// is simply the allocation there would have been without a recycler.
-var spareArcs struct {
-	sync.Mutex
-	buf weak.Pointer[[]VertexID]
-}
-
-// recycleArcs offers buf, which the caller is done with for good, to the
-// next takeArcs; it replaces a buffer offered earlier.
-func recycleArcs(buf []VertexID) {
-	if cap(buf) == 0 {
+// flagPermute is one American-flag pass over the records whose smaller
+// endpoint u lies in [lo, hi): bucket t takes u in [lo + t<<shift,
+// lo + (t+1)<<shift), whose records start at the low half of
+// offsets[lo + t<<shift], and next[t] is its first slot not yet final.
+// Every step swaps the record at a scanned slot of bucket t into the next
+// slot of its own bucket s — or, for s = t, into next[t], which never
+// passes the scan — where it is final; the record it displaces waits at
+// the scanned slot for a later round. Each step places one record, so the
+// rounds end after len(recs)/2 steps in all, and a step's swap does not
+// wait for the one before it: their cache misses overlap, where following
+// each displaced record along its cycle would serialise them.
+func flagPermute(recs []VertexID, offsets []int64, next []uint32, lo, hi int, shift uint) {
+	buckets := (hi - lo + 1<<shift - 1) >> shift
+	if buckets < 2 {
 		return
 	}
-	spareArcs.Lock()
-	spareArcs.buf = weak.Make(&buf)
-	spareArcs.Unlock()
+	for t := 0; t < buckets; t++ {
+		next[t] = uint32(offsets[lo+t<<shift])
+	}
+	base := VertexID(lo)
+	for placed := false; !placed; {
+		placed = true
+		for t := 0; t < buckets; t++ {
+			end := int(uint32(offsets[min(lo+(t+1)<<shift, hi)]))
+			for i := int(next[t]); i < end; i++ {
+				r := recs[2*i : 2*i+2 : 2*i+2]
+				u, v := r[0], r[1]
+				s := (u - base) >> shift
+				j := int(next[s])
+				next[s] = uint32(j + 1)
+				q := recs[2*j : 2*j+2 : 2*j+2]
+				r[0], r[1] = q[0], q[1]
+				q[0], q[1] = u, v
+			}
+			placed = placed && int(next[t]) == end
+		}
+	}
 }
 
-// takeArcs returns n zeroed arcs with no spare capacity, on the recycled
-// buffer if it is large enough and at most a quarter too large (the
-// result must not pin much more than its own size; a Graph500 endpoint
-// buffer is about 1.15 × the deduplicated arcs), freshly allocated
-// otherwise. A recycled buffer is handed out once.
-func takeArcs(n int64) []VertexID {
-	spareArcs.Lock()
-	p := spareArcs.buf.Value()
-	hit := p != nil && n <= int64(cap(*p)) && int64(cap(*p)) <= n+n/4
-	if hit {
-		spareArcs.buf = weak.Pointer[[]VertexID]{}
+// transposeUpper keeps the larger endpoint of every grouped record, record
+// i's at recs[i] (i ≤ 2i+1, so every write lands on a record already read):
+// the first half of recs is now every vertex's upper list, grouped by the
+// vertex, unsorted, duplicates included. Visiting the vertices u in
+// ascending order and appending u to the lower list of every v in u's upper
+// list fills the second half with the lower lists, each ascending with its
+// duplicates adjacent; the two halves do not overlap. The high half of
+// offsets[v] advances from the start of v's lower list to its end.
+func transposeUpper(recs []VertexID, offsets []int64) {
+	k := len(recs) / 2
+	for i := 0; i < k; i++ {
+		recs[i] = recs[2*i+1]
 	}
-	spareArcs.Unlock()
-	if !hit {
-		return make([]VertexID, n)
+	upper, lower := recs[:k], recs[k:]
+	n := len(offsets) - 1
+	start := 0
+	for u := 0; u < n; u++ {
+		end := int(uint32(offsets[u+1]))
+		for _, v := range upper[start:end] {
+			lower[offsets[v]>>32] = VertexID(u)
+			offsets[v] += 1 << 32
+		}
+		start = end
 	}
-	buf := (*p)[:n:n]
-	clear(buf)
-	return buf
+}
+
+// dedupLower drops the duplicates from the lower lists in the second half
+// of recs, writing the survivors back to back from recs[0]. The write
+// position never passes the number of entries read, which is at most half
+// of recs, so it stays in the upper lists' dead half. It returns the
+// survivors' count — the number of distinct edges — and leaves offsets[v+1]
+// holding v's distinct lower neighbors in its low half and its distinct
+// upper neighbors, counted from the lower lists they appear in, in its high
+// half; offsets[0] is 0.
+func dedupLower(recs []VertexID, offsets []int64) int {
+	k := len(recs) / 2
+	lower := recs[k:]
+	n := len(offsets) - 1
+	w, start, kept := 0, 0, int64(0)
+	for v := 0; v < n; v++ {
+		// offsets[v] is read for the last time; it becomes v-1's counts,
+		// whose upper half only v and later vertices add to.
+		end := int(offsets[v] >> 32)
+		offsets[v] = kept
+		row := lower[start:end]
+		start = end
+		from := w
+		for i, u := range row {
+			if i == 0 || u != row[i-1] {
+				recs[w] = u
+				w++
+				offsets[u+1] += 1 << 32
+			}
+		}
+		kept = int64(w - from)
+	}
+	offsets[n] = kept
+	return w
+}
+
+// placeLower moves every deduplicated lower list from its packed position
+// at the front of arcs to the start of its row, last row first. A row
+// starts at or after its packed list (the rows before it add their upper
+// halves), so a move only writes at or right of what it reads, below the
+// rows already placed and above the lists still to move.
+func placeLower(arcs []VertexID, offsets []int64) {
+	n := len(offsets) - 1
+	rowEnd, listEnd := len(arcs), len(arcs)/2
+	for v := n - 1; v >= 0; v-- {
+		lo, hi := int(uint32(offsets[v+1])), int(offsets[v+1]>>32)
+		rowStart, listStart := rowEnd-lo-hi, listEnd-lo
+		copy(arcs[rowStart:rowStart+lo], arcs[listStart:listEnd])
+		rowEnd, listEnd = rowStart, listStart
+	}
+}
+
+// fillUpper visits the vertices v in ascending order and appends v to the
+// upper half of row u for every u in v's lower list, now at the start of
+// row v: each upper half is filled ascending, and only upper halves are
+// written. offsets[u+1] is row u's fill cursor: set at u's own visit, once
+// its counts are read, to the end of its lower list, it ends as the end of
+// the row.
+func fillUpper(arcs []VertexID, offsets []int64) {
+	n := len(offsets) - 1
+	row := int64(0)
+	for v := 0; v < n; v++ {
+		lo, hi := int64(uint32(offsets[v+1])), offsets[v+1]>>32
+		offsets[v+1] = row + lo
+		for _, u := range arcs[row : row+lo] {
+			arcs[offsets[u+1]] = VertexID(v)
+			offsets[u+1]++
+		}
+		row += lo + hi
+	}
 }
 
 // Relabel returns a new graph in which every vertex v of g has been renamed
@@ -216,7 +309,7 @@ func takeArcs(n int64) []VertexID {
 // symmetry proof, not Relabel.
 //
 // g is only read and the result shares no storage with it; the result's
-// adjacency may be recycled scratch of an earlier build (takeArcs).
+// adjacency is allocated at exactly its arc count.
 func Relabel(g *Graph, newID []VertexID) *Graph {
 	n := g.NumVertices()
 	if len(newID) != n {
@@ -246,7 +339,7 @@ func Relabel(g *Graph, newID []VertexID) *Graph {
 		cursor[nv] = arcs
 		arcs += int64(g.Degree(int(v)))
 	}
-	adj := takeArcs(arcs)
+	adj := make([]VertexID, arcs)
 	for nv, v := range inv {
 		for _, u := range g.Neighbors(int(v)) {
 			nu := newID[u]

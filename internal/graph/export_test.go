@@ -10,3 +10,7 @@ func GridGraphs() map[string]*Graph {
 	}
 	return gs
 }
+
+// RandomEdges is randomEdges, the construction tests' multigraph, for the
+// benchmarks of package graph_test.
+var RandomEdges = randomEdges

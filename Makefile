@@ -5,7 +5,7 @@ PKGS := ./...
 # rewritten by tooling; everything else is held to gofmt.
 GOFILES := $(shell git ls-files '*.go' | grep -v '/testdata/')
 
-.PHONY: all build test lint vet gate gate-update race server-race flake cluster-test dyn-test debug ci fmt serve loadtest perf perf-compare bench fuzz-smoke obs-smoke
+.PHONY: all build test lint vet gate gate-update race server-race flake cluster-test dyn-test debug ci fmt serve loadtest perf perf-compare bench fuzz-smoke obs-smoke loc
 
 all: build
 
@@ -138,6 +138,11 @@ fuzz-smoke:
 # docs/OBSERVABILITY.md.
 obs-smoke:
 	./scripts/obs_smoke.sh
+
+# loc = the non-test and test Go line counts ROADMAP's LoC judges read
+# (tracked *.go, analyzer testdata excluded).
+loc:
+	./scripts/loc.sh
 
 # ci mirrors .github/workflows/ci.yml.
 ci: build lint gate test race server-race cluster-test dyn-test debug obs-smoke fuzz-smoke

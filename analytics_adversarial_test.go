@@ -7,10 +7,9 @@ import (
 
 // These tests cover the adversarial inputs the query server forwards from
 // untrusted clients: disconnected graphs, empty source lists, duplicate
-// sources, and out-of-range ids. The library contract is: structurally
-// valid inputs always produce answers (never panic, whatever the graph
-// shape); id-range violations are reported as errors by ValidateSources,
-// which the serving layer checks before any traversal runs.
+// sources. The library contract is: structurally valid inputs always
+// produce answers (never panic, whatever the graph shape); the serving
+// layer rejects out-of-range ids before any traversal runs.
 
 // disconnectedGraph builds three components: a path 0-1-2, an edge 3-4,
 // and the isolated vertex 5.
@@ -77,12 +76,6 @@ func TestAnalyticsEmptyGraph(t *testing.T) {
 	if got := g.Closeness([]int{}, Options{}); got != nil {
 		t.Errorf("empty graph closeness = %v", got)
 	}
-	if err := g.ValidateSources([]int{0}); err == nil {
-		t.Error("vertex 0 of the empty graph validated")
-	}
-	if err := g.ValidateSources(nil); err != nil {
-		t.Errorf("empty source list on empty graph: %v", err)
-	}
 }
 
 func TestAnalyticsDuplicateSources(t *testing.T) {
@@ -96,22 +89,6 @@ func TestAnalyticsDuplicateSources(t *testing.T) {
 	for v := range res.Levels[0] {
 		if res.Levels[0][v] != res.Levels[1][v] || res.Levels[0][v] != res.Levels[3][v] {
 			t.Fatalf("duplicate source levels disagree at vertex %d", v)
-		}
-	}
-	// Duplicates are explicitly valid inputs.
-	if err := g.ValidateSources(sources); err != nil {
-		t.Errorf("ValidateSources(duplicates) = %v", err)
-	}
-}
-
-func TestValidateSourcesRange(t *testing.T) {
-	g := disconnectedGraph()
-	if err := g.ValidateSources([]int{0, 5}); err != nil {
-		t.Errorf("valid sources rejected: %v", err)
-	}
-	for _, bad := range [][]int{{-1}, {6}, {0, 1, 99}} {
-		if err := g.ValidateSources(bad); err == nil {
-			t.Errorf("ValidateSources(%v) accepted", bad)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package msbfs
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -279,19 +278,4 @@ func (g *Graph) checkSource(s int) {
 	if s < 0 || s >= g.g.NumVertices() {
 		panic("msbfs: source vertex out of range")
 	}
-}
-
-// ValidateSources reports whether every id in sources names a vertex of the
-// graph. It is the error-returning counterpart of the panicking in-range
-// checks on the traversal entry points, intended for callers forwarding
-// untrusted input. Duplicate sources are valid: each occurrence gets its
-// own traversal slot.
-func (g *Graph) ValidateSources(sources []int) error {
-	n := g.g.NumVertices()
-	for i, s := range sources {
-		if s < 0 || s >= n {
-			return fmt.Errorf("msbfs: source[%d] = %d out of range [0, %d)", i, s, n)
-		}
-	}
-	return nil
 }

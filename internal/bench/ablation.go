@@ -69,7 +69,7 @@ func Ablation(cfg Config) (AblationResult, error) {
 	add("MS-BFS top-down", "two-phase",
 		core.MSBFS(g, sources, core.Options{Direction: core.TopDownOnly}).Stats.Elapsed)
 	add("MS-BFS top-down", "direct",
-		core.MSBFS(g, sources, core.Options{Direction: core.TopDownOnly, SinglePhaseTopDown: true}).Stats.Elapsed)
+		core.MSBFSDirect(g, sources, core.Options{Direction: core.TopDownOnly}).Stats.Elapsed)
 
 	// 6. Work stealing vs static partitioning under the skew-friendly
 	// ordered labeling (the scheduler's reason to exist).

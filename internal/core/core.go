@@ -86,15 +86,6 @@ type Options struct {
 	// (each worker only processes its own queue). Used by the labeling
 	// skew experiments (Figures 6, 7).
 	DisableStealing bool
-	// SinglePhaseTopDown switches the sequential MS-BFS to the "direct"
-	// top-down variant of Then et al.: seen and next are updated inline
-	// while scanning the frontier instead of in a separate second phase.
-	// It saves one pass over the vertex array but writes seen per edge
-	// rather than per vertex; the trade-off is measured in the ablation
-	// benchmarks. Only MSBFS honors it — the parallel two-phase structure
-	// is what makes MS-PBFS synchronization-free, so a direct parallel
-	// variant would need per-edge CAS on seen as well.
-	SinglePhaseTopDown bool
 	// DisableEarlyExit turns off the bottom-up neighbor-scan early exit
 	// (the "stop once all active BFS bits are set" optimization); used by
 	// the ablation benchmarks.
@@ -116,19 +107,20 @@ type Options struct {
 	// Overlay optionally layers a sorted per-vertex overflow adjacency —
 	// streamed edge inserts not yet compacted into the CSR (see
 	// internal/dyngraph) — over the graph. The effective neighbor set of v
-	// becomes Neighbors(v) ∪ Overlay.Extra(v); MS-PBFS, SMS-PBFS, the
-	// sequential MS-BFS and the reference oracle fuse the overlay scan into
-	// their inner loops, and their degree accounting includes the overlay so
-	// direction decisions match the compacted CSR exactly. The overlay must
-	// be immutable for the duration of the run (dyngraph snapshots guarantee
-	// this); kernels without fused support panic on a non-nil Overlay rather
-	// than silently traversing a stale view.
+	// becomes Neighbors(v) ∪ Overlay.Extra(v); MS-PBFS and SMS-PBFS fuse
+	// the overlay scan into their inner loops (as ReferenceBFSOverlay does),
+	// and their degree accounting includes the overlay so direction
+	// decisions match the compacted CSR exactly. The overlay must be
+	// immutable for the duration of the run (dyngraph snapshots guarantee
+	// this). The paper's baselines (MS-BFS, iBFS, queue BFS, Beamer) panic
+	// on a non-nil Overlay rather than silently traversing a stale view.
 	Overlay *graph.Overlay
 	// OnVisit, when non-nil, is called for every (source, vertex)
-	// discovery with the BFS depth. It is invoked concurrently from
-	// worker goroutines; implementations typically accumulate into
-	// workerID-indexed buckets. sourceIdx is the index within the
-	// processed batch for multi-source runs and 0 for single-source runs.
+	// discovery with the BFS depth by MS-PBFS and SMS-PBFS; the baselines
+	// panic on it. It is invoked concurrently from worker goroutines;
+	// implementations typically accumulate into workerID-indexed buckets.
+	// sourceIdx is the index within the caller's sources for multi-source
+	// runs and 0 for single-source runs.
 	OnVisit func(workerID, sourceIdx, vertex, depth int)
 }
 
@@ -366,13 +358,13 @@ func sumInt64(xs []int64) int64 {
 	return s
 }
 
-// requireNoOverlay rejects a dyngraph overlay on kernels without fused
-// overlay iteration: panicking beats silently traversing a stale view of a
-// graph the caller believes is current. The baseline kernels (Beamer,
-// QueueBFS, iBFS) exist for the paper's comparisons over static inputs.
-func requireNoOverlay(opt Options, algo string) {
-	if opt.Overlay != nil {
-		panic("core: " + algo + " does not support Options.Overlay (dynamic snapshots); use MSPBFS, SMSPBFS, MSBFS or ReferenceBFSOverlay")
+// requireNoHooks is the baselines' guard. MS-BFS, iBFS, queue BFS and
+// Beamer exist for the paper's comparisons over static inputs and honour
+// neither Options.Overlay nor Options.OnVisit; panicking beats silently
+// traversing a stale view or never calling the visitor.
+func requireNoHooks(opt Options, algo string) {
+	if opt.Overlay != nil || opt.OnVisit != nil {
+		panic("core: " + algo + " supports neither Options.Overlay nor Options.OnVisit; use MSPBFS, SMSPBFS or ReferenceBFSOverlay")
 	}
 }
 

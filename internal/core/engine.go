@@ -15,8 +15,8 @@ import (
 // whole MS/SMS engine shells), and []int32 level rows.
 //
 // The contract is strict hygiene, not trust: every artifact is scrubbed on
-// the borrow path (states and bitmaps are zeroed, level rows are refilled
-// with NoLevel by the kernels), so a recycled state can never leak a
+// the borrow path (states and bitmaps are zeroed, level rows are filled
+// with NoLevel), so a recycled state can never leak a
 // previous query's visited bits even if a caller poisons what it returns.
 // The bfsdebug build re-verifies this with a "borrowed state is clean"
 // invariant check.
@@ -317,17 +317,30 @@ func (e *Engine) returnBitmap(b *bitset.Bitmap) {
 	e.mu.Unlock()
 }
 
-// borrowLevels checks out one n-long level row. The kernels' NoLevel fill
-// is the scrub for level rows — every row is overwritten in full before it
-// can be read — so no zeroing happens here.
+// borrowLevels checks out one n-long level row, filled with NoLevel
+// whatever it was returned with: the fill is the row's scrub.
 func (e *Engine) borrowLevels(n int) []int32 {
 	e.mu.Lock()
 	row, ok := e.levels.pop(e, n)
 	e.mu.Unlock()
 	if !ok {
-		return make([]int32, n)
+		row = make([]int32, n)
+	}
+	for v := range row {
+		row[v] = NoLevel
 	}
 	return row
+}
+
+// borrowLevelRows checks out one batch's k level rows (borrowLevels each).
+//
+//bfs:arena-held the rows ride in the batch's MultiResult; the caller frees them with Engine.ReleaseLevels
+func (e *Engine) borrowLevelRows(n, k int) [][]int32 {
+	rows := make([][]int32, k) //bfs:alloc-ok k pointers per batch, not per vertex
+	for i := range rows {
+		rows[i] = e.borrowLevels(n)
+	}
+	return rows
 }
 
 // ReleaseLevels hands level rows (e.g. Result.Levels or the rows of

@@ -166,6 +166,27 @@ func TestEngineLevelRowRecycling(t *testing.T) {
 	e.ReleaseLevels(res2.Levels...)
 }
 
+// TestBorrowLevelsScrubs: borrowLevels hands out all-NoLevel rows on the
+// cold path and on the warm path, whatever a released row was left holding.
+func TestBorrowLevelsScrubs(t *testing.T) {
+	const n = 300
+	e := NewEngine()
+	defer e.Close()
+	for _, path := range []string{"cold", "warm"} {
+		row := e.borrowLevels(n)
+		for v, lv := range row {
+			if lv != NoLevel {
+				t.Fatalf("%s row: vertex %d = %d, want NoLevel", path, v, lv)
+			}
+			row[v] = levelPoison
+		}
+		e.ReleaseLevels(row)
+	}
+	if st := e.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want one warm and one cold borrow", st.Hits, st.Misses)
+	}
+}
+
 // TestEngineCloseDegradesGracefully pins the Close contract: a closed
 // engine keeps serving borrows (by plain allocation) and silently drops
 // returns, so shutdown never races a traversal into a crash.

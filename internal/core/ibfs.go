@@ -25,16 +25,9 @@ import (
 // GroupBy-style sharing coming from the joint queue: a vertex reached by
 // many of the k BFSs in the same iteration is expanded once.
 func IBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
-	requireNoOverlay(opt, "IBFS")
+	requireNoHooks(opt, "IBFS")
 	n := g.NumVertices()
 	words := opt.batchWords()
-	perBatch := SourcesPerBatch(words)
-	workers := opt.workers()
-
-	res := &MultiResult{Sources: append([]int(nil), sources...)}
-	if opt.RecordLevels {
-		res.Levels = make([][]int32, len(sources))
-	}
 
 	eng := opt.engine()
 	seen := eng.borrowState(n, words)
@@ -47,35 +40,20 @@ func IBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
 		eng.returnState(nextBits)
 		eng.returnBitmap(inJFQ)
 	}()
-
-	for off := 0; off < len(sources); off += perBatch {
-		hi := off + perBatch
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		ibfsBatch(g, sources[off:hi], off, opt, eng, workers, seen, frontierBits, nextBits, inJFQ, res)
-	}
-	return res
+	return runBatches(sources, opt, func(batch []int, _ int) batchOut {
+		return ibfsBatch(g, batch, opt, eng, seen, frontierBits, nextBits, inJFQ)
+	})
 }
 
-func ibfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *Engine, workers int,
-	seen, frontierBits, nextBits *bitset.State, inJFQ *bitset.Bitmap, res *MultiResult) {
+func ibfsBatch(g *graph.Graph, batch []int, opt Options, eng *Engine,
+	seen, frontierBits, nextBits *bitset.State, inJFQ *bitset.Bitmap) batchOut {
 	n := g.NumVertices()
 	k := len(batch)
-	if k == 0 {
-		return
-	}
+	workers := opt.workers()
 	rec := newIterRecorder(opt, "ibfs", k, nil)
 	var levels [][]int32
 	if opt.RecordLevels {
-		levels = make([][]int32, k)
-		for i := range levels {
-			// NoLevel fill doubles as the level rows' arena scrub.
-			levels[i] = eng.borrowLevels(n) //bfs:arena-held rows ride in the returned MultiResult; the caller frees them with Engine.ReleaseLevels
-			for v := range levels[i] {
-				levels[i][v] = NoLevel
-			}
-		}
+		levels = eng.borrowLevelRows(n, k) //bfs:arena-held rows ride in the returned MultiResult; the caller frees them with Engine.ReleaseLevels
 	}
 
 	start := time.Now()
@@ -92,9 +70,6 @@ func ibfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *E
 		visited++
 		if levels != nil {
 			levels[i][s] = 0
-		}
-		if opt.OnVisit != nil {
-			opt.OnVisit(0, batchOffset+i, s, 0)
 		}
 		if !inJFQ.Get(s) {
 			inJFQ.Set(s)
@@ -191,17 +166,10 @@ func ibfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *E
 				updated += int64(onesCount(nRow[i]))
 			}
 			jfq = append(jfq, v)
-			if levels != nil || opt.OnVisit != nil {
+			if levels != nil {
 				for wi, w := range nRow {
-					base := wi * 64
 					for ; w != 0; w &= w - 1 {
-						i := base + trailingZeros64(w)
-						if levels != nil {
-							levels[i][v] = depth
-						}
-						if opt.OnVisit != nil {
-							opt.OnVisit(0, batchOffset+i, int(v), int(depth))
-						}
+						levels[wi*64+trailingZeros64(w)][v] = depth
 					}
 				}
 			}
@@ -228,13 +196,8 @@ func ibfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *E
 	}
 
 	rec.finish()
-	res.VisitedStates += visited
-	res.Stats.Merge(metrics.RunStat{Elapsed: time.Since(start), Sources: k, Iterations: rec.stats})
-	if levels != nil {
-		for i := range levels {
-			res.Levels[batchOffset+i] = levels[i]
-		}
-	}
+	return batchOut{levels: levels, visited: visited,
+		stat: metrics.RunStat{Elapsed: time.Since(start), Sources: k, Iterations: rec.stats}}
 }
 
 // candidates flattens the per-worker output queues.

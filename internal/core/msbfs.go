@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/bitset"
@@ -18,58 +17,73 @@ import (
 // motivate MS-PBFS. Workers in opt is ignored; use MSBFSPerCore for the
 // "one sequential instance per core" execution mode.
 func MSBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
-	n := g.NumVertices()
-	words := opt.batchWords()
-	perBatch := SourcesPerBatch(words)
+	requireNoHooks(opt, "MSBFS")
+	run, release := openMSBFS(g, opt, false)
+	defer release()
+	return runBatches(sources, opt, run)
+}
 
-	res := &MultiResult{Sources: append([]int(nil), sources...)}
-	if opt.RecordLevels {
-		res.Levels = make([][]int32, len(sources))
-	}
+// MSBFSDirect is MSBFS with the "direct" top-down variant of Then et al.:
+// seen and next are updated inline while scanning the frontier instead of
+// in a separate second phase. It saves one pass over the vertex array but
+// writes seen per edge rather than per vertex; the ablation benchmarks
+// measure the trade-off. There is no parallel counterpart — the two-phase
+// structure is what makes MS-PBFS synchronization-free, so a direct
+// parallel variant would need per-edge CAS on seen as well.
+func MSBFSDirect(g *graph.Graph, sources []int, opt Options) *MultiResult {
+	requireNoHooks(opt, "MSBFSDirect")
+	run, release := openMSBFS(g, opt, true)
+	defer release()
+	return runBatches(sources, opt, run)
+}
 
-	eng := opt.engine()
+// MSBFSPerCore runs the MS-BFS execution model the paper measures in its
+// parallel comparisons: opt.Workers independent sequential MS-BFS
+// instances, each pulling whole 64*BatchWords-source batches from a shared
+// workload. This is the only way the sequential algorithm can use multiple
+// cores; it needs Workers separate state allocations (the memory blow-up of
+// Figure 3) and at least Workers full batches to utilize the machine (the
+// utilization cliff of Figure 2).
+func MSBFSPerCore(g *graph.Graph, sources []int, opt Options) *MultiResult {
+	requireNoHooks(opt, "MSBFSPerCore")
+	return runInstances(sources, opt, opt.workers(), func() (batchFunc, func()) {
+		return openMSBFS(g, opt, false)
+	})
+}
+
+// openMSBFS opens one sequential MS-BFS instance: it borrows the state
+// triple the instance reuses across its batches (each batch re-zeroes it)
+// and returns the batch runner with the release of the triple.
+//
+//bfs:arena-held the state triple is returned by the release func openMSBFS hands back
+func openMSBFS(g *graph.Graph, opt Options, direct bool) (batchFunc, func()) {
+	n, words, eng := g.NumVertices(), opt.batchWords(), opt.engine()
 	seen := eng.borrowState(n, words)
 	frontier := eng.borrowState(n, words)
 	next := eng.borrowState(n, words)
-	defer func() {
+	run := func(batch []int, _ int) batchOut {
+		return msbfsBatch(g, batch, opt, direct, eng, seen, frontier, next)
+	}
+	return run, func() {
 		eng.returnState(seen)
 		eng.returnState(frontier)
 		eng.returnState(next)
-	}()
-
-	for off := 0; off < len(sources); off += perBatch {
-		hi := off + perBatch
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		msbfsBatch(g, sources[off:hi], off, opt, eng, seen, frontier, next, res)
 	}
-	return res
 }
 
-// msbfsBatch runs one sequential batch. The three state arrays are reused
-// across batches; they are fully re-zeroed at batch start.
+// msbfsBatch runs one sequential batch, with the direct top-down when
+// direct is set. The three state arrays are reused across batches; they
+// are fully re-zeroed at batch start.
 //
 //bfs:singlewriter MS-BFS is the sequential baseline of Then et al.; one goroutine owns all state
-func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *Engine,
-	seen, frontier, next *bitset.State, res *MultiResult) {
+func msbfsBatch(g *graph.Graph, batch []int, opt Options, direct bool, eng *Engine,
+	seen, frontier, next *bitset.State) batchOut {
 	n := g.NumVertices()
-	ov := opt.Overlay
 	k := len(batch)
-	if k == 0 {
-		return
-	}
 	rec := newIterRecorder(opt, "ms-bfs", k, nil)
 	var levels [][]int32
 	if opt.RecordLevels {
-		levels = make([][]int32, k)
-		for i := range levels {
-			// NoLevel fill doubles as the level rows' arena scrub.
-			levels[i] = eng.borrowLevels(n) //bfs:arena-held rows ride in the returned MultiResult; the caller frees them with Engine.ReleaseLevels
-			for v := range levels[i] {
-				levels[i][v] = NoLevel
-			}
-		}
+		levels = eng.borrowLevelRows(n, k) //bfs:arena-held rows ride in the returned MultiResult; the caller frees them with Engine.ReleaseLevels
 	}
 
 	start := time.Now()
@@ -85,9 +99,6 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 		if !seen.Any(s) {
 			frontVertices++
 			frontEdges += int64(g.Degree(s))
-			if ov != nil {
-				frontEdges += int64(ov.ExtraDegree(s))
-			}
 		}
 		seen.Set(s, i)
 		frontier.Set(s, i)
@@ -95,11 +106,8 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 		if levels != nil {
 			levels[i][s] = 0
 		}
-		if opt.OnVisit != nil {
-			opt.OnVisit(0, batchOffset+i, s, 0)
-		}
 	}
-	unexploredEdges := int64(len(g.Adjacency)) + ov.Arcs() - frontEdges
+	unexploredEdges := int64(len(g.Adjacency)) - frontEdges
 
 	bottomUp := opt.Direction == BottomUpOnly
 	depth := int32(0)
@@ -113,17 +121,22 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 	// with &^seen; the direct variant relies on a clean buffer instead.
 	nextDirty := false
 
-	emit := func(v int, nRow []uint64) {
+	// found folds the new bits of v into the level's counters and records
+	// their depth.
+	var updated int64
+	found := func(v int, nRow []uint64) {
+		for i := range nRow {
+			updated += int64(onesCount(nRow[i]))
+			live[i] |= nRow[i]
+		}
+		frontVertices++
+		frontEdges += int64(g.Degree(v))
+		if levels == nil {
+			return
+		}
 		for wi, w := range nRow {
-			base := wi * 64
 			for ; w != 0; w &= w - 1 {
-				i := base + trailingZeros64(w)
-				if levels != nil {
-					levels[i][v] = depth
-				}
-				if opt.OnVisit != nil {
-					opt.OnVisit(0, batchOffset+i, v, int(depth))
-				}
+				levels[wi*64+trailingZeros64(w)][v] = depth
 			}
 		}
 	}
@@ -137,8 +150,8 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 		bottomUp, dirReason = decideDirection(opt, bottomUp,
 			frontVertices, frontEdges, unexploredEdges, n)
 
-		var scanned, updated int64
-		frontVertices, frontEdges = 0, 0
+		var scanned int64
+		updated, frontVertices, frontEdges = 0, 0, 0
 		for i := range live {
 			live[i] = 0
 		}
@@ -166,18 +179,6 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 						break
 					}
 				}
-				if ov != nil && !(!opt.DisableEarlyExit && coversPair(sRow, acc, activeMask)) {
-					for _, v := range ov.Extra(u) {
-						scanned++
-						fRow := frontier.Row(int(v))
-						for i := range acc {
-							acc[i] |= fRow[i]
-						}
-						if !opt.DisableEarlyExit && coversPair(sRow, acc, activeMask) {
-							break
-						}
-					}
-				}
 				nRow := next.Row(u)
 				anyNew := uint64(0)
 				for i := range acc {
@@ -186,25 +187,13 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 					sRow[i] |= nw
 					anyNew |= nw
 				}
-				if anyNew == 0 {
-					continue
-				}
-				for i := range nRow {
-					updated += int64(onesCount(nRow[i]))
-					live[i] |= nRow[i]
-				}
-				frontVertices++
-				frontEdges += int64(g.Degree(u))
-				if ov != nil {
-					frontEdges += int64(ov.ExtraDegree(u))
-				}
-				if levels != nil || opt.OnVisit != nil {
-					emit(u, nRow)
+				if anyNew != 0 {
+					found(u, nRow)
 				}
 			}
-		} else if opt.SinglePhaseTopDown {
-			// The "direct" top-down variant of Then et al.: update seen and
-			// next inline per edge. Correct only sequentially — two threads
+		} else if direct {
+			// The direct top-down of Then et al.: update seen and next
+			// inline per edge. Correct only sequentially — two threads
 			// doing read-modify-write on seen[n] would race.
 			if nextDirty {
 				next.ZeroRange(0, n)
@@ -228,21 +217,6 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 						nRow[i] |= nw
 					}
 				}
-				if ov != nil {
-					for _, nb := range ov.Extra(v) {
-						scanned++
-						sRow := seen.Row(int(nb))
-						nRow := next.Row(int(nb))
-						for i := range fRow {
-							nw := fRow[i] &^ sRow[i]
-							if nw == 0 {
-								continue
-							}
-							sRow[i] |= nw
-							nRow[i] |= nw
-						}
-					}
-				}
 			}
 			// Resolve the new frontier: next holds exactly the bits newly
 			// discovered this iteration; clear the old frontier in the
@@ -251,21 +225,8 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 				if frontier.Any(v) {
 					frontier.ZeroVertex(v)
 				}
-				if !next.Any(v) {
-					continue
-				}
-				nRow := next.Row(v)
-				for i := range nRow {
-					updated += int64(onesCount(nRow[i]))
-					live[i] |= nRow[i]
-				}
-				frontVertices++
-				frontEdges += int64(g.Degree(v))
-				if ov != nil {
-					frontEdges += int64(ov.ExtraDegree(v))
-				}
-				if levels != nil || opt.OnVisit != nil {
-					emit(v, nRow)
+				if next.Any(v) {
+					found(v, next.Row(v))
 				}
 			}
 		} else {
@@ -278,12 +239,6 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 				scanned += int64(len(nbrs))
 				for _, nb := range nbrs {
 					next.OrVertex(int(nb), frontier, v)
-				}
-				if ov != nil {
-					for _, nb := range ov.Extra(v) {
-						scanned++
-						next.OrVertex(int(nb), frontier, v)
-					}
 				}
 			}
 			for v := 0; v < n; v++ {
@@ -304,20 +259,8 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 					sRow[i] |= nw
 					anyNew |= nw
 				}
-				if anyNew == 0 {
-					continue
-				}
-				for i := range nRow {
-					updated += int64(onesCount(nRow[i]))
-					live[i] |= nRow[i]
-				}
-				frontVertices++
-				frontEdges += int64(g.Degree(v))
-				if ov != nil {
-					frontEdges += int64(ov.ExtraDegree(v))
-				}
-				if levels != nil || opt.OnVisit != nil {
-					emit(v, nRow)
+				if anyNew != 0 {
+					found(v, nRow)
 				}
 			}
 		}
@@ -345,111 +288,6 @@ func msbfsBatch(g *graph.Graph, batch []int, batchOffset int, opt Options, eng *
 	}
 
 	rec.finish()
-	res.VisitedStates += visited
-	res.Stats.Merge(metrics.RunStat{Elapsed: time.Since(start), Sources: k, Iterations: rec.stats})
-	if levels != nil {
-		for i := range levels {
-			res.Levels[batchOffset+i] = levels[i]
-		}
-	}
-}
-
-// MSBFSPerCore runs the MS-BFS execution model the paper measures in its
-// parallel comparisons: opt.Workers independent sequential MS-BFS
-// instances, each pulling whole 64*BatchWords-source batches from a shared
-// workload. This is the only way the sequential algorithm can use multiple
-// cores; it needs Workers separate state allocations (the memory blow-up of
-// Figure 3) and at least Workers full batches to utilize the machine (the
-// utilization cliff of Figure 2).
-//
-// The returned RunStat's Elapsed is the wall-clock time of the whole run;
-// per-instance times are summed into nothing — GTEPS is edges/wall-clock,
-// matching how the paper evaluates this mode.
-func MSBFSPerCore(g *graph.Graph, sources []int, opt Options) *MultiResult {
-	workers := opt.workers()
-	words := opt.batchWords()
-	perBatch := SourcesPerBatch(words)
-
-	// Pre-slice the workload into batches.
-	type job struct {
-		batch  []int
-		offset int
-	}
-	var jobs []job
-	for off := 0; off < len(sources); off += perBatch {
-		hi := off + perBatch
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		jobs = append(jobs, job{batch: sources[off:hi], offset: off})
-	}
-
-	res := &MultiResult{Sources: append([]int(nil), sources...)}
-	if opt.RecordLevels {
-		res.Levels = make([][]int32, len(sources))
-	}
-
-	start := time.Now()
-	jobCh := make(chan job)
-	results := make([]*MultiResult, workers)
-	busy := make([]time.Duration, workers)
-	var wg sync.WaitGroup
-	// Per-instance options: sequential semantics, no nested parallelism.
-	instOpt := opt
-	instOpt.Workers = 1
-
-	eng := opt.engine()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			n := g.NumVertices()
-			// Each instance borrows its own state triple — the arena still
-			// pays the Figure 3 memory blow-up while a run is live, but
-			// back-to-back runs stop re-allocating it.
-			seen := eng.borrowState(n, words)
-			frontier := eng.borrowState(n, words)
-			next := eng.borrowState(n, words)
-			defer func() {
-				eng.returnState(seen)
-				eng.returnState(frontier)
-				eng.returnState(next)
-			}()
-			local := &MultiResult{}
-			if opt.RecordLevels {
-				local.Levels = make([][]int32, len(sources))
-			}
-			for j := range jobCh {
-				t0 := time.Now()
-				msbfsBatch(g, j.batch, j.offset, instOpt, eng, seen, frontier, next, local)
-				busy[w] += time.Since(t0)
-			}
-			results[w] = local
-		}(w)
-	}
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	wg.Wait()
-	wall := time.Since(start)
-
-	for _, local := range results {
-		if local == nil {
-			continue
-		}
-		res.VisitedStates += local.VisitedStates
-		res.Stats.Sources += local.Stats.Sources
-		res.Stats.Iterations = append(res.Stats.Iterations, local.Stats.Iterations...)
-		if opt.RecordLevels {
-			for i, lv := range local.Levels {
-				if lv != nil {
-					res.Levels[i] = lv
-				}
-			}
-		}
-	}
-	res.Stats.Elapsed = wall
-	res.WorkerBusy = busy
-	return res
+	return batchOut{levels: levels, visited: visited,
+		stat: metrics.RunStat{Elapsed: time.Since(start), Sources: k, Iterations: rec.stats}}
 }

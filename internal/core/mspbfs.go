@@ -128,28 +128,14 @@ func newMSPBFSShell(run shellRun, words int) *MSPBFSEngine {
 
 // Run processes all sources in batches and aggregates the result.
 func (e *MSPBFSEngine) Run(sources []int) *MultiResult {
-	res := &MultiResult{Sources: append([]int(nil), sources...)}
-	if e.opt.RecordLevels {
-		res.Levels = make([][]int32, len(sources))
-	}
 	e.pool.ResetBusy()
-	perBatch := SourcesPerBatch(e.words)
-	for off := 0; off < len(sources); off += perBatch {
-		hi := off + perBatch
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		e.runBatch(sources[off:hi], off, res)
-	}
+	res := runBatches(sources, e.opt, e.runBatch)
 	res.WorkerBusy = e.pool.Busy()
 	return res
 }
 
 // runBatch executes one batch of k <= 64*words concurrent BFSs.
-func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) {
-	if len(batch) == 0 {
-		return
-	}
+func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int) batchOut {
 	start := time.Now()
 	levels := e.Seed(batch, batchOffset)
 	e.traverse()
@@ -161,11 +147,8 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int, res *MultiResult) 
 	}
 
 	e.rec.finish()
-	res.VisitedStates += e.visited
-	res.Stats.Merge(metrics.RunStat{Elapsed: time.Since(start), Sources: len(batch), Iterations: e.rec.stats})
-	for i := range levels {
-		res.Levels[batchOffset+i] = levels[i]
-	}
+	return batchOut{levels: levels, visited: e.visited,
+		stat: metrics.RunStat{Elapsed: time.Since(start), Sources: len(batch), Iterations: e.rec.stats}}
 }
 
 // Seed starts one batch of k <= 64*words BFSs, source batch[i] on bit i:
@@ -180,15 +163,7 @@ func (e *MSPBFSEngine) Seed(batch []int, batchOffset int) [][]int32 {
 	k := len(batch)
 	var levels [][]int32
 	if opt.RecordLevels {
-		levels = make([][]int32, k) //bfs:alloc-ok k pointers per batch, not per vertex
-		for i := range levels {
-			// The NoLevel fill is the level rows' arena scrub: every entry
-			// is overwritten before the row can be read.
-			levels[i] = e.eng.borrowLevels(n) //bfs:arena-held rows go to Seed's caller (Run's MultiResult or a Step driver), who frees them with Engine.ReleaseLevels
-			for v := range levels[i] {
-				levels[i][v] = NoLevel
-			}
-		}
+		levels = e.eng.borrowLevelRows(n, k) //bfs:arena-held rows go to Seed's caller (Run's MultiResult or a Step driver), who frees them with Engine.ReleaseLevels
 	}
 
 	// Reset state from any previous batch (skipped when the constructor's

@@ -63,14 +63,6 @@ func TestOverlayKernelEquivalence(t *testing.T) {
 				}
 			}
 
-			wantSeq := MSBFS(compacted, sources, opt)
-			gotSeq := MSBFS(base, sources, ovOpt)
-			for i := range sources {
-				if !reflect.DeepEqual(wantSeq.Levels[i], gotSeq.Levels[i]) {
-					t.Fatalf("MS-BFS levels diverge for source %d", sources[i])
-				}
-			}
-
 			for _, repr := range []StateRepr{BitState, ByteState} {
 				w := SMSPBFS(compacted, sources[0], repr, opt)
 				g := SMSPBFS(base, sources[0], repr, ovOpt)
@@ -90,38 +82,28 @@ func TestOverlayKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestOverlaySinglePhaseTopDown covers the direct sequential variant's
-// fused overlay path separately (only MSBFS honors SinglePhaseTopDown).
-func TestOverlaySinglePhaseTopDown(t *testing.T) {
-	base, ov, compacted := splitGraphOverlay(400, 1200, 7)
-	sources := []int{1, 42, 399}
-	opt := Options{RecordLevels: true, SinglePhaseTopDown: true, Direction: TopDownOnly}
-	ovOpt := opt
-	ovOpt.Overlay = ov
-	want := MSBFS(compacted, sources, opt)
-	got := MSBFS(base, sources, ovOpt)
-	if !reflect.DeepEqual(want.Levels, got.Levels) {
-		t.Fatalf("single-phase MS-BFS levels diverge under overlay")
-	}
-}
-
-// TestOverlayGuardsFire pins the contract that non-fused baselines refuse
-// an overlay instead of silently ignoring it.
-func TestOverlayGuardsFire(t *testing.T) {
+// TestBaselineGuardsFire pins the contract that the paper's baselines
+// refuse an overlay or a visitor instead of silently ignoring it.
+func TestBaselineGuardsFire(t *testing.T) {
 	base, ov, _ := splitGraphOverlay(64, 128, 3)
-	opt := Options{Overlay: ov}
-	for name, run := range map[string]func(){
-		"Beamer":   func() { Beamer(base, 0, BeamerGAPBS, opt) },
-		"QueueBFS": func() { QueueBFS(base, 0, opt) },
-		"IBFS":     func() { IBFS(base, []int{0}, opt) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s accepted Options.Overlay without panicking", name)
-				}
+	visit := func(_, _, _, _ int) {}
+	for hook, opt := range map[string]Options{"Overlay": {Overlay: ov}, "OnVisit": {OnVisit: visit}} {
+		for name, run := range map[string]func(){
+			"Beamer":       func() { Beamer(base, 0, BeamerGAPBS, opt) },
+			"QueueBFS":     func() { QueueBFS(base, 0, opt) },
+			"IBFS":         func() { IBFS(base, []int{0}, opt) },
+			"MSBFS":        func() { MSBFS(base, []int{0}, opt) },
+			"MSBFSDirect":  func() { MSBFSDirect(base, []int{0}, opt) },
+			"MSBFSPerCore": func() { MSBFSPerCore(base, []int{0}, opt) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted Options.%s without panicking", name, hook)
+					}
+				}()
+				run()
 			}()
-			run()
-		}()
+		}
 	}
 }

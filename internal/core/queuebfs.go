@@ -22,18 +22,14 @@ import (
 // Its role in this repository is to represent the contention and conversion
 // costs that the paper's array-based approach eliminates.
 func QueueBFS(g *graph.Graph, source int, opt Options) *Result {
-	requireNoOverlay(opt, "QueueBFS")
+	requireNoHooks(opt, "QueueBFS")
 	n := g.NumVertices()
 	workers := opt.workers()
 	rec := newIterRecorder(opt, "queue-bfs", 1, nil)
 	eng := opt.engine()
 	var levels []int32
 	if opt.RecordLevels {
-		// NoLevel fill doubles as the level row's arena scrub.
 		levels = eng.borrowLevels(n) //bfs:arena-held row rides in the returned Result; the caller frees it with Engine.ReleaseLevels
-		for i := range levels {
-			levels[i] = NoLevel
-		}
 	}
 
 	start := time.Now()
@@ -131,9 +127,6 @@ func QueueBFS(g *graph.Graph, source int, opt Options) *Result {
 								if seen.AtomicSet(int(u)) {
 									if levels != nil {
 										levels[u] = depth
-									}
-									if opt.OnVisit != nil {
-										opt.OnVisit(w, 0, int(u), int(depth))
 									}
 									out = append(out, u)
 									degCounters[w].v += int64(g.Degree(int(u)))

@@ -5,7 +5,109 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/metrics"
 )
+
+// batchOut is what one batch of a k-wide kernel hands the batch driver:
+// its level rows (nil unless RecordLevels), its (source, vertex)
+// discoveries and its run stat.
+type batchOut struct {
+	levels  [][]int32
+	visited int64
+	stat    metrics.RunStat
+}
+
+// batchFunc runs one batch of at most 64*BatchWords sources; off is
+// batch[0]'s index among the caller's sources.
+type batchFunc func(batch []int, off int) batchOut
+
+// forEachBatch is the one split of a k-wide run's sources into batches of
+// up to 64*words.
+func forEachBatch(sources []int, words int, fn func(batch []int, off int)) {
+	perBatch := SourcesPerBatch(words)
+	for off := 0; off < len(sources); off += perBatch {
+		fn(sources[off:min(off+perBatch, len(sources))], off)
+	}
+}
+
+// newMultiResult is the result shell of a k-wide run over sources.
+func newMultiResult(sources []int, opt Options) *MultiResult {
+	res := &MultiResult{Sources: append([]int(nil), sources...)}
+	if opt.RecordLevels {
+		res.Levels = make([][]int32, len(sources))
+	}
+	return res
+}
+
+// add merges the outcome of the batch that starts at off.
+func (r *MultiResult) add(off int, b batchOut) {
+	if b.levels != nil {
+		copy(r.Levels[off:], b.levels)
+	}
+	r.VisitedStates += b.visited
+	r.Stats.Merge(b.stat)
+}
+
+// runBatches is the batch driver of the k-wide kernels (MS-PBFS, MS-BFS,
+// iBFS): it runs the batches of sources through run one after another on
+// the calling goroutine and merges them in order.
+func runBatches(sources []int, opt Options, run batchFunc) *MultiResult {
+	res := newMultiResult(sources, opt)
+	forEachBatch(sources, opt.batchWords(), func(batch []int, off int) {
+		res.add(off, run(batch, off))
+	})
+	return res
+}
+
+// runInstances is the execution model of the paper's instance-per-core and
+// instance-per-socket baselines: instances independent kernel instances,
+// each opened with open (which also returns its close), pull whole batches
+// from the shared workload. The outcomes are merged in instance order;
+// Stats.Elapsed is the wall-clock time of the whole run (GTEPS is
+// edges/wall-clock, as the paper evaluates these modes) and WorkerBusy holds
+// each instance's busy time.
+func runInstances(sources []int, opt Options, instances int, open func() (batchFunc, func())) *MultiResult {
+	type job struct {
+		batch []int
+		off   int
+		out   batchOut
+	}
+	start := time.Now()
+	jobs := make(chan job)
+	done := make([][]job, instances)
+	busy := make([]time.Duration, instances)
+	var wg sync.WaitGroup
+	for i := range instances {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run, release := open()
+			defer release()
+			for j := range jobs {
+				t0 := time.Now()
+				j.out = run(j.batch, j.off)
+				busy[i] += time.Since(t0)
+				done[i] = append(done[i], j)
+			}
+		}()
+	}
+	forEachBatch(sources, opt.batchWords(), func(batch []int, off int) {
+		jobs <- job{batch: batch, off: off}
+	})
+	close(jobs)
+	wg.Wait()
+	wall := time.Since(start)
+
+	res := newMultiResult(sources, opt)
+	for _, js := range done {
+		for _, j := range js {
+			res.add(j.off, j.out)
+		}
+	}
+	res.Stats.Elapsed = wall
+	res.WorkerBusy = busy
+	return res
+}
 
 // MSPBFSPerSocket runs the paper's "MS-PBFS (one per socket)" variant
 // (Section 5): one parallel multi-source instance per CPU socket, each with
@@ -15,80 +117,13 @@ import (
 // MS-PBFS in Figure 11 shows the algorithm is mostly resilient to NUMA
 // effects.
 func MSPBFSPerSocket(g *graph.Graph, sources []int, sockets int, opt Options) *MultiResult {
-	if sockets < 1 {
-		sockets = 1
-	}
-	workers := opt.workers()
-	perSocket := workers / sockets
-	if perSocket < 1 {
-		perSocket = 1
-	}
-	perBatch := SourcesPerBatch(opt.batchWords())
-
-	type job struct {
-		batch  []int
-		offset int
-	}
-	var jobs []job
-	for off := 0; off < len(sources); off += perBatch {
-		hi := off + perBatch
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		jobs = append(jobs, job{batch: sources[off:hi], offset: off})
-	}
-
-	res := &MultiResult{Sources: append([]int(nil), sources...)}
-	if opt.RecordLevels {
-		res.Levels = make([][]int32, len(sources))
-	}
-
-	start := time.Now()
-	jobCh := make(chan job)
-	results := make([]*MultiResult, sockets)
-	var wg sync.WaitGroup
-	for s := 0; s < sockets; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			instOpt := opt
-			instOpt.Workers = perSocket
-			e := NewMSPBFSEngine(g, instOpt)
-			defer e.Close()
-			local := &MultiResult{}
-			if opt.RecordLevels {
-				local.Levels = make([][]int32, len(sources))
-			}
-			for j := range jobCh {
-				e.runBatch(j.batch, j.offset, local)
-			}
-			results[s] = local
-		}(s)
-	}
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	wg.Wait()
-	wall := time.Since(start)
-
-	for _, local := range results {
-		if local == nil {
-			continue
-		}
-		res.VisitedStates += local.VisitedStates
-		res.Stats.Sources += local.Stats.Sources
-		res.Stats.Iterations = append(res.Stats.Iterations, local.Stats.Iterations...)
-		if opt.RecordLevels {
-			for i, lv := range local.Levels {
-				if lv != nil {
-					res.Levels[i] = lv
-				}
-			}
-		}
-	}
-	res.Stats.Elapsed = wall
-	return res
+	sockets = max(sockets, 1)
+	instOpt := opt
+	instOpt.Workers = max(opt.workers()/sockets, 1)
+	return runInstances(sources, opt, sockets, func() (batchFunc, func()) {
+		e := NewMSPBFSEngine(g, instOpt)
+		return e.runBatch, e.Close
+	})
 }
 
 // SMSPBFSAll runs one SMS-PBFS per source, all cores on each, reusing a

@@ -14,11 +14,31 @@ func TestMSBFSPerCoreMatchesOracle(t *testing.T) {
 	g := gen.Kronecker(gen.Graph500Params(9, 17))
 	sources := RandomSources(g, 130, 5)
 	res := MSBFSPerCore(g, sources, Options{Workers: 3, RecordLevels: true})
+	checkInstanceRun(t, "percore", g, sources, res, 3)
+}
+
+// checkInstanceRun checks a per-instance run against the oracle: levels,
+// source count, summed reach and one busy time per instance.
+func checkInstanceRun(t *testing.T, name string, g *graph.Graph, sources []int, res *MultiResult, instances int) {
+	t.Helper()
 	if res.Stats.Sources != len(sources) {
 		t.Fatalf("processed %d sources, want %d", res.Stats.Sources, len(sources))
 	}
+	var reach int64
 	for i, s := range sources {
-		levelsEqual(t, fmt.Sprintf("percore/src#%d", i), res.Levels[i], ReferenceLevels(g, s))
+		want := ReferenceLevels(g, s)
+		levelsEqual(t, fmt.Sprintf("%s/src#%d", name, i), res.Levels[i], want)
+		for _, lv := range want {
+			if lv != NoLevel {
+				reach++
+			}
+		}
+	}
+	if res.VisitedStates != reach {
+		t.Errorf("VisitedStates = %d, want the summed reference reach %d", res.VisitedStates, reach)
+	}
+	if len(res.WorkerBusy) != instances {
+		t.Errorf("len(WorkerBusy) = %d, want one per instance (%d)", len(res.WorkerBusy), instances)
 	}
 }
 
@@ -26,12 +46,7 @@ func TestMSPBFSPerSocketMatchesOracle(t *testing.T) {
 	g := gen.Kronecker(gen.Graph500Params(9, 18))
 	sources := RandomSources(g, 130, 6)
 	res := MSPBFSPerSocket(g, sources, 2, Options{Workers: 4, RecordLevels: true})
-	if res.Stats.Sources != len(sources) {
-		t.Fatalf("processed %d sources, want %d", res.Stats.Sources, len(sources))
-	}
-	for i, s := range sources {
-		levelsEqual(t, fmt.Sprintf("persocket/src#%d", i), res.Levels[i], ReferenceLevels(g, s))
-	}
+	checkInstanceRun(t, "persocket", g, sources, res, 2)
 }
 
 func TestSMSPBFSAllMatchesOracle(t *testing.T) {
@@ -286,8 +301,8 @@ func TestMSBFSDirectVariantMatchesOracle(t *testing.T) {
 	g := gen.Kronecker(gen.Graph500Params(9, 21))
 	sources := RandomSources(g, 70, 8)
 	for _, dir := range []Direction{Auto, TopDownOnly} {
-		opt := Options{SinglePhaseTopDown: true, Direction: dir, RecordLevels: true}
-		res := MSBFS(g, sources, opt)
+		opt := Options{Direction: dir, RecordLevels: true}
+		res := MSBFSDirect(g, sources, opt)
 		for i, s := range sources {
 			levelsEqual(t, fmt.Sprintf("direct/dir%d/src#%d", dir, i), res.Levels[i], ReferenceLevels(g, s))
 		}

@@ -173,11 +173,7 @@ func (e *SMSPBFSEngine) Run(source int) *Result {
 	ov := opt.Overlay
 	var levels []int32
 	if opt.RecordLevels {
-		// NoLevel fill doubles as the level row's arena scrub.
 		levels = e.eng.borrowLevels(n) //bfs:arena-held row rides in the returned Result; the caller frees it with Engine.ReleaseLevels
-		for i := range levels {
-			levels[i] = NoLevel
-		}
 	}
 
 	start := time.Now()

@@ -63,8 +63,20 @@ func (g *Graph) Closeness(vertices []int, opt Options) []float64 {
 
 // NeighborhoodSizes returns, for each source, the number of vertices within
 // maxHops hops (including the source). This is the neighborhood enumeration
-// workload from the paper's introduction.
+// workload from the paper's introduction. A negative maxHops panics.
 func (g *Graph) NeighborhoodSizes(sources []int, maxHops int, opt Options) []int64 {
+	if maxHops < 0 {
+		panic("msbfs: NeighborhoodSizes maxHops must be >= 0")
+	}
+	if maxHops == 0 {
+		// MaxDepth 0 would mean unlimited: radius 0 is each source alone.
+		out := make([]int64, len(sources))
+		for i, s := range sources {
+			g.checkSource(s)
+			out[i] = 1
+		}
+		return out
+	}
 	opt = opt.Normalize()
 	workers := opt.Workers
 	counts := make([][]int64, workers)

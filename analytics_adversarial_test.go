@@ -2,6 +2,7 @@ package msbfs
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -103,5 +104,41 @@ func TestNeighborhoodSizesDisconnected(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("neighborhood[%d] = %d, want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// TestNeighborhoodSizesZeroHops pins radius 0 as each source alone: the
+// traversal's MaxDepth 0 means unlimited, so a radius-0 call that reached
+// it would count whole components. A negative radius and an out-of-range
+// source panic.
+func TestNeighborhoodSizesZeroHops(t *testing.T) {
+	g := GenerateKronecker(10, 16, 1)
+	sources := g.RandomSources(4, 1)
+	zero := g.NeighborhoodSizes(sources, 0, Options{Workers: 2})
+	one := g.NeighborhoodSizes(sources, 1, Options{Workers: 2})
+	for i, s := range sources {
+		if zero[i] != 1 {
+			t.Errorf("source %d: hops 0 counts %d, want 1", s, zero[i])
+		}
+		if want := int64(1 + len(g.Neighbors(s))); one[i] > want || one[i] <= zero[i] {
+			t.Errorf("source %d: hops 1 counts %d, want in (1, %d]", s, one[i], want)
+		}
+	}
+	for _, bad := range []struct {
+		sources []int
+		hops    int
+		want    string
+	}{
+		{sources, -1, "maxHops"},
+		{[]int{g.NumVertices()}, 0, "source vertex out of range"},
+	} {
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, bad.want) {
+					t.Errorf("NeighborhoodSizes(%v, %d) panicked with %q, want %q", bad.sources, bad.hops, r, bad.want)
+				}
+			}()
+			g.NeighborhoodSizes(bad.sources, bad.hops, Options{})
+		}()
 	}
 }

@@ -169,28 +169,15 @@ func autoBatchWords(numSources int) int {
 // share common work; all workers cooperate on every batch. When BatchWords
 // is zero the width is sized to fit all sources in one batch (up to 512).
 func (g *Graph) MultiBFS(sources []int, opt Options) *MultiResult {
-	for _, s := range sources {
-		g.checkSource(s)
-	}
-	opt = opt.Normalize()
-	if opt.BatchWords <= 0 {
-		opt.BatchWords = autoBatchWords(len(sources))
-	}
-	r := core.MSPBFS(g.g, sources, opt.toCore())
-	return &MultiResult{
-		Sources:       r.Sources,
-		Levels:        r.Levels,
-		VisitedStates: r.VisitedStates,
-		Elapsed:       r.Stats.Elapsed,
-		Iterations:    r.Stats.Iterations,
-	}
+	return g.MultiBFSVisitor(sources, opt, nil)
 }
 
 // MultiBFSVisitor is like MultiBFS but streams every (source, vertex,
 // depth) discovery to visit instead of materializing level arrays; the
 // callback runs concurrently on worker goroutines and must only touch
 // workerID-partitioned state. This is the memory-frugal path for
-// whole-graph analytics such as closeness centrality.
+// whole-graph analytics such as closeness centrality. A nil visit is
+// MultiBFS.
 func (g *Graph) MultiBFSVisitor(sources []int, opt Options,
 	visit func(workerID, sourceIdx, vertex, depth int)) *MultiResult {
 	for _, s := range sources {
@@ -212,29 +199,35 @@ func (g *Graph) MultiBFSVisitor(sources []int, opt Options,
 	}
 }
 
-// RunBatch is MultiBFSVisitor in the context-aware, fallible shape every
-// batch backend shares (dyngraph.Snapshot, cluster.RemoteGraph). An
-// in-process traversal cannot be canceled mid-flight and cannot fail, so
-// ctx is ignored and the error is always nil.
+// Pinned is one immutable version of a graph, held by a request from
+// admission until its batch has run, so every coalesced query is
+// repeatable-read isolated from concurrent ingest and compaction. RunBatch
+// has the MultiBFSVisitor contract in a context-aware, fallible form: a
+// remote backend honors the requests' deadlines and fails the batch on a
+// shard death instead of panicking. Release drops the pin; the holder calls
+// it exactly once.
+//
+// Three graphs hand out pins: a Graph and a cluster RemoteGraph are
+// immutable and pin themselves as their one eternal version, reported as
+// 0; a dynamic graph pins the MVCC snapshot of the requested version.
+type Pinned interface {
+	Version() uint64
+	RunBatch(ctx context.Context, sources []int, opt Options,
+		visit func(workerID, sourceIdx, vertex, depth int)) (*MultiResult, error)
+	Release()
+}
+
+// RunBatch is MultiBFSVisitor in the Pinned shape. An in-process traversal
+// cannot be canceled mid-flight and cannot fail, so ctx is ignored and the
+// error is always nil.
 func (g *Graph) RunBatch(_ context.Context, sources []int, opt Options,
 	visit func(workerID, sourceIdx, vertex, depth int)) (*MultiResult, error) {
 	return g.MultiBFSVisitor(sources, opt, visit), nil
 }
 
-// Pin lets an immutable Graph stand wherever a versioned graph is served
-// (internal/server's Backend). A Graph has exactly one, eternal version, so
 // Pin returns the graph itself whichever version is asked for — no
-// allocation, no lock — Version reports it as 0 and Release has nothing to
-// drop. The result is spelled as a method set because this package cannot
-// import the serving layer that names it.
-func (g *Graph) Pin(uint64) (interface {
-	Version() uint64
-	RunBatch(ctx context.Context, sources []int, opt Options,
-		visit func(workerID, sourceIdx, vertex, depth int)) (*MultiResult, error)
-	Release()
-}, error) {
-	return g, nil
-}
+// allocation, no lock: a Graph has one eternal version (see Pinned).
+func (g *Graph) Pin(uint64) (Pinned, error) { return g, nil }
 
 // Version is the graph's one version, 0 (see Pin).
 func (g *Graph) Version() uint64 { return 0 }

@@ -6,7 +6,7 @@
 //
 //	bfsd -graph demo=kron:scale=14 -addr :8080
 //	bfsd -graph social=social:n=200000 -graph web=file:web.bin \
-//	     -workers 8 -batchwords 4
+//	     -workers 8 -maxbatch 256
 //	bfsd -graph demo=kron:scale=14 -debug-addr 127.0.0.1:6060
 //
 // Cluster mode shards each graph's vertex range across bfsd shard
@@ -86,8 +86,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		debugAddr  = flag.String("debug-addr", "", "serve pprof/runtime-trace/flight-recorder debug endpoints on this address (empty: disabled)")
 		workers    = flag.Int("workers", runtime.NumCPU(), "traversal workers per batch")
-		batchWords = flag.Int("batchwords", 1, "MS-PBFS bitset width in words (batch = 64*words sources)")
-		maxBatch   = flag.Int("maxbatch", 0, "override the widest batch in sources (0: 64*batchwords; 1: disable coalescing)")
+		maxBatch   = flag.Int("maxbatch", 64, "widest batch in sources; a batch of w sources runs on ceil(w/64)-word rows (1: disable coalescing)")
 		maxPending = flag.Int("maxpending", 0, "bound on a graph's admitted requests, queued or running; beyond it requests get 429 (0: 4x the widest batch)")
 		timeout    = flag.Duration("timeout", 10*time.Second, "per-request server-side timeout")
 		drainWait  = flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight requests")
@@ -128,7 +127,6 @@ func main() {
 	}
 	if err := run(logger, graphs, *addr, *debugAddr, shards, *dynamic, *maxDelta, server.Config{
 		Workers:        *workers,
-		BatchWords:     *batchWords,
 		MaxBatch:       *maxBatch,
 		MaxPending:     *maxPending,
 		RequestTimeout: *timeout,
@@ -259,8 +257,7 @@ func run(logger *slog.Logger, graphs graphFlags, addr, debugAddr string, shards 
 	go func() {
 		errc <- httpSrv.ListenAndServe()
 	}()
-	logger.Info("listening", "addr", addr,
-		"workers", cfg.Workers, "batch", srv.MaxBatch())
+	logger.Info("listening", "addr", addr, "workers", cfg.Workers)
 
 	// The debug surface binds its own listener so it can be kept on
 	// loopback (or off, the default) while the query port is public.

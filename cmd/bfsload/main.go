@@ -40,9 +40,8 @@ func main() {
 		seed      = flag.Int64("seed", 1, "workload seed")
 		slowest   = flag.Int("slowest", 5, "report the trace ids of the N slowest successful requests (0: off; look them up in /debug/flightrecorder)")
 		// In-process server knobs (ignored with -addr).
-		workers    = flag.Int("workers", runtime.NumCPU(), "in-process server: traversal workers")
-		batchWords = flag.Int("batchwords", 1, "in-process server: bitset width in words")
-		maxBatch   = flag.Int("maxbatch", 0, "in-process server: widest batch override (1: no coalescing)")
+		workers  = flag.Int("workers", runtime.NumCPU(), "in-process server: traversal workers")
+		maxBatch = flag.Int("maxbatch", 64, "in-process server: widest batch in sources (1: no coalescing)")
 	)
 	flag.Parse()
 
@@ -50,7 +49,6 @@ func main() {
 	if *inprocess != "" {
 		cfg := server.Config{
 			Workers:    *workers,
-			BatchWords: *batchWords,
 			MaxBatch:   *maxBatch,
 			MaxPending: *requests + *clients, // the load is the bound
 		}

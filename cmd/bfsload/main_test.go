@@ -33,7 +33,7 @@ func newInprocess(t *testing.T, cfg server.Config) *httptest.Server {
 func TestLoadAchievesCoalescing(t *testing.T) {
 	ts := newInprocess(t, server.Config{
 		Workers:    2,
-		BatchWords: 1,
+		MaxBatch:   64,
 		MaxPending: 2048,
 	})
 	rep, err := drive(ts.URL, driveConfig{Clients: 64, Requests: 512, Kind: "mixed", Seed: 3})

@@ -18,9 +18,9 @@
 // leave the borrow live taints the join point.
 //
 // The same discipline governs dynamic-graph snapshot pins: DynGraph's
-// Acquire/AcquireVersion (and the server's Backend.Pin in front of it) pin
-// an MVCC version whose generation cannot be compacted away until the
-// snapshot's own Release method runs. A leaked pin is worse than a leaked
+// Acquire/AcquireVersion/Pin (and the server's Backend.Pin in front of
+// them) pin an MVCC version whose generation cannot be compacted away until
+// the snapshot's own Release method runs. A leaked pin is worse than a leaked
 // bitmap — it blocks generation retirement forever, so the retired-arena
 // scrub never fires and memory grows with every compaction. The pass
 // tracks Acquire* and Pin calls on those types like borrows, with the release
@@ -49,7 +49,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "arenarelease",
 	Doc: "proves every Engine borrow (borrow*/checkout*/BorrowPool) and every snapshot pin " +
-		"(DynGraph.Acquire*, Backend.Pin) is released on all paths " +
+		"(DynGraph.Acquire*/Pin, Backend.Pin) is released on all paths " +
 		"(return*/checkin*/Release*/release closure/snapshot Release method, directly or via " +
 		"defer); borrows that intentionally outlive the function need //bfs:arena-held plus " +
 		"a justification",
@@ -207,7 +207,7 @@ func isLocal(pass *analysis.Pass, obj types.Object) bool {
 
 // isBorrowCall matches methods named borrow*/Borrow*/checkout*/Checkout*
 // on a named type Engine, and snapshot pins: Acquire* on DynGraph, Pin on
-// Backend (any package).
+// DynGraph or Backend (any package).
 func isBorrowCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -221,7 +221,7 @@ func isBorrowCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return isMethodOn(pass, sel, "DynGraph")
 	}
 	if sel.Sel.Name == "Pin" {
-		return isMethodOn(pass, sel, "Backend")
+		return isMethodOn(pass, sel, "Backend", "DynGraph")
 	}
 	return false
 }

@@ -156,8 +156,9 @@ func VariadicRelease(e *Engine, n int) {
 	e.ReleaseLevels(levels)
 }
 
-// DynGraph models the dynamic graph's MVCC snapshot surface: Acquire*
-// pins a version, the pin is dropped by the snapshot's own Release method.
+// DynGraph models the dynamic graph's MVCC snapshot surface: Acquire* and
+// Pin pin a version, the pin is dropped by the snapshot's own Release
+// method.
 type DynGraph struct{}
 
 type Snapshot struct{}
@@ -167,6 +168,7 @@ func (s *Snapshot) Run() int  { return 0 }
 
 func (d *DynGraph) Acquire() (*Snapshot, error)                  { return &Snapshot{}, nil }
 func (d *DynGraph) AcquireVersion(ver uint64) (*Snapshot, error) { return &Snapshot{}, nil }
+func (d *DynGraph) Pin(ver uint64) (*Snapshot, error)            { return &Snapshot{}, nil }
 
 // Backend models the server-side seam in front of the acquire surface.
 type Backend interface {
@@ -206,6 +208,15 @@ func SnapshotFallThroughLeak(b Backend) {
 		return
 	}
 	_ = snap
+}
+
+// SnapshotPinLeak pins through the dynamic graph itself and never releases.
+func SnapshotPinLeak(d *DynGraph) {
+	snap, err := d.Pin(0) // want `not released on the fall-through path`
+	if err != nil {
+		return
+	}
+	_ = snap.Run()
 }
 
 // SnapshotEscapes hands the pinned snapshot to the caller undeclared.

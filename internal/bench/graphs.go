@@ -51,12 +51,6 @@ func KroneckerGraph(scale int, seed uint64) *graph.Graph {
 	return kronecker(scale, seed)
 }
 
-// StripedKroneckerGraph exposes the striped-relabeled variant the parallel
-// experiments (and the perf suite's traversal scenarios) run on.
-func StripedKroneckerGraph(scale, workers int, seed uint64) *graph.Graph {
-	return stripedKronecker(scale, workers, seed)
-}
-
 // stripedKronecker is kronecker relabeled with the paper's striped scheme.
 func stripedKronecker(scale, workers int, seed uint64) *graph.Graph {
 	return cachedGraph(key("kron-striped", scale, workers, int(seed)), func() *graph.Graph {

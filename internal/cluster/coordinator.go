@@ -137,16 +137,8 @@ func (rg *RemoteGraph) NumVertices() int { return rg.n }
 
 // Pin returns the graph itself: the shipped slices are immutable, so like a
 // local msbfs.Graph a RemoteGraph has one eternal version, reported as 0,
-// and nothing to release. The result is spelled as a method set because
-// this package cannot import the serving layer that names it.
-func (rg *RemoteGraph) Pin(uint64) (interface {
-	Version() uint64
-	RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
-		visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error)
-	Release()
-}, error) {
-	return rg, nil
-}
+// and nothing to release.
+func (rg *RemoteGraph) Pin(uint64) (msbfs.Pinned, error) { return rg, nil }
 
 // Version is the graph's one version, 0 (see Pin).
 func (rg *RemoteGraph) Version() uint64 { return 0 }

@@ -350,6 +350,17 @@ func (d *DynGraph) AcquireVersion(ver uint64) (*Snapshot, error) {
 	return d.pinLocked(v), nil
 }
 
+// Pin is AcquireVersion as a msbfs.Pinned, the shape the query server
+// serves every graph through. On error there is no pin: the result is an
+// untyped nil, not a nil *Snapshot inside the interface.
+func (d *DynGraph) Pin(ver uint64) (msbfs.Pinned, error) {
+	snap, err := d.AcquireVersion(ver) //bfs:arena-held handed to Pin's caller, which unpins via Pinned.Release
+	if err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
 // pinLocked pins a published view: until the snapshot's Release the view's
 // generation cannot retire, whatever eviction and compaction do meanwhile.
 func (d *DynGraph) pinLocked(v *view) *Snapshot {
@@ -386,8 +397,8 @@ func (s *Snapshot) Overlay() *msbfs.Overlay {
 func (s *Snapshot) NumEdges() int64 { return s.v.gen.base.NumEdges() + s.v.ov.Arcs()/2 }
 
 // RunBatch traverses the snapshot view with the multi-source visitor
-// kernel. It satisfies the query server's batch-runner shape so coalesced
-// batches can run against a pinned version.
+// kernel: with Version and Release it makes a Snapshot the msbfs.Pinned
+// that Pin hands out.
 func (s *Snapshot) RunBatch(_ context.Context, sources []int, opt msbfs.Options,
 	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
 	opt.Overlay = s.Overlay()

@@ -299,6 +299,27 @@ func TestVersionLifecycle(t *testing.T) {
 	}
 }
 
+// TestPinFailureIsNil: Pin of a version that was never published, or that
+// has aged out, returns its error and an untyped nil — not a nil *Snapshot
+// inside the interface — and a good pin reports its version.
+func TestPinFailureIsNil(t *testing.T) {
+	d := New(msbfs.NewGraph(8, nil), Config{Retain: 1})
+	defer d.Close()
+	if _, err := d.ApplyEdges([]graph.Edge{{U: 0, V: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	for ver, want := range map[uint64]error{99: ErrVersionFuture, 1: ErrVersionGone} {
+		if pin, err := d.Pin(ver); pin != nil || !errors.Is(err, want) {
+			t.Errorf("Pin(%d) = %v, %v; want nil, %v", ver, pin, err, want)
+		}
+	}
+	pin, err := d.Pin(0)
+	if err != nil || pin.Version() != 2 {
+		t.Fatalf("Pin(0) = %v, %v; want version 2", pin, err)
+	}
+	pin.Release()
+}
+
 // TestArenaScrubOnRetire: once the last snapshot of a retired generation
 // is released, the generation's overlay arena must be poisoned. A stale
 // neighbor-list pointer held past Release reads PoisonVertex instead of a

@@ -42,11 +42,6 @@ func TestTaskCountsAccounting(t *testing.T) {
 			t.Errorf("worker %d: steals %d > tasks %d", w, steals[w], tasks[w])
 		}
 	}
-
-	p.ResetTaskCounts()
-	if got := sum64(p.TaskCounts(nil)); got != 0 {
-		t.Errorf("after reset, total tasks = %d, want 0", got)
-	}
 }
 
 // TestStealCountsDetectSteals forces stealing by making one worker's

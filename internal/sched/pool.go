@@ -239,8 +239,8 @@ func (p *Pool) Busy() []time.Duration {
 }
 
 // TaskCounts appends each worker's cumulative fetched-task count (since
-// pool creation or the last ResetTaskCounts) to dst and returns it. Call
-// between phases; a snapshot taken mid-phase is merely approximate.
+// pool creation) to dst and returns it. Call between phases; a snapshot
+// taken mid-phase is merely approximate.
 func (p *Pool) TaskCounts(dst []int64) []int64 {
 	for i := range p.counts {
 		dst = append(dst, p.counts[i].tasks.Load())
@@ -255,14 +255,6 @@ func (p *Pool) StealCounts(dst []int64) []int64 {
 		dst = append(dst, p.counts[i].steals.Load())
 	}
 	return dst
-}
-
-// ResetTaskCounts zeroes the task/steal counters.
-func (p *Pool) ResetTaskCounts() {
-	for i := range p.counts {
-		p.counts[i].tasks.Store(0)
-		p.counts[i].steals.Store(0)
-	}
 }
 
 // Close shuts the workers down. The pool must not be used afterwards.

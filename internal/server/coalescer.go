@@ -9,7 +9,7 @@
 // time. The Coalescer closes that gap by natural batching: a request that
 // finds its graph idle is traversed at once, requests arriving while
 // batches run accumulate in a bounded pending queue, and its head (at most
-// 64 x BatchWords sources) becomes the next MultiBFS batch when a runner is
+// MaxBatch sources) becomes the next MultiBFS batch when a runner is
 // free (cutWidthLocked), at most two per graph (maxInFlight). One visitor
 // pass answers every query kind in the batch; results are demultiplexed
 // back to the waiting requests.
@@ -99,12 +99,11 @@ var (
 type Config struct {
 	// Workers is the traversal parallelism per batch (<=0: 1).
 	Workers int
-	// BatchWords is the MS-PBFS bitset width in 64-bit words; a full batch
-	// holds 64*BatchWords sources (<=0: 1, clamped to 8).
-	BatchWords int
-	// MaxBatch overrides the widest batch in sources (0: 64*BatchWords).
-	// MaxBatch 1 disables coalescing — the per-request serving baseline
-	// that cmd/bfsload compares against.
+	// MaxBatch is the widest batch in sources (<=0: 64). A cut of w
+	// sources runs on ceil(w/64)-word MS-PBFS rows, so the width is the
+	// one knob: MaxBatch 64w allows w-word rows. MaxBatch 1 disables
+	// coalescing — the per-request serving baseline that cmd/bfsload
+	// compares against.
 	MaxBatch int
 	// Deprecated: FlushDeadline is ignored (batches are cut when a runner is
 	// free, not on a timer); it remains because frozen benchmark/ names it.
@@ -120,31 +119,14 @@ type Config struct {
 	// Registry wires its per-daemon engine here; nil falls back to the
 	// library's shared default engine.
 	Engine *msbfs.Engine
-	// Graph labels this coalescer's flight records and spans; the
-	// Registry sets it to the graph's registered name.
-	Graph string
-	// Recorder receives one flight record per admitted or rejected
-	// request and issues their trace IDs; nil disables flight recording
-	// (trace IDs are then 0).
-	Recorder *FlightRecorder
-	// Tracer records a span around every batch flush; nil disables.
-	Tracer *obs.Tracer
-	// Logger receives slow-query warnings (one line per request the
-	// Recorder classifies as slow); nil disables.
-	Logger *slog.Logger
 }
 
 func (c Config) normalize() Config {
 	// The library's option clamping is the single source of truth for the
-	// Workers/BatchWords domains.
-	o := msbfs.Options{Workers: c.Workers, BatchWords: c.BatchWords}.Normalize()
-	c.Workers = o.Workers
-	c.BatchWords = o.BatchWords
-	if c.BatchWords == 0 {
-		c.BatchWords = 1
-	}
+	// Workers domain.
+	c.Workers = msbfs.Options{Workers: c.Workers}.Normalize().Workers
 	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64 * c.BatchWords
+		c.MaxBatch = 64
 	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 4 * c.MaxBatch
@@ -165,7 +147,7 @@ type pendingReq struct {
 	// pin is the graph version this request traverses, taken at submit
 	// time. Owned by the request; released exactly once when the request
 	// leaves the coalescer, on every path.
-	pin Pinned
+	pin msbfs.Pinned
 }
 
 type outcome struct {
@@ -190,6 +172,17 @@ type Coalescer struct {
 	met   *Metrics
 	edges func(sources []int) int64 // Graph500 edge accounting; may be nil
 
+	// The registry's observability surface, wired in by AddBackend; a
+	// coalescer built by NewCoalescer alone has none. name labels its
+	// flight records and spans; rec receives one flight record per
+	// admitted or rejected request and issues their trace IDs (0 when
+	// nil); tracer records a span around every batch flush; logger
+	// receives panics and the requests rec classifies as slow.
+	name   string
+	rec    *FlightRecorder
+	tracer *obs.Tracer
+	logger *slog.Logger
+
 	mu      sync.Mutex
 	pending []*pendingReq // admitted, not yet cut, in arrival order
 	running int           // batches cut and not yet finished, <= maxInFlight
@@ -201,7 +194,7 @@ type Coalescer struct {
 }
 
 // NewCoalescer builds a coalescer over backend g — a *msbfs.Graph, a
-// *cluster.RemoteGraph, or a dynamic graph's pinning adapter. met must be
+// *cluster.RemoteGraph or a *dyngraph.DynGraph. met must be
 // non-nil (use NewMetrics); edges may be nil to skip GTEPS accounting.
 func NewCoalescer(g Backend, cfg Config, met *Metrics, edges func([]int) int64) *Coalescer {
 	return &Coalescer{g: g, cfg: cfg.normalize(), met: met, edges: edges}
@@ -278,7 +271,7 @@ func (c *Coalescer) Submit(ctx context.Context, q Query) (Answer, error) {
 		return Answer{}, fmt.Errorf("%w: version pinning requires a dynamic graph", ErrBadRequest)
 	}
 	p := &pendingReq{q: q, ctx: ctx, done: make(chan outcome, 1), enqueued: enqueued,
-		traceID: c.cfg.Recorder.NextTraceID(), pin: pin}
+		traceID: c.rec.NextTraceID(), pin: pin}
 
 	c.mu.Lock()
 	if c.closed {
@@ -375,8 +368,8 @@ func (c *Coalescer) Close() {
 // record files p's flight record and reports whether the recorder
 // classified the request as slow.
 func (c *Coalescer) record(p *pendingReq, status string, wait, run, total time.Duration, width int) bool {
-	return c.cfg.Recorder.Record(RequestRecord{
-		TraceID: p.traceID, Graph: c.cfg.Graph, Kind: string(p.q.Kind),
+	return c.rec.Record(RequestRecord{
+		TraceID: p.traceID, Graph: c.name, Kind: string(p.q.Kind),
 		Source: p.q.Source, Status: status, Start: p.enqueued,
 		WaitMicros: wait.Microseconds(), RunMicros: run.Microseconds(),
 		TotalMicros: total.Microseconds(), BatchWidth: width,
@@ -528,13 +521,13 @@ func (c *Coalescer) cut(b *batch) bool {
 func (c *Coalescer) execute(b *batch) (res *msbfs.MultiResult, err error) {
 	ctx, cancel := batchContext(b.live)
 	defer cancel()
-	sp := c.cfg.Tracer.StartSpan("coalescer-flush", c.cfg.Graph)
+	sp := c.tracer.StartSpan("coalescer-flush", c.name)
 	defer sp.End()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: %v", ErrBatchPanic, r)
-			if c.cfg.Logger != nil {
-				c.cfg.Logger.Error("batch panicked", "graph", c.cfg.Graph,
+			if c.logger != nil {
+				c.logger.Error("batch panicked", "graph", c.name,
 					"width", len(b.live), "panic", r, "stack", string(debug.Stack()))
 			}
 		}
@@ -623,9 +616,9 @@ func (c *Coalescer) demux(b *batch, res *msbfs.MultiResult) {
 		c.met.QueueWait.RecordDuration(ans.Wait)
 		c.met.Exec.RecordDuration(res.Elapsed)
 		lat := end.Sub(p.enqueued)
-		if c.record(p, "ok", ans.Wait, res.Elapsed, lat, width) && c.cfg.Logger != nil {
-			c.cfg.Logger.Warn("slow query",
-				"trace_id", p.traceID, "graph", c.cfg.Graph, "kind", string(p.q.Kind),
+		if c.record(p, "ok", ans.Wait, res.Elapsed, lat, width) && c.logger != nil {
+			c.logger.Warn("slow query",
+				"trace_id", p.traceID, "graph", c.name, "kind", string(p.q.Kind),
 				"source", p.q.Source, "wait_us", ans.Wait.Microseconds(),
 				"run_us", res.Elapsed.Microseconds(), "total_us", lat.Microseconds(),
 				"batch_width", width)

@@ -28,7 +28,7 @@ func TestCoalescingEndToEnd(t *testing.T) {
 	const reqs = 128
 	c := NewCoalescer(gb, Config{
 		Workers:    2,
-		BatchWords: 1, // widest batch 64
+		MaxBatch:   64,
 		MaxPending: reqs,
 	}, NewMetrics(), nil)
 	defer c.Close()
@@ -182,6 +182,49 @@ func TestFinishCutsAtMostMaxBatch(t *testing.T) {
 	}
 	if m := gb.maxConcurrent(); m != maxInFlight {
 		t.Errorf("%d batches ran at once, want %d", m, maxInFlight)
+	}
+}
+
+// TestCutWordsFollowWidth pins MaxBatch as the one serving width knob: 100
+// callers queued behind two held lone batches leave in one 100-wide cut
+// under MaxBatch 128, and the coalescer leaves Options.BatchWords 0, so the
+// library sizes the cut's rows by its sources (two words here).
+func TestCutWordsFollowWidth(t *testing.T) {
+	g := testGraph(t)
+	gb := newGate(g, true)
+	const callers = 100
+	c := NewCoalescer(gb, Config{Workers: 2, MaxBatch: 128, MaxPending: 2 + callers}, NewMetrics(), nil)
+	defer c.Close()
+	n := g.NumVertices()
+	var results []<-chan submitResult
+	submit := func(k int) {
+		for i := 0; i < k; i++ {
+			results = append(results, submitAsync(context.Background(), c,
+				Query{Kind: KindCloseness, Source: (len(results) * 37) % n}))
+		}
+	}
+
+	submit(1)
+	lone := gb.next(t)
+	submit(1)
+	gb.next(t)
+	settle(t, c, 0, 2)
+	submit(callers)
+	settle(t, c, callers, 2)
+	lone.finish()
+	wide := gb.next(t)
+	if len(wide.sources) != callers || wide.opt.BatchWords != 0 {
+		t.Errorf("cut of %d sources with BatchWords %d, want %d with 0",
+			len(wide.sources), wide.opt.BatchWords, callers)
+	}
+	gb.open()
+	for i, ch := range results {
+		if r := <-ch; r.err != nil {
+			t.Fatalf("request %d: %v", i, r.err)
+		}
+	}
+	if w := gb.widths(); !slices.Equal(w, []int{1, 1, callers}) {
+		t.Errorf("batch widths %v, want [1 1 %d]", w, callers)
 	}
 }
 

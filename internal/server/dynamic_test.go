@@ -424,7 +424,7 @@ type stubSnap struct {
 	ver uint64
 }
 
-func (s *stubSnapshots) Pin(ver uint64) (Pinned, error) {
+func (s *stubSnapshots) Pin(ver uint64) (msbfs.Pinned, error) {
 	if ver == 0 {
 		ver = s.cur
 	}
@@ -497,7 +497,7 @@ func TestMixedVersionQueue(t *testing.T) {
 	defer eng.Close()
 	dyn := dyngraph.New(g, dyngraph.Config{})
 	defer dyn.Close()
-	gb := newGate(dynBackend{dyn}, true)
+	gb := newGate(dyn, true)
 	c := NewCoalescer(gb, Config{Workers: 2, MaxBatch: 4, MaxPending: 64, Engine: eng}, NewMetrics(), nil)
 	ctx := context.Background()
 

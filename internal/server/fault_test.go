@@ -24,11 +24,11 @@ type panicOnce struct {
 }
 
 type panicView struct {
-	Pinned
+	msbfs.Pinned
 	b *panicOnce
 }
 
-func (b *panicOnce) Pin(version uint64) (Pinned, error) {
+func (b *panicOnce) Pin(version uint64) (msbfs.Pinned, error) {
 	pin, err := b.Backend.Pin(version)
 	if err != nil {
 		return nil, err
@@ -62,7 +62,7 @@ func TestBatchPanicStaysPerRequest(t *testing.T) {
 		{"static", func(e *Entry) Backend { return e.G }},
 		{"dynamic", func(e *Entry) Backend {
 			e.Dyn = dyngraph.New(e.G, dyngraph.Config{})
-			return dynBackend{e.Dyn}
+			return e.Dyn
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

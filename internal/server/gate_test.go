@@ -13,8 +13,8 @@ import (
 
 // gateBackend wraps a Backend so that a test sees, and can hold, every
 // batch the coalescer runs on it. Each RunBatch is recorded with the
-// version and sources it traverses, and the greatest number running at once
-// is kept — the count behind the two-slot bound. While hold is set, a
+// version, sources and options it traverses, and the greatest number
+// running at once is kept — the count behind the two-slot bound. While hold is set, a
 // RunBatch announces itself on started and does not traverse until the test
 // closes its release channel: the policy tests script arrivals and finishes
 // with that instead of with time.
@@ -32,6 +32,7 @@ type gateBackend struct {
 type gatedRun struct {
 	version uint64
 	sources []int
+	opt     msbfs.Options
 	release chan struct{}
 	once    sync.Once
 }
@@ -48,11 +49,11 @@ func newGate(inner Backend, hold bool) *gateBackend {
 }
 
 type gateView struct {
-	Pinned
+	msbfs.Pinned
 	b *gateBackend
 }
 
-func (b *gateBackend) Pin(version uint64) (Pinned, error) {
+func (b *gateBackend) Pin(version uint64) (msbfs.Pinned, error) {
 	pin, err := b.Backend.Pin(version)
 	if err != nil {
 		return nil, err
@@ -63,7 +64,7 @@ func (b *gateBackend) Pin(version uint64) (Pinned, error) {
 func (v gateView) RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
 	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
 	b := v.b
-	run := &gatedRun{version: v.Version(), sources: slices.Clone(sources), release: make(chan struct{})}
+	run := &gatedRun{version: v.Version(), sources: slices.Clone(sources), opt: opt, release: make(chan struct{})}
 	b.mu.Lock()
 	b.running++
 	b.maxRunning = max(b.maxRunning, b.running)
@@ -159,7 +160,7 @@ func submitAsync(ctx context.Context, c interface {
 // soloAnswer answers q by one single-source traversal of view, every field
 // derived from the full distance array — the oracle a coalesced answer is
 // compared with. n is the graph's vertex count.
-func soloAnswer(t testing.TB, view Pinned, n int, q Query) Answer {
+func soloAnswer(t testing.TB, view msbfs.Pinned, n int, q Query) Answer {
 	t.Helper()
 	levels := make([]int32, n)
 	for i := range levels {

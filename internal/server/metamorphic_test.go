@@ -44,7 +44,7 @@ func TestCoalescerMetamorphic(t *testing.T) {
 				if dynamic {
 					dyn = dyngraph.New(g, dyngraph.Config{Retain: 4 * ingests})
 					defer dyn.Close()
-					inner = dynBackend{dyn}
+					inner = dyn
 				}
 				gb := newGate(inner, false)
 				c := NewCoalescer(gb, Config{Workers: 2, MaxBatch: 8, MaxPending: ops, Engine: eng}, NewMetrics(), nil)

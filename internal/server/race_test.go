@@ -27,7 +27,7 @@ func TestRaceSubmitCancelShutdown(t *testing.T) {
 	gb := newGate(g, false)
 	c := NewCoalescer(gb, Config{
 		Workers:    2,
-		BatchWords: 1,
+		MaxBatch:   64,
 		MaxPending: 256,
 	}, met, nil)
 

@@ -170,27 +170,6 @@ func (r *Registry) SetSlowQuery(d time.Duration) {
 	r.rec = NewFlightRecorder(0, 0, d)
 }
 
-// wireEngine defaults cfg.Engine to the registry's engine and pre-spawns a
-// pooled worker set of the configured width so the first flush is warm. It
-// also wires the registry's shared observability surface into the config
-// unless the caller injected its own.
-func (r *Registry) wireEngine(cfg Config) Config {
-	if cfg.Engine == nil {
-		cfg.Engine = r.eng
-	}
-	if cfg.Recorder == nil {
-		cfg.Recorder = r.rec
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = r.tracer
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = r.logger
-	}
-	cfg.Engine.Prewarm(cfg.Workers)
-	return cfg
-}
-
 // BuildGraph materializes a graph from spec under a "graph-build" span —
 // the step cmd/bfsd and cmd/bfsload take before handing the graph to Add,
 // AddDynamic or AddCluster. name only labels the error.
@@ -212,19 +191,22 @@ func (r *Registry) BuildGraph(name, spec string) (*msbfs.Graph, error) {
 }
 
 // AddBackend is the one registration path; Add, AddDynamic and AddCluster
-// differ only in the open they pass. It wires the registry's engine and
-// observability surface into cfg, applies the paper's striped relabeling
-// sized to cfg.Workers when relabel is set (the labeling every heavy BFS
-// workload should run under), then calls open with the entry — e.G is the
-// graph traversals run on, e.Perm its permutation — and the normalized
-// config, to obtain the backend the entry's coalescer dispatches to. open
-// may fill in the entry's backend-specific fields (Dyn, ClusterMet).
+// differ only in the open they pass. It defaults cfg.Engine to the
+// registry's engine, pre-spawned to cfg.Workers so the first flush is warm,
+// applies the paper's striped relabeling sized to cfg.Workers when
+// relabel is set (the labeling every heavy BFS workload should run under),
+// then calls open with the entry — e.G is the graph traversals run on,
+// e.Perm its permutation — and the normalized config, to obtain the backend
+// the entry's coalescer dispatches to; the coalescer also gets the graph's
+// name and the registry's flight recorder, tracer and logger. open may fill
+// in the entry's backend-specific fields (Dyn, ClusterMet).
 func (r *Registry) AddBackend(name, spec string, g *msbfs.Graph, relabel bool, cfg Config,
 	open func(e *Entry, cfg Config) (Backend, error)) (*Entry, error) {
-	if cfg.Graph == "" {
-		cfg.Graph = name
+	cfg = cfg.normalize()
+	if cfg.Engine == nil {
+		cfg.Engine = r.eng
 	}
-	cfg = r.wireEngine(cfg.normalize())
+	cfg.Engine.Prewarm(cfg.Workers)
 	e := &Entry{Name: name, Spec: spec, G: g, Met: NewMetrics()}
 	if relabel && g.NumVertices() > 0 {
 		sp := r.tracer.StartSpan("relabel", name)
@@ -238,6 +220,7 @@ func (r *Registry) AddBackend(name, spec string, g *msbfs.Graph, relabel bool, c
 	// Components are counted once, here: on a dynamic graph whose ingest
 	// merges components the GTEPS edge count is a lower bound.
 	e.Coal = NewCoalescer(b, cfg, e.Met, e.G.NewEdgeCounter().EdgesForAll)
+	e.Coal.name, e.Coal.rec, e.Coal.tracer, e.Coal.logger = name, r.rec, r.tracer, r.logger
 	e.rows = entryTable(e)
 	return r.register(e)
 }
@@ -276,7 +259,7 @@ func (r *Registry) AddDynamic(name, spec string, g *msbfs.Graph, relabel bool, c
 			dcfg.Tracer = r.tracer
 		}
 		e.Dyn = dyngraph.New(e.G, dcfg)
-		return dynBackend{e.Dyn}, nil
+		return e.Dyn, nil
 	})
 }
 

@@ -61,10 +61,6 @@ func New(reg *Registry, cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// MaxBatch returns the normalized flush width (sources per batch) of the
-// server's configuration.
-func (s *Server) MaxBatch() int { return s.cfg.MaxBatch }
-
 // Close drains the registry's coalescers (flush + wait). The HTTP listener
 // shutdown is the caller's job (http.Server.Shutdown before Close).
 func (s *Server) Close() { s.reg.Close() }

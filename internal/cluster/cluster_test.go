@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	msbfs "repro"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -156,6 +158,34 @@ func TestClusterAdversarialPartitions(t *testing.T) {
 	t.Run("long-path", func(t *testing.T) {
 		checkOracle(t, pathGraph(512), 4, []int{0, 511}, msbfs.Options{Workers: 2})
 	})
+}
+
+// TestClusterStripedActivePrefix: on a striped graph the isolated vertices
+// form the last block of ids, so the tail shard's CSR (and every shard
+// whose rows stop short of the tail) has an active prefix below its range
+// end and a state to match. Levels must still be byte-identical to the
+// single-process kernel and to the textbook BFS, with sources on both sides
+// of the prefix.
+func TestClusterStripedActivePrefix(t *testing.T) {
+	g, _ := msbfs.GenerateKronecker(11, 8, 5).Relabel(msbfs.LabelStriped, 2, 512, 1)
+	n := g.NumVertices()
+	off, adj := g.CSR()
+	a := (&graph.Graph{Offsets: off, Adjacency: adj}).ActivePrefix()
+	if a >= n-64 {
+		t.Fatalf("active prefix %d of %d: the striped graph should end in isolated vertices", a, n)
+	}
+	sources := []int{0, n - 1, a, 1, a - 1, n - 1, 17}
+	for _, shards := range []int{2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			checkOracle(t, g, shards, sources, msbfs.Options{Workers: 2})
+		})
+	}
+	got := g.MultiBFS(sources, msbfs.Options{Workers: 2, RecordLevels: true})
+	for i, s := range sources {
+		if want := g.SequentialBFS(s).Levels; !slices.Equal(got.Levels[i], want) {
+			t.Errorf("source %d (vertex %d): single-process levels differ from the textbook BFS", i, s)
+		}
+	}
 }
 
 func TestClusterMultipleGraphsAndQueries(t *testing.T) {

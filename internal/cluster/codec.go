@@ -37,19 +37,22 @@ const (
 // rawBytes is the size of the uncompressed n-row stride-word bitset slab.
 func rawBytes(n, stride int) int { return n * stride * 8 }
 
-// encodeDelta appends the encoded delta for words (an n*stride row-major
-// word slab) to dst and returns the extended slice. stride must be in
-// [1, codecMaxStride].
+// encodeDelta appends the encoded delta for an n-row, stride-word row-major
+// slab to dst and returns the extended slice. words holds the slab's first
+// len(words)/stride rows (at most n); the rows past them are zero, so a
+// shard whose state stops at its active prefix encodes the same bytes as a
+// full slab. stride must be in [1, codecMaxStride].
 func encodeDelta(dst []byte, words []uint64, n, stride int) []byte {
 	if stride < 1 || stride > codecMaxStride {
 		panic(fmt.Sprintf("cluster: codec stride %d out of range [1,%d]", stride, codecMaxStride))
 	}
+	held := min(n, len(words)/stride)
 	// First pass: size the sparse encoding without emitting it.
 	sparse := 1 // header
 	rows := 0
 	prev := 0
 	var gapBuf [binary.MaxVarintLen64]byte
-	for v := 0; v < n; v++ {
+	for v := 0; v < held; v++ {
 		off := v * stride
 		present := 0
 		for i := 0; i < stride; i++ {
@@ -72,17 +75,17 @@ func encodeDelta(dst []byte, words []uint64, n, stride int) []byte {
 
 	if dense := 1 + rawBytes(n, stride); sparse >= dense {
 		dst = append(dst, codecDense)
-		for _, w := range words[:n*stride] {
+		for _, w := range words[:held*stride] {
 			dst = binary.LittleEndian.AppendUint64(dst, w)
 		}
-		return dst
+		return append(dst, make([]byte, rawBytes(n-held, stride))...)
 	}
 
 	dst = append(dst, codecSparse)
 	dst = binary.AppendUvarint(dst, uint64(rows))
 	prev = 0
 	emitted := 0
-	for v := 0; v < n; v++ {
+	for v := 0; v < held; v++ {
 		off := v * stride
 		var present byte
 		for i := 0; i < stride; i++ {
@@ -110,15 +113,19 @@ func encodeDelta(dst []byte, words []uint64, n, stride int) []byte {
 	return dst
 }
 
-// decodeDelta ORs an encoded delta into words (an n*stride row-major word
-// slab). It validates the payload exhaustively — truncated input, row
-// indices out of range or out of order, presence bits beyond the stride,
-// and trailing garbage are all errors — so arbitrary network bytes cannot
-// corrupt shard state or panic.
+// decodeDelta ORs an encoded delta for an n-row, stride-word row-major slab
+// into words, which holds the slab's first len(words)/stride rows (at most
+// n): a receiving shard's state stops at its active prefix, and no peer can
+// discover a vertex past it, so a nonzero row past them is an error. It
+// validates the payload exhaustively — truncated input, row indices out of
+// range or out of order, presence bits beyond the stride, and trailing
+// garbage are all errors — so arbitrary network bytes cannot corrupt shard
+// state or panic.
 func decodeDelta(payload []byte, words []uint64, n, stride int) error {
 	if stride < 1 || stride > codecMaxStride {
 		return fmt.Errorf("cluster: codec stride %d out of range [1,%d]", stride, codecMaxStride)
 	}
+	held := min(n, len(words)/stride)
 	if len(payload) == 0 {
 		return fmt.Errorf("cluster: empty delta payload")
 	}
@@ -128,8 +135,13 @@ func decodeDelta(payload []byte, words []uint64, n, stride int) error {
 		if len(body) != rawBytes(n, stride) {
 			return fmt.Errorf("cluster: dense delta is %d bytes, want %d", len(body), rawBytes(n, stride))
 		}
-		for i := 0; i < n*stride; i++ {
+		for i := 0; i < held*stride; i++ {
 			words[i] |= binary.LittleEndian.Uint64(body[i*8:]) //bfs:singlewriter decode runs on the one goroutine that drains the delta inbox
+		}
+		for i := held * stride; i < n*stride; i++ {
+			if binary.LittleEndian.Uint64(body[i*8:]) != 0 {
+				return fmt.Errorf("cluster: dense delta: row %d set past the %d rows held", i/stride, held)
+			}
 		}
 		return nil
 	case codecSparse:
@@ -159,6 +171,9 @@ func decodeDelta(payload []byte, words []uint64, n, stride int) error {
 			}
 			if v < 0 || v >= n {
 				return fmt.Errorf("cluster: sparse delta: row %d out of range [0,%d)", v, n)
+			}
+			if v >= held {
+				return fmt.Errorf("cluster: sparse delta: row %d set past the %d rows held", v, held)
 			}
 			if len(body) < 1 {
 				return fmt.Errorf("cluster: sparse delta: missing presence byte at row %d", v)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -122,6 +123,41 @@ func TestDeltaCodecAccumulates(t *testing.T) {
 	}
 	if dst[0] != 1 || dst[10] != 6 || dst[127] != 8 {
 		t.Fatalf("merged words = %#x %#x %#x, want 1 6 8", dst[0], dst[10], dst[127])
+	}
+}
+
+// TestDeltaCodecShortSlab: a slab that holds only the first rows of the
+// range (a shard's state stops at its active prefix) encodes to the bytes
+// of the zero-padded full slab in both formats, decodes what it holds, and
+// rejects a delta that sets a row past it.
+func TestDeltaCodecShortSlab(t *testing.T) {
+	const n, held, stride = 40, 36, 2
+	for name, rows := range map[string][]int{"sparse": {0, 7, 24}, "dense": nil} {
+		full := make([]uint64, n*stride)
+		if rows == nil {
+			copy(full, buildWords([]byte{0xa5, 0x3c}, held, stride))
+		}
+		for _, v := range rows {
+			full[v*stride+1] = uint64(v) + 1
+		}
+		enc := encodeDelta(nil, full[:held*stride], n, stride)
+		if want := encodeDelta(nil, full, n, stride); !bytes.Equal(enc, want) {
+			t.Fatalf("%s: short slab encodes to %x, want %x", name, enc, want)
+		}
+		if (enc[0] == codecDense) != (rows == nil) {
+			t.Fatalf("%s: encoder chose format %#x", name, enc[0])
+		}
+		got := make([]uint64, held*stride)
+		if err := decodeDelta(enc, got, n, stride); err != nil {
+			t.Fatalf("%s: decode into the short slab: %v", name, err)
+		}
+		if !slices.Equal(got, full[:held*stride]) {
+			t.Errorf("%s: decoded rows differ", name)
+		}
+		full[held*stride] = 1
+		if err := decodeDelta(encodeDelta(nil, full, n, stride), got, n, stride); err == nil {
+			t.Errorf("%s: decode accepted row %d past the %d rows held", name, held, held)
+		}
 	}
 }
 

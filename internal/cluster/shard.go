@@ -495,7 +495,9 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 }
 
 // stepExchange is one step's exchange point, run by the engine after the
-// inbox apply, when next holds this shard's scatter over all n vertices.
+// inbox apply, when next holds this shard's scatter. The engine sizes next
+// to the shard CSR's active prefix; every vertex past it is isolated, so
+// its row is zero here and in every peer's delta.
 // A 1D-partitioned top-down level sends each peer its slice of the next
 // frontier (Buluç & Madduri, arXiv 1104.4518), so run ships every peer its
 // stripe of next and zeroes it, then ORs the peers' deltas into this
@@ -537,12 +539,13 @@ func (x *stepExchange) run(next []uint64) error {
 	// goroutines, since one slow peer link must not serialize the
 	// exchange behind another.
 	var sends []pendingDelta
+	rows := len(next) / w
 	for p := 0; p < g.part.NumShards(); p++ {
 		plo, phi := g.part.Range(p)
 		if p == g.shardID || plo == phi {
 			continue
 		}
-		stripe := next[plo*w : phi*w]
+		stripe := next[min(plo, rows)*w : min(phi, rows)*w]
 		delta := encodeDelta(nil, stripe, phi-plo, w)
 		clear(stripe) //bfs:singlewriter the exchange runs between the engine's barriers, workers parked
 		sends = append(sends, pendingDelta{peer: p,
@@ -575,7 +578,7 @@ func (x *stepExchange) run(next []uint64) error {
 	// Barrier: one delta from every non-empty peer, ORed into this
 	// shard's stripe on this goroutine while the workers are parked.
 	// Traced steps split the wait into blocked time and codec time.
-	own := next[g.lo*w : g.hi*w]
+	own := next[min(g.lo, rows)*w : min(g.hi, rows)*w]
 	timer := time.NewTimer(x.s.opt.StepTimeout)
 	defer timer.Stop()
 	for got := 0; got < len(sends); got++ {

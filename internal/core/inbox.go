@@ -34,21 +34,20 @@ type inbox struct {
 	_  [40]byte
 }
 
-// initInboxes lays out the stripes of a shell with the given borders
-// (numa.AlignedRanges: every stripe but the tail holds bounds[1] vertices,
-// so worker w's stripe starts at w·stripeLen and vertex x lies in stripe
-// x / stripeLen) and, above one worker, the per-worker inboxes and the
-// apply's layout: each non-empty stripe whole, as one task in its owner's
-// queue.
+// initInboxes lays out the stripes of a shell with the given borders (the
+// clipped numa.AlignedRanges of init: every stripe holds at most
+// stripeLen vertices, worker w's starts at w·stripeLen, and vertex x lies in
+// stripe x / stripeLen) and, above one worker, the per-worker inboxes and
+// the apply's layout: each non-empty stripe whole, as one task in its
+// owner's queue.
 func (ls *levelStep) initInboxes(bounds []int) {
-	ls.stripeLen = max(bounds[1], 1)
 	ls.applied = make([]padCounter, len(bounds)-1)
 	if len(bounds) == 2 {
 		return
 	}
-	n := bounds[len(bounds)-1]
-	stripes := (n + ls.stripeLen - 1) / ls.stripeLen // the non-empty ones
-	ls.applyTq = sched.CreateStripeTasks(bounds, max(n, 1))
+	active := bounds[len(bounds)-1]
+	stripes := (active + ls.stripeLen - 1) / ls.stripeLen // the non-empty ones
+	ls.applyTq = sched.CreateStripeTasks(bounds, max(active, 1))
 	ls.inboxes = make([]inbox, len(bounds)-1)
 	for w := range ls.inboxes {
 		ls.inboxes[w].to = make([][]graph.VertexID, stripes)
@@ -93,7 +92,8 @@ func (ls *levelStep) clearInboxes() {
 }
 
 // ownStripe returns the vertex range [lo, hi) worker workerID owns. List
-// entries are < n, so the tail stripe's hi needs no clamp.
+// entries are below the active prefix, so the tail stripe's hi needs no
+// clamp.
 func (ls *levelStep) ownStripe(workerID int) (lo, hi int) {
 	lo = workerID * ls.stripeLen
 	return lo, lo + ls.stripeLen
@@ -129,7 +129,7 @@ func (ls *levelStep) cutAcross(workerID, v int, list []graph.VertexID) []graph.V
 		}
 		if s == workerID {
 			own = list[i:end] //bfs:bounds-ok searchFrom returns an index in [i+1, len(list)]
-		} else if box := to[s]; len(box) == 0 || int(box[len(box)-1]) != v { //bfs:bounds-ok s < stripes: list entries are < n
+		} else if box := to[s]; len(box) == 0 || int(box[len(box)-1]) != v { //bfs:bounds-ok s < stripes: list entries are below the active prefix
 			to[s] = append(box, graph.VertexID(v)) //bfs:alloc-ok grows the shell's inbox capacity, which later runs reuse
 		}
 		i = end

@@ -13,6 +13,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // VertexID is a dense vertex identifier. 32 bits suffice for the graph
@@ -35,6 +36,9 @@ type Graph struct {
 	// Adjacency stores all neighbor lists back to back. Each undirected
 	// edge {u,v} with u != v appears twice: v in u's list and u in v's.
 	Adjacency []VertexID
+
+	// active caches ActivePrefix()+1 (0: not computed yet).
+	active atomic.Int64
 }
 
 // NumVertices returns the number of vertices.
@@ -63,6 +67,27 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return max
+}
+
+// ActivePrefix returns one more than the largest vertex id that has an arc
+// or is the last entry of a row, so every id at or above it has an empty
+// row and appears in no row. A degree-ordered labeling puts the isolated
+// vertices in one trailing block, which then lies past the prefix. The
+// O(n) pass runs once per graph and is cached; it does not assume
+// symmetric rows, so it also bounds a CSR that holds only some vertices'
+// rows. The graph must not change after the first call.
+func (g *Graph) ActivePrefix() int {
+	if a := g.active.Load(); a > 0 {
+		return int(a - 1)
+	}
+	a := 0
+	for v := 0; v < g.NumVertices(); v++ {
+		if end := g.Offsets[v+1]; end > g.Offsets[v] {
+			a = max(a, v+1, int(g.Adjacency[end-1])+1)
+		}
+	}
+	g.active.Store(int64(a) + 1)
+	return a
 }
 
 // MemoryBytes returns the approximate in-memory size of the CSR arrays.

@@ -3,60 +3,53 @@ package msbfs
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
 // This file provides the BFS-based analytics that motivate multi-source
 // traversal in the paper's introduction: closeness centrality (all-pairs
 // shortest paths), hop-limited neighborhood sizes, reachability, and
-// eccentricity/diameter estimation. All of them are thin consumers of
-// MultiBFS/MultiBFSVisitor and demonstrate the intended use of the API.
+// eccentricity/diameter estimation. Each is one MultiBFSVisitor pass into a
+// core.Fold, the per-source fold the query server's batches use too.
+
+// fold runs one multi-source traversal of sources into a fold whose every
+// slot has the given radius (-1: none) and targets (nil: none), all slots
+// sharing one target index. Memory stays O(workers x sources) plus the
+// target rows, never O(sources x vertices).
+func (g *Graph) fold(sources []int, opt Options, radius int, targets []int) *core.Fold {
+	opt = opt.Normalize()
+	opt.RecordLevels = false
+	f := new(core.Fold)
+	f.Reset(opt.Workers, len(sources))
+	var index map[int]int
+	if targets != nil {
+		index = core.TargetIndex(targets)
+	}
+	for i := range sources {
+		f.SetRadius(i, radius)
+		if targets != nil {
+			f.SetTargets(i, targets, index)
+		}
+	}
+	g.MultiBFSVisitor(sources, opt, f.Visit)
+	return f
+}
 
 // Closeness computes the closeness centrality of the given vertices:
 // (reached-1) / sum-of-distances, normalized by the fraction of the graph
 // reached (the Wasserman-Faust formula for disconnected graphs). Vertices
-// that reach nothing get 0.
-//
-// One MS-PBFS batch computes up to 64*BatchWords centralities concurrently;
-// the distance sums are accumulated per worker during traversal, so memory
-// stays O(workers x sources), not O(sources x vertices).
+// that reach nothing get 0. One MS-PBFS batch computes up to
+// 64*BatchWords centralities concurrently.
 func (g *Graph) Closeness(vertices []int, opt Options) []float64 {
 	n := g.NumVertices()
 	if len(vertices) == 0 || n == 0 {
 		return nil
 	}
-	opt = opt.Normalize()
-	workers := opt.Workers
-	// Per-worker accumulation to keep the concurrent visitor race free.
-	type acc struct {
-		sum     []int64
-		reached []int64
-	}
-	accs := make([]acc, workers)
-	for w := range accs {
-		accs[w] = acc{sum: make([]int64, len(vertices)), reached: make([]int64, len(vertices))}
-	}
-	opt.RecordLevels = false
-	g.MultiBFSVisitor(vertices, opt, func(workerID, sourceIdx, _ int, depth int) {
-		a := &accs[workerID]
-		a.sum[sourceIdx] += int64(depth)
-		a.reached[sourceIdx]++
-	})
-
+	f := g.fold(vertices, opt, -1, nil)
 	out := make([]float64, len(vertices))
-	for i := range vertices {
-		var sum, reached int64
-		for w := range accs {
-			sum += accs[w].sum[i]
-			reached += accs[w].reached[i]
-		}
-		// reached includes the source itself (depth 0).
-		if reached <= 1 || sum == 0 {
-			out[i] = 0
-			continue
-		}
-		r := float64(reached - 1)
-		out[i] = r / float64(sum) * r / float64(n-1)
+	for i := range out {
+		out[i] = f.Tally(i).Closeness(n)
 	}
 	return out
 }
@@ -77,22 +70,11 @@ func (g *Graph) NeighborhoodSizes(sources []int, maxHops int, opt Options) []int
 		}
 		return out
 	}
-	opt = opt.Normalize()
-	workers := opt.Workers
-	counts := make([][]int64, workers)
-	for w := range counts {
-		counts[w] = make([]int64, len(sources))
-	}
-	opt.RecordLevels = false
 	opt.MaxDepth = maxHops // prune the traversal instead of filtering visits
-	g.MultiBFSVisitor(sources, opt, func(workerID, sourceIdx, _, _ int) {
-		counts[workerID][sourceIdx]++
-	})
+	f := g.fold(sources, opt, maxHops, nil)
 	out := make([]int64, len(sources))
-	for i := range sources {
-		for w := range counts {
-			out[i] += counts[w][i]
-		}
+	for i := range out {
+		out[i] = f.Tally(i).InRadius
 	}
 	return out
 }
@@ -101,23 +83,10 @@ func (g *Graph) NeighborhoodSizes(sources []int, maxHops int, opt Options) []int
 // All sources are answered with one multi-source traversal.
 func (g *Graph) Reachable(sources []int, target int, opt Options) []bool {
 	g.checkSource(target)
-	opt = opt.Normalize()
-	workers := opt.Workers
-	hit := make([][]bool, workers)
-	for w := range hit {
-		hit[w] = make([]bool, len(sources))
-	}
-	opt.RecordLevels = false
-	g.MultiBFSVisitor(sources, opt, func(workerID, sourceIdx, vertex, _ int) {
-		if vertex == target {
-			hit[workerID][sourceIdx] = true
-		}
-	})
+	f := g.fold(sources, opt, -1, []int{target})
 	out := make([]bool, len(sources))
-	for i := range sources {
-		for w := range hit {
-			out[i] = out[i] || hit[w][i]
-		}
+	for i := range out {
+		out[i] = f.Distances(i)[0] != NoLevel
 	}
 	return out
 }
@@ -125,25 +94,10 @@ func (g *Graph) Reachable(sources []int, target int, opt Options) []bool {
 // Eccentricities returns, per source, the greatest BFS depth reached — the
 // vertex eccentricity restricted to its connected component.
 func (g *Graph) Eccentricities(sources []int, opt Options) []int32 {
-	opt = opt.Normalize()
-	workers := opt.Workers
-	maxd := make([][]int32, workers)
-	for w := range maxd {
-		maxd[w] = make([]int32, len(sources))
-	}
-	opt.RecordLevels = false
-	g.MultiBFSVisitor(sources, opt, func(workerID, sourceIdx, _ int, depth int) {
-		if int32(depth) > maxd[workerID][sourceIdx] {
-			maxd[workerID][sourceIdx] = int32(depth)
-		}
-	})
+	f := g.fold(sources, opt, -1, nil)
 	out := make([]int32, len(sources))
-	for i := range sources {
-		for w := range maxd {
-			if maxd[w][i] > out[i] {
-				out[i] = maxd[w][i]
-			}
-		}
+	for i := range out {
+		out[i] = f.Tally(i).MaxDepth
 	}
 	return out
 }
@@ -201,38 +155,10 @@ func (g *Graph) LargestComponentSubgraph() (*Graph, []uint32) {
 // matrix — the seed-set distance queries of graph layout and embedding
 // workloads.
 func (g *Graph) DistanceMatrix(vertices []int, opt Options) [][]int32 {
-	k := len(vertices)
-	opt = opt.Normalize()
-	index := make(map[int]int, k) // vertex -> column(s); duplicates share
-	for j, v := range vertices {
-		g.checkSource(v)
-		if _, ok := index[v]; !ok {
-			index[v] = j
-		}
-	}
-	dist := make([][]int32, k)
+	f := g.fold(vertices, opt, -1, vertices)
+	dist := make([][]int32, len(vertices))
 	for i := range dist {
-		dist[i] = make([]int32, k)
-		for j := range dist[i] {
-			dist[i][j] = NoLevel
-		}
-	}
-	opt.RecordLevels = false
-	// Workers write disjoint (i, j) cells only when the visited vertex is
-	// one of the targets; duplicates of the same target vertex are filled
-	// in a post-pass.
-	g.MultiBFSVisitor(vertices, opt, func(_, sourceIdx, vertex, depth int) {
-		if j, ok := index[vertex]; ok {
-			dist[sourceIdx][j] = int32(depth)
-		}
-	})
-	// Duplicate target columns copy from their representative.
-	for j, v := range vertices {
-		if rep := index[v]; rep != j {
-			for i := range dist {
-				dist[i][j] = dist[i][rep]
-			}
-		}
+		dist[i] = f.Distances(i)
 	}
 	return dist
 }

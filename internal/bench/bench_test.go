@@ -32,7 +32,8 @@ func TestExperimentsHaveUniqueNames(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	res, err := Fig2(quickCfg())
+	cfg := quickCfg()
+	res, err := Fig2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,25 +41,34 @@ func TestFig2Shape(t *testing.T) {
 		t.Fatal("no rows")
 	}
 	// The paper's claim: at 64 sources MS-PBFS uses the whole machine,
-	// MS-BFS only one core of it. Both shape checks carry a small noise
-	// margin: on hosts without real parallelism (one effective CPU —
-	// common for CI containers) every row measures ~1/workers and the
-	// differences are pure timing noise, while on real multicore hardware
-	// the signal is far larger than the margin.
-	const margin = 0.05
+	// MS-BFS only one core of it. Read off the work each core is handed,
+	// not off timed utilization: MS-BFS's 64 sources are one batch, so one
+	// instance, while with stealing off every MS-PBFS worker runs at least
+	// half an even share of the tasks and scans edges. (Its edge share is
+	// uneven: the striped labeling deals tasks round-robin, the kernels
+	// give each worker one contiguous stripe.)
 	first := res.Rows[0]
 	if first.Sources != 64 {
 		t.Fatalf("first row sources = %d", first.Sources)
 	}
-	if first.UtilMSPBFS < first.UtilMSBFS-margin {
-		t.Errorf("at 64 sources MS-PBFS utilization (%.2f) should not trail MS-BFS (%.2f)",
-			first.UtilMSPBFS, first.UtilMSBFS)
+	if first.MSBFSBatches != 1 {
+		t.Errorf("at 64 sources MS-BFS ran %d batches, want 1", first.MSBFSBatches)
 	}
-	// MS-BFS utilization grows with the source count.
+	var tasks int64
+	for _, c := range first.TasksMSPBFS {
+		tasks += c
+	}
+	for w := range cfg.Workers {
+		if 2*int64(cfg.Workers)*first.TasksMSPBFS[w] < tasks || first.EdgesMSPBFS[w] == 0 {
+			t.Errorf("at 64 sources MS-PBFS worker %d ran %d of %d tasks and scanned %d edges, want >= 1/%d of the tasks and > 0 edges",
+				w, first.TasksMSPBFS[w], tasks, first.EdgesMSPBFS[w], 2*cfg.Workers)
+		}
+	}
+	// MS-BFS occupies one more core per 64 sources until it has them all.
 	last := res.Rows[len(res.Rows)-1]
-	if last.UtilMSBFS < first.UtilMSBFS-margin {
-		t.Errorf("MS-BFS utilization should grow with sources: %.2f -> %.2f",
-			first.UtilMSBFS, last.UtilMSBFS)
+	if last.MSBFSBatches < cfg.Workers {
+		t.Errorf("at %d sources MS-BFS ran %d batches, want >= %d workers",
+			last.Sources, last.MSBFSBatches, cfg.Workers)
 	}
 }
 

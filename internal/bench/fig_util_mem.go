@@ -12,6 +12,13 @@ type Fig2Row struct {
 	Sources    int
 	UtilMSBFS  float64 // one sequential instance per core
 	UtilMSPBFS float64 // one parallel instance, all cores
+	// The work behind the two utilizations, read off iteration records, so
+	// it does not depend on timing: MSBFSBatches is the number of batches,
+	// so of cores at most, MS-BFS's instances share, and TasksMSPBFS and
+	// EdgesMSPBFS are each MS-PBFS worker's tasks and scanned edges with
+	// stealing off.
+	MSBFSBatches             int
+	TasksMSPBFS, EdgesMSPBFS []int64
 }
 
 // Fig2Result is the data behind Figure 2.
@@ -23,10 +30,11 @@ type Fig2Result struct {
 // Fig2 measures CPU utilization of MS-BFS (one sequential instance per
 // core) against MS-PBFS as the number of sources grows. The paper's point:
 // MS-BFS needs batch_size x num_threads sources to use the machine, while
-// MS-PBFS is fully utilized from the first 64-source batch.
+// MS-PBFS is fully utilized from the first 64-source batch. The graph has at
+// least scale 14, so two workers get at least 8 tasks each on every level.
 func Fig2(cfg Config) (Fig2Result, error) {
 	workers := cfg.workers()
-	g := stripedKronecker(cfg.scale(), workers, cfg.seed())
+	g := stripedKronecker(max(cfg.scale(), 14), workers, cfg.seed())
 	res := Fig2Result{Workers: workers}
 
 	sweep := []int{64, 128, 192, 256, 384, 512}
@@ -35,16 +43,28 @@ func Fig2(cfg Config) (Fig2Result, error) {
 	}
 	for _, numSources := range sweep {
 		sources := core.RandomSources(g, numSources, cfg.seed()+uint64(numSources))
-		opt := core.Options{Workers: workers}
-
-		seq := core.MSBFSPerCore(g, sources, opt)
-		par := core.MSPBFS(g, sources, opt)
-
-		res.Rows = append(res.Rows, Fig2Row{
-			Sources:    numSources,
-			UtilMSBFS:  metrics.Utilization(seq.WorkerBusy, seq.Stats.Elapsed),
-			UtilMSPBFS: metrics.Utilization(par.WorkerBusy, par.Stats.Elapsed),
-		})
+		seq := core.MSBFSPerCore(g, sources, core.Options{Workers: workers, CollectIterStats: true})
+		par := core.MSPBFS(g, sources, core.Options{Workers: workers})
+		static := core.MSPBFS(g, sources, core.Options{Workers: workers, DisableStealing: true, CollectIterStats: true})
+		row := Fig2Row{
+			Sources:     numSources,
+			UtilMSBFS:   metrics.Utilization(seq.WorkerBusy, seq.Stats.Elapsed),
+			UtilMSPBFS:  metrics.Utilization(par.WorkerBusy, par.Stats.Elapsed),
+			TasksMSPBFS: make([]int64, workers),
+			EdgesMSPBFS: make([]int64, workers),
+		}
+		for _, it := range seq.Stats.Iterations {
+			if it.Iteration == 1 { // each batch's first level
+				row.MSBFSBatches++
+			}
+		}
+		for _, it := range static.Stats.Iterations {
+			for w := range workers {
+				row.TasksMSPBFS[w] += it.WorkerTasks[w]
+				row.EdgesMSPBFS[w] += it.WorkerScanned[w]
+			}
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -56,9 +76,10 @@ func runFig2(cfg Config) error {
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Figure 2: CPU utilization (%%) vs number of BFS sources (%d workers)\n", res.Workers)
-	fmt.Fprintf(w, "%-10s %12s %12s\n", "sources", "MS-BFS", "MS-PBFS")
+	fmt.Fprintf(w, "%-10s %12s %12s %15s %s\n", "sources", "MS-BFS", "MS-PBFS", "MS-BFS batches", "MS-PBFS max/min tasks, edges (stealing off)")
 	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%-10d %11.1f%% %11.1f%%\n", r.Sources, 100*r.UtilMSBFS, 100*r.UtilMSPBFS)
+		fmt.Fprintf(w, "%-10d %11.1f%% %11.1f%% %15d %.1fx, %.1fx\n", r.Sources, 100*r.UtilMSBFS, 100*r.UtilMSPBFS,
+			r.MSBFSBatches, spread(r.TasksMSPBFS), spread(r.EdgesMSPBFS))
 	}
 	fmt.Fprintf(w, "paper: MS-BFS utilization climbs one core per 64 sources (full only at 64*threads);\n")
 	fmt.Fprintf(w, "       MS-PBFS is fully utilized from the first batch.\n")

@@ -34,12 +34,13 @@ const numaWorkers = 2
 const pageBytes = 4096
 
 // numaKernel is what the locality model needs besides a flight record: the
-// vertex count n, the task size split, how many vertices' state one page
+// vertex count n, the graph's active prefix (the vertices the kernels'
+// sweeps cover), the task size split, how many vertices' state one page
 // holds, and whether a bottom-up task is charged per page it sweeps
 // (MS-PBFS's 64-bit rows) or per vertex (SMS-PBFS's byte states).
 type numaKernel struct {
-	n, split, pageVertices int
-	bottomUpPages          bool
+	n, active, split, pageVertices int
+	bottomUpPages                  bool
 }
 
 // accesses replays a traversal's flight record on the modeled machine.
@@ -54,9 +55,9 @@ type numaKernel struct {
 //     stripe, the apply only the owner's), so it is local whoever runs the
 //     task; each inbox entry is one local append by the scatter worker and
 //     one read by the other stripe's owner, which is remote;
-//   - top-down resolve: each task sweeps split vertices, remote if stolen;
-//     the level's resolve steals are Steals() - ScatterSteals, since the
-//     apply never steals;
+//   - top-down resolve: the tasks sweep the active prefix, split vertices
+//     each, remote if stolen; the level's resolve steals are Steals() -
+//     ScatterSteals, since the apply never steals;
 //   - bottom-up: each task sweeps split vertices (MS-PBFS: their pages),
 //     remote if stolen.
 func (k numaKernel) accesses(tv obs.Traversal) (local, remote int64, err error) {
@@ -79,7 +80,7 @@ func (k numaKernel) accesses(tv obs.Traversal) (local, remote int64, err error) 
 		local += it.ScannedEdges + it.MergeWords
 		remote += it.MergeWords
 		stolen := (it.Steals() - it.ScatterSteals) * int64(k.split)
-		local += int64(k.n) - stolen
+		local += int64(k.active) - stolen
 		remote += stolen
 	}
 	return local, remote, nil
@@ -99,9 +100,9 @@ func NUMALocality(cfg Config) (NUMAResult, error) {
 	scale := max(cfg.scale(), 15)
 	g := stripedKronecker(scale, numaWorkers, cfg.seed())
 	sources := core.RandomSources(g, 64, cfg.seed()+41)
-	n := g.NumVertices()
-	ms := numaKernel{n: n, split: pageBytes / 8, pageVertices: pageBytes / 8, bottomUpPages: true}
-	sms := numaKernel{n: n, split: pageBytes, pageVertices: pageBytes}
+	n, a := g.NumVertices(), g.ActivePrefix()
+	ms := numaKernel{n: n, active: a, split: pageBytes / 8, pageVertices: pageBytes / 8, bottomUpPages: true}
+	sms := numaKernel{n: n, active: a, split: pageBytes, pageVertices: pageBytes}
 	res := NUMAResult{Sockets: numaWorkers}
 
 	row := func(algo string, steal bool, k numaKernel, run func(core.Options)) error {

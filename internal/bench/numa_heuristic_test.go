@@ -9,8 +9,10 @@ import (
 // TestNUMAAccessesModel pins the locality model on hand-built flight
 // records, one level shape per case.
 func TestNUMAAccessesModel(t *testing.T) {
-	ms := numaKernel{n: 8192, split: 512, pageVertices: 512, bottomUpPages: true}
-	sms := numaKernel{n: 16384, split: 4096, pageVertices: 4096}
+	// The MS-PBFS kernel's active prefix ends short of n: the resolve
+	// sweeps only [0, 7000).
+	ms := numaKernel{n: 8192, active: 7000, split: 512, pageVertices: 512, bottomUpPages: true}
+	sms := numaKernel{n: 16384, active: 16384, split: 4096, pageVertices: 4096}
 	cases := []struct {
 		name          string
 		k             numaKernel
@@ -26,7 +28,7 @@ func TestNUMAAccessesModel(t *testing.T) {
 			name: "top-down applies on both owners with resolve steals", k: ms,
 			it: obs.IterationRecord{ScannedEdges: 100, MergeWords: 8, WorkerMergeWords: []int64{3, 5},
 				WorkerTasks: []int64{25, 25}, WorkerSteals: []int64{2, 1}, ScatterSteals: 1},
-			local: 100 + 8 + 8192 - 2*512, remote: 8 + 2*512,
+			local: 100 + 8 + 7000 - 2*512, remote: 8 + 2*512,
 		},
 		{
 			name: "bottom-up steals charged per page (MS-PBFS)", k: ms,
@@ -42,7 +44,7 @@ func TestNUMAAccessesModel(t *testing.T) {
 			name: "scatter-only steals stay local", k: ms,
 			it: obs.IterationRecord{ScannedEdges: 40, WorkerMergeWords: []int64{0, 0},
 				WorkerTasks: []int64{25, 25}, WorkerSteals: []int64{1, 1}, ScatterSteals: 2},
-			local: 40 + 8192,
+			local: 40 + 7000,
 		},
 		{
 			name: "n/2 not a whole number of tasks", k: numaKernel{n: 8704, split: 512, pageVertices: 512},
@@ -74,15 +76,16 @@ func TestNUMAAccessesModel(t *testing.T) {
 // TestNUMALocalityPinnedCounts pins the stealing-off totals of the
 // flight-record model on quickCfg (scale 15, seed 1, two workers): with
 // stealing off the only remote accesses are the stripe owners' reads of
-// the other worker's inbox entries. The bottom-up levels are charged per
-// task, and the tasks cover the graph's active prefix (24,386 of 32,768
-// vertices): 48 of the 64 MS-PBFS pages and 6 of the 8 SMS-PBFS tasks.
+// the other worker's inbox entries. Every sweep covers the graph's active
+// prefix (24,386 of 32,768 vertices): a bottom-up level is charged per
+// task, 48 of the 64 MS-PBFS pages and 6 of the 8 SMS-PBFS tasks, and a
+// top-down resolve 24,386 vertices.
 func TestNUMALocalityPinnedCounts(t *testing.T) {
 	res, err := NUMALocality(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][2]int64{"MS-PBFS": {70891, 505}, "SMS-PBFS": {183098, 766}}
+	want := map[string][2]int64{"MS-PBFS": {54127, 505}, "SMS-PBFS": {157952, 766}}
 	for _, r := range res.Rows {
 		if r.Stealing {
 			continue

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	msbfs "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -376,31 +377,17 @@ func (c *Coalescer) record(p *pendingReq, status string, wait, run, total time.D
 	})
 }
 
-// slotAcc accumulates one source slot's per-worker traversal tallies.
-type slotAcc struct {
-	sum     int64 // sum of discovery depths (closeness numerator)
-	reached int64 // discoveries, including the source at depth 0
-	inHops  int64 // discoveries within the slot's khop radius
-	maxd    int32 // deepest discovery
-}
-
 // batch is one cut on its way through execute and demux: the live requests
-// — one slot each, all pinned to the same version — and the per-slot state
-// the traversal's visitor fills in. A finished batch's slices stay on the
-// Coalescer (free) for the next cut instead of being reallocated.
+// — one slot each, all pinned to the same version — and the fold the
+// traversal's visitor fills in. A finished batch's storage stays on the
+// Coalescer (free) for the next cut instead of being reallocated; the
+// fold's distance rows leave with the answers.
 type batch struct {
 	live    []*pendingReq
 	cutAt   time.Time
 	sources []int
 	opt     msbfs.Options
-	// Per-slot read-only target index (vertex -> Distances position) and
-	// shared distance rows. Each (slot, vertex) pair is discovered exactly
-	// once across all workers, so workers write disjoint cells. The rows
-	// leave with the answers; only the outer slices are reused.
-	targetIdx []map[int]int
-	dists     [][]int32
-	hops      []int       // khop radius; -1: not a khop slot
-	accs      [][]slotAcc // [worker][slot]
+	fold    core.Fold
 }
 
 // runBatch takes one cut through its three stages: cut drops the requests
@@ -426,15 +413,10 @@ func (c *Coalescer) runBatch(b *batch) {
 			*b = batch{} // a failed RunBatch may not have joined all that writes through the visitor
 		}
 	}
-	// Keep the storage; zero what the next cut must find zero (sources and
-	// hops it overwrites in full) and drop every request pointer.
+	// Keep the storage; drop every request pointer and target row.
 	clear(b.live[:cap(b.live)])
 	b.live = b.live[:0]
-	clear(b.targetIdx)
-	clear(b.dists)
-	for _, a := range b.accs {
-		clear(a)
-	}
+	b.fold.Reset(0, 0)
 	c.mu.Lock()
 	c.running--
 	c.runReqs -= cutReqs
@@ -466,48 +448,28 @@ func (c *Coalescer) cut(b *batch) bool {
 	b.live = live
 	b.cutAt = now
 	b.opt = msbfs.Options{Workers: c.cfg.Workers, Engine: c.cfg.Engine}
-	// Reused storage was zeroed when its batch finished; grown storage is new.
 	n := len(live)
 	b.sources = slices.Grow(b.sources[:0], n)[:n]
-	b.targetIdx = slices.Grow(b.targetIdx[:0], n)[:n]
-	b.dists = slices.Grow(b.dists[:0], n)[:n]
-	b.hops = slices.Grow(b.hops[:0], n)[:n]
+	b.fold.Reset(b.opt.Normalize().Workers, n)
 	depthBound := 0 // 0 while any slot needs the full traversal
 	allBounded := true
 	for i, p := range live {
 		b.sources[i] = p.q.Source
-		b.hops[i] = -1
 		switch p.q.Kind {
 		case KindKHop:
-			b.hops[i] = p.q.Hops
-			if p.q.Hops > depthBound {
-				depthBound = p.q.Hops
-			}
+			b.fold.SetRadius(i, p.q.Hops)
+			depthBound = max(depthBound, p.q.Hops)
 		default:
 			allBounded = false
 		}
 		if len(p.q.Targets) > 0 {
-			idx := make(map[int]int, len(p.q.Targets))
-			row := make([]int32, len(p.q.Targets))
-			for j, t := range p.q.Targets {
-				if _, dup := idx[t]; !dup {
-					idx[t] = j
-				}
-				row[j] = msbfs.NoLevel
-			}
-			b.targetIdx[i] = idx
-			b.dists[i] = row
+			b.fold.SetTargets(i, p.q.Targets, core.TargetIndex(p.q.Targets))
 		}
 	}
 	if allBounded {
 		// A batch of pure khop queries never needs depths beyond the
 		// widest radius; prune the traversal instead of filtering visits.
 		b.opt.MaxDepth = depthBound
-	}
-	workers := b.opt.Normalize().Workers
-	b.accs = slices.Grow(b.accs[:0], workers)[:workers]
-	for w := range b.accs {
-		b.accs[w] = slices.Grow(b.accs[w][:0], n)[:n]
 	}
 	return true
 }
@@ -532,23 +494,7 @@ func (c *Coalescer) execute(b *batch) (res *msbfs.MultiResult, err error) {
 			}
 		}
 	}()
-	accs, hops, targetIdx, dists := b.accs, b.hops, b.targetIdx, b.dists
-	return b.live[0].pin.RunBatch(ctx, b.sources, b.opt, func(workerID, sourceIdx, vertex, depth int) {
-		a := &accs[workerID][sourceIdx]
-		a.sum += int64(depth)
-		a.reached++
-		if h := hops[sourceIdx]; h >= 0 && depth <= h {
-			a.inHops++
-		}
-		if int32(depth) > a.maxd {
-			a.maxd = int32(depth)
-		}
-		if idx := targetIdx[sourceIdx]; idx != nil {
-			if j, ok := idx[vertex]; ok {
-				dists[sourceIdx][j] = int32(depth)
-			}
-		}
-	})
+	return b.live[0].pin.RunBatch(ctx, b.sources, b.opt, b.fold.Visit)
 }
 
 // fail delivers a batch-wide error to every live request.
@@ -561,8 +507,7 @@ func (c *Coalescer) fail(b *batch, err error) {
 	}
 }
 
-// demux folds the per-worker tallies into each request's Answer and
-// delivers it.
+// demux reads each request's Answer off the batch's fold and delivers it.
 func (c *Coalescer) demux(b *batch, res *msbfs.MultiResult) {
 	width := len(b.live)
 	c.met.Batches.Add(1)
@@ -576,19 +521,10 @@ func (c *Coalescer) demux(b *batch, res *msbfs.MultiResult) {
 	end := time.Now()
 	n := c.g.NumVertices()
 	for i, p := range b.live {
-		var total slotAcc
-		for w := range b.accs {
-			a := b.accs[w][i]
-			total.sum += a.sum
-			total.reached += a.reached
-			total.inHops += a.inHops
-			if a.maxd > total.maxd {
-				total.maxd = a.maxd
-			}
-		}
+		t := b.fold.Tally(i)
 		ans := Answer{
-			Visited:      total.reached,
-			Eccentricity: total.maxd,
+			Visited:      t.Reached,
+			Eccentricity: t.MaxDepth,
 			BatchWidth:   width,
 			Wait:         b.cutAt.Sub(p.enqueued),
 			Run:          res.Elapsed,
@@ -597,19 +533,13 @@ func (c *Coalescer) demux(b *batch, res *msbfs.MultiResult) {
 		}
 		switch p.q.Kind {
 		case KindBFS:
-			// Duplicate targets copy from their representative column.
-			ans.Distances = b.dists[i]
-			for j, t := range p.q.Targets {
-				if rep := b.targetIdx[i][t]; rep != j {
-					ans.Distances[j] = ans.Distances[rep]
-				}
-			}
+			ans.Distances = b.fold.Distances(i)
 		case KindCloseness:
-			ans.Closeness = closenessValue(n, total.sum, total.reached)
+			ans.Closeness = t.Closeness(n)
 		case KindReachability:
-			ans.Reachable = b.dists[i][0] != msbfs.NoLevel
+			ans.Reachable = b.fold.Distances(i)[0] != msbfs.NoLevel
 		case KindKHop:
-			ans.Count = total.inHops
+			ans.Count = t.InRadius
 		}
 		p.done <- outcome{a: ans}
 
@@ -642,15 +572,4 @@ func batchContext(live []*pendingReq) (context.Context, context.CancelFunc) {
 		}
 	}
 	return context.WithDeadline(context.Background(), latest)
-}
-
-// closenessValue applies the Wasserman-Faust disconnected-graph
-// normalization, matching msbfs.Graph.Closeness: (reached-1)/sum scaled by
-// the fraction of the graph reached. reached counts the source itself.
-func closenessValue(n int, sum, reached int64) float64 {
-	if reached <= 1 || sum == 0 || n <= 1 {
-		return 0
-	}
-	r := float64(reached - 1)
-	return r / float64(sum) * r / float64(n-1)
 }

@@ -249,7 +249,9 @@ func TestUnbatchedBaseline(t *testing.T) {
 }
 
 // TestKindsMatchLibrary checks every query kind against its library
-// counterpart through one mixed batch.
+// counterpart through one mixed batch: closeness, reachability and khop
+// against their analytics, every eccentricity against Eccentricities, and
+// bfs distances, duplicate targets included, against a DistanceMatrix row.
 func TestKindsMatchLibrary(t *testing.T) {
 	g := testGraph(t)
 	c := NewCoalescer(g, Config{Workers: 2}, NewMetrics(), nil)
@@ -261,6 +263,7 @@ func TestKindsMatchLibrary(t *testing.T) {
 		{Kind: KindReachability, Source: 2, Targets: []int{n - 1}},
 		{Kind: KindKHop, Source: 3, Hops: 3},
 		{Kind: KindBFS, Source: 4, Targets: []int{0, 5}},
+		{Kind: KindBFS, Source: 6, Targets: []int{7, 0, 7, n - 1, 0}},
 	}
 	answers := make([]Answer, len(queries))
 	var wg sync.WaitGroup
@@ -290,6 +293,23 @@ func TestKindsMatchLibrary(t *testing.T) {
 	for j, tgt := range []int{0, 5} {
 		if answers[3].Distances[j] != direct.Levels[tgt] {
 			t.Errorf("dist[%d] = %d, library %d", tgt, answers[3].Distances[j], direct.Levels[tgt])
+		}
+	}
+	for i, q := range queries {
+		if q.Kind == KindKHop {
+			continue // a khop answer carries only its count
+		}
+		if want := g.Eccentricities([]int{q.Source}, msbfs.Options{})[0]; answers[i].Eccentricity != want {
+			t.Errorf("query %d: eccentricity %d, library %d", i, answers[i].Eccentricity, want)
+		}
+		if q.Kind != KindBFS {
+			continue
+		}
+		// Row 0 of the matrix over the source and the targets is the
+		// source's distance to each target, repeats included.
+		want := g.DistanceMatrix(append([]int{q.Source}, q.Targets...), msbfs.Options{Workers: 2})[0][1:]
+		if !slices.Equal(answers[i].Distances, want) {
+			t.Errorf("query %d: distances %v, library %v", i, answers[i].Distances, want)
 		}
 	}
 }

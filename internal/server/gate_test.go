@@ -9,6 +9,7 @@ import (
 	"time"
 
 	msbfs "repro"
+	"repro/internal/core"
 )
 
 // gateBackend wraps a Backend so that a test sees, and can hold, every
@@ -191,7 +192,7 @@ func soloAnswer(t testing.TB, view msbfs.Pinned, n int, q Query) Answer {
 			want.Distances = append(want.Distances, levels[tgt])
 		}
 	case KindCloseness:
-		want.Closeness = closenessValue(n, sum, want.Visited)
+		want.Closeness = core.Tally{DepthSum: sum, Reached: want.Visited}.Closeness(n)
 	case KindReachability:
 		want.Reachable = levels[q.Targets[0]] != msbfs.NoLevel
 	}

@@ -53,28 +53,32 @@ race:
 server-race:
 	$(GO) test -race -count=2 ./internal/server/... ./cmd/bfsd/... ./cmd/bfsload/...
 
-# flake = the packages whose tests assert on a timing, twenty times over:
-# one green `make test` says little about an assertion that fails one
-# uncached run in N (ROADMAP item 2). Not part of `ci`; the workflow runs it
-# as a job that reports and does not block.
+# flake = the packages whose tests assert on a timing or wait on concurrent
+# state, twenty times over: one green `make test` says little about an
+# assertion that fails one uncached run in N (ROADMAP item 2). Not part of
+# `ci`; the workflow runs it as a job of its own, which blocks (0 failures
+# in 200 runs of each package).
 flake:
 	$(GO) test -count=20 ./internal/bench ./internal/perf ./internal/obs ./internal/server
 
 # cluster-test = the sharded-BFS suite under the race detector: the whole
 # cluster package (delta codec, partitioner, wire layer, in-process
-# multi-shard harness incl. the shard-kill-mid-query test), plus the
-# cluster-backed integration tests in internal/server and bfsd cluster
-# mode. See docs/CLUSTER.md.
+# multi-shard harness incl. the shard-kill-mid-query test), the oracle
+# grid's shard cells, plus the cluster-backed integration tests in
+# internal/server and bfsd cluster mode. See docs/CLUSTER.md.
 cluster-test:
 	$(GO) test -race -count=1 ./internal/cluster/...
+	$(GO) test -race -count=1 -run 'TestGridMatchesOracle/.*/.*,shards' ./internal/core/
 	$(GO) test -race -count=1 -run 'Cluster' ./internal/server/ ./cmd/bfsd/
 
 # dyn-test = the dynamic-graph suite under the race detector: MVCC
 # snapshot oracle tests, the ingest-while-query stress test (with the
-# arena poisoning-hygiene assertions), plus the ingest/versioning HTTP
-# integration tests in internal/server. See docs/DYNAMIC.md.
+# arena poisoning-hygiene assertions), the oracle grid's overlay cells,
+# plus the ingest/versioning HTTP integration tests in internal/server.
+# See docs/DYNAMIC.md.
 dyn-test:
 	$(GO) test -race -count=1 ./internal/dyngraph/
+	$(GO) test -race -count=1 -run 'TestGridMatchesOracle/.*/.*,overlay,' ./internal/core/
 	$(GO) test -race -count=1 -run 'Dyn|Ingest|Version|Snapshot' ./internal/server/
 
 # debug = the test suite with the bfsdebug invariant layer live

@@ -166,25 +166,6 @@ func (m *ByteMap) Clear(v int) {
 	m.words[v>>3] &^= uint64(0xff) << byteShift(v)
 }
 
-// AtomicSet marks vertex v, returning whether this call changed the state.
-// The fast path is a single atomic load followed by at most one CAS; because
-// the only concurrent mutation ever sets bytes to 1, the loop terminates
-// quickly and redundant stores (and the cache-line invalidations they would
-// cause on other CPUs) are skipped entirely.
-func (m *ByteMap) AtomicSet(v int) bool {
-	addr := &m.words[v>>3]
-	mask := uint64(1) << byteShift(v)
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&(uint64(0xff)<<byteShift(v)) != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(addr, old, old|mask) {
-			return true
-		}
-	}
-}
-
 // ZeroRange clears vertices [lo, hi). The BFS kernels use task ranges that
 // are multiples of 8 vertices, so boundary words are not shared between
 // concurrent callers; partial boundary words are still handled correctly

@@ -146,51 +146,6 @@ func TestByteMapBasics(t *testing.T) {
 	}
 }
 
-func TestByteMapAtomicSet(t *testing.T) {
-	m := NewByteMap(64)
-	if !m.AtomicSet(9) {
-		t.Error("first AtomicSet reported no change")
-	}
-	if m.AtomicSet(9) {
-		t.Error("second AtomicSet reported change")
-	}
-	// Neighbors in the same word untouched.
-	for v := 8; v < 16; v++ {
-		if v != 9 && m.Get(v) {
-			t.Errorf("AtomicSet(9) disturbed vertex %d", v)
-		}
-	}
-}
-
-func TestByteMapAtomicSetConcurrent(t *testing.T) {
-	const n = 1 << 12
-	m := NewByteMap(n)
-	var wg sync.WaitGroup
-	wins := make([]int64, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for v := 0; v < n; v++ {
-				if m.AtomicSet(v) {
-					wins[w]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	var total int64
-	for _, c := range wins {
-		total += c
-	}
-	if total != n {
-		t.Errorf("successful AtomicSets = %d, want %d", total, n)
-	}
-	if m.Count() != n {
-		t.Errorf("Count = %d, want %d", m.Count(), n)
-	}
-}
-
 func TestQuickByteMapZeroRange(t *testing.T) {
 	const n = 100
 	f := func(rawLo, rawHi uint8) bool {

@@ -183,18 +183,6 @@ func (s *State) AtomicOrVertex(v int, value []uint64) bool {
 	return changed
 }
 
-// CoversRange reports whether vertex v's bitset already covers every bit in
-// mask, i.e. (row | mask) == row. Used by the bottom-up early exit.
-func (s *State) CoversRange(v int, mask []uint64) bool {
-	off := v * s.stride
-	for i := 0; i < s.stride; i++ {
-		if mask[i]&^s.words[off+i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // FullMask returns a fresh stride-wide mask with the lowest k bits set,
 // representing k active BFSs.
 func (s *State) FullMask(k int) []uint64 {
@@ -221,20 +209,6 @@ func (s *State) CountAll() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// ForEachSet calls fn(i) for every set bit i of vertex v's bitset.
-func (s *State) ForEachSet(v int, fn func(i int)) {
-	off := v * s.stride
-	for wi := 0; wi < s.stride; wi++ {
-		w := s.words[off+wi]
-		base := wi * WordBits
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(base + tz)
-			w &= w - 1
-		}
-	}
 }
 
 // MemoryBytes returns the size in bytes of the backing array.

@@ -189,40 +189,6 @@ func TestFullMask(t *testing.T) {
 	}()
 }
 
-func TestCoversRange(t *testing.T) {
-	s := NewState(2, 2)
-	s.Set(0, 1)
-	s.Set(0, 70)
-	if !s.CoversRange(0, []uint64{0b10, 1 << 6}) {
-		t.Error("CoversRange false for covered mask")
-	}
-	if s.CoversRange(0, []uint64{0b110, 0}) {
-		t.Error("CoversRange true for uncovered mask")
-	}
-	if !s.CoversRange(1, []uint64{0, 0}) {
-		t.Error("empty mask should always be covered")
-	}
-}
-
-func TestForEachSet(t *testing.T) {
-	s := NewState(2, 2)
-	want := []int{0, 63, 64, 100, 127}
-	for _, i := range want {
-		s.Set(1, i)
-	}
-	var got []int
-	s.ForEachSet(1, func(i int) { got = append(got, i) })
-	if len(got) != len(want) {
-		t.Fatalf("ForEachSet visited %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ForEachSet visited %v, want %v", got, want)
-		}
-	}
-	s.ForEachSet(0, func(i int) { t.Errorf("unexpected visit of bit %d", i) })
-}
-
 // Property: Set followed by Get is true for arbitrary in-range coordinates,
 // and does not disturb other bits.
 func TestQuickSetGet(t *testing.T) {

@@ -96,17 +96,6 @@ func TestBitmapAtomicSetContended(t *testing.T) {
 	})
 }
 
-// TestByteMapAtomicSetContended is the same protocol for the byte-per-vertex
-// representation, where neighboring vertices share a word.
-func TestByteMapAtomicSetContended(t *testing.T) {
-	testVertexSetContended(t, "ByteMap", func(n int) interface {
-		AtomicSet(v int) bool
-		Get(v int) bool
-	} {
-		return NewByteMap(n)
-	})
-}
-
 func testVertexSetContended(t *testing.T, name string, mk func(n int) interface {
 	AtomicSet(v int) bool
 	Get(v int) bool

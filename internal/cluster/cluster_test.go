@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	msbfs "repro"
-	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -25,87 +23,6 @@ func startCluster(t *testing.T, shards int, coordOpt CoordinatorOptions) *Inproc
 	return ip
 }
 
-// checkOracle loads g into a cluster of the given width, runs sources
-// through it, and requires byte-identical level arrays and matching
-// visited-state counts against the single-process kernel.
-func checkOracle(t *testing.T, g *msbfs.Graph, shards int, sources []int, opt msbfs.Options) {
-	t.Helper()
-	opt.RecordLevels = true
-	want := g.MultiBFS(sources, opt)
-
-	ip := startCluster(t, shards, CoordinatorOptions{})
-	rg, err := ip.Coord.LoadGraph(context.Background(), "oracle", g, 2)
-	if err != nil {
-		t.Fatalf("LoadGraph: %v", err)
-	}
-	type visitEvent struct{ src, v, depth int }
-	var events []visitEvent
-	got, err := rg.RunBatch(context.Background(), sources, opt,
-		func(workerID, sourceIdx, vertex, depth int) {
-			events = append(events, visitEvent{sourceIdx, vertex, depth})
-		})
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
-	}
-
-	if got.VisitedStates != want.VisitedStates {
-		t.Errorf("shards=%d: VisitedStates=%d, want %d", shards, got.VisitedStates, want.VisitedStates)
-	}
-	if len(got.Levels) != len(want.Levels) {
-		t.Fatalf("shards=%d: %d level rows, want %d", shards, len(got.Levels), len(want.Levels))
-	}
-	for i := range want.Levels {
-		for v := range want.Levels[i] {
-			if got.Levels[i][v] != want.Levels[i][v] {
-				t.Fatalf("shards=%d: source %d (vertex %d): level[%d]=%d, want %d",
-					shards, i, sources[i], v, got.Levels[i][v], want.Levels[i][v])
-			}
-		}
-	}
-	// The visit stream must carry exactly the non-seed discoveries plus
-	// the seeds, each consistent with the level arrays.
-	for _, e := range events {
-		if lv := want.Levels[e.src][e.v]; int(lv) != e.depth {
-			t.Fatalf("shards=%d: visit(%d,%d,%d) disagrees with level %d", shards, e.src, e.v, e.depth, lv)
-		}
-	}
-	var wantEvents int
-	for i := range want.Levels {
-		for _, lv := range want.Levels[i] {
-			if lv != msbfs.NoLevel {
-				wantEvents++
-			}
-		}
-	}
-	if len(events) != wantEvents {
-		t.Errorf("shards=%d: %d visit events, want %d", shards, len(events), wantEvents)
-	}
-}
-
-func TestClusterMatchesSingleProcessKronecker(t *testing.T) {
-	g := msbfs.GenerateKronecker(10, 8, 7)
-	sources := g.RandomSources(5, 11)
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			checkOracle(t, g, shards, sources, msbfs.Options{Workers: 2})
-		})
-	}
-}
-
-func TestClusterWideBatchSplits(t *testing.T) {
-	// 70 sources with BatchWords=1 force two sequential 64-wide cluster
-	// batches inside one RunBatch.
-	g := msbfs.GenerateKronecker(9, 6, 3)
-	sources := g.RandomSources(70, 5)
-	checkOracle(t, g, 2, sources, msbfs.Options{Workers: 2, BatchWords: 1})
-}
-
-func TestClusterMaxDepth(t *testing.T) {
-	g := msbfs.GenerateKronecker(9, 8, 13)
-	sources := g.RandomSources(3, 17)
-	checkOracle(t, g, 2, sources, msbfs.Options{Workers: 2, MaxDepth: 2})
-}
-
 // pathGraph builds a chain 0-1-2-...-n-1: every interior partition
 // boundary cuts exactly one edge, and BFS needs ~n levels, maximizing
 // barrier rounds.
@@ -115,77 +32,6 @@ func pathGraph(n int) *msbfs.Graph {
 		edges = append(edges, msbfs.Edge{U: uint32(v), V: uint32(v + 1)})
 	}
 	return msbfs.NewGraph(n, edges)
-}
-
-func TestClusterAdversarialPartitions(t *testing.T) {
-	t.Run("isolated-vertices", func(t *testing.T) {
-		// Vertices above 200 have no edges at all; shards 2..3 of a
-		// 4-way partition own almost only isolated vertices.
-		edges := []msbfs.Edge{}
-		for v := 0; v+1 < 200; v++ {
-			edges = append(edges, msbfs.Edge{U: uint32(v), V: uint32(v + 1)})
-		}
-		g := msbfs.NewGraph(400, edges)
-		checkOracle(t, g, 4, []int{0, 199, 350}, msbfs.Options{Workers: 2})
-	})
-	t.Run("all-remote-neighbors", func(t *testing.T) {
-		// Complete bipartite between the first and last 64-vertex
-		// slices: every edge from shard 0 lands in shard 3, so every
-		// frontier crosses the wire and none stays local.
-		const n = 256
-		var edges []msbfs.Edge
-		for u := 0; u < 64; u++ {
-			for v := n - 64; v < n; v++ {
-				edges = append(edges, msbfs.Edge{U: uint32(u), V: uint32(v)})
-			}
-		}
-		g := msbfs.NewGraph(n, edges)
-		checkOracle(t, g, 4, []int{0, 63, n - 1, 128}, msbfs.Options{Workers: 2})
-	})
-	t.Run("clustered-sources", func(t *testing.T) {
-		// All sources live in shard 0 of a 4-way split; the other shards
-		// start with empty frontiers and fill purely from deltas.
-		g := msbfs.GenerateKronecker(10, 8, 19)
-		lo, hi := MakePartition(g.NumVertices(), 4).Range(0)
-		sources := []int{lo, lo + 1, (lo + hi) / 2, hi - 1}
-		checkOracle(t, g, 4, sources, msbfs.Options{Workers: 2})
-	})
-	t.Run("empty-shards", func(t *testing.T) {
-		// 100 vertices over 4 shards leave shards 2 and 3 with zero
-		// vertices; the barrier must not wait on deltas from them.
-		checkOracle(t, pathGraph(100), 4, []int{0, 99, 50}, msbfs.Options{Workers: 2})
-	})
-	t.Run("long-path", func(t *testing.T) {
-		checkOracle(t, pathGraph(512), 4, []int{0, 511}, msbfs.Options{Workers: 2})
-	})
-}
-
-// TestClusterStripedActivePrefix: on a striped graph the isolated vertices
-// form the last block of ids, so the tail shard's CSR (and every shard
-// whose rows stop short of the tail) has an active prefix below its range
-// end and a state to match. Levels must still be byte-identical to the
-// single-process kernel and to the textbook BFS, with sources on both sides
-// of the prefix.
-func TestClusterStripedActivePrefix(t *testing.T) {
-	g, _ := msbfs.GenerateKronecker(11, 8, 5).Relabel(msbfs.LabelStriped, 2, 512, 1)
-	n := g.NumVertices()
-	off, adj := g.CSR()
-	a := (&graph.Graph{Offsets: off, Adjacency: adj}).ActivePrefix()
-	if a >= n-64 {
-		t.Fatalf("active prefix %d of %d: the striped graph should end in isolated vertices", a, n)
-	}
-	sources := []int{0, n - 1, a, 1, a - 1, n - 1, 17}
-	for _, shards := range []int{2, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			checkOracle(t, g, shards, sources, msbfs.Options{Workers: 2})
-		})
-	}
-	got := g.MultiBFS(sources, msbfs.Options{Workers: 2, RecordLevels: true})
-	for i, s := range sources {
-		if want := g.SequentialBFS(s).Levels; !slices.Equal(got.Levels[i], want) {
-			t.Errorf("source %d (vertex %d): single-process levels differ from the textbook BFS", i, s)
-		}
-	}
 }
 
 func TestClusterMultipleGraphsAndQueries(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -111,7 +112,7 @@ func TestLevelChecksFire(t *testing.T) {
 // TestInvariantLayerEndToEnd runs the parallel algorithms with the checks
 // live; any invariant violation would panic the run.
 func TestInvariantLayerEndToEnd(t *testing.T) {
-	g := testGraphs()["kronecker"]
+	g := gen.Kronecker(gen.Graph500Params(9, 1))
 	sources := RandomSources(g, 80, 42)
 
 	opt := Options{Workers: 4, BatchWords: 2, RecordLevels: true}

@@ -171,7 +171,7 @@ func TestArenaHygieneSurvivesPoisoning(t *testing.T) {
 			// failure below is unambiguous.
 			cold := v.run(e, g, sources)
 			for i := range sources {
-				levelsEqual(t, fmt.Sprintf("cold src=%d", sources[i]), cold[i], want[i])
+				CheckLevels(t, fmt.Sprintf("cold src=%d", sources[i]), cold[i], want[i])
 			}
 			if st := e.Stats(); st.Borrowed != 0 {
 				t.Fatalf("borrowed = %d after warm run, want 0 (poisoning would miss live state)", st.Borrowed)
@@ -181,7 +181,7 @@ func TestArenaHygieneSurvivesPoisoning(t *testing.T) {
 
 			warm := v.run(e, g, sources)
 			for i := range sources {
-				levelsEqual(t, fmt.Sprintf("poisoned src=%d", sources[i]), warm[i], want[i])
+				CheckLevels(t, fmt.Sprintf("poisoned src=%d", sources[i]), warm[i], want[i])
 			}
 		})
 	}
@@ -191,7 +191,7 @@ func TestArenaHygieneSurvivesPoisoning(t *testing.T) {
 // recycled row must carry no poison even for unreachable vertices (the
 // NoLevel fill is the scrub).
 func TestPoisonedLevelRowsScrubbed(t *testing.T) {
-	g := disconnected()
+	g := Disconnected()
 	e := NewEngine()
 	defer e.Close()
 	opt := Options{Workers: 2, RecordLevels: true, Engine: e}

@@ -13,21 +13,6 @@ import (
 // really is exclusive — two traversals sharing a pool or a state triple
 // produce wrong levels, not just races.
 
-// checkLevels is a goroutine-safe levelsEqual (t.Errorf only; t.Fatalf
-// must not be called off the test goroutine).
-func checkLevels(t *testing.T, name string, got, want []int32) {
-	if len(got) != len(want) {
-		t.Errorf("%s: %d levels, want %d", name, len(got), len(want))
-		return
-	}
-	for v := range got {
-		if got[v] != want[v] {
-			t.Errorf("%s: vertex %d level %d, want %d", name, v, got[v], want[v])
-			return
-		}
-	}
-}
-
 func TestEngineConcurrentMixedAlgorithms(t *testing.T) {
 	g := gen.Kronecker(gen.Graph500Params(9, 4))
 	sources := RandomSources(g, 16, 9)
@@ -52,26 +37,26 @@ func TestEngineConcurrentMixedAlgorithms(t *testing.T) {
 				case 0:
 					res := MSPBFS(g, sources, opt)
 					for i := range res.Sources {
-						checkLevels(t, "mspbfs", res.Levels[i], want[i])
+						CheckLevels(t, "mspbfs", res.Levels[i], want[i])
 					}
 					e.ReleaseLevels(res.Levels...)
 				case 1:
 					res := SMSPBFS(g, sources[c], BitState, opt)
-					checkLevels(t, "smspbfs", res.Levels, want[c])
+					CheckLevels(t, "smspbfs", res.Levels, want[c])
 					e.ReleaseLevels(res.Levels)
 				case 2:
 					res := MSBFS(g, sources, opt)
 					for i := range res.Sources {
-						checkLevels(t, "msbfs", res.Levels[i], want[i])
+						CheckLevels(t, "msbfs", res.Levels[i], want[i])
 					}
 					e.ReleaseLevels(res.Levels...)
 				case 3:
 					res := QueueBFS(g, sources[c], opt)
-					checkLevels(t, "queue", res.Levels, want[c])
+					CheckLevels(t, "queue", res.Levels, want[c])
 					e.ReleaseLevels(res.Levels)
 				case 4:
 					res := Beamer(g, sources[c], BeamerGAPBS, opt)
-					checkLevels(t, "beamer", res.Levels, want[c])
+					CheckLevels(t, "beamer", res.Levels, want[c])
 					e.ReleaseLevels(res.Levels)
 				}
 			}
@@ -104,7 +89,7 @@ func TestEngineConcurrentWithClose(t *testing.T) {
 			for round := 0; round < 6; round++ {
 				res := MSPBFS(g, sources, opt)
 				for i := range res.Sources {
-					checkLevels(t, "mspbfs-vs-close", res.Levels[i], want[i])
+					CheckLevels(t, "mspbfs-vs-close", res.Levels[i], want[i])
 				}
 				e.ReleaseLevels(res.Levels...)
 			}

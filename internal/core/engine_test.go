@@ -94,7 +94,7 @@ func TestEngineShellReuseAcrossRuns(t *testing.T) {
 		t.Errorf("second run recorded no arena hits (%d -> %d)", st1.Hits, st2.Hits)
 	}
 	for i, src := range res2.Sources {
-		levelsEqual(t, fmt.Sprintf("recycled shell src=%d", src), res2.Levels[i], ReferenceLevels(g, src))
+		CheckLevels(t, fmt.Sprintf("recycled shell src=%d", src), res2.Levels[i], ReferenceLevels(g, src))
 	}
 	e.ReleaseLevels(res2.Levels...)
 	if st := e.Stats(); st.Borrowed != 0 {
@@ -161,7 +161,7 @@ func TestEngineLevelRowRecycling(t *testing.T) {
 		t.Errorf("free level rows = %d during second run, want 0 (all recycled)", st.FreeLevelRows)
 	}
 	for i, src := range res2.Sources {
-		levelsEqual(t, fmt.Sprintf("recycled rows src=%d", src), res2.Levels[i], ReferenceLevels(g, src))
+		CheckLevels(t, fmt.Sprintf("recycled rows src=%d", src), res2.Levels[i], ReferenceLevels(g, src))
 	}
 	e.ReleaseLevels(res2.Levels...)
 }
@@ -206,7 +206,7 @@ func TestEngineCloseDegradesGracefully(t *testing.T) {
 
 	res := MSPBFS(g, sources, opt)
 	for i, src := range res.Sources {
-		levelsEqual(t, fmt.Sprintf("closed-engine src=%d", src), res.Levels[i], ReferenceLevels(g, src))
+		CheckLevels(t, fmt.Sprintf("closed-engine src=%d", src), res.Levels[i], ReferenceLevels(g, src))
 	}
 	e.ReleaseLevels(res.Levels...)
 	st = e.Stats()

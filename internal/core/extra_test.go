@@ -1,20 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/gen"
 )
-
-func TestIBFSWideBatches(t *testing.T) {
-	g := gen.Kronecker(gen.Graph500Params(9, 31))
-	sources := RandomSources(g, 150, 4)
-	res := IBFS(g, sources, Options{Workers: 2, BatchWords: 2, RecordLevels: true})
-	for i, s := range sources {
-		levelsEqual(t, fmt.Sprintf("ibfs-wide/src#%d", i), res.Levels[i], ReferenceLevels(g, s))
-	}
-}
 
 func TestBeamerIterStats(t *testing.T) {
 	g := gen.Kronecker(gen.Graph500Params(10, 32))
@@ -39,54 +29,8 @@ func TestBeamerIterStats(t *testing.T) {
 	}
 }
 
-func TestBeamerOnDisconnected(t *testing.T) {
-	g := disconnected()
-	src := 150 // middle of the matched-pairs region: component of size 2
-	for _, v := range []BeamerVariant{BeamerGAPBS, BeamerSparse, BeamerDense} {
-		res := Beamer(g, src, v, Options{RecordLevels: true})
-		if res.VisitedVertices != 2 {
-			t.Errorf("%v visited %d, want 2", v, res.VisitedVertices)
-		}
-	}
-}
-
-func TestMaxDepthInternal(t *testing.T) {
-	g := pathGraph(30)
-	want3 := func(levels []int32, name string) {
-		t.Helper()
-		for v := 0; v < 30; v++ {
-			switch {
-			case v <= 3 && levels[v] != int32(v):
-				t.Errorf("%s: vertex %d level %d", name, v, levels[v])
-			case v > 3 && levels[v] != NoLevel:
-				t.Errorf("%s: vertex %d beyond MaxDepth has level %d", name, v, levels[v])
-			}
-		}
-	}
-	opt := Options{MaxDepth: 3, RecordLevels: true}
-	want3(MSBFS(g, []int{0}, opt).Levels[0], "msbfs")
-	want3(MSPBFS(g, []int{0}, Options{Workers: 2, MaxDepth: 3, RecordLevels: true}).Levels[0], "mspbfs")
-	want3(SMSPBFS(g, 0, BitState, Options{Workers: 2, MaxDepth: 3, RecordLevels: true}).Levels, "smspbfs")
-}
-
-func TestMaxDepthWithBottomUp(t *testing.T) {
-	// Depth limits must compose with forced bottom-up processing.
-	g := pathGraph(20)
-	res := SMSPBFS(g, 10, ByteState, Options{Direction: BottomUpOnly, MaxDepth: 2, RecordLevels: true})
-	if res.VisitedVertices != 5 { // 10 +/- 2 and itself
-		t.Errorf("visited %d, want 5", res.VisitedVertices)
-	}
-}
-
-func TestQueueBFSSingleWorker(t *testing.T) {
-	g := gen.LDBC(gen.LDBCDefaults(600, 12))
-	src := RandomSources(g, 1, 6)[0]
-	res := QueueBFS(g, src, Options{Workers: 1, RecordLevels: true})
-	levelsEqual(t, "queue-w1", res.Levels, ReferenceLevels(g, src))
-}
-
 func TestReferenceBFSStats(t *testing.T) {
-	g := pathGraph(10)
+	g := PathGraph(10)
 	res := ReferenceBFS(g, 0)
 	if res.VisitedVertices != 10 || res.Stats.Sources != 1 {
 		t.Errorf("stats: %+v", res.Stats)
@@ -94,7 +38,7 @@ func TestReferenceBFSStats(t *testing.T) {
 }
 
 func TestDeriveParentsLengthMismatchPanics(t *testing.T) {
-	g := pathGraph(5)
+	g := PathGraph(5)
 	defer func() {
 		if recover() == nil {
 			t.Error("mismatched level array did not panic")
@@ -105,7 +49,7 @@ func TestDeriveParentsLengthMismatchPanics(t *testing.T) {
 
 func TestBrandesCoreStarExact(t *testing.T) {
 	// Star: the center lies on every leaf pair's shortest path.
-	g := starGraph(6)
+	g := StarGraph(6)
 	scores := BrandesBetweenness(g, []int{0, 1, 2, 3, 4, 5}, Options{Workers: 2})
 	want := float64(5 * 4 / 2) // C(5,2) pairs of leaves
 	if scores[0] != want {

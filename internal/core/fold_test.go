@@ -11,7 +11,7 @@ import (
 // workers, to slots without the previous targets — must leave no stale
 // tally or row behind.
 func TestFold(t *testing.T) {
-	g := disconnected() // a path, a matching and isolated vertices: unreachable pairs
+	g := Disconnected() // a path, a matching and isolated vertices: unreachable pairs
 	shared := []int{0, 50, 99, 101, 250, 50}
 	cases := []struct {
 		name    string
@@ -106,7 +106,7 @@ func TestFold(t *testing.T) {
 // TestFoldRowsOutliveReset checks that a row handed out by Distances is the
 // caller's: neither the next Reset nor the next traversal writes into it.
 func TestFoldRowsOutliveReset(t *testing.T) {
-	g := pathGraph(10)
+	g := PathGraph(10)
 	var f Fold
 	f.Reset(1, 1)
 	f.SetTargets(0, []int{3}, TargetIndex([]int{3}))

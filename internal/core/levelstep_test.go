@@ -47,7 +47,7 @@ func TestSMSPBFSIsMSPBFSAtK1(t *testing.T) {
 					sms := SMSPBFS(tc.g, tc.source, repr, opt)
 					got := sms.Stats.Iterations
 
-					levelsEqual(t, "SMS-PBFS/"+repr.String()+" vs MS-PBFS k=1", sms.Levels, ms.Levels[0])
+					CheckLevels(t, "SMS-PBFS/"+repr.String()+" vs MS-PBFS k=1", sms.Levels, ms.Levels[0])
 					if sms.VisitedVertices != ms.VisitedStates {
 						t.Errorf("%s: visited %d, MS-PBFS %d", repr, sms.VisitedVertices, ms.VisitedStates)
 					}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -37,49 +35,6 @@ func splitGraphOverlay(n, m int, seed int64) (base *graph.Graph, ov *graph.Overl
 	compacted = graph.FromEdges(n, edges)
 	ov = graph.NewOverlay(n).WithEdges(edges[cut:], nil)
 	return base, ov, compacted
-}
-
-// TestOverlayKernelEquivalence: BFS levels over (CSR + overlay) must be
-// byte-identical to BFS over the compacted CSR, for every fused kernel and
-// every forced direction. This is the kernel-level slice of the dyngraph
-// snapshot oracle (the full MVCC version sweep lives in internal/dyngraph).
-func TestOverlayKernelEquivalence(t *testing.T) {
-	const n = 700
-	base, ov, compacted := splitGraphOverlay(n, 2200, 20170321)
-	sources := []int{0, 3, 99, 500, 699, 123, 321, 7}
-
-	for _, dir := range []Direction{Auto, TopDownOnly, BottomUpOnly} {
-		dir := dir
-		t.Run(fmt.Sprintf("dir=%d", dir), func(t *testing.T) {
-			opt := Options{Workers: 4, BatchWords: 1, RecordLevels: true, Direction: dir}
-			ovOpt := opt
-			ovOpt.Overlay = ov
-
-			want := MSPBFS(compacted, sources, opt)
-			got := MSPBFS(base, sources, ovOpt)
-			for i := range sources {
-				if !reflect.DeepEqual(want.Levels[i], got.Levels[i]) {
-					t.Fatalf("MS-PBFS levels diverge for source %d", sources[i])
-				}
-			}
-
-			for _, repr := range []StateRepr{BitState, ByteState} {
-				w := SMSPBFS(compacted, sources[0], repr, opt)
-				g := SMSPBFS(base, sources[0], repr, ovOpt)
-				if !reflect.DeepEqual(w.Levels, g.Levels) {
-					t.Fatalf("SMS-PBFS/%s levels diverge", repr)
-				}
-			}
-
-			if dir == Auto {
-				w := ReferenceBFS(compacted, sources[0])
-				g := ReferenceBFSOverlay(base, ov, sources[0])
-				if !reflect.DeepEqual(w.Levels, g.Levels) {
-					t.Fatalf("reference levels diverge")
-				}
-			}
-		})
-	}
 }
 
 // TestBaselineGuardsFire pins the contract that the paper's baselines

@@ -10,7 +10,7 @@ import (
 )
 
 func TestDeriveParentsPath(t *testing.T) {
-	g := pathGraph(6)
+	g := PathGraph(6)
 	levels := ReferenceLevels(g, 2)
 	parents := DeriveParents(g, levels, nil)
 	// Source is its own parent; everyone else points one hop toward 2.
@@ -23,7 +23,7 @@ func TestDeriveParentsPath(t *testing.T) {
 }
 
 func TestDeriveParentsUnreached(t *testing.T) {
-	g := disconnected()
+	g := Disconnected()
 	levels := ReferenceLevels(g, 0)
 	parents := DeriveParents(g, levels, nil)
 	for v := 100; v < 300; v++ {
@@ -67,7 +67,7 @@ func TestValidateGraph500AcceptsAllAlgorithms(t *testing.T) {
 }
 
 func TestValidateGraph500Rejections(t *testing.T) {
-	g := pathGraph(5)
+	g := PathGraph(5)
 	levels := ReferenceLevels(g, 0)
 	good := DeriveParents(g, levels, nil)
 

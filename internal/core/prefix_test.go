@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -135,147 +133,10 @@ func TestStripedLevelTracesPinned(t *testing.T) {
 	}
 }
 
-// visitLog collects OnVisit calls as a multiset of (source index, vertex,
-// depth) triples.
-type visitLog struct {
-	mu     sync.Mutex
-	visits map[[3]int]int
-}
-
-func (l *visitLog) hook() func(workerID, sourceIdx, vertex, depth int) {
-	l.visits = map[[3]int]int{}
-	return func(_, sourceIdx, vertex, depth int) {
-		l.mu.Lock()
-		l.visits[[3]int{sourceIdx, vertex, depth}]++
-		l.mu.Unlock()
-	}
-}
-
-// checkAgainstOracle holds one multi-source run over g and ov (nil: none)
-// to the textbook BFS: every level row, the visited-state total and the
-// OnVisit multiset (each reached (source, vertex) pair exactly once, at its
-// level).
-func checkAgainstOracle(t *testing.T, name string, g *graph.Graph, ov *graph.Overlay, sources []int, res *MultiResult, log *visitLog) {
-	t.Helper()
-	want := map[[3]int]int{}
-	var visited int64
-	for i, s := range sources {
-		ref := ReferenceBFSOverlay(g, ov, s)
-		levelsEqual(t, fmt.Sprintf("%s source %d (vertex %d)", name, i, s), res.Levels[i], ref.Levels)
-		visited += ref.VisitedVertices
-		for v, lv := range ref.Levels {
-			if lv != NoLevel {
-				want[[3]int{i, v, int(lv)}]++
-			}
-		}
-	}
-	if res.VisitedStates != visited {
-		t.Errorf("%s: VisitedStates %d, want %d", name, res.VisitedStates, visited)
-	}
-	if !maps.Equal(log.visits, want) {
-		t.Errorf("%s: OnVisit multiset has %d distinct calls, want %d", name, len(log.visits), len(want))
-	}
-}
-
-// TestActivePrefixSources: batches that mix sources below the active
-// prefix with isolated ones at and past it — repeats of both included —
-// match the oracle in every direction policy, width and worker count, and
-// so does SMS-PBFS from either side of the prefix. So do they under an
-// overlay whose arcs reach past the prefix, which makes the run's prefix n.
-func TestActivePrefixSources(t *testing.T) {
-	g := goldenStriped(12, 1)
-	n, a := g.NumVertices(), g.ActivePrefix()
-	if a >= n-8 {
-		t.Fatalf("active prefix %d of %d: the striped graph should end in isolated vertices", a, n)
-	}
-	active := RandomSources(g, 6, 3)
-	sources := []int{a, active[0], n - 1, active[1], a, active[2], a + 7, active[0], active[3], n - 1, a - 1, active[4]}
-	past := graph.NewOverlay(n).WithEdges([]graph.Edge{
-		{U: graph.VertexID(active[0]), V: graph.VertexID(n - 1)},
-		{U: graph.VertexID(a), V: graph.VertexID(a + 7)},
-	}, nil)
-	for _, ov := range []*graph.Overlay{nil, past} {
-		// A fresh arena per overlay: a parked shell of a larger prefix
-		// would serve the run without the prefix's own.
-		eng := NewEngine()
-		defer eng.Close()
-		for _, dir := range []Direction{Auto, TopDownOnly, BottomUpOnly} {
-			for _, workers := range []int{1, 2, 3} {
-				checkPrefixRuns(t, g, ov, sources, []int{a, n - 1, active[0], a - 1},
-					Options{Workers: workers, Direction: dir, RecordLevels: true, Engine: eng, Overlay: ov})
-			}
-		}
-	}
-}
-
-// checkPrefixRuns holds MS-PBFS over sources, at one and two words, and
-// SMS-PBFS from each of singles, in both state representations, to the
-// oracle under opt.
-func checkPrefixRuns(t *testing.T, g *graph.Graph, ov *graph.Overlay, sources, singles []int, opt Options) {
-	t.Helper()
-	for _, words := range []int{1, 2} {
-		var log visitLog
-		opt := opt
-		opt.BatchWords, opt.OnVisit = words, log.hook()
-		name := fmt.Sprintf("MS-PBFS overlay=%v dir=%d workers=%d words=%d", ov != nil, opt.Direction, opt.Workers, words)
-		checkAgainstOracle(t, name, g, ov, sources, MSPBFS(g, sources, opt), &log)
-	}
-	for _, s := range singles {
-		for _, repr := range []StateRepr{BitState, ByteState} {
-			r := SMSPBFS(g, s, repr, opt)
-			ref := ReferenceBFSOverlay(g, ov, s)
-			name := fmt.Sprintf("SMS-PBFS/%s overlay=%v dir=%d workers=%d source %d", repr, ov != nil, opt.Direction, opt.Workers, s)
-			levelsEqual(t, name, r.Levels, ref.Levels)
-			if r.VisitedVertices != ref.VisitedVertices {
-				t.Errorf("%s: visited %d, want %d", name, r.VisitedVertices, ref.VisitedVertices)
-			}
-		}
-	}
-}
-
-// TestAllIsolatedBatch: a batch whose every source lies past the active
-// prefix touches no state, yet reports what the n-wide kernel reported:
-// each source at level 0 and nothing else, one visited state and one
-// depth-0 OnVisit per source, and one level that discovers nothing.
-func TestAllIsolatedBatch(t *testing.T) {
-	g := goldenStriped(12, 1)
-	n, a := g.NumVertices(), g.ActivePrefix()
-	sources := []int{n - 1, a, a + 3, n - 1, a + 100}
-	eng := NewEngine() // a fresh arena: a parked shell of a larger prefix would serve too
-	defer eng.Close()
-	for _, dir := range []Direction{Auto, TopDownOnly, BottomUpOnly} {
-		for _, workers := range []int{1, 2} {
-			var log visitLog
-			opt := Options{Workers: workers, Direction: dir, RecordLevels: true, CollectIterStats: true, OnVisit: log.hook(), Engine: eng}
-			res := MSPBFS(g, sources, opt)
-			name := fmt.Sprintf("dir=%d workers=%d", dir, workers)
-			checkAgainstOracle(t, name, g, nil, sources, res, &log)
-			its := res.Stats.Iterations
-			if len(its) != 1 {
-				t.Fatalf("%s: %d levels, want 1", name, len(its))
-			}
-			// A forced bottom-up level finds no frontier neighbor for any
-			// vertex, so it scans every arc; top-down scans none.
-			scanned := int64(0)
-			if dir == BottomUpOnly {
-				scanned = int64(len(g.Adjacency))
-			}
-			if it := its[0]; it.UpdatedStates != 0 || it.ScannedEdges != scanned || it.BottomUp != (dir == BottomUpOnly) {
-				t.Errorf("%s: level %+v, want nothing updated, %d scanned, bottom-up only when forced", name, it, scanned)
-			}
-
-			r := SMSPBFS(g, n-1, BitState, opt)
-			if len(r.Stats.Iterations) != 1 || r.VisitedVertices != 1 || r.Levels[n-1] != 0 {
-				t.Errorf("%s: SMS-PBFS from %d: %d levels, %d visited, level %d; want 1, 1, 0",
-					name, n-1, len(r.Stats.Iterations), r.VisitedVertices, r.Levels[n-1])
-			}
-		}
-	}
-}
-
 // TestIsolatedMidRangeKeepsFullState: isolated vertices in the middle of
 // the id range leave the active prefix at n, so the shell covers every
-// vertex, exactly as without the prefix, and the runs match the oracle.
+// vertex, exactly as without the prefix. (The grid's midgap shape holds
+// such runs to the oracle.)
 func TestIsolatedMidRangeKeepsFullState(t *testing.T) {
 	const n = 3000
 	b := graph.NewBuilder(n)
@@ -291,9 +152,7 @@ func TestIsolatedMidRangeKeepsFullState(t *testing.T) {
 	eng := NewEngine()
 	defer eng.Close()
 	sources := []int{0, 1500, 2999, 1001, 1000}
-	var log visitLog
-	res := MSPBFS(g, sources, Options{Engine: eng, RecordLevels: true, OnVisit: log.hook()})
-	checkAgainstOracle(t, "mid-range", g, nil, sources, res, &log)
+	res := MSPBFS(g, sources, Options{Engine: eng, RecordLevels: true})
 	eng.ReleaseLevels(res.Levels...)
 	if got, want := eng.Stats().FreeBytes-int64(len(res.Levels))*n*4, shellBytes(n, 1); got != want {
 		t.Errorf("one-worker shell holds %d B, want %d B", got, want)
@@ -381,7 +240,7 @@ func TestShellsParkPerShape(t *testing.T) {
 		misses := eng.Stats().Misses
 		res := MSPBFS(graphs[a], []int{0, a - 1, n - 1}, Options{Engine: eng, RecordLevels: true})
 		for i, s := range []int{0, a - 1, n - 1} {
-			levelsEqual(t, fmt.Sprintf("prefix %d source %d", a, s), res.Levels[i], ReferenceLevels(graphs[a], s))
+			CheckLevels(t, fmt.Sprintf("prefix %d source %d", a, s), res.Levels[i], ReferenceLevels(graphs[a], s))
 		}
 		eng.ReleaseLevels(res.Levels...)
 		return eng.Stats().Misses > misses

@@ -22,7 +22,7 @@ func TestMSPBFSRaceStress(t *testing.T) {
 
 	res := MSPBFS(g, sources, Options{Workers: 8, BatchWords: 2, SplitSize: 512, RecordLevels: true})
 	for i, src := range res.Sources {
-		levelsEqual(t, fmt.Sprintf("mspbfs race src=%d", src), res.Levels[i], ReferenceLevels(g, src))
+		CheckLevels(t, fmt.Sprintf("mspbfs race src=%d", src), res.Levels[i], ReferenceLevels(g, src))
 	}
 }
 
@@ -36,7 +36,7 @@ func TestSMSPBFSRaceStress(t *testing.T) {
 
 	for _, repr := range []StateRepr{BitState, ByteState} {
 		res := SMSPBFS(g, 1, repr, Options{Workers: 8, SplitSize: 512, RecordLevels: true})
-		levelsEqual(t, "smspbfs race "+repr.String(), res.Levels, want)
+		CheckLevels(t, "smspbfs race "+repr.String(), res.Levels, want)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestMSPBFSRaceRepeated(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		res := MSPBFS(g, sources, Options{Workers: 8, RecordLevels: true})
 		for i, src := range res.Sources {
-			levelsEqual(t, fmt.Sprintf("round %d src=%d", round, src), res.Levels[i], want[i])
+			CheckLevels(t, fmt.Sprintf("round %d src=%d", round, src), res.Levels[i], want[i])
 		}
 	}
 }

@@ -389,6 +389,9 @@ func TestDynamicIngestQueryRace(t *testing.T) {
 	writers.Wait()
 	close(ingested)
 	readers.Wait()
+	// Close waits for the background compactor, whose merge pins the
+	// current view: only then are the pins and borrows the join's alone.
+	e.Dyn.Close()
 
 	st := e.Dyn.Stats()
 	t.Logf("%d compactions, version %d, %d base edges", st.Compactions, st.Version, st.BaseEdges)

@@ -28,60 +28,6 @@ func TestNewGraphAndAccessors(t *testing.T) {
 	}
 }
 
-func TestBFSAgainstSequential(t *testing.T) {
-	g := socialGraph()
-	src := g.RandomSources(1, 1)[0]
-	want := g.SequentialBFS(src)
-	for _, byteState := range []bool{false, true} {
-		got := g.BFS(src, Options{Workers: 2, ByteState: byteState, RecordLevels: true})
-		if got.VisitedVertices != want.VisitedVertices {
-			t.Fatalf("visited %d, want %d", got.VisitedVertices, want.VisitedVertices)
-		}
-		for v := range want.Levels {
-			if got.Levels[v] != want.Levels[v] {
-				t.Fatalf("byteState=%v vertex %d: %d != %d", byteState, v, got.Levels[v], want.Levels[v])
-			}
-		}
-	}
-}
-
-func TestBFSDirectionOverrides(t *testing.T) {
-	g := socialGraph()
-	src := g.RandomSources(1, 2)[0]
-	want := g.SequentialBFS(src).Levels
-	for _, opt := range []Options{
-		{Workers: 2, TopDownOnly: true, RecordLevels: true},
-		{Workers: 2, BottomUpOnly: true, RecordLevels: true},
-	} {
-		got := g.BFS(src, opt)
-		for v := range want {
-			if got.Levels[v] != want[v] {
-				t.Fatalf("opt %+v vertex %d wrong", opt, v)
-			}
-		}
-	}
-}
-
-func TestMultiBFS(t *testing.T) {
-	g := socialGraph()
-	sources := g.RandomSources(80, 3)
-	res := g.MultiBFS(sources, Options{Workers: 2, BatchWords: 1, RecordLevels: true})
-	if len(res.Levels) != len(sources) {
-		t.Fatalf("got %d level arrays", len(res.Levels))
-	}
-	for i, s := range sources {
-		want := g.SequentialBFS(s).Levels
-		for v := range want {
-			if res.Levels[i][v] != want[v] {
-				t.Fatalf("source #%d vertex %d wrong", i, v)
-			}
-		}
-	}
-	if res.VisitedStates == 0 || res.Elapsed <= 0 {
-		t.Error("missing stats")
-	}
-}
-
 func TestBFSPanicsOnBadSource(t *testing.T) {
 	g := NewGraph(3, []Edge{{U: 0, V: 1}})
 	for _, bad := range []int{-1, 3} {

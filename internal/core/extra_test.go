@@ -37,6 +37,13 @@ func TestReferenceBFSStats(t *testing.T) {
 	}
 }
 
+func TestEmptySourceList(t *testing.T) {
+	res := MSPBFS(PathGraph(2), nil, Options{RecordLevels: true})
+	if res.VisitedStates != 0 || res.Stats.Sources != 0 || len(res.Levels) != 0 {
+		t.Errorf("empty source list: %d states, %d sources, %d level rows", res.VisitedStates, res.Stats.Sources, len(res.Levels))
+	}
+}
+
 func TestDeriveParentsLengthMismatchPanics(t *testing.T) {
 	g := PathGraph(5)
 	defer func() {

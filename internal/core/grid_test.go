@@ -9,7 +9,8 @@ package core_test
 // generated. A cell is one value per axis of the table below. It passes
 // when
 //   - every level row, mapped back through the labeling, equals the
-//     reference row (cut at MaxDepth),
+//     reference row (cut at MaxDepth), or with record=nolevels no row is
+//     recorded,
 //   - the visited-state total equals the reference's, and
 //   - where the kernel takes a visitor, OnVisit reports each reached
 //     (source, vertex) exactly once, at its level.
@@ -30,6 +31,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -57,6 +59,7 @@ const (
 	dDepth
 	dView
 	dVisit
+	dRecord
 	dPlace
 	dShape
 	numDims
@@ -77,7 +80,7 @@ var dims = [numDims]axis{
 	dRepr:    {"repr", []string{"bit", "byte"}},
 	dLabel:   {"label", []string{"identity", "random", "degree", "striped"}},
 	dDir:     {"dir", []string{"auto", "topdown", "bottomup"}},
-	dWorkers: {"workers", []string{"w1", "w2", "w3", "w4"}},
+	dWorkers: {"workers", []string{"w1", "w2", "w3", "w4", "w8"}},
 	dSplit:   {"split", []string{"split512", "split2048", "split65536"}},
 	dWords:   {"words", []string{"words1", "words2", "words4"}},
 	dExit:    {"exit", []string{"exit", "noexit"}},
@@ -85,6 +88,7 @@ var dims = [numDims]axis{
 	dDepth:   {"depth", []string{"depth0", "depth2"}},
 	dView:    {"view", []string{"csr", "overlay"}},
 	dVisit:   {"visit", []string{"novisit", "visit"}},
+	dRecord:  {"record", []string{"levels", "nolevels"}},
 	dPlace:   {"place", []string{"below", "at", "past", "clustered"}},
 	dShape:   {"shape", shapeNames()},
 }
@@ -158,13 +162,16 @@ var gridSlices = []struct{ name, spec string }{
 	// The fused overlay scans against the compacted graph's answer.
 	{"overlay", "kernel=mspbfs,smspbfs,mspbfs-socket,smspbfs-all repr=* dir=* workers=w4 view=* visit=visit shape=kron"},
 	// The scatter → apply substrate: rows cut at stripe and task borders.
-	{"segmented", "kernel=mspbfs,smspbfs repr=* dir=* workers=w3,w4 split=* words=words1,words2 view=* shape=kron12"},
+	{"segmented", "kernel=mspbfs,smspbfs repr=* dir=* workers=w3,w4,w8 split=* words=words1,words2 view=* shape=kron12"},
 	// Sources on both sides of the active prefix, and all past it.
 	{"prefix", "kernel=mspbfs,smspbfs repr=* label=striped dir=* workers=w1,w3 words=words1,words2 view=* visit=visit place=at,past shape=kron12; kernel=mspbfs,smspbfs repr=* words=words1,words2 visit=visit place=* shape=components,midgap"},
 	// MaxDepth in every direction.
 	{"depth", "kernel=mspbfs,smspbfs,msbfs,msbfs-direct,msbfs-core repr=* dir=* workers=w2 depth=depth2 shape=path,kron"},
 	// Stealing and the early exit off; every worker count on a sparse graph.
-	{"tuning", "kernel=mspbfs,smspbfs repr=* dir=auto,bottomup workers=w4 exit=* steal=* shape=kron; kernel=mspbfs,smspbfs repr=* dir=* workers=* shape=uniform"},
+	{"tuning", "kernel=mspbfs,smspbfs repr=* dir=auto,bottomup workers=w4 exit=* steal=* shape=kron; kernel=mspbfs,smspbfs repr=* dir=* workers=w1,w2,w3,w4 shape=uniform"},
+	// Runs that record no levels, the path of the serving fold and the
+	// benchmark: the visited totals and the OnVisit stream alone.
+	{"record", "kernel=* layer=core repr=* dir=* workers=w2 words=words1,words2 visit=* record=nolevels shape=kron,path,components; kernel=mspbfs,smspbfs layer=root,shards2 visit=* record=nolevels shape=ldbc,components"},
 	// The root facade's BFS and MultiBFSVisitor.
 	{"root", "kernel=mspbfs,smspbfs layer=root repr=* dir=* workers=w2 view=* visit=visit shape=ldbc; kernel=mspbfs,smspbfs layer=root depth=depth2 shape=ldbc"},
 	// Sharded runs over adversarial partitions: isolated tails, arcs that
@@ -173,11 +180,13 @@ var gridSlices = []struct{ name, spec string }{
 }
 
 // An impl is one kernel reached through one layer: the axes it reads
-// there, beyond label, place and shape, which every cell reads, and how it
-// runs.
+// there, beyond label, record, place and shape, which every cell reads, how
+// many of the cell's sources it runs (0: all; the single-source kernels run
+// the first few, one at a time), and how it runs.
 type impl struct {
 	kernel, layer string
 	axes          string
+	sources       int
 	run           func(r *cellRun)
 }
 
@@ -189,45 +198,45 @@ const (
 )
 
 var impls = []impl{
-	{"mspbfs", "core", parallel + " words", func(r *cellRun) {
+	{"mspbfs", "core", parallel + " words", 0, func(r *cellRun) {
 		r.multi(core.MSPBFS(r.g, r.sources, r.opt), r.batches())
 	}},
-	{"smspbfs", "core", parallel + " repr", func(r *cellRun) {
+	{"smspbfs", "core", parallel + " repr", 4, func(r *cellRun) {
 		r.single(func(s int, opt core.Options) *core.Result { return core.SMSPBFS(r.g, s, r.c.repr(), opt) })
 	}},
-	{"smspbfs-all", "core", "dir workers split exit steal depth view repr", func(r *cellRun) {
+	{"smspbfs-all", "core", "dir workers split exit steal depth view repr", 4, func(r *cellRun) {
 		r.multi(core.SMSPBFSAll(r.g, r.sources, r.c.repr(), r.opt), len(r.sources))
 	}},
-	{"mspbfs-socket", "core", parallel + " words", func(r *cellRun) {
+	{"mspbfs-socket", "core", parallel + " words", 0, func(r *cellRun) {
 		r.instances(core.MSPBFSPerSocket(r.g, r.sources, 2, r.opt), 2)
 	}},
-	{"msbfs", "core", seqMulti, func(r *cellRun) { r.multi(core.MSBFS(r.g, r.sources, r.opt), r.batches()) }},
-	{"msbfs-direct", "core", seqMulti, func(r *cellRun) { r.multi(core.MSBFSDirect(r.g, r.sources, r.opt), r.batches()) }},
-	{"msbfs-core", "core", seqMulti + " workers", func(r *cellRun) {
+	{"msbfs", "core", seqMulti, 0, func(r *cellRun) { r.multi(core.MSBFS(r.g, r.sources, r.opt), r.batches()) }},
+	{"msbfs-direct", "core", seqMulti, 0, func(r *cellRun) { r.multi(core.MSBFSDirect(r.g, r.sources, r.opt), r.batches()) }},
+	{"msbfs-core", "core", seqMulti + " workers", 0, func(r *cellRun) {
 		r.instances(core.MSBFSPerCore(r.g, r.sources, r.opt), r.c.workers())
 	}},
-	{"ibfs", "core", "workers words", func(r *cellRun) { r.multi(core.IBFS(r.g, r.sources, r.opt), r.batches()) }},
-	{"queue", "core", "dir workers", func(r *cellRun) {
+	{"ibfs", "core", "workers words", 0, func(r *cellRun) { r.multi(core.IBFS(r.g, r.sources, r.opt), r.batches()) }},
+	{"queue", "core", "dir workers", 4, func(r *cellRun) {
 		r.single(func(s int, opt core.Options) *core.Result { return core.QueueBFS(r.g, s, opt) })
 	}},
-	{"beamer-gapbs", "core", "dir", beamer(core.BeamerGAPBS)},
-	{"beamer-sparse", "core", "dir", beamer(core.BeamerSparse)},
-	{"beamer-dense", "core", "dir", beamer(core.BeamerDense)},
-	{"mspbfs", "root", rootMS, func(r *cellRun) {
+	{"beamer-gapbs", "core", "dir", 4, beamer(core.BeamerGAPBS)},
+	{"beamer-sparse", "core", "dir", 4, beamer(core.BeamerSparse)},
+	{"beamer-dense", "core", "dir", 4, beamer(core.BeamerDense)},
+	{"mspbfs", "root", rootMS, 0, func(r *cellRun) {
 		res := r.root().MultiBFSVisitor(r.sources, r.rootOptions(), r.opt.OnVisit)
 		r.levels, r.visited = res.Levels, res.VisitedStates
 		if res.Elapsed <= 0 {
 			r.t.Errorf("Elapsed = %v", res.Elapsed)
 		}
 	}},
-	{"smspbfs", "root", "repr dir workers depth view", func(r *cellRun) {
+	{"smspbfs", "root", "repr dir workers depth view", 4, func(r *cellRun) {
 		for _, s := range r.sources {
 			res := r.root().BFS(s, r.rootOptions())
 			r.levels, r.visited = append(r.levels, res.Levels), r.visited+res.VisitedVertices
 		}
 	}},
-	{"mspbfs", "shards2", sharded, func(r *cellRun) { r.sharded(2) }},
-	{"mspbfs", "shards3", sharded, func(r *cellRun) { r.sharded(3) }},
+	{"mspbfs", "shards2", sharded, 0, func(r *cellRun) { r.sharded(2) }},
+	{"mspbfs", "shards3", sharded, 0, func(r *cellRun) { r.sharded(3) }},
 }
 
 func beamer(variant core.BeamerVariant) func(r *cellRun) {
@@ -235,13 +244,6 @@ func beamer(variant core.BeamerVariant) func(r *cellRun) {
 		r.single(func(s int, opt core.Options) *core.Result { return core.Beamer(r.g, s, variant, opt) })
 	}
 }
-
-// singleSource kernels run the first few sources of a cell's list one at
-// a time.
-var singleSource = map[string]bool{"smspbfs": true, "smspbfs-all": true, "queue": true,
-	"beamer-gapbs": true, "beamer-sparse": true, "beamer-dense": true}
-
-const singleSources = 4
 
 // A cell is one value index per axis.
 type cell [numDims]int
@@ -255,7 +257,7 @@ func (c cell) String() string {
 }
 
 func (c cell) value(d int) string { return dims[d].values[c[d]] }
-func (c cell) workers() int       { return c[dWorkers] + 1 }
+func (c cell) workers() int       { return []int{1, 2, 3, 4, 8}[c[dWorkers]] }
 func (c cell) words() int         { return []int{1, 2, 4}[c[dWords]] }
 func (c cell) depth() int         { return 2 * c[dDepth] }
 
@@ -275,7 +277,7 @@ func (c cell) impl() *impl {
 // reads reports whether x runs axis d at any value but its default.
 func (x *impl) reads(d int) bool {
 	switch d {
-	case dKernel, dLayer, dLabel, dPlace, dShape:
+	case dKernel, dLayer, dLabel, dRecord, dPlace, dShape:
 		return true
 	}
 	return slices.Contains(strings.Fields(x.axes), dims[d].name)
@@ -317,7 +319,7 @@ func (c cell) options(eng *core.Engine) core.Options {
 		DisableEarlyExit: c[dExit] == 1,
 		DisableStealing:  c[dSteal] == 1,
 		MaxDepth:         c.depth(),
-		RecordLevels:     true,
+		RecordLevels:     c[dRecord] == 0,
 		Engine:           eng,
 	}
 }
@@ -455,7 +457,10 @@ func TestGridMatchesOracle(t *testing.T) {
 					continue
 				}
 				ran[c] = true
-				t.Run(c.String(), func(t *testing.T) { gr.check(t, c) })
+				t.Run(c.String(), func(t *testing.T) {
+					t.Parallel()
+					gr.check(t, c)
+				})
 			}
 		})
 	}
@@ -469,8 +474,11 @@ func TestGridMatchesOracle(t *testing.T) {
 }
 
 // grid caches what its cells share: each shape's labeled views, the
-// reference rows and, per shard count, one in-process cluster.
+// reference rows and, per shard count, one in-process cluster. A slice's
+// cells run in parallel; mu guards the caches, and sharded cells hold it
+// for their whole run, so a cluster serves one query at a time.
 type grid struct {
+	mu       sync.Mutex
 	graphs   map[int]*graph.Graph            // by shape
 	views    map[[2]int]*view                // by (shape, label)
 	oracle   map[[2]int][]int32              // by (shape, vertex as generated)
@@ -547,7 +555,7 @@ func (gr *grid) view(t *testing.T, c cell) *view {
 	n := g.NumVertices()
 	v.base, v.ov = graph.FromEdges(n, kept), graph.NewOverlay(n).WithEdges(moved, nil)
 	// The overlay-aware reference must see the graph the overlay completes.
-	for _, s := range v.sources(1, 1)[:singleSources] {
+	for _, s := range v.sources(1, 1)[:4] {
 		core.CheckLevels(t, fmt.Sprintf("ReferenceBFSOverlay from %d", s),
 			core.ReferenceBFSOverlay(v.base, v.ov, s).Levels, core.ReferenceLevels(g, s))
 	}
@@ -708,7 +716,7 @@ func (r *cellRun) rootOptions() msbfs.Options {
 		TopDownOnly:  r.opt.Direction == core.TopDownOnly,
 		BottomUpOnly: r.opt.Direction == core.BottomUpOnly,
 		MaxDepth:     r.opt.MaxDepth,
-		RecordLevels: true,
+		RecordLevels: r.opt.RecordLevels,
 		Overlay:      r.opt.Overlay,
 	}
 }
@@ -717,6 +725,8 @@ func (r *cellRun) rootOptions() msbfs.Options {
 // width, which holds one copy of the view per worker count.
 func (r *cellRun) sharded(width int) {
 	gr := r.gr
+	gr.mu.Lock()
+	defer gr.mu.Unlock()
 	if gr.clusters[width] == nil {
 		ip, err := cluster.StartInproc(context.Background(), width,
 			cluster.ShardOptions{Workers: 2, StepTimeout: cluster.DefaultInprocStepTimeout}, cluster.CoordinatorOptions{})
@@ -772,12 +782,13 @@ func (vr *visitRows) row(i int) []int32 { return vr.rows[i*vr.n : (i+1)*vr.n] }
 
 // check runs cell c and holds it to the reference.
 func (gr *grid) check(t *testing.T, c cell) {
+	gr.mu.Lock()
 	x, v := c.impl(), gr.view(t, c)
 	eng := v.engines[c[dView]]
 	r := &cellRun{t: t, gr: gr, c: c, g: v.g, opt: c.options(eng),
 		sources: v.sources(c[dPlace], c.words())}
-	if singleSource[x.kernel] {
-		r.sources = r.sources[:min(singleSources, len(r.sources))]
+	if x.sources > 0 {
+		r.sources = r.sources[:min(x.sources, len(r.sources))]
 	}
 	if c.value(dView) == "overlay" {
 		r.g, r.opt.Overlay = v.base, v.ov
@@ -801,16 +812,21 @@ func (gr *grid) check(t *testing.T, c cell) {
 		wantVisited += reached
 		r.lone = r.lone && reached == 1
 	}
+	gr.mu.Unlock()
 	r.opt.CollectIterStats = r.lone
 
 	x.run(r)
 
-	if len(r.levels) != len(r.sources) {
+	record := r.opt.RecordLevels
+	if record && len(r.levels) != len(r.sources) {
 		t.Fatalf("%d level rows for %d sources", len(r.levels), len(r.sources))
+	}
+	if !record && slices.ContainsFunc(r.levels, func(row []int32) bool { return row != nil }) {
+		t.Errorf("level rows recorded without RecordLevels")
 	}
 	buf := make([]int32, n)
 	for i, s := range r.sources {
-		if !core.CheckLevels(t, fmt.Sprintf("source %d (vertex %d)", i, s), v.generated(r.levels[i], buf), want[i]) {
+		if record && !core.CheckLevels(t, fmt.Sprintf("source %d (vertex %d)", i, s), v.generated(r.levels[i], buf), want[i]) {
 			break
 		}
 		if r.visits != nil && !core.CheckLevels(t, fmt.Sprintf("OnVisit of source %d (vertex %d)", i, s),

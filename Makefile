@@ -5,7 +5,7 @@ PKGS := ./...
 # rewritten by tooling; everything else is held to gofmt.
 GOFILES := $(shell git ls-files '*.go' | grep -v '/testdata/')
 
-.PHONY: all build test lint vet gate gate-update race server-race flake cluster-test dyn-test debug ci fmt serve loadtest perf perf-compare bench fuzz-smoke obs-smoke loc
+.PHONY: all build test lint vet gate gate-update race server-race flake cluster-test dyn-test debug ci fmt serve perf perf-compare bench fuzz-smoke obs-smoke loc
 
 all: build
 
@@ -62,12 +62,14 @@ flake:
 	$(GO) test -count=20 ./internal/bench ./internal/perf ./internal/obs ./internal/server
 
 # cluster-test = the sharded-BFS suite under the race detector: the whole
-# cluster package (delta codec, partitioner, wire layer, in-process
-# multi-shard harness incl. the shard-kill-mid-query test), the oracle
-# grid's shard cells, plus the cluster-backed integration tests in
-# internal/server and bfsd cluster mode. See docs/CLUSTER.md.
+# cluster package (delta codec, wire layer, in-process multi-shard harness
+# incl. the shard-kill-mid-query test), the vertex layout the shards are
+# partitioned by (sched.Stripes), the oracle grid's shard cells, plus the
+# cluster-backed integration tests in internal/server and bfsd cluster
+# mode. See docs/CLUSTER.md.
 cluster-test:
 	$(GO) test -race -count=1 ./internal/cluster/...
+	$(GO) test -race -count=1 -run Stripes ./internal/sched/
 	$(GO) test -race -count=1 -run 'TestGridMatchesOracle/.*/.*,shards' ./internal/core/
 	$(GO) test -race -count=1 -run 'Cluster' ./internal/server/ ./cmd/bfsd/
 
@@ -93,15 +95,6 @@ SERVE_GRAPH ?= demo=kron:scale=14
 SERVE_ADDR  ?= :8080
 serve:
 	$(GO) run ./cmd/bfsd -graph $(SERVE_GRAPH) -addr $(SERVE_ADDR)
-
-# loadtest = closed-loop load generator against an in-process server;
-# reports latency percentiles and the achieved batch width.
-LOAD_SPEC     ?= kron:scale=14
-LOAD_CLIENTS  ?= 64
-LOAD_REQUESTS ?= 5000
-loadtest:
-	$(GO) run ./cmd/bfsload -inprocess $(LOAD_SPEC) \
-		-clients $(LOAD_CLIENTS) -requests $(LOAD_REQUESTS)
 
 # perf = run the pinned benchmark suite and write BENCH_<sha>.json (see
 # docs/BENCHMARKS.md). PERF_FLAGS=-quick for the CI-sized variant.

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	bfsload -addr http://localhost:8080 -clients 64 -requests 5000
-//	bfsload -inprocess kron:scale=12 -clients 128 -requests 2000 -kind closeness
+//	bfsload -addr http://localhost:8080 -clients 128 -requests 2000 -kind closeness
 package main
 
 import (
@@ -18,63 +18,31 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/server"
 )
 
 func main() {
 	var (
-		addr      = flag.String("addr", "", "bfsd base URL (e.g. http://localhost:8080)")
-		inprocess = flag.String("inprocess", "", "serve this graph spec in-process instead of -addr (e.g. kron:scale=12)")
-		graph     = flag.String("graphname", "", "graph name to query (empty: server default)")
-		clients   = flag.Int("clients", 64, "concurrent closed-loop clients")
-		requests  = flag.Int("requests", 2000, "total requests across all clients")
-		kind      = flag.String("kind", "mixed", "query kind: bfs, closeness, reachability, khop, mixed")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		slowest   = flag.Int("slowest", 5, "report the trace ids of the N slowest successful requests (0: off; look them up in /debug/flightrecorder)")
-		// In-process server knobs (ignored with -addr).
-		workers  = flag.Int("workers", runtime.NumCPU(), "in-process server: traversal workers")
-		maxBatch = flag.Int("maxbatch", 64, "in-process server: widest batch in sources (1: no coalescing)")
+		addr     = flag.String("addr", "", "bfsd base URL (e.g. http://localhost:8080)")
+		graph    = flag.String("graphname", "", "graph name to query (empty: server default)")
+		clients  = flag.Int("clients", 64, "concurrent closed-loop clients")
+		requests = flag.Int("requests", 2000, "total requests across all clients")
+		kind     = flag.String("kind", "mixed", "query kind: bfs, closeness, reachability, khop, mixed")
+		seed     = flag.Int64("seed", 1, "workload seed")
+		slowest  = flag.Int("slowest", 5, "report the trace ids of the N slowest successful requests (0: off; look them up in /debug/flightrecorder)")
 	)
 	flag.Parse()
-
-	base := *addr
-	if *inprocess != "" {
-		cfg := server.Config{
-			Workers:    *workers,
-			MaxBatch:   *maxBatch,
-			MaxPending: *requests + *clients, // the load is the bound
-		}
-		reg := server.NewRegistry()
-		g, err := reg.BuildGraph("load", *inprocess)
-		if err == nil {
-			_, err = reg.Add("load", g, true, cfg)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfsload:", err)
-			os.Exit(1)
-		}
-		srv := server.New(reg, cfg)
-		ts := httptest.NewServer(srv)
-		defer func() {
-			ts.Close()
-			srv.Close()
-		}()
-		base = ts.URL
-	}
-	if base == "" {
-		fmt.Fprintln(os.Stderr, "bfsload: pass -addr or -inprocess")
+	if *addr == "" {
+		fmt.Fprintln(os.Stderr, "bfsload: pass -addr")
 		os.Exit(1)
 	}
 
-	rep, err := drive(base, driveConfig{
+	rep, err := drive(*addr, driveConfig{
 		Graph:    *graph,
 		Clients:  *clients,
 		Requests: *requests,

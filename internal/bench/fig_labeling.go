@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // labelingSchemes are the three vertex orders compared throughout
@@ -48,7 +49,7 @@ func Fig6(cfg Config) (Fig6Result, error) {
 	const workers = 8
 	res := Fig6Result{Workers: workers, PerWorker: map[string][]int64{}}
 	for _, scheme := range labelingSchemes {
-		split := contiguousSplit(socialGraphFor(cfg, label.Random, workers, 512).NumVertices(), workers)
+		split := sched.NewStripes(socialGraphFor(cfg, label.Random, workers, 512).NumVertices(), workers, 512).Per()
 		g := socialGraphFor(cfg, scheme, workers, split)
 		src := core.RandomSources(g, 1, cfg.seed())[0]
 		opt := core.Options{
@@ -95,17 +96,6 @@ func runFig6(cfg Config) error {
 	return nil
 }
 
-// contiguousSplit returns a task size that yields exactly one contiguous
-// range per worker (rounded up so the kernels' 512-alignment keeps it one
-// task each).
-func contiguousSplit(n, workers int) int {
-	per := (n + workers - 1) / workers
-	if rem := per % 512; rem != 0 {
-		per += 512 - rem
-	}
-	return per
-}
-
 func spread(xs []int64) float64 {
 	if len(xs) == 0 {
 		return 1
@@ -143,7 +133,7 @@ func Fig7(cfg Config) (Fig7Result, error) {
 		Workers:          workers,
 		DisableStealing:  true,
 		CollectIterStats: true,
-		SplitSize:        contiguousSplit(g.NumVertices(), workers),
+		SplitSize:        sched.NewStripes(g.NumVertices(), workers, 512).Per(), // one task per worker
 		Direction:        core.TopDownOnly,
 	}
 	r := core.SMSPBFS(g, src, core.BitState, opt)

@@ -102,7 +102,7 @@ func TestClusterInvalidRequests(t *testing.T) {
 	}
 	// A stale graph name (shard restarted, coordinator reattached) must
 	// error cleanly, not hang the barrier.
-	stale := &RemoteGraph{c: ip.Coord, name: "nope", n: 128, part: MakePartition(128, 2)}
+	stale := &RemoteGraph{c: ip.Coord, name: "nope", n: 128}
 	if _, err := stale.RunBatch(context.Background(), []int{0}, msbfs.Options{}, nil); err == nil {
 		t.Error("unknown graph accepted")
 	}

@@ -126,7 +126,6 @@ type RemoteGraph struct {
 	c    *Coordinator
 	name string
 	n    int
-	part Partition
 }
 
 // Name returns the graph's registered name.
@@ -152,7 +151,7 @@ func (rg *RemoteGraph) Release() {}
 // slice.
 func (c *Coordinator) LoadGraph(ctx context.Context, name string, g *msbfs.Graph, workers int) (*RemoteGraph, error) {
 	n := g.NumVertices()
-	part := MakePartition(n, len(c.addrs))
+	part := partition(n, len(c.addrs))
 	offsets, adjacency := g.CSR()
 	err := c.fanOut(func(s int) error {
 		lo, hi := part.Range(s)
@@ -172,7 +171,7 @@ func (c *Coordinator) LoadGraph(ctx context.Context, name string, g *msbfs.Graph
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteGraph{c: c, name: name, n: n, part: part}, nil
+	return &RemoteGraph{c: c, name: name, n: n}, nil
 }
 
 // RunBatch executes sources as k-wide cluster traversals (batches of up
@@ -348,7 +347,7 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 	}
 	var mergeMu sync.Mutex // serializes visit across the concurrent fetches
 	if err := c.fanOut(func(s int) error {
-		lo, hiV := rg.part.Range(s)
+		lo, hiV := partition(rg.n, len(c.addrs)).Range(s)
 		rlen := hiV - lo
 		out, err := c.call(ctx, s, msgResult, encodeQueryRef(qid))
 		if err != nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // DefaultStepTimeout bounds how long a shard waits at the per-level
@@ -67,7 +68,7 @@ type Shard struct {
 // vertices, the shipped rows at [lo,hi) and empty rows everywhere else.
 type shardGraph struct {
 	name    string
-	part    Partition
+	part    sched.Stripes
 	shardID int
 	lo, hi  int
 	csr     *graph.Graph
@@ -302,7 +303,7 @@ func (s *Shard) handleLoad(payload []byte) error {
 	if m.shardID < 0 || m.shardID >= m.numShards {
 		return fmt.Errorf("shard id %d out of range [0,%d)", m.shardID, m.numShards)
 	}
-	part := MakePartition(m.n, m.numShards)
+	part := partition(m.n, m.numShards)
 	lo, hi := part.Range(m.shardID)
 	rlen := hi - lo
 	if len(m.offsets) != rlen+1 {
@@ -382,7 +383,7 @@ func (s *Shard) handleStart(payload []byte) error {
 
 	q := &shardQuery{
 		g: g, words: (k + 63) / 64,
-		inbox:  make(chan *deltaMsg, g.part.NumShards()),
+		inbox:  make(chan *deltaMsg, g.part.Parts()),
 		traced: m.traceID != 0,
 	}
 	if q.traced {
@@ -540,7 +541,7 @@ func (x *stepExchange) run(next []uint64) error {
 	// exchange behind another.
 	var sends []pendingDelta
 	rows := len(next) / w
-	for p := 0; p < g.part.NumShards(); p++ {
+	for p := 0; p < g.part.Parts(); p++ {
 		plo, phi := g.part.Range(p)
 		if p == g.shardID || plo == phi {
 			continue

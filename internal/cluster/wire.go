@@ -172,7 +172,7 @@ func appendStr(dst []byte, s string) []byte {
 
 // loadMsg is the graph-slice load request: the shard's identity and
 // peers, the partition parameters (every shard derives the identical
-// Partition from n and the shard count), and the shard's local CSR slice.
+// partition from n and the shard count), and the shard's local CSR slice.
 // Local offsets are rebased to the slice (localOff[0] == 0); adjacency
 // keeps global vertex ids, since neighbors routinely live on other shards.
 type loadMsg struct {

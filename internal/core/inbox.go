@@ -34,21 +34,18 @@ type inbox struct {
 	_  [40]byte
 }
 
-// initInboxes lays out the stripes of a shell with the given borders (the
-// clipped numa.AlignedRanges of init: every stripe holds at most
-// stripeLen vertices, worker w's starts at w·stripeLen, and vertex x lies in
-// stripe x / stripeLen) and, above one worker, the per-worker inboxes and
-// the apply's layout: each non-empty stripe whole, as one task in its
-// owner's queue.
-func (ls *levelStep) initInboxes(bounds []int) {
-	ls.applied = make([]padCounter, len(bounds)-1)
-	if len(bounds) == 2 {
+// initInboxes lays out, above one worker, the per-worker inboxes over the
+// shell's non-empty stripes and the apply's layout: each such stripe whole,
+// as one task in its owner's queue.
+func (ls *levelStep) initInboxes() {
+	ls.applied = make([]padCounter, ls.stripes.Parts())
+	if ls.stripes.Parts() == 1 {
 		return
 	}
-	active := bounds[len(bounds)-1]
-	stripes := (active + ls.stripeLen - 1) / ls.stripeLen // the non-empty ones
-	ls.applyTq = sched.CreateStripeTasks(bounds, max(active, 1))
-	ls.inboxes = make([]inbox, len(bounds)-1)
+	active, per := ls.stripes.N(), ls.stripes.Per()
+	stripes := (active + per - 1) / per // the non-empty ones
+	ls.applyTq = sched.CreateStripeTasks(ls.stripes, max(active, 1))
+	ls.inboxes = make([]inbox, ls.stripes.Parts())
 	for w := range ls.inboxes {
 		ls.inboxes[w].to = make([][]graph.VertexID, stripes)
 	}
@@ -91,14 +88,6 @@ func (ls *levelStep) clearInboxes() {
 	}
 }
 
-// ownStripe returns the vertex range [lo, hi) worker workerID owns. List
-// entries are below the active prefix, so the tail stripe's hi needs no
-// clamp.
-func (ls *levelStep) ownStripe(workerID int) (lo, hi int) {
-	lo = workerID * ls.stripeLen
-	return lo, lo + ls.stripeLen
-}
-
 // crosses reports whether the ascending list leaves [lo, hi). A list that
 // does not — every list at one worker — is the scatter's to write whole;
 // one that does goes through cutAcross.
@@ -122,9 +111,9 @@ func (ls *levelStep) cutAcross(workerID, v int, list []graph.VertexID) []graph.V
 	var own []graph.VertexID
 	//bfs:hot row cut: runs per stripe a frontier vertex's list reaches
 	for i := 0; i < len(list); {
-		s := int(list[i]) / ls.stripeLen //bfs:bounds-ok i < len(list) by the loop condition
+		s := ls.stripes.Owner(int(list[i])) //bfs:bounds-ok i < len(list) by the loop condition
 		end := len(list)
-		if border := (s + 1) * ls.stripeLen; last >= border {
+		if border := (s + 1) * ls.stripes.Per(); last >= border {
 			end = searchFrom(list, i+1, border) //bfs:bounds-ok inlined binary search; h < len(list) by its loop bounds
 		}
 		if s == workerID {

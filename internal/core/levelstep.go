@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/numa"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -45,13 +44,12 @@ type levelStep struct {
 
 	// active is the prefix the shell was built for: its state arrays and
 	// tasks cover [0, active), which covers the active prefix of every run
-	// the arena hands it (checkoutShell). Worker w owns the stripe
-	// [w·stripeLen, (w+1)·stripeLen) ∩ [0, active): the borders of the
-	// n-vertex layout, clipped to the active prefix. inboxes[w] is worker
-	// w's outgoing scatter entries (nil at one worker).
-	active    int
-	stripeLen int
-	inboxes   []inbox
+	// the arena hands it (checkoutShell). Worker w owns stripes.Range(w):
+	// the n-vertex layout's stripe, clipped to the active prefix. inboxes[w]
+	// is worker w's outgoing scatter entries (nil at one worker).
+	active  int
+	stripes sched.Stripes
+	inboxes []inbox
 	// clean records that the state arrays are known all-zero (open's
 	// first-touch pass just ran), letting the first run skip its zeroing
 	// pass — on short traversals that pass was pure overhead.
@@ -155,13 +153,9 @@ func activePrefix(g *graph.Graph, ov *graph.Overlay) int {
 // keeps the owner it has without the clip.
 func (ls *levelStep) init(self any, key shellKey) {
 	ls.self, ls.active = self, key.active
-	bounds := numa.AlignedRanges(key.n, key.workers, splitStride)
-	ls.stripeLen = max(bounds[1], 1)
-	for i := range bounds {
-		bounds[i] = min(bounds[i], key.active)
-	}
-	ls.tq = sched.CreateStripeTasks(bounds, key.split)
-	ls.initInboxes(bounds)
+	ls.stripes = sched.NewStripes(key.n, key.workers, splitStride).Clip(key.active)
+	ls.tq = sched.CreateStripeTasks(ls.stripes, key.split)
+	ls.initInboxes()
 	ls.scanned = make([]padCounter, key.workers)
 	ls.updated = make([]padCounter, key.workers)
 	ls.frontDeg = make([]padCounter, key.workers)

@@ -275,7 +275,7 @@ func (e *MSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 	frontier := e.phFrontier
 	scanned := &e.scanned[workerID]
 	tgt := e.phCanon
-	lo, hi := e.ownStripe(workerID)
+	lo, hi := e.stripes.Range(workerID)
 	if e.words == 1 {
 		// Fast path for the common 64-BFS configuration: single-word rows
 		// indexed straight off the slabs, no per-vertex row slicing.

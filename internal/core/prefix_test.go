@@ -9,8 +9,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/label"
-	"repro/internal/numa"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // goldenStriped is the benchmark's layout of a golden Kronecker graph:
@@ -196,15 +196,16 @@ func TestStripesClippedToActivePrefix(t *testing.T) {
 	defer eng.Close()
 	for _, workers := range []int{1, 2, 3, 7} {
 		e := NewMSPBFSEngine(g, Options{Workers: workers, Engine: eng})
-		bounds := numa.AlignedRanges(n, workers, splitStride)
-		if e.stripeLen != max(bounds[1], 1) {
-			t.Errorf("workers=%d: stripe length %d, want the n-vertex layout's %d", workers, e.stripeLen, bounds[1])
-		}
-		covered := 0
+		layout := sched.NewStripes(n, workers, splitStride)
+		covered, stripes := 0, 0
 		for w := range workers {
+			lo, hi := layout.Range(w)
+			if lo < a {
+				stripes++
+			}
 			for _, r := range e.tq.WorkerTasks(w) {
-				if r.Lo < bounds[w] || r.Hi > bounds[w+1] || r.Hi > a {
-					t.Errorf("workers=%d: task [%d,%d) in queue %d outside [%d,%d) ∩ [0,%d)", workers, r.Lo, r.Hi, w, bounds[w], bounds[w+1], a)
+				if r.Lo < lo || r.Hi > hi || r.Hi > a {
+					t.Errorf("workers=%d: task [%d,%d) in queue %d outside [%d,%d) ∩ [0,%d)", workers, r.Lo, r.Hi, w, lo, hi, a)
 				}
 				covered += r.Hi - r.Lo
 			}
@@ -212,7 +213,7 @@ func TestStripesClippedToActivePrefix(t *testing.T) {
 		if covered != a {
 			t.Errorf("workers=%d: tasks cover %d vertices, want %d", workers, covered, a)
 		}
-		if stripes := (a + e.stripeLen - 1) / e.stripeLen; workers > 1 && e.applyTq.NumTasks() != stripes {
+		if workers > 1 && e.applyTq.NumTasks() != stripes {
 			t.Errorf("workers=%d: %d apply tasks, want %d", workers, e.applyTq.NumTasks(), stripes)
 		}
 		e.Close()

@@ -247,7 +247,7 @@ func (e *SMSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 	active := e.active
 	scanned := &e.scanned[workerID]
 	tgt := e.phCanon
-	lo, hi := e.ownStripe(workerID)
+	lo, hi := e.stripes.Range(workerID)
 	chunk := frontier.ChunkSize()
 	words := frontier.ChunkWords()
 	loW, hiW := r.Lo/chunk, (r.Hi+chunk-1)/chunk

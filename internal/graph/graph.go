@@ -213,13 +213,3 @@ func (g *Graph) Edges() []Edge {
 	}
 	return out
 }
-
-// DegreeHistogram returns a map from degree to the number of vertices with
-// that degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.NumVertices(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}

@@ -222,14 +222,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := path(4) // degrees: 1,2,2,1
-	h := g.DegreeHistogram()
-	if h[1] != 2 || h[2] != 2 {
-		t.Errorf("histogram = %v", h)
-	}
-}
-
 // Property: the builder preserves the canonical edge multiset (after
 // dedup/self-loop removal) for arbitrary edge lists.
 func TestQuickBuilderPreservesEdges(t *testing.T) {

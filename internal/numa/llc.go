@@ -1,3 +1,7 @@
+// Package numa holds only the last-level-cache probe the benchmark's header
+// line prints. The placement arithmetic of the paper's Section 4.4 lives in
+// sched.Stripes; this file remains because benchmark/run.go, which a change
+// to the benchmark must edit, still reads LLCBytes.
 package numa
 
 import (

@@ -179,8 +179,8 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// Property: for arbitrary sizes, tasks partition [0, total) exactly.
-func TestQuickTasksPartition(t *testing.T) {
+// Property: for arbitrary sizes, tasks tile [0, total) exactly.
+func TestQuickTasksTile(t *testing.T) {
 	f := func(rawTotal uint16, rawSplit, rawWorkers uint8) bool {
 		total := int(rawTotal) % 5000
 		split := int(rawSplit)%200 + 1

@@ -4,6 +4,9 @@
 // lock-free task fetch that steals from other queues only after the local
 // queue drains (fetch_task, Listing 6), and the parallel-for loop that the
 // BFS kernels use in place of their sequential vertex loops (Listing 7).
+// Stripes is the vertex layout those queues are cut from: the stride-aligned
+// borders of Section 4.4 at which each worker's state begins, which the
+// cluster's shards share as their vertex partition.
 //
 // The design exploits that within one parallel phase no new tasks ever
 // appear, so a single atomic fetch-and-add per queue is the only
@@ -92,41 +95,75 @@ func CreateTasks(total, splitSize, numWorkers int) *TaskQueues {
 	return tq
 }
 
+// Stripes lays the vertex range [0, n) out over parts owners as
+// contiguous stripes whose borders are aligned to a stride (Section 4.4):
+// ownership changes only at aligned borders, so no aligned unit (a page of
+// the kernels' state, a bitset word of the cluster's vertex partition) ever
+// straddles two owners, and every stripe that ends before n holds n/parts
+// rounded up to the next stride, so memory share follows thread share.
+// Tail stripes may be empty when n is small relative to parts·stride. It is
+// the one border function of the tree: the kernels' worker stripes and the
+// cluster's shard slices are both Stripes.
+type Stripes struct {
+	n, parts, per int
+}
+
+// NewStripes lays [0, n) out over parts stripes of per vertices each, per
+// being n/parts rounded up to a multiple of stride. A parts or stride
+// below one counts as one.
+func NewStripes(n, parts, stride int) Stripes {
+	parts, stride = max(parts, 1), max(stride, 1)
+	per := (n + parts - 1) / parts
+	per += (stride - per%stride) % stride
+	return Stripes{n: n, parts: parts, per: max(per, stride)} // n = 0 still divides by a stride
+}
+
+// Clip cuts the layout at a ≤ N(), keeping its borders: every v < a keeps
+// its owner, and the stripes past a are empty.
+func (s Stripes) Clip(a int) Stripes {
+	s.n = min(s.n, a)
+	return s
+}
+
+// Range returns the vertex range [lo, hi) stripe p owns.
+func (s Stripes) Range(p int) (lo, hi int) {
+	return min(p*s.per, s.n), min((p+1)*s.per, s.n)
+}
+
+// Owner returns the stripe owning vertex v < N(); it does not clamp.
+func (s Stripes) Owner(v int) int { return v / s.per }
+
+// Per returns the stripe length: every stripe starts at a multiple of it.
+func (s Stripes) Per() int { return s.per }
+
+// Parts returns the number of stripes, empty ones included.
+func (s Stripes) Parts() int { return s.parts }
+
+// N returns the end of the layout.
+func (s Stripes) N() int { return s.n }
+
 // CreateStripeTasks builds stripe-affine task queues: worker w's queue
-// holds the splitSize chunks of its own contiguous stripe
-// [bounds[w], bounds[w+1]) instead of a round-robin deal over the whole
-// range. bounds must have one entry per worker plus a trailing total (the
-// shape numa.AlignedRanges produces). With this layout static fetch
+// holds the splitSize chunks of its own stripe s.Range(w) instead of a
+// round-robin deal over the whole range. With this layout static fetch
 // (FetchLocal) confines every worker to its own stripe — the property the
 // first-touch placement relies on — while work stealing still crosses
 // stripes for load balance.
-func CreateStripeTasks(bounds []int, splitSize int) *TaskQueues {
-	if len(bounds) < 2 {
-		panic("sched: stripe bounds need at least one worker")
-	}
+func CreateStripeTasks(s Stripes, splitSize int) *TaskQueues {
 	if splitSize < 1 {
 		panic("sched: splitSize must be positive")
 	}
-	numWorkers := len(bounds) - 1
 	tq := &TaskQueues{
-		queues:    make([]queue, numWorkers),
+		queues:    make([]queue, s.Parts()),
 		splitSize: splitSize,
-		total:     bounds[numWorkers],
+		total:     s.N(),
 	}
-	for w := 0; w < numWorkers; w++ {
-		lo, hi := bounds[w], bounds[w+1]
-		if lo > hi || lo < 0 {
-			panic("sched: stripe bounds must be monotone")
-		}
-		n := (hi - lo + splitSize - 1) / splitSize
-		tq.queues[w].tasks = make([]Range, 0, n)
+	for w := range tq.queues {
+		lo, hi := s.Range(w)
+		tasks := make([]Range, 0, (hi-lo+splitSize-1)/splitSize)
 		for off := lo; off < hi; off += splitSize {
-			end := off + splitSize
-			if end > hi {
-				end = hi
-			}
-			tq.queues[w].tasks = append(tq.queues[w].tasks, Range{Lo: off, Hi: end})
+			tasks = append(tasks, Range{Lo: off, Hi: min(off+splitSize, hi)})
 		}
+		tq.queues[w].tasks = tasks
 	}
 	return tq
 }

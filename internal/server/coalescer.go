@@ -173,7 +173,7 @@ type Coalescer struct {
 	met   *Metrics
 	edges func(sources []int) int64 // Graph500 edge accounting; may be nil
 
-	// The registry's observability surface, wired in by AddBackend; a
+	// The registry's observability surface, wired in by addBackend; a
 	// coalescer built by NewCoalescer alone has none. name labels its
 	// flight records and spans; rec receives one flight record per
 	// admitted or rejected request and issues their trace IDs (0 when

@@ -72,7 +72,7 @@ func TestBatchPanicStaysPerRequest(t *testing.T) {
 				fault *panicOnce
 				gb    *gateBackend
 			)
-			faulty, err := reg.AddBackend("faulty", "fake", g, false, cfg, func(e *Entry, _ Config) (Backend, error) {
+			faulty, err := reg.addBackend("faulty", "fake", g, false, cfg, func(e *Entry, _ Config) (Backend, error) {
 				fault = &panicOnce{Backend: tc.open(e)}
 				gb = newGate(fault, true)
 				return gb, nil

@@ -190,7 +190,7 @@ func (r *Registry) BuildGraph(name, spec string) (*msbfs.Graph, error) {
 	return g, nil
 }
 
-// AddBackend is the one registration path; Add, AddDynamic and AddCluster
+// addBackend is the one registration path; Add, AddDynamic and AddCluster
 // differ only in the open they pass. It defaults cfg.Engine to the
 // registry's engine, pre-spawned to cfg.Workers so the first flush is warm,
 // applies the paper's striped relabeling sized to cfg.Workers when
@@ -200,7 +200,7 @@ func (r *Registry) BuildGraph(name, spec string) (*msbfs.Graph, error) {
 // the entry's coalescer dispatches to; the coalescer also gets the graph's
 // name and the registry's flight recorder, tracer and logger. open may fill
 // in the entry's backend-specific fields (Dyn, ClusterMet).
-func (r *Registry) AddBackend(name, spec string, g *msbfs.Graph, relabel bool, cfg Config,
+func (r *Registry) addBackend(name, spec string, g *msbfs.Graph, relabel bool, cfg Config,
 	open func(e *Entry, cfg Config) (Backend, error)) (*Entry, error) {
 	cfg = cfg.normalize()
 	if cfg.Engine == nil {
@@ -228,7 +228,7 @@ func (r *Registry) AddBackend(name, spec string, g *msbfs.Graph, relabel bool, c
 // Add registers an already-built graph served in-process: the (relabeled)
 // graph is its own backend.
 func (r *Registry) Add(name string, g *msbfs.Graph, relabel bool, cfg Config) (*Entry, error) {
-	return r.AddBackend(name, "inprocess", g, relabel, cfg,
+	return r.addBackend(name, "inprocess", g, relabel, cfg,
 		func(e *Entry, _ Config) (Backend, error) { return e.G, nil })
 }
 
@@ -239,7 +239,7 @@ func (r *Registry) Add(name string, g *msbfs.Graph, relabel bool, cfg Config) (*
 // validation and /graphs accounting; the traversal memory and work live on
 // the shards.
 func (r *Registry) AddCluster(ctx context.Context, name, spec string, g *msbfs.Graph, coord *cluster.Coordinator, cfg Config) (*Entry, error) {
-	return r.AddBackend(name, spec, g, true, cfg, func(e *Entry, cfg Config) (Backend, error) {
+	return r.addBackend(name, spec, g, true, cfg, func(e *Entry, cfg Config) (Backend, error) {
 		sp := r.tracer.StartSpan("cluster-load", name)
 		defer sp.End()
 		e.ClusterMet = coord.Metrics()
@@ -254,7 +254,7 @@ func (r *Registry) AddCluster(ctx context.Context, name, spec string, g *msbfs.G
 // dcfg so ingest and compaction phases land in the daemon's flight
 // recorder.
 func (r *Registry) AddDynamic(name, spec string, g *msbfs.Graph, relabel bool, cfg Config, dcfg dyngraph.Config) (*Entry, error) {
-	return r.AddBackend(name, spec, g, relabel, cfg, func(e *Entry, _ Config) (Backend, error) {
+	return r.addBackend(name, spec, g, relabel, cfg, func(e *Entry, _ Config) (Backend, error) {
 		if dcfg.Tracer == nil {
 			dcfg.Tracer = r.tracer
 		}

@@ -155,7 +155,7 @@ func (c *Coordinator) LoadGraph(ctx context.Context, name string, g *msbfs.Graph
 	offsets, adjacency := g.CSR()
 	err := c.fanOut(func(s int) error {
 		lo, hi := part.Range(s)
-		local := make([]int64, hi-lo+1)
+		local := make([]uint32, hi-lo+1)
 		base := offsets[lo]
 		for i := range local {
 			local[i] = offsets[lo+i] - base

@@ -182,12 +182,12 @@ type loadMsg struct {
 	n         int // global vertex count
 	workers   int // per-shard traversal parallelism
 	peers     []string
-	offsets   []int64  // rlen+1, rebased
+	offsets   []uint32 // rlen+1, rebased
 	adjacency []uint32 // global ids
 }
 
 func encodeLoad(m *loadMsg) []byte {
-	sz := len(m.name) + 64 + len(m.offsets)*8 + len(m.adjacency)*4
+	sz := len(m.name) + 64 + len(m.offsets)*4 + len(m.adjacency)*4
 	for _, p := range m.peers {
 		sz += len(p) + 4
 	}
@@ -203,7 +203,7 @@ func encodeLoad(m *loadMsg) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(m.offsets)))
 	for _, o := range m.offsets {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(o))
+		dst = binary.LittleEndian.AppendUint32(dst, o)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(m.adjacency)))
 	for _, a := range m.adjacency {
@@ -248,13 +248,13 @@ func decodeLoad(payload []byte) (*loadMsg, error) {
 	if err != nil {
 		return nil, err
 	}
-	ob, err := r.bytes(no * 8)
+	ob, err := r.bytes(no * 4)
 	if err != nil {
 		return nil, err
 	}
-	m.offsets = make([]int64, no)
+	m.offsets = make([]uint32, no)
 	for i := range m.offsets {
-		m.offsets[i] = int64(binary.LittleEndian.Uint64(ob[i*8:]))
+		m.offsets[i] = binary.LittleEndian.Uint32(ob[i*4:])
 	}
 	na, err := r.intv()
 	if err != nil {

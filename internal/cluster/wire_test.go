@@ -14,7 +14,7 @@ import (
 
 func FuzzDecodeLoad(f *testing.F) {
 	f.Add(encodeLoad(&loadMsg{name: "g", shardID: 1, numShards: 2, n: 4, workers: 2,
-		peers: []string{"a:1", "b:2"}, offsets: []int64{0, 1, 2}, adjacency: []uint32{0, 1}}))
+		peers: []string{"a:1", "b:2"}, offsets: []uint32{0, 1, 2}, adjacency: []uint32{0, 1}}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := decodeLoad(payload)
 		if err != nil {

@@ -37,7 +37,7 @@ import (
 
 // Sentinel errors. The server layer maps them onto HTTP statuses:
 // ErrCompactionLag → 409, ErrVersionGone → 410, ErrVersionFuture → 400,
-// ErrClosed → 503.
+// ErrClosed → 503, ErrArcLimit → 507.
 var (
 	// ErrCompactionLag is backpressure: the uncompacted delta has hit
 	// Config.MaxDelta and ingest must wait for the compactor to catch up.
@@ -51,7 +51,16 @@ var (
 	ErrClosed = errors.New("dyngraph: closed")
 	// ErrBadEdge reports an edge endpoint outside [0, NumVertices).
 	ErrBadEdge = errors.New("dyngraph: edge endpoint out of range")
+	// ErrArcLimit reports a batch that would grow the graph past the arcs
+	// 32-bit CSR offsets address (graph.CheckArcs), so no compaction could
+	// fold it in. Unlike ErrCompactionLag it is permanent; the error also
+	// matches graph.ErrTooManyArcs.
+	ErrArcLimit = errors.New("dyngraph: batch would pass the CSR arc limit")
 )
+
+// checkArcs is graph.CheckArcs, the bound every compacted generation must
+// meet; a test lowers it to reach the refusal without a 2^32-arc graph.
+var checkArcs = graph.CheckArcs
 
 // Config tunes a DynGraph. The zero value is usable.
 type Config struct {
@@ -207,8 +216,9 @@ type ApplyResult struct {
 // ApplyEdges ingests a batch of undirected edges atomically: either every
 // new edge in the batch becomes visible at the returned Version, or (on
 // error) none do. Self-loops and duplicates are dropped, endpoints are
-// validated against the fixed vertex count, and a full delta overlay
-// rejects the batch with ErrCompactionLag.
+// validated against the fixed vertex count, a batch that would take the
+// graph past the CSR arc limit is refused with ErrArcLimit, and a full
+// delta overlay rejects the batch with ErrCompactionLag.
 func (d *DynGraph) ApplyEdges(edges []graph.Edge) (ApplyResult, error) {
 	sp := d.cfg.Tracer.StartSpan("dyngraph-ingest", fmt.Sprintf("%d edges", len(edges)))
 	defer sp.End()
@@ -258,11 +268,16 @@ func (d *DynGraph) ApplyEdges(edges []graph.Edge) (ApplyResult, error) {
 		return res, nil
 	}
 
-	if d.cur.ov.Arcs()+2*int64(len(accepted)) > d.cfg.MaxDelta {
+	base, delta, add := len(d.cur.gen.base.Adjacency), d.cur.ov.Arcs(), 2*len(accepted)
+	if err := checkArcs(uint64(base) + uint64(delta) + uint64(add)); err != nil {
+		d.ingestRejected.Add(1)
+		return ApplyResult{}, fmt.Errorf("%w: %d base arcs + %d delta + %d new: %w", ErrArcLimit, base, delta, add, err)
+	}
+	if delta+int64(add) > d.cfg.MaxDelta {
 		d.ingestRejected.Add(1)
 		d.kickCompactorLocked()
 		return ApplyResult{}, fmt.Errorf("%w: %d arcs + %d new > max %d",
-			ErrCompactionLag, d.cur.ov.Arcs(), 2*len(accepted), d.cfg.MaxDelta)
+			ErrCompactionLag, delta, add, d.cfg.MaxDelta)
 	}
 
 	ver := d.cur.ver + 1
@@ -547,7 +562,7 @@ type Stats struct {
 	PinnedNow      int64  // currently pinned snapshots
 	IngestBatches  int64  // ApplyEdges calls that passed validation
 	IngestEdges    int64  // edges accepted over the graph's lifetime
-	IngestRejected int64  // batches refused (bad edge or compaction lag)
+	IngestRejected int64  // batches refused (bad edge, arc limit or compaction lag)
 	Compactions    int64  // completed compactions
 	RetiredGens    int64  // generations scrubbed and dropped
 }

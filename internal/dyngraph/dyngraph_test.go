@@ -3,6 +3,7 @@ package dyngraph
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -253,6 +254,38 @@ func TestBackpressure(t *testing.T) {
 	}
 	if _, err := d.ApplyEdges([]graph.Edge{{U: 90, V: 91}}); err != nil {
 		t.Fatalf("ingest after compaction: %v", err)
+	}
+	if st := d.Stats(); st.IngestRejected != 1 {
+		t.Fatalf("IngestRejected = %d, want 1", st.IngestRejected)
+	}
+}
+
+// TestArcLimit: a batch that would take base + delta past the CSR arc
+// limit is refused whole, as a rejected ingest matching both ErrArcLimit
+// and graph.ErrTooManyArcs, and publishes nothing; a batch that fits the
+// limit exactly is accepted. The limit is lowered to 10 arcs here.
+func TestArcLimit(t *testing.T) {
+	defer func(check func(uint64) error) { checkArcs = check }(checkArcs)
+	checkArcs = func(arcs uint64) error {
+		if arcs > 10 {
+			return fmt.Errorf("%w: %d arcs", graph.ErrTooManyArcs, arcs)
+		}
+		return nil
+	}
+	d := New(msbfs.NewGraph(20, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}), Config{}) // 4 base arcs
+	defer d.Close()
+	if _, err := d.ApplyEdges([]graph.Edge{{U: 3, V: 4}, {U: 5, V: 6}}); err != nil { // 8 arcs
+		t.Fatal(err)
+	}
+	_, err := d.ApplyEdges([]graph.Edge{{U: 0, V: 1}, {U: 7, V: 8}, {U: 9, V: 10}}) // one duplicate, 12 arcs
+	if !errors.Is(err, ErrArcLimit) || !errors.Is(err, graph.ErrTooManyArcs) {
+		t.Fatalf("want ErrArcLimit wrapping graph.ErrTooManyArcs, got %v", err)
+	}
+	if v := d.Version(); v != 2 {
+		t.Fatalf("refused batch published version %d", v)
+	}
+	if res, err := d.ApplyEdges([]graph.Edge{{U: 7, V: 8}}); err != nil || res.Version != 3 { // 10 arcs
+		t.Fatalf("batch at the limit: %+v, %v", res, err)
 	}
 	if st := d.Stats(); st.IngestRejected != 1 {
 		t.Fatalf("IngestRejected = %d, want 1", st.IngestRejected)

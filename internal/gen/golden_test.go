@@ -14,9 +14,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// csrHash is the first 8 bytes of SHA-256 over the little-endian Offsets
-// then Adjacency arrays: two graphs hash equal iff their CSRs are
-// byte-identical (up to collisions).
+// csrHash is the first 8 bytes of SHA-256 over the little-endian Offsets,
+// each widened to 64 bits as the offsets were when the hashes were
+// recorded, then Adjacency arrays: two graphs hash equal iff their CSRs
+// are identical (up to collisions).
 func csrHash(g *graph.Graph) string {
 	h := sha256.New()
 	buf := make([]byte, 0, 8*len(g.Offsets)+4*len(g.Adjacency))
@@ -114,30 +115,47 @@ func TestConstructionMemoryBudget(t *testing.T) {
 
 // TestAnalysisMemoryBudget holds the analyses that run beside construction
 // to their results. The component labeling allocates comp (4 bytes a
-// vertex) and sizes (8 bytes a component), and the edge counter the same
-// two arrays, its per-component slots holding edges instead of vertices.
-// A striped relabel allocates the permutation, the new CSR, one inverse
-// permutation and, beside those, only the degree histogram and a block's
-// worth of slack. A search-based labeling would add its stack and an
-// appended sizes slice (the counter a second per-component array), a
-// relabel an order and a cursor array.
+// vertex) and sizes (8 bytes a component). The edge counter allocates the
+// same two arrays over the active prefix a only, its per-component slots
+// holding edges instead of vertices: 4a bytes and 8 a component that
+// starts below a, which on a striped graph leaves out the trailing block
+// of isolated vertices. comp is a large object, which the allocator
+// rounds up to whole 8 KiB pages, so its term is 4a rounded up to a page.
+// A striped relabel allocates the permutation, the
+// new CSR, one inverse permutation and, beside those, only the degree
+// histogram and a block's worth of slack. A search-based labeling would
+// add its stack and an appended sizes slice (the counter a second
+// per-component array), a relabel an order and a cursor array.
 func TestAnalysisMemoryBudget(t *testing.T) {
 	g := Kronecker(Graph500Params(14, 20170321))
 	n := int64(g.NumVertices())
 	var sizes []int64
 	labels := totalAlloc(func() { _, sizes = graph.Components(g) })
-	counter := totalAlloc(func() { metrics.NewEdgeCounter(g) })
 	results := float64(4*n + 8*int64(len(sizes)))
-	for name, got := range map[string]int64{"Components": labels, "NewEdgeCounter": counter} {
-		if float64(got) > 1.05*results {
-			t.Errorf("%s allocated %d bytes for %d vertices in %d components (%.2fx its results, budget 1.05x)",
-				name, got, n, len(sizes), float64(got)/results)
+	if float64(labels) > 1.05*results {
+		t.Errorf("Components allocated %d bytes for %d vertices in %d components (%.2fx its results, budget 1.05x)",
+			labels, n, len(sizes), float64(labels)/results)
+	}
+	for name, h := range map[string]*graph.Graph{"raw": g, "striped": striped(g)} {
+		a := h.ActivePrefix()
+		comp, _ := graph.Components(h)
+		below := int64(0) // ids follow smallest vertices
+		for _, id := range comp[:a] {
+			below = max(below, int64(id)+1)
 		}
+		counter := totalAlloc(func() { metrics.NewEdgeCounter(h) })
+		const page = 8192
+		kept := float64((4*int64(a)+page-1)/page*page + 8*below)
+		if float64(counter) > 1.05*kept {
+			t.Errorf("NewEdgeCounter (%s) allocated %d bytes for a prefix of %d vertices in %d components (%.2fx, budget 1.05x)",
+				name, counter, a, below, float64(counter)/kept)
+		}
+		t.Logf("NewEdgeCounter (%s): prefix %d of %d, %d components below it, %.3fx of its arrays", name, a, n, below, float64(counter)/kept)
 	}
 
 	const workers, taskSize = 2, 512
 	relabel := totalAlloc(func() { striped(g) })
-	arrays := 4*n + 8*(n+1) + 4*int64(len(g.Adjacency)) + 4*n // newID, offsets, adjacency, inv
+	arrays := 4*n + 4*(n+1) + 4*int64(len(g.Adjacency)) + 4*n // newID, offsets, adjacency, inv
 	// The degree histogram, a block of ids, and the allocator's rounding:
 	// up to a page on each of the five arrays.
 	slack := 8*int64(g.MaxDegree()+1) + 4*workers*taskSize + 5*8192
@@ -145,8 +163,63 @@ func TestAnalysisMemoryBudget(t *testing.T) {
 		t.Errorf("striped relabel allocated %d bytes: newID, the CSR and inv are %d, the histogram, a block and rounding %d",
 			relabel, arrays, slack)
 	}
-	t.Logf("Components %.3fx, NewEdgeCounter %.3fx of their results; striped relabel %d bytes over its arrays",
-		float64(labels)/results, float64(counter)/results, relabel-arrays)
+	t.Logf("Components %.3fx of its results; striped relabel %d bytes over its arrays",
+		float64(labels)/results, relabel-arrays)
+}
+
+// TestEdgeCounterMatchesFullCount: the counter, which keeps state for the
+// active prefix only, answers for every vertex what counting the edges of
+// each vertex's component over the whole graph does — on the golden
+// graphs, raw and striped, and on a graph whose prefix holds isolated
+// vertices and ends on one arc's far end.
+func TestEdgeCounterMatchesFullCount(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"isolated inside the prefix": graph.FromEdges(12, []graph.Edge{{U: 1, V: 2}, {U: 2, V: 4}, {U: 6, V: 8}, {U: 0, V: 9}}),
+	}
+	for key := range goldenKronecker {
+		var scale int
+		var seed uint64
+		if _, err := fmt.Sscanf(key, "%d/%d", &scale, &seed); err != nil {
+			t.Fatal(err)
+		}
+		g := Kronecker(Graph500Params(scale, seed))
+		graphs[key+" raw"], graphs[key+" striped"] = g, striped(g)
+	}
+	for name, g := range graphs {
+		comp, sizes := graph.Components(g)
+		edges := make([]int64, len(sizes))
+		for v := range comp {
+			edges[comp[v]] += int64(g.Degree(v))
+		}
+		c := metrics.NewEdgeCounter(g)
+		for v := range comp {
+			if got, want := c.EdgesFor(v), edges[comp[v]]/2; got != want {
+				t.Fatalf("%s: EdgesFor(%d) = %d, want %d (prefix %d of %d)", name, v, got, want, g.ActivePrefix(), g.NumVertices())
+			}
+		}
+	}
+}
+
+// TestStripedScale18Pinned pins the benchmark's graph — scale 18, seed
+// 20170321, striped — where the offline workloads' memory is measured:
+// its CSR size with 32-bit offsets, its active prefix and components, and
+// an edge counter that allocates its prefix arrays and no more.
+func TestStripedScale18Pinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a scale-18 graph")
+	}
+	g := striped(Kronecker(Graph500Params(18, 20170321)))
+	_, sizes := graph.Components(g)
+	_, below := graph.PrefixComponents(g)
+	got := [4]int64{g.MemoryBytes(), int64(g.ActivePrefix()), int64(len(sizes)), int64(len(below))}
+	if want := [4]int64{31_498_988, 174_026, 88_220, 102}; got != want {
+		t.Errorf("memory bytes, active prefix, components, components below the prefix = %v, want %v", got, want)
+	}
+	counter := totalAlloc(func() { metrics.NewEdgeCounter(g) })
+	kept := float64(4*got[1] + 8*got[3])
+	if float64(counter) > 1.05*kept {
+		t.Errorf("NewEdgeCounter allocated %d bytes, %.3fx of its %.0f-byte arrays (budget 1.05x)", counter, float64(counter)/kept, kept)
+	}
 }
 
 // TestConcurrentPipelinesGolden generates and relabels on several

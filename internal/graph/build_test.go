@@ -40,7 +40,7 @@ func referenceBuild(n int, edges []Edge) *Graph {
 			add(e.V, e.U)
 		}
 	}
-	g := &Graph{Offsets: make([]int64, n+1), Adjacency: []VertexID{}}
+	g := &Graph{Offsets: make([]uint32, n+1), Adjacency: []VertexID{}}
 	for v, set := range rows {
 		row := make([]VertexID, 0, len(set))
 		for u := range set {
@@ -48,7 +48,7 @@ func referenceBuild(n int, edges []Edge) *Graph {
 		}
 		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
 		g.Adjacency = append(g.Adjacency, row...)
-		g.Offsets[v+1] = int64(len(g.Adjacency))
+		g.Offsets[v+1] = uint32(len(g.Adjacency))
 	}
 	return g
 }

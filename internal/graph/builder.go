@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Builder accumulates undirected edges and produces a deduplicated CSR
 // Graph. It tolerates self-loops and duplicate edges in the input (both are
@@ -56,10 +53,6 @@ func FromEdges(n int, edges []Edge) *Graph {
 	return FromPairs(n, pairs)
 }
 
-// MaxEndpoints is the longest endpoint buffer FromPairs accepts: the build
-// addresses the buffer with 32-bit positions.
-const MaxEndpoints = math.MaxUint32
-
 // blockBits sets the block of FromPairs' two-pass grouping: the first pass
 // deals the edges into blocks of 1<<blockBits consecutive smaller
 // endpoints, the second sorts each block by vertex, so neither pass keeps
@@ -71,8 +64,9 @@ const blockBits = 10
 // inside the buffer, with no second arc array and no comparison sort, and
 // the result's adjacency is a prefix of it. The caller must not touch
 // pairs afterwards. Besides the result's offsets the build allocates only
-// one array of bucket heads (groupByMin). It panics on an odd buffer, one
-// longer than MaxEndpoints or an out-of-range endpoint.
+// a second counter array of the same size and one array of bucket heads
+// (groupByMin). It panics on an odd buffer, one longer than MaxEndpoints
+// or an out-of-range endpoint.
 //
 // Row v of the result is v's lower neighbors (< v) followed by its upper
 // ones (> v), each list ascending. The steps (docs/ALGORITHMS.md, CSR
@@ -89,9 +83,9 @@ const blockBits = 10
 //  6. transpose the lower lists in place by ascending source into the
 //     rows' upper halves (fillUpper).
 //
-// Until step 4 every offsets entry packs two 32-bit counters (low half and
-// high half) that prefix-sum together; step 6 turns the entries into the
-// result's offsets.
+// Every vertex has two 32-bit counters, low[v] and high[v], that prefix-sum
+// side by side; step 6 turns low into the result's offsets, and high is
+// dropped.
 func FromPairs(n int, pairs []VertexID) *Graph {
 	if len(pairs)%2 != 0 {
 		panic("graph: odd endpoint buffer")
@@ -99,24 +93,23 @@ func FromPairs(n int, pairs []VertexID) *Graph {
 	if uint64(len(pairs)) > MaxEndpoints {
 		panic(fmt.Sprintf("graph: %d endpoints, more than one build addresses (%d)", len(pairs), uint64(MaxEndpoints)))
 	}
-	offsets := make([]int64, n+1)
-	k := canonicalise(n, pairs, offsets)
-	groupByMin(pairs[:2*k], offsets)
-	transposeUpper(pairs[:2*k], offsets)
-	lower := dedupLower(pairs[:2*k], offsets)
-	placeLower(pairs[:2*lower], offsets)
-	fillUpper(pairs[:2*lower], offsets)
-	return &Graph{Offsets: offsets, Adjacency: pairs[: 2*lower : 2*lower]}
+	low, high := make([]uint32, n+1), make([]uint32, n+1)
+	k := canonicalise(n, pairs, low, high)
+	groupByMin(pairs[:2*k], low)
+	transposeUpper(pairs[:2*k], low, high)
+	lower := dedupLower(pairs[:2*k], low, high)
+	placeLower(pairs[:2*lower], low, high)
+	fillUpper(pairs[:2*lower], low, high)
+	return &Graph{Offsets: low, Adjacency: pairs[: 2*lower : 2*lower]}
 }
 
 // canonicalise rewrites every non-loop edge of pairs as the record
 // (min, max), packed from the front in input order, and returns the record
 // count k. Writes trail reads, so no pair is overwritten unread. It leaves
-// offsets[v] holding, in its low half, where v's records (v the smaller
-// endpoint) start among the k and, in its high half, where v's lower list
-// (v the larger endpoint) starts among the k: the counts of both, summed
-// in one prefix pass.
-func canonicalise(n int, pairs []VertexID, offsets []int64) int {
+// low[v] holding where v's records (v the smaller endpoint) start among
+// the k and high[v] where v's lower list (v the larger endpoint) starts
+// among the k: the counts of both, summed in one prefix pass.
+func canonicalise(n int, pairs []VertexID, low, high []uint32) int {
 	k := 0
 	for i := 0; i+1 < len(pairs); i += 2 {
 		u, v := pairs[i], pairs[i+1]
@@ -130,56 +123,58 @@ func canonicalise(n int, pairs []VertexID, offsets []int64) int {
 		rec := pairs[2*k : 2*k+2 : 2*k+2]
 		rec[0], rec[1] = u, v
 		k++
-		offsets[u+1]++
-		offsets[v+1] += 1 << 32
+		low[u+1]++
+		high[v+1]++
 	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
+	high = high[:len(low)] // one length: the checks on low cover high
+	for v := 1; v < len(low); v++ {
+		low[v] += low[v-1]
+		high[v] += high[v-1]
 	}
 	return k
 }
 
 // groupByMin permutes the records of recs so that they come in ascending
-// order of their smaller endpoint, whose groups' starts are the low halves
-// of offsets: an in-place MSD radix permutation (American flag sort), first
-// on the block of the smaller endpoint, then, inside each block, on the
-// endpoint itself. Splitting the key keeps either pass's bucket heads — and
-// on the second pass the block's records — in cache, where one pass over
-// n buckets would miss on almost every record.
-func groupByMin(recs []VertexID, offsets []int64) {
-	n := len(offsets) - 1
+// order of their smaller endpoint, whose groups start at starts: an
+// in-place MSD radix permutation (American flag sort), first on the block
+// of the smaller endpoint, then, inside each block, on the endpoint
+// itself. Splitting the key keeps either pass's bucket heads — and on the
+// second pass the block's records — in cache, where one pass over n
+// buckets would miss on almost every record.
+func groupByMin(recs []VertexID, starts []uint32) {
+	n := len(starts) - 1
 	blocks := (n + 1<<blockBits - 1) >> blockBits
 	next := make([]uint32, max(blocks, min(n, 1<<blockBits)))
-	flagPermute(recs, offsets, next, 0, n, blockBits)
+	flagPermute(recs, starts, next, 0, n, blockBits)
 	for lo := 0; lo < n; lo += 1 << blockBits {
-		flagPermute(recs, offsets, next, lo, min(lo+1<<blockBits, n), 0)
+		flagPermute(recs, starts, next, lo, min(lo+1<<blockBits, n), 0)
 	}
 }
 
 // flagPermute is one American-flag pass over the records whose smaller
 // endpoint u lies in [lo, hi): bucket t takes u in [lo + t<<shift,
-// lo + (t+1)<<shift), whose records start at the low half of
-// offsets[lo + t<<shift], and next[t] is its first slot not yet final.
-// Every step swaps the record at a scanned slot of bucket t into the next
-// slot of its own bucket s — or, for s = t, into next[t], which never
-// passes the scan — where it is final; the record it displaces waits at
-// the scanned slot for a later round. Each step places one record, so the
-// rounds end after len(recs)/2 steps in all, and a step's swap does not
-// wait for the one before it: their cache misses overlap, where following
-// each displaced record along its cycle would serialise them.
-func flagPermute(recs []VertexID, offsets []int64, next []uint32, lo, hi int, shift uint) {
+// lo + (t+1)<<shift), whose records start at starts[lo + t<<shift], and
+// next[t] is its first slot not yet final. Every step swaps the record at
+// a scanned slot of bucket t into the next slot of its own bucket s — or,
+// for s = t, into next[t], which never passes the scan — where it is
+// final; the record it displaces waits at the scanned slot for a later
+// round. Each step places one record, so the rounds end after len(recs)/2
+// steps in all, and a step's swap does not wait for the one before it:
+// their cache misses overlap, where following each displaced record along
+// its cycle would serialise them.
+func flagPermute(recs []VertexID, starts, next []uint32, lo, hi int, shift uint) {
 	buckets := (hi - lo + 1<<shift - 1) >> shift
 	if buckets < 2 {
 		return
 	}
 	for t := 0; t < buckets; t++ {
-		next[t] = uint32(offsets[lo+t<<shift])
+		next[t] = starts[lo+t<<shift]
 	}
 	base := VertexID(lo)
 	for placed := false; !placed; {
 		placed = true
 		for t := 0; t < buckets; t++ {
-			end := int(uint32(offsets[min(lo+(t+1)<<shift, hi)]))
+			end := int(starts[min(lo+(t+1)<<shift, hi)])
 			for i := int(next[t]); i < end; i++ {
 				r := recs[2*i : 2*i+2 : 2*i+2]
 				u, v := r[0], r[1]
@@ -201,21 +196,21 @@ func flagPermute(recs []VertexID, offsets []int64, next []uint32, lo, hi int, sh
 // vertex, unsorted, duplicates included. Visiting the vertices u in
 // ascending order and appending u to the lower list of every v in u's upper
 // list fills the second half with the lower lists, each ascending with its
-// duplicates adjacent; the two halves do not overlap. The high half of
-// offsets[v] advances from the start of v's lower list to its end.
-func transposeUpper(recs []VertexID, offsets []int64) {
+// duplicates adjacent; the two halves do not overlap. high[v] advances
+// from the start of v's lower list to its end.
+func transposeUpper(recs []VertexID, low, high []uint32) {
 	k := len(recs) / 2
 	for i := 0; i < k; i++ {
 		recs[i] = recs[2*i+1]
 	}
 	upper, lower := recs[:k], recs[k:]
-	n := len(offsets) - 1
+	n := len(low) - 1
 	start := 0
 	for u := 0; u < n; u++ {
-		end := int(uint32(offsets[u+1]))
+		end := int(low[u+1])
 		for _, v := range upper[start:end] {
-			lower[offsets[v]>>32] = VertexID(u)
-			offsets[v] += 1 << 32
+			lower[high[v]] = VertexID(u)
+			high[v]++
 		}
 		start = end
 	}
@@ -225,20 +220,20 @@ func transposeUpper(recs []VertexID, offsets []int64) {
 // of recs, writing the survivors back to back from recs[0]. The write
 // position never passes the number of entries read, which is at most half
 // of recs, so it stays in the upper lists' dead half. It returns the
-// survivors' count — the number of distinct edges — and leaves offsets[v+1]
-// holding v's distinct lower neighbors in its low half and its distinct
-// upper neighbors, counted from the lower lists they appear in, in its high
-// half; offsets[0] is 0.
-func dedupLower(recs []VertexID, offsets []int64) int {
+// survivors' count — the number of distinct edges — and leaves low[v+1]
+// holding v's distinct lower neighbors and high[v+1] its distinct upper
+// neighbors, counted from the lower lists they appear in; low[0] is 0.
+func dedupLower(recs []VertexID, low, high []uint32) int {
 	k := len(recs) / 2
 	lower := recs[k:]
-	n := len(offsets) - 1
-	w, start, kept := 0, 0, int64(0)
+	n := len(low) - 1
+	high = high[:len(low)]
+	w, start, kept := 0, 0, uint32(0)
 	for v := 0; v < n; v++ {
-		// offsets[v] is read for the last time; it becomes v-1's counts,
-		// whose upper half only v and later vertices add to.
-		end := int(offsets[v] >> 32)
-		offsets[v] = kept
+		// high[v] is read for the last time; the pair becomes v-1's
+		// counts, whose upper count only v and later vertices add to.
+		end := int(high[v])
+		low[v], high[v] = kept, 0
 		row := lower[start:end]
 		start = end
 		from := w
@@ -246,12 +241,12 @@ func dedupLower(recs []VertexID, offsets []int64) int {
 			if i == 0 || u != row[i-1] {
 				recs[w] = u
 				w++
-				offsets[u+1] += 1 << 32
+				high[u+1]++
 			}
 		}
-		kept = int64(w - from)
+		kept = uint32(w - from)
 	}
-	offsets[n] = kept
+	low[n], high[n] = kept, 0
 	return w
 }
 
@@ -260,11 +255,12 @@ func dedupLower(recs []VertexID, offsets []int64) int {
 // starts at or after its packed list (the rows before it add their upper
 // halves), so a move only writes at or right of what it reads, below the
 // rows already placed and above the lists still to move.
-func placeLower(arcs []VertexID, offsets []int64) {
-	n := len(offsets) - 1
+func placeLower(arcs []VertexID, low, high []uint32) {
+	n := len(low) - 1
+	high = high[:len(low)]
 	rowEnd, listEnd := len(arcs), len(arcs)/2
 	for v := n - 1; v >= 0; v-- {
-		lo, hi := int(uint32(offsets[v+1])), int(offsets[v+1]>>32)
+		lo, hi := int(low[v+1]), int(high[v+1])
 		rowStart, listStart := rowEnd-lo-hi, listEnd-lo
 		copy(arcs[rowStart:rowStart+lo], arcs[listStart:listEnd])
 		rowEnd, listEnd = rowStart, listStart
@@ -274,18 +270,19 @@ func placeLower(arcs []VertexID, offsets []int64) {
 // fillUpper visits the vertices v in ascending order and appends v to the
 // upper half of row u for every u in v's lower list, now at the start of
 // row v: each upper half is filled ascending, and only upper halves are
-// written. offsets[u+1] is row u's fill cursor: set at u's own visit, once
-// its counts are read, to the end of its lower list, it ends as the end of
-// the row.
-func fillUpper(arcs []VertexID, offsets []int64) {
-	n := len(offsets) - 1
-	row := int64(0)
+// written. low[u+1] is row u's fill cursor: set at u's own visit, once its
+// counts are read, to the end of its lower list, it ends as the end of the
+// row, so low ends as the result's offsets.
+func fillUpper(arcs []VertexID, low, high []uint32) {
+	n := len(low) - 1
+	high = high[:len(low)]
+	row := uint32(0)
 	for v := 0; v < n; v++ {
-		lo, hi := int64(uint32(offsets[v+1])), offsets[v+1]>>32
-		offsets[v+1] = row + lo
+		lo, hi := low[v+1], high[v+1]
+		low[v+1] = row + lo
 		for _, u := range arcs[row : row+lo] {
-			arcs[offsets[u+1]] = VertexID(v)
-			offsets[u+1]++
+			arcs[low[u+1]] = VertexID(v)
+			low[u+1]++
 		}
 		row += lo + hi
 	}
@@ -332,12 +329,12 @@ func Relabel(g *Graph, newID []VertexID) *Graph {
 
 	// The offsets are their own fill cursors: cursor[nv] (= offsets[nv+1])
 	// starts at row nv's start and, once the row is filled, is its end.
-	offsets := make([]int64, n+1)
+	offsets := make([]uint32, n+1)
 	cursor := offsets[1:]
-	arcs := int64(0)
+	arcs := uint32(0)
 	for nv, v := range inv {
 		cursor[nv] = arcs
-		arcs += int64(g.Degree(int(v)))
+		arcs += uint32(g.Degree(int(v)))
 	}
 	adj := make([]VertexID, arcs)
 	for nv, v := range inv {
@@ -347,10 +344,10 @@ func Relabel(g *Graph, newID []VertexID) *Graph {
 			cursor[nu]++
 		}
 	}
-	end := int64(0)
+	end := uint32(0)
 	for nv, v := range inv {
 		start := end
-		end += int64(g.Degree(int(v)))
+		end += uint32(g.Degree(int(v)))
 		if cursor[nv] != end {
 			panic(fmt.Sprintf("graph: relabel of an asymmetric graph: new row %d received %d arcs for a degree of %d",
 				nv, cursor[nv]-start, end-start))

@@ -14,7 +14,22 @@ package graph
 // next id, and any other vertex copies the id its (smaller, already
 // numbered) parent holds.
 func Components(g *Graph) (comp []int32, sizes []int64) {
-	n := g.NumVertices()
+	return labelComponents(g, g.NumVertices())
+}
+
+// PrefixComponents is Components over the active prefix [0, a), a =
+// g.ActivePrefix(): comp has a entries and sizes one per component that
+// starts below a. The vertices at or above a are isolated, so Components
+// extends this labeling with one singleton each, id len(sizes) + v - a;
+// an analysis that keeps per-vertex state need not store them.
+func PrefixComponents(g *Graph) (comp []int32, sizes []int64) {
+	return labelComponents(g, g.ActivePrefix())
+}
+
+// labelComponents is the union-find of Components over the vertices
+// [0, n) of g, which no row below n leaves (rows are symmetric, and n is
+// at least the active prefix).
+func labelComponents(g *Graph, n int) (comp []int32, sizes []int64) {
 	comp = make([]int32, n)
 	for v := range comp {
 		comp[v] = int32(v)

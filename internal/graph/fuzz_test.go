@@ -57,7 +57,7 @@ func FuzzLoad(f *testing.F) {
 		// loader promises (full Validate may reject asymmetric inputs the
 		// loader legitimately tolerates, so check offsets/ranges only).
 		n := g.NumVertices()
-		if g.Offsets[0] != 0 || g.Offsets[n] != int64(len(g.Adjacency)) {
+		if g.Offsets[0] != 0 || int(g.Offsets[n]) != len(g.Adjacency) {
 			t.Fatal("loader accepted inconsistent offsets")
 		}
 		for v := 0; v < n; v++ {

@@ -11,7 +11,9 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -31,8 +33,9 @@ type Edge struct {
 // Adjacency[Offsets[v]:Offsets[v+1]], sorted ascending.
 type Graph struct {
 	// Offsets has NumVertices+1 entries; Offsets[v+1]-Offsets[v] is the
-	// degree of v.
-	Offsets []int64
+	// degree of v. They are 32-bit, like the vertex ids: a CSR holds at
+	// most MaxEndpoints arcs (CheckArcs).
+	Offsets []uint32
 	// Adjacency stores all neighbor lists back to back. Each undirected
 	// edge {u,v} with u != v appears twice: v in u's list and u in v's.
 	Adjacency []VertexID
@@ -92,7 +95,27 @@ func (g *Graph) ActivePrefix() int {
 
 // MemoryBytes returns the approximate in-memory size of the CSR arrays.
 func (g *Graph) MemoryBytes() int64 {
-	return int64(len(g.Offsets))*8 + int64(len(g.Adjacency))*4
+	return int64(len(g.Offsets))*4 + int64(len(g.Adjacency))*4
+}
+
+// MaxEndpoints is the most arcs a CSR holds, and the longest endpoint
+// buffer FromPairs accepts: offsets, and the build's positions in the
+// buffer, are 32-bit.
+const MaxEndpoints = math.MaxUint32
+
+// ErrTooManyArcs reports a CSR, or a claim of one, with more arcs than
+// 32-bit offsets address.
+var ErrTooManyArcs = errors.New("graph: more arcs than 32-bit offsets address")
+
+// CheckArcs returns an ErrTooManyArcs error when a CSR of the given number
+// of arcs would not fit 32-bit offsets. The builds enforce the bound
+// themselves; a CSR that comes from outside them (a file, a caller's
+// arrays, a shard's slice, a merge with an overlay) is checked here.
+func CheckArcs(arcs uint64) error {
+	if arcs > MaxEndpoints {
+		return fmt.Errorf("%w: %d arcs, at most %d", ErrTooManyArcs, arcs, uint64(MaxEndpoints))
+	}
+	return nil
 }
 
 // Validate checks structural invariants of the CSR representation:
@@ -107,7 +130,7 @@ func (g *Graph) Validate() error {
 	if g.Offsets[0] != 0 {
 		return fmt.Errorf("graph: offsets[0] = %d, want 0", g.Offsets[0])
 	}
-	if g.Offsets[n] != int64(len(g.Adjacency)) {
+	if int(g.Offsets[n]) != len(g.Adjacency) {
 		return fmt.Errorf("graph: offsets[n] = %d, want %d", g.Offsets[n], len(g.Adjacency))
 	}
 	for v := 0; v < n; v++ {
@@ -131,7 +154,7 @@ func (g *Graph) Validate() error {
 	// strictly sorted, so walking the sources v in ascending order must
 	// meet each row u's entries in order: next[u] is the first one not
 	// yet matched, and it has to be v.
-	next := make([]int64, n)
+	next := make([]uint32, n)
 	copy(next, g.Offsets)
 	for v := 0; v < n; v++ {
 		for _, u := range g.Neighbors(v) {
@@ -155,10 +178,12 @@ func (g *Graph) Validate() error {
 // rebased to start at 0; adjacency keeps global ids and is not copied. The
 // slice is checked first: offsets rebased and monotone, ending at
 // len(adjacency), every id below n, every row ascending (the kernels cut
-// rows at stripe borders by binary search). The result costs 8(n+1) bytes of
-// offsets and is not symmetric, so Validate rejects it; a cluster shard
-// runs the ordinary kernels over it to scan exactly the rows it owns.
-func OwnedRows(n, lo int, offsets []int64, adjacency []VertexID) (*Graph, error) {
+// rows at stripe borders by binary search). The end-offset check is also
+// the CheckArcs bound: a uint32 offset cannot equal a longer adjacency.
+// The result costs 4(n+1) bytes of offsets and is not
+// symmetric, so Validate rejects it; a cluster shard runs the ordinary
+// kernels over it to scan exactly the rows it owns.
+func OwnedRows(n, lo int, offsets []uint32, adjacency []VertexID) (*Graph, error) {
 	rows := len(offsets) - 1
 	if rows < 0 || lo < 0 || lo+rows > n {
 		return nil, fmt.Errorf("graph: %d rows at %d do not fit %d vertices", rows, lo, n)
@@ -171,7 +196,7 @@ func OwnedRows(n, lo int, offsets []int64, adjacency []VertexID) (*Graph, error)
 			return nil, fmt.Errorf("graph: offsets decrease at %d", i)
 		}
 	}
-	if offsets[rows] != int64(len(adjacency)) {
+	if int(offsets[rows]) != len(adjacency) {
 		return nil, fmt.Errorf("graph: offsets end at %d, adjacency has %d", offsets[rows], len(adjacency))
 	}
 	for i := 0; i < rows; i++ {
@@ -185,7 +210,7 @@ func OwnedRows(n, lo int, offsets []int64, adjacency []VertexID) (*Graph, error)
 			}
 		}
 	}
-	full := make([]int64, n+1)
+	full := make([]uint32, n+1)
 	copy(full[lo:], offsets)
 	for v := lo + rows + 1; v <= n; v++ {
 		full[v] = offsets[rows]

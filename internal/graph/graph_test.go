@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -101,7 +103,7 @@ func TestOwnedRows(t *testing.T) {
 	g := path(10)
 	lo, hi := 3, 7
 	base := g.Offsets[lo]
-	offsets := make([]int64, hi-lo+1)
+	offsets := make([]uint32, hi-lo+1)
 	for i := range offsets {
 		offsets[i] = g.Offsets[lo+i] - base
 	}
@@ -125,27 +127,63 @@ func TestOwnedRows(t *testing.T) {
 	if nb := o.Neighbors(lo); len(nb) != 2 || nb[0] != 2 || nb[1] != 4 {
 		t.Errorf("Neighbors(%d) = %v, want [2 4]", lo, nb)
 	}
-	if _, err := OwnedRows(10, 10, []int64{0}, nil); err != nil {
+	if _, err := OwnedRows(10, 10, []uint32{0}, nil); err != nil {
 		t.Errorf("empty slice at the end: %v", err)
 	}
 
 	for name, c := range map[string]struct {
 		lo      int
-		offsets []int64
+		offsets []uint32
 		adj     []VertexID
 		want    string
 	}{
-		"past n":       {8, []int64{0, 0, 0, 0}, nil, "do not fit"},
-		"not rebased":  {0, []int64{1, 1}, []VertexID{}, "not rebased"},
-		"decreasing":   {0, []int64{0, 2, 1}, []VertexID{1, 2}, "decrease"},
-		"short end":    {0, []int64{0, 1}, []VertexID{1, 2}, "offsets end"},
-		"neighbor ≥ n": {0, []int64{0, 1}, []VertexID{10}, "out of range"},
-		"unsorted row": {2, []int64{0, 2}, []VertexID{5, 1}, "not strictly ascending"},
+		"past n":       {8, []uint32{0, 0, 0, 0}, nil, "do not fit"},
+		"not rebased":  {0, []uint32{1, 1}, []VertexID{}, "not rebased"},
+		"decreasing":   {0, []uint32{0, 2, 1}, []VertexID{1, 2}, "decrease"},
+		"short end":    {0, []uint32{0, 1}, []VertexID{1, 2}, "offsets end"},
+		"neighbor ≥ n": {0, []uint32{0, 1}, []VertexID{10}, "out of range"},
+		"unsorted row": {2, []uint32{0, 2}, []VertexID{5, 1}, "not strictly ascending"},
 	} {
 		if _, err := OwnedRows(10, c.lo, c.offsets, c.adj); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", name, err, c.want)
 		}
 	}
+}
+
+// TestCheckArcs: a CSR fits 32-bit offsets up to MaxEndpoints arcs, and
+// past that the error names the count and matches ErrTooManyArcs.
+func TestCheckArcs(t *testing.T) {
+	for _, c := range []struct {
+		arcs uint64
+		ok   bool
+	}{
+		{0, true},
+		{1, true},
+		{math.MaxUint32 - 1, true},
+		{math.MaxUint32, true},
+		{math.MaxUint32 + 1, false},
+		{1 << 40, false},
+		{math.MaxUint64, false},
+	} {
+		err := CheckArcs(c.arcs)
+		if c.ok != (err == nil) || (err != nil && !errors.Is(err, ErrTooManyArcs)) {
+			t.Errorf("CheckArcs(%d) = %v, want ok %v", c.arcs, err, c.ok)
+		}
+	}
+}
+
+// TestMergeOverlayPastOffsetsPanics: a merge whose arcs would not fit
+// 32-bit offsets panics, naming both counts, before it allocates.
+func TestMergeOverlayPastOffsetsPanics(t *testing.T) {
+	base := path(4)
+	ov := &Overlay{pages: NewOverlay(4).pages, arcs: MaxEndpoints, n: 4}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "MergeOverlay of 6 base and 4294967295 overlay arcs") {
+			t.Errorf("panic %q, want the counts named", msg)
+		}
+	}()
+	MergeOverlay(base, ov)
 }
 
 // TestActivePrefix: the prefix ends after the last vertex with an arc or
@@ -159,7 +197,7 @@ func TestActivePrefix(t *testing.T) {
 	mid.AddEdge(0, 1)
 	mid.AddEdge(8, 9)
 	g := path(10)
-	owned, err := OwnedRows(10, 2, []int64{0, 2, 4}, g.Adjacency[g.Offsets[2]:g.Offsets[4]])
+	owned, err := OwnedRows(10, 2, []uint32{0, 2, 4}, g.Adjacency[g.Offsets[2]:g.Offsets[4]])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,12 +388,12 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		g    *Graph
 		want string
 	}{
-		{&Graph{Offsets: []int64{0, 1, 1}, Adjacency: []VertexID{1}}, "0->1 present but 1->0 missing"},
-		{&Graph{Offsets: []int64{0, 0, 1}, Adjacency: []VertexID{0}}, "1->0 present but 0->1 missing"},
+		{&Graph{Offsets: []uint32{0, 1, 1}, Adjacency: []VertexID{1}}, "0->1 present but 1->0 missing"},
+		{&Graph{Offsets: []uint32{0, 0, 1}, Adjacency: []VertexID{0}}, "1->0 present but 0->1 missing"},
 		// 0-2 and 1-2 are edges; row 2 also claims 3, and 3 points at 0.
-		{&Graph{Offsets: []int64{0, 1, 2, 5, 6}, Adjacency: []VertexID{2, 2, 0, 1, 3, 0}}, "3->0 present but 0->3 missing"},
+		{&Graph{Offsets: []uint32{0, 1, 2, 5, 6}, Adjacency: []VertexID{2, 2, 0, 1, 3, 0}}, "3->0 present but 0->3 missing"},
 		// 1-2 is an edge; row 2 claims 0 first, which 0 never returns.
-		{&Graph{Offsets: []int64{0, 0, 1, 3}, Adjacency: []VertexID{2, 0, 1}}, "2->0 present but 0->2 missing"},
+		{&Graph{Offsets: []uint32{0, 0, 1, 3}, Adjacency: []VertexID{2, 0, 1}}, "2->0 present but 0->2 missing"},
 	} {
 		err := tc.g.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -18,8 +18,11 @@ import (
 //	offsets (n+1) x int64
 //	adjacency m x uint32
 //
-// The format stores the CSR arrays verbatim so loading is a straight read
-// with no rebuild cost, which matters for the larger benchmark graphs.
+// The format stores the CSR arrays as they are, so loading is a straight
+// read with no rebuild cost, which matters for the larger benchmark
+// graphs. The offsets alone differ: they are int64 on disk and uint32 in
+// memory (Graph.Offsets), so Save widens each one and Load narrows it,
+// after CheckArcs has accepted the header's m.
 
 const (
 	fileMagic   = uint64(0x48505247_53464241) // "ABFSGRPH" little endian
@@ -36,8 +39,10 @@ func Save(w io.Writer, g *Graph) error {
 			return fmt.Errorf("graph: writing header: %w", err)
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Offsets); err != nil {
-		return fmt.Errorf("graph: writing offsets: %w", err)
+	for _, o := range g.Offsets {
+		if _, err := bw.Write(binary.LittleEndian.AppendUint64(bw.AvailableBuffer(), uint64(o))); err != nil {
+			return fmt.Errorf("graph: writing offsets: %w", err)
+		}
 	}
 	if err := binary.Write(bw, binary.LittleEndian, g.Adjacency); err != nil {
 		return fmt.Errorf("graph: writing adjacency: %w", err)
@@ -79,9 +84,12 @@ func load(r io.Reader, size int64) (*Graph, error) {
 	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
 		return nil, fmt.Errorf("graph: reading edge count: %w", err)
 	}
+	if err := CheckArcs(m); err != nil {
+		return nil, err
+	}
 	const maxReasonable = 1 << 40
-	if n > maxReasonable || m > maxReasonable {
-		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d", n, m)
+	if n > maxReasonable {
+		return nil, fmt.Errorf("graph: implausible vertex count n=%d", n)
 	}
 	sized := size >= 0
 	if need := headerBytes + 8*(n+1) + 4*m; sized && need > uint64(size) {
@@ -89,13 +97,13 @@ func load(r io.Reader, size int64) (*Graph, error) {
 	}
 	g := &Graph{}
 	var err error
-	if g.Offsets, err = readArray[int64](br, n+1, sized); err != nil {
+	if g.Offsets, err = readOffsets(br, n+1, m, sized); err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	if g.Adjacency, err = readArray[VertexID](br, m, sized); err != nil {
+	if g.Adjacency, err = readArray(br, m, sized); err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %w", err)
 	}
-	if g.Offsets[0] != 0 || g.Offsets[n] != int64(m) {
+	if g.Offsets[0] != 0 || uint64(g.Offsets[n]) != m {
 		return nil, fmt.Errorf("graph: corrupt offsets (first=%d last=%d m=%d)", g.Offsets[0], g.Offsets[n], m)
 	}
 	for v := uint64(0); v < n; v++ {
@@ -111,24 +119,52 @@ func load(r io.Reader, size int64) (*Graph, error) {
 	return g, nil
 }
 
-// readArray reads count little-endian values. With exact set (the source's
+const readChunk = 1 << 16
+
+// readArray reads count little-endian ids. With exact set (the source's
 // size covers count) that is one allocation; otherwise the array grows a
 // chunk at a time, so memory stays within a small factor of the bytes read.
-func readArray[T int64 | VertexID](r io.Reader, count uint64, exact bool) ([]T, error) {
-	const chunk = 1 << 16
-	capacity := count
-	if !exact {
-		capacity = min(count, chunk)
-	}
-	out := make([]T, 0, capacity)
+func readArray(r io.Reader, count uint64, exact bool) ([]VertexID, error) {
+	out := make([]VertexID, 0, initialCap(count, exact))
 	for uint64(len(out)) < count {
-		k := int(min(count-uint64(len(out)), chunk))
+		k := int(min(count-uint64(len(out)), readChunk))
 		out = slices.Grow(out, k)[:len(out)+k]
 		if err := binary.Read(r, binary.LittleEndian, out[len(out)-k:]); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// readOffsets reads count little-endian int64 offsets a chunk at a time
+// and narrows each to 32 bits, growing the result as readArray does. An
+// offset outside [0, m] is corrupt; m has passed CheckArcs, so every other
+// one narrows exactly.
+func readOffsets(r io.Reader, count, m uint64, exact bool) ([]uint32, error) {
+	wide := make([]int64, min(count, readChunk))
+	out := make([]uint32, 0, initialCap(count, exact))
+	for uint64(len(out)) < count {
+		chunk := wide[:min(count-uint64(len(out)), readChunk)]
+		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
+			return nil, err
+		}
+		for _, o := range chunk {
+			if uint64(o) > m {
+				return nil, fmt.Errorf("offset %d outside [0, %d]", o, m)
+			}
+			out = append(out, uint32(o))
+		}
+	}
+	return out, nil
+}
+
+// initialCap is the capacity a reader starts with: all count elements
+// when the source's size vouches for them, else one chunk.
+func initialCap(count uint64, exact bool) uint64 {
+	if exact {
+		return count
+	}
+	return min(count, readChunk)
 }
 
 // SaveFile writes g to the named file.

@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,5 +198,59 @@ func TestLoadRoundTripAcrossChunks(t *testing.T) {
 	sized, err := LoadFile(path)
 	if err != nil || !graphsEqual(sized, g) {
 		t.Errorf("file load: err %v, equal %v", err, err == nil && graphsEqual(sized, g))
+	}
+}
+
+// TestLoadVersion1Int64Layout: a version-1 file is read with its offsets
+// as the int64s they are on disk, whatever width they have in memory. The
+// file here is written byte by byte in that layout, not by Save, and must
+// load as the CSR FromEdges builds; offsets outside [0, m] — a negative
+// int64, or one past m that narrowing would wrap — are corrupt.
+func TestLoadVersion1Int64Layout(t *testing.T) {
+	want := FromEdges(5, []Edge{{0, 1}, {0, 4}, {1, 2}, {3, 4}})
+	file := func(offsets []int64) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, 0x48505247_53464241) // "ABFSGRPH"
+		b = binary.LittleEndian.AppendUint32(b, 1)
+		b = binary.LittleEndian.AppendUint64(b, 5)
+		b = binary.LittleEndian.AppendUint64(b, 8)
+		for _, o := range offsets {
+			b = binary.LittleEndian.AppendUint64(b, uint64(o))
+		}
+		for _, a := range []uint32{1, 4, 0, 2, 1, 4, 0, 3} {
+			b = binary.LittleEndian.AppendUint32(b, a)
+		}
+		return b
+	}
+	data := file([]int64{0, 2, 4, 5, 6, 8})
+	got, err := Load(bytes.NewReader(data))
+	if err != nil || !graphsEqual(got, want) {
+		t.Fatalf("load: err %v, equal %v", err, err == nil && graphsEqual(got, want))
+	}
+	var saved bytes.Buffer
+	if err := Save(&saved, want); err != nil || !bytes.Equal(saved.Bytes(), data) {
+		t.Errorf("Save does not write the int64 layout: err %v", err)
+	}
+	for _, bad := range [][]int64{{0, 2, -1, 5, 6, 8}, {0, 2, 1<<32 + 4, 5, 6, 8}} {
+		if _, err := Load(bytes.NewReader(file(bad))); err == nil {
+			t.Errorf("offsets %v accepted", bad)
+		}
+	}
+}
+
+// TestLoadRejectsArcsPastOffsets: a header claiming more arcs than 32-bit
+// offsets address is refused with ErrTooManyArcs before anything is read
+// or allocated but the stream's buffer.
+func TestLoadRejectsArcsPastOffsets(t *testing.T) {
+	b := binary.LittleEndian.AppendUint64(nil, fileMagic)
+	b = binary.LittleEndian.AppendUint32(b, fileVersion)
+	b = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(b, 4), math.MaxUint32+1)
+	data := append(b, make([]byte, 40)...) // five honest-looking offsets
+	var err error
+	alloc := totalAlloc(func() { _, err = Load(bytes.NewReader(data)) })
+	if !errors.Is(err, ErrTooManyArcs) {
+		t.Fatalf("err = %v, want ErrTooManyArcs", err)
+	}
+	if limit := int64(1<<20 + 4096); alloc > limit { // the bufio buffer and the error
+		t.Errorf("allocated %d bytes refusing the header (limit %d)", alloc, limit)
 	}
 }

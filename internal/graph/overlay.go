@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 )
@@ -197,16 +198,22 @@ func mergeSorted(dst, a, b []VertexID) int {
 // sorted and — by the ingest dedup WithEdges relies on — disjoint, so the
 // result is byte for byte what FromEdges builds from the union of the two
 // edge sets. One pass over the vertices, no sort, and the two result arrays
-// are the only allocations. ov must be non-nil and sized for base.
+// are the only allocations. ov must be non-nil and sized for base, and the
+// union must fit 32-bit offsets: MergeOverlay panics, naming the counts,
+// when CheckArcs refuses it (dyngraph refuses the ingest first).
 func MergeOverlay(base *Graph, ov *Overlay) *Graph {
+	arcs := uint64(len(base.Adjacency)) + uint64(ov.Arcs())
+	if err := CheckArcs(arcs); err != nil {
+		panic(fmt.Sprintf("graph: MergeOverlay of %d base and %d overlay arcs: %v", len(base.Adjacency), ov.Arcs(), err))
+	}
 	n := base.NumVertices()
-	offsets := make([]int64, n+1)
-	adj := make([]VertexID, int64(len(base.Adjacency))+ov.Arcs())
+	offsets := make([]uint32, n+1)
+	adj := make([]VertexID, arcs)
 	k := 0
 	for v := 0; v < n; v++ {
-		offsets[v] = int64(k)
+		offsets[v] = uint32(k)
 		k += mergeSorted(adj[k:], base.Neighbors(v), ov.Extra(v))
 	}
-	offsets[n] = int64(k)
+	offsets[n] = uint32(k)
 	return &Graph{Offsets: offsets, Adjacency: adj}
 }

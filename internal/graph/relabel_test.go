@@ -8,7 +8,7 @@ import (
 
 // clone copies g into storage of its own, to compare g against later.
 func clone(g *Graph) *Graph {
-	return &Graph{Offsets: append([]int64(nil), g.Offsets...), Adjacency: append([]VertexID(nil), g.Adjacency...)}
+	return &Graph{Offsets: append([]uint32(nil), g.Offsets...), Adjacency: append([]VertexID(nil), g.Adjacency...)}
 }
 
 func reversed(n int) []VertexID {
@@ -58,11 +58,11 @@ func TestRelabelRejectsAsymmetric(t *testing.T) {
 	}{
 		// 0 → 1 only: row 1 has degree 0 and is sent an arc past the array's
 		// end, where the runtime's bounds check stops the fill.
-		"overflow past the end": {&Graph{Offsets: []int64{0, 1, 1, 1}, Adjacency: []VertexID{1}}, "index out of range"},
+		"overflow past the end": {&Graph{Offsets: []uint32{0, 1, 1, 1}, Adjacency: []VertexID{1}}, "index out of range"},
 		// 1 → 0 only: row 0 (degree 0) takes the arc, row 1 (degree 1) gets none.
-		"overflow into the next row": {&Graph{Offsets: []int64{0, 0, 1, 1}, Adjacency: []VertexID{0}}, "asymmetric graph: new row 0 "},
+		"overflow into the next row": {&Graph{Offsets: []uint32{0, 0, 1, 1}, Adjacency: []VertexID{0}}, "asymmetric graph: new row 0 "},
 		// 0 → 2 and 2 → 1: every write lands inside the array, row 0 gets none.
-		"underfull row": {&Graph{Offsets: []int64{0, 1, 1, 2}, Adjacency: []VertexID{2, 1}}, "asymmetric graph: new row 0 "},
+		"underfull row": {&Graph{Offsets: []uint32{0, 1, 1, 2}, Adjacency: []VertexID{2, 1}}, "asymmetric graph: new row 0 "},
 	} {
 		func() {
 			defer func() {
@@ -79,7 +79,7 @@ func TestRelabelRejectsAsymmetric(t *testing.T) {
 // has in-degree = out-degree everywhere and comes back as its transpose.
 // Validate is what rejects it.
 func TestRelabelOfBalancedAsymmetricIsTranspose(t *testing.T) {
-	cycle := &Graph{Offsets: []int64{0, 1, 2, 3}, Adjacency: []VertexID{1, 2, 0}}
+	cycle := &Graph{Offsets: []uint32{0, 1, 2, 3}, Adjacency: []VertexID{1, 2, 0}}
 	if cycle.Validate() == nil {
 		t.Fatal("Validate accepts a directed cycle")
 	}

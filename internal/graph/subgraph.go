@@ -24,9 +24,9 @@ func InducedSubgraph(g *Graph, keep []bool) (*Graph, []VertexID) {
 		}
 	}
 
-	offsets := make([]int64, len(oldID)+1)
+	offsets := make([]uint32, len(oldID)+1)
 	for i, old := range oldID {
-		var deg int64
+		var deg uint32
 		for _, u := range g.Neighbors(int(old)) {
 			if keep[u] {
 				deg++

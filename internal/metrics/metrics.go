@@ -18,28 +18,37 @@ import (
 // belongs to, each counted once. This is the denominator-free numerator of
 // the GTEPS metric used throughout the paper's Section 5.
 type EdgeCounter struct {
-	comp      []int32
+	comp      []int32 // component of each vertex below the active prefix
 	compEdges []int64
+	n         int
 }
 
 // NewEdgeCounter analyzes g once; lookups are then O(1) per source.
-// It allocates only what it keeps: the component labeling's per-component
-// vertex counts are recounted in place as edge counts, each edge once.
+// It allocates only what it keeps, and only over g's active prefix: every
+// vertex past it is an isolated singleton with no edge to count. The
+// prefix's component labeling (graph.PrefixComponents) has its
+// per-component vertex counts recounted in place as edge counts, each
+// edge once.
 func NewEdgeCounter(g *graph.Graph) *EdgeCounter {
-	comp, edges := graph.Components(g)
+	comp, edges := graph.PrefixComponents(g)
 	clear(edges)
-	for v := 0; v < g.NumVertices(); v++ {
+	for v := range comp {
 		for _, u := range g.Neighbors(v) {
 			if graph.VertexID(v) < u {
 				edges[comp[v]]++
 			}
 		}
 	}
-	return &EdgeCounter{comp: comp, compEdges: edges}
+	return &EdgeCounter{comp: comp, compEdges: edges, n: g.NumVertices()}
 }
 
-// EdgesFor returns the Graph500 traversed-edge count for a BFS from source.
+// EdgesFor returns the Graph500 traversed-edge count for a BFS from source,
+// a vertex of the analyzed graph: 0 past its active prefix. A source
+// outside [0, n) panics.
 func (c *EdgeCounter) EdgesFor(source int) int64 {
+	if source >= len(c.comp) && source < c.n {
+		return 0
+	}
 	return c.compEdges[c.comp[source]]
 }
 

@@ -27,6 +27,18 @@ func TestEdgeCounter(t *testing.T) {
 	if got := c.EdgesForAll([]int{0, 3, 2}); got != 7 {
 		t.Errorf("EdgesForAll = %d, want 7", got)
 	}
+	// Vertex 5 is past the active prefix and answers 0; an id outside the
+	// graph is a caller's bug and panics.
+	for _, s := range []int{-1, 6} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EdgesFor(%d) on a 6-vertex graph did not panic", s)
+				}
+			}()
+			c.EdgesFor(s)
+		}()
+	}
 }
 
 func TestGTEPS(t *testing.T) {

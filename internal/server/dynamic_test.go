@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -182,6 +183,18 @@ func TestHTTPVersionGoneAndBackpressure(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("409 without Retry-After hint")
+	}
+}
+
+// A batch past the CSR arc limit can never be ingested: 507, with no
+// Retry-After, unlike the 409 of compaction lag. (A graph that reaches
+// the limit has 2^32 arcs; dyngraph's TestArcLimit lowers the limit to
+// produce the error itself.)
+func TestHTTPArcLimitIs507(t *testing.T) {
+	rec := httptest.NewRecorder()
+	(&Server{}).writeSubmitError(rec, fmt.Errorf("%w: 4294967296 arcs", dyngraph.ErrArcLimit))
+	if rec.Code != http.StatusInsufficientStorage || rec.Header().Get("Retry-After") != "" {
+		t.Errorf("ErrArcLimit mapped to %d (Retry-After %q), want 507 without a retry hint", rec.Code, rec.Header().Get("Retry-After"))
 	}
 }
 

@@ -260,6 +260,10 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 		// retryable — 409.
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusConflict, err)
+	case errors.Is(err, dyngraph.ErrArcLimit):
+		// The graph cannot grow by this batch at all: more arcs than a
+		// CSR holds. Not retryable.
+		writeError(w, http.StatusInsufficientStorage, err)
 	case errors.Is(err, dyngraph.ErrClosed):
 		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, ErrQueueFull):

@@ -61,8 +61,12 @@ func NewGraph(n int, edges []Edge) *Graph {
 // NewGraphFromAdjacency wraps a prebuilt CSR structure (advanced use). The
 // offsets/adjacency arrays are used as is and must satisfy the CSR
 // invariants — the parallel kernels rely on ascending neighbor lists;
-// Validate reports violations.
-func NewGraphFromAdjacency(offsets []int64, adjacency []uint32) *Graph {
+// Validate reports violations. It panics on more adjacency entries than
+// 32-bit offsets address.
+func NewGraphFromAdjacency(offsets, adjacency []uint32) *Graph {
+	if err := graph.CheckArcs(uint64(len(adjacency))); err != nil {
+		panic(err)
+	}
 	return &Graph{g: &graph.Graph{Offsets: offsets, Adjacency: adjacency}}
 }
 
@@ -117,7 +121,7 @@ func (g *Graph) Validate() error { return g.g.Validate() }
 // adjacency[offsets[v]:offsets[v+1]]. Both slices alias the graph's
 // storage and must not be modified. The cluster coordinator uses this to
 // slice per-shard sub-CSRs without copying the whole graph.
-func (g *Graph) CSR() (offsets []int64, adjacency []uint32) {
+func (g *Graph) CSR() (offsets, adjacency []uint32) {
 	return g.g.Offsets, g.g.Adjacency
 }
 

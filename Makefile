@@ -57,9 +57,11 @@ server-race:
 # state, twenty times over: one green `make test` says little about an
 # assertion that fails one uncached run in N (ROADMAP item 2). Not part of
 # `ci`; the workflow runs it as a job of its own, which blocks (0 failures
-# in 200 runs of each package).
+# in 200 runs of each package). bfsd's daemon tests (TestRun*) boot real
+# listeners on reserved ports; they repeat 200 times (about 10 s).
 flake:
 	$(GO) test -count=20 ./internal/bench ./internal/perf ./internal/obs ./internal/server
+	$(GO) test -count=200 -run '^TestRun' ./cmd/bfsd
 
 # cluster-test = the sharded-BFS suite under the race detector: the whole
 # cluster package (delta codec, wire layer, in-process multi-shard harness

@@ -140,3 +140,31 @@ func TestGenerateThenRelabelAllocatesOneArcArray(t *testing.T) {
 		t.Errorf("relabeled adjacency holds %d arcs on a %d-arc array", len(adj), cap(adj))
 	}
 }
+
+// The textbook BFS allocates its level array and one n-entry queue, sized
+// once (each vertex is enqueued at most once), plus the two result structs:
+// no queue regrowth, whatever the source reaches. The byte count is the
+// least of three single calls, so a stray allocation elsewhere in the
+// process (a finished test's goroutine) cannot land in it.
+func TestSequentialBFSAllocs(t *testing.T) {
+	g := GenerateKronecker(16, 16, 20170321)
+	source := g.RandomSources(1, 20170321)[0]
+	n := uint64(g.NumVertices())
+
+	got := uint64(1<<63 - 1)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		g.SequentialBFS(source)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	if want := 8*n + 1024; got > want {
+		t.Errorf("SequentialBFS allocated %d B (%.1f·n), want <= 8·n + 1 KiB = %d B", got, float64(got)/float64(n), want)
+	}
+
+	if allocs := testing.AllocsPerRun(5, func() { g.SequentialBFS(source) }); allocs > 4 {
+		t.Errorf("SequentialBFS: %.0f allocs/call, want <= 4 (two n-entry arrays and two result structs)", allocs)
+	}
+}

@@ -256,7 +256,8 @@ func (g *Graph) ValidateBFSTree(source int, levels []int32, parents []int64) err
 }
 
 // SequentialBFS runs the textbook FIFO-queue BFS; useful as a baseline and
-// for verifying results. It always records levels.
+// for verifying results. It always records levels, and allocates two
+// n-entry arrays per call: the level array it returns and one queue.
 func (g *Graph) SequentialBFS(source int) *Result {
 	g.checkSource(source)
 	r := core.ReferenceBFS(g.g, source)

@@ -20,16 +20,21 @@ func testLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// freeAddr reserves an ephemeral port and returns it for the daemon.
-func freeAddr(t *testing.T) string {
+// freeAddrs reserves k distinct ephemeral ports for the daemon: it holds
+// every listener open until all k addresses are read, so no two of them can
+// be the same port, and only then closes them.
+func freeAddrs(t *testing.T, k int) []string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, k)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		addrs[i] = l.Addr().String()
 	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
+	return addrs
 }
 
 func TestGraphFlags(t *testing.T) {
@@ -74,8 +79,8 @@ func TestNewLogger(t *testing.T) {
 // free ports, queries both, then delivers SIGTERM and expects a clean
 // drain that also takes the debug listener down.
 func TestRunServesAndDrains(t *testing.T) {
-	addr := freeAddr(t)
-	debugAddr := freeAddr(t)
+	addrs := freeAddrs(t, 2)
+	addr, debugAddr := addrs[0], addrs[1]
 
 	done := make(chan error, 1)
 	go func() {
@@ -168,8 +173,8 @@ func TestRunServesAndDrains(t *testing.T) {
 // coordinator daemon serving one graph from them, queries it, then SIGTERMs
 // the lot and expects every mode to drain cleanly.
 func TestRunClusterMode(t *testing.T) {
-	shardA, shardB := freeAddr(t), freeAddr(t)
-	addr := freeAddr(t)
+	addrs := freeAddrs(t, 3)
+	shardA, shardB, addr := addrs[0], addrs[1], addrs[2]
 
 	shardDone := make(chan error, 2)
 	for _, sa := range []string{shardA, shardB} {

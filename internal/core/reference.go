@@ -24,7 +24,9 @@ func ReferenceBFSOverlay(g *graph.Graph, ov *graph.Overlay, source int) *Result 
 		levels[i] = NoLevel
 	}
 	start := time.Now()
-	queue := make([]graph.VertexID, 0, 1024)
+	// Each vertex is enqueued at most once, so an n-entry queue never
+	// grows: the level array and this queue are its only n-sized arrays.
+	queue := make([]graph.VertexID, 0, n)
 	levels[source] = 0
 	queue = append(queue, graph.VertexID(source))
 	var visited int64 = 1

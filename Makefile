@@ -5,7 +5,7 @@ PKGS := ./...
 # rewritten by tooling; everything else is held to gofmt.
 GOFILES := $(shell git ls-files '*.go' | grep -v '/testdata/')
 
-.PHONY: all build test lint vet gate gate-update race server-race flake cluster-test dyn-test debug ci fmt serve perf perf-compare bench fuzz-smoke obs-smoke loc
+.PHONY: all build test lint vet gate gate-update race server-race flake cluster-test dyn-test debug ci fmt serve perf bench fuzz-smoke obs-smoke loc
 
 all: build
 
@@ -98,16 +98,12 @@ SERVE_ADDR  ?= :8080
 serve:
 	$(GO) run ./cmd/bfsd -graph $(SERVE_GRAPH) -addr $(SERVE_ADDR)
 
-# perf = run the pinned benchmark suite and write BENCH_<sha>.json (see
-# docs/BENCHMARKS.md). PERF_FLAGS=-quick for the CI-sized variant.
+# perf = run the pinned benchmark suite and write BENCH_<sha>.json with its
+# ratio rows; fails when a gated ratio row does (see docs/BENCHMARKS.md).
+# PERF_FLAGS=-quick for the CI-sized variant.
 PERF_FLAGS ?=
 perf:
 	$(GO) run ./cmd/bfsperf run $(PERF_FLAGS)
-
-# perf-compare = noise-aware gate between two reports:
-#   make perf-compare OLD=BENCH_abc.json NEW=BENCH_def.json
-perf-compare:
-	$(GO) run ./cmd/bfsperf compare $(OLD) $(NEW)
 
 # bench = the repository benchmark BENCHMARK.json declares: five windowed
 # workloads, end-to-end and per-layer metrics (see benchmark/README.md).

@@ -1,20 +1,20 @@
-// Command bfsperf is the performance-regression harness CLI.
+// Command bfsperf runs the pinned kernel-variant suite.
 //
 //	bfsperf run [-quick] [-out file] [-scale N] [-sources N] [-workers N]
 //	            [-reps N] [-warmup N] [-seed N] [-handicap name=factor]
-//	bfsperf compare [-strict] old.json new.json
 //	bfsperf list
 //
 // `run` executes the pinned scenario suite under the fixed measurement
 // protocol and writes a versioned JSON report, by default BENCH_<sha>.json
-// in the current directory — the repo's perf trajectory file. `compare`
-// joins two reports and applies the noise-aware gate, exiting nonzero on a
-// confirmed regression (median beyond the scenario threshold AND separated
-// bootstrap confidence intervals). Reports taken on different machines are
-// compared advisorily unless -strict. See docs/BENCHMARKS.md.
+// in the current directory — the repo's perf trajectory file. The report
+// carries its own ratio rows, one scenario's median over another's; `run`
+// exits nonzero when a gated ratio row fails (the paper's claim:
+// mspbfs/auto-large below msbfs/sequential-large). Reports are never
+// compared with each other. See docs/BENCHMARKS.md.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,8 +34,6 @@ func main() {
 	switch os.Args[1] {
 	case "run":
 		err = runCmd(os.Args[2:], os.Stdout)
-	case "compare":
-		err = compareCmd(os.Args[2:], os.Stdout)
 	case "list":
 		err = listCmd(os.Stdout)
 	case "-h", "--help", "help":
@@ -56,7 +54,6 @@ func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
   bfsperf run [-quick] [-out file] [-scale N] [-sources N] [-workers N]
               [-reps N] [-warmup N] [-seed N] [-handicap name=factor] [-v]
-  bfsperf compare [-strict] old.json new.json
   bfsperf list
 `)
 }
@@ -95,7 +92,7 @@ func runCmd(args []string, stdout io.Writer) error {
 	)
 	handicaps := handicapFlags{}
 	fs.Var(handicaps, "handicap",
-		"inflate a scenario's timings by a factor (name=factor, repeatable; gate self-test)")
+		"inflate a scenario's timings by a factor (name=factor, repeatable; ratio gate self-test)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -132,52 +129,30 @@ func runCmd(args []string, stdout io.Writer) error {
 	}
 	report.WriteTable(stdout)
 	fmt.Fprintf(stdout, "wrote %s\n", path)
-	return nil
+	return gate(report)
 }
 
-// errRegression marks a gated compare failure (exit 1 without the
-// "bfsperf:" prefix noise being the only signal).
-type errRegression struct{ count int }
+// errRatioGate marks a run whose report has a gated ratio row at or past
+// its bound.
+var errRatioGate = errors.New("ratio gate failed")
 
-func (e errRegression) Error() string {
-	return fmt.Sprintf("%d confirmed regression(s)", e.count)
-}
-
-func compareCmd(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("bfsperf compare", flag.ContinueOnError)
-	strict := fs.Bool("strict", false,
-		"gate regressions even when the reports' environments differ")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("compare takes exactly two report paths, got %v", fs.Args())
-	}
-	oldRep, err := perf.ReadReportFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	newRep, err := perf.ReadReportFile(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	cmp := perf.Compare(oldRep, newRep)
-	cmp.WriteTable(stdout)
-	if n := cmp.Regressions(); n > 0 {
-		if cmp.Gate(*strict) {
-			return errRegression{count: n}
+// gate fails a report with a gated ratio row at or past its bound.
+func gate(report *perf.Report) error {
+	var failed []string
+	for _, q := range report.Ratios {
+		if q.Failed() {
+			failed = append(failed, fmt.Sprintf("%s = %.3f, bound < %g", q.Name(), q.Value, q.Bound))
 		}
-		fmt.Fprintf(stdout, "%d regression(s) observed but environments differ; advisory only (use -strict to gate)\n", n)
-	} else {
-		fmt.Fprintln(stdout, "no confirmed regressions")
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("%w: %s", errRatioGate, strings.Join(failed, "; "))
 	}
 	return nil
 }
 
 func listCmd(stdout io.Writer) error {
 	for _, s := range perf.Scenarios() {
-		fmt.Fprintf(stdout, "%-22s %s (unit: %s, gate: %.0f%%)\n",
-			s.Name, s.Title, s.WorkUnit, perf.Threshold(s.Name)*100)
+		fmt.Fprintf(stdout, "%-22s %s (unit: %s)\n", s.Name, s.Title, s.WorkUnit)
 	}
 	return nil
 }

@@ -62,21 +62,27 @@ var (
 // meet; a test lowers it to reach the refusal without a 2^32-arc graph.
 var checkArcs = graph.CheckArcs
 
+// mergeOverlay is graph.MergeOverlay, a compaction's one CSR build; a test
+// holds it to land ingest while a merge runs.
+var mergeOverlay = graph.MergeOverlay
+
 // Config tunes a DynGraph. The zero value is usable.
 type Config struct {
 	// MaxDelta caps the uncompacted overlay, in stored arcs (2 per
 	// undirected edge). ApplyEdges fails with ErrCompactionLag beyond it.
 	// <=0: 1<<20 arcs (~4 MiB of delta).
 	MaxDelta int64
-	// CompactThreshold is the overlay arc count that kicks the background
-	// compactor (<=0: MaxDelta/2). Only meaningful with AutoCompact.
+	// CompactThreshold is the overlay arc count at which the background
+	// compactor merges (<=0: MaxDelta/2). Only meaningful with AutoCompact.
 	CompactThreshold int64
 	// Retain is how many recent versions stay pinnable (<=0: 8). Older
 	// versions are evicted as new ones are published; acquiring an evicted
 	// version returns ErrVersionGone.
 	Retain int
 	// AutoCompact starts a background goroutine that compacts whenever the
-	// delta crosses CompactThreshold. Without it, call Compact explicitly.
+	// delta has reached CompactThreshold, or an ingest was refused with
+	// ErrCompactionLag since the last compaction (a batch larger than the
+	// space left). Without it, call Compact explicitly.
 	AutoCompact bool
 	// Tracer, when non-nil, records ingest and compaction phase spans in
 	// the flight recorder alongside the traversal spans.
@@ -137,6 +143,7 @@ type DynGraph struct {
 	order      []uint64  // retained versions, ascending
 	log        []logEdge // edges newer than cur.gen.base, i.e. not yet compacted
 	compacting bool
+	lagged     bool // an ingest was refused with ErrCompactionLag; a publishing compaction clears it
 	closed     bool
 
 	kick chan struct{} // wakes the background compactor
@@ -275,6 +282,7 @@ func (d *DynGraph) ApplyEdges(edges []graph.Edge) (ApplyResult, error) {
 	}
 	if delta+int64(add) > d.cfg.MaxDelta {
 		d.ingestRejected.Add(1)
+		d.lagged = true
 		d.kickCompactorLocked()
 		return ApplyResult{}, fmt.Errorf("%w: %d arcs + %d new > max %d",
 			ErrCompactionLag, delta, add, d.cfg.MaxDelta)
@@ -448,10 +456,13 @@ func (d *DynGraph) kickCompactorLocked() {
 	}
 }
 
+// compactLoop merges only when a merge is due as it wakes: a kick buffered
+// while a merge ran would otherwise rewrite the whole CSR for the few
+// batches ingested meanwhile.
 func (d *DynGraph) compactLoop() {
 	defer close(d.done)
 	for range d.kick {
-		d.Compact() //nolint:errcheck // closed/empty are expected terminal states
+		d.compact(true) //nolint:errcheck // closed/empty are expected terminal states
 	}
 }
 
@@ -465,13 +476,18 @@ func (d *DynGraph) compactLoop() {
 // retired (and its arena poisoned) once no view references it. Returns
 // false when there was nothing to compact or a compaction was already
 // running.
-func (d *DynGraph) Compact() (bool, error) {
+func (d *DynGraph) Compact() (bool, error) { return d.compact(false) }
+
+// compact is Compact; with dueOnly it also returns false while the delta
+// is below CompactThreshold and no ingest was refused for lag.
+func (d *DynGraph) compact(dueOnly bool) (bool, error) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return false, ErrClosed
 	}
-	if d.compacting || len(d.log) == 0 {
+	due := d.lagged || d.cur.ov.Arcs() >= d.cfg.CompactThreshold
+	if d.compacting || len(d.log) == 0 || (dueOnly && !due) {
 		d.mu.Unlock()
 		return false, nil
 	}
@@ -485,7 +501,7 @@ func (d *DynGraph) Compact() (bool, error) {
 	horizon := snap.Version()
 	what := fmt.Sprintf("v%d, %d delta edges", horizon, snap.v.ov.Arcs()/2)
 	sp := d.cfg.Tracer.StartSpan("dyngraph-compact", what)
-	base := graph.MergeOverlay(snap.v.gen.base, snap.v.ov)
+	base := mergeOverlay(snap.v.gen.base, snap.v.ov)
 	snap.Release()
 	newGen := &generation{
 		base: base,
@@ -526,6 +542,7 @@ func (d *DynGraph) Compact() (bool, error) {
 	// Keep only the uncompacted suffix of the log.
 	d.log = append([]logEdge(nil), d.log[cut:]...)
 	d.compacting = false
+	d.lagged = false
 	d.compactions.Add(1)
 	d.compactSeconds.RecordDuration(time.Since(compactStart))
 	return true, nil

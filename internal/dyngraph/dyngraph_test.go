@@ -474,6 +474,135 @@ func TestAutoCompact(t *testing.T) {
 	d.Close()
 }
 
+// syncCompactor returns once the background compactor has finished with
+// every kick buffered before the call: two blocking sends on the one-slot
+// kick channel complete only after the loop took the buffered kick and then
+// came back for the next one.
+func syncCompactor(d *DynGraph) {
+	d.kick <- struct{}{}
+	d.kick <- struct{}{}
+}
+
+// TestCompactorMergesOnlyWhenDue holds the first background merge while a
+// small batch lands. That batch kicks the compactor again, since the
+// current view's delta is still past the threshold, but once the merge
+// publishes, only the small batch is left: the buffered kick must not start
+// a second full merge for it.
+func TestCompactorMergesOnlyWhenDue(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var merged []int64 // arcs each merge folded, appended by the compactor
+	defer func(m func(*graph.Graph, *graph.Overlay) *graph.Graph) { mergeOverlay = m }(mergeOverlay)
+	mergeOverlay = func(g *graph.Graph, ov *graph.Overlay) *graph.Graph {
+		merged = append(merged, ov.Arcs())
+		if len(merged) == 1 {
+			close(entered)
+			<-release
+		}
+		return graph.MergeOverlay(g, ov)
+	}
+	const n = 128
+	d := New(msbfs.NewGraph(n, nil), Config{
+		MaxDelta: 1 << 10, CompactThreshold: 100, AutoCompact: true,
+	})
+	defer d.Close()
+	edges := randomEdges(n, 60, 11)
+	if _, err := d.ApplyEdges(edges[:50]); err != nil { // 100 arcs: due
+		t.Fatal(err)
+	}
+	<-entered
+	if _, err := d.ApplyEdges(edges[50:]); err != nil { // 20 arcs more, kicks again
+		t.Fatal(err)
+	}
+	close(release)
+	syncCompactor(d)
+	if st := d.Stats(); st.Compactions != 1 || st.DeltaArcs != 20 || len(merged) != 1 {
+		t.Fatalf("after one due merge: %d compactions folding %v arcs, %d delta arcs left; want 1 folding [100], 20 left",
+			st.Compactions, merged, st.DeltaArcs)
+	}
+}
+
+// TestCompactorMergesAfterLag: a batch larger than the space the delta has
+// left is refused with ErrCompactionLag while the delta is still below the
+// threshold. The refusal makes a merge due, so the retried batch fits.
+func TestCompactorMergesAfterLag(t *testing.T) {
+	const n = 128
+	d := New(msbfs.NewGraph(n, nil), Config{
+		MaxDelta: 100, CompactThreshold: 50, AutoCompact: true,
+	})
+	defer d.Close()
+	edges := randomEdges(n, 55, 13)
+	if _, err := d.ApplyEdges(edges[:10]); err != nil { // 20 arcs: not due
+		t.Fatal(err)
+	}
+	syncCompactor(d)
+	if st := d.Stats(); st.Compactions != 0 {
+		t.Fatalf("%d compactions below the threshold, want 0", st.Compactions)
+	}
+	if _, err := d.ApplyEdges(edges[10:]); !errors.Is(err, ErrCompactionLag) { // 20 + 90 > 100
+		t.Fatalf("want ErrCompactionLag, got %v", err)
+	}
+	syncCompactor(d)
+	if st := d.Stats(); st.Compactions != 1 || st.DeltaArcs != 0 {
+		t.Fatalf("after the refusal: %d compactions, %d delta arcs; want 1, 0", st.Compactions, st.DeltaArcs)
+	}
+	if _, err := d.ApplyEdges(edges[10:]); err != nil {
+		t.Fatalf("retry after the lag merge: %v", err)
+	}
+}
+
+// TestCompactorLagClearedByMerge: the merge a lag refusal made due clears
+// the refusal, so a later small batch below the threshold stays in the
+// delta however often the compactor wakes.
+func TestCompactorLagClearedByMerge(t *testing.T) {
+	const n = 128
+	d := New(msbfs.NewGraph(n, nil), Config{
+		MaxDelta: 100, CompactThreshold: 50, AutoCompact: true,
+	})
+	defer d.Close()
+	edges := randomEdges(n, 60, 13)
+	if _, err := d.ApplyEdges(edges[:10]); err != nil { // 20 arcs: not due
+		t.Fatal(err)
+	}
+	if _, err := d.ApplyEdges(edges[10:55]); !errors.Is(err, ErrCompactionLag) { // 20 + 90 > 100
+		t.Fatalf("want ErrCompactionLag, got %v", err)
+	}
+	syncCompactor(d)
+	if _, err := d.ApplyEdges(edges[55:]); err != nil { // 10 arcs: not due
+		t.Fatal(err)
+	}
+	// The first sync's own kicks wake the compactor with the small batch
+	// in the delta; the second waits out whatever they started.
+	syncCompactor(d)
+	syncCompactor(d)
+	if st := d.Stats(); st.Compactions != 1 || st.DeltaArcs != 10 {
+		t.Fatalf("%d compactions, %d delta arcs left; want the lag merge only and 10 left",
+			st.Compactions, st.DeltaArcs)
+	}
+}
+
+// TestCompactIgnoresThreshold: the background compactor leaves a delta
+// below the threshold alone, but an explicit Compact merges it.
+func TestCompactIgnoresThreshold(t *testing.T) {
+	const n = 128
+	d := New(msbfs.NewGraph(n, nil), Config{
+		MaxDelta: 1 << 10, CompactThreshold: 100, AutoCompact: true,
+	})
+	defer d.Close()
+	if _, err := d.ApplyEdges(randomEdges(n, 10, 17)); err != nil { // 20 arcs: not due
+		t.Fatal(err)
+	}
+	syncCompactor(d)
+	if st := d.Stats(); st.Compactions != 0 || st.DeltaArcs != 20 {
+		t.Fatalf("background compactor: %d compactions, %d delta arcs; want 0 and 20", st.Compactions, st.DeltaArcs)
+	}
+	if ok, err := d.Compact(); err != nil || !ok {
+		t.Fatalf("explicit Compact below the threshold = %v, %v; want a merge", ok, err)
+	}
+	if st := d.Stats(); st.Compactions != 1 || st.DeltaArcs != 0 {
+		t.Fatalf("after Compact: %d compactions, %d delta arcs; want 1 and 0", st.Compactions, st.DeltaArcs)
+	}
+}
+
 // totalAlloc returns the bytes f allocates, live or not: compaction's
 // transients are what set an ingesting server's peak RSS.
 func totalAlloc(f func()) int64 {

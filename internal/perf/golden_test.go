@@ -34,9 +34,13 @@ func scrub(r *Report) *Report {
 	for i := range s.Scenarios {
 		row := &s.Scenarios[i]
 		row.SamplesNs = nil
-		row.MedianNs, row.MADNs, row.CILoNs, row.CIHiNs = 0, 0, 0, 0
+		row.MedianNs, row.MADNs = 0, 0
 		row.Rate, row.GTEPS = 0, 0
 		row.Run = nil
+	}
+	s.Ratios = append([]Ratio(nil), r.Ratios...)
+	for i := range s.Ratios {
+		s.Ratios[i].Value = 0
 	}
 	return &s
 }
@@ -52,7 +56,8 @@ func marshalScrubbed(t *testing.T, r *Report) []byte {
 
 // TestQuickReportGolden runs the quick suite and checks every
 // non-timing field — schema version, config echo, scenario names, units,
-// work accounting — against the committed golden file.
+// work accounting, the ratio rows' names and bounds — against the
+// committed golden file.
 func TestQuickReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the measured suite; skipped with -short")
@@ -94,15 +99,19 @@ func TestQuickReportGolden(t *testing.T) {
 		if row.Name != names[i] {
 			t.Errorf("row %d: name %q, want %q (order is part of the schema)", i, row.Name, names[i])
 		}
-		if row.MedianNs <= 0 || row.CILoNs > row.MedianNs || row.MedianNs > row.CIHiNs {
-			t.Errorf("%s: implausible stats median=%d ci=[%d,%d]",
-				row.Name, row.MedianNs, row.CILoNs, row.CIHiNs)
+		if row.MedianNs <= 0 || row.MADNs < 0 {
+			t.Errorf("%s: implausible stats median=%d mad=%d", row.Name, row.MedianNs, row.MADNs)
 		}
 		if row.WorkPerOp <= 0 {
 			t.Errorf("%s: no work accounted", row.Name)
 		}
 		if row.WorkUnit == UnitEdgesTraversed && row.GTEPS <= 0 {
 			t.Errorf("%s: traversal scenario without GTEPS", row.Name)
+		}
+	}
+	for _, q := range report.Ratios {
+		if q.Value <= 0 {
+			t.Errorf("ratio %s = %g", q.Name(), q.Value)
 		}
 	}
 }

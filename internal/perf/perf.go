@@ -1,4 +1,5 @@
-// Package perf is the repo's noise-aware performance-regression harness.
+// Package perf is the repo's pinned kernel-variant suite and its ratio
+// gate.
 //
 // It runs a pinned suite of named scenarios — the paper's kernels
 // (MS-PBFS under forced and automatic direction, SMS-PBFS in both state
@@ -9,13 +10,15 @@
 // repetitions taken interleaved across scenarios so drift and background
 // noise spread evenly instead of biasing whichever scenario ran last.
 //
-// Each scenario is summarized by median, MAD and a bootstrap confidence
-// interval of the median, and the whole run is written as a versioned JSON
-// report (BENCH_<sha>.json) carrying an environment fingerprint. Compare
-// gates a regression only when the confidence intervals separate AND the
-// median delta exceeds the scenario's threshold — CI separation filters
-// noise, the threshold filters statistically-real-but-trivial drift. See
-// docs/BENCHMARKS.md for the protocol and schema.
+// Each scenario is summarized by its median and MAD, and the whole run is
+// written as a versioned JSON report (BENCH_<sha>.json) carrying an
+// environment fingerprint and the report's ratio rows: one scenario's
+// median over another's, such as the cost of the overlay or of
+// distribution. Reports are never judged against each other, since a
+// delta between two files measures the host as much as the code; a gated
+// ratio row (the paper's claim, parallel MS-PBFS below sequential MS-BFS
+// on the large fixture) fails the run instead. See docs/BENCHMARKS.md for
+// the protocol and schema.
 package perf
 
 import (
@@ -47,14 +50,14 @@ type Config struct {
 	Warmup int
 	// Reps is the measured repetition count (<=0: 15, Quick 7).
 	Reps int
-	// Seed drives graph generation, source selection and the bootstrap
-	// (0: 20170321, the figure experiments' seed).
+	// Seed drives graph generation and source selection (0: 20170321, the
+	// figure experiments' seed).
 	Seed uint64
 	// Handicaps artificially inflates named scenarios' recorded timings by
 	// the given factor (e.g. 2 doubles them). It exists to validate the
-	// compare gate end to end — an injected 2x slowdown must be flagged —
-	// and is recorded in the report so a handicapped run is never mistaken
-	// for a baseline.
+	// ratio gate end to end — mspbfs/auto-large handicapped 8x must fail
+	// the paper's-claim row — and is recorded in the report so a
+	// handicapped run is never mistaken for a clean one.
 	Handicaps map[string]float64
 	// Out receives progress lines; nil discards them.
 	Out io.Writer
@@ -127,7 +130,8 @@ type Sample struct {
 }
 
 // Scenario is one named, pinned benchmark. Names are part of the JSON
-// schema — comparisons join on them — so renames are schema changes.
+// schema — the ratio rows and the trajectory name them — so renames are
+// schema changes.
 type Scenario struct {
 	Name     string
 	Title    string

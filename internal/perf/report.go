@@ -15,13 +15,12 @@ import (
 )
 
 // SchemaVersion identifies the BENCH_<sha>.json layout. Bump it on any
-// field rename or semantic change; ReadReport rejects unknown versions so a
-// compare never silently joins incompatible reports.
-const SchemaVersion = 1
+// field rename or semantic change. Version 2 added the ratio rows and
+// dropped the per-row bootstrap interval.
+const SchemaVersion = 2
 
 // Environment fingerprints the machine and toolchain a report was taken
-// on. Compare treats reports from non-comparable environments as advisory:
-// cross-host timing deltas are not regressions.
+// on.
 type Environment struct {
 	GitSHA     string `json:"git_sha"`
 	GitDirty   bool   `json:"git_dirty"`
@@ -53,15 +52,7 @@ func CaptureEnvironment() Environment {
 	return env
 }
 
-// Comparable reports whether timing deltas between the two environments
-// can be attributed to the code rather than the machine.
-func (e Environment) Comparable(o Environment) bool {
-	return e.GoVersion == o.GoVersion && e.GOOS == o.GOOS && e.GOARCH == o.GOARCH &&
-		e.NumCPU == o.NumCPU && e.GOMAXPROCS == o.GOMAXPROCS
-}
-
-// RunConfig records the suite sizing a report was produced with. Compare
-// refuses to join reports with different workloads.
+// RunConfig records the suite sizing a report was produced with.
 type RunConfig struct {
 	Quick      bool               `json:"quick"`
 	Scale      int                `json:"scale"`
@@ -72,14 +63,6 @@ type RunConfig struct {
 	Reps       int                `json:"reps"`
 	Seed       uint64             `json:"seed"`
 	Handicaps  map[string]float64 `json:"handicaps,omitempty"`
-}
-
-// sameWorkload reports whether two configs describe the same measured work
-// (handicaps excluded — comparing a handicapped run against a clean one is
-// exactly how the gate is validated).
-func (c RunConfig) sameWorkload(o RunConfig) bool {
-	return c.Quick == o.Quick && c.Scale == o.Scale && c.LargeScale == o.LargeScale &&
-		c.Sources == o.Sources && c.Workers == o.Workers && c.Seed == o.Seed
 }
 
 // Row is one scenario's measured summary. All *_ns fields are nanoseconds
@@ -93,8 +76,6 @@ type Row struct {
 	SamplesNs []int64 `json:"samples_ns"`
 	MedianNs  int64   `json:"median_ns"`
 	MADNs     int64   `json:"mad_ns"`
-	CILoNs    int64   `json:"ci_lo_ns"`
-	CIHiNs    int64   `json:"ci_hi_ns"`
 	// Rate is WorkPerOp per second at the median; GTEPS is Rate/1e9 for
 	// edges-traversed scenarios and 0 otherwise.
 	Rate  float64 `json:"rate_median"`
@@ -111,6 +92,8 @@ type Report struct {
 	Env           Environment `json:"env"`
 	Config        RunConfig   `json:"config"`
 	Scenarios     []Row       `json:"scenarios"`
+	// Ratios are the layer ratios computed from Scenarios' medians.
+	Ratios []Ratio `json:"ratios"`
 }
 
 // Row returns the named scenario's row, or nil.
@@ -156,60 +139,24 @@ func (r *Report) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadReport parses and validates a report.
-func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	dec := json.NewDecoder(rd)
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("perf: parsing report: %w", err)
-	}
-	if r.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("perf: report schema version %d, this build reads %d",
-			r.SchemaVersion, SchemaVersion)
-	}
-	if len(r.Scenarios) == 0 {
-		return nil, fmt.Errorf("perf: report has no scenario rows")
-	}
-	for _, row := range r.Scenarios {
-		if row.Name == "" || len(row.SamplesNs) == 0 {
-			return nil, fmt.Errorf("perf: malformed scenario row %+v", row)
-		}
-	}
-	return &r, nil
-}
-
-// ReadReportFile reads and validates the report at path.
-func ReadReportFile(path string) (*Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := ReadReport(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
-}
-
-// WriteTable renders the per-scenario medians as an aligned text table.
+// WriteTable renders the per-scenario medians as an aligned text table,
+// with the ratio rows under it.
 func (r *Report) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "suite: scale=%d sources=%d workers=%d reps=%d seed=%d quick=%v\n",
 		r.Config.Scale, r.Config.Sources, r.Config.Workers, r.Config.Reps,
 		r.Config.Seed, r.Config.Quick)
 	fmt.Fprintf(w, "env: %s%s go=%s cpus=%d\n", r.Env.GitSHA,
 		dirtyMark(r.Env.GitDirty), r.Env.GoVersion, r.Env.NumCPU)
-	fmt.Fprintf(w, "%-22s %14s %12s %14s %10s\n",
-		"scenario", "median", "±MAD", "95% CI", "GTEPS")
+	fmt.Fprintf(w, "%-22s %14s %12s %10s\n", "scenario", "median", "±MAD", "GTEPS")
 	for _, row := range r.Scenarios {
-		ci := fmt.Sprintf("[%s, %s]", shortDur(row.CILoNs), shortDur(row.CIHiNs))
 		gteps := "-"
 		if row.GTEPS > 0 {
 			gteps = fmt.Sprintf("%.3f", row.GTEPS)
 		}
-		fmt.Fprintf(w, "%-22s %14s %12s %14s %10s\n",
-			row.Name, shortDur(row.MedianNs), shortDur(row.MADNs), ci, gteps)
+		fmt.Fprintf(w, "%-22s %14s %12s %10s\n",
+			row.Name, shortDur(row.MedianNs), shortDur(row.MADNs), gteps)
 	}
+	r.writeRatios(w)
 }
 
 func dirtyMark(dirty bool) string {

@@ -13,8 +13,8 @@ import (
 // every scenario once, in suite order, before repetition r+1 starts.
 // Interleaving spreads slow machine-state drift (thermal throttling, a
 // background compile) across all scenarios instead of concentrating it in
-// whichever scenario happened to run during the disturbance, which is what
-// makes back-to-back reports comparable.
+// whichever scenario happened to run during the disturbance: a ratio row
+// divides two scenarios' medians, so both must see the same drift.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	for name, factor := range cfg.Handicaps {
@@ -60,7 +60,7 @@ func Run(cfg Config) (*Report, error) {
 		fmt.Fprintf(cfg.out(), "perf: rep %d/%d done\n", r+1, cfg.Reps)
 	}
 	for _, name := range sortedHandicapNames(cfg.Handicaps) {
-		fmt.Fprintf(cfg.out(), "perf: NOTE scenario %s handicapped x%g (gate self-test)\n",
+		fmt.Fprintf(cfg.out(), "perf: NOTE scenario %s handicapped x%g (ratio gate self-test)\n",
 			name, cfg.Handicaps[name])
 	}
 
@@ -83,7 +83,6 @@ func Run(cfg Config) (*Report, error) {
 	for i, s := range scens {
 		a := accs[i]
 		med := median(a.samples)
-		lo, hi := bootstrapCI(a.samples, 0.95, cfg.Seed^hashName(s.Name))
 		row := Row{
 			Name:      s.Name,
 			Title:     s.Title,
@@ -93,8 +92,6 @@ func Run(cfg Config) (*Report, error) {
 			SamplesNs: a.samples,
 			MedianNs:  med,
 			MADNs:     mad(a.samples),
-			CILoNs:    lo,
-			CIHiNs:    hi,
 		}
 		if med > 0 {
 			row.Rate = float64(a.last.Work) / (float64(med) / 1e9)
@@ -108,5 +105,6 @@ func Run(cfg Config) (*Report, error) {
 		}
 		report.Scenarios = append(report.Scenarios, row)
 	}
+	report.Ratios = report.ratios()
 	return report, nil
 }

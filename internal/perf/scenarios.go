@@ -27,7 +27,7 @@ type suiteEnv struct {
 	// The large fixture (cfg.LargeScale) drives the *-large scenarios: a
 	// working set past LLC capacity, where the worker-owned frontier
 	// segments and many stealable bottom-up tasks per stripe are supposed
-	// to earn their keep (ROADMAP item 8a's mspbfs/auto-large ÷
+	// to earn their keep (the gated mspbfs/auto-large ÷
 	// msbfs/sequential-large ratio row: it must stay < 1, the paper's
 	// headline claim at scale).
 	gLarge       *graph.Graph
@@ -53,8 +53,8 @@ func newSuiteEnv(cfg Config) (*suiteEnv, error) {
 	}
 	// The large fixture is pinned exactly like the base one: same seed,
 	// same striped relabeling, same source-selection procedure, just a
-	// bigger scale — so *-large rows are comparable across reports the
-	// same way the base rows are.
+	// bigger scale — so the *-large rows measure the same work in every
+	// report, as the base rows do.
 	baseLarge := bench.KroneckerGraph(cfg.LargeScale, cfg.Seed)
 	stripedLarge, _ := label.Apply(baseLarge, label.Striped,
 		label.Params{Workers: cfg.Workers, TaskSize: 512})
@@ -179,8 +179,8 @@ func runMultiLarge(e *suiteEnv, f func() *core.MultiResult) Sample {
 }
 
 // runMSPBFSAutoLarge is the parallel kernel on the large fixture. Its row
-// carries the claim behind ROADMAP item 8a's auto-large ÷ sequential-large
-// ratio row: median GTEPS here must not fall below msbfs/sequential-large.
+// is the numerator of the gated auto-large ÷ sequential-large ratio row:
+// its median must stay below msbfs/sequential-large's.
 func runMSPBFSAutoLarge(e *suiteEnv) Sample {
 	opt := e.traversalOpts()
 	opt.Direction = core.Auto
@@ -213,7 +213,7 @@ func runCSRBuild(e *suiteEnv) Sample {
 // runClusterInproc runs the suite's multi-source workload as one sharded
 // traversal over the 2-shard loopback cluster: local MS-PBFS steps plus a
 // compressed delta-frontier exchange and level barrier per iteration. Its
-// delta against mspbfs/auto is the measured cost of distribution.
+// ratio to mspbfs/auto is the measured cost of distribution.
 func runClusterInproc(e *suiteEnv) Sample {
 	start := time.Now()
 	_, err := e.cluRG.RunBatch(context.Background(), e.sources,
@@ -233,8 +233,8 @@ func runClusterInproc(e *suiteEnv) Sample {
 
 // runDynOverlayScan is mspbfs/auto with a resident delta overlay — the
 // dynamic-graph serving path, where a snapshot's uncompacted overflow
-// adjacency rides along with every scan. Its delta against mspbfs/auto is
-// the measured cost of the fused (CSR + overlay) neighbor iteration.
+// adjacency rides along with every scan. Its ratio to mspbfs/auto is the
+// measured cost of the fused (CSR + overlay) neighbor iteration.
 func runDynOverlayScan(e *suiteEnv) Sample {
 	opt := e.traversalOpts()
 	opt.Direction = core.Auto

@@ -2,11 +2,9 @@ package perf
 
 import "sort"
 
-// The noise model: per-scenario samples are summarized by their median
-// (robust to scheduler spikes), spread by the median absolute deviation,
-// and uncertainty by a bootstrap confidence interval of the median. The
-// compare gate only trusts a delta when the two intervals do not overlap,
-// which is what makes the harness noise-aware rather than threshold-only.
+// Per-scenario samples are summarized by their median (robust to scheduler
+// spikes) and spread by the median absolute deviation. The ratio rows
+// divide medians.
 
 // median returns the middle value of xs (mean of the two middles for even
 // lengths). It does not modify xs. Returns 0 for empty input.
@@ -38,57 +36,4 @@ func mad(xs []int64) int64 {
 		dev[i] = d
 	}
 	return median(dev)
-}
-
-// bootstrapResamples is sized so the 2.5%/97.5% percentile estimates are
-// stable to well under the gate thresholds for the sample counts we run.
-const bootstrapResamples = 2000
-
-// bootstrapCI returns a percentile-bootstrap confidence interval for the
-// median of xs at the given confidence level (e.g. 0.95). The resampling is
-// driven by a seeded xorshift so reports are reproducible bit for bit.
-func bootstrapCI(xs []int64, confidence float64, seed uint64) (lo, hi int64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	if len(xs) == 1 {
-		return xs[0], xs[0]
-	}
-	x := seed
-	if x == 0 {
-		x = 0x9e3779b97f4a7c15
-	}
-	next := func() uint64 {
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		return x * 0x2545f4914f6cdd1d
-	}
-	meds := make([]int64, bootstrapResamples)
-	resample := make([]int64, len(xs))
-	for b := range meds {
-		for i := range resample {
-			resample[i] = xs[next()%uint64(len(xs))]
-		}
-		meds[b] = median(resample)
-	}
-	sort.Slice(meds, func(i, j int) bool { return meds[i] < meds[j] })
-	alpha := (1 - confidence) / 2
-	loIdx := int(alpha * float64(len(meds)))
-	hiIdx := int((1 - alpha) * float64(len(meds)))
-	if hiIdx >= len(meds) {
-		hiIdx = len(meds) - 1
-	}
-	return meds[loIdx], meds[hiIdx]
-}
-
-// hashName folds a scenario name into a 64-bit seed component (FNV-1a), so
-// each scenario's bootstrap stream is independent but reproducible.
-func hashName(name string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 0x100000001b3
-	}
-	return h
 }

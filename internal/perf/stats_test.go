@@ -40,49 +40,3 @@ func TestMAD(t *testing.T) {
 		t.Errorf("mad with outlier = %d, want 1", got)
 	}
 }
-
-func TestBootstrapCI(t *testing.T) {
-	samples := []int64{100, 102, 98, 101, 99, 103, 100}
-	lo1, hi1 := bootstrapCI(samples, 0.95, 42)
-	lo2, hi2 := bootstrapCI(samples, 0.95, 42)
-	if lo1 != lo2 || hi1 != hi2 {
-		t.Fatalf("bootstrap not deterministic for one seed: [%d,%d] vs [%d,%d]", lo1, hi1, lo2, hi2)
-	}
-	if lo1 > hi1 {
-		t.Fatalf("inverted CI [%d, %d]", lo1, hi1)
-	}
-	m := median(samples)
-	if m < lo1 || m > hi1 {
-		t.Errorf("median %d outside its own CI [%d, %d]", m, lo1, hi1)
-	}
-	if lo1 < 98 || hi1 > 103 {
-		t.Errorf("CI [%d, %d] exceeds the sample range [98, 103]", lo1, hi1)
-	}
-
-	// Disjoint data must give disjoint CIs — the separation signal the
-	// compare gate is built on.
-	slow := []int64{200, 202, 198, 201, 199, 203, 200}
-	slo, _ := bootstrapCI(slow, 0.95, 42)
-	if slo <= hi1 {
-		t.Errorf("clearly slower samples' CI lower bound %d does not separate from [%d, %d]", slo, lo1, hi1)
-	}
-
-	// Degenerate inputs.
-	if lo, hi := bootstrapCI(nil, 0.95, 1); lo != 0 || hi != 0 {
-		t.Errorf("empty input CI = [%d, %d]", lo, hi)
-	}
-	if lo, hi := bootstrapCI([]int64{7}, 0.95, 1); lo != 7 || hi != 7 {
-		t.Errorf("single-sample CI = [%d, %d], want [7, 7]", lo, hi)
-	}
-}
-
-func TestHashNameDistinct(t *testing.T) {
-	seen := map[uint64]string{}
-	for _, n := range ScenarioNames() {
-		h := hashName(n)
-		if prev, dup := seen[h]; dup {
-			t.Fatalf("hash collision: %q and %q", prev, n)
-		}
-		seen[h] = n
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 )
 
 // This file provides the BFS-based analytics that motivate multi-source
@@ -80,9 +79,12 @@ func (g *Graph) NeighborhoodSizes(sources []int, maxHops int, opt Options) []int
 }
 
 // Reachable reports, for each source, whether target is reachable from it.
-// All sources are answered with one multi-source traversal.
+// All sources are answered with one multi-source traversal. An
+// out-of-range target panics.
 func (g *Graph) Reachable(sources []int, target int, opt Options) []bool {
-	g.checkSource(target)
+	if target < 0 || target >= g.NumVertices() {
+		panic("msbfs: Reachable target vertex out of range")
+	}
 	f := g.fold(sources, opt, -1, []int{target})
 	out := make([]bool, len(sources))
 	for i := range out {
@@ -137,30 +139,6 @@ func (g *Graph) EstimateDiameter(samples int, seed uint64, opt Options) int32 {
 		best = 0
 	}
 	return best
-}
-
-// LargestComponentSubgraph restricts the graph to its largest connected
-// component and returns it together with the new-id -> old-id mapping. BFS
-// benchmarks conventionally run on this subgraph so that every source
-// reaches every vertex (the paper's strongly-connected small-world
-// setting).
-func (g *Graph) LargestComponentSubgraph() (*Graph, []uint32) {
-	sub, oldID := graph.LargestComponentSubgraph(g.g)
-	return &Graph{g: sub}, oldID
-}
-
-// DistanceMatrix returns the pairwise hop distances between the given
-// vertices: dist[i][j] is the distance from vertices[i] to vertices[j]
-// (NoLevel if unreachable). One multi-source traversal answers the whole
-// matrix — the seed-set distance queries of graph layout and embedding
-// workloads.
-func (g *Graph) DistanceMatrix(vertices []int, opt Options) [][]int32 {
-	f := g.fold(vertices, opt, -1, vertices)
-	dist := make([][]int32, len(vertices))
-	for i := range dist {
-		dist[i] = f.Distances(i)
-	}
-	return dist
 }
 
 // TopKByDegree returns the k highest-degree vertices (ties broken by id),

@@ -46,6 +46,31 @@ func TestReachableDisconnected(t *testing.T) {
 	}
 }
 
+// TestBadArgumentsPanicByName pins that an out-of-range Reachable target
+// is blamed on the target, not the source, and that a negative
+// RandomSources count gets a named panic instead of one from inside make.
+func TestBadArgumentsPanicByName(t *testing.T) {
+	g := disconnectedGraph()
+	for _, c := range []struct {
+		name, want string
+		call       func()
+	}{
+		{"Reachable target n", "target vertex out of range", func() { g.Reachable([]int{0}, g.NumVertices(), Options{}) }},
+		{"Reachable target -1", "target vertex out of range", func() { g.Reachable([]int{0}, -1, Options{}) }},
+		{"Reachable source n", "source vertex out of range", func() { g.Reachable([]int{g.NumVertices()}, 0, Options{}) }},
+		{"RandomSources -1", "RandomSources count", func() { g.RandomSources(-1, 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, c.want) {
+					t.Errorf("panicked with %q, want %q", r, c.want)
+				}
+			}()
+			c.call()
+		})
+	}
+}
+
 func TestAnalyticsEmptySources(t *testing.T) {
 	g := disconnectedGraph()
 	if got := g.Closeness(nil, Options{}); got != nil {
@@ -59,9 +84,6 @@ func TestAnalyticsEmptySources(t *testing.T) {
 	}
 	if got := g.Eccentricities(nil, Options{}); len(got) != 0 {
 		t.Errorf("Eccentricities(nil) = %v", got)
-	}
-	if got := g.DistanceMatrix(nil, Options{}); len(got) != 0 {
-		t.Errorf("DistanceMatrix(nil) = %v", got)
 	}
 	if res := g.MultiBFS(nil, Options{RecordLevels: true}); len(res.Sources) != 0 || res.VisitedStates != 0 {
 		t.Errorf("MultiBFS(nil) = %+v", res)

@@ -211,18 +211,6 @@ func BenchmarkBeamer(b *testing.B) {
 	}
 }
 
-// BenchmarkQueueBFS benchmarks the queue-based parallel comparator.
-func BenchmarkQueueBFS(b *testing.B) {
-	g, ec := benchGraph(b)
-	src := g.RandomSources(1, 3)[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		core.QueueBFS(g.g, src, core.Options{Workers: runtime.NumCPU()})
-	}
-	b.StopTimer()
-	reportGTEPS(b, ec.EdgesFor(src))
-}
-
 // --- ablation benchmarks -------------------------------------------------
 
 // BenchmarkAblationEarlyExit isolates the bottom-up early-exit optimization.
@@ -359,16 +347,6 @@ func BenchmarkShortestPath(b *testing.B) {
 	}
 }
 
-// BenchmarkTriangles measures the parallel triangle count.
-func BenchmarkTriangles(b *testing.B) {
-	g, _ := benchGraph(b)
-	opt := Options{Workers: runtime.NumCPU()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Triangles(opt)
-	}
-}
-
 // BenchmarkDeriveParents measures BFS-tree construction from levels.
 func BenchmarkDeriveParents(b *testing.B) {
 	g, _ := benchGraph(b)
@@ -376,7 +354,7 @@ func BenchmarkDeriveParents(b *testing.B) {
 	levels := g.BFS(src, Options{Workers: runtime.NumCPU(), RecordLevels: true}).Levels
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.DeriveParents(levels)
+		core.DeriveParents(g.g, levels, nil)
 	}
 }
 

@@ -235,26 +235,6 @@ func (g *Graph) Version() uint64 { return 0 }
 // Release is a no-op: a Graph pins nothing (see Pin).
 func (g *Graph) Release() {}
 
-// NoParent marks a vertex outside the BFS tree in parent arrays.
-const NoParent = core.NoParent
-
-// DeriveParents computes a BFS parent tree from a level array (as returned
-// by BFS or MultiBFS with RecordLevels): the parent of a vertex at depth d
-// is its first neighbor at depth d-1, the source is its own parent, and
-// unreached vertices get NoParent — the Graph500 conventions.
-func (g *Graph) DeriveParents(levels []int32) []int64 {
-	return core.DeriveParents(g.g, levels, nil)
-}
-
-// ValidateBFSTree checks a (levels, parents) BFS result against the
-// Graph500 benchmark's validation rules: correct root, tree edges exist,
-// tree levels consistent, and no graph edge spans more than one level or
-// crosses the visited boundary. It returns nil for a valid result.
-func (g *Graph) ValidateBFSTree(source int, levels []int32, parents []int64) error {
-	g.checkSource(source)
-	return core.ValidateGraph500(g.g, source, levels, parents)
-}
-
 // SequentialBFS runs the textbook FIFO-queue BFS; useful as a baseline and
 // for verifying results. It always records levels, and allocates two
 // n-entry arrays per call: the level array it returns and one queue.

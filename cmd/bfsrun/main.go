@@ -32,7 +32,7 @@ import (
 
 var algoNames = []string{
 	"mspbfs", "mspbfs-seq", "mspbfs-persocket", "msbfs", "msbfs-percore",
-	"smspbfs-bit", "smspbfs-byte", "queue", "ibfs",
+	"smspbfs-bit", "smspbfs-byte", "ibfs",
 	"beamer-gapbs", "beamer-sparse", "beamer-dense", "reference",
 }
 
@@ -255,12 +255,6 @@ func run(algo string, g *graph.Graph, sources []int, opt core.Options, sockets i
 		return core.SMSPBFSAll(g, sources, repr, opt).Stats.Elapsed, nil
 	case "ibfs":
 		return core.IBFS(g, sources, opt).Stats.Elapsed, nil
-	case "queue":
-		var total time.Duration
-		for _, s := range sources {
-			total += core.QueueBFS(g, s, opt).Stats.Elapsed
-		}
-		return total, nil
 	case "beamer-gapbs", "beamer-sparse", "beamer-dense":
 		v := map[string]core.BeamerVariant{
 			"beamer-gapbs":  core.BeamerGAPBS,

@@ -59,15 +59,6 @@ func (e *Engine) Prewarm(workers int) {
 	e.eng.Prewarm(workers)
 }
 
-// Release hands level arrays (Result.Levels, or the rows of
-// MultiResult.Levels) back to the engine's arena for recycling into future
-// results. Optional — unreleased rows are simply garbage collected — and
-// only valid once the caller is done reading them: a released row will be
-// overwritten by a later query.
-func (e *Engine) Release(levels ...[]int32) {
-	e.eng.ReleaseLevels(levels...)
-}
-
 // coreEngine unwraps the engine for the internal layers; nil maps to nil
 // (core substitutes its package default).
 func (e *Engine) coreEngine() *core.Engine {
@@ -75,13 +66,4 @@ func (e *Engine) coreEngine() *core.Engine {
 		return nil
 	}
 	return e.eng
-}
-
-// sharedEngine resolves the engine an Options-driven call runs on: the
-// explicitly wired one, or the core package default.
-func (o Options) sharedEngine() *core.Engine {
-	if o.Engine != nil {
-		return o.Engine.eng
-	}
-	return core.DefaultEngine()
 }

@@ -61,18 +61,6 @@ func ExampleGraph_NeighborhoodSizes() {
 	// within 2 hops of 0: 5
 }
 
-func ExampleGraph_DeriveParents() {
-	g := exampleGraph()
-	res := g.BFS(0, msbfs.Options{RecordLevels: true})
-	parents := g.DeriveParents(res.Levels)
-	err := g.ValidateBFSTree(0, res.Levels, parents)
-	fmt.Println("tree valid:", err == nil)
-	fmt.Println("parent of 5:", parents[5])
-	// Output:
-	// tree valid: true
-	// parent of 5: 4
-}
-
 func ExampleGraph_Relabel() {
 	g := exampleGraph()
 	relabeled, perm := g.Relabel(msbfs.LabelDegreeOrdered, 1, 512, 0)

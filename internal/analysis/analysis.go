@@ -117,11 +117,3 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	})
 	return findings, nil
 }
-
-// Inspect walks every file of the pass in depth-first order, calling fn for
-// each node; fn returning false prunes the subtree (ast.Inspect semantics).
-func (p *Pass) Inspect(fn func(ast.Node) bool) {
-	for _, f := range p.Files {
-		ast.Inspect(f, fn)
-	}
-}

@@ -24,12 +24,13 @@ type Report struct {
 	// checks inside //bfs:hot loops. Never suppressed, not even by -update.
 	Hot []Violation
 	// Budget are manifest-controlled violations: functions over their
-	// recorded allowance or with diagnostics but no manifest entry.
+	// recorded allowance, with diagnostics but no manifest entry, or with a
+	// manifest entry but no declaration left in the audited packages.
 	Budget []Violation
 	// Inline are must_inline demotions.
 	Inline []Violation
-	// Advisories are non-fatal notes: budgets that can ratchet down, stale
-	// manifest entries.
+	// Advisories are non-fatal notes: budgets that can ratchet down, and
+	// entries of declared functions that compile clean now.
 	Advisories []string
 	// Observed is the per-function {escapes, bounds_checks} actually seen,
 	// the payload -update writes back.
@@ -126,10 +127,16 @@ func Check(c *Contract, diags []Diag, idx *Index) *Report {
 		}
 	}
 	for fn := range c.Functions {
-		if _, ok := r.Observed[fn]; !ok {
-			r.Advisories = append(r.Advisories, fmt.Sprintf(
-				"%s: listed in contract but compiles clean now; run bfsgate -update to drop it", fn))
+		if _, ok := r.Observed[fn]; ok {
+			continue
 		}
+		if !idx.Declared(fn) {
+			r.Budget = append(r.Budget, Violation{fn,
+				"listed in contract but no longer declared in the audited packages; delete the entry or run bfsgate -update"})
+			continue
+		}
+		r.Advisories = append(r.Advisories, fmt.Sprintf(
+			"%s: listed in contract but compiles clean now; run bfsgate -update to drop it", fn))
 	}
 
 	// Must-inline list.

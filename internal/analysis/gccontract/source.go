@@ -156,6 +156,23 @@ func (idx *Index) FuncAt(file string, line int) (string, bool) {
 	return "", false
 }
 
+// Declared reports whether fn, in FuncAt's "pkgpath.name" form, is a
+// top-level function of an audited file or an audited package's
+// initializer pseudo-function.
+func (idx *Index) Declared(fn string) bool {
+	for _, fi := range idx.files {
+		if fn == fi.pkgPath+".<init>" {
+			return true
+		}
+		for _, fs := range fi.funcs {
+			if fn == fi.pkgPath+"."+fs.name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Audited reports whether file belongs to an audited package.
 func (idx *Index) Audited(file string) bool { return idx.files[file] != nil }
 

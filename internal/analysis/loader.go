@@ -41,10 +41,9 @@ type Package struct {
 // $GOROOT/src directly and therefore works without compiled export data or
 // network access.
 type Loader struct {
-	fset   *token.FileSet
-	std    types.Importer
-	cache  map[string]*types.Package
-	filter map[string]bool // nil = keep all non-standard packages
+	fset  *token.FileSet
+	std   types.Importer
+	cache map[string]*types.Package
 }
 
 // NewLoader returns a ready Loader with a fresh FileSet.

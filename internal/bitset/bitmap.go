@@ -141,9 +141,6 @@ func NewByteMap(n int) *ByteMap {
 	return &ByteMap{words: make([]uint64, (n+bytesPerWord-1)/bytesPerWord), n: n}
 }
 
-// Len returns the number of vertices.
-func (m *ByteMap) Len() int { return m.n }
-
 // Words exposes the backing words for chunk-skipping scans. Each word holds
 // the state of 8 consecutive vertices, one byte each; a zero word means all
 // 8 vertices are unmarked.

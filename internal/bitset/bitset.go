@@ -72,19 +72,9 @@ func (s *State) Row(v int) []uint64 {
 	return s.words[off : off+s.stride : off+s.stride]
 }
 
-// Get reports whether bit i of vertex v's bitset is set.
-func (s *State) Get(v, i int) bool {
-	return s.words[v*s.stride+i/WordBits]&(1<<(uint(i)%WordBits)) != 0
-}
-
 // Set sets bit i of vertex v's bitset (single-writer).
 func (s *State) Set(v, i int) {
 	s.words[v*s.stride+i/WordBits] |= 1 << (uint(i) % WordBits)
-}
-
-// Clear unsets bit i of vertex v's bitset (single-writer).
-func (s *State) Clear(v, i int) {
-	s.words[v*s.stride+i/WordBits] &^= 1 << (uint(i) % WordBits)
 }
 
 // Any reports whether any bit of vertex v's bitset is set.
@@ -96,16 +86,6 @@ func (s *State) Any(v int) bool {
 		}
 	}
 	return false
-}
-
-// Count returns the number of set bits in vertex v's bitset.
-func (s *State) Count(v int) int {
-	off := v * s.stride
-	c := 0
-	for i := 0; i < s.stride; i++ {
-		c += bits.OnesCount64(s.words[off+i])
-	}
-	return c
 }
 
 // ZeroVertex clears all bits of vertex v's bitset (single-writer).

@@ -128,9 +128,6 @@ type RemoteGraph struct {
 	n    int
 }
 
-// Name returns the graph's registered name.
-func (rg *RemoteGraph) Name() string { return rg.name }
-
 // NumVertices returns the global vertex count.
 func (rg *RemoteGraph) NumVertices() int { return rg.n }
 

@@ -11,7 +11,6 @@
 //     2015), including the "one instance per core" execution mode.
 //   - Beamer's direction-optimizing BFS (sequential; GAPBS-, sparse- and
 //     dense-queue variants).
-//   - A queue-based parallel single-source BFS in the style of Yasui et al.
 //   - An iBFS-style joint-frontier-queue multi-source variant.
 //   - A textbook FIFO BFS used as the correctness oracle.
 //
@@ -112,8 +111,8 @@ type Options struct {
 	// and their degree accounting includes the overlay so direction
 	// decisions match the compacted CSR exactly. The overlay must be
 	// immutable for the duration of the run (dyngraph snapshots guarantee
-	// this). The paper's baselines (MS-BFS, iBFS, queue BFS, Beamer) panic
-	// on a non-nil Overlay rather than silently traversing a stale view.
+	// this). The paper's baselines (MS-BFS, iBFS, Beamer) panic on a
+	// non-nil Overlay rather than silently traversing a stale view.
 	Overlay *graph.Overlay
 	// OnVisit, when non-nil, is called for every (source, vertex)
 	// discovery with the BFS depth by MS-PBFS and SMS-PBFS; the baselines
@@ -205,10 +204,6 @@ type Result struct {
 	VisitedVertices int64
 	// Stats aggregates timing and per-iteration detail.
 	Stats metrics.RunStat
-	// WorkerBusy is the accumulated busy time per worker over the whole
-	// run, used for the utilization analysis of Figure 2. Populated by the
-	// parallel algorithms when they own their worker pool.
-	WorkerBusy []time.Duration
 }
 
 // MultiResult is the outcome of a multi-source BFS over one batch or a
@@ -358,8 +353,7 @@ func sumInt64(xs []int64) int64 {
 	return s
 }
 
-// requireNoHooks is the baselines' guard. MS-BFS, iBFS, queue BFS and
-// Beamer exist for the paper's comparisons over static inputs and honour
+// requireNoHooks is the baselines' guard. MS-BFS, iBFS and Beamer exist for the paper's comparisons over static inputs and honour
 // neither Options.Overlay nor Options.OnVisit; panicking beats silently
 // traversing a stale view or never calling the visitor.
 func requireNoHooks(opt Options, algo string) {

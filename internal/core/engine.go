@@ -253,8 +253,8 @@ func (e *Engine) Prewarm(workers int) {
 
 // BorrowPool checks out a worker pool of the given width for exclusive
 // use and returns it with a release func. Release is idempotent. This is
-// the engine-routed replacement for ad-hoc sched.NewPool call sites
-// (Triangles, Graph500 harnesses, DeriveParents drivers).
+// the engine-routed replacement for an ad-hoc sched.NewPool call site: the
+// Graph500 harness derives its parent trees on one.
 func (e *Engine) BorrowPool(workers int) (*sched.Pool, func()) {
 	if workers < 1 {
 		workers = 1

@@ -138,9 +138,6 @@ func hygieneVariants() []hygieneVariant {
 		{"ibfs", multi(func(opt Options, g *graph.Graph, ss []int) *MultiResult {
 			return IBFS(g, ss, opt)
 		})},
-		{"queue", single(func(opt Options, g *graph.Graph, s int) *Result {
-			return QueueBFS(g, s, opt)
-		})},
 		{"beamer/gapbs", single(func(opt Options, g *graph.Graph, s int) *Result {
 			return Beamer(g, s, BeamerGAPBS, opt)
 		})},

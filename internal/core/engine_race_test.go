@@ -51,9 +51,11 @@ func TestEngineConcurrentMixedAlgorithms(t *testing.T) {
 					}
 					e.ReleaseLevels(res.Levels...)
 				case 3:
-					res := QueueBFS(g, sources[c], opt)
-					CheckLevels(t, "queue", res.Levels, want[c])
-					e.ReleaseLevels(res.Levels)
+					res := IBFS(g, sources, opt)
+					for i := range res.Sources {
+						CheckLevels(t, "ibfs", res.Levels[i], want[i])
+					}
+					e.ReleaseLevels(res.Levels...)
 				case 4:
 					res := Beamer(g, sources[c], BeamerGAPBS, opt)
 					CheckLevels(t, "beamer", res.Levels, want[c])

@@ -75,7 +75,7 @@ type axis struct {
 // kernel and layer do not read the axis. Value names are unique across
 // axes, so `-run 'TestGridMatchesOracle/.*/.*,overlay,'` selects by value.
 var dims = [numDims]axis{
-	dKernel:  {"kernel", []string{"mspbfs", "smspbfs", "smspbfs-all", "mspbfs-socket", "msbfs", "msbfs-direct", "msbfs-core", "ibfs", "queue", "beamer-gapbs", "beamer-sparse", "beamer-dense"}},
+	dKernel:  {"kernel", []string{"mspbfs", "smspbfs", "smspbfs-all", "mspbfs-socket", "msbfs", "msbfs-direct", "msbfs-core", "ibfs", "beamer-gapbs", "beamer-sparse", "beamer-dense"}},
 	dLayer:   {"layer", []string{"core", "root", "shards2", "shards3"}},
 	dRepr:    {"repr", []string{"bit", "byte"}},
 	dLabel:   {"label", []string{"identity", "random", "degree", "striped"}},
@@ -150,8 +150,9 @@ func bipartite() *graph.Graph {
 // gridSlices are the full-mode products, written axis=value,... with
 // axis=* for every value; an unnamed axis runs its default.
 var gridSlices = []struct{ name, spec string }{
-	// Every kernel on every small shape, including degenerate ones.
-	{"kernels", "kernel=mspbfs,smspbfs,msbfs,ibfs,queue,beamer-gapbs,beamer-sparse,beamer-dense repr=* dir=* workers=w1,w4 place=at shape=kron,uniform,ldbc,powerlaw,web,path,star,components,pair,single"},
+	// Every kernel on every small shape, including degenerate ones:
+	// isolated ids mid-range and a graph whose every arc crosses a stripe.
+	{"kernels", "kernel=mspbfs,smspbfs,msbfs,ibfs,beamer-gapbs,beamer-sparse,beamer-dense repr=* dir=* workers=w1,w4 place=at shape=kron,uniform,ldbc,powerlaw,web,path,star,components,midgap,bipartite,pair,single"},
 	// Forced directions and the bottom-up early exit.
 	{"direction", "kernel=mspbfs,smspbfs repr=* dir=* workers=w1,w3 words=words1,words2 shape=kron,uniform; kernel=mspbfs,smspbfs repr=* dir=bottomup workers=w1,w3 exit=noexit shape=kron,uniform"},
 	// Batch widths and the batch drivers: per core, per socket, one source
@@ -165,8 +166,8 @@ var gridSlices = []struct{ name, spec string }{
 	{"segmented", "kernel=mspbfs,smspbfs repr=* dir=* workers=w3,w4,w8 split=* words=words1,words2 view=* shape=kron12"},
 	// Sources on both sides of the active prefix, and all past it.
 	{"prefix", "kernel=mspbfs,smspbfs repr=* label=striped dir=* workers=w1,w3 words=words1,words2 view=* visit=visit place=at,past shape=kron12; kernel=mspbfs,smspbfs repr=* words=words1,words2 visit=visit place=* shape=components,midgap"},
-	// MaxDepth in every direction.
-	{"depth", "kernel=mspbfs,smspbfs,msbfs,msbfs-direct,msbfs-core repr=* dir=* workers=w2 depth=depth2 shape=path,kron"},
+	// MaxDepth in every direction, also with isolated ids mid-range.
+	{"depth", "kernel=mspbfs,smspbfs,msbfs,msbfs-direct,msbfs-core repr=* dir=* workers=w2 depth=depth2 shape=path,kron,midgap"},
 	// Stealing and the early exit off; every worker count on a sparse graph.
 	{"tuning", "kernel=mspbfs,smspbfs repr=* dir=auto,bottomup workers=w4 exit=* steal=* shape=kron; kernel=mspbfs,smspbfs repr=* dir=* workers=w1,w2,w3,w4 shape=uniform"},
 	// Runs that record no levels, the path of the serving fold and the
@@ -216,9 +217,6 @@ var impls = []impl{
 		r.instances(core.MSBFSPerCore(r.g, r.sources, r.opt), r.c.workers())
 	}},
 	{"ibfs", "core", "workers words", 0, func(r *cellRun) { r.multi(core.IBFS(r.g, r.sources, r.opt), r.batches()) }},
-	{"queue", "core", "dir workers", 4, func(r *cellRun) {
-		r.single(func(s int, opt core.Options) *core.Result { return core.QueueBFS(r.g, s, opt) })
-	}},
 	{"beamer-gapbs", "core", "dir", 4, beamer(core.BeamerGAPBS)},
 	{"beamer-sparse", "core", "dir", 4, beamer(core.BeamerSparse)},
 	{"beamer-dense", "core", "dir", 4, beamer(core.BeamerDense)},

@@ -45,7 +45,6 @@ func TestBaselineGuardsFire(t *testing.T) {
 	for hook, opt := range map[string]Options{"Overlay": {Overlay: ov}, "OnVisit": {OnVisit: visit}} {
 		for name, run := range map[string]func(){
 			"Beamer":       func() { Beamer(base, 0, BeamerGAPBS, opt) },
-			"QueueBFS":     func() { QueueBFS(base, 0, opt) },
 			"IBFS":         func() { IBFS(base, []int{0}, opt) },
 			"MSBFS":        func() { MSBFS(base, []int{0}, opt) },
 			"MSBFSDirect":  func() { MSBFSDirect(base, []int{0}, opt) },

@@ -55,7 +55,6 @@ func TestValidateGraph500AcceptsAllAlgorithms(t *testing.T) {
 		"reference": ReferenceLevels(g, src),
 		"smspbfs":   SMSPBFS(g, src, BitState, Options{Workers: 2, RecordLevels: true}).Levels,
 		"beamer":    Beamer(g, src, BeamerGAPBS, Options{RecordLevels: true}).Levels,
-		"queue":     QueueBFS(g, src, Options{Workers: 2, RecordLevels: true}).Levels,
 		"mspbfs":    MSPBFS(g, []int{src}, Options{Workers: 2, RecordLevels: true}).Levels[0],
 	}
 	for name, levels := range runs {

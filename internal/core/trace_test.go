@@ -490,13 +490,12 @@ func TestTraceSingleSourceKernels(t *testing.T) {
 	tr := obs.NewTracer()
 	SMSPBFS(g, 1, BitState, Options{Workers: 2, Tracer: tr})
 	SMSPBFS(g, 1, ByteState, Options{Workers: 2, Tracer: tr})
-	QueueBFS(g, 1, Options{Workers: 2, Tracer: tr})
 	Beamer(g, 1, BeamerGAPBS, Options{Tracer: tr})
 	IBFS(g, []int{1, 2, 3}, Options{Workers: 2, Tracer: tr})
 
 	snap := tr.Snapshot()
 	want := map[string]bool{
-		"sms-pbfs/bit": false, "sms-pbfs/byte": false, "queue-bfs": false,
+		"sms-pbfs/bit": false, "sms-pbfs/byte": false,
 		"beamer/gapbs": false, "ibfs": false,
 	}
 	for _, tv := range snap.Traversals {

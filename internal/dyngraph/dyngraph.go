@@ -416,9 +416,6 @@ func (s *Snapshot) Overlay() *msbfs.Overlay {
 	return s.v.ov
 }
 
-// NumEdges returns the undirected edge count visible at this version.
-func (s *Snapshot) NumEdges() int64 { return s.v.gen.base.NumEdges() + s.v.ov.Arcs()/2 }
-
 // RunBatch traverses the snapshot view with the multi-source visitor
 // kernel: with Version and Release it makes a Snapshot the msbfs.Pinned
 // that Pin hands out.

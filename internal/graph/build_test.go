@@ -276,7 +276,7 @@ func TestQuickRelabelRoundTrip(t *testing.T) {
 		g2 := Relabel(g, perm)
 		return g2.Validate() == nil &&
 			graphsEqual(g2, referenceBuild(n, mapped)) &&
-			graphsEqual(Relabel(g2, InversePermutation(perm)), g)
+			graphsEqual(Relabel(g2, inverse(perm)), g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

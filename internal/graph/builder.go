@@ -355,13 +355,3 @@ func Relabel(g *Graph, newID []VertexID) *Graph {
 	}
 	return &Graph{Offsets: offsets, Adjacency: adj}
 }
-
-// InversePermutation returns the inverse of the permutation p, i.e.
-// inv[p[v]] = v.
-func InversePermutation(p []VertexID) []VertexID {
-	inv := make([]VertexID, len(p))
-	for v, id := range p {
-		inv[id] = VertexID(v)
-	}
-	return inv
-}

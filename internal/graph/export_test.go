@@ -14,3 +14,20 @@ func GridGraphs() map[string]*Graph {
 // RandomEdges is randomEdges, the construction tests' multigraph, for the
 // benchmarks of package graph_test.
 var RandomEdges = randomEdges
+
+// Edges returns all overlay edges with U < V, each exactly once; only this
+// package's tests read them.
+func (o *Overlay) Edges() []Edge {
+	if o == nil {
+		return nil
+	}
+	var out []Edge
+	for v := 0; v < len(o.pages)*overlayPageSize; v++ {
+		for _, u := range o.Extra(v) {
+			if VertexID(v) < u {
+				out = append(out, Edge{U: VertexID(v), V: u})
+			}
+		}
+	}
+	return out
+}

@@ -176,7 +176,7 @@ func TestCheckArcs(t *testing.T) {
 // 32-bit offsets panics, naming both counts, before it allocates.
 func TestMergeOverlayPastOffsetsPanics(t *testing.T) {
 	base := path(4)
-	ov := &Overlay{pages: NewOverlay(4).pages, arcs: MaxEndpoints, n: 4}
+	ov := &Overlay{pages: NewOverlay(4).pages, arcs: MaxEndpoints}
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "MergeOverlay of 6 base and 4294967295 overlay arcs") {
@@ -351,17 +351,6 @@ func TestRelabelRejectsNonPermutation(t *testing.T) {
 	}
 }
 
-func TestInversePermutation(t *testing.T) {
-	p := []VertexID{2, 0, 1}
-	inv := InversePermutation(p)
-	want := []VertexID{1, 2, 0}
-	for i := range want {
-		if inv[i] != want[i] {
-			t.Fatalf("inv = %v, want %v", inv, want)
-		}
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := path(4)
 	// Break symmetry: truncate vertex 3's adjacency by lying in offsets.
@@ -428,62 +417,5 @@ func TestLargestComponentEmpty(t *testing.T) {
 	id, size := LargestComponent(nil)
 	if id != -1 || size != 0 {
 		t.Errorf("LargestComponent(nil) = (%d, %d)", id, size)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	// 0-1-2-3 path plus isolated 4; keep {1,2,4}.
-	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}})
-	keep := []bool{false, true, true, false, true}
-	sub, oldID := InducedSubgraph(g, keep)
-	if sub.NumVertices() != 3 {
-		t.Fatalf("n = %d", sub.NumVertices())
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumEdges() != 1 { // only 1-2 survives
-		t.Errorf("m = %d", sub.NumEdges())
-	}
-	want := []VertexID{1, 2, 4}
-	for i, o := range oldID {
-		if o != want[i] {
-			t.Errorf("oldID = %v, want %v", oldID, want)
-		}
-	}
-	if !sub.HasEdge(0, 1) {
-		t.Error("surviving edge missing")
-	}
-}
-
-func TestInducedSubgraphMaskMismatchPanics(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 1}})
-	defer func() {
-		if recover() == nil {
-			t.Error("short mask did not panic")
-		}
-	}()
-	InducedSubgraph(g, []bool{true})
-}
-
-func TestLargestComponentSubgraph(t *testing.T) {
-	// Components: {0,1,2} and {3,4}.
-	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {3, 4}})
-	sub, oldID := LargestComponentSubgraph(g)
-	if sub.NumVertices() != 3 || sub.NumEdges() != 2 {
-		t.Fatalf("n=%d m=%d", sub.NumVertices(), sub.NumEdges())
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range oldID {
-		if int(o) > 2 {
-			t.Errorf("kept vertex %d from the smaller component", o)
-		}
-	}
-	// Single connected component afterwards.
-	_, sizes := Components(sub)
-	if len(sizes) != 1 {
-		t.Errorf("subgraph has %d components", len(sizes))
 	}
 }

@@ -25,7 +25,6 @@ import (
 type Overlay struct {
 	pages []*overlayPage
 	arcs  int64
-	n     int
 }
 
 const (
@@ -41,21 +40,13 @@ type overlayPage struct {
 }
 
 // NewOverlay returns an empty overlay for an n-vertex graph. The nil
-// *Overlay is a valid empty overlay for NumVertices, Arcs and Edges; the
-// per-vertex accessors (Extra, ExtraDegree, HasArc) require a non-nil
-// receiver — the kernels hoist one `ov != nil` test per fused loop instead
-// of paying a receiver check per vertex.
+// *Overlay is a valid empty overlay for Arcs; the per-vertex accessors
+// (Extra, ExtraDegree, HasArc) require a non-nil receiver — the kernels
+// hoist one `ov != nil` test per fused loop instead of paying a receiver
+// check per vertex.
 func NewOverlay(n int) *Overlay {
 	pages := (n + overlayPageSize - 1) / overlayPageSize
-	return &Overlay{pages: make([]*overlayPage, pages), n: n}
-}
-
-// NumVertices returns the vertex-domain size the overlay was built for.
-func (o *Overlay) NumVertices() int {
-	if o == nil {
-		return 0
-	}
-	return o.n
+	return &Overlay{pages: make([]*overlayPage, pages)}
 }
 
 // Extra returns the sorted extra-neighbor list of vertex v (nil when v has
@@ -95,23 +86,6 @@ func (o *Overlay) HasArc(v int, u VertexID) bool {
 	return i < len(ex) && ex[i] == u
 }
 
-// Edges returns all overlay edges with U < V, each exactly once. Intended
-// for tests, not hot paths.
-func (o *Overlay) Edges() []Edge {
-	if o == nil {
-		return nil
-	}
-	var out []Edge
-	for v := 0; v < o.n; v++ {
-		for _, u := range o.Extra(v) {
-			if VertexID(v) < u {
-				out = append(out, Edge{U: VertexID(v), V: u})
-			}
-		}
-	}
-	return out
-}
-
 // OverlayAlloc supplies list storage for WithEdges: it returns a zeroed
 // slice of length n. nil means plain make — dyngraph passes its
 // generation-arena allocator instead.
@@ -135,7 +109,6 @@ func (o *Overlay) WithEdges(edges []Edge, alloc OverlayAlloc) *Overlay {
 	no := &Overlay{
 		pages: append([]*overlayPage(nil), o.pages...),
 		arcs:  o.arcs,
-		n:     o.n,
 	}
 	// Group the additions per vertex by sorting both arcs of every edge as
 	// (source, target) keys: a vertex's run is its additions, ascending.

@@ -82,7 +82,7 @@ func TestOverlayAllocCallback(t *testing.T) {
 
 func TestOverlayNilAndEmpty(t *testing.T) {
 	var nilOv *Overlay
-	if nilOv.Arcs() != 0 || nilOv.NumVertices() != 0 || nilOv.Edges() != nil {
+	if nilOv.Arcs() != 0 || nilOv.Edges() != nil {
 		t.Fatalf("nil overlay accessors wrong")
 	}
 	empty := NewOverlay(100)

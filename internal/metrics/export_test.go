@@ -3,11 +3,15 @@ package metrics
 import (
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
+
+// Sum returns the sum of all recorded values.
+func (h *Histogram) Sum() int64 { return atomic.LoadInt64(&h.sum) }
 
 func TestRunSummary(t *testing.T) {
 	r := RunStat{

@@ -85,9 +85,6 @@ func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return atomic.LoadInt64(&h.count) }
 
-// Sum returns the sum of all recorded values.
-func (h *Histogram) Sum() int64 { return atomic.LoadInt64(&h.sum) }
-
 // Mean returns the exact arithmetic mean of the recorded values (0 when
 // empty); the sum is tracked outside the buckets, so the mean carries no
 // bucketing error.
@@ -96,7 +93,7 @@ func (h *Histogram) Mean() float64 {
 	if n == 0 {
 		return 0
 	}
-	return float64(h.Sum()) / float64(n)
+	return float64(atomic.LoadInt64(&h.sum)) / float64(n)
 }
 
 // Max returns the largest recorded value (0 when empty); exact.

@@ -428,16 +428,3 @@ func (t *Tracer) Snapshot() Trace {
 	}
 	return tr
 }
-
-// Reset discards all retained records (IDs keep increasing). Nil-safe.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.traversals = nil
-	t.spans = nil
-	t.droppedTraversals = 0
-	t.droppedSpans = 0
-}

@@ -23,17 +23,6 @@ type Range struct {
 	Lo, Hi int
 }
 
-// Empty reports whether the range contains no vertices.
-func (r Range) Empty() bool { return r.Lo >= r.Hi }
-
-// Len returns the number of vertices in the range.
-func (r Range) Len() int {
-	if r.Empty() {
-		return 0
-	}
-	return r.Hi - r.Lo
-}
-
 // queue is one worker's task queue. The atomic cursor is padded onto its
 // own cache line so that cursor updates of one queue do not invalidate the
 // cursors of neighboring queues.

@@ -257,7 +257,8 @@ func TestUnbatchedBaseline(t *testing.T) {
 // TestKindsMatchLibrary checks every query kind against its library
 // counterpart through one mixed batch: closeness, reachability and khop
 // against their analytics, every eccentricity against Eccentricities, and
-// bfs distances, duplicate targets included, against a DistanceMatrix row.
+// bfs distances, duplicate targets included, against SequentialBFS levels:
+// the textbook queue BFS, which shares no code with the coalescer's fold.
 func TestKindsMatchLibrary(t *testing.T) {
 	g := testGraph(t)
 	c := NewCoalescer(g, Config{Workers: 2}, NewMetrics(), nil)
@@ -295,12 +296,6 @@ func TestKindsMatchLibrary(t *testing.T) {
 	if want := g.NeighborhoodSizes([]int{3}, 3, msbfs.Options{})[0]; answers[2].Count != want {
 		t.Errorf("khop = %d, library %d", answers[2].Count, want)
 	}
-	direct := g.BFS(4, msbfs.Options{RecordLevels: true})
-	for j, tgt := range []int{0, 5} {
-		if answers[3].Distances[j] != direct.Levels[tgt] {
-			t.Errorf("dist[%d] = %d, library %d", tgt, answers[3].Distances[j], direct.Levels[tgt])
-		}
-	}
 	for i, q := range queries {
 		if q.Kind == KindKHop {
 			continue // a khop answer carries only its count
@@ -311,9 +306,11 @@ func TestKindsMatchLibrary(t *testing.T) {
 		if q.Kind != KindBFS {
 			continue
 		}
-		// Row 0 of the matrix over the source and the targets is the
-		// source's distance to each target, repeats included.
-		want := g.DistanceMatrix(append([]int{q.Source}, q.Targets...), msbfs.Options{Workers: 2})[0][1:]
+		levels := g.SequentialBFS(q.Source).Levels
+		want := make([]int32, len(q.Targets))
+		for j, tgt := range q.Targets {
+			want[j] = levels[tgt]
+		}
 		if !slices.Equal(answers[i].Distances, want) {
 			t.Errorf("query %d: distances %v, library %v", i, answers[i].Distances, want)
 		}

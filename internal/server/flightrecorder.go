@@ -80,14 +80,6 @@ func NewFlightRecorder(capN, slowCap int, slowThreshold time.Duration) *FlightRe
 	}
 }
 
-// SlowThreshold reports the configured slow-query latency bound.
-func (f *FlightRecorder) SlowThreshold() time.Duration {
-	if f == nil {
-		return 0
-	}
-	return f.slowThreshold
-}
-
 // NextTraceID issues a fresh nonzero trace ID. A nil recorder returns 0 —
 // the "untraced" ID the JSON layer omits.
 func (f *FlightRecorder) NextTraceID() uint64 {

@@ -343,7 +343,3 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
-
-// Unreachable is the distance value reported for unreachable targets in
-// query responses, re-exported so clients need not import the library.
-const Unreachable = msbfs.NoLevel

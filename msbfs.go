@@ -166,8 +166,11 @@ func LoadEdgeList(r io.Reader) (*Graph, []int64, error) {
 func (g *Graph) SaveEdgeList(w io.Writer) error { return graph.SaveEdgeList(w, g.g) }
 
 // RandomSources picks count random non-isolated vertices, deterministic in
-// seed — the Graph500 source selection rule.
+// seed — the Graph500 source selection rule. A negative count panics.
 func (g *Graph) RandomSources(count int, seed uint64) []int {
+	if count < 0 {
+		panic("msbfs: RandomSources count must be >= 0")
+	}
 	return core.RandomSources(g.g, count, seed)
 }
 

@@ -199,29 +199,6 @@ func TestEdgeListFacadeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeriveAndValidateBFSTree(t *testing.T) {
-	g := socialGraph()
-	src := g.RandomSources(1, 6)[0]
-	res := g.BFS(src, Options{Workers: 2, RecordLevels: true})
-	parents := g.DeriveParents(res.Levels)
-	if err := g.ValidateBFSTree(src, res.Levels, parents); err != nil {
-		t.Fatal(err)
-	}
-	if parents[src] != int64(src) {
-		t.Error("source not its own parent")
-	}
-	// Corrupt a parent and confirm the validator catches it.
-	for v := range parents {
-		if v != src && parents[v] != NoParent && !hasNeighbor(g, v, v) {
-			parents[v] = int64(v) // self-parent on a non-root is invalid
-			break
-		}
-	}
-	if err := g.ValidateBFSTree(src, res.Levels, parents); err == nil {
-		t.Error("corrupted tree accepted")
-	}
-}
-
 func hasNeighbor(g *Graph, v, u int) bool {
 	for _, n := range g.Neighbors(v) {
 		if int(n) == u {
@@ -265,47 +242,6 @@ func TestOptionsBatchWordsValidation(t *testing.T) {
 	n := Options{Workers: -3, BatchWords: 99, MaxDepth: -1}.Normalize()
 	if n.Workers != 1 || n.BatchWords != 8 || n.MaxDepth != 0 {
 		t.Errorf("Normalize = %+v", n)
-	}
-}
-
-func TestLargestComponentSubgraphFacade(t *testing.T) {
-	g := NewGraph(6, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 4}})
-	sub, oldID := g.LargestComponentSubgraph()
-	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("sub: n=%d m=%d", sub.NumVertices(), sub.NumEdges())
-	}
-	if len(oldID) != 3 {
-		t.Fatalf("oldID = %v", oldID)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDistanceMatrix(t *testing.T) {
-	// Path 0-1-2-3-4.
-	g := NewGraph(5, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
-	vs := []int{0, 2, 4}
-	d := g.DistanceMatrix(vs, Options{Workers: 2})
-	want := [][]int32{{0, 2, 4}, {2, 0, 2}, {4, 2, 0}}
-	for i := range want {
-		for j := range want[i] {
-			if d[i][j] != want[i][j] {
-				t.Errorf("d[%d][%d] = %d, want %d", i, j, d[i][j], want[i][j])
-			}
-		}
-	}
-	// Duplicates and unreachable targets.
-	g2 := NewGraph(4, []Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	d2 := g2.DistanceMatrix([]int{0, 0, 2}, Options{})
-	if d2[0][1] != 0 || d2[0][0] != 0 {
-		t.Errorf("duplicate columns wrong: %v", d2)
-	}
-	if d2[0][2] != NoLevel || d2[2][0] != NoLevel {
-		t.Errorf("unreachable distance not NoLevel: %v", d2)
-	}
-	if d2[2][2] != 0 {
-		t.Errorf("self distance = %d", d2[2][2])
 	}
 }
 

@@ -44,11 +44,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return t.obsTracer().WriteChromeTrace(w)
 }
 
-// Reset discards all retained records.
-func (t *Tracer) Reset() {
-	t.obsTracer().Reset()
-}
-
 // obsTracer unwraps the tracer for the internal layers; nil maps to nil
 // (the kernels' disabled fast path).
 func (t *Tracer) obsTracer() *obs.Tracer {

@@ -46,9 +46,10 @@ func TestReachableDisconnected(t *testing.T) {
 	}
 }
 
-// TestBadArgumentsPanicByName pins that an out-of-range Reachable target
-// is blamed on the target, not the source, and that a negative
-// RandomSources count gets a named panic instead of one from inside make.
+// TestBadArgumentsPanicByName pins that an out-of-range Reachable or
+// ShortestPath target is blamed on the target, not the source, and that a
+// negative RandomSources count or vertex count gets a named panic instead
+// of one from inside make or an index.
 func TestBadArgumentsPanicByName(t *testing.T) {
 	g := disconnectedGraph()
 	for _, c := range []struct {
@@ -59,6 +60,9 @@ func TestBadArgumentsPanicByName(t *testing.T) {
 		{"Reachable target -1", "target vertex out of range", func() { g.Reachable([]int{0}, -1, Options{}) }},
 		{"Reachable source n", "source vertex out of range", func() { g.Reachable([]int{g.NumVertices()}, 0, Options{}) }},
 		{"RandomSources -1", "RandomSources count", func() { g.RandomSources(-1, 1) }},
+		{"ShortestPath target n", "ShortestPath target vertex out of range", func() { g.ShortestPath(0, g.NumVertices()) }},
+		{"ShortestPath source -1", "source vertex out of range", func() { g.ShortestPath(-1, 0) }},
+		{"NewGraph -1", "graph: negative vertex count", func() { NewGraph(-1, nil) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer func() {

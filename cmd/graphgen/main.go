@@ -67,12 +67,8 @@ func main() {
 
 func generate(typ string, scale, n, edgeFactor int, seed uint64) (*graph.Graph, error) {
 	switch typ {
-	case "kronecker":
-		p := gen.Graph500Params(scale, seed)
-		p.EdgeFactor = edgeFactor
-		return gen.Kronecker(p), nil
-	case "kg0":
-		return gen.Kronecker(gen.KG0Params(scale, edgeFactor, seed)), nil
+	case "kronecker", "kg0": // kg0 is the same generator at a high -edgefactor
+		return gen.Kronecker(gen.KroneckerParams{Scale: scale, EdgeFactor: edgeFactor, Seed: seed}), nil
 	case "ldbc":
 		return gen.LDBC(gen.LDBCDefaults(n, seed)), nil
 	case "uniform":

@@ -63,7 +63,7 @@ func table1Suite(cfg Config) []struct {
 			return gen.Kronecker(gen.Graph500Params(large, seed))
 		})},
 		{"KG0", cachedGraph(key("t1-kg0", kg0Scale, kg0Deg, int(seed)), func() *graph.Graph {
-			return gen.Kronecker(gen.KG0Params(kg0Scale, kg0Deg, seed+1))
+			return gen.Kronecker(gen.KroneckerParams{Scale: kg0Scale, EdgeFactor: kg0Deg, Seed: seed + 1})
 		})},
 		{"LDBC (small)", cachedGraph(key("t1-ldbc", ldbcSmall, int(seed)), func() *graph.Graph {
 			return gen.LDBC(gen.LDBCDefaults(ldbcSmall, seed+2))
@@ -167,7 +167,7 @@ func IBFSCompare(cfg Config) (IBFSResult, error) {
 		scale, deg = 9, 32
 	}
 	g0 := cachedGraph(key("t1-kg0", scale, deg, int(cfg.seed())), func() *graph.Graph {
-		return gen.Kronecker(gen.KG0Params(scale, deg, cfg.seed()+1))
+		return gen.Kronecker(gen.KroneckerParams{Scale: scale, EdgeFactor: deg, Seed: cfg.seed() + 1})
 	})
 	g, _ := label.Apply(g0, label.Striped, label.Params{Workers: workers, TaskSize: 512})
 	ec := metrics.NewEdgeCounter(g)

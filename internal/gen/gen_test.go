@@ -96,6 +96,31 @@ func TestKroneckerProperties(t *testing.T) {
 	}
 }
 
+// TestRMATThresholdsExact: each threshold is the least generator output
+// that the float64 sampler (float64(x>>11)/2^53 < p) did not read as below
+// its probability. A threshold one off would change a graph only when a
+// draw lands on it, about once in 2^53 draws, which no golden hash
+// reaches. The probabilities are computed as that sampler computed them,
+// from float64 variables so that each operation rounds: untyped constants
+// would be exact, and C/(1-(A+B)) then rounds to a different float64.
+func TestRMATThresholdsExact(t *testing.T) {
+	a, b, c := 0.57, 0.19, 0.19
+	ab := a + b
+	cNorm := c / (1 - ab)
+	float := func(x uint64) float64 { return float64(x>>11) / (1 << 53) }
+	tAB, tA, tC := rmatThresholds()
+	for _, th := range []struct {
+		name string
+		t    uint64
+		p    float64
+	}{{"A+B", tAB, ab}, {"A", tA, a}, {"C/(1-(A+B))", tC, cNorm}} {
+		if below, at := float(th.t-1), float(th.t); !(below < th.p) || at < th.p {
+			t.Errorf("%s: threshold %d: output %d reads %v and output %d reads %v, want below and at or above %v",
+				th.name, th.t, th.t-1, below, th.t, at, th.p)
+		}
+	}
+}
+
 func TestKroneckerDeterminism(t *testing.T) {
 	a := Kronecker(Graph500Params(8, 5))
 	b := Kronecker(Graph500Params(8, 5))
@@ -154,7 +179,7 @@ func TestKroneckerRejectsBadParams(t *testing.T) {
 					t.Errorf("scale %d, edge factor %d: panic %q, want one naming %q", c.scale, c.edgeFactor, msg, c.panics)
 				}
 			}()
-			g := Kronecker(KroneckerParams{Scale: c.scale, EdgeFactor: c.edgeFactor, A: 0.57, B: 0.19, C: 0.19, Seed: 1})
+			g := Kronecker(KroneckerParams{Scale: c.scale, EdgeFactor: c.edgeFactor, Seed: 1})
 			if g.NumVertices() != 1<<c.scale || g.Validate() != nil {
 				t.Errorf("scale %d, edge factor %d: %d vertices, Validate %v", c.scale, c.edgeFactor, g.NumVertices(), g.Validate())
 			}
@@ -280,8 +305,10 @@ func TestUniformTiny(t *testing.T) {
 	}
 }
 
-func TestKG0ParamsDense(t *testing.T) {
-	g := Kronecker(KG0Params(8, 64, 7))
+// A high edge factor, as in the KG0 graph of the iBFS evaluation, gives a
+// dense graph.
+func TestKroneckerHighEdgeFactorDense(t *testing.T) {
+	g := Kronecker(KroneckerParams{Scale: 8, EdgeFactor: 64, Seed: 7})
 	avg := float64(2*g.NumEdges()) / float64(g.NumVertices())
 	if avg < 16 {
 		t.Errorf("KG0-like graph average degree %.1f; want dense", avg)

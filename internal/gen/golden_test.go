@@ -50,6 +50,15 @@ var goldenKronecker = map[string][2]string{
 	"14/20170321": {"d878b1fab6ea25dc", "aaf7ffd5270f5aec"},
 }
 
+// goldenBenchmarkGraphs pins, the same way, the graphs the benchmark
+// itself runs on: scale 18 (the offline workloads) and 16 (the serving
+// ones), seed 20170321. The hashes were recorded at commit 22df3c1, with
+// the float64 sampler that branched on every draw.
+var goldenBenchmarkGraphs = map[int][2]string{
+	16: {"0aafeddb6334aadb", "0288bde466626268"},
+	18: {"cf241a0f7996af77", "2c56a49906655b5a"},
+}
+
 // striped relabels g in the benchmark's layout.
 func striped(g *graph.Graph) *graph.Graph {
 	s, _ := label.Apply(g, label.Striped, label.Params{Workers: 2, TaskSize: 512})
@@ -65,6 +74,18 @@ func TestKroneckerGolden(t *testing.T) {
 			if want := goldenKronecker[key]; got != want {
 				t.Errorf("%q: {%q, %q}, // got; want {%q, %q}", key, got[0], got[1], want[0], want[1])
 			}
+		}
+	}
+}
+
+func TestKroneckerGoldenBenchmarkGraphs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates scale-16 and scale-18 graphs")
+	}
+	for scale, want := range goldenBenchmarkGraphs {
+		g := Kronecker(Graph500Params(scale, 20170321))
+		if got := [2]string{csrHash(g), csrHash(striped(g))}; got != want {
+			t.Errorf("%d/20170321: {%q, %q}, // got; want {%q, %q}", scale, got[0], got[1], want[0], want[1])
 		}
 	}
 }

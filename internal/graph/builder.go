@@ -65,8 +65,8 @@ const blockBits = 10
 // the result's adjacency is a prefix of it. The caller must not touch
 // pairs afterwards. Besides the result's offsets the build allocates only
 // a second counter array of the same size and one array of bucket heads
-// (groupByMin). It panics on an odd buffer, one longer than MaxEndpoints
-// or an out-of-range endpoint.
+// (groupByMin). It panics on a negative n, an odd buffer, one longer than
+// MaxEndpoints or an out-of-range endpoint.
 //
 // Row v of the result is v's lower neighbors (< v) followed by its upper
 // ones (> v), each list ascending. The steps (docs/ALGORITHMS.md, CSR
@@ -87,6 +87,9 @@ const blockBits = 10
 // side by side; step 6 turns low into the result's offsets, and high is
 // dropped.
 func FromPairs(n int, pairs []VertexID) *Graph {
+	if n < 0 {
+		panic("graph: negative vertex count")
+	}
 	if len(pairs)%2 != 0 {
 		panic("graph: odd endpoint buffer")
 	}

@@ -17,7 +17,9 @@ import (
 // even on small-world networks where a unidirectional BFS would flood it.
 func (g *Graph) ShortestPath(s, t int) []int {
 	g.checkSource(s)
-	g.checkSource(t)
+	if t < 0 || t >= g.NumVertices() {
+		panic("msbfs: ShortestPath target vertex out of range")
+	}
 	if s == t {
 		return []int{s}
 	}

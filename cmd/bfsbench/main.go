@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -21,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run (fig2..fig12, table1, ibfs, ablation, all)")
+		exp     = flag.String("exp", "all", "experiment to run ("+experimentNames()+", all)")
 		scale   = flag.Int("scale", 0, "base Kronecker scale (default 16)")
 		workers = flag.Int("workers", runtime.NumCPU(), "worker threads")
 		sources = flag.Int("sources", 64, "multi-source batch size")
@@ -47,16 +48,13 @@ func main() {
 		Sources: *sources,
 		Quick:   *quick,
 		Seed:    *seed,
+		CSVDir:  *csvDir,
 	}
 	if err := bench.Run(*exp, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "bfsbench:", err)
 		os.Exit(1)
 	}
 	if *csvDir != "" {
-		if err := bench.WriteCSV(*exp, cfg, *csvDir); err != nil {
-			fmt.Fprintln(os.Stderr, "bfsbench: csv:", err)
-			os.Exit(1)
-		}
 		fmt.Printf("CSV written to %s\n", *csvDir)
 	}
 	if *engStat {
@@ -67,4 +65,13 @@ func main() {
 			st.PooledWorkers, st.FreeShells+st.FreeStates+st.FreeBitmaps+st.FreeLevelRows,
 			st.FreeBytes, st.Hits, st.Hits+st.Misses)
 	}
+}
+
+// experimentNames lists the experiment ids in presentation order.
+func experimentNames() string {
+	var names []string
+	for _, e := range bench.Experiments() {
+		names = append(names, e.Name)
+	}
+	return strings.Join(names, ", ")
 }

@@ -80,7 +80,7 @@ func main() {
 			os.Exit(1)
 		}
 		relabelSpan := tracer.StartSpan("relabel", *labeling)
-		g, _ = label.Apply(g, scheme, label.Params{Workers: *workers, TaskSize: 512, Seed: *seed})
+		g, _ = label.Apply(g, scheme, label.Params{Workers: *workers, Seed: *seed})
 		relabelSpan.End()
 	}
 

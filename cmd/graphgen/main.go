@@ -27,7 +27,6 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "generator seed")
 		labeling   = flag.String("label", "", "relabel before saving: random, ordered, striped")
 		workers    = flag.Int("workers", 8, "worker count for striped labeling")
-		taskSize   = flag.Int("tasksize", 512, "task size for striped labeling")
 		out        = flag.String("out", "", "output file (omit to skip writing)")
 		format     = flag.String("format", "binary", "output format: binary or edgelist")
 		stats      = flag.Bool("stats", false, "print graph statistics")
@@ -46,7 +45,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "graphgen:", err)
 			os.Exit(1)
 		}
-		g, _ = label.Apply(g, scheme, label.Params{Workers: *workers, TaskSize: *taskSize, Seed: *seed})
+		g, _ = label.Apply(g, scheme, label.Params{Workers: *workers, Seed: *seed})
 	}
 
 	if *stats {

@@ -83,10 +83,10 @@ func Ablation(cfg Config) (AblationResult, error) {
 	return res, nil
 }
 
-func runAblation(cfg Config) error {
+func runAblation(cfg Config) ([][]string, error) {
 	res, err := Ablation(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Ablations (%d workers, 64 sources, striped Kronecker scale %d)\n", res.Workers, cfg.scale())
@@ -94,5 +94,5 @@ func runAblation(cfg Config) error {
 	for _, r := range res.Rows {
 		fmt.Fprintf(w, "%-30s %-22s %12v\n", r.Study, r.Variant, r.Elapsed.Round(time.Microsecond))
 	}
-	return nil
+	return res.csv(), nil
 }

@@ -36,6 +36,9 @@ type Config struct {
 	Quick bool
 	// Seed drives all graph generation and source selection.
 	Seed uint64
+	// CSVDir, when set, also receives each experiment's raw data rows as
+	// <experiment>.csv: the rows of the run the report printed.
+	CSVDir string
 }
 
 func (c Config) out() io.Writer {
@@ -82,8 +85,10 @@ type Experiment struct {
 	Name string
 	// Title describes what the paper shows in it.
 	Title string
-	// Run executes the experiment and writes the report to cfg.Out.
-	Run func(cfg Config) error
+	// Run executes the experiment, writes the report to cfg.Out and
+	// returns the run's raw data rows, header first; nil for an
+	// experiment without a CSV form.
+	Run func(cfg Config) ([][]string, error)
 }
 
 // Experiments returns all registered experiments in presentation order.
@@ -107,12 +112,14 @@ func Experiments() []Experiment {
 	}
 }
 
-// Run executes the named experiment ("all" runs everything).
+// Run executes the named experiment ("all" runs everything), writing each
+// one's rows into cfg.CSVDir when it is set. Asking for the CSV of a single
+// experiment without a CSV form is an error; "all" skips those.
 func Run(name string, cfg Config) error {
 	if name == "all" {
 		for _, e := range Experiments() {
 			fmt.Fprintf(cfg.out(), "==> %s: %s\n", e.Name, e.Title)
-			if err := e.Run(cfg); err != nil {
+			if err := run(e, cfg, false); err != nil {
 				return fmt.Errorf("%s: %w", e.Name, err)
 			}
 			fmt.Fprintln(cfg.out())
@@ -121,7 +128,7 @@ func Run(name string, cfg Config) error {
 	}
 	for _, e := range Experiments() {
 		if e.Name == name {
-			return e.Run(cfg)
+			return run(e, cfg, true)
 		}
 	}
 	names := make([]string, 0, len(Experiments()))
@@ -130,4 +137,17 @@ func Run(name string, cfg Config) error {
 	}
 	sort.Strings(names)
 	return fmt.Errorf("bench: unknown experiment %q (known: %v, plus \"all\")", name, names)
+}
+
+func run(e Experiment, cfg Config, needCSV bool) error {
+	rows, err := e.Run(cfg)
+	switch {
+	case err != nil || cfg.CSVDir == "":
+		return err
+	case rows != nil:
+		return writeCSV(cfg.CSVDir, e.Name, rows)
+	case needCSV:
+		return fmt.Errorf("bench: no CSV export for %q", e.Name)
+	}
+	return nil
 }

@@ -44,9 +44,8 @@ func TestFig2Shape(t *testing.T) {
 	// MS-BFS only one core of it. Read off the work each core is handed,
 	// not off timed utilization: MS-BFS's 64 sources are one batch, so one
 	// instance, while with stealing off every MS-PBFS worker runs at least
-	// half an even share of the tasks and scans edges. (Its edge share is
-	// uneven: the striped labeling deals tasks round-robin, the kernels
-	// give each worker one contiguous stripe.)
+	// half an even share of the tasks, and at every source count scans at
+	// least 0.9 of an even share of the edges.
 	first := res.Rows[0]
 	if first.Sources != 64 {
 		t.Fatalf("first row sources = %d", first.Sources)
@@ -62,6 +61,18 @@ func TestFig2Shape(t *testing.T) {
 		if 2*int64(cfg.Workers)*first.TasksMSPBFS[w] < tasks || first.EdgesMSPBFS[w] == 0 {
 			t.Errorf("at 64 sources MS-PBFS worker %d ran %d of %d tasks and scanned %d edges, want >= 1/%d of the tasks and > 0 edges",
 				w, first.TasksMSPBFS[w], tasks, first.EdgesMSPBFS[w], 2*cfg.Workers)
+		}
+	}
+	for _, r := range res.Rows {
+		var edges int64
+		for _, c := range r.EdgesMSPBFS {
+			edges += c
+		}
+		for w, c := range r.EdgesMSPBFS {
+			if share := float64(c) * float64(cfg.Workers) / float64(edges); share < 0.9 {
+				t.Errorf("at %d sources MS-PBFS worker %d scanned %d of %d edges, %.2f of an even share, want >= 0.9",
+					r.Sources, w, c, edges, share)
+			}
 		}
 	}
 	// MS-BFS occupies one more core per 64 sources until it has them all.

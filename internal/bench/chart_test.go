@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -66,19 +67,12 @@ func TestSparkline(t *testing.T) {
 func TestWriteCSV(t *testing.T) {
 	dir := t.TempDir()
 	cfg := quickCfg()
+	cfg.CSVDir = dir
 	for _, exp := range []string{"fig3", "ablation"} {
-		if err := WriteCSV(exp, cfg, dir); err != nil {
+		if err := Run(exp, cfg); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
-		f, err := os.Open(filepath.Join(dir, exp+".csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := csv.NewReader(f).ReadAll()
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", exp, err)
-		}
+		rows := readCSV(t, filepath.Join(dir, exp+".csv"))
 		if len(rows) < 2 {
 			t.Errorf("%s: only %d rows", exp, len(rows))
 		}
@@ -88,10 +82,58 @@ func TestWriteCSV(t *testing.T) {
 			}
 		}
 	}
-	if err := WriteCSV("fig6", cfg, dir); err == nil {
+	if err := Run("fig6", cfg); err == nil {
 		t.Error("experiment without CSV export accepted")
 	}
-	if err := WriteCSV("nope", cfg, dir); err == nil {
+	if err := Run("nope", cfg); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+}
+
+// TestCSVIsThePrintedRun: the CSV holds the rows of the run the report
+// printed, not of a second run: Figure 2's utilizations, rounded as the
+// report prints them, read the same in both.
+func TestCSVIsThePrintedRun(t *testing.T) {
+	var out bytes.Buffer
+	cfg := quickCfg()
+	cfg.Out, cfg.CSVDir = &out, t.TempDir()
+	if err := Run("fig2", cfg); err != nil {
+		t.Fatal(err)
+	}
+	var printed [][2]string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 2 && strings.HasSuffix(f[1], "%") && strings.HasSuffix(f[2], "%") {
+			printed = append(printed, [2]string{strings.TrimSuffix(f[1], "%"), strings.TrimSuffix(f[2], "%")})
+		}
+	}
+	rows := readCSV(t, filepath.Join(cfg.CSVDir, "fig2.csv"))[1:]
+	if len(rows) != len(printed) || len(rows) == 0 {
+		t.Fatalf("%d CSV rows, %d printed rows", len(rows), len(printed))
+	}
+	pct := func(s string) string {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strconv.FormatFloat(100*v, 'f', 1, 64)
+	}
+	for i, r := range rows {
+		if got := [2]string{pct(r[1]), pct(r[2])}; got != printed[i] {
+			t.Errorf("%s sources: CSV utilizations %v%%, printed %v%%", r[0], got, printed[i])
+		}
+	}
+}
+
+func readCSV(t *testing.T, path string) [][]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return rows
 }

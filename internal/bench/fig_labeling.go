@@ -17,11 +17,9 @@ import (
 var labelingSchemes = []label.Scheme{label.DegreeOrdered, label.Random, label.Striped}
 
 // socialGraphFor returns the experiment's social network graph relabeled
-// with the given scheme (Figures 6 and 7 use "a social network graph").
-// taskSize parameterizes the striped scheme and must match the task layout
-// the experiment schedules with — striping is scheduling-aware by design
-// (Section 4.3).
-func socialGraphFor(cfg Config, scheme label.Scheme, workers, taskSize int) *graph.Graph {
+// with the given scheme (Figures 6 and 7 use "a social network graph"),
+// striped over the stripes of the given worker count.
+func socialGraphFor(cfg Config, scheme label.Scheme, workers int) *graph.Graph {
 	persons := 60000
 	if cfg.Quick {
 		persons = 8000
@@ -31,7 +29,7 @@ func socialGraphFor(cfg Config, scheme label.Scheme, workers, taskSize int) *gra
 		p.AvgDegree = 16
 		return gen.LDBC(p)
 	})
-	g, _ := label.Apply(base, scheme, label.Params{Workers: workers, TaskSize: taskSize, Seed: cfg.seed()})
+	g, _ := label.Apply(base, scheme, label.Params{Workers: workers, Seed: cfg.seed()})
 	return g
 }
 
@@ -49,8 +47,7 @@ func Fig6(cfg Config) (Fig6Result, error) {
 	const workers = 8
 	res := Fig6Result{Workers: workers, PerWorker: map[string][]int64{}}
 	for _, scheme := range labelingSchemes {
-		split := sched.NewStripes(socialGraphFor(cfg, label.Random, workers, 512).NumVertices(), workers, 512).Per()
-		g := socialGraphFor(cfg, scheme, workers, split)
+		g := socialGraphFor(cfg, scheme, workers)
 		src := core.RandomSources(g, 1, cfg.seed())[0]
 		opt := core.Options{
 			Workers:          workers,
@@ -58,7 +55,7 @@ func Fig6(cfg Config) (Fig6Result, error) {
 			CollectIterStats: true,
 			// One contiguous task per worker: the paper's Figure 6 gives
 			// worker i the i-th n/8th of the vertex range.
-			SplitSize: split,
+			SplitSize: oneTaskPerStripe(g, workers),
 			// The visited-neighbors skew is a top-down phenomenon (hubs'
 			// neighbor lists are scanned from their owner's partition);
 			// the bottom-up direction scans ranges uniformly and would
@@ -77,10 +74,16 @@ func Fig6(cfg Config) (Fig6Result, error) {
 	return res, nil
 }
 
-func runFig6(cfg Config) error {
+// oneTaskPerStripe is the split size that cuts each of the kernels'
+// worker stripes into a single task.
+func oneTaskPerStripe(g *graph.Graph, workers int) int {
+	return sched.NewStripes(g.NumVertices(), workers, sched.StripeStride).Per()
+}
+
+func runFig6(cfg Config) ([][]string, error) {
 	res, err := Fig6(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Figure 6: visited neighbors per worker (static partitioning, %d workers)\n", res.Workers)
@@ -93,7 +96,7 @@ func runFig6(cfg Config) error {
 		fmt.Fprintf(w, "   (max/min spread %.1fx)\n", spread(res.PerWorker[name]))
 	}
 	fmt.Fprintf(w, "paper: ordered piles nearly all neighbor visits on worker 1; random and striped spread them.\n")
-	return nil
+	return nil, nil
 }
 
 func spread(xs []int64) float64 {
@@ -127,13 +130,13 @@ type Fig7Result struct {
 // Fig7 reproduces the per-iteration workload distribution of Figure 7.
 func Fig7(cfg Config) (Fig7Result, error) {
 	const workers = 8
-	g := socialGraphFor(cfg, label.DegreeOrdered, workers, 512)
+	g := socialGraphFor(cfg, label.DegreeOrdered, workers)
 	src := core.RandomSources(g, 1, cfg.seed())[0]
 	opt := core.Options{
 		Workers:          workers,
 		DisableStealing:  true,
 		CollectIterStats: true,
-		SplitSize:        sched.NewStripes(g.NumVertices(), workers, 512).Per(), // one task per worker
+		SplitSize:        oneTaskPerStripe(g, workers),
 		Direction:        core.TopDownOnly,
 	}
 	r := core.SMSPBFS(g, src, core.BitState, opt)
@@ -144,10 +147,10 @@ func Fig7(cfg Config) (Fig7Result, error) {
 	return res, nil
 }
 
-func runFig7(cfg Config) error {
+func runFig7(cfg Config) ([][]string, error) {
 	res, err := Fig7(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Figure 7: updated BFS vertex states per worker per iteration (ordered labeling, static partitioning)\n")
@@ -164,7 +167,7 @@ func runFig7(cfg Config) error {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "paper: iteration 2 updates few (hub) vertices, iteration 3 explodes; per-worker load varies across iterations.\n")
-	return nil
+	return nil, nil
 }
 
 // LabelingSeries is one (algorithm, labeling) runtime-per-iteration series.
@@ -196,7 +199,7 @@ func Fig8(cfg Config) (Fig8Result, error) {
 
 	for _, scheme := range labelingSchemes {
 		g, _ := label.Apply(kronecker(scale, cfg.seed()), scheme,
-			label.Params{Workers: workers, TaskSize: 512, Seed: cfg.seed()})
+			label.Params{Workers: workers, Seed: cfg.seed()})
 		sources := core.RandomSources(g, numSources, cfg.seed()+1)
 		opt := core.Options{Workers: workers, CollectIterStats: true}
 
@@ -222,10 +225,10 @@ func summarizeIters(algo, labeling string, iters []obs.IterationRecord, total ti
 	return s
 }
 
-func runFig8(cfg Config) error {
+func runFig8(cfg Config) ([][]string, error) {
 	res, err := Fig8(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Figure 8: runtime per BFS iteration (ms) per labeling (%d workers, work stealing)\n", res.Workers)
@@ -242,19 +245,19 @@ func runFig8(cfg Config) error {
 		totals = append(totals, s.TotalMillis)
 	}
 	barChart(w, labels, totals, " ms", 40)
-	return nil
+	return res.csv(), nil
 }
 
-func runFig9(cfg Config) error {
+func runFig9(cfg Config) ([][]string, error) {
 	res, err := Fig8(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Figure 9: worker runtime skew (longest/shortest) per iteration per labeling (%d workers)\n", res.Workers)
 	printLabelingSeries(w, res.Series, func(s LabelingSeries) []float64 { return s.IterSkew }, "%.1f")
 	fmt.Fprintf(w, "paper: skew hits ~15x for ordered SMS-PBFS in the hot iteration; striped and random stay low.\n")
-	return nil
+	return res.csv(), nil
 }
 
 func printLabelingSeries(w interface{ Write([]byte) (int, error) }, series []LabelingSeries,

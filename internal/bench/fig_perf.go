@@ -69,10 +69,10 @@ func Fig10(cfg Config) (Fig10Result, error) {
 	return res, nil
 }
 
-func runFig10(cfg Config) error {
+func runFig10(cfg Config) ([][]string, error) {
 	res, err := Fig10(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Figure 10: single-threaded throughput (GTEPS) over Kronecker graph sizes\n")
@@ -103,7 +103,7 @@ func runFig10(cfg Config) error {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "paper: SMS-PBFS overtakes Beamer from ~2^20 vertices as caches stop covering the state.\n")
-	return nil
+	return res.csv(), nil
 }
 
 // Fig11Row is one (threads, algorithm) speedup point.
@@ -195,10 +195,10 @@ func Fig11(cfg Config) (Fig11Result, error) {
 	return res, nil
 }
 
-func runFig11(cfg Config) error {
+func runFig11(cfg Config) ([][]string, error) {
 	res, err := Fig11(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Figure 11: relative speedup vs worker count (constant work)\n")
@@ -208,7 +208,7 @@ func runFig11(cfg Config) error {
 			r.Algorithm, r.Threads, r.Elapsed.Round(time.Millisecond), r.Speedup)
 	}
 	fmt.Fprintf(w, "paper: MS-PBFS scales ~45x at 60 threads, beating MS-BFS despite the latter's zero synchronization.\n")
-	return nil
+	return res.csv(), nil
 }
 
 // Fig12Row is one (scale, algorithm) throughput point of the full-machine
@@ -274,10 +274,10 @@ func Fig12(cfg Config) (Fig12Result, error) {
 	return res, nil
 }
 
-func runFig12(cfg Config) error {
+func runFig12(cfg Config) ([][]string, error) {
 	res, err := Fig12(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Figure 12: throughput (GTEPS) at %d workers as graph size increases\n", res.Workers)
@@ -303,7 +303,7 @@ func runFig12(cfg Config) error {
 	}
 	fmt.Fprintf(w, "paper: parallel BFSs struggle at small scales (contention, little work per iteration);\n")
 	fmt.Fprintf(w, "       MS-PBFS overtakes the sequential execution model from ~2^20 vertices.\n")
-	return nil
+	return res.csv(), nil
 }
 
 func min(a, b int) int {

@@ -69,10 +69,10 @@ func Fig2(cfg Config) (Fig2Result, error) {
 	return res, nil
 }
 
-func runFig2(cfg Config) error {
+func runFig2(cfg Config) ([][]string, error) {
 	res, err := Fig2(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Figure 2: CPU utilization (%%) vs number of BFS sources (%d workers)\n", res.Workers)
@@ -83,7 +83,7 @@ func runFig2(cfg Config) error {
 	}
 	fmt.Fprintf(w, "paper: MS-BFS utilization climbs one core per 64 sources (full only at 64*threads);\n")
 	fmt.Fprintf(w, "       MS-PBFS is fully utilized from the first batch.\n")
-	return nil
+	return res.csv(), nil
 }
 
 // Fig3Row is one point of the memory-overhead experiment.
@@ -161,10 +161,10 @@ func Fig3(cfg Config) (Fig3Result, error) {
 	return res, nil
 }
 
-func runFig3(cfg Config) error {
+func runFig3(cfg Config) ([][]string, error) {
 	res, err := Fig3(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Figure 3: BFS dynamic state relative to graph size (Kronecker, edge factor 16)\n")
@@ -179,5 +179,5 @@ func runFig3(cfg Config) error {
 		fmt.Fprintf(w, "%-10d %12d %12d %11.2fx\n", m.Workers, m.Active, m.ShellBytes, m.Ratio)
 	}
 	fmt.Fprintf(w, "paper: MS-BFS exceeds the graph size at 6 threads and 10x at 60; MS-PBFS stays flat.\n")
-	return nil
+	return res.csv(), nil
 }

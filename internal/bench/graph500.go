@@ -70,11 +70,11 @@ func Graph500(cfg Config) (Graph500Result, error) {
 	return res, nil
 }
 
-func runGraph500(cfg Config) error {
+func runGraph500(cfg Config) ([][]string, error) {
 	start := time.Now()
 	res, err := Graph500(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Graph500 BFS benchmark flow (scale %d, %d searches, all validated: %d/%d)\n",
@@ -84,5 +84,5 @@ func runGraph500(cfg Config) error {
 	fmt.Fprintf(w, "max_TEPS:           %.3e\n", res.MaxTEPS)
 	fmt.Fprintf(w, "harmonic_mean_TEPS: %.3e\n", res.HarmonicTEPS)
 	fmt.Fprintf(w, "total runtime: %v\n", time.Since(start).Round(time.Millisecond))
-	return nil
+	return nil, nil
 }

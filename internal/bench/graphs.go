@@ -55,7 +55,7 @@ func KroneckerGraph(scale int, seed uint64) *graph.Graph {
 func stripedKronecker(scale, workers int, seed uint64) *graph.Graph {
 	return cachedGraph(key("kron-striped", scale, workers, int(seed)), func() *graph.Graph {
 		g, _ := label.Apply(kronecker(scale, seed), label.Striped,
-			label.Params{Workers: workers, TaskSize: 512})
+			label.Params{Workers: workers})
 		return g
 	})
 }

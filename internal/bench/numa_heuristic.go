@@ -133,10 +133,10 @@ func NUMALocality(cfg Config) (NUMAResult, error) {
 	return res, nil
 }
 
-func runNUMA(cfg Config) error {
+func runNUMA(cfg Config) ([][]string, error) {
 	res, err := NUMALocality(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Section 4.4: modeled NUMA page locality (%d sockets, one worker each)\n", res.Sockets)
@@ -150,7 +150,7 @@ func runNUMA(cfg Config) error {
 	}
 	fmt.Fprintf(w, "paper: all writes NUMA-local except the first top-down phase and stolen tasks;\n")
 	fmt.Fprintf(w, "       disabling stealing removes the second source of remote accesses.\n")
-	return nil
+	return res.csv(), nil
 }
 
 // AlphaBetaRow is one point of the direction-heuristic parameter sweep.
@@ -208,10 +208,10 @@ func AlphaBeta(cfg Config) (AlphaBetaResult, error) {
 	return res, nil
 }
 
-func runAlphaBeta(cfg Config) error {
+func runAlphaBeta(cfg Config) ([][]string, error) {
 	res, err := AlphaBeta(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Direction-heuristic sensitivity (MS-PBFS, 64 sources)\n")
@@ -223,5 +223,5 @@ func runAlphaBeta(cfg Config) error {
 	fmt.Fprintf(w, "larger alpha switches to bottom-up earlier (smaller first-BU iteration); any alpha\n")
 	fmt.Fprintf(w, "eventually switches as the unexplored volume shrinks. The GAPBS defaults sit on the\n")
 	fmt.Fprintf(w, "flat middle of the runtime plateau.\n")
-	return nil
+	return res.csv(), nil
 }

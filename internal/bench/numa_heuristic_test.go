@@ -77,15 +77,15 @@ func TestNUMAAccessesModel(t *testing.T) {
 // flight-record model on quickCfg (scale 15, seed 1, two workers): with
 // stealing off the only remote accesses are the stripe owners' reads of
 // the other worker's inbox entries. Every sweep covers the graph's active
-// prefix (24,386 of 32,768 vertices): a bottom-up level is charged per
+// prefix (24,197 of 32,768 vertices): a bottom-up level is charged per
 // task, 48 of the 64 MS-PBFS pages and 6 of the 8 SMS-PBFS tasks, and a
-// top-down resolve 24,386 vertices.
+// top-down resolve 24,197 vertices.
 func TestNUMALocalityPinnedCounts(t *testing.T) {
 	res, err := NUMALocality(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][2]int64{"MS-PBFS": {54127, 505}, "SMS-PBFS": {157952, 766}}
+	want := map[string][2]int64{"MS-PBFS": {52573, 459}, "SMS-PBFS": {147901, 4}}
 	for _, r := range res.Rows {
 		if r.Stealing {
 			continue

@@ -89,7 +89,7 @@ func Table1(cfg Config) (Table1Result, error) {
 	res := Table1Result{Workers: workers}
 	for _, entry := range table1Suite(cfg) {
 		g, _ := label.Apply(entry.g, label.Striped,
-			label.Params{Workers: workers, TaskSize: 512, Seed: cfg.seed()})
+			label.Params{Workers: workers, Seed: cfg.seed()})
 		ec := metrics.NewEdgeCounter(g)
 		row := Table1Row{
 			Name:     entry.name,
@@ -130,10 +130,10 @@ func Table1(cfg Config) (Table1Result, error) {
 	return res, nil
 }
 
-func runTable1(cfg Config) error {
+func runTable1(cfg Config) ([][]string, error) {
 	res, err := Table1(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Table 1: graph suite and algorithm performance in GTEPS (%d workers)\n", res.Workers)
@@ -147,7 +147,7 @@ func runTable1(cfg Config) error {
 	}
 	fmt.Fprintf(w, "paper: MS-PBFS wins on every graph; MS-BFS limited to 64 sources collapses (one core);\n")
 	fmt.Fprintf(w, "       the web graph is the hardest (lowest GTEPS), the dense KG0 the easiest.\n")
-	return nil
+	return res.csv(), nil
 }
 
 // IBFSResult is the KG0 comparison of Section 5.3.
@@ -169,7 +169,7 @@ func IBFSCompare(cfg Config) (IBFSResult, error) {
 	g0 := cachedGraph(key("t1-kg0", scale, deg, int(cfg.seed())), func() *graph.Graph {
 		return gen.Kronecker(gen.KroneckerParams{Scale: scale, EdgeFactor: deg, Seed: cfg.seed() + 1})
 	})
-	g, _ := label.Apply(g0, label.Striped, label.Params{Workers: workers, TaskSize: 512})
+	g, _ := label.Apply(g0, label.Striped, label.Params{Workers: workers})
 	ec := metrics.NewEdgeCounter(g)
 	sources := core.RandomSources(g, 64, cfg.seed()+21)
 	opt := core.Options{Workers: workers}
@@ -189,10 +189,10 @@ func IBFSCompare(cfg Config) (IBFSResult, error) {
 	return res, nil
 }
 
-func runIBFS(cfg Config) error {
+func runIBFS(cfg Config) ([][]string, error) {
 	res, err := IBFSCompare(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w := cfg.out()
 	fmt.Fprintf(w, "Section 5.3: MS-PBFS vs iBFS-style JFQ on the dense KG0-like graph (%d workers, 64 sources)\n", res.Workers)
@@ -201,5 +201,5 @@ func runIBFS(cfg Config) error {
 	fmt.Fprintf(w, "%-12s %12.2f %12.3f\n", "iBFS (JFQ)", res.IBFSMs, res.IBFSGteps)
 	fmt.Fprintf(w, "MS-PBFS / iBFS = %.2fx (paper: 1860 vs 397 GTEPS on the CPU adaptation, ~4.7x)\n",
 		res.SpeedupMSPBFSOverIBFS)
-	return nil
+	return nil, nil
 }

@@ -278,8 +278,8 @@ func TestClusterExchangeCounts(t *testing.T) {
 	for _, it := range single.Iterations {
 		wantScanned += it.ScannedEdges
 	}
-	if wantScanned != 1175660 {
-		t.Fatalf("single-process top-down scanned %d edges, want 1175660", wantScanned)
+	if wantScanned != 1207890 {
+		t.Fatalf("single-process top-down scanned %d edges, want 1207890", wantScanned)
 	}
 
 	for _, tc := range []struct {
@@ -287,8 +287,8 @@ func TestClusterExchangeCounts(t *testing.T) {
 		frontierBytes int64
 		rawBytes      int64
 	}{
-		{2, 206213, 917504},
-		{4, 436842, 2752512},
+		{2, 395577, 917504},
+		{4, 521595, 2752512},
 	} {
 		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
 			tracer := obs.NewTracer()

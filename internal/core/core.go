@@ -59,8 +59,8 @@ type Options struct {
 	BatchWords int
 	// SplitSize is the task range size in vertices; <=0 selects
 	// sched.DefaultSplitSize. The BFS kernels round it up to a multiple of
-	// 512 so bitmap words and 4 KiB pages of 64-bit state never straddle
-	// tasks (Section 4.4's placement at task borders).
+	// sched.StripeStride so bitmap words and 4 KiB pages of 64-bit state
+	// never straddle tasks (Section 4.4's placement at task borders).
 	SplitSize int
 	// Direction selects the traversal policy.
 	Direction Direction
@@ -137,20 +137,13 @@ func (o Options) batchWords() int {
 	return o.BatchWords
 }
 
-// splitStride is the granularity task sizes are rounded to: 512 vertices is
-// one 4096-byte page of 64-bit-per-vertex state and a whole number of
-// bitmap words, so tasks never share pages or words. The stripe owner
-// first-touches its tasks' pages (Section 4.4); internal/bench's locality
-// model depends on that border arithmetic.
-const splitStride = 512
-
 func (o Options) splitSize() int {
 	s := o.SplitSize
 	if s <= 0 {
 		s = sched.DefaultSplitSize
 	}
-	if rem := s % splitStride; rem != 0 {
-		s += splitStride - rem
+	if rem := s % sched.StripeStride; rem != 0 {
+		s += sched.StripeStride - rem
 	}
 	return s
 }

@@ -536,7 +536,7 @@ func (gr *grid) view(t *testing.T, c cell) *view {
 		return v
 	}
 	scheme := []label.Scheme{label.Identity, label.Random, label.DegreeOrdered, label.Striped}[c[dLabel]]
-	g, perm := label.Apply(gr.shape(c[dShape]), scheme, label.Params{Workers: 3, TaskSize: 512, Seed: 11})
+	g, perm := label.Apply(gr.shape(c[dShape]), scheme, label.Params{Workers: 3, Seed: 11})
 	v := &view{g: g, perm: perm, identity: scheme == label.Identity, orig: make([]int, len(perm)),
 		lists: map[[2]int][]int{}, engines: [2]*core.Engine{core.NewEngine(), core.NewEngine()}}
 	for old, id := range perm {

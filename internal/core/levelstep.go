@@ -153,7 +153,7 @@ func activePrefix(g *graph.Graph, ov *graph.Overlay) int {
 // keeps the owner it has without the clip.
 func (ls *levelStep) init(self any, key shellKey) {
 	ls.self, ls.active = self, key.active
-	ls.stripes = sched.NewStripes(key.n, key.workers, splitStride).Clip(key.active)
+	ls.stripes = sched.NewStripes(key.n, key.workers, sched.StripeStride).Clip(key.active)
 	ls.tq = sched.CreateStripeTasks(ls.stripes, key.split)
 	ls.initInboxes()
 	ls.scanned = make([]padCounter, key.workers)

@@ -14,11 +14,11 @@ import (
 )
 
 // goldenStriped is the benchmark's layout of a golden Kronecker graph:
-// striped over 2 workers with 512-vertex tasks, so its isolated vertices
-// form one trailing block of ids.
+// striped over 2 workers, so its isolated vertices form one trailing block
+// of ids.
 func goldenStriped(scale int, seed uint64) *graph.Graph {
 	g, _ := label.Apply(gen.Kronecker(gen.Graph500Params(scale, seed)), label.Striped,
-		label.Params{Workers: 2, TaskSize: 512})
+		label.Params{Workers: 2})
 	return g
 }
 
@@ -46,67 +46,67 @@ func levelTrace(its []obs.IterationRecord, visited int64) string {
 // it decides or scans: these are the counts of the n-wide sweep.
 var pinnedLevelTraces = map[string][]string{
 	"ms/1": {
-		"tbbbbtb 3509,425108,91039,26493,223,217,6 804032",
+		"tbbbbtb 3019,425108,228968,35757,1066,1063,6 791471",
 	},
 	"sms/1": {
-		"ttbbbt 4,1012,12950,1210,13,7 12563",
-		"ttbbbt 2,1551,12075,925,12,6 12563",
-		"ttbbtb 4,1957,11659,836,1044,6 12563",
-		"tbbbt 106,29682,4514,42,36 12563",
-		"ttbbbt 2,788,13466,1455,16,10 12563",
-		"tttbbtb 1,33,17078,6719,116,112,6 12563",
-		"ttbbtb 1,1805,11279,721,890,6 12563",
-		"ttbbtb 1,1821,11192,677,840,6 12563",
-		"ttbbtb 14,5603,8665,275,290,6 12563",
-		"ttbbbt 6,1252,12933,1281,17,11 12563",
-		"ttbbtb 5,1901,11816,874,1127,6 12563",
-		"ttbbtb 28,14042,6983,143,142,6 12563",
-		"tbbbt 302,18471,2761,26,20 12563",
-		"tbbbtb 89,29302,4808,51,46,6 12563",
-		"ttbbtb 11,4391,10012,430,473,6 12563",
-		"ttbbbt 1,786,13836,1468,15,9 12563",
+		"ttbbbt 1,285,18541,2742,23,17 12563",
+		"ttbbtb 33,15158,7698,149,145,6 12563",
+		"ttbbtb 1,1805,11711,725,890,6 12563",
+		"tbbbt 106,32054,4563,42,36 12563",
+		"ttbbtb 29,16045,6942,139,136,6 12563",
+		"ttbbtb 9,2154,12091,822,1037,6 12563",
+		"ttbbtb 3,3777,9211,305,320,6 12563",
+		"ttbbtb 6,2081,12058,812,1022,6 12563",
+		"ttbbtb 3,5097,8860,271,279,6 12563",
+		"ttbbbt 1,95,31674,4760,57,51 12563",
+		"ttbbtb 1,1798,11586,694,827,6 12563",
+		"ttbbbt 5,1211,13664,1293,13,7 12563",
+		"tbbbt 302,19669,2785,26,20 12563",
+		"ttbbtb 23,15900,6650,114,110,6 12563",
+		"ttbbbt 3,427,18683,2577,24,18 12563",
+		"ttbbtb 9,4894,10055,397,433,6 12563",
 	},
 	"ms/7": {
-		"tbbbbtb 2013,426344,201105,35616,796,794,2 803264",
+		"tbbbbtb 2681,426344,169922,31738,467,465,2 803264",
 	},
 	"sms/7": {
-		"ttbbtb 1,1780,11226,711,881,2 12551",
-		"ttbbbt 2,433,16152,2299,18,16 12551",
-		"ttbbtb 12,2937,10981,632,765,2 12551",
-		"ttbbbt 1,117,28036,4434,49,47 12551",
-		"ttbbbt 1,751,13850,1581,10,8 12551",
-		"ttbbtb 13,5503,9557,369,403,2 12551",
-		"ttbbt 37,21835,6411,103,105 12551",
-		"ttbbtb 9,4906,9790,431,487,2 12551",
-		"ttbbtb 10,4220,10052,403,457,2 12551",
-		"ttbbtb 30,15253,7284,143,150,2 12551",
-		"ttbbt 38,15101,7409,161,173 12551",
-		"ttbbbt 1,273,18247,2965,21,19 12551",
-		"ttbbtb 3,2361,10935,610,751,2 12551",
-		"ttbbt 13,7208,8973,276,299 12551",
-		"ttbbbt 4,1133,12740,1237,6,4 12551",
-		"ttbbtb 3,5736,8367,247,265,2 12551",
+		"ttbbtb 4,3359,10670,487,579,2 12551",
+		"ttbbtb 24,10616,7645,171,182,2 12551",
+		"ttbbbt 2,1047,13340,1211,8,6 12551",
+		"ttbbtb 8,9470,7722,176,186,2 12551",
+		"ttbbtb 3,2784,11028,556,667,2 12551",
+		"ttbbtb 13,7088,8360,220,239,2 12551",
+		"ttbbbt 2,587,15700,1920,12,10 12551",
+		"ttbbbt 2,1052,13481,1265,8,6 12551",
+		"ttbbtb 11,3490,10704,491,567,2 12551",
+		"ttbbtb 30,12739,7840,188,198,2 12551",
+		"ttbbtb 7,7187,8260,225,242,2 12551",
+		"tbbbt 105,32396,4689,51,52 12551",
+		"ttbbbt 3,1140,13227,1224,7,5 12551",
+		"ttbbtb 1,1780,11635,712,881,2 12551",
+		"tbbbt 286,19044,2820,25,23 12551",
+		"ttbbbt 1,278,19074,2809,17,15 12551",
 	},
 	"ms/20170321": {
-		"tbbbbtb 1962,425562,87502,24054,213,209,4 805504",
+		"tbbbbt 872,423484,55387,16011,97,93 805504",
 	},
 	"sms/20170321": {
-		"tbbbt 99,32867,4941,58,56 12586",
-		"ttbbbt 2,290,19830,3007,25,21 12586",
-		"ttbbtb 14,6112,8560,264,277,4 12586",
-		"ttbbtb 3,2851,10662,626,724,4 12586",
-		"ttbbtb 10,2370,11468,818,1015,4 12586",
-		"ttbbtb 3,2216,11068,714,856,4 12586",
-		"ttbbtb 27,10786,8233,220,227,4 12586",
-		"ttbbtb 4,2197,11025,660,784,4 12586",
-		"ttbbt 28,17244,6416,110,108 12586",
-		"ttbbbt 1,298,18315,2774,24,20 12586",
-		"tttbbtb 1,37,14456,7619,182,187,4 12586",
-		"ttbbbt 1,305,17425,2654,23,19 12586",
-		"ttbbtb 17,8768,8636,273,298,4 12586",
-		"ttbbbt 2,1557,12171,1026,7,3 12586",
-		"ttbbtb 13,6378,9256,330,374,4 12586",
-		"tbbbtb 97,23817,4282,48,46,4 12586",
+		"ttbbt 37,14529,7708,174,179 12586",
+		"ttbbtb 29,13294,7412,166,168,4 12586",
+		"ttbbbt 4,1098,13492,1249,12,8 12586",
+		"tbbbt 109,28361,4504,57,54 12586",
+		"ttbbbt 2,1584,12503,1036,8,4 12586",
+		"tbbbt 108,35452,5202,76,75 12586",
+		"ttbbtb 7,4193,10322,465,498,4 12586",
+		"ttbbbt 1,288,19465,2978,27,24 12586",
+		"ttbbtb 7,4202,10345,485,548,4 12586",
+		"ttbbtb 3,1894,11545,754,904,4 12586",
+		"ttbbtb 12,5088,10101,436,487,4 12586",
+		"ttbbtb 5,2224,11428,762,900,4 12586",
+		"ttbbtb 6,2195,12095,874,1070,4 12586",
+		"ttbbtb 13,6596,9273,314,337,4 12586",
+		"ttbbbt 2,840,13879,1473,12,8 12586",
+		"ttbbt 36,18880,6831,134,133 12586",
 	},
 }
 
@@ -172,8 +172,8 @@ func shellBytes(active, words int) int64 {
 func TestShellStateIsActivePrefix(t *testing.T) {
 	g := goldenStriped(14, 20170321)
 	a := g.ActivePrefix()
-	if a != 12951 {
-		t.Fatalf("active prefix %d, want 12951", a)
+	if a != 12590 {
+		t.Fatalf("active prefix %d, want 12590", a)
 	}
 	for _, words := range []int{1, 2} {
 		eng := NewEngine()
@@ -196,7 +196,7 @@ func TestStripesClippedToActivePrefix(t *testing.T) {
 	defer eng.Close()
 	for _, workers := range []int{1, 2, 3, 7} {
 		e := NewMSPBFSEngine(g, Options{Workers: workers, Engine: eng})
-		layout := sched.NewStripes(n, workers, splitStride)
+		layout := sched.NewStripes(n, workers, sched.StripeStride)
 		covered, stripes := 0, 0
 		for w := range workers {
 			lo, hi := layout.Range(w)
@@ -215,6 +215,42 @@ func TestStripesClippedToActivePrefix(t *testing.T) {
 		}
 		if workers > 1 && e.applyTq.NumTasks() != stripes {
 			t.Errorf("workers=%d: %d apply tasks, want %d", workers, e.applyTq.NumTasks(), stripes)
+		}
+		e.Close()
+	}
+}
+
+// TestStripedDealsOverShellStripes: the striped labeling and the kernels
+// share one vertex layout. On the striped graph the active prefix is the
+// count of non-isolated vertices, a shell's stripes are the n-vertex
+// layout clipped there, and each non-empty stripe opens with the hub the
+// labeling dealt it: the w-th vertex by degree sits at stripe w's border.
+func TestStripedDealsOverShellStripes(t *testing.T) {
+	g0 := gen.Kronecker(gen.Graph500Params(14, 20170321))
+	n, active := g0.NumVertices(), 0
+	byDegree := make([]int, n)
+	for v := range n {
+		byDegree[v] = v
+		if g0.Degree(v) > 0 {
+			active++
+		}
+	}
+	slices.SortStableFunc(byDegree, func(u, v int) int { return g0.Degree(v) - g0.Degree(u) })
+	eng := NewEngine()
+	defer eng.Close()
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		g, perm := label.Apply(g0, label.Striped, label.Params{Workers: workers})
+		if a := g.ActivePrefix(); a != active {
+			t.Errorf("P=%d: active prefix %d, want the %d non-isolated vertices", workers, a, active)
+		}
+		e := NewMSPBFSEngine(g, Options{Workers: workers, Engine: eng})
+		if want := sched.NewStripes(n, workers, sched.StripeStride).Clip(active); e.stripes != want {
+			t.Errorf("P=%d: shell stripes %+v, the labeling dealt over %+v", workers, e.stripes, want)
+		}
+		for w := range workers {
+			if lo, hi := e.stripes.Range(w); lo < hi && int(perm[byDegree[w]]) != lo {
+				t.Errorf("P=%d: the vertex of degree rank %d got id %d, want stripe %d's border %d", workers, w, perm[byDegree[w]], w, lo)
+			}
 		}
 		e.Close()
 	}

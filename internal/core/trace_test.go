@@ -316,7 +316,7 @@ func TestTraceForcedDirections(t *testing.T) {
 			sources := RandomSources(g, 65, 29)      // 65: MS-PBFS runs a second batch
 			for _, workers := range []int{1, 2, 3} { // 3: uneven stripes
 				for _, split := range []int{512, 2048} {
-					tq := sched.CreateStripeTasks(sched.NewStripes(n, workers, splitStride), split)
+					tq := sched.CreateStripeTasks(sched.NewStripes(n, workers, sched.StripeStride), split)
 					if n == 8192 && workers == 3 {
 						if want := map[int]int{512: 6 + 6 + 4, 2048: 2 + 2 + 1}[split]; tq.NumTasks() != want {
 							t.Fatalf("n=%d workers=3 split=%d: %d tasks, want %d", n, split, tq.NumTasks(), want)

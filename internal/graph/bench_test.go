@@ -31,7 +31,7 @@ func BenchmarkBuild(b *testing.B) {
 		g := gen.Kronecker(gen.Graph500Params(18, 20170321))
 		b.ReportAllocs()
 		for b.Loop() {
-			label.Apply(g, label.Striped, label.Params{Workers: 2, TaskSize: 512})
+			label.Apply(g, label.Striped, label.Params{Workers: 2})
 		}
 	})
 }

@@ -1,9 +1,9 @@
 // Package label implements the vertex labeling (re-numbering) schemes the
 // paper evaluates: random labeling, degree-ordered labeling (Yasui et al.),
-// and the paper's novel striped labeling (Section 4.3), which distributes
-// degree-ordered vertices round-robin across the workers' task ranges so
-// that high-degree vertices are simultaneously cache-clustered and
-// spread across workers.
+// and the paper's novel striped labeling (Section 4.3), which deals
+// degree-ordered vertices round-robin over the workers' stripes — the
+// sched.Stripes layout the kernels own — so that high-degree vertices are
+// simultaneously cache-clustered and spread evenly across workers.
 //
 // A labeling is expressed as a permutation newID with newID[v] being the new
 // identifier of the original vertex v; graphs are re-numbered with
@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
 
 // Scheme identifies a labeling strategy.
@@ -29,8 +30,8 @@ const (
 	// of Yasui et al. that the paper uses as a baseline.
 	DegreeOrdered
 	// Striped is the paper's scheduling-aware labeling: degree-ordered
-	// vertices are dealt round-robin across the workers' task ranges
-	// (Section 4.3).
+	// vertices are dealt round-robin over the workers' stripes (Section
+	// 4.3).
 	Striped
 )
 
@@ -54,8 +55,6 @@ func (s Scheme) String() string {
 type Params struct {
 	// Workers is the number of worker threads (P); required by Striped.
 	Workers int
-	// TaskSize is the task range size in vertices (T); required by Striped.
-	TaskSize int
 	// Seed drives the Random scheme.
 	Seed uint64
 }
@@ -73,9 +72,10 @@ func Permutation(g *graph.Graph, s Scheme, p Params) []graph.VertexID {
 	case Random:
 		return randomPermutation(n, p.Seed)
 	case DegreeOrdered:
-		return degreeRanks(g)
+		rank, _ := degreeRanks(g)
+		return rank
 	case Striped:
-		return StripedPermutation(g, p.Workers, p.TaskSize)
+		return StripedPermutation(g, p.Workers)
 	default:
 		panic(fmt.Sprintf("label: unknown scheme %d", int(s)))
 	}
@@ -114,8 +114,9 @@ func randomPermutation(n int, seed uint64) []graph.VertexID {
 
 // degreeRanks returns, for every vertex, its rank by descending degree,
 // ties broken by ascending vertex id for determinism: a counting sort on
-// degree that writes each vertex's rank instead of the sorted order.
-func degreeRanks(g *graph.Graph) []graph.VertexID {
+// degree that writes each vertex's rank instead of the sorted order. a is
+// the number of vertices with an edge, which hold the ranks below a.
+func degreeRanks(g *graph.Graph) (rank []graph.VertexID, a int) {
 	n := g.NumVertices()
 	// start[d] is the rank of the next vertex of degree d: at first the
 	// number of vertices with a larger degree.
@@ -126,68 +127,71 @@ func degreeRanks(g *graph.Graph) []graph.VertexID {
 	for d, higher := len(start)-1, 0; d >= 0; d-- {
 		start[d], higher = higher, higher+start[d]
 	}
-	rank := make([]graph.VertexID, n)
+	a = start[0]
+	rank = make([]graph.VertexID, n)
 	for v := range rank {
 		d := g.Degree(v)
 		rank[v] = graph.VertexID(start[d])
 		start[d]++
 	}
-	return rank
+	return rank, a
 }
 
-// StripedPermutation implements the striped vertex labeling of Section 4.3.
+// StripedPermutation implements the striped vertex labeling of Section 4.3
+// over the stripes the kernels own: the n-vertex layout
+// sched.NewStripes(n, workers, sched.StripeStride) clipped at a, the
+// number of vertices with an edge.
 //
-// Vertices are ranked by descending degree. With P workers and task size T,
-// the task layout is the one create_tasks produces: task t covers the id
-// range [t*T, (t+1)*T) and is assigned to worker t mod P. Rank r is placed
-// so that the highest-degree vertices land at the start of each worker's
-// first task, the next P vertices at their second positions, and so on:
-//
-//	round  q = r / (P*T)     — which task of each worker's queue
-//	worker w = r mod P
-//	offset o = (r mod (P*T)) / P
-//	new id   = (q*P + w)*T + o
-//
-// The tail of the id space (when n is not a multiple of P*T) is filled in
-// rank order, which preserves the property that the cheapest vertices come
-// last.
-func StripedPermutation(g *graph.Graph, workers, taskSize int) []graph.VertexID {
+// Vertices are ranked by descending degree. Ranks 0..a-1 are dealt
+// round-robin over stripes 0, 1, ..., P-1, skipping any stripe already
+// full, and each stripe fills upward from its lower border: the P hottest
+// vertices open the P stripes, the next P take their second ids, and so
+// on, so the workers own near-equal shares of the degree mass, hottest
+// first. Ranks a..n-1, the isolated vertices, keep their ranks as ids.
+func StripedPermutation(g *graph.Graph, workers int) []graph.VertexID {
 	if workers < 1 {
 		panic("label: striped labeling requires workers >= 1")
 	}
-	if taskSize < 1 {
-		panic("label: striped labeling requires taskSize >= 1")
-	}
-	n := g.NumVertices()
-	// Ranks are dealt exactly as the paper describes: position 0 of every
-	// worker's q-th task, then position 1, and so on. A full block of P*T
-	// ids is the formula above, in 32-bit arithmetic (ids fit, and so do P
-	// and P*T once a full block does), whose division is the cheap kind. In
-	// the partial final block (n not a multiple of P*T, including n < P*T)
-	// the positions past the end of the id space are skipped, so the scheme
-	// stays a permutation for any n: with m ids in the block, f = m/T full
-	// tasks and one task of rem = m%T ids, the first rem positions each
-	// take f+1 ranks and the rest f.
-	block := workers * taskSize
-	full := n / block * block
-	f, rem := (n-full)/taskSize, (n-full)%taskSize
-	b, p, t := uint32(block), uint32(workers), uint32(taskSize) // exact where full > 0
-	newID := degreeRanks(g)
-	for v, r := range newID {
-		if int(r) < full {
-			j := r % b
-			newID[v] = r - j + j%p*t + j/p
-			continue
-		}
-		j := int(r) - full
-		var w, off int
-		if j < rem*(f+1) {
-			off, w = j/(f+1), j%(f+1)
-		} else {
-			j -= rem * (f + 1)
-			off, w = rem+j/f, j%f
-		}
-		newID[v] = graph.VertexID(full + w*taskSize + off)
-	}
+	newID, a := degreeRanks(g)
+	deal(newID, sched.NewStripes(len(newID), workers, sched.StripeStride).Clip(a))
 	return newID
+}
+
+// deal rewrites every rank r < s.N() to the id the round-robin deal over
+// s's stripes hands it. With stripe length L, the clipped stripes are
+// k = a/L full ones and one of rem = a%L ids, so the deal has a closed
+// form: for the first m*rem ranks, m being the non-empty stripes, all m
+// take one rank per round,
+//
+//	stripe = r mod m, id = stripe*L + r/m,
+//
+// and after that the k full stripes alone: with j = r - m*rem,
+//
+//	stripe = j mod k, id = stripe*L + rem + j/k.
+//
+// It runs in 32-bit arithmetic: ids fit, and so do L and every product
+// below a.
+func deal(rank []graph.VertexID, s sched.Stripes) {
+	per, a := uint32(s.Per()), uint32(s.N())
+	k, rem := a/per, a%per
+	m := k
+	if rem > 0 {
+		m++
+	}
+	head := m * rem
+	k = max(k, 1) // a rank past head is isolated when no stripe is full
+	for v, r := range rank {
+		// Both phases are one formula; selecting its inputs instead of
+		// branching keeps the loop free of the mispredictions that ranks in
+		// vertex order would cause.
+		j, d, base := r, m, uint32(0)
+		if r >= head {
+			j, d, base = r-head, k, rem
+		}
+		id := j%d*per + base + j/d
+		if r >= a {
+			id = r // isolated: keeps its rank
+		}
+		rank[v] = id
+	}
 }

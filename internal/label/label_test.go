@@ -1,12 +1,14 @@
 package label
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/sched"
 )
 
 func testGraph(t *testing.T) *graph.Graph {
@@ -55,7 +57,7 @@ func TestSchemeString(t *testing.T) {
 func TestAllSchemesArePermutations(t *testing.T) {
 	g := testGraph(t)
 	n := g.NumVertices()
-	params := Params{Workers: 4, TaskSize: 64, Seed: 7}
+	params := Params{Workers: 4, Seed: 7}
 	for _, s := range []Scheme{Identity, Random, DegreeOrdered, Striped} {
 		p := Permutation(g, s, params)
 		if !isPermutation(p, n) {
@@ -105,102 +107,142 @@ func TestDegreeOrdered(t *testing.T) {
 	}
 }
 
+// activeCount returns a, the number of vertices with an edge.
+func activeCount(g *graph.Graph) int {
+	a := 0
+	for v := range g.NumVertices() {
+		if g.Degree(v) > 0 {
+			a++
+		}
+	}
+	return a
+}
+
+// kernelStripes is the layout the kernels cut a run on g over workers
+// into: the n-vertex stripes clipped at the active count.
+func kernelStripes(g *graph.Graph, workers int) sched.Stripes {
+	return sched.NewStripes(g.NumVertices(), workers, sched.StripeStride).Clip(activeCount(g))
+}
+
+// stripeMass returns the degree mass each stripe of s owns under p.
+func stripeMass(g *graph.Graph, p []graph.VertexID, s sched.Stripes) []int64 {
+	mass := make([]int64, s.Parts())
+	for v, id := range p {
+		if int(id) < s.N() {
+			mass[s.Owner(int(id))] += int64(g.Degree(v))
+		}
+	}
+	return mass
+}
+
 func TestStripedPlacesHubsAtTaskStarts(t *testing.T) {
-	g := testGraph(t)
-	const workers, taskSize = 4, 32
-	p := StripedPermutation(g, workers, taskSize)
-	inv := inverse(p)
-
-	// The r-th ranked vertex by degree (r < workers) must sit at the start
-	// of task r, i.e. new id r*taskSize.
-	ranked := inverse(degreeRanks(g))
-	for w := 0; w < workers; w++ {
-		wantID := w * taskSize
-		if int(p[ranked[w]]) != wantID {
-			t.Errorf("rank %d vertex got id %d, want %d", w, p[ranked[w]], wantID)
+	g := gen.Kronecker(gen.Graph500Params(12, 42))
+	ranks, _ := degreeRanks(g)
+	ranked := inverse(ranks)
+	for _, workers := range []int{1, 2, 3} {
+		p := StripedPermutation(g, workers)
+		s := kernelStripes(g, workers)
+		// The r-th ranked vertex opens stripe r: it sits at the stripe's
+		// lower border, and every stripe's ids run down in degree from it.
+		inv := inverse(p)
+		for w := range workers {
+			lo, hi := s.Range(w)
+			if lo == hi {
+				continue
+			}
+			if int(p[ranked[w]]) != lo {
+				t.Errorf("P=%d: rank %d vertex got id %d, want stripe %d's border %d", workers, w, p[ranked[w]], w, lo)
+			}
+			for id := lo + 1; id < hi; id++ {
+				if g.Degree(int(inv[id])) > g.Degree(int(inv[id-1])) {
+					t.Fatalf("P=%d: stripe %d rises in degree at id %d", workers, w, id)
+				}
+			}
 		}
-	}
-
-	// Worker queue cost balance: sum the degrees assigned to each worker's
-	// tasks; with striping they should be within a small factor.
-	n := g.NumVertices()
-	cost := make([]int64, workers)
-	for id := 0; id < n; id++ {
-		task := id / taskSize
-		w := task % workers
-		cost[w] += int64(g.Degree(int(inv[id])))
-	}
-	min, max := cost[0], cost[0]
-	for _, c := range cost[1:] {
-		if c < min {
-			min = c
+		// The isolated vertices follow the stripes, in rank order.
+		for id := s.N(); id < g.NumVertices(); id++ {
+			if g.Degree(int(inv[id])) != 0 {
+				t.Fatalf("P=%d: id %d past the %d active ids has degree %d", workers, id, s.N(), g.Degree(int(inv[id])))
+			}
 		}
-		if c > max {
-			max = c
-		}
-	}
-	if min == 0 || float64(max)/float64(min) > 1.5 {
-		t.Errorf("striped labeling worker costs unbalanced: %v", cost)
 	}
 }
 
 func TestStripedVsOrderedSkew(t *testing.T) {
-	// With degree-ordered labeling and static partitioning, the first
-	// worker gets nearly all the edges (the Figure 6 pathology); striped
-	// labeling must remove that skew.
-	g := testGraph(t)
-	const workers, taskSize = 8, 64
-	n := g.NumVertices()
-
+	// With degree-ordered labeling the kernels' first stripe owns nearly
+	// all the edges (the Figure 6 pathology); striped labeling must
+	// remove that skew.
+	g := gen.Kronecker(gen.Graph500Params(13, 42))
+	const workers = 2
+	s := kernelStripes(g, workers)
 	skew := func(p []graph.VertexID) float64 {
-		inv := inverse(p)
-		per := (n + workers - 1) / workers
-		cost := make([]int64, workers)
-		for id := 0; id < n; id++ {
-			cost[id/per] += int64(g.Degree(int(inv[id])))
-		}
-		min, max := cost[0], cost[0]
-		for _, c := range cost[1:] {
-			if c < min {
-				min = c
-			}
-			if c > max {
-				max = c
-			}
-		}
-		if min == 0 {
-			min = 1
-		}
-		return float64(max) / float64(min)
+		mass := stripeMass(g, p, s)
+		return float64(max(mass[0], mass[1])) / float64(max(min(mass[0], mass[1]), 1))
 	}
-
 	ordered := skew(Permutation(g, DegreeOrdered, Params{}))
-	striped := skew(StripedPermutation(g, workers, taskSize))
+	striped := skew(StripedPermutation(g, workers))
 	if ordered < 2 {
 		t.Skipf("graph not skewed enough to test (ordered skew %.2f)", ordered)
 	}
-	if striped > ordered/2 {
-		t.Errorf("striped labeling did not reduce static-partition skew: ordered %.2f, striped %.2f", ordered, striped)
+	if striped > 1.1 {
+		t.Errorf("striped labeling left the stripes skewed: ordered %.2f, striped %.2f", ordered, striped)
+	}
+}
+
+// TestStripedBalancesKernelStripes pins the balance on the benchmark's
+// Kronecker graphs (seed 20170321): at 2 workers stripe 0 owns at most
+// 52 % of the degree mass, and at 4 and 8 workers the stripes that hold
+// active ids are within 10 % of each other.
+func TestStripedBalancesKernelStripes(t *testing.T) {
+	scales := []int{14, 16, 18}
+	if testing.Short() {
+		scales = scales[:1]
+	}
+	for _, scale := range scales {
+		g := gen.Kronecker(gen.Graph500Params(scale, 20170321))
+		for _, workers := range []int{2, 4, 8} {
+			if workers > 2 && scale < 16 {
+				continue
+			}
+			s := kernelStripes(g, workers)
+			mass := stripeMass(g, StripedPermutation(g, workers), s)
+			var total, lo, hi int64
+			lo = mass[0]
+			for w, m := range mass {
+				if l, h := s.Range(w); l == h {
+					continue
+				}
+				total += m
+				lo, hi = min(lo, m), max(hi, m)
+			}
+			if workers == 2 {
+				if share := float64(mass[0]) / float64(total); share > 0.52 {
+					t.Errorf("scale %d: stripe 0 owns %.3f of the degree mass %v, want <= 0.52", scale, share, mass)
+				}
+			} else if r := float64(hi) / float64(lo); r > 1.1 {
+				t.Errorf("scale %d, P=%d: stripe mass max/min %.3f %v, want <= 1.1", scale, workers, r, mass)
+			}
+		}
 	}
 }
 
 func TestStripedPanicsOnBadParams(t *testing.T) {
 	g := testGraph(t)
-	for _, c := range []struct{ w, ts int }{{0, 64}, {4, 0}, {-1, 64}} {
+	for _, w := range []int{0, -1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("StripedPermutation(%d, %d) did not panic", c.w, c.ts)
+					t.Errorf("StripedPermutation(%d) did not panic", w)
 				}
 			}()
-			StripedPermutation(g, c.w, c.ts)
+			StripedPermutation(g, w)
 		}()
 	}
 }
 
 func TestApplyRelabelsGraph(t *testing.T) {
 	g := testGraph(t)
-	g2, p := Apply(g, Striped, Params{Workers: 4, TaskSize: 64})
+	g2, p := Apply(g, Striped, Params{Workers: 4})
 	if err := g2.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,16 +257,14 @@ func TestApplyRelabelsGraph(t *testing.T) {
 	}
 }
 
-// Property: striped labeling is a permutation for arbitrary worker/task
-// parameters and graph sizes.
+// Property: striped labeling is a permutation for arbitrary worker counts
+// and graph sizes.
 func TestQuickStripedIsPermutation(t *testing.T) {
-	f := func(rawN, rawW, rawT uint8) bool {
-		n := int(rawN)%500 + 1
+	f := func(rawN, rawW uint16) bool {
+		n := int(rawN)%3000 + 1
 		w := int(rawW)%7 + 1
-		ts := int(rawT)%33 + 1
-		g := gen.Uniform(n, 4, uint64(n*w+ts))
-		p := StripedPermutation(g, w, ts)
-		return isPermutation(p, n)
+		g := gen.Uniform(n, 4, uint64(n*w))
+		return isPermutation(StripedPermutation(g, w), n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -233,46 +273,61 @@ func TestQuickStripedIsPermutation(t *testing.T) {
 
 // dealStriped is the striped labeling as the paper deals it, kept as the
 // reference for the closed form: the degree order is materialized, then
-// every task's position 0 is handed out, then every position 1, skipping
-// ids past the end of the id space.
-func dealStriped(g *graph.Graph, workers, taskSize int) []graph.VertexID {
+// the active ranks are handed round-robin to the stripes of s that still
+// have room, each stripe filling upward from its lower border; the
+// isolated ranks keep their ranks as ids.
+func dealStriped(g *graph.Graph, s sched.Stripes) []graph.VertexID {
 	n := g.NumVertices()
 	order := make([]int, n)
 	for v := range order {
 		order[v] = v
 	}
 	sort.SliceStable(order, func(i, j int) bool { return g.Degree(order[i]) > g.Degree(order[j]) })
+	next := make([]int, s.Parts())
+	for p := range next {
+		next[p], _ = s.Range(p)
+	}
 	newID := make([]graph.VertexID, n)
 	r := 0
-	for taskOrd := 0; r < n; taskOrd++ {
-		for off := 0; off < taskSize && r < n; off++ {
-			for w := 0; w < workers && r < n; w++ {
-				if id := (taskOrd*workers+w)*taskSize + off; id < n {
-					newID[order[r]] = graph.VertexID(id)
-					r++
-				}
+	for r < s.N() {
+		for p := range next {
+			if _, hi := s.Range(p); next[p] < hi && r < s.N() {
+				newID[order[r]] = graph.VertexID(next[p])
+				next[p]++
+				r++
 			}
 		}
+	}
+	for ; r < n; r++ {
+		newID[order[r]] = graph.VertexID(r)
 	}
 	return newID
 }
 
-// The closed form deals every rank where the paper's loop does, over full
-// and partial final blocks, n below, at and just past P*T, and one task.
+// The closed form deals every rank where the round-robin does: over full
+// and partial stripes, empty tail stripes, a below, at and just past a
+// stripe length, and strides other than the kernels'.
 func TestStripedMatchesDealing(t *testing.T) {
-	graphs := []*graph.Graph{testGraph(t)}
+	graphs := []*graph.Graph{testGraph(t), gen.Kronecker(gen.Graph500Params(12, 7))}
 	for _, n := range []int{1, 5, 63, 64, 65, 200, 511, 1000} {
 		graphs = append(graphs, gen.Uniform(n, 4, uint64(n)))
 	}
 	for _, g := range graphs {
+		n, a := g.NumVertices(), activeCount(g)
 		for _, w := range []int{1, 2, 3, 4, 7} {
-			for _, ts := range []int{1, 2, 16, 33, 64} {
-				got, want := StripedPermutation(g, w, ts), dealStriped(g, w, ts)
+			for _, stride := range []int{1, 2, 16, 33, 64, sched.StripeStride} {
+				s := sched.NewStripes(n, w, stride).Clip(a)
+				got, _ := degreeRanks(g)
+				want := dealStriped(g, s)
+				deal(got, s)
 				for v := range want {
 					if got[v] != want[v] {
-						t.Fatalf("n=%d P=%d T=%d: vertex %d got id %d, dealing gives %d", g.NumVertices(), w, ts, v, got[v], want[v])
+						t.Fatalf("n=%d a=%d P=%d stride=%d: vertex %d got id %d, dealing gives %d", n, a, w, stride, v, got[v], want[v])
 					}
 				}
+			}
+			if got, want := StripedPermutation(g, w), dealStriped(g, kernelStripes(g, w)); !slices.Equal(got, want) {
+				t.Fatalf("n=%d P=%d: StripedPermutation differs from the deal over the kernels' stripes", n, w)
 			}
 		}
 	}

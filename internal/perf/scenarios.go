@@ -45,7 +45,7 @@ func (e *suiteEnv) close() { e.clu.Close() }
 func newSuiteEnv(cfg Config) (*suiteEnv, error) {
 	base := bench.KroneckerGraph(cfg.Scale, cfg.Seed)
 	striped, _ := label.Apply(base, label.Striped,
-		label.Params{Workers: cfg.Workers, TaskSize: 512})
+		label.Params{Workers: cfg.Workers})
 	sources := core.RandomSources(striped, cfg.Sources, cfg.Seed)
 	if len(sources) < cfg.Sources {
 		return nil, fmt.Errorf("perf: graph scale %d yielded only %d/%d usable sources",
@@ -57,7 +57,7 @@ func newSuiteEnv(cfg Config) (*suiteEnv, error) {
 	// report, as the base rows do.
 	baseLarge := bench.KroneckerGraph(cfg.LargeScale, cfg.Seed)
 	stripedLarge, _ := label.Apply(baseLarge, label.Striped,
-		label.Params{Workers: cfg.Workers, TaskSize: 512})
+		label.Params{Workers: cfg.Workers})
 	sourcesLarge := core.RandomSources(stripedLarge, cfg.Sources, cfg.Seed)
 	if len(sourcesLarge) < cfg.Sources {
 		return nil, fmt.Errorf("perf: graph scale %d yielded only %d/%d usable sources",

@@ -84,6 +84,13 @@ func CreateTasks(total, splitSize, numWorkers int) *TaskQueues {
 	return tq
 }
 
+// StripeStride is the border alignment of the kernels' worker stripes and
+// the granularity their task sizes are rounded to: 512 vertices is one
+// 4096-byte page of 64-bit-per-vertex state and a whole number of bitmap
+// words, so no page or word of a stripe's state has two owners (Section
+// 4.4). The striped labeling deals its vertices over the same stripes.
+const StripeStride = 512
+
 // Stripes lays the vertex range [0, n) out over parts owners as
 // contiguous stripes whose borders are aligned to a stride (Section 4.4):
 // ownership changes only at aligned borders, so no aligned unit (a page of

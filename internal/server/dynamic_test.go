@@ -487,6 +487,9 @@ func TestCoalescerVersionKeyedBatching(t *testing.T) {
 			t.Errorf("request %d (version %d) served %d wide, want %d", i, versions[i], r.ans.BatchWidth, want)
 		}
 	}
+	// runBatch releases a batch's pins after its demux has answered the
+	// callers; Close waits for every batch to finish.
+	c.Close()
 	if a, r := src.acquired.Load(), src.released.Load(); a != r || a == 0 {
 		t.Errorf("snapshot pins leaked: acquired %d, released %d", a, r)
 	}

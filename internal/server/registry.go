@@ -25,8 +25,11 @@ type Entry struct {
 	// G is the relabeled CSR. Static graph: the graph every batch
 	// traverses. Dynamic graph: the current version's CSR generation as of
 	// the last accepted ingest; ApplyEdges replaces it, so read it only
-	// while no ingest runs (queries run on Dyn snapshots). Cluster graph:
-	// the local copy; the shards hold the traversed slices.
+	// while no ingest runs (queries run on Dyn snapshots). A compaction
+	// that publishes after that ingest is not seen, so with background
+	// compaction which generation G holds, and how many of the ingested
+	// arcs, depends on timing. Cluster graph: the local copy; the shards
+	// hold the traversed slices.
 	G *msbfs.Graph
 	// Perm maps external id -> internal id (nil when the graph was not
 	// relabeled). Queries arrive in external ids; Submit translates.

@@ -184,15 +184,17 @@ const (
 	// friendly but skew prone under parallel array processing).
 	LabelDegreeOrdered
 	// LabelStriped is the paper's scheduling-aware labeling: degree-ordered
-	// vertices dealt round-robin across worker task ranges — both cache
-	// friendly and skew avoiding. Recommended before parallel BFS workloads.
+	// vertices dealt round-robin over the workers' stripes, the vertex
+	// layout the kernels own — both cache friendly and skew avoiding.
+	// Recommended before parallel BFS workloads.
 	LabelStriped
 )
 
 // Relabel returns a renamed copy of the graph plus the permutation used:
-// perm[oldID] = newID. For LabelStriped, workers and taskSize should match
-// the Options used for subsequent BFS runs (taskSize 512 pairs with the
-// default split size).
+// perm[oldID] = newID. For LabelStriped, workers should match the Options
+// used for subsequent BFS runs. taskSize is ignored (the striped labeling
+// deals over the kernels' own stripes, whose stride is fixed); it remains
+// because frozen benchmark/ passes it.
 func (g *Graph) Relabel(scheme LabelingScheme, workers, taskSize int, seed uint64) (*Graph, []uint32) {
 	var s label.Scheme
 	switch scheme {
@@ -205,7 +207,7 @@ func (g *Graph) Relabel(scheme LabelingScheme, workers, taskSize int, seed uint6
 	default:
 		panic(fmt.Sprintf("msbfs: unknown labeling scheme %d", int(scheme)))
 	}
-	ng, perm := label.Apply(g.g, s, label.Params{Workers: workers, TaskSize: taskSize, Seed: seed})
+	ng, perm := label.Apply(g.g, s, label.Params{Workers: workers, Seed: seed})
 	return &Graph{g: ng}, perm
 }
 

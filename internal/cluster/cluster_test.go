@@ -278,8 +278,8 @@ func TestClusterExchangeCounts(t *testing.T) {
 	for _, it := range single.Iterations {
 		wantScanned += it.ScannedEdges
 	}
-	if wantScanned != 1207890 {
-		t.Fatalf("single-process top-down scanned %d edges, want 1207890", wantScanned)
+	if wantScanned != 1168594 {
+		t.Fatalf("single-process top-down scanned %d edges, want 1168594", wantScanned)
 	}
 
 	for _, tc := range []struct {
@@ -287,8 +287,8 @@ func TestClusterExchangeCounts(t *testing.T) {
 		frontierBytes int64
 		rawBytes      int64
 	}{
-		{2, 395577, 917504},
-		{4, 521595, 2752512},
+		{2, 382512, 917504},
+		{4, 503980, 2752512},
 	} {
 		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
 			tracer := obs.NewTracer()
@@ -307,8 +307,8 @@ func TestClusterExchangeCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.VisitedStates != 805504 {
-				t.Errorf("VisitedStates = %d, want 805504", res.VisitedStates)
+			if res.VisitedStates != 802368 {
+				t.Errorf("VisitedStates = %d, want 802368", res.VisitedStates)
 			}
 			met := ip.Coord.Metrics()
 			if got := met.FrontierBytes.Load(); got != tc.frontierBytes {

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,27 +97,79 @@ func TestKroneckerProperties(t *testing.T) {
 	}
 }
 
-// TestRMATThresholdsExact: each threshold is the least generator output
-// that the float64 sampler (float64(x>>11)/2^53 < p) did not read as below
-// its probability. A threshold one off would change a graph only when a
-// draw lands on it, about once in 2^53 draws, which no golden hash
-// reaches. The probabilities are computed as that sampler computed them,
-// from float64 variables so that each operation rounds: untyped constants
-// would be exact, and C/(1-(A+B)) then rounds to a different float64.
+// TestRMATThresholdsExact: each threshold t_p is the least 32-bit draw r
+// with r/2^32 ≥ p, compared exactly as r·100 against p·100·2^32. A
+// threshold one off would change a graph only when a draw lands on it,
+// about once in 2^32 draws, which the golden hashes may not reach.
 func TestRMATThresholdsExact(t *testing.T) {
-	a, b, c := 0.57, 0.19, 0.19
-	ab := a + b
-	cNorm := c / (1 - ab)
-	float := func(x uint64) float64 { return float64(x>>11) / (1 << 53) }
-	tAB, tA, tC := rmatThresholds()
 	for _, th := range []struct {
-		name string
-		t    uint64
-		p    float64
-	}{{"A+B", tAB, ab}, {"A", tA, a}, {"C/(1-(A+B))", tC, cNorm}} {
-		if below, at := float(th.t-1), float(th.t); !(below < th.p) || at < th.p {
-			t.Errorf("%s: threshold %d: output %d reads %v and output %d reads %v, want below and at or above %v",
-				th.name, th.t, th.t-1, below, th.t, at, th.p)
+		name    string
+		t       uint64
+		percent uint64
+	}{{"A", tA, 57}, {"A+B", tAB, 76}, {"A+B+C", tABC, 95}} {
+		p := th.percent << 32 // p·100·2^32
+		if (th.t-1)*100 >= p || th.t*100 < p {
+			t.Errorf("%s: threshold %d is not the least 32-bit draw r with r/2^32 ≥ %d/100", th.name, th.t, th.percent)
+		}
+	}
+	for r, want := range map[uint64]uint64{0: 0, tA - 1: 0, tA: 1, tAB - 1: 1, tAB: 2, tABC - 1: 2, tABC: 3, 1<<32 - 1: 3} {
+		if got := quadrant(r); got != want {
+			t.Errorf("quadrant(%d) = %d, want %d", r, got, want)
+		}
+	}
+}
+
+// TestSplitMixReference: splitmix is SplitMix64's output function, checked
+// against the reference implementation's first words from seed 1234567.
+func TestSplitMixReference(t *testing.T) {
+	ctr := uint64(1234567)
+	for i, want := range []uint64{6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431, 16408922859458223821} {
+		ctr += splitmixGamma
+		if got := splitmix(ctr); got != want {
+			t.Errorf("word %d = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestKroneckerEdgeKeyedByIndex: edge i depends on the seed, the scale and
+// i only, so the raw endpoint pairs of edge factor 8 are the first 8·n
+// pairs of edge factor 16. No state crosses from one edge to the next.
+func TestKroneckerEdgeKeyedByIndex(t *testing.T) {
+	for _, scale := range []int{0, 1, 9, 12} {
+		for _, seed := range []uint64{1, 20170321} {
+			n8, p8 := kroneckerPairs(KroneckerParams{Scale: scale, EdgeFactor: 8, Seed: seed})
+			n16, p16 := kroneckerPairs(KroneckerParams{Scale: scale, EdgeFactor: 16, Seed: seed})
+			if n8 != 1<<scale || n16 != n8 || len(p8) != 16*n8 || len(p16) != 2*len(p8) {
+				t.Fatalf("scale %d: %d and %d vertices, %d and %d endpoints", scale, n8, n16, len(p8), len(p16))
+			}
+			if !slices.Equal(p8, p16[:len(p8)]) {
+				t.Errorf("scale %d, seed %d: edge factor 8's pairs are not edge factor 16's first ones", scale, seed)
+			}
+		}
+	}
+}
+
+// TestRMATQuadrantShares: at scale 14, each level's quadrant counts over
+// 2^18 unscrambled edges lie within 4σ of Graph500's A, B, C, D.
+func TestRMATQuadrantShares(t *testing.T) {
+	const scale, m = 14, 16 << 14
+	perm := make([]graph.VertexID, 1<<scale)
+	for i := range perm {
+		perm[i] = graph.VertexID(i)
+	}
+	pairs := make([]graph.VertexID, 2*m)
+	rmatEdges(pairs, scale, newRNG(20170321).next(), perm)
+	for level := range scale {
+		bit := scale - 1 - level
+		var counts [4]float64
+		for i := 0; i < len(pairs); i += 2 {
+			counts[pairs[i]>>bit&1<<1|pairs[i+1]>>bit&1]++
+		}
+		for q, p := range []float64{0.57, 0.19, 0.19, 0.05} {
+			sigma := math.Sqrt(m * p * (1 - p))
+			if dev := math.Abs(counts[q] - m*p); dev > 4*sigma {
+				t.Errorf("level %d, quadrant %c: %.0f of %d edges, want %.0f ± %.0f (4σ)", level, "ABCD"[q], counts[q], m, m*p, 4*sigma)
+			}
 		}
 	}
 }

@@ -32,33 +32,29 @@ func csrHash(g *graph.Graph) string {
 }
 
 // goldenKronecker pins the exact graphs the generator and the striped
-// relabel produce. Every benchmark workload and every committed
-// BENCH_*.json row runs on these graphs, so a construction speed-up must
-// leave them byte-identical. The raw hashes were recorded at commit
-// beb82f6 (sort-based Build/BuildParallel/Relabel), before the sort-free
-// rewrite; striped uses the benchmark's layout (2 workers) and was
-// re-recorded when the labeling began to deal over the kernels' stripes.
+// relabel produce. Every benchmark workload runs on these graphs, so a
+// construction speed-up must leave them byte-identical. The hashes were recorded when the sampler
+// began to key each edge to its own slice of a SplitMix64 stream; striped
+// uses the benchmark's layout (2 workers).
 var goldenKronecker = map[string][2]string{
 	// "scale/seed": {raw, striped}
-	"8/1":         {"3199f9645550ec89", "5f680c6e6c1bdf7e"},
-	"8/7":         {"05a41efcd67098b2", "826e4a3041baec20"},
-	"8/20170321":  {"d91c9cf71d2f55ec", "4bb64757513090f9"},
-	"12/1":        {"be78d2e31e97a8c2", "03837201d55cec23"},
-	"12/7":        {"82d605e0a41746de", "a794988e4191c384"},
-	"12/20170321": {"79d3953ecebb81ff", "635aa4e4b4dc46e1"},
-	"14/1":        {"1340c8cca1dc1840", "4717019c7d548cd2"},
-	"14/7":        {"546dccaa39de5fb0", "e7cff0f5c7024974"},
-	"14/20170321": {"d878b1fab6ea25dc", "99292aa3e9121cb4"},
+	"8/1":         {"f9de1bb7b5b8c19d", "aa2cdc997a4e59bb"},
+	"8/7":         {"2dae34211122f426", "36e3697e480be636"},
+	"8/20170321":  {"98180056049f93fb", "df73c89e1eca82bb"},
+	"12/1":        {"4cfb0cf4016c2949", "e0bf02487f8c729d"},
+	"12/7":        {"186c732d24a39207", "618f9603569457f3"},
+	"12/20170321": {"295e192b4b21e94c", "424d8c021d64e452"},
+	"14/1":        {"65a56b69023d1390", "e5c711a9e06734f6"},
+	"14/7":        {"4e11316c0afd47c0", "e6efee7b57321236"},
+	"14/20170321": {"3246e4598b8c07f5", "4e1de884864aed18"},
 }
 
 // goldenBenchmarkGraphs pins, the same way, the graphs the benchmark
 // itself runs on: scale 18 (the offline workloads) and 16 (the serving
-// ones), seed 20170321. The raw hashes were recorded at commit 22df3c1,
-// with the float64 sampler that branched on every draw; the striped ones
-// with the stripe deal.
+// ones), seed 20170321, recorded with the same sampler.
 var goldenBenchmarkGraphs = map[int][2]string{
-	16: {"0aafeddb6334aadb", "10c93eec1cf93b8e"},
-	18: {"cf241a0f7996af77", "51af8820dbdb8f3e"},
+	16: {"896203ac21d276a8", "94597856ebb1aac9"},
+	18: {"6d40de0fec3dde80", "73f938a233327b10"},
 }
 
 // striped relabels g in the benchmark's layout.
@@ -234,7 +230,7 @@ func TestStripedScale18Pinned(t *testing.T) {
 	_, sizes := graph.Components(g)
 	_, below := graph.PrefixComponents(g)
 	got := [4]int64{g.MemoryBytes(), int64(g.ActivePrefix()), int64(len(sizes)), int64(len(below))}
-	if want := [4]int64{31_498_988, 173_972, 88_220, 48}; got != want {
+	if want := [4]int64{31_492_020, 174_156, 88_034, 46}; got != want {
 		t.Errorf("memory bytes, active prefix, components, components below the prefix = %v, want %v", got, want)
 	}
 	counter := totalAlloc(func() { metrics.NewEdgeCounter(g) })

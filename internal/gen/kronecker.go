@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 )
@@ -26,30 +25,15 @@ func Graph500Params(scale int, seed uint64) KroneckerParams {
 	return KroneckerParams{Scale: scale, EdgeFactor: 16, Seed: seed}
 }
 
-// rmatA, rmatB and rmatC are Graph500's R-MAT quadrant probabilities;
-// D = 1 - A - B - C = 0.05.
-const rmatA, rmatB, rmatC = 0.57, 0.19, 0.19
-
-// threshold returns the least 64-bit generator output that a float64
-// sampler maps to p or above. Such a sampler turns output x into
-// float64(x>>11)/2^53, which is exact, so it reads x as below p iff
-// x>>11 < ceil(p·2^53), that is iff x < ceil(p·2^53)·2^11; p·2^53 and its
-// ceiling are exact too. p must lie in [0, 1 - 2^-53].
-func threshold(p float64) uint64 {
-	return uint64(math.Ceil(p*(1<<53))) << 11
-}
-
-// rmatThresholds returns the thresholds of the top half (A+B), of quadrant
-// A inside it, and of quadrant C inside the bottom half (C/(1-(A+B))).
-// They are computed in float64, rounding after each operation as the
-// float64 sampler did: untyped-constant arithmetic is exact, and C/(1-(A+B))
-// taken exactly rounds to a float64 one below the sampler's, which would
-// move the threshold by one.
-func rmatThresholds() (tAB, tA, tC uint64) {
-	a, b, c := float64(rmatA), float64(rmatB), float64(rmatC)
-	ab := a + b
-	return threshold(ab), threshold(a), threshold(c / (1 - ab))
-}
+// tA, tAB and tABC are the cumulative Graph500 R-MAT quadrant
+// probabilities A = 0.57, A+B = 0.76 and A+B+C = 0.95 (D = 0.05) as
+// thresholds on a 32-bit draw r: t_p = ceil(p·2^32) is the least r with
+// r/2^32 ≥ p, so r < t_A with probability A to within 2^-32, and so on.
+const (
+	tA   = (57<<32 + 99) / 100
+	tAB  = (76<<32 + 99) / 100
+	tABC = (95<<32 + 99) / 100
+)
 
 // Kronecker generates an undirected Kronecker (R-MAT) graph. As in the
 // Graph500 reference generator, edge endpoints are independently sampled
@@ -58,14 +42,21 @@ func rmatThresholds() (tAB, tA, tC uint64) {
 // vertex id carries no degree information (the labeling schemes under test
 // are applied afterwards and must not get the ordering for free).
 //
-// The draws (rmatEdges) compare as integers and do not branch, but the
-// stream, the edges and the graph are those of drawing one float64 at a
-// time and branching on it.
+// Edge i is a function of (seed, scale, i) only: it is drawn from its own
+// fixed slice of one SplitMix64 stream (rmatEdges), so a larger edge factor
+// keeps the smaller one's edges as its first ones.
 //
 // It panics on a scale outside [0, 32] (vertex ids are 32-bit), a negative
 // edge factor, or more endpoints than one CSR build addresses
 // (graph.MaxEndpoints), naming the argument at fault.
 func Kronecker(p KroneckerParams) *graph.Graph {
+	return graph.FromPairs(kroneckerPairs(p))
+}
+
+// kroneckerPairs checks p and returns the vertex count and the scrambled
+// endpoint buffer, edge i = {pairs[2i], pairs[2i+1]}: the layout
+// graph.FromPairs takes ownership of and builds the CSR inside.
+func kroneckerPairs(p KroneckerParams) (int, []graph.VertexID) {
 	if p.Scale < 0 || p.Scale > 32 {
 		panic(fmt.Sprintf("gen: Kronecker scale %d outside [0, 32]", p.Scale))
 	}
@@ -77,56 +68,66 @@ func Kronecker(p KroneckerParams) *graph.Graph {
 		panic(fmt.Sprintf("gen: Kronecker edge factor %d at scale %d draws %d endpoints, more than one CSR build addresses (%d)",
 			p.EdgeFactor, p.Scale, 2*uint64(n)*uint64(p.EdgeFactor), uint64(graph.MaxEndpoints)))
 	}
-	m := int64(n) * int64(p.EdgeFactor)
+	// The scrambling permutation comes first from the seeded xorshift128+,
+	// then the key of the edges' stream; the edges are mapped through the
+	// permutation as they are drawn.
 	r := newRNG(p.Seed)
-	// Flat endpoint buffer, edge i = {pairs[2i], pairs[2i+1]}: the layout
-	// graph.FromPairs takes ownership of and builds the CSR inside, so pairs
-	// is not touched again after the call.
-	pairs := make([]graph.VertexID, 2*m)
-	r.s0, r.s1 = rmatEdges(pairs, p.Scale, r.s0, r.s1)
-
-	// Scramble vertex ids. The permutation is drawn after the edges, and
-	// applied to them before the one CSR build.
 	perm := r.perm(n)
-	for i, id := range pairs {
-		pairs[i] = perm[id]
-	}
-	return graph.FromPairs(n, pairs)
+	pairs := make([]graph.VertexID, 2*int64(n)*int64(p.EdgeFactor))
+	rmatEdges(pairs, p.Scale, r.next(), perm)
+	return n, pairs
 }
 
-// rmatEdges fills pairs with R-MAT edges of scale bits each, drawn from the
-// xorshift128+ state (s0, s1) by rng.next's steps, and returns the state
-// after the last draw. Each bit takes one draw, and a second when the
-// first falls in the bottom half. The loop always computes both, from the
-// state in locals, selects without a branch, and moves the state past one
-// draw in the top half and two in the bottom, as drawing on demand would.
-func rmatEdges(pairs []graph.VertexID, scale int, s0, s1 uint64) (uint64, uint64) {
-	tAB, tA, tC := rmatThresholds()
-	//bfs:hot R-MAT draws: two per bit, no branch, no allocation
+// rmatEdges fills pairs with R-MAT edges of scale bits each, mapped through
+// perm, which has 2^scale entries. Edge i takes words i·W … i·W+W-1,
+// W = ceil(scale/2), of the SplitMix64 stream keyed by key; each level
+// reads one 32-bit half, high half first, and picks its quadrant q, whose
+// high bit is the level's bit of u and low bit that of v. No draw depends
+// on another, so nothing but the stream counter is carried from one edge
+// to the next.
+func rmatEdges(pairs []graph.VertexID, scale int, key uint64, perm []graph.VertexID) {
+	// The first test is implied by the second below scale 64, but it is
+	// what lets the compiler prove perm[x&mask] in bounds.
+	if len(perm) == 0 || len(perm) != 1<<scale {
+		panic("gen: R-MAT permutation is not 2^scale ids long")
+	}
+	mask := uint64(len(perm) - 1)
+	ctr := key
+	//bfs:hot R-MAT draws: one SplitMix64 word per two levels, no branch, no allocation
 	for rest := pairs; len(rest) >= 2; rest = rest[2:] {
 		var uv uint64 // u in the high 32 bits, v in the low 32
-		for range scale {
-			// First draw, x+s1: the state (s0, s1) steps to (s1, x).
-			x := s0 ^ s0<<23
-			x ^= x>>17 ^ s1 ^ s1>>26
-			// Second draw, y+x: (s1, x) steps to (x, y).
-			y := s1 ^ s1<<23
-			y ^= y>>17 ^ x ^ x>>26
-			var vTop, vBottom uint64
-			if x+s1 >= tA {
-				vTop = 1
-			}
-			if y+x >= tC {
-				vBottom = 1
-			}
-			next0, next1, bits := x, y, 1<<32|vBottom
-			if x+s1 < tAB {
-				next0, next1, bits = s1, x, vTop
-			}
-			uv = uv<<1 | bits
-			s0, s1 = next0, next1
+		for range scale / 2 {
+			ctr += splitmixGamma
+			w := splitmix(ctr)
+			uv = uv<<2 | spread[(quadrant(w>>32)<<2|quadrant(w&(1<<32-1)))&15]
 		}
-		rest[0], rest[1] = graph.VertexID(uv>>32), graph.VertexID(uv)
+		if scale&1 != 0 {
+			ctr += splitmixGamma
+			uv = uv<<1 | spread[quadrant(splitmix(ctr)>>32)&15]
+		}
+		rest[0] = perm[uv>>32&mask]
+		rest[1] = perm[uv&mask]
 	}
-	return s0, s1
+}
+
+// spread maps two levels' quadrants, q1<<2 | q2, to their two bits of u in
+// the high 32 bits and their two bits of v in the low 32: a quadrant's
+// high bit is u's and its low bit v's. rmatEdges masks the index with 15
+// only so that the compiler proves it in bounds.
+var spread = func() (s [16]uint64) {
+	for i := range s {
+		u, v := uint64(i>>2&2|i>>1&1), uint64(i>>1&2|i&1)
+		s[i] = u<<32 | v
+	}
+	return s
+}()
+
+// kA, kAB and kABC carry a 32-bit draw r into bit 32 iff r ≥ tA, tAB, tABC.
+const kA, kAB, kABC = 1<<32 - tA, 1<<32 - tAB, 1<<32 - tABC
+
+// quadrant returns the R-MAT quadrant, 0…3 for A…D, that the 32-bit draw r
+// picks: q = [r ≥ tA] + [r ≥ tAB] + [r ≥ tABC], each compare the carry out
+// of a 32-bit add, so that none branches.
+func quadrant(r uint64) uint64 {
+	return (r+kA)>>32 + (r+kAB)>>32 + (r+kABC)>>32
 }

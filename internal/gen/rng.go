@@ -19,19 +19,24 @@ type rng struct {
 // newRNG seeds the generator. Any seed, including zero, is valid.
 func newRNG(seed uint64) *rng {
 	// SplitMix64 to spread the seed into two non-zero words.
-	r := &rng{}
-	z := seed + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	r.s0 = z ^ (z >> 31)
-	z = r.s0 + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	r.s1 = z ^ (z >> 31)
+	r := &rng{s0: splitmix(seed + splitmixGamma)}
+	r.s1 = splitmix(r.s0 + splitmixGamma)
 	if r.s0 == 0 && r.s1 == 0 {
 		r.s1 = 1
 	}
 	return r
+}
+
+// splitmixGamma is SplitMix64's stream increment, the odd integer nearest
+// 2^64 divided by the golden ratio.
+const splitmixGamma = 0x9e3779b97f4a7c15
+
+// splitmix is SplitMix64's output function: the stream's word at counter
+// z. Word k of the stream keyed by c is splitmix(c + (k+1)·splitmixGamma).
+func splitmix(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // next returns the next 64-bit value.

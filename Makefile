@@ -114,7 +114,7 @@ bench:
 # burst per target. Catches loader regressions without a long fuzz session.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^Fuzz' ./internal/graph/ ./internal/cluster/ ./internal/dyngraph/
+	$(GO) test -run '^Fuzz' ./internal/graph/ ./internal/cluster/ ./internal/dyngraph/ ./internal/core/
 	$(GO) test -fuzz '^FuzzLoadEdgeList$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
 	$(GO) test -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
@@ -126,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz '^FuzzApplyEdges$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/dyngraph/
 	$(GO) test -fuzz '^FuzzCompact$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/dyngraph/
+	$(GO) test -fuzz '^FuzzGridCell$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core/
 
 # obs-smoke = end-to-end check of the observability surface: bfsd debug
 # endpoints (pprof, flight recorder), the bfsrun Chrome trace export

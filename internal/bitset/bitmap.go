@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Bitmap is a dense single-bit-per-vertex bitmap used by the SMS-PBFS (bit)
-// variant and by the dense Beamer baseline. It supports the 64-vertex chunk
-// skipping described in Section 3.2 of the paper: a whole word of 64 vertex
-// states can be tested against zero in one instruction.
+// Bitmap is a dense single-bit-per-vertex bitmap used by the Beamer
+// baselines and iBFS. It supports the 64-vertex chunk skipping described in
+// Section 3.2 of the paper: a whole word of 64 vertex states can be tested
+// against zero in one instruction.
 type Bitmap struct {
 	words []uint64
 	n     int
@@ -122,73 +122,3 @@ func (b *Bitmap) NextSetBit(v int) int {
 func (b *Bitmap) MemoryBytes() int64 {
 	return int64(len(b.words)) * 8
 }
-
-// ByteMap is a dense byte-per-vertex map used by the SMS-PBFS (byte)
-// variant. A byte per vertex trades cache footprint for reduced false
-// sharing between workers (Section 3.2). The backing storage is a []uint64
-// viewed as 8 vertex states per word, so the concurrent top-down marking can
-// be expressed as a data-race-free CAS-OR on the containing word — the
-// paper's single atomic byte store, expressed in the Go memory model.
-type ByteMap struct {
-	words []uint64
-	n     int
-}
-
-const bytesPerWord = 8
-
-// NewByteMap allocates a byte map for n vertices.
-func NewByteMap(n int) *ByteMap {
-	return &ByteMap{words: make([]uint64, (n+bytesPerWord-1)/bytesPerWord), n: n}
-}
-
-// Words exposes the backing words for chunk-skipping scans. Each word holds
-// the state of 8 consecutive vertices, one byte each; a zero word means all
-// 8 vertices are unmarked.
-func (m *ByteMap) Words() []uint64 { return m.words }
-
-func byteShift(v int) uint { return uint(v&7) * 8 }
-
-// Get reports whether vertex v is marked.
-func (m *ByteMap) Get(v int) bool {
-	return m.words[v>>3]>>byteShift(v)&0xff != 0
-}
-
-// Set marks vertex v (single-writer).
-func (m *ByteMap) Set(v int) {
-	m.words[v>>3] |= uint64(1) << byteShift(v)
-}
-
-// Clear unmarks vertex v (single-writer).
-func (m *ByteMap) Clear(v int) {
-	m.words[v>>3] &^= uint64(0xff) << byteShift(v)
-}
-
-// ZeroRange clears vertices [lo, hi). The BFS kernels use task ranges that
-// are multiples of 8 vertices, so boundary words are not shared between
-// concurrent callers; partial boundary words are still handled correctly
-// for single-threaded use.
-func (m *ByteMap) ZeroRange(lo, hi int) {
-	for ; lo < hi && lo&7 != 0; lo++ {
-		m.Clear(lo)
-	}
-	for ; lo+bytesPerWord <= hi; lo += bytesPerWord {
-		m.words[lo>>3] = 0
-	}
-	for ; lo < hi; lo++ {
-		m.Clear(lo)
-	}
-}
-
-// Count returns the number of marked vertices.
-func (m *ByteMap) Count() int {
-	c := 0
-	for v := 0; v < m.n; v++ {
-		if m.Get(v) {
-			c++
-		}
-	}
-	return c
-}
-
-// MemoryBytes returns the size in bytes of the backing array.
-func (m *ByteMap) MemoryBytes() int64 { return int64(len(m.words)) * 8 }

@@ -119,70 +119,3 @@ func TestQuickBitmapZeroRange(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestByteMapBasics(t *testing.T) {
-	m := NewByteMap(20)
-	if m.Len() != 20 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	for _, v := range []int{0, 7, 8, 19} {
-		if m.Get(v) {
-			t.Fatalf("vertex %d marked on fresh map", v)
-		}
-		m.Set(v)
-		if !m.Get(v) {
-			t.Fatalf("vertex %d not marked", v)
-		}
-	}
-	if m.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", m.Count())
-	}
-	m.Clear(8)
-	if m.Get(8) {
-		t.Error("vertex 8 still marked after Clear")
-	}
-	if !m.Get(7) || !m.Get(0) {
-		t.Error("Clear(8) disturbed neighbors")
-	}
-}
-
-func TestQuickByteMapZeroRange(t *testing.T) {
-	const n = 100
-	f := func(rawLo, rawHi uint8) bool {
-		lo := int(rawLo) % (n + 1)
-		hi := int(rawHi) % (n + 1)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		m := NewByteMap(n)
-		for v := 0; v < n; v++ {
-			m.Set(v)
-		}
-		m.ZeroRange(lo, hi)
-		for v := 0; v < n; v++ {
-			want := v < lo || v >= hi
-			if m.Get(v) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestByteMapWordsChunkSemantics(t *testing.T) {
-	m := NewByteMap(24)
-	m.Set(9)
-	words := m.Words()
-	if words[0] != 0 {
-		t.Error("word 0 should be zero")
-	}
-	if words[1] == 0 {
-		t.Error("word 1 should be nonzero after Set(9)")
-	}
-	if words[2] != 0 {
-		t.Error("word 2 should be zero")
-	}
-}

@@ -7,9 +7,6 @@ import (
 	"math/bits"
 )
 
-// Len returns the number of vertices.
-func (m *ByteMap) Len() int { return m.n }
-
 // Get reports whether bit i of vertex v's bitset is set.
 func (s *State) Get(v, i int) bool {
 	return s.words[v*s.stride+i/WordBits]&(1<<(uint(i)%WordBits)) != 0

@@ -22,7 +22,7 @@ func debugCheckBatchIteration(seen, next *bitset.State, prevSeen, updated int64,
 
 // debugCheckSetIteration is a no-op stub; the bfsdebug build cross-checks
 // one SMS-PBFS iteration's seen/next state against the per-worker counters.
-func debugCheckSetIteration(seen, next vertexSet, n int, prevSeen, updated int64, algo string, depth int32) int64 {
+func debugCheckSetIteration(seen, next *stateSet, prevSeen, updated int64, algo string, depth int32) int64 {
 	return 0
 }
 

@@ -52,17 +52,15 @@ func debugCheckBatchIteration(seen, next *bitset.State, prevSeen, updated int64,
 }
 
 // debugCheckSetIteration is debugCheckBatchIteration for the single-source
-// SMS-PBFS state representations (bit or byte per vertex).
-func debugCheckSetIteration(seen, next vertexSet, n int, prevSeen, updated int64, algo string, depth int32) int64 {
+// SMS-PBFS state (bit or byte per vertex).
+func debugCheckSetIteration(seen, next *stateSet, prevSeen, updated int64, algo string, depth int32) int64 {
 	var nextCount int64
-	for v := 0; v < n; v++ {
-		if next.Get(v) {
-			if !seen.Get(v) {
-				panic(fmt.Sprintf("bfsdebug: %s depth %d: vertex %d is in next but not seen: frontier/seen monotonicity violated",
-					algo, depth, v))
-			}
-			nextCount++
+	for i, w := range next.words {
+		if stray := w &^ seen.words[i]; stray != 0 {
+			panic(fmt.Sprintf("bfsdebug: %s depth %d: vertex %d is in next but not seen: frontier/seen monotonicity violated",
+				algo, depth, i<<next.shift+trailingZeros64(stray)>>next.lg))
 		}
+		nextCount += int64(onesCount(w))
 	}
 	if nextCount != updated {
 		panic(fmt.Sprintf("bfsdebug: %s depth %d: next holds %d vertices but workers counted %d updates",

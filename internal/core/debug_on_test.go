@@ -76,17 +76,21 @@ func TestBatchIterationChecksFire(t *testing.T) {
 // TestSetIterationChecksFire does the same for the SMS-PBFS representations.
 func TestSetIterationChecksFire(t *testing.T) {
 	for _, repr := range []StateRepr{BitState, ByteState} {
-		seen := newVertexSet(16, repr)
-		next := newVertexSet(16, repr)
+		seen := newStateSet(16, repr)
+		next := newStateSet(16, repr)
 		seen.Set(0)
 		seen.Set(3)
 		next.Set(3)
-		if got := debugCheckSetIteration(seen, next, 16, 1, 1, repr.String(), 1); got != 2 {
+		if got := debugCheckSetIteration(&seen, &next, 1, 1, repr.String(), 1); got != 2 {
 			t.Fatalf("%s: consistent state: got population %d, want 2", repr, got)
 		}
 		next.Set(9) // in next but never seen
-		mustPanic(t, "monotonicity violated", func() {
-			debugCheckSetIteration(seen, next, 16, 1, 2, repr.String(), 1)
+		mustPanic(t, "vertex 9 is in next but not seen", func() {
+			debugCheckSetIteration(&seen, &next, 1, 2, repr.String(), 1)
+		})
+		seen.Set(9)
+		mustPanic(t, "workers counted", func() {
+			debugCheckSetIteration(&seen, &next, 2, 1, repr.String(), 1) // next holds 2, 1 counted
 		})
 	}
 }

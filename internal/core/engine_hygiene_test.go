@@ -66,9 +66,9 @@ func poisonEngine(e *Engine) {
 					fillOnes(row)
 				}
 			case *SMSPBFSEngine:
-				fillOnes(sh.seen.ChunkWords())
-				fillOnes(sh.buf0.ChunkWords())
-				fillOnes(sh.buf1.ChunkWords())
+				fillOnes(sh.seen.words)
+				fillOnes(sh.buf0.words)
+				fillOnes(sh.buf1.words)
 			}
 		}
 	}

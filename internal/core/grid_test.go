@@ -444,8 +444,7 @@ func pairwise(seed int64) []cell {
 // TestGridMatchesOracle runs the grid: the slices without -short, the
 // pairwise cover with it.
 func TestGridMatchesOracle(t *testing.T) {
-	gr := &grid{graphs: map[int]*graph.Graph{}, views: map[[2]int]*view{}, oracle: map[[2]int][]int32{},
-		remotes: map[[4]int]*cluster.RemoteGraph{}}
+	gr := newGrid()
 	t.Cleanup(gr.close)
 	ran := map[cell]bool{}
 	runCells := func(name string, cells []cell) {
@@ -471,6 +470,100 @@ func TestGridMatchesOracle(t *testing.T) {
 	}
 }
 
+// FuzzGridCell runs one grid cell, checked as the grid checks it, on a
+// graph the input decodes to (decodeGridInput): a vertex count up to 4,096,
+// a block of isolated ids mid-range, a trailing isolated block, and edges
+// among the rest. The input also picks the cell: its impl and one value
+// per axis. The shape axis then only names the cell; the decoded graph
+// stands in for the shape. The seed corpus holds each grid shape, and
+// gapped graphs of 63, 64, 65, 511, 512 and 513 vertices, the sizes at
+// which a word or a 512-vertex task ends one vertex early or late.
+func FuzzGridCell(f *testing.F) {
+	axes := func(seed int) uint64 { return uint64(seed+1) * 0x9e3779b97f4a7c15 }
+	for i, s := range shapes {
+		g := s.build()
+		var edges [][2]int
+		for _, e := range g.Edges() {
+			edges = append(edges, [2]int{int(e.U), int(e.V)})
+		}
+		packed := encodeGridEdges(edges)
+		if _, h := decodeGridInput(0, uint64(g.NumVertices()-1), packed); !slices.Equal(h.Edges(), g.Edges()) {
+			f.Fatalf("shape %s does not survive its encoding", s.name)
+		}
+		f.Add(axes(i), uint64(g.NumVertices()-1), packed)
+	}
+	for i, n := range []int{63, 64, 65, 511, 512, 513} {
+		tail, gapLo, gapLen := n/8, n/4, n/8
+		live := n - tail - gapLen
+		var edges [][2]int
+		for u := 0; u+1 < live; u++ {
+			edges = append(edges, [2]int{u, u + 1})
+			if u%7 == 0 {
+				edges = append(edges, [2]int{u, (u * 5) % live})
+			}
+		}
+		sizes := uint64(n-1) | uint64(tail)<<16 | uint64(gapLo)<<32 | uint64(gapLen)<<48
+		f.Add(axes(len(shapes)+i), sizes, encodeGridEdges(edges))
+	}
+	f.Fuzz(func(t *testing.T, axes, sizes uint64, edges []byte) {
+		c, g := decodeGridInput(axes, sizes, edges)
+		gr := newGrid()
+		defer gr.close()
+		gr.graphs[c[dShape]] = g
+		gr.check(t, c)
+	})
+}
+
+// decodeGridInput decodes a fuzz input into a canonical cell and its graph.
+// Nibble d of axes picks axis d's value (the kernel's picks the impl,
+// which fixes the layer). The 16-bit fields of sizes, low to high, give
+// the vertex count less one (mod 4,096), the length of the trailing
+// isolated block, and the first id and length of the mid-range one, each
+// reduced to fit what the others leave. Each 3 bytes of edges are an edge:
+// two 12-bit ids, reduced modulo the number of live ids and stepped over
+// the mid-range block.
+func decodeGridInput(axes, sizes uint64, edges []byte) (cell, *graph.Graph) {
+	var c cell
+	for d := range c {
+		c[d] = int(axes>>(4*d)&15) % len(dims[d].values)
+	}
+	x := impls[int(axes&15)%len(impls)]
+	c[dKernel] = slices.Index(dims[dKernel].values, x.kernel)
+	c[dLayer] = slices.Index(dims[dLayer].values, x.layer)
+	c, _ = c.canonical()
+
+	field := func(i int) int { return int(sizes >> (16 * i) & 0xffff) }
+	n := field(0)%4096 + 1
+	tail := field(1) % (n + 1)
+	gapLo := field(2) % (n - tail + 1)
+	gapLen := field(3) % (n - tail - gapLo + 1)
+	live := n - tail - gapLen
+	id := func(raw int) graph.VertexID {
+		v := raw % live
+		if v >= gapLo {
+			v += gapLen
+		}
+		return graph.VertexID(v)
+	}
+	var list []graph.Edge
+	for ; live > 0 && len(edges) >= 3 && len(list) < 1<<16; edges = edges[3:] {
+		raw := int(edges[0]) | int(edges[1])<<8 | int(edges[2])<<16
+		list = append(list, graph.Edge{U: id(raw & 0xfff), V: id(raw >> 12)})
+	}
+	return c, graph.FromEdges(n, list)
+}
+
+// encodeGridEdges packs edges between live ids below 4,096 as
+// decodeGridInput reads them.
+func encodeGridEdges(edges [][2]int) []byte {
+	var data []byte
+	for _, e := range edges {
+		raw := e[0] | e[1]<<12
+		data = append(data, byte(raw), byte(raw>>8), byte(raw>>16))
+	}
+	return data
+}
+
 // grid caches what its cells share: each shape's labeled views, the
 // reference rows and, per shard count, one in-process cluster. A slice's
 // cells run in parallel; mu guards the caches, and sharded cells hold it
@@ -482,6 +575,11 @@ type grid struct {
 	oracle   map[[2]int][]int32              // by (shape, vertex as generated)
 	clusters [4]*cluster.Inproc              // by shard count
 	remotes  map[[4]int]*cluster.RemoteGraph // by (shards, shape, label, workers)
+}
+
+func newGrid() *grid {
+	return &grid{graphs: map[int]*graph.Graph{}, views: map[[2]int]*view{}, oracle: map[[2]int][]int32{},
+		remotes: map[[4]int]*cluster.RemoteGraph{}}
 }
 
 func (gr *grid) close() {

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -41,59 +40,88 @@ func (r StateRepr) algoName() string {
 	return "sms-pbfs/bit"
 }
 
-// vertexSet abstracts the two dense state representations so one SMS-PBFS
-// implementation serves both variants. All methods mirror the semantics of
-// bitset.Bitmap / bitset.ByteMap.
-type vertexSet interface {
-	Get(v int) bool
-	Set(v int)
-	Clear(v int)
-	ZeroRange(lo, hi int)
-	// ChunkWords returns the backing words (each covering ChunkSize
-	// vertices) for the zero-chunk skipping scan.
-	ChunkWords() []uint64
-	// ChunkSize is the number of vertices per backing word.
-	ChunkSize() int
-	// Mark sets vertex v in a raw word slab laid out like ChunkWords with
-	// a plain store; the scatter and the apply use it to write the next
-	// words of the running worker's stripe.
-	Mark(slab []uint64, v int)
-	// Count returns the number of marked vertices (used by the bfsdebug
-	// invariant layer).
-	Count() int
-	MemoryBytes() int64
+// stateSet is SMS-PBFS's dense boolean state in either representation of
+// Section 3.2: a bit per vertex (shift 6, 64 vertices to a word) or a byte
+// per vertex (shift 3, 8 vertices to a word). Vertex v lives in word
+// v>>shift at bit (v<<lg)&63, where lg is log2 of the slot width in bits
+// (0 or 3). Only a slot's lowest bit is ever set, so a word's set bits are
+// exactly its marked vertices and both representations share every
+// word-at-a-time step: the chunk skip, the resolve's next &^ seen and the
+// bottom-up's seen |= found.
+type stateSet struct {
+	words     []uint64
+	shift, lg uint
 }
 
-type bitSet struct{ *bitset.Bitmap }
-
-func (b bitSet) ChunkWords() []uint64 { return b.Words() }
-func (b bitSet) ChunkSize() int       { return 64 }
-
-// Mark sets v's bit in slab with a plain store.
-//
-//bfs:singlewriter called only from the scatter and spreadMarks, whose targets lie in the running worker's own stripe
-func (b bitSet) Mark(slab []uint64, v int) {
-	slab[v>>6] |= 1 << (uint(v) & 63) //bfs:bounds-ok v < active by ActivePrefix; slab spans active bits like the canonical bitmap
-}
-
-type byteSet struct{ *bitset.ByteMap }
-
-func (b byteSet) ChunkWords() []uint64 { return b.Words() }
-func (b byteSet) ChunkSize() int       { return 8 }
-
-// Mark sets v's byte in slab with a plain store.
-//
-//bfs:singlewriter called only from the scatter and spreadMarks, whose targets lie in the running worker's own stripe
-func (b byteSet) Mark(slab []uint64, v int) {
-	slab[v>>3] |= uint64(1) << (uint(v&7) * 8) //bfs:bounds-ok v < active by ActivePrefix; slab spans active bytes like the canonical byte map
-}
-
-func newVertexSet(n int, repr StateRepr) vertexSet {
+func newStateSet(n int, repr StateRepr) stateSet {
+	s := stateSet{shift: 6}
 	if repr == ByteState {
-		return byteSet{bitset.NewByteMap(n)}
+		s.shift, s.lg = 3, 3
 	}
-	return bitSet{bitset.NewBitmap(n)}
+	s.words = make([]uint64, (n+s.slots()-1)>>s.shift)
+	return s
 }
+
+// slots is the number of vertices per word.
+func (s *stateSet) slots() int { return 1 << s.shift }
+
+// lowBits has the lowest bit of every slot set: a word equal to it has all
+// its vertices marked.
+func (s *stateSet) lowBits() uint64 {
+	if s.lg == 0 {
+		return ^uint64(0)
+	}
+	return 0x0101010101010101
+}
+
+// Get reports whether vertex v is marked.
+func (s *stateSet) Get(v int) bool {
+	return s.words[v>>s.shift]&(1<<(uint(v)<<s.lg&63)) != 0
+}
+
+// Set marks vertex v; Run seeds the source with it, before the first level.
+func (s *stateSet) Set(v int) { s.Mark(s.words, v) }
+
+// Mark sets vertex v in slab, a word slab laid out like s, with a plain
+// store: the scatter and the apply write the next words of the running
+// worker's stripe through it.
+//
+//bfs:singlewriter the scatter and spreadMarks mark only the running worker's own stripe; Set runs before any worker starts
+func (s *stateSet) Mark(slab []uint64, v int) {
+	slab[v>>s.shift] |= 1 << (uint(v) << s.lg & 63) //bfs:bounds-ok v < active by ActivePrefix; slab spans the active slots like s
+}
+
+// ZeroRange clears the slots of vertices [lo, hi), whole slots, so a word
+// shared with vertices outside the range keeps theirs.
+//
+//bfs:singlewriter the zero pass runs over word-aligned task ranges: one writer per word
+func (s *stateSet) ZeroRange(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	first, last := lo>>s.shift, (hi-1)>>s.shift
+	head := ^uint64(0) << (uint(lo) << s.lg & 63)
+	tail := ^uint64(0) >> (63 - (uint(hi-1)<<s.lg&63 + 1<<s.lg - 1))
+	if first == last {
+		s.words[first] &^= head & tail
+		return
+	}
+	s.words[first] &^= head
+	clear(s.words[first+1 : last])
+	s.words[last] &^= tail
+}
+
+// Count returns the number of marked vertices.
+func (s *stateSet) Count() int {
+	c := 0
+	for _, w := range s.words {
+		c += onesCount(w)
+	}
+	return c
+}
+
+// MemoryBytes returns the size in bytes of the backing words.
+func (s *stateSet) MemoryBytes() int64 { return int64(len(s.words)) * 8 }
 
 // SMSPBFS runs the parallel single-source BFS of Section 3.2 with the given
 // state representation. The algorithm follows Listings 3 (top-down) and 4
@@ -116,13 +144,13 @@ type SMSPBFSEngine struct {
 	levelStep
 	repr StateRepr
 
-	seen vertexSet
-	buf0 vertexSet // frontier/next double buffer
-	buf1 vertexSet
+	seen stateSet
+	buf0 stateSet // frontier/next double buffer
+	buf1 stateSet
 
 	// Per-iteration phase state (written between barriers only).
-	phFrontier vertexSet
-	phNext     vertexSet
+	phFrontier *stateSet
+	phNext     *stateSet
 	phLevels   []int32
 
 	// dbgSeen threads the seen population through the bfsdebug
@@ -141,9 +169,9 @@ func NewSMSPBFSEngine(g *graph.Graph, repr StateRepr, opt Options) *SMSPBFSEngin
 		active := run.key.active
 		e = &SMSPBFSEngine{
 			repr: repr,
-			seen: newVertexSet(active, repr),
-			buf0: newVertexSet(active, repr),
-			buf1: newVertexSet(active, repr),
+			seen: newStateSet(active, repr),
+			buf0: newStateSet(active, repr),
+			buf1: newStateSet(active, repr),
 		}
 		e.init(e, run.key)
 		e.stateBytes = e.seen.MemoryBytes() + e.buf0.MemoryBytes() + e.buf1.MemoryBytes()
@@ -152,9 +180,13 @@ func NewSMSPBFSEngine(g *graph.Graph, repr StateRepr, opt Options) *SMSPBFSEngin
 		e.resolveBody = e.resolveTask
 		e.bottomUpBody = e.bottomUpTask
 		e.zeroBody = func(_ int, r sched.Range) {
-			e.seen.ZeroRange(r.Lo, r.Hi)
-			e.buf0.ZeroRange(r.Lo, r.Hi)
-			e.buf1.ZeroRange(r.Lo, r.Hi)
+			// The last task also owns the slack slots of its last word,
+			// past the active prefix: clearing them keeps "no slot past
+			// the prefix is set" true whatever a previous owner left.
+			hi := (r.Hi + e.seen.slots() - 1) &^ (e.seen.slots() - 1)
+			e.seen.ZeroRange(r.Lo, hi)
+			e.buf0.ZeroRange(r.Lo, hi)
+			e.buf1.ZeroRange(r.Lo, hi)
 		}
 		e.endLevel = e.finishLevel
 	}
@@ -181,7 +213,7 @@ func (e *SMSPBFSEngine) Run(source int) *Result {
 	// Opened after the scrub, so its tasks are not charged to the first level.
 	rec := newIterRecorder(opt, e.repr.algoName(), 1, e.pool)
 
-	e.bindBuffers(e.buf0, e.buf1)
+	e.bindBuffers(&e.buf0, &e.buf1)
 	e.phLevels = levels
 	e.dbgSeen = 0
 	if source < e.active {
@@ -216,8 +248,8 @@ func (e *SMSPBFSEngine) Run(source int) *Result {
 }
 
 // bindBuffers points the coming level at its frontier and next buffers.
-func (e *SMSPBFSEngine) bindBuffers(frontier, next vertexSet) {
-	e.phFrontier, e.phNext, e.phCanon = frontier, next, next.ChunkWords()
+func (e *SMSPBFSEngine) bindBuffers(frontier, next *stateSet) {
+	e.phFrontier, e.phNext, e.phCanon = frontier, next, next.words
 }
 
 // finishLevel is the between-levels hook: fold the level's counters into
@@ -225,16 +257,31 @@ func (e *SMSPBFSEngine) bindBuffers(frontier, next vertexSet) {
 // set state is a frontier vertex and every frontier edge leaves the
 // unexplored pool, so updated and frontDeg each stand in twice. The
 // top-down scatter cleared the old frontier in place (Listing 3 line 5);
-// the bottom-up sweep scrubs stale next bits as it goes (Listing 4).
+// the bottom-up sweep overwrites every next word it passes (Listing 4).
 func (e *SMSPBFSEngine) finishLevel() {
 	e.dir.applyIteration(e.updated, e.frontDeg, e.frontDeg)
 	if debugInvariants {
-		e.dbgSeen = debugCheckSetIteration(e.seen, e.phNext, e.active, e.dbgSeen, sumCounters(e.updated), "SMS-PBFS", e.phDepth)
+		e.dbgSeen = debugCheckSetIteration(&e.seen, e.phNext, e.dbgSeen, sumCounters(e.updated), "SMS-PBFS", e.phDepth)
 	}
 	e.bindBuffers(e.phNext, e.phFrontier)
 }
 
-// scatterTask is phase 1 of Listing 3: scan the frontier chunk words, mark
+// wordWindow returns the words of s that task range r covers. Task ranges
+// start on 512-vertex borders, so each of these words belongs to r alone;
+// only the last task, clipped at the active prefix, may end inside its
+// last word, and that word's slots past the prefix are never set.
+func (s *stateSet) wordWindow(r sched.Range) (lo, hi int) {
+	lo, hi = r.Lo>>s.shift, (r.Hi+s.slots()-1)>>s.shift
+	if lo < 0 || hi > len(s.words) {
+		// BCE hint: task ranges lie inside [0, active), so the word
+		// window is in bounds; pinning it here keeps the sweeps free of
+		// per-word bounds checks (bfsgate contract).
+		panic("smspbfs: task range outside the state words")
+	}
+	return lo, hi
+}
+
+// scatterTask is phase 1 of Listing 3: walk the frontier's set bits, mark
 // each neighbor in the worker's own stripe of next and queue the vertex for
 // the owners of the other stripes its row reaches (levelStep.cutAcross), and
 // clear the frontier in place. Plain stores only — no atomics on this path.
@@ -243,41 +290,28 @@ func (e *SMSPBFSEngine) finishLevel() {
 //bfs:singlewriter only neighbors in the running worker's stripe are marked; frontier words are cleared by the task that owns them
 func (e *SMSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 	g, ov := e.g, e.opt.Overlay
-	frontier := e.phFrontier
-	active := e.active
+	frontier, next := e.phFrontier, e.phNext
 	scanned := &e.scanned[workerID]
 	tgt := e.phCanon
 	lo, hi := e.stripes.Range(workerID)
-	chunk := frontier.ChunkSize()
-	words := frontier.ChunkWords()
-	loW, hiW := r.Lo/chunk, (r.Hi+chunk-1)/chunk
-	if loW < 0 || hiW > len(words) {
-		// BCE hint: task ranges lie inside [0, n), so the chunk-word
-		// window is in bounds; pinning it here keeps the scan loop free
-		// of per-chunk bounds checks (bfsgate contract).
-		panic("smspbfs: task range outside chunk words")
-	}
+	shift, lg := frontier.shift, frontier.lg
+	words := frontier.words
+	loW, hiW := frontier.wordWindow(r)
 	//bfs:hot phase 1 chunk scan: runs per chunk per iteration, must not allocate
 	for wi := loW; wi < hiW; wi++ {
-		if words[wi] == 0 {
+		w := words[wi] //bfs:bounds-ok wordWindow pins [loW, hiW) inside words
+		if w == 0 {
 			continue // chunk skip: no active vertex among these
 		}
-		base := wi * chunk
-		limit := base + chunk
-		if limit > active {
-			limit = active
-		}
-		for v := base; v < limit; v++ {
-			if !frontier.Get(v) {
-				continue
-			}
+		for ; w != 0; w &= w - 1 {
+			v := wi<<shift + trailingZeros64(w)>>lg
 			own := g.Neighbors(v) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
 			if crosses(own, lo, hi) {
 				own = e.cutAcross(workerID, v, own)
 			}
 			scanned.v += int64(len(own))
 			for _, nb := range own {
-				frontier.Mark(tgt, int(nb))
+				next.Mark(tgt, int(nb)) //bfs:bounds-ok inlined slab indexing; nb < active by ActivePrefix and the slab spans the active slots
 			}
 			if ov != nil {
 				// Fused overlay scan: extra neighbors are cut and marked
@@ -288,15 +322,15 @@ func (e *SMSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 				}
 				scanned.v += int64(len(own))
 				for _, nb := range own {
-					frontier.Mark(tgt, int(nb))
+					next.Mark(tgt, int(nb)) //bfs:bounds-ok inlined slab indexing; nb < active by ActivePrefix and the slab spans the active slots
 				}
 			}
 		}
-		// Frontier cleared in place (Listing 3 line 5). Task ranges are
-		// multiples of 512 vertices, so word wi belongs to exactly one
-		// task and only the worker holding that task writes it. The apply
-		// needs only the queued ids, not the frontier.
-		words[wi] = 0 //bfs:singlewriter word-aligned task ranges: one writer per word
+		// Frontier cleared in place (Listing 3 line 5). Word wi belongs to
+		// exactly one task (wordWindow), and only the worker holding that
+		// task writes it. The apply needs only the queued ids, not the
+		// frontier.
+		words[wi] = 0 //bfs:bounds-ok wordWindow pins [loW, hiW) inside words
 	}
 }
 
@@ -309,48 +343,43 @@ func (e *SMSPBFSEngine) spreadMarks(_ int, seg []graph.VertexID) {
 	next, tgt := e.phNext, e.phCanon
 	//bfs:hot segment marks: runs per neighbor per top-down level, must not allocate
 	for _, nb := range seg {
-		next.Mark(tgt, int(nb))
+		next.Mark(tgt, int(nb)) //bfs:bounds-ok inlined slab indexing; nb < active by ActivePrefix and the slab spans the active slots
 	}
 }
 
-// resolveTask is phase 2: resolve newly seen vertices without
-// synchronization (Listing 3 lines 6-11).
+// resolveTask is phase 2 (Listing 3 lines 6-11), a word at a time: the
+// fresh vertices of a word are next &^ seen; seen takes them and next
+// keeps only them, which drops the reached-but-seen ones (and any stale bit
+// of two levels ago) in the same store. Only the fresh bits are walked, for
+// the counters, the levels and OnVisit. No synchronization: the word window
+// belongs to this task alone.
 //
 //bfs:nocas
+//bfs:singlewriter word-aligned task ranges: one writer per seen and next word
 func (e *SMSPBFSEngine) resolveTask(workerID int, r sched.Range) {
 	g, opt := e.g, e.opt
 	ov := opt.Overlay
-	next := e.phNext
+	seen, next := &e.seen, e.phNext
 	levels := e.phLevels
-	active := e.active
-	chunk := next.ChunkSize()
 	upd := &e.updated[workerID]
 	fd := &e.frontDeg[workerID]
-	words := next.ChunkWords()
-	loW, hiW := r.Lo/chunk, (r.Hi+chunk-1)/chunk
-	if loW < 0 || hiW > len(words) {
-		// BCE hint: see the phase 1 chunk-window guard.
-		panic("smspbfs: task range outside chunk words")
+	shift, lg := seen.shift, seen.lg
+	seenW, nextW := seen.words, next.words
+	loW, hiW := seen.wordWindow(r)
+	if hiW > len(nextW) {
+		panic("smspbfs: next is shorter than seen") // BCE hint: the buffers share one layout
 	}
 	//bfs:hot phase 2 chunk scan: runs per chunk per iteration, must not allocate
 	for wi := loW; wi < hiW; wi++ {
-		if words[wi] == 0 {
+		nw := nextW[wi] //bfs:bounds-ok wordWindow and the guard above pin [loW, hiW) inside both buffers
+		if nw == 0 {
 			continue
 		}
-		base := wi * chunk
-		limit := base + chunk
-		if limit > active {
-			limit = active
-		}
-		for v := base; v < limit; v++ {
-			if !next.Get(v) {
-				continue
-			}
-			if e.seen.Get(v) {
-				next.Clear(v) // reachable but already seen: drop
-				continue
-			}
-			e.seen.Set(v)
+		fresh := nw &^ seenW[wi] //bfs:bounds-ok wordWindow pins [loW, hiW) inside seen
+		seenW[wi] |= fresh       //bfs:bounds-ok wordWindow pins [loW, hiW) inside seen
+		nextW[wi] = fresh        //bfs:bounds-ok wordWindow and the guard above pin [loW, hiW) inside both buffers
+		for ; fresh != 0; fresh &= fresh - 1 {
+			v := wi<<shift + trailingZeros64(fresh)>>lg
 			upd.v++
 			fd.v += int64(g.Degree(v)) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
 			if ov != nil {
@@ -366,50 +395,63 @@ func (e *SMSPBFSEngine) resolveTask(workerID int, r sched.Range) {
 	}
 }
 
-// bottomUpTask implements Listing 4 over one destination range: unseen
-// vertices scan their neighbor lists for a frontier member; stale next bits
-// of seen vertices are scrubbed in the same pass so the buffers can swap
-// roles.
+// bottomUpTask implements Listing 4 over one destination range, a word at
+// a time: each seen word is read once and a full one skipped; every unseen
+// vertex of the rest scans its neighbor lists for a frontier member. The
+// word's finds go out in two stores, seen |= found and next = found; the
+// second also scrubs the stale next bits of two levels ago (Listing 4
+// lines 2-3), so the buffers can swap roles.
 //
 //bfs:nocas
+//bfs:singlewriter word-aligned task ranges: one writer per seen and next word
 func (e *SMSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 	g, opt := e.g, e.opt
 	ov := opt.Overlay
-	frontier, next := e.phFrontier, e.phNext
+	seen, frontier, next := &e.seen, e.phFrontier, e.phNext
 	levels := e.phLevels
 	scanned := &e.scanned[workerID]
 	upd := &e.updated[workerID]
 	fd := &e.frontDeg[workerID]
-	//bfs:hot bottom-up sweep: runs per vertex per iteration, must not allocate
-	for u := r.Lo; u < r.Hi; u++ {
-		if e.seen.Get(u) {
-			if next.Get(u) {
-				next.Clear(u) // Listing 4 lines 2-3
+	shift, lg, all := seen.shift, seen.lg, seen.lowBits()
+	seenW, nextW := seen.words, next.words
+	loW, hiW := seen.wordWindow(r)
+	if hiW > len(nextW) {
+		panic("smspbfs: next is shorter than seen") // BCE hint: the buffers share one layout
+	}
+	//bfs:hot bottom-up sweep: runs per chunk per iteration, must not allocate
+	for wi := loW; wi < hiW; wi++ {
+		sw := seenW[wi] //bfs:bounds-ok wordWindow pins [loW, hiW) inside seen
+		var found uint64
+		// A full word leaves nothing unseen: chunk skip.
+		for unseen := all &^ sw; unseen != 0; unseen &= unseen - 1 {
+			bit := trailingZeros64(unseen)
+			u := wi<<shift + bit>>lg
+			if u >= r.Hi {
+				break // the slack slots of the last word, past the active prefix
 			}
-			continue
-		}
-		found := false
-		for _, v := range g.Neighbors(u) { //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
-			scanned.v++
-			if frontier.Get(int(v)) {
-				found = true
-				break
-			}
-		}
-		if !found && ov != nil {
-			// Fused overlay scan: the extra neighbors get the same
-			// find-one-frontier-parent early exit as the CSR list.
-			for _, v := range ov.Extra(u) { //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
+			hit := false
+			for _, v := range g.Neighbors(u) { //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
 				scanned.v++
-				if frontier.Get(int(v)) {
-					found = true
+				if frontier.Get(int(v)) { //bfs:bounds-ok inlined word indexing; v < active by ActivePrefix
+					hit = true
 					break
 				}
 			}
-		}
-		if found {
-			next.Set(u)
-			e.seen.Set(u)
+			if !hit && ov != nil {
+				// Fused overlay scan: the extra neighbors get the same
+				// find-one-frontier-parent early exit as the CSR list.
+				for _, v := range ov.Extra(u) { //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
+					scanned.v++
+					if frontier.Get(int(v)) { //bfs:bounds-ok inlined word indexing; an overlay spans the whole state (activePrefix)
+						hit = true
+						break
+					}
+				}
+			}
+			if !hit {
+				continue
+			}
+			found |= 1 << uint(bit)
 			upd.v++
 			fd.v += int64(g.Degree(u)) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
 			if ov != nil {
@@ -421,8 +463,10 @@ func (e *SMSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 			if opt.OnVisit != nil {
 				opt.OnVisit(workerID, 0, u, int(e.phDepth))
 			}
-		} else if next.Get(u) {
-			next.Clear(u) // scrub stale bit from two iterations ago
 		}
+		if found != 0 {
+			seenW[wi] = sw | found //bfs:bounds-ok wordWindow pins [loW, hiW) inside seen
+		}
+		nextW[wi] = found //bfs:bounds-ok wordWindow and the guard above pin [loW, hiW) inside both buffers
 	}
 }

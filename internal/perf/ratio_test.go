@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -39,7 +40,7 @@ func TestRatioRowsNameScenarios(t *testing.T) {
 }
 
 // TestRatiosFromOwnMedians: each row is its two scenarios' medians divided,
-// and only the gated row can fail, once its value reaches the bound.
+// and only a gated row can fail, once its value reaches its bound.
 func TestRatiosFromOwnMedians(t *testing.T) {
 	r := medianReport(map[string]int64{
 		"mspbfs/auto-large":      3_000_000,
@@ -47,11 +48,11 @@ func TestRatiosFromOwnMedians(t *testing.T) {
 		"mspbfs/auto":            200_000,
 		"dyn/overlay-scan":       300_000,
 		"cluster/inproc":         3_000_000,
-		"smspbfs/bit":            90_000,
+		"smspbfs/bit":            60_000,
 		"beamer/gapbs":           30_000,
 		"mspbfs/topdown":         600_000,
 	})
-	want := []float64{0.3, 1.5, 15, 3, 3}
+	want := []float64{0.3, 1.5, 15, 2, 3}
 	if len(r.Ratios) != len(want) {
 		t.Fatalf("%d ratio rows, want %d", len(r.Ratios), len(want))
 	}
@@ -61,16 +62,25 @@ func TestRatiosFromOwnMedians(t *testing.T) {
 		}
 	}
 
-	for _, large := range []int64{10_000_000, 25_000_000} { // at and past the bound
-		r := medianReport(map[string]int64{"mspbfs/auto-large": large, "msbfs/sequential-large": 10_000_000})
-		if q := r.Ratios[0]; q.Bound != 1 || !q.Failed() {
-			t.Errorf("%s = %g with bound %g did not fail", q.Name(), q.Value, q.Bound)
+	gated := 0
+	for i, row := range ratioRows {
+		if row.Bound <= 0 {
+			continue
 		}
-		for _, q := range r.Ratios[1:] {
-			if q.Failed() {
-				t.Errorf("ungated %s failed", q.Name())
+		gated++
+		for _, factor := range []float64{1, 2.5} { // at and past the bound
+			medians := map[string]int64{"msbfs/sequential-large": 10_000_000} // every other gated row passes
+			medians[row.Num], medians[row.Den] = int64(factor*row.Bound*1e6), 1_000_000
+			r := medianReport(medians)
+			for j, q := range r.Ratios {
+				if q.Failed() != (j == i) {
+					t.Errorf("%s at %g × bound: %s = %g (bound %g), failed %v", row.Name(), factor, q.Name(), q.Value, q.Bound, q.Failed())
+				}
 			}
 		}
+	}
+	if gated != 2 {
+		t.Errorf("%d gated rows, want 2: the paper's claim and SMS-PBFS against Beamer", gated)
 	}
 }
 
@@ -95,7 +105,7 @@ func TestRatioFailed(t *testing.T) {
 }
 
 // TestReportRoundTrip: a written report decodes to the same report, the
-// ratio rows included, with a bound only on the gated row.
+// ratio rows included, with a bound only on the gated rows.
 func TestReportRoundTrip(t *testing.T) {
 	r := medianReport(map[string]int64{"mspbfs/auto-large": 20_000_000, "msbfs/sequential-large": 10_000_000})
 	r.Env = Environment{GitSHA: "aaaa", GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", NumCPU: 4, GOMAXPROCS: 4}
@@ -115,8 +125,8 @@ func TestReportRoundTrip(t *testing.T) {
 	if !got.Ratios[0].Failed() {
 		t.Error("decoded gated row lost its failure")
 	}
-	if !strings.Contains(buf.String(), `"schema_version": 2`) || strings.Count(buf.String(), `"bound"`) != 1 {
-		t.Errorf("report is not schema 2 with one bounded ratio row:\n%s", buf.String())
+	if !strings.Contains(buf.String(), `"schema_version": 2`) || strings.Count(buf.String(), `"bound"`) != 2 {
+		t.Errorf("report is not schema 2 with two bounded ratio rows:\n%s", buf.String())
 	}
 }
 
@@ -130,7 +140,7 @@ func TestWriteTableVerdicts(t *testing.T) {
 	for _, q := range r.Ratios {
 		want := []string{"-", "-"}
 		if q.Bound > 0 {
-			want = []string{"<", "1", "ok"}
+			want = []string{"<", fmt.Sprint(q.Bound), "ok"}
 		}
 		found := false
 		for _, line := range lines {

@@ -157,7 +157,7 @@ func BenchmarkMSPBFS64Sources(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Run(sources)
+		e.Run(sources, nil)
 	}
 	b.StopTimer()
 	reportGTEPS(b, ec.EdgesForAll(sources))
@@ -227,7 +227,7 @@ func BenchmarkAblationEarlyExit(b *testing.B) {
 			defer e.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Run(sources)
+				e.Run(sources, nil)
 			}
 		})
 	}
@@ -247,7 +247,7 @@ func BenchmarkAblationDirection(b *testing.B) {
 			defer e.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Run(sources)
+				e.Run(sources, nil)
 			}
 		})
 	}
@@ -264,7 +264,7 @@ func BenchmarkAblationSplitSize(b *testing.B) {
 			defer e.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Run(sources)
+				e.Run(sources, nil)
 			}
 		})
 	}
@@ -286,7 +286,7 @@ func BenchmarkAblationStealing(b *testing.B) {
 			defer e.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Run(sources)
+				e.Run(sources, nil)
 			}
 		})
 	}
@@ -304,7 +304,7 @@ func BenchmarkAblationBatchWidth(b *testing.B) {
 			defer e.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Run(sources)
+				e.Run(sources, nil)
 			}
 			b.StopTimer()
 			reportGTEPS(b, ec.EdgesForAll(sources))

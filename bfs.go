@@ -187,9 +187,9 @@ func (g *Graph) MultiBFSVisitor(sources []int, opt Options,
 	if opt.BatchWords <= 0 {
 		opt.BatchWords = autoBatchWords(len(sources))
 	}
-	c := opt.toCore()
-	c.OnVisit = visit
-	r := core.MSPBFS(g.g, sources, c)
+	e := core.NewMSPBFSEngine(g.g, opt.toCore())
+	defer e.Close()
+	r := e.Run(sources, visit)
 	return &MultiResult{
 		Sources:       r.Sources,
 		Levels:        r.Levels,

@@ -399,7 +399,7 @@ func (s *Shard) handleStart(payload []byte) error {
 		Workers: g.workers, BatchWords: q.words, Direction: core.TopDownOnly,
 		RecordLevels: true, Engine: s.eng,
 	}) //bfs:arena-held the engine's shell and pool live across RPCs until releaseQuery closes it at msgEnd
-	q.levels = q.e.Seed(m.sources, 0)
+	q.levels = q.e.Seed(m.sources, 0, nil)
 
 	s.mu.Lock()
 	var regErr error

@@ -59,7 +59,7 @@ func (v BeamerVariant) algoName() string {
 // Only Direction, Alpha, Beta, RecordLevels and CollectIterStats of opt are
 // honored; the algorithm is single-threaded by definition (Section 5.2).
 func Beamer(g *graph.Graph, source int, variant BeamerVariant, opt Options) *Result {
-	requireNoHooks(opt, "Beamer")
+	requireNoOverlay(opt, "Beamer")
 	n := g.NumVertices()
 	eng := opt.engine()
 	var levels []int32
@@ -94,7 +94,7 @@ func Beamer(g *graph.Graph, source int, variant BeamerVariant, opt Options) *Res
 	} else {
 		front.Set(source)
 	}
-	// Beamer has no overlay (requireNoHooks above), so the dirInputs
+	// Beamer has no overlay (requireNoOverlay above), so the dirInputs
 	// carrier seeds with zero overlay arcs; decisions still route through
 	// the one shared decideDirection entry point.
 	var dir dirInputs

@@ -114,13 +114,6 @@ type Options struct {
 	// this). The paper's baselines (MS-BFS, iBFS, Beamer) panic on a
 	// non-nil Overlay rather than silently traversing a stale view.
 	Overlay *graph.Overlay
-	// OnVisit, when non-nil, is called for every (source, vertex)
-	// discovery with the BFS depth by MS-PBFS and SMS-PBFS; the baselines
-	// panic on it. It is invoked concurrently from worker goroutines;
-	// implementations typically accumulate into workerID-indexed buckets.
-	// sourceIdx is the index within the caller's sources for multi-source
-	// runs and 0 for single-source runs.
-	OnVisit func(workerID, sourceIdx, vertex, depth int)
 }
 
 func (o Options) workers() int {
@@ -346,12 +339,12 @@ func sumInt64(xs []int64) int64 {
 	return s
 }
 
-// requireNoHooks is the baselines' guard. MS-BFS, iBFS and Beamer exist for the paper's comparisons over static inputs and honour
-// neither Options.Overlay nor Options.OnVisit; panicking beats silently
-// traversing a stale view or never calling the visitor.
-func requireNoHooks(opt Options, algo string) {
-	if opt.Overlay != nil || opt.OnVisit != nil {
-		panic("core: " + algo + " supports neither Options.Overlay nor Options.OnVisit; use MSPBFS, SMSPBFS or ReferenceBFSOverlay")
+// requireNoOverlay is the baselines' guard. MS-BFS, iBFS and Beamer exist
+// for the paper's comparisons over static inputs and do not honour
+// Options.Overlay; panicking beats silently traversing a stale view.
+func requireNoOverlay(opt Options, algo string) {
+	if opt.Overlay != nil {
+		panic("core: " + algo + " does not support Options.Overlay; use MSPBFS, SMSPBFS or ReferenceBFSOverlay")
 	}
 }
 

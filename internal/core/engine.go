@@ -392,8 +392,9 @@ func (e *Engine) checkoutShell(key shellKey) *levelStep {
 
 func (e *Engine) checkinShell(sh *levelStep) {
 	key := sh.key
-	// Drop references that would pin the caller's graph (and any OnVisit
-	// closure or Tracer) in the arena; the next open and begin re-bind them.
+	// Drop references that would pin the caller's graph (and its Tracer)
+	// in the arena; the next open and begin re-bind them. MSPBFSEngine.Close
+	// has already dropped the visitor.
 	sh.shellRun, sh.rec = shellRun{}, iterRecorder{}
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -102,6 +102,27 @@ func TestEngineShellReuseAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestVisitorScopedToCall: MS-PBFS holds a visitor only for the call that
+// passed it. Run lets go of it on return, and a shell closed after Seed
+// parks without it, so the arena pins no caller closure.
+func TestVisitorScopedToCall(t *testing.T) {
+	g := PathGraph(100)
+	eng := NewEngine()
+	defer eng.Close()
+	calls := 0
+	visit := func(_, _, _, _ int) { calls++ }
+	e := NewMSPBFSEngine(g, Options{Engine: eng})
+	e.Run([]int{0}, visit)
+	if calls != 100 || e.visit != nil {
+		t.Errorf("Run: %d visits, want 100; visitor kept past the call: %t", calls, e.visit != nil)
+	}
+	e.Seed([]int{0}, 0, visit)
+	e.Close()
+	if e.visit != nil {
+		t.Error("a shell closed after Seed parked with its visitor")
+	}
+}
+
 // TestEngineStateAndBitmapReuse drives the borrowState / borrowBitmap
 // paths (MSBFS states, Beamer bitmaps) and checks the free lists fill and
 // drain as designed.

@@ -22,13 +22,13 @@ func (t Tally) Closeness(n int) float64 {
 	return r / float64(t.DepthSum) * r / float64(n-1)
 }
 
-// Fold folds one multi-source traversal's OnVisit stream of (source,
+// Fold folds one multi-source traversal's visitor stream of (source,
 // vertex, depth) discoveries into per-source answers. Slot i is the
 // traversal's i-th source; it has a Tally per worker, a radius for
 // Tally.InRadius (-1: none) and optionally targets, whose depths Distances
-// reports. Visit is the OnVisit callback: each worker tallies into its own
-// row, and each (slot, vertex) pair is discovered once across all workers,
-// so workers write disjoint distance cells. Reset lays a Fold out for the
+// reports. Visit is the traversal's visitor (MSPBFSEngine.Run): each worker
+// tallies into its own row, and each (slot, vertex) pair is discovered once
+// across all workers, so workers write disjoint distance cells. Reset lays a Fold out for the
 // next traversal and keeps its storage.
 type Fold struct {
 	tallies [][]Tally  // [worker][slot]
@@ -84,9 +84,10 @@ func (f *Fold) SetTargets(slot int, targets []int, index map[int]int) {
 	s.targets, s.index, s.row = targets, index, row
 }
 
-// Visit folds one discovery; it has the signature of Options.OnVisit. It
-// must stay inlinable (analysis/contracts.json, must_inline), so that the
-// method value f.Visit costs one indirect call per discovery, not two.
+// Visit folds one discovery; it has the signature of MSPBFSEngine.Run's
+// visitor. It must stay inlinable (analysis/contracts.json, must_inline),
+// so that the method value f.Visit costs one indirect call per discovery,
+// not two.
 func (f *Fold) Visit(workerID, slot, vertex, depth int) {
 	t, s := &f.tallies[workerID][slot], &f.slots[slot]
 	t.DepthSum += int64(depth)

@@ -3,7 +3,16 @@ package core
 import (
 	"slices"
 	"testing"
+
+	"repro/internal/graph"
 )
+
+// foldRun runs MS-PBFS over sources into f.
+func foldRun(g *graph.Graph, sources []int, opt Options, f *Fold) {
+	e := NewMSPBFSEngine(g, opt)
+	defer e.Close()
+	e.Run(sources, f.Visit)
+}
 
 // TestFold runs traversals into one reused Fold and checks every slot's
 // tally and distance row against the oracle's levels. The cases run in
@@ -62,7 +71,7 @@ func TestFold(t *testing.T) {
 				f.SetTargets(i, c.targets[i], TargetIndex(c.targets[i]))
 			}
 		}
-		MSPBFS(g, c.sources, Options{Workers: c.workers, OnVisit: f.Visit})
+		foldRun(g, c.sources, Options{Workers: c.workers}, &f)
 
 		for i, s := range c.sources {
 			levels := ReferenceLevels(g, s)
@@ -110,11 +119,11 @@ func TestFoldRowsOutliveReset(t *testing.T) {
 	var f Fold
 	f.Reset(1, 1)
 	f.SetTargets(0, []int{3}, TargetIndex([]int{3}))
-	MSPBFS(g, []int{0}, Options{OnVisit: f.Visit})
+	foldRun(g, []int{0}, Options{}, &f)
 	row := f.Distances(0)
 	f.Reset(1, 1)
 	f.SetTargets(0, []int{3}, TargetIndex([]int{3}))
-	MSPBFS(g, []int{9}, Options{OnVisit: f.Visit})
+	foldRun(g, []int{9}, Options{}, &f)
 	if row[0] != 3 || f.Distances(0)[0] != 6 {
 		t.Errorf("first row %v, second %v; want [3] and [6]", row, f.Distances(0))
 	}

@@ -12,8 +12,9 @@ package core_test
 //     reference row (cut at MaxDepth), or with record=nolevels no row is
 //     recorded,
 //   - the visited-state total equals the reference's, and
-//   - where the kernel takes a visitor, OnVisit reports each reached
-//     (source, vertex) exactly once, at its level.
+//   - where the kernel takes a visitor (MS-PBFS, through every layer), the
+//     visitor is called for each reached (source, vertex) exactly once, at
+//     its level.
 //
 // Without -short the grid runs its named slices, each a union of products
 // over the axes; with -short it runs the pairwise cover instead: a seeded,
@@ -28,6 +29,7 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -162,8 +164,9 @@ var gridSlices = []struct{ name, spec string }{
 	{"labeling", "kernel=mspbfs,smspbfs,msbfs repr=* label=* workers=w1,w3 shape=kron,uniform"},
 	// The fused overlay scans against the compacted graph's answer.
 	{"overlay", "kernel=mspbfs,smspbfs,mspbfs-socket,smspbfs-all repr=* dir=* workers=w4 view=* visit=visit shape=kron"},
-	// The scatter → apply substrate: rows cut at stripe and task borders.
-	{"segmented", "kernel=mspbfs,smspbfs repr=* dir=* workers=w3,w4,w8 split=* words=words1,words2 view=* shape=kron12"},
+	// The scatter → apply substrate: rows cut at stripe and task borders,
+	// and MS-PBFS's visitor emitting from them at one and two words.
+	{"segmented", "kernel=mspbfs,smspbfs repr=* dir=* workers=w3,w4,w8 split=* words=words1,words2 view=* shape=kron12; kernel=mspbfs dir=* workers=w3,w4,w8 split=* words=words1,words2 visit=visit shape=kron12"},
 	// Sources on both sides of the active prefix, and all past it.
 	{"prefix", "kernel=mspbfs,smspbfs repr=* label=striped dir=* workers=w1,w3 words=words1,words2 view=* visit=visit place=at,past shape=kron12; kernel=mspbfs,smspbfs repr=* words=words1,words2 visit=visit place=* shape=components,midgap"},
 	// MaxDepth in every direction, also with isolated ids mid-range.
@@ -171,7 +174,7 @@ var gridSlices = []struct{ name, spec string }{
 	// Stealing and the early exit off; every worker count on a sparse graph.
 	{"tuning", "kernel=mspbfs,smspbfs repr=* dir=auto,bottomup workers=w4 exit=* steal=* shape=kron; kernel=mspbfs,smspbfs repr=* dir=* workers=w1,w2,w3,w4 shape=uniform"},
 	// Runs that record no levels, the path of the serving fold and the
-	// benchmark: the visited totals and the OnVisit stream alone.
+	// benchmark: the visited totals and the visitor's stream alone.
 	{"record", "kernel=* layer=core repr=* dir=* workers=w2 words=words1,words2 visit=* record=nolevels shape=kron,path,components; kernel=mspbfs,smspbfs layer=root,shards2 visit=* record=nolevels shape=ldbc,components"},
 	// The root facade's BFS and MultiBFSVisitor.
 	{"root", "kernel=mspbfs,smspbfs layer=root repr=* dir=* workers=w2 view=* visit=visit shape=ldbc; kernel=mspbfs,smspbfs layer=root depth=depth2 shape=ldbc"},
@@ -192,18 +195,24 @@ type impl struct {
 }
 
 const (
-	parallel = "dir workers split exit steal depth view visit"
+	parallel = "dir workers split exit steal depth view"
 	seqMulti = "dir words exit depth"
 	rootMS   = "dir workers words depth view visit"
 	sharded  = "workers words depth visit"
 )
 
 var impls = []impl{
-	{"mspbfs", "core", parallel + " words", 0, func(r *cellRun) {
-		r.multi(core.MSPBFS(r.g, r.sources, r.opt), r.batches())
+	{"mspbfs", "core", parallel + " words visit", 0, func(r *cellRun) {
+		if r.visits == nil {
+			r.multi(core.MSPBFS(r.g, r.sources, r.opt), r.batches())
+			return
+		}
+		e := core.NewMSPBFSEngine(r.g, r.opt)
+		defer e.Close()
+		r.multi(e.Run(r.sources, r.visit()), r.batches())
 	}},
 	{"smspbfs", "core", parallel + " repr", 4, func(r *cellRun) {
-		r.single(func(s int, opt core.Options) *core.Result { return core.SMSPBFS(r.g, s, r.c.repr(), opt) })
+		r.single(func(s int) *core.Result { return core.SMSPBFS(r.g, s, r.c.repr(), r.opt) })
 	}},
 	{"smspbfs-all", "core", "dir workers split exit steal depth view repr", 4, func(r *cellRun) {
 		r.multi(core.SMSPBFSAll(r.g, r.sources, r.c.repr(), r.opt), len(r.sources))
@@ -221,7 +230,7 @@ var impls = []impl{
 	{"beamer-sparse", "core", "dir", 4, beamer(core.BeamerSparse)},
 	{"beamer-dense", "core", "dir", 4, beamer(core.BeamerDense)},
 	{"mspbfs", "root", rootMS, 0, func(r *cellRun) {
-		res := r.root().MultiBFSVisitor(r.sources, r.rootOptions(), r.opt.OnVisit)
+		res := r.root().MultiBFSVisitor(r.sources, r.rootOptions(), r.visit())
 		r.levels, r.visited = res.Levels, res.VisitedStates
 		if res.Elapsed <= 0 {
 			r.t.Errorf("Elapsed = %v", res.Elapsed)
@@ -239,7 +248,7 @@ var impls = []impl{
 
 func beamer(variant core.BeamerVariant) func(r *cellRun) {
 	return func(r *cellRun) {
-		r.single(func(s int, opt core.Options) *core.Result { return core.Beamer(r.g, s, variant, opt) })
+		r.single(func(s int) *core.Result { return core.Beamer(r.g, s, variant, r.opt) })
 	}
 }
 
@@ -477,7 +486,10 @@ func TestGridMatchesOracle(t *testing.T) {
 // per axis. The shape axis then only names the cell; the decoded graph
 // stands in for the shape. The seed corpus holds each grid shape, and
 // gapped graphs of 63, 64, 65, 511, 512 and 513 vertices, the sizes at
-// which a word or a 512-vertex task ends one vertex early or late.
+// which a word or a 512-vertex task ends one vertex early or late. One grid
+// serves every execution of the process: an execution replaces only its
+// shape's graph (grid.reshape), so the engines' pools and parked shells
+// and the clusters carry over.
 func FuzzGridCell(f *testing.F) {
 	axes := func(seed int) uint64 { return uint64(seed+1) * 0x9e3779b97f4a7c15 }
 	for i, s := range shapes {
@@ -505,11 +517,11 @@ func FuzzGridCell(f *testing.F) {
 		sizes := uint64(n-1) | uint64(tail)<<16 | uint64(gapLo)<<32 | uint64(gapLen)<<48
 		f.Add(axes(len(shapes)+i), sizes, encodeGridEdges(edges))
 	}
+	gr := newGrid()
+	f.Cleanup(gr.close)
 	f.Fuzz(func(t *testing.T, axes, sizes uint64, edges []byte) {
 		c, g := decodeGridInput(axes, sizes, edges)
-		gr := newGrid()
-		defer gr.close()
-		gr.graphs[c[dShape]] = g
+		gr.reshape(c[dShape], g)
 		gr.check(t, c)
 	})
 }
@@ -565,21 +577,24 @@ func encodeGridEdges(edges [][2]int) []byte {
 }
 
 // grid caches what its cells share: each shape's labeled views, the
-// reference rows and, per shard count, one in-process cluster. A slice's
-// cells run in parallel; mu guards the caches, and sharded cells hold it
-// for their whole run, so a cluster serves one query at a time.
+// reference rows, one engine for the runs on each view axis value (csr,
+// overlay), so a cell's runs take the shells and rows earlier cells
+// parked, and, per shard count, one in-process cluster. A slice's cells
+// run in parallel; mu guards the caches, and sharded cells hold it for
+// their whole run, so a cluster serves one query at a time.
 type grid struct {
 	mu       sync.Mutex
 	graphs   map[int]*graph.Graph            // by shape
 	views    map[[2]int]*view                // by (shape, label)
 	oracle   map[[2]int][]int32              // by (shape, vertex as generated)
+	engines  [2]*core.Engine                 // by view axis value
 	clusters [4]*cluster.Inproc              // by shard count
 	remotes  map[[4]int]*cluster.RemoteGraph // by (shards, shape, label, workers)
 }
 
 func newGrid() *grid {
 	return &grid{graphs: map[int]*graph.Graph{}, views: map[[2]int]*view{}, oracle: map[[2]int][]int32{},
-		remotes: map[[4]int]*cluster.RemoteGraph{}}
+		engines: [2]*core.Engine{core.NewEngine(), core.NewEngine()}, remotes: map[[4]int]*cluster.RemoteGraph{}}
 }
 
 func (gr *grid) close() {
@@ -588,17 +603,32 @@ func (gr *grid) close() {
 			ip.Close()
 		}
 	}
-	for _, v := range gr.views {
-		v.engines[0].Close()
-		v.engines[1].Close()
+	gr.engines[0].Close()
+	gr.engines[1].Close()
+}
+
+// reshape makes g the graph of shape s and drops what the grid derived
+// from the one it had: the shape's views, reference rows and cluster
+// copies. An engine whose arena has grown past 64 MiB is renewed: arenas
+// park per vertex count, and decoded graphs come in thousands of counts.
+func (gr *grid) reshape(s int, g *graph.Graph) {
+	gr.mu.Lock()
+	defer gr.mu.Unlock()
+	gr.graphs[s] = g
+	maps.DeleteFunc(gr.views, func(k [2]int, _ *view) bool { return k[0] == s })
+	maps.DeleteFunc(gr.oracle, func(k [2]int, _ []int32) bool { return k[0] == s })
+	maps.DeleteFunc(gr.remotes, func(k [4]int, _ *cluster.RemoteGraph) bool { return k[1] == s })
+	for i, eng := range gr.engines {
+		if eng.Stats().FreeBytes > 64<<20 {
+			eng.Close()
+			gr.engines[i] = core.NewEngine()
+		}
 	}
 }
 
 // A view is one shape under one labeling: the relabeled graph, the
-// permutation (perm[v] is generated vertex v's id in g), the same graph
-// with every third edge moved into an overlay, and one engine for the
-// runs on each, so a cell's runs take the shells and rows the view's
-// earlier cells parked.
+// permutation (perm[v] is generated vertex v's id in g) and the same graph
+// with every third edge moved into an overlay.
 type view struct {
 	g, base  *graph.Graph
 	ov       *graph.Overlay
@@ -606,7 +636,6 @@ type view struct {
 	identity bool
 	orig     []int // orig[perm[v]] == v
 	lists    map[[2]int][]int
-	engines  [2]*core.Engine // by view axis value: csr, overlay
 }
 
 // generated maps a row over the view's ids back to generated ids, in buf
@@ -636,7 +665,7 @@ func (gr *grid) view(t *testing.T, c cell) *view {
 	scheme := []label.Scheme{label.Identity, label.Random, label.DegreeOrdered, label.Striped}[c[dLabel]]
 	g, perm := label.Apply(gr.shape(c[dShape]), scheme, label.Params{Workers: 3, Seed: 11})
 	v := &view{g: g, perm: perm, identity: scheme == label.Identity, orig: make([]int, len(perm)),
-		lists: map[[2]int][]int{}, engines: [2]*core.Engine{core.NewEngine(), core.NewEngine()}}
+		lists: map[[2]int][]int{}}
 	for old, id := range perm {
 		v.orig[id] = old
 	}
@@ -770,14 +799,10 @@ func (r *cellRun) instances(res *core.MultiResult, n int) {
 	}
 }
 
-// single runs each source alone, its visitor reporting source index i.
-func (r *cellRun) single(run func(s int, opt core.Options) *core.Result) {
-	for i, s := range r.sources {
-		opt := r.opt
-		if r.visits != nil {
-			opt.OnVisit = r.visits.hook(i)
-		}
-		res := run(s, opt)
+// single runs each source alone.
+func (r *cellRun) single(run func(s int) *core.Result) {
+	for _, s := range r.sources {
+		res := run(s)
 		r.levels, r.visited = append(r.levels, res.Levels), r.visited+res.VisitedVertices
 		r.checkLone(res.Stats.Iterations, 1)
 	}
@@ -841,14 +866,14 @@ func (r *cellRun) sharded(width int) {
 		}
 		gr.remotes[key] = rg
 	}
-	res, err := rg.RunBatch(context.Background(), r.sources, r.rootOptions(), r.opt.OnVisit)
+	res, err := rg.RunBatch(context.Background(), r.sources, r.rootOptions(), r.visit())
 	if err != nil {
 		r.t.Fatalf("RunBatch: %v", err)
 	}
 	r.levels, r.visited = res.Levels, res.VisitedStates
 }
 
-// visitRows records OnVisit calls as level rows, one per source, and
+// visitRows records visitor calls as level rows, one per source, and
 // counts the calls that repeat a (source, vertex) or name a worker the run
 // does not have.
 type visitRows struct {
@@ -865,13 +890,19 @@ func newVisitRows(k, n, workers int) *visitRows {
 	return &visitRows{n: n, workers: workers, rows: rows}
 }
 
-// hook is the visitor of a run whose source index 0 is the cell's off.
-func (vr *visitRows) hook(off int) func(workerID, sourceIdx, vertex, depth int) {
-	return func(w, i, u, depth int) {
-		if w < 0 || w >= vr.workers || !atomic.CompareAndSwapInt32(&vr.rows[(off+i)*vr.n+u], core.NoLevel, int32(depth)) {
-			vr.bad.Add(1)
-		}
+// visit records one visitor call.
+func (vr *visitRows) visit(w, i, u, depth int) {
+	if w < 0 || w >= vr.workers || !atomic.CompareAndSwapInt32(&vr.rows[i*vr.n+u], core.NoLevel, int32(depth)) {
+		vr.bad.Add(1)
 	}
+}
+
+// visit is the cell's visitor: nil unless the cell reads visit=visit.
+func (r *cellRun) visit() func(workerID, sourceIdx, vertex, depth int) {
+	if r.visits == nil {
+		return nil
+	}
+	return r.visits.visit
 }
 
 func (vr *visitRows) row(i int) []int32 { return vr.rows[i*vr.n : (i+1)*vr.n] }
@@ -880,7 +911,7 @@ func (vr *visitRows) row(i int) []int32 { return vr.rows[i*vr.n : (i+1)*vr.n] }
 func (gr *grid) check(t *testing.T, c cell) {
 	gr.mu.Lock()
 	x, v := c.impl(), gr.view(t, c)
-	eng := v.engines[c[dView]]
+	eng := gr.engines[c[dView]]
 	r := &cellRun{t: t, gr: gr, c: c, g: v.g, opt: c.options(eng),
 		sources: v.sources(c[dPlace], c.words())}
 	if x.sources > 0 {
@@ -892,7 +923,6 @@ func (gr *grid) check(t *testing.T, c cell) {
 	n := v.g.NumVertices()
 	if c.value(dVisit) == "visit" {
 		r.visits = newVisitRows(len(r.sources), n, c.workers())
-		r.opt.OnVisit = r.visits.hook(0)
 	}
 	want := make([][]int32, len(r.sources))
 	var wantVisited int64
@@ -925,7 +955,7 @@ func (gr *grid) check(t *testing.T, c cell) {
 		if record && !core.CheckLevels(t, fmt.Sprintf("source %d (vertex %d)", i, s), v.generated(r.levels[i], buf), want[i]) {
 			break
 		}
-		if r.visits != nil && !core.CheckLevels(t, fmt.Sprintf("OnVisit of source %d (vertex %d)", i, s),
+		if r.visits != nil && !core.CheckLevels(t, fmt.Sprintf("visits of source %d (vertex %d)", i, s),
 			v.generated(r.visits.row(i), buf), want[i]) {
 			break
 		}
@@ -937,6 +967,6 @@ func (gr *grid) check(t *testing.T, c cell) {
 		t.Errorf("visited %d states, want %d", r.visited, wantVisited)
 	}
 	if r.visits != nil && r.visits.bad.Load() != 0 {
-		t.Errorf("%d OnVisit calls repeat a (source, vertex) or name a worker out of range", r.visits.bad.Load())
+		t.Errorf("%d visitor calls repeat a (source, vertex) or name a worker out of range", r.visits.bad.Load())
 	}
 }

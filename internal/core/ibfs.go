@@ -25,7 +25,7 @@ import (
 // GroupBy-style sharing coming from the joint queue: a vertex reached by
 // many of the k BFSs in the same iteration is expanded once.
 func IBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
-	requireNoHooks(opt, "IBFS")
+	requireNoOverlay(opt, "IBFS")
 	n := g.NumVertices()
 	words := opt.batchWords()
 

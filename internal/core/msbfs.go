@@ -17,7 +17,7 @@ import (
 // motivate MS-PBFS. Workers in opt is ignored; use MSBFSPerCore for the
 // "one sequential instance per core" execution mode.
 func MSBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
-	requireNoHooks(opt, "MSBFS")
+	requireNoOverlay(opt, "MSBFS")
 	run, release := openMSBFS(g, opt, false)
 	defer release()
 	return runBatches(sources, opt, run)
@@ -31,7 +31,7 @@ func MSBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
 // structure is what makes MS-PBFS synchronization-free, so a direct
 // parallel variant would need per-edge CAS on seen as well.
 func MSBFSDirect(g *graph.Graph, sources []int, opt Options) *MultiResult {
-	requireNoHooks(opt, "MSBFSDirect")
+	requireNoOverlay(opt, "MSBFSDirect")
 	run, release := openMSBFS(g, opt, true)
 	defer release()
 	return runBatches(sources, opt, run)
@@ -45,7 +45,7 @@ func MSBFSDirect(g *graph.Graph, sources []int, opt Options) *MultiResult {
 // Figure 3) and at least Workers full batches to utilize the machine (the
 // utilization cliff of Figure 2).
 func MSBFSPerCore(g *graph.Graph, sources []int, opt Options) *MultiResult {
-	requireNoHooks(opt, "MSBFSPerCore")
+	requireNoOverlay(opt, "MSBFSPerCore")
 	return runInstances(sources, opt, opt.workers(), func() (batchFunc, func()) {
 		return openMSBFS(g, opt, false)
 	})

@@ -19,7 +19,7 @@ import (
 func MSPBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
 	e := NewMSPBFSEngine(g, opt)
 	defer e.Close()
-	return e.Run(sources)
+	return e.Run(sources, nil)
 }
 
 // MSPBFSEngine holds the reusable state of an MS-PBFS instance: the three
@@ -44,10 +44,6 @@ type MSPBFSEngine struct {
 	// inputs and clears them for the next level.
 	frontVtx, unseenDeg []padCounter
 
-	// prefSink keeps the bottom-up lookahead loads observable so the
-	// compiler cannot dead-code them (software prefetch by hoisted load).
-	prefSink []padCounter
-
 	// Per-worker bottom-up scratch rows.
 	scratch [][]uint64
 	// Per-worker OR of the frontier bits produced this iteration; their
@@ -64,6 +60,11 @@ type MSPBFSEngine struct {
 	phMask        []uint64
 	phLevels      [][]int32
 	phBatchOffset int
+
+	// visit is the visitor of the call in flight (Run, or Seed and its
+	// Steps), nil when it has none. Close drops it, so a parked shell pins
+	// no caller closure.
+	visit func(workerID, sourceIdx, vertex, depth int)
 
 	// dbgSeen threads the seen population through the bfsdebug
 	// per-iteration checks (unused otherwise).
@@ -102,7 +103,6 @@ func newMSPBFSShell(run shellRun, words int) *MSPBFSEngine {
 		mask:      make([]uint64, words),
 		frontVtx:  make([]padCounter, workers),
 		unseenDeg: make([]padCounter, workers),
-		prefSink:  make([]padCounter, workers),
 		scratch:   make([][]uint64, workers),
 		liveBits:  make([][]uint64, workers),
 	}
@@ -128,18 +128,35 @@ func newMSPBFSShell(run shellRun, words int) *MSPBFSEngine {
 	return e
 }
 
-// Run processes all sources in batches and aggregates the result.
-func (e *MSPBFSEngine) Run(sources []int) *MultiResult {
+// Run processes all sources in batches and aggregates the result. visit,
+// when non-nil, is called for every (source, vertex) discovery with its
+// depth, sourceIdx being the source's index in sources, and only during
+// this call. It is invoked concurrently from worker goroutines;
+// implementations typically accumulate into workerID-indexed buckets.
+func (e *MSPBFSEngine) Run(sources []int, visit func(workerID, sourceIdx, vertex, depth int)) *MultiResult {
 	e.pool.ResetBusy()
+	e.visit = visit
 	res := runBatches(sources, e.opt, e.runBatch)
+	e.visit = nil
 	res.WorkerBusy = e.pool.Busy()
 	return res
 }
 
-// runBatch executes one batch of k <= 64*words concurrent BFSs.
+// Close drops the visitor and hands the instance back to its engine
+// (levelStep.Close). A second Close writes nothing: the arena may have
+// handed the shell on.
+func (e *MSPBFSEngine) Close() {
+	if !e.released {
+		e.visit = nil
+	}
+	e.levelStep.Close()
+}
+
+// runBatch executes one batch of k <= 64*words concurrent BFSs under the
+// visitor Run bound (none for MSPBFSPerSocket's instances).
 func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int) batchOut {
 	start := time.Now()
-	levels := e.Seed(batch, batchOffset)
+	levels := e.Seed(batch, batchOffset, e.visit)
 	e.traverse()
 
 	if debugInvariants && levels != nil && e.opt.MaxDepth <= 0 {
@@ -156,10 +173,12 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int) batchOut {
 // Seed starts one batch of k <= 64*words BFSs, source batch[i] on bit i:
 // it scrubs the state, sets every source at depth 0 and returns the
 // batch's level rows (nil unless RecordLevels; the caller frees them with
-// Engine.ReleaseLevels). batchOffset is batch[0]'s index among the
-// caller's sources, as OnVisit reports it. Run drives the levels itself; a
-// caller that needs control between levels calls Step once per level.
-func (e *MSPBFSEngine) Seed(batch []int, batchOffset int) [][]int32 {
+// Engine.ReleaseLevels). visit, when non-nil, takes the batch's
+// discoveries as Run's does, from this call until the next Seed or Close;
+// batchOffset is batch[0]'s index among the caller's sources, as visit
+// reports it. Run drives the levels itself; a caller that needs control
+// between levels calls Step once per level.
+func (e *MSPBFSEngine) Seed(batch []int, batchOffset int, visit func(workerID, sourceIdx, vertex, depth int)) [][]int32 {
 	g, opt, n := e.g, e.opt, e.g.NumVertices()
 	ov := opt.Overlay
 	k := len(batch)
@@ -176,7 +195,7 @@ func (e *MSPBFSEngine) Seed(batch []int, batchOffset int) [][]int32 {
 
 	e.bindBuffers(e.buf0, e.buf1)
 	e.phMask = fillMask(e.mask, k)
-	e.phLevels, e.phBatchOffset = levels, batchOffset
+	e.phLevels, e.phBatchOffset, e.visit = levels, batchOffset, visit
 	for w := range e.liveBits {
 		for i := range e.liveBits[w] {
 			e.liveBits[w][i] = 0 //bfs:singlewriter reset before the batch starts on the coordinating goroutine
@@ -211,8 +230,8 @@ func (e *MSPBFSEngine) Seed(batch []int, batchOffset int) [][]int32 {
 		if levels != nil {
 			levels[i][s] = 0
 		}
-		if opt.OnVisit != nil {
-			opt.OnVisit(0, batchOffset+i, s, 0)
+		if visit != nil {
+			visit(0, batchOffset+i, s, 0)
 		}
 	}
 	if debugInvariants {
@@ -414,24 +433,17 @@ func (e *MSPBFSEngine) resolveTask(workerID int, r sched.Range) {
 		}
 		fd.v += d
 		ud.v += d
-		if levels != nil || opt.OnVisit != nil {
-			e.emitVisits(workerID, v, nRow, levels, e.phDepth, e.phBatchOffset)
+		if levels != nil || e.visit != nil {
+			e.emitVisits(workerID, v, nRow, levels)
 		}
 	}
 }
-
-// bottomUpLookahead is how many adjacency entries ahead the stride-1
-// bottom-up loop touches the frontier word of an upcoming neighbor — a
-// software prefetch expressed as a hoisted load (Go has no prefetch
-// intrinsic), kept observable through prefSink.
-const bottomUpLookahead = 8
 
 // bottomUpTask scans one destination stripe. For single-word rows it runs
 // the branchless Listing-2 inner loop: a 4-wide unrolled OR-accumulate
 // over the frontier words of the vertex's neighbors — four independent
 // loads in flight, no per-edge branch — with the early exit checked once
-// per unrolled group, plus a lookahead touch of the frontier word needed
-// bottomUpLookahead edges later.
+// per unrolled group.
 //
 //bfs:nocas
 //bfs:singlewriter each unseen vertex row is read and written by the one worker that owns its range; acc/live are worker-local scratch
@@ -530,8 +542,8 @@ func (e *MSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 		}
 		fd.v += d
 		ud.v += d
-		if levels != nil || opt.OnVisit != nil {
-			e.emitVisits(workerID, u, nRow, levels, e.phDepth, e.phBatchOffset)
+		if levels != nil || e.visit != nil {
+			e.emitVisits(workerID, u, nRow, levels)
 		}
 	}
 }
@@ -558,7 +570,6 @@ func (e *MSPBFSEngine) bottomUpTaskNarrow(workerID int, r sched.Range) {
 	fd := &e.frontDeg[workerID]
 	ud := &e.unseenDeg[workerID]
 	live := e.liveBits[workerID]
-	var pref uint64
 	//bfs:hot bottom-up sweep (single word): runs per vertex per iteration, must not allocate
 	for u := r.Lo; u < r.Hi; u++ {
 		seen := sw[u] //bfs:bounds-ok u < active by task construction; slab is active words at stride 1
@@ -574,9 +585,6 @@ func (e *MSPBFSEngine) bottomUpTaskNarrow(workerID int, r sched.Range) {
 		i, ln := 0, len(nbrs)
 		if earlyExit {
 			for ; i+4 <= ln; i += 4 {
-				if i+bottomUpLookahead < ln {
-					pref |= fw[nbrs[i+bottomUpLookahead]] //bfs:bounds-ok neighbor ids < active by ActivePrefix
-				}
 				// Branchless 4-wide OR-accumulate: four independent loads
 				// per step, one early-exit test per group instead of per
 				// edge.
@@ -621,41 +629,25 @@ func (e *MSPBFSEngine) bottomUpTaskNarrow(workerID int, r sched.Range) {
 		}
 		fd.v += d
 		ud.v += d
-		if levels != nil || opt.OnVisit != nil {
-			e.emitVisitsNarrow(workerID, u, newBits, levels)
+		if levels != nil || e.visit != nil {
+			e.emitVisits(workerID, u, nw[u:u+1], levels) //bfs:bounds-ok u < active by task construction; written once per discovered vertex, not per edge
 		}
 	}
-	// Keep the lookahead loads observable (one store per task, not per
-	// edge) so the compiler cannot eliminate the prefetch.
-	e.prefSink[workerID].v = int64(pref)
 }
 
-// emitVisits records levels and fires the OnVisit callback for the newly
-// set bits of vertex v.
-func (e *MSPBFSEngine) emitVisits(workerID, v int, newRow []uint64, levels [][]int32, depth int32, batchOffset int) {
+// emitVisits records the level of, and reports to the visitor, every
+// (source, vertex) pair the newly set bits of vertex v's row stand for.
+func (e *MSPBFSEngine) emitVisits(workerID, v int, newRow []uint64, levels [][]int32) {
 	for wi, w := range newRow {
 		base := wi * 64
 		for ; w != 0; w &= w - 1 {
 			i := base + trailingZeros64(w)
 			if levels != nil && i < len(levels) {
-				levels[i][v] = depth
+				levels[i][v] = e.phDepth
 			}
-			if e.opt.OnVisit != nil {
-				e.opt.OnVisit(workerID, batchOffset+i, v, int(depth))
+			if e.visit != nil {
+				e.visit(workerID, e.phBatchOffset+i, v, int(e.phDepth))
 			}
-		}
-	}
-}
-
-// emitVisitsNarrow is emitVisits for single-word rows.
-func (e *MSPBFSEngine) emitVisitsNarrow(workerID, v int, w uint64, levels [][]int32) {
-	for ; w != 0; w &= w - 1 {
-		i := trailingZeros64(w)
-		if levels != nil && i < len(levels) {
-			levels[i][v] = e.phDepth
-		}
-		if e.opt.OnVisit != nil {
-			e.opt.OnVisit(workerID, e.phBatchOffset+i, v, int(e.phDepth))
 		}
 	}
 }

@@ -38,26 +38,24 @@ func splitGraphOverlay(n, m int, seed int64) (base *graph.Graph, ov *graph.Overl
 }
 
 // TestBaselineGuardsFire pins the contract that the paper's baselines
-// refuse an overlay or a visitor instead of silently ignoring it.
+// refuse an overlay instead of silently traversing the base graph alone.
 func TestBaselineGuardsFire(t *testing.T) {
 	base, ov, _ := splitGraphOverlay(64, 128, 3)
-	visit := func(_, _, _, _ int) {}
-	for hook, opt := range map[string]Options{"Overlay": {Overlay: ov}, "OnVisit": {OnVisit: visit}} {
-		for name, run := range map[string]func(){
-			"Beamer":       func() { Beamer(base, 0, BeamerGAPBS, opt) },
-			"IBFS":         func() { IBFS(base, []int{0}, opt) },
-			"MSBFS":        func() { MSBFS(base, []int{0}, opt) },
-			"MSBFSDirect":  func() { MSBFSDirect(base, []int{0}, opt) },
-			"MSBFSPerCore": func() { MSBFSPerCore(base, []int{0}, opt) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s accepted Options.%s without panicking", name, hook)
-					}
-				}()
-				run()
+	opt := Options{Overlay: ov}
+	for name, run := range map[string]func(){
+		"Beamer":       func() { Beamer(base, 0, BeamerGAPBS, opt) },
+		"IBFS":         func() { IBFS(base, []int{0}, opt) },
+		"MSBFS":        func() { MSBFS(base, []int{0}, opt) },
+		"MSBFSDirect":  func() { MSBFSDirect(base, []int{0}, opt) },
+		"MSBFSPerCore": func() { MSBFSPerCore(base, []int{0}, opt) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted Options.Overlay without panicking", name)
+				}
 			}()
-		}
+			run()
+		}()
 	}
 }

@@ -24,7 +24,7 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 	defer me.Close()
 	for i := 0; i < 3; i++ {
 		batch := RandomSources(g, 10, uint64(i+1))
-		res := me.Run(batch)
+		res := me.Run(batch, nil)
 		for j, s := range batch {
 			CheckLevels(t, fmt.Sprintf("mengine-run%d/src#%d", i, j), res.Levels[j], ReferenceLevels(g, s))
 		}

@@ -226,9 +226,6 @@ func (e *SMSPBFSEngine) Run(source int) *Result {
 	if levels != nil {
 		levels[source] = 0
 	}
-	if opt.OnVisit != nil {
-		opt.OnVisit(0, 0, source, 0)
-	}
 
 	frontEdges := int64(g.Degree(source))
 	if ov != nil {
@@ -351,7 +348,7 @@ func (e *SMSPBFSEngine) spreadMarks(_ int, seg []graph.VertexID) {
 // fresh vertices of a word are next &^ seen; seen takes them and next
 // keeps only them, which drops the reached-but-seen ones (and any stale bit
 // of two levels ago) in the same store. Only the fresh bits are walked, for
-// the counters, the levels and OnVisit. No synchronization: the word window
+// the counters and the levels. No synchronization: the word window
 // belongs to this task alone.
 //
 //bfs:nocas
@@ -387,9 +384,6 @@ func (e *SMSPBFSEngine) resolveTask(workerID int, r sched.Range) {
 			}
 			if levels != nil {
 				levels[v] = e.phDepth //bfs:bounds-ok levels is engine-sized to n; written once per discovered vertex, not per edge
-			}
-			if opt.OnVisit != nil {
-				opt.OnVisit(workerID, 0, v, int(e.phDepth))
 			}
 		}
 	}
@@ -459,9 +453,6 @@ func (e *SMSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 			}
 			if levels != nil {
 				levels[u] = e.phDepth //bfs:bounds-ok levels is engine-sized to n; written once per discovered vertex, not per edge
-			}
-			if opt.OnVisit != nil {
-				opt.OnVisit(workerID, 0, u, int(e.phDepth))
 			}
 		}
 		if found != 0 {

@@ -258,6 +258,11 @@ func (c *Coalescer) Submit(ctx context.Context, q Query) (Answer, error) {
 	if err := c.validate(q); err != nil {
 		return Answer{}, err
 	}
+	return c.enqueue(ctx, q)
+}
+
+// enqueue is Submit for a query validate has passed.
+func (c *Coalescer) enqueue(ctx context.Context, q Query) (Answer, error) {
 	enqueued := time.Now()
 	// Pin the requested version before enqueueing: the view fixes which
 	// edges this query sees, no matter how long it queues or how much
@@ -393,24 +398,24 @@ type batch struct {
 // runBatch takes one cut through its three stages: cut drops the requests
 // nobody waits for and lays out the slots, execute runs the one
 // multi-source traversal answering all of them, demux (or fail) hands each
-// request its outcome. Pins drop only afterwards, so compaction cannot
-// retire the traversed view mid-run. Then the slot is given back and the
-// policy consulted for the next cut.
+// request its outcome. Pins drop between execute and demux: not before,
+// so compaction cannot retire the traversed view mid-run, and not after,
+// so a caller whose Submit returned holds no pin. Then the slot is given
+// back and the policy consulted for the next cut.
 func (c *Coalescer) runBatch(b *batch) {
 	defer c.wg.Done()
 	cutReqs := len(b.live)
 	if c.cut(b) {
 		res, err := c.execute(b)
-		if err != nil {
-			c.fail(b, err)
-		} else {
-			c.demux(b, res)
-		}
+		version := b.live[0].pin.Version() // the cut's one version
 		for _, p := range b.live {
 			p.pin.Release()
 		}
 		if err != nil {
+			c.fail(b, err)
 			*b = batch{} // a failed RunBatch may not have joined all that writes through the visitor
+		} else {
+			c.demux(b, res, version)
 		}
 	}
 	// Keep the storage; drop every request pointer and target row.
@@ -507,8 +512,9 @@ func (c *Coalescer) fail(b *batch, err error) {
 	}
 }
 
-// demux reads each request's Answer off the batch's fold and delivers it.
-func (c *Coalescer) demux(b *batch, res *msbfs.MultiResult) {
+// demux reads each request's Answer off the batch's fold and delivers it;
+// version is the graph version the batch traversed.
+func (c *Coalescer) demux(b *batch, res *msbfs.MultiResult, version uint64) {
 	width := len(b.live)
 	c.met.Batches.Add(1)
 	c.met.Sources.Add(int64(width))
@@ -529,7 +535,7 @@ func (c *Coalescer) demux(b *batch, res *msbfs.MultiResult) {
 			Wait:         b.cutAt.Sub(p.enqueued),
 			Run:          res.Elapsed,
 			TraceID:      p.traceID,
-			GraphVersion: p.pin.Version(),
+			GraphVersion: version,
 		}
 		switch p.q.Kind {
 		case KindBFS:

@@ -433,6 +433,9 @@ type stubSnapshots struct {
 	cur      uint64
 	acquired atomic.Int64
 	released atomic.Int64
+	// releaseDelay stalls each Release before it counts, widening any
+	// window in which a caller could see its answer before its pin drops.
+	releaseDelay time.Duration
 }
 
 type stubSnap struct {
@@ -449,7 +452,10 @@ func (s *stubSnapshots) Pin(ver uint64) (msbfs.Pinned, error) {
 }
 
 func (s *stubSnap) Version() uint64 { return s.ver }
-func (s *stubSnap) Release()        { s.src.released.Add(1) }
+func (s *stubSnap) Release() {
+	time.Sleep(s.src.releaseDelay)
+	s.src.released.Add(1)
+}
 func (s *stubSnap) RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
 	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
 	return s.src.Graph.RunBatch(ctx, sources, opt, visit)
@@ -492,6 +498,23 @@ func TestCoalescerVersionKeyedBatching(t *testing.T) {
 	c.Close()
 	if a, r := src.acquired.Load(), src.released.Load(); a != r || a == 0 {
 		t.Errorf("snapshot pins leaked: acquired %d, released %d", a, r)
+	}
+}
+
+// TestSubmitReturnsUnpinned: when Submit returns an answer, the request's
+// pin is already released, so a caller that joins its queries and then
+// reads the pinned count sees none of theirs.
+func TestSubmitReturnsUnpinned(t *testing.T) {
+	src := &stubSnapshots{Graph: msbfs.GenerateUniform(400, 6, 1), cur: 7, releaseDelay: time.Millisecond}
+	c := NewCoalescer(src, Config{Workers: 2}, NewMetrics(), nil)
+	defer c.Close()
+	for i := range 20 {
+		if _, err := c.Submit(context.Background(), Query{Kind: KindBFS, Source: i}); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if a, r := src.acquired.Load(), src.released.Load(); a != r {
+			t.Fatalf("submit %d returned with %d of %d pins outstanding", i, a-r, a)
+		}
 	}
 }
 

@@ -52,16 +52,11 @@ type Entry struct {
 
 // Submit validates q against the graph (error, not panic, on bad ids),
 // translates external vertex ids to the relabeled space, and hands the
-// query to the graph's coalescer.
+// query to the graph's coalescer. Perm is a bijection on [0, n), so the
+// ids are checked once, before the translation.
 func (e *Entry) Submit(ctx context.Context, q Query) (Answer, error) {
-	n := e.Coal.g.NumVertices()
-	if q.Source < 0 || q.Source >= n {
-		return Answer{}, fmt.Errorf("%w: source %d out of range [0, %d)", ErrBadRequest, q.Source, n)
-	}
-	for i, t := range q.Targets {
-		if t < 0 || t >= n {
-			return Answer{}, fmt.Errorf("%w: target[%d] = %d out of range [0, %d)", ErrBadRequest, i, t, n)
-		}
+	if err := e.Coal.validate(q); err != nil {
+		return Answer{}, err
 	}
 	if e.Perm != nil {
 		q.Source = int(e.Perm[q.Source])
@@ -73,7 +68,7 @@ func (e *Entry) Submit(ctx context.Context, q Query) (Answer, error) {
 			q.Targets = mapped
 		}
 	}
-	return e.Coal.Submit(ctx, q)
+	return e.Coal.enqueue(ctx, q)
 }
 
 // ApplyEdges streams a batch of edges (external vertex ids) into a dynamic

@@ -112,21 +112,25 @@ bench:
 
 # fuzz-smoke = replay the committed seed corpora, then a short randomized
 # burst per target. Catches loader regressions without a long fuzz session.
+# Each burst minimizes a new input for one execution only: at the default
+# minimize time a burst on a fresh cache spends its whole time shrinking
+# the first input it finds.
 FUZZTIME ?= 10s
+FUZZ = $(GO) test -fuzztime $(FUZZTIME) -fuzzminimizetime 1x -run '^$$'
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' ./internal/graph/ ./internal/cluster/ ./internal/dyngraph/ ./internal/core/
-	$(GO) test -fuzz '^FuzzLoadEdgeList$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
-	$(GO) test -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
-	$(GO) test -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
-	$(GO) test -fuzz '^FuzzRelabel$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
-	$(GO) test -fuzz '^FuzzComponents$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/graph/
-	$(GO) test -fuzz '^FuzzFrontierCodec$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
-	$(GO) test -fuzz '^FuzzDecodeLoad$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
-	$(GO) test -fuzz '^FuzzDecodeStart$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
-	$(GO) test -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/cluster/
-	$(GO) test -fuzz '^FuzzApplyEdges$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/dyngraph/
-	$(GO) test -fuzz '^FuzzCompact$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/dyngraph/
-	$(GO) test -fuzz '^FuzzGridCell$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core/
+	$(FUZZ) -fuzz '^FuzzLoadEdgeList$$' ./internal/graph/
+	$(FUZZ) -fuzz '^FuzzLoad$$' ./internal/graph/
+	$(FUZZ) -fuzz '^FuzzBuild$$' ./internal/graph/
+	$(FUZZ) -fuzz '^FuzzRelabel$$' ./internal/graph/
+	$(FUZZ) -fuzz '^FuzzComponents$$' ./internal/graph/
+	$(FUZZ) -fuzz '^FuzzFrontierCodec$$' ./internal/cluster/
+	$(FUZZ) -fuzz '^FuzzDecodeLoad$$' ./internal/cluster/
+	$(FUZZ) -fuzz '^FuzzDecodeStart$$' ./internal/cluster/
+	$(FUZZ) -fuzz '^FuzzReadFrame$$' ./internal/cluster/
+	$(FUZZ) -fuzz '^FuzzApplyEdges$$' ./internal/dyngraph/
+	$(FUZZ) -fuzz '^FuzzCompact$$' ./internal/dyngraph/
+	$(FUZZ) -fuzz '^FuzzGridCell$$' ./internal/core/
 
 # obs-smoke = end-to-end check of the observability surface: bfsd debug
 # endpoints (pprof, flight recorder), the bfsrun Chrome trace export

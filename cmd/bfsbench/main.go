@@ -62,7 +62,7 @@ func main() {
 		// show how much state the arena recycled across the sweeps.
 		st := core.DefaultEngine().Stats()
 		fmt.Printf("engine: %d pooled workers, %d arena objects (%d bytes) free, %d/%d arena hits\n",
-			st.PooledWorkers, st.FreeShells+st.FreeStates+st.FreeBitmaps+st.FreeLevelRows,
+			st.PooledWorkers, st.FreeShells+st.FreeLevelRows,
 			st.FreeBytes, st.Hits, st.Hits+st.Misses)
 	}
 }

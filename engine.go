@@ -3,9 +3,9 @@ package msbfs
 import "repro/internal/core"
 
 // Engine is the library's long-lived execution substrate: persistent
-// worker pools plus size-keyed arenas that recycle the per-run BFS state
-// (bitset arrays, per-worker scratch and counters, level buffers) across
-// calls. Wire one through Options.Engine to give a subsystem — a daemon, a
+// worker pools plus size-keyed arenas that recycle MS-PBFS's and
+// SMS-PBFS's per-run state (bitset arrays, per-worker scratch and
+// counters) and level buffers across calls. Wire one through Options.Engine to give a subsystem — a daemon, a
 // benchmark, a test — its own isolated recycling domain:
 //
 //	eng := msbfs.NewEngine(msbfs.Options{Workers: 8})

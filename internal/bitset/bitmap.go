@@ -19,9 +19,6 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Len returns the number of vertices the bitmap covers.
-func (b *Bitmap) Len() int { return b.n }
-
 // Words exposes the backing words for chunk-skipping scans.
 func (b *Bitmap) Words() []uint64 { return b.words }
 
@@ -116,9 +113,4 @@ func (b *Bitmap) NextSetBit(v int) int {
 		}
 		w = b.words[wi]
 	}
-}
-
-// MemoryBytes returns the size in bytes of the backing array.
-func (b *Bitmap) MemoryBytes() int64 {
-	return int64(len(b.words)) * 8
 }

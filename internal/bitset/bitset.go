@@ -32,8 +32,6 @@ type State struct {
 	words []uint64
 	// stride is the number of uint64 words per vertex.
 	stride int
-	// n is the number of vertices.
-	n int
 }
 
 // NewState allocates a State for n vertices with the given per-vertex width
@@ -48,12 +46,8 @@ func NewState(n, words int) *State {
 	return &State{
 		words:  make([]uint64, n*words),
 		stride: words,
-		n:      n,
 	}
 }
-
-// Len returns the number of per-vertex bitsets.
-func (s *State) Len() int { return s.n }
 
 // Stride returns the per-vertex width in 64-bit words.
 func (s *State) Stride() int { return s.stride }

@@ -26,3 +26,6 @@ func (s *State) Count(v int) int {
 	}
 	return c
 }
+
+// Len returns the number of vertices the bitmap covers.
+func (b *Bitmap) Len() int { return b.n }

@@ -136,6 +136,79 @@ func TestClusterContextCancellation(t *testing.T) {
 	}
 }
 
+// TestClusterFetchOnlyForReader pins what a batch costs in coordinator
+// RPCs: start, one per level step and end on each shard, plus one
+// msgResult per shard only when the caller reads levels (records them or
+// passes a visitor). A batch that reads nothing borrows no level rows on
+// any shard.
+func TestClusterFetchOnlyForReader(t *testing.T) {
+	const shards = 2
+	ip := startCluster(t, shards, CoordinatorOptions{})
+	g := pathGraph(10) // from vertex 0: 9 discovering steps and a last empty one
+	rg, err := ip.Coord.LoadGraph(context.Background(), "g", g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freeRows := func() int {
+		rows := 0
+		for _, sh := range ip.Shards {
+			rows += sh.eng.Stats().FreeLevelRows
+		}
+		return rows
+	}
+	const steps = 10
+	visits := 0
+	for _, tc := range []struct {
+		name  string
+		opt   msbfs.Options
+		visit func(workerID, sourceIdx, vertex, depth int)
+		rpcs  int64
+		rows  int // level rows parked on the shards after the batch
+	}{
+		{"reads nothing", msbfs.Options{}, nil, shards * (1 + steps + 1), 0},
+		{"records levels", msbfs.Options{RecordLevels: true}, nil, shards * (1 + steps + 1 + 1), shards},
+		{"visitor", msbfs.Options{}, func(_, _, _, _ int) { visits++ }, shards * (1 + steps + 1 + 1), shards},
+	} {
+		before := ip.Coord.Metrics().RPCs.Load()
+		res, err := rg.RunBatch(context.Background(), []int{0}, tc.opt, tc.visit)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := ip.Coord.Metrics().RPCs.Load() - before; got != tc.rpcs {
+			t.Errorf("%s: %d RPCs, want %d", tc.name, got, tc.rpcs)
+		}
+		if got := freeRows(); got != tc.rows {
+			t.Errorf("%s: %d level rows parked on the shards, want %d", tc.name, got, tc.rows)
+		}
+		if res.VisitedStates != 10 {
+			t.Errorf("%s: VisitedStates = %d, want 10", tc.name, res.VisitedStates)
+		}
+		if tc.opt.RecordLevels {
+			for v, lv := range res.Levels[0] {
+				if lv != int32(v) {
+					t.Errorf("%s: vertex %d level %d, want %d", tc.name, v, lv, v)
+				}
+			}
+		}
+	}
+	if visits != 10 {
+		t.Errorf("visitor saw %d discoveries, want 10", visits)
+	}
+
+	// A shard asked for the rows of a batch that records none refuses.
+	ctx := context.Background()
+	qid := ip.Coord.nextID.Add(1)
+	if _, err := ip.Coord.call(ctx, 0, msgStart, encodeStart(qid, "g", []int{0}, 0, false)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ip.Coord.call(ctx, 0, msgResult, encodeQueryRef(qid)); err == nil {
+		t.Error("msgResult answered for a batch that records no levels")
+	}
+	if _, err := ip.Coord.call(ctx, 0, msgEnd, encodeQueryRef(qid)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestClusterCancelMidQuery cancels a query while its steps run. The
 // coordinator's best-effort msgEnd then reaches shards that may still be
 // inside a step, and the step must finish before its engine goes back to

@@ -20,9 +20,10 @@ type CoordinatorOptions struct {
 	// cluster query, with per-iteration frontier counts and the delta
 	// exchange volume/compression ratio.
 	Tracer *obs.Tracer
-	// DialTimeout bounds the initial shard dials (0: 5s).
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds the initial shard dials of NewCoordinator.
+const dialTimeout = 5 * time.Second
 
 // Coordinator is the query-side half of cluster mode: it owns one control
 // connection per shard, partitions and ships graphs, and drives the
@@ -43,11 +44,8 @@ func NewCoordinator(ctx context.Context, addrs []string, opt CoordinatorOptions)
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no shard addresses")
 	}
-	if opt.DialTimeout <= 0 {
-		opt.DialTimeout = 5 * time.Second
-	}
 	c := &Coordinator{addrs: addrs, tracer: opt.Tracer, met: &Metrics{}}
-	dctx, cancel := context.WithTimeout(ctx, opt.DialTimeout)
+	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	defer cancel()
 	for _, addr := range addrs {
 		rc, err := dialShard(dctx, addr)
@@ -209,7 +207,8 @@ func (rg *RemoteGraph) RunBatch(ctx context.Context, sources []int, opt msbfs.Op
 
 // runOne drives a single k-wide batch: start on every shard, step the
 // level barrier until all frontiers drain (or MaxDepth is reached), fetch
-// and merge the per-shard level rows, then release the shards' state.
+// and merge the per-shard level rows when the caller reads them (records
+// levels or passes a visitor), then release the shards' state.
 func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int, opt msbfs.Options,
 	visit func(workerID, sourceIdx, vertex, depth int), res *msbfs.MultiResult) (err error) {
 	c := rg.c
@@ -232,8 +231,11 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 		traceID = tv.ID
 	}
 
+	// A batch whose caller reads no levels tells the shards to record
+	// none, and skips the msgResult fetch.
+	read := opt.RecordLevels || visit != nil
 	if err := c.fanOut(func(s int) error {
-		_, err := c.call(ctx, s, msgStart, encodeStart(qid, rg.name, batch, traceID))
+		_, err := c.call(ctx, s, msgStart, encodeStart(qid, rg.name, batch, traceID, read))
 		return err
 	}); err != nil {
 		return err
@@ -328,9 +330,28 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 		})
 	}
 
-	// Fetch and merge: each shard returns its k x rlen level rows; the
-	// global row of slot i is the concatenation over shards. The visit
-	// stream replays every discovery sequentially as workerID 0.
+	if read {
+		if err := rg.fetchLevels(ctx, qid, k, batchOffset, opt, visit, res); err != nil {
+			return err
+		}
+	}
+
+	// VisitedStates counts (vertex, source) discoveries exactly as the
+	// in-process kernel does: one per batch slot at seed time plus every
+	// new state each level produced.
+	res.VisitedStates += visited
+
+	tv.Finish(0, 0)
+	return nil
+}
+
+// fetchLevels fetches and merges a batch's level rows: each shard returns
+// its k x rlen level rows; the global row of slot i is the concatenation
+// over shards. The visit stream replays every discovery sequentially as
+// workerID 0.
+func (rg *RemoteGraph) fetchLevels(ctx context.Context, qid uint64, k, batchOffset int, opt msbfs.Options,
+	visit func(workerID, sourceIdx, vertex, depth int), res *msbfs.MultiResult) error {
+	c := rg.c
 	var levels [][]int32
 	if opt.RecordLevels {
 		levels = make([][]int32, k)
@@ -382,11 +403,5 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 		res.Levels[batchOffset+i] = levels[i]
 	}
 
-	// VisitedStates counts (vertex, source) discoveries exactly as the
-	// in-process kernel does: one per batch slot at seed time plus every
-	// new state each level produced.
-	res.VisitedStates += visited
-
-	tv.Finish(0, 0)
 	return nil
 }

@@ -83,7 +83,7 @@ type shardQuery struct {
 	g      *shardGraph
 	words  int
 	e      *core.MSPBFSEngine // nil once releaseQuery closed it
-	levels [][]int32          // k rows over all n vertices; [lo,hi) is this shard's answer
+	levels [][]int32          // k rows over all n vertices, [lo,hi) this shard's answer; nil unless msgStart asked for levels
 	depth  int                // the last level stepped
 
 	inbox chan *deltaMsg
@@ -394,10 +394,11 @@ func (s *Shard) handleStart(payload []byte) error {
 	}
 	// The whole batch is seeded on every shard, as a single-process run
 	// seeds it: a foreign source's row is empty, so it scans nothing, and
-	// its level entry lies outside the rows handleResult returns.
+	// its level entry lies outside the rows handleResult returns. A batch
+	// whose caller reads no levels records none.
 	q.e = core.NewMSPBFSEngine(g.csr, core.Options{
 		Workers: g.workers, BatchWords: q.words, Direction: core.TopDownOnly,
-		RecordLevels: true, Engine: s.eng,
+		RecordLevels: m.record, Engine: s.eng,
 	}) //bfs:arena-held the engine's shell and pool live across RPCs until releaseQuery closes it at msgEnd
 	q.levels = q.e.Seed(m.sources, 0, nil)
 
@@ -624,6 +625,9 @@ func (s *Shard) handleResult(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer q.mu.Unlock()
+	if q.levels == nil {
+		return nil, fmt.Errorf("query %d records no levels", qid)
+	}
 	return encodeResultRows(q.levels, q.g.lo, q.g.hi), nil
 }
 

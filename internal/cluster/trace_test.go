@@ -138,10 +138,10 @@ func TestUntracedWireBytesUnchanged(t *testing.T) {
 	for _, s := range sources {
 		legacy = binary.AppendUvarint(legacy, uint64(s))
 	}
-	if got := encodeStart(42, "g", sources, 0); !bytes.Equal(got, legacy) {
+	if got := encodeStart(42, "g", sources, 0, true); !bytes.Equal(got, legacy) {
 		t.Errorf("untraced encodeStart = %x, want legacy %x", got, legacy)
 	}
-	traced := encodeStart(42, "g", sources, 99)
+	traced := encodeStart(42, "g", sources, 99, true)
 	if len(traced) <= len(legacy) {
 		t.Errorf("traced encodeStart is %d bytes, legacy %d: trace id missing", len(traced), len(legacy))
 	}

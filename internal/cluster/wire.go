@@ -276,19 +276,26 @@ func decodeLoad(payload []byte) (*loadMsg, error) {
 // query-scoped message), the target graph, and the batch's global source
 // vertices in slot order (slot i drives bit i of the k-wide state).
 //
-// traceID is an optional trailing field: a traced coordinator appends its
-// nonzero flight-record trace id and the shard answers every msgStep with
-// a piggybacked stepTrace section. An untraced coordinator appends
-// nothing, so the untraced encoding is byte-identical to the pre-tracing
-// wire format and old/new peers interoperate.
+// Two optional trailing fields follow. A traced coordinator appends its
+// nonzero flight-record trace id, and the shard answers every msgStep
+// with a piggybacked stepTrace section. A batch whose caller reads no
+// levels appends the trace id (0 when untraced) and then startNoLevels,
+// and the shards record no level rows for it. An untraced batch that
+// reads its levels appends nothing, so its encoding is byte-identical to
+// the pre-tracing wire format.
 type startMsg struct {
 	qid     uint64
 	name    string
 	sources []int
 	traceID uint64
+	record  bool // the shards record level rows for msgResult
 }
 
-func encodeStart(qid uint64, name string, sources []int, traceID uint64) []byte {
+// startNoLevels is the trailing msgStart flag of a batch that reads no
+// levels.
+const startNoLevels = 1
+
+func encodeStart(qid uint64, name string, sources []int, traceID uint64, record bool) []byte {
 	dst := make([]byte, 0, len(name)+24+len(sources)*4)
 	dst = binary.AppendUvarint(dst, qid)
 	dst = appendStr(dst, name)
@@ -296,15 +303,18 @@ func encodeStart(qid uint64, name string, sources []int, traceID uint64) []byte 
 	for _, s := range sources {
 		dst = binary.AppendUvarint(dst, uint64(s))
 	}
-	if traceID != 0 {
+	if traceID != 0 || !record {
 		dst = binary.AppendUvarint(dst, traceID)
+	}
+	if !record {
+		dst = binary.AppendUvarint(dst, startNoLevels)
 	}
 	return dst
 }
 
 func decodeStart(payload []byte) (*startMsg, error) {
 	r := &wireReader{b: payload}
-	m := &startMsg{}
+	m := &startMsg{record: true}
 	var err error
 	if m.qid, err = r.uvarint(); err != nil {
 		return nil, err
@@ -326,6 +336,16 @@ func decodeStart(payload []byte) (*startMsg, error) {
 		if m.traceID, err = r.uvarint(); err != nil {
 			return nil, err
 		}
+	}
+	if len(r.b) > 0 {
+		flag, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if flag != startNoLevels {
+			return nil, fmt.Errorf("cluster: unknown msgStart flag %d", flag)
+		}
+		m.record = false
 	}
 	return m, r.done()
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -27,8 +28,10 @@ func FuzzDecodeLoad(f *testing.F) {
 }
 
 func FuzzDecodeStart(f *testing.F) {
-	f.Add(encodeStart(7, "g", []int{0, 5, 300}, 0))
-	f.Add(encodeStart(7, "g", []int{1}, 99))
+	f.Add(encodeStart(7, "g", []int{0, 5, 300}, 0, true))
+	f.Add(encodeStart(7, "g", []int{1}, 99, true))
+	f.Add(encodeStart(7, "g", []int{0, 5, 300}, 0, false))
+	f.Add(encodeStart(7, "g", []int{1}, 99, false))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := decodeStart(payload)
 		if err != nil {
@@ -38,6 +41,26 @@ func FuzzDecodeStart(f *testing.F) {
 			t.Fatalf("%d sources decoded from %d bytes", cap(m.sources), len(payload))
 		}
 	})
+}
+
+// TestStartRoundTrip: msgStart carries the trace id and whether the shards
+// record levels in each combination, and rejects a flag it does not know.
+func TestStartRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		traceID uint64
+		record  bool
+	}{{0, true}, {99, true}, {0, false}, {99, false}} {
+		m, err := decodeStart(encodeStart(7, "g", []int{0, 5, 300}, tc.traceID, tc.record))
+		if err != nil || m.qid != 7 || m.name != "g" || len(m.sources) != 3 ||
+			m.traceID != tc.traceID || m.record != tc.record {
+			t.Errorf("trace %d record %t: decoded %+v, %v", tc.traceID, tc.record, m, err)
+		}
+	}
+	bad := binary.AppendUvarint(encodeStart(7, "g", []int{1}, 0, true), 0)
+	bad = binary.AppendUvarint(bad, startNoLevels+1)
+	if _, err := decodeStart(bad); err == nil {
+		t.Error("unknown msgStart flag accepted")
+	}
 }
 
 func FuzzReadFrame(f *testing.F) {

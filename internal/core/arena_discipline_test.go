@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 // TestEngineBorrowReleaseStress hammers the engine's borrow/release surface
@@ -19,15 +21,14 @@ func TestEngineBorrowReleaseStress(t *testing.T) {
 	const n = 1 << 12
 	const goroutines = 8
 	const rounds = 32
+	g := gen.Uniform(n, 4, 7)
 
 	// borrowThenFail models the guarded kernel prologue: several artifacts
 	// checked out, released by defers, then a failure mid-phase. The defers
 	// must hand everything back during unwinding.
 	borrowThenFail := func() {
-		s := e.borrowState(n, 1)
-		defer e.returnState(s)
-		b := e.borrowBitmap(n)
-		defer e.returnBitmap(b)
+		_, release := e.BorrowPool(1)
+		defer release()
 		levels := e.borrowLevels(n)
 		defer e.ReleaseLevels(levels)
 		panic("phase failed after borrowing")
@@ -41,13 +42,11 @@ func TestEngineBorrowReleaseStress(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				switch (c + round) % 4 {
 				case 0:
-					// Happy path: borrow, touch, release in order.
-					s := e.borrowState(n, 1)
-					s.Set(0, 0)
-					b := e.borrowBitmap(n)
-					b.Set(1)
-					e.returnBitmap(b)
-					e.returnState(s)
+					// Happy path: a kernel shell and its pool checked
+					// out, run, and parked again.
+					k := NewSMSPBFSEngine(g, BitState, Options{Workers: 1, Engine: e})
+					k.Run(round % n)
+					k.Close()
 				case 1:
 					// Level rows released through the variadic public API.
 					rows := [][]int32{e.borrowLevels(n), e.borrowLevels(n)}

@@ -71,14 +71,9 @@ func Beamer(g *graph.Graph, source int, variant BeamerVariant, opt Options) *Res
 	// Total degree sum for the alpha heuristic.
 	edgesTotal := int64(len(g.Adjacency))
 
-	seen := eng.borrowBitmap(n)
-	front := eng.borrowBitmap(n) // dense frontier (bottom-up and dense variant)
-	next := eng.borrowBitmap(n)
-	defer func() {
-		eng.returnBitmap(seen)
-		eng.returnBitmap(front)
-		eng.returnBitmap(next)
-	}()
+	seen := bitset.NewBitmap(n)
+	front := bitset.NewBitmap(n) // dense frontier (bottom-up and dense variant)
+	next := bitset.NewBitmap(n)
 	var queue, nextQueue []graph.VertexID // sparse frontier
 
 	start := time.Now()

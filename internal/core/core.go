@@ -91,8 +91,8 @@ type Options struct {
 	DisableEarlyExit bool
 	// Engine optionally supplies the long-lived execution substrate —
 	// persistent worker pools (every run borrows one of Workers width and
-	// returns it when done) plus the arena recycling states, bitmaps,
-	// kernel scratch and level rows. When nil, the shared package-default
+	// returns it when done) plus the arena recycling MS-/SMS-PBFS kernel
+	// shells and level rows. When nil, the shared package-default
 	// engine is used, so repeated calls are allocation-churn free either
 	// way; wire an explicit engine to isolate a subsystem's recycling (one
 	// engine per daemon, per test, per benchmark).

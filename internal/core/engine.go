@@ -4,22 +4,22 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/bitset"
 	"repro/internal/sched"
 )
 
-// Engine is the long-lived execution substrate for every traversal in this
-// package: persistent sched.Pool worker sets plus a size-keyed arena that
-// recycles the per-run artifacts the kernels otherwise rebuild on every
-// call — k-wide bitset.State triples, the bitmaps SMS-PBFS/Beamer/queue-BFS
-// scan, per-worker padded counters and scratch/liveBits words (recycled as
-// whole MS/SMS engine shells), and []int32 level rows.
+// Engine is the long-lived execution substrate of the MS-PBFS and SMS-PBFS
+// kernels: persistent sched.Pool worker sets plus a size-keyed arena that
+// recycles what those kernels otherwise rebuild on every call — whole
+// kernel shells (k-wide state triples, per-worker padded counters,
+// scratch/liveBits words and scatter inboxes) and []int32 level rows. The
+// paper's comparators (MS-BFS, iBFS, Beamer) borrow only pools and level
+// rows from it and allocate their own bitset states and bitmaps per call.
 //
 // The contract is strict hygiene, not trust: every artifact is scrubbed on
-// the borrow path (states and bitmaps are zeroed, level rows are filled
-// with NoLevel), so a recycled state can never leak a
+// the borrow path (a shell's first-touch zero pass clears its state, level
+// rows are filled with NoLevel), so a recycled shell can never leak a
 // previous query's visited bits even if a caller poisons what it returns.
-// The bfsdebug build re-verifies this with a "borrowed state is clean"
+// The bfsdebug build re-verifies this with a "borrowed shell is clean"
 // invariant check.
 //
 // An Engine is safe for concurrent use. Pools are checked out exclusively
@@ -35,21 +35,14 @@ type Engine struct {
 	mu     sync.Mutex
 	closed bool
 
-	pools   freeList[int, *sched.Pool]     // keyed by worker count
-	shells  freeList[shellKey, *levelStep] // warm MS-/SMS-PBFS shells (counters+scratch+states)
-	states  freeList[stateKey, *bitset.State]
-	bitmaps freeList[int, *bitset.Bitmap] // keyed by vertex count
-	levels  freeList[int, []int32]        // keyed by row length
+	pools  freeList[int, *sched.Pool]     // keyed by worker count
+	shells freeList[shellKey, *levelStep] // warm MS-/SMS-PBFS shells (counters+scratch+states)
+	levels freeList[int, []int32]         // keyed by row length
 
 	freeBytes int64 // bytes parked in the arena free lists (pools excluded)
 	borrowed  int64 // artifacts currently checked out
 	hits      uint64
 	misses    uint64
-}
-
-type stateKey struct {
-	n     int
-	words int
 }
 
 // Per-key free-list bounds. Pools and kernel shells are heavyweight (a
@@ -59,8 +52,6 @@ type stateKey struct {
 const (
 	maxFreePools  = 4
 	maxFreeShells = 4
-	maxFreeStates = 8
-	maxFreeMaps   = 12
 	maxFreeLevels = 1024
 )
 
@@ -148,11 +139,9 @@ func (f *freeList[K, T]) drain() map[K][]T {
 // ahead of the first query.
 func NewEngine() *Engine {
 	return &Engine{
-		pools:   newFreeList[int](maxFreePools, func(*sched.Pool) int64 { return 0 }),
-		shells:  newFreeList[shellKey](maxFreeShells, (*levelStep).memoryBytes),
-		states:  newFreeList[stateKey](maxFreeStates, (*bitset.State).MemoryBytes),
-		bitmaps: newFreeList[int](maxFreeMaps, (*bitset.Bitmap).MemoryBytes),
-		levels:  newFreeList[int](maxFreeLevels, func(row []int32) int64 { return int64(len(row)) * 4 }),
+		pools:  newFreeList[int](maxFreePools, func(*sched.Pool) int64 { return 0 }),
+		shells: newFreeList[shellKey](maxFreeShells, (*levelStep).memoryBytes),
+		levels: newFreeList[int](maxFreeLevels, func(row []int32) int64 { return int64(len(row)) * 4 }),
 	}
 }
 
@@ -178,11 +167,9 @@ type EngineStats struct {
 	// goroutines they keep parked.
 	FreePools     int
 	PooledWorkers int
-	// FreeShells / FreeStates / FreeBitmaps / FreeLevelRows count idle
-	// arena artifacts by kind (a shell bundles one kernel's whole state).
+	// FreeShells / FreeLevelRows count idle arena artifacts by kind (a
+	// shell bundles one kernel's whole state).
 	FreeShells    int
-	FreeStates    int
-	FreeBitmaps   int
 	FreeLevelRows int
 	// FreeBytes is the memory parked in the arena free lists.
 	FreeBytes int64
@@ -201,8 +188,6 @@ func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
 		FreePools:     e.pools.parked(),
 		FreeShells:    e.shells.parked(),
-		FreeStates:    e.states.parked(),
-		FreeBitmaps:   e.bitmaps.parked(),
 		FreeLevelRows: e.levels.parked(),
 		FreeBytes:     e.freeBytes,
 		Borrowed:      e.borrowed,
@@ -231,8 +216,6 @@ func (e *Engine) Close() {
 	e.mu.Lock()
 	pools := e.pools.drain()
 	e.shells.drain()
-	e.states.drain()
-	e.bitmaps.drain()
 	e.levels.drain()
 	e.freeBytes = 0
 	e.closed = true
@@ -286,55 +269,6 @@ func (e *Engine) returnPool(p *sched.Pool) {
 	if !parked {
 		p.Close()
 	}
-}
-
-// borrowState checks out an n-vertex, words-wide State, scrubbed to all
-// zeros regardless of the condition it was returned in.
-func (e *Engine) borrowState(n, words int) *bitset.State {
-	e.mu.Lock()
-	s, ok := e.states.pop(e, stateKey{n: n, words: words}, nil)
-	e.mu.Unlock()
-	if !ok {
-		return bitset.NewState(n, words)
-	}
-	s.ZeroRange(0, n) // scrub: a recycled state never leaks visited bits
-	if debugInvariants {
-		debugCheckBorrowedClean("State", s.CountAll())
-	}
-	return s
-}
-
-func (e *Engine) returnState(s *bitset.State) {
-	if s == nil {
-		return
-	}
-	e.mu.Lock()
-	e.states.push(e, stateKey{n: s.Len(), words: s.Stride()}, s)
-	e.mu.Unlock()
-}
-
-// borrowBitmap checks out an n-vertex bitmap, scrubbed to all zeros.
-func (e *Engine) borrowBitmap(n int) *bitset.Bitmap {
-	e.mu.Lock()
-	b, ok := e.bitmaps.pop(e, n, nil)
-	e.mu.Unlock()
-	if !ok {
-		return bitset.NewBitmap(n)
-	}
-	b.ZeroRange(0, n)
-	if debugInvariants {
-		debugCheckBorrowedClean("Bitmap", b.Count())
-	}
-	return b
-}
-
-func (e *Engine) returnBitmap(b *bitset.Bitmap) {
-	if b == nil {
-		return
-	}
-	e.mu.Lock()
-	e.bitmaps.push(e, b.Len(), b)
-	e.mu.Unlock()
 }
 
 // borrowLevels checks out one n-long level row, filled with NoLevel

@@ -12,10 +12,10 @@ import (
 // in an engine's free lists with all-ones (and level rows with garbage),
 // re-borrows them through a second run of every algorithm variant, and
 // asserts the results are bit-identical to the reference. The scrub-on-
-// borrow contract — ZeroRange for states and bitmaps, the first-touch zero
-// pass for shells, the NoLevel fill for level rows — is what makes this
-// hold; a missing scrub shows up as a vertex "visited" by a query that
-// never reached it.
+// borrow contract — the first-touch zero pass for shells, the NoLevel fill
+// for level rows — is what makes this hold; a missing scrub shows up as a
+// vertex "visited" by a query that never reached it. The baselines borrow
+// level rows only, so their rows are what this suite poisons for them.
 
 const levelPoison = int32(123456789)
 
@@ -32,16 +32,6 @@ func fillOnes(ws []uint64) {
 func poisonEngine(e *Engine) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, l := range e.states.free {
-		for _, s := range l {
-			fillOnes(s.Words())
-		}
-	}
-	for _, l := range e.bitmaps.free {
-		for _, b := range l {
-			fillOnes(b.Words())
-		}
-	}
 	for _, l := range e.shells.free {
 		for _, ls := range l {
 			for w := range ls.scanned {

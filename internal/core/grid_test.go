@@ -19,8 +19,8 @@ package core_test
 // Without -short the grid runs its named slices, each a union of products
 // over the axes; with -short it runs the pairwise cover instead: a seeded,
 // deterministic set of cells in which every two values of every two axes
-// that some kernel reads together meet at least once
-// (`-short -run TestGridMatchesOracle/pairs` reruns it).
+// that some kernel reads together meet at least once, plus the cells of
+// shortPins (`-short -run TestGridMatchesOracle/pairs` reruns it).
 //
 // A new axis is one entry in dims (its first value is the default every
 // existing slice keeps) plus its decoding in cell.options; a new kernel or
@@ -377,6 +377,12 @@ func parseSlice(spec string) []cell {
 	return out
 }
 
+// shortPins are cells the -short run adds to the pairwise cover: paths
+// that need more than two axis values at once, which the cover need not
+// meet. The one pinned now is MS-PBFS's narrow (one-word) bottom-up
+// emitting a visitor's stream while it records no levels.
+const shortPins = "kernel=mspbfs dir=bottomup words=words1 visit=visit record=nolevels shape=kron"
+
 // pairwise returns a seeded, deterministic cover of every pair of axis
 // values some impl holds together, built greedily: each new cell starts
 // from the first uncovered pair, takes a random impl that allows it, and
@@ -471,7 +477,7 @@ func TestGridMatchesOracle(t *testing.T) {
 		})
 	}
 	if testing.Short() {
-		runCells("pairs", pairwise(20170321))
+		runCells("pairs", append(pairwise(20170321), parseSlice(shortPins)...))
 		return
 	}
 	for _, s := range gridSlices {

@@ -30,16 +30,10 @@ func IBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
 	words := opt.batchWords()
 
 	eng := opt.engine()
-	seen := eng.borrowState(n, words)
-	frontierBits := eng.borrowState(n, words)
-	nextBits := eng.borrowState(n, words)
-	inJFQ := eng.borrowBitmap(n) // dedupe for JFQ insertion
-	defer func() {
-		eng.returnState(seen)
-		eng.returnState(frontierBits)
-		eng.returnState(nextBits)
-		eng.returnBitmap(inJFQ)
-	}()
+	seen := bitset.NewState(n, words)
+	frontierBits := bitset.NewState(n, words)
+	nextBits := bitset.NewState(n, words)
+	inJFQ := bitset.NewBitmap(n) // dedupe for JFQ insertion
 	return runBatches(sources, opt, func(batch []int, _ int) batchOut {
 		return ibfsBatch(g, batch, opt, eng, seen, frontierBits, nextBits, inJFQ)
 	})

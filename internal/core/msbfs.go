@@ -18,9 +18,7 @@ import (
 // "one sequential instance per core" execution mode.
 func MSBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
 	requireNoOverlay(opt, "MSBFS")
-	run, release := openMSBFS(g, opt, false)
-	defer release()
-	return runBatches(sources, opt, run)
+	return runBatches(sources, opt, openMSBFS(g, opt, false))
 }
 
 // MSBFSDirect is MSBFS with the "direct" top-down variant of Then et al.:
@@ -32,9 +30,7 @@ func MSBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
 // parallel variant would need per-edge CAS on seen as well.
 func MSBFSDirect(g *graph.Graph, sources []int, opt Options) *MultiResult {
 	requireNoOverlay(opt, "MSBFSDirect")
-	run, release := openMSBFS(g, opt, true)
-	defer release()
-	return runBatches(sources, opt, run)
+	return runBatches(sources, opt, openMSBFS(g, opt, true))
 }
 
 // MSBFSPerCore runs the MS-BFS execution model the paper measures in its
@@ -47,27 +43,20 @@ func MSBFSDirect(g *graph.Graph, sources []int, opt Options) *MultiResult {
 func MSBFSPerCore(g *graph.Graph, sources []int, opt Options) *MultiResult {
 	requireNoOverlay(opt, "MSBFSPerCore")
 	return runInstances(sources, opt, opt.workers(), func() (batchFunc, func()) {
-		return openMSBFS(g, opt, false)
+		return openMSBFS(g, opt, false), func() {}
 	})
 }
 
-// openMSBFS opens one sequential MS-BFS instance: it borrows the state
+// openMSBFS opens one sequential MS-BFS instance: it allocates the state
 // triple the instance reuses across its batches (each batch re-zeroes it)
-// and returns the batch runner with the release of the triple.
-//
-//bfs:arena-held the state triple is returned by the release func openMSBFS hands back
-func openMSBFS(g *graph.Graph, opt Options, direct bool) (batchFunc, func()) {
+// and returns the batch runner.
+func openMSBFS(g *graph.Graph, opt Options, direct bool) batchFunc {
 	n, words, eng := g.NumVertices(), opt.batchWords(), opt.engine()
-	seen := eng.borrowState(n, words)
-	frontier := eng.borrowState(n, words)
-	next := eng.borrowState(n, words)
-	run := func(batch []int, _ int) batchOut {
+	seen := bitset.NewState(n, words)
+	frontier := bitset.NewState(n, words)
+	next := bitset.NewState(n, words)
+	return func(batch []int, _ int) batchOut {
 		return msbfsBatch(g, batch, opt, direct, eng, seen, frontier, next)
-	}
-	return run, func() {
-		eng.returnState(seen)
-		eng.returnState(frontier)
-		eng.returnState(next)
 	}
 }
 

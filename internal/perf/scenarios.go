@@ -224,9 +224,10 @@ func runClusterInproc(e *suiteEnv) Sample {
 		// fixture must abort the suite rather than record garbage timings.
 		panic(fmt.Sprintf("perf: cluster/inproc: %v", err))
 	}
-	// The exchange allocates wire frames and decoded level rows; collect
-	// them in this scenario's (untimed) slot so the GC debt cannot bleed
-	// into whichever scenario the interleaved protocol runs next.
+	// The exchange allocates wire frames; collect them in this scenario's
+	// (untimed) slot so the GC debt cannot bleed into whichever scenario
+	// the interleaved protocol runs next. The run reads no levels, so no
+	// shard records or ships any.
 	runtime.GC()
 	return Sample{Elapsed: elapsed, Work: e.counter.EdgesForAll(e.sources)}
 }

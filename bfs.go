@@ -35,9 +35,10 @@ type Options struct {
 	// CollectIterStats gathers per-iteration timing and workload detail.
 	CollectIterStats bool
 	// Engine optionally pins the run to a long-lived execution engine
-	// (persistent worker pools + recycled state arenas, see NewEngine).
-	// When nil, the library's shared default engine is used, so repeated
-	// calls avoid pool/state churn either way.
+	// (persistent worker pools + an arena of recycled MS-/SMS-PBFS kernel
+	// state, see NewEngine); recorded level rows are allocated per run and
+	// belong to the caller. When nil, the library's shared default engine
+	// is used, so repeated calls avoid pool/state churn either way.
 	Engine *Engine
 	// Tracer, when non-nil, records a per-iteration flight record for
 	// every traversal (direction decisions and their reasons, frontier

@@ -61,9 +61,8 @@ func main() {
 		// The experiments run on the library's default engine; the stats
 		// show how much state the arena recycled across the sweeps.
 		st := core.DefaultEngine().Stats()
-		fmt.Printf("engine: %d pooled workers, %d arena objects (%d bytes) free, %d/%d arena hits\n",
-			st.PooledWorkers, st.FreeShells+st.FreeLevelRows,
-			st.FreeBytes, st.Hits, st.Hits+st.Misses)
+		fmt.Printf("engine: %d pooled workers, %d shells (%d bytes) free, %d/%d arena hits\n",
+			st.PooledWorkers, st.FreeShells, st.FreeBytes, st.Hits, st.Hits+st.Misses)
 	}
 }
 

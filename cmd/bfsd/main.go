@@ -299,7 +299,7 @@ func run(logger *slog.Logger, graphs graphFlags, addr, debugAddr string, shards 
 	srv.Close() // serve queued requests as final batches, wait for batches; releases the engine
 	logger.Info("engine at drain",
 		"pooled_workers", st.PooledWorkers,
-		"arena_free_objects", st.FreeShells+st.FreeLevelRows,
+		"arena_free_shells", st.FreeShells,
 		"arena_free_bytes", st.FreeBytes,
 		"arena_hits", st.Hits, "arena_lookups", st.Hits+st.Misses)
 	logger.Info("drained cleanly")

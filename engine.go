@@ -3,10 +3,12 @@ package msbfs
 import "repro/internal/core"
 
 // Engine is the library's long-lived execution substrate: persistent
-// worker pools plus size-keyed arenas that recycle MS-PBFS's and
+// worker pools plus a shape-keyed arena that recycles MS-PBFS's and
 // SMS-PBFS's per-run state (bitset arrays, per-worker scratch and
-// counters) and level buffers across calls. Wire one through Options.Engine to give a subsystem — a daemon, a
-// benchmark, a test — its own isolated recycling domain:
+// counters) across calls. Level rows are not recycled: a result's Levels
+// are allocated for it and belong to the caller. Wire one through
+// Options.Engine to give a subsystem — a daemon, a benchmark, a test —
+// its own isolated recycling domain:
 //
 //	eng := msbfs.NewEngine(msbfs.Options{Workers: 8})
 //	defer eng.Close()

@@ -42,8 +42,8 @@ const (
 	DirectiveDetached = "bfs:detached"
 	// DirectiveArenaHeld suppresses arenarelease for a borrow whose
 	// artifact intentionally outlives the borrowing function (handed to the
-	// caller, e.g. level rows returned inside a Result); requires a
-	// justification naming the release path.
+	// caller, e.g. a kernel shell a constructor returns and Close checks
+	// back in); requires a justification naming the release path.
 	DirectiveArenaHeld = "bfs:arena-held"
 	// DirectiveShareOK suppresses falseshare for a per-worker-indexed write
 	// to an unpadded element that is deliberately unpadded (e.g. written

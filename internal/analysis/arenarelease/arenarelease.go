@@ -2,10 +2,10 @@
 // borrow is handed back on all paths out of the borrowing function.
 //
 // The execution Engine (internal/core) recycles BFS state through an arena:
-// bitset arrays, bitmaps, level rows, worker pools and whole kernel shells
-// are checked out with borrow*/checkout*/BorrowPool and must flow back via
-// the matching return*/checkin*/Release* call (or the release closure
-// BorrowPool hands out). A borrow that misses its release on an early
+// worker pools and whole kernel shells are checked out with
+// borrow*/checkout*/BorrowPool and must flow back via the matching
+// return*/checkin*/Release* call (or the release closure BorrowPool hands
+// out). A borrow that misses its release on an early
 // return or error path does not crash anything — the arena just silently
 // stops recycling, allocation churn comes back, and the steady-state
 // zero-allocation property the engine exists for (and that hotalloc
@@ -21,7 +21,7 @@
 // Acquire/AcquireVersion/Pin (and the server's Backend.Pin in front of
 // them) pin an MVCC version whose generation cannot be compacted away until
 // the snapshot's own Release method runs. A leaked pin is worse than a leaked
-// bitmap — it blocks generation retirement forever, so the retired-arena
+// shell — it blocks generation retirement forever, so the retired-arena
 // scrub never fires and memory grows with every compaction. The pass
 // tracks Acquire* and Pin calls on those types like borrows, with the release
 // being a method on the pinned value itself (snap.Release()). Acquires
@@ -31,7 +31,7 @@
 // A borrow whose artifact intentionally outlives the function — returned
 // to the caller, stored in a result struct or a field — must carry
 // //bfs:arena-held with a justification naming the release path (e.g.
-// "released by Engine.ReleaseLevels via Result"). The annotation also
+// "Close checks the shell back in via checkinShell"). The annotation also
 // silences the path analysis for deliberately held borrows.
 package arenarelease
 

@@ -51,7 +51,6 @@ func Graph500(cfg Config) (Graph500Result, error) {
 			return res, fmt.Errorf("search from %d failed validation: %w", key, err)
 		}
 		res.Validated++
-		eng.ReleaseLevels(r.Levels)
 	}
 
 	sort.Float64s(teps)

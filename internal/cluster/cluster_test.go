@@ -9,6 +9,8 @@ import (
 	"time"
 
 	msbfs "repro"
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -136,11 +138,132 @@ func TestClusterContextCancellation(t *testing.T) {
 	}
 }
 
+// TestClusterShardLevelRowsConcurrent runs two level-recording batches at
+// once on one cluster, round after round, so the shards' pooled row slabs
+// pass between queries. The graph is two interleaved chains, even and odd
+// vertices, and the two batches start in different chains: a slab that
+// kept the other batch's depths would show them on vertices this batch
+// never reaches, which must read NoLevel.
+func TestClusterShardLevelRowsConcurrent(t *testing.T) {
+	const n, rounds = 200, 8
+	ip := startCluster(t, 2, CoordinatorOptions{})
+	edges := make([]msbfs.Edge, 0, n-2)
+	for v := 0; v+2 < n; v++ {
+		edges = append(edges, msbfs.Edge{U: uint32(v), V: uint32(v + 2)})
+	}
+	ref := graph.FromEdges(n, edges)
+	rg, err := ip.Coord.LoadGraph(context.Background(), "chains", msbfs.NewGraph(n, edges), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]int{{0, 50, 198}, {1, 99, 151}}
+	want := make([][][]int32, len(batches))
+	for b, sources := range batches {
+		for _, s := range sources {
+			want[b] = append(want[b], core.ReferenceLevels(ref, s))
+		}
+	}
+	var wg sync.WaitGroup
+	for b, sources := range batches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range rounds {
+				res, err := rg.RunBatch(context.Background(), sources, msbfs.Options{RecordLevels: true}, nil)
+				if err != nil {
+					t.Errorf("batch %d round %d: %v", b, round, err)
+					return
+				}
+				for i, s := range sources {
+					if len(res.Levels[i]) != n {
+						t.Errorf("batch %d round %d source %d: %d levels, want %d", b, round, s, len(res.Levels[i]), n)
+						return
+					}
+					for v, lv := range res.Levels[i] {
+						if lv != want[b][i][v] {
+							t.Errorf("batch %d round %d source %d: vertex %d level %d, want %d", b, round, s, v, lv, want[b][i][v])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestTakeLevelRowsScrubs: a shard's level rows read NoLevel on the cold
+// take and on every warm one, whatever the last query left in the slab,
+// and no row can grow into the next.
+func TestTakeLevelRowsScrubs(t *testing.T) {
+	const n, k = 300, 3
+	for round := range 4 {
+		slab, rows := takeLevelRows(n, k)
+		if len(rows) != k {
+			t.Fatalf("round %d: %d rows, want %d", round, len(rows), k)
+		}
+		for i, row := range rows {
+			if len(row) != n || cap(row) != n {
+				t.Fatalf("round %d row %d: len %d cap %d, want %d", round, i, len(row), cap(row), n)
+			}
+			for v, lv := range row {
+				if lv != core.NoLevel {
+					t.Fatalf("round %d row %d: vertex %d = %d, want NoLevel", round, i, v, lv)
+				}
+				row[v] = int32(round + 1)
+			}
+		}
+		levelSlabs.Put(slab)
+	}
+}
+
+// TestClusterShardPoisonedSlabScrubbed parks slabs full of a depth no
+// query reaches, then records a batch on a graph of two components: the
+// vertices of the component the source is not in must read NoLevel on
+// every shard, not the poison.
+func TestClusterShardPoisonedSlabScrubbed(t *testing.T) {
+	const n, poison = 10, int32(123456789)
+	ip := startCluster(t, 2, CoordinatorOptions{})
+	var edges []msbfs.Edge
+	for v := 0; v+1 < n; v++ {
+		if v != n/2-1 { // two paths, 0…4 and 5…9
+			edges = append(edges, msbfs.Edge{U: uint32(v), V: uint32(v + 1)})
+		}
+	}
+	rg, err := ip.Coord.LoadGraph(context.Background(), "halves", msbfs.NewGraph(n, edges), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.ReferenceLevels(graph.FromEdges(n, edges), 0)
+	for round := range 4 {
+		// Empty the pool of other tests' clean slabs (as far as Get
+		// reaches), so the shards take poisoned ones.
+		for levelSlabs.Get() != nil {
+		}
+		for range 8 {
+			slab := make([]int32, n)
+			for i := range slab {
+				slab[i] = poison
+			}
+			levelSlabs.Put(&slab)
+		}
+		res, err := rg.RunBatch(context.Background(), []int{0}, msbfs.Options{RecordLevels: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, lv := range res.Levels[0] {
+			if lv != want[v] {
+				t.Errorf("round %d: vertex %d level %d, want %d", round, v, lv, want[v])
+			}
+		}
+	}
+}
+
 // TestClusterFetchOnlyForReader pins what a batch costs in coordinator
 // RPCs: start, one per level step and end on each shard, plus one
 // msgResult per shard only when the caller reads levels (records them or
-// passes a visitor). A batch that reads nothing borrows no level rows on
-// any shard.
+// passes a visitor). A shard asked for the rows of a batch that records
+// none refuses.
 func TestClusterFetchOnlyForReader(t *testing.T) {
 	const shards = 2
 	ip := startCluster(t, shards, CoordinatorOptions{})
@@ -149,13 +272,6 @@ func TestClusterFetchOnlyForReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freeRows := func() int {
-		rows := 0
-		for _, sh := range ip.Shards {
-			rows += sh.eng.Stats().FreeLevelRows
-		}
-		return rows
-	}
 	const steps = 10
 	visits := 0
 	for _, tc := range []struct {
@@ -163,11 +279,10 @@ func TestClusterFetchOnlyForReader(t *testing.T) {
 		opt   msbfs.Options
 		visit func(workerID, sourceIdx, vertex, depth int)
 		rpcs  int64
-		rows  int // level rows parked on the shards after the batch
 	}{
-		{"reads nothing", msbfs.Options{}, nil, shards * (1 + steps + 1), 0},
-		{"records levels", msbfs.Options{RecordLevels: true}, nil, shards * (1 + steps + 1 + 1), shards},
-		{"visitor", msbfs.Options{}, func(_, _, _, _ int) { visits++ }, shards * (1 + steps + 1 + 1), shards},
+		{"reads nothing", msbfs.Options{}, nil, shards * (1 + steps + 1)},
+		{"records levels", msbfs.Options{RecordLevels: true}, nil, shards * (1 + steps + 1 + 1)},
+		{"visitor", msbfs.Options{}, func(_, _, _, _ int) { visits++ }, shards * (1 + steps + 1 + 1)},
 	} {
 		before := ip.Coord.Metrics().RPCs.Load()
 		res, err := rg.RunBatch(context.Background(), []int{0}, tc.opt, tc.visit)
@@ -176,9 +291,6 @@ func TestClusterFetchOnlyForReader(t *testing.T) {
 		}
 		if got := ip.Coord.Metrics().RPCs.Load() - before; got != tc.rpcs {
 			t.Errorf("%s: %d RPCs, want %d", tc.name, got, tc.rpcs)
-		}
-		if got := freeRows(); got != tc.rows {
-			t.Errorf("%s: %d level rows parked on the shards, want %d", tc.name, got, tc.rows)
 		}
 		if res.VisitedStates != 10 {
 			t.Errorf("%s: VisitedStates = %d, want 10", tc.name, res.VisitedStates)

@@ -84,6 +84,7 @@ type shardQuery struct {
 	words  int
 	e      *core.MSPBFSEngine // nil once releaseQuery closed it
 	levels [][]int32          // k rows over all n vertices, [lo,hi) this shard's answer; nil unless msgStart asked for levels
+	slab   *[]int32           // the levelSlabs slab levels is cut from
 	depth  int                // the last level stepped
 
 	inbox chan *deltaMsg
@@ -95,6 +96,29 @@ type shardQuery struct {
 	// tv is the shard-local flight record (nil unless the shard has its
 	// own Tracer AND the query is traced).
 	tv *obs.Traversal
+}
+
+// levelSlabs recycles the shards' level rows: a recording query cuts its k
+// n-long rows from one slab, and releaseQuery puts the slab back.
+var levelSlabs sync.Pool // of *[]int32
+
+// takeLevelRows cuts k n-long rows from a pooled slab, refilled with
+// NoLevel whatever its last query left there: the fill is the scrub.
+func takeLevelRows(n, k int) (*[]int32, [][]int32) {
+	slab, _ := levelSlabs.Get().(*[]int32)
+	if slab == nil || cap(*slab) < n*k {
+		slab = new([]int32)
+		*slab = make([]int32, n*k)
+	}
+	all := (*slab)[:n*k]
+	for i := range all {
+		all[i] = core.NoLevel
+	}
+	rows := make([][]int32, k)
+	for i := range rows {
+		rows[i] = all[i*n : (i+1)*n : (i+1)*n]
+	}
+	return slab, rows
 }
 
 // pendingDelta is one encoded peer delta awaiting its send: the exchange
@@ -397,10 +421,12 @@ func (s *Shard) handleStart(payload []byte) error {
 	// its level entry lies outside the rows handleResult returns. A batch
 	// whose caller reads no levels records none.
 	q.e = core.NewMSPBFSEngine(g.csr, core.Options{
-		Workers: g.workers, BatchWords: q.words, Direction: core.TopDownOnly,
-		RecordLevels: m.record, Engine: s.eng,
+		Workers: g.workers, BatchWords: q.words, Direction: core.TopDownOnly, Engine: s.eng,
 	}) //bfs:arena-held the engine's shell and pool live across RPCs until releaseQuery closes it at msgEnd
-	q.levels = q.e.Seed(m.sources, 0, nil)
+	if m.record {
+		q.slab, q.levels = takeLevelRows(n, k)
+	}
+	q.e.Seed(m.sources, 0, q.levels, nil)
 
 	s.mu.Lock()
 	var regErr error
@@ -650,13 +676,15 @@ func (s *Shard) handleEnd(payload []byte) error {
 }
 
 // releaseQuery publishes the shard-local flight record (nil-safe: tv is set
-// only for traced queries on shards with their own Tracer) and hands the
-// level rows and the engine back, after any step in flight.
+// only for traced queries on shards with their own Tracer), puts the level
+// rows' slab back and hands the engine back, after any step in flight.
 func (s *Shard) releaseQuery(q *shardQuery) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.tv.Finish(0, 0)
-	s.eng.ReleaseLevels(q.levels...)
+	if q.slab != nil {
+		levelSlabs.Put(q.slab)
+	}
 	q.e.Close()
-	q.e, q.levels = nil, nil
+	q.e, q.levels, q.slab = nil, nil, nil
 }

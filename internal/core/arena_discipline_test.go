@@ -23,14 +23,12 @@ func TestEngineBorrowReleaseStress(t *testing.T) {
 	const rounds = 32
 	g := gen.Uniform(n, 4, 7)
 
-	// borrowThenFail models the guarded kernel prologue: several artifacts
-	// checked out, released by defers, then a failure mid-phase. The defers
-	// must hand everything back during unwinding.
+	// borrowThenFail models the guarded kernel prologue: a pool checked
+	// out, released by a defer, then a failure mid-phase. The defer must
+	// hand it back during unwinding.
 	borrowThenFail := func() {
 		_, release := e.BorrowPool(1)
 		defer release()
-		levels := e.borrowLevels(n)
-		defer e.ReleaseLevels(levels)
 		panic("phase failed after borrowing")
 	}
 
@@ -40,7 +38,7 @@ func TestEngineBorrowReleaseStress(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
-				switch (c + round) % 4 {
+				switch (c + round) % 3 {
 				case 0:
 					// Happy path: a kernel shell and its pool checked
 					// out, run, and parked again.
@@ -48,11 +46,6 @@ func TestEngineBorrowReleaseStress(t *testing.T) {
 					k.Run(round % n)
 					k.Close()
 				case 1:
-					// Level rows released through the variadic public API.
-					rows := [][]int32{e.borrowLevels(n), e.borrowLevels(n)}
-					rows[0][0], rows[1][0] = 1, 2
-					e.ReleaseLevels(rows...)
-				case 2:
 					// Pool checkout with a double-released closure: the
 					// second call must be a no-op, not a double check-in.
 					pool, release := e.BorrowPool(2)
@@ -61,7 +54,7 @@ func TestEngineBorrowReleaseStress(t *testing.T) {
 					}
 					release()
 					release()
-				case 3:
+				case 2:
 					// Error path: panic after borrowing; the deferred
 					// releases must balance the books during unwinding.
 					func() {

@@ -61,12 +61,11 @@ func (v BeamerVariant) algoName() string {
 func Beamer(g *graph.Graph, source int, variant BeamerVariant, opt Options) *Result {
 	requireNoOverlay(opt, "Beamer")
 	n := g.NumVertices()
-	eng := opt.engine()
 	var levels []int32
 	if opt.RecordLevels {
-		levels = eng.borrowLevels(n) //bfs:arena-held row rides in the returned Result; the caller frees it with Engine.ReleaseLevels
+		levels = newLevelRows(n, 1)[0]
 	}
-	rec := newIterRecorder(opt, variant.algoName(), 1, nil)
+	rec := newIterRecorder(opt, variant.algoName(), 1, nil, nil)
 
 	// Total degree sum for the alpha heuristic.
 	edgesTotal := int64(len(g.Adjacency))

@@ -89,13 +89,14 @@ type Options struct {
 	// (the "stop once all active BFS bits are set" optimization); used by
 	// the ablation benchmarks.
 	DisableEarlyExit bool
-	// Engine optionally supplies the long-lived execution substrate —
-	// persistent worker pools (every run borrows one of Workers width and
-	// returns it when done) plus the arena recycling MS-/SMS-PBFS kernel
-	// shells and level rows. When nil, the shared package-default
-	// engine is used, so repeated calls are allocation-churn free either
-	// way; wire an explicit engine to isolate a subsystem's recycling (one
-	// engine per daemon, per test, per benchmark).
+	// Engine optionally supplies the long-lived execution substrate of the
+	// pool-driven kernels — persistent worker pools (a run borrows one of
+	// Workers width and returns it when done) plus the arena recycling
+	// MS-/SMS-PBFS kernel shells; the baselines never touch it. When nil,
+	// the shared package-default engine is used, so repeated calls are
+	// allocation-churn free either way; wire an explicit engine to isolate
+	// a subsystem's recycling (one engine per daemon, per test, per
+	// benchmark).
 	Engine *Engine
 	// Tracer, when non-nil, records a flight record for every traversal:
 	// one entry per BFS iteration with the direction decision and its
@@ -263,11 +264,12 @@ type iterRecorder struct {
 
 // newIterRecorder opens the per-traversal instrumentation. algo and
 // sources label the flight record; pool, when non-nil, contributes the
-// per-worker task, steal and busy-time deltas of every level.
-func newIterRecorder(opt Options, algo string, sources int, pool *sched.Pool) iterRecorder {
+// per-worker task, steal and busy-time deltas of every level; eng is the
+// shell's engine, nil for the baselines, which stamp no arena deltas.
+func newIterRecorder(opt Options, algo string, sources int, pool *sched.Pool, eng *Engine) iterRecorder {
 	r := iterRecorder{collect: opt.CollectIterStats}
 	if opt.Tracer != nil {
-		r.tr, r.eng = opt.Tracer.StartTraversal(algo, sources), opt.engine()
+		r.tr, r.eng = opt.Tracer.StartTraversal(algo, sources), eng
 		r.tr.SetArenaBase(r.eng.arenaCounters())
 	}
 	if pool != nil && r.on() {

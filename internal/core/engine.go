@@ -8,19 +8,18 @@ import (
 )
 
 // Engine is the long-lived execution substrate of the MS-PBFS and SMS-PBFS
-// kernels: persistent sched.Pool worker sets plus a size-keyed arena that
+// kernels: persistent sched.Pool worker sets plus a shape-keyed arena that
 // recycles what those kernels otherwise rebuild on every call — whole
 // kernel shells (k-wide state triples, per-worker padded counters,
-// scratch/liveBits words and scatter inboxes) and []int32 level rows. The
-// paper's comparators (MS-BFS, iBFS, Beamer) borrow only pools and level
-// rows from it and allocate their own bitset states and bitmaps per call.
+// scratch/liveBits words and scatter inboxes). The paper's comparators
+// (MS-BFS, iBFS, Beamer) never touch it. Level rows are not lent either:
+// a run that records levels allocates them, and they belong to its caller.
 //
-// The contract is strict hygiene, not trust: every artifact is scrubbed on
-// the borrow path (a shell's first-touch zero pass clears its state, level
-// rows are filled with NoLevel), so a recycled shell can never leak a
-// previous query's visited bits even if a caller poisons what it returns.
-// The bfsdebug build re-verifies this with a "borrowed shell is clean"
-// invariant check.
+// The contract is strict hygiene, not trust: a shell is scrubbed on the
+// borrow path (its first-touch zero pass clears its state), so a recycled
+// shell can never leak a previous query's visited bits even if a caller
+// poisons it before it comes back. The bfsdebug build re-verifies this
+// with a "borrowed shell is clean" invariant check.
 //
 // An Engine is safe for concurrent use. Pools are checked out exclusively
 // (a sched.Pool's busy accounting is not safe under concurrent runs), so M
@@ -37,7 +36,6 @@ type Engine struct {
 
 	pools  freeList[int, *sched.Pool]     // keyed by worker count
 	shells freeList[shellKey, *levelStep] // warm MS-/SMS-PBFS shells (counters+scratch+states)
-	levels freeList[int, []int32]         // keyed by row length
 
 	freeBytes int64 // bytes parked in the arena free lists (pools excluded)
 	borrowed  int64 // artifacts currently checked out
@@ -47,12 +45,10 @@ type Engine struct {
 
 // Per-key free-list bounds. Pools and kernel shells are heavyweight (a
 // shell pins 3 k-wide states plus per-worker scratch), so a handful covers
-// the realistic concurrency per shape; level rows are small and requested
-// in bursts of up to SourcesPerBatch per batch, so they get a deeper list.
+// the realistic concurrency per shape.
 const (
 	maxFreePools  = 4
 	maxFreeShells = 4
-	maxFreeLevels = 1024
 )
 
 // freeList is one keyed, bounded free list of the engine's arena. It owns
@@ -141,7 +137,6 @@ func NewEngine() *Engine {
 	return &Engine{
 		pools:  newFreeList[int](maxFreePools, func(*sched.Pool) int64 { return 0 }),
 		shells: newFreeList[shellKey](maxFreeShells, (*levelStep).memoryBytes),
-		levels: newFreeList[int](maxFreeLevels, func(row []int32) int64 { return int64(len(row)) * 4 }),
 	}
 }
 
@@ -167,10 +162,9 @@ type EngineStats struct {
 	// goroutines they keep parked.
 	FreePools     int
 	PooledWorkers int
-	// FreeShells / FreeLevelRows count idle arena artifacts by kind (a
-	// shell bundles one kernel's whole state).
-	FreeShells    int
-	FreeLevelRows int
+	// FreeShells counts idle kernel shells (a shell bundles one kernel's
+	// whole state).
+	FreeShells int
 	// FreeBytes is the memory parked in the arena free lists.
 	FreeBytes int64
 	// Borrowed counts artifacts currently checked out.
@@ -186,13 +180,12 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := EngineStats{
-		FreePools:     e.pools.parked(),
-		FreeShells:    e.shells.parked(),
-		FreeLevelRows: e.levels.parked(),
-		FreeBytes:     e.freeBytes,
-		Borrowed:      e.borrowed,
-		Hits:          e.hits,
-		Misses:        e.misses,
+		FreePools:  e.pools.parked(),
+		FreeShells: e.shells.parked(),
+		FreeBytes:  e.freeBytes,
+		Borrowed:   e.borrowed,
+		Hits:       e.hits,
+		Misses:     e.misses,
 	}
 	for workers, l := range e.pools.free {
 		st.PooledWorkers += workers * len(l)
@@ -202,8 +195,12 @@ func (e *Engine) Stats() EngineStats {
 
 // arenaCounters reads just the lifetime hit/miss counters; the tracing
 // layer snapshots them at traversal start and finish to attribute arena
-// behavior per traversal without paying for a full Stats walk.
+// behavior per traversal without paying for a full Stats walk. A nil
+// engine, a baseline's, reads zero: the baselines borrow nothing.
 func (e *Engine) arenaCounters() (hits, misses uint64) {
+	if e == nil {
+		return 0, 0
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.hits, e.misses
@@ -216,7 +213,6 @@ func (e *Engine) Close() {
 	e.mu.Lock()
 	pools := e.pools.drain()
 	e.shells.drain()
-	e.levels.drain()
 	e.freeBytes = 0
 	e.closed = true
 	e.mu.Unlock()
@@ -268,45 +264,6 @@ func (e *Engine) returnPool(p *sched.Pool) {
 	e.mu.Unlock()
 	if !parked {
 		p.Close()
-	}
-}
-
-// borrowLevels checks out one n-long level row, filled with NoLevel
-// whatever it was returned with: the fill is the row's scrub.
-func (e *Engine) borrowLevels(n int) []int32 {
-	e.mu.Lock()
-	row, ok := e.levels.pop(e, n, nil)
-	e.mu.Unlock()
-	if !ok {
-		row = make([]int32, n)
-	}
-	for v := range row {
-		row[v] = NoLevel
-	}
-	return row
-}
-
-// borrowLevelRows checks out one batch's k level rows (borrowLevels each).
-//
-//bfs:arena-held the rows ride in the batch's MultiResult; the caller frees them with Engine.ReleaseLevels
-func (e *Engine) borrowLevelRows(n, k int) [][]int32 {
-	rows := make([][]int32, k) //bfs:alloc-ok k pointers per batch, not per vertex
-	for i := range rows {
-		rows[i] = e.borrowLevels(n)
-	}
-	return rows
-}
-
-// ReleaseLevels hands level rows (e.g. Result.Levels or the rows of
-// MultiResult.Levels) back to the arena. Only call it when the caller is
-// done reading them — a released row is recycled into a future result.
-func (e *Engine) ReleaseLevels(rows ...[]int32) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, row := range rows {
-		if row != nil {
-			e.levels.push(e, len(row), row)
-		}
 	}
 }
 

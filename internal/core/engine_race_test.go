@@ -39,27 +39,22 @@ func TestEngineConcurrentMixedAlgorithms(t *testing.T) {
 					for i := range res.Sources {
 						CheckLevels(t, "mspbfs", res.Levels[i], want[i])
 					}
-					e.ReleaseLevels(res.Levels...)
 				case 1:
 					res := SMSPBFS(g, sources[c], BitState, opt)
 					CheckLevels(t, "smspbfs", res.Levels, want[c])
-					e.ReleaseLevels(res.Levels)
 				case 2:
 					res := MSBFS(g, sources, opt)
 					for i := range res.Sources {
 						CheckLevels(t, "msbfs", res.Levels[i], want[i])
 					}
-					e.ReleaseLevels(res.Levels...)
 				case 3:
 					res := IBFS(g, sources, opt)
 					for i := range res.Sources {
 						CheckLevels(t, "ibfs", res.Levels[i], want[i])
 					}
-					e.ReleaseLevels(res.Levels...)
 				case 4:
 					res := Beamer(g, sources[c], BeamerGAPBS, opt)
 					CheckLevels(t, "beamer", res.Levels, want[c])
-					e.ReleaseLevels(res.Levels)
 				}
 			}
 		}(c)
@@ -93,7 +88,6 @@ func TestEngineConcurrentWithClose(t *testing.T) {
 				for i := range res.Sources {
 					CheckLevels(t, "mspbfs-vs-close", res.Levels[i], want[i])
 				}
-				e.ReleaseLevels(res.Levels...)
 			}
 		}(c)
 	}

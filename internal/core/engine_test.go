@@ -81,12 +81,11 @@ func TestEngineShellReuseAcrossRuns(t *testing.T) {
 	defer e.Close()
 	opt := Options{Workers: 2, Engine: e, RecordLevels: true}
 
-	res1 := MSPBFS(g, sources, opt)
+	MSPBFS(g, sources, opt)
 	st1 := e.Stats()
 	if st1.FreeShells == 0 {
 		t.Fatal("no MS-PBFS shell checked into the arena after the first run")
 	}
-	e.ReleaseLevels(res1.Levels...)
 
 	res2 := MSPBFS(g, sources, opt)
 	st2 := e.Stats()
@@ -96,9 +95,8 @@ func TestEngineShellReuseAcrossRuns(t *testing.T) {
 	for i, src := range res2.Sources {
 		CheckLevels(t, fmt.Sprintf("recycled shell src=%d", src), res2.Levels[i], ReferenceLevels(g, src))
 	}
-	e.ReleaseLevels(res2.Levels...)
 	if st := e.Stats(); st.Borrowed != 0 {
-		t.Errorf("borrowed = %d after runs completed and levels released, want 0", st.Borrowed)
+		t.Errorf("borrowed = %d after runs completed, want 0", st.Borrowed)
 	}
 }
 
@@ -116,22 +114,22 @@ func TestVisitorScopedToCall(t *testing.T) {
 	if calls != 100 || e.visit != nil {
 		t.Errorf("Run: %d visits, want 100; visitor kept past the call: %t", calls, e.visit != nil)
 	}
-	e.Seed([]int{0}, 0, visit)
+	e.Seed([]int{0}, 0, nil, visit)
 	e.Close()
 	if e.visit != nil {
 		t.Error("a shell closed after Seed parked with its visitor")
 	}
 }
 
-// TestBaselinesParkOnlyPools: the paper's comparators allocate their own
-// bitset states and bitmaps, so a run that records no levels leaves the
-// engine's arena holding worker pools and nothing else.
-func TestBaselinesParkOnlyPools(t *testing.T) {
+// TestBaselinesTouchNoEngine: the paper's comparators allocate their own
+// bitset states, bitmaps and level rows and run on no pooled workers, so
+// even a run that records levels leaves an engine as it found it.
+func TestBaselinesTouchNoEngine(t *testing.T) {
 	g := gen.Uniform(1200, 6, 3)
 	sources := RandomSources(g, 8, 5)
 	e := NewEngine()
 	defer e.Close()
-	opt := Options{Workers: 2, Engine: e}
+	opt := Options{Workers: 2, Engine: e, RecordLevels: true}
 
 	MSBFS(g, sources, opt)
 	MSBFSDirect(g, sources, opt)
@@ -140,62 +138,8 @@ func TestBaselinesParkOnlyPools(t *testing.T) {
 	for _, v := range []BeamerVariant{BeamerSparse, BeamerDense, BeamerGAPBS} {
 		Beamer(g, sources[0], v, opt)
 	}
-	st := e.Stats()
-	if st.FreeShells != 0 || st.FreeLevelRows != 0 || st.FreeBytes != 0 || st.Borrowed != 0 {
-		t.Errorf("baselines left arena artifacts: %+v", st)
-	}
-}
-
-// TestEngineLevelRowRecycling pins the explicit level-row contract:
-// recorded levels stay checked out until ReleaseLevels hands them back.
-func TestEngineLevelRowRecycling(t *testing.T) {
-	g := gen.Uniform(800, 5, 9)
-	sources := RandomSources(g, 8, 3)
-	e := NewEngine()
-	defer e.Close()
-	opt := Options{Workers: 2, Engine: e, RecordLevels: true}
-
-	res := MSPBFS(g, sources, opt)
-	if st := e.Stats(); st.Borrowed != int64(len(sources)) {
-		t.Errorf("borrowed = %d while the caller holds %d level rows", st.Borrowed, len(sources))
-	}
-	e.ReleaseLevels(res.Levels...)
-	st := e.Stats()
-	if st.Borrowed != 0 {
-		t.Errorf("borrowed = %d after ReleaseLevels, want 0", st.Borrowed)
-	}
-	if st.FreeLevelRows != len(sources) {
-		t.Errorf("free level rows = %d, want %d", st.FreeLevelRows, len(sources))
-	}
-
-	res2 := MSPBFS(g, sources, opt)
-	if st := e.Stats(); st.FreeLevelRows != 0 {
-		t.Errorf("free level rows = %d during second run, want 0 (all recycled)", st.FreeLevelRows)
-	}
-	for i, src := range res2.Sources {
-		CheckLevels(t, fmt.Sprintf("recycled rows src=%d", src), res2.Levels[i], ReferenceLevels(g, src))
-	}
-	e.ReleaseLevels(res2.Levels...)
-}
-
-// TestBorrowLevelsScrubs: borrowLevels hands out all-NoLevel rows on the
-// cold path and on the warm path, whatever a released row was left holding.
-func TestBorrowLevelsScrubs(t *testing.T) {
-	const n = 300
-	e := NewEngine()
-	defer e.Close()
-	for _, path := range []string{"cold", "warm"} {
-		row := e.borrowLevels(n)
-		for v, lv := range row {
-			if lv != NoLevel {
-				t.Fatalf("%s row: vertex %d = %d, want NoLevel", path, v, lv)
-			}
-			row[v] = levelPoison
-		}
-		e.ReleaseLevels(row)
-	}
-	if st := e.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want one warm and one cold borrow", st.Hits, st.Misses)
+	if st := e.Stats(); st != (EngineStats{}) {
+		t.Errorf("baselines touched the engine: %+v", st)
 	}
 }
 
@@ -211,7 +155,7 @@ func TestEngineCloseDegradesGracefully(t *testing.T) {
 	MSPBFS(g, sources, Options{Workers: 2, Engine: e})
 	e.Close()
 	st := e.Stats()
-	if st.FreePools != 0 || st.FreeShells != 0 || st.FreeLevelRows != 0 || st.FreeBytes != 0 {
+	if st.FreePools != 0 || st.FreeShells != 0 || st.FreeBytes != 0 {
 		t.Errorf("arena not empty after Close: %+v", st)
 	}
 
@@ -219,9 +163,8 @@ func TestEngineCloseDegradesGracefully(t *testing.T) {
 	for i, src := range res.Sources {
 		CheckLevels(t, fmt.Sprintf("closed-engine src=%d", src), res.Levels[i], ReferenceLevels(g, src))
 	}
-	e.ReleaseLevels(res.Levels...)
 	st = e.Stats()
-	if st.FreePools != 0 || st.FreeShells != 0 || st.FreeLevelRows != 0 {
+	if st.FreePools != 0 || st.FreeShells != 0 {
 		t.Errorf("closed engine cached returns: %+v", st)
 	}
 	if st.Borrowed != 0 {

@@ -966,9 +966,6 @@ func (gr *grid) check(t *testing.T, c cell) {
 			break
 		}
 	}
-	if x.layer == "core" {
-		eng.ReleaseLevels(r.levels...)
-	}
 	if r.visited != wantVisited {
 		t.Errorf("visited %d states, want %d", r.visited, wantVisited)
 	}

@@ -29,25 +29,24 @@ func IBFS(g *graph.Graph, sources []int, opt Options) *MultiResult {
 	n := g.NumVertices()
 	words := opt.batchWords()
 
-	eng := opt.engine()
 	seen := bitset.NewState(n, words)
 	frontierBits := bitset.NewState(n, words)
 	nextBits := bitset.NewState(n, words)
 	inJFQ := bitset.NewBitmap(n) // dedupe for JFQ insertion
 	return runBatches(sources, opt, func(batch []int, _ int) batchOut {
-		return ibfsBatch(g, batch, opt, eng, seen, frontierBits, nextBits, inJFQ)
+		return ibfsBatch(g, batch, opt, seen, frontierBits, nextBits, inJFQ)
 	})
 }
 
-func ibfsBatch(g *graph.Graph, batch []int, opt Options, eng *Engine,
+func ibfsBatch(g *graph.Graph, batch []int, opt Options,
 	seen, frontierBits, nextBits *bitset.State, inJFQ *bitset.Bitmap) batchOut {
 	n := g.NumVertices()
 	k := len(batch)
 	workers := opt.workers()
-	rec := newIterRecorder(opt, "ibfs", k, nil)
+	rec := newIterRecorder(opt, "ibfs", k, nil, nil)
 	var levels [][]int32
 	if opt.RecordLevels {
-		levels = eng.borrowLevelRows(n, k) //bfs:arena-held rows ride in the returned MultiResult; the caller frees them with Engine.ReleaseLevels
+		levels = newLevelRows(n, k)
 	}
 
 	start := time.Now()

@@ -51,12 +51,12 @@ func MSBFSPerCore(g *graph.Graph, sources []int, opt Options) *MultiResult {
 // triple the instance reuses across its batches (each batch re-zeroes it)
 // and returns the batch runner.
 func openMSBFS(g *graph.Graph, opt Options, direct bool) batchFunc {
-	n, words, eng := g.NumVertices(), opt.batchWords(), opt.engine()
+	n, words := g.NumVertices(), opt.batchWords()
 	seen := bitset.NewState(n, words)
 	frontier := bitset.NewState(n, words)
 	next := bitset.NewState(n, words)
 	return func(batch []int, _ int) batchOut {
-		return msbfsBatch(g, batch, opt, direct, eng, seen, frontier, next)
+		return msbfsBatch(g, batch, opt, direct, seen, frontier, next)
 	}
 }
 
@@ -65,14 +65,14 @@ func openMSBFS(g *graph.Graph, opt Options, direct bool) batchFunc {
 // are fully re-zeroed at batch start.
 //
 //bfs:singlewriter MS-BFS is the sequential baseline of Then et al.; one goroutine owns all state
-func msbfsBatch(g *graph.Graph, batch []int, opt Options, direct bool, eng *Engine,
+func msbfsBatch(g *graph.Graph, batch []int, opt Options, direct bool,
 	seen, frontier, next *bitset.State) batchOut {
 	n := g.NumVertices()
 	k := len(batch)
-	rec := newIterRecorder(opt, "ms-bfs", k, nil)
+	rec := newIterRecorder(opt, "ms-bfs", k, nil, nil)
 	var levels [][]int32
 	if opt.RecordLevels {
-		levels = eng.borrowLevelRows(n, k) //bfs:arena-held rows ride in the returned MultiResult; the caller frees them with Engine.ReleaseLevels
+		levels = newLevelRows(n, k)
 	}
 
 	start := time.Now()

@@ -156,7 +156,11 @@ func (e *MSPBFSEngine) Close() {
 // visitor Run bound (none for MSPBFSPerSocket's instances).
 func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int) batchOut {
 	start := time.Now()
-	levels := e.Seed(batch, batchOffset, e.visit)
+	var levels [][]int32
+	if e.opt.RecordLevels {
+		levels = newLevelRows(e.g.NumVertices(), len(batch))
+	}
+	e.Seed(batch, batchOffset, levels, e.visit)
 	e.traverse()
 
 	if debugInvariants && levels != nil && e.opt.MaxDepth <= 0 {
@@ -171,27 +175,23 @@ func (e *MSPBFSEngine) runBatch(batch []int, batchOffset int) batchOut {
 }
 
 // Seed starts one batch of k <= 64*words BFSs, source batch[i] on bit i:
-// it scrubs the state, sets every source at depth 0 and returns the
-// batch's level rows (nil unless RecordLevels; the caller frees them with
-// Engine.ReleaseLevels). visit, when non-nil, takes the batch's
-// discoveries as Run's does, from this call until the next Seed or Close;
-// batchOffset is batch[0]'s index among the caller's sources, as visit
-// reports it. Run drives the levels itself; a caller that needs control
-// between levels calls Step once per level.
-func (e *MSPBFSEngine) Seed(batch []int, batchOffset int, visit func(workerID, sourceIdx, vertex, depth int)) [][]int32 {
-	g, opt, n := e.g, e.opt, e.g.NumVertices()
+// it scrubs the state and sets every source at depth 0. levels, when
+// non-nil, holds the caller's k n-long rows, filled with NoLevel: Seed and
+// every Step write the batch's depths into them. visit, when non-nil,
+// takes the batch's discoveries as Run's does, from this call until the
+// next Seed or Close; batchOffset is batch[0]'s index among the caller's
+// sources, as visit reports it. Run drives the levels itself; a caller that
+// needs control between levels calls Step once per level.
+func (e *MSPBFSEngine) Seed(batch []int, batchOffset int, levels [][]int32, visit func(workerID, sourceIdx, vertex, depth int)) {
+	g, opt := e.g, e.opt
 	ov := opt.Overlay
 	k := len(batch)
-	var levels [][]int32
-	if opt.RecordLevels {
-		levels = e.eng.borrowLevelRows(n, k) //bfs:arena-held rows go to Seed's caller (Run's MultiResult or a Step driver), who frees them with Engine.ReleaseLevels
-	}
 
 	// Reset state from any previous batch (skipped when the constructor's
 	// first-touch scrub just ran). The recorder opens after it, so the
 	// scrub's tasks are not charged to the first level.
 	e.scrub()
-	rec := newIterRecorder(opt, "ms-pbfs", k, e.pool)
+	rec := newIterRecorder(opt, "ms-pbfs", k, e.pool, e.eng)
 
 	e.bindBuffers(e.buf0, e.buf1)
 	e.phMask = fillMask(e.mask, k)
@@ -238,7 +238,6 @@ func (e *MSPBFSEngine) Seed(batch []int, batchOffset int, visit func(workerID, s
 		e.dbgSeen = int64(e.seen.CountAll())
 	}
 	e.begin(rec, int64(k), frontVertices, frontEdges)
-	return levels
 }
 
 // Step runs the next level of the batch Seed started and returns the

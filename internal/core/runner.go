@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -37,6 +38,16 @@ func newMultiResult(sources []int, opt Options) *MultiResult {
 		res.Levels = make([][]int32, len(sources))
 	}
 	return res
+}
+
+// newLevelRows allocates k level rows of n vertices, each filled with
+// NoLevel. The rows belong to the caller: no arena recycles them.
+func newLevelRows(n, k int) [][]int32 {
+	rows := make([][]int32, k)
+	for i := range rows {
+		rows[i] = slices.Repeat([]int32{NoLevel}, n)
+	}
+	return rows
 }
 
 // add merges the outcome of the batch that starts at off.

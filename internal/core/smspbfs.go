@@ -205,13 +205,13 @@ func (e *SMSPBFSEngine) Run(source int) *Result {
 	ov := opt.Overlay
 	var levels []int32
 	if opt.RecordLevels {
-		levels = e.eng.borrowLevels(n) //bfs:arena-held row rides in the returned Result; the caller frees it with Engine.ReleaseLevels
+		levels = newLevelRows(n, 1)[0]
 	}
 
 	start := time.Now()
 	e.scrub()
 	// Opened after the scrub, so its tasks are not charged to the first level.
-	rec := newIterRecorder(opt, e.repr.algoName(), 1, e.pool)
+	rec := newIterRecorder(opt, e.repr.algoName(), 1, e.pool, e.eng)
 
 	e.bindBuffers(&e.buf0, &e.buf1)
 	e.phLevels = levels

@@ -247,7 +247,6 @@ func engineTable(eng *msbfs.Engine) metricTable {
 		gaugeRow("bfsd_engine_pools_free", func(p *metricPass) float64 { return float64(p.eng.FreePools) }),
 		gaugeRow("bfsd_engine_pooled_workers", func(p *metricPass) float64 { return float64(p.eng.PooledWorkers) }),
 		gaugeRow("bfsd_engine_arena_free_shells", func(p *metricPass) float64 { return float64(p.eng.FreeShells) }),
-		gaugeRow("bfsd_engine_arena_free_level_rows", func(p *metricPass) float64 { return float64(p.eng.FreeLevelRows) }),
 		gaugeRow("bfsd_engine_arena_free_bytes", func(p *metricPass) float64 { return float64(p.eng.FreeBytes) }),
 		gaugeRow("bfsd_engine_borrowed", func(p *metricPass) float64 { return float64(p.eng.Borrowed) }),
 		counterRow("bfsd_engine_arena_hits_total", hits),

@@ -52,9 +52,9 @@ func metricKeys(t *testing.T, text string) map[string]string {
 
 // parentMetricKeys is what /metrics printed for a static, a dynamic and a
 // cluster graph before every number came from one table, prefixed by each
-// graph that carries them: 55 keys per daemon, less the two engine rows
-// that counted parked bitset states and bitmaps, whose free lists are
-// gone.
+// graph that carries them: 55 keys per daemon, less the three engine rows
+// that counted parked bitset states, bitmaps and level rows, whose free
+// lists are gone.
 func parentMetricKeys(static, dynamic, remote string) []string {
 	serving := []string{
 		"bfsd_requests_total", "bfsd_rejected_total", "bfsd_canceled_total",
@@ -81,8 +81,7 @@ func parentMetricKeys(static, dynamic, remote string) []string {
 	}
 	engine := []string{
 		"bfsd_engine_pools_free", "bfsd_engine_pooled_workers",
-		"bfsd_engine_arena_free_shells", "bfsd_engine_arena_free_level_rows",
-		"bfsd_engine_arena_free_bytes", "bfsd_engine_borrowed",
+		"bfsd_engine_arena_free_shells", "bfsd_engine_arena_free_bytes", "bfsd_engine_borrowed",
 		"bfsd_engine_arena_hits_total", "bfsd_engine_arena_misses_total",
 	}
 	var keys []string
@@ -210,7 +209,7 @@ func TestStatsSeriesMatchMetrics(t *testing.T) {
 	// bfsd_compactions_total. New keys are quantiles of a histogram the
 	// parent already exported, and the engine's hit ratio.
 	parent := parentMetricKeys("demo", "live", "remote")
-	if len(parent) != 22*3+14+9+8 {
+	if len(parent) != 22*3+14+9+7 {
 		t.Fatalf("pinned %d parent keys", len(parent))
 	}
 	for _, k := range parent {

@@ -463,8 +463,8 @@ func TestClusterExchangeCounts(t *testing.T) {
 	for _, it := range single.Iterations {
 		wantScanned += it.ScannedEdges
 	}
-	if wantScanned != 1168594 {
-		t.Fatalf("single-process top-down scanned %d edges, want 1168594", wantScanned)
+	if wantScanned != 1247271 {
+		t.Fatalf("single-process top-down scanned %d edges, want 1247271", wantScanned)
 	}
 
 	for _, tc := range []struct {
@@ -472,8 +472,8 @@ func TestClusterExchangeCounts(t *testing.T) {
 		frontierBytes int64
 		rawBytes      int64
 	}{
-		{2, 382512, 917504},
-		{4, 503980, 2752512},
+		{2, 403728, 917504},
+		{4, 530868, 2752512},
 	} {
 		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
 			tracer := obs.NewTracer()
@@ -492,8 +492,8 @@ func TestClusterExchangeCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.VisitedStates != 802368 {
-				t.Errorf("VisitedStates = %d, want 802368", res.VisitedStates)
+			if res.VisitedStates != 800704 {
+				t.Errorf("VisitedStates = %d, want 800704", res.VisitedStates)
 			}
 			met := ip.Coord.Metrics()
 			if got := met.FrontierBytes.Load(); got != tc.frontierBytes {

@@ -44,71 +44,71 @@ func levelTrace(its []obs.IterationRecord, visited int64) string {
 // single-source runs, bit state) at 2 workers on the golden striped
 // scale-14 graphs. The vertex space a kernel sweeps must not change what
 // it decides or scans; the n-wide sweep's counts were pinned here before
-// the active prefix, and these, re-recorded when the generator's stream
+// the active prefix, and these, re-recorded when the generator's draw
 // changed, are the prefix sweep's.
 var pinnedLevelTraces = map[string][]string{
 	"ms/1": {
-		"tbbbbtb 2983,426002,202946,31974,469,461,8 803008",
+		"tbbbbtb 2996,425948,120283,30074,378,374,4 799936",
 	},
 	"sms/1": {
-		"ttbbtb 1,1758,11625,737,917,8 12547",
-		"ttbbt 33,16733,6777,117,113 12547",
-		"ttbbbt 1,272,21341,2978,34,27 12547",
-		"tbbbt 106,30095,4652,58,52 12547",
-		"ttbbt 30,11738,8286,203,207 12547",
-		"ttbbtb 9,2165,12116,809,1034,8 12547",
-		"ttbbbt 3,1377,12925,1012,10,2 12547",
-		"ttbbtb 6,3186,11128,559,643,8 12547",
-		"ttbbbt 3,479,17392,2186,23,16 12547",
-		"ttbbbt 1,278,19776,2845,31,23 12547",
-		"ttbbbt 1,773,14506,1559,13,5 12547",
-		"ttbbtb 5,2181,11941,753,938,8 12547",
-		"tbbbt 303,19463,2793,28,20 12547",
-		"ttbbt 23,10633,8443,214,223 12547",
-		"ttbbtb 3,3796,10157,401,440,8 12547",
-		"ttbbtb 9,5350,9556,339,366,8 12547",
+		"ttbbtb 1,1780,11550,742,899,4 12499",
+		"ttbbtb 33,17983,6630,110,110,4 12499",
+		"ttbbbt 1,771,13930,1468,16,12 12499",
+		"tbbbtb 106,31336,4531,64,60,4 12499",
+		"ttbbtb 30,11489,8286,200,209,4 12499",
+		"ttbbtb 9,4038,10406,486,554,4 12499",
+		"ttbbtb 3,2070,11332,679,805,4 12499",
+		"ttbbtb 6,5922,8360,234,243,4 12499",
+		"ttbbtb 3,1945,11444,695,826,4 12499",
+		"tttbbtb 1,25,11618,7443,158,159,4 12499",
+		"tttbbtb 1,33,17966,6506,115,116,4 12499",
+		"ttbbbt 5,1199,13601,1340,15,11 12499",
+		"tbbbt 303,17999,2598,23,19 12499",
+		"ttbbtb 24,8599,8803,276,291,4 12499",
+		"ttbbtb 3,1908,11440,718,863,4 12499",
+		"ttbbtb 9,5076,9981,408,453,4 12499",
 	},
 	"ms/7": {
-		"tbbbbt 2678,423812,53189,14619,92,86 805440",
+		"tbbbbt 2680,426494,210388,33003,713,711 799744",
 	},
 	"sms/7": {
-		"ttbbtb 4,4499,9880,409,435,6 12585",
-		"ttbbt 24,10316,8608,251,258 12585",
-		"ttbbbt 2,147,26512,4107,48,42 12585",
-		"ttbbtb 7,2518,11808,825,1004,6 12585",
-		"ttbbbt 2,1051,13688,1341,11,5 12585",
-		"ttbbt 13,4928,10153,473,520 12585",
-		"ttbbbt 2,575,15513,2033,14,8 12585",
-		"ttbbbt 2,387,16846,2491,17,11 12585",
-		"ttbbtb 11,4013,10447,515,582,6 12585",
-		"ttbbt 30,12437,7947,216,215 12585",
-		"ttbbt 7,3806,10158,473,534 12585",
-		"tbbbt 106,28230,4521,48,42 12585",
-		"ttbbtb 3,1902,11701,787,962,6 12585",
-		"ttbbbt 1,286,19205,2850,23,17 12585",
-		"tbbbt 285,19566,2911,27,21 12585",
-		"ttbbbt 1,800,14110,1509,10,4 12585",
+		"ttbbt 4,6534,8234,197,206 12496",
+		"ttbbt 23,6263,9916,368,420 12496",
+		"ttbbbt 2,810,14121,1518,5,1 12496",
+		"ttbbtb 8,3804,10420,451,504,4 12496",
+		"ttbbbt 3,609,16028,2008,12,8 12496",
+		"ttbbtb 13,2585,11600,724,885,4 12496",
+		"ttbbbt 2,331,17895,2551,15,11 12496",
+		"ttbbtb 2,2537,11020,565,668,4 12496",
+		"ttbbt 11,5640,9748,347,390 12496",
+		"ttbbt 30,21264,6364,89,86 12496",
+		"ttbbt 7,4544,10076,398,432 12496",
+		"tbbbt 106,32964,4823,44,40 12496",
+		"ttbbbt 3,1076,13514,1293,9,5 12496",
+		"ttbbbt 1,89,28516,4480,43,41 12496",
+		"tbbbt 284,19509,2733,17,13 12496",
+		"ttbbbt 1,293,19478,2739,22,18 12496",
 	},
 	"ms/20170321": {
-		"tbbbbtb 907,425682,152181,32516,560,548,12 802368",
+		"tbbbbtb 905,425696,67934,21203,119,117,2 800704",
 	},
 	"sms/20170321": {
-		"ttbbtb 37,20979,6236,105,93,12 12537",
-		"ttbbtb 28,10736,8423,226,235,12 12537",
-		"ttbbtb 4,2610,11118,581,674,12 12537",
-		"tbbbtb 110,30557,4424,59,46,12 12537",
-		"ttbbbt 2,579,16502,2092,25,13 12537",
-		"tbbbt 108,30601,4690,62,50 12537",
-		"ttbbtb 7,1898,12208,893,1113,12 12537",
-		"ttbbbtb 1,96,38937,5145,70,58,12 12537",
-		"ttbbbt 7,1604,12722,1008,17,5 12537",
-		"ttbbbt 3,1088,13666,1317,19,7 12537",
-		"ttbbtb 12,2082,12245,923,1195,12 12537",
-		"ttbbtb 5,2372,11669,731,867,12 12537",
-		"ttbbtb 6,5843,8638,237,238,12 12537",
-		"ttbbtb 13,8268,8790,266,273,12 12537",
-		"ttbbbt 3,922,14251,1480,20,8 12537",
-		"ttbbtb 36,18480,6538,116,105,12 12537",
+		"ttbbtb 37,15234,7608,157,164,2 12511",
+		"ttbbtb 28,13182,7953,176,182,2 12511",
+		"ttbbbtb 4,258,22775,3226,29,27,2 12511",
+		"tbbbtb 110,25957,4237,39,37,2 12511",
+		"ttbbbt 2,411,17673,2310,18,16 12511",
+		"tbbbtb 109,35835,4886,54,53,2 12511",
+		"ttbbbt 7,1347,13041,1070,10,8 12511",
+		"ttbbbt 1,260,20834,3061,20,18 12511",
+		"ttbbtb 7,3190,10808,534,636,2 12511",
+		"ttbbtb 3,2841,10906,531,641,2 12511",
+		"ttbbtb 12,3457,11171,591,707,2 12511",
+		"ttbbtb 5,3076,10770,537,642,2 12511",
+		"ttbbtb 6,1895,12157,815,1082,2 12511",
+		"ttbbtb 13,7012,9220,286,315,2 12511",
+		"ttbbtb 3,1891,11646,692,865,2 12511",
+		"ttbbtb 36,14960,7724,149,161,2 12511",
 	},
 }
 
@@ -173,8 +173,8 @@ func shellBytes(active, words int) int64 {
 func TestShellStateIsActivePrefix(t *testing.T) {
 	g := goldenStriped(14, 20170321)
 	a := g.ActivePrefix()
-	if a != 12549 {
-		t.Fatalf("active prefix %d, want 12549", a)
+	if a != 12513 {
+		t.Fatalf("active prefix %d, want 12513", a)
 	}
 	for _, words := range []int{1, 2} {
 		eng := NewEngine()

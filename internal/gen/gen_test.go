@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -97,24 +98,120 @@ func TestKroneckerProperties(t *testing.T) {
 	}
 }
 
-// TestRMATThresholdsExact: each threshold t_p is the least 32-bit draw r
-// with r/2^32 ≥ p, compared exactly as r·100 against p·100·2^32. A
+// TestRMATAliasExact: every five-level outcome o gets exactly its integer
+// mass W[o] of the 2^32 draws — its own cell's slots below the threshold
+// plus the slots at and above the threshold of every cell that names it as
+// alias — and W[o] is within 1 of its exact target num(o)·2^32/10^10,
+// compared as |W[o]·10^10 − num(o)·2^32| < 10^10 in 128-bit integers. A
 // threshold one off would change a graph only when a draw lands on it,
-// about once in 2^32 draws, which the golden hashes may not reach.
-func TestRMATThresholdsExact(t *testing.T) {
-	for _, th := range []struct {
-		name    string
-		t       uint64
-		percent uint64
-	}{{"A", tA, 57}, {"A+B", tAB, 76}, {"A+B+C", tABC, 95}} {
-		p := th.percent << 32 // p·100·2^32
-		if (th.t-1)*100 >= p || th.t*100 < p {
-			t.Errorf("%s: threshold %d is not the least 32-bit draw r with r/2^32 ≥ %d/100", th.name, th.t, th.percent)
+// about once in 2^22 draws of that cell, which the golden hashes may not
+// reach.
+func TestRMATAliasExact(t *testing.T) {
+	const slots = 1 << aliasBits
+	outcome := patternOutcomes(t)
+	var mass [aliasCells]uint64
+	for c, cell := range rmatAlias {
+		if cell.own != spread5(c) || cell.thresh > slots {
+			t.Fatalf("cell %d: own %#x, threshold %d; want own %#x and a threshold ≤ 2^22", c, cell.own, cell.thresh, spread5(c))
+		}
+		alt, ok := outcome[cell.alt]
+		if !ok {
+			t.Fatalf("cell %d: alias pattern %#x names no outcome", c, cell.alt)
+		}
+		mass[c] += cell.thresh
+		mass[alt] += slots - cell.thresh
+	}
+	w := rmatWeights()
+	var sum uint64
+	for o := range aliasCells {
+		sum += w[o]
+		if mass[o] != w[o] {
+			t.Errorf("outcome %d: the cells give it %d of 2^32 draws, want W = %d", o, mass[o], w[o])
+		}
+		num := uint64(1)
+		for j := range aliasLevels {
+			num *= []uint64{57, 19, 19, 5}[o>>(2*j)&3]
+		}
+		// |W·10^10 − num·2^32|, each side a 128-bit product.
+		const denom = 10_000_000_000
+		wh, wl := bits.Mul64(w[o], denom)
+		th, tl := num>>32, num<<32
+		if wh < th || wh == th && wl < tl {
+			wh, wl, th, tl = th, tl, wh, wl
+		}
+		dl, borrow := bits.Sub64(wl, tl, 0)
+		if dh, _ := bits.Sub64(wh, th, borrow); dh != 0 || dl >= denom {
+			t.Errorf("outcome %d: W = %d is not within 1 of %d·2^32/10^10", o, w[o], num)
 		}
 	}
-	for r, want := range map[uint64]uint64{0: 0, tA - 1: 0, tA: 1, tAB - 1: 1, tAB: 2, tABC - 1: 2, tABC: 3, 1<<32 - 1: 3} {
-		if got := quadrant(r); got != want {
-			t.Errorf("quadrant(%d) = %d, want %d", r, got, want)
+	if sum != 1<<32 {
+		t.Errorf("the masses sum to %d, want 2^32", sum)
+	}
+	// One cell's border: x = thresh − 1 picks its own outcome, x = thresh
+	// its alias.
+	for c, cell := range rmatAlias {
+		if cell.thresh == 0 || cell.thresh == slots {
+			continue
+		}
+		r := uint64(c) << aliasBits
+		if got := pick(r + cell.thresh - 1); got != cell.own {
+			t.Errorf("cell %d, x = thresh − 1: picked %#x, want its own %#x", c, got, cell.own)
+		}
+		if got := pick(r + cell.thresh); got != cell.alt {
+			t.Errorf("cell %d, x = thresh: picked %#x, want its alias %#x", c, got, cell.alt)
+		}
+		break
+	}
+}
+
+// patternOutcomes maps each five-level outcome's bit pattern back to the
+// outcome, failing t unless every outcome has a pattern of its own.
+func patternOutcomes(t *testing.T) map[uint64]int {
+	outcome := make(map[uint64]int, aliasCells)
+	for o := range aliasCells {
+		outcome[spread5(o)] = o
+	}
+	if len(outcome) != aliasCells {
+		t.Fatalf("%d distinct patterns for %d outcomes", len(outcome), aliasCells)
+	}
+	return outcome
+}
+
+// TestRMATEdgeEveryScale: at every scale 0…32, each endpoint rmatEdge
+// draws is below 2^scale, the edge reads ⌈⌈scale/5⌉/2⌉ words, and level
+// ℓ's bits of u and v are the quadrant that level takes in the five-level
+// outcome of the pick holding it — pick ⌊ℓ/5⌋, from the high half of word
+// ⌊ℓ/10⌋ when that pick is even and the low half when it is odd. Scales
+// 31 and 32 draw 35 levels, where u and v sharing one word would spill.
+func TestRMATEdgeEveryScale(t *testing.T) {
+	outcome := patternOutcomes(t)
+	for scale := 0; scale <= 32; scale++ {
+		draws := (scale + aliasLevels - 1) / aliasLevels
+		surplus := uint(draws*aliasLevels - scale)
+		words := uint64(draws+1) / 2
+		for i := range uint64(3000) {
+			start := 0x5eed + i*words*splitmixGamma
+			next, u, v := rmatEdge(start, draws, surplus)
+			if next != start+words*splitmixGamma {
+				t.Fatalf("scale %d, edge %d: counter %#x after the edge, want %#x (%d words)", scale, i, next, start+words*splitmixGamma, words)
+			}
+			if u>>scale != 0 || v>>scale != 0 {
+				t.Fatalf("scale %d, edge %d: u = %#x, v = %#x, not below 2^%d", scale, i, u, v, scale)
+			}
+			for level := range scale {
+				d := level / aliasLevels
+				w := splitmix(start + uint64(d/2+1)*splitmixGamma)
+				r := w >> 32
+				if d%2 == 1 {
+					r = w & (1<<32 - 1)
+				}
+				o := outcome[pick(r)]
+				q := uint64(o >> (2 * (aliasLevels - 1 - level%aliasLevels)) & 3)
+				bit := uint(scale - 1 - level)
+				if u>>bit&1 != q>>1 || v>>bit&1 != q&1 {
+					t.Fatalf("scale %d, edge %d, level %d: bits (%d, %d), want quadrant %d's", scale, i, level, u>>bit&1, v>>bit&1, q)
+				}
+			}
 		}
 	}
 }

@@ -72,9 +72,12 @@ func NewGraphFromAdjacency(offsets, adjacency []uint32) *Graph {
 
 // GenerateKronecker produces a Graph500-style Kronecker (R-MAT) graph with
 // 2^scale vertices and about edgeFactor edges per vertex. The Graph500
-// benchmark uses edgeFactor 16. The result is deterministic in (scale,
-// edgeFactor, seed): edge i is a function of (seed, scale, i) only, so a
-// larger edgeFactor draws the smaller one's edges first and adds to them.
+// benchmark uses edgeFactor 16. Endpoints follow Graph500's quadrant
+// probabilities (0.57, 0.19, 0.19, 0.05), five levels drawn at a time
+// from their product distribution, each five-level outcome to within
+// 2^-32. The result is deterministic in (scale, edgeFactor, seed): edge i
+// is a function of (seed, scale, i) only, so a larger edgeFactor draws
+// the smaller one's edges first and adds to them.
 // It panics, naming the argument, on a scale outside [0, 32], a negative
 // edgeFactor, or 2^scale × edgeFactor edges more than one CSR build
 // addresses (gen.Kronecker).

@@ -301,7 +301,7 @@ func run(logger *slog.Logger, graphs graphFlags, addr, debugAddr string, shards 
 		"pooled_workers", st.PooledWorkers,
 		"arena_free_shells", st.FreeShells,
 		"arena_free_bytes", st.FreeBytes,
-		"arena_hits", st.Hits, "arena_lookups", st.Hits+st.Misses)
+		"arena_lifetime_hits", st.Hits, "arena_lifetime_lookups", st.Hits+st.Misses)
 	logger.Info("drained cleanly")
 	return nil
 }

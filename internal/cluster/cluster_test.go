@@ -355,11 +355,14 @@ func TestClusterCancelMidQuery(t *testing.T) {
 }
 
 // TestClusterShardKillMidQuery kills a shard while queries stream through
-// the barrier and requires a prompt typed failure, not a hang. Run under
-// -race this also shakes the teardown paths.
+// the barrier and requires a prompt typed failure, not a hang, and the
+// failed queries' flight records. Run under -race this also shakes the
+// teardown paths.
 func TestClusterShardKillMidQuery(t *testing.T) {
-	ip, err := StartInproc(context.Background(), 4,
-		ShardOptions{Workers: 2, StepTimeout: 2 * time.Second}, CoordinatorOptions{})
+	const shards = 4
+	tracer := obs.NewTracer()
+	ip, err := StartInproc(context.Background(), shards,
+		ShardOptions{Workers: 2, StepTimeout: 2 * time.Second}, CoordinatorOptions{Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +400,20 @@ func TestClusterShardKillMidQuery(t *testing.T) {
 	}
 	if ip.Coord.Metrics().QueryErrors.Load() == 0 {
 		t.Error("QueryErrors not incremented")
+	}
+	// Each failed query published its record, holding the levels every
+	// shard answered before the failure: none for the fail-fast one.
+	trace := tracer.Snapshot()
+	if len(trace.Traversals) != 2 {
+		t.Fatalf("%d traversals recorded after two failed queries, want 2", len(trace.Traversals))
+	}
+	for _, tv := range trace.Traversals {
+		if len(tv.ShardSteps) != shards*len(tv.Iterations) {
+			t.Errorf("traversal %d: %d shard steps for %d levels", tv.ID, len(tv.ShardSteps), len(tv.Iterations))
+		}
+	}
+	if n := len(trace.Traversals[1].Iterations); n != 0 {
+		t.Errorf("query against a dead shard recorded %d levels, want 0", n)
 	}
 }
 
@@ -450,9 +467,10 @@ func TestClusterCompressionRatio(t *testing.T) {
 
 // TestClusterExchangeCounts pins the level exchange as counts on a
 // scale-14 fixture: the codec bytes and raw bytes every shard ships, the
-// visited states, and the edges the shards scan. Summed over shards the
-// scan must equal single-process top-down exactly — each shard scans the
-// frontier rows it owns and nothing else.
+// visited states, and the edges the shards scan. The coordinator's record
+// must equal single-process top-down level for level in scanned edges and
+// produced frontier vertices — each shard scans the frontier rows it owns
+// and nothing else, and reports both counts on its traced step reply.
 func TestClusterExchangeCounts(t *testing.T) {
 	g0 := msbfs.GenerateKronecker(14, 16, 20170321)
 	g, _ := g0.Relabel(msbfs.LabelStriped, 2, 512, 1)
@@ -473,12 +491,13 @@ func TestClusterExchangeCounts(t *testing.T) {
 		rawBytes      int64
 	}{
 		{2, 403728, 917504},
+		{3, 513776, 1835008},
 		{4, 530868, 2752512},
 	} {
 		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
 			tracer := obs.NewTracer()
 			ip, err := StartInproc(context.Background(), tc.shards,
-				ShardOptions{Workers: 2, StepTimeout: DefaultInprocStepTimeout, Tracer: tracer},
+				ShardOptions{Workers: 2, StepTimeout: DefaultInprocStepTimeout},
 				CoordinatorOptions{Tracer: tracer})
 			if err != nil {
 				t.Fatal(err)
@@ -502,20 +521,22 @@ func TestClusterExchangeCounts(t *testing.T) {
 			if got := met.FrontierRawBytes.Load(); got != tc.rawBytes {
 				t.Errorf("FrontierRawBytes = %d, want %d", got, tc.rawBytes)
 			}
-			// msgEnd, which RunBatch awaits, published the shard records.
-			var scanned int64
-			var shardRecords int
-			for _, tv := range tracer.Snapshot().Traversals {
-				if tv.Algo != "cluster/shard" {
-					continue
-				}
-				shardRecords++
-				for _, it := range tv.Iterations {
-					scanned += it.ScannedEdges
-				}
+			trace := tracer.Snapshot()
+			if len(trace.Traversals) != 1 {
+				t.Fatalf("%d traversals recorded, want 1", len(trace.Traversals))
 			}
-			if shardRecords != tc.shards {
-				t.Fatalf("%d shard-local records, want %d", shardRecords, tc.shards)
+			iters := trace.Traversals[0].Iterations
+			if len(iters) != len(single.Iterations) {
+				t.Fatalf("coordinator recorded %d levels, single-process top-down %d", len(iters), len(single.Iterations))
+			}
+			var scanned int64
+			for i, it := range iters {
+				want := single.Iterations[i]
+				if it.ScannedEdges != want.ScannedEdges || it.FrontierVertices != want.FrontierVertices {
+					t.Errorf("level %d: scanned %d, frontier %d; single-process top-down %d, %d",
+						it.Iteration, it.ScannedEdges, it.FrontierVertices, want.ScannedEdges, want.FrontierVertices)
+				}
+				scanned += it.ScannedEdges
 			}
 			if scanned != wantScanned {
 				t.Errorf("shards scanned %d edges in total, want %d", scanned, wantScanned)

@@ -224,8 +224,10 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 	// A traced coordinator announces its trace id on msgStart; the shards
 	// then measure every step and piggyback the sub-phase times on the
 	// reply. Untraced queries send a zero id, which encodeStart encodes as
-	// zero extra bytes — the shards never read the clock for them.
+	// zero extra bytes — the shards never read the clock for them. A failed
+	// query's record is published too, holding the levels that completed.
 	tv := c.tracer.StartTraversal("cluster/ms-pbfs", k)
+	defer tv.Finish()
 	var traceID uint64
 	if tv != nil {
 		traceID = tv.ID
@@ -271,7 +273,6 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 		}
 		level++
 		iterStart := time.Now()
-		frontier := totalNext
 		var nextSum, sentSum, rawSum atomic.Int64
 		stepPayload := encodeQueryRef(qid, uint64(level))
 		if err := c.fanOut(func(s int) error {
@@ -303,15 +304,22 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 					Decode:     time.Duration(d.trace.decodeNanos),
 					Apply:      time.Duration(d.trace.applyNanos),
 					NextStates: d.nextStates, SentBytes: d.sentBytes, RawBytes: d.rawBytes,
+					Scanned:  int64(d.trace.scanned),
+					Frontier: int64(d.trace.frontier),
 				}
 			}
 			return nil
 		}); err != nil {
 			return err
 		}
+		// The level's scanned edges and produced frontier are the sums of
+		// the shards' own, each over its owned rows.
+		var scanned, frontier int64
 		for _, st := range steps {
 			if !st.ReplyRecv.IsZero() {
 				tv.RecordShardStep(st)
+				scanned += st.Scanned
+				frontier += st.Frontier
 			}
 		}
 		totalNext = nextSum.Load()
@@ -323,6 +331,7 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 			Reason:           "cluster/1d-exchange",
 			FrontierVertices: frontier,
 			UpdatedStates:    totalNext,
+			ScannedEdges:     scanned,
 			Visited:          visited,
 			Duration:         time.Since(iterStart),
 			ExchangeBytes:    sentSum.Load(),
@@ -340,8 +349,6 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 	// in-process kernel does: one per batch slot at seed time plus every
 	// new state each level produced.
 	res.VisitedStates += visited
-
-	tv.Finish(0, 0)
 	return nil
 }
 

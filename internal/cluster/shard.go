@@ -11,7 +11,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -33,12 +32,6 @@ type ShardOptions struct {
 	Workers int
 	// StepTimeout bounds the per-level barrier wait (0: DefaultStepTimeout).
 	StepTimeout time.Duration
-	// Tracer, when non-nil, keeps a shard-local flight record of every
-	// traced query (one Traversal per query with per-level iteration
-	// records). It only ever sees queries whose msgStart carried a trace
-	// id: shards trace when the coordinator asks, never on their own, so
-	// an untraced query costs nothing here regardless of this field.
-	Tracer *obs.Tracer
 }
 
 // Shard is one bfsd shard process: it owns a contiguous vertex slice of
@@ -93,9 +86,6 @@ type shardQuery struct {
 	// every step then measures its sub-phases and piggybacks a stepTrace
 	// section on the reply. Untraced queries never read the clock.
 	traced bool
-	// tv is the shard-local flight record (nil unless the shard has its
-	// own Tracer AND the query is traced).
-	tv *obs.Traversal
 }
 
 // levelSlabs recycles the shards' level rows: a recording query cuts its k
@@ -410,12 +400,6 @@ func (s *Shard) handleStart(payload []byte) error {
 		inbox:  make(chan *deltaMsg, g.part.Parts()),
 		traced: m.traceID != 0,
 	}
-	if q.traced {
-		// StartTraversal is nil-safe: without a shard-local Tracer the
-		// query still measures and ships sub-phase times, it just keeps no
-		// local copy.
-		q.tv = s.opt.Tracer.StartTraversal("cluster/shard", k)
-	}
 	// The whole batch is seeded on every shard, as a single-process run
 	// seeds it: a foreign source's row is empty, so it scans nothing, and
 	// its level entry lies outside the rows handleResult returns. A batch
@@ -497,8 +481,7 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 	x := &stepExchange{s: s, q: q, qid: qid, level: level}
 	if q.traced {
 		x.tr = &stepTrace{}
-		x.start = time.Now()
-		x.mark = x.start
+		x.mark = time.Now()
 	}
 	frontier, next, scanned, err := q.e.Step(x.run)
 	if err != nil {
@@ -507,17 +490,8 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 	d := stepDone{nextStates: next, sentBytes: x.sent, rawBytes: x.raw}
 	if x.tr != nil {
 		x.tr.applyNanos = x.lap()
+		x.tr.scanned, x.tr.frontier = uint64(scanned), uint64(frontier)
 		d.trace = x.tr
-		q.tv.Record(obs.IterationRecord{
-			Iteration:        level,
-			Reason:           "cluster/shard-step",
-			FrontierVertices: frontier,
-			UpdatedStates:    next,
-			ScannedEdges:     scanned,
-			Duration:         x.mark.Sub(x.start),
-			ExchangeBytes:    x.sent,
-			ExchangeRawBytes: x.raw,
-		})
 	}
 	return encodeStepDone(d), nil
 }
@@ -538,8 +512,8 @@ type stepExchange struct {
 	level     int
 	sent, raw int64 // codec bytes and raw bitset bytes shipped
 
-	tr          *stepTrace // nil when untraced: the clock is never read
-	start, mark time.Time
+	tr   *stepTrace // nil when untraced: the clock is never read
+	mark time.Time
 }
 
 // lap returns the time since the last phase boundary and moves the mark
@@ -675,13 +649,11 @@ func (s *Shard) handleEnd(payload []byte) error {
 	return nil
 }
 
-// releaseQuery publishes the shard-local flight record (nil-safe: tv is set
-// only for traced queries on shards with their own Tracer), puts the level
-// rows' slab back and hands the engine back, after any step in flight.
+// releaseQuery puts the level rows' slab back and hands the engine back,
+// after any step in flight.
 func (s *Shard) releaseQuery(q *shardQuery) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.tv.Finish(0, 0)
 	if q.slab != nil {
 		levelSlabs.Put(q.slab)
 	}

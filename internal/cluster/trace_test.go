@@ -167,9 +167,17 @@ func TestUntracedWireBytesUnchanged(t *testing.T) {
 		t.Errorf("decodeStepDone(legacy): trace=%v err=%v, want nil trace", d.trace, err)
 	}
 
+	// A traced reply appends the six phase times, then scanned and frontier.
 	withTrace := plain
 	withTrace.trace = &stepTrace{scanNanos: 1, encodeNanos: 2, sendNanos: 3,
-		waitNanos: 4, decodeNanos: 5, applyNanos: 6}
+		waitNanos: 4, decodeNanos: 5, applyNanos: 6, scanned: 7, frontier: 8}
+	tracedDone := append([]byte(nil), legacyDone...)
+	for v := uint64(1); v <= 8; v++ {
+		tracedDone = binary.AppendUvarint(tracedDone, v)
+	}
+	if got := encodeStepDone(withTrace); !bytes.Equal(got, tracedDone) {
+		t.Errorf("traced encodeStepDone = %x, want %x", got, tracedDone)
+	}
 	d, err = decodeStepDone(encodeStepDone(withTrace))
 	if err != nil || d.trace == nil {
 		t.Fatalf("decodeStepDone(traced): trace=%v err=%v", d.trace, err)

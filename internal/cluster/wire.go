@@ -367,9 +367,10 @@ func encodeQueryRef(qid uint64, extra ...uint64) []byte {
 //
 // trace is the optional piggybacked distributed-tracing section: when the
 // query's msgStart carried a trace id, the shard appends its sub-phase
-// wall times so the coordinator can reconstruct one clock-aligned
-// per-shard timeline. Untraced replies append nothing — the encoding is
-// byte-identical to the pre-tracing format.
+// wall times, so the coordinator can reconstruct one clock-aligned
+// per-shard timeline, and its level counts, so the coordinator's record
+// carries the cluster-wide sums. Untraced replies append nothing — the
+// encoding is byte-identical to the pre-tracing format.
 type stepDone struct {
 	nextStates int64
 	sentBytes  int64
@@ -378,8 +379,10 @@ type stepDone struct {
 }
 
 // stepTrace carries one step's sub-phase wall times, measured on the
-// shard's own monotonic clock (nanoseconds). Only durations cross the
-// wire: shard and coordinator clocks are not comparable, so absolute
+// shard's own monotonic clock (nanoseconds), then the level's scanned
+// edges and produced frontier vertices over the shard's owned rows, as
+// core.MSPBFSEngine.Step returns them. Of the clock, only durations cross
+// the wire: shard and coordinator clocks are not comparable, so absolute
 // placement happens coordinator-side from the RPC request/reply
 // timestamps it already owns.
 type stepTrace struct {
@@ -389,10 +392,12 @@ type stepTrace struct {
 	waitNanos   uint64 // phase 3: barrier wait for inbound peer deltas
 	decodeNanos uint64 // phase 3: inbound delta decode + OR into next
 	applyNanos  uint64 // phase 4: the engine's resolve (next &^ seen, levels)
+	scanned     uint64 // neighbor entries the shard examined
+	frontier    uint64 // owned vertices with a bit in the produced frontier
 }
 
 func encodeStepDone(d stepDone) []byte {
-	dst := make([]byte, 0, 9*binary.MaxVarintLen64)
+	dst := make([]byte, 0, 11*binary.MaxVarintLen64)
 	dst = binary.AppendUvarint(dst, uint64(d.nextStates))
 	dst = binary.AppendUvarint(dst, uint64(d.sentBytes))
 	dst = binary.AppendUvarint(dst, uint64(d.rawBytes))
@@ -403,6 +408,8 @@ func encodeStepDone(d stepDone) []byte {
 		dst = binary.AppendUvarint(dst, d.trace.waitNanos)
 		dst = binary.AppendUvarint(dst, d.trace.decodeNanos)
 		dst = binary.AppendUvarint(dst, d.trace.applyNanos)
+		dst = binary.AppendUvarint(dst, d.trace.scanned)
+		dst = binary.AppendUvarint(dst, d.trace.frontier)
 	}
 	return dst
 }
@@ -426,7 +433,7 @@ func decodeStepDone(payload []byte) (stepDone, error) {
 	if len(r.b) > 0 {
 		tr := &stepTrace{}
 		for _, f := range []*uint64{&tr.scanNanos, &tr.encodeNanos, &tr.sendNanos,
-			&tr.waitNanos, &tr.decodeNanos, &tr.applyNanos} {
+			&tr.waitNanos, &tr.decodeNanos, &tr.applyNanos, &tr.scanned, &tr.frontier} {
 			if *f, err = r.uvarint(); err != nil {
 				return d, err
 			}

@@ -65,7 +65,7 @@ func Beamer(g *graph.Graph, source int, variant BeamerVariant, opt Options) *Res
 	if opt.RecordLevels {
 		levels = newLevelRows(n, 1)[0]
 	}
-	rec := newIterRecorder(opt, variant.algoName(), 1, nil, nil)
+	rec := newIterRecorder(opt, variant.algoName(), 1, nil)
 
 	// Total degree sum for the alpha heuristic.
 	edgesTotal := int64(len(g.Adjacency))

@@ -100,9 +100,9 @@ type Options struct {
 	Engine *Engine
 	// Tracer, when non-nil, records a flight record for every traversal:
 	// one entry per BFS iteration with the direction decision and its
-	// reason, frontier/next/visited counts, wall time, per-worker
-	// task/steal counts, and engine arena hit/miss deltas. Nil (the
-	// default) is free — the kernels pay one pointer test per iteration.
+	// reason, frontier/next/visited counts, wall time and per-worker
+	// task/steal counts. Nil (the default) is free — the kernels pay one
+	// pointer test per iteration.
 	Tracer *obs.Tracer
 	// Overlay optionally layers a sorted per-vertex overflow adjacency —
 	// streamed edge inserts not yet compacted into the CSR (see
@@ -248,10 +248,8 @@ func resetCounters(cs []padCounter) {
 type iterRecorder struct {
 	collect bool
 	stats   []obs.IterationRecord
-	// tr is the open flight record and eng the engine whose arena deltas
-	// it stamps (both nil when tracing is off).
-	tr  *obs.Traversal
-	eng *Engine
+	// tr is the open flight record (nil when tracing is off).
+	tr *obs.Traversal
 
 	// pool and the prev* snapshots turn the pool's cumulative per-worker
 	// counters into per-level deltas; scatterSteals is the one mid-level
@@ -264,14 +262,9 @@ type iterRecorder struct {
 
 // newIterRecorder opens the per-traversal instrumentation. algo and
 // sources label the flight record; pool, when non-nil, contributes the
-// per-worker task, steal and busy-time deltas of every level; eng is the
-// shell's engine, nil for the baselines, which stamp no arena deltas.
-func newIterRecorder(opt Options, algo string, sources int, pool *sched.Pool, eng *Engine) iterRecorder {
-	r := iterRecorder{collect: opt.CollectIterStats}
-	if opt.Tracer != nil {
-		r.tr, r.eng = opt.Tracer.StartTraversal(algo, sources), eng
-		r.tr.SetArenaBase(r.eng.arenaCounters())
-	}
+// per-worker task, steal and busy-time deltas of every level.
+func newIterRecorder(opt Options, algo string, sources int, pool *sched.Pool) iterRecorder {
+	r := iterRecorder{collect: opt.CollectIterStats, tr: opt.Tracer.StartTraversal(algo, sources)}
 	if pool != nil && r.on() {
 		r.pool = pool
 		r.prevTasks = pool.TaskCounts(nil)
@@ -314,14 +307,9 @@ func (r *iterRecorder) record(rec obs.IterationRecord) {
 	r.tr.Record(rec)
 }
 
-// finish closes the flight record, stamping the traversal's arena
-// hit/miss deltas. Kernels call it once after the BFS loop.
-func (r *iterRecorder) finish() {
-	if r.tr != nil {
-		hits, misses := r.eng.arenaCounters()
-		r.tr.Finish(hits, misses)
-	}
-}
+// finish closes the flight record. Kernels call it once after the BFS
+// loop.
+func (r *iterRecorder) finish() { r.tr.Finish() }
 
 // deltaSince turns cur, a fresh cumulative snapshot from the pool accessors,
 // into cur-prev in place and advances prev to the snapshot, so prev stays

@@ -193,19 +193,6 @@ func (e *Engine) Stats() EngineStats {
 	return st
 }
 
-// arenaCounters reads just the lifetime hit/miss counters; the tracing
-// layer snapshots them at traversal start and finish to attribute arena
-// behavior per traversal without paying for a full Stats walk. A nil
-// engine, a baseline's, reads zero: the baselines borrow nothing.
-func (e *Engine) arenaCounters() (hits, misses uint64) {
-	if e == nil {
-		return 0, 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.hits, e.misses
-}
-
 // Close shuts down every pooled worker set and drops the arena. The engine
 // stays usable — subsequent borrows allocate fresh and returns are dropped
 // — so callers racing a Close degrade gracefully instead of crashing.

@@ -43,7 +43,7 @@ func ibfsBatch(g *graph.Graph, batch []int, opt Options,
 	n := g.NumVertices()
 	k := len(batch)
 	workers := opt.workers()
-	rec := newIterRecorder(opt, "ibfs", k, nil, nil)
+	rec := newIterRecorder(opt, "ibfs", k, nil)
 	var levels [][]int32
 	if opt.RecordLevels {
 		levels = newLevelRows(n, k)

@@ -69,7 +69,7 @@ func msbfsBatch(g *graph.Graph, batch []int, opt Options, direct bool,
 	seen, frontier, next *bitset.State) batchOut {
 	n := g.NumVertices()
 	k := len(batch)
-	rec := newIterRecorder(opt, "ms-bfs", k, nil, nil)
+	rec := newIterRecorder(opt, "ms-bfs", k, nil)
 	var levels [][]int32
 	if opt.RecordLevels {
 		levels = newLevelRows(n, k)

@@ -191,7 +191,7 @@ func (e *MSPBFSEngine) Seed(batch []int, batchOffset int, levels [][]int32, visi
 	// first-touch scrub just ran). The recorder opens after it, so the
 	// scrub's tasks are not charged to the first level.
 	e.scrub()
-	rec := newIterRecorder(opt, "ms-pbfs", k, e.pool, e.eng)
+	rec := newIterRecorder(opt, "ms-pbfs", k, e.pool)
 
 	e.bindBuffers(e.buf0, e.buf1)
 	e.phMask = fillMask(e.mask, k)

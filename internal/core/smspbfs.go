@@ -211,7 +211,7 @@ func (e *SMSPBFSEngine) Run(source int) *Result {
 	start := time.Now()
 	e.scrub()
 	// Opened after the scrub, so its tasks are not charged to the first level.
-	rec := newIterRecorder(opt, e.repr.algoName(), 1, e.pool, e.eng)
+	rec := newIterRecorder(opt, e.repr.algoName(), 1, e.pool)
 
 	e.bindBuffers(&e.buf0, &e.buf1)
 	e.phLevels = levels

@@ -38,9 +38,8 @@ func (t *Tracer) WriteText(w io.Writer) error {
 }
 
 func writeTraversalText(w io.Writer, tv *Traversal) error {
-	if _, err := fmt.Fprintf(w, "\ntraversal #%d %s sources=%d total=%s arena=%d hit/%d miss\n",
-		tv.ID, tv.Algo, tv.Sources, fmtDur(tv.End.Sub(tv.Start)),
-		tv.ArenaHits, tv.ArenaMisses); err != nil {
+	if _, err := fmt.Fprintf(w, "\ntraversal #%d %s sources=%d total=%s\n",
+		tv.ID, tv.Algo, tv.Sources, fmtDur(tv.End.Sub(tv.Start))); err != nil {
 		return err
 	}
 	exchanged, merged := false, false
@@ -154,10 +153,8 @@ func appendTraversalEvents(events []chromeEvent, tv *Traversal, origin time.Time
 			Ts: micros(tv.Start.Sub(origin)), Dur: micros(tv.End.Sub(tv.Start)),
 			Pid: chromePid, Tid: tid,
 			Args: map[string]any{
-				"sources":      tv.Sources,
-				"iterations":   len(tv.Iterations),
-				"arena_hits":   tv.ArenaHits,
-				"arena_misses": tv.ArenaMisses,
+				"sources":    tv.Sources,
+				"iterations": len(tv.Iterations),
 			},
 		})
 	// Iterations are laid out back to back from the traversal start;
@@ -236,6 +233,8 @@ func appendShardStepEvents(events []chromeEvent, tv *Traversal, origin time.Time
 				"shard":       st.Shard,
 				"level":       st.Level,
 				"next_states": st.NextStates,
+				"scanned":     st.Scanned,
+				"frontier":    st.Frontier,
 				"sent_bytes":  st.SentBytes,
 				"raw_bytes":   st.RawBytes,
 				"rpc_us":      micros(st.ReplyRecv.Sub(st.ReqSent)),

@@ -1,7 +1,7 @@
 // Package obs is the traversal tracing layer: a stdlib-only flight
 // recorder that captures one record per BFS iteration — direction and the
 // heuristic's reason for it, frontier/next/visited counts, wall time,
-// per-worker task and steal counts, and engine arena hit/miss deltas —
+// per-worker task and steal counts, and a cluster query's per-shard steps —
 // plus span-style timing for coarse phases (CSR build, relabel, coalescer
 // flush).
 //
@@ -175,9 +175,13 @@ type ShardStep struct {
 	Decode time.Duration `json:"decode_ns"`
 	Apply  time.Duration `json:"apply_ns"`
 	// NextStates, SentBytes and RawBytes mirror the step reply's
-	// counters for this shard alone (the coordinator's IterationRecord
-	// carries the cluster-wide sums).
+	// counters for this shard alone, and Scanned and Frontier are the
+	// shard's own scanned edges and produced frontier over its stripe of
+	// owned vertices (the coordinator's IterationRecord carries the
+	// cluster-wide sums of all five).
 	NextStates int64 `json:"next_states"`
+	Scanned    int64 `json:"scanned"`
+	Frontier   int64 `json:"frontier"`
 	SentBytes  int64 `json:"sent_bytes,omitempty"`
 	RawBytes   int64 `json:"raw_bytes,omitempty"`
 }
@@ -211,14 +215,6 @@ type Traversal struct {
 	// Start and End bound the traversal's wall time.
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
-	// ArenaHits and ArenaMisses are the engine state-arena checkout
-	// deltas over the traversal: how many pooled arenas were reused vs
-	// freshly allocated while it ran. They are tracer-wide counters
-	// diffed at Start/Finish, so concurrent traversals on one engine
-	// attribute each other's checkouts; single-traversal runs read
-	// exactly their own.
-	ArenaHits   uint64 `json:"arena_hits"`
-	ArenaMisses uint64 `json:"arena_misses"`
 	// Iterations holds one record per BFS iteration, in order.
 	Iterations []IterationRecord `json:"iterations"`
 	// ShardSteps holds the merged multi-process records of a cluster
@@ -226,17 +222,7 @@ type Traversal struct {
 	// the coordinator. Empty for single-process traversals.
 	ShardSteps []ShardStep `json:"shard_steps,omitempty"`
 
-	t                    *Tracer
-	baseHits, baseMisses uint64
-}
-
-// SetArenaBase snapshots the engine arena counters at traversal start;
-// Finish diffs against it. Nil-safe no-op.
-func (tr *Traversal) SetArenaBase(hits, misses uint64) {
-	if tr == nil {
-		return
-	}
-	tr.baseHits, tr.baseMisses = hits, misses
+	t *Tracer
 }
 
 // Record appends one iteration record. Nil-safe no-op. Must be called
@@ -257,15 +243,13 @@ func (tr *Traversal) RecordShardStep(st ShardStep) {
 	tr.ShardSteps = append(tr.ShardSteps, st)
 }
 
-// Finish stamps the end time, computes arena deltas against the base
-// snapshot, and publishes the traversal to its tracer. Nil-safe no-op.
-func (tr *Traversal) Finish(hits, misses uint64) {
+// Finish stamps the end time and publishes the traversal to its tracer.
+// Nil-safe no-op.
+func (tr *Traversal) Finish() {
 	if tr == nil {
 		return
 	}
 	tr.End = time.Now()
-	tr.ArenaHits = hits - tr.baseHits
-	tr.ArenaMisses = misses - tr.baseMisses
 	tr.t.publish(tr)
 }
 

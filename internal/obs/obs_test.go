@@ -13,7 +13,6 @@ import (
 
 func record(t *Tracer, algo string, iters int) {
 	tv := t.StartTraversal(algo, 4)
-	tv.SetArenaBase(10, 2)
 	for i := 1; i <= iters; i++ {
 		tv.Record(IterationRecord{
 			Iteration:        i,
@@ -26,7 +25,7 @@ func record(t *Tracer, algo string, iters int) {
 			Duration:         time.Duration(i) * time.Millisecond,
 		})
 	}
-	tv.Finish(13, 2)
+	tv.Finish()
 }
 
 // TestNilTracerIsFree pins the disabled fast path: the full call surface
@@ -36,9 +35,8 @@ func TestNilTracerIsFree(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(100, func() {
 		tv := tr.StartTraversal("ms-pbfs", 64)
-		tv.SetArenaBase(0, 0)
 		tv.Record(IterationRecord{Iteration: 1})
-		tv.Finish(0, 0)
+		tv.Finish()
 		sp := tr.StartSpan("csr-build", "kron")
 		sp.End()
 		_ = tr.Snapshot()
@@ -75,9 +73,6 @@ func TestTraversalLifecycle(t *testing.T) {
 	tv := snap.Traversals[0]
 	if tv.ID != 1 || tv.Algo != "ms-pbfs" || tv.Sources != 4 {
 		t.Errorf("traversal header = %d/%q/%d, want 1/ms-pbfs/4", tv.ID, tv.Algo, tv.Sources)
-	}
-	if tv.ArenaHits != 3 || tv.ArenaMisses != 0 {
-		t.Errorf("arena deltas = %d/%d, want 3/0", tv.ArenaHits, tv.ArenaMisses)
 	}
 	if len(tv.Iterations) != 3 {
 		t.Fatalf("got %d iterations, want 3", len(tv.Iterations))
@@ -260,7 +255,7 @@ func TestChromeTraceShardTracks(t *testing.T) {
 			})
 		}
 	}
-	tv.Finish(0, 0)
+	tv.Finish()
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {

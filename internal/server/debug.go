@@ -1,13 +1,8 @@
 package server
 
 import (
-	"bytes"
-	"errors"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
-	rtrace "runtime/trace"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -22,19 +17,12 @@ import (
 //	GET  /debug/flightrecorder    recent requests + slow-query log + spans
 //	GET  /debug/stats             time-series store snapshot (?window=30s)
 //	GET  /debug/dash              self-contained live sparkline dashboard
-//	POST /debug/rtrace/start      start an open-ended runtime/trace capture
-//	POST /debug/rtrace/stop       stop it and download the trace binary
 //
-// The rtrace pair exists alongside /debug/pprof/trace for captures whose
-// duration is not known up front: start before reproducing a problem,
-// stop after it happened.
+// Every capture is bounded: /debug/pprof/trace streams a window of
+// seconds=N to the client, so the daemon holds no trace in memory.
 type DebugHandler struct {
 	reg *Registry
 	mux *http.ServeMux
-
-	mu      sync.Mutex   // guards the runtime/trace capture state
-	tracing bool         // a capture is running; buf belongs to the runtime
-	buf     bytes.Buffer // capture output; read only after rtrace.Stop
 }
 
 // NewDebugHandler builds the debug surface over reg's flight recorder and
@@ -49,8 +37,6 @@ func NewDebugHandler(reg *Registry) *DebugHandler {
 	d.mux.HandleFunc("GET /debug/flightrecorder", d.flightRecorder)
 	d.mux.HandleFunc("GET /debug/stats", d.stats)
 	d.mux.HandleFunc("GET /debug/dash", d.dash)
-	d.mux.HandleFunc("POST /debug/rtrace/start", d.rtraceStart)
-	d.mux.HandleFunc("POST /debug/rtrace/stop", d.rtraceStop)
 	return d
 }
 
@@ -74,37 +60,4 @@ func (d *DebugHandler) flightRecorder(w http.ResponseWriter, _ *http.Request) {
 	payload.Spans = trace.Spans
 	payload.DroppedSpans = trace.DroppedSpans
 	writeJSON(w, http.StatusOK, payload)
-}
-
-func (d *DebugHandler) rtraceStart(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.tracing {
-		writeError(w, http.StatusConflict, errors.New("runtime trace already running"))
-		return
-	}
-	d.buf.Reset()
-	if err := rtrace.Start(&d.buf); err != nil {
-		// Most likely a concurrent capture via /debug/pprof/trace.
-		writeError(w, http.StatusConflict, fmt.Errorf("starting runtime trace: %w", err))
-		return
-	}
-	d.tracing = true
-	writeJSON(w, http.StatusOK, map[string]string{"status": "tracing"})
-}
-
-func (d *DebugHandler) rtraceStop(w http.ResponseWriter, _ *http.Request) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.tracing {
-		writeError(w, http.StatusConflict, errors.New("no runtime trace running"))
-		return
-	}
-	rtrace.Stop()
-	d.tracing = false
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", `attachment; filename="bfsd.trace"`)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(d.buf.Bytes())
-	d.buf.Reset()
 }

@@ -244,32 +244,16 @@ func TestDebugEndpoints(t *testing.T) {
 		}
 	}
 
-	// runtime/trace start/stop lifecycle with conflict handling.
-	post := func(path string) *http.Response {
-		t.Helper()
-		resp, err := http.Post(ts.URL+path, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	if resp := post("/debug/rtrace/stop"); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stop before start: status %d, want 409", resp.StatusCode)
-	}
-	if resp := post("/debug/rtrace/start"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("start: status %d", resp.StatusCode)
-	}
-	if resp := post("/debug/rtrace/start"); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("double start: status %d, want 409", resp.StatusCode)
-	}
-	if _, err := e.Submit(context.Background(), Query{Kind: KindBFS, Source: 2}); err != nil {
+	// The runtime execution trace streams to the client for a bounded
+	// window; the daemon buffers none of it.
+	resp, err = http.Get(ts.URL + "/debug/pprof/trace?seconds=1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp = post("/debug/rtrace/stop")
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stop: status %d", resp.StatusCode)
+		t.Fatalf("pprof trace: status %d", resp.StatusCode)
 	}
 	if len(body) == 0 {
 		t.Fatal("runtime trace download is empty")

@@ -16,6 +16,8 @@
 #      RPC sub-spans).
 #   5. bfsrun -tracetext: the per-level text table, the one per-level text
 #      output, must print its header (iter, tasks, steals columns).
+#   6. bfsrun -cluster -tracetext: the coordinator's per-level table must
+#      carry the shards' scanned edges (not 0 on every level).
 #
 # Run from the repo root: ./scripts/obs_smoke.sh
 set -eu
@@ -138,6 +140,16 @@ echo "== bfsrun -tracetext (per-level table)"
 grep -Eq '^ *iter +dir .* tasks +steals' "$TMP/tracetext.txt" || {
 	echo "obs_smoke: bfsrun -tracetext printed no per-level table header" >&2
 	cat "$TMP/tracetext.txt" >&2
+	exit 1
+}
+
+echo "== bfsrun -cluster -tracetext (shard counts in the coordinator's table)"
+"$TMP/bfsrun" -scale 10 -sources 8 -cluster 2 -tracetext >"$TMP/cluster-tracetext.txt"
+# Columns: iter dir reason frontier next scanned ...
+awk '$2 ~ /^(top-down|bottom-up)$/ { levels++; if ($6 > 0) scanned++ }
+	END { exit !(levels > 0 && scanned > 0) }' "$TMP/cluster-tracetext.txt" || {
+	echo "obs_smoke: cluster per-level table shows no scanned edges" >&2
+	cat "$TMP/cluster-tracetext.txt" >&2
 	exit 1
 }
 

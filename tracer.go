@@ -9,8 +9,7 @@ import (
 // Tracer is the library's traversal flight recorder. Wire one through
 // Options.Tracer and every BFS run records one entry per iteration — the
 // direction it ran in and why the heuristic chose it, frontier/next/
-// visited counts, wall time, per-worker task and steal counts, and engine
-// arena hit/miss deltas:
+// visited counts, wall time, and per-worker task and steal counts:
 //
 //	tr := msbfs.NewTracer()
 //	g.MultiBFS(sources, msbfs.Options{Workers: 8, Tracer: tr})

@@ -208,8 +208,9 @@ func run(logger *slog.Logger, graphs graphFlags, addr, debugAddr string, shards 
 	var coord *cluster.Coordinator
 	if len(shards) > 0 {
 		var err error
-		coord, err = cluster.NewCoordinator(context.Background(), shards,
-			cluster.CoordinatorOptions{Tracer: reg.Tracer()})
+		// Untraced, like single-process serving: the registry's tracer
+		// keeps spans, and no served query reads a traversal record.
+		coord, err = cluster.NewCoordinator(context.Background(), shards, cluster.CoordinatorOptions{})
 		if err != nil {
 			return err
 		}

@@ -228,7 +228,7 @@ func beamerBottomUpStep(g *graph.Graph, seen, front, next *bitset.Bitmap, levels
 				continue
 			}
 			u := base + off
-			for _, v := range g.Neighbors(u) { //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+			for _, v := range g.Neighbors(u) { //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 				scanned++
 				if front.Get(int(v)) { //bfs:bounds-ok inlined bitmap word indexing; Bitmap sized to n
 					seen.Set(u) //bfs:bounds-ok inlined bitmap word indexing; Bitmap sized to n
@@ -237,7 +237,7 @@ func beamerBottomUpStep(g *graph.Graph, seen, front, next *bitset.Bitmap, levels
 						levels[u] = depth //bfs:bounds-ok levels is caller-sized to n; written once per discovered vertex
 					}
 					updated++
-					updatedDegree += int64(g.Degree(u)) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+					updatedDegree += int64(g.Degree(u)) //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 					break
 				}
 			}

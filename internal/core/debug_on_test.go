@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/gen"
-	"repro/internal/graph"
 )
 
 // TestDebugLayerOn pins the debug-build contract.
@@ -98,11 +97,7 @@ func TestSetIterationChecksFire(t *testing.T) {
 // TestLevelChecksFire corrupts a recorded distance and asserts the
 // reference cross-check catches it.
 func TestLevelChecksFire(t *testing.T) {
-	b := graph.NewBuilder(6)
-	for i := 0; i+1 < 6; i++ {
-		b.AddEdge(graph.VertexID(i), graph.VertexID(i+1))
-	}
-	g := b.Build()
+	g := PathGraph(6)
 
 	levels := ReferenceLevels(g, 0)
 	debugCheckLevels(g, nil, 0, levels, "test") // exact copy passes

@@ -36,31 +36,31 @@ func CheckLevels(t testing.TB, name string, got, want []int32) bool {
 
 // PathGraph is the chain 0-1-…-(n-1): one vertex per level.
 func PathGraph(n int) *graph.Graph {
-	b := graph.NewBuilder(n)
+	var pairs []graph.VertexID
 	for i := 0; i+1 < n; i++ {
-		b.AddEdge(graph.VertexID(i), graph.VertexID(i+1))
+		pairs = append(pairs, graph.VertexID(i), graph.VertexID(i+1))
 	}
-	return b.Build()
+	return graph.FromPairs(n, pairs)
 }
 
 // StarGraph joins vertex 0 to every other vertex.
 func StarGraph(n int) *graph.Graph {
-	b := graph.NewBuilder(n)
+	var pairs []graph.VertexID
 	for i := 1; i < n; i++ {
-		b.AddEdge(0, graph.VertexID(i))
+		pairs = append(pairs, 0, graph.VertexID(i))
 	}
-	return b.Build()
+	return graph.FromPairs(n, pairs)
 }
 
 // Disconnected is a 100-vertex path, 50 matched pairs and 100 isolated
 // vertices, in that id order.
 func Disconnected() *graph.Graph {
-	b := graph.NewBuilder(300)
+	var pairs []graph.VertexID
 	for i := 0; i+1 < 100; i++ {
-		b.AddEdge(graph.VertexID(i), graph.VertexID(i+1))
+		pairs = append(pairs, graph.VertexID(i), graph.VertexID(i+1))
 	}
 	for i := 100; i+1 < 200; i += 2 {
-		b.AddEdge(graph.VertexID(i), graph.VertexID(i+1))
+		pairs = append(pairs, graph.VertexID(i), graph.VertexID(i+1))
 	}
-	return b.Build()
+	return graph.FromPairs(300, pairs)
 }

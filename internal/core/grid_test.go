@@ -128,13 +128,13 @@ func shapeNames() []string {
 // midGap is two 100-vertex paths around 100 isolated ids: the active
 // prefix stays at n.
 func midGap() *graph.Graph {
-	b := graph.NewBuilder(300)
+	var pairs []graph.VertexID
 	for v := 0; v+1 < 300; v++ {
 		if v < 100 || v >= 200 {
-			b.AddEdge(graph.VertexID(v), graph.VertexID(v+1))
+			pairs = append(pairs, graph.VertexID(v), graph.VertexID(v+1))
 		}
 	}
-	return b.Build()
+	return graph.FromPairs(300, pairs)
 }
 
 // bipartite joins the first and the last 64 of 256 vertices completely, so

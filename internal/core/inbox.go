@@ -140,7 +140,7 @@ func (ls *levelStep) applyTask(workerID int, r sched.Range) {
 		box := to[workerID]
 		//bfs:hot apply: runs per inbox entry per top-down level, must not allocate
 		for _, v := range box {
-			seg := segment(g.Neighbors(int(v)), r.Lo, r.Hi) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+			seg := segment(g.Neighbors(int(v)), r.Lo, r.Hi) //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 			scanned.v += int64(len(seg))
 			ls.spread(int(v), seg)
 			if ov != nil {

@@ -304,7 +304,7 @@ func (e *MSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 			if w == 0 {
 				continue
 			}
-			own := g.Neighbors(v) //bfs:bounds-ok CSR offsets are monotone and sized n+1 by Builder
+			own := g.Neighbors(v) //bfs:bounds-ok CSR offsets are monotone and n = len(Offsets)-1
 			if crosses(own, lo, hi) {
 				own = e.cutAcross(workerID, v, own)
 			}
@@ -332,7 +332,7 @@ func (e *MSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 		if !frontier.Any(v) { //bfs:bounds-ok inlined row indexing; stride invariant held by State
 			continue
 		}
-		own := g.Neighbors(v) //bfs:bounds-ok CSR offsets are monotone and sized n+1 by Builder
+		own := g.Neighbors(v) //bfs:bounds-ok CSR offsets are monotone and n = len(Offsets)-1
 		if crosses(own, lo, hi) {
 			own = e.cutAcross(workerID, v, own)
 		}
@@ -426,7 +426,7 @@ func (e *MSPBFSEngine) resolveTask(workerID int, r sched.Range) {
 		}
 		upd.v += int64(newBits)
 		fv.v++
-		d := int64(g.Degree(v)) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+		d := int64(g.Degree(v)) //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 		if ov != nil {
 			d += int64(ov.ExtraDegree(v)) //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
 		}
@@ -478,7 +478,7 @@ func (e *MSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 		for i := range acc {
 			acc[i] = 0
 		}
-		for _, v := range g.Neighbors(u) { //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+		for _, v := range g.Neighbors(u) { //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 			scanned.v++
 			fRow := frontier.Row(int(v)) //bfs:bounds-ok row slice from the vertex index; State sizes words to active*stride
 			if len(fRow) < len(acc) {
@@ -535,7 +535,7 @@ func (e *MSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 		}
 		upd.v += int64(newBits)
 		fv.v++
-		d := int64(g.Degree(u)) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+		d := int64(g.Degree(u)) //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 		if ov != nil {
 			d += int64(ov.ExtraDegree(u)) //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
 		}
@@ -579,7 +579,7 @@ func (e *MSPBFSEngine) bottomUpTaskNarrow(workerID int, r sched.Range) {
 			}
 			continue
 		}
-		nbrs := g.Neighbors(u) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+		nbrs := g.Neighbors(u) //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 		var acc uint64
 		i, ln := 0, len(nbrs)
 		if earlyExit {
@@ -622,7 +622,7 @@ func (e *MSPBFSEngine) bottomUpTaskNarrow(workerID int, r sched.Range) {
 		live[0] |= newBits
 		upd.v += int64(onesCount(newBits))
 		fv.v++
-		d := int64(g.Degree(u)) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+		d := int64(g.Degree(u)) //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 		if ov != nil {
 			d += int64(ov.ExtraDegree(u)) //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
 		}

@@ -141,13 +141,13 @@ func TestStripedLevelTracesPinned(t *testing.T) {
 // such runs to the oracle.)
 func TestIsolatedMidRangeKeepsFullState(t *testing.T) {
 	const n = 3000
-	b := graph.NewBuilder(n)
+	var pairs []graph.VertexID
 	for v := 0; v+1 < n; v++ {
 		if v < 1000 || v >= 2000 {
-			b.AddEdge(graph.VertexID(v), graph.VertexID(v+1))
+			pairs = append(pairs, graph.VertexID(v), graph.VertexID(v+1))
 		}
 	}
-	g := b.Build() // 1001..1999 isolated
+	g := graph.FromPairs(n, pairs) // 1001..1999 isolated
 	if a := g.ActivePrefix(); a != n {
 		t.Fatalf("active prefix %d, want %d", a, n)
 	}
@@ -269,11 +269,11 @@ func TestShellsParkPerShape(t *testing.T) {
 	graphs := map[int]*graph.Graph{}
 	run := func(a int) (missed bool) {
 		if graphs[a] == nil {
-			b := graph.NewBuilder(n)
+			var pairs []graph.VertexID
 			for v := 0; v+1 < a; v++ {
-				b.AddEdge(graph.VertexID(v), graph.VertexID(v+1))
+				pairs = append(pairs, graph.VertexID(v), graph.VertexID(v+1))
 			}
-			graphs[a] = b.Build()
+			graphs[a] = graph.FromPairs(n, pairs)
 		}
 		misses := eng.Stats().Misses
 		res := MSPBFS(graphs[a], []int{0, a - 1, n - 1}, Options{Engine: eng, RecordLevels: true})

@@ -302,7 +302,7 @@ func (e *SMSPBFSEngine) scatterTask(workerID int, r sched.Range) {
 		}
 		for ; w != 0; w &= w - 1 {
 			v := wi<<shift + trailingZeros64(w)>>lg
-			own := g.Neighbors(v) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+			own := g.Neighbors(v) //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 			if crosses(own, lo, hi) {
 				own = e.cutAcross(workerID, v, own)
 			}
@@ -378,7 +378,7 @@ func (e *SMSPBFSEngine) resolveTask(workerID int, r sched.Range) {
 		for ; fresh != 0; fresh &= fresh - 1 {
 			v := wi<<shift + trailingZeros64(fresh)>>lg
 			upd.v++
-			fd.v += int64(g.Degree(v)) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+			fd.v += int64(g.Degree(v)) //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 			if ov != nil {
 				fd.v += int64(ov.ExtraDegree(v)) //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
 			}
@@ -424,7 +424,7 @@ func (e *SMSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 				break // the slack slots of the last word, past the active prefix
 			}
 			hit := false
-			for _, v := range g.Neighbors(u) { //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+			for _, v := range g.Neighbors(u) { //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 				scanned.v++
 				if frontier.Get(int(v)) { //bfs:bounds-ok inlined word indexing; v < active by ActivePrefix
 					hit = true
@@ -447,7 +447,7 @@ func (e *SMSPBFSEngine) bottomUpTask(workerID int, r sched.Range) {
 			}
 			found |= 1 << uint(bit)
 			upd.v++
-			fd.v += int64(g.Degree(u)) //bfs:bounds-ok inlined CSR offset pair; offsets sized n+1 by Builder
+			fd.v += int64(g.Degree(u)) //bfs:bounds-ok inlined CSR offset pair; n = len(Offsets)-1
 			if ov != nil {
 				fd.v += int64(ov.ExtraDegree(u)) //bfs:bounds-ok inlined overlay page indexing; pages sized to cover n by NewOverlay
 			}

@@ -89,15 +89,12 @@ func LDBC(p LDBCParams) *graph.Graph {
 	}
 
 	targetEdges := int64(n) * int64(p.AvgDegree) / 2
-	b := graph.NewBuilder(n)
 
 	// Preferential attachment within communities: track degree+1 weights
-	// with a simple repeated-endpoint list (Barabási–Albert style).
+	// with a simple repeated-endpoint list (Barabási–Albert style). The
+	// list is the attachment edges in order, so the closure edges append
+	// to it and it becomes graph.FromPairs' endpoint buffer.
 	endpointPool := make([]graph.VertexID, 0, targetEdges*2)
-	addPA := func(u, w graph.VertexID) {
-		b.AddEdge(u, w)
-		endpointPool = append(endpointPool, u, w)
-	}
 
 	closureEdges := int64(float64(targetEdges) * p.ClosureFraction)
 	paEdges := targetEdges - closureEdges
@@ -133,7 +130,7 @@ func LDBC(p LDBCParams) *graph.Graph {
 		if u == w {
 			continue
 		}
-		addPA(u, w)
+		endpointPool = append(endpointPool, u, w)
 		noteEdge(u, w)
 	}
 
@@ -154,12 +151,12 @@ func LDBC(p LDBCParams) *graph.Graph {
 			misses++
 			continue
 		}
-		b.AddEdge(a, c)
+		endpointPool = append(endpointPool, a, c)
 		noteEdge(a, c)
 		i++
 	}
 
-	return b.Build()
+	return graph.FromPairs(n, endpointPool)
 }
 
 // PowerLawParams configures the configuration-model power-law generator
@@ -200,7 +197,6 @@ func PowerLaw(p PowerLawParams) *graph.Graph {
 
 	// Sample degrees by inverse transform on the truncated power law.
 	alpha := p.Exponent
-	degrees := make([]int, n)
 	lo := math.Pow(float64(minD), 1-alpha)
 	hi := math.Pow(float64(maxD), 1-alpha)
 	var stubs []graph.VertexID
@@ -213,21 +209,17 @@ func PowerLaw(p PowerLawParams) *graph.Graph {
 		if d > maxD {
 			d = maxD
 		}
-		degrees[v] = d
 		for i := 0; i < d; i++ {
 			stubs = append(stubs, graph.VertexID(v))
 		}
 	}
-	// Shuffle stubs and pair them up.
+	// Shuffle stubs and pair them up: consecutive stubs are an edge, and
+	// an odd last stub is left out.
 	for i := len(stubs) - 1; i > 0; i-- {
 		j := r.intn(i + 1)
 		stubs[i], stubs[j] = stubs[j], stubs[i]
 	}
-	b := graph.NewBuilder(n)
-	for i := 0; i+1 < len(stubs); i += 2 {
-		b.AddEdge(stubs[i], stubs[i+1])
-	}
-	return b.Build()
+	return graph.FromPairs(n, stubs[:len(stubs)&^1])
 }
 
 // WebParams configures the uk-2005-like web graph stand-in.
@@ -263,8 +255,9 @@ func Web(p WebParams) *graph.Graph {
 	if numHubs < 1 {
 		numHubs = 1
 	}
-	b := graph.NewBuilder(n)
-	for i := int64(0); i < targetEdges; i++ {
+	// One edge per draw; graph.FromPairs drops the self-loops.
+	pairs := make([]graph.VertexID, 2*max(targetEdges, 0))
+	for i := range targetEdges {
 		u := r.intn(n)
 		var w int
 		switch f := r.float64(); {
@@ -281,12 +274,9 @@ func Web(p WebParams) *graph.Graph {
 		default: // global link
 			w = r.intn(n)
 		}
-		if u == w {
-			continue
-		}
-		b.AddEdge(graph.VertexID(u), graph.VertexID(w))
+		pairs[2*i], pairs[2*i+1] = graph.VertexID(u), graph.VertexID(w)
 	}
-	return b.Build()
+	return graph.FromPairs(n, pairs)
 }
 
 // CollaborationParams configures the hollywood-2011-like stand-in.
@@ -318,10 +308,9 @@ func Collaboration(p CollaborationParams) *graph.Graph {
 	targetEdges := int64(n) * int64(p.AvgDegree) / 2
 	// Popularity bias: reuse a pool of previously cast actors.
 	pool := make([]graph.VertexID, 0, 1<<16)
-	b := graph.NewBuilder(n)
-	var edges int64
+	var pairs []graph.VertexID
 	cast := make([]graph.VertexID, 0, avgClique*3)
-	for edges < targetEdges {
+	for int64(len(pairs)) < 2*targetEdges {
 		size := 2 + r.intn(avgClique*2-2)
 		cast = cast[:0]
 		for len(cast) < size {
@@ -342,8 +331,7 @@ func Collaboration(p CollaborationParams) *graph.Graph {
 				if cast[j] == cast[i] {
 					continue
 				}
-				b.AddEdge(cast[i], cast[j])
-				edges++
+				pairs = append(pairs, cast[i], cast[j])
 			}
 			if len(pool) < cap(pool) {
 				pool = append(pool, cast[i])
@@ -352,25 +340,21 @@ func Collaboration(p CollaborationParams) *graph.Graph {
 			}
 		}
 	}
-	return b.Build()
+	return graph.FromPairs(n, pairs)
 }
 
 // Uniform generates an Erdős–Rényi G(n, m) random graph with approximately
 // avgDegree*n/2 edges. It serves as a no-skew control in tests.
 func Uniform(n, avgDegree int, seed uint64) *graph.Graph {
-	r := newRNG(seed)
-	b := graph.NewBuilder(n)
 	if n < 2 {
-		return b.Build()
+		return graph.FromPairs(n, nil)
 	}
-	target := int64(n) * int64(avgDegree) / 2
-	for i := int64(0); i < target; i++ {
-		u := r.intn(n)
-		w := r.intn(n)
-		if u == w {
-			continue
-		}
-		b.AddEdge(graph.VertexID(u), graph.VertexID(w))
+	r := newRNG(seed)
+	target := int64(n) * int64(max(avgDegree, 0)) / 2
+	// One edge per draw; graph.FromPairs drops the self-loops.
+	pairs := make([]graph.VertexID, 2*target)
+	for i := 0; i < len(pairs); i += 2 {
+		pairs[i], pairs[i+1] = graph.VertexID(r.intn(n)), graph.VertexID(r.intn(n))
 	}
-	return b.Build()
+	return graph.FromPairs(n, pairs)
 }

@@ -178,6 +178,7 @@ func TestBuildMatchesReference(t *testing.T) {
 func TestFromEdgesOutOfRangePanics(t *testing.T) {
 	for name, build := range map[string]func(){
 		"FromEdges with an out-of-range endpoint": func() { FromEdges(2, []Edge{{0, 1}, {2, 0}}) },
+		"FromEdges with an endpoint at n":         func() { FromEdges(2, []Edge{{0, 2}}) },
 		"FromPairs with an out-of-range endpoint": func() { FromPairs(2, []VertexID{0, 1, 2, 0}) },
 		"FromPairs with half an edge":             func() { FromPairs(2, []VertexID{0, 1, 1}) },
 	} {

@@ -17,19 +17,20 @@ import (
 // LoadEdgeList parses an edge-list text stream. Vertex ids are arbitrary
 // non-negative integers; they are remapped to dense ids in order of first
 // appearance. The returned ids slice maps dense id -> original id.
-// Malformed lines produce an error naming the line number.
+// Malformed lines produce an error naming the line number. The dense ids
+// go straight into the endpoint buffer that FromPairs builds the graph in:
+// the load keeps no other arc-sized array.
 func LoadEdgeList(r io.Reader) (g *Graph, ids []int64, err error) {
-	type pair struct{ u, v int }
 	var (
-		edges  []pair
-		remap  = make(map[int64]int)
+		pairs  []VertexID
+		remap  = make(map[int64]VertexID)
 		lineNo = 0
 	)
-	intern := func(raw int64) int {
+	intern := func(raw int64) VertexID {
 		if id, ok := remap[raw]; ok {
 			return id
 		}
-		id := len(ids)
+		id := VertexID(len(ids))
 		remap[raw] = id
 		ids = append(ids, raw)
 		return id
@@ -61,17 +62,12 @@ func LoadEdgeList(r io.Reader) (g *Graph, ids []int64, err error) {
 		if u < 0 || v < 0 {
 			return nil, nil, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
 		}
-		edges = append(edges, pair{u: intern(u), v: intern(v)})
+		pairs = append(pairs, intern(u), intern(v))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
-
-	b := NewBuilder(len(ids))
-	for _, e := range edges {
-		b.AddEdge(VertexID(e.u), VertexID(e.v))
-	}
-	return b.Build(), ids, nil
+	return FromPairs(len(ids), pairs), ids, nil
 }
 
 // parseInt reads one whitespace-delimited integer from b and returns the

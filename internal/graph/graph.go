@@ -1,12 +1,12 @@
 // Package graph provides the in-memory graph substrate shared by every BFS
 // algorithm in this repository: a compressed sparse row (CSR) adjacency
-// representation for undirected, unweighted graphs, builders from edge
-// lists, vertex relabeling, connected-component analysis, basic statistics,
-// and a compact binary serialization format.
+// representation for undirected, unweighted graphs, its construction from
+// edge lists, vertex relabeling, connected-component analysis, basic
+// statistics, and a compact binary serialization format.
 //
 // Vertices are dense 32-bit identifiers in [0, NumVertices). Undirected
 // edges are stored in both directions; self-loops and duplicate edges are
-// removed by the builder, matching the graph model of the paper
+// removed by the build (FromPairs), matching the graph model of the paper
 // (Section 2).
 package graph
 

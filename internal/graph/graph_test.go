@@ -11,20 +11,15 @@ import (
 
 // path builds the path graph 0-1-2-...-n-1.
 func path(n int) *Graph {
-	b := NewBuilder(n)
+	var pairs []VertexID
 	for i := 0; i+1 < n; i++ {
-		b.AddEdge(VertexID(i), VertexID(i+1))
+		pairs = append(pairs, VertexID(i), VertexID(i+1))
 	}
-	return b.Build()
+	return FromPairs(n, pairs)
 }
 
-func TestBuilderBasic(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 3)
-	b.AddEdge(3, 0)
-	g := b.Build()
+func TestFromEdgesBasic(t *testing.T) {
+	g := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	if g.NumVertices() != 4 {
 		t.Fatalf("NumVertices = %d", g.NumVertices())
 	}
@@ -41,13 +36,13 @@ func TestBuilderBasic(t *testing.T) {
 	}
 }
 
-func TestBuilderDedupAndSelfLoops(t *testing.T) {
-	b := NewBuilder(3)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 0) // duplicate, reversed
-	b.AddEdge(0, 1) // duplicate
-	b.AddEdge(2, 2) // self-loop
-	g := b.Build()
+func TestFromEdgesDedupAndSelfLoops(t *testing.T) {
+	g := FromEdges(3, []Edge{
+		{0, 1},
+		{1, 0}, // duplicate, reversed
+		{0, 1}, // duplicate
+		{2, 2}, // self-loop
+	})
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
 	}
@@ -57,15 +52,6 @@ func TestBuilderDedupAndSelfLoops(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestBuilderOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("AddEdge out of range did not panic")
-		}
-	}()
-	NewBuilder(2).AddEdge(0, 2)
 }
 
 func TestEmptyGraph(t *testing.T) {
@@ -190,12 +176,8 @@ func TestMergeOverlayPastOffsetsPanics(t *testing.T) {
 // the last entry of any row, whichever is larger; an owned-rows CSR, whose
 // rows reach past its own vertices, is bounded by its rows' last entries.
 func TestActivePrefix(t *testing.T) {
-	tail := NewBuilder(10)
-	tail.AddEdge(1, 4)
-	tail.AddEdge(2, 3)
-	mid := NewBuilder(10)
-	mid.AddEdge(0, 1)
-	mid.AddEdge(8, 9)
+	tail := FromEdges(10, []Edge{{1, 4}, {2, 3}})
+	mid := FromEdges(10, []Edge{{0, 1}, {8, 9}})
 	g := path(10)
 	owned, err := OwnedRows(10, 2, []uint32{0, 2, 4}, g.Adjacency[g.Offsets[2]:g.Offsets[4]])
 	if err != nil {
@@ -205,10 +187,10 @@ func TestActivePrefix(t *testing.T) {
 		g    *Graph
 		want int
 	}{
-		"no vertices":        {NewBuilder(0).Build(), 0},
-		"edgeless":           {NewBuilder(5).Build(), 0},
-		"isolated tail":      {tail.Build(), 5},
-		"isolated mid-range": {mid.Build(), 10},
+		"no vertices":        {FromEdges(0, nil), 0},
+		"edgeless":           {FromEdges(5, nil), 0},
+		"isolated tail":      {tail, 5},
+		"isolated mid-range": {mid, 10},
 		"owned rows 2..3":    {owned, 5},
 	} {
 		for range 2 { // the second call reads the cache
@@ -222,11 +204,11 @@ func TestActivePrefix(t *testing.T) {
 // TestActivePrefixConcurrent: the first calls on a graph may race to fill
 // the cache; every caller gets the same prefix (run under -race).
 func TestActivePrefixConcurrent(t *testing.T) {
-	b := NewBuilder(5000)
+	var pairs []VertexID
 	for v := 0; v+1 < 3000; v++ {
-		b.AddEdge(VertexID(v), VertexID(v+1))
+		pairs = append(pairs, VertexID(v), VertexID(v+1))
 	}
-	g := b.Build()
+	g := FromPairs(5000, pairs)
 	got := make([]int, 8)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -260,17 +242,17 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: the builder preserves the canonical edge multiset (after
+// Property: FromPairs preserves the canonical edge multiset (after
 // dedup/self-loop removal) for arbitrary edge lists.
-func TestQuickBuilderPreservesEdges(t *testing.T) {
+func TestQuickFromPairsPreservesEdges(t *testing.T) {
 	const n = 16
 	f := func(raw []uint16) bool {
 		want := map[[2]VertexID]bool{}
-		b := NewBuilder(n)
+		var pairs []VertexID
 		for _, r := range raw {
 			u := VertexID(r>>8) % n
 			v := VertexID(r&0xff) % n
-			b.AddEdge(u, v)
+			pairs = append(pairs, u, v)
 			if u != v {
 				if u > v {
 					u, v = v, u
@@ -278,7 +260,7 @@ func TestQuickBuilderPreservesEdges(t *testing.T) {
 				want[[2]VertexID{u, v}] = true
 			}
 		}
-		g := b.Build()
+		g := FromPairs(n, pairs)
 		if g.Validate() != nil {
 			return false
 		}

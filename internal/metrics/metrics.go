@@ -23,21 +23,22 @@ type EdgeCounter struct {
 	n         int
 }
 
-// NewEdgeCounter analyzes g once; lookups are then O(1) per source.
-// It allocates only what it keeps, and only over g's active prefix: every
-// vertex past it is an isolated singleton with no edge to count. The
-// prefix's component labeling (graph.PrefixComponents) has its
-// per-component vertex counts recounted in place as edge counts, each
-// edge once.
+// NewEdgeCounter analyzes g, a CSR that Validate accepts, once; lookups
+// are then O(1) per source. It allocates only what it keeps, and only over
+// g's active prefix: every vertex past it is an isolated singleton with no
+// edge to count. The prefix's component labeling (graph.PrefixComponents)
+// has its per-component vertex counts recounted in place as edge counts:
+// on a symmetric, loop-free CSR every edge is an arc at each of its two
+// ends, so a component's edges are half its degree sum, which the offsets
+// give without reading an arc.
 func NewEdgeCounter(g *graph.Graph) *EdgeCounter {
 	comp, edges := graph.PrefixComponents(g)
 	clear(edges)
-	for v := range comp {
-		for _, u := range g.Neighbors(v) {
-			if graph.VertexID(v) < u {
-				edges[comp[v]]++
-			}
-		}
+	for v, c := range comp {
+		edges[c] += int64(g.Degree(v))
+	}
+	for c := range edges {
+		edges[c] /= 2
 	}
 	return &EdgeCounter{comp: comp, compEdges: edges, n: g.NumVertices()}
 }

@@ -174,7 +174,7 @@ func (r *Registry) SetSlowQuery(d time.Duration) {
 //
 // Spec grammar:
 //
-//	file:PATH                                 binary CSR file (graphgen/Save format)
+//	file:PATH                                 binary CSR file (graphgen/Save format) that Validate accepts
 //	kron:scale=S[,edgefactor=E][,seed=N]      Graph500-style Kronecker graph
 //	uniform:n=N[,degree=D][,seed=N]           Erdős–Rényi random graph
 //	social:n=N[,seed=N]                       LDBC-like social network
@@ -325,7 +325,16 @@ func buildGraph(spec string) (*msbfs.Graph, error) {
 		return nil, fmt.Errorf("spec %q: want SCHEME:ARGS", spec)
 	}
 	if scheme == "file" {
-		return msbfs.LoadFile(rest)
+		// The file is only known to be a CSR; the kernels, the relabel and
+		// the edge counter need the symmetric, loop-free one Validate proves.
+		g, err := msbfs.LoadFile(rest)
+		if err == nil {
+			err = g.Validate()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("file %q: %w", rest, err)
+		}
+		return g, nil
 	}
 	kv, err := parseSpecArgs(rest)
 	if err != nil {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	msbfs "repro"
+	"repro/internal/graph"
 )
 
 // addSpec is the static registration path of cmd/bfsd: build the spec, then
@@ -71,6 +73,32 @@ func TestRegistrySpecs(t *testing.T) {
 	names := reg.Names()
 	if len(names) != 4 {
 		t.Errorf("names = %v", names)
+	}
+}
+
+// TestRegistryRefusesInvalidFile: a file spec that loads but is not a CSR
+// Validate accepts is a build error naming the file, never a registered
+// graph: the relabel panics on a row whose degree is not its in-degree,
+// and serves an asymmetric CSR whose degrees agree as its transpose.
+func TestRegistryRefusesInvalidFile(t *testing.T) {
+	reg := NewRegistry()
+	defer reg.Close()
+	for name, g := range map[string]*graph.Graph{
+		"degree mismatch":  {Offsets: []uint32{0, 2, 3, 3}, Adjacency: []graph.VertexID{1, 2, 0}},
+		"self-loop":        {Offsets: []uint32{0, 2, 3}, Adjacency: []graph.VertexID{0, 1, 0}},
+		"directed 3-cycle": {Offsets: []uint32{0, 1, 2, 3}, Adjacency: []graph.VertexID{1, 2, 0}},
+	} {
+		path := filepath.Join(t.TempDir(), "g.bin")
+		if err := graph.SaveFile(path, g); err != nil {
+			t.Fatal(err)
+		}
+		e, err := addSpec(reg, name, "file:"+path, Config{Workers: 2})
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: registered %v, error %v; want an error naming %s", name, e != nil, err, path)
+		}
+	}
+	if names := reg.Names(); len(names) != 0 {
+		t.Errorf("registered %v", names)
 	}
 }
 

@@ -127,6 +127,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz '^FuzzFrontierCodec$$' ./internal/cluster/
 	$(FUZZ) -fuzz '^FuzzDecodeLoad$$' ./internal/cluster/
 	$(FUZZ) -fuzz '^FuzzDecodeStart$$' ./internal/cluster/
+	$(FUZZ) -fuzz '^FuzzDecodeStepDone$$' ./internal/cluster/
 	$(FUZZ) -fuzz '^FuzzReadFrame$$' ./internal/cluster/
 	$(FUZZ) -fuzz '^FuzzApplyEdges$$' ./internal/dyngraph/
 	$(FUZZ) -fuzz '^FuzzCompact$$' ./internal/dyngraph/

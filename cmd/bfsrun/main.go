@@ -219,7 +219,16 @@ func loadOrGenerate(path string, scale int, seed uint64) (*graph.Graph, error) {
 		g, _, err := graph.LoadEdgeList(f)
 		return g, err
 	}
-	return graph.LoadFile(path)
+	// The file is only known to be a CSR; the relabel and the kernels need
+	// the symmetric, loop-free one Validate proves.
+	g, err := graph.LoadFile(path)
+	if err == nil {
+		err = g.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("file %q: %w", path, err)
+	}
+	return g, nil
 }
 
 func parseScheme(s string) (label.Scheme, error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -48,6 +49,23 @@ func TestLoadOrGenerate(t *testing.T) {
 
 	if _, err := loadOrGenerate(filepath.Join(dir, "missing.bin"), 0, 0); err == nil {
 		t.Error("missing file accepted")
+	}
+
+	// A file that loads but is not a CSR Validate accepts is an error
+	// naming the file: the relabel would panic on the first and traverse
+	// the other two as the wrong graph.
+	for name, bad := range map[string]*graph.Graph{
+		"degree mismatch":  {Offsets: []uint32{0, 2, 3, 3}, Adjacency: []graph.VertexID{1, 2, 0}},
+		"self-loop":        {Offsets: []uint32{0, 2, 3}, Adjacency: []graph.VertexID{0, 1, 0}},
+		"directed 3-cycle": {Offsets: []uint32{0, 1, 2, 3}, Adjacency: []graph.VertexID{1, 2, 0}},
+	} {
+		path := filepath.Join(dir, "bad.bin")
+		if err := graph.SaveFile(path, bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadOrGenerate(path, 0, 0); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %v, want one naming %s", name, err, path)
+		}
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,11 +141,12 @@ func TestClusterContextCancellation(t *testing.T) {
 }
 
 // TestClusterShardLevelRowsConcurrent runs two level-recording batches at
-// once on one cluster, round after round, so the shards' pooled row slabs
-// pass between queries. The graph is two interleaved chains, even and odd
-// vertices, and the two batches start in different chains: a slab that
-// kept the other batch's depths would show them on vertices this batch
-// never reaches, which must read NoLevel.
+// once on one cluster, round after round, so their steps interleave on
+// every shard and their discoveries cross the same connections. The graph
+// is two interleaved chains, even and odd vertices, and the two batches
+// start in different chains: a discovery routed to the wrong batch would
+// show a depth on a vertex this batch never reaches, which must read
+// NoLevel.
 func TestClusterShardLevelRowsConcurrent(t *testing.T) {
 	const n, rounds = 200, 8
 	ip := startCluster(t, 2, CoordinatorOptions{})
@@ -192,79 +195,11 @@ func TestClusterShardLevelRowsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTakeLevelRowsScrubs: a shard's level rows read NoLevel on the cold
-// take and on every warm one, whatever the last query left in the slab,
-// and no row can grow into the next.
-func TestTakeLevelRowsScrubs(t *testing.T) {
-	const n, k = 300, 3
-	for round := range 4 {
-		slab, rows := takeLevelRows(n, k)
-		if len(rows) != k {
-			t.Fatalf("round %d: %d rows, want %d", round, len(rows), k)
-		}
-		for i, row := range rows {
-			if len(row) != n || cap(row) != n {
-				t.Fatalf("round %d row %d: len %d cap %d, want %d", round, i, len(row), cap(row), n)
-			}
-			for v, lv := range row {
-				if lv != core.NoLevel {
-					t.Fatalf("round %d row %d: vertex %d = %d, want NoLevel", round, i, v, lv)
-				}
-				row[v] = int32(round + 1)
-			}
-		}
-		levelSlabs.Put(slab)
-	}
-}
-
-// TestClusterShardPoisonedSlabScrubbed parks slabs full of a depth no
-// query reaches, then records a batch on a graph of two components: the
-// vertices of the component the source is not in must read NoLevel on
-// every shard, not the poison.
-func TestClusterShardPoisonedSlabScrubbed(t *testing.T) {
-	const n, poison = 10, int32(123456789)
-	ip := startCluster(t, 2, CoordinatorOptions{})
-	var edges []msbfs.Edge
-	for v := 0; v+1 < n; v++ {
-		if v != n/2-1 { // two paths, 0…4 and 5…9
-			edges = append(edges, msbfs.Edge{U: uint32(v), V: uint32(v + 1)})
-		}
-	}
-	rg, err := ip.Coord.LoadGraph(context.Background(), "halves", msbfs.NewGraph(n, edges), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.ReferenceLevels(graph.FromEdges(n, edges), 0)
-	for round := range 4 {
-		// Empty the pool of other tests' clean slabs (as far as Get
-		// reaches), so the shards take poisoned ones.
-		for levelSlabs.Get() != nil {
-		}
-		for range 8 {
-			slab := make([]int32, n)
-			for i := range slab {
-				slab[i] = poison
-			}
-			levelSlabs.Put(&slab)
-		}
-		res, err := rg.RunBatch(context.Background(), []int{0}, msbfs.Options{RecordLevels: true}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v, lv := range res.Levels[0] {
-			if lv != want[v] {
-				t.Errorf("round %d: vertex %d level %d, want %d", round, v, lv, want[v])
-			}
-		}
-	}
-}
-
-// TestClusterFetchOnlyForReader pins what a batch costs in coordinator
-// RPCs: start, one per level step and end on each shard, plus one
-// msgResult per shard only when the caller reads levels (records them or
-// passes a visitor). A shard asked for the rows of a batch that records
-// none refuses.
-func TestClusterFetchOnlyForReader(t *testing.T) {
+// TestClusterRPCsPerBatch pins what a batch costs in coordinator RPCs:
+// start, one per level step and end on each shard, whether the caller
+// reads nothing, records levels or passes a visitor — a reading batch's
+// answers ride its step replies.
+func TestClusterRPCsPerBatch(t *testing.T) {
 	const shards = 2
 	ip := startCluster(t, shards, CoordinatorOptions{})
 	g := pathGraph(10) // from vertex 0: 9 discovering steps and a last empty one
@@ -278,19 +213,23 @@ func TestClusterFetchOnlyForReader(t *testing.T) {
 		name  string
 		opt   msbfs.Options
 		visit func(workerID, sourceIdx, vertex, depth int)
-		rpcs  int64
 	}{
-		{"reads nothing", msbfs.Options{}, nil, shards * (1 + steps + 1)},
-		{"records levels", msbfs.Options{RecordLevels: true}, nil, shards * (1 + steps + 1 + 1)},
-		{"visitor", msbfs.Options{}, func(_, _, _, _ int) { visits++ }, shards * (1 + steps + 1 + 1)},
+		{"reads nothing", msbfs.Options{}, nil},
+		{"records levels", msbfs.Options{RecordLevels: true}, nil},
+		{"visitor", msbfs.Options{}, func(_, _, v, depth int) {
+			if depth != v {
+				t.Errorf("visitor: vertex %d at depth %d", v, depth)
+			}
+			visits++
+		}},
 	} {
 		before := ip.Coord.Metrics().RPCs.Load()
 		res, err := rg.RunBatch(context.Background(), []int{0}, tc.opt, tc.visit)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := ip.Coord.Metrics().RPCs.Load() - before; got != tc.rpcs {
-			t.Errorf("%s: %d RPCs, want %d", tc.name, got, tc.rpcs)
+		if got, want := ip.Coord.Metrics().RPCs.Load()-before, int64(shards*(1+steps+1)); got != want {
+			t.Errorf("%s: %d RPCs, want %d", tc.name, got, want)
 		}
 		if res.VisitedStates != 10 {
 			t.Errorf("%s: VisitedStates = %d, want 10", tc.name, res.VisitedStates)
@@ -305,19 +244,6 @@ func TestClusterFetchOnlyForReader(t *testing.T) {
 	}
 	if visits != 10 {
 		t.Errorf("visitor saw %d discoveries, want 10", visits)
-	}
-
-	// A shard asked for the rows of a batch that records none refuses.
-	ctx := context.Background()
-	qid := ip.Coord.nextID.Add(1)
-	if _, err := ip.Coord.call(ctx, 0, msgStart, encodeStart(qid, "g", []int{0}, 0, false)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ip.Coord.call(ctx, 0, msgResult, encodeQueryRef(qid)); err == nil {
-		t.Error("msgResult answered for a batch that records no levels")
-	}
-	if _, err := ip.Coord.call(ctx, 0, msgEnd, encodeQueryRef(qid)); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -465,18 +391,26 @@ func TestClusterCompressionRatio(t *testing.T) {
 	}
 }
 
+// exchangeFixture is the scale-14 graph and 64-source batch the exchange
+// counts are pinned on.
+func exchangeFixture() (*msbfs.Graph, []int) {
+	g0 := msbfs.GenerateKronecker(14, 16, 20170321)
+	g, _ := g0.Relabel(msbfs.LabelStriped, 2, 512, 1)
+	return g, g.RandomSources(64, 11)
+}
+
 // TestClusterExchangeCounts pins the level exchange as counts on a
 // scale-14 fixture: the codec bytes and raw bytes every shard ships, the
 // visited states, and the edges the shards scan. The coordinator's record
 // must equal single-process top-down level for level in scanned edges and
 // produced frontier vertices — each shard scans the frontier rows it owns
-// and nothing else, and reports both counts on its traced step reply.
+// and nothing else, and reports both counts on its traced step reply. A
+// batch that reads its answers (levels and a visitor) exchanges the same
+// bytes and scans the same edges, and its rows equal single-process ones.
 func TestClusterExchangeCounts(t *testing.T) {
-	g0 := msbfs.GenerateKronecker(14, 16, 20170321)
-	g, _ := g0.Relabel(msbfs.LabelStriped, 2, 512, 1)
-	sources := g.RandomSources(64, 11)
+	g, sources := exchangeFixture()
 
-	single := g.MultiBFS(sources, msbfs.Options{Workers: 2, TopDownOnly: true, CollectIterStats: true})
+	single := g.MultiBFS(sources, msbfs.Options{Workers: 2, TopDownOnly: true, CollectIterStats: true, RecordLevels: true})
 	var wantScanned int64
 	for _, it := range single.Iterations {
 		wantScanned += it.ScannedEdges
@@ -507,40 +441,169 @@ func TestClusterExchangeCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := rg.RunBatch(context.Background(), sources, msbfs.Options{Workers: 2}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.VisitedStates != 800704 {
-				t.Errorf("VisitedStates = %d, want 800704", res.VisitedStates)
-			}
-			met := ip.Coord.Metrics()
-			if got := met.FrontierBytes.Load(); got != tc.frontierBytes {
-				t.Errorf("FrontierBytes = %d, want %d", got, tc.frontierBytes)
-			}
-			if got := met.FrontierRawBytes.Load(); got != tc.rawBytes {
-				t.Errorf("FrontierRawBytes = %d, want %d", got, tc.rawBytes)
-			}
-			trace := tracer.Snapshot()
-			if len(trace.Traversals) != 1 {
-				t.Fatalf("%d traversals recorded, want 1", len(trace.Traversals))
-			}
-			iters := trace.Traversals[0].Iterations
-			if len(iters) != len(single.Iterations) {
-				t.Fatalf("coordinator recorded %d levels, single-process top-down %d", len(iters), len(single.Iterations))
-			}
-			var scanned int64
-			for i, it := range iters {
-				want := single.Iterations[i]
-				if it.ScannedEdges != want.ScannedEdges || it.FrontierVertices != want.FrontierVertices {
-					t.Errorf("level %d: scanned %d, frontier %d; single-process top-down %d, %d",
-						it.Iteration, it.ScannedEdges, it.FrontierVertices, want.ScannedEdges, want.FrontierVertices)
+			for _, read := range []bool{false, true} {
+				opt := msbfs.Options{Workers: 2, RecordLevels: read}
+				var visit func(workerID, sourceIdx, vertex, depth int)
+				visits, lastDepth := int64(0), 0
+				if read {
+					visit = func(_, _, _, depth int) {
+						if depth < lastDepth {
+							t.Errorf("read: visitor saw depth %d after depth %d", depth, lastDepth)
+						}
+						visits, lastDepth = visits+1, depth
+					}
 				}
-				scanned += it.ScannedEdges
-			}
-			if scanned != wantScanned {
-				t.Errorf("shards scanned %d edges in total, want %d", scanned, wantScanned)
+				met := ip.Coord.Metrics()
+				sentBefore, rawBefore := met.FrontierBytes.Load(), met.FrontierRawBytes.Load()
+				res, err := rg.RunBatch(context.Background(), sources, opt, visit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.VisitedStates != 800704 {
+					t.Errorf("read=%t: VisitedStates = %d, want 800704", read, res.VisitedStates)
+				}
+				if got := met.FrontierBytes.Load() - sentBefore; got != tc.frontierBytes {
+					t.Errorf("read=%t: FrontierBytes = %d, want %d", read, got, tc.frontierBytes)
+				}
+				if got := met.FrontierRawBytes.Load() - rawBefore; got != tc.rawBytes {
+					t.Errorf("read=%t: FrontierRawBytes = %d, want %d", read, got, tc.rawBytes)
+				}
+				if read {
+					if visits != res.VisitedStates {
+						t.Errorf("visitor called %d times, VisitedStates %d", visits, res.VisitedStates)
+					}
+					for i := range single.Levels {
+						if !slices.Equal(res.Levels[i], single.Levels[i]) {
+							t.Fatalf("source %d: cluster levels differ from single-process MultiBFS", sources[i])
+						}
+					}
+				}
+				trace := tracer.Snapshot()
+				iters := trace.Traversals[len(trace.Traversals)-1].Iterations
+				if len(iters) != len(single.Iterations) {
+					t.Fatalf("read=%t: coordinator recorded %d levels, single-process top-down %d", read, len(iters), len(single.Iterations))
+				}
+				var scanned int64
+				for i, it := range iters {
+					want := single.Iterations[i]
+					if it.ScannedEdges != want.ScannedEdges || it.FrontierVertices != want.FrontierVertices {
+						t.Errorf("read=%t level %d: scanned %d, frontier %d; single-process top-down %d, %d",
+							read, it.Iteration, it.ScannedEdges, it.FrontierVertices, want.ScannedEdges, want.FrontierVertices)
+					}
+					scanned += it.ScannedEdges
+				}
+				if scanned != wantScanned {
+					t.Errorf("read=%t: shards scanned %d edges in total, want %d", read, scanned, wantScanned)
+				}
 			}
 		})
+	}
+}
+
+// TestClusterDiscoveryBytes drives a reading batch on the exchange fixture
+// by hand, msgStart and one msgStep per level on every shard, and pins the
+// discovery sections its step replies carry: the codec bytes, and the
+// section bytes with their length prefixes. The last step discovers
+// nothing, and its section is 2 B a shard (sparse header, zero rows). The
+// sections must stay under a tenth of the batch's dense k×n int32 level
+// rows with their headers: 4,194,310 B at 2 shards.
+func TestClusterDiscoveryBytes(t *testing.T) {
+	g, sources := exchangeFixture()
+	for _, tc := range []struct {
+		shards       int
+		codec, total int64
+	}{
+		{2, 339016, 339045},
+		{3, 329290, 329331},
+		{4, 321564, 321617},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			ip := startCluster(t, tc.shards, CoordinatorOptions{})
+			c := ip.Coord
+			if _, err := c.LoadGraph(context.Background(), "bytes", g, 2); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			qid := c.nextID.Add(1)
+			if err := c.fanOut(func(s int) error {
+				_, err := c.call(ctx, s, msgStart, encodeStart(qid, "bytes", sources, 0, true))
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			defer c.fanOut(func(s int) error {
+				_, err := c.call(ctx, s, msgEnd, encodeQueryRef(qid))
+				return err
+			})
+			var codec, total, next atomic.Int64
+			for level := 1; level == 1 || next.Load() > 0; level++ {
+				next.Store(0)
+				if err := c.fanOut(func(s int) error {
+					out, err := c.call(ctx, s, msgStep, encodeQueryRef(qid, uint64(level)))
+					if err != nil {
+						return err
+					}
+					d, err := decodeStepDone(out, true)
+					if err != nil {
+						return err
+					}
+					next.Add(d.nextStates)
+					codec.Add(int64(len(d.found)))
+					total.Add(int64(len(out)) - int64(len(encodeStepDone(stepDone{
+						nextStates: d.nextStates, sentBytes: d.sentBytes, rawBytes: d.rawBytes}))))
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if codec.Load() != tc.codec || total.Load() != tc.total {
+				t.Errorf("discovery sections: %d codec bytes, %d with prefixes; want %d, %d",
+					codec.Load(), total.Load(), tc.codec, tc.total)
+			}
+			if total.Load() > 4194310/10 {
+				t.Errorf("discovery sections: %d B, more than a tenth of the 4,194,310 B of dense level rows", total.Load())
+			}
+		})
+	}
+}
+
+// TestEmitRejectsBadSections: the coordinator stamps a level's discovery
+// sections in shard and vertex order, and fails the batch, without a
+// panic, on a malformed section or a bit at a slot the batch does not
+// have.
+func TestEmitRejectsBadSections(t *testing.T) {
+	const n = 128 // two shards of 64 rows
+	rows := func(set map[int]uint64) []byte {
+		words := make([]uint64, 64)
+		for v, w := range set {
+			words[v] = w
+		}
+		return encodeDelta(nil, words, 64, 1)
+	}
+	var got [][3]int
+	em := &emitter{k: 3, offset: 5, part: partition(n, 2), scratch: make([]uint64, 64),
+		levels: [][]int32{make([]int32, n), make([]int32, n), make([]int32, n)},
+		visit:  func(_, i, v, depth int) { got = append(got, [3]int{i, v, depth}) }}
+	em.found = [][]byte{rows(map[int]uint64{9: 0b101}), rows(map[int]uint64{1: 0b010})}
+	if err := em.emit(1); err != nil {
+		t.Fatal(err)
+	}
+	want := [][3]int{{5, 9, 1}, {7, 9, 1}, {6, 65, 1}}
+	if !slices.Equal(got, want) {
+		t.Errorf("visits %v, want %v", got, want)
+	}
+	if em.levels[0][9] != 1 || em.levels[2][9] != 1 || em.levels[1][65] != 1 || em.levels[1][9] != 0 {
+		t.Errorf("level rows not stamped as visited")
+	}
+	for name, sec := range map[string][]byte{
+		"empty":       {},
+		"bad tag":     {0x07},
+		"truncated":   rows(map[int]uint64{3: 1})[:4],
+		"slot 3 of 3": rows(map[int]uint64{3: 0b1000}),
+	} {
+		em.found = [][]byte{rows(nil), sec}
+		if err := em.emit(2); err == nil {
+			t.Errorf("%s section accepted", name)
+		}
 	}
 }

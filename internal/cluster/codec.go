@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // The delta-frontier codec encodes the per-iteration change a shard's scan
@@ -47,27 +48,14 @@ func encodeDelta(dst []byte, words []uint64, n, stride int) []byte {
 		panic(fmt.Sprintf("cluster: codec stride %d out of range [1,%d]", stride, codecMaxStride))
 	}
 	held := min(n, len(words)/stride)
-	// First pass: size the sparse encoding without emitting it.
-	sparse := 1 // header
-	rows := 0
-	prev := 0
+	live := words[:held*stride]
+	// First pass: size the sparse encoding without emitting it. Gaps count
+	// from row 0, so the first row's gap is its index.
+	sparse, rows, prev := 1, 0, 0 // 1: the header
 	var gapBuf [binary.MaxVarintLen64]byte
-	for v := 0; v < held; v++ {
-		off := v * stride
-		present := 0
-		for i := 0; i < stride; i++ {
-			if words[off+i] != 0 {
-				present++
-			}
-		}
-		if present == 0 {
-			continue
-		}
-		gap := v
-		if rows > 0 {
-			gap = v - prev
-		}
-		sparse += binary.PutUvarint(gapBuf[:], uint64(gap)) + 1 + 8*present
+	for v := nextRow(live, 0, stride); v < held; v = nextRow(live, v+1, stride) {
+		present := bits.OnesCount8(presence(live[v*stride : (v+1)*stride]))
+		sparse += binary.PutUvarint(gapBuf[:], uint64(v-prev)) + 1 + 8*present
 		prev = v
 		rows++
 	}
@@ -75,7 +63,7 @@ func encodeDelta(dst []byte, words []uint64, n, stride int) []byte {
 
 	if dense := 1 + rawBytes(n, stride); sparse >= dense {
 		dst = append(dst, codecDense)
-		for _, w := range words[:held*stride] {
+		for _, w := range live {
 			dst = binary.LittleEndian.AppendUint64(dst, w)
 		}
 		return append(dst, make([]byte, rawBytes(n-held, stride))...)
@@ -84,33 +72,40 @@ func encodeDelta(dst []byte, words []uint64, n, stride int) []byte {
 	dst = append(dst, codecSparse)
 	dst = binary.AppendUvarint(dst, uint64(rows))
 	prev = 0
-	emitted := 0
-	for v := 0; v < held; v++ {
-		off := v * stride
-		var present byte
-		for i := 0; i < stride; i++ {
-			if words[off+i] != 0 {
-				present |= 1 << uint(i)
-			}
-		}
-		if present == 0 {
-			continue
-		}
-		gap := v
-		if emitted > 0 {
-			gap = v - prev
-		}
-		dst = binary.AppendUvarint(dst, uint64(gap))
-		dst = append(dst, present)
-		for i := 0; i < stride; i++ {
-			if present&(1<<uint(i)) != 0 {
-				dst = binary.LittleEndian.AppendUint64(dst, words[off+i])
+	for v := nextRow(live, 0, stride); v < held; v = nextRow(live, v+1, stride) {
+		row := live[v*stride : (v+1)*stride]
+		dst = binary.AppendUvarint(dst, uint64(v-prev))
+		dst = append(dst, presence(row))
+		for _, w := range row {
+			if w != 0 {
+				dst = binary.LittleEndian.AppendUint64(dst, w)
 			}
 		}
 		prev = v
-		emitted++
 	}
 	return dst
+}
+
+// nextRow returns the first row at or after v that holds a nonzero word,
+// or len(words)/stride when none does. It scans words, not rows: most rows
+// of a level's delta are zero.
+func nextRow(words []uint64, v, stride int) int {
+	for j := v * stride; j < len(words); j++ {
+		if words[j] != 0 {
+			return j / stride
+		}
+	}
+	return len(words) / stride
+}
+
+// presence is a row's presence byte: bit i says word i is nonzero.
+func presence(row []uint64) (p byte) {
+	for i, w := range row {
+		if w != 0 {
+			p |= 1 << i
+		}
+	}
+	return p
 }
 
 // decodeDelta ORs an encoded delta for an n-row, stride-word row-major slab
@@ -136,7 +131,7 @@ func decodeDelta(payload []byte, words []uint64, n, stride int) error {
 			return fmt.Errorf("cluster: dense delta is %d bytes, want %d", len(body), rawBytes(n, stride))
 		}
 		for i := 0; i < held*stride; i++ {
-			words[i] |= binary.LittleEndian.Uint64(body[i*8:]) //bfs:singlewriter decode runs on the one goroutine that drains the delta inbox
+			words[i] |= binary.LittleEndian.Uint64(body[i*8:]) //bfs:singlewriter decode runs on the one goroutine that owns words: a shard's inbox drain or the coordinator's emit
 		}
 		for i := held * stride; i < n*stride; i++ {
 			if binary.LittleEndian.Uint64(body[i*8:]) != 0 {
@@ -191,7 +186,7 @@ func decodeDelta(payload []byte, words []uint64, n, stride int) error {
 				if len(body) < 8 {
 					return fmt.Errorf("cluster: sparse delta: truncated word at row %d", v)
 				}
-				words[off+i] |= binary.LittleEndian.Uint64(body) //bfs:singlewriter decode runs on the one goroutine that drains the delta inbox
+				words[off+i] |= binary.LittleEndian.Uint64(body) //bfs:singlewriter decode runs on the one goroutine that owns words: a shard's inbox drain or the coordinator's emit
 				body = body[8:]
 			}
 		}

@@ -2,9 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +13,7 @@ import (
 	msbfs "repro"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // CoordinatorOptions tunes a Coordinator.
@@ -27,8 +29,8 @@ const dialTimeout = 5 * time.Second
 
 // Coordinator is the query-side half of cluster mode: it owns one control
 // connection per shard, partitions and ships graphs, and drives the
-// level-synchronous barrier of every query, merging the per-shard level
-// arrays back into the single-process result shape.
+// level-synchronous barrier of every query, stamping the discoveries the
+// shards' step replies carry into the single-process result shape.
 type Coordinator struct {
 	addrs  []string
 	conns  []*rpcConn
@@ -173,8 +175,9 @@ func (c *Coordinator) LoadGraph(ctx context.Context, name string, g *msbfs.Graph
 // to 64*BatchWords slots, 512 max) and streams every (source, vertex,
 // depth) discovery to visit — the same contract as
 // msbfs.Graph.MultiBFSVisitor, with visit always called sequentially as
-// workerID 0 (the merge runs on one goroutine). A connection-level
-// failure aborts with an error wrapping ErrShardDown.
+// workerID 0, level by level: each level's discoveries in vertex order,
+// a vertex's sources in slot order. A connection-level failure aborts with
+// an error wrapping ErrShardDown.
 func (rg *RemoteGraph) RunBatch(ctx context.Context, sources []int, opt msbfs.Options,
 	visit func(workerID, sourceIdx, vertex, depth int)) (*msbfs.MultiResult, error) {
 	opt = opt.Normalize()
@@ -206,9 +209,11 @@ func (rg *RemoteGraph) RunBatch(ctx context.Context, sources []int, opt msbfs.Op
 }
 
 // runOne drives a single k-wide batch: start on every shard, step the
-// level barrier until all frontiers drain (or MaxDepth is reached), fetch
-// and merge the per-shard level rows when the caller reads them (records
-// levels or passes a visitor), then release the shards' state.
+// level barrier until all frontiers drain (or MaxDepth is reached), then
+// release the shards' state. When the caller reads the answers (records
+// levels or passes a visitor), every step reply carries the level's
+// discoveries over the shard's rows, and emit hands them on after the
+// barrier.
 func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int, opt msbfs.Options,
 	visit func(workerID, sourceIdx, vertex, depth int), res *msbfs.MultiResult) (err error) {
 	c := rg.c
@@ -233,8 +238,8 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 		traceID = tv.ID
 	}
 
-	// A batch whose caller reads no levels tells the shards to record
-	// none, and skips the msgResult fetch.
+	// A batch whose caller reads no levels tells the shards to ship no
+	// discoveries.
 	read := opt.RecordLevels || visit != nil
 	if err := c.fanOut(func(s int) error {
 		_, err := c.call(ctx, s, msgStart, encodeStart(qid, rg.name, batch, traceID, read))
@@ -256,6 +261,23 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 			return err
 		})
 	}()
+
+	// The sources are level 0, emitted here as Seed emits them in-process.
+	var em *emitter
+	if read {
+		part := partition(rg.n, len(c.conns))
+		em = &emitter{k: k, offset: batchOffset, part: part, visit: visit,
+			found: make([][]byte, len(c.conns)), scratch: make([]uint64, part.Per()*((k+63)/64))}
+		if opt.RecordLevels {
+			em.levels = res.Levels[batchOffset : batchOffset+k]
+			for i := range em.levels {
+				em.levels[i] = slices.Repeat([]int32{core.NoLevel}, rg.n)
+			}
+		}
+		for i, s := range batch {
+			em.stamp(i, s, 0)
+		}
+	}
 
 	// Level barrier. The sources seed level 0; iteration L discovers the
 	// level-L states. totalNext counts (vertex, source) states cluster-wide,
@@ -286,9 +308,12 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 			if err != nil {
 				return err
 			}
-			d, err := decodeStepDone(out)
+			d, err := decodeStepDone(out, read)
 			if err != nil {
 				return err
+			}
+			if em != nil {
+				em.found[s] = d.found
 			}
 			nextSum.Add(d.nextStates)
 			sentSum.Add(d.sentBytes)
@@ -337,11 +362,10 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 			ExchangeBytes:    sentSum.Load(),
 			ExchangeRawBytes: rawSum.Load(),
 		})
-	}
-
-	if read {
-		if err := rg.fetchLevels(ctx, qid, k, batchOffset, opt, visit, res); err != nil {
-			return err
+		if em != nil {
+			if err := em.emit(level); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -352,63 +376,55 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 	return nil
 }
 
-// fetchLevels fetches and merges a batch's level rows: each shard returns
-// its k x rlen level rows; the global row of slot i is the concatenation
-// over shards. The visit stream replays every discovery sequentially as
-// workerID 0.
-func (rg *RemoteGraph) fetchLevels(ctx context.Context, qid uint64, k, batchOffset int, opt msbfs.Options,
-	visit func(workerID, sourceIdx, vertex, depth int), res *msbfs.MultiResult) error {
-	c := rg.c
-	var levels [][]int32
-	if opt.RecordLevels {
-		levels = make([][]int32, k)
-		for i := range levels {
-			row := make([]int32, rg.n)
-			for v := range row {
-				row[v] = core.NoLevel
-			}
-			levels[i] = row
-		}
-	}
-	var mergeMu sync.Mutex // serializes visit across the concurrent fetches
-	if err := c.fanOut(func(s int) error {
-		lo, hiV := partition(rg.n, len(c.addrs)).Range(s)
-		rlen := hiV - lo
-		out, err := c.call(ctx, s, msgResult, encodeQueryRef(qid))
-		if err != nil {
-			return err
-		}
-		gotK, gotR, rows, err := decodeResultRows(out)
-		if err != nil {
-			return err
-		}
-		if gotK != k || gotR != rlen {
-			return fmt.Errorf("cluster: shard %d returned %dx%d rows, want %dx%d", s, gotK, gotR, k, rlen)
-		}
-		mergeMu.Lock()
-		defer mergeMu.Unlock()
-		for i := 0; i < k; i++ {
-			row := rows[i*rlen*4 : (i+1)*rlen*4]
-			for v := 0; v < rlen; v++ {
-				lv := int32(binary.LittleEndian.Uint32(row[v*4:]))
-				if lv == core.NoLevel {
-					continue
-				}
-				if levels != nil {
-					levels[i][lo+v] = lv
-				}
-				if visit != nil {
-					visit(0, batchOffset+i, lo+v, int(lv))
-				}
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	for i := range levels {
-		res.Levels[batchOffset+i] = levels[i]
-	}
+// emitter hands a reading batch's discoveries to its caller on the
+// coordinator's one goroutine: it stamps the recorded levels and calls the
+// visitor.
+type emitter struct {
+	k, offset int
+	part      sched.Stripes
+	levels    [][]int32 // the batch's rows of the result; nil unless recorded
+	visit     func(workerID, sourceIdx, vertex, depth int)
+	found     [][]byte // each shard's discovery section of the level in flight
+	scratch   []uint64 // one shard's k-wide rows, all zero between decodes
+}
 
+// stamp records that slot i reached vertex v at depth.
+func (em *emitter) stamp(i, v, depth int) {
+	if em.levels != nil {
+		em.levels[i][v] = int32(depth)
+	}
+	if em.visit != nil {
+		em.visit(0, em.offset+i, v, depth)
+	}
+}
+
+// emit decodes the shards' discovery sections of one level, in shard
+// order, and stamps every discovery. A malformed section, or one with a
+// bit at a slot the batch does not have, fails the batch.
+func (em *emitter) emit(level int) error {
+	w := (em.k + 63) / 64
+	for s, sec := range em.found {
+		lo, hi := em.part.Range(s)
+		rows := em.scratch[:(hi-lo)*w]
+		if err := decodeDelta(sec, rows, hi-lo, w); err != nil {
+			return fmt.Errorf("cluster: shard %d level %d discoveries: %w", s, level, err)
+		}
+		// Each word is zeroed as it is read, so the scratch is clean for
+		// the next decode, which ORs into it.
+		for j, word := range rows {
+			if word == 0 {
+				continue
+			}
+			rows[j] = 0 //bfs:singlewriter the scratch is the batch's own, read on the coordinator's one goroutine
+			v, base := lo+j/w, (j%w)*64
+			for ; word != 0; word &= word - 1 {
+				i := base + bits.TrailingZeros64(word)
+				if i >= em.k {
+					return fmt.Errorf("cluster: shard %d level %d: vertex %d discovered by slot %d of %d", s, level, v, i, em.k)
+				}
+				em.stamp(i, v, level)
+			}
+		}
+	}
 	return nil
 }

@@ -72,43 +72,22 @@ type shardGraph struct {
 // engine as wide as a single-process one, seeded with the whole batch. mu
 // serializes the query's requests, so msgEnd waits for a step in flight.
 type shardQuery struct {
-	mu     sync.Mutex
-	g      *shardGraph
-	words  int
-	e      *core.MSPBFSEngine // nil once releaseQuery closed it
-	levels [][]int32          // k rows over all n vertices, [lo,hi) this shard's answer; nil unless msgStart asked for levels
-	slab   *[]int32           // the levelSlabs slab levels is cut from
-	depth  int                // the last level stepped
+	mu    sync.Mutex
+	g     *shardGraph
+	words int
+	e     *core.MSPBFSEngine // nil once releaseQuery closed it
+	depth int                // the last level stepped
 
 	inbox chan *deltaMsg
+
+	// record is set when the caller reads the batch's answers: every step
+	// reply then carries the level's discoveries over this shard's rows.
+	record bool
 
 	// traced is set when the coordinator's msgStart carried a trace id;
 	// every step then measures its sub-phases and piggybacks a stepTrace
 	// section on the reply. Untraced queries never read the clock.
 	traced bool
-}
-
-// levelSlabs recycles the shards' level rows: a recording query cuts its k
-// n-long rows from one slab, and releaseQuery puts the slab back.
-var levelSlabs sync.Pool // of *[]int32
-
-// takeLevelRows cuts k n-long rows from a pooled slab, refilled with
-// NoLevel whatever its last query left there: the fill is the scrub.
-func takeLevelRows(n, k int) (*[]int32, [][]int32) {
-	slab, _ := levelSlabs.Get().(*[]int32)
-	if slab == nil || cap(*slab) < n*k {
-		slab = new([]int32)
-		*slab = make([]int32, n*k)
-	}
-	all := (*slab)[:n*k]
-	for i := range all {
-		all[i] = core.NoLevel
-	}
-	rows := make([][]int32, k)
-	for i := range rows {
-		rows[i] = all[i*n : (i+1)*n : (i+1)*n]
-	}
-	return slab, rows
 }
 
 // pendingDelta is one encoded peer delta awaiting its send: the exchange
@@ -271,8 +250,6 @@ func (s *Shard) handle(cw *connWriter, typ byte, id uint64, payload []byte) {
 		err = s.handleStart(payload)
 	case msgStep:
 		out, err = s.handleStep(payload)
-	case msgResult:
-		out, err = s.handleResult(payload)
 	case msgEnd:
 		err = s.handleEnd(payload)
 	case msgDrop:
@@ -398,19 +375,17 @@ func (s *Shard) handleStart(payload []byte) error {
 	q := &shardQuery{
 		g: g, words: (k + 63) / 64,
 		inbox:  make(chan *deltaMsg, g.part.Parts()),
+		record: m.record,
 		traced: m.traceID != 0,
 	}
 	// The whole batch is seeded on every shard, as a single-process run
-	// seeds it: a foreign source's row is empty, so it scans nothing, and
-	// its level entry lies outside the rows handleResult returns. A batch
-	// whose caller reads no levels records none.
+	// seeds it: a foreign source's row is empty, so it scans nothing. The
+	// shard keeps no levels; the coordinator stamps the sources at depth 0
+	// and each step reply carries the depths after them.
 	q.e = core.NewMSPBFSEngine(g.csr, core.Options{
 		Workers: g.workers, BatchWords: q.words, Direction: core.TopDownOnly, Engine: s.eng,
 	}) //bfs:arena-held the engine's shell and pool live across RPCs until releaseQuery closes it at msgEnd
-	if m.record {
-		q.slab, q.levels = takeLevelRows(n, k)
-	}
-	q.e.Seed(m.sources, 0, q.levels, nil)
+	q.e.Seed(m.sources, 0, nil, nil)
 
 	s.mu.Lock()
 	var regErr error
@@ -451,6 +426,8 @@ func (s *Shard) lockQuery(qid uint64) (*shardQuery, error) {
 // handleStep runs one level of the query's engine: the scatter and inbox
 // apply over this shard's rows, the exchange of next's stripes with the
 // peers (stepExchange.run), then the resolve, which is the apply phase.
+// The reply of a batch whose caller reads its answers carries the level's
+// discoveries over this shard's rows, codec-encoded.
 //
 // When the query is traced each phase boundary stamps the monotonic clock
 // into a stepTrace that rides back on the reply; untraced queries take the
@@ -493,7 +470,21 @@ func (s *Shard) handleStep(payload []byte) ([]byte, error) {
 		x.tr.scanned, x.tr.frontier = uint64(scanned), uint64(frontier)
 		d.trace = x.tr
 	}
+	if q.record {
+		// The frontier the step produced is its discoveries, and over the
+		// owned rows it is this shard's share of them.
+		g := q.g
+		d.found = encodeDelta(nil, stripe(q.e.Frontier(), g.lo, g.hi, q.words), g.hi-g.lo, q.words)
+	}
 	return encodeStepDone(d), nil
+}
+
+// stripe returns rows [lo, hi) of a row-major state of w words per row
+// that holds its first len(words)/w rows only: the rows past them are
+// zero, and the codec pads what the slice lacks.
+func stripe(words []uint64, lo, hi, w int) []uint64 {
+	rows := len(words) / w
+	return words[min(lo, rows)*w : min(hi, rows)*w]
 }
 
 // stepExchange is one step's exchange point, run by the engine after the
@@ -541,15 +532,14 @@ func (x *stepExchange) run(next []uint64) error {
 	// goroutines, since one slow peer link must not serialize the
 	// exchange behind another.
 	var sends []pendingDelta
-	rows := len(next) / w
 	for p := 0; p < g.part.Parts(); p++ {
 		plo, phi := g.part.Range(p)
 		if p == g.shardID || plo == phi {
 			continue
 		}
-		stripe := next[min(plo, rows)*w : min(phi, rows)*w]
-		delta := encodeDelta(nil, stripe, phi-plo, w)
-		clear(stripe) //bfs:singlewriter the exchange runs between the engine's barriers, workers parked
+		theirs := stripe(next, plo, phi, w)
+		delta := encodeDelta(nil, theirs, phi-plo, w)
+		clear(theirs) //bfs:singlewriter the exchange runs between the engine's barriers, workers parked
 		sends = append(sends, pendingDelta{peer: p,
 			frame: encodeDelta32(&deltaMsg{fromShard: g.shardID, level: x.level, delta: delta})})
 		x.sent += int64(len(delta))
@@ -580,7 +570,7 @@ func (x *stepExchange) run(next []uint64) error {
 	// Barrier: one delta from every non-empty peer, ORed into this
 	// shard's stripe on this goroutine while the workers are parked.
 	// Traced steps split the wait into blocked time and codec time.
-	own := next[min(g.lo, rows)*w : min(g.hi, rows)*w]
+	own := stripe(next, g.lo, g.hi, w)
 	timer := time.NewTimer(x.s.opt.StepTimeout)
 	defer timer.Stop()
 	for got := 0; got < len(sends); got++ {
@@ -614,23 +604,6 @@ func (s *Shard) peerFor(p int) *peerLink {
 	return s.peers[p]
 }
 
-func (s *Shard) handleResult(payload []byte) ([]byte, error) {
-	r := &wireReader{b: payload}
-	qid, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	q, err := s.lockQuery(qid)
-	if err != nil {
-		return nil, err
-	}
-	defer q.mu.Unlock()
-	if q.levels == nil {
-		return nil, fmt.Errorf("query %d records no levels", qid)
-	}
-	return encodeResultRows(q.levels, q.g.lo, q.g.hi), nil
-}
-
 // handleEnd releases a query's engine-held state. Ending an unknown query
 // succeeds: the coordinator tears queries down best-effort after errors.
 func (s *Shard) handleEnd(payload []byte) error {
@@ -649,14 +622,10 @@ func (s *Shard) handleEnd(payload []byte) error {
 	return nil
 }
 
-// releaseQuery puts the level rows' slab back and hands the engine back,
-// after any step in flight.
+// releaseQuery hands the engine back, after any step in flight.
 func (s *Shard) releaseQuery(q *shardQuery) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.slab != nil {
-		levelSlabs.Put(q.slab)
-	}
 	q.e.Close()
-	q.e, q.levels, q.slab = nil, nil, nil
+	q.e = nil
 }

@@ -162,7 +162,7 @@ func TestUntracedWireBytesUnchanged(t *testing.T) {
 	if got := encodeStepDone(plain); !bytes.Equal(got, legacyDone) {
 		t.Errorf("untraced encodeStepDone = %x, want legacy %x", got, legacyDone)
 	}
-	d, err := decodeStepDone(legacyDone)
+	d, err := decodeStepDone(legacyDone, false)
 	if err != nil || d.trace != nil {
 		t.Errorf("decodeStepDone(legacy): trace=%v err=%v, want nil trace", d.trace, err)
 	}
@@ -178,7 +178,7 @@ func TestUntracedWireBytesUnchanged(t *testing.T) {
 	if got := encodeStepDone(withTrace); !bytes.Equal(got, tracedDone) {
 		t.Errorf("traced encodeStepDone = %x, want %x", got, tracedDone)
 	}
-	d, err = decodeStepDone(encodeStepDone(withTrace))
+	d, err = decodeStepDone(encodeStepDone(withTrace), false)
 	if err != nil || d.trace == nil {
 		t.Fatalf("decodeStepDone(traced): trace=%v err=%v", d.trace, err)
 	}

@@ -26,12 +26,11 @@ import (
 
 const (
 	// Coordinator → shard requests.
-	msgLoad   = 0x01 // load a graph slice: see encodeLoad
-	msgStart  = 0x02 // begin a query: graph name, k sources
-	msgStep   = 0x03 // run one BFS level
-	msgResult = 0x04 // fetch the query's level rows
-	msgEnd    = 0x05 // release the query's state
-	msgDrop   = 0x06 // unload a graph
+	msgLoad  = 0x01 // load a graph slice: see encodeLoad
+	msgStart = 0x02 // begin a query: graph name, k sources
+	msgStep  = 0x03 // run one BFS level
+	msgEnd   = 0x05 // release the query's state
+	msgDrop  = 0x06 // unload a graph
 
 	// Shard → shard.
 	msgDelta = 0x10 // delta frontier: fromShard, level, codec payload
@@ -42,9 +41,10 @@ const (
 )
 
 // maxFrame bounds accepted frame sizes. The largest legitimate frames are
-// graph-slice loads (adjacency of one shard) and dense level-row results;
-// 1 GiB leaves headroom for scale-25-class slices while stopping a
-// corrupted length prefix from allocating the universe.
+// graph-slice loads (adjacency of one shard); a step reply's discoveries
+// are at most one dense k-wide stripe of the shard's rows. 1 GiB leaves
+// headroom for scale-25-class slices while stopping a corrupted length
+// prefix from allocating the universe.
 const maxFrame = 1 << 30
 
 const frameHeader = 1 + 8 // type + request id
@@ -280,7 +280,7 @@ func decodeLoad(payload []byte) (*loadMsg, error) {
 // nonzero flight-record trace id, and the shard answers every msgStep
 // with a piggybacked stepTrace section. A batch whose caller reads no
 // levels appends the trace id (0 when untraced) and then startNoLevels,
-// and the shards record no level rows for it. An untraced batch that
+// and the shards ship no discoveries for it. An untraced batch that
 // reads its levels appends nothing, so its encoding is byte-identical to
 // the pre-tracing wire format.
 type startMsg struct {
@@ -288,11 +288,11 @@ type startMsg struct {
 	name    string
 	sources []int
 	traceID uint64
-	record  bool // the shards record level rows for msgResult
+	record  bool // every msgStep reply carries the level's discoveries
 }
 
 // startNoLevels is the trailing msgStart flag of a batch that reads no
-// levels.
+// levels: its step replies ship no discoveries.
 const startNoLevels = 1
 
 func encodeStart(qid uint64, name string, sources []int, traceID uint64, record bool) []byte {
@@ -351,8 +351,7 @@ func decodeStart(payload []byte) (*startMsg, error) {
 }
 
 // encodeQueryRef builds the payload of the query-scoped requests that
-// carry only the query id (msgResult, msgEnd) or the id plus the level
-// (msgStep).
+// carry only the query id (msgEnd) or the id plus the level (msgStep).
 func encodeQueryRef(qid uint64, extra ...uint64) []byte {
 	dst := binary.AppendUvarint(make([]byte, 0, 16), qid)
 	for _, v := range extra {
@@ -365,6 +364,12 @@ func encodeQueryRef(qid uint64, extra ...uint64) []byte {
 // source) states entered the shard's next frontier, and the exchange
 // volume the shard sent this level (encoded vs raw bitset bytes).
 //
+// found is the discovery section of a batch whose caller reads its
+// answers (msgStart without startNoLevels): the level's discoveries over
+// the shard's rows [lo,hi), k-wide rows in the delta codec, sent as
+// uvarint(len) and the bytes after the counters. A batch that reads
+// nothing sends no section, and found is nil.
+//
 // trace is the optional piggybacked distributed-tracing section: when the
 // query's msgStart carried a trace id, the shard appends its sub-phase
 // wall times, so the coordinator can reconstruct one clock-aligned
@@ -375,6 +380,7 @@ type stepDone struct {
 	nextStates int64
 	sentBytes  int64
 	rawBytes   int64
+	found      []byte
 	trace      *stepTrace
 }
 
@@ -397,10 +403,14 @@ type stepTrace struct {
 }
 
 func encodeStepDone(d stepDone) []byte {
-	dst := make([]byte, 0, 11*binary.MaxVarintLen64)
+	dst := make([]byte, 0, 12*binary.MaxVarintLen64+len(d.found))
 	dst = binary.AppendUvarint(dst, uint64(d.nextStates))
 	dst = binary.AppendUvarint(dst, uint64(d.sentBytes))
 	dst = binary.AppendUvarint(dst, uint64(d.rawBytes))
+	if d.found != nil {
+		dst = binary.AppendUvarint(dst, uint64(len(d.found)))
+		dst = append(dst, d.found...)
+	}
 	if d.trace != nil {
 		dst = binary.AppendUvarint(dst, d.trace.scanNanos)
 		dst = binary.AppendUvarint(dst, d.trace.encodeNanos)
@@ -414,7 +424,9 @@ func encodeStepDone(d stepDone) []byte {
 	return dst
 }
 
-func decodeStepDone(payload []byte) (stepDone, error) {
+// decodeStepDone parses a step reply; read says whether the batch's
+// replies carry a discovery section.
+func decodeStepDone(payload []byte, read bool) (stepDone, error) {
 	r := &wireReader{b: payload}
 	var d stepDone
 	v, err := r.uvarint()
@@ -430,6 +442,15 @@ func decodeStepDone(payload []byte) (stepDone, error) {
 		return d, err
 	}
 	d.rawBytes = int64(v)
+	if read {
+		n, err := r.intv()
+		if err != nil {
+			return d, err
+		}
+		if d.found, err = r.bytes(n); err != nil {
+			return d, err
+		}
+	}
 	if len(r.b) > 0 {
 		tr := &stepTrace{}
 		for _, f := range []*uint64{&tr.scanNanos, &tr.encodeNanos, &tr.sendNanos,
@@ -470,33 +491,4 @@ func decodeDelta32(payload []byte) (*deltaMsg, error) {
 	}
 	m.delta = r.b
 	return m, nil
-}
-
-// resultMsg is the per-shard reply to msgResult: the query's k level rows
-// over the shard's vertices [lo,hi), row-major int32 little-endian
-// (NoLevel for unreached), prefixed by k and rlen = hi-lo for validation.
-func encodeResultRows(rows [][]int32, lo, hi int) []byte {
-	dst := make([]byte, 0, 16+len(rows)*(hi-lo)*4)
-	dst = binary.AppendUvarint(dst, uint64(len(rows)))
-	dst = binary.AppendUvarint(dst, uint64(hi-lo))
-	for _, row := range rows {
-		for _, lv := range row[lo:hi] {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(lv))
-		}
-	}
-	return dst
-}
-
-func decodeResultRows(payload []byte) (k, rlen int, rows []byte, err error) {
-	r := &wireReader{b: payload}
-	if k, err = r.intv(); err != nil {
-		return 0, 0, nil, err
-	}
-	if rlen, err = r.intv(); err != nil {
-		return 0, 0, nil, err
-	}
-	if rows, err = r.bytes(k * rlen * 4); err != nil {
-		return 0, 0, nil, err
-	}
-	return k, rlen, rows, r.done()
 }

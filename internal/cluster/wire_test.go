@@ -63,6 +63,41 @@ func TestStartRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeStepDone feeds hostile step replies to the coordinator's
+// decoder, read or not: a reply must fail, or carry a discovery section
+// exactly when the batch reads and re-encode to a reply that decodes the
+// same.
+func FuzzDecodeStepDone(f *testing.F) {
+	plain := stepDone{nextStates: 7, sentBytes: 100, rawBytes: 300}
+	traced := plain
+	traced.trace = &stepTrace{scanNanos: 1, encodeNanos: 2, sendNanos: 3,
+		waitNanos: 4, decodeNanos: 5, applyNanos: 6, scanned: 7, frontier: 8}
+	found := encodeDelta(nil, []uint64{0, 5, 0, 1 << 63}, 4, 1)
+	f.Add(encodeStepDone(plain), false)
+	f.Add(encodeStepDone(traced), false)
+	plain.found, traced.found = found, found
+	f.Add(encodeStepDone(plain), true)
+	f.Add(encodeStepDone(traced), true)
+	f.Fuzz(func(t *testing.T, payload []byte, read bool) {
+		d, err := decodeStepDone(payload, read)
+		if err != nil {
+			return
+		}
+		if (d.found != nil) != read {
+			t.Fatalf("read %t: decoded discovery section %x", read, d.found)
+		}
+		again, err := decodeStepDone(encodeStepDone(d), read)
+		if err != nil {
+			t.Fatalf("re-encoded reply: %v", err)
+		}
+		if again.nextStates != d.nextStates || again.sentBytes != d.sentBytes || again.rawBytes != d.rawBytes ||
+			!bytes.Equal(again.found, d.found) || (again.trace == nil) != (d.trace == nil) ||
+			(d.trace != nil && *again.trace != *d.trace) {
+			t.Fatalf("re-encoded reply decodes to %+v, want %+v", again, d)
+		}
+	})
+}
+
 func FuzzReadFrame(f *testing.F) {
 	var frame bytes.Buffer
 	if err := writeFrame(&frame, msgStep, 3, encodeQueryRef(9, 2)); err != nil {

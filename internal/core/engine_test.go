@@ -171,3 +171,51 @@ func TestEngineCloseDegradesGracefully(t *testing.T) {
 		t.Errorf("borrowed = %d after closed-engine run, want 0", st.Borrowed)
 	}
 }
+
+// TestFrontierIsLevelDiscoveries: after Seed, Frontier holds the sources,
+// and after every Step exactly the (vertex, source) states that level
+// discovered, as the recorded levels say — top-down, bottom-up, and on a
+// top-down level that follows a bottom-up one, whose next buffer the
+// bottom-up read as its frontier.
+func TestFrontierIsLevelDiscoveries(t *testing.T) {
+	g := gen.Kronecker(gen.Graph500Params(12, 5))
+	n := g.NumVertices()
+	for _, dir := range []Direction{TopDownOnly, Auto, BottomUpOnly} {
+		for _, k := range []int{64, 100} {
+			sources := RandomSources(g, k, 7)
+			words := (k + 63) / 64
+			e := NewMSPBFSEngine(g, Options{Workers: 3, BatchWords: words, Direction: dir})
+			levels := newLevelRows(n, k)
+			e.Seed(sources, 0, levels, nil)
+			afterBottomUp := false
+			for depth := int32(0); ; depth++ {
+				if depth > 0 {
+					wasBottomUp := e.bottomUp
+					frontier, _, _, err := e.Step(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					afterBottomUp = afterBottomUp || (wasBottomUp && !e.bottomUp)
+					if frontier == 0 {
+						break
+					}
+				}
+				f := e.Frontier()
+				rows := len(f) / words
+				for v := range n {
+					for i := range k {
+						set := v < rows && f[v*words+i/64]&(1<<(i%64)) != 0
+						if set != (levels[i][v] == depth) {
+							t.Fatalf("%v k=%d depth %d: vertex %d slot %d: frontier bit %t, level %d",
+								dir, k, depth, v, i, set, levels[i][v])
+						}
+					}
+				}
+			}
+			e.Close()
+			if dir == Auto && !afterBottomUp {
+				t.Errorf("k=%d: no top-down level followed a bottom-up one", k)
+			}
+		}
+	}
+}

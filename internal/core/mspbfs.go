@@ -252,6 +252,13 @@ func (e *MSPBFSEngine) Step(exchange func(next []uint64) error) (frontier, disco
 	return e.dir.frontVertices, sumCounters(e.updated), sumCounters(e.scanned), err
 }
 
+// Frontier lends the canonical words of the frontier the last Step
+// produced (after Seed, the sources'): one BatchWords-wide row per vertex
+// of the active prefix, in vertex order. Each bit is a (vertex, source)
+// state that level discovered, whichever direction it ran. The words stay
+// valid until the next Step, Seed or Close; the caller must not write them.
+func (e *MSPBFSEngine) Frontier() []uint64 { return e.phFrontier.Words() }
+
 // bindBuffers points the coming level at its frontier and next buffers.
 func (e *MSPBFSEngine) bindBuffers(frontier, next *bitset.State) {
 	e.phFrontier, e.phNext, e.phCanon = frontier, next, next.Words()

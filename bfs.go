@@ -12,7 +12,8 @@ import (
 const NoLevel = core.NoLevel
 
 // Options configures BFS runs. The zero value runs single-threaded with the
-// paper's default task size and direction heuristics.
+// paper's default task size; every run picks its direction per level with
+// the Beamer-style heuristic.
 type Options struct {
 	// Workers is the number of parallel workers (<=0: 1). One multi-source
 	// batch saturates all workers; no extra sources are needed.
@@ -23,9 +24,6 @@ type Options struct {
 	// ByteState switches SMS-PBFS from the bit to the byte state
 	// representation (less worker contention, more cache footprint).
 	ByteState bool
-	// TopDownOnly / BottomUpOnly force a traversal direction; default is
-	// the Beamer-style heuristic.
-	TopDownOnly, BottomUpOnly bool
 	// MaxDepth, when positive, stops each traversal after that many hops;
 	// only vertices within MaxDepth hops are discovered.
 	MaxDepth int
@@ -80,7 +78,7 @@ func (o Options) toCore() core.Options {
 	if o.BatchWords > 8 {
 		panic("msbfs: BatchWords must be in [1, 8] (64 to 512 concurrent BFSs)")
 	}
-	c := core.Options{
+	return core.Options{
 		Workers:          o.Workers,
 		BatchWords:       o.BatchWords,
 		MaxDepth:         o.MaxDepth,
@@ -90,13 +88,6 @@ func (o Options) toCore() core.Options {
 		Tracer:           o.Tracer.obsTracer(),
 		Overlay:          o.Overlay,
 	}
-	switch {
-	case o.TopDownOnly:
-		c.Direction = core.TopDownOnly
-	case o.BottomUpOnly:
-		c.Direction = core.BottomUpOnly
-	}
-	return c
 }
 
 func (o Options) repr() core.StateRepr {

@@ -69,15 +69,15 @@ func generate(typ string, scale, n, edgeFactor int, seed uint64) (*graph.Graph, 
 	case "kronecker", "kg0": // kg0 is the same generator at a high -edgefactor
 		return gen.Kronecker(gen.KroneckerParams{Scale: scale, EdgeFactor: edgeFactor, Seed: seed}), nil
 	case "ldbc":
-		return gen.LDBC(gen.LDBCDefaults(n, seed)), nil
+		return gen.LDBC(n, 5, seed), nil
 	case "uniform":
 		return gen.Uniform(n, edgeFactor, seed), nil
 	case "twitter":
-		return gen.PowerLaw(gen.PowerLawParams{N: n, Exponent: 2.1, MinDegree: 2, Seed: seed}), nil
+		return gen.PowerLaw(n, seed), nil
 	case "web":
-		return gen.Web(gen.WebParams{N: n, AvgDegree: edgeFactor, LocalityWindow: 64, Seed: seed}), nil
+		return gen.Web(n, edgeFactor, seed), nil
 	case "hollywood":
-		return gen.Collaboration(gen.CollaborationParams{N: n, AvgCliqueSize: 8, AvgDegree: edgeFactor, Seed: seed}), nil
+		return gen.Collaboration(n, edgeFactor, seed), nil
 	default:
 		return nil, fmt.Errorf("unknown graph type %q", typ)
 	}

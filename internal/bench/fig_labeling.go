@@ -25,9 +25,7 @@ func socialGraphFor(cfg Config, scheme label.Scheme, workers int) *graph.Graph {
 		persons = 8000
 	}
 	base := cachedGraph(key("ldbc", persons, int(cfg.seed())), func() *graph.Graph {
-		p := gen.LDBCDefaults(persons, cfg.seed())
-		p.AvgDegree = 16
-		return gen.LDBC(p)
+		return gen.LDBC(persons, 16, cfg.seed())
 	})
 	g, _ := label.Apply(base, scheme, label.Params{Workers: workers, Seed: cfg.seed()})
 	return g

@@ -66,19 +66,19 @@ func table1Suite(cfg Config) []struct {
 			return gen.Kronecker(gen.KroneckerParams{Scale: kg0Scale, EdgeFactor: kg0Deg, Seed: seed + 1})
 		})},
 		{"LDBC (small)", cachedGraph(key("t1-ldbc", ldbcSmall, int(seed)), func() *graph.Graph {
-			return gen.LDBC(gen.LDBCDefaults(ldbcSmall, seed+2))
+			return gen.LDBC(ldbcSmall, 5, seed+2)
 		})},
 		{"LDBC (large)", cachedGraph(key("t1-ldbc", ldbcLarge, int(seed)), func() *graph.Graph {
-			return gen.LDBC(gen.LDBCDefaults(ldbcLarge, seed+3))
+			return gen.LDBC(ldbcLarge, 5, seed+3)
 		})},
 		{"Hollywood-like", cachedGraph(key("t1-holly", hollyN, int(seed)), func() *graph.Graph {
-			return gen.Collaboration(gen.CollaborationParams{N: hollyN, AvgCliqueSize: 8, AvgDegree: 56, Seed: seed + 4})
+			return gen.Collaboration(hollyN, 56, seed+4)
 		})},
 		{"UK-like web", cachedGraph(key("t1-web", webN, int(seed)), func() *graph.Graph {
-			return gen.Web(gen.WebParams{N: webN, AvgDegree: 20, LocalityWindow: 64, Seed: seed + 5})
+			return gen.Web(webN, 20, seed+5)
 		})},
 		{"Twitter-like", cachedGraph(key("t1-twitter", twitterN, int(seed)), func() *graph.Graph {
-			return gen.PowerLaw(gen.PowerLawParams{N: twitterN, Exponent: 2.1, MinDegree: 2, Seed: seed + 6})
+			return gen.PowerLaw(twitterN, seed+6)
 		})},
 	}
 }

@@ -410,9 +410,11 @@ func exchangeFixture() (*msbfs.Graph, []int) {
 func TestClusterExchangeCounts(t *testing.T) {
 	g, sources := exchangeFixture()
 
-	single := g.MultiBFS(sources, msbfs.Options{Workers: 2, TopDownOnly: true, CollectIterStats: true, RecordLevels: true})
+	offsets, adjacency := g.CSR()
+	single := core.MSPBFS(&graph.Graph{Offsets: offsets, Adjacency: adjacency}, sources,
+		core.Options{Workers: 2, Direction: core.TopDownOnly, CollectIterStats: true, RecordLevels: true})
 	var wantScanned int64
-	for _, it := range single.Iterations {
+	for _, it := range single.Stats.Iterations {
 		wantScanned += it.ScannedEdges
 	}
 	if wantScanned != 1247271 {
@@ -480,12 +482,12 @@ func TestClusterExchangeCounts(t *testing.T) {
 				}
 				trace := tracer.Snapshot()
 				iters := trace.Traversals[len(trace.Traversals)-1].Iterations
-				if len(iters) != len(single.Iterations) {
-					t.Fatalf("read=%t: coordinator recorded %d levels, single-process top-down %d", read, len(iters), len(single.Iterations))
+				if len(iters) != len(single.Stats.Iterations) {
+					t.Fatalf("read=%t: coordinator recorded %d levels, single-process top-down %d", read, len(iters), len(single.Stats.Iterations))
 				}
 				var scanned int64
 				for i, it := range iters {
-					want := single.Iterations[i]
+					want := single.Stats.Iterations[i]
 					if it.ScannedEdges != want.ScannedEdges || it.FrontierVertices != want.FrontierVertices {
 						t.Errorf("read=%t level %d: scanned %d, frontier %d; single-process top-down %d, %d",
 							read, it.Iteration, it.ScannedEdges, it.FrontierVertices, want.ScannedEdges, want.FrontierVertices)
@@ -581,7 +583,7 @@ func TestEmitRejectsBadSections(t *testing.T) {
 		return encodeDelta(nil, words, 64, 1)
 	}
 	var got [][3]int
-	em := &emitter{k: 3, offset: 5, part: partition(n, 2), scratch: make([]uint64, 64),
+	em := &emitter{k: 3, offset: 5, part: partition(n, 2),
 		levels: [][]int32{make([]int32, n), make([]int32, n), make([]int32, n)},
 		visit:  func(_, i, v, depth int) { got = append(got, [3]int{i, v, depth}) }}
 	em.found = [][]byte{rows(map[int]uint64{9: 0b101}), rows(map[int]uint64{1: 0b010})}

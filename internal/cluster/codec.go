@@ -111,34 +111,82 @@ func presence(row []uint64) (p byte) {
 // decodeDelta ORs an encoded delta for an n-row, stride-word row-major slab
 // into words, which holds the slab's first len(words)/stride rows (at most
 // n): a receiving shard's state stops at its active prefix, and no peer can
-// discover a vertex past it, so a nonzero row past them is an error. It
-// validates the payload exhaustively — truncated input, row indices out of
-// range or out of order, presence bits beyond the stride, and trailing
-// garbage are all errors — so arbitrary network bytes cannot corrupt shard
-// state or panic.
+// discover a vertex past it, so a nonzero row past them is an error. A
+// dense delta is ORed in one inline loop: visitDelta's call per word
+// doubles the cost of a slab of nonzero words.
 func decodeDelta(payload []byte, words []uint64, n, stride int) error {
+	body, err := denseBody(payload, n, stride)
+	if err != nil {
+		return err
+	}
+	if body == nil {
+		return visitDelta(payload, n, len(words)/max(stride, 1), stride, func(j int, w uint64) error {
+			words[j] |= w //bfs:singlewriter decode runs on the one goroutine that owns words: a shard's inbox drain
+			return nil
+		})
+	}
+	held := min(n, len(words)/stride)
+	for i := 0; i < held*stride; i++ {
+		words[i] |= binary.LittleEndian.Uint64(body[i*8:]) //bfs:singlewriter decode runs on the one goroutine that owns words: a shard's inbox drain
+	}
+	return pastHeld(body, held, n, stride)
+}
+
+// denseBody returns a dense delta's slab bytes, or nil when payload is not
+// a dense delta for a valid stride. A dense delta of the wrong length is
+// an error.
+func denseBody(payload []byte, n, stride int) ([]byte, error) {
+	if len(payload) == 0 || payload[0] != codecDense || stride < 1 || stride > codecMaxStride {
+		return nil, nil
+	}
+	if body := payload[1:]; len(body) == rawBytes(n, stride) {
+		return body, nil
+	}
+	return nil, fmt.Errorf("cluster: dense delta is %d bytes, want %d", len(payload)-1, rawBytes(n, stride))
+}
+
+// pastHeld reports a nonzero word of a dense slab in a row at or past
+// held, which the receiver does not hold.
+func pastHeld(body []byte, held, n, stride int) error {
+	for i := held * stride; i < n*stride; i++ {
+		if binary.LittleEndian.Uint64(body[i*8:]) != 0 {
+			return fmt.Errorf("cluster: dense delta: row %d set past the %d rows held", i/stride, held)
+		}
+	}
+	return nil
+}
+
+// visitDelta walks an encoded delta for an n-row, stride-word row-major
+// slab of which the first held rows exist, calling word(j, w) for every
+// nonzero word w, at index j of the slab (row j/stride), in ascending
+// order, and stopping at the first error word returns. A sparse delta
+// costs its present words only. It validates the payload exhaustively —
+// truncated input, row indices out of range or out of order, presence bits
+// beyond the stride, a nonzero row at or past held, and trailing garbage
+// are all errors — so arbitrary network bytes cannot corrupt shard state
+// or panic.
+func visitDelta(payload []byte, n, held, stride int, word func(j int, w uint64) error) error {
 	if stride < 1 || stride > codecMaxStride {
 		return fmt.Errorf("cluster: codec stride %d out of range [1,%d]", stride, codecMaxStride)
 	}
-	held := min(n, len(words)/stride)
+	held = min(n, held)
 	if len(payload) == 0 {
 		return fmt.Errorf("cluster: empty delta payload")
 	}
 	switch payload[0] {
 	case codecDense:
-		body := payload[1:]
-		if len(body) != rawBytes(n, stride) {
-			return fmt.Errorf("cluster: dense delta is %d bytes, want %d", len(body), rawBytes(n, stride))
+		body, err := denseBody(payload, n, stride)
+		if err != nil {
+			return err
 		}
-		for i := 0; i < held*stride; i++ {
-			words[i] |= binary.LittleEndian.Uint64(body[i*8:]) //bfs:singlewriter decode runs on the one goroutine that owns words: a shard's inbox drain or the coordinator's emit
-		}
-		for i := held * stride; i < n*stride; i++ {
-			if binary.LittleEndian.Uint64(body[i*8:]) != 0 {
-				return fmt.Errorf("cluster: dense delta: row %d set past the %d rows held", i/stride, held)
+		for j := 0; j < held*stride; j++ {
+			if w := binary.LittleEndian.Uint64(body[j*8:]); w != 0 {
+				if err := word(j, w); err != nil {
+					return err
+				}
 			}
 		}
-		return nil
+		return pastHeld(body, held, n, stride)
 	case codecSparse:
 		body := payload[1:]
 		rows, used := binary.Uvarint(body)
@@ -178,7 +226,6 @@ func decodeDelta(payload []byte, words []uint64, n, stride int) error {
 			if present == 0 || present>>uint(stride) != 0 {
 				return fmt.Errorf("cluster: sparse delta: presence byte %#02x invalid for stride %d", present, stride)
 			}
-			off := v * stride
 			for i := 0; i < stride; i++ {
 				if present&(1<<uint(i)) == 0 {
 					continue
@@ -186,8 +233,14 @@ func decodeDelta(payload []byte, words []uint64, n, stride int) error {
 				if len(body) < 8 {
 					return fmt.Errorf("cluster: sparse delta: truncated word at row %d", v)
 				}
-				words[off+i] |= binary.LittleEndian.Uint64(body) //bfs:singlewriter decode runs on the one goroutine that owns words: a shard's inbox drain or the coordinator's emit
+				w := binary.LittleEndian.Uint64(body)
 				body = body[8:]
+				if w == 0 {
+					continue // a present zero word: legal, and nothing to visit
+				}
+				if err := word(v*stride+i, w); err != nil {
+					return err
+				}
 			}
 		}
 		if len(body) != 0 {

@@ -266,8 +266,7 @@ func (rg *RemoteGraph) runOne(ctx context.Context, batch []int, batchOffset int,
 	var em *emitter
 	if read {
 		part := partition(rg.n, len(c.conns))
-		em = &emitter{k: k, offset: batchOffset, part: part, visit: visit,
-			found: make([][]byte, len(c.conns)), scratch: make([]uint64, part.Per()*((k+63)/64))}
+		em = &emitter{k: k, offset: batchOffset, part: part, visit: visit, found: make([][]byte, len(c.conns))}
 		if opt.RecordLevels {
 			em.levels = res.Levels[batchOffset : batchOffset+k]
 			for i := range em.levels {
@@ -385,7 +384,6 @@ type emitter struct {
 	levels    [][]int32 // the batch's rows of the result; nil unless recorded
 	visit     func(workerID, sourceIdx, vertex, depth int)
 	found     [][]byte // each shard's discovery section of the level in flight
-	scratch   []uint64 // one shard's k-wide rows, all zero between decodes
 }
 
 // stamp records that slot i reached vertex v at depth.
@@ -398,32 +396,27 @@ func (em *emitter) stamp(i, v, depth int) {
 	}
 }
 
-// emit decodes the shards' discovery sections of one level, in shard
-// order, and stamps every discovery. A malformed section, or one with a
+// emit walks the shards' discovery sections of one level, in shard order,
+// and stamps every discovery as the codec reads it, so a level costs its
+// discoveries, not the shard's rows. A malformed section, or one with a
 // bit at a slot the batch does not have, fails the batch.
 func (em *emitter) emit(level int) error {
 	w := (em.k + 63) / 64
 	for s, sec := range em.found {
 		lo, hi := em.part.Range(s)
-		rows := em.scratch[:(hi-lo)*w]
-		if err := decodeDelta(sec, rows, hi-lo, w); err != nil {
-			return fmt.Errorf("cluster: shard %d level %d discoveries: %w", s, level, err)
-		}
-		// Each word is zeroed as it is read, so the scratch is clean for
-		// the next decode, which ORs into it.
-		for j, word := range rows {
-			if word == 0 {
-				continue
-			}
-			rows[j] = 0 //bfs:singlewriter the scratch is the batch's own, read on the coordinator's one goroutine
+		err := visitDelta(sec, hi-lo, hi-lo, w, func(j int, word uint64) error {
 			v, base := lo+j/w, (j%w)*64
 			for ; word != 0; word &= word - 1 {
 				i := base + bits.TrailingZeros64(word)
 				if i >= em.k {
-					return fmt.Errorf("cluster: shard %d level %d: vertex %d discovered by slot %d of %d", s, level, v, i, em.k)
+					return fmt.Errorf("vertex %d discovered by slot %d of %d", v, i, em.k)
 				}
 				em.stamp(i, v, level)
 			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("cluster: shard %d level %d discoveries: %w", s, level, err)
 		}
 	}
 	return nil

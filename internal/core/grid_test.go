@@ -100,19 +100,17 @@ var shapes = []struct {
 	name  string
 	build func() *graph.Graph
 }{
-	{"kron", func() *graph.Graph { return gen.Kronecker(gen.Graph500Params(10, 3)) }}, // dense core: Auto goes bottom-up
-	{"uniform", func() *graph.Graph { return gen.Uniform(4000, 3, 13) }},              // sparse, many components
-	{"ldbc", func() *graph.Graph { return gen.LDBC(gen.LDBCDefaults(1500, 2)) }},      // social network
-	{"powerlaw", func() *graph.Graph {
-		return gen.PowerLaw(gen.PowerLawParams{N: 1000, Exponent: 2.1, MinDegree: 1, Seed: 4})
-	}}, // heavy tail
-	{"web", func() *graph.Graph { return gen.Web(gen.WebParams{N: 1500, AvgDegree: 8, LocalityWindow: 16, Seed: 5}) }}, // local links
-	{"kron12", func() *graph.Graph { return gen.Kronecker(gen.Graph500Params(12, 6)) }},                                // eight 512-vertex tasks
-	{"path", func() *graph.Graph { return core.PathGraph(300) }},                                                       // one vertex per level
-	{"star", func() *graph.Graph { return core.StarGraph(900) }},                                                       // one hub
-	{"components", core.Disconnected},                                                                                  // trailing isolated block
-	{"midgap", midGap},                                                                                                 // isolated ids mid-range
-	{"bipartite", bipartite},                                                                                           // every arc crosses a shard
+	{"kron", func() *graph.Graph { return gen.Kronecker(gen.Graph500Params(10, 3)) }},   // dense core: Auto goes bottom-up
+	{"uniform", func() *graph.Graph { return gen.Uniform(4000, 3, 13) }},                // sparse, many components
+	{"ldbc", func() *graph.Graph { return gen.LDBC(1500, 5, 2) }},                       // social network
+	{"powerlaw", func() *graph.Graph { return gen.PowerLaw(1000, 4) }},                  // heavy tail
+	{"web", func() *graph.Graph { return gen.Web(1500, 8, 5) }},                         // local links
+	{"kron12", func() *graph.Graph { return gen.Kronecker(gen.Graph500Params(12, 6)) }}, // eight 512-vertex tasks
+	{"path", func() *graph.Graph { return core.PathGraph(300) }},                        // one vertex per level
+	{"star", func() *graph.Graph { return core.StarGraph(900) }},                        // one hub
+	{"components", core.Disconnected},                                                   // trailing isolated block
+	{"midgap", midGap},                                                                  // isolated ids mid-range
+	{"bipartite", bipartite},                                                            // every arc crosses a shard
 	{"pair", func() *graph.Graph { return graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}}) }},
 	{"single", func() *graph.Graph { return graph.FromEdges(1, nil) }},
 }
@@ -176,8 +174,10 @@ var gridSlices = []struct{ name, spec string }{
 	// Runs that record no levels, the path of the serving fold and the
 	// benchmark: the visited totals and the visitor's stream alone.
 	{"record", "kernel=* layer=core repr=* dir=* workers=w2 words=words1,words2 visit=* record=nolevels shape=kron,path,components; kernel=mspbfs,smspbfs layer=root,shards2 visit=* record=nolevels shape=ldbc,components"},
-	// The root facade's BFS and MultiBFSVisitor.
-	{"root", "kernel=mspbfs,smspbfs layer=root repr=* dir=* workers=w2 view=* visit=visit shape=ldbc; kernel=mspbfs,smspbfs layer=root depth=depth2 shape=ldbc"},
+	// The root facade's BFS and MultiBFSVisitor. It forces no direction, so
+	// kron's dense core takes its heuristic bottom-up and path keeps it
+	// top-down.
+	{"root", "kernel=mspbfs,smspbfs layer=root repr=* workers=w2 view=* visit=visit shape=ldbc,kron,path; kernel=mspbfs,smspbfs layer=root depth=depth2 shape=ldbc"},
 	// Sharded runs over adversarial partitions: isolated tails, arcs that
 	// all cross shards, clustered sources, empty shards, long paths.
 	{"shards", "layer=shards2,shards3 label=identity,striped words=words1,words2 visit=visit place=below,past shape=kron,components,bipartite,single; layer=shards2,shards3 place=clustered shape=kron,bipartite; layer=shards2,shards3 depth=depth2 shape=kron,path; layer=shards2 shape=path"},
@@ -197,7 +197,7 @@ type impl struct {
 const (
 	parallel = "dir workers split exit steal depth view"
 	seqMulti = "dir words exit depth"
-	rootMS   = "dir workers words depth view visit"
+	rootMS   = "workers words depth view visit"
 	sharded  = "workers words depth visit"
 )
 
@@ -236,7 +236,7 @@ var impls = []impl{
 			r.t.Errorf("Elapsed = %v", res.Elapsed)
 		}
 	}},
-	{"smspbfs", "root", "repr dir workers depth view", 4, func(r *cellRun) {
+	{"smspbfs", "root", "repr workers depth view", 4, func(r *cellRun) {
 		for _, s := range r.sources {
 			res := r.root().BFS(s, r.rootOptions())
 			r.levels, r.visited = append(r.levels, res.Levels), r.visited+res.VisitedVertices
@@ -840,8 +840,6 @@ func (r *cellRun) rootOptions() msbfs.Options {
 		Workers:      r.opt.Workers,
 		BatchWords:   r.opt.BatchWords,
 		ByteState:    r.c.repr() == core.ByteState,
-		TopDownOnly:  r.opt.Direction == core.TopDownOnly,
-		BottomUpOnly: r.opt.Direction == core.BottomUpOnly,
 		MaxDepth:     r.opt.MaxDepth,
 		RecordLevels: r.opt.RecordLevels,
 		Overlay:      r.opt.Overlay,

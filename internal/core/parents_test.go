@@ -129,7 +129,7 @@ func TestQuickParentsValidate(t *testing.T) {
 // ValidateGraph500 rule 5 formalizes; testing it directly on multi-source
 // runs covers the per-bit semantics too.
 func TestLevelLipschitzInvariant(t *testing.T) {
-	g := gen.LDBC(gen.LDBCDefaults(1000, 5))
+	g := gen.LDBC(1000, 5, 5)
 	sources := RandomSources(g, 66, 3)
 	res := MSPBFS(g, sources, Options{Workers: 2, RecordLevels: true})
 	for i := range sources {

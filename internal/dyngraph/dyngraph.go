@@ -66,21 +66,19 @@ var checkArcs = graph.CheckArcs
 // holds it to land ingest while a merge runs.
 var mergeOverlay = graph.MergeOverlay
 
+// RetainedVersions is how many recent versions stay pinnable. Older
+// versions are evicted as new ones are published; acquiring an evicted
+// version returns ErrVersionGone.
+const RetainedVersions = 8
+
 // Config tunes a DynGraph. The zero value is usable.
 type Config struct {
 	// MaxDelta caps the uncompacted overlay, in stored arcs (2 per
 	// undirected edge). ApplyEdges fails with ErrCompactionLag beyond it.
 	// <=0: 1<<20 arcs (~4 MiB of delta).
 	MaxDelta int64
-	// CompactThreshold is the overlay arc count at which the background
-	// compactor merges (<=0: MaxDelta/2). Only meaningful with AutoCompact.
-	CompactThreshold int64
-	// Retain is how many recent versions stay pinnable (<=0: 8). Older
-	// versions are evicted as new ones are published; acquiring an evicted
-	// version returns ErrVersionGone.
-	Retain int
 	// AutoCompact starts a background goroutine that compacts whenever the
-	// delta has reached CompactThreshold, or an ingest was refused with
+	// delta has reached half of MaxDelta, or an ingest was refused with
 	// ErrCompactionLag since the last compaction (a batch larger than the
 	// space left). Without it, call Compact explicitly.
 	AutoCompact bool
@@ -92,12 +90,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxDelta <= 0 {
 		c.MaxDelta = 1 << 20
-	}
-	if c.CompactThreshold <= 0 {
-		c.CompactThreshold = c.MaxDelta / 2
-	}
-	if c.Retain <= 0 {
-		c.Retain = 8
 	}
 	return c
 }
@@ -308,7 +300,7 @@ func (d *DynGraph) ApplyEdges(edges []graph.Edge) (ApplyResult, error) {
 	res.Version = ver
 	res.Accepted = len(accepted)
 	res.DeltaArcs = nv.ov.Arcs()
-	if d.cfg.AutoCompact && nv.ov.Arcs() >= d.cfg.CompactThreshold {
+	if d.cfg.AutoCompact && nv.ov.Arcs() >= d.cfg.MaxDelta/2 {
 		d.kickCompactorLocked()
 	}
 	return res, nil
@@ -317,7 +309,7 @@ func (d *DynGraph) ApplyEdges(edges []graph.Edge) (ApplyResult, error) {
 // evictLocked trims the retention window from the oldest end. The current
 // version is never evicted.
 func (d *DynGraph) evictLocked() {
-	for len(d.order) > d.cfg.Retain {
+	for len(d.order) > RetainedVersions {
 		ver := d.order[0]
 		if ver == d.cur.ver {
 			return
@@ -476,14 +468,14 @@ func (d *DynGraph) compactLoop() {
 func (d *DynGraph) Compact() (bool, error) { return d.compact(false) }
 
 // compact is Compact; with dueOnly it also returns false while the delta
-// is below CompactThreshold and no ingest was refused for lag.
+// is below half of MaxDelta and no ingest was refused for lag.
 func (d *DynGraph) compact(dueOnly bool) (bool, error) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return false, ErrClosed
 	}
-	due := d.lagged || d.cur.ov.Arcs() >= d.cfg.CompactThreshold
+	due := d.lagged || d.cur.ov.Arcs() >= d.cfg.MaxDelta/2
 	if d.compacting || len(d.log) == 0 || (dueOnly && !due) {
 		d.mu.Unlock()
 		return false, nil

@@ -83,7 +83,7 @@ func TestSnapshotOracleEveryVersion(t *testing.T) {
 	const n = 300
 	all := randomEdges(n, 900, 42)
 	base := all[:300]
-	d := New(msbfs.NewGraph(n, base), Config{Retain: 64})
+	d := New(msbfs.NewGraph(n, base), Config{})
 	defer d.Close()
 
 	type pinned struct {
@@ -143,7 +143,7 @@ func TestSnapshotOracleEveryVersion(t *testing.T) {
 func TestCompactionMidStream(t *testing.T) {
 	const n = 200
 	all := randomEdges(n, 600, 7)
-	d := New(msbfs.NewGraph(n, all[:100]), Config{Retain: 64})
+	d := New(msbfs.NewGraph(n, all[:100]), Config{})
 	defer d.Close()
 
 	early, err := d.Acquire() // v1, will straddle every compaction
@@ -296,14 +296,15 @@ func TestArcLimit(t *testing.T) {
 // closed-state errors.
 func TestVersionLifecycle(t *testing.T) {
 	const n = 64
-	d := New(msbfs.NewGraph(n, nil), Config{Retain: 2})
+	d := New(msbfs.NewGraph(n, nil), Config{})
 
-	for i := 0; i < 4; i++ {
+	for i := 0; i < RetainedVersions+1; i++ {
 		if _, err := d.ApplyEdges([]graph.Edge{{U: graph.VertexID(i), V: graph.VertexID(i + 10)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Versions now 1..5; Retain 2 keeps {4, 5}.
+	// Versions now 1..RetainedVersions+2; the window keeps the last
+	// RetainedVersions, from 3 on.
 	if _, err := d.AcquireVersion(2); !errors.Is(err, ErrVersionGone) {
 		t.Fatalf("want ErrVersionGone for v2, got %v", err)
 	}
@@ -337,10 +338,12 @@ func TestVersionLifecycle(t *testing.T) {
 // has aged out, returns its error and an untyped nil — not a nil *Snapshot
 // inside the interface — and a good pin reports its version.
 func TestPinFailureIsNil(t *testing.T) {
-	d := New(msbfs.NewGraph(8, nil), Config{Retain: 1})
+	d := New(msbfs.NewGraph(16, nil), Config{})
 	defer d.Close()
-	if _, err := d.ApplyEdges([]graph.Edge{{U: 0, V: 1}}); err != nil {
-		t.Fatal(err)
+	for v := range RetainedVersions { // versions 2..RetainedVersions+1 evict 1
+		if _, err := d.ApplyEdges([]graph.Edge{{U: 0, V: graph.VertexID(v + 1)}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for ver, want := range map[uint64]error{99: ErrVersionFuture, 1: ErrVersionGone} {
 		if pin, err := d.Pin(ver); pin != nil || !errors.Is(err, want) {
@@ -348,8 +351,8 @@ func TestPinFailureIsNil(t *testing.T) {
 		}
 	}
 	pin, err := d.Pin(0)
-	if err != nil || pin.Version() != 2 {
-		t.Fatalf("Pin(0) = %v, %v; want version 2", pin, err)
+	if err != nil || pin.Version() != RetainedVersions+1 {
+		t.Fatalf("Pin(0) = %v, %v; want version %d", pin, err, RetainedVersions+1)
 	}
 	pin.Release()
 }
@@ -361,7 +364,7 @@ func TestPinFailureIsNil(t *testing.T) {
 func TestIngestPastActivePrefix(t *testing.T) {
 	g, _ := msbfs.GenerateKronecker(12, 16, 1).Relabel(msbfs.LabelStriped, 2, 512, 1)
 	n := g.NumVertices()
-	d := New(g, Config{Retain: 4})
+	d := New(g, Config{})
 	defer d.Close()
 	s0, err := d.Acquire()
 	if err != nil {
@@ -411,7 +414,7 @@ func TestIngestPastActivePrefix(t *testing.T) {
 // plausible vertex id.
 func TestArenaScrubOnRetire(t *testing.T) {
 	const n = 32
-	d := New(msbfs.NewGraph(n, []graph.Edge{{U: 0, V: 1}}), Config{Retain: 1})
+	d := New(msbfs.NewGraph(n, []graph.Edge{{U: 0, V: 1}}), Config{})
 	defer d.Close()
 
 	if _, err := d.ApplyEdges([]graph.Edge{{U: 2, V: 3}, {U: 4, V: 5}}); err != nil {
@@ -426,10 +429,16 @@ func TestArenaScrubOnRetire(t *testing.T) {
 		t.Fatalf("overlay list = %v, want [3]", stale)
 	}
 
-	// Compaction moves the live versions to generation 2; generation 1 is
-	// kept alive solely by snap's pin.
+	// Compaction moves the current version to generation 2; the ingests
+	// after it evict the older versions still on generation 1, which is
+	// then kept alive solely by snap's pin.
 	if ok, err := d.Compact(); err != nil || !ok {
 		t.Fatalf("compact: %v %v", ok, err)
+	}
+	for v := range RetainedVersions {
+		if _, err := d.ApplyEdges([]graph.Edge{{U: 6, V: graph.VertexID(v + 7)}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if st := d.Stats(); st.RetiredGens != 0 {
 		t.Fatalf("generation retired while still pinned")
@@ -451,16 +460,19 @@ func TestArenaScrubOnRetire(t *testing.T) {
 // TestAutoCompact exercises the background compactor end to end.
 func TestAutoCompact(t *testing.T) {
 	const n = 128
-	d := New(msbfs.NewGraph(n, nil), Config{
-		MaxDelta: 1 << 16, CompactThreshold: 20, AutoCompact: true, Retain: 4,
-	})
+	// Merges are due at 20 delta arcs, every batch of 10 edges. A batch
+	// refused while the compactor lags made a merge due; once the
+	// compactor has run it, the retry fits.
+	d := New(msbfs.NewGraph(n, nil), Config{MaxDelta: 40, AutoCompact: true})
 	edges := randomEdges(n, 200, 3)
 	for i := 0; i < len(edges); i += 10 {
-		end := i + 10
-		if end > len(edges) {
-			end = len(edges)
+		batch := edges[i:min(i+10, len(edges))]
+		_, err := d.ApplyEdges(batch)
+		if errors.Is(err, ErrCompactionLag) {
+			syncCompactor(d)
+			_, err = d.ApplyEdges(batch)
 		}
-		if _, err := d.ApplyEdges(edges[i:end]); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -501,9 +513,7 @@ func TestCompactorMergesOnlyWhenDue(t *testing.T) {
 		return graph.MergeOverlay(g, ov)
 	}
 	const n = 128
-	d := New(msbfs.NewGraph(n, nil), Config{
-		MaxDelta: 1 << 10, CompactThreshold: 100, AutoCompact: true,
-	})
+	d := New(msbfs.NewGraph(n, nil), Config{MaxDelta: 200, AutoCompact: true})
 	defer d.Close()
 	edges := randomEdges(n, 60, 11)
 	if _, err := d.ApplyEdges(edges[:50]); err != nil { // 100 arcs: due
@@ -526,9 +536,7 @@ func TestCompactorMergesOnlyWhenDue(t *testing.T) {
 // threshold. The refusal makes a merge due, so the retried batch fits.
 func TestCompactorMergesAfterLag(t *testing.T) {
 	const n = 128
-	d := New(msbfs.NewGraph(n, nil), Config{
-		MaxDelta: 100, CompactThreshold: 50, AutoCompact: true,
-	})
+	d := New(msbfs.NewGraph(n, nil), Config{MaxDelta: 100, AutoCompact: true})
 	defer d.Close()
 	edges := randomEdges(n, 55, 13)
 	if _, err := d.ApplyEdges(edges[:10]); err != nil { // 20 arcs: not due
@@ -555,9 +563,7 @@ func TestCompactorMergesAfterLag(t *testing.T) {
 // delta however often the compactor wakes.
 func TestCompactorLagClearedByMerge(t *testing.T) {
 	const n = 128
-	d := New(msbfs.NewGraph(n, nil), Config{
-		MaxDelta: 100, CompactThreshold: 50, AutoCompact: true,
-	})
+	d := New(msbfs.NewGraph(n, nil), Config{MaxDelta: 100, AutoCompact: true})
 	defer d.Close()
 	edges := randomEdges(n, 60, 13)
 	if _, err := d.ApplyEdges(edges[:10]); err != nil { // 20 arcs: not due
@@ -584,9 +590,7 @@ func TestCompactorLagClearedByMerge(t *testing.T) {
 // below the threshold alone, but an explicit Compact merges it.
 func TestCompactIgnoresThreshold(t *testing.T) {
 	const n = 128
-	d := New(msbfs.NewGraph(n, nil), Config{
-		MaxDelta: 1 << 10, CompactThreshold: 100, AutoCompact: true,
-	})
+	d := New(msbfs.NewGraph(n, nil), Config{MaxDelta: 200, AutoCompact: true})
 	defer d.Close()
 	if _, err := d.ApplyEdges(randomEdges(n, 10, 17)); err != nil { // 20 arcs: not due
 		t.Fatal(err)

@@ -17,39 +17,37 @@ import (
 // kernels, under auto, forced top-down and forced bottom-up direction.
 func checkOracleAllKernels(t *testing.T, snap *Snapshot, n int, visible []graph.Edge, sources []int) {
 	t.Helper()
-	oracle := msbfs.NewGraph(n, visible)
+	oracle := graph.FromEdges(n, visible)
 	if got, want := snap.NumEdges(), oracle.NumEdges(); got != want {
 		t.Fatalf("v%d: snapshot has %d edges, oracle %d", snap.Version(), got, want)
 	}
 	for _, dir := range []struct {
-		name   string
-		td, bu bool
-	}{{"auto", false, false}, {"topdown", true, false}, {"bottomup", false, true}} {
-		opt := msbfs.Options{Workers: 2, RecordLevels: true, TopDownOnly: dir.td, BottomUpOnly: dir.bu}
+		name string
+		dir  core.Direction
+	}{{"auto", core.Auto}, {"topdown", core.TopDownOnly}, {"bottomup", core.BottomUpOnly}} {
+		opt := core.Options{Workers: 2, RecordLevels: true, Direction: dir.dir}
 		snapOpt := opt
 		snapOpt.Overlay = snap.Overlay()
 
-		want := oracle.MultiBFS(sources, opt)
-		got := snap.Graph().MultiBFS(sources, snapOpt)
+		want := core.MSPBFS(oracle, sources, opt)
+		got := core.MSPBFS(snapInternal(snap), sources, snapOpt)
 		for i := range sources {
 			if !reflect.DeepEqual(want.Levels[i], got.Levels[i]) {
-				t.Fatalf("v%d/%s: MultiBFS levels diverge for source %d",
+				t.Fatalf("v%d/%s: MSPBFS levels diverge for source %d",
 					snap.Version(), dir.name, sources[i])
 			}
 		}
-		for _, byteState := range []bool{false, true} {
-			o1, o2 := opt, snapOpt
-			o1.ByteState, o2.ByteState = byteState, byteState
-			w := oracle.BFS(sources[0], o1)
-			g := snap.Graph().BFS(sources[0], o2)
+		for _, repr := range []core.StateRepr{core.BitState, core.ByteState} {
+			w := core.SMSPBFS(oracle, sources[0], repr, opt)
+			g := core.SMSPBFS(snapInternal(snap), sources[0], repr, snapOpt)
 			if !reflect.DeepEqual(w.Levels, g.Levels) {
-				t.Fatalf("v%d/%s: BFS(byte=%v) levels diverge", snap.Version(), dir.name, byteState)
+				t.Fatalf("v%d/%s: SMSPBFS(byte=%v) levels diverge", snap.Version(), dir.name, repr == core.ByteState)
 			}
 		}
 	}
-	wantSeq := oracle.SequentialBFS(sources[0])
+	wantSeq := core.ReferenceLevels(oracle, sources[0])
 	gotSeq := core.ReferenceLevelsOverlay(snapInternal(snap), snap.v.ov, sources[0])
-	if !reflect.DeepEqual(wantSeq.Levels, gotSeq) {
+	if !reflect.DeepEqual(wantSeq, gotSeq) {
 		t.Fatalf("v%d: sequential levels diverge", snap.Version())
 	}
 }
@@ -73,7 +71,7 @@ func FuzzApplyEdges(f *testing.F) {
 			return
 		}
 		n := 16 + int(data[0]%64)
-		d := New(msbfs.NewGraph(n, nil), Config{Retain: 128})
+		d := New(msbfs.NewGraph(n, nil), Config{})
 		defer d.Close()
 
 		type pin struct {

@@ -34,7 +34,7 @@ func TestIngestWhileQueryStress(t *testing.T) {
 	streams := universe[200 : 200+numWriters*batches*batchSize]
 	tail := universe[200+numWriters*batches*batchSize:]
 
-	d := New(msbfs.NewGraph(n, base), Config{Retain: 16, MaxDelta: 1 << 30})
+	d := New(msbfs.NewGraph(n, base), Config{MaxDelta: 1 << 30})
 	defer d.Close()
 
 	// Version recorder: ver -> cumulative visible edge set. Writers extend
@@ -203,9 +203,10 @@ func oracleInternal(g *msbfs.Graph) *graph.Graph {
 	return &graph.Graph{Offsets: off, Adjacency: adj}
 }
 
-// TestCompactWhileHorizonEvicted: with Retain 1 every ingest evicts the
-// version before it, so a compaction's horizon view leaves the retention
-// window while the merge is still reading its CSR and overlay lists. The
+// TestCompactWhileHorizonEvicted: every ingest evicts the version
+// RetainedVersions before it, so a compaction's horizon view leaves the
+// retention window, once that many ingests land beside it, while the merge
+// is still reading its CSR and overlay lists. The
 // merge must see neither a dropped CSR nor PoisonVertex (it would build a
 // wrong graph or crash), readers beside it must not either, the result
 // must be the from-scratch build of everything ingested, and the
@@ -213,9 +214,9 @@ func oracleInternal(g *msbfs.Graph) *graph.Graph {
 // included.
 func TestCompactWhileHorizonEvicted(t *testing.T) {
 	const n = 1 << 12
-	universe := randomEdges(n, 60000, 11)
-	base, stream := universe[:40000], universe[40000:]
-	d := New(msbfs.NewGraph(n, base), Config{Retain: 1, MaxDelta: 1 << 30})
+	universe := randomEdges(n, 60000+RetainedVersions, 11)
+	base, stream, tail := universe[:40000], universe[40000:60000], universe[60000:]
+	d := New(msbfs.NewGraph(n, base), Config{MaxDelta: 1 << 30})
 
 	stop, writerDone := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
@@ -262,16 +263,17 @@ func TestCompactWhileHorizonEvicted(t *testing.T) {
 		}
 	}()
 
-	// Compact until five compactions have run beside at least two ingests
-	// (one may land before the pin; with Retain 1 the next evicts the
-	// horizon), or the writer runs out of stream.
+	// Compact until five compactions have run beside more than
+	// RetainedVersions ingests (one may land before the pin; the
+	// RetainedVersions after it evict the horizon), or the writer runs out
+	// of stream.
 	overlapped := 0
 	for writing := true; writing && overlapped < 5; {
 		before := d.Version()
 		if _, err := d.Compact(); err != nil {
 			t.Fatalf("compact: %v", err)
 		}
-		if d.Version() > before+1 {
+		if d.Version() > before+RetainedVersions {
 			overlapped++
 		}
 		select {
@@ -287,6 +289,13 @@ func TestCompactWhileHorizonEvicted(t *testing.T) {
 	}
 	if _, err := d.Compact(); err != nil {
 		t.Fatal(err)
+	}
+	// The versions before the last horizon hold their generations until
+	// the tail's ingests evict them.
+	for i := range tail {
+		if _, err := d.ApplyEdges(tail[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := d.Stats()
 	if st.PinnedNow != 0 {

@@ -338,7 +338,7 @@ func TestKroneckerRejectsBadParams(t *testing.T) {
 }
 
 func TestLDBCProperties(t *testing.T) {
-	g := LDBC(LDBCDefaults(2000, 11))
+	g := LDBC(2000, 5, 11)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -358,14 +358,14 @@ func TestLDBCProperties(t *testing.T) {
 }
 
 func TestLDBCEmpty(t *testing.T) {
-	g := LDBC(LDBCParams{})
+	g := LDBC(0, 5, 1)
 	if g.NumVertices() != 0 {
-		t.Error("empty params should give empty graph")
+		t.Error("zero persons should give an empty graph")
 	}
 }
 
 func TestPowerLawProperties(t *testing.T) {
-	g := PowerLaw(PowerLawParams{N: 3000, Exponent: 2.2, MinDegree: 2, Seed: 3})
+	g := PowerLaw(3000, 3)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,14 +373,14 @@ func TestPowerLawProperties(t *testing.T) {
 		t.Fatalf("NumVertices = %d", g.NumVertices())
 	}
 	avg := float64(2*g.NumEdges()) / 3000
-	// Truncated power law with alpha 2.2, min 2: the hubs must dominate.
+	// Truncated power law with alpha 2.1, min 2: the hubs must dominate.
 	if float64(g.MaxDegree()) < 5*avg {
 		t.Errorf("max degree %d vs avg %.1f: not heavy-tailed", g.MaxDegree(), avg)
 	}
 }
 
 func TestWebProperties(t *testing.T) {
-	g := Web(WebParams{N: 4000, AvgDegree: 8, LocalityWindow: 32, Seed: 9})
+	g := Web(4000, 8, 9)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestWebProperties(t *testing.T) {
 		for _, u := range g.Neighbors(v) {
 			if graph.VertexID(v) < u {
 				total++
-				if int(u)-v <= 32 {
+				if int(u)-v <= webWindow {
 					local++
 				}
 			}
@@ -405,7 +405,7 @@ func TestWebProperties(t *testing.T) {
 }
 
 func TestCollaborationProperties(t *testing.T) {
-	g := Collaboration(CollaborationParams{N: 2000, AvgCliqueSize: 6, AvgDegree: 20, Seed: 4})
+	g := Collaboration(2000, 20, 4)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}

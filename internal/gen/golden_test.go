@@ -102,7 +102,7 @@ var goldenOthers = map[string]string{
 	"uniform":       "895f5499e5835e0b",
 	"powerlaw":      "33bebbd7009d2032",
 	"web":           "978fcec5b8307c64",
-	"collaboration": "002163ab3cdfdf2b",
+	"collaboration": "433f572c37d8ff06",
 	"edgelist":      "bf602291f9174dc3",
 }
 
@@ -139,11 +139,11 @@ func loadGolden(t *testing.T) *graph.Graph {
 
 func TestOtherProducersGolden(t *testing.T) {
 	graphs := map[string]*graph.Graph{
-		"ldbc":          LDBC(LDBCDefaults(3000, 1)),
+		"ldbc":          LDBC(3000, 5, 1),
 		"uniform":       Uniform(3000, 8, 1),
-		"powerlaw":      PowerLaw(PowerLawParams{N: 3000, Exponent: 2.1, MinDegree: 2, Seed: 1}),
-		"web":           Web(WebParams{N: 3000, AvgDegree: 12, Seed: 1}),
-		"collaboration": Collaboration(CollaborationParams{N: 3000, AvgCliqueSize: 6, AvgDegree: 20, Seed: 1}),
+		"powerlaw":      PowerLaw(3000, 1),
+		"web":           Web(3000, 12, 1),
+		"collaboration": Collaboration(3000, 20, 1),
 		"edgelist":      loadGolden(t),
 	}
 	for name, g := range graphs {
@@ -151,6 +151,47 @@ func TestOtherProducersGolden(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 		if got, want := csrHash(g), goldenOthers[name]; got != want {
+			t.Errorf("%q: %q, // got; want %q", name, got, want)
+		}
+	}
+}
+
+// goldenStandIns pins the stand-in graphs at exactly the settings their
+// callers use, at small N: bfsbench's Table 1 (seed 20170321 plus the
+// row's offset) and Figures 6/7, and graphgen's defaults (seed 42, edge
+// factor 16). A generator's fixed shape (LDBC's communities and closure
+// share, the power law's exponent and degree bounds, the web graph's
+// locality window, the cast size) must leave every hash as it is.
+var goldenStandIns = map[string]string{
+	"ldbc table1":          "61cde1381de8177e",
+	"ldbc fig6/7":          "560f3af9f8f5809c",
+	"ldbc graphgen":        "7804c728db7cdfdb",
+	"collaboration table1": "e8090a79cb52a945",
+	"collaboration gen":    "50e79be4ebfef250",
+	"web table1":           "8553da64259500ce",
+	"web graphgen":         "a51945073620680a",
+	"powerlaw table1":      "0520bc060c1a52eb",
+	"powerlaw graphgen":    "3b8f148b7b59f7f2",
+}
+
+func TestStandInsGolden(t *testing.T) {
+	const seed = 20170321
+	graphs := map[string]*graph.Graph{
+		"ldbc table1":          LDBC(2000, 5, seed+2),
+		"ldbc fig6/7":          LDBC(2000, 16, seed),
+		"ldbc graphgen":        LDBC(2000, 5, 42),
+		"collaboration table1": Collaboration(2000, 56, seed+4),
+		"collaboration gen":    Collaboration(2000, 16, 42),
+		"web table1":           Web(2000, 20, seed+5),
+		"web graphgen":         Web(2000, 16, 42),
+		"powerlaw table1":      PowerLaw(2000, seed+6),
+		"powerlaw graphgen":    PowerLaw(2000, 42),
+	}
+	for name, g := range graphs {
+		if err := g.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if got, want := csrHash(g), goldenStandIns[name]; got != want {
 			t.Errorf("%q: %q, // got; want %q", name, got, want)
 		}
 	}
@@ -174,10 +215,10 @@ func totalAlloc(f func()) int64 {
 // endpoint buffer, generation allocates that buffer — about 1.15x the
 // deduplicated arcs — the offsets and the scrambling permutation, and the
 // relabel one exact-size CSR beside its permutation and inverse. Loading
-// the graph's edge list appends into one endpoint buffer, whose growth by
-// a quarter at a time allocates about 5x its final size, beside the id
-// interning map: 5.5x of the graph, where a load that kept a 16-byte pair
-// per edge beside the endpoint buffer allocated 15.75x.
+// the graph's edge list reads its endpoints into chunks and copies them
+// once into the exact endpoint buffer, beside the id interning map: 2.89x
+// of the graph, where one append-grown buffer (5.51x) and, before it, a
+// 16-byte pair per edge beside that buffer (15.75x) allocated more.
 func TestConstructionMemoryBudget(t *testing.T) {
 	var g, s, l *graph.Graph
 	generate := totalAlloc(func() { g = Kronecker(Graph500Params(14, 20170321)) })
@@ -196,7 +237,7 @@ func TestConstructionMemoryBudget(t *testing.T) {
 		{"generate", generate, g, 1.4},
 		{"striped relabel", relabel, s, 1.15},
 		{"generate + striped relabel", generate + relabel, s, 2.5},
-		{"load edge list", load, l, 7},
+		{"load edge list", load, l, 3.18},
 	} {
 		size := c.result.MemoryBytes()
 		ratio := float64(c.got) / float64(size)
@@ -272,7 +313,7 @@ func TestAnalysisMemoryBudget(t *testing.T) {
 func TestEdgeCounterMatchesFullCount(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"isolated inside the prefix": graph.FromEdges(12, []graph.Edge{{U: 1, V: 2}, {U: 2, V: 4}, {U: 6, V: 8}, {U: 0, V: 9}}),
-		"ldbc":                       LDBC(LDBCDefaults(3000, 1)),
+		"ldbc":                       LDBC(3000, 5, 1),
 	}
 	for key := range goldenKronecker {
 		var scale int

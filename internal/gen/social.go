@@ -7,60 +7,32 @@ import (
 	"repro/internal/graph"
 )
 
-// LDBCParams configures the LDBC-like social network generator. The LDBC
-// SNB data generator produces graphs with community structure, a power-law
-// degree distribution, and high clustering through friend-of-friend
-// closure; this generator reproduces those three characteristics (the
-// original Java generator is not available offline — see DESIGN.md §3).
-type LDBCParams struct {
-	// Persons is the number of vertices.
-	Persons int
-	// AvgDegree is the target average number of friendships per person.
-	AvgDegree int
-	// Communities is the number of communities persons are assigned to.
-	// Zero selects a heuristic (~sqrt of persons).
-	Communities int
-	// ClosureFraction is the fraction of edges created by friend-of-friend
-	// closure (triangle closing) rather than preferential attachment.
-	ClosureFraction float64
-	Seed            uint64
-}
+// closureFraction is the share of an LDBC graph's edges created by
+// friend-of-friend closure (triangle closing) rather than preferential
+// attachment.
+const closureFraction = 0.3
 
-// LDBCDefaults returns a configuration approximating the published LDBC
-// SNB graph statistics at the given person count: average degree ~ 2*m/n of
-// the SF100 dataset (~5.2 friendships per person gives too sparse a graph
-// for BFS benchmarking; the paper's table shows ~5 edges per vertex for
-// LDBC 100, which we match).
-func LDBCDefaults(persons int, seed uint64) LDBCParams {
-	return LDBCParams{
-		Persons:         persons,
-		AvgDegree:       5,
-		ClosureFraction: 0.3,
-		Seed:            seed,
-	}
-}
-
-// LDBC generates an LDBC-like social graph:
+// LDBC generates an LDBC-like social graph of n persons with about
+// avgDegree friendships per person. The LDBC SNB data generator produces
+// graphs with community structure, a power-law degree distribution, and
+// high clustering through friend-of-friend closure; this generator
+// reproduces those three characteristics (the original Java generator is
+// not available offline — see DESIGN.md §3). The published LDBC 100
+// graph has about 5 edges per vertex, which GenerateSocial matches.
 //
-//  1. Persons are assigned to communities with sizes following a power law.
+//  1. Persons are assigned to ~sqrt(n) communities with sizes
+//     following a power law.
 //  2. Most edges attach preferentially within the community (power-law
 //     degrees, strong locality), a minority connect across communities
 //     (small-world shortcuts).
-//  3. A configurable fraction of edges are friend-of-friend closures,
+//  3. closureFraction of the edges are friend-of-friend closures,
 //     producing the high clustering coefficient of social networks.
-func LDBC(p LDBCParams) *graph.Graph {
-	n := p.Persons
+func LDBC(n, avgDegree int, seed uint64) *graph.Graph {
 	if n <= 0 {
 		return graph.FromEdges(0, nil)
 	}
-	r := newRNG(p.Seed)
-	numComm := p.Communities
-	if numComm <= 0 {
-		numComm = int(math.Sqrt(float64(n)))
-		if numComm < 1 {
-			numComm = 1
-		}
-	}
+	r := newRNG(seed)
+	numComm := max(int(math.Sqrt(float64(n))), 1)
 
 	// Power-law community sizes via a Zipf-ish split.
 	weights := make([]float64, numComm)
@@ -88,7 +60,7 @@ func LDBC(p LDBCParams) *graph.Graph {
 		commMembers[numComm-1] = append(commMembers[numComm-1], graph.VertexID(v))
 	}
 
-	targetEdges := int64(n) * int64(p.AvgDegree) / 2
+	targetEdges := int64(n) * int64(avgDegree) / 2
 
 	// Preferential attachment within communities: track degree+1 weights
 	// with a simple repeated-endpoint list (Barabási–Albert style). The
@@ -96,7 +68,7 @@ func LDBC(p LDBCParams) *graph.Graph {
 	// to it and it becomes graph.FromPairs' endpoint buffer.
 	endpointPool := make([]graph.VertexID, 0, targetEdges*2)
 
-	closureEdges := int64(float64(targetEdges) * p.ClosureFraction)
+	closureEdges := int64(float64(targetEdges) * closureFraction)
 	paEdges := targetEdges - closureEdges
 
 	// Keep a sampled adjacency for closure; bounded per vertex to keep
@@ -159,44 +131,29 @@ func LDBC(p LDBCParams) *graph.Graph {
 	return graph.FromPairs(n, endpointPool)
 }
 
-// PowerLawParams configures the configuration-model power-law generator
-// used as the twitter-like stand-in.
-type PowerLawParams struct {
-	N int
-	// Exponent of the degree distribution; twitter's follower graph is
-	// around 2.0-2.3.
-	Exponent float64
-	// MinDegree and MaxDegree bound the sampled degrees; MaxDegree <= 0
-	// selects n/8.
-	MinDegree, MaxDegree int
-	Seed                 uint64
-}
+// PowerLaw's degree distribution: twitter's follower graph has an
+// exponent around 2.0-2.3, and the sampled degrees lie in
+// [minPowerLawDegree, n/8].
+const (
+	powerLawExponent  = 2.1
+	minPowerLawDegree = 2
+)
 
-// PowerLaw generates an undirected graph whose degree sequence follows a
-// truncated power law, wired with the configuration model (random stub
-// matching). It reproduces the extreme hub skew of the twitter follower
-// graph, the characteristic that stresses labeling and scheduling in the
-// paper's evaluation.
-func PowerLaw(p PowerLawParams) *graph.Graph {
-	n := p.N
+// PowerLaw generates an undirected graph on n vertices whose degree
+// sequence follows a truncated power law, wired with the configuration
+// model (random stub matching): the twitter-like stand-in. It reproduces
+// the extreme hub skew of the twitter follower graph, the characteristic
+// that stresses labeling and scheduling in the paper's evaluation.
+func PowerLaw(n int, seed uint64) *graph.Graph {
 	if n == 0 {
 		return graph.FromEdges(0, nil)
 	}
-	r := newRNG(p.Seed)
-	minD := p.MinDegree
-	if minD < 1 {
-		minD = 1
-	}
-	maxD := p.MaxDegree
-	if maxD <= 0 {
-		maxD = n / 8
-		if maxD < minD {
-			maxD = minD
-		}
-	}
+	r := newRNG(seed)
+	minD := minPowerLawDegree
+	maxD := max(n/8, minD)
 
 	// Sample degrees by inverse transform on the truncated power law.
-	alpha := p.Exponent
+	alpha := float64(powerLawExponent)
 	lo := math.Pow(float64(minD), 1-alpha)
 	hi := math.Pow(float64(maxD), 1-alpha)
 	var stubs []graph.VertexID
@@ -222,34 +179,23 @@ func PowerLaw(p PowerLawParams) *graph.Graph {
 	return graph.FromPairs(n, stubs[:len(stubs)&^1])
 }
 
-// WebParams configures the uk-2005-like web graph stand-in.
-type WebParams struct {
-	N int
-	// AvgDegree is the target average degree; uk-2005 has ~2m/n ≈ 40.
-	AvgDegree int
-	// LocalityWindow is the id window within which most links fall; web
-	// graphs have strong URL locality, producing long host-local chains
-	// and a larger effective diameter than social graphs.
-	LocalityWindow int
-	Seed           uint64
-}
+// webWindow is the id window within which most of a web graph's links
+// fall: web graphs have strong URL locality, producing long host-local
+// chains and a larger effective diameter than social graphs.
+const webWindow = 64
 
-// Web generates a web-crawl-like graph: most edges connect vertices with
-// nearby ids (host locality), a small fraction are global links, and a few
-// hub pages collect many in-links. Compared to Kronecker graphs it has a
-// visibly larger diameter and lower skew, matching the role uk-2005 plays
-// in the paper's Table 1 (lowest GTEPS of all graphs).
-func Web(p WebParams) *graph.Graph {
-	n := p.N
+// Web generates a uk-2005-like web-crawl graph on n vertices with about
+// avgDegree average degree (uk-2005 has ~2m/n ≈ 40): most edges connect
+// vertices with nearby ids (host locality), a small fraction are global
+// links, and a few hub pages collect many in-links. Compared to Kronecker
+// graphs it has a visibly larger diameter and lower skew, matching the
+// role uk-2005 plays in the paper's Table 1 (lowest GTEPS of all graphs).
+func Web(n, avgDegree int, seed uint64) *graph.Graph {
 	if n == 0 {
 		return graph.FromEdges(0, nil)
 	}
-	r := newRNG(p.Seed)
-	window := p.LocalityWindow
-	if window <= 0 {
-		window = 64
-	}
-	targetEdges := int64(n) * int64(p.AvgDegree) / 2
+	r := newRNG(seed)
+	targetEdges := int64(n) * int64(avgDegree) / 2
 
 	numHubs := n / 1000
 	if numHubs < 1 {
@@ -262,9 +208,9 @@ func Web(p WebParams) *graph.Graph {
 		var w int
 		switch f := r.float64(); {
 		case f < 0.80: // host-local link
-			w = u + 1 + r.intn(window)
+			w = u + 1 + r.intn(webWindow)
 			if w >= n {
-				w = u - 1 - r.intn(window)
+				w = u - 1 - r.intn(webWindow)
 				if w < 0 {
 					w = (u + 1) % n
 				}
@@ -279,33 +225,22 @@ func Web(p WebParams) *graph.Graph {
 	return graph.FromPairs(n, pairs)
 }
 
-// CollaborationParams configures the hollywood-2011-like stand-in.
-type CollaborationParams struct {
-	N int
-	// AvgCliqueSize is the mean cast size; hollywood-2011 links actors who
-	// appeared in a movie together, i.e. it is a union of cliques.
-	AvgCliqueSize int
-	// AvgDegree is the target average degree (hollywood-2011: ~2m/n ≈ 115;
-	// scaled down by default).
-	AvgDegree int
-	Seed      uint64
-}
+// avgClique is the Collaboration graph's mean cast size: casts have 2 to
+// 2·avgClique−1 members.
+const avgClique = 8
 
-// Collaboration generates a union-of-cliques graph: repeatedly sample a
-// "cast" (clique) of vertices with popularity-biased membership and connect
-// all pairs. This produces the very high density and clustering of the
-// hollywood-2011 co-starring graph.
-func Collaboration(p CollaborationParams) *graph.Graph {
-	n := p.N
+// Collaboration generates a hollywood-2011-like union-of-cliques graph on
+// n vertices with about avgDegree average degree (hollywood-2011: ~2m/n ≈
+// 115): repeatedly sample a "cast" (clique) of vertices with
+// popularity-biased membership and connect all pairs, as hollywood-2011
+// links actors who appeared in a movie together. This produces the very
+// high density and clustering of the co-starring graph.
+func Collaboration(n, avgDegree int, seed uint64) *graph.Graph {
 	if n == 0 {
 		return graph.FromEdges(0, nil)
 	}
-	r := newRNG(p.Seed)
-	avgClique := p.AvgCliqueSize
-	if avgClique < 2 {
-		avgClique = 8
-	}
-	targetEdges := int64(n) * int64(p.AvgDegree) / 2
+	r := newRNG(seed)
+	targetEdges := int64(n) * int64(avgDegree) / 2
 	// Popularity bias: reuse a pool of previously cast actors.
 	pool := make([]graph.VertexID, 0, 1<<16)
 	var pairs []graph.VertexID

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -19,20 +20,50 @@ func TestAnalyzeEmpty(t *testing.T) {
 }
 
 func TestPowerLawAlphaRecoversExponent(t *testing.T) {
-	// The configuration-model generator with a configured exponent should
-	// yield an MLE estimate in the right neighborhood. The truncation and
+	// The configuration-model generator's exponent, and a steeper one
+	// built here the same way, should come back as MLE estimates in the
+	// right neighborhood and in the right order. The truncation and
 	// simple-graph projection bias the estimate, so the tolerance is loose
 	// but still tight enough to catch a broken generator or estimator.
-	for _, want := range []float64{2.0, 2.5} {
-		g := PowerLaw(PowerLawParams{N: 30000, Exponent: want, MinDegree: 2, Seed: 7})
-		got, xmin := PowerLawAlphaMLE(g, 4)
+	const steep = 2.5
+	var prev float64
+	for _, c := range []struct {
+		want float64
+		g    *graph.Graph
+	}{
+		{powerLawExponent, PowerLaw(30000, 7)},
+		{steep, configurationModel(30000, steep, 7)},
+	} {
+		got, xmin := PowerLawAlphaMLE(c.g, 4)
 		if got == 0 {
-			t.Fatalf("exponent %v: estimator returned no estimate (xmin %d)", want, xmin)
+			t.Fatalf("exponent %v: estimator returned no estimate (xmin %d)", c.want, xmin)
 		}
-		if math.Abs(got-want) > 0.5 {
-			t.Errorf("exponent %v: estimated %.2f (xmin %d)", want, got, xmin)
+		if math.Abs(got-c.want) > 0.5 {
+			t.Errorf("exponent %v: estimated %.2f (xmin %d)", c.want, got, xmin)
+		}
+		if got <= prev {
+			t.Errorf("exponent %v: estimated %.2f, not above the shallower fixture's %.2f", c.want, got, prev)
+		}
+		t.Logf("exponent %v: estimated %.2f (xmin %d)", c.want, got, xmin)
+		prev = got
+	}
+}
+
+// configurationModel pairs random stubs of degrees drawn from a power law
+// with the given exponent, truncated to [2, n/8]: PowerLaw's construction
+// at an exponent of the caller's choosing.
+func configurationModel(n int, alpha float64, seed int64) *graph.Graph {
+	r := rand.New(rand.NewSource(seed))
+	lo, hi := math.Pow(2, 1-alpha), math.Pow(float64(n/8), 1-alpha)
+	var stubs []graph.VertexID
+	for v := 0; v < n; v++ {
+		d := int(math.Pow(lo+r.Float64()*(hi-lo), 1/(1-alpha)))
+		for i := 0; i < min(max(d, 2), n/8); i++ {
+			stubs = append(stubs, graph.VertexID(v))
 		}
 	}
+	r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+	return graph.FromPairs(n, stubs[:len(stubs)&^1])
 }
 
 func TestPowerLawAlphaUniformIsNotHeavyTailed(t *testing.T) {
@@ -47,7 +78,7 @@ func TestPowerLawAlphaUniformIsNotHeavyTailed(t *testing.T) {
 
 func TestGiniDegreeOrdering(t *testing.T) {
 	uniform := Analyze(Uniform(5000, 8, 1)).GiniDegree
-	skewed := Analyze(PowerLaw(PowerLawParams{N: 5000, Exponent: 2.0, MinDegree: 1, Seed: 2})).GiniDegree
+	skewed := Analyze(PowerLaw(5000, 2)).GiniDegree
 	if skewed <= uniform {
 		t.Errorf("power-law Gini %.3f not above uniform %.3f", skewed, uniform)
 	}
@@ -57,7 +88,7 @@ func TestGiniDegreeOrdering(t *testing.T) {
 }
 
 func TestClusteringOrdering(t *testing.T) {
-	collab := Analyze(Collaboration(CollaborationParams{N: 3000, AvgCliqueSize: 6, AvgDegree: 20, Seed: 3}))
+	collab := Analyze(Collaboration(3000, 20, 3))
 	uniform := Analyze(Uniform(3000, 20, 3))
 	if collab.ClusteringSample <= uniform.ClusteringSample {
 		t.Errorf("collaboration clustering %.3f not above uniform %.3f",

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -18,11 +19,14 @@ import (
 // non-negative integers; they are remapped to dense ids in order of first
 // appearance. The returned ids slice maps dense id -> original id.
 // Malformed lines produce an error naming the line number. The dense ids
-// go straight into the endpoint buffer that FromPairs builds the graph in:
-// the load keeps no other arc-sized array.
+// are read into chunks, since the edge count is unknown until the end, and
+// copied once into the exact endpoint buffer that FromPairs builds the
+// graph in: the load allocates the endpoints about twice, where one buffer
+// grown by append allocates them about five times over.
 func LoadEdgeList(r io.Reader) (g *Graph, ids []int64, err error) {
 	var (
-		pairs  []VertexID
+		chunks [][]VertexID // the full chunks
+		chunk  []VertexID   // the chunk being filled
 		remap  = make(map[int64]VertexID)
 		lineNo = 0
 	)
@@ -50,25 +54,52 @@ func LoadEdgeList(r io.Reader) (g *Graph, ids []int64, err error) {
 			continue
 		}
 		u, rest, perr := parseInt(line[i:])
+		var v int64
+		if perr == nil {
+			// Extra columns (weights, timestamps) are tolerated and ignored.
+			v, _, perr = parseInt(rest)
+		}
+		if perr == nil && (u < 0 || v < 0) {
+			perr = errNegativeID
+		}
 		if perr != nil {
 			return nil, nil, fmt.Errorf("graph: line %d: %v", lineNo, perr)
 		}
-		v, rest, perr := parseInt(rest)
-		if perr != nil {
-			return nil, nil, fmt.Errorf("graph: line %d: %v", lineNo, perr)
+		if len(chunk) == cap(chunk) {
+			if chunk != nil {
+				chunks = append(chunks, chunk)
+			}
+			chunk = make([]VertexID, 0, min(max(2*cap(chunk), minEndpointChunk), maxEndpointChunk))
 		}
-		// Extra columns (weights, timestamps) are tolerated and ignored.
-		_ = rest
-		if u < 0 || v < 0 {
-			return nil, nil, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
-		}
-		pairs = append(pairs, intern(u), intern(v))
+		chunk = append(chunk, intern(u), intern(v))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
+	// One exact buffer for FromPairs. slices.Concat sizes it the same way,
+	// but built with -race its Grow allocates the buffer twice.
+	chunks = append(chunks, chunk)
+	total := 0
+	for _, c := range chunks {
+		total += len(c)
+	}
+	pairs := make([]VertexID, 0, total)
+	for _, c := range chunks {
+		pairs = append(pairs, c...)
+	}
 	return FromPairs(len(ids), pairs), ids, nil
 }
+
+var errNegativeID = errors.New("negative vertex id")
+
+// LoadEdgeList's chunks double from minEndpointChunk endpoints up to
+// maxEndpointChunk (1 MiB), so a small file allocates little and a large
+// one's last, partly filled chunk wastes at most 1 MiB. Both are even: a
+// pair never straddles two chunks.
+const (
+	minEndpointChunk = 1 << 10
+	maxEndpointChunk = 1 << 18
+)
 
 // parseInt reads one whitespace-delimited integer from b and returns the
 // remainder of the line.

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -129,5 +131,26 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 	if len(want) != 0 {
 		t.Fatalf("round trip lost edges: %v", want)
+	}
+}
+
+// TestLoadEdgeListAcrossChunks loads a path long enough to fill every
+// chunk size and several full-size chunks: each pair lands in order, so
+// the graph is the path's own CSR.
+func TestLoadEdgeListAcrossChunks(t *testing.T) {
+	const n = 3 * maxEndpointChunk / 2 // 1.5x maxEndpointChunk edges, 3x its endpoints
+	var text strings.Builder
+	edges := make([]Edge, n-1)
+	for i := range edges {
+		edges[i] = Edge{U: VertexID(i), V: VertexID(i + 1)}
+		fmt.Fprintf(&text, "%d %d\n", i, i+1)
+	}
+	g, ids, err := LoadEdgeList(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FromEdges(n, edges)
+	if len(ids) != n || !slices.Equal(g.Offsets, want.Offsets) || !slices.Equal(g.Adjacency, want.Adjacency) {
+		t.Fatalf("loaded %d ids, %d arcs; want the %d-vertex path's CSR", len(ids), len(g.Adjacency), n)
 	}
 }

@@ -25,12 +25,12 @@ import (
 	"time"
 )
 
-// Default retention bounds. A Tracer is a bounded flight recorder, not an
+// Retention bounds. A Tracer is a bounded flight recorder, not an
 // unbounded event log: when full, the oldest completed records are
 // dropped and counted.
 const (
-	DefaultMaxTraversals = 256
-	DefaultMaxSpans      = 1024
+	maxTraversals = 256
+	maxSpans      = 1024
 )
 
 // IterationRecord is one BFS iteration's record, the only per-level type:
@@ -298,34 +298,17 @@ type Tracer struct {
 
 	mu                sync.Mutex
 	nextID            uint64
-	maxTraversals     int
-	maxSpans          int
 	traversals        []*Traversal
 	spans             []Span
 	droppedTraversals uint64
 	droppedSpans      uint64
 }
 
-// NewTracer returns a tracer with the default retention bounds.
+// NewTracer returns a tracer retaining at most maxTraversals completed
+// traversals and maxSpans completed spans. When a bound is hit the oldest
+// record is dropped and counted.
 func NewTracer() *Tracer {
-	return NewTracerCap(DefaultMaxTraversals, DefaultMaxSpans)
-}
-
-// NewTracerCap returns a tracer retaining at most maxTraversals completed
-// traversals and maxSpans completed spans (<=0 selects the defaults).
-// When a bound is hit the oldest record is dropped and counted.
-func NewTracerCap(maxTraversals, maxSpans int) *Tracer {
-	if maxTraversals <= 0 {
-		maxTraversals = DefaultMaxTraversals
-	}
-	if maxSpans <= 0 {
-		maxSpans = DefaultMaxSpans
-	}
-	return &Tracer{
-		origin:        time.Now(),
-		maxTraversals: maxTraversals,
-		maxSpans:      maxSpans,
-	}
+	return &Tracer{origin: time.Now()}
 }
 
 // StartTraversal opens a flight record for one BFS run. Returns nil (the
@@ -358,8 +341,8 @@ func (t *Tracer) StartSpan(name, detail string) *SpanHandle {
 func (t *Tracer) publish(tr *Traversal) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.traversals) >= t.maxTraversals {
-		drop := len(t.traversals) - t.maxTraversals + 1
+	if len(t.traversals) >= maxTraversals {
+		drop := len(t.traversals) - maxTraversals + 1
 		t.traversals = append(t.traversals[:0], t.traversals[drop:]...)
 		t.droppedTraversals += uint64(drop)
 	}
@@ -369,8 +352,8 @@ func (t *Tracer) publish(tr *Traversal) {
 func (t *Tracer) publish2(s Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.spans) >= t.maxSpans {
-		drop := len(t.spans) - t.maxSpans + 1
+	if len(t.spans) >= maxSpans {
+		drop := len(t.spans) - maxSpans + 1
 		t.spans = append(t.spans[:0], t.spans[drop:]...)
 		t.droppedSpans += uint64(drop)
 	}

@@ -98,18 +98,18 @@ func TestTraversalLifecycle(t *testing.T) {
 // TestRetentionBounds: the tracer is a ring, not a log — oldest records
 // are evicted and counted once the caps are hit.
 func TestRetentionBounds(t *testing.T) {
-	tr := NewTracerCap(3, 2)
-	for i := 0; i < 5; i++ {
+	tr := NewTracer()
+	for i := 0; i < maxTraversals+2; i++ {
 		record(tr, fmt.Sprintf("algo-%d", i), 1)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < maxSpans+2; i++ {
 		sp := tr.StartSpan(fmt.Sprintf("span-%d", i), "")
 		sp.End()
 	}
 	snap := tr.Snapshot()
-	if len(snap.Traversals) != 3 || snap.DroppedTraversals != 2 {
-		t.Errorf("traversals: kept %d dropped %d, want 3/2",
-			len(snap.Traversals), snap.DroppedTraversals)
+	if len(snap.Traversals) != maxTraversals || snap.DroppedTraversals != 2 {
+		t.Errorf("traversals: kept %d dropped %d, want %d/2",
+			len(snap.Traversals), snap.DroppedTraversals, maxTraversals)
 	}
 	// Oldest-first order, oldest dropped.
 	for i, tv := range snap.Traversals {
@@ -117,11 +117,11 @@ func TestRetentionBounds(t *testing.T) {
 			t.Errorf("traversal[%d].Algo = %q, want %q", i, tv.Algo, want)
 		}
 	}
-	if len(snap.Spans) != 2 || snap.DroppedSpans != 2 {
-		t.Errorf("spans: kept %d dropped %d, want 2/2", len(snap.Spans), snap.DroppedSpans)
+	if len(snap.Spans) != maxSpans || snap.DroppedSpans != 2 {
+		t.Fatalf("spans: kept %d dropped %d, want %d/2", len(snap.Spans), snap.DroppedSpans, maxSpans)
 	}
-	if snap.Spans[0].Name != "span-2" || snap.Spans[1].Name != "span-3" {
-		t.Errorf("span order = %q,%q, want span-2,span-3", snap.Spans[0].Name, snap.Spans[1].Name)
+	if first, last := snap.Spans[0].Name, snap.Spans[maxSpans-1].Name; first != "span-2" || last != fmt.Sprintf("span-%d", maxSpans+1) {
+		t.Errorf("span order = %q..%q, want span-2..span-%d", first, last, maxSpans+1)
 	}
 }
 

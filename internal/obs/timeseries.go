@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// DefaultSeriesCapacity is the per-series ring size: at the server's 1s
-// sample cadence it retains 10 minutes of history, a few KiB per series.
-const DefaultSeriesCapacity = 600
+// seriesCapacity is the per-series ring size: at the server's 1s sample
+// cadence it retains 10 minutes of history, a few KiB per series.
+const seriesCapacity = 600
 
 // TimeSeries is a bounded, named time-series store: each series is a
 // fixed-capacity ring of (time, value) points, appended at the sampler's
@@ -16,10 +16,9 @@ const DefaultSeriesCapacity = 600
 // observations and snapshots empty), and bounded — old points fall off
 // the ring, nothing grows with uptime.
 type TimeSeries struct {
-	mu       sync.Mutex
-	capacity int
-	order    []string // registration order, so the dash layout is stable
-	series   map[string]*pointRing
+	mu     sync.Mutex
+	order  []string // registration order, so the dash layout is stable
+	series map[string]*pointRing
 }
 
 // TSPoint is one sampled value.
@@ -52,13 +51,10 @@ func (r *pointRing) push(p TSPoint) {
 
 func (r *pointRing) at(i int) TSPoint { return r.buf[(r.head+i)%len(r.buf)] }
 
-// NewTimeSeries returns a store retaining at most capacity points per
-// series (<=0 selects DefaultSeriesCapacity).
-func NewTimeSeries(capacity int) *TimeSeries {
-	if capacity <= 0 {
-		capacity = DefaultSeriesCapacity
-	}
-	return &TimeSeries{capacity: capacity, series: make(map[string]*pointRing)}
+// NewTimeSeries returns a store retaining at most seriesCapacity points
+// per series.
+func NewTimeSeries() *TimeSeries {
+	return &TimeSeries{series: make(map[string]*pointRing)}
 }
 
 // Observe appends one point to the named series, creating it on first
@@ -71,7 +67,7 @@ func (ts *TimeSeries) Observe(name string, t time.Time, v float64) {
 	defer ts.mu.Unlock()
 	r := ts.series[name]
 	if r == nil {
-		r = &pointRing{buf: make([]TSPoint, ts.capacity)}
+		r = &pointRing{buf: make([]TSPoint, seriesCapacity)}
 		ts.series[name] = r
 		ts.order = append(ts.order, name)
 	}

@@ -14,9 +14,9 @@ func TestTimeSeriesNilSafe(t *testing.T) {
 }
 
 func TestTimeSeriesRingEviction(t *testing.T) {
-	ts := NewTimeSeries(4)
+	ts := NewTimeSeries()
 	base := time.Unix(1000, 0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < seriesCapacity+6; i++ {
 		ts.Observe("a", base.Add(time.Duration(i)*time.Second), float64(i))
 	}
 	snap := ts.Snapshot(0, base)
@@ -24,10 +24,10 @@ func TestTimeSeriesRingEviction(t *testing.T) {
 		t.Fatalf("snapshot = %+v, want one series 'a'", snap)
 	}
 	pts := snap[0].Points
-	if len(pts) != 4 {
-		t.Fatalf("retained %d points, want capacity 4", len(pts))
+	if len(pts) != seriesCapacity {
+		t.Fatalf("retained %d points, want capacity %d", len(pts), seriesCapacity)
 	}
-	// The ring keeps the newest 4 points in order.
+	// The ring keeps the newest seriesCapacity points in order.
 	for i, p := range pts {
 		if want := float64(6 + i); p.V != want {
 			t.Fatalf("point %d = %v, want %v", i, p.V, want)
@@ -36,7 +36,7 @@ func TestTimeSeriesRingEviction(t *testing.T) {
 }
 
 func TestTimeSeriesWindow(t *testing.T) {
-	ts := NewTimeSeries(16)
+	ts := NewTimeSeries()
 	base := time.Unix(1000, 0)
 	for i := 0; i < 10; i++ {
 		ts.Observe("a", base.Add(time.Duration(i)*time.Second), float64(i))
@@ -53,7 +53,7 @@ func TestTimeSeriesWindow(t *testing.T) {
 }
 
 func TestTimeSeriesOrderStable(t *testing.T) {
-	ts := NewTimeSeries(4)
+	ts := NewTimeSeries()
 	now := time.Now()
 	for _, name := range []string{"z", "a", "m"} {
 		ts.Observe(name, now, 1)

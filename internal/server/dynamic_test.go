@@ -161,23 +161,25 @@ func TestHTTPIngestErrors(t *testing.T) {
 }
 
 func TestHTTPVersionGoneAndBackpressure(t *testing.T) {
-	// Retain 2 versions; MaxDelta 6 arcs = 3 uncompacted edges.
-	ts := newDynTestServer(t, dyngraph.Config{Retain: 2, MaxDelta: 6})
-
-	for i, e := range [][2]uint32{{0, 2}, {0, 4}, {1, 4}} {
+	// One edge per version, RetainedVersions of them, fill the delta:
+	// MaxDelta is their arcs.
+	ts := newDynTestServer(t, dyngraph.Config{MaxDelta: 2 * dyngraph.RetainedVersions})
+	fresh := [][2]uint32{{0, 2}, {0, 3}, {0, 4}, {0, 5}, {1, 3}, {1, 4}, {1, 5}, {2, 3}, {2, 4}} // not in the seed
+	for i, e := range fresh[:dyngraph.RetainedVersions] {
 		resp, body := postJSON(t, ts.URL+"/graphs/live/edges", map[string]any{"edges": [][2]uint32{e}})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("ingest %d: status %d: %s", i, resp.StatusCode, body)
 		}
 	}
-	// Versions 1..4 published, retention keeps {3, 4}: v1 is 410 Gone.
+	// Versions 1..RetainedVersions+1 published, retention keeps all but
+	// v1: v1 is 410 Gone.
 	resp, body := postJSON(t, ts.URL+"/bfs?version=1", map[string]any{"graph": "live", "source": 0})
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("evicted version: status %d: %s", resp.StatusCode, body)
 	}
 
-	// Delta is at 6/6 arcs: the next edge hits compaction-lag backpressure.
-	resp, body = postJSON(t, ts.URL+"/graphs/live/edges", map[string]any{"edges": [][2]uint32{{2, 5}}})
+	// The delta is full: the next edge hits compaction-lag backpressure.
+	resp, body = postJSON(t, ts.URL+"/graphs/live/edges", map[string]any{"edges": [][2]uint32{fresh[dyngraph.RetainedVersions]}})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("backpressure: status %d: %s", resp.StatusCode, body)
 	}
@@ -273,11 +275,10 @@ func TestHTTPDynamicMetricsAndGraphs(t *testing.T) {
 }
 
 // TestDynamicEntryReleasesSeed: once dyngraph retires the seed generation —
-// a compaction, then Retain+1 ingests with no pin held — nothing in the
+// a compaction, then RetainedVersions+1 ingests with no pin held — nothing in the
 // entry keeps the seed CSR alive, because G follows the generation the
 // current version traverses.
 func TestDynamicEntryReleasesSeed(t *testing.T) {
-	const retain = 2
 	var path []msbfs.Edge
 	for v := uint32(0); v < 63; v++ {
 		path = append(path, msbfs.Edge{U: v, V: v + 1})
@@ -285,7 +286,7 @@ func TestDynamicEntryReleasesSeed(t *testing.T) {
 	reg := NewRegistry()
 	defer reg.Close()
 	e, err := reg.AddDynamic("live", "inprocess", msbfs.NewGraph(64, path), true,
-		Config{Workers: 2}, dyngraph.Config{Retain: retain})
+		Config{Workers: 2}, dyngraph.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestDynamicEntryReleasesSeed(t *testing.T) {
 	if ok, err := e.Dyn.Compact(); !ok || err != nil {
 		t.Fatalf("Compact = %v, %v", ok, err)
 	}
-	for i := 0; i <= retain; i++ {
+	for i := 0; i <= dyngraph.RetainedVersions; i++ {
 		ingest(uint32(3 + i))
 	}
 	if st := e.Dyn.Stats(); st.RetiredGens == 0 {

@@ -6,14 +6,14 @@ import (
 	"time"
 )
 
-// Flight-recorder defaults. The ring is deliberately small: it answers
+// Flight-recorder bounds. The ring is deliberately small: it answers
 // "what were the last few hundred requests doing" during an incident, not
 // long-term analytics (that is what /metrics is for).
 const (
-	// DefaultFlightCap bounds the recent-request ring.
-	DefaultFlightCap = 256
-	// DefaultSlowCap bounds the slow-query log.
-	DefaultSlowCap = 32
+	// flightCap bounds the recent-request ring.
+	flightCap = 256
+	// slowCap bounds the slow-query log.
+	slowCap = 32
 	// DefaultSlowQuery is the slow-query threshold when none is configured.
 	DefaultSlowQuery = 250 * time.Millisecond
 )
@@ -49,35 +49,21 @@ type FlightRecorder struct {
 
 	slowThreshold time.Duration
 
-	mu      sync.Mutex
-	ring    []RequestRecord // ring[next] is the oldest once full
-	next    int
-	full    bool
-	total   uint64
-	slow    []RequestRecord // sorted slowest-first, capped at slowCap
-	cap     int
-	slowCap int
+	mu    sync.Mutex
+	ring  [flightCap]RequestRecord // ring[next] is the oldest once full
+	next  int
+	full  bool
+	total uint64
+	slow  []RequestRecord // sorted slowest-first, capped at slowCap
 }
 
-// NewFlightRecorder builds a recorder. capN bounds the request ring,
-// slowCap the slow-query log, and slowThreshold classifies slow requests;
-// non-positive values take the package defaults.
-func NewFlightRecorder(capN, slowCap int, slowThreshold time.Duration) *FlightRecorder {
-	if capN <= 0 {
-		capN = DefaultFlightCap
-	}
-	if slowCap <= 0 {
-		slowCap = DefaultSlowCap
-	}
+// NewFlightRecorder builds a recorder that classifies requests at or over
+// slowThreshold as slow (<=0: DefaultSlowQuery).
+func NewFlightRecorder(slowThreshold time.Duration) *FlightRecorder {
 	if slowThreshold <= 0 {
 		slowThreshold = DefaultSlowQuery
 	}
-	return &FlightRecorder{
-		ring:          make([]RequestRecord, capN),
-		cap:           capN,
-		slowCap:       slowCap,
-		slowThreshold: slowThreshold,
-	}
+	return &FlightRecorder{slowThreshold: slowThreshold}
 }
 
 // NextTraceID issues a fresh nonzero trace ID. A nil recorder returns 0 —
@@ -102,7 +88,7 @@ func (f *FlightRecorder) Record(rec RequestRecord) bool {
 	defer f.mu.Unlock()
 	f.ring[f.next] = rec
 	f.next++
-	if f.next == f.cap {
+	if f.next == flightCap {
 		f.next = 0
 		f.full = true
 	}
@@ -116,7 +102,7 @@ func (f *FlightRecorder) Record(rec RequestRecord) bool {
 // recordSlowLocked inserts rec into the slowest-first slow log, evicting
 // the least-slow entry when the log is at capacity. Caller holds f.mu.
 func (f *FlightRecorder) recordSlowLocked(rec RequestRecord) {
-	if len(f.slow) == f.slowCap {
+	if len(f.slow) == slowCap {
 		if rec.TotalMicros <= f.slow[len(f.slow)-1].TotalMicros {
 			return // slower entries already fill the log
 		}
@@ -151,7 +137,7 @@ func (f *FlightRecorder) Snapshot() FlightSnapshot {
 	defer f.mu.Unlock()
 	var reqs []RequestRecord
 	if f.full {
-		reqs = make([]RequestRecord, 0, f.cap)
+		reqs = make([]RequestRecord, 0, flightCap)
 		reqs = append(reqs, f.ring[f.next:]...)
 		reqs = append(reqs, f.ring[:f.next]...)
 	} else {

@@ -30,16 +30,20 @@ func snapshotIDs(recs []RequestRecord) []uint64 {
 }
 
 func TestFlightRecorderWraparound(t *testing.T) {
-	f := NewFlightRecorder(4, 2, time.Second)
-	for id := uint64(1); id <= 7; id++ {
+	f := NewFlightRecorder(time.Second)
+	const total = flightCap + 3
+	for id := uint64(1); id <= total; id++ {
 		f.Record(okRecord(id, 10))
 	}
 	snap := f.Snapshot()
-	if snap.Total != 7 {
-		t.Fatalf("total = %d, want 7", snap.Total)
+	if snap.Total != total {
+		t.Fatalf("total = %d, want %d", snap.Total, total)
 	}
 	got := snapshotIDs(snap.Requests)
-	want := []uint64{4, 5, 6, 7} // oldest-first after 3 evictions
+	var want []uint64 // oldest-first after 3 evictions
+	for id := uint64(4); id <= total; id++ {
+		want = append(want, id)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("retained %v, want %v", got, want)
 	}
@@ -51,7 +55,7 @@ func TestFlightRecorderWraparound(t *testing.T) {
 
 	// Before wrapping, a partially filled ring reports only what was
 	// recorded.
-	f2 := NewFlightRecorder(4, 2, time.Second)
+	f2 := NewFlightRecorder(time.Second)
 	f2.Record(okRecord(1, 10))
 	f2.Record(okRecord(2, 10))
 	if got := snapshotIDs(f2.Snapshot().Requests); len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -60,21 +64,27 @@ func TestFlightRecorderWraparound(t *testing.T) {
 }
 
 func TestSlowQueryEvictionOrder(t *testing.T) {
-	f := NewFlightRecorder(16, 3, time.Millisecond) // slow = >= 1000 micros
+	f := NewFlightRecorder(time.Millisecond) // slow = >= 1000 micros
 	type step struct {
 		rec  RequestRecord
 		slow bool
 	}
 	steps := []step{
 		{okRecord(1, 1000), true}, // exactly at threshold
-		{okRecord(2, 5000), true},
-		{okRecord(3, 3000), true},
-		{okRecord(4, 500), false}, // under threshold
-		{okRecord(5, 2000), true}, // fills the log: 5000, 3000, 2000
-		{okRecord(6, 4000), true}, // evicts 2000 (the least slow)
-		{RequestRecord{TraceID: 7, Status: "rejected", TotalMicros: 9000}, false}, // never slow
-		{okRecord(8, 100), false},
+		{okRecord(2, 500), false}, // under threshold
+		{RequestRecord{TraceID: 3, Status: "rejected", TotalMicros: 9000}, false}, // never slow
 	}
+	// Ids 4 on, slower than id 1 in a shuffled order: the first slowCap-1
+	// fill the log beside id 1, the next evicts id 1 (the least slow).
+	want := make([]uint64, slowCap) // slowest first
+	for i := range slowCap {
+		rank := i * 7 % slowCap // 7 is coprime to slowCap: each rank once
+		id := uint64(4 + i)
+		steps = append(steps, step{okRecord(id, 2000+10*int64(rank)), true})
+		want[slowCap-1-rank] = id
+	}
+	// Slow, but less slow than every entry: the full log keeps its own.
+	steps = append(steps, step{okRecord(99, 1500), true}, step{okRecord(100, 100), false})
 	for _, s := range steps {
 		if got := f.Record(s.rec); got != s.slow {
 			t.Fatalf("Record(id=%d total=%d) slow = %v, want %v",
@@ -83,7 +93,6 @@ func TestSlowQueryEvictionOrder(t *testing.T) {
 	}
 	snap := f.Snapshot()
 	got := snapshotIDs(snap.Slow)
-	want := []uint64{2, 6, 3} // 5000, 4000, 3000 — slowest first
 	if len(got) != len(want) {
 		t.Fatalf("slow log = %v, want %v", got, want)
 	}
@@ -92,9 +101,9 @@ func TestSlowQueryEvictionOrder(t *testing.T) {
 			t.Fatalf("slow log = %v, want %v (slowest first, least-slow evicted)", got, want)
 		}
 	}
-	// Eviction replaced 1000 and then 2000; both ids 1 and 5 must be gone.
+	// Eviction replaced 1000, and 1500 never entered.
 	for _, r := range snap.Slow {
-		if r.TraceID == 1 || r.TraceID == 5 {
+		if r.TraceID == 1 || r.TraceID == 99 {
 			t.Fatalf("evicted record %d still in slow log", r.TraceID)
 		}
 	}

@@ -19,12 +19,13 @@ import (
 // by their caller, edge ingests and submits pinned to an older version run
 // against a static and a dynamic backend; afterwards every answer is
 // checked against the solo oracle, and the run must have kept to two
-// batches at a time and left no pin or arena borrow behind.
+// batches at a time and left no pin or arena borrow behind. The dynamic
+// run publishes far more versions than dyngraph retains, so the test pins
+// each version as it is published and serves the oracle from those pins.
 func TestCoalescerMetamorphic(t *testing.T) {
 	const (
-		n       = 240
-		ops     = 300
-		ingests = ops / 10 // expected; Retain must cover every version published
+		n   = 240
+		ops = 300
 	)
 	for _, dynamic := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -40,12 +41,30 @@ func TestCoalescerMetamorphic(t *testing.T) {
 				var (
 					inner Backend = g
 					dyn   *dyngraph.DynGraph
+					// views holds the oracle's own pin of every version
+					// published; a pinned snapshot outlives its eviction.
+					views = map[uint64]msbfs.Pinned{}
 				)
+				pinView := func() {
+					ver := uint64(0)
+					if dynamic {
+						ver = dyn.Version()
+					}
+					if views[ver] != nil {
+						return
+					}
+					view, err := inner.Pin(ver)
+					if err != nil {
+						t.Fatalf("oracle pin of version %d: %v", ver, err)
+					}
+					views[ver] = view
+				}
 				if dynamic {
-					dyn = dyngraph.New(g, dyngraph.Config{Retain: 4 * ingests})
+					dyn = dyngraph.New(g, dyngraph.Config{})
 					defer dyn.Close()
 					inner = dyn
 				}
+				pinView()
 				gb := newGate(inner, false)
 				c := NewCoalescer(gb, Config{Workers: 2, MaxBatch: 8, MaxPending: ops, Engine: eng}, NewMetrics(), nil)
 
@@ -72,6 +91,7 @@ func TestCoalescerMetamorphic(t *testing.T) {
 						}); err != nil {
 							t.Fatal(err)
 						}
+						pinView()
 						continue
 					case op == 1 && dynamic:
 						q.Version = 1 + uint64(r.Int63n(int64(dyn.Version())))
@@ -92,11 +112,19 @@ func TestCoalescerMetamorphic(t *testing.T) {
 					results = append(results, submitAsync(ctx, c, q))
 				}
 
-				answered := 0
+				var latest uint64
+				if dynamic {
+					latest = dyn.Version()
+				}
+				answered, gone := 0, 0
 				for i, ch := range results {
 					res := <-ch
 					if res.err != nil {
-						if !abandoned[i] || !errors.Is(res.err, context.Canceled) {
+						switch {
+						case errors.Is(res.err, dyngraph.ErrVersionGone) &&
+							res.q.Version+dyngraph.RetainedVersions <= latest:
+							gone++ // evicted before the submit pinned it
+						case !abandoned[i] || !errors.Is(res.err, context.Canceled):
 							t.Errorf("request %d %+v: %v", i, res.q, res.err)
 						}
 						continue
@@ -106,16 +134,21 @@ func TestCoalescerMetamorphic(t *testing.T) {
 						res.q.Version != 0 && res.ans.GraphVersion != res.q.Version {
 						t.Errorf("request %d %+v served on version %d", i, res.q, res.ans.GraphVersion)
 					}
-					view, err := inner.Pin(res.ans.GraphVersion)
-					if err != nil {
-						t.Fatalf("oracle pin of version %d: %v", res.ans.GraphVersion, err)
+					view := views[res.ans.GraphVersion]
+					if view == nil {
+						t.Fatalf("request %d %+v served on unpublished version %d", i, res.q, res.ans.GraphVersion)
 					}
 					checkAnswer(t, res.q, res.ans, soloAnswer(t, view, n, res.q))
-					view.Release()
 				}
 				c.Close()
+				for _, view := range views {
+					view.Release()
+				}
 				if answered < ops/2 {
-					t.Errorf("only %d of %d requests answered", answered, len(results))
+					t.Errorf("only %d of %d requests answered (%d on evicted versions)", answered, len(results), gone)
+				}
+				if dynamic && latest <= dyngraph.RetainedVersions {
+					t.Errorf("only %d versions published; the run never evicted one", latest)
 				}
 				if m := gb.maxConcurrent(); m > maxInFlight {
 					t.Errorf("%d batches ran at once, want <= %d", m, maxInFlight)

@@ -142,9 +142,9 @@ func NewRegistry() *Registry {
 		graphs:  make(map[string]*Entry),
 		eng:     eng,
 		engRows: engineTable(eng),
-		rec:     NewFlightRecorder(0, 0, 0),
+		rec:     NewFlightRecorder(0),
 		tracer:  obs.NewTracer(),
-		stats:   obs.NewTimeSeries(0),
+		stats:   obs.NewTimeSeries(),
 	}
 }
 
@@ -165,7 +165,7 @@ func (r *Registry) SetLogger(l *slog.Logger) { r.logger = l }
 // threshold (<=0 keeps the default). Call before registering graphs so
 // every coalescer sees the new recorder.
 func (r *Registry) SetSlowQuery(d time.Duration) {
-	r.rec = NewFlightRecorder(0, 0, d)
+	r.rec = NewFlightRecorder(d)
 }
 
 // BuildGraph materializes a graph from spec under a "graph-build" span —

@@ -90,7 +90,7 @@ func GenerateKronecker(scale, edgeFactor int, seed uint64) *Graph {
 // GenerateSocial produces an LDBC-like social network graph with community
 // structure, power-law degrees and high clustering.
 func GenerateSocial(persons int, seed uint64) *Graph {
-	return &Graph{g: gen.LDBC(gen.LDBCDefaults(persons, seed))}
+	return &Graph{g: gen.LDBC(persons, 5, seed)}
 }
 
 // GenerateUniform produces an Erdős–Rényi random graph with about

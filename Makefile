@@ -60,7 +60,7 @@ server-race:
 # in 200 runs of each package). bfsd's daemon tests (TestRun*) boot real
 # listeners on reserved ports; they repeat 200 times (about 10 s).
 flake:
-	$(GO) test -count=20 ./internal/bench ./internal/perf ./internal/obs ./internal/server
+	$(GO) test -count=20 ./internal/bench ./internal/perf ./internal/obs ./internal/server ./internal/sched
 	$(GO) test -count=200 -run '^TestRun' ./cmd/bfsd
 
 # cluster-test = the sharded-BFS suite under the race detector: the whole

@@ -74,7 +74,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *labeling != "none" {
-		scheme, err := parseScheme(*labeling)
+		scheme, err := label.ParseScheme(*labeling)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bfsrun:", err)
 			os.Exit(1)
@@ -229,19 +229,6 @@ func loadOrGenerate(path string, scale int, seed uint64) (*graph.Graph, error) {
 		return nil, fmt.Errorf("file %q: %w", path, err)
 	}
 	return g, nil
-}
-
-func parseScheme(s string) (label.Scheme, error) {
-	switch s {
-	case "random":
-		return label.Random, nil
-	case "ordered":
-		return label.DegreeOrdered, nil
-	case "striped":
-		return label.Striped, nil
-	default:
-		return 0, fmt.Errorf("unknown labeling %q", s)
-	}
 }
 
 func run(algo string, g *graph.Graph, sources []int, opt core.Options, sockets int) (time.Duration, error) {

@@ -40,7 +40,7 @@ func main() {
 	}
 
 	if *labeling != "" {
-		scheme, err := parseScheme(*labeling)
+		scheme, err := label.ParseScheme(*labeling)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "graphgen:", err)
 			os.Exit(1)
@@ -99,19 +99,6 @@ func write(path, format string, g *graph.Graph) error {
 		return f.Close()
 	default:
 		return fmt.Errorf("unknown format %q (binary, edgelist)", format)
-	}
-}
-
-func parseScheme(s string) (label.Scheme, error) {
-	switch s {
-	case "random":
-		return label.Random, nil
-	case "ordered":
-		return label.DegreeOrdered, nil
-	case "striped":
-		return label.Striped, nil
-	default:
-		return 0, fmt.Errorf("unknown labeling %q (random, ordered, striped)", s)
 	}
 }
 

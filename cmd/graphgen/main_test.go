@@ -25,17 +25,6 @@ func TestGenerateAllTypes(t *testing.T) {
 	}
 }
 
-func TestParseScheme(t *testing.T) {
-	for _, s := range []string{"random", "ordered", "striped"} {
-		if _, err := parseScheme(s); err != nil {
-			t.Errorf("%s: %v", s, err)
-		}
-	}
-	if _, err := parseScheme("zigzag"); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-}
-
 func TestWriteFormats(t *testing.T) {
 	g, err := generate("uniform", 0, 100, 4, 2)
 	if err != nil {

@@ -8,7 +8,7 @@
 // line in the other workers' caches (false sharing). On the BFS kernels'
 // per-chunk bookkeeping this turns a supposedly thread-local counter bump
 // into a cross-core coherence storm; the fix is padding each element to a
-// full cache line (see sched.taskCounter) or batching into a local and
+// full cache line (see sched.workerCell) or batching into a local and
 // publishing once.
 //
 // The pass flags assignments, op-assignments and ++/-- on `x[workerID]` (or

@@ -305,10 +305,3 @@ func runFig12(cfg Config) ([][]string, error) {
 	fmt.Fprintf(w, "       MS-PBFS overtakes the sequential execution model from ~2^20 vertices.\n")
 	return res.csv(), nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -3,15 +3,16 @@
 //
 // A State holds one fixed-width bitset per vertex in a single contiguous
 // []uint64. The per-vertex width is a small number of 64-bit words
-// (1, 2, 4, or 8 words, i.e. 64 to 512 concurrent BFSs). All mutating
-// operations exist in two flavors: plain (single-writer regions, e.g. the
-// second top-down phase and the bottom-up phase) and atomic (the first
-// top-down phase, where several workers may merge into the same vertex).
+// (1, 2, 4, or 8 words, i.e. 64 to 512 concurrent BFSs). MS-PBFS writes
+// it with plain stores only: its first top-down phase (the scatter) writes
+// the running worker's own stripe and queues every other row for that
+// stripe's owner, who applies it after the barrier (//bfs:nocas), and the
+// resolve and bottom-up phases touch each vertex from exactly one worker.
 //
-// The atomic merge is implemented as a series of independent per-word
-// compare-and-swap updates, exactly as described in Section 3.1.1 of the
-// paper: the operation only ever sets bits, so word-at-a-time CAS retains
-// the full-bitset semantics.
+// AtomicOrVertex is the paper's atomic merge (Section 3.1.1), a series of
+// independent per-word compare-and-swap updates: the operation only ever
+// sets bits, so word-at-a-time CAS retains the full-bitset semantics. Its
+// one caller is the iBFS baseline, whose workers merge into shared rows.
 package bitset
 
 import (

@@ -39,7 +39,7 @@ func BrandesBetweenness(g *graph.Graph, sources []int, opt Options) []float64 {
 	// One source per task: source costs vary wildly (component sizes), so
 	// the pool's stealing does the load balancing the old channel feed did.
 	tq := sched.CreateTasks(len(sources), 1, workers)
-	pool.ParallelFor(tq, func(w int, r sched.Range) {
+	pool.Run(tq, true, func(w int, r sched.Range) {
 		for i := r.Lo; i < r.Hi; i++ {
 			brandesSource(g, sources[i], sigma[w], dist[w], delta[w], order[w][:0], partial[w])
 		}

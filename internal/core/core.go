@@ -251,13 +251,13 @@ type iterRecorder struct {
 	// tr is the open flight record (nil when tracing is off).
 	tr *obs.Traversal
 
-	// pool and the prev* snapshots turn the pool's cumulative per-worker
-	// counters into per-level deltas; scatterSteals is the one mid-level
-	// snapshot (noteScatter). pool is nil when no sink is on.
-	pool                  *sched.Pool
-	prevTasks, prevSteals []int64
-	prevBusy              []time.Duration
-	scatterSteals         int64
+	// pool and the prev snapshot turn the pool's cumulative per-worker
+	// counters into per-level deltas; cur is the scratch the next snapshot
+	// lands in, and scatterSteals the one mid-level reading (noteScatter).
+	// pool is nil when no sink is on.
+	pool          *sched.Pool
+	prev, cur     []sched.Counters
+	scatterSteals int64
 }
 
 // newIterRecorder opens the per-traversal instrumentation. algo and
@@ -267,9 +267,7 @@ func newIterRecorder(opt Options, algo string, sources int, pool *sched.Pool) it
 	r := iterRecorder{collect: opt.CollectIterStats, tr: opt.Tracer.StartTraversal(algo, sources)}
 	if pool != nil && r.on() {
 		r.pool = pool
-		r.prevTasks = pool.TaskCounts(nil)
-		r.prevSteals = pool.StealCounts(nil)
-		r.prevBusy = pool.Busy()
+		r.prev = pool.Counters(nil)
 	}
 	return r
 }
@@ -286,7 +284,11 @@ func (r *iterRecorder) noteScatter() {
 	if r.pool == nil {
 		return
 	}
-	r.scatterSteals = sumInt64(r.pool.StealCounts(nil)) - sumInt64(r.prevSteals)
+	r.cur = r.pool.Counters(r.cur[:0])
+	r.scatterSteals = 0
+	for i, c := range r.cur {
+		r.scatterSteals += c.Steals - r.prev[i].Steals
+	}
 }
 
 // record completes a level's record with the pool's per-worker deltas and
@@ -296,9 +298,17 @@ func (r *iterRecorder) record(rec obs.IterationRecord) {
 		return
 	}
 	if r.pool != nil {
-		rec.WorkerTasks = deltaSince(r.pool.TaskCounts(nil), r.prevTasks)
-		rec.WorkerSteals = deltaSince(r.pool.StealCounts(nil), r.prevSteals)
-		rec.WorkerBusy = deltaSince(r.pool.Busy(), r.prevBusy)
+		r.cur = r.pool.Counters(r.cur[:0])
+		rec.WorkerTasks = make([]int64, len(r.cur))
+		rec.WorkerSteals = make([]int64, len(r.cur))
+		rec.WorkerBusy = make([]time.Duration, len(r.cur))
+		for i, c := range r.cur {
+			p := r.prev[i]
+			rec.WorkerTasks[i] = c.Tasks - p.Tasks
+			rec.WorkerSteals[i] = c.Steals - p.Steals
+			rec.WorkerBusy[i] = c.Busy - p.Busy
+		}
+		r.prev, r.cur = r.cur, r.prev
 		rec.ScatterSteals, r.scatterSteals = r.scatterSteals, 0
 	}
 	if r.collect {
@@ -310,24 +320,6 @@ func (r *iterRecorder) record(rec obs.IterationRecord) {
 // finish closes the flight record. Kernels call it once after the BFS
 // loop.
 func (r *iterRecorder) finish() { r.tr.Finish() }
-
-// deltaSince turns cur, a fresh cumulative snapshot from the pool accessors,
-// into cur-prev in place and advances prev to the snapshot, so prev stays
-// cumulative from one iteration to the next.
-func deltaSince[T int64 | time.Duration](cur, prev []T) []T {
-	for i, c := range cur {
-		cur[i], prev[i] = c-prev[i], c
-	}
-	return cur
-}
-
-func sumInt64(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
 
 // requireNoOverlay is the baselines' guard. MS-BFS, iBFS and Beamer exist
 // for the paper's comparisons over static inputs and do not honour

@@ -174,7 +174,7 @@ func (ls *levelStep) open(run shellRun) {
 	// the shell clean, so the first run skips its zeroing pass instead of
 	// re-scrubbing fresh arrays.
 	ls.tq.Reset()
-	ls.pool.ParallelForStatic(ls.tq, ls.zeroBody)
+	ls.pool.Run(ls.tq, false, ls.zeroBody)
 	ls.clean = true
 }
 
@@ -198,7 +198,7 @@ func (ls *levelStep) scrub() {
 	ls.clearInboxes()
 	if !ls.clean {
 		ls.tq.Reset()
-		ls.pool.ParallelForStatic(ls.tq, ls.zeroBody)
+		ls.pool.Run(ls.tq, false, ls.zeroBody)
 	}
 	ls.clean = false
 }
@@ -242,7 +242,7 @@ func (ls *levelStep) level(exchange func(next []uint64) error) error {
 	steal := !opt.DisableStealing
 	if ls.bottomUp {
 		ls.tq.Reset()
-		ls.runPhase(ls.tq, steal, ls.bottomUpBody)
+		ls.pool.Run(ls.tq, steal, ls.bottomUpBody)
 	} else if err := ls.topDown(steal, exchange); err != nil {
 		return err
 	}
@@ -285,11 +285,11 @@ func (ls *levelStep) level(exchange func(next []uint64) error) error {
 // recording run notes the scatter's steals.
 func (ls *levelStep) topDown(steal bool, exchange func(next []uint64) error) error {
 	ls.tq.Reset()
-	ls.runPhase(ls.tq, steal, ls.scatterBody)
+	ls.pool.Run(ls.tq, steal, ls.scatterBody)
 	ls.rec.noteScatter()
 	if ls.applyTq != nil {
 		ls.applyTq.Reset()
-		ls.runPhase(ls.applyTq, false, ls.applyBody)
+		ls.pool.Run(ls.applyTq, false, ls.applyBody)
 	}
 	if exchange != nil {
 		if err := exchange(ls.phCanon); err != nil {
@@ -297,15 +297,6 @@ func (ls *levelStep) topDown(steal bool, exchange func(next []uint64) error) err
 		}
 	}
 	ls.tq.Reset()
-	ls.runPhase(ls.tq, steal, ls.resolveBody)
+	ls.pool.Run(ls.tq, steal, ls.resolveBody)
 	return nil
-}
-
-// runPhase executes one parallel loop, with or without stealing.
-func (ls *levelStep) runPhase(tq *sched.TaskQueues, steal bool, body func(workerID int, r sched.Range)) {
-	if steal {
-		ls.pool.ParallelFor(tq, body)
-	} else {
-		ls.pool.ParallelForStatic(tq, body)
-	}
 }

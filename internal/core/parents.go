@@ -50,7 +50,7 @@ func DeriveParents(g *graph.Graph, levels []int32, pool *sched.Pool) []int64 {
 		return parents
 	}
 	tq := sched.CreateTasks(n, sched.DefaultSplitSize, pool.Workers())
-	pool.ParallelFor(tq, body)
+	pool.Run(tq, true, body)
 	return parents
 }
 

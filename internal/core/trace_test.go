@@ -22,6 +22,14 @@ import (
 	"repro/internal/sched"
 )
 
+func sumInt64(xs []int64) int64 {
+	var s int64
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
 // tracedAuto runs one single-batch MS-PBFS under Auto with both the
 // tracer and iteration stats on, returning the result and the traversal
 // flight record.
@@ -345,6 +353,59 @@ func TestTraceForcedDirections(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestLevelTasksMatchPhases: every fetched task is counted once, in the
+// level whose phase fetched it. Reading the engine's own layouts, a
+// top-down level's summed WorkerTasks is 2·|tq| + |applyTq| (scatter,
+// apply, resolve) and a bottom-up level's is |tq|, for both kernels, at
+// one worker (no apply layout) and at three, in every direction.
+func TestLevelTasksMatchPhases(t *testing.T) {
+	g := goldenStriped(12, 5)
+	sources := RandomSources(g, 64, 5)
+	check := func(ctx string, tq, applyTq *sched.TaskQueues, its []obs.IterationRecord) {
+		t.Helper()
+		apply := 0
+		if applyTq != nil {
+			apply = applyTq.NumTasks()
+		}
+		for i, it := range its {
+			want := int64(2*tq.NumTasks() + apply)
+			if it.BottomUp {
+				want = int64(tq.NumTasks())
+			}
+			if got := it.Tasks(); got != want {
+				t.Errorf("%s level %d (%s): %d tasks, want %d (|tq| %d, |applyTq| %d)",
+					ctx, i+1, it.Direction(), got, want, tq.NumTasks(), apply)
+			}
+		}
+	}
+	eng := NewEngine() // a fresh arena: a parked shell of a larger prefix would serve too
+	defer eng.Close()
+	for _, workers := range []int{1, 3} {
+		for _, dir := range []Direction{TopDownOnly, BottomUpOnly, Auto} {
+			opt := Options{Workers: workers, BatchWords: 1, Direction: dir, CollectIterStats: true, Engine: eng}
+			ctx := fmt.Sprintf("workers=%d dir=%d", workers, dir)
+			ms := NewMSPBFSEngine(g, opt)
+			if got, want := ms.tq.NumTasks(), 7; got != want {
+				t.Fatalf("%s: |tq| = %d, want %d", ctx, got, want)
+			}
+			if workers > 1 && ms.applyTq.NumTasks() != 3 {
+				t.Fatalf("%s: |applyTq| = %d, want 3", ctx, ms.applyTq.NumTasks())
+			}
+			its := ms.Run(sources, nil).Stats.Iterations
+			if len(its) != 6 {
+				t.Errorf("%s ms-pbfs: %d levels, want 6", ctx, len(its))
+			}
+			check(ctx+" ms-pbfs", ms.tq, ms.applyTq, its)
+			ms.Close()
+			sms := NewSMSPBFSEngine(g, BitState, opt)
+			for _, s := range sources[:8] {
+				check(fmt.Sprintf("%s sms-pbfs source %d", ctx, s), sms.tq, sms.applyTq, sms.Run(s).Stats.Iterations)
+			}
+			sms.Close()
 		}
 	}
 }

@@ -51,6 +51,16 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseScheme returns the scheme whose String is s.
+func ParseScheme(s string) (Scheme, error) {
+	for sc := Identity; sc <= Striped; sc++ {
+		if sc.String() == s {
+			return sc, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown labeling %q (identity, random, ordered, striped)", s)
+}
+
 // Params carries the inputs a scheme may need.
 type Params struct {
 	// Workers is the number of worker threads (P); required by Striped.

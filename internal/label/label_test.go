@@ -3,6 +3,7 @@ package label
 import (
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -50,6 +51,25 @@ func TestSchemeString(t *testing.T) {
 	for s, want := range cases {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want)
+		}
+	}
+}
+
+// TestParseScheme: ParseScheme inverts String on every scheme, and its
+// error names the input and every accepted name.
+func TestParseScheme(t *testing.T) {
+	for _, s := range []Scheme{Identity, Random, DegreeOrdered, Striped} {
+		if got, err := ParseScheme(s.String()); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	_, err := ParseScheme("bogus")
+	if err == nil {
+		t.Fatal("ParseScheme accepted an unknown name")
+	}
+	for _, name := range []string{`"bogus"`, "identity", "random", "ordered", "striped"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
 		}
 	}
 }

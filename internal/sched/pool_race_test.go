@@ -28,7 +28,7 @@ func TestParallelForExactlyOnceStress(t *testing.T) {
 	visits := make([]int64, total)
 	for phase := 1; phase <= phases; phase++ {
 		tq := CreateTasks(total, split, workers)
-		p.ParallelFor(tq, func(_ int, r Range) {
+		p.Run(tq, true, func(_ int, r Range) {
 			for v := r.Lo; v < r.Hi; v++ {
 				atomic.AddInt64(&visits[v], 1)
 			}
@@ -58,7 +58,7 @@ func TestParallelForStaticStress(t *testing.T) {
 	visits := make([]int64, total)
 	for phase := 1; phase <= phases; phase++ {
 		tq.Reset()
-		p.ParallelForStatic(tq, func(_ int, r Range) {
+		p.Run(tq, false, func(_ int, r Range) {
 			for v := r.Lo; v < r.Hi; v++ {
 				atomic.AddInt64(&visits[v], 1)
 			}
@@ -90,7 +90,7 @@ func TestConcurrentPools(t *testing.T) {
 			p := NewPool(workers)
 			defer p.Close()
 			tq := CreateTasks(total, split, workers)
-			p.ParallelFor(tq, func(_ int, r Range) {
+			p.Run(tq, true, func(_ int, r Range) {
 				atomic.AddInt64(&sums[i], int64(r.Len()))
 			})
 		}(i)

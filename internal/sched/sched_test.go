@@ -220,7 +220,7 @@ func TestPoolParallelForProcessesAll(t *testing.T) {
 	const total = 100000
 	tq := CreateTasks(total, 256, 4)
 	var sum atomic.Int64
-	p.ParallelFor(tq, func(_ int, r Range) {
+	p.Run(tq, true, func(_ int, r Range) {
 		var local int64
 		for v := r.Lo; v < r.Hi; v++ {
 			local += int64(v)
@@ -239,7 +239,7 @@ func TestPoolStaticPartitioning(t *testing.T) {
 	tq := CreateTasks(900, 100, 3)
 	var mu sync.Mutex
 	byWorker := make(map[int][]Range)
-	p.ParallelForStatic(tq, func(w int, r Range) {
+	p.Run(tq, false, func(w int, r Range) {
 		mu.Lock()
 		byWorker[w] = append(byWorker[w], r)
 		mu.Unlock()
@@ -264,7 +264,7 @@ func TestPoolReuseAcrossPhases(t *testing.T) {
 	var count atomic.Int64
 	for phase := 0; phase < 10; phase++ {
 		tq.Reset()
-		p.ParallelFor(tq, func(_ int, r Range) {
+		p.Run(tq, true, func(_ int, r Range) {
 			count.Add(int64(r.Len()))
 		})
 	}
@@ -279,10 +279,10 @@ func TestPoolReuseAcrossPhases(t *testing.T) {
 func TestPoolTimedReturnsPerWorker(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	p.ParallelFor(CreateTasks(64, 32, 2), func(int, Range) {})
+	p.Run(CreateTasks(64, 32, 2), true, func(int, Range) {})
 	before := p.Busy()
 	tq := CreateTasks(1024, 512, 2)
-	p.ParallelFor(tq, func(_ int, r Range) {
+	p.Run(tq, true, func(_ int, r Range) {
 		time.Sleep(2 * time.Millisecond)
 	})
 	after := p.Busy()
@@ -301,7 +301,7 @@ func TestPoolBusyAccumulates(t *testing.T) {
 	defer p.Close()
 	tq := CreateTasks(512, 256, 2)
 	p.ResetBusy()
-	p.ParallelFor(tq, func(_ int, _ Range) { time.Sleep(time.Millisecond) })
+	p.Run(tq, true, func(_ int, _ Range) { time.Sleep(time.Millisecond) })
 	busy := p.Busy()
 	var total time.Duration
 	for _, b := range busy {
@@ -329,7 +329,7 @@ func TestPoolPanicPropagates(t *testing.T) {
 			t.Errorf("unexpected panic payload: %v", r)
 		}
 	}()
-	p.ParallelFor(tq, func(_ int, r Range) {
+	p.Run(tq, true, func(_ int, r Range) {
 		if r.Lo == 0 {
 			panic("boom")
 		}
@@ -342,12 +342,12 @@ func TestPoolSurvivesPanicAndKeepsWorking(t *testing.T) {
 	tq := CreateTasks(512, 256, 2)
 	func() {
 		defer func() { recover() }()
-		p.ParallelFor(tq, func(_ int, _ Range) { panic("first") })
+		p.Run(tq, true, func(_ int, _ Range) { panic("first") })
 	}()
 	// The pool must still process work after a panicking phase.
 	tq.Reset()
 	var count atomic.Int64
-	p.ParallelFor(tq, func(_ int, r Range) { count.Add(int64(r.Len())) })
+	p.Run(tq, true, func(_ int, r Range) { count.Add(int64(r.Len())) })
 	if count.Load() != 512 {
 		t.Errorf("pool broken after panic: processed %d", count.Load())
 	}
@@ -362,7 +362,7 @@ func TestPoolUseAfterClosePanics(t *testing.T) {
 			t.Error("use after Close did not panic")
 		}
 	}()
-	p.ParallelFor(CreateTasks(10, 5, 1), func(_ int, _ Range) {})
+	p.Run(CreateTasks(10, 5, 1), true, func(_ int, _ Range) {})
 }
 
 func TestPoolSingleWorker(t *testing.T) {
@@ -370,7 +370,7 @@ func TestPoolSingleWorker(t *testing.T) {
 	defer p.Close()
 	tq := CreateTasks(1000, 100, 1)
 	order := []Range{}
-	p.ParallelFor(tq, func(_ int, r Range) { order = append(order, r) })
+	p.Run(tq, true, func(_ int, r Range) { order = append(order, r) })
 	if len(order) != 10 {
 		t.Fatalf("processed %d tasks", len(order))
 	}

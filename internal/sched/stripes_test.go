@@ -171,7 +171,7 @@ func TestSoloPoolRunsInlineWithAccounting(t *testing.T) {
 	defer p.Close()
 	tq := CreateTasks(1000, 100, 1)
 	sum := 0
-	p.ParallelFor(tq, func(workerID int, r Range) {
+	p.Run(tq, true, func(workerID int, r Range) {
 		if workerID != 0 {
 			t.Errorf("solo phase ran with workerID %d", workerID)
 		}
@@ -180,10 +180,11 @@ func TestSoloPoolRunsInlineWithAccounting(t *testing.T) {
 	if sum != 1000 {
 		t.Fatalf("solo phase covered %d vertices, want 1000", sum)
 	}
-	if counts := p.TaskCounts(nil); counts[0] != 10 {
-		t.Fatalf("solo task count = %d, want 10", counts[0])
+	c := p.Counters(nil)[0]
+	if c.Tasks != 10 || c.Steals != 0 {
+		t.Fatalf("solo tasks/steals = %d/%d, want 10/0", c.Tasks, c.Steals)
 	}
-	if busy := p.Busy(); busy[0] <= 0 {
+	if c.Busy <= 0 {
 		t.Fatal("solo phase recorded no busy time")
 	}
 }
@@ -200,5 +201,5 @@ func TestSoloPoolPanicWrapped(t *testing.T) {
 			t.Fatalf("solo panic not wrapped like the worker path: %v", r)
 		}
 	}()
-	p.ParallelFor(CreateTasks(10, 5, 1), func(int, Range) { panic("boom") })
+	p.Run(CreateTasks(10, 5, 1), true, func(int, Range) { panic("boom") })
 }

@@ -118,7 +118,7 @@ bench:
 FUZZTIME ?= 10s
 FUZZ = $(GO) test -fuzztime $(FUZZTIME) -fuzzminimizetime 1x -run '^$$'
 fuzz-smoke:
-	$(GO) test -run '^Fuzz' ./internal/graph/ ./internal/cluster/ ./internal/dyngraph/ ./internal/core/
+	$(GO) test -run '^Fuzz' ./internal/graph/ ./internal/cluster/ ./internal/dyngraph/ ./internal/core/ ./internal/gen/
 	$(FUZZ) -fuzz '^FuzzLoadEdgeList$$' ./internal/graph/
 	$(FUZZ) -fuzz '^FuzzLoad$$' ./internal/graph/
 	$(FUZZ) -fuzz '^FuzzBuild$$' ./internal/graph/
@@ -132,6 +132,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz '^FuzzApplyEdges$$' ./internal/dyngraph/
 	$(FUZZ) -fuzz '^FuzzCompact$$' ./internal/dyngraph/
 	$(FUZZ) -fuzz '^FuzzGridCell$$' ./internal/core/
+	$(FUZZ) -fuzz '^FuzzGraphSpec$$' ./internal/gen/
 
 # obs-smoke = end-to-end check of the observability surface: bfsd debug
 # endpoints (pprof, flight recorder), the bfsrun Chrome trace export

@@ -3,10 +3,10 @@
 // The steady-state allocation tests pin the engine's reuse contract in
 // numbers: a warmed engine serves repeated traversals from recycled pools
 // and state arenas, so the per-call allocation count is a small constant
-// (result structs and a closure per phase — O(BFS depth)) and the
-// allocated bytes stay far below the size of a single state array. They
-// are excluded from -race builds, where the detector's instrumentation
-// inflates allocation counts.
+// (the result structs and what they hold) and the allocated bytes stay
+// far below the size of a single state array. They are excluded from
+// -race builds, where the detector's instrumentation inflates allocation
+// counts.
 
 package msbfs
 
@@ -17,34 +17,39 @@ import (
 	"repro/internal/graph"
 )
 
+// TestMultiBFSWarmEngineAllocs holds warm calls to the counts they
+// allocate: MultiBFS 4 (two result structs, the sources copy and
+// Pool.Busy's slice), BFS 2 (the core result and the root one). Any
+// per-level, per-vertex or per-source allocation exceeds them.
 func TestMultiBFSWarmEngineAllocs(t *testing.T) {
 	g := GenerateKronecker(12, 8, 1)
 	sources := g.RandomSources(64, 7)
 	eng := NewEngine(Options{Workers: 2})
 	defer eng.Close()
 	opt := Options{Workers: 2, Engine: eng}
-	g.MultiBFS(sources, opt) // warm: first call builds the pool and arena
-
-	warm := testing.AllocsPerRun(10, func() { g.MultiBFS(sources, opt) })
-	// Measured ~13 allocs/op: two result structs, the sources copy, the
-	// iteration recorder, and one closure per parallel phase. The bound
-	// leaves headroom for depth variation but catches any per-vertex or
-	// per-source regression immediately (64 sources would blow straight
-	// past it).
-	if warm > 32 {
-		t.Errorf("warm-engine MultiBFS: %.0f allocs/op, want <= 32", warm)
-	}
-
-	cold := testing.AllocsPerRun(10, func() {
-		e := NewEngine(Options{Workers: 2})
-		o := opt
-		o.Engine = e
-		g.MultiBFS(sources, o)
-		e.Close()
-	})
-	if warm >= cold {
-		t.Errorf("warm engine (%.0f allocs/op) not cheaper than per-call engines (%.0f allocs/op)",
-			warm, cold)
+	for _, c := range []struct {
+		name string
+		want float64
+		call func(opt Options)
+	}{
+		{"MultiBFS", 4, func(opt Options) { g.MultiBFS(sources, opt) }},
+		{"BFS", 2, func(opt Options) { g.BFS(sources[0], opt) }},
+	} {
+		c.call(opt) // warm: the first call fills the arena
+		warm := testing.AllocsPerRun(10, func() { c.call(opt) })
+		if warm > c.want {
+			t.Errorf("warm-engine %s: %.0f allocs/op, want <= %.0f", c.name, warm, c.want)
+		}
+		cold := testing.AllocsPerRun(10, func() {
+			o := opt
+			o.Engine = NewEngine(Options{Workers: 2})
+			c.call(o)
+			o.Engine.Close()
+		})
+		if warm >= cold {
+			t.Errorf("warm engine %s (%.0f allocs/op) not cheaper than per-call engines (%.0f allocs/op)",
+				c.name, warm, cold)
+		}
 	}
 }
 

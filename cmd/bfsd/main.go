@@ -58,8 +58,8 @@ type graphFlags map[string]string
 func (g graphFlags) String() string { return fmt.Sprint(map[string]string(g)) }
 
 func (g graphFlags) Set(v string) error {
-	name, spec, ok := cutEq(v)
-	if !ok {
+	name, spec, ok := strings.Cut(v, "=")
+	if !ok || name == "" {
 		return fmt.Errorf("want NAME=SPEC, got %q", v)
 	}
 	if _, dup := g[name]; dup {
@@ -69,19 +69,10 @@ func (g graphFlags) Set(v string) error {
 	return nil
 }
 
-func cutEq(s string) (string, string, bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '=' {
-			return s[:i], s[i+1:], i > 0
-		}
-	}
-	return "", "", false
-}
-
 func main() {
 	graphs := graphFlags{}
-	flag.Var(graphs, "graph", "serve a graph: NAME=SPEC (repeatable; specs: "+
-		"file:PATH, kron:scale=S, uniform:n=N, social:n=N; see docs/SERVER.md)")
+	flag.Var(graphs, "graph", "serve a graph: NAME=SPEC (repeatable; specs: kron:scale=S, "+
+		"uniform:n=N, social:n=N, powerlaw:n=N, web:n=N, collab:n=N or file:PATH; see docs/SERVER.md)")
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		debugAddr  = flag.String("debug-addr", "", "serve pprof/runtime-trace/flight-recorder debug endpoints on this address (empty: disabled)")

@@ -42,13 +42,16 @@ func TestGraphFlags(t *testing.T) {
 	if err := g.Set("demo=kron:scale=10"); err != nil {
 		t.Fatal(err)
 	}
-	if g["demo"] != "kron:scale=10" {
+	if err := g.Set("eq=file:a=b.bin"); err != nil {
+		t.Fatal(err)
+	}
+	if g["demo"] != "kron:scale=10" || g["eq"] != "file:a=b.bin" {
 		t.Errorf("parsed %v", g)
 	}
 	if err := g.Set("demo=uniform:n=10"); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	for _, bad := range []string{"nospec", "=kron:scale=4", ""} {
+	for _, bad := range []string{"nospec", "=kron:scale=4", "", "=b"} {
 		if err := g.Set(bad); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
@@ -255,23 +258,6 @@ func TestRunClusterMode(t *testing.T) {
 			}
 		case <-deadline:
 			t.Fatal("cluster did not drain after SIGTERM")
-		}
-	}
-}
-
-func TestCutEq(t *testing.T) {
-	for _, tc := range []struct {
-		in, name, spec string
-		ok             bool
-	}{
-		{"a=b", "a", "b", true},
-		{"a=b=c", "a", "b=c", true},
-		{"=b", "", "", false},
-		{"ab", "", "", false},
-	} {
-		name, spec, ok := cutEq(tc.in)
-		if ok != tc.ok || (ok && (name != tc.name || spec != tc.spec)) {
-			t.Errorf("cutEq(%q) = %q, %q, %v", tc.in, name, spec, ok)
 		}
 	}
 }

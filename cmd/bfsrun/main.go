@@ -1,13 +1,13 @@
-// Command bfsrun executes one BFS workload on a graph file (or a generated
-// Kronecker graph) with a chosen algorithm and prints timing, GTEPS, and
+// Command bfsrun executes one BFS workload on the graph a spec names (a
+// generator or a file; see internal/gen.Spec) with a chosen algorithm and prints timing, GTEPS, and
 // optional per-iteration detail (the flight record, -tracetext). It is the manual-experimentation
 // counterpart to bfsbench's fixed experiments.
 //
 // Usage:
 //
-//	bfsrun -graph kron20.bin -algo mspbfs -sources 64 -workers 8
-//	bfsrun -scale 18 -algo smspbfs-bit -sources 4 -tracetext
-//	bfsrun -scale 16 -algo beamer-gapbs
+//	bfsrun -graph file:kron20.bin -algo mspbfs -sources 64 -workers 8
+//	bfsrun -graph kron:scale=18 -algo smspbfs-bit -sources 4 -tracetext
+//	bfsrun -graph social:n=200000 -algo beamer-gapbs
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	msbfs "repro"
@@ -38,14 +37,13 @@ var algoNames = []string{
 
 func main() {
 	var (
-		graphPath  = flag.String("graph", "", "graph file (binary, or .txt/.el edge list); empty generates a Kronecker graph")
-		scale      = flag.Int("scale", 16, "Kronecker scale when generating")
+		graphSpec  = flag.String("graph", "kron:scale=16", "graph spec: kron:scale=S, uniform:n=N, social:n=N, powerlaw:n=N, web:n=N, collab:n=N or file:PATH (see docs/SERVER.md)")
 		algo       = flag.String("algo", "mspbfs", fmt.Sprintf("algorithm: %v", algoNames))
 		numSources = flag.Int("sources", 64, "number of BFS sources")
 		workers    = flag.Int("workers", runtime.NumCPU(), "worker threads")
 		batchWords = flag.Int("batchwords", 1, "multi-source bitset width in 64-bit words (1..8)")
 		labeling   = flag.String("label", "striped", "vertex labeling: none, random, ordered, striped")
-		seed       = flag.Uint64("seed", 42, "source selection / generation seed")
+		seed       = flag.Uint64("seed", 42, "source selection and random labeling seed")
 		sockets    = flag.Int("sockets", 2, "socket count for mspbfs-persocket")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the BFS run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile after the run to this file")
@@ -62,23 +60,13 @@ func main() {
 		tracer = obs.NewTracer()
 	}
 
-	graphDetail := *graphPath
-	if graphDetail == "" {
-		graphDetail = fmt.Sprintf("kron scale=%d", *scale)
-	}
-	buildSpan := tracer.StartSpan("csr-build", graphDetail)
-	g, err := loadOrGenerate(*graphPath, *scale, *seed)
+	buildSpan := tracer.StartSpan("csr-build", *graphSpec)
+	g, err := gen.Build(*graphSpec)
 	buildSpan.End()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bfsrun:", err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	if *labeling != "none" {
 		scheme, err := label.ParseScheme(*labeling)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfsrun:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		relabelSpan := tracer.StartSpan("relabel", *labeling)
 		g, _ = label.Apply(g, scheme, label.Params{Workers: *workers, Seed: *seed})
 		relabelSpan.End()
@@ -107,14 +95,8 @@ func main() {
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfsrun:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bfsrun:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
+		exitOn(pprof.StartCPUProfile(f))
 		defer pprof.StopCPUProfile()
 	}
 
@@ -126,22 +108,13 @@ func main() {
 	} else {
 		elapsed, err = run(*algo, g, sources, opt, *sockets)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bfsrun:", err)
-		os.Exit(1)
-	}
+	exitOn(err)
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bfsrun:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bfsrun:", err)
-			os.Exit(1)
-		}
+		exitOn(pprof.WriteHeapProfile(f))
 		f.Close()
 	}
 
@@ -152,17 +125,19 @@ func main() {
 		float64(elapsed)/float64(time.Millisecond)/float64(len(sources)))
 	fmt.Printf("GTEPS:     %.3f\n", metrics.GTEPS(edges, elapsed))
 	if *traceText {
-		if err := tracer.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "bfsrun:", err)
-			os.Exit(1)
-		}
+		exitOn(tracer.WriteText(os.Stdout))
 	}
 	if *traceOut != "" {
-		if err := writeTraceFile(*traceOut, tracer); err != nil {
-			fmt.Fprintln(os.Stderr, "bfsrun:", err)
-			os.Exit(1)
-		}
+		exitOn(writeTraceFile(*traceOut, tracer))
 		fmt.Printf("trace:     %s (load in chrome://tracing or Perfetto)\n", *traceOut)
+	}
+}
+
+// exitOn ends the run with err, if there is one.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bfsrun:", err)
+		os.Exit(1)
 	}
 }
 
@@ -204,31 +179,6 @@ func runCluster(g *graph.Graph, sources []int, shards, workers, batchWords int,
 		return 0, err
 	}
 	return res.Elapsed, nil
-}
-
-func loadOrGenerate(path string, scale int, seed uint64) (*graph.Graph, error) {
-	if path == "" {
-		return gen.Kronecker(gen.Graph500Params(scale, seed)), nil
-	}
-	if strings.HasSuffix(path, ".txt") || strings.HasSuffix(path, ".el") {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, _, err := graph.LoadEdgeList(f)
-		return g, err
-	}
-	// The file is only known to be a CSR; the relabel and the kernels need
-	// the symmetric, loop-free one Validate proves.
-	g, err := graph.LoadFile(path)
-	if err == nil {
-		err = g.Validate()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("file %q: %w", path, err)
-	}
-	return g, nil
 }
 
 func run(algo string, g *graph.Graph, sources []int, opt core.Options, sockets int) (time.Duration, error) {

@@ -1,11 +1,12 @@
-// Command graphgen generates benchmark graphs and writes them to the
-// library's binary format, optionally applying a vertex labeling.
+// Command graphgen builds the graph a spec names (a generator or a file;
+// see internal/gen.Spec) and writes it in the library's binary format or
+// as an edge list, optionally applying a vertex labeling.
 //
 // Usage:
 //
-//	graphgen -type kronecker -scale 20 -out kron20.bin
-//	graphgen -type ldbc -n 100000 -label striped -workers 8 -out ldbc.bin
-//	graphgen -type twitter -n 500000 -stats
+//	graphgen -graph kron:scale=20 -out kron20.bin
+//	graphgen -graph social:n=100000 -label striped -workers 8 -out ldbc.bin
+//	graphgen -graph powerlaw:n=500000 -stats
 package main
 
 import (
@@ -20,31 +21,22 @@ import (
 
 func main() {
 	var (
-		typ        = flag.String("type", "kronecker", "graph type: kronecker, kg0, ldbc, uniform, twitter, web, hollywood")
-		scale      = flag.Int("scale", 16, "Kronecker scale (log2 vertices)")
-		n          = flag.Int("n", 100000, "vertex count for non-Kronecker generators")
-		edgeFactor = flag.Int("edgefactor", 16, "average edges per vertex")
-		seed       = flag.Uint64("seed", 42, "generator seed")
-		labeling   = flag.String("label", "", "relabel before saving: random, ordered, striped")
-		workers    = flag.Int("workers", 8, "worker count for striped labeling")
-		out        = flag.String("out", "", "output file (omit to skip writing)")
-		format     = flag.String("format", "binary", "output format: binary or edgelist")
-		stats      = flag.Bool("stats", false, "print graph statistics")
+		spec     = flag.String("graph", "kron:scale=16", "graph spec: kron:scale=S, uniform:n=N, social:n=N, powerlaw:n=N, web:n=N, collab:n=N or file:PATH (see docs/SERVER.md)")
+		seed     = flag.Uint64("seed", 42, "random labeling seed")
+		labeling = flag.String("label", "", "relabel before saving: random, ordered, striped")
+		workers  = flag.Int("workers", 8, "worker count for striped labeling")
+		out      = flag.String("out", "", "output file (omit to skip writing)")
+		format   = flag.String("format", "binary", "output format: binary or edgelist")
+		stats    = flag.Bool("stats", false, "print graph statistics")
 	)
 	flag.Parse()
 
-	g, err := generate(*typ, *scale, *n, *edgeFactor, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphgen:", err)
-		os.Exit(1)
-	}
+	g, err := gen.Build(*spec)
+	exitOn(err)
 
 	if *labeling != "" {
 		scheme, err := label.ParseScheme(*labeling)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphgen:", err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		g, _ = label.Apply(g, scheme, label.Params{Workers: *workers, Seed: *seed})
 	}
 
@@ -52,10 +44,7 @@ func main() {
 		printStats(g)
 	}
 	if *out != "" {
-		if err := write(*out, *format, g); err != nil {
-			fmt.Fprintln(os.Stderr, "graphgen: writing:", err)
-			os.Exit(1)
-		}
+		exitOn(write(*out, *format, g))
 		fmt.Printf("wrote %s: %d vertices, %d edges\n", *out, g.NumVertices(), g.NumEdges())
 	}
 	if !*stats && *out == "" {
@@ -64,22 +53,11 @@ func main() {
 	}
 }
 
-func generate(typ string, scale, n, edgeFactor int, seed uint64) (*graph.Graph, error) {
-	switch typ {
-	case "kronecker", "kg0": // kg0 is the same generator at a high -edgefactor
-		return gen.Kronecker(gen.KroneckerParams{Scale: scale, EdgeFactor: edgeFactor, Seed: seed}), nil
-	case "ldbc":
-		return gen.LDBC(n, 5, seed), nil
-	case "uniform":
-		return gen.Uniform(n, edgeFactor, seed), nil
-	case "twitter":
-		return gen.PowerLaw(n, seed), nil
-	case "web":
-		return gen.Web(n, edgeFactor, seed), nil
-	case "hollywood":
-		return gen.Collaboration(n, edgeFactor, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown graph type %q", typ)
+// exitOn ends the run with err, if there is one.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphgen:", err)
+		os.Exit(1)
 	}
 }
 

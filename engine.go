@@ -13,7 +13,7 @@ import "repro/internal/core"
 //	eng := msbfs.NewEngine(msbfs.Options{Workers: 8})
 //	defer eng.Close()
 //	opt := msbfs.Options{Workers: 8, Engine: eng}
-//	res := g.MultiBFS(sources, opt) // warm calls are allocation-free
+//	res := g.MultiBFS(sources, opt) // a warm call allocates its result only
 //
 // When Options.Engine is nil, every call borrows from a shared library
 // default engine instead, so the hot path avoids pool-spawn and state
@@ -25,13 +25,17 @@ type Engine struct {
 	eng *core.Engine
 }
 
-// NewEngine creates an engine and pre-spawns one pooled worker set of
-// opt.Workers workers so the first query does not pay the goroutine spawn.
-// Only Workers of opt is consulted.
+// NewEngine creates an engine and, when opt.Workers is positive,
+// pre-spawns one pooled worker set of that width so the first query does
+// not pay the goroutine spawn. Only Workers of opt is consulted. Unlike
+// Options.Normalize, which reads Workers 0 as one worker, NewEngine reads
+// it as no prewarm: an engine whose width is not known yet holds no pool
+// its queries may never borrow.
 func NewEngine(opt Options) *Engine {
-	opt = opt.Normalize()
 	e := &Engine{eng: core.NewEngine()}
-	e.eng.Prewarm(opt.Workers)
+	if opt.Workers > 0 {
+		e.eng.Prewarm(opt.Workers)
+	}
 	return e
 }
 

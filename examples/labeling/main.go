@@ -75,7 +75,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "save:", err)
 		os.Exit(1)
 	}
-	loaded, err := msbfs.LoadFile(path)
+	loaded, err := msbfs.BuildGraph("file:" + path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "load:", err)
 		os.Exit(1)

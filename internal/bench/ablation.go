@@ -28,7 +28,7 @@ type AblationResult struct {
 // graph with a 64-source batch.
 func Ablation(cfg Config) (AblationResult, error) {
 	workers := cfg.workers()
-	g := stripedKronecker(cfg.scale(), workers, cfg.seed())
+	g := specGraph(kronSpec(cfg.scale(), cfg.seed()), workers)
 	sources := core.RandomSources(g, 64, cfg.seed()+31)
 	res := AblationResult{Workers: workers}
 	add := func(study, variant string, elapsed time.Duration) {
@@ -73,7 +73,7 @@ func Ablation(cfg Config) (AblationResult, error) {
 
 	// 6. Work stealing vs static partitioning under the skew-friendly
 	// ordered labeling (the scheduler's reason to exist).
-	ordered, _ := label.Apply(kronecker(cfg.scale(), cfg.seed()), label.DegreeOrdered, label.Params{})
+	ordered, _ := label.Apply(KroneckerGraph(cfg.scale(), cfg.seed()), label.DegreeOrdered, label.Params{})
 	oSources := core.RandomSources(ordered, 64, cfg.seed()+32)
 	add("scheduling (ordered labels)", "work stealing",
 		core.MSPBFS(ordered, oSources, core.Options{Workers: workers}).Stats.Elapsed)

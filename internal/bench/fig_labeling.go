@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/obs"
@@ -24,9 +23,7 @@ func socialGraphFor(cfg Config, scheme label.Scheme, workers int) *graph.Graph {
 	if cfg.Quick {
 		persons = 8000
 	}
-	base := cachedGraph(key("ldbc", persons, int(cfg.seed())), func() *graph.Graph {
-		return gen.LDBC(persons, 16, cfg.seed())
-	})
+	base := specGraph(fmt.Sprintf("social:n=%d,degree=16,seed=%d", persons, cfg.seed()), 0)
 	g, _ := label.Apply(base, scheme, label.Params{Workers: workers, Seed: cfg.seed()})
 	return g
 }
@@ -196,7 +193,7 @@ func Fig8(cfg Config) (Fig8Result, error) {
 	numSources := cfg.sources()
 
 	for _, scheme := range labelingSchemes {
-		g, _ := label.Apply(kronecker(scale, cfg.seed()), scheme,
+		g, _ := label.Apply(KroneckerGraph(scale, cfg.seed()), scheme,
 			label.Params{Workers: workers, Seed: cfg.seed()})
 		sources := core.RandomSources(g, numSources, cfg.seed()+1)
 		opt := core.Options{Workers: workers, CollectIterStats: true}

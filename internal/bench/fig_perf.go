@@ -39,7 +39,7 @@ func Fig10(cfg Config) (Fig10Result, error) {
 	}
 	var res Fig10Result
 	for _, scale := range scales {
-		g := stripedKronecker(scale, 1, cfg.seed())
+		g := specGraph(kronSpec(scale, cfg.seed()), 1)
 		ec := metrics.NewEdgeCounter(g)
 		sources := core.RandomSources(g, sourcesPerScale, cfg.seed()+uint64(scale))
 		opt := core.Options{Workers: 1}
@@ -167,7 +167,7 @@ func Fig11(cfg Config) (Fig11Result, error) {
 		threadSweep = []int{1, 2}
 	}
 
-	g := stripedKronecker(cfg.scale(), cfg.workers(), cfg.seed())
+	g := specGraph(kronSpec(cfg.scale(), cfg.seed()), cfg.workers())
 	// Enough batches for the largest per-core run.
 	numSources := 64 * threadSweep[len(threadSweep)-1] * 2
 	if cfg.Quick {
@@ -234,7 +234,7 @@ func Fig12(cfg Config) (Fig12Result, error) {
 	}
 	res := Fig12Result{Workers: workers}
 	for _, scale := range scales {
-		g := stripedKronecker(scale, workers, cfg.seed())
+		g := specGraph(kronSpec(scale, cfg.seed()), workers)
 		ec := metrics.NewEdgeCounter(g)
 		msSources := core.RandomSources(g, 64, cfg.seed()+uint64(scale))
 		perCoreSources := core.RandomSources(g, 64*workers, cfg.seed()+uint64(scale))

@@ -34,7 +34,7 @@ type Fig2Result struct {
 // least scale 14, so two workers get at least 8 tasks each on every level.
 func Fig2(cfg Config) (Fig2Result, error) {
 	workers := cfg.workers()
-	g := stripedKronecker(max(cfg.scale(), 14), workers, cfg.seed())
+	g := specGraph(kronSpec(max(cfg.scale(), 14), cfg.seed()), workers)
 	res := Fig2Result{Workers: workers}
 
 	sweep := []int{64, 128, 192, 256, 384, 512}
@@ -147,7 +147,7 @@ func Fig3(cfg Config) (Fig3Result, error) {
 	realN := int64(1) << uint(res.Scale)
 	res.GraphBytes, res.ModelStateBytes = model.GraphBytes(realN), model.InstanceStateBytes(realN)
 	for _, workers := range fig3Workers {
-		g := stripedKronecker(res.Scale, workers, cfg.seed())
+		g := specGraph(kronSpec(res.Scale, cfg.seed()), workers)
 		eng := core.NewEngine()
 		core.MSPBFS(g, core.RandomSources(g, 64, cfg.seed()), core.Options{Workers: workers, Engine: eng})
 		// The traversal closed its shell into the fresh engine's arena, so

@@ -28,7 +28,7 @@ type Graph500Result struct {
 func Graph500(cfg Config) (Graph500Result, error) {
 	workers := cfg.workers()
 	scale := cfg.scale()
-	g := stripedKronecker(scale, workers, cfg.seed())
+	g := specGraph(kronSpec(scale, cfg.seed()), workers)
 	ec := metrics.NewEdgeCounter(g)
 	keys := core.RandomSources(g, 64, cfg.seed()+61)
 

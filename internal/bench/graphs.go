@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/gen"
@@ -8,79 +9,51 @@ import (
 	"repro/internal/label"
 )
 
-// graphCache memoizes generated graphs so "all" runs and repeated benches
-// do not regenerate identical inputs. Keyed by an opaque string the callers
-// build from generator parameters.
-var graphCache = struct {
-	sync.Mutex
-	m map[string]*graph.Graph
-}{m: make(map[string]*graph.Graph)}
+// graphCache memoizes built graphs so "all" runs and repeated benches do
+// not rebuild identical inputs. An entry is keyed by the canonical form of
+// the spec it was built from (gen.Spec.String), so a key cannot disagree
+// with its build, and by the worker count of its striped relabeling, 0
+// for the graph as built.
+var graphCache sync.Map // graphKey → *graph.Graph
 
-func cachedGraph(key string, build func() *graph.Graph) *graph.Graph {
-	graphCache.Lock()
-	if g, ok := graphCache.m[key]; ok {
-		graphCache.Unlock()
-		return g
+type graphKey struct {
+	spec    string
+	striped int
+}
+
+// specGraph returns the graph spec names, relabeled with the paper's
+// striped scheme over that many workers unless striped is 0. The
+// experiments' specs are fixed, so one that does not build panics.
+func specGraph(spec string, striped int) *graph.Graph {
+	s, err := gen.ParseSpec(spec)
+	if err != nil {
+		panic(err)
 	}
-	graphCache.Unlock()
-	// Build outside the lock: builders may recursively consult the cache
-	// (striped variants fetch their base graph), and generation is slow
-	// enough that holding the lock would serialize unrelated lookups. A
-	// racing duplicate build is deterministic, so last-write-wins is fine.
-	g := build()
-	graphCache.Lock()
-	graphCache.m[key] = g
-	graphCache.Unlock()
+	k := graphKey{s.String(), striped}
+	if g, ok := graphCache.Load(k); ok {
+		return g.(*graph.Graph)
+	}
+	// A racing duplicate build is deterministic, so the last write wins.
+	var g *graph.Graph
+	if striped == 0 {
+		if g, err = s.Build(); err != nil {
+			panic(err)
+		}
+	} else {
+		g, _ = label.Apply(specGraph(spec, 0), label.Striped, label.Params{Workers: striped})
+	}
+	graphCache.Store(k, g)
 	return g
 }
 
-// kronecker returns the standard Graph500 Kronecker graph at the scale,
-// relabeled with the striped scheme for the given worker count unless a
-// different labeling is requested by the experiment itself.
-func kronecker(scale int, seed uint64) *graph.Graph {
-	return cachedGraph(key("kron", scale, int(seed)), func() *graph.Graph {
-		return gen.Kronecker(gen.Graph500Params(scale, seed))
-	})
+// kronSpec is the standard Graph500 Kronecker graph at the scale.
+func kronSpec(scale int, seed uint64) string {
+	return fmt.Sprintf("kron:scale=%d,seed=%d", scale, seed)
 }
 
-// KroneckerGraph exposes the memoized Graph500 Kronecker builder to other
-// packages: internal/perf pins its scenarios to the exact graphs the
-// figure/table experiments measure, so perf rows and paper figures are
-// comparing the same inputs.
+// KroneckerGraph returns the memoized Graph500 Kronecker graph: internal/perf
+// pins its scenarios to the exact graphs the figure/table experiments
+// measure, so perf rows and paper figures are comparing the same inputs.
 func KroneckerGraph(scale int, seed uint64) *graph.Graph {
-	return kronecker(scale, seed)
-}
-
-// stripedKronecker is kronecker relabeled with the paper's striped scheme.
-func stripedKronecker(scale, workers int, seed uint64) *graph.Graph {
-	return cachedGraph(key("kron-striped", scale, workers, int(seed)), func() *graph.Graph {
-		g, _ := label.Apply(kronecker(scale, seed), label.Striped,
-			label.Params{Workers: workers})
-		return g
-	})
-}
-
-func key(name string, parts ...int) string {
-	k := name
-	for _, p := range parts {
-		k += "/"
-		// small ints only; avoid fmt in a hot-ish path for no reason other
-		// than keeping this dependency-free.
-		if p < 0 {
-			k += "-"
-			p = -p
-		}
-		digits := [20]byte{}
-		i := len(digits)
-		for {
-			i--
-			digits[i] = byte('0' + p%10)
-			p /= 10
-			if p == 0 {
-				break
-			}
-		}
-		k += string(digits[i:])
-	}
-	return k
+	return specGraph(kronSpec(scale, seed), 0)
 }

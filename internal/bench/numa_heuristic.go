@@ -98,7 +98,7 @@ func NUMALocality(cfg Config) (NUMAResult, error) {
 	// of the 1-byte SMS-PBFS state. The scale must give each worker several
 	// pages of the byte state, or the model degenerates to a single page.
 	scale := max(cfg.scale(), 15)
-	g := stripedKronecker(scale, numaWorkers, cfg.seed())
+	g := specGraph(kronSpec(scale, cfg.seed()), numaWorkers)
 	sources := core.RandomSources(g, 64, cfg.seed()+41)
 	n, a := g.NumVertices(), g.ActivePrefix()
 	ms := numaKernel{n: n, active: a, split: pageBytes / 8, pageVertices: pageBytes / 8, bottomUpPages: true}
@@ -174,7 +174,7 @@ type AlphaBetaResult struct {
 // defaults (alpha 15, beta 18) to show the heuristic's robustness plateau.
 func AlphaBeta(cfg Config) (AlphaBetaResult, error) {
 	workers := cfg.workers()
-	g := stripedKronecker(cfg.scale(), workers, cfg.seed())
+	g := specGraph(kronSpec(cfg.scale(), cfg.seed()), workers)
 	sources := core.RandomSources(g, 64, cfg.seed()+51)
 	var res AlphaBetaResult
 	// With 64 concurrent BFSs the aggregate frontier grows so fast that

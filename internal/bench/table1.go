@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/metrics"
 )
@@ -35,52 +33,38 @@ type Table1Result struct {
 	Rows    []Table1Row
 }
 
-// table1Suite builds the scaled-down graph suite standing in for the
+// table1Suite names the scaled-down graph suite standing in for the
 // paper's Table 1 graphs (see DESIGN.md §3 for the substitutions).
-func table1Suite(cfg Config) []struct {
-	name string
-	g    *graph.Graph
-} {
+func table1Suite(cfg Config) []struct{ name, spec string } {
 	seed := cfg.seed()
 	small, large := 14, 16
 	ldbcSmall, ldbcLarge := 30000, 120000
 	hollyN, webN, twitterN := 30000, 80000, 80000
-	kg0Scale, kg0Deg := 12, 64
 	if cfg.Quick {
 		small, large = 10, 12
 		ldbcSmall, ldbcLarge = 3000, 8000
 		hollyN, webN, twitterN = 3000, 6000, 6000
-		kg0Scale, kg0Deg = 9, 32
 	}
-	return []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{fmt.Sprintf("Kronecker %d", small), cachedGraph(key("t1-kron", small, int(seed)), func() *graph.Graph {
-			return gen.Kronecker(gen.Graph500Params(small, seed))
-		})},
-		{fmt.Sprintf("Kronecker %d", large), cachedGraph(key("t1-kron", large, int(seed)), func() *graph.Graph {
-			return gen.Kronecker(gen.Graph500Params(large, seed))
-		})},
-		{"KG0", cachedGraph(key("t1-kg0", kg0Scale, kg0Deg, int(seed)), func() *graph.Graph {
-			return gen.Kronecker(gen.KroneckerParams{Scale: kg0Scale, EdgeFactor: kg0Deg, Seed: seed + 1})
-		})},
-		{"LDBC (small)", cachedGraph(key("t1-ldbc", ldbcSmall, int(seed)), func() *graph.Graph {
-			return gen.LDBC(ldbcSmall, 5, seed+2)
-		})},
-		{"LDBC (large)", cachedGraph(key("t1-ldbc", ldbcLarge, int(seed)), func() *graph.Graph {
-			return gen.LDBC(ldbcLarge, 5, seed+3)
-		})},
-		{"Hollywood-like", cachedGraph(key("t1-holly", hollyN, int(seed)), func() *graph.Graph {
-			return gen.Collaboration(hollyN, 56, seed+4)
-		})},
-		{"UK-like web", cachedGraph(key("t1-web", webN, int(seed)), func() *graph.Graph {
-			return gen.Web(webN, 20, seed+5)
-		})},
-		{"Twitter-like", cachedGraph(key("t1-twitter", twitterN, int(seed)), func() *graph.Graph {
-			return gen.PowerLaw(twitterN, seed+6)
-		})},
+	return []struct{ name, spec string }{
+		{fmt.Sprintf("Kronecker %d", small), kronSpec(small, seed)},
+		{fmt.Sprintf("Kronecker %d", large), kronSpec(large, seed)},
+		{"KG0", kg0Spec(cfg)},
+		{"LDBC (small)", fmt.Sprintf("social:n=%d,seed=%d", ldbcSmall, seed+2)},
+		{"LDBC (large)", fmt.Sprintf("social:n=%d,seed=%d", ldbcLarge, seed+3)},
+		{"Hollywood-like", fmt.Sprintf("collab:n=%d,degree=56,seed=%d", hollyN, seed+4)},
+		{"UK-like web", fmt.Sprintf("web:n=%d,degree=20,seed=%d", webN, seed+5)},
+		{"Twitter-like", fmt.Sprintf("powerlaw:n=%d,seed=%d", twitterN, seed+6)},
 	}
+}
+
+// kg0Spec is the dense KG0-like Kronecker graph of Table 1 and Section
+// 5.3, where iBFS reported its best numbers.
+func kg0Spec(cfg Config) string {
+	scale, deg := 12, 64
+	if cfg.Quick {
+		scale, deg = 9, 32
+	}
+	return fmt.Sprintf("kron:scale=%d,edgefactor=%d,seed=%d", scale, deg, cfg.seed()+1)
 }
 
 // Table1 measures the per-algorithm GTEPS across the graph suite.
@@ -88,7 +72,7 @@ func Table1(cfg Config) (Table1Result, error) {
 	workers := cfg.workers()
 	res := Table1Result{Workers: workers}
 	for _, entry := range table1Suite(cfg) {
-		g, _ := label.Apply(entry.g, label.Striped,
+		g, _ := label.Apply(specGraph(entry.spec, 0), label.Striped,
 			label.Params{Workers: workers, Seed: cfg.seed()})
 		ec := metrics.NewEdgeCounter(g)
 		row := Table1Row{
@@ -162,14 +146,7 @@ type IBFSResult struct {
 // KG0-like graph where iBFS reported its best numbers.
 func IBFSCompare(cfg Config) (IBFSResult, error) {
 	workers := cfg.workers()
-	scale, deg := 12, 64
-	if cfg.Quick {
-		scale, deg = 9, 32
-	}
-	g0 := cachedGraph(key("t1-kg0", scale, deg, int(cfg.seed())), func() *graph.Graph {
-		return gen.Kronecker(gen.KroneckerParams{Scale: scale, EdgeFactor: deg, Seed: cfg.seed() + 1})
-	})
-	g, _ := label.Apply(g0, label.Striped, label.Params{Workers: workers})
+	g, _ := label.Apply(specGraph(kg0Spec(cfg), 0), label.Striped, label.Params{Workers: workers})
 	ec := metrics.NewEdgeCounter(g)
 	sources := core.RandomSources(g, 64, cfg.seed()+21)
 	opt := core.Options{Workers: workers}

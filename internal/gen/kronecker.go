@@ -47,21 +47,31 @@ func Kronecker(p KroneckerParams) *graph.Graph {
 	return graph.FromPairs(kroneckerPairs(p))
 }
 
+// check returns an error naming the argument of p outside Kronecker's
+// domain: a scale outside [0, 32] (vertex ids are 32-bit), a negative edge
+// factor, or more endpoints than one CSR build addresses (ErrTooManyArcs).
+func (p KroneckerParams) check() error {
+	if p.Scale < 0 || p.Scale > 32 {
+		return fmt.Errorf("Kronecker scale %d outside [0, 32]", p.Scale)
+	}
+	if p.EdgeFactor < 0 {
+		return fmt.Errorf("Kronecker edge factor %d is negative", p.EdgeFactor)
+	}
+	if n := uint64(1) << p.Scale; uint64(p.EdgeFactor) > graph.MaxEndpoints/2/n {
+		return fmt.Errorf("Kronecker edge factor %d at scale %d draws more endpoints than one CSR build addresses: %w",
+			p.EdgeFactor, p.Scale, graph.ErrTooManyArcs)
+	}
+	return nil
+}
+
 // kroneckerPairs checks p and returns the vertex count and the scrambled
 // endpoint buffer, edge i = {pairs[2i], pairs[2i+1]}: the layout
 // graph.FromPairs takes ownership of and builds the CSR inside.
 func kroneckerPairs(p KroneckerParams) (int, []graph.VertexID) {
-	if p.Scale < 0 || p.Scale > 32 {
-		panic(fmt.Sprintf("gen: Kronecker scale %d outside [0, 32]", p.Scale))
-	}
-	if p.EdgeFactor < 0 {
-		panic(fmt.Sprintf("gen: Kronecker edge factor %d is negative", p.EdgeFactor))
+	if err := p.check(); err != nil {
+		panic("gen: " + err.Error())
 	}
 	n := 1 << uint(p.Scale)
-	if uint64(p.EdgeFactor) > graph.MaxEndpoints/2/uint64(n) {
-		panic(fmt.Sprintf("gen: Kronecker edge factor %d at scale %d draws %d endpoints, more than one CSR build addresses (%d)",
-			p.EdgeFactor, p.Scale, 2*uint64(n)*uint64(p.EdgeFactor), uint64(graph.MaxEndpoints)))
-	}
 	// The scrambling permutation comes first from the seeded xorshift128+,
 	// then the key of the edges' stream; the edges are mapped through the
 	// permutation as they are drawn.

@@ -1,11 +1,27 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/graph"
 )
+
+// checkDrawn returns an error naming the argument outside the domain of
+// a generator drawing about n·avgDegree/2 edges into one buffer (LDBC,
+// Uniform, Web, Collaboration; PowerLaw at its least degree): n in
+// [1, 2^32], and n·avgDegree endpoints plus the extra a generator may
+// draw past its target within one CSR build, or else an ErrTooManyArcs.
+func checkDrawn(n, avgDegree int, extra uint64) error {
+	if n < 1 || n > 1<<32 {
+		return fmt.Errorf("n %d outside [1, 2^32]", n)
+	}
+	if uint64(avgDegree) > (graph.MaxEndpoints-extra)/uint64(n) {
+		return fmt.Errorf("n %d at degree %d draws more endpoints than one CSR build addresses: %w", n, avgDegree, graph.ErrTooManyArcs)
+	}
+	return nil
+}
 
 // closureFraction is the share of an LDBC graph's edges created by
 // friend-of-friend closure (triangle closing) rather than preferential
@@ -143,11 +159,20 @@ const (
 // sequence follows a truncated power law, wired with the configuration
 // model (random stub matching): the twitter-like stand-in. It reproduces
 // the extreme hub skew of the twitter follower graph, the characteristic
-// that stresses labeling and scheduling in the paper's evaluation.
+// that stresses labeling and scheduling in the paper's evaluation. It
+// panics when the sampled degrees sum past one CSR build (powerLaw).
 func PowerLaw(n int, seed uint64) *graph.Graph {
-	if n == 0 {
-		return graph.FromEdges(0, nil)
+	g, err := powerLaw(n, seed, graph.MaxEndpoints)
+	if err != nil {
+		panic("gen: " + err.Error())
 	}
+	return g
+}
+
+// powerLaw is PowerLaw with at most most stubs. It draws the degrees
+// twice from one RNG state, the first time only summed, so a sum past
+// most is an ErrTooManyArcs returned before the stub list is made.
+func powerLaw(n int, seed uint64, most uint64) (*graph.Graph, error) {
 	r := newRNG(seed)
 	minD := minPowerLawDegree
 	maxD := max(n/8, minD)
@@ -156,17 +181,19 @@ func PowerLaw(n int, seed uint64) *graph.Graph {
 	alpha := float64(powerLawExponent)
 	lo := math.Pow(float64(minD), 1-alpha)
 	hi := math.Pow(float64(maxD), 1-alpha)
-	var stubs []graph.VertexID
-	for v := 0; v < n; v++ {
-		u := r.float64()
-		d := int(math.Pow(lo+u*(hi-lo), 1/(1-alpha)))
-		if d < minD {
-			d = minD
+	degree := func(r *rng) int {
+		d := int(math.Pow(lo+r.float64()*(hi-lo), 1/(1-alpha)))
+		return min(max(d, minD), maxD)
+	}
+	sum, total := *r, uint64(0)
+	for range n {
+		if total += uint64(degree(&sum)); total > most {
+			return nil, fmt.Errorf("powerlaw n %d seed %d samples more than %d stubs: %w", n, seed, most, graph.ErrTooManyArcs)
 		}
-		if d > maxD {
-			d = maxD
-		}
-		for i := 0; i < d; i++ {
+	}
+	stubs := make([]graph.VertexID, 0, total)
+	for v := range n {
+		for range degree(r) {
 			stubs = append(stubs, graph.VertexID(v))
 		}
 	}
@@ -176,7 +203,7 @@ func PowerLaw(n int, seed uint64) *graph.Graph {
 		j := r.intn(i + 1)
 		stubs[i], stubs[j] = stubs[j], stubs[i]
 	}
-	return graph.FromPairs(n, stubs[:len(stubs)&^1])
+	return graph.FromPairs(n, stubs[:len(stubs)&^1]), nil
 }
 
 // webWindow is the id window within which most of a web graph's links
@@ -225,9 +252,14 @@ func Web(n, avgDegree int, seed uint64) *graph.Graph {
 	return graph.FromPairs(n, pairs)
 }
 
-// avgClique is the Collaboration graph's mean cast size: casts have 2 to
-// 2·avgClique−1 members.
-const avgClique = 8
+// Collaboration's casts have 2 to maxCast members, avgClique on average.
+// The cast that reaches the edge target may overshoot it by all its
+// pairs, collabOvershoot endpoints: checkDrawn's extra for Collaboration.
+const (
+	avgClique       = 8
+	maxCast         = 2*avgClique - 1
+	collabOvershoot = maxCast * (maxCast - 1)
+)
 
 // Collaboration generates a hollywood-2011-like union-of-cliques graph on
 // n vertices with about avgDegree average degree (hollywood-2011: ~2m/n ≈
@@ -236,8 +268,8 @@ const avgClique = 8
 // links actors who appeared in a movie together. This produces the very
 // high density and clustering of the co-starring graph.
 func Collaboration(n, avgDegree int, seed uint64) *graph.Graph {
-	if n == 0 {
-		return graph.FromEdges(0, nil)
+	if n < 2 { // no cast of distinct members
+		return graph.FromPairs(n, nil)
 	}
 	r := newRNG(seed)
 	targetEdges := int64(n) * int64(avgDegree) / 2
@@ -246,7 +278,7 @@ func Collaboration(n, avgDegree int, seed uint64) *graph.Graph {
 	var pairs []graph.VertexID
 	cast := make([]graph.VertexID, 0, avgClique*3)
 	for int64(len(pairs)) < 2*targetEdges {
-		size := 2 + r.intn(avgClique*2-2)
+		size := 2 + r.intn(maxCast-1)
 		cast = cast[:0]
 		for len(cast) < size {
 			var a graph.VertexID

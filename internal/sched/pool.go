@@ -63,17 +63,17 @@ type phaseJob struct {
 	steal bool
 }
 
-// NewPool starts a pool with the given number of workers.
+// NewPool starts a pool with the given number of workers: one goroutine
+// and job channel per worker, none for a one-worker pool.
 func NewPool(workers int) *Pool {
 	if workers < 1 {
 		panic("sched: pool needs at least one worker")
 	}
-	p := &Pool{
-		workers: workers,
-		jobs:    make([]chan phaseJob, workers),
-		cells:   make([]workerCell, workers),
-		panics:  make(chan any, 1),
+	p := &Pool{workers: workers, cells: make([]workerCell, workers)}
+	if workers == 1 {
+		return p // Run drains on the caller's goroutine
 	}
+	p.jobs, p.panics = make([]chan phaseJob, workers), make(chan any, 1)
 	for w := 0; w < workers; w++ {
 		p.jobs[w] = make(chan phaseJob, 1)
 		p.wg.Add(1)
@@ -212,7 +212,8 @@ func (p *Pool) Counters(dst []Counters) []Counters {
 	return dst
 }
 
-// Close shuts the workers down. The pool must not be used afterwards.
+// Close shuts the worker goroutines down, if the pool has any. The pool
+// must not be used afterwards.
 func (p *Pool) Close() {
 	if p.closed {
 		return

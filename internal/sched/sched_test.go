@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -379,6 +380,46 @@ func TestPoolSingleWorker(t *testing.T) {
 			t.Error("single worker did not process tasks in order")
 		}
 	}
+}
+
+// TestPoolSingleWorkerSpawnsNoGoroutine: a one-worker pool drains every
+// phase on the caller's goroutine, so it makes no job channel and starts
+// no goroutine of its own; a pool of two starts two.
+func TestPoolSingleWorkerSpawnsNoGoroutine(t *testing.T) {
+	before := settledGoroutines()
+	p := NewPool(1)
+	if p.jobs != nil || p.panics != nil {
+		t.Errorf("NewPool(1): %d job channels, panics channel %v", len(p.jobs), p.panics)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("NewPool(1): %d goroutines, %d before", got, before)
+	}
+	p.Run(CreateTasks(100, 10, 1), true, func(_ int, _ Range) {})
+	p.Close()
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("NewPool(1) … Close(): %d goroutines, %d before", got, before)
+	}
+	p2 := NewPool(2)
+	defer p2.Close()
+	if got := runtime.NumGoroutine(); got != before+2 {
+		t.Errorf("NewPool(2): %d goroutines, want %d", got, before+2)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it holds still for
+// 10 ms: a closed pool's workers signal Close before they return, so an
+// earlier test's may still be counted for a moment.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for range 100 {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }
 
 func TestRangeHelpers(t *testing.T) {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -135,7 +133,8 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry with a fresh per-daemon engine,
-// flight recorder and span tracer.
+// flight recorder and span tracer. The engine starts with no pool: each
+// registration prewarms its own width.
 func NewRegistry() *Registry {
 	eng := msbfs.NewEngine(msbfs.Options{})
 	return &Registry{
@@ -168,19 +167,12 @@ func (r *Registry) SetSlowQuery(d time.Duration) {
 	r.rec = NewFlightRecorder(d)
 }
 
-// BuildGraph materializes a graph from spec under a "graph-build" span —
-// the step cmd/bfsd and cmd/bfsload take before handing the graph to Add,
-// AddDynamic or AddCluster. name only labels the error.
-//
-// Spec grammar:
-//
-//	file:PATH                                 binary CSR file (graphgen/Save format) that Validate accepts
-//	kron:scale=S[,edgefactor=E][,seed=N]      Graph500-style Kronecker graph
-//	uniform:n=N[,degree=D][,seed=N]           Erdős–Rényi random graph
-//	social:n=N[,seed=N]                       LDBC-like social network
+// BuildGraph builds the graph spec names (msbfs.BuildGraph) under a
+// "graph-build" span — the step cmd/bfsd takes before handing the graph
+// to Add, AddDynamic or AddCluster. name only labels the error.
 func (r *Registry) BuildGraph(name, spec string) (*msbfs.Graph, error) {
 	sp := r.tracer.StartSpan("graph-build", spec)
-	g, err := buildGraph(spec)
+	g, err := msbfs.BuildGraph(spec)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("server: graph %q: %w", name, err)
@@ -316,99 +308,4 @@ func (r *Registry) Close() {
 		}
 	}
 	r.eng.Close()
-}
-
-// buildGraph materializes a graph from a registry spec.
-func buildGraph(spec string) (*msbfs.Graph, error) {
-	scheme, rest, ok := strings.Cut(spec, ":")
-	if !ok {
-		return nil, fmt.Errorf("spec %q: want SCHEME:ARGS", spec)
-	}
-	if scheme == "file" {
-		// The file is only known to be a CSR; the kernels, the relabel and
-		// the edge counter need the symmetric, loop-free one Validate proves.
-		g, err := msbfs.LoadFile(rest)
-		if err == nil {
-			err = g.Validate()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("file %q: %w", rest, err)
-		}
-		return g, nil
-	}
-	kv, err := parseSpecArgs(rest)
-	if err != nil {
-		return nil, fmt.Errorf("spec %q: %w", spec, err)
-	}
-	switch scheme {
-	case "kron":
-		scale, err := kv.intArg("scale", 0)
-		if err != nil || scale <= 0 {
-			return nil, fmt.Errorf("spec %q: kron needs scale>0", spec)
-		}
-		ef, err := kv.intArg("edgefactor", 16)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := kv.intArg("seed", 42)
-		if err != nil {
-			return nil, err
-		}
-		return msbfs.GenerateKronecker(scale, ef, uint64(seed)), nil
-	case "uniform":
-		n, err := kv.intArg("n", 0)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("spec %q: uniform needs n>0", spec)
-		}
-		deg, err := kv.intArg("degree", 16)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := kv.intArg("seed", 42)
-		if err != nil {
-			return nil, err
-		}
-		return msbfs.GenerateUniform(n, deg, uint64(seed)), nil
-	case "social":
-		n, err := kv.intArg("n", 0)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("spec %q: social needs n>0", spec)
-		}
-		seed, err := kv.intArg("seed", 42)
-		if err != nil {
-			return nil, err
-		}
-		return msbfs.GenerateSocial(n, uint64(seed)), nil
-	default:
-		return nil, fmt.Errorf("spec %q: unknown scheme %q (file, kron, uniform, social)", spec, scheme)
-	}
-}
-
-type specArgs map[string]string
-
-func parseSpecArgs(s string) (specArgs, error) {
-	kv := specArgs{}
-	if s == "" {
-		return kv, nil
-	}
-	for _, pair := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(pair, "=")
-		if !ok || k == "" {
-			return nil, fmt.Errorf("malformed argument %q (want k=v)", pair)
-		}
-		kv[k] = v
-	}
-	return kv, nil
-}
-
-func (a specArgs) intArg(key string, def int) (int, error) {
-	s, ok := a[key]
-	if !ok {
-		return def, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("argument %s=%q: not an integer", key, s)
-	}
-	return v, nil
 }

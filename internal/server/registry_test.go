@@ -55,14 +55,19 @@ func TestRegistrySpecs(t *testing.T) {
 		t.Errorf("file graph n = %d, want 200", e.G.NumVertices())
 	}
 
-	// Bad specs fail with errors, not panics.
+	// Bad specs fail with typed errors before the build, not panics, an
+	// out-of-memory death or a default in place of a misspelt key.
 	for _, spec := range []string{
-		"nocolon", "warp:n=1", "kron:scale=x", "kron:seed=1", "uniform:n=-5",
-		"file:/does/not/exist.bin", "kron:scale=8,junk",
+		"nocolon", "warp:n=1", "kron:scale=x", "kron:seed=1", "uniform:n=-5", "kron:scale=8,junk",
+		"kron:scale=8,edgefactor=-1", "kron:scale=40", "uniform:n=10,degree=100000000000",
+		"kron:scale=8,seeed=5", "uniform:n=100,degree=-3",
 	} {
-		if _, err := reg.BuildGraph("bad-"+spec, spec); err == nil {
-			t.Errorf("spec %q: expected error", spec)
+		if _, err := reg.BuildGraph("bad-"+spec, spec); !errors.Is(err, msbfs.ErrBadSpec) {
+			t.Errorf("spec %q: error %v, want an ErrBadSpec", spec, err)
 		}
+	}
+	if _, err := reg.BuildGraph("missing", "file:/does/not/exist.bin"); err == nil {
+		t.Error("missing file accepted")
 	}
 
 	// Duplicate names are rejected.
@@ -146,6 +151,21 @@ func TestRelabelTransparency(t *testing.T) {
 	if _, err := e.Submit(context.Background(),
 		Query{Kind: KindBFS, Source: 0, Targets: []int{-1}}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("out-of-range target: err = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestRegistryHoldsOnlyPrewarmedPools: the registry's engine starts with
+// no pool, so after one 2-worker registration it holds that width's pool
+// alone, and the engine gauges count no stray one.
+func TestRegistryHoldsOnlyPrewarmedPools(t *testing.T) {
+	reg := NewRegistry()
+	defer reg.Close()
+	if _, err := reg.Add("g", msbfs.GenerateUniform(200, 4, 1), true, Config{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	st := reg.Engine().Stats()
+	if got := [3]int{st.FreePools, st.PooledWorkers, int(st.Misses)}; got != [3]int{1, 2, 1} {
+		t.Errorf("FreePools, PooledWorkers, Misses = %v, want [1 2 1]", got)
 	}
 }
 

@@ -82,9 +82,7 @@ func NewGraphFromAdjacency(offsets, adjacency []uint32) *Graph {
 // edgeFactor, or 2^scale × edgeFactor edges more than one CSR build
 // addresses (gen.Kronecker).
 func GenerateKronecker(scale, edgeFactor int, seed uint64) *Graph {
-	p := gen.Graph500Params(scale, seed)
-	p.EdgeFactor = edgeFactor
-	return &Graph{g: gen.Kronecker(p)}
+	return &Graph{g: gen.Kronecker(gen.KroneckerParams{Scale: scale, EdgeFactor: edgeFactor, Seed: seed})}
 }
 
 // GenerateSocial produces an LDBC-like social network graph with community
@@ -97,6 +95,21 @@ func GenerateSocial(persons int, seed uint64) *Graph {
 // avgDegree*n/2 edges.
 func GenerateUniform(n, avgDegree int, seed uint64) *Graph {
 	return &Graph{g: gen.Uniform(n, avgDegree, seed)}
+}
+
+// ErrBadSpec reports a graph spec that does not parse, names an unknown
+// scheme or key, or gives an argument outside its generator's domain.
+var ErrBadSpec = gen.ErrBadSpec
+
+// BuildGraph builds the graph a spec names — "kron:scale=16",
+// "social:n=100000,seed=7", "file:ldbc.bin"; the grammar is
+// internal/gen.Spec's — checking every argument before it allocates.
+func BuildGraph(spec string) (*Graph, error) {
+	g, err := gen.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &Graph{g: g}, nil
 }
 
 // NumVertices returns the number of vertices.
@@ -136,18 +149,10 @@ func (g *Graph) Save(w io.Writer) error { return graph.Save(w, g.g) }
 // SaveFile writes the graph to the named file.
 func (g *Graph) SaveFile(path string) error { return graph.SaveFile(path, g.g) }
 
-// Load reads a graph written by Save.
+// Load reads a graph written by Save. A file loads through BuildGraph's
+// "file:PATH", which also checks the CSR with Validate.
 func Load(r io.Reader) (*Graph, error) {
 	gg, err := graph.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Graph{g: gg}, nil
-}
-
-// LoadFile reads a graph from the named file.
-func LoadFile(path string) (*Graph, error) {
-	gg, err := graph.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}

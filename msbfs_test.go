@@ -61,7 +61,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := g.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); err != nil {
+	if _, err := BuildGraph("file:" + path); err != nil {
 		t.Fatal(err)
 	}
 }

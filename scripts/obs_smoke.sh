@@ -128,15 +128,15 @@ BFSD_PID=""
 echo "== bfsd without -debug-addr stays dark (verified above: main addr refused pprof)"
 
 echo "== bfsrun -trace"
-"$TMP/bfsrun" -scale 10 -algo mspbfs -sources 8 -trace "$TMP/trace.json" >/dev/null
+"$TMP/bfsrun" -graph kron:scale=10 -algo mspbfs -sources 8 -trace "$TMP/trace.json" >/dev/null
 "$TMP/tracecheck" -require csr-build,relabel "$TMP/trace.json"
 
 echo "== bfsrun -cluster -trace (merged multi-process trace)"
-"$TMP/bfsrun" -scale 10 -sources 8 -cluster 2 -trace "$TMP/cluster-trace.json" >/dev/null
+"$TMP/bfsrun" -graph kron:scale=10 -sources 8 -cluster 2 -trace "$TMP/cluster-trace.json" >/dev/null
 "$TMP/tracecheck" -shards 2 -require csr-build "$TMP/cluster-trace.json"
 
 echo "== bfsrun -tracetext (per-level table)"
-"$TMP/bfsrun" -scale 10 -algo mspbfs -sources 8 -workers 2 -tracetext >"$TMP/tracetext.txt"
+"$TMP/bfsrun" -graph kron:scale=10 -algo mspbfs -sources 8 -workers 2 -tracetext >"$TMP/tracetext.txt"
 grep -Eq '^ *iter +dir .* tasks +steals' "$TMP/tracetext.txt" || {
 	echo "obs_smoke: bfsrun -tracetext printed no per-level table header" >&2
 	cat "$TMP/tracetext.txt" >&2
@@ -144,7 +144,7 @@ grep -Eq '^ *iter +dir .* tasks +steals' "$TMP/tracetext.txt" || {
 }
 
 echo "== bfsrun -cluster -tracetext (shard counts in the coordinator's table)"
-"$TMP/bfsrun" -scale 10 -sources 8 -cluster 2 -tracetext >"$TMP/cluster-tracetext.txt"
+"$TMP/bfsrun" -graph kron:scale=10 -sources 8 -cluster 2 -tracetext >"$TMP/cluster-tracetext.txt"
 # Columns: iter dir reason frontier next scanned ...
 awk '$2 ~ /^(top-down|bottom-up)$/ { levels++; if ($6 > 0) scanned++ }
 	END { exit !(levels > 0 && scanned > 0) }' "$TMP/cluster-tracetext.txt" || {

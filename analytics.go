@@ -14,8 +14,9 @@ import (
 
 // fold runs one multi-source traversal of sources into a fold whose every
 // slot has the given radius (-1: none) and targets (nil: none), all slots
-// sharing one target index. Memory stays O(workers x sources) plus the
-// target rows, never O(sources x vertices).
+// sharing one target index. A radius bounds the traversal's depth
+// (Fold.DepthBound) instead of filtering visits. Memory stays
+// O(workers x sources) plus the target rows, never O(sources x vertices).
 func (g *Graph) fold(sources []int, opt Options, radius int, targets []int) *core.Fold {
 	opt = opt.Normalize()
 	opt.RecordLevels = false
@@ -30,6 +31,9 @@ func (g *Graph) fold(sources []int, opt Options, radius int, targets []int) *cor
 		if targets != nil {
 			f.SetTargets(i, targets, index)
 		}
+	}
+	if bound := f.DepthBound(); bound > 0 {
+		opt.MaxDepth = bound
 	}
 	g.MultiBFSVisitor(sources, opt, f.Visit)
 	return f
@@ -60,16 +64,6 @@ func (g *Graph) NeighborhoodSizes(sources []int, maxHops int, opt Options) []int
 	if maxHops < 0 {
 		panic("msbfs: NeighborhoodSizes maxHops must be >= 0")
 	}
-	if maxHops == 0 {
-		// MaxDepth 0 would mean unlimited: radius 0 is each source alone.
-		out := make([]int64, len(sources))
-		for i, s := range sources {
-			g.checkSource(s)
-			out[i] = 1
-		}
-		return out
-	}
-	opt.MaxDepth = maxHops // prune the traversal instead of filtering visits
 	f := g.fold(sources, opt, maxHops, nil)
 	out := make([]int64, len(sources))
 	for i := range out {

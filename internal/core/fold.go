@@ -62,6 +62,20 @@ func (f *Fold) Reset(workers, slots int) {
 // SetRadius makes Tally(slot).InRadius count the discoveries within r hops.
 func (f *Fold) SetRadius(slot, r int) { f.slots[slot].radius = r }
 
+// DepthBound is how many levels the traversal must run for every slot's
+// answer: 0 (unbounded) while any slot has no radius, else the largest
+// radius but at least 1, so a 0-hop slot's level is run and no further.
+func (f *Fold) DepthBound() int {
+	bound := 1
+	for _, s := range f.slots {
+		if s.radius < 0 {
+			return 0
+		}
+		bound = max(bound, s.radius)
+	}
+	return bound
+}
+
 // TargetIndex maps each target to the position of its first occurrence.
 func TargetIndex(targets []int) map[int]int {
 	index := make(map[int]int, len(targets))

@@ -10,8 +10,6 @@ func (t *Tracer) Reset() {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.traversals = nil
-	t.spans = nil
-	t.droppedTraversals = 0
-	t.droppedSpans = 0
+	t.traversals = NewRing[*Traversal](maxTraversals)
+	t.spans = NewRing[Span](maxSpans)
 }

@@ -250,7 +250,9 @@ func (tr *Traversal) Finish() {
 		return
 	}
 	tr.End = time.Now()
-	tr.t.publish(tr)
+	tr.t.mu.Lock()
+	tr.t.traversals.Push(tr)
+	tr.t.mu.Unlock()
 }
 
 // Span is one completed coarse-phase timing (CSR build, relabel,
@@ -284,7 +286,9 @@ func (h *SpanHandle) End() {
 		return
 	}
 	h.s.Duration = time.Since(h.s.Start)
-	h.t.publish2(h.s)
+	h.t.mu.Lock()
+	h.t.spans.Push(h.s)
+	h.t.mu.Unlock()
 }
 
 // Tracer collects completed traversals and spans under bounded
@@ -296,19 +300,21 @@ func (h *SpanHandle) End() {
 type Tracer struct {
 	origin time.Time
 
-	mu                sync.Mutex
-	nextID            uint64
-	traversals        []*Traversal
-	spans             []Span
-	droppedTraversals uint64
-	droppedSpans      uint64
+	mu         sync.Mutex
+	nextID     uint64
+	traversals Ring[*Traversal]
+	spans      Ring[Span]
 }
 
 // NewTracer returns a tracer retaining at most maxTraversals completed
 // traversals and maxSpans completed spans. When a bound is hit the oldest
 // record is dropped and counted.
 func NewTracer() *Tracer {
-	return &Tracer{origin: time.Now()}
+	return &Tracer{
+		origin:     time.Now(),
+		traversals: NewRing[*Traversal](maxTraversals),
+		spans:      NewRing[Span](maxSpans),
+	}
 }
 
 // StartTraversal opens a flight record for one BFS run. Returns nil (the
@@ -338,28 +344,6 @@ func (t *Tracer) StartSpan(name, detail string) *SpanHandle {
 	return &SpanHandle{t: t, s: Span{Name: name, Detail: detail, Start: time.Now()}}
 }
 
-func (t *Tracer) publish(tr *Traversal) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.traversals) >= maxTraversals {
-		drop := len(t.traversals) - maxTraversals + 1
-		t.traversals = append(t.traversals[:0], t.traversals[drop:]...)
-		t.droppedTraversals += uint64(drop)
-	}
-	t.traversals = append(t.traversals, tr)
-}
-
-func (t *Tracer) publish2(s Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.spans) >= maxSpans {
-		drop := len(t.spans) - maxSpans + 1
-		t.spans = append(t.spans[:0], t.spans[drop:]...)
-		t.droppedSpans += uint64(drop)
-	}
-	t.spans = append(t.spans, s)
-}
-
 // Trace is an immutable snapshot of a tracer's retained records.
 type Trace struct {
 	// Origin is the tracer's creation time (the Chrome export's ts=0).
@@ -381,14 +365,15 @@ func (t *Tracer) Snapshot() Trace {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	kept := t.traversals.Copy()
 	tr := Trace{
 		Origin:            t.origin,
-		Traversals:        make([]Traversal, len(t.traversals)),
-		Spans:             append([]Span(nil), t.spans...),
-		DroppedTraversals: t.droppedTraversals,
-		DroppedSpans:      t.droppedSpans,
+		Traversals:        make([]Traversal, len(kept)),
+		Spans:             t.spans.Copy(),
+		DroppedTraversals: t.traversals.Dropped(),
+		DroppedSpans:      t.spans.Dropped(),
 	}
-	for i, tv := range t.traversals {
+	for i, tv := range kept {
 		cp := *tv
 		cp.t = nil
 		tr.Traversals[i] = cp

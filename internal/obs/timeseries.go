@@ -18,7 +18,7 @@ const seriesCapacity = 600
 type TimeSeries struct {
 	mu     sync.Mutex
 	order  []string // registration order, so the dash layout is stable
-	series map[string]*pointRing
+	series map[string]*Ring[TSPoint]
 }
 
 // TSPoint is one sampled value.
@@ -33,28 +33,10 @@ type SeriesData struct {
 	Points []TSPoint `json:"points"`
 }
 
-type pointRing struct {
-	buf  []TSPoint
-	head int // index of the oldest point
-	n    int
-}
-
-func (r *pointRing) push(p TSPoint) {
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = p
-		r.n++
-		return
-	}
-	r.buf[r.head] = p
-	r.head = (r.head + 1) % len(r.buf)
-}
-
-func (r *pointRing) at(i int) TSPoint { return r.buf[(r.head+i)%len(r.buf)] }
-
 // NewTimeSeries returns a store retaining at most seriesCapacity points
 // per series.
 func NewTimeSeries() *TimeSeries {
-	return &TimeSeries{series: make(map[string]*pointRing)}
+	return &TimeSeries{series: make(map[string]*Ring[TSPoint])}
 }
 
 // Observe appends one point to the named series, creating it on first
@@ -67,11 +49,12 @@ func (ts *TimeSeries) Observe(name string, t time.Time, v float64) {
 	defer ts.mu.Unlock()
 	r := ts.series[name]
 	if r == nil {
-		r = &pointRing{buf: make([]TSPoint, seriesCapacity)}
+		ring := NewRing[TSPoint](seriesCapacity)
+		r = &ring
 		ts.series[name] = r
 		ts.order = append(ts.order, name)
 	}
-	r.push(TSPoint{T: t, V: v})
+	r.Push(TSPoint{T: t, V: v})
 }
 
 // Snapshot copies out every series' points newer than now-window, in
@@ -89,14 +72,11 @@ func (ts *TimeSeries) Snapshot(window time.Duration, now time.Time) []SeriesData
 	defer ts.mu.Unlock()
 	out := make([]SeriesData, 0, len(ts.order))
 	for _, name := range ts.order {
-		r := ts.series[name]
 		sd := SeriesData{Name: name}
-		for i := 0; i < r.n; i++ {
-			p := r.at(i)
-			if p.T.Before(cutoff) {
-				continue
+		for _, p := range ts.series[name].Copy() {
+			if !p.T.Before(cutoff) {
+				sd.Points = append(sd.Points, p)
 			}
-			sd.Points = append(sd.Points, p)
 		}
 		out = append(out, sd)
 	}

@@ -69,8 +69,8 @@ const MaxTargets = 1024
 // Answer is the demultiplexed per-request result. Only the fields of the
 // request's Kind are meaningful.
 type Answer struct {
-	Visited      int64   // vertices reached, including the source
-	Eccentricity int32   // greatest BFS depth reached
+	Visited      int64   // vertices reached, including the source; 0 for KindKHop
+	Eccentricity int32   // greatest BFS depth reached; 0 for KindKHop
 	Distances    []int32 // per requested target; msbfs.NoLevel if unreachable
 	Closeness    float64
 	Reachable    bool
@@ -456,26 +456,16 @@ func (c *Coalescer) cut(b *batch) bool {
 	n := len(live)
 	b.sources = slices.Grow(b.sources[:0], n)[:n]
 	b.fold.Reset(b.opt.Normalize().Workers, n)
-	depthBound := 0 // 0 while any slot needs the full traversal
-	allBounded := true
 	for i, p := range live {
 		b.sources[i] = p.q.Source
-		switch p.q.Kind {
-		case KindKHop:
+		if p.q.Kind == KindKHop {
 			b.fold.SetRadius(i, p.q.Hops)
-			depthBound = max(depthBound, p.q.Hops)
-		default:
-			allBounded = false
 		}
 		if len(p.q.Targets) > 0 {
 			b.fold.SetTargets(i, p.q.Targets, core.TargetIndex(p.q.Targets))
 		}
 	}
-	if allBounded {
-		// A batch of pure khop queries never needs depths beyond the
-		// widest radius; prune the traversal instead of filtering visits.
-		b.opt.MaxDepth = depthBound
-	}
+	b.opt.MaxDepth = b.fold.DepthBound()
 	return true
 }
 
@@ -529,20 +519,23 @@ func (c *Coalescer) demux(b *batch, res *msbfs.MultiResult, version uint64) {
 	for i, p := range b.live {
 		t := b.fold.Tally(i)
 		ans := Answer{
-			Visited:      t.Reached,
-			Eccentricity: t.MaxDepth,
 			BatchWidth:   width,
 			Wait:         b.cutAt.Sub(p.enqueued),
 			Run:          res.Elapsed,
 			TraceID:      p.traceID,
 			GraphVersion: version,
 		}
+		// A khop slot may stop at its batch's depth bound, so only the
+		// other kinds, whose batches run whole components, report reach.
 		switch p.q.Kind {
 		case KindBFS:
+			ans.Visited, ans.Eccentricity = t.Reached, t.MaxDepth
 			ans.Distances = b.fold.Distances(i)
 		case KindCloseness:
+			ans.Visited, ans.Eccentricity = t.Reached, t.MaxDepth
 			ans.Closeness = t.Closeness(n)
 		case KindReachability:
+			ans.Visited, ans.Eccentricity = t.Reached, t.MaxDepth
 			ans.Reachable = b.fold.Distances(i)[0] != msbfs.NoLevel
 		case KindKHop:
 			ans.Count = t.InRadius

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Flight-recorder bounds. The ring is deliberately small: it answers
@@ -49,12 +51,9 @@ type FlightRecorder struct {
 
 	slowThreshold time.Duration
 
-	mu    sync.Mutex
-	ring  [flightCap]RequestRecord // ring[next] is the oldest once full
-	next  int
-	full  bool
-	total uint64
-	slow  []RequestRecord // sorted slowest-first, capped at slowCap
+	mu   sync.Mutex
+	ring obs.Ring[RequestRecord]
+	slow []RequestRecord // sorted slowest-first, capped at slowCap
 }
 
 // NewFlightRecorder builds a recorder that classifies requests at or over
@@ -63,7 +62,7 @@ func NewFlightRecorder(slowThreshold time.Duration) *FlightRecorder {
 	if slowThreshold <= 0 {
 		slowThreshold = DefaultSlowQuery
 	}
-	return &FlightRecorder{slowThreshold: slowThreshold}
+	return &FlightRecorder{slowThreshold: slowThreshold, ring: obs.NewRing[RequestRecord](flightCap)}
 }
 
 // NextTraceID issues a fresh nonzero trace ID. A nil recorder returns 0 —
@@ -86,13 +85,7 @@ func (f *FlightRecorder) Record(rec RequestRecord) bool {
 	isSlow := rec.Status == "ok" && time.Duration(rec.TotalMicros)*time.Microsecond >= f.slowThreshold
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.ring[f.next] = rec
-	f.next++
-	if f.next == flightCap {
-		f.next = 0
-		f.full = true
-	}
-	f.total++
+	f.ring.Push(rec)
 	if isSlow {
 		f.recordSlowLocked(rec)
 	}
@@ -135,16 +128,9 @@ func (f *FlightRecorder) Snapshot() FlightSnapshot {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var reqs []RequestRecord
-	if f.full {
-		reqs = make([]RequestRecord, 0, flightCap)
-		reqs = append(reqs, f.ring[f.next:]...)
-		reqs = append(reqs, f.ring[:f.next]...)
-	} else {
-		reqs = append(reqs, f.ring[:f.next]...)
-	}
+	reqs := f.ring.Copy()
 	return FlightSnapshot{
-		Total:         f.total,
+		Total:         uint64(len(reqs)) + f.ring.Dropped(),
 		SlowThreshold: f.slowThreshold.String(),
 		Requests:      reqs,
 		Slow:          append([]RequestRecord(nil), f.slow...),

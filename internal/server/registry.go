@@ -117,6 +117,9 @@ func (e *Entry) ApplyEdges(edges []msbfs.Edge) (dyngraph.ApplyResult, error) {
 type Registry struct {
 	mu     sync.RWMutex
 	graphs map[string]*Entry
+	// adding serializes registrations, so a name is checked before anything
+	// is built under it and stays free until its entry is in graphs.
+	adding sync.Mutex
 	eng    *msbfs.Engine
 	// engRows is the engine's metric table.
 	engRows metricTable
@@ -181,7 +184,8 @@ func (r *Registry) BuildGraph(name, spec string) (*msbfs.Graph, error) {
 }
 
 // addBackend is the one registration path; Add, AddDynamic and AddCluster
-// differ only in the open they pass. It defaults cfg.Engine to the
+// differ only in the open they pass. It refuses a taken name before it
+// builds or opens anything, then defaults cfg.Engine to the
 // registry's engine, pre-spawned to cfg.Workers so the first flush is warm,
 // applies the paper's striped relabeling sized to cfg.Workers when
 // relabel is set (the labeling every heavy BFS workload should run under),
@@ -192,6 +196,14 @@ func (r *Registry) BuildGraph(name, spec string) (*msbfs.Graph, error) {
 // in the entry's backend-specific fields (Dyn, ClusterMet).
 func (r *Registry) addBackend(name, spec string, g *msbfs.Graph, relabel bool, cfg Config,
 	open func(e *Entry, cfg Config) (Backend, error)) (*Entry, error) {
+	r.adding.Lock()
+	defer r.adding.Unlock()
+	r.mu.RLock()
+	_, dup := r.graphs[name]
+	r.mu.RUnlock()
+	if dup {
+		return nil, fmt.Errorf("server: graph %q already registered", name)
+	}
 	cfg = cfg.normalize()
 	if cfg.Engine == nil {
 		cfg.Engine = r.eng
@@ -212,7 +224,10 @@ func (r *Registry) addBackend(name, spec string, g *msbfs.Graph, relabel bool, c
 	e.Coal = NewCoalescer(b, cfg, e.Met, e.G.NewEdgeCounter().EdgesForAll)
 	e.Coal.name, e.Coal.rec, e.Coal.tracer, e.Coal.logger = name, r.rec, r.tracer, r.logger
 	e.rows = entryTable(e)
-	return r.register(e)
+	r.mu.Lock()
+	r.graphs[name] = e
+	r.mu.Unlock()
+	return e, nil
 }
 
 // Add registers an already-built graph served in-process: the (relabeled)
@@ -251,17 +266,6 @@ func (r *Registry) AddDynamic(name, spec string, g *msbfs.Graph, relabel bool, c
 		e.Dyn = dyngraph.New(e.G, dcfg)
 		return e.Dyn, nil
 	})
-}
-
-func (r *Registry) register(e *Entry) (*Entry, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.graphs[e.Name]; dup {
-		e.Coal.Close()
-		return nil, fmt.Errorf("server: graph %q already registered", e.Name)
-	}
-	r.graphs[e.Name] = e
-	return e, nil
 }
 
 // Get returns the named entry. With the empty name and exactly one

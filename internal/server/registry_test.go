@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	msbfs "repro"
+	"repro/internal/cluster"
+	"repro/internal/dyngraph"
 	"repro/internal/graph"
 )
 
@@ -190,5 +194,79 @@ func TestRegistryDefaultGraph(t *testing.T) {
 	}
 	if _, ok := reg.Get("second"); !ok {
 		t.Error("named lookup failed")
+	}
+}
+
+// TestClusterDuplicateRegistrationKeepsLiveGraph: a refused duplicate
+// AddCluster ships nothing, so the shards keep serving the live graph's
+// slices and its answers do not change.
+func TestClusterDuplicateRegistrationKeepsLiveGraph(t *testing.T) {
+	ctx := context.Background()
+	ip, err := cluster.StartInproc(ctx, 2,
+		cluster.ShardOptions{Workers: 2, StepTimeout: cluster.DefaultInprocStepTimeout},
+		cluster.CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ip.Close)
+	reg := NewRegistry()
+	defer reg.Close()
+	cfg := Config{Workers: 2}
+	const liveSpec, otherSpec = "kron:scale=10,seed=7", "kron:scale=10,seed=8"
+	live, err := reg.BuildGraph("g", liveSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := reg.BuildGraph("g", otherSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := reg.AddCluster(ctx, "g", liveSpec, live, ip.Coord, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func() []Answer {
+		var out []Answer
+		for _, s := range []int{0, 3, 10} {
+			ans, err := e.Submit(ctx, Query{Kind: KindBFS, Source: s, Targets: []int{1, 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, ans)
+		}
+		return out
+	}
+	before := ask()
+	if _, err := reg.AddCluster(ctx, "g", otherSpec, other, ip.Coord, cfg); err == nil {
+		t.Fatal("duplicate AddCluster accepted")
+	}
+	for i, a := range ask() {
+		b := before[i]
+		if a.Visited != b.Visited || a.Eccentricity != b.Eccentricity || !slices.Equal(a.Distances, b.Distances) {
+			t.Errorf("query %d: %d/%d/%v after the refused duplicate, %d/%d/%v before",
+				i, a.Visited, a.Eccentricity, a.Distances, b.Visited, b.Eccentricity, b.Distances)
+		}
+	}
+}
+
+// TestDynamicDuplicateRegistrationStartsNoGoroutine: a refused duplicate
+// AddDynamic opens no dynamic graph, so it leaves no compactor goroutine
+// behind.
+func TestDynamicDuplicateRegistrationStartsNoGoroutine(t *testing.T) {
+	reg := NewRegistry()
+	defer reg.Close()
+	g := testGraph(t)
+	cfg, dcfg := Config{Workers: 2}, dyngraph.Config{AutoCompact: true}
+	if _, err := reg.AddDynamic("d", "test", g, true, cfg, dcfg); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for range 5 {
+		if _, err := reg.AddDynamic("d", "test", g, true, cfg, dcfg); err == nil {
+			t.Fatal("duplicate AddDynamic accepted")
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after five refused duplicates, %d before", n, base)
 	}
 }

@@ -66,7 +66,7 @@ func (p KroneckerParams) check() error {
 
 // kroneckerPairs checks p and returns the vertex count and the scrambled
 // endpoint buffer, edge i = {pairs[2i], pairs[2i+1]}: the layout
-// graph.FromPairs takes ownership of and builds the CSR inside.
+// graph.FromPairs takes ownership of and builds the CSR from.
 func kroneckerPairs(p KroneckerParams) (int, []graph.VertexID) {
 	if err := p.check(); err != nil {
 		panic("gen: " + err.Error())

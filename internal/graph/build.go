@@ -11,8 +11,8 @@ func checkEdge(n int, u, v VertexID) {
 // FromEdges builds the CSR graph with n vertices from an edge list, which
 // it only reads. Edges may come in either orientation and any order;
 // self-loops and duplicates are dropped; an out-of-range endpoint panics.
-// The edges are flattened into one endpoint buffer, the only arc-sized
-// array the build allocates, and FromPairs builds the graph inside it.
+// The edges are flattened into one endpoint buffer for FromPairs, which
+// builds the graph inside it when the edges hold no loop or duplicate.
 func FromEdges(n int, edges []Edge) *Graph {
 	pairs := make([]VertexID, 2*len(edges))
 	for i, e := range edges {
@@ -28,11 +28,16 @@ func FromEdges(n int, edges []Edge) *Graph {
 const blockBits = 10
 
 // FromPairs is FromEdges over a flat endpoint buffer — edge i is
-// {pairs[2i], pairs[2i+1]} — which it takes ownership of: the CSR is built
-// inside the buffer, with no second arc array and no comparison sort, and
-// the result's adjacency is a prefix of it. The caller must not touch
-// pairs afterwards. Besides the result's offsets the build allocates only
-// a second counter array of the same size and one array of bucket heads
+// {pairs[2i], pairs[2i+1]} — which it takes ownership of: the caller must
+// not touch pairs afterwards. The build uses no comparison sort. When the
+// buffer holds no loop and no duplicate, the CSR fills it exactly and is
+// built inside it, with no second arc array; otherwise the rows are laid
+// into a fresh array of exactly the distinct arcs, so the result never
+// keeps the buffer's dead tail alive, and the buffer is garbage once
+// FromPairs returns. Either way the result's adjacency has cap == len,
+// and the result keeps alive its offsets and adjacency only, the
+// MemoryBytes it reports. Besides those arrays the build allocates only a
+// second counter array of the offsets' size and one array of bucket heads
 // (groupByMin). It panics on a negative n, an odd buffer, one longer than
 // MaxEndpoints or an out-of-range endpoint.
 //
@@ -45,9 +50,11 @@ const blockBits = 10
 //  3. keep the larger endpoints, the upper lists, in the first half, and
 //     transpose them by ascending source into the second half: the lower
 //     lists, each sorted with its duplicates adjacent (transposeUpper);
-//  4. deduplicate the lower lists to the front of the buffer (dedupLower);
-//  5. move each lower list right to its row's start, last row first
-//     (placeLower);
+//  4. deduplicate the lower lists to the front of the buffer (dedupLower),
+//     which counts the distinct edges: the arc array is the buffer if no
+//     loop or duplicate was dropped, else a fresh one of twice that count;
+//  5. copy each lower list from the buffer to the start of its row in the
+//     arc array, last row first (placeLower);
 //  6. transpose the lower lists in place by ascending source into the
 //     rows' upper halves (fillUpper).
 //
@@ -69,9 +76,13 @@ func FromPairs(n int, pairs []VertexID) *Graph {
 	groupByMin(pairs[:2*k], low)
 	transposeUpper(pairs[:2*k], low, high)
 	lower := dedupLower(pairs[:2*k], low, high)
-	placeLower(pairs[:2*lower], low, high)
-	fillUpper(pairs[:2*lower], low, high)
-	return &Graph{Offsets: low, Adjacency: pairs[: 2*lower : 2*lower]}
+	arcs := pairs[: 2*lower : 2*lower]
+	if 2*lower < len(pairs) {
+		arcs = make([]VertexID, 2*lower)
+	}
+	placeLower(arcs, pairs, low, high)
+	fillUpper(arcs, low, high)
+	return &Graph{Offsets: low, Adjacency: arcs}
 }
 
 // canonicalise rewrites every non-loop edge of pairs as the record
@@ -221,19 +232,21 @@ func dedupLower(recs []VertexID, low, high []uint32) int {
 	return w
 }
 
-// placeLower moves every deduplicated lower list from its packed position
-// at the front of arcs to the start of its row, last row first. A row
-// starts at or after its packed list (the rows before it add their upper
-// halves), so a move only writes at or right of what it reads, below the
-// rows already placed and above the lists still to move.
-func placeLower(arcs []VertexID, low, high []uint32) {
+// placeLower copies every deduplicated lower list from its packed position
+// at the front of lists, len(arcs)/2 entries in all, to the start of its
+// row in arcs, last row first. arcs is either a fresh array or a prefix of
+// lists; in the latter a row starts at or after its packed list (the rows
+// before it add their upper halves), so a move only writes at or right of
+// what it reads, below the rows already placed and above the lists still
+// to move.
+func placeLower(arcs, lists []VertexID, low, high []uint32) {
 	n := len(low) - 1
 	high = high[:len(low)]
 	rowEnd, listEnd := len(arcs), len(arcs)/2
 	for v := n - 1; v >= 0; v-- {
 		lo, hi := int(low[v+1]), int(high[v+1])
 		rowStart, listStart := rowEnd-lo-hi, listEnd-lo
-		copy(arcs[rowStart:rowStart+lo], arcs[listStart:listEnd])
+		copy(arcs[rowStart:rowStart+lo], lists[listStart:listEnd])
 		rowEnd, listEnd = rowStart, listStart
 	}
 }

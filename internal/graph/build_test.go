@@ -56,8 +56,11 @@ func referenceBuild(n int, edges []Edge) *Graph {
 // checkBuild builds edges and holds the result to Validate and the
 // reference. The input must come back untouched: FromEdges only reads it.
 // The consuming front end, FromPairs over the same edges flattened, must
-// produce the same Offsets and Adjacency byte for byte, inside the buffer
-// it was handed.
+// produce the same Offsets and Adjacency byte for byte: inside the buffer
+// it was handed exactly when the input holds no loop and no duplicate (the
+// reference keeps every edge), and in an array of its own otherwise, so a
+// built graph keeps only its arcs. Either way the adjacency has no spare
+// capacity.
 func checkBuild(t testing.TB, n int, edges []Edge) *Graph {
 	t.Helper()
 	in := append([]Edge(nil), edges...)
@@ -70,14 +73,24 @@ func checkBuild(t testing.TB, n int, edges []Edge) *Graph {
 	if !graphsEqual(p, g) {
 		t.Fatalf("n=%d, %d edges: FromPairs differs from FromEdges", n, len(edges))
 	}
-	if len(p.Adjacency) > 0 && &p.Adjacency[0] != &pairs[0] {
-		t.Fatalf("n=%d, %d edges: FromPairs did not build inside its endpoint buffer", n, len(edges))
-	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("n=%d, %d edges: %v", n, len(edges), err)
 	}
-	if !graphsEqual(g, referenceBuild(n, edges)) {
+	ref := referenceBuild(n, edges)
+	if !graphsEqual(g, ref) {
 		t.Fatalf("n=%d, %d edges: build differs from the reference", n, len(edges))
+	}
+	dropped := ref.NumEdges() < int64(len(edges))
+	if len(p.Adjacency) > 0 {
+		if inside := &p.Adjacency[0] == &pairs[0]; inside == dropped {
+			t.Fatalf("n=%d, %d edges (loops or duplicates dropped: %v): FromPairs built inside its endpoint buffer: %v",
+				n, len(edges), dropped, inside)
+		}
+	}
+	for name, adj := range map[string][]VertexID{"FromEdges": g.Adjacency, "FromPairs": p.Adjacency} {
+		if cap(adj) != len(adj) {
+			t.Fatalf("n=%d, %d edges: %s adjacency has capacity %d for length %d", n, len(edges), name, cap(adj), len(adj))
+		}
 	}
 	for i := range in {
 		if in[i] != edges[i] {
@@ -119,7 +132,8 @@ type buildCase struct {
 // of FromPairs' two-pass grouping — fewer vertices than one block
 // (1<<blockBits), a count that is no multiple of it, a hub whose bucket
 // holds more records than a block has vertices — and an input without
-// loops or duplicates, whose CSR fills the endpoint buffer exactly.
+// loops or duplicates, whose CSR fills the endpoint buffer exactly: the
+// one non-empty row FromPairs builds inside its buffer.
 func buildGrid() []buildCase {
 	hub := []Edge{}
 	for i := 1; i < 10000; i++ {

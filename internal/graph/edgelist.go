@@ -21,8 +21,10 @@ import (
 // Malformed lines produce an error naming the line number. The dense ids
 // are read into chunks, since the edge count is unknown until the end, and
 // copied once into the exact endpoint buffer that FromPairs builds the
-// graph in: the load allocates the endpoints about twice, where one buffer
-// grown by append allocates them about five times over.
+// graph from: the load allocates the endpoints about twice, where one
+// buffer grown by append allocates them about five times over. A listing
+// that names an edge twice (say, in both orientations) costs FromPairs one
+// more array of the distinct arcs, which is all the graph keeps.
 func LoadEdgeList(r io.Reader) (g *Graph, ids []int64, err error) {
 	var (
 		chunks [][]VertexID // the full chunks

@@ -20,9 +20,8 @@ func reversed(n int) []VertexID {
 }
 
 // The input of a relabel is untouched, two relabels of one graph share no
-// storage, and no returned adjacency — the built one, a prefix of its
-// endpoint buffer, included — has spare capacity another append could grow
-// into.
+// storage, and no returned adjacency — the built one included — has spare
+// capacity another append could grow into.
 func TestRelabelAliasing(t *testing.T) {
 	const n = 200
 	g0 := checkBuild(t, n, randomEdges(n, 2500, 3))
